@@ -84,50 +84,48 @@ func Schedule(jobs []*workload.Job, m int, opt Options) (*Result, error) {
 	if len(jobs) == 0 {
 		return res, nil
 	}
-	for _, j := range jobs {
-		if t, _ := j.MinTime(m); math.IsInf(t, 0) {
-			return nil, fmt.Errorf("bicriteria: job %d cannot run on %d processors", j.ID, m)
+	// pending holds the cost summaries of the unscheduled jobs in release
+	// order; pending[:released] are those released by the clock.
+	pending := workload.Costs(jobs, m)
+	shortest := math.Inf(1)
+	for i := range pending {
+		t, _ := pending[i].MinTime()
+		if math.IsInf(t, 0) {
+			return nil, fmt.Errorf("bicriteria: job %d cannot run on %d processors", jobs[i].ID, m)
+		}
+		if t < shortest {
+			shortest = t
 		}
 	}
-
 	d := opt.InitialDeadline
 	if d <= 0 {
-		d = math.Inf(1)
-		for _, j := range jobs {
-			if t, _ := j.MinTime(m); t < d {
-				d = t
-			}
-		}
+		d = shortest
 	}
-
-	pending := append([]*workload.Job(nil), jobs...)
 	sort.SliceStable(pending, func(i, k int) bool {
-		if pending[i].Release != pending[k].Release {
-			return pending[i].Release < pending[k].Release
+		a, b := pending[i].Job, pending[k].Job
+		if a.Release != b.Release {
+			return a.Release < b.Release
 		}
-		return pending[i].ID < pending[k].ID
+		return a.ID < b.ID
 	})
 
 	clock := 0.0
 	deadline := d
 	batchIdx := 0
+	released := 0
+	taken := make([]bool, len(pending))
 	for len(pending) > 0 {
-		// Eligible = released by now.
-		var eligible, future []*workload.Job
-		for _, j := range pending {
-			if j.Release <= clock+1e-12 {
-				eligible = append(eligible, j)
-			} else {
-				future = append(future, j)
-			}
+		// The clock never moves back, so the released prefix only grows.
+		for released < len(pending) && pending[released].Job.Release <= clock+1e-12 {
+			released++
 		}
-		if len(eligible) == 0 {
+		if released == 0 {
 			// Idle until the next release; the deadline keeps its value
 			// (batches only count when they execute work).
-			clock = future[0].Release
+			clock = pending[0].Job.Release
 			continue
 		}
-		selected, bs := maxWeightBatch(eligible, m, deadline)
+		selected, bs := maxWeightBatch(pending[:released], m, deadline)
 		if len(selected) == 0 {
 			// Nothing fits the current deadline: double and retry. The
 			// geometric growth guarantees progress since every job is
@@ -145,18 +143,21 @@ func Schedule(jobs []*workload.Job, m int, opt Options) (*Result, error) {
 			JobCount: len(selected),
 		})
 		batchIdx++
-		// Remove the scheduled jobs from pending.
-		done := make(map[int]bool, len(selected))
-		for _, j := range selected {
-			done[j.ID] = true
+		// Remove the scheduled jobs from pending, keeping its order.
+		for _, i := range selected {
+			taken[i] = true
 		}
-		var rest []*workload.Job
-		for _, j := range pending {
-			if !done[j.ID] {
-				rest = append(rest, j)
+		kept := 0
+		for i := range pending {
+			if taken[i] {
+				taken[i] = false
+				continue
 			}
+			pending[kept] = pending[i]
+			kept++
 		}
-		pending = rest
+		pending = pending[:kept]
+		released -= len(selected)
 		clock = math.Max(end, clock)
 		deadline *= 2
 	}
@@ -167,8 +168,9 @@ func Schedule(jobs []*workload.Job, m int, opt Options) (*Result, error) {
 }
 
 // maxWeightBatch implements the ACmax procedure of §4.4: given a deadline
-// D, it returns a subset of jobs of (approximately) maximum total weight
-// together with a schedule of length at most ρ·D ≤ 3D/2.
+// D and the cost summaries of the eligible jobs, it returns the indices
+// of a subset of (approximately) maximum total weight together with a
+// schedule of that subset of length at most ρ·D ≤ 3D/2.
 //
 // Selection is greedy by weight density (weight per unit of minimal
 // work), the classic knapsack relaxation: jobs are admitted while the
@@ -176,12 +178,18 @@ func Schedule(jobs []*workload.Job, m int, opt Options) (*Result, error) {
 // attempted; on failure the least-dense selected job is evicted and the
 // construction retried, which terminates because a single feasible job
 // always constructs.
-func maxWeightBatch(jobs []*workload.Job, m int, deadline float64) ([]*workload.Job, *sched.Schedule) {
+func maxWeightBatch(costs []workload.Cost, m int, deadline float64) ([]int, *sched.Schedule) {
 	// Jobs that cannot individually meet the deadline are out.
-	var cands []*workload.Job
-	for _, j := range jobs {
-		if t, _ := j.MinTime(m); t <= deadline {
-			cands = append(cands, j)
+	type cand struct {
+		idx, id       int
+		density, work float64
+	}
+	var cands []cand
+	for i := range costs {
+		if t, _ := costs[i].MinTime(); t <= deadline {
+			j := costs[i].Job
+			w, _ := costs[i].MinWork()
+			cands = append(cands, cand{idx: i, id: j.ID, density: density(j.Weight, w), work: w})
 		}
 	}
 	if len(cands) == 0 {
@@ -190,30 +198,27 @@ func maxWeightBatch(jobs []*workload.Job, m int, deadline float64) ([]*workload.
 	// Density order: weight / minwork, descending. Heavier-per-area jobs
 	// first maximizes batch weight under the area budget D·m.
 	sort.SliceStable(cands, func(a, b int) bool {
-		wa, _ := cands[a].MinWork(m)
-		wb, _ := cands[b].MinWork(m)
-		da := density(cands[a].Weight, wa)
-		db := density(cands[b].Weight, wb)
-		if da != db {
-			return da > db
+		if cands[a].density != cands[b].density {
+			return cands[a].density > cands[b].density
 		}
-		return cands[a].ID < cands[b].ID
+		return cands[a].id < cands[b].id
 	})
 	// Greedy admission under the area budget.
 	budget := deadline * float64(m)
-	var selected []*workload.Job
+	var indices []int
+	var selected []workload.Cost
 	var used float64
-	for _, j := range cands {
-		w, _ := j.MinWork(m)
-		if used+w <= budget {
-			selected = append(selected, j)
-			used += w
+	for _, c := range cands {
+		if used+c.work <= budget {
+			indices = append(indices, c.idx)
+			selected = append(selected, costs[c.idx])
+			used += c.work
 		}
 	}
 	// Construct, evicting from the tail on failure.
 	for len(selected) > 0 {
 		if s, ok := moldable.ConstructForDeadline(selected, m, deadline); ok {
-			return selected, s
+			return indices[:len(selected)], s
 		}
 		selected = selected[:len(selected)-1]
 	}

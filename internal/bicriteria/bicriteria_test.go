@@ -2,9 +2,12 @@ package bicriteria
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/moldable"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -238,13 +241,14 @@ func TestMaxWeightBatchSelectsByDensity(t *testing.T) {
 	}
 	dense := mk(1, 40, 100) // time 10 on 4 procs
 	sparse := mk(2, 40, 1)
-	selected, s := maxWeightBatch([]*workload.Job{sparse, dense}, 4, 10)
+	costs := workload.Costs([]*workload.Job{sparse, dense}, 4)
+	selected, s := maxWeightBatch(costs, 4, 10)
 	if s == nil || len(selected) == 0 {
 		t.Fatal("no batch built")
 	}
 	foundDense := false
-	for _, j := range selected {
-		if j.ID == 1 {
+	for _, i := range selected {
+		if costs[i].Job.ID == 1 {
 			foundDense = true
 		}
 	}
@@ -261,11 +265,11 @@ func TestMaxWeightBatchRespectsDeadline(t *testing.T) {
 		}
 	}
 	// One job too long for the deadline: empty batch.
-	if sel, _ := maxWeightBatch([]*workload.Job{mk(1, 100)}, 4, 10); sel != nil {
+	if sel, _ := maxWeightBatch(workload.Costs([]*workload.Job{mk(1, 100)}, 4), 4, 10); sel != nil {
 		t.Fatal("over-deadline job selected")
 	}
 	// Feasible job: schedule within 3d/2.
-	sel, s := maxWeightBatch([]*workload.Job{mk(2, 8)}, 4, 10)
+	sel, s := maxWeightBatch(workload.Costs([]*workload.Job{mk(2, 8)}, 4), 4, 10)
 	if len(sel) != 1 || s == nil {
 		t.Fatal("feasible job rejected")
 	}
@@ -295,6 +299,69 @@ func TestScheduleManyEqualJobsBatchGrowth(t *testing.T) {
 		if res.Batches[i].JobCount < res.Batches[i-1].JobCount {
 			t.Fatalf("batch %d count %d below previous %d",
 				i, res.Batches[i].JobCount, res.Batches[i-1].JobCount)
+		}
+	}
+}
+
+// Experiment cells share one []*Job and cost it for different platform
+// widths at the same time (scenario cells of one fan-out run in a worker
+// pool). Cost summaries live in each algorithm's frame, never on the
+// Job, so concurrent cells must reproduce their sequential results; run
+// under -race this also proves nothing writes to the shared jobs, the
+// frozen clones of the list baselines included.
+func TestConcurrentCellsShareJobs(t *testing.T) {
+	jobs := workload.Parallel(workload.GenConfig{N: 150, M: 64, Seed: 5, Weighted: true, ArrivalRate: 0.05})
+	type outcome struct{ bi, wc, mrt, minWork, maxProcs, gamma float64 }
+	cell := func(m int) (o outcome, err error) {
+		res, err := Schedule(jobs, m, Options{})
+		if err != nil {
+			return o, err
+		}
+		o.bi, o.wc = res.Schedule.Makespan(), res.WCRatio()
+		mrt, err := moldable.MRT(jobs, m, 0.01)
+		if err != nil {
+			return o, err
+		}
+		o.mrt = mrt.Schedule.Makespan()
+		for _, b := range []struct {
+			run func([]*workload.Job, int) (*sched.Schedule, error)
+			out *float64
+		}{{moldable.MinWorkList, &o.minWork}, {moldable.MaxProcsList, &o.maxProcs}, {moldable.GammaList, &o.gamma}} {
+			s, err := b.run(jobs, m)
+			if err != nil {
+				return o, err
+			}
+			*b.out = s.Makespan()
+		}
+		return o, nil
+	}
+	widths := []int{16, 64, 40, 100}
+	want := make([]outcome, len(widths))
+	for i, m := range widths {
+		var err error
+		if want[i], err = cell(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 3; round++ {
+		got := make([]outcome, len(widths))
+		errs := make([]error, len(widths))
+		var wg sync.WaitGroup
+		for i, m := range widths {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], errs[i] = cell(m)
+			}()
+		}
+		wg.Wait()
+		for i, m := range widths {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if got[i] != want[i] {
+				t.Fatalf("m=%d: concurrent cell %+v, sequential %+v", m, got[i], want[i])
+			}
 		}
 	}
 }

@@ -109,19 +109,28 @@ func Schedule(jobs []*workload.Job, g *platform.Grid, part Partition, eps float6
 			}
 		}
 	default: // SpeedAwareLPT
-		ordered := append([]*workload.Job(nil), jobs...)
+		// Order by minimal work on the widest cluster, largest first.
+		type keyed struct {
+			job  *workload.Job
+			work float64
+		}
+		ordered := make([]keyed, len(jobs))
+		widest := maxProcs(g)
+		for i, j := range jobs {
+			w, _ := j.MinWork(widest)
+			ordered[i] = keyed{j, w}
+		}
 		sort.SliceStable(ordered, func(a, b int) bool {
-			wa, _ := ordered[a].MinWork(maxProcs(g))
-			wb, _ := ordered[b].MinWork(maxProcs(g))
-			if wa != wb {
-				return wa > wb
+			if ordered[a].work != ordered[b].work {
+				return ordered[a].work > ordered[b].work
 			}
-			return ordered[a].ID < ordered[b].ID
+			return ordered[a].job.ID < ordered[b].job.ID
 		})
 		load := make([]float64, len(g.Clusters)) // normalized drain time
-		for _, j := range ordered {
+		for _, o := range ordered {
+			j := o.job
 			best := -1
-			bestCost := 0.0
+			var bestCost, bestWork float64
 			for i, c := range g.Clusters {
 				if !fits(j, c) {
 					continue
@@ -131,20 +140,19 @@ func Schedule(jobs []*workload.Job, g *platform.Grid, part Partition, eps float6
 				// time on that cluster's speed, whichever binds. Pure
 				// area balancing would park long jobs on slow clusters
 				// and lose to the critical path.
-				w, _ := j.MinWork(c.Procs())
-				tm, _ := j.MinTime(c.Procs())
+				jc := j.Cost(c.Procs())
+				w, _ := jc.MinWork()
+				tm, _ := jc.MinTime()
 				cost := load[i] + w/(float64(c.Procs())*c.Speed)
 				if crit := tm / c.Speed; crit > cost {
 					cost = crit
 				}
 				if best < 0 || cost < bestCost {
-					best = i
-					bestCost = cost
+					best, bestCost, bestWork = i, cost, w
 				}
 			}
 			c := g.Clusters[best]
-			w, _ := j.MinWork(c.Procs())
-			load[best] += w / (float64(c.Procs()) * c.Speed)
+			load[best] += bestWork / (float64(c.Procs()) * c.Speed)
 			buckets[best] = append(buckets[best], j)
 			asg.JobCluster[j.ID] = best
 		}
@@ -198,9 +206,10 @@ func LowerBound(jobs []*workload.Job, g *platform.Grid) float64 {
 	var work float64
 	critical := 0.0
 	for _, j := range jobs {
-		w, _ := j.MinWork(biggest)
+		c := j.Cost(biggest)
+		w, _ := c.MinWork()
 		work += w
-		t, _ := j.MinTime(biggest)
+		t, _ := c.MinTime()
 		if t/fastest > critical {
 			critical = t / fastest
 		}

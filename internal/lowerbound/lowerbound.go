@@ -33,35 +33,14 @@ func CmaxMinTime(jobs []*workload.Job, m int) float64 {
 	return lb
 }
 
-// minWorkUnder returns the minimal work of job j among allocations of at
-// most m processors whose execution time is at most deadline, or +Inf if
-// no allocation meets the deadline. Monotone non-increasing in deadline
-// by construction, which makes the dual bound's binary search sound even
-// for non-monotone profiles.
-func minWorkUnder(j *workload.Job, deadline float64, m int) float64 {
-	best := math.Inf(1)
-	hi := j.MaxProcs
-	if hi > m {
-		hi = m
-	}
-	for p := j.MinProcs; p <= hi; p++ {
-		if j.TimeOn(p) <= deadline {
-			if w := j.WorkOn(p); w < best {
-				best = w
-			}
-		}
-	}
-	return best
-}
-
 // dualFeasible reports whether the guess λ passes the dual-approximation
 // feasibility test of §4.1: every job has an allocation meeting λ, and
 // the sum of the cheapest such allocations fits in the area λ·m.
-func dualFeasible(jobs []*workload.Job, m int, lambda float64) bool {
+func dualFeasible(costs []workload.Cost, m int, lambda float64) bool {
 	var work float64
 	bound := lambda * float64(m)
-	for _, j := range jobs {
-		w := minWorkUnder(j, lambda, m)
+	for i := range costs {
+		w := costs[i].MinWorkUnder(lambda)
 		if math.IsInf(w, 0) {
 			return false
 		}
@@ -80,18 +59,33 @@ func dualFeasible(jobs []*workload.Job, m int, lambda float64) bool {
 // feasible λ is a valid lower bound. It dominates both CmaxArea and
 // CmaxMinTime.
 func CmaxDual(jobs []*workload.Job, m int) float64 {
-	if len(jobs) == 0 {
+	return CmaxDualOf(workload.Costs(jobs, m), m)
+}
+
+// CmaxDualOf is CmaxDual for callers that already hold the jobs' cost
+// summaries on m processors.
+func CmaxDualOf(costs []workload.Cost, m int) float64 {
+	if len(costs) == 0 {
 		return 0
 	}
-	lo := math.Max(CmaxArea(jobs, m), CmaxMinTime(jobs, m))
+	var work, critical float64
+	for i := range costs {
+		w, _ := costs[i].MinWork()
+		work += w
+		if t, _ := costs[i].MinTime(); !math.IsInf(t, 0) && t > critical {
+			critical = t
+		}
+	}
+	area := work / float64(m)
+	lo := math.Max(area, critical)
 	if lo == 0 {
 		return 0
 	}
-	if dualFeasible(jobs, m, lo) {
+	if dualFeasible(costs, m, lo) {
 		return lo
 	}
-	hi := CmaxMinTime(jobs, m) + workload.TotalMinWork(jobs, m)/float64(m)
-	for !dualFeasible(jobs, m, hi) {
+	hi := critical + area
+	for !dualFeasible(costs, m, hi) {
 		// Degenerate profiles (e.g. min-work allocation slower than λ):
 		// widen until feasible. Doubling terminates because at λ ≥ max
 		// sequential time the cheapest allocation is unconstrained.
@@ -102,7 +96,7 @@ func CmaxDual(jobs []*workload.Job, m int) float64 {
 	}
 	for i := 0; i < 100 && (hi-lo) > 1e-9*hi; i++ {
 		mid := (lo + hi) / 2
-		if dualFeasible(jobs, m, mid) {
+		if dualFeasible(costs, m, mid) {
 			hi = mid
 		} else {
 			lo = mid
@@ -114,13 +108,14 @@ func CmaxDual(jobs []*workload.Job, m int) float64 {
 // Cmax returns the strongest available makespan lower bound, including
 // the release-date term max_j (r_j + minTime_j).
 func Cmax(jobs []*workload.Job, m int) float64 {
-	lb := CmaxDual(jobs, m)
-	for _, j := range jobs {
-		t, _ := j.MinTime(m)
+	costs := workload.Costs(jobs, m)
+	lb := CmaxDualOf(costs, m)
+	for i := range costs {
+		t, _ := costs[i].MinTime()
 		if math.IsInf(t, 0) {
 			continue
 		}
-		if v := j.Release + t; v > lb {
+		if v := costs[i].Job.Release + t; v > lb {
 			lb = v
 		}
 	}
@@ -144,8 +139,9 @@ func SumWeightedCompletion(jobs []*workload.Job, m int) float64 {
 	items := make([]item, 0, len(jobs))
 	var perJob float64
 	for _, j := range jobs {
-		w, _ := j.MinWork(m)
-		t, _ := j.MinTime(m)
+		c := j.Cost(m)
+		w, _ := c.MinWork()
+		t, _ := c.MinTime()
 		if math.IsInf(t, 0) {
 			continue // unschedulable on this width; contributes nothing
 		}

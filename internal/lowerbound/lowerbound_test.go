@@ -194,13 +194,13 @@ func TestDualMinimalityProperty(t *testing.T) {
 			jobs = append(jobs, j)
 		}
 		lam := CmaxDual(jobs, m)
-		if !dualFeasible(jobs, m, lam*(1+1e-6)) {
+		if !dualFeasible(workload.Costs(jobs, m), m, lam*(1+1e-6)) {
 			return false
 		}
 		trivial := math.Max(CmaxArea(jobs, m), CmaxMinTime(jobs, m))
 		if lam > trivial*(1+1e-9) {
 			// Strictly above the trivial bound: must be minimal.
-			return !dualFeasible(jobs, m, lam*0.99)
+			return !dualFeasible(workload.Costs(jobs, m), m, lam*0.99)
 		}
 		return true
 	}

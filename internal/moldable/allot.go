@@ -37,82 +37,83 @@ type Allotment struct {
 func (a Allotment) Work() float64 { return float64(a.Procs) * a.Time }
 
 // SelectAllotments runs the §4.1 dual-approximation feasibility test for
-// guess λ: each job is assigned either its canonical λ-allotment γ(j, λ)
-// (shelf 1) or its canonical λ/2-allotment γ(j, λ/2) (shelf 2), choosing
-// the split that minimizes total work subject to the shelf-1 width
-// constraint Σ q ≤ m (the knapsack). It returns ok=false when λ is
-// infeasible: some job cannot meet λ at all, forced shelf-1 width
-// overflows m, or minimal total work exceeds the area λ·m.
-func SelectAllotments(jobs []*workload.Job, m int, lambda float64) (allot []Allotment, ok bool) {
+// guess λ over the cost summaries of the jobs on m processors: each job
+// is assigned either its canonical λ-allotment γ(j, λ) (shelf 1) or its
+// canonical λ/2-allotment γ(j, λ/2) (shelf 2), choosing the split that
+// minimizes total work subject to the shelf-1 width constraint Σ q ≤ m
+// (the knapsack). It returns ok=false when λ is infeasible: some job
+// cannot meet λ at all, forced shelf-1 width overflows m, or minimal
+// total work exceeds the area λ·m.
+func SelectAllotments(costs []workload.Cost, m int, lambda float64) (allot []Allotment, ok bool) {
 	if lambda <= 0 {
 		return nil, false
 	}
 	type option struct {
-		q1, q2 int     // γ(λ), γ(λ/2); q2 == 0 ⇒ forced shelf 1
-		w1, w2 float64 // corresponding works
+		q1, q2 int  // γ(λ), γ(λ/2); q2 == 0 ⇒ forced shelf 1
+		shelf1 bool // picked for shelf 1 by the knapsack
 	}
-	opts := make([]option, len(jobs))
+	// 0/1 knapsack candidates: moving an optional job to shelf 1 saves
+	// (w2 - w1) ≥ 0 work (monotone jobs) but consumes q1 of the shelf-1
+	// width budget. Jobs whose two options coincide (q1 == q2) stay on
+	// shelf 2 — identical cost, no width consumed.
+	type cand struct {
+		idx    int
+		width  int
+		saving float64
+	}
+	opts := make([]option, len(costs))
+	cands := make([]cand, 0, len(costs))
 	forcedWidth := 0
 	baseWork := 0.0 // work if every optional job sits on shelf 2
-	for i, j := range jobs {
-		q1 := j.Gamma(lambda, m)
+	for i := range costs {
+		c := &costs[i]
+		q1 := c.Gamma(lambda)
 		if q1 == 0 {
 			return nil, false // job cannot meet the deadline at all
 		}
-		q2 := j.Gamma(lambda/2, m)
-		o := option{q1: q1, q2: q2, w1: j.WorkOn(q1)}
-		if q2 > 0 {
-			o.w2 = j.WorkOn(q2)
-			baseWork += o.w2
-		} else {
+		q2 := c.Gamma(lambda / 2)
+		opts[i] = option{q1: q1, q2: q2}
+		w1 := c.Job.WorkOn(q1)
+		if q2 == 0 {
 			forcedWidth += q1
-			baseWork += o.w1
+			baseWork += w1
+			continue
 		}
-		opts[i] = o
+		w2 := c.Job.WorkOn(q2)
+		baseWork += w2
+		if q1 != q2 {
+			saving := w2 - w1
+			if saving < 0 {
+				saving = 0 // non-monotone profile; shelf 1 never pays off
+			}
+			cands = append(cands, cand{idx: i, width: q1, saving: saving})
+		}
 	}
 	if forcedWidth > m {
 		return nil, false
 	}
 	capacity := m - forcedWidth
 
-	// 0/1 knapsack: moving an optional job to shelf 1 saves (w2 - w1) ≥ 0
-	// work (monotone jobs) but consumes q1 of the shelf-1 width budget.
-	// Maximize savings within the remaining capacity. Jobs whose two
-	// options coincide (q1 == q2) stay on shelf 2 — identical cost, no
-	// width consumed.
-	type cand struct {
-		idx    int
-		width  int
-		saving float64
-	}
-	var cands []cand
-	for i, o := range opts {
-		if o.q2 == 0 || o.q1 == o.q2 {
-			continue
-		}
-		saving := o.w2 - o.w1
-		if saving < 0 {
-			saving = 0 // non-monotone profile; shelf 1 never pays off
-		}
-		cands = append(cands, cand{idx: i, width: o.q1, saving: saving})
-	}
+	// Maximize savings within the remaining capacity.
 	dp := make([]float64, capacity+1)
-	take := make([][]bool, len(cands))
+	// take is one bitset of len(cands) rows, stride words each: bit w of
+	// row k says candidate k improved dp[w].
+	stride := capacity/64 + 1
+	take := make([]uint64, len(cands)*stride)
 	for k, c := range cands {
-		take[k] = make([]bool, capacity+1)
+		row := take[k*stride : (k+1)*stride]
 		for w := capacity; w >= c.width; w-- {
 			if v := dp[w-c.width] + c.saving; v > dp[w] {
 				dp[w] = v
-				take[k][w] = true
+				row[w/64] |= 1 << (w % 64)
 			}
 		}
 	}
 	// Reconstruct choices.
-	onShelf1 := make(map[int]bool)
 	w := capacity
 	for k := len(cands) - 1; k >= 0; k-- {
-		if take[k][w] {
-			onShelf1[cands[k].idx] = true
+		if take[k*stride+w/64]&(1<<(w%64)) != 0 {
+			opts[cands[k].idx].shelf1 = true
 			w -= cands[k].width
 		}
 	}
@@ -121,11 +122,11 @@ func SelectAllotments(jobs []*workload.Job, m int, lambda float64) (allot []Allo
 		return nil, false
 	}
 
-	allot = make([]Allotment, len(jobs))
-	for i, j := range jobs {
-		o := opts[i]
+	allot = make([]Allotment, len(costs))
+	for i, o := range opts {
+		j := costs[i].Job
 		switch {
-		case o.q2 == 0 || onShelf1[i]:
+		case o.q2 == 0 || o.shelf1:
 			allot[i] = Allotment{Job: j, Procs: o.q1, Time: j.TimeOn(o.q1), Shelf: 1}
 		default:
 			allot[i] = Allotment{Job: j, Procs: o.q2, Time: j.TimeOn(o.q2), Shelf: 2}
@@ -139,17 +140,18 @@ func SelectAllotments(jobs []*workload.Job, m int, lambda float64) (allot []Allo
 // classified by their resulting time. Cheaper but ignores the shelf-1
 // width budget, so construction fails more often and the binary search
 // settles on larger guesses.
-func GreedyAllotments(jobs []*workload.Job, m int, lambda float64) (allot []Allotment, ok bool) {
+func GreedyAllotments(costs []workload.Cost, m int, lambda float64) (allot []Allotment, ok bool) {
 	if lambda <= 0 {
 		return nil, false
 	}
-	allot = make([]Allotment, len(jobs))
+	allot = make([]Allotment, len(costs))
 	var work float64
-	for i, j := range jobs {
-		q := j.Gamma(lambda, m)
+	for i := range costs {
+		q := costs[i].Gamma(lambda)
 		if q == 0 {
 			return nil, false
 		}
+		j := costs[i].Job
 		t := j.TimeOn(q)
 		shelf := 1
 		if t <= lambda/2 {

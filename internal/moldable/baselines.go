@@ -11,11 +11,12 @@ import (
 
 // freeze returns rigid clones of the jobs with the given per-job
 // processor counts, suitable for the rigid-job policies.
-func freeze(jobs []*workload.Job, procs func(*workload.Job) int) ([]*workload.Job, map[int]*workload.Job) {
-	frozen := make([]*workload.Job, len(jobs))
-	orig := make(map[int]*workload.Job, len(jobs))
-	for i, j := range jobs {
-		p := procs(j)
+func freeze(costs []workload.Cost, procs func(*workload.Cost) int) ([]*workload.Job, map[int]*workload.Job) {
+	frozen := make([]*workload.Job, len(costs))
+	orig := make(map[int]*workload.Job, len(costs))
+	for i := range costs {
+		p := procs(&costs[i])
+		j := costs[i].Job
 		c := j.Clone()
 		c.Kind = workload.Rigid
 		c.MinProcs, c.MaxProcs = p, p
@@ -41,8 +42,8 @@ func rebind(s *sched.Schedule, orig map[int]*workload.Job) *sched.Schedule {
 // jobs are LPT list-scheduled. It wastes no work but ignores the
 // critical path, so long sequential jobs dominate its makespan.
 func MinWorkList(jobs []*workload.Job, m int) (*sched.Schedule, error) {
-	frozen, orig := freeze(jobs, func(j *workload.Job) int {
-		_, p := j.MinWork(m)
+	frozen, orig := freeze(workload.Costs(jobs, m), func(c *workload.Cost) int {
+		_, p := c.MinWork()
 		return p
 	})
 	s, err := rigid.List(frozen, m, rigid.ByLPT)
@@ -58,8 +59,8 @@ func MinWorkList(jobs []*workload.Job, m int) (*sched.Schedule, error) {
 // loses when speedups are sublinear — the trade-off the MRT knapsack
 // balances.
 func MaxProcsList(jobs []*workload.Job, m int) (*sched.Schedule, error) {
-	frozen, orig := freeze(jobs, func(j *workload.Job) int {
-		_, p := j.MinTime(m)
+	frozen, orig := freeze(workload.Costs(jobs, m), func(c *workload.Cost) int {
+		_, p := c.MinTime()
 		return p
 	})
 	s, err := rigid.List(frozen, m, rigid.ByLPT)
@@ -75,12 +76,13 @@ func MaxProcsList(jobs []*workload.Job, m int) (*sched.Schedule, error) {
 // list-scheduled. One construction, no binary search — the natural
 // middle ground between the naive baselines and full MRT.
 func GammaList(jobs []*workload.Job, m int) (*sched.Schedule, error) {
-	lb := lowerbound.CmaxDual(jobs, m)
-	frozen, orig := freeze(jobs, func(j *workload.Job) int {
-		if q := j.Gamma(lb, m); q > 0 {
+	costs := workload.Costs(jobs, m)
+	lb := lowerbound.CmaxDualOf(costs, m)
+	frozen, orig := freeze(costs, func(c *workload.Cost) int {
+		if q := c.Gamma(lb); q > 0 {
 			return q
 		}
-		_, p := j.MinWork(m)
+		_, p := c.MinWork()
 		return p
 	})
 	s, err := rigid.List(frozen, m, rigid.ByLPT)

@@ -36,10 +36,11 @@ func BenchmarkMRT1000x100(b *testing.B) {
 func BenchmarkSelectAllotments(b *testing.B) {
 	jobs := benchInstance(500, 100)
 	lambda := lowerbound.CmaxDual(jobs, 100)
+	costs := workload.Costs(jobs, 100)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := SelectAllotments(jobs, 100, lambda*1.2); !ok {
+		if _, ok := SelectAllotments(costs, 100, lambda*1.2); !ok {
 			b.Fatal("infeasible")
 		}
 	}
@@ -48,10 +49,11 @@ func BenchmarkSelectAllotments(b *testing.B) {
 func BenchmarkConstructForDeadline(b *testing.B) {
 	jobs := benchInstance(500, 100)
 	d := lowerbound.CmaxDual(jobs, 100) * 1.5
+	costs := workload.Costs(jobs, 100)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := ConstructForDeadline(jobs, 100, d); !ok {
+		if _, ok := ConstructForDeadline(costs, 100, d); !ok {
 			b.Fatal("construction failed")
 		}
 	}

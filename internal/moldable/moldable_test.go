@@ -40,7 +40,7 @@ func TestSelectAllotmentsInvariants(t *testing.T) {
 	lb := lowerbound.CmaxDual(jobs, 16)
 	for _, mult := range []float64{1.0, 1.2, 2.0} {
 		lambda := lb * mult
-		allot, ok := SelectAllotments(jobs, 16, lambda)
+		allot, ok := SelectAllotments(workload.Costs(jobs, 16), 16, lambda)
 		if !ok {
 			if mult >= 1.0 {
 				// λ ≥ LB must pass the feasibility test: the dual bound is
@@ -61,10 +61,10 @@ func TestSelectAllotmentsInvariants(t *testing.T) {
 func TestSelectAllotmentsInfeasibleLambda(t *testing.T) {
 	jobs := []*workload.Job{mold(1, 100, 1, workload.Linear{})}
 	// Sequential-only job of length 100 cannot meet λ=50.
-	if _, ok := SelectAllotments(jobs, 8, 50); ok {
+	if _, ok := SelectAllotments(workload.Costs(jobs, 8), 8, 50); ok {
 		t.Fatal("infeasible λ accepted")
 	}
-	if _, ok := SelectAllotments(jobs, 8, 0); ok {
+	if _, ok := SelectAllotments(workload.Costs(jobs, 8), 8, 0); ok {
 		t.Fatal("λ=0 accepted")
 	}
 }
@@ -78,7 +78,7 @@ func TestSelectAllotmentsKnapsackPrefersShelf1Savings(t *testing.T) {
 	}
 	m := 8
 	lb := lowerbound.CmaxDual(jobs, m) // = 10 (80 work / 8)
-	allot, ok := SelectAllotments(jobs, m, lb)
+	allot, ok := SelectAllotments(workload.Costs(jobs, m), m, lb)
 	if !ok {
 		t.Fatalf("λ=LB=%v infeasible", lb)
 	}
@@ -195,7 +195,7 @@ func TestConstructForDeadline(t *testing.T) {
 	jobs := randomInstance(40, 30, 16)
 	lb := lowerbound.CmaxDual(jobs, 16)
 	// A generous deadline must succeed and fit in 3d/2.
-	s, ok := ConstructForDeadline(jobs, 16, 2*lb)
+	s, ok := ConstructForDeadline(workload.Costs(jobs, 16), 16, 2*lb)
 	if !ok {
 		t.Fatal("generous deadline failed")
 	}
@@ -203,7 +203,7 @@ func TestConstructForDeadline(t *testing.T) {
 		t.Fatalf("makespan %v exceeds 3d/2", s.Makespan())
 	}
 	// An absurdly tight deadline must fail.
-	if _, ok := ConstructForDeadline(jobs, 16, lb/100); ok {
+	if _, ok := ConstructForDeadline(workload.Costs(jobs, 16), 16, lb/100); ok {
 		t.Fatal("absurd deadline succeeded")
 	}
 }
@@ -294,7 +294,7 @@ func TestAllotmentAreaProperty(t *testing.T) {
 		jobs := randomInstance(seed, rng.IntRange(1, 40), m)
 		lambda := lowerbound.CmaxDual(jobs, m) * rng.Range(1.0, 3.0)
 		for _, f := range []AllotFunc{SelectAllotments, GreedyAllotments} {
-			if allot, ok := f(jobs, m, lambda); ok {
+			if allot, ok := f(workload.Costs(jobs, m), m, lambda); ok {
 				if TotalWork(allot) > lambda*float64(m)*(1+1e-9) {
 					return false
 				}

@@ -11,8 +11,9 @@ import (
 	"repro/internal/workload"
 )
 
-// AllotFunc selects allotments for a guess λ (knapsack or greedy).
-type AllotFunc func(jobs []*workload.Job, m int, lambda float64) ([]Allotment, bool)
+// AllotFunc selects allotments for a guess λ (knapsack or greedy) from
+// the jobs' cost summaries on m processors.
+type AllotFunc func(costs []workload.Cost, m int, lambda float64) ([]Allotment, bool)
 
 // Result is the outcome of the MRT dual-approximation.
 type Result struct {
@@ -56,12 +57,13 @@ func MRTWithAllot(jobs []*workload.Job, m int, eps float64, allot AllotFunc) (*R
 	if len(jobs) == 0 {
 		return &Result{Schedule: sched.New(m), Lambda: 0, LowerBound: 0}, nil
 	}
-	for _, j := range jobs {
-		if t, _ := j.MinTime(m); math.IsInf(t, 0) {
-			return nil, fmt.Errorf("moldable: job %d cannot run on %d processors", j.ID, m)
+	costs := workload.Costs(jobs, m)
+	for i := range costs {
+		if t, _ := costs[i].MinTime(); math.IsInf(t, 0) {
+			return nil, fmt.Errorf("moldable: job %d cannot run on %d processors", jobs[i].ID, m)
 		}
 	}
-	lb := lowerbound.CmaxDual(jobs, m)
+	lb := lowerbound.CmaxDualOf(costs, m)
 	if lb <= 0 {
 		return nil, fmt.Errorf("moldable: degenerate lower bound %v", lb)
 	}
@@ -71,7 +73,7 @@ func MRTWithAllot(jobs []*workload.Job, m int, eps float64, allot AllotFunc) (*R
 	hi := lb
 	var hiSched *sched.Schedule
 	for i := 0; ; i++ {
-		if s, ok := construct(jobs, m, hi, allot); ok {
+		if s, ok := construct(costs, m, hi, allot); ok {
 			hiSched = s
 			break
 		}
@@ -86,7 +88,7 @@ func MRTWithAllot(jobs []*workload.Job, m int, eps float64, allot AllotFunc) (*R
 
 	for res.Iterations = 0; hi-lo > eps*lo && res.Iterations < 200; res.Iterations++ {
 		mid := (lo + hi) / 2
-		if s, ok := construct(jobs, m, mid, allot); ok {
+		if s, ok := construct(costs, m, mid, allot); ok {
 			hi = mid
 			res.Lambda = mid
 			res.Schedule = s
@@ -108,8 +110,8 @@ func MRTWithAllot(jobs []*workload.Job, m int, eps float64, allot AllotFunc) (*R
 // transformations). Construction fails if the resulting makespan exceeds
 // 3λ/2, which keeps the accepted-guess invariant of the dual
 // approximation.
-func construct(jobs []*workload.Job, m int, lambda float64, allot AllotFunc) (*sched.Schedule, bool) {
-	al, ok := allot(jobs, m, lambda)
+func construct(costs []workload.Cost, m int, lambda float64, allot AllotFunc) (*sched.Schedule, bool) {
+	al, ok := allot(costs, m, lambda)
 	if !ok {
 		return nil, false
 	}
@@ -153,11 +155,11 @@ func construct(jobs []*workload.Job, m int, lambda float64, allot AllotFunc) (*s
 }
 
 // ConstructForDeadline exposes the single-guess construction: it tries to
-// schedule all jobs within 3d/2 using guess d and reports success. The
-// batch and bicriteria packages use it as their deadline procedure
-// (ACmax in §4.4 with ρCmax = 3/2).
-func ConstructForDeadline(jobs []*workload.Job, m int, d float64) (*sched.Schedule, bool) {
-	return construct(jobs, m, d, SelectAllotments)
+// schedule all jobs (given by their cost summaries on m processors)
+// within 3d/2 using guess d and reports success. The bicriteria package
+// uses it as its deadline procedure (ACmax in §4.4 with ρCmax = 3/2).
+func ConstructForDeadline(costs []workload.Cost, m int, d float64) (*sched.Schedule, bool) {
+	return construct(costs, m, d, SelectAllotments)
 }
 
 // Rho is the makespan performance ratio of the construction used as the

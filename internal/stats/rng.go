@@ -14,6 +14,12 @@ import "math"
 // The zero value is not valid; use NewRNG.
 type RNG struct {
 	s [4]uint64
+
+	// zipfCDF is the unnormalized cumulative table of the last (s, n)
+	// Zipf was asked for; a stream draws from one distribution in
+	// practice, so one slot is enough.
+	zipfS   float64
+	zipfCDF []float64
 }
 
 // splitmix64 advances the seed and returns the next splitmix64 output.
@@ -164,23 +170,25 @@ func (r *RNG) BoundedPareto(alpha, lo, hi float64) float64 {
 }
 
 // Zipf returns an integer in [1, n] with probability proportional to
-// 1/rank^s, by inverse transform over the precomputed CDF-free rejection of
-// Jain. For the small n used in workloads a linear scan is fine.
+// 1/rank^s, by inverse transform over the cumulative table. The table is
+// summed left to right, exactly as a per-draw loop would, so draws are
+// bit-identical to recomputing it every time.
 func (r *RNG) Zipf(s float64, n int) int {
 	if n <= 0 {
 		panic("stats: Zipf with non-positive n")
 	}
-	// Normalization constant.
-	var h float64
-	for k := 1; k <= n; k++ {
-		h += 1 / math.Pow(float64(k), s)
+	if len(r.zipfCDF) != n || r.zipfS != s {
+		r.zipfS, r.zipfCDF = s, make([]float64, n)
+		var acc float64
+		for k := 1; k <= n; k++ {
+			acc += 1 / math.Pow(float64(k), s)
+			r.zipfCDF[k-1] = acc
+		}
 	}
-	u := r.Float64() * h
-	var acc float64
-	for k := 1; k <= n; k++ {
-		acc += 1 / math.Pow(float64(k), s)
+	u := r.Float64() * r.zipfCDF[n-1]
+	for k, acc := range r.zipfCDF {
 		if u <= acc {
-			return k
+			return k + 1
 		}
 	}
 	return n

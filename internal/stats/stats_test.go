@@ -185,6 +185,46 @@ func TestZipfRange(t *testing.T) {
 	}
 }
 
+// zipfLoop is the per-draw normalisation loop Zipf used before it kept
+// its cumulative table: the reference the table must match bit for bit.
+func zipfLoop(r *RNG, s float64, n int) int {
+	var h float64
+	for k := 1; k <= n; k++ {
+		h += 1 / math.Pow(float64(k), s)
+	}
+	u := r.Float64() * h
+	var acc float64
+	for k := 1; k <= n; k++ {
+		acc += 1 / math.Pow(float64(k), s)
+		if u <= acc {
+			return k
+		}
+	}
+	return n
+}
+
+func TestZipfMatchesPerDrawLoop(t *testing.T) {
+	// Alternating (s, n) pairs on one stream forces the table to be
+	// rebuilt, so a stale table would show.
+	params := []struct {
+		s float64
+		n int
+	}{{1.1, 10}, {1.1, 10}, {1.2, 10}, {1.1, 7}, {0, 3}, {2.5, 1}}
+	got, want := NewRNG(4242), NewRNG(4242)
+	for i := 0; i < 1000; i++ {
+		p := params[i%len(params)]
+		if i < 500 {
+			p = params[0] // the workload generators' only distribution
+		}
+		if g, w := got.Zipf(p.s, p.n), zipfLoop(want, p.s, p.n); g != w {
+			t.Fatalf("draw %d of Zipf(%v, %d) = %d, per-draw loop gives %d", i, p.s, p.n, g, w)
+		}
+	}
+	if got.Uint64() != want.Uint64() {
+		t.Fatal("streams diverged: Zipf consumed a different number of words")
+	}
+}
+
 func TestPermIsPermutation(t *testing.T) {
 	r := NewRNG(37)
 	p := r.Perm(50)

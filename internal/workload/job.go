@@ -120,7 +120,8 @@ func (j *Job) WorkOn(p int) float64 { return float64(p) * j.TimeOn(p) }
 // MinWork returns the minimum work over all legal allocations capped at m
 // processors, and the processor count achieving it. For monotone jobs the
 // minimum is at MinProcs, but we scan to stay correct for arbitrary
-// tables. Returns (0, 0) if no allocation fits within m.
+// tables. Returns (0, 0) if no allocation fits within m. Algorithms that
+// ask more than once per job keep its Cost summary instead.
 func (j *Job) MinWork(m int) (work float64, procs int) {
 	best := math.Inf(1)
 	bestP := 0
@@ -157,27 +158,6 @@ func (j *Job) MinTime(m int) (t float64, procs int) {
 		}
 	}
 	return best, bestP
-}
-
-// Gamma returns the canonical allotment γ(j, t): the smallest legal
-// processor count p ≤ m such that TimeOn(p) ≤ t, or 0 if none exists.
-// This is the allotment primitive of the MRT dual-approximation (§4.1):
-// among the allocations meeting deadline t, the smallest one minimizes
-// work for monotone jobs.
-func (j *Job) Gamma(t float64, m int) int {
-	hi := j.MaxProcs
-	if hi > m {
-		hi = m
-	}
-	// Execution times are non-increasing in p for monotone jobs, so a
-	// binary search would do; workloads may carry non-monotone tables, so
-	// scan. MaxProcs is small (≤ cluster size) in all our experiments.
-	for p := j.MinProcs; p <= hi; p++ {
-		if j.TimeOn(p) <= t {
-			return p
-		}
-	}
-	return 0
 }
 
 // IsMonotone reports whether, up to m processors, execution time is

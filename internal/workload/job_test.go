@@ -77,19 +77,21 @@ func TestTimeOnPanicsOutOfRange(t *testing.T) {
 func TestGamma(t *testing.T) {
 	j := testJob(12, 1, 6, Linear{})
 	// TimeOn(p) = 12/p; Gamma(4) should be 3.
-	if got := j.Gamma(4, 6); got != 3 {
+	c := j.Cost(6)
+	if got := c.Gamma(4); got != 3 {
 		t.Fatalf("Gamma(4) = %d, want 3", got)
 	}
 	// Unreachable deadline.
-	if got := j.Gamma(1, 6); got != 0 {
+	if got := c.Gamma(1); got != 0 {
 		t.Fatalf("Gamma(1) = %d, want 0", got)
 	}
 	// Cap by m.
-	if got := j.Gamma(4, 2); got != 0 {
+	narrow := j.Cost(2)
+	if got := narrow.Gamma(4); got != 0 {
 		t.Fatalf("Gamma(4, m=2) = %d, want 0", got)
 	}
 	// Deadline exactly at boundary.
-	if got := j.Gamma(12, 6); got != 1 {
+	if got := c.Gamma(12); got != 1 {
 		t.Fatalf("Gamma(12) = %d, want 1", got)
 	}
 }
@@ -231,7 +233,8 @@ func TestGammaProperty(t *testing.T) {
 		j := testJob(seq, 1, maxP, Monotone{Base: Amdahl{Alpha: 0.1}})
 		j.Times = MakeTable(j.Model, seq, maxP)
 		d := math.Abs(math.Mod(deadlineRaw, 2*seq)) + 1e-6
-		g := j.Gamma(d, maxP)
+		c := j.Cost(maxP)
+		g := c.Gamma(d)
 		if g == 0 {
 			// No allocation meets d: the fastest must exceed d.
 			tm, _ := j.MinTime(maxP)
