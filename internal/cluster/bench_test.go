@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/des"
+	"repro/internal/metrics"
 	"repro/internal/rigid"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -43,8 +44,11 @@ func benchView(nQueue, nRunning, m int) View {
 	}
 }
 
-// BenchmarkConservativeDecide times one online conservative-backfilling
-// decision — the per-event cost the incremental profile engine targets.
+// BenchmarkConservativeDecide times a one-shot conservative-backfilling
+// plan of a 50-job queue (a view without a kept plan): the cost of
+// building a plan from scratch, which a simulation pays after a fault or
+// a queue edit — not per event. BenchmarkClusterSimConservativeDeep has
+// the per-event cost.
 func BenchmarkConservativeDecide(b *testing.B) {
 	v := benchView(50, 20, 64)
 	pol := ConservativePolicy{}
@@ -92,6 +96,35 @@ func BenchmarkClusterSimEASY(b *testing.B) {
 		}
 		if err := s.Run(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkClusterSimConservativeDeep streams a saturating mixed workload
+// through conservative backfilling — arrivals at twice the drain rate, so
+// the queue grows to hundreds of jobs and every arrival and finish is a
+// decision over all of it. The shape of the layered benchmark's
+// deep_queue conservative cell (bench/engine.go).
+func BenchmarkClusterSimConservativeDeep(b *testing.B) {
+	const m, n = 64, 700
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s, err := New(des.New(), m, 1, ConservativePolicy{}, KillNewest)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.SetRetention(metrics.NewDiscard()); err != nil {
+			b.Fatal(err)
+		}
+		src := workload.MixedSource(workload.GenConfig{N: n, M: m, Seed: 7, ArrivalRate: 2, RigidFraction: 0.5})
+		if err := s.Stream(src); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+		if s.CompletedCount() != n {
+			b.Fatalf("completed %d of %d jobs", s.CompletedCount(), n)
 		}
 	}
 }

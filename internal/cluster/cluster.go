@@ -44,7 +44,10 @@ type RunningInfo struct {
 //
 // Queue and Running alias simulator-owned scratch buffers that are
 // recycled between decision points: policies may read them freely during
-// Decide but must not retain them afterwards.
+// Decide but must not retain them afterwards. Profile and Plan are the
+// simulator's own long-lived state, not snapshots: a policy that wraps
+// another (tracing, auditing, what-if) hands the view on unchanged and
+// must not keep either pointer past Decide.
 type View struct {
 	Now     float64
 	M       int
@@ -59,6 +62,19 @@ type View struct {
 	// built by hand may leave it nil; policies then derive the same
 	// information from Running.
 	Profile *rigid.Profile
+	// Plan, when set, is the cluster's persistent conservative-backfilling
+	// plan (see Plan and ConservativePolicy). ConservativePolicy extends
+	// it in place at every decision; every other policy ignores it.
+	// Deciding on a view without starting what was decided is allowed —
+	// the next decision notices the jobs still queued and plans again —
+	// but nothing else may be done with the plan from inside Decide. The
+	// Sim invalidates it wherever the queue or the capacity changes other
+	// than by an arrival at the tail or a start: crash, repair,
+	// SetAvailability and the defensive profile resync (rebuildProfile),
+	// the requeue of a killed local job, and StealQueued. Views built by
+	// hand may leave it nil; the policy then plans the whole queue once,
+	// through the same code.
+	Plan *Plan
 }
 
 // planProfile returns a scratch profile seeded with the running set: a
@@ -215,6 +231,11 @@ type Sim struct {
 	// Policies receive it through View.Profile instead of rebuilding an
 	// equivalent profile from the running set at every decision point.
 	profile *rigid.Profile
+	// plan is the conservative-backfilling plan kept across decisions and
+	// handed to the policy through View.Plan; it stays empty under every
+	// other policy. Everything that edits the queue or the capacity
+	// behind the plan's back invalidates it (see View.Plan).
+	plan Plan
 	// viewQueue / viewRunning are the scratch buffers behind View.Queue
 	// and View.Running, reused across reschedules.
 	viewQueue   []*workload.Job
@@ -516,7 +537,7 @@ func (s *Sim) reschedule() {
 	}
 	view := View{
 		Now: now, M: s.M, Avail: s.avail - s.localProcs, Speed: s.Speed,
-		Queue: s.viewQueue, Running: s.viewRunning, Profile: s.profile,
+		Queue: s.viewQueue, Running: s.viewRunning, Profile: s.profile, Plan: &s.plan,
 	}
 	decisions := s.policy.Decide(view)
 	for _, d := range decisions {
@@ -530,10 +551,12 @@ func (s *Sim) reschedule() {
 }
 
 func (s *Sim) start(d Decision, now float64) {
-	// Remove from queue; ignore unknown jobs (policy bug guard).
+	// Remove from queue; ignore unknown jobs (policy bug guard). Matched
+	// by pointer: migrated and injected jobs may share an ID with a job
+	// already queued.
 	idx := -1
 	for i, j := range s.queue {
-		if j.ID == d.Job.ID {
+		if j == d.Job {
 			idx = i
 			break
 		}
@@ -604,6 +627,7 @@ func (s *Sim) finish(run *localRunning) {
 // with known repair times are carved out only until that time, so a
 // backfill plan sees the capacity come back and can reserve behind it.
 func (s *Sim) rebuildProfile(now float64) {
+	s.plan.Invalidate()
 	s.profile = rigid.NewProfile(s.M)
 	s.profile.TrimBefore(now)
 	remaining := s.M - s.avail
@@ -690,6 +714,7 @@ func (s *Sim) killOneLocal(now float64) bool {
 	s.faultStats.Requeues++
 	s.faultStats.LostWork += float64(run.procs) * (now - run.start) * s.Speed
 	s.queue = append(s.queue, run.job)
+	s.plan.Invalidate() // the victim's reservation is gone
 	w, _ := run.job.MinWork(s.M)
 	s.queuedWork += w
 	if s.OnLocalKilled != nil {
@@ -1004,6 +1029,7 @@ func (s *Sim) StealQueued(n int) []*workload.Job {
 	}
 	stolen := append([]*workload.Job(nil), s.queue[len(s.queue)-n:]...)
 	s.queue = s.queue[:len(s.queue)-n]
+	s.plan.Invalidate() // the stolen jobs' reservations would block others
 	s.submitted -= n
 	for _, j := range stolen {
 		w, _ := j.MinWork(s.M)

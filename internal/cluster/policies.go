@@ -91,6 +91,9 @@ func (EASYPolicy) Decide(v View) []Decision {
 
 	// Backfill the rest.
 	for _, j := range queue[1:] {
+		if avail <= 0 {
+			break // every job needs at least one processor
+		}
 		p := procsFor(j)
 		if p > avail {
 			continue
@@ -122,6 +125,9 @@ func (GreedyFitPolicy) Decide(v View) []Decision {
 	var out []Decision
 	avail := v.Avail
 	for _, j := range v.Queue {
+		if avail <= 0 {
+			break // every job needs at least one processor
+		}
 		p := procsFor(j)
 		if p <= avail {
 			out = append(out, Decision{Job: j, Procs: p})

@@ -41,31 +41,10 @@ func (p auditPolicy) Decide(v View) []Decision {
 			}
 		}
 	}
-	// Semantic equality: same availability inside every segment of either
-	// profile from now on (piecewise-constant ⇒ one sample per segment).
-	// Sampling midpoints rather than breakpoints sidesteps the one-ULP
-	// end-time differences between the incremental profile (which stores
-	// exact reservation ends) and the rebuild (whose Now + (End-Now)
-	// round trip can be off by one float step).
-	pts := append(v.Profile.Breakpoints(), ref.Breakpoints()...)
-	pts = append(pts, v.Now)
-	sort.Float64s(pts)
-	for i, t0 := range pts {
-		if t0 < v.Now {
-			continue
-		}
-		sample := t0 + 1 // beyond the last breakpoint
-		if i+1 < len(pts) {
-			if pts[i+1]-t0 <= 1e-9*(1+math.Abs(t0)) {
-				continue // ULP sliver between near-identical breakpoints
-			}
-			sample = (t0 + pts[i+1]) / 2
-		}
-		if got, want := v.Profile.AvailableAt(sample), ref.AvailableAt(sample); got != want {
-			p.t.Fatalf("t=%v: incremental profile has %d free at %v, rebuild has %d",
-				v.Now, got, sample, want)
-		}
-	}
+	// Midpoints rather than breakpoints, and slivers skipped: the
+	// incremental profile stores exact reservation ends, the rebuild's
+	// Now + (End-Now) round trip can be off by one float step.
+	sameAvailability(p.t, v.Now, v.Profile, ref, 1e-9, "incremental profile", "rebuild")
 	// The persistent profile must stay trimmed and canonical: its
 	// breakpoint count is bounded by running jobs + 1, not history.
 	if got, limit := v.Profile.Segments(), len(v.Running)+1; got > limit {
@@ -79,6 +58,32 @@ func (p auditPolicy) Decide(v View) []Decision {
 		}
 	}
 	return p.inner.Decide(v)
+}
+
+// sameAvailability requires two profiles to have the same availability
+// inside every segment of either from now on (piecewise-constant ⇒ one
+// midpoint sample per segment). Segments no longer than sliver, relative
+// to their start, are skipped.
+func sameAvailability(t *testing.T, now float64, got, want *rigid.Profile, sliver float64, gotName, wantName string) {
+	t.Helper()
+	pts := append(got.Breakpoints(), want.Breakpoints()...)
+	pts = append(pts, now)
+	sort.Float64s(pts)
+	for i, t0 := range pts {
+		if t0 < now {
+			continue
+		}
+		sample := t0 + 1 // beyond the last breakpoint
+		if i+1 < len(pts) {
+			if pts[i+1]-t0 <= sliver*(1+math.Abs(t0)) {
+				continue
+			}
+			sample = (t0 + pts[i+1]) / 2
+		}
+		if g, w := got.AvailableAt(sample), want.AvailableAt(sample); g != w {
+			t.Fatalf("t=%v: %s has %d free at %v, %s has %d", now, gotName, g, sample, wantName, w)
+		}
+	}
 }
 
 // TestIncrementalProfileMatchesRebuild drives randomized workloads —
