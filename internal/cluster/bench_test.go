@@ -61,9 +61,15 @@ func BenchmarkConservativeDecide(b *testing.B) {
 	}
 }
 
-// BenchmarkEASYDecide times one EASY decision (profile-based shadow time).
+// BenchmarkEASYDecide times one EASY decision on a 50-job queue: profile
+// clone, shadow time, and the backfill search of the queue index. The
+// view keeps its index from one iteration to the next, as a simulation's
+// views do; without one every iteration would index the whole queue from
+// scratch, a cost no simulation pays. BenchmarkClusterSimEASYDeep has the
+// cost per event with the index kept up as the queue changes.
 func BenchmarkEASYDecide(b *testing.B) {
 	v := benchView(50, 20, 64)
+	v.Index = new(QueueIndex)
 	pol := EASYPolicy{}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -100,16 +106,14 @@ func BenchmarkClusterSimEASY(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterSimConservativeDeep streams a saturating mixed workload
-// through conservative backfilling — arrivals at twice the drain rate, so
-// the queue grows to hundreds of jobs and every arrival and finish is a
-// decision over all of it. The shape of the layered benchmark's
-// deep_queue conservative cell (bench/engine.go).
-func BenchmarkClusterSimConservativeDeep(b *testing.B) {
-	const m, n = 64, 700
+// benchDeep streams a saturating mixed workload of n jobs — arrivals at
+// twice the drain rate, so the queue grows with n and every arrival and
+// finish is a decision over all of it — through the given policy.
+func benchDeep(b *testing.B, policy Policy, n int) {
+	const m = 64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s, err := New(des.New(), m, 1, ConservativePolicy{}, KillNewest)
+		s, err := New(des.New(), m, 1, policy, KillNewest)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -128,3 +132,14 @@ func BenchmarkClusterSimConservativeDeep(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkClusterSimConservativeDeep is the shape of the layered
+// benchmark's deep_queue conservative cell (bench/engine.go): a queue
+// hundreds deep, one slot reserved per arrival.
+func BenchmarkClusterSimConservativeDeep(b *testing.B) { benchDeep(b, ConservativePolicy{}, 700) }
+
+// BenchmarkClusterSimEASYDeep is the shape of deep_queue's EASY cell: a
+// queue thousands deep with one or two processors free at most
+// decisions, which is where the backfill search runs against the queue
+// index rather than down the queue.
+func BenchmarkClusterSimEASYDeep(b *testing.B) { benchDeep(b, EASYPolicy{}, 7000) }

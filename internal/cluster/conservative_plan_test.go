@@ -53,7 +53,7 @@ func replanReference(v View) (out []Decision, starts []float64, profile *rigid.P
 func sameDecisions(t *testing.T, now float64, got, want []Decision) {
 	t.Helper()
 	if !slices.Equal(got, want) {
-		t.Fatalf("t=%v: kept plan decided %v, from-scratch plan %v", now, describe(got), describe(want))
+		t.Fatalf("t=%v: decided %v, the reference %v", now, describe(got), describe(want))
 	}
 }
 
@@ -130,95 +130,110 @@ func (p *planAudit) Decide(v View) []Decision {
 	return got
 }
 
-// TestConservativePlanMatchesReplan drives two clusters on one clock
-// through randomized saturating workloads with best-effort churn,
-// crashes and repairs, availability steps and queue migration between
-// the two, with the audit attached to both.
+// churnTwoClusters drives two clusters of unequal speed on one clock,
+// one policy each, through a randomized saturating workload with
+// best-effort churn, arrival groups sharing a timestamp, crashes and
+// repairs, availability steps and queue migration between the two
+// (StealQueued into InjectNow). setup, when set, sees each cluster
+// before anything is submitted. It returns the clusters once both have
+// run dry, and whether every job completed.
+func churnTwoClusters(t *testing.T, seed uint64, policies [2]Policy, setup func(*Sim)) (sims [2]*Sim, ok bool) {
+	t.Helper()
+	rng := stats.NewRNG(seed)
+	clock := des.New()
+	m := rng.IntRange(4, 24)
+	for c := range sims {
+		// Unequal speeds: durations stop being round numbers.
+		s, err := New(clock, m, 1+0.37*float64(c), policies[c], KillNewest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if setup != nil {
+			setup(s)
+		}
+		sims[c] = s
+	}
+	n := rng.IntRange(10, 60)
+	horizon := 0.0
+	for c, s := range sims {
+		for i := 0; i < 20; i++ {
+			s.SubmitBestEffort(BETask{BagID: c, Index: i, Duration: rng.Range(1, 15)})
+		}
+		at := 0.0
+		for i := 0; i < n; i++ {
+			at += rng.Exp(1.5) // well above the drain rate: the queue grows
+			if rng.Bool(0.2) {
+				at = math.Floor(at) // arrival groups sharing a timestamp
+			}
+			j := rjob(c*1000+i, rng.Range(0.5, 12), rng.IntRange(1, m), at)
+			if err := s.Submit(j); err != nil {
+				t.Fatal(err)
+			}
+		}
+		horizon = math.Max(horizon, at)
+	}
+	horizon *= 3
+	for k := rng.IntRange(0, 4); k > 0; k-- {
+		s, at := sims[rng.Intn(2)], rng.Range(0, horizon)
+		procs, repair := rng.IntRange(1, m), rng.Range(0.5, 20)
+		if err := clock.At(at, func() { _ = s.Crash(procs, at+repair) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := rng.IntRange(0, 3); k > 0; k-- {
+		s, at, avail := sims[rng.Intn(2)], rng.Range(0, horizon), rng.IntRange(0, m)
+		if err := clock.At(at, func() { s.SetAvailability(avail) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := rng.IntRange(0, 6); k > 0; k-- {
+		src, at, count := rng.Intn(2), rng.Range(0, horizon), rng.IntRange(1, 3)
+		if err := clock.At(at, func() {
+			for _, j := range sims[src].StealQueued(count) {
+				if err := sims[1-src].InjectNow(j); err != nil {
+					t.Error(err)
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Whatever the availability steps left pinned comes back, so every
+	// job can finish.
+	for _, s := range sims {
+		if err := clock.At(horizon, func() { s.SetAvailability(m) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range sims {
+		if err := s.Run(); err != nil {
+			t.Error(err)
+			return sims, false
+		}
+	}
+	return sims, sims[0].CompletedCount()+sims[1].CompletedCount() == 2*n
+}
+
+// logFailingSeed names the seed of a randomized run that failed.
+func logFailingSeed(t *testing.T, seed uint64) {
+	if t.Failed() {
+		t.Logf("failing seed: %d", seed)
+	}
+}
+
+// TestConservativePlanMatchesReplan runs churnTwoClusters with the audit
+// attached to both clusters.
 func TestConservativePlanMatchesReplan(t *testing.T) {
 	decisions, extended := 0, 0
 	f := func(seed uint64) bool {
-		defer func() {
-			if t.Failed() {
-				t.Logf("failing seed: %d", seed)
-			}
-		}()
-		rng := stats.NewRNG(seed)
-		clock := des.New()
-		m := rng.IntRange(4, 24)
-		var sims [2]*Sim
-		var audits [2]*planAudit
-		for c := range sims {
-			audits[c] = &planAudit{t: t}
-			// Unequal speeds: durations stop being round numbers.
-			s, err := New(clock, m, 1+0.37*float64(c), audits[c], KillNewest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sims[c] = s
-		}
-		n := rng.IntRange(10, 60)
-		horizon := 0.0
-		for c, s := range sims {
-			for i := 0; i < 20; i++ {
-				s.SubmitBestEffort(BETask{BagID: c, Index: i, Duration: rng.Range(1, 15)})
-			}
-			at := 0.0
-			for i := 0; i < n; i++ {
-				at += rng.Exp(1.5) // well above the drain rate: the queue grows
-				if rng.Bool(0.2) {
-					at = math.Floor(at) // arrival groups sharing a timestamp
-				}
-				j := rjob(c*1000+i, rng.Range(0.5, 12), rng.IntRange(1, m), at)
-				if err := s.Submit(j); err != nil {
-					t.Fatal(err)
-				}
-			}
-			horizon = math.Max(horizon, at)
-		}
-		horizon *= 3
-		for k := rng.IntRange(0, 4); k > 0; k-- {
-			s, at := sims[rng.Intn(2)], rng.Range(0, horizon)
-			procs, repair := rng.IntRange(1, m), rng.Range(0.5, 20)
-			if err := clock.At(at, func() { _ = s.Crash(procs, at+repair) }); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for k := rng.IntRange(0, 3); k > 0; k-- {
-			s, at, avail := sims[rng.Intn(2)], rng.Range(0, horizon), rng.IntRange(0, m)
-			if err := clock.At(at, func() { s.SetAvailability(avail) }); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for k := rng.IntRange(0, 6); k > 0; k-- {
-			src, at, count := rng.Intn(2), rng.Range(0, horizon), rng.IntRange(1, 3)
-			if err := clock.At(at, func() {
-				for _, j := range sims[src].StealQueued(count) {
-					if err := sims[1-src].InjectNow(j); err != nil {
-						t.Error(err)
-					}
-				}
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Whatever the availability steps left pinned comes back, so every
-		// job can finish.
-		for _, s := range sims {
-			if err := clock.At(horizon, func() { s.SetAvailability(m) }); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, s := range sims {
-			if err := s.Run(); err != nil {
-				t.Error(err)
-				return false
-			}
-		}
+		defer logFailingSeed(t, seed)
+		audits := [2]*planAudit{{t: t}, {t: t}}
+		_, ok := churnTwoClusters(t, seed, [2]Policy{audits[0], audits[1]}, nil)
 		for _, a := range audits {
 			decisions += a.decisions
 			extended += a.extended
 		}
-		return sims[0].CompletedCount()+sims[1].CompletedCount() == 2*n
+		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCountScale: 1.5}); err != nil {
 		t.Fatal(err)

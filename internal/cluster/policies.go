@@ -77,8 +77,8 @@ func (EASYPolicy) Decide(v View) []Decision {
 		}
 		queue = queue[1:]
 	}
-	if len(queue) == 0 {
-		return out
+	if len(queue) == 0 || avail <= 0 {
+		return out // every job needs at least one processor
 	}
 
 	// Shadow time for the blocked head.
@@ -89,24 +89,34 @@ func (EASYPolicy) Decide(v View) []Decision {
 		extra = 0 // saturated forever: nothing fits beside the head
 	}
 
-	// Backfill the rest.
-	for _, j := range queue[1:] {
-		if avail <= 0 {
-			break // every job needs at least one processor
+	// Backfill the rest: every job behind the head, in queue order, that
+	// fits the free processors and either ends by the shadow time or fits
+	// the processors spare at it. avail and extra change only when a job
+	// is taken (and only shrink, so avail at 0 ends it), which means a
+	// walk down the queue tests all the jobs between two taken ones
+	// against the same numbers: it takes, each time, the first job behind
+	// the last one taken that passes — and that is the question the index
+	// answers without the walk. The index only finds the job; the test
+	// that takes it is the walk's own arithmetic, re-run here.
+	ix := v.syncedIndex()
+	after := ix.seqs[len(v.Queue)-len(queue)]
+	for avail > 0 {
+		j, seq := ix.next(after, avail, extra, v.Now, shadow+1e-12)
+		if j == nil {
+			break
 		}
+		after = seq
 		p := procsFor(j)
-		if p > avail {
-			continue
-		}
 		end := v.Now + v.Duration(j, p)
 		fitsBefore := end <= shadow+1e-12
 		fitsBeside := p <= extra
-		if fitsBefore || fitsBeside {
-			out = append(out, Decision{Job: j, Procs: p})
-			avail -= p
-			if !fitsBefore {
-				extra -= p
-			}
+		if !fitsBefore && !fitsBeside {
+			continue // a NaN duration under an infinite shadow time
+		}
+		out = append(out, Decision{Job: j, Procs: p})
+		avail -= p
+		if !fitsBefore {
+			extra -= p
 		}
 	}
 	return out
@@ -124,15 +134,33 @@ func (GreedyFitPolicy) Name() string { return "greedyfit" }
 func (GreedyFitPolicy) Decide(v View) []Decision {
 	var out []Decision
 	avail := v.Avail
-	for _, j := range v.Queue {
-		if avail <= 0 {
-			break // every job needs at least one processor
+	// Heads that fit start without touching the index, as under EASY.
+	k := 0
+	for ; k < len(v.Queue) && avail > 0; k++ {
+		p := procsFor(v.Queue[k])
+		if p > avail {
+			break
 		}
+		out = append(out, Decision{Job: v.Queue[k], Procs: p})
+		avail -= p
+	}
+	if k == len(v.Queue) || avail <= 0 {
+		return out // every job needs at least one processor
+	}
+	// Then, each time, the first job behind the last one taken that is no
+	// wider than what is left (see EASYPolicy): a backfill search whose
+	// spare processors are all of them, so that length never matters.
+	ix := v.syncedIndex()
+	after := ix.seqs[k]
+	for avail > 0 {
+		j, seq := ix.next(after, avail, avail, 0, 0)
+		if j == nil {
+			break
+		}
+		after = seq
 		p := procsFor(j)
-		if p <= avail {
-			out = append(out, Decision{Job: j, Procs: p})
-			avail -= p
-		}
+		out = append(out, Decision{Job: j, Procs: p})
+		avail -= p
 	}
 	return out
 }

@@ -124,26 +124,54 @@ func TestIncrementalProfileMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestViewBuffersReused: the scratch buffers backing View.Queue must not
-// reallocate once warmed up (the per-reschedule copies they replace were
-// a top allocation site).
+// viewSpy runs FCFS and hands every view to check first.
+type viewSpy struct{ check func(v View) }
+
+func (viewSpy) Name() string { return "fcfs" }
+
+func (p viewSpy) Decide(v View) []Decision {
+	p.check(v)
+	return FCFSPolicy{}.Decide(v)
+}
+
+// TestViewBuffersReused: a decision copies nothing of the waiting queue —
+// View.Queue is the simulator's own slice — and View.Running lives in one
+// scratch buffer that stops reallocating once it has held the largest
+// running set.
 func TestViewBuffersReused(t *testing.T) {
-	s, err := New(des.New(), 4, 1, FCFSPolicy{}, KillNewest)
+	var s *Sim
+	views, regrown := 0, 0
+	var running *RunningInfo
+	spy := viewSpy{check: func(v View) {
+		views++
+		if len(v.Queue) != len(s.queue) || (len(v.Queue) > 0 && &v.Queue[0] != &s.queue[0]) {
+			t.Fatalf("t=%v: View.Queue is not the live queue", v.Now)
+		}
+		if v.Index != &s.index || v.Plan != &s.plan || v.Profile != s.profile {
+			t.Fatalf("t=%v: view does not carry the simulator's index, plan and profile", v.Now)
+		}
+		if len(v.Running) > 0 && &v.Running[0] != running {
+			running = &v.Running[0]
+			regrown++
+		}
+	}}
+	s, err := New(des.New(), 4, 1, spy, KillNewest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
-		if err := s.Submit(rjob(i, 2, 1, float64(i))); err != nil {
+		if err := s.Submit(rjob(i, 2, 1, float64(i)/2)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if cap(s.viewQueue) == 0 && cap(s.viewRunning) == 0 {
-		t.Fatal("view scratch buffers never used")
-	}
 	if len(s.Completions()) != 30 {
 		t.Fatalf("%d completions", len(s.Completions()))
+	}
+	// Four jobs run at once: the buffer grows 1, 2, 4 and stays.
+	if views < 60 || regrown == 0 || regrown > 3 {
+		t.Fatalf("%d views, View.Running moved %d times", views, regrown)
 	}
 }
