@@ -43,27 +43,32 @@ type RunningInfo struct {
 // processors plus processors held by evictable best-effort tasks: the
 // §5.2 contract is that local jobs behave as if grid jobs did not exist.
 //
-// Queue is the simulator's live waiting queue, not a copy, and Running a
-// scratch buffer recycled between decision points: policies read them
-// during Decide, never write them, and must not retain them afterwards —
-// the starts that follow a decision edit the queue in place. Profile,
-// Plan and Index are the simulator's own long-lived state, not
-// snapshots: a policy that wraps another (tracing, auditing, what-if)
-// hands the view on unchanged and must not keep any of the pointers past
-// Decide; one that hands on a different Queue clears Plan and Index.
+// Queue and Running are the simulator's live waiting queue and running
+// set, not copies: policies read them during Decide, never write them,
+// and must not retain them afterwards — the starts that follow a decision
+// edit both in place. Profile, Plan and Index are the simulator's own
+// long-lived state, not snapshots: a policy that wraps another (tracing,
+// auditing, what-if) hands the view on unchanged and must not keep any of
+// the pointers past Decide; one that hands on a different Queue clears
+// Plan and Index.
 type View struct {
-	Now     float64
-	M       int
-	Avail   int
-	Speed   float64
-	Queue   []*workload.Job // submission order
-	Running []RunningInfo   // local jobs only
+	Now   float64
+	M     int
+	Avail int
+	Speed float64
+	Queue []*workload.Job // submission order
+	// Running lists the running local jobs in start order (what
+	// Sim.Running reports, less the jobs themselves). The Sim edits it
+	// where it edits its running set — a start appends, a finish or a
+	// crash kill removes — and builds nothing per decision; the shipped
+	// policies read it only on a view without a Profile.
+	Running []RunningInfo
 	// Profile, when set, is the cluster's persistent availability
 	// profile: every running local job holds a reservation [Now, End),
 	// maintained incrementally across events. Policies must treat it as
-	// read-only — what-if probing goes through a (pooled) Clone. Views
-	// built by hand may leave it nil; policies then derive the same
-	// information from Running.
+	// read-only — what-if reservations go into a (pooled) Clone, taken
+	// when there is one to write. Views built by hand may leave it nil;
+	// policies then derive the same information from Running.
 	Profile *rigid.Profile
 	// Plan, when set, is the cluster's persistent conservative-backfilling
 	// plan (see Plan and ConservativePolicy). ConservativePolicy extends
@@ -92,6 +97,13 @@ type View struct {
 	// nil; the policy then indexes the whole queue once, through the same
 	// code.
 	Index *QueueIndex
+	// Scratch, when set, is an empty slice with room to spare that Decide
+	// may append its decisions to and return instead of allocating one.
+	// The Sim lends the same memory to every decision and zeroes it once
+	// the decided jobs have started, so a policy must not keep it, or
+	// anything returned out of it, past Decide. Views built by hand leave
+	// it nil, and appending to that allocates.
+	Scratch []Decision
 }
 
 // planProfile returns a scratch profile seeded with the running set: a
@@ -121,7 +133,8 @@ func (v View) Duration(j *workload.Job, p int) float64 {
 }
 
 // Policy decides which queued jobs start now. Implementations must only
-// start jobs that fit in v.Avail and must not start a job twice.
+// start jobs that fit in v.Avail and must not start a job twice. The
+// slice returned passes to the caller (see View.Scratch).
 type Policy interface {
 	Name() string
 	Decide(v View) []Decision
@@ -257,9 +270,15 @@ type Sim struct {
 	// View.Index; it stays empty until a policy searches it. dequeue keeps
 	// it in step with the queue.
 	index QueueIndex
-	// viewRunning is the scratch buffer behind View.Running, reused across
-	// reschedules.
+	// viewRunning is View.Running: viewRunning[i] describes running[i], and
+	// every edit of one slice is made to the other.
 	viewRunning []RunningInfo
+	// runFree holds localRunning records whose finish event has fired, for
+	// start to use again.
+	runFree []*localRunning
+	// decisions is the memory behind View.Scratch, empty and zeroed between
+	// decisions; nil while a decision's starts are being made.
+	decisions []Decision
 	// reschedulePending coalesces best-effort submission bursts into one
 	// zero-delay reschedule event.
 	reschedulePending bool
@@ -327,6 +346,11 @@ type localRunning struct {
 	// cancelled guards the pending finish event of a job killed by a
 	// crash: the event still fires but must not complete the job.
 	cancelled bool
+	// fire is the finish callback, built once per record (see beRunning).
+	// A record has exactly one finish event pending from its start until
+	// that event fires, killed or not, and goes back to runFree only then:
+	// handed out earlier, it would be finished by the stale event.
+	fire func()
 }
 
 // New creates a cluster simulator. speed scales all execution times
@@ -550,18 +574,26 @@ func (s *Sim) free() int {
 func (s *Sim) reschedule() {
 	now := s.DES.Now()
 	s.profile.TrimBefore(now)
-	s.viewRunning = s.viewRunning[:0]
-	for _, r := range s.running {
-		s.viewRunning = append(s.viewRunning, RunningInfo{End: r.end, Procs: r.procs})
-	}
+	// The scratch is out of reach while it is lent: an observer that
+	// changes the capacity from inside a start comes back through here.
+	scratch := s.decisions
+	s.decisions = nil
 	view := View{
 		Now: now, M: s.M, Avail: s.avail - s.localProcs, Speed: s.Speed,
 		Queue: s.queue, Running: s.viewRunning, Profile: s.profile, Plan: &s.plan, Index: &s.index,
+		Scratch: scratch,
 	}
 	decisions := s.policy.Decide(view)
 	for _, d := range decisions {
 		s.start(d, now)
 	}
+	// What came back is the scratch, or the larger array the policy's
+	// appends moved to, which takes its place.
+	clear(decisions)
+	if cap(decisions) > cap(scratch) {
+		scratch = decisions[:0]
+	}
+	s.decisions = scratch
 	s.fillBestEffort(now)
 	s.publishLoad()
 	if s.OnIdle != nil {
@@ -600,15 +632,23 @@ func (s *Sim) start(d Decision, now float64) {
 		s.rebuildProfile(now)
 		_ = s.profile.Reserve(now, dur, d.Procs)
 	}
-	run := &localRunning{job: d.Job, procs: d.Procs, start: now, end: now + dur}
+	var run *localRunning
+	if n := len(s.runFree); n > 0 {
+		run = s.runFree[n-1]
+		s.runFree = s.runFree[:n-1]
+	} else {
+		run = &localRunning{}
+		r := run
+		run.fire = func() { s.finish(r) }
+	}
+	run.job, run.procs, run.start, run.end, run.cancelled = d.Job, d.Procs, now, now+dur, false
 	s.running = append(s.running, run)
+	s.viewRunning = append(s.viewRunning, RunningInfo{End: run.end, Procs: run.procs})
 	s.localProcs += d.Procs
 	if s.OnLocalStart != nil {
 		s.OnLocalStart(run.job, run.procs, now)
 	}
-	_ = s.DES.At(run.end, func() {
-		s.finish(run)
-	})
+	_ = s.DES.At(run.end, run.fire)
 }
 
 // dequeue removes queue[i] from the queue and from its index.
@@ -617,9 +657,13 @@ func (s *Sim) dequeue(i int) {
 	s.queue = removeAt(s.queue, i)
 }
 
+// finish fires for every started job, including one killed by a crash
+// (whose job was requeued): either way the record's only pending event
+// is spent, and the record goes back to the free list.
 func (s *Sim) finish(run *localRunning) {
 	if run.cancelled {
-		return // killed by a crash; the job was requeued
+		s.runFree = append(s.runFree, run)
+		return
 	}
 	// Spelled out where the other removals use slices.Delete: this one
 	// runs once per job, and the generic call measured about 2.5 % of an
@@ -630,6 +674,8 @@ func (s *Sim) finish(run *localRunning) {
 			copy(s.running[i:], s.running[i+1:])
 			s.running[last] = nil
 			s.running = s.running[:last]
+			copy(s.viewRunning[i:], s.viewRunning[i+1:])
+			s.viewRunning = s.viewRunning[:last]
 			break
 		}
 	}
@@ -637,6 +683,8 @@ func (s *Sim) finish(run *localRunning) {
 	c := metrics.Completion{
 		Job: run.job, Start: run.start, End: run.end, Procs: run.procs,
 	}
+	run.job = nil
+	s.runFree = append(s.runFree, run)
 	s.acc.Add(c)
 	s.retain.Add(c)
 	if s.OnLocalDone != nil {
@@ -734,7 +782,8 @@ func (s *Sim) killOneLocal(now float64) bool {
 	}
 	run := s.running[victim]
 	s.running = slices.Delete(s.running, victim, victim+1)
-	run.cancelled = true
+	s.viewRunning = slices.Delete(s.viewRunning, victim, victim+1)
+	run.cancelled = true // and out of runFree until its finish event has fired
 	s.localProcs -= run.procs
 	s.faultStats.Requeues++
 	s.faultStats.LostWork += float64(run.procs) * (now - run.start) * s.Speed
@@ -745,6 +794,7 @@ func (s *Sim) killOneLocal(now float64) bool {
 	if s.OnLocalKilled != nil {
 		s.OnLocalKilled(run.job, run.procs, now)
 	}
+	run.job = nil
 	return true
 }
 

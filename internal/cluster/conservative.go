@@ -140,7 +140,7 @@ func (ConservativePolicy) Decide(v View) []Decision {
 		pl.starts = append(pl.starts, start)
 	}
 
-	var out []Decision
+	out := v.Scratch
 	pl.due = pl.due[:0]
 	keep := 0
 	for i, j := range pl.jobs {

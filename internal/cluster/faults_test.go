@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/des"
+	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -301,4 +303,76 @@ func TestRedistributedCounting(t *testing.T) {
 	if st.Killed != 1 || st.Redistributed != 1 || st.Completed != 1 {
 		t.Fatalf("best-effort stats = %+v, want 1 killed, 1 redistributed, 1 completed", st)
 	}
+}
+
+// TestCancelledRunRecordNotReusedEarly: a job killed by a crash leaves its
+// finish event in the heap, bound to its run record. Until that event has
+// fired the record must sit out — handed to a job started in between, it
+// would finish that job when the stale event fires — and when it fires it
+// must complete nothing. Afterwards the record is free like any other.
+func TestCancelledRunRecordNotReusedEarly(t *testing.T) {
+	s, err := New(des.New(), 4, 1, EASYPolicy{}, KillNewest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := func(when float64, fn func()) {
+		t.Helper()
+		if err := s.DES.At(when, fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// a runs [0,10) until the crash at 1 kills it; the repair at 2 restarts
+	// it as [2,12). b [3,6) and c [7,9) start, and b finishes, while a's
+	// stale event (t=10) is pending; d starts at 11, after it.
+	a, b, c, d := rjob(1, 10, 2, 0), rjob(2, 3, 2, 3), rjob(3, 2, 1, 7), rjob(4, 1, 1, 11)
+	for _, j := range []*workload.Job{a, b, c, d} {
+		if err := s.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var victim *localRunning
+	at(0.5, func() { victim = s.running[0] })
+	at(1, func() {
+		if err := s.Crash(3, 2); err != nil {
+			t.Error(err)
+		}
+		if !victim.cancelled || s.RunningCount() != 0 {
+			t.Errorf("crash left %d jobs running (victim cancelled: %v)", s.RunningCount(), victim.cancelled)
+		}
+	})
+	starts := 0
+	s.OnLocalStart = func(j *workload.Job, _ int, now float64) {
+		starts++
+		inUse := slices.Contains(s.running, victim)
+		if now > 1 && now < 10 && (inUse || slices.Contains(s.runFree, victim)) {
+			t.Errorf("t=%v: job %d started; the killed job's record, its finish event still pending, is running: %v", now, j.ID, inUse)
+		}
+	}
+	s.OnLocalDone = func(c metrics.Completion) {
+		if now := s.DES.Now(); now != c.End {
+			t.Errorf("job %d, due at %v, completed at %v", c.Job.ID, c.End, now)
+		}
+	}
+	at(10.5, func() {
+		if !slices.Contains(s.runFree, victim) {
+			t.Error("the stale finish event has fired and the record is not free")
+		}
+		if s.RunningCount() != 1 || s.CompletedCount() != 2 {
+			t.Errorf("t=10.5: %d running, %d completed; want a still running, b and c done", s.RunningCount(), s.CompletedCount())
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[*workload.Job][2]float64{a: {2, 12}, b: {3, 6}, c: {7, 9}, d: {11, 12}}
+	cs := s.Completions()
+	if len(cs) != len(want) || starts != len(want)+1 {
+		t.Fatalf("%d completions, %d starts; want %d and one more", len(cs), starts, len(want))
+	}
+	for _, c := range cs {
+		if w := want[c.Job]; c.Start != w[0] || c.End != w[1] {
+			t.Fatalf("job %d ran [%v,%v), want [%v,%v)", c.Job.ID, c.Start, c.End, w[0], w[1])
+		}
+	}
+	validateCompletions(t, cs, 4)
 }

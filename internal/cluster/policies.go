@@ -19,7 +19,7 @@ func (FCFSPolicy) Name() string { return "fcfs" }
 
 // Decide implements Policy.
 func (FCFSPolicy) Decide(v View) []Decision {
-	var out []Decision
+	out := v.Scratch
 	avail := v.Avail
 	for _, j := range v.Queue {
 		p := procsFor(j)
@@ -44,6 +44,16 @@ func (FCFSPolicy) Decide(v View) []Decision {
 // so the first segment with enough free processors is the shadow time —
 // and its surplus counts *every* processor free at that instant, where
 // the former sorted-scan stopped mid-way through simultaneous releases.
+//
+// The shadow time has to count the heads this decision starts, whose
+// reservations are not in the cluster's profile yet, so they go into a
+// clone of it — once the decision has a reservation to write and will
+// read the profile again. After the first head that fits, it will only if
+// the next head fits too or is blocked with processors left to backfill
+// around it. Otherwise the decision ends there, as it does for every
+// arrival on an unsaturated cluster, with the same decisions whether the
+// reservation succeeds or not; Sim.start makes it in the real profile
+// next, and a copy made here would have been thrown away.
 type EASYPolicy struct{}
 
 // Name implements Policy.
@@ -54,14 +64,25 @@ func (EASYPolicy) Decide(v View) []Decision {
 	if len(v.Queue) == 0 {
 		return nil
 	}
-	var out []Decision
+	out := v.Scratch
 	avail := v.Avail
 	queue := v.Queue
-	profile, ok := v.planProfile()
-	if !ok {
-		return nil
+	// profile is the cluster's own, to be read only, until the decision has
+	// a reservation to write; from then on (own) a clone, recycled on the
+	// way out. A view without one gets its own from the start.
+	profile, own := v.Profile, false
+	if profile == nil {
+		var ok bool
+		if profile, ok = v.planProfile(); !ok {
+			return nil
+		}
+		own = true
 	}
-	defer profile.Recycle()
+	defer func() {
+		if own {
+			profile.Recycle()
+		}
+	}()
 
 	// Start heads while they fit.
 	for len(queue) > 0 {
@@ -72,10 +93,19 @@ func (EASYPolicy) Decide(v View) []Decision {
 		}
 		out = append(out, Decision{Job: head, Procs: p})
 		avail -= p
+		queue = queue[1:]
+		if !own {
+			// The two tests that lead back to the profile: this loop's, and
+			// the one behind it. (The second does not imply the first: a
+			// job of no width starts on a full machine.)
+			if len(queue) == 0 || (procsFor(queue[0]) > avail && avail <= 0) {
+				return out
+			}
+			profile, own = profile.Clone(), true
+		}
 		if err := profile.Reserve(v.Now, v.Duration(head, p), p); err != nil {
 			return out // inconsistent view; stop extending the plan
 		}
-		queue = queue[1:]
 	}
 	if len(queue) == 0 || avail <= 0 {
 		return out // every job needs at least one processor
@@ -132,7 +162,7 @@ func (GreedyFitPolicy) Name() string { return "greedyfit" }
 
 // Decide implements Policy.
 func (GreedyFitPolicy) Decide(v View) []Decision {
-	var out []Decision
+	out := v.Scratch
 	avail := v.Avail
 	// Heads that fit start without touching the index, as under EASY.
 	k := 0

@@ -124,35 +124,73 @@ func TestIncrementalProfileMatchesRebuild(t *testing.T) {
 	}
 }
 
-// viewSpy runs FCFS and hands every view to check first.
-type viewSpy struct{ check func(v View) }
+// viewSpy runs inner and hands every view to check first.
+type viewSpy struct {
+	inner Policy
+	check func(v View)
+}
 
-func (viewSpy) Name() string { return "fcfs" }
+func (p viewSpy) Name() string { return p.inner.Name() }
 
 func (p viewSpy) Decide(v View) []Decision {
 	p.check(v)
-	return FCFSPolicy{}.Decide(v)
+	return p.inner.Decide(v)
 }
 
-// TestViewBuffersReused: a decision copies nothing of the waiting queue —
-// View.Queue is the simulator's own slice — and View.Running lives in one
-// scratch buffer that stops reallocating once it has held the largest
-// running set.
+// requireLiveView fails unless v is made of s's own state and nothing
+// copied: the live queue and running list, the kept index, plan and
+// profile, and the decision scratch, empty and zeroed — and unless
+// v.Running says of the running set what Sim.Running says, in its order.
+func requireLiveView(t *testing.T, s *Sim, v View) {
+	t.Helper()
+	if len(v.Queue) != len(s.queue) || (len(v.Queue) > 0 && &v.Queue[0] != &s.queue[0]) {
+		t.Fatalf("t=%v: View.Queue is not the live queue", v.Now)
+	}
+	if len(v.Running) != len(s.viewRunning) || (len(v.Running) > 0 && &v.Running[0] != &s.viewRunning[0]) {
+		t.Fatalf("t=%v: View.Running is not the live running list", v.Now)
+	}
+	if v.Index != &s.index || v.Plan != &s.plan || v.Profile != s.profile {
+		t.Fatalf("t=%v: view does not carry the simulator's index, plan and profile", v.Now)
+	}
+	want := s.Running()
+	if len(v.Running) != len(want) {
+		t.Fatalf("t=%v: View.Running lists %d jobs, %d are running", v.Now, len(v.Running), len(want))
+	}
+	for i, r := range want {
+		if v.Running[i] != (RunningInfo{End: r.End, Procs: r.Procs}) {
+			t.Fatalf("t=%v: View.Running[%d] = %+v, running job %d has %d processors until %v",
+				v.Now, i, v.Running[i], r.Job.ID, r.Procs, r.End)
+		}
+	}
+	if s.decisions != nil || len(v.Scratch) != 0 || decisionsHeld(v.Scratch) != 0 {
+		t.Fatalf("t=%v: scratch lent at length %d with %d decisions left in it (the Sim still holds one: %v)",
+			v.Now, len(v.Scratch), decisionsHeld(v.Scratch), s.decisions != nil)
+	}
+}
+
+// TestViewBuffersReused: a decision copies nothing — View.Queue and
+// View.Running are the simulator's own slices, edited where the queue and
+// the running set are — and the memory behind them and behind the lent
+// decision scratch stops moving once it has held the largest set.
 func TestViewBuffersReused(t *testing.T) {
 	var s *Sim
-	views, regrown := 0, 0
-	var running *RunningInfo
-	spy := viewSpy{check: func(v View) {
+	views := 0
+	moved := map[string]int{}
+	last := map[string]any{}
+	moves := func(what string, first any) {
+		if last[what] != first {
+			last[what] = first
+			moved[what]++
+		}
+	}
+	spy := viewSpy{inner: FCFSPolicy{}, check: func(v View) {
 		views++
-		if len(v.Queue) != len(s.queue) || (len(v.Queue) > 0 && &v.Queue[0] != &s.queue[0]) {
-			t.Fatalf("t=%v: View.Queue is not the live queue", v.Now)
+		requireLiveView(t, s, v)
+		if len(v.Running) > 0 {
+			moves("View.Running", &v.Running[0])
 		}
-		if v.Index != &s.index || v.Plan != &s.plan || v.Profile != s.profile {
-			t.Fatalf("t=%v: view does not carry the simulator's index, plan and profile", v.Now)
-		}
-		if len(v.Running) > 0 && &v.Running[0] != running {
-			running = &v.Running[0]
-			regrown++
+		if cap(v.Scratch) > 0 {
+			moves("View.Scratch", &v.Scratch[:1][0])
 		}
 	}}
 	s, err := New(des.New(), 4, 1, spy, KillNewest)
@@ -170,8 +208,38 @@ func TestViewBuffersReused(t *testing.T) {
 	if len(s.Completions()) != 30 {
 		t.Fatalf("%d completions", len(s.Completions()))
 	}
-	// Four jobs run at once: the buffer grows 1, 2, 4 and stays.
-	if views < 60 || regrown == 0 || regrown > 3 {
-		t.Fatalf("%d views, View.Running moved %d times", views, regrown)
+	// Four jobs run at once: the running list grows 1, 2, 4 and stays. One
+	// job starts per decision: the scratch is allocated once.
+	if views < 60 || moved["View.Running"] == 0 || moved["View.Running"] > 3 || moved["View.Scratch"] != 1 {
+		t.Fatalf("%d views, moved: %v", views, moved)
 	}
+}
+
+// TestViewIsLiveUnderChurn: the same, at every decision of clusters that
+// crash, steal, migrate and evict — the running list is edited at each of
+// the three places the running set is (start, finish, crash kill) and
+// never rebuilt, so one place missed shows as a job too many or too few.
+func TestViewIsLiveUnderChurn(t *testing.T) {
+	views, kills := 0, 0
+	for _, inner := range []Policy{EASYPolicy{}, ConservativePolicy{}} {
+		for seed := uint64(1); seed <= 40; seed++ {
+			var bound []*Sim
+			spies := [2]Policy{}
+			for c := range spies {
+				spies[c] = viewSpy{inner: inner, check: func(v View) {
+					views++
+					requireLiveView(t, bound[c], v)
+				}}
+			}
+			sims, ok := churnTwoClusters(t, seed, spies, func(s *Sim) { bound = append(bound, s) })
+			if !ok {
+				t.Fatalf("%s, seed %d: not every job completed", inner.Name(), seed)
+			}
+			kills += sims[0].FaultStats().Requeues + sims[1].FaultStats().Requeues
+		}
+	}
+	if kills == 0 {
+		t.Fatal("no running job was killed: the crash path was not exercised")
+	}
+	t.Logf("%d views checked, %d running jobs killed", views, kills)
 }

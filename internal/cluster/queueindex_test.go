@@ -322,10 +322,23 @@ func held[T any](s []*T) int {
 	return n
 }
 
+// decisionsHeld counts the decisions left in a slice's backing array, all
+// the way to its capacity.
+func decisionsHeld(s []Decision) int {
+	n := 0
+	for _, d := range s[:cap(s)] {
+		if d != (Decision{}) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestDrainedSimRetainsNothing: a finished job (and its time table), a
 // finished best-effort task and a repaired outage must not stay reachable
 // from the simulator — an order-keeping removal by append leaves a copy
-// of the old last element behind the slice's end. Looks at every backing
+// of the old last element behind the slice's end, a recycled run record
+// or a lent decision slice the job it last held. Looks at every backing
 // array up to its capacity once the clusters have run dry.
 func TestDrainedSimRetainsNothing(t *testing.T) {
 	for _, policy := range []Policy{EASYPolicy{}, GreedyFitPolicy{}, ConservativePolicy{}, FCFSPolicy{}} {
@@ -339,9 +352,24 @@ func TestDrainedSimRetainsNothing(t *testing.T) {
 				for _, l := range s.index.lanes {
 					queued += held(l.jobs)
 				}
+				// Every record ever made is back in the free list, once, with
+				// no job in it.
+				recycled, free := 0, map[*localRunning]bool{}
+				for _, r := range s.runFree {
+					if r.job != nil || free[r] {
+						recycled++
+					}
+					free[r] = true
+				}
+				// At most one per job running at once, and one per kill whose
+				// stale event was still to come.
+				if limit := s.M + s.faultStats.Requeues; len(free) == 0 || len(free) > limit {
+					t.Fatalf("%s, seed %d: %d run records made, at most %d could be in use at once", policy.Name(), seed, len(free), limit)
+				}
 				for what, n := range map[string]int{
 					"queued jobs": queued, "running jobs": held(s.running),
 					"best-effort tasks": held(s.beActive), "outages": held(s.outages),
+					"decisions in the scratch": decisionsHeld(s.decisions), "jobs in free run records (or records twice free)": recycled,
 				} {
 					if n > 0 {
 						t.Fatalf("%s, seed %d: %d %s still referenced after the drain", policy.Name(), seed, n, what)
@@ -354,8 +382,11 @@ func TestDrainedSimRetainsNothing(t *testing.T) {
 
 // TestIndexMatchesWalkOnHandBuiltViews: random decision points built by
 // hand — jobs wider than the machine or zero wide, NaN, infinite and
-// zero durations, a shadow time that never comes — decided through a
-// one-shot index (View.Index nil) and through a kept one, twice.
+// zero durations, a shadow time that never comes, more processors
+// promised than the running set leaves — decided through a one-shot index
+// (View.Index nil) and through a kept one, twice; and, for EASY, on a
+// view that carries the running set as a Profile, which the decision
+// must read (cloning it only if it has to) and never write.
 func TestIndexMatchesWalkOnHandBuiltViews(t *testing.T) {
 	odd := []float64{math.NaN(), math.Inf(1), 0, 1e-300, 1e300}
 	f := func(seed uint64) bool {
@@ -371,6 +402,9 @@ func TestIndexMatchesWalkOnHandBuiltViews(t *testing.T) {
 			used += procs
 		}
 		v.Avail = m - used
+		if rng.Bool(0.15) {
+			v.Avail = min(m, v.Avail+rng.IntRange(1, 3)) // an inconsistent view
+		}
 		for i, n := 0, rng.Intn(40); i < n; i++ {
 			p := rng.IntRange(1, m/2)
 			switch {
@@ -401,6 +435,14 @@ func TestIndexMatchesWalkOnHandBuiltViews(t *testing.T) {
 				sameDecisions(t, v.Now, c.inner.Decide(kept), want)
 				checkIndex(t, kept)
 			}
+		}
+		profiled := v
+		profiled.Profile, _ = v.planProfile()
+		before := profiled.Profile.Clone()
+		sameDecisions(t, v.Now, EASYPolicy{}.Decide(profiled), walkEASY(v))
+		sameAvailability(t, v.Now, profiled.Profile, before, 0, "View.Profile after the decision", "before")
+		if profiled.Profile.Segments() != before.Segments() {
+			t.Fatalf("t=%v: the decision left View.Profile with %d segments for %d", v.Now, profiled.Profile.Segments(), before.Segments())
 		}
 		return true
 	}

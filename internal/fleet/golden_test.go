@@ -129,11 +129,17 @@ func (ct *crashingTransport) CompleteCells(ctx context.Context, req CompleteRequ
 }
 
 // perWorkerTransport routes one worker id through the crashing wrapper
-// and everyone else straight to the coordinator.
+// and everyone else straight to the coordinator — once the victim holds
+// its first lease: until then every other worker's LeaseCells waits, or a
+// quick survivor could lease the whole run before the victim got a cell
+// and leave nothing to crash on.
 type perWorkerTransport struct {
 	victim string
 	crash  Transport
 	direct Transport
+
+	leased     chan struct{} // closed when the victim has been granted a lease
+	leasedOnce sync.Once
 }
 
 func (p *perWorkerTransport) pick(id string) Transport {
@@ -144,7 +150,19 @@ func (p *perWorkerTransport) pick(id string) Transport {
 }
 
 func (p *perWorkerTransport) LeaseCells(ctx context.Context, req LeaseRequest) (*Lease, error) {
-	return p.pick(req.WorkerID).LeaseCells(ctx, req)
+	if req.WorkerID != p.victim {
+		select {
+		case <-p.leased:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return p.direct.LeaseCells(ctx, req)
+	}
+	lease, err := p.crash.LeaseCells(ctx, req)
+	if lease != nil {
+		p.leasedOnce.Do(func() { close(p.leased) })
+	}
+	return lease, err
 }
 
 func (p *perWorkerTransport) CompleteCells(ctx context.Context, req CompleteRequest) (CompleteResponse, error) {
@@ -173,7 +191,7 @@ func TestGoldenFleetSurvivesWorkerDeath(t *testing.T) {
 	// them to the coordinator until the crash; afterwards the worker
 	// never leases again, so its lease expires unattended).
 	ct := &crashingTransport{Transport: c}
-	tr := &perWorkerTransport{victim: "w0", crash: ct, direct: c}
+	tr := &perWorkerTransport{victim: "w0", crash: ct, direct: c, leased: make(chan struct{})}
 	got := runFleet(t, spec, opt, c, tr, 2)
 	if got != want {
 		t.Fatalf("post-crash fleet output diverged:\n--- local\n%s\n--- fleet\n%s", want, got)

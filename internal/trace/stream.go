@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/metrics"
 	"repro/internal/workload"
@@ -46,24 +47,30 @@ func NewSWFScanner(r io.Reader) *SWFScanner {
 // Scan advances to the next record, skipping blank lines and comments.
 // It returns false at end of input or on the first malformed line; Err
 // distinguishes the two.
+//
+// A line is split in place, in the scanner's own buffer, and each of the
+// six fields goes to strconv.ParseFloat through a string that does not
+// outlive the call, so a record costs no allocation (a field longer than
+// the 32 bytes the compiler keeps on the stack for such a string costs
+// one). Values and error texts are strconv's own.
 func (s *SWFScanner) Scan() bool {
 	if s.err != nil || s.done {
 		return false
 	}
 	for s.sc.Scan() {
 		s.line++
-		text := strings.TrimSpace(s.sc.Text())
-		if text == "" || strings.HasPrefix(text, ";") {
+		var fields [6][]byte
+		n := splitFields(s.sc.Bytes(), &fields)
+		if n == 0 || fields[0][0] == ';' {
 			continue
 		}
-		fields := strings.Fields(text)
-		if len(fields) < 6 {
-			s.err = fmt.Errorf("trace: line %d: %d fields, want 6", s.line, len(fields))
+		if n < 6 {
+			s.err = fmt.Errorf("trace: line %d: %d fields, want 6", s.line, n)
 			return false
 		}
 		var vals [6]float64
-		for i, f := range fields[:6] {
-			v, err := strconv.ParseFloat(f, 64)
+		for i, f := range fields {
+			v, err := strconv.ParseFloat(string(f), 64)
 			if err != nil {
 				s.err = fmt.Errorf("trace: line %d field %d: %w", s.line, i, err)
 				return false
@@ -79,6 +86,47 @@ func (s *SWFScanner) Scan() bool {
 	s.done = true
 	s.err = s.sc.Err()
 	return false
+}
+
+// asciiSpace marks the ASCII bytes that unicode.IsSpace accepts — the
+// table strings.Fields and strings.TrimSpace consult.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// splitFields splits line around runs of white space exactly as
+// strings.Fields splits a string — a separator is a rune unicode.IsSpace
+// accepts, and a byte that starts no valid UTF-8 sequence is a rune of
+// its own that is not one — stores the first len(first) fields, which
+// alias line, and returns the number of all of them. Leading and trailing
+// white space bound no field, so the first field of a line is what
+// strings.TrimSpace would leave at its front: no fields is a blank line.
+func splitFields(line []byte, first *[6][]byte) int {
+	n := 0
+	start := -1 // of the field being read; negative between fields
+	for i := 0; i < len(line); {
+		c := line[i]
+		space, width := asciiSpace[c], 1
+		if c >= utf8.RuneSelf {
+			r, w := utf8.DecodeRune(line[i:])
+			space, width = unicode.IsSpace(r), w
+		}
+		if space && start >= 0 {
+			if n < len(first) {
+				first[n] = line[start:i]
+			}
+			n++
+			start = -1
+		} else if !space && start < 0 {
+			start = i
+		}
+		i += width
+	}
+	if start >= 0 {
+		if n < len(first) {
+			first[n] = line[start:]
+		}
+		n++
+	}
+	return n
 }
 
 // Record returns the record produced by the last successful Scan.
@@ -132,6 +180,7 @@ func (s *SWFJobSource) Err() error { return s.err }
 // back and rewriting it with WriteSWFRecords canonicalizes the order.
 type SWFWriter struct {
 	bw  *bufio.Writer
+	buf []byte // the line being formatted, reused
 	err error
 }
 
@@ -148,9 +197,22 @@ func (w *SWFWriter) Write(rec SWFRecord) error {
 	if w.err != nil {
 		return w.err
 	}
-	_, w.err = fmt.Fprintf(w.bw, "%d %g %g %g %d %g\n",
-		rec.ID, rec.Submit, rec.Wait, rec.Runtime, rec.Procs, rec.Weight)
+	w.buf = appendSWFRecord(w.buf[:0], rec)
+	_, w.err = w.bw.Write(w.buf)
 	return w.err
+}
+
+// appendSWFRecord appends rec's line, the bytes of
+// fmt.Sprintf("%d %g %g %g %d %g\n", ...) over its fields in order: %g is
+// strconv's shortest 'g' form, the one ParseFloat reads back exactly.
+func appendSWFRecord(b []byte, rec SWFRecord) []byte {
+	b = strconv.AppendInt(b, int64(rec.ID), 10)
+	b = strconv.AppendFloat(append(b, ' '), rec.Submit, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, ' '), rec.Wait, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, ' '), rec.Runtime, 'g', -1, 64)
+	b = strconv.AppendInt(append(b, ' '), int64(rec.Procs), 10)
+	b = strconv.AppendFloat(append(b, ' '), rec.Weight, 'g', -1, 64)
+	return append(b, '\n')
 }
 
 // Flush drains the buffer to the underlying writer.

@@ -4,7 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -30,8 +34,81 @@ func randomRecs(rng *stats.RNG, n int) []SWFRecord {
 	return recs
 }
 
-// TestSWFScannerMatchesRead: the streaming scanner and the materializing
-// reader are the same parser — identical records over randomized traces.
+// scanReference is SWFScanner as it read a line before it split one in
+// place: strings.TrimSpace, strings.Fields, then strconv.ParseFloat on
+// each of the first six fields. It returns every record delivered with
+// its line number, and the error that ended the scan.
+func scanReference(input string) (recs []SWFRecord, lines []int, err error) {
+	sc := bufio.NewScanner(strings.NewReader(input))
+	sc.Buffer(make([]byte, 0, 64*1024), maxSWFLine)
+	for line := 1; sc.Scan(); line++ {
+		text := strings.TrimSpace(sc.Text())
+		if text == "" || strings.HasPrefix(text, ";") {
+			continue
+		}
+		fields := strings.Fields(text)
+		if len(fields) < 6 {
+			return recs, lines, fmt.Errorf("trace: line %d: %d fields, want 6", line, len(fields))
+		}
+		var vals [6]float64
+		for i, f := range fields[:6] {
+			v, err := strconv.ParseFloat(f, 64)
+			if err != nil {
+				return recs, lines, fmt.Errorf("trace: line %d field %d: %w", line, i, err)
+			}
+			vals[i] = v
+		}
+		recs = append(recs, SWFRecord{
+			ID: int(vals[0]), Submit: vals[1], Wait: vals[2],
+			Runtime: vals[3], Procs: int(vals[4]), Weight: vals[5],
+		})
+		lines = append(lines, line)
+	}
+	return recs, lines, sc.Err()
+}
+
+// sameRecord compares two records bit for bit (NaN equal to NaN, 0 not
+// equal to -0).
+func sameRecord(a, b SWFRecord) bool {
+	bits := math.Float64bits
+	return a.ID == b.ID && a.Procs == b.Procs && bits(a.Submit) == bits(b.Submit) && bits(a.Wait) == bits(b.Wait) &&
+		bits(a.Runtime) == bits(b.Runtime) && bits(a.Weight) == bits(b.Weight)
+}
+
+// requireMatchesReference scans input with SWFScanner and requires what
+// scanReference finds: the same records on the same lines, then the same
+// error, to the letter. It returns the records and the error.
+func requireMatchesReference(t *testing.T, input string) ([]SWFRecord, error) {
+	t.Helper()
+	want, wantLines, wantErr := scanReference(input)
+	sc := NewSWFScanner(strings.NewReader(input))
+	var got []SWFRecord
+	for sc.Scan() {
+		i := len(got)
+		got = append(got, sc.Record())
+		if i >= len(want) {
+			t.Fatalf("record %d (line %d) %+v: the reference stops at %d records", i, sc.Line(), got[i], len(want))
+		}
+		if !sameRecord(got[i], want[i]) || sc.Line() != wantLines[i] {
+			t.Fatalf("record %d: %+v on line %d, the reference %+v on line %d", i, got[i], sc.Line(), want[i], wantLines[i])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d records, the reference %d", len(got), len(want))
+	}
+	err := sc.Err()
+	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("error %v, the reference %v", err, wantErr)
+	}
+	if sc.Scan() {
+		t.Fatal("scanner advanced after it had stopped")
+	}
+	return got, err
+}
+
+// TestSWFScannerMatchesRead: over randomized traces the streaming scanner
+// delivers what the reference parser does, and the materializing reader —
+// a Collect over the scanner — the same records again.
 func TestSWFScannerMatchesRead(t *testing.T) {
 	rng := stats.NewRNG(7)
 	for trial := 0; trial < 30; trial++ {
@@ -40,56 +117,79 @@ func TestSWFScannerMatchesRead(t *testing.T) {
 		if err := WriteSWFRecords(&buf, recs); err != nil {
 			t.Fatal(err)
 		}
+		got, err := requireMatchesReference(t, buf.String())
+		if err != nil || len(got) != len(recs) {
+			t.Fatalf("trial %d: scanner saw %d of %d records, err %v", trial, len(got), len(recs), err)
+		}
 		want, err := ReadSWFRecords(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sc := NewSWFScanner(bytes.NewReader(buf.Bytes()))
-		var got []SWFRecord
-		for sc.Scan() {
-			got = append(got, sc.Record())
-		}
-		if err := sc.Err(); err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: scanner saw %d records, reader %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: record %d diverged: %+v vs %+v", trial, i, got[i], want[i])
-			}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: scanner and reader diverged:\n%+v\nvs\n%+v", trial, got, want)
 		}
 	}
 }
 
+// swfEdgeCases are inputs at the edges of the line format, each a row of
+// TestSWFScannerMalformed and a seed of FuzzSWFScanner: okRecs records are
+// delivered, then the scan ends cleanly (errSub empty) or with an error
+// that contains errSub.
+var swfEdgeCases = []struct {
+	name   string
+	input  string
+	okRecs int
+	errSub string
+}{
+	{"too_few_fields", "; header\n1 0 0 5 2 1\n2 0 0\n", 1, "line 3: 3 fields, want 6"},
+	{"unparsable_field", "1 0 0 5 2 1\n2 0 zebra 5 2 1\n", 1, "line 2 field 2"},
+	{"truncated_final_record", "1 0 0 5 2 1\n2 1 0", 1, "line 2: 3 fields, want 6"},
+	{"garbage_first_line", "<html>not a trace</html>\n", 0, "line 1"},
+	{"nan_field_parses", "1 NaN 0 5 2 1\n", 1, ""}, // ParseFloat accepts NaN; policy lives upstream
+	// White space is what unicode.IsSpace says, not what ASCII says:
+	// U+00A0, U+2003 and U+0085 separate fields and are trimmed.
+	{"nbsp_separates", "1\xc2\xa00 0 5 2 1\n", 1, ""},
+	{"em_space_separates", "1 0\xe2\x80\x830 5 2 1\n", 1, ""},
+	{"nel_separates_and_trails", "\xc2\x851 0 0\xc2\x855 2 1\xc2\x85\n", 1, ""},
+	// Bytes that are no UTF-8 are runes of their own, and not spaces.
+	{"invalid_utf8_joins_fields", "1 0\xff0 5 2 1\n", 0, "line 1: 5 fields, want 6"},
+	{"invalid_utf8_field", "1 0 \xff 0 5 2 1\n", 0, `line 1 field 2: strconv.ParseFloat: parsing "\xff": invalid syntax`},
+	{"truncated_utf8_field", "1 0 \xc2 0 5 2 1\n", 0, `line 1 field 2: strconv.ParseFloat: parsing "\xc2"`},
+	{"truncated_space_leads", "\xe2\x80 1 0 0 5 2 1\n", 0, `line 1 field 0: strconv.ParseFloat: parsing "\xe2\x80"`},
+	{"vt_ff_cr_and_crlf", "1\v0\x0c0\r5 2 1\r\n2 0 0 5 2 1\r\n", 2, ""},
+	{"comment_after_blanks", " \t ; 1 2\n\t;\n1 0 0 5 2 1\n", 1, ""},
+	{"comment_after_nbsp", "\xc2\xa0; zebra\n1 0 0 5 2 1\n", 1, ""},
+	{"semicolon_inside_field", "1;2 0 0 5 2 1\n", 0, `line 1 field 0: strconv.ParseFloat: parsing "1;2"`},
+	// Everything strconv reads as a float is a field value.
+	{"signed_zeros_and_plus", "-0 +5 -0 +5 +5 -0\n", 1, ""},
+	{"underscores", "1_000 0 0 5 2 1\n", 1, ""},
+	{"hex_float", "0x1p-2 0x1p-2 0 5 2 1\n", 1, ""},
+	{"infinities", "1 Inf -inf +Infinity 2 1\n", 1, ""},
+	{"nan_spellings", "1 nan NaN 5 2 1\n", 1, ""},
+	{"twenty_digit_id", "12345678901234567890 0 0 5 2 1\n", 1, ""},
+	{"forty_byte_field", "1 0." + strings.Repeat("3", 38) + " 0 5 2 1\n", 1, ""}, // beyond the 32-byte stack string
+	{"out_of_range", "1 1e999 0 5 2 1\n", 0, `line 1 field 1: strconv.ParseFloat: parsing "1e999": value out of range`},
+	{"lone_minus", "1 0 0 5 2 1\n2 - 0 5 2 1\n", 1, `line 2 field 1: strconv.ParseFloat: parsing "-": invalid syntax`},
+	// The field count is checked before any field is read.
+	{"few_fields_bad_first", "zebra 0 0\n", 0, "line 1: 3 fields, want 6"},
+	{"five_fields_trailing_blank", "1 0 0 5 2 \n", 0, "line 1: 5 fields, want 6"},
+	{"garbage_in_field_seven", "1 0 0 5 2 1 <garbage> \xff\n2 0 0 5 2 1 7 8 9\n", 2, ""},
+	// A line and its newline fill the 4 MiB buffer exactly; a longer one is
+	// TestSWFScannerOversizedLine's case.
+	{"line_at_cap", "1 0 0 5 2 1\n2 0 0" + strings.Repeat(" ", maxSWFLine-len("2 0 05 2 1\n")) + "5 2 1\n3 0 0 5 2 1\n", 3, ""},
+}
+
 // TestSWFScannerMalformed: malformed lines fail with the same error
 // surface ReadSWFRecords always had, records before the bad line are
-// still delivered, and the scanner stays stopped afterwards.
+// still delivered, and the scanner stays stopped afterwards — all of it
+// what the reference parser says, to the letter.
 func TestSWFScannerMalformed(t *testing.T) {
-	cases := []struct {
-		name   string
-		input  string
-		okRecs int
-		errSub string
-	}{
-		{"too_few_fields", "; header\n1 0 0 5 2 1\n2 0 0\n", 1, "line 3: 3 fields, want 6"},
-		{"unparsable_field", "1 0 0 5 2 1\n2 0 zebra 5 2 1\n", 1, "line 2 field 2"},
-		{"truncated_final_record", "1 0 0 5 2 1\n2 1 0", 1, "line 2: 3 fields, want 6"},
-		{"garbage_first_line", "<html>not a trace</html>\n", 0, "line 1"},
-		{"nan_field_parses", "1 NaN 0 5 2 1\n", 1, ""}, // ParseFloat accepts NaN; policy lives upstream
-	}
-	for _, tc := range cases {
+	for _, tc := range swfEdgeCases {
 		t.Run(tc.name, func(t *testing.T) {
-			sc := NewSWFScanner(strings.NewReader(tc.input))
-			n := 0
-			for sc.Scan() {
-				n++
+			recs, err := requireMatchesReference(t, tc.input)
+			if len(recs) != tc.okRecs {
+				t.Fatalf("delivered %d records, want %d", len(recs), tc.okRecs)
 			}
-			if n != tc.okRecs {
-				t.Fatalf("delivered %d records, want %d", n, tc.okRecs)
-			}
-			err := sc.Err()
 			if tc.errSub == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -99,14 +199,29 @@ func TestSWFScannerMalformed(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), tc.errSub) {
 				t.Fatalf("err = %v, want substring %q", err, tc.errSub)
 			}
-			if sc.Scan() {
-				t.Fatal("scanner advanced after error")
-			}
 			// The materializing reader reports the identical error.
 			if _, rerr := ReadSWFRecords(strings.NewReader(tc.input)); rerr == nil || rerr.Error() != err.Error() {
 				t.Fatalf("reader error %v != scanner error %v", rerr, err)
 			}
 		})
+	}
+}
+
+// TestSWFScannerZeroAlloc: on ASCII input a record costs no allocation —
+// the line is split where bufio left it and no field reaches the heap.
+func TestSWFScannerZeroAlloc(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteSWFRecords(&buf, randomRecs(stats.NewRNG(5), 2000)); err != nil {
+		t.Fatal(err)
+	}
+	sc := NewSWFScanner(bytes.NewReader(buf.Bytes()))
+	allocs := testing.AllocsPerRun(1500, func() {
+		if !sc.Scan() {
+			t.Fatalf("scan stopped on line %d: %v", sc.Line(), sc.Err())
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per record, want 0", allocs)
 	}
 }
 
@@ -219,6 +334,59 @@ func TestSWFWriterStreamEquivalence(t *testing.T) {
 	}
 }
 
+// TestSWFWriterMatchesFmt: a line is, byte for byte, what
+// fmt.Fprintf("%d %g %g %g %d %g\n") printed before the writer formatted
+// with strconv — over the values where the two could part (NaN, the
+// infinities, signed zeros, subnormals, both ends of the range where 'g'
+// switches to an exponent) and over random bit patterns, long lines and
+// short ones sharing the writer's buffer.
+func TestSWFWriterMatchesFmt(t *testing.T) {
+	floats := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.5, 1.0 / 3, 123456.789,
+		math.NaN(), math.Inf(1), math.Inf(-1),
+		5e-324, math.Nextafter(2.2250738585072014e-308, 0), 2.2250738585072014e-308, math.MaxFloat64, -math.MaxFloat64,
+		1e20, math.Nextafter(1e21, 0), 1e21, math.Nextafter(1e21, 2e21), 1e22, 123456789012345678901234,
+		1e-4, math.Nextafter(1e-4, 0), 1e-5, 1e-7, 0.000012345, 100000, 1e6, 12345678,
+	}
+	ints := []int{0, 1, -1, 42, 1_000_000, math.MaxInt64, math.MinInt64}
+	var recs []SWFRecord
+	for i, f := range floats {
+		pick := func(k int) float64 { return floats[(i+k)%len(floats)] }
+		recs = append(recs, SWFRecord{
+			ID: ints[i%len(ints)], Submit: f, Wait: pick(3), Runtime: pick(7), Procs: ints[(i+2)%len(ints)], Weight: pick(11),
+		})
+	}
+	rng := stats.NewRNG(23)
+	bitsOf := func() float64 { return math.Float64frombits(rng.Uint64()) }
+	for i := 0; i < 20000; i++ {
+		recs = append(recs, SWFRecord{
+			ID: int(rng.Uint64()), Submit: bitsOf(), Wait: bitsOf(), Runtime: bitsOf(), Procs: int(rng.Uint64() >> uint(rng.Intn(64))), Weight: bitsOf(),
+		})
+	}
+
+	var want, got bytes.Buffer
+	fmt.Fprintln(&want, "; id submit wait runtime procs weight")
+	w := NewSWFWriter(&got)
+	for _, rec := range recs {
+		fmt.Fprintf(&want, "%d %g %g %g %d %g\n", rec.ID, rec.Submit, rec.Wait, rec.Runtime, rec.Procs, rec.Weight)
+		if err := w.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(want.String(), "\n")
+		for i := range wantLines {
+			if i >= len(gotLines) || gotLines[i] != wantLines[i] {
+				t.Fatalf("line %d: wrote %q, fmt prints %q", i+1, gotLines[min(i, len(gotLines)-1)], wantLines[i])
+			}
+		}
+		t.Fatalf("wrote %d lines, fmt prints %d", len(gotLines), len(wantLines))
+	}
+}
+
 // TestSWFSpool: the spill retention keeps a bounded tail, spools
 // evictions in Add order, and DrainTail persists the remainder so the
 // file holds the complete history.
@@ -275,38 +443,23 @@ type failWriter struct{}
 func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
 
 // FuzzSWFScanner: for arbitrary input the scanner must never panic, must
-// agree with ReadSWFRecords (records and error), and any input that
-// parses cleanly must round-trip byte-stably through write→read→write.
+// deliver what scanReference delivers (records, their lines, and the error
+// to the letter), and any input that parses cleanly must round-trip
+// byte-stably through write→read→write.
 func FuzzSWFScanner(f *testing.F) {
+	for _, tc := range swfEdgeCases {
+		f.Add(tc.input)
+	}
 	f.Add("; id submit wait runtime procs weight\n1 0 0 5 2 1\n")
 	f.Add("1 1e-300 2.5 3 4 5\n2 1e300 0.1 7 1 1")
 	f.Add("")
 	f.Add(";\n\n  \n")
-	f.Add("1 0 0 5 2 1 extra fields ignored\n")
 	f.Add("-1 -2 -3 -4 -5 -6\n")
 	f.Add("a b c d e f\n")
-	f.Add("1 0 0\n")
 	f.Fuzz(func(t *testing.T, input string) {
-		sc := NewSWFScanner(strings.NewReader(input))
-		var got []SWFRecord
-		for sc.Scan() {
-			got = append(got, sc.Record())
-		}
-		want, rerr := ReadSWFRecords(strings.NewReader(input))
-		serr := sc.Err()
-		if (serr == nil) != (rerr == nil) || (serr != nil && serr.Error() != rerr.Error()) {
-			t.Fatalf("scanner err %v, reader err %v", serr, rerr)
-		}
-		if rerr != nil {
+		want, err := requireMatchesReference(t, input)
+		if err != nil {
 			return
-		}
-		if len(got) != len(want) {
-			t.Fatalf("scanner %d records, reader %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("record %d: %+v vs %+v", i, got[i], want[i])
-			}
 		}
 		// Canonicalize once, then the format is a fixed point.
 		var first bytes.Buffer

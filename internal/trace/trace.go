@@ -133,15 +133,13 @@ func (rec SWFRecord) Job() (*workload.Job, error) {
 // ID. Floats use %g (shortest uniquely-parsing form), so writing what
 // ReadSWFRecords returned reproduces the input bytes exactly.
 func WriteSWFRecords(w io.Writer, recs []SWFRecord) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "; id submit wait runtime procs weight")
 	rows := append([]SWFRecord(nil), recs...)
 	sort.SliceStable(rows, func(i, k int) bool { return rows[i].ID < rows[k].ID })
+	sw := NewSWFWriter(w)
 	for _, rec := range rows {
-		fmt.Fprintf(bw, "%d %g %g %g %d %g\n",
-			rec.ID, rec.Submit, rec.Wait, rec.Runtime, rec.Procs, rec.Weight)
+		sw.Write(rec) //nolint:errcheck // sticky in sw, returned by Flush
 	}
-	return bw.Flush()
+	return sw.Flush()
 }
 
 // WriteSWF writes completions in the spirit of the Standard Workload

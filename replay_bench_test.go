@@ -10,6 +10,8 @@
 package repro
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -44,15 +46,11 @@ func replayJobs(tb testing.TB) int {
 	return n
 }
 
-// writeReplayArchive streams an n-job rigid trace to path in O(1)
-// memory (the generator writes line by line; nothing is accumulated).
-func writeReplayArchive(tb testing.TB, path string, n int) {
+// writeReplayRecords streams an n-job rigid trace to out in O(1) memory
+// (the generator writes line by line; nothing is accumulated).
+func writeReplayRecords(tb testing.TB, out io.Writer, n int) {
 	tb.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	w := trace.NewSWFWriter(f)
+	w := trace.NewSWFWriter(out)
 	rng := stats.NewRNG(1)
 	for i := 0; i < n; i++ {
 		if err := w.Write(trace.SWFRecord{
@@ -65,9 +63,56 @@ func writeReplayArchive(tb testing.TB, path string, n int) {
 	if err := w.Flush(); err != nil {
 		tb.Fatal(err)
 	}
+}
+
+// writeReplayArchive writes that trace to a file at path.
+func writeReplayArchive(tb testing.TB, path string, n int) {
+	tb.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	writeReplayRecords(tb, f, n)
 	if err := f.Close(); err != nil {
 		tb.Fatal(err)
 	}
+}
+
+// TestReplayAllocBudget gates the streaming path's allocation budget
+// without the benchmark: replaying an archive under EASY with discard
+// retention allocates the *workload.Job it hands the simulator and, per
+// job, nothing else — no string or field slice per line, no run record,
+// closure or decision slice per start. The constant covers set-up: the
+// scanner's buffer, the event heap, queue and profile growing to their
+// working size.
+func TestReplayAllocBudget(t *testing.T) {
+	const n = 20_000
+	var archive bytes.Buffer
+	writeReplayRecords(t, &archive, n)
+	sim, err := cluster.New(des.New(), replayM, 1, cluster.EASYPolicy{}, cluster.KillNewest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.SetRetention(metrics.NewDiscard()); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := sim.Stream(trace.NewSWFJobSource(bytes.NewReader(archive.Bytes()))); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if sim.CompletedCount() != n {
+		t.Fatalf("completed %d of %d jobs", sim.CompletedCount(), n)
+	}
+	mallocs := after.Mallocs - before.Mallocs
+	if budget := uint64(1.05*n) + 200; mallocs > budget {
+		t.Fatalf("%d allocations for %d jobs (%.2f per job), budget %d", mallocs, n, float64(mallocs)/n, budget)
+	}
+	t.Logf("%d allocations for %d jobs", mallocs, n)
 }
 
 // streamReplay replays the archive once and returns the event count
