@@ -57,24 +57,26 @@ type cellRec struct {
 	Duration float64          `json:"duration_seconds,omitempty"`
 }
 
-// buildTerminal marshals a run's terminal payload. The service mutex
+// buildTerminal marshals the terminal payload of a run that is about to
+// publish its closing event and, when done, take res as its result —
+// the record is written before either is visible. The service mutex
 // must be held (reads the run's mutable fields).
-func buildTerminal(r *Run) (json.RawMessage, error) {
+func buildTerminal(r *Run, closing Event, res *scenario.Result) (json.RawMessage, error) {
 	p := terminalPayload{
-		Events:     r.events,
+		Events:     append(r.events[:len(r.events):len(r.events)], closing),
 		Timings:    r.timings,
 		CellsDone:  r.cellsDone,
 		CellsTotal: r.cellsTotal,
 	}
-	if r.result != nil {
-		rr, err := encodeResult(r.result)
+	if res != nil {
+		rr, err := encodeResult(res)
 		if err != nil {
 			return nil, err
 		}
 		p.Result = rr
-		if len(r.result.Traces) > 0 {
+		if len(res.Traces) > 0 {
 			var buf bytes.Buffer
-			if err := runtrace.WriteJSONL(&buf, r.result.Traces); err != nil {
+			if err := runtrace.WriteJSONL(&buf, res.Traces); err != nil {
 				return nil, err
 			}
 			p.TraceJSONL = buf.String()
@@ -192,7 +194,7 @@ func (r *Run) record() *store.RunRecord {
 	return &store.RunRecord{
 		ID: r.id, Seq: uint64(r.seqNo), Tenant: r.tenant,
 		State: string(r.state), Error: r.err,
-		Cached: r.cached, MemoKey: r.memoKey,
+		Cached: r.cached, Source: r.source, MemoKey: r.memoKey,
 		Spec: r.specJSON, Seed: r.opt.Seed, JobFactor: r.opt.Scale.JobFactor,
 		Created: r.created, Started: r.started, Finished: r.finished,
 	}
@@ -217,7 +219,7 @@ func runFromRecord(rec *store.RunRecord) (*Run, error) {
 		ctx: ctx, cancel: cancel,
 		state: RunState(rec.State), err: rec.Error,
 		created: rec.Created, started: rec.Started, finished: rec.Finished,
-		tenant: rec.Tenant, cached: rec.Cached, memoKey: rec.MemoKey,
+		tenant: rec.Tenant, cached: rec.Cached, source: rec.Source, memoKey: rec.MemoKey,
 		specJSON: append(json.RawMessage(nil), rec.Spec...),
 		wake:     make(chan struct{}),
 	}
@@ -225,20 +227,28 @@ func runFromRecord(rec *store.RunRecord) (*Run, error) {
 		if err := applyTerminal(r, rec.Terminal); err != nil {
 			return nil, fmt.Errorf("terminal payload: %w", err)
 		}
+		if r.cached {
+			// The payload is the source run's (shared by the store when the
+			// record names a source); a memo hit's own history is the one
+			// event it was born with, and it timed no cells.
+			r.events, r.timings = cachedHistory(), nil
+		}
 	}
 	return r, nil
 }
 
 // recover rebuilds the run store from the durable store at boot: every
 // persisted run is restored, runs that were queued or running when the
-// process died are finalized as failed with a restart reason (and that
-// repair is itself persisted, so the next boot replays it instead of
-// re-deciding), the memo index is rebuilt from done runs, and the
-// monotonic counters (run ID sequence, eviction count, cache hits)
-// resume where they left off. Runs only before the executor pool
-// starts, so no locking is needed.
+// process died are finalized as failed with a restart reason, the memo
+// index is rebuilt from done runs, the monotonic counters (run ID
+// sequence, eviction count, cache hits) resume where they left off, and
+// the history is cut back to MaxHistory. The repairs and evictions are
+// themselves persisted, as one batch, so the next boot replays them
+// instead of re-deciding. Runs only before the executor pool starts, so
+// no locking is needed.
 func (s *RunService) recover() {
 	st := s.cfg.Store
+	var repairs []store.Record
 	for _, rec := range st.Runs() {
 		r, err := runFromRecord(rec)
 		if err != nil {
@@ -250,12 +260,10 @@ func (s *RunService) recover() {
 			r.err = "interrupted by daemon restart"
 			r.finished = time.Now()
 			r.publish(Event{Type: "state", State: RunFailed, Error: r.err})
-			if err := st.Append(store.Record{
+			repairs = append(repairs, store.Record{
 				Op: "terminal", ID: r.id, State: string(RunFailed),
 				Error: r.err, Finished: r.finished,
-			}); err != nil {
-				log.Printf("api: recover: persist restart-failure %s: %v", r.id, err)
-			}
+			})
 		}
 		s.runs[r.id] = r
 		s.order = append(s.order, r)
@@ -268,5 +276,13 @@ func (s *RunService) recover() {
 	s.seq = int(st.Seq())
 	s.evicted = st.Evicted()
 	s.cacheHits = st.CacheHits()
-	s.evictLocked()
+	// A crash between a submit and the evictions of its batch, or a
+	// smaller MaxHistory than last time, leaves more runs than fit.
+	victims := s.victimsLocked(0)
+	if repairs = append(repairs, evictRecords(victims)...); len(repairs) > 0 {
+		if err := st.Append(repairs...); err != nil {
+			log.Printf("api: recover: persist %d repairs: %v", len(repairs), err)
+		}
+	}
+	s.dropLocked(victims)
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/store"
 )
 
@@ -303,4 +304,235 @@ func TestTenantAuth(t *testing.T) {
 	}
 	_, _ = cancelRun(t, srv.URL, again.ID)
 	_, _ = cancelRun(t, srv.URL, bRun.ID)
+}
+
+// served is everything the API says about one run: status, SSE history
+// and the result in all three formats.
+func served(t *testing.T, url, id string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for name, path := range map[string]string{
+		"status": "", "events": "/events",
+		"json": "/result", "text": "/result?format=text", "csv": "/result?format=csv",
+	} {
+		body, code := getText(t, url, "/v1/runs/"+id+path)
+		if code != http.StatusOK {
+			t.Fatalf("GET %s of run %s: status %d\n%s", name, id, code, body)
+		}
+		out[name] = body
+	}
+	return out
+}
+
+func sameServed(t *testing.T, when string, want, got map[string]string) {
+	t.Helper()
+	for name := range want {
+		if got[name] != want[name] {
+			t.Fatalf("%s: %s diverges\nwant:\n%s\ngot:\n%s", when, name, want[name], got[name])
+		}
+	}
+}
+
+// TestCachedRunSurvivesRestart: a memo hit is persisted as a reference
+// to its source run, yet comes back byte-identical — status, event
+// history, result in every format — after a restart, after the source
+// was evicted, and after a compaction folded the log into a snapshot. A
+// cached record in the older format (its own copy of the payload, no
+// source) still loads.
+func TestCachedRunSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	st := openStoreT(t, dir)
+	cfg := Config{MaxActive: 2, MaxHistory: 3}
+	live := cfg
+	live.Store = st
+	_, srv := newTestService(t, live)
+	restarted := func(when string, want map[string]string, id string) {
+		t.Helper()
+		re := cfg
+		re.Store = openStoreT(t, copyStoreDir(t, dir))
+		_, srv2 := newTestService(t, re)
+		sameServed(t, when, want, served(t, srv2.URL, id))
+	}
+
+	src, _, _ := postRun(t, srv.URL, persistTracedSpec)
+	waitState(t, srv.URL, src.ID, RunDone)
+	hit, code, _ := postRun(t, srv.URL, persistTracedSpec)
+	if code != http.StatusAccepted || !hit.Cached {
+		t.Fatalf("resubmission: status %d cached=%v", code, hit.Cached)
+	}
+	want := served(t, srv.URL, hit.ID)
+	if !strings.Contains(want["events"], `"state":"done"`) || strings.Contains(want["events"], `"type":"cell"`) {
+		t.Fatalf("a memo hit's history is its one closing event, got:\n%s", want["events"])
+	}
+	for _, rec := range st.Runs() {
+		if rec.ID == hit.ID && rec.Source != src.ID {
+			t.Fatalf("cached record names source %q, want %q", rec.Source, src.ID)
+		}
+	}
+	restarted("after a restart", want, hit.ID)
+
+	// Two more hits fill the history; the second evicts the source, in
+	// the batch of its own submit record, which names that very source.
+	postRun(t, srv.URL, persistTracedSpec)
+	last, _, _ := postRun(t, srv.URL, persistTracedSpec)
+	if !last.Cached {
+		t.Fatal("hit that evicts its source was not served from the cache")
+	}
+	if _, code := getText(t, srv.URL, "/v1/runs/"+src.ID); code != http.StatusNotFound {
+		t.Fatalf("source run still stored (status %d); the test needs it evicted", code)
+	}
+	wantLast := served(t, srv.URL, last.ID)
+	restarted("after the source was evicted", want, hit.ID)
+	restarted("hit whose batch evicted its own source", wantLast, last.ID)
+
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	restarted("after a compaction", want, hit.ID)
+
+	// The format written before hits went by reference: the record
+	// carries the hit's own payload inline and names no source.
+	old := openStoreT(t, t.TempDir())
+	var payload terminalPayload
+	for _, rec := range st.Runs() {
+		if rec.ID != hit.ID {
+			continue
+		}
+		if err := json.Unmarshal(rec.Terminal, &payload); err != nil {
+			t.Fatal(err)
+		}
+		payload.Events, payload.Timings = cachedHistory(), nil
+		inline := *rec
+		inline.Source = ""
+		var err error
+		if inline.Terminal, err = json.Marshal(&payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := old.Append(store.Record{Op: "submit", Run: &inline}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	re := cfg
+	re.Store = old
+	_, srvOld := newTestService(t, re)
+	sameServed(t, "record in the inline format", want, served(t, srvOld.URL, hit.ID))
+}
+
+// TestTornBatchRecovers: a crash that tears the batch "submit, evict"
+// between its frames leaves one run too many; recovery evicts it again,
+// persists that, and the next boot agrees.
+func TestTornBatchRecovers(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{MaxActive: 1, MaxHistory: 3}
+	live := cfg
+	live.Store = openStoreT(t, dir)
+	_, srv := newTestService(t, live)
+	body := `{"spec":{"id":"torn","kind":"api-sleep","params":{"cells":1,"us":1}},"seed":5}`
+	first, _, _ := postRun(t, srv.URL, body)
+	waitState(t, srv.URL, first.ID, RunDone)
+	var lastID string
+	for i := 0; i < 3; i++ { // the third hit overflows the history
+		hit, _, _ := postRun(t, srv.URL, body)
+		if !hit.Cached {
+			t.Fatalf("submission %d not served from the cache", i)
+		}
+		lastID = hit.ID
+	}
+
+	// The log ends with that batch; cutting into its last frame loses the
+	// eviction and keeps the submit.
+	crashed := copyStoreDir(t, dir)
+	wal := filepath.Join(crashed, "wal-00000000.log")
+	b, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(wal, b[:len(b)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for boot := 1; boot <= 2; boot++ {
+		re := cfg
+		re.Store = openStoreT(t, crashed)
+		if n := len(re.Store.Runs()); boot == 1 && n != 4 {
+			t.Fatalf("torn log holds %d runs, want 4 (the eviction lost, its submit kept)", n)
+		}
+		svc, srv2 := newTestService(t, re)
+		list := svc.List()
+		if len(list) != 3 || list[2].ID != lastID || list[0].ID == first.ID {
+			t.Fatalf("boot %d: recovered %d runs %+v, want the 3 newest", boot, len(list), list)
+		}
+		if n := len(re.Store.Runs()); n != 3 {
+			t.Fatalf("boot %d: store holds %d runs after recovery, want 3", boot, n)
+		}
+		if sum := svc.Summary(); sum.Evicted != 1 {
+			t.Fatalf("boot %d: %d evictions counted, want 1", boot, sum.Evicted)
+		}
+		if _, code := getText(t, srv2.URL, "/v1/runs/"+lastID+"/result?format=text"); code != http.StatusOK {
+			t.Fatalf("boot %d: result of the newest hit: status %d", boot, code)
+		}
+		srv2.Close()
+		svc.Close()
+		re.Store.Close()
+	}
+}
+
+// TestMemoCollisionIsAMiss: the 64-bit memo key only nominates a source
+// run. An entry sitting under another submission's key — a collision,
+// here forged outright, between two tenants — is not served: the
+// submission executes and gets its own result, and the entry stays.
+func TestMemoCollisionIsAMiss(t *testing.T) {
+	ts, err := store.ParseTenants([]byte(`[
+		{"name":"alpha","key":"alpha-key","max_active":2,"submit_rate":100,"burst":100},
+		{"name":"beta","key":"beta-key","max_active":2,"submit_rate":100,"burst":100}
+	]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, srv := newTestService(t, Config{MaxActive: 2, Tenants: ts})
+	bodyA := `{"spec":{"id":"alphas","kind":"api-sleep","params":{"cells":2,"us":1}},"seed":1}`
+	bodyB := `{"spec":{"id":"betas","kind":"api-sleep","params":{"cells":5,"us":1}},"seed":1}`
+	a, code, _ := postRunKey(t, srv.URL, "alpha-key", bodyA)
+	if code != http.StatusAccepted {
+		t.Fatalf("alpha submit: %d", code)
+	}
+	waitState(t, srv.URL, a.ID, RunDone)
+	textA, _ := getText(t, srv.URL, "/v1/runs/"+a.ID+"/result?format=text")
+
+	// The key the service will compute for beta's submission.
+	var req scenario.HTTPRequest
+	if err := json.Unmarshal([]byte(bodyB), &req); err != nil {
+		t.Fatal(err)
+	}
+	spec, herr := s.resolveSpec(&req)
+	if herr != nil {
+		t.Fatal(herr.msg)
+	}
+	opt := options(spec, &req)
+	specJSON, _ := json.Marshal(spec)
+	keyB := store.MemoKey(specJSON, opt.Seed, opt.Scale.JobFactor, scenario.CatalogHash())
+	s.mu.Lock()
+	forged := s.runs[a.ID]
+	s.memo[keyB] = forged
+	s.mu.Unlock()
+
+	b, code, _ := postRunKey(t, srv.URL, "beta-key", bodyB)
+	if code != http.StatusAccepted || b.Cached {
+		t.Fatalf("beta's submission under a colliding key: status %d cached=%v, want an executing run", code, b.Cached)
+	}
+	waitState(t, srv.URL, b.ID, RunDone)
+	textB, _ := getText(t, srv.URL, "/v1/runs/"+b.ID+"/result?format=text")
+	if textB == textA || strings.Count(textB, "\n") <= strings.Count(textA, "\n") {
+		t.Fatalf("beta was served alpha's result:\n%s", textB)
+	}
+	s.mu.Lock()
+	kept := s.memo[keyB] == forged
+	s.mu.Unlock()
+	if !kept {
+		t.Fatal("a miss on a colliding key replaced the existing entry")
+	}
+	// The identity check does not cost real hits: same spec, seed and job
+	// factor from the other tenant is still served from the cache.
+	if hit, _, _ := postRunKey(t, srv.URL, "beta-key", bodyA); !hit.Cached || hit.Tenant != "beta" {
+		t.Fatalf("identical resubmission across tenants: cached=%v tenant=%q", hit.Cached, hit.Tenant)
+	}
 }

@@ -111,10 +111,16 @@ type Run struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	state      RunState
-	err        string
-	tenant     string
-	cached     bool
+	state RunState
+	// closing is set while the run's terminal record is written but not
+	// yet durable: the state above is still the old one, and nothing else
+	// may start, cancel or end the run.
+	closing bool
+	err     string
+	tenant  string
+	cached  bool
+	// source is the run a cached run was served from.
+	source     string
 	memoKey    string
 	tenantRef  *store.Tenant // admission slot to release at terminal
 	created    time.Time

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"log"
 	"net/http"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -44,7 +46,10 @@ type Config struct {
 	// Store, when set, makes the run store durable: submissions, state
 	// transitions and terminal results are WAL-persisted and the whole
 	// store is rebuilt from disk at boot (runs in flight at a crash
-	// recover as failed with a restart reason).
+	// recover as failed with a restart reason). Records are written
+	// under the service lock and awaited outside it; nothing is
+	// acknowledged, queued, published or memo-registered before its
+	// record is durable.
 	Store *store.Store
 	// Tenants, when set, turns on multi-tenancy: mutating endpoints
 	// require a tenant API key and admission is per-tenant (token
@@ -176,16 +181,20 @@ func (s *RunService) Close() {
 		return
 	}
 	s.stopped = true
+	var ending []closing
 	for _, r := range s.order {
 		if !r.state.Terminal() {
 			r.cancel()
-			if r.state == RunQueued {
-				s.terminateLocked(r, RunCancelled, "service shutting down")
+			if r.state == RunQueued && !r.closing {
+				ending = append(ending, s.beginCloseLocked(r, RunCancelled, "service shutting down", nil))
 			}
 		}
 	}
 	close(s.queue)
 	s.mu.Unlock()
+	for _, c := range ending {
+		s.finishClose(c)
+	}
 	s.wg.Wait()
 }
 
@@ -325,30 +334,64 @@ func (s *RunService) SubmitAs(req scenario.HTTPRequest, tn *store.Tenant) (*Run,
 	now := time.Now()
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopped {
-		return nil, &httpErr{code: http.StatusServiceUnavailable, msg: ErrStopped.Error()}
+	r, commit, herr := s.registerLocked(spec, opt, specJSON, memoKey, tn, now)
+	s.mu.Unlock()
+	if herr != nil {
+		return nil, herr
 	}
-	if memoKey != "" {
-		if src, ok := s.memo[memoKey]; ok && src.state == RunDone {
-			if tn != nil {
-				if ok, retry := tn.AdmitCached(now); !ok {
-					return nil, &httpErr{
-						code:       http.StatusTooManyRequests,
-						msg:        fmt.Sprintf("tenant %q submit rate exceeded; retry later", tn.Name),
-						retryAfter: retry,
-					}
+	// The submission is written, in submission order, and visible to
+	// listings; it is queued and acknowledged only once it is durable.
+	if err := s.durable(commit); err != nil {
+		herr := persistFailed(err)
+		s.failSubmission(r, herr.msg)
+		return nil, herr
+	}
+	if !r.cached {
+		s.enqueue(r)
+	}
+	return r, nil
+}
+
+// persistFailed answers a submission whose record could not be written
+// or made durable.
+func persistFailed(err error) *httpErr {
+	return &httpErr{code: http.StatusInternalServerError, msg: "persist submission: " + err.Error()}
+}
+
+// registerLocked runs the admission gates and registers the run — a
+// memo hit born done, or a queued run — with its submit record written
+// but not yet durable. s.mu must be held.
+func (s *RunService) registerLocked(spec *scenario.Spec, opt scenario.RunOptions, specJSON []byte, memoKey string, tn *store.Tenant, now time.Time) (*Run, store.Commit, *httpErr) {
+	if s.stopped {
+		return nil, store.Commit{}, &httpErr{code: http.StatusServiceUnavailable, msg: ErrStopped.Error()}
+	}
+	// The 64-bit key only nominates a source; the hit is decided on the
+	// identity itself, so a colliding key (accidental or built by another
+	// tenant) is a miss that executes and leaves the entry alone.
+	if src, ok := s.memo[memoKey]; ok && memoKey != "" && src.state == RunDone &&
+		bytes.Equal(src.specJSON, specJSON) && src.opt.Seed == opt.Seed &&
+		src.opt.Scale.JobFactor == opt.Scale.JobFactor {
+		if tn != nil {
+			if ok, retry := tn.AdmitCached(now); !ok {
+				return nil, store.Commit{}, &httpErr{
+					code:       http.StatusTooManyRequests,
+					msg:        fmt.Sprintf("tenant %q submit rate exceeded; retry later", tn.Name),
+					retryAfter: retry,
 				}
 			}
-			return s.cachedRunLocked(src, spec, opt, specJSON, memoKey, tenantName(tn), now), nil
 		}
+		r, commit, err := s.cachedRunLocked(src, spec, opt, specJSON, memoKey, tenantName(tn), now)
+		if err != nil {
+			return nil, commit, persistFailed(err)
+		}
+		return r, commit, nil
 	}
 	if s.active >= s.cfg.MaxActive+s.cfg.MaxPending {
-		return nil, &httpErr{code: http.StatusTooManyRequests, msg: ErrBusy.Error()}
+		return nil, store.Commit{}, &httpErr{code: http.StatusTooManyRequests, msg: ErrBusy.Error()}
 	}
 	if tn != nil {
 		if ok, retry := tn.Admit(now); !ok {
-			return nil, &httpErr{
+			return nil, store.Commit{}, &httpErr{
 				code:       http.StatusTooManyRequests,
 				msg:        fmt.Sprintf("tenant %q quota exceeded; retry later", tn.Name),
 				retryAfter: retry,
@@ -365,91 +408,110 @@ func (s *RunService) SubmitAs(req scenario.HTTPRequest, tn *store.Tenant) (*Run,
 		state: RunQueued, created: now,
 		wake: make(chan struct{}),
 	}
-	if s.cfg.Store != nil {
-		// Persist before acknowledging: a submission the WAL never saw
-		// must not exist. On failure, undo the admission entirely.
-		if perr := s.cfg.Store.Append(store.Record{Op: "submit", Run: r.record()}); perr != nil {
-			s.seq--
-			if tn != nil {
-				tn.Release()
-			}
-			cancel()
-			return nil, &httpErr{code: http.StatusInternalServerError, msg: "persist submission: " + perr.Error()}
+	commit, err := s.admitLocked(r)
+	if err != nil {
+		// A submission the WAL never saw must not exist: undo the
+		// admission entirely.
+		s.seq--
+		if tn != nil {
+			tn.Release()
 		}
+		cancel()
+		return nil, commit, persistFailed(err)
 	}
-	s.runs[r.id] = r
-	s.order = append(s.order, r)
 	s.active++
-	s.evictLocked()
-	// Send under the lock: it can never block (queue capacity equals
-	// the active bound just checked), and holding s.mu means Close
-	// cannot close the channel between the stopped check and the send.
-	s.queue <- r
-	return r, nil
+	return r, commit, nil
 }
 
 // cachedRunLocked registers a memo-cache hit: a brand-new run that is
 // born done, sharing the source run's result artifact (immutable once
-// terminal). It never touches the executor pool. s.mu must be held.
-func (s *RunService) cachedRunLocked(src *Run, spec *scenario.Spec, opt scenario.RunOptions, specJSON []byte, memoKey, tenant string, now time.Time) *Run {
+// terminal). Its record names the source instead of copying the
+// payload. It never touches the executor pool. s.mu must be held.
+func (s *RunService) cachedRunLocked(src *Run, spec *scenario.Spec, opt scenario.RunOptions, specJSON []byte, memoKey, tenant string, now time.Time) (*Run, store.Commit, error) {
 	s.seq++
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	r := &Run{
 		id: fmt.Sprintf("r%06d", s.seq), seqNo: s.seq, spec: spec, opt: opt,
 		specJSON: specJSON, memoKey: memoKey,
-		tenant: tenant, cached: true,
+		tenant: tenant, cached: true, source: src.id,
 		ctx: ctx, cancel: cancel,
 		state: RunDone, created: now, finished: now,
 		cellsDone: src.cellsDone, cellsTotal: src.cellsTotal,
 		result: src.result,
+		events: cachedHistory(),
 		wake:   make(chan struct{}),
 	}
-	r.publish(Event{Type: "state", State: RunDone})
+	commit, err := s.admitLocked(r)
+	if err != nil {
+		s.seq--
+		return nil, commit, err
+	}
 	s.cacheHits++
+	return r, commit, nil
+}
+
+// cachedHistory is the whole event history of a memo hit.
+func cachedHistory() []Event {
+	return []Event{{Type: "state", State: RunDone}}
+}
+
+// admitLocked writes r's submit record and the evictions one more run
+// forces as one batch — the submit framed first, since a memo hit may
+// name a victim as its source — and only then registers r and drops the
+// victims from memory. s.mu must be held.
+func (s *RunService) admitLocked(r *Run) (store.Commit, error) {
+	victims := s.victimsLocked(1)
+	var commit store.Commit
 	if s.cfg.Store != nil {
-		rec := r.record()
-		payload, perr := buildTerminal(r)
-		if perr == nil {
-			rec.Terminal = payload
-			perr = s.cfg.Store.Append(store.Record{Op: "submit", Run: rec})
-		}
-		if perr != nil {
-			log.Printf("api: persist cached run %s: %v", r.id, perr)
+		recs := append([]store.Record{{Op: "submit", Run: r.record()}}, evictRecords(victims)...)
+		var err error
+		if commit, err = s.cfg.Store.Write(recs...); err != nil {
+			return commit, err
 		}
 	}
 	s.runs[r.id] = r
 	s.order = append(s.order, r)
-	s.evictLocked()
-	return r
+	s.dropLocked(victims)
+	return commit, nil
 }
 
-// evictLocked drops the oldest terminal runs past MaxHistory.
-func (s *RunService) evictLocked() {
-	for len(s.order) > s.cfg.MaxHistory {
-		victim := -1
-		for i, r := range s.order {
-			if r.state.Terminal() {
-				victim = i
-				break
-			}
+// victimsLocked picks the runs that must go for the history to hold
+// incoming more: the oldest terminal ones, never a live run (the active
+// bound caps those). s.mu must be held.
+func (s *RunService) victimsLocked(incoming int) []*Run {
+	var victims []*Run
+	need := len(s.order) + incoming - s.cfg.MaxHistory
+	for _, r := range s.order {
+		if len(victims) >= need {
+			break
 		}
-		if victim < 0 {
-			return // everything live; the active bound caps this
+		if r.state.Terminal() {
+			victims = append(victims, r)
 		}
-		r := s.order[victim]
+	}
+	return victims
+}
+
+func evictRecords(victims []*Run) []store.Record {
+	recs := make([]store.Record, len(victims))
+	for i, r := range victims {
+		recs[i] = store.Record{Op: "evict", ID: r.id}
+	}
+	return recs
+}
+
+// dropLocked removes evicted runs from memory. s.mu must be held.
+func (s *RunService) dropLocked(victims []*Run) {
+	for _, r := range victims {
 		delete(s.runs, r.id)
-		s.order = append(s.order[:victim], s.order[victim+1:]...)
+		i := slices.Index(s.order, r)
+		s.order = slices.Delete(s.order, i, i+1)
 		s.evicted++
 		if r.memoKey != "" && s.memo[r.memoKey] == r {
 			// The memo entry dies with its backing run; the next
 			// identical submission re-executes and re-registers.
 			delete(s.memo, r.memoKey)
-		}
-		if s.cfg.Store != nil {
-			if err := s.cfg.Store.Append(store.Record{Op: "evict", ID: r.id}); err != nil {
-				log.Printf("api: persist eviction %s: %v", r.id, err)
-			}
 		}
 		if s.cfg.Fleet != nil {
 			s.cfg.Fleet.Forget(r.id)
@@ -457,36 +519,128 @@ func (s *RunService) evictLocked() {
 	}
 }
 
-// terminateLocked moves a run to a terminal state and publishes the
-// closing event. It does NOT release the run's active slot — the
-// worker that drains the run from the queue does, so the slot
-// accounting always matches the queue-channel occupancy and a
-// cancel-resubmit burst can never block on a full channel. s.mu must
-// be held.
-func (s *RunService) terminateLocked(r *Run, state RunState, errMsg string) {
-	r.state = state
-	r.err = errMsg
-	r.finished = time.Now()
-	r.publish(Event{Type: "state", State: state, Error: errMsg})
-	if r.tenantRef != nil {
-		r.tenantRef.Release()
-		r.tenantRef = nil
+// durable waits until a written record is on disk. s.mu must not be
+// held: the fsync is the slow step, and listings, status reads and
+// other submissions' writes go on meanwhile.
+func (s *RunService) durable(c store.Commit) error {
+	if s.cfg.Store == nil {
+		return nil
 	}
-	if state == RunDone && r.memoKey != "" && !s.cfg.NoMemo {
-		if _, ok := s.memo[r.memoKey]; !ok {
-			s.memo[r.memoKey] = r
+	return s.cfg.Store.Wait(c)
+}
+
+// enqueue hands a durable submission to the executor pool.
+func (s *RunService) enqueue(r *Run) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stopped {
+		// Close ran while the record was being synced: it has cancelled
+		// the run and closed the queue.
+		s.active--
+		return
+	}
+	// Send under the lock: it can never block (queue capacity equals the
+	// active bound checked at registration), and holding s.mu means Close
+	// cannot close the channel between the stopped check and the send. A
+	// run cancelled meanwhile is skipped by the worker that drains it.
+	s.queue <- r
+}
+
+// failSubmission ends a registered run whose submit record could not be
+// made durable: the client gets a 500 and listings show a failed run.
+// After a failed write or fsync the WAL takes nothing more, so the
+// failure is only logged, and at the next boot the run is absent or
+// recovers as interrupted; after a failed compaction it is persisted
+// like any terminal transition.
+func (s *RunService) failSubmission(r *Run, msg string) {
+	r.cancel()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !r.cached {
+		s.active-- // never queued, so no worker will release the slot
+		if r.closing || r.state.Terminal() {
+			return // cancelled or shut down meanwhile
 		}
 	}
+	r.result = nil
+	s.finishCloseLocked(s.beginCloseLocked(r, RunFailed, msg, nil))
+}
+
+// closing is a terminal transition whose record is written but may not
+// be durable yet.
+type closing struct {
+	r        *Run
+	last     Event // the state event that closes the run's stream
+	finished time.Time
+	result   *scenario.Result
+	commit   store.Commit
+}
+
+// beginCloseLocked writes r's terminal record — the payload as it will
+// read once the closing event is published — and marks r closing, so
+// nothing else starts or ends it. Nothing of the transition is visible
+// until finishCloseLocked. s.mu must be held.
+func (s *RunService) beginCloseLocked(r *Run, state RunState, errMsg string, res *scenario.Result) closing {
+	c := closing{
+		r:        r,
+		last:     Event{Seq: len(r.events), Type: "state", State: state, Error: errMsg},
+		finished: time.Now(), result: res,
+	}
+	r.closing = true
 	if s.cfg.Store != nil {
-		payload, err := buildTerminal(r)
+		payload, err := buildTerminal(r, c.last, res)
 		if err == nil {
-			err = s.cfg.Store.Append(store.Record{
+			c.commit, err = s.cfg.Store.Write(store.Record{
 				Op: "terminal", ID: r.id, State: string(state),
-				Error: errMsg, Finished: r.finished, Terminal: payload,
+				Error: errMsg, Finished: c.finished, Terminal: payload,
 			})
 		}
 		if err != nil {
 			log.Printf("api: persist terminal %s: %v", r.id, err)
+		}
+	}
+	return c
+}
+
+// finishClose waits for the terminal record and makes the transition
+// visible. s.mu must not be held.
+func (s *RunService) finishClose(c closing) {
+	s.awaitClose(c)
+	s.mu.Lock()
+	s.finishCloseLocked(c)
+	s.mu.Unlock()
+}
+
+// awaitClose waits until the terminal record is durable. A failure is
+// logged and the transition still happens in memory — the alternative
+// is a run that never ends. s.mu must not be held.
+func (s *RunService) awaitClose(c closing) {
+	if err := s.durable(c.commit); err != nil {
+		log.Printf("api: persist terminal %s: %v", c.r.id, err)
+	}
+}
+
+// finishCloseLocked moves the run to its terminal state, publishes the
+// closing event, releases the tenant slot and registers the memo entry.
+// It does NOT release the run's active slot — the worker that drains
+// the run from the queue does, so the slot accounting always matches
+// the queue-channel occupancy and a cancel-resubmit burst can never
+// block on a full channel. s.mu must be held.
+func (s *RunService) finishCloseLocked(c closing) {
+	r := c.r
+	r.closing = false
+	r.state, r.err, r.finished = c.last.State, c.last.Error, c.finished
+	if c.result != nil {
+		r.result = c.result
+	}
+	r.publish(c.last)
+	if r.tenantRef != nil {
+		r.tenantRef.Release()
+		r.tenantRef = nil
+	}
+	if r.state == RunDone && r.memoKey != "" && !s.cfg.NoMemo {
+		if _, ok := s.memo[r.memoKey]; !ok {
+			s.memo[r.memoKey] = r
 		}
 	}
 }
@@ -496,7 +650,7 @@ func (s *RunService) worker() {
 	defer s.wg.Done()
 	for r := range s.queue {
 		s.mu.Lock()
-		if r.state.Terminal() { // cancelled (or shut down) before start
+		if r.state.Terminal() || r.closing { // cancelled (or shut down) before start
 			s.active--
 			s.mu.Unlock()
 			continue
@@ -505,7 +659,9 @@ func (s *RunService) worker() {
 		r.started = time.Now()
 		r.publish(Event{Type: "state", State: RunRunning})
 		if s.cfg.Store != nil {
-			if err := s.cfg.Store.Append(store.Record{
+			// Written in order, not awaited: nothing is acknowledged on
+			// it, and the run's terminal fsync covers it at the latest.
+			if _, err := s.cfg.Store.Write(store.Record{
 				Op: "state", ID: r.id, State: string(RunRunning), Started: r.started,
 			}); err != nil {
 				log.Printf("api: persist state %s: %v", r.id, err)
@@ -538,10 +694,9 @@ func (s *RunService) worker() {
 			cr, ferr := f.Dispatcher(r.id, r.spec, opt.Seed, opt.Scale.JobFactor)
 			if ferr != nil {
 				s.mu.Lock()
-				s.terminateLocked(r, RunFailed, ferr.Error())
-				s.active--
+				c := s.beginCloseLocked(r, RunFailed, ferr.Error(), nil)
 				s.mu.Unlock()
-				r.cancel()
+				s.release(c)
 				continue
 			}
 			opt.Remote = cr
@@ -555,19 +710,30 @@ func (s *RunService) worker() {
 		}
 
 		s.mu.Lock()
+		var c closing
 		switch {
 		case err == nil:
-			r.result = res
-			s.terminateLocked(r, RunDone, "")
+			c = s.beginCloseLocked(r, RunDone, "", res)
 		case r.ctx.Err() != nil || errors.Is(err, context.Canceled):
-			s.terminateLocked(r, RunCancelled, err.Error())
+			c = s.beginCloseLocked(r, RunCancelled, err.Error(), nil)
 		default:
-			s.terminateLocked(r, RunFailed, err.Error())
+			c = s.beginCloseLocked(r, RunFailed, err.Error(), nil)
 		}
-		s.active--
 		s.mu.Unlock()
-		r.cancel() // release the context's resources
+		s.release(c)
 	}
+}
+
+// release ends a run its worker has finished with: once the terminal
+// record is durable the transition becomes visible and, in the same
+// step, the executor slot is freed.
+func (s *RunService) release(c closing) {
+	s.awaitClose(c)
+	s.mu.Lock()
+	s.finishCloseLocked(c)
+	s.active--
+	s.mu.Unlock()
+	c.r.cancel() // release the context's resources
 }
 
 // runSpec executes the scenario, converting a runner panic into a
@@ -622,21 +788,24 @@ func (s *RunService) List() []RunStatus {
 }
 
 // Cancel requests cooperative cancellation. Queued runs finalize
-// immediately; running ones stop after their in-flight cells. The
+// before Cancel returns; running ones stop after their in-flight cells. The
 // returned bool is false when the run had already finished.
 func (s *RunService) Cancel(r *Run) bool {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	switch {
-	case r.state == RunQueued:
-		r.cancel()
-		s.terminateLocked(r, RunCancelled, "cancelled before start")
-		return true
-	case r.state == RunRunning:
-		r.cancel()
-		return true
-	default:
+	case r.state.Terminal():
+		s.mu.Unlock()
 		return false
+	case r.state == RunQueued && !r.closing:
+		r.cancel()
+		c := s.beginCloseLocked(r, RunCancelled, "cancelled before start", nil)
+		s.mu.Unlock()
+		s.finishClose(c)
+		return true
+	default: // running, or already on its way to a terminal state
+		r.cancel()
+		s.mu.Unlock()
+		return true
 	}
 }
 

@@ -14,6 +14,28 @@
 // running when the process died are the caller's to repair (the API
 // layer marks them failed with a restart reason); the store itself
 // never invents transitions.
+//
+// What is durable when. Write frames a batch of records into one
+// write(2), folds it into memory and returns a Commit; Wait returns once
+// an fsync covers that Commit, and one fsync serves every Commit written
+// before it started (group commit); Append is Write then Wait. The API
+// layer writes under its own lock, so WAL order is submission order, and
+// waits outside it: a submission is durable before its 202, a terminal
+// transition before its state, closing event, result or memo entry is
+// visible, a cancellation before it is answered. The "running"
+// transition is written in order but not awaited — nothing is
+// acknowledged on it, and the run's terminal fsync covers it at the
+// latest, so a crash in between costs an interrupted run its started
+// stamp and nothing else. Evictions travel in the batch of the submit
+// that forces them, after it. A memo hit is a submit record that names
+// its source run instead of carrying a copy of the payload; apply
+// shares the source's Terminal bytes at that point of the log, so a
+// later eviction of the source changes nothing and snapshots hold the
+// payload inline. The memo key is a 64-bit FNV hash that only nominates
+// a source: the API layer serves a hit after comparing the canonical
+// spec bytes, seed and job factor. The WAL writer is fail-stop: after
+// the first failed write or fsync every Write and Wait returns that
+// error until the process restarts.
 package store
 
 import (
@@ -62,6 +84,11 @@ type RunRecord struct {
 	Started   time.Time       `json:"started,omitzero"`
 	Finished  time.Time       `json:"finished,omitzero"`
 	Terminal  json.RawMessage `json:"terminal,omitempty"`
+	// Source names the run a cached submission was served from. A submit
+	// record with a Source and no Terminal takes the source's Terminal
+	// when it is applied (records written before Source existed carry
+	// their own copy).
+	Source string `json:"source,omitempty"`
 }
 
 func (r *RunRecord) clone() *RunRecord {
@@ -96,8 +123,9 @@ type snapshot struct {
 
 // Store is the durable run store. Safe for concurrent use.
 type Store struct {
-	dir string
-	opt Options
+	dir      string
+	opt      Options
+	openFile walOpener
 
 	mu        sync.Mutex
 	gen       int
@@ -114,17 +142,22 @@ type Store struct {
 // live apply path (truncating a torn tail), and deletes stale
 // generations.
 func Open(dir string, opt Options) (*Store, error) {
+	return open(dir, opt, openOSFile)
+}
+
+// open is Open with the WAL files opened by openFile.
+func open(dir string, opt Options, openFile walOpener) (*Store, error) {
 	if opt.CompactBytes == 0 {
 		opt.CompactBytes = defaultCompactBytes
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, opt: opt, runs: make(map[string]*RunRecord)}
+	s := &Store{dir: dir, opt: opt, openFile: openFile, runs: make(map[string]*RunRecord)}
 	if err := s.load(); err != nil {
 		return nil, err
 	}
-	w, err := openWAL(s.walPath(s.gen), opt.NoSync)
+	w, err := openWAL(s.walPath(s.gen), openFile, opt.NoSync)
 	if err != nil {
 		return nil, err
 	}
@@ -242,6 +275,13 @@ func (s *Store) apply(rec *Record) {
 		if _, dup := s.runs[r.ID]; dup {
 			return // replay safety: duplicate submits are impossible live
 		}
+		if r.Source != "" && r.Terminal == nil {
+			// Resolved here and not at recovery: the source is in the
+			// store at this point of the log and may be evicted later.
+			if src := s.runs[r.Source]; src != nil {
+				r.Terminal = src.Terminal
+			}
+		}
 		s.runs[r.ID] = r
 		s.order = append(s.order, r.ID)
 		if r.Seq > s.seq {
@@ -283,24 +323,72 @@ func (s *Store) apply(rec *Record) {
 	}
 }
 
-// Append persists one record (WAL append + fsync) and folds it into
-// memory. The record is durable before Append returns; on error nothing
-// was acknowledged and in-memory state is unchanged.
-func (s *Store) Append(rec Record) error {
+// Commit is a position in the WAL: everything written up to and
+// including one Write. The zero Commit is already durable.
+type Commit struct {
+	w   *walWriter
+	lsn int64
+}
+
+// Write frames the records into one buffer, appends it with one
+// write(2) and folds the records into memory in order. Nothing is
+// synced: the records are durable once Wait has returned for the
+// Commit. On error nothing was applied and in-memory state is unchanged.
+func (s *Store) Write(recs ...Record) (Commit, error) {
+	var frames []byte
+	for i := range recs {
+		payload, err := json.Marshal(&recs[i])
+		if err != nil {
+			return Commit{}, err
+		}
+		if len(payload) > walMaxRecord {
+			return Commit{}, fmt.Errorf("store: WAL record too large (%d bytes)", len(payload))
+		}
+		frames = appendFrame(frames, payload)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	payload, err := json.Marshal(&rec)
+	lsn, err := s.w.write(frames)
+	if err != nil {
+		return Commit{}, err
+	}
+	for i := range recs {
+		s.apply(&recs[i])
+	}
+	return Commit{w: s.w, lsn: lsn}, nil
+}
+
+// Wait returns once the Commit is durable. Concurrent waiters share
+// fsyncs: whoever finds its Commit not yet covered syncs everything
+// written so far. Wait is also where the WAL is compacted once it has
+// outgrown Options.CompactBytes — after the Commit is durable, and
+// outside whatever lock the caller wrote under.
+func (s *Store) Wait(c Commit) error {
+	if c.w == nil {
+		return nil
+	}
+	if err := c.w.syncTo(c.lsn); err != nil {
+		return err
+	}
+	if size, _ := c.w.written(); s.opt.CompactBytes <= 0 || size <= s.opt.CompactBytes {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.w != c.w {
+		return nil // compacted (or closed) by another waiter meanwhile
+	}
+	return s.compactLocked()
+}
+
+// Append is Write then Wait: the records are durable, in order, before
+// it returns.
+func (s *Store) Append(recs ...Record) error {
+	c, err := s.Write(recs...)
 	if err != nil {
 		return err
 	}
-	if err := s.w.append(payload); err != nil {
-		return err
-	}
-	s.apply(&rec)
-	if s.opt.CompactBytes > 0 && s.w.size > s.opt.CompactBytes {
-		return s.compactLocked()
-	}
-	return nil
+	return s.Wait(c)
 }
 
 // Compact writes a full snapshot of the next generation (tmp + rename +
@@ -315,6 +403,11 @@ func (s *Store) Compact() error {
 }
 
 func (s *Store) compactLocked() error {
+	// Fail-stop covers compaction too: memory may hold records whose
+	// sync failed and whose writers were told so.
+	if _, err := s.w.written(); err != nil {
+		return err
+	}
 	next := s.gen + 1
 	snap := snapshot{
 		Gen:       next,
@@ -341,19 +434,23 @@ func (s *Store) compactLocked() error {
 	if !s.opt.NoSync {
 		syncDir(s.dir)
 	}
-	w, err := openWAL(s.walPath(next), s.opt.NoSync)
+	w, err := openWAL(s.walPath(next), s.openFile, s.opt.NoSync)
 	if err != nil {
 		return err
 	}
 	old, oldGen := s.w, s.gen
 	s.w, s.gen = w, next
-	old.close()
+	// The durable snapshot covers every frame of the old WAL, synced or
+	// not; a Commit still outstanding on it is satisfied. Its close
+	// error concerns a file about to be deleted.
+	_ = old.retire()
 	os.Remove(s.walPath(oldGen))
 	os.Remove(s.snapshotPath(oldGen))
 	return nil
 }
 
-// Close releases the WAL file handle. The store stays readable.
+// Close syncs what was written and releases the WAL file handle. The
+// store stays readable.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -42,10 +43,10 @@ func copyDir(t *testing.T, src string) string {
 	return dst
 }
 
-func mustAppend(t *testing.T, s *Store, rec Record) {
+func mustAppend(t *testing.T, s *Store, recs ...Record) {
 	t.Helper()
-	if err := s.Append(rec); err != nil {
-		t.Fatalf("Append(%+v): %v", rec, err)
+	if err := s.Append(recs...); err != nil {
+		t.Fatalf("Append(%+v): %v", recs, err)
 	}
 }
 
@@ -67,71 +68,135 @@ func submitRec(seq uint64, tenant string, terminal bool) Record {
 	return Record{Op: "submit", Run: r}
 }
 
-// TestPrefixReplayProperty is the crash-recovery property test: over a
+// histOp is one step of a randomized store history: a batch appended
+// in one call, or a compaction.
+type histOp struct {
+	recs    []Record
+	compact bool
+}
+
+// randomHistory draws a run history the way the API layer writes one:
+// submits, running transitions, terminal results, evictions on their
+// own, and memo hits — by reference to a done run still in the store
+// when there is one, with an inline payload (the format of earlier
+// versions) otherwise — half of them batched with the eviction of the
+// oldest terminal run, which may be the very run the hit names. With
+// compactions set, explicit compactions are interleaved.
+func randomHistory(rng *rand.Rand, ops int, compactions bool) []histOp {
+	var (
+		hist    []histOp
+		liveIDs []string // every run still stored, in submission order
+		seq     uint64
+	)
+	terminal := map[string]bool{}
+	done := map[string]bool{} // done with a payload: can back a memo hit
+	evictOldest := func() (Record, bool) {
+		for j, id := range liveIDs {
+			if terminal[id] {
+				liveIDs = append(liveIDs[:j], liveIDs[j+1:]...)
+				delete(terminal, id)
+				delete(done, id)
+				return Record{Op: "evict", ID: id}, true
+			}
+		}
+		return Record{}, false
+	}
+	for len(hist) < ops {
+		switch k := rng.Intn(11); {
+		case k < 3 || len(liveIDs) == 0: // submit
+			seq++
+			rec := submitRec(seq, []string{"", "alpha", "beta"}[rng.Intn(3)], false)
+			hist = append(hist, histOp{recs: []Record{rec}})
+			liveIDs = append(liveIDs, rec.Run.ID)
+		case k == 3: // memo hit
+			seq++
+			rec := submitRec(seq, []string{"", "alpha", "beta"}[rng.Intn(3)], true)
+			for _, id := range liveIDs {
+				if done[id] {
+					rec.Run.Source, rec.Run.Terminal = id, nil
+					break
+				}
+			}
+			batch := []Record{rec}
+			if rng.Intn(2) == 0 {
+				if ev, ok := evictOldest(); ok {
+					batch = append(batch, ev)
+				}
+			}
+			hist = append(hist, histOp{recs: batch})
+			liveIDs = append(liveIDs, rec.Run.ID)
+			terminal[rec.Run.ID], done[rec.Run.ID] = true, true
+		case k < 6: // state transition on a random live run
+			id := liveIDs[rng.Intn(len(liveIDs))]
+			if !terminal[id] {
+				hist = append(hist, histOp{recs: []Record{{
+					Op: "state", ID: id, State: "running",
+					Started: time.Unix(int64(1700100000+seq), 0).UTC(),
+				}}})
+			}
+		case k < 8: // terminal result
+			id := liveIDs[rng.Intn(len(liveIDs))]
+			if !terminal[id] {
+				st := []string{"done", "failed", "cancelled"}[rng.Intn(3)]
+				hist = append(hist, histOp{recs: []Record{{
+					Op: "terminal", ID: id, State: st,
+					Error:    map[bool]string{true: "", false: "boom"}[st == "done"],
+					Finished: time.Unix(int64(1700200000+seq), 0).UTC(),
+					Terminal: json.RawMessage(fmt.Sprintf(`{"cells_done":%d}`, rng.Intn(50))),
+				}}})
+				terminal[id], done[id] = true, st == "done"
+			}
+		case k < 10: // evict a terminal run, if any
+			if ev, ok := evictOldest(); ok {
+				hist = append(hist, histOp{recs: []Record{ev}})
+			}
+		case compactions:
+			hist = append(hist, histOp{compact: true})
+		}
+	}
+	return hist
+}
+
+// TestPrefixReplayProperty is the crash-recovery property test. Over a
 // randomized run history (submits, state transitions, terminal results,
-// cached submissions, evictions, interleaved compactions), the store
-// reopened from a byte-copy of the directory is byte-identical (via the
-// canonical Dump) to the live store at EVERY prefix of the history —
-// i.e. kill -9 after any acknowledged append loses nothing.
+// memo hits by reference and by copy, evictions alone and batched with
+// the submit that forces them, interleaved compactions):
+//
+//   - the store reopened from a byte-copy of the directory is
+//     byte-identical (via the canonical Dump) to the live store at EVERY
+//     prefix of the history — kill -9 after any acknowledged append loses
+//     nothing;
+//   - with a write(2) failing, a write cut short or an fsync failing at
+//     EVERY syscall index, what a power cut leaves (only bytes an fsync
+//     covered, plus a torn tail) reopens to exactly the replay of the
+//     appends that returned nil — each of them present, nothing after
+//     the failure — and the writer refuses everything from then on.
 func TestPrefixReplayProperty(t *testing.T) {
 	for _, compact := range []int64{-1, 1 << 10} { // no auto-compaction / aggressive
 		t.Run(fmt.Sprintf("compactBytes=%d", compact), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(7))
 			dir := t.TempDir()
 			live := openT(t, dir, Options{CompactBytes: compact})
 			defer live.Close()
 
-			var liveIDs []string // non-terminal and terminal still stored
-			terminal := map[string]bool{}
-			seq := uint64(0)
-			const ops = 120
-			for i := 0; i < ops; i++ {
-				switch k := rng.Intn(10); {
-				case k < 4 || len(liveIDs) == 0: // submit
-					seq++
-					cached := rng.Intn(4) == 0
-					rec := submitRec(seq, []string{"", "alpha", "beta"}[rng.Intn(3)], cached)
-					mustAppend(t, live, rec)
-					liveIDs = append(liveIDs, rec.Run.ID)
-					if cached {
-						terminal[rec.Run.ID] = true
-					}
-				case k < 6: // state transition on a random live run
-					id := liveIDs[rng.Intn(len(liveIDs))]
-					if !terminal[id] {
-						mustAppend(t, live, Record{
-							Op: "state", ID: id, State: "running",
-							Started: time.Unix(int64(1700100000+seq), 0).UTC(),
-						})
-					}
-				case k < 8: // terminal result
-					id := liveIDs[rng.Intn(len(liveIDs))]
-					if !terminal[id] {
-						st := []string{"done", "failed", "cancelled"}[rng.Intn(3)]
-						mustAppend(t, live, Record{
-							Op: "terminal", ID: id, State: st,
-							Error:    map[bool]string{true: "", false: "boom"}[st == "done"],
-							Finished: time.Unix(int64(1700200000+seq), 0).UTC(),
-							Terminal: json.RawMessage(fmt.Sprintf(`{"cells_done":%d}`, rng.Intn(50))),
-						})
-						terminal[id] = true
-					}
-				default: // evict a terminal run, if any
-					for _, id := range liveIDs {
-						if terminal[id] {
-							mustAppend(t, live, Record{Op: "evict", ID: id})
-							for j, v := range liveIDs {
-								if v == id {
-									liveIDs = append(liveIDs[:j], liveIDs[j+1:]...)
-									break
-								}
-							}
-							delete(terminal, id)
-							break
-						}
+			hist := randomHistory(rand.New(rand.NewSource(7)), 120, false)
+			submits, batches, refs := 0, 0, 0
+			for i, op := range hist {
+				mustAppend(t, live, op.recs...)
+				if op.recs[0].Op == "submit" {
+					submits++
+					if op.recs[0].Run.Source != "" {
+						refs++
 					}
 				}
+				if len(op.recs) > 1 {
+					batches++
+				}
 
+				for _, r := range live.Runs() {
+					if r.Cached && len(r.Terminal) == 0 {
+						t.Fatalf("op %d: memo hit %s (source %q) holds no payload", i, r.ID, r.Source)
+					}
+				}
 				want := live.Dump()
 				re := openT(t, copyDir(t, dir), Options{CompactBytes: compact})
 				got := re.Dump()
@@ -140,11 +205,79 @@ func TestPrefixReplayProperty(t *testing.T) {
 					t.Fatalf("op %d: reopened store diverges from live store\nlive:\n%s\nreopened:\n%s", i, want, got)
 				}
 			}
-			if seq < 20 {
-				t.Fatalf("degenerate history: only %d submits", seq)
+			if submits < 20 || batches < 3 || refs < 3 {
+				t.Fatalf("degenerate history: %d submits, %d batches, %d hits by reference", submits, batches, refs)
 			}
 		})
 	}
+
+	t.Run("faults", func(t *testing.T) {
+		hist := randomHistory(rand.New(rand.NewSource(11)), 60, true)
+		run := func(fs *FaultFS) (dir string, acked []histOp, failed bool) {
+			dir = t.TempDir()
+			live, err := OpenFS(dir, Options{CompactBytes: -1}, fs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer live.Close()
+			for i, op := range hist {
+				if op.compact {
+					err = live.Compact()
+				} else {
+					err = live.Append(op.recs...)
+				}
+				switch {
+				case failed && err == nil:
+					t.Fatalf("op %d succeeded on a writer that had failed", i)
+				case failed && !errors.Is(err, ErrInjected):
+					t.Fatalf("op %d after the failure: %v, want the first failure", i, err)
+				case err == nil:
+					acked = append(acked, op)
+				case errors.Is(err, ErrInjected):
+					failed = true
+				default:
+					t.Fatalf("op %d: %v", i, err)
+				}
+			}
+			return dir, acked, failed
+		}
+
+		clean := &FaultFS{}
+		if _, acked, failed := run(clean); failed || len(acked) != len(hist) {
+			t.Fatalf("fault-free pass: failed=%v, %d of %d ops acknowledged", failed, len(acked), len(hist))
+		}
+		writes, syncs := clean.Counts()
+		if writes < 40 || syncs < 40 {
+			t.Fatalf("degenerate history: %d writes, %d syncs", writes, syncs)
+		}
+		for k := 1; k <= writes+syncs; k++ {
+			for _, short := range []bool{false, true} {
+				fs := &FaultFS{}
+				fs.FailAt(k, short)
+				dir, acked, failed := run(fs)
+				if !failed {
+					t.Fatalf("syscall %d: injected failure never surfaced", k)
+				}
+				ref := openT(t, t.TempDir(), Options{CompactBytes: -1})
+				for _, op := range acked {
+					if !op.compact {
+						mustAppend(t, ref, op.recs...)
+					}
+				}
+				want := ref.Dump()
+				ref.Close()
+				for _, torn := range []int64{0, 5} {
+					re := openT(t, fs.CrashImage(t, dir, torn), Options{CompactBytes: -1})
+					got := re.Dump()
+					re.Close()
+					if !bytes.Equal(want, got) {
+						t.Fatalf("syscall %d (short=%v, torn=%d): after the power cut the store is not the acknowledged prefix (%d ops)\nwant:\n%s\ngot:\n%s",
+							k, short, torn, len(acked), want, got)
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestTornTailTruncated: a partial final frame (the write the crash cut
