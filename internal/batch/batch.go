@@ -10,7 +10,7 @@ package batch
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/moldable"
 	"repro/internal/sched"
@@ -55,12 +55,7 @@ func Online(jobs []*workload.Job, m int, offline OfflineScheduler) (*Result, err
 		return nil, fmt.Errorf("batch: nil offline scheduler")
 	}
 	pending := append([]*workload.Job(nil), jobs...)
-	sort.SliceStable(pending, func(i, k int) bool {
-		if pending[i].Release != pending[k].Release {
-			return pending[i].Release < pending[k].Release
-		}
-		return pending[i].ID < pending[k].ID
-	})
+	slices.SortStableFunc(pending, workload.CompareRelease)
 	out := &Result{Schedule: sched.New(m)}
 	if len(pending) == 0 {
 		return out, nil

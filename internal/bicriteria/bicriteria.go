@@ -11,9 +11,10 @@
 package bicriteria
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/lowerbound"
 	"repro/internal/moldable"
@@ -69,27 +70,42 @@ type Options struct {
 // processors. Jobs may carry release dates (the on-line moldable setting
 // of §4.4); a job is eligible for a batch only once released by the
 // batch's start time.
+//
+// Each batch is the ACmax procedure of §4.4: among the released jobs
+// that can individually meet the deadline D, a subset of (approximately)
+// maximum total weight is scheduled within ρ·D ≤ 3D/2. Selection is
+// greedy by weight density (weight per unit of minimal work), the
+// classic knapsack relaxation: jobs are admitted in density order while
+// the area budget D·m holds, then the MRT construction is attempted; on
+// failure the least-dense admitted job is evicted and the construction
+// retried (moldable.Builder.LargestPrefixForDeadline), which terminates
+// because a single feasible job always constructs.
+//
+// Density is a property of the job alone, so the order is computed once;
+// a batch only filters it.
 func Schedule(jobs []*workload.Job, m int, opt Options) (*Result, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("bicriteria: %d processors", m)
 	}
-	if opt.Rho == 0 {
-		opt.Rho = moldable.Rho
+	if d := opt.InitialDeadline; d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
+		return nil, fmt.Errorf("bicriteria: initial deadline %v is not a finite non-negative time", d)
 	}
+	if math.IsNaN(opt.Rho) {
+		return nil, fmt.Errorf("bicriteria: performance ratio ρ is NaN")
+	}
+	// The one cost build; the bounds read it in the caller's job order.
+	costs := workload.Costs(jobs, m)
 	res := &Result{
 		Schedule: sched.New(m),
-		CmaxLB:   lowerbound.Cmax(jobs, m),
-		WCLB:     lowerbound.SumWeightedCompletion(jobs, m),
+		CmaxLB:   lowerbound.CmaxOf(costs, m),
+		WCLB:     lowerbound.SumWeightedCompletionOf(costs, m),
 	}
 	if len(jobs) == 0 {
 		return res, nil
 	}
-	// pending holds the cost summaries of the unscheduled jobs in release
-	// order; pending[:released] are those released by the clock.
-	pending := workload.Costs(jobs, m)
 	shortest := math.Inf(1)
-	for i := range pending {
-		t, _ := pending[i].MinTime()
+	for i := range costs {
+		t, _ := costs[i].MinTime()
 		if math.IsInf(t, 0) {
 			return nil, fmt.Errorf("bicriteria: job %d cannot run on %d processors", jobs[i].ID, m)
 		}
@@ -97,67 +113,104 @@ func Schedule(jobs []*workload.Job, m int, opt Options) (*Result, error) {
 			shortest = t
 		}
 	}
-	d := opt.InitialDeadline
-	if d <= 0 {
-		d = shortest
+	deadline := opt.InitialDeadline
+	if deadline == 0 {
+		deadline = shortest
 	}
-	sort.SliceStable(pending, func(i, k int) bool {
-		a, b := pending[i].Job, pending[k].Job
-		if a.Release != b.Release {
-			return a.Release < b.Release
+	// costs in release order: costs[:released] are those released by the
+	// clock, scheduled or not.
+	slices.SortStableFunc(costs, func(a, b workload.Cost) int {
+		return workload.CompareRelease(a.Job, b.Job)
+	})
+	// pending is the unscheduled jobs in density order: weight / minwork,
+	// descending — heavier-per-area jobs first maximizes batch weight
+	// under the area budget D·m — then ID, then release position, so the
+	// order is total and filtering it equals sorting the filtered.
+	pending := make([]candidate, len(costs))
+	for i := range costs {
+		w, _ := costs[i].MinWork()
+		t, _ := costs[i].MinTime()
+		j := costs[i].Job
+		pending[i] = candidate{pos: i, id: j.ID, density: density(j.Weight, w), work: w, minTime: t}
+	}
+	slices.SortFunc(pending, func(a, b candidate) int {
+		if a.density != b.density {
+			if a.density > b.density {
+				return -1
+			}
+			return 1
 		}
-		return a.ID < b.ID
+		return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.pos, b.pos))
 	})
 
-	clock := 0.0
-	deadline := d
-	batchIdx := 0
-	released := 0
-	taken := make([]bool, len(pending))
-	for len(pending) > 0 {
+	var (
+		builder  moldable.Builder
+		admitted []int           // indices into pending, in density order
+		selected []workload.Cost // their cost summaries, the builder's input
+		clock    float64
+		released int
+	)
+	for batchIdx := 0; len(pending) > 0; {
 		// The clock never moves back, so the released prefix only grows.
-		for released < len(pending) && pending[released].Job.Release <= clock+1e-12 {
+		for released < len(costs) && costs[released].Job.Release <= clock+1e-12 {
 			released++
 		}
-		if released == 0 {
-			// Idle until the next release; the deadline keeps its value
-			// (batches only count when they execute work).
-			clock = pending[0].Job.Release
+		if released == len(costs)-len(pending) {
+			// Every released job is scheduled: idle until the next
+			// release; the deadline keeps its value (batches only count
+			// when they execute work).
+			clock = costs[released].Job.Release
 			continue
 		}
-		selected, bs := maxWeightBatch(pending[:released], m, deadline)
-		if len(selected) == 0 {
+		// Greedy admission under the area budget, over the released jobs
+		// that can individually meet the deadline.
+		budget := deadline * float64(m)
+		var used float64
+		admitted, selected = admitted[:0], selected[:0]
+		for i, c := range pending {
+			if c.pos < released && c.minTime <= deadline && used+c.work <= budget {
+				admitted = append(admitted, i)
+				selected = append(selected, costs[c.pos])
+				used += c.work
+			}
+		}
+		// Construct, evicting from the tail on failure.
+		bs, n := builder.LargestPrefixForDeadline(selected, m, deadline)
+		if n == 0 {
 			// Nothing fits the current deadline: double and retry. The
 			// geometric growth guarantees progress since every job is
-			// runnable on the platform.
+			// runnable on the platform — unless the deadline cannot grow
+			// (zero) or has left the finite range.
 			deadline *= 2
+			if !(deadline > 0) || math.IsInf(deadline, 0) {
+				return nil, fmt.Errorf("bicriteria: no batch fits any finite deadline (reached %v with %d jobs unscheduled)",
+					deadline, len(pending))
+			}
 			continue
 		}
-		shifted := bs.Shift(clock)
-		if err := res.Schedule.Merge(shifted); err != nil {
+		for i := range bs.Allocs {
+			bs.Allocs[i].Start += clock // the batch schedule is ours alone
+		}
+		if err := res.Schedule.Merge(bs); err != nil {
 			return nil, err
 		}
-		end := shifted.Makespan()
+		end := bs.Makespan()
 		res.Batches = append(res.Batches, Batch{
 			Index: batchIdx, Deadline: deadline, Start: clock, End: end,
-			JobCount: len(selected),
+			JobCount: n,
 		})
 		batchIdx++
 		// Remove the scheduled jobs from pending, keeping its order.
-		for _, i := range selected {
-			taken[i] = true
-		}
-		kept := 0
-		for i := range pending {
-			if taken[i] {
-				taken[i] = false
+		kept := admitted[0]
+		for i, next := admitted[0], 0; i < len(pending); i++ {
+			if next < n && admitted[next] == i {
+				next++
 				continue
 			}
 			pending[kept] = pending[i]
 			kept++
 		}
 		pending = pending[:kept]
-		released -= len(selected)
 		clock = math.Max(end, clock)
 		deadline *= 2
 	}
@@ -167,62 +220,11 @@ func Schedule(jobs []*workload.Job, m int, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// maxWeightBatch implements the ACmax procedure of §4.4: given a deadline
-// D and the cost summaries of the eligible jobs, it returns the indices
-// of a subset of (approximately) maximum total weight together with a
-// schedule of that subset of length at most ρ·D ≤ 3D/2.
-//
-// Selection is greedy by weight density (weight per unit of minimal
-// work), the classic knapsack relaxation: jobs are admitted while the
-// dual-feasibility test for D holds, then the MRT construction is
-// attempted; on failure the least-dense selected job is evicted and the
-// construction retried, which terminates because a single feasible job
-// always constructs.
-func maxWeightBatch(costs []workload.Cost, m int, deadline float64) ([]int, *sched.Schedule) {
-	// Jobs that cannot individually meet the deadline are out.
-	type cand struct {
-		idx, id       int
-		density, work float64
-	}
-	var cands []cand
-	for i := range costs {
-		if t, _ := costs[i].MinTime(); t <= deadline {
-			j := costs[i].Job
-			w, _ := costs[i].MinWork()
-			cands = append(cands, cand{idx: i, id: j.ID, density: density(j.Weight, w), work: w})
-		}
-	}
-	if len(cands) == 0 {
-		return nil, nil
-	}
-	// Density order: weight / minwork, descending. Heavier-per-area jobs
-	// first maximizes batch weight under the area budget D·m.
-	sort.SliceStable(cands, func(a, b int) bool {
-		if cands[a].density != cands[b].density {
-			return cands[a].density > cands[b].density
-		}
-		return cands[a].id < cands[b].id
-	})
-	// Greedy admission under the area budget.
-	budget := deadline * float64(m)
-	var indices []int
-	var selected []workload.Cost
-	var used float64
-	for _, c := range cands {
-		if used+c.work <= budget {
-			indices = append(indices, c.idx)
-			selected = append(selected, costs[c.idx])
-			used += c.work
-		}
-	}
-	// Construct, evicting from the tail on failure.
-	for len(selected) > 0 {
-		if s, ok := moldable.ConstructForDeadline(selected, m, deadline); ok {
-			return indices[:len(selected)], s
-		}
-		selected = selected[:len(selected)-1]
-	}
-	return nil, nil
+// candidate is the thin sort key of one job: what a batch needs to
+// filter and admit it without touching its cost summary.
+type candidate struct {
+	pos, id                int // position in release order, job ID
+	density, work, minTime float64
 }
 
 func density(weight, work float64) float64 {

@@ -241,19 +241,15 @@ func TestMaxWeightBatchSelectsByDensity(t *testing.T) {
 	}
 	dense := mk(1, 40, 100) // time 10 on 4 procs
 	sparse := mk(2, 40, 1)
-	costs := workload.Costs([]*workload.Job{sparse, dense}, 4)
-	selected, s := maxWeightBatch(costs, 4, 10)
-	if s == nil || len(selected) == 0 {
-		t.Fatal("no batch built")
+	res, err := Schedule([]*workload.Job{sparse, dense}, 4, Options{InitialDeadline: 10})
+	if err != nil {
+		t.Fatal(err)
 	}
-	foundDense := false
-	for _, i := range selected {
-		if costs[i].Job.ID == 1 {
-			foundDense = true
-		}
+	if len(res.Batches) != 2 || res.Batches[0].JobCount != 1 || res.Batches[0].Deadline != 10 {
+		t.Fatalf("batches %+v, want the first to hold one job under deadline 10", res.Batches)
 	}
-	if !foundDense {
-		t.Fatal("density order ignored: heavy job not selected")
+	if first := res.Schedule.Allocs[0]; first.Job != dense || first.Start != 0 {
+		t.Fatalf("density order ignored: first batch runs job %d at %v", first.Job.ID, first.Start)
 	}
 }
 
@@ -264,17 +260,26 @@ func TestMaxWeightBatchRespectsDeadline(t *testing.T) {
 			SeqTime: seq, MinProcs: 1, MaxProcs: 1, Model: workload.Linear{},
 		}
 	}
-	// One job too long for the deadline: empty batch.
-	if sel, _ := maxWeightBatch(workload.Costs([]*workload.Job{mk(1, 100)}, 4), 4, 10); sel != nil {
-		t.Fatal("over-deadline job selected")
+	// One job too long for the deadline: no batch until it has doubled
+	// past the job's time (10 → 160 ≥ 100), and none of the empty
+	// attempts moves the clock.
+	res, err := Schedule([]*workload.Job{mk(1, 100)}, 4, Options{InitialDeadline: 10})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Feasible job: schedule within 3d/2.
-	sel, s := maxWeightBatch(workload.Costs([]*workload.Job{mk(2, 8)}, 4), 4, 10)
-	if len(sel) != 1 || s == nil {
-		t.Fatal("feasible job rejected")
+	if len(res.Batches) != 1 || res.Batches[0].Deadline != 160 || res.Batches[0].Start != 0 {
+		t.Fatalf("over-deadline job: batches %+v, want one at deadline 160 from time 0", res.Batches)
 	}
-	if s.Makespan() > 15+1e-9 {
-		t.Fatalf("batch makespan %v exceeds 3d/2", s.Makespan())
+	// Feasible job: scheduled under the first deadline, within 3d/2.
+	res, err = Schedule([]*workload.Job{mk(2, 8)}, 4, Options{InitialDeadline: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Batches) != 1 || res.Batches[0].Deadline != 10 || res.Batches[0].JobCount != 1 {
+		t.Fatalf("feasible job: batches %+v, want one at deadline 10", res.Batches)
+	}
+	if mk := res.Schedule.Makespan(); mk > 15+1e-9 {
+		t.Fatalf("batch makespan %v exceeds 3d/2", mk)
 	}
 }
 

@@ -13,7 +13,7 @@ package dlt
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Worker is one compute resource of a star (or bus) platform.
@@ -85,12 +85,19 @@ func ordering(s *Star) []int {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		wa, wb := s.Workers[idx[a]], s.Workers[idx[b]]
+	slices.SortStableFunc(idx, func(a, b int) int {
+		wa, wb := s.Workers[a], s.Workers[b]
+		ka, kb := wa.Compute, wb.Compute
 		if wa.Link != wb.Link {
-			return wa.Link < wb.Link
+			ka, kb = wa.Link, wb.Link
 		}
-		return wa.Compute < wb.Compute
+		switch {
+		case ka < kb:
+			return -1
+		case ka > kb:
+			return 1
+		}
+		return 0
 	})
 	return idx
 }

@@ -12,8 +12,9 @@
 package hetero
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/moldable"
 	"repro/internal/platform"
@@ -120,11 +121,14 @@ func Schedule(jobs []*workload.Job, g *platform.Grid, part Partition, eps float6
 			w, _ := j.MinWork(widest)
 			ordered[i] = keyed{j, w}
 		}
-		sort.SliceStable(ordered, func(a, b int) bool {
-			if ordered[a].work != ordered[b].work {
-				return ordered[a].work > ordered[b].work
+		slices.SortStableFunc(ordered, func(a, b keyed) int {
+			if a.work != b.work {
+				if a.work > b.work {
+					return -1
+				}
+				return 1
 			}
-			return ordered[a].job.ID < ordered[b].job.ID
+			return cmp.Compare(a.job.ID, b.job.ID)
 		})
 		load := make([]float64, len(g.Clusters)) // normalized drain time
 		for _, o := range ordered {

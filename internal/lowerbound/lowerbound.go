@@ -108,7 +108,12 @@ func CmaxDualOf(costs []workload.Cost, m int) float64 {
 // Cmax returns the strongest available makespan lower bound, including
 // the release-date term max_j (r_j + minTime_j).
 func Cmax(jobs []*workload.Job, m int) float64 {
-	costs := workload.Costs(jobs, m)
+	return CmaxOf(workload.Costs(jobs, m), m)
+}
+
+// CmaxOf is Cmax for callers that already hold the jobs' cost summaries
+// on m processors.
+func CmaxOf(costs []workload.Cost, m int) float64 {
 	lb := CmaxDualOf(costs, m)
 	for i := range costs {
 		t, _ := costs[i].MinTime()
@@ -133,15 +138,22 @@ func Cmax(jobs []*workload.Job, m int) float64 {
 // The maximum of the two is returned. Works for rigid jobs too (their
 // min work is the only work).
 func SumWeightedCompletion(jobs []*workload.Job, m int) float64 {
+	return SumWeightedCompletionOf(workload.Costs(jobs, m), m)
+}
+
+// SumWeightedCompletionOf is SumWeightedCompletion for callers that
+// already hold the jobs' cost summaries on m processors (in the jobs'
+// order: the sums below are accumulated in it).
+func SumWeightedCompletionOf(costs []workload.Cost, m int) float64 {
 	type item struct {
 		size, weight float64
 	}
-	items := make([]item, 0, len(jobs))
+	items := make([]item, 0, len(costs))
 	var perJob float64
-	for _, j := range jobs {
-		c := j.Cost(m)
-		w, _ := c.MinWork()
-		t, _ := c.MinTime()
+	for i := range costs {
+		j := costs[i].Job
+		w, _ := costs[i].MinWork()
+		t, _ := costs[i].MinTime()
 		if math.IsInf(t, 0) {
 			continue // unschedulable on this width; contributes nothing
 		}
@@ -150,6 +162,8 @@ func SumWeightedCompletion(jobs []*workload.Job, m int) float64 {
 	}
 	// Smith's rule: sort by size/weight ascending (zero-weight jobs last;
 	// they contribute nothing but still occupy the squashed machine).
+	// Stays sort.Slice: equal ratios tie, and pdqsort's permutation of
+	// ties decides the float order of the sums below.
 	sort.Slice(items, func(a, b int) bool {
 		wa, wb := items[a].weight, items[b].weight
 		if wa > 0 && wb > 0 {

@@ -18,7 +18,7 @@ package malleable
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/workload"
@@ -67,12 +67,7 @@ func Schedule(jobs []*workload.Job, m int, share Share) (*Result, error) {
 		}
 	}
 	pending := append([]*workload.Job(nil), jobs...)
-	sort.SliceStable(pending, func(i, k int) bool {
-		if pending[i].Release != pending[k].Release {
-			return pending[i].Release < pending[k].Release
-		}
-		return pending[i].ID < pending[k].ID
-	})
+	slices.SortStableFunc(pending, workload.CompareRelease)
 
 	res := &Result{}
 	var active []*activeJob
@@ -132,7 +127,15 @@ func Schedule(jobs []*workload.Job, m int, share Share) (*Result, error) {
 				fr = append(fr, frac{a, want - float64(int(want))})
 			}
 			surplus -= used
-			sort.SliceStable(fr, func(i, k int) bool { return fr[i].f > fr[k].f })
+			slices.SortStableFunc(fr, func(a, b frac) int {
+				switch {
+				case a.f > b.f:
+					return -1
+				case a.f < b.f:
+					return 1
+				}
+				return 0
+			})
 			for _, f := range fr {
 				if surplus == 0 {
 					break

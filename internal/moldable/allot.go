@@ -12,6 +12,12 @@
 // subsumes the paper's fold-under-shelf-1 transformations); any guess
 // whose construction exceeds 3λ/2 is declared infeasible, so emitted
 // schedules always satisfy the shelf bound for their accepted guess.
+//
+// Selection and packing live on one workspace, Builder: there is one
+// knapsack (Builder.prepare) and one packing routine (Builder.pack), a
+// guess is prepared once and every prefix of its job list is then
+// constructible from the same table, and the scratch is reused from one
+// attempt to the next.
 package moldable
 
 import (
@@ -43,96 +49,15 @@ func (a Allotment) Work() float64 { return float64(a.Procs) * a.Time }
 // minimizes total work subject to the shelf-1 width constraint Σ q ≤ m
 // (the knapsack). It returns ok=false when λ is infeasible: some job
 // cannot meet λ at all, forced shelf-1 width overflows m, or minimal
-// total work exceeds the area λ·m.
+// total work exceeds the area λ·m. It is one selection on a throw-away
+// Builder; MRT and the §4.4 batch step keep theirs.
 func SelectAllotments(costs []workload.Cost, m int, lambda float64) (allot []Allotment, ok bool) {
-	if lambda <= 0 {
+	var b Builder
+	b.prepare(costs, m, lambda, len(costs))
+	if !b.selectPrefix(len(costs)) {
 		return nil, false
 	}
-	type option struct {
-		q1, q2 int  // γ(λ), γ(λ/2); q2 == 0 ⇒ forced shelf 1
-		shelf1 bool // picked for shelf 1 by the knapsack
-	}
-	// 0/1 knapsack candidates: moving an optional job to shelf 1 saves
-	// (w2 - w1) ≥ 0 work (monotone jobs) but consumes q1 of the shelf-1
-	// width budget. Jobs whose two options coincide (q1 == q2) stay on
-	// shelf 2 — identical cost, no width consumed.
-	type cand struct {
-		idx    int
-		width  int
-		saving float64
-	}
-	opts := make([]option, len(costs))
-	cands := make([]cand, 0, len(costs))
-	forcedWidth := 0
-	baseWork := 0.0 // work if every optional job sits on shelf 2
-	for i := range costs {
-		c := &costs[i]
-		q1 := c.Gamma(lambda)
-		if q1 == 0 {
-			return nil, false // job cannot meet the deadline at all
-		}
-		q2 := c.Gamma(lambda / 2)
-		opts[i] = option{q1: q1, q2: q2}
-		w1 := c.Job.WorkOn(q1)
-		if q2 == 0 {
-			forcedWidth += q1
-			baseWork += w1
-			continue
-		}
-		w2 := c.Job.WorkOn(q2)
-		baseWork += w2
-		if q1 != q2 {
-			saving := w2 - w1
-			if saving < 0 {
-				saving = 0 // non-monotone profile; shelf 1 never pays off
-			}
-			cands = append(cands, cand{idx: i, width: q1, saving: saving})
-		}
-	}
-	if forcedWidth > m {
-		return nil, false
-	}
-	capacity := m - forcedWidth
-
-	// Maximize savings within the remaining capacity.
-	dp := make([]float64, capacity+1)
-	// take is one bitset of len(cands) rows, stride words each: bit w of
-	// row k says candidate k improved dp[w].
-	stride := capacity/64 + 1
-	take := make([]uint64, len(cands)*stride)
-	for k, c := range cands {
-		row := take[k*stride : (k+1)*stride]
-		for w := capacity; w >= c.width; w-- {
-			if v := dp[w-c.width] + c.saving; v > dp[w] {
-				dp[w] = v
-				row[w/64] |= 1 << (w % 64)
-			}
-		}
-	}
-	// Reconstruct choices.
-	w := capacity
-	for k := len(cands) - 1; k >= 0; k-- {
-		if take[k*stride+w/64]&(1<<(w%64)) != 0 {
-			opts[cands[k].idx].shelf1 = true
-			w -= cands[k].width
-		}
-	}
-	totalWork := baseWork - dp[capacity]
-	if totalWork > lambda*float64(m)*(1+1e-12) {
-		return nil, false
-	}
-
-	allot = make([]Allotment, len(costs))
-	for i, o := range opts {
-		j := costs[i].Job
-		switch {
-		case o.q2 == 0 || o.shelf1:
-			allot[i] = Allotment{Job: j, Procs: o.q1, Time: j.TimeOn(o.q1), Shelf: 1}
-		default:
-			allot[i] = Allotment{Job: j, Procs: o.q2, Time: j.TimeOn(o.q2), Shelf: 2}
-		}
-	}
-	return allot, true
+	return b.allot, true
 }
 
 // GreedyAllotments is the ablation alternative to the knapsack: jobs are

@@ -46,15 +46,34 @@ func BenchmarkSelectAllotments(b *testing.B) {
 	}
 }
 
-func BenchmarkConstructForDeadline(b *testing.B) {
+// The §4.4 batch step as fig2 meets it: the whole admitted list does not
+// construct and a handful of evictions follow, all read off one table.
+func BenchmarkLargestPrefixForDeadline(b *testing.B) {
 	jobs := benchInstance(500, 100)
-	d := lowerbound.CmaxDual(jobs, 100) * 1.5
 	costs := workload.Costs(jobs, 100)
+	d := evictingDeadline(costs, 100, 5)
+	var bld Builder
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := ConstructForDeadline(costs, 100, d); !ok {
+		if _, n := bld.LargestPrefixForDeadline(costs, 100, d); n == 0 {
 			b.Fatal("construction failed")
 		}
 	}
+}
+
+// evictingDeadline returns a deadline under which the full list fails
+// and about want evictions follow before a prefix constructs.
+func evictingDeadline(costs []workload.Cost, m, want int) float64 {
+	var b Builder
+	lo, hi := 0.0, 2*lowerbound.CmaxDualOf(costs, m)
+	for i := 0; i < 60; i++ {
+		mid := (lo + hi) / 2
+		if _, n := b.LargestPrefixForDeadline(costs, m, mid); n > len(costs)-want {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return lo
 }

@@ -191,20 +191,33 @@ func TestMRTGreedyAblationStillValid(t *testing.T) {
 	}
 }
 
-func TestConstructForDeadline(t *testing.T) {
+func TestLargestPrefixForDeadline(t *testing.T) {
 	jobs := randomInstance(40, 30, 16)
+	costs := workload.Costs(jobs, 16)
 	lb := lowerbound.CmaxDual(jobs, 16)
-	// A generous deadline must succeed and fit in 3d/2.
-	s, ok := ConstructForDeadline(workload.Costs(jobs, 16), 16, 2*lb)
-	if !ok {
-		t.Fatal("generous deadline failed")
+	var b Builder
+	// A generous deadline must take the whole list and fit in 3d/2.
+	s, n := b.LargestPrefixForDeadline(costs, 16, 2*lb)
+	if n != len(jobs) {
+		t.Fatalf("generous deadline kept %d of %d jobs", n, len(jobs))
 	}
 	if s.Makespan() > 3*lb*(1+1e-9) {
 		t.Fatalf("makespan %v exceeds 3d/2", s.Makespan())
 	}
-	// An absurdly tight deadline must fail.
-	if _, ok := ConstructForDeadline(workload.Costs(jobs, 16), 16, lb/100); ok {
-		t.Fatal("absurd deadline succeeded")
+	// A tight one must evict from the tail and schedule exactly the rest.
+	s, n = b.LargestPrefixForDeadline(costs, 16, lb/2)
+	if n == 0 || n >= len(jobs) {
+		t.Fatalf("deadline LB/2 kept %d of %d jobs, want a proper prefix", n, len(jobs))
+	}
+	if err := s.Covers(jobs[:n]); err != nil {
+		t.Fatal(err)
+	}
+	if s.Makespan() > 0.75*lb*(1+1e-9) {
+		t.Fatalf("makespan %v exceeds 3d/2", s.Makespan())
+	}
+	// A deadline no job can meet even alone must fail outright.
+	if s, n := b.LargestPrefixForDeadline(costs, 16, 1e-3); s != nil || n != 0 {
+		t.Fatalf("absurd deadline kept %d jobs", n)
 	}
 }
 

@@ -3,10 +3,8 @@ package moldable
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/lowerbound"
-	"repro/internal/rigid"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -40,14 +38,34 @@ func (r *Result) Ratio() float64 {
 // makespan, with accuracy parameter eps > 0 controlling the binary
 // search (§4.1: performance ratio 3/2 + ε on monotone instances).
 // Release dates are ignored (offline model: everything available at 0);
-// the batch package layers release dates on top.
+// the batch package layers release dates on top. Every guess of the
+// search is prepared and constructed on one Builder.
 func MRT(jobs []*workload.Job, m int, eps float64) (*Result, error) {
-	return MRTWithAllot(jobs, m, eps, SelectAllotments)
+	var b Builder
+	return search(jobs, m, eps, func(costs []workload.Cost, lambda float64) (*sched.Schedule, bool) {
+		b.prepare(costs, m, lambda, len(costs))
+		return b.construct(len(costs))
+	})
 }
 
 // MRTWithAllot is MRT with a pluggable allotment selector (for the
-// knapsack-vs-greedy ablation).
+// knapsack-vs-greedy ablation); the selector's allotments are packed by
+// the same Builder routine as MRT's own.
 func MRTWithAllot(jobs []*workload.Job, m int, eps float64, allot AllotFunc) (*Result, error) {
+	var b Builder
+	return search(jobs, m, eps, func(costs []workload.Cost, lambda float64) (*sched.Schedule, bool) {
+		al, ok := allot(costs, m, lambda)
+		if !ok {
+			return nil, false
+		}
+		return b.pack(al, m, lambda)
+	})
+}
+
+// search is the dual-approximation driver: doubling from the lower bound
+// to a guess that constructs, then bisection down to the smallest one
+// within eps.
+func search(jobs []*workload.Job, m int, eps float64, construct func([]workload.Cost, float64) (*sched.Schedule, bool)) (*Result, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("moldable: MRT on %d processors", m)
 	}
@@ -73,7 +91,7 @@ func MRTWithAllot(jobs []*workload.Job, m int, eps float64, allot AllotFunc) (*R
 	hi := lb
 	var hiSched *sched.Schedule
 	for i := 0; ; i++ {
-		if s, ok := construct(costs, m, hi, allot); ok {
+		if s, ok := construct(costs, hi); ok {
 			hiSched = s
 			break
 		}
@@ -88,7 +106,7 @@ func MRTWithAllot(jobs []*workload.Job, m int, eps float64, allot AllotFunc) (*R
 
 	for res.Iterations = 0; hi-lo > eps*lo && res.Iterations < 200; res.Iterations++ {
 		mid := (lo + hi) / 2
-		if s, ok := construct(costs, m, mid, allot); ok {
+		if s, ok := construct(costs, mid); ok {
 			hi = mid
 			res.Lambda = mid
 			res.Schedule = s
@@ -100,66 +118,6 @@ func MRTWithAllot(jobs []*workload.Job, m int, eps float64, allot AllotFunc) (*R
 		return nil, fmt.Errorf("moldable: produced invalid schedule: %w", err)
 	}
 	return res, nil
-}
-
-// construct attempts to build a schedule for guess λ within the 3λ/2
-// two-shelf envelope. Shelf-1 jobs (time in (λ/2, λ]) all start at 0;
-// shelf-2 jobs are folded into the remaining capacity by first-fit
-// decreasing time over the availability profile (this subsumes both the
-// paper's second shelf at t=λ and its insert-under-shelf-1
-// transformations). Construction fails if the resulting makespan exceeds
-// 3λ/2, which keeps the accepted-guess invariant of the dual
-// approximation.
-func construct(costs []workload.Cost, m int, lambda float64, allot AllotFunc) (*sched.Schedule, bool) {
-	al, ok := allot(costs, m, lambda)
-	if !ok {
-		return nil, false
-	}
-	var shelf1, shelf2 []Allotment
-	for _, a := range al {
-		if a.Shelf == 1 {
-			shelf1 = append(shelf1, a)
-		} else {
-			shelf2 = append(shelf2, a)
-		}
-	}
-	s := sched.New(m)
-	profile := rigid.NewProfile(m)
-	// Shelf 1: all at time 0, width fits by the knapsack constraint (the
-	// greedy ablation may overflow here — then the guess fails).
-	for _, a := range shelf1 {
-		if err := profile.Reserve(0, a.Time, a.Procs); err != nil {
-			return nil, false
-		}
-		s.Add(sched.Alloc{Job: a.Job, Start: 0, Procs: a.Procs})
-	}
-	// Shelf 2: first-fit decreasing time into the profile.
-	sort.SliceStable(shelf2, func(i, k int) bool {
-		if shelf2[i].Time != shelf2[k].Time {
-			return shelf2[i].Time > shelf2[k].Time
-		}
-		return shelf2[i].Job.ID < shelf2[k].Job.ID
-	})
-	limit := 1.5 * lambda * (1 + 1e-9)
-	for _, a := range shelf2 {
-		start, err := profile.EarliestSlot(0, a.Time, a.Procs)
-		if err != nil || start+a.Time > limit {
-			return nil, false
-		}
-		if err := profile.Reserve(start, a.Time, a.Procs); err != nil {
-			return nil, false
-		}
-		s.Add(sched.Alloc{Job: a.Job, Start: start, Procs: a.Procs})
-	}
-	return s, true
-}
-
-// ConstructForDeadline exposes the single-guess construction: it tries to
-// schedule all jobs (given by their cost summaries on m processors)
-// within 3d/2 using guess d and reports success. The bicriteria package
-// uses it as its deadline procedure (ACmax in §4.4 with ρCmax = 3/2).
-func ConstructForDeadline(costs []workload.Cost, m int, d float64) (*sched.Schedule, bool) {
-	return construct(costs, m, d, SelectAllotments)
 }
 
 // Rho is the makespan performance ratio of the construction used as the

@@ -1,9 +1,11 @@
 package platform
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -135,11 +137,16 @@ func PeakDemand(intervals []Interval) int {
 		}
 		evs = append(evs, event{iv.Start, iv.Count}, event{iv.End, -iv.Count})
 	}
-	sort.Slice(evs, func(a, b int) bool {
-		if evs[a].t != evs[b].t {
-			return evs[a].t < evs[b].t
+	// The comparator orders the whole struct, so tied events are
+	// indistinguishable and any sort gives the same sequence.
+	slices.SortFunc(evs, func(a, b event) int {
+		if a.t != b.t {
+			if a.t < b.t {
+				return -1
+			}
+			return 1
 		}
-		return evs[a].d < evs[b].d
+		return cmp.Compare(a.d, b.d)
 	})
 	cur, peak := 0, 0
 	for i := 0; i < len(evs); {

@@ -162,6 +162,8 @@ func NewCalendar(m int, rs []Reservation) (*Calendar, error) {
 			return nil, err
 		}
 	}
+	// Stays sort.Slice: equal starts tie, and Reservations returns them
+	// in this order.
 	sort.Slice(c.reservations, func(i, k int) bool {
 		return c.reservations[i].Start < c.reservations[k].Start
 	})

@@ -1,9 +1,10 @@
 package rigid
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/platform"
 	"repro/internal/sched"
@@ -29,29 +30,27 @@ const (
 func sortJobs(jobs []*workload.Job, ord Order) []*workload.Job {
 	out := append([]*workload.Job(nil), jobs...)
 	cmpTime := func(j *workload.Job) float64 { return j.TimeOn(j.MinProcs) }
-	sort.SliceStable(out, func(a, b int) bool {
+	// One ascending float key per order (descending ones swap sides);
+	// equal keys fall through to the job ID.
+	slices.SortStableFunc(out, func(a, b *workload.Job) int {
+		var ka, kb float64
 		switch ord {
 		case ByLPT:
-			ta, tb := cmpTime(out[a]), cmpTime(out[b])
-			if ta != tb {
-				return ta > tb
-			}
+			ka, kb = cmpTime(b), cmpTime(a) // descending
 		case BySPT:
-			ta, tb := cmpTime(out[a]), cmpTime(out[b])
-			if ta != tb {
-				return ta < tb
-			}
+			ka, kb = cmpTime(a), cmpTime(b)
 		case ByArea:
-			wa, wb := out[a].WorkOn(out[a].MinProcs), out[b].WorkOn(out[b].MinProcs)
-			if wa != wb {
-				return wa > wb
-			}
+			ka, kb = b.WorkOn(b.MinProcs), a.WorkOn(a.MinProcs) // descending
 		default: // ByRelease
-			if out[a].Release != out[b].Release {
-				return out[a].Release < out[b].Release
-			}
+			ka, kb = a.Release, b.Release
 		}
-		return out[a].ID < out[b].ID
+		if ka != kb {
+			if ka < kb {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a.ID, b.ID)
 	})
 	return out
 }
@@ -249,11 +248,14 @@ func ShelvesToSchedule(shelves []*Shelf, m int) *sched.Schedule {
 // shelves leave idle steps that compaction reclaims).
 func Compact(s *sched.Schedule) (*sched.Schedule, error) {
 	ordered := append([]sched.Alloc(nil), s.Allocs...)
-	sort.SliceStable(ordered, func(a, b int) bool {
-		if ordered[a].Start != ordered[b].Start {
-			return ordered[a].Start < ordered[b].Start
+	slices.SortStableFunc(ordered, func(a, b sched.Alloc) int {
+		if a.Start != b.Start {
+			if a.Start < b.Start {
+				return -1
+			}
+			return 1
 		}
-		return ordered[a].Job.ID < ordered[b].Job.ID
+		return cmp.Compare(a.Job.ID, b.Job.ID)
 	})
 	profile := NewProfile(s.M)
 	out := sched.New(s.M)

@@ -307,3 +307,17 @@ func (p *Profile) Breakpoints() []float64 {
 // Start returns the earliest time the profile can answer queries for
 // (0 for fresh profiles; later after TrimBefore).
 func (p *Profile) Start() float64 { return p.times[0] }
+
+// Reset re-arms p as an all-free profile over m processors, keeping its
+// backing arrays: a workspace that builds many profiles in a row (the
+// moldable two-shelf construction) owns one and resets it per attempt.
+// The zero Profile may be Reset.
+func (p *Profile) Reset(m int) {
+	if m <= 0 {
+		panic(fmt.Sprintf("rigid: profile over %d processors", m))
+	}
+	p.m = m
+	p.times = append(p.times[:0], 0)
+	p.avail = append(p.avail[:0], m)
+	p.hint = 0
+}

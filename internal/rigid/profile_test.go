@@ -340,3 +340,30 @@ func TestCloneRecycleIndependence(t *testing.T) {
 		t.Fatalf("fresh clone disagrees with original: %d", got)
 	}
 }
+
+// TestProfileReset: a reset profile is a new profile in every field —
+// lookup hint included — on the arrays it already had.
+func TestProfileReset(t *testing.T) {
+	p := NewProfile(8)
+	for i := 0; i < 6; i++ {
+		if err := p.Reserve(float64(i), 2.5, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p.Segments() < 6 || p.hint == 0 {
+		t.Fatalf("set-up left %d segments, hint %d: nothing to reset", p.Segments(), p.hint)
+	}
+	if a := testing.AllocsPerRun(10, func() { p.Reset(5) }); a != 0 {
+		t.Errorf("Reset allocates %v times, want 0", a)
+	}
+	var zero Profile
+	zero.Reset(5)
+	for name, q := range map[string]*Profile{"used": p, "zero": &zero} {
+		if q.m != 5 || q.hint != 0 || len(q.times) != 1 || q.times[0] != 0 || len(q.avail) != 1 || q.avail[0] != 5 {
+			t.Errorf("%s profile after Reset(5): %+v, want NewProfile(5)", name, *q)
+		}
+		if start, err := q.EarliestSlot(0, 3, 5); err != nil || start != 0 {
+			t.Errorf("%s profile after Reset(5): slot for all 5 processors at %v, %v", name, start, err)
+		}
+	}
+}

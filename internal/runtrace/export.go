@@ -1,8 +1,9 @@
 package runtrace
 
 import (
+	"cmp"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/trace"
 )
@@ -76,11 +77,14 @@ func ExportSWF(w io.Writer, tr CellTrace) (int, error) {
 			Weight:  1,
 		})
 	}
-	sort.SliceStable(recs, func(i, k int) bool {
-		if recs[i].Submit != recs[k].Submit {
-			return recs[i].Submit < recs[k].Submit
+	slices.SortStableFunc(recs, func(a, b trace.SWFRecord) int {
+		if a.Submit != b.Submit {
+			if a.Submit < b.Submit {
+				return -1
+			}
+			return 1
 		}
-		return recs[i].ID < recs[k].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	sw := trace.NewSWFWriter(w)
 	for _, rec := range recs {

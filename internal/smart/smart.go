@@ -9,9 +9,10 @@
 package smart
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -64,14 +65,11 @@ func Schedule(jobs []*workload.Job, m int, fill Fill) (*sched.Schedule, int, err
 		class := int(math.Ceil(math.Log2(t) - 1e-12))
 		items = append(items, item{job: j, procs: procs, time: t, class: class})
 	}
-	sort.SliceStable(items, func(a, b int) bool {
-		if items[a].class != items[b].class {
-			return items[a].class < items[b].class
-		}
-		if items[a].procs != items[b].procs {
-			return items[a].procs > items[b].procs
-		}
-		return items[a].job.ID < items[b].job.ID
+	slices.SortStableFunc(items, func(a, b item) int {
+		return cmp.Or(
+			cmp.Compare(a.class, b.class),
+			cmp.Compare(b.procs, a.procs), // wider first
+			cmp.Compare(a.job.ID, b.job.ID))
 	})
 
 	shelvesByClass := map[int][]*shelf{}
@@ -109,18 +107,27 @@ func Schedule(jobs []*workload.Job, m int, fill Fill) (*sched.Schedule, int, err
 
 	// Smith's rule over shelves: ascending height/weight. Shelves with
 	// zero weight go last (they only delay others).
-	sort.SliceStable(shelves, func(a, b int) bool {
-		wa, wb := shelves[a].weight, shelves[b].weight
+	smithBefore := func(a, b *shelf) bool {
+		wa, wb := a.weight, b.weight
 		switch {
 		case wa > 0 && wb > 0:
-			return shelves[a].height*wb < shelves[b].height*wa
+			return a.height*wb < b.height*wa
 		case wa > 0:
 			return true
 		case wb > 0:
 			return false
 		default:
-			return shelves[a].height < shelves[b].height
+			return a.height < b.height
 		}
+	}
+	slices.SortStableFunc(shelves, func(a, b *shelf) int {
+		switch {
+		case smithBefore(a, b):
+			return -1
+		case smithBefore(b, a):
+			return 1
+		}
+		return 0
 	})
 
 	s := sched.New(m)

@@ -6,9 +6,11 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -83,6 +85,8 @@ func WriteCSV(w io.Writer, s *sched.Schedule) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "job,class,start,end,procs,weight,release")
 	rows := append([]sched.Alloc(nil), s.Allocs...)
+	// Stays sort.Slice: equal starts tie, and the permutation of ties is
+	// the row order of the file.
 	sort.Slice(rows, func(i, k int) bool { return rows[i].Start < rows[k].Start })
 	for _, a := range rows {
 		fmt.Fprintf(bw, "%d,%s,%g,%g,%d,%g,%g\n",
@@ -134,7 +138,7 @@ func (rec SWFRecord) Job() (*workload.Job, error) {
 // ReadSWFRecords returned reproduces the input bytes exactly.
 func WriteSWFRecords(w io.Writer, recs []SWFRecord) error {
 	rows := append([]SWFRecord(nil), recs...)
-	sort.SliceStable(rows, func(i, k int) bool { return rows[i].ID < rows[k].ID })
+	slices.SortStableFunc(rows, func(a, b SWFRecord) int { return cmp.Compare(a.ID, b.ID) })
 	sw := NewSWFWriter(w)
 	for _, rec := range rows {
 		sw.Write(rec) //nolint:errcheck // sticky in sw, returned by Flush

@@ -7,6 +7,7 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 )
@@ -178,6 +179,18 @@ func (j *Job) IsMonotone(m int) bool {
 		}
 	}
 	return true
+}
+
+// CompareRelease orders jobs by release date, then ID: submission order,
+// the queue order of the on-line algorithms (for slices.SortStableFunc).
+func CompareRelease(a, b *Job) int {
+	if a.Release != b.Release {
+		if a.Release < b.Release {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // Clone returns a deep copy of the job.
