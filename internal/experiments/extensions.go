@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/bicriteria"
 	"repro/internal/dlt"
@@ -269,24 +270,27 @@ func heteroGridRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result
 		{"largest cluster only", hetero.LargestOnly},
 		{"round robin", hetero.RoundRobin},
 	}
-	// Workloads and their lower bounds are generated once up front and
-	// shared read-only by the partition cells (jobs are pure data; no
-	// scheduler mutates them — the race-enabled test suite keeps that
-	// honest).
+	// Each workload and its lower bound are built once, by the first cell
+	// that needs them (see runTableCells), and shared read-only by the
+	// partition cells (jobs are pure data; no scheduler mutates them —
+	// the race-enabled test suite keeps that honest).
 	type wlData struct {
 		jobs []*workload.Job
 		lb   float64
 	}
 	g := platform.CIMENT()
-	data := make([]wlData, len(workloads))
+	data := make([]func() wlData, len(workloads))
 	for i, wl := range workloads {
-		jobs := workload.Parallel(wl.cfg)
-		data[i] = wlData{jobs: jobs, lb: hetero.LowerBound(jobs, g)}
+		data[i] = sync.OnceValue(func() wlData {
+			jobs := workload.Parallel(wl.cfg)
+			return wlData{jobs: jobs, lb: hetero.LowerBound(jobs, g)}
+		})
 	}
 	if err := runRowCells(t, sc, len(workloads)*len(partitions), func(i int) ([]any, error) {
 		wl := workloads[i/len(partitions)]
 		part := partitions[i%len(partitions)]
-		jobs, lb := data[i/len(partitions)].jobs, data[i/len(partitions)].lb
+		d := data[i/len(partitions)]()
+		jobs, lb := d.jobs, d.lb
 		asg, err := hetero.Schedule(jobs, g, part.p, 0.01)
 		if err != nil {
 			return nil, err

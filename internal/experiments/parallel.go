@@ -192,6 +192,17 @@ func (s Scale) nextFanout() int {
 // leased cells execute, reporting rows through sc.OnCellRows. With
 // neither, this is exactly runCellsTimed: the local pool, results in
 // cell-index order.
+//
+// The rule for kind runners that follows: anything built before the
+// fan-out is built by every process of a fleet run — by the coordinator,
+// which executes no cell, and again by each worker lease whichever cells
+// it holds. So a paper-scale workload several cells share is a
+// sync.OnceValue the cells call (heteroGridRun), built by the first cell
+// that needs it. A stream of a few hundred jobs (≈ 0.2 ms) may stay
+// eager, and has to when its error must surface before any cell runs
+// (gridRun's generate). TestSelectNoneRunIsCheap and
+// TestCoordinatorSideBuildsNothing hold every built-in kind to a
+// 256 KiB prologue.
 func runTableCells(sc Scale, n int, fn func(cell int) ([][]any, error)) ([][][]any, []time.Duration, error) {
 	fanout := sc.nextFanout()
 	if sc.Remote != nil {

@@ -288,6 +288,7 @@ func RegisterKind(kind string, r Runner) {
 		panic(fmt.Sprintf("scenario: kind %q registered twice", kind))
 	}
 	kinds[kind] = r
+	catalogHash.Store(nil)
 }
 
 // HasKind reports whether an interpreter is registered for kind (so
@@ -321,6 +322,7 @@ func Register(s *Spec) {
 	}
 	builtins = append(builtins, s)
 	byID[s.ID] = s
+	catalogHash.Store(nil)
 }
 
 // Lookup resolves a catalog id.

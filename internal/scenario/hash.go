@@ -5,7 +5,12 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"sync/atomic"
 )
+
+// catalogHash caches CatalogHash for the current registry state;
+// Register and RegisterKind reset it.
+var catalogHash atomic.Pointer[string]
 
 // CatalogHash fingerprints the registered scenario surface: the sorted
 // kind names plus the canonical JSON of every built-in spec, in
@@ -14,7 +19,13 @@ import (
 // hash (via the /v1/version build info) to refuse workers whose
 // catalog diverged — merging their cells could silently mix two
 // different experiments into one table.
+//
+// The hash is computed once per registry state: every submission reads
+// it (it is part of the memo key), and it changes only on registration.
 func CatalogHash() string {
+	if p := catalogHash.Load(); p != nil {
+		return *p
+	}
 	h := sha256.New()
 	for _, k := range Kinds() {
 		fmt.Fprintf(h, "kind %s\n", k)
@@ -29,5 +40,7 @@ func CatalogHash() string {
 		}
 		fmt.Fprintf(h, "spec %s %s\n", s.ID, b)
 	}
-	return hex.EncodeToString(h.Sum(nil))[:16]
+	sum := hex.EncodeToString(h.Sum(nil))[:16]
+	catalogHash.Store(&sum)
+	return sum
 }

@@ -220,6 +220,25 @@ func TestCatalogRegistration(t *testing.T) {
 	}
 }
 
+// TestCatalogHashFollowsRegistry: the hash is cached per registry state
+// — stable (and allocation-free) between registrations, different after
+// a kind or a spec registers.
+func TestCatalogHashFollowsRegistry(t *testing.T) {
+	h0 := CatalogHash()
+	if n := testing.AllocsPerRun(100, func() { CatalogHash() }); n != 0 || CatalogHash() != h0 {
+		t.Fatalf("cached hash: %v allocations per call, %q then %q", n, h0, CatalogHash())
+	}
+	RegisterKind("hash-probe-kind", func(*Spec, RunOptions) (*Result, error) { return nil, nil })
+	h1 := CatalogHash()
+	if h1 == h0 {
+		t.Fatalf("hash %q unchanged by RegisterKind", h0)
+	}
+	Register(New("hash-probe-spec", "hash-probe-kind"))
+	if h2 := CatalogHash(); h2 == h1 || h2 == h0 {
+		t.Fatalf("hash %q unchanged by Register (before the kind: %q)", h2, h0)
+	}
+}
+
 func TestResultEmit(t *testing.T) {
 	tb := trace.NewTable("t", "a", "b")
 	tb.AddRow(1, 2.5)

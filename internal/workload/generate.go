@@ -187,24 +187,6 @@ func Bags(n int, seed uint64) []*Bag {
 	return bags
 }
 
-// SortByRelease orders jobs by release date (stable by ID) in place.
-func SortByRelease(jobs []*Job) {
-	// insertion sort is fine for test sizes; experiments use sort.Slice
-	// via the sched package. Keep a simple deterministic ordering here.
-	for i := 1; i < len(jobs); i++ {
-		for k := i; k > 0 && less(jobs[k], jobs[k-1]); k-- {
-			jobs[k], jobs[k-1] = jobs[k-1], jobs[k]
-		}
-	}
-}
-
-func less(a, b *Job) bool {
-	if a.Release != b.Release {
-		return a.Release < b.Release
-	}
-	return a.ID < b.ID
-}
-
 // DiurnalArrivals rewrites the release dates of jobs with a
 // non-homogeneous Poisson process whose rate follows a daily cycle —
 // grid submission streams peak during working hours (the §5.2 community

@@ -189,22 +189,6 @@ func TestBags(t *testing.T) {
 	}
 }
 
-func TestSortByRelease(t *testing.T) {
-	jobs := []*Job{
-		{ID: 3, Release: 5},
-		{ID: 1, Release: 2},
-		{ID: 2, Release: 2},
-		{ID: 0, Release: 9},
-	}
-	SortByRelease(jobs)
-	wantIDs := []int{1, 2, 3, 0}
-	for i, j := range jobs {
-		if j.ID != wantIDs[i] {
-			t.Fatalf("order at %d = job %d, want %d", i, j.ID, wantIDs[i])
-		}
-	}
-}
-
 func TestDiurnalArrivals(t *testing.T) {
 	jobs := Sequential(GenConfig{N: 4000, Seed: 30})
 	day := 86400.0

@@ -63,12 +63,19 @@ type Job struct {
 	// Model prices a moldable allocation. Ignored when Times is set.
 	Model SpeedupModel
 	// Times, when non-nil, gives the execution time on p processors at
-	// Times[p-1] for p in [1, len(Times)]. Entries must be positive and
-	// the table is expected to be monotone non-increasing.
+	// Times[p-1]; len(Times) is at least MaxProcs. Only the legal range
+	// [MinProcs, MaxProcs] is ever read (TimeOn panics outside it, Cost
+	// and Validate stay inside it, freezing a clone only narrows it):
+	// there entries must be positive and the table is expected to be
+	// monotone non-increasing. Entries below MinProcs carry no meaning —
+	// the generators leave them zero, so a job frozen rigid at p is
+	// priced once, at Times[p-1].
 	Times []float64
 }
 
-// Validate checks the structural invariants of the job.
+// Validate checks the structural invariants of the job. Of a time
+// table it checks the length and the entries of the legal range
+// [MinProcs, MaxProcs], the only ones a scheduler can read.
 func (j *Job) Validate() error {
 	switch {
 	case j.SeqTime <= 0 && j.Times == nil:
@@ -90,9 +97,9 @@ func (j *Job) Validate() error {
 		if len(j.Times) < j.MaxProcs {
 			return fmt.Errorf("job %d: time table of length %d shorter than MaxProcs %d", j.ID, len(j.Times), j.MaxProcs)
 		}
-		for p, t := range j.Times {
-			if t <= 0 || math.IsNaN(t) || math.IsInf(t, 0) {
-				return fmt.Errorf("job %d: invalid time %v on %d procs", j.ID, t, p+1)
+		for p := j.MinProcs; p <= j.MaxProcs; p++ {
+			if t := j.Times[p-1]; t <= 0 || math.IsNaN(t) || math.IsInf(t, 0) {
+				return fmt.Errorf("job %d: invalid time %v on %d procs", j.ID, t, p)
 			}
 		}
 	}

@@ -1,7 +1,7 @@
 package workload
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/stats"
 )
@@ -82,6 +82,37 @@ func (g *genSource) Next() (*Job, bool) {
 
 func (g *genSource) SizeHint() int { return g.n - g.i }
 
+// jobName returns prefix-i, the name of generated job i, assembled in a
+// stack buffer: the string is the only allocation, and fmt stays off the
+// per-job path.
+func jobName(prefix string, i int) string {
+	var buf [32]byte
+	b := append(buf[:0], prefix...)
+	b = append(b, '-')
+	return string(strconv.AppendInt(b, int64(i), 10))
+}
+
+// price draws whether the moldable job j is frozen rigid (with
+// probability rigidProb, at a uniform legal width) and then gives it
+// the time table of the allocations it can be given: MakeTable over
+// [1, MaxProcs] for a moldable job, the single entry Times[p-1] for a
+// job frozen at p. That entry is Model.Time(SeqTime, p) itself: the
+// generator models (Amdahl, PowerLaw) are non-increasing in p in floating
+// point, so the running minimum MakeTable would have taken over [1, p]
+// is its last element (TestGeneratorModelsNeverClamp). MakeTable draws
+// nothing, so the RNG sees the order it always did.
+func price(j *Job, rng *stats.RNG, rigidProb float64) {
+	if !rng.Bool(rigidProb) {
+		j.Times = MakeTable(j.Model, j.SeqTime, j.MaxProcs)
+		return
+	}
+	p := rng.IntRange(1, j.MaxProcs)
+	j.Kind = Rigid
+	j.MinProcs, j.MaxProcs = p, p
+	j.Times = make([]float64, p)
+	j.Times[p-1] = j.Model.Time(j.SeqTime, p)
+}
+
 // SequentialSource streams the Sequential workload without
 // materializing it.
 func SequentialSource(cfg GenConfig) Source {
@@ -94,7 +125,7 @@ func SequentialSource(cfg GenConfig) Source {
 		}
 		j := &Job{
 			ID:       i,
-			Name:     fmt.Sprintf("seq-%d", i),
+			Name:     jobName("seq", i),
 			Class:    "sequential",
 			Kind:     Rigid,
 			Release:  clock,
@@ -127,7 +158,7 @@ func ParallelSource(cfg GenConfig) Source {
 		}
 		j := &Job{
 			ID:       i,
-			Name:     fmt.Sprintf("par-%d", i),
+			Name:     jobName("par", i),
 			Class:    "parallel",
 			Kind:     Moldable,
 			Release:  clock,
@@ -137,13 +168,8 @@ func ParallelSource(cfg GenConfig) Source {
 			MinProcs: 1,
 			MaxProcs: maxP,
 			Model:    model,
-			Times:    MakeTable(model, seq, maxP),
 		}
-		if rng.Bool(cfg.RigidFraction) {
-			p := rng.IntRange(1, maxP)
-			j.Kind = Rigid
-			j.MinProcs, j.MaxProcs = p, p
-		}
+		price(j, rng, cfg.RigidFraction)
 		setDueDate(j, rng, cfg.DueDateSlack)
 		return j
 	}}
@@ -156,6 +182,10 @@ func MixedSource(cfg GenConfig) Source {
 	}
 	return ParallelSource(cfg)
 }
+
+// communityModel prices every CIMENT community job; boxed once here
+// rather than once per job.
+var communityModel SpeedupModel = Amdahl{Alpha: 0.05}
 
 // CommunitiesSource streams the Communities (§5.2) workload without
 // materializing it.
@@ -176,10 +206,9 @@ func CommunitiesSource(mix []Community, n, m int, rate float64, seed uint64) Sou
 		if maxP > m {
 			maxP = m
 		}
-		model := SpeedupModel(Amdahl{Alpha: 0.05})
 		j := &Job{
 			ID:       i,
-			Name:     fmt.Sprintf("%s-%d", c.Name, i),
+			Name:     jobName(c.Name, i),
 			Class:    c.Name,
 			Kind:     Moldable,
 			Release:  clock,
@@ -188,14 +217,9 @@ func CommunitiesSource(mix []Community, n, m int, rate float64, seed uint64) Sou
 			SeqTime:  seq,
 			MinProcs: 1,
 			MaxProcs: maxP,
-			Model:    model,
-			Times:    MakeTable(model, seq, maxP),
+			Model:    communityModel,
 		}
-		if rng.Bool(c.RigidProb) {
-			p := rng.IntRange(1, maxP)
-			j.Kind = Rigid
-			j.MinProcs, j.MaxProcs = p, p
-		}
+		price(j, rng, c.RigidProb)
 		return j
 	}}
 }

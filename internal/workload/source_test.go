@@ -1,42 +1,298 @@
 package workload
 
 import (
-	"reflect"
+	"cmp"
+	"fmt"
+	"math"
+	"strconv"
+	"strings"
 	"testing"
+	"testing/quick"
+
+	"repro/internal/stats"
 )
 
-// jobEqual compares every field including the Times table.
-func jobsEqual(t *testing.T, label string, want, got []*Job) {
-	t.Helper()
+// sameJob compares a generated job with the reference generator's, on
+// everything a reader can observe: every scalar field bit for bit, the
+// model, and the time table over the legal range. Outside that range the
+// two differ by design — the reference prices [1, maxP] for every job,
+// the sources only what TimeOn can reach — so there the test pins the
+// new shape instead: a table of length MaxProcs, zero below MinProcs.
+func sameJob(want, got *Job) error {
+	switch {
+	case got.ID != want.ID, got.Name != want.Name, got.Class != want.Class, got.Kind != want.Kind,
+		got.MinProcs != want.MinProcs, got.MaxProcs != want.MaxProcs, got.Model != want.Model,
+		!sameFloat(got.Release, want.Release), !sameFloat(got.Weight, want.Weight),
+		!sameFloat(got.DueDate, want.DueDate), !sameFloat(got.SeqTime, want.SeqTime):
+		return fmt.Errorf("fields differ:\nwant %+v\ngot  %+v", want, got)
+	case (got.Times == nil) != (want.Times == nil):
+		return fmt.Errorf("table presence differs: want %v, got %v", want.Times, got.Times)
+	}
+	if got.Times == nil {
+		return nil
+	}
+	if len(got.Times) != got.MaxProcs || len(want.Times) < len(got.Times) {
+		return fmt.Errorf("table of length %d for MaxProcs %d (reference length %d)",
+			len(got.Times), got.MaxProcs, len(want.Times))
+	}
+	for p := 1; p <= got.MaxProcs; p++ {
+		if p < got.MinProcs {
+			if got.Times[p-1] != 0 {
+				return fmt.Errorf("entry %d below MinProcs %d is priced: %v", p, got.MinProcs, got.Times[p-1])
+			}
+		} else if !sameFloat(got.Times[p-1], want.Times[p-1]) {
+			return fmt.Errorf("time on %d procs: want %v, got %v", p, want.Times[p-1], got.Times[p-1])
+		}
+	}
+	return got.Validate()
+}
+
+func sameJobs(label string, want, got []*Job) error {
 	if len(want) != len(got) {
-		t.Fatalf("%s: %d vs %d jobs", label, len(want), len(got))
+		return fmt.Errorf("%s: %d vs %d jobs", label, len(want), len(got))
 	}
 	for i := range want {
-		if !reflect.DeepEqual(want[i], got[i]) {
-			t.Fatalf("%s: job %d differs:\nwant %+v\ngot  %+v", label, i, want[i], got[i])
+		if err := sameJob(want[i], got[i]); err != nil {
+			return fmt.Errorf("%s: job %d: %v", label, i, err)
+		}
+	}
+	return nil
+}
+
+// diffConfig draws a generator configuration meant to reach every branch
+// of the three sources: 2–40 jobs (now and then 300; never one, since a
+// desynchronised RNG shows in the next job's draws), 1–256 processors,
+// defaults or explicit lognormal parameters, off-line or with arrivals,
+// weighted or not, no rigid job, some, half or all, a MaxProcs cap, due
+// dates with a slack on either side of 1.
+func diffConfig(rng *stats.RNG) GenConfig {
+	cfg := GenConfig{
+		N: rng.IntRange(2, 40), M: rng.IntRange(1, 256), Seed: rng.Uint64(),
+		Weighted:      rng.Bool(0.5),
+		RigidFraction: []float64{0, 0.3, 0.5, 1}[rng.Intn(4)],
+	}
+	if rng.Bool(0.05) {
+		cfg.N = 300
+	}
+	if rng.Bool(0.5) {
+		cfg.SeqMu, cfg.SeqSigma = rng.Range(0.5, 9), rng.Range(0.1, 2)
+	}
+	if rng.Bool(0.5) {
+		cfg.ArrivalRate = rng.Range(0.01, 5)
+	}
+	if rng.Bool(0.3) {
+		cfg.MaxProcsCap = rng.IntRange(1, cfg.M)
+	}
+	if rng.Bool(0.5) {
+		cfg.DueDateSlack = rng.Range(0.5, 5)
+	}
+	return cfg
+}
+
+// diffMix draws a community mix: CIMENT's, or one to four made-up
+// communities whose names run from one byte to well past jobName's
+// stack buffer.
+func diffMix(rng *stats.RNG) []Community {
+	if rng.Bool(0.5) {
+		return CIMENTCommunities()
+	}
+	mix := make([]Community, rng.IntRange(1, 4))
+	for i := range mix {
+		lo := rng.IntRange(1, 64)
+		mix[i] = Community{
+			Name:  strings.Repeat("c", rng.IntRange(1, 48)) + strconv.Itoa(i),
+			Share: rng.Range(0.1, 1), SeqMu: rng.Range(1, 10), SeqSigma: rng.Range(0.2, 1.5),
+			MaxProcsLo: lo, MaxProcsHi: rng.IntRange(lo, 128),
+			RigidProb: []float64{0, 0.3, 0.5, 1}[rng.Intn(4)], Weight: float64(rng.IntRange(1, 5)),
+		}
+	}
+	return mix
+}
+
+// TestSourcesMatchGenerators pins the contract the goldens depend on:
+// the streaming sources draw the exact same RNG sequence, and price
+// every legal allocation to the same bits, as the generators they
+// replaced, kept in reference_test.go. `-quickchecks N` scales the
+// budget (20 configurations per check, four streams each; CI runs it
+// long).
+func TestSourcesMatchGenerators(t *testing.T) {
+	var jobs, rigid, due int
+	f := func(seed uint64) bool {
+		rng := stats.NewRNG(seed)
+		cfg := diffConfig(rng)
+		mix, m, rate := diffMix(rng), rng.IntRange(1, 64), []float64{0, rng.Range(0.01, 5)}[rng.Intn(2)]
+		par := Parallel(cfg)
+		err := cmp.Or(
+			sameJobs("sequential", referenceSequential(cfg), Sequential(cfg)),
+			sameJobs("parallel", referenceParallel(cfg), par),
+			sameJobs("mixed", referenceMixed(cfg), Mixed(cfg)),
+			sameJobs("communities", referenceCommunities(mix, cfg.N, m, rate, cfg.Seed), Communities(mix, cfg.N, m, rate, cfg.Seed)),
+		)
+		if err != nil {
+			t.Logf("failing seed %d (%+v, m=%d rate=%v): %v", seed, cfg, m, rate, err)
+			return false
+		}
+		for _, j := range par {
+			jobs++
+			if j.Kind == Rigid {
+				rigid++
+			}
+			if j.DueDate >= 0 {
+				due++
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 20}); err != nil {
+		t.Fatal(err)
+	}
+	if rigid == 0 || rigid == jobs || due == 0 || due == jobs {
+		t.Fatalf("paths not all exercised: %d jobs, %d rigid, %d with a due date", jobs, rigid, due)
+	}
+	t.Logf("%d parallel jobs compared, %d rigid, %d with a due date", jobs, rigid, due)
+}
+
+// generatorModel draws a speedup model the sources can give a job:
+// randomModel's two families over their ranges, the communities'
+// constant, and the sequential source's Linear.
+func generatorModel(rng *stats.RNG) SpeedupModel {
+	switch rng.Intn(4) {
+	case 0:
+		return communityModel
+	case 1:
+		return Linear{}
+	default:
+		return randomModel(rng)
+	}
+}
+
+// TestGeneratorModelsNeverClamp is why a job frozen at p can be priced
+// with Model.Time(seq, p) alone: over the models the sources draw, the
+// running minimum MakeTable takes never changes an entry, up to 4 096
+// processors. (Amdahl's expression rounds monotonically; consecutive
+// p^σ differ by far more than math.Pow's error.)
+func TestGeneratorModelsNeverClamp(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := stats.NewRNG(seed)
+		model, seq := generatorModel(rng), rng.LogNormal(rng.Range(0.5, 11), rng.Range(0.1, 2))
+		for p, clamped := range MakeTable(model, seq, 4096) {
+			if raw := model.Time(seq, p+1); !sameFloat(clamped, raw) {
+				t.Logf("seed %d: %s, seq %v: table[%d] = %v, Time = %v", seed, model.Name(), seq, p, clamped, raw)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 5}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMakeTableTypedMatchesGeneric: MakeTable's typed loops against the
+// single interface loop it used to be, bit for bit — over the typed
+// models with parameters on both sides of monotone (so the clamp works),
+// over models that take the generic loop, and over sequential times no
+// generator draws.
+func TestMakeTableTypedMatchesGeneric(t *testing.T) {
+	odd := []float64{0, -1, 1, 2, math.NaN(), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, math.MaxFloat64}
+	param := func(rng *stats.RNG, lo, hi float64) float64 {
+		if rng.Bool(0.15) {
+			return odd[rng.Intn(len(odd))]
+		}
+		return rng.Range(lo, hi)
+	}
+	f := func(seed uint64) bool {
+		rng := stats.NewRNG(seed)
+		var model SpeedupModel
+		switch rng.Intn(9) {
+		case 0, 1:
+			model = Amdahl{Alpha: param(rng, -0.5, 1.5)}
+		case 2, 3:
+			model = PowerLaw{Sigma: param(rng, -0.5, 1.5)}
+		case 4:
+			model = Linear{}
+		case 5:
+			model = CommPenalty{Overhead: param(rng, 0, 2)}
+		case 6:
+			model = Downey{A: param(rng, 0.5, 64), Sigma: param(rng, 0, 2)}
+		case 7:
+			model = Monotone{Base: CommPenalty{Overhead: param(rng, 0, 2)}}
+		default:
+			model = &Amdahl{Alpha: param(rng, 0, 1)} // pointer: not the typed case
+		}
+		seq, n := param(rng, 0.001, 1e6), rng.IntRange(0, 200)
+		want, got := referenceMakeTable(model, seq, n), MakeTable(model, seq, n)
+		if len(got) != len(want) {
+			t.Logf("seed %d: %s: length %d, want %d", seed, model.Name(), len(got), len(want))
+			return false
+		}
+		for p := range want {
+			if !sameFloat(got[p], want[p]) {
+				t.Logf("seed %d: %s, seq %v: table[%d] = %v, generic loop %v", seed, model.Name(), seq, p, got[p], want[p])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGeneratorAllocBudget: a generated job costs its Job, its name and
+// its table; a Parallel/Mixed job also the box of the model it drew (the
+// communities share one model, a sequential job has no table).
+func TestGeneratorAllocBudget(t *testing.T) {
+	const n = 4000
+	for _, tc := range []struct {
+		name   string
+		src    Source
+		perJob float64
+	}{
+		{"sequential", SequentialSource(GenConfig{N: 2 * n, Seed: 1, Weighted: true, DueDateSlack: 3}), 2},
+		{"parallel", ParallelSource(GenConfig{N: 2 * n, M: 100, Seed: 1, Weighted: true, DueDateSlack: 3}), 4},
+		{"mixed", MixedSource(GenConfig{N: 2 * n, M: 64, Seed: 1, ArrivalRate: 2, RigidFraction: 0.5}), 4},
+		{"communities", CommunitiesSource(CIMENTCommunities(), 2*n, 64, 0.1, 1), 3},
+	} {
+		got := testing.AllocsPerRun(n-1, func() { tc.src.Next() })
+		if got > tc.perJob {
+			t.Errorf("%s: %.2f allocations per job, budget %v", tc.name, got, tc.perJob)
 		}
 	}
 }
 
-// TestSourcesMatchGenerators pins the contract the goldens depend on:
-// the streaming sources draw the exact same RNG sequence as the eager
-// generators, for every model and a spread of configurations.
-func TestSourcesMatchGenerators(t *testing.T) {
-	cfgs := []GenConfig{
-		{},
-		{N: 257, M: 48, Seed: 7, ArrivalRate: 0.25},
-		{N: 100, M: 64, Seed: 42, Weighted: true, RigidFraction: 0.4, DueDateSlack: 3},
-		{N: 31, M: 128, Seed: 9, ArrivalRate: 2, MaxProcsCap: 10},
+func benchSource(b *testing.B, newSource func(n int) Source) {
+	const n = 2000
+	b.ReportAllocs()
+	for b.Loop() {
+		src := newSource(n)
+		for {
+			if _, ok := src.Next(); !ok {
+				break
+			}
+		}
 	}
-	for _, cfg := range cfgs {
-		jobsEqual(t, "sequential", Sequential(cfg), Collect(SequentialSource(cfg)))
-		jobsEqual(t, "parallel", Parallel(cfg), Collect(ParallelSource(cfg)))
-		jobsEqual(t, "mixed", Mixed(cfg), Collect(MixedSource(cfg)))
-	}
-	mix := CIMENTCommunities()
-	jobsEqual(t, "communities",
-		Communities(mix, 300, 64, 0.1, 11),
-		Collect(CommunitiesSource(mix, 300, 64, 0.1, 11)))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/job")
+}
+
+// BenchmarkMixedSource is deep_queue's stream.
+func BenchmarkMixedSource(b *testing.B) {
+	benchSource(b, func(n int) Source {
+		return MixedSource(GenConfig{N: n, M: 64, Seed: 1, ArrivalRate: 2, RigidFraction: 0.5})
+	})
+}
+
+// BenchmarkParallelSourceWeighted is fig2's parallel series.
+func BenchmarkParallelSourceWeighted(b *testing.B) {
+	benchSource(b, func(n int) Source {
+		return ParallelSource(GenConfig{N: n, M: 100, Seed: 1, Weighted: true})
+	})
+}
+
+func BenchmarkCommunitiesSource(b *testing.B) {
+	benchSource(b, func(n int) Source {
+		return CommunitiesSource(CIMENTCommunities(), n, 64, 0.1, 1)
+	})
 }
 
 // TestSourceReleaseOrder pins the lazy-admission prerequisite: every
