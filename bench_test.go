@@ -14,8 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/bicriteria"
-	"repro/internal/experiments"
-	"repro/internal/trace"
+	"repro/internal/scenario"
 )
 
 // benchScale keeps individual iterations under ~100 ms so -benchtime
@@ -25,13 +24,14 @@ import (
 // cmd/experiments -parallel ships; tables stay bit-identical to the
 // sequential runner (asserted by TestParallelMatchesSequential in
 // internal/experiments).
-var benchScale = experiments.Scale{JobFactor: 10, Workers: runtime.GOMAXPROCS(0)}
+var benchScale = scenario.Scale{JobFactor: 10, Workers: runtime.GOMAXPROCS(0)}
 
-func benchTable(b *testing.B, fn func(uint64, experiments.Scale) (*trace.Table, error)) {
+// benchTable regenerates built-in scenario id once per iteration.
+func benchTable(b *testing.B, id string) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t, err := fn(uint64(i), benchScale)
+		t, err := catalogTable(id, uint64(i), benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,58 +75,58 @@ func BenchmarkFig2Parallel(b *testing.B) {
 }
 
 // BenchmarkTableMRT regenerates T1 (§4.1, MRT vs baselines).
-func BenchmarkTableMRT(b *testing.B) { benchTable(b, experiments.MRTTable) }
+func BenchmarkTableMRT(b *testing.B) { benchTable(b, "mrt") }
 
 // BenchmarkTableBatch regenerates T2 (§4.2, online batches over MRT).
-func BenchmarkTableBatch(b *testing.B) { benchTable(b, experiments.BatchTable) }
+func BenchmarkTableBatch(b *testing.B) { benchTable(b, "batch") }
 
 // BenchmarkTableSMART regenerates T3 (§4.3, SMART shelves).
-func BenchmarkTableSMART(b *testing.B) { benchTable(b, experiments.SMARTTable) }
+func BenchmarkTableSMART(b *testing.B) { benchTable(b, "smart") }
 
 // BenchmarkTableBiCriteria regenerates T4 (§4.4, doubling bi-criteria).
-func BenchmarkTableBiCriteria(b *testing.B) { benchTable(b, experiments.BiCriteriaTable) }
+func BenchmarkTableBiCriteria(b *testing.B) { benchTable(b, "bicriteria") }
 
 // BenchmarkTableDLT regenerates T5 (§2.1, divisible-load policies).
-func BenchmarkTableDLT(b *testing.B) { benchTable(b, experiments.DLTTable) }
+func BenchmarkTableDLT(b *testing.B) { benchTable(b, "dlt") }
 
 // BenchmarkTableCiGri regenerates T6 (§5.2, centralized CiGri on CIMENT).
-func BenchmarkTableCiGri(b *testing.B) { benchTable(b, experiments.CiGriTable) }
+func BenchmarkTableCiGri(b *testing.B) { benchTable(b, "cigri") }
 
 // BenchmarkTableDecentralized regenerates T7 (§5.2, load exchange).
-func BenchmarkTableDecentralized(b *testing.B) { benchTable(b, experiments.DecentralizedTable) }
+func BenchmarkTableDecentralized(b *testing.B) { benchTable(b, "decentralized") }
 
 // BenchmarkTableMixed regenerates T8 (§5.1, rigid+moldable strategies).
-func BenchmarkTableMixed(b *testing.B) { benchTable(b, experiments.MixedTable) }
+func BenchmarkTableMixed(b *testing.B) { benchTable(b, "mixed") }
 
 // BenchmarkTableReservations regenerates T9 (§5.1, reservations).
-func BenchmarkTableReservations(b *testing.B) { benchTable(b, experiments.ReservationsTable) }
+func BenchmarkTableReservations(b *testing.B) { benchTable(b, "reservations") }
 
 // BenchmarkTableMalleable regenerates EXT1 (§2.2 malleable extension).
-func BenchmarkTableMalleable(b *testing.B) { benchTable(b, experiments.MalleableTable) }
+func BenchmarkTableMalleable(b *testing.B) { benchTable(b, "malleable") }
 
 // BenchmarkTableTreeDLT regenerates EXT2 (tree-network divisible load).
-func BenchmarkTableTreeDLT(b *testing.B) { benchTable(b, experiments.TreeDLTTable) }
+func BenchmarkTableTreeDLT(b *testing.B) { benchTable(b, "treedlt") }
 
 // BenchmarkTableCriteriaMatrix regenerates EXT3 (criteria matrix).
-func BenchmarkTableCriteriaMatrix(b *testing.B) { benchTable(b, experiments.CriteriaMatrixTable) }
+func BenchmarkTableCriteriaMatrix(b *testing.B) { benchTable(b, "criteria") }
 
 // BenchmarkTableHeteroGrid regenerates EXT4 (two-level grid scheduling).
-func BenchmarkTableHeteroGrid(b *testing.B) { benchTable(b, experiments.HeteroGridTable) }
+func BenchmarkTableHeteroGrid(b *testing.B) { benchTable(b, "heterogrid") }
 
 // BenchmarkAblationAllotment compares knapsack vs greedy MRT allotment.
-func BenchmarkAblationAllotment(b *testing.B) { benchTable(b, experiments.AblationAllotment) }
+func BenchmarkAblationAllotment(b *testing.B) { benchTable(b, "ablation-allotment") }
 
 // BenchmarkAblationDoublingBase sweeps the bi-criteria base deadline.
-func BenchmarkAblationDoublingBase(b *testing.B) { benchTable(b, experiments.AblationDoublingBase) }
+func BenchmarkAblationDoublingBase(b *testing.B) { benchTable(b, "ablation-doubling-base") }
 
 // BenchmarkAblationShelfFill compares SMART shelf-filling rules.
-func BenchmarkAblationShelfFill(b *testing.B) { benchTable(b, experiments.AblationShelfFill) }
+func BenchmarkAblationShelfFill(b *testing.B) { benchTable(b, "ablation-shelf-fill") }
 
 // BenchmarkAblationChunk sweeps the DLT self-scheduling chunk size.
-func BenchmarkAblationChunk(b *testing.B) { benchTable(b, experiments.AblationChunk) }
+func BenchmarkAblationChunk(b *testing.B) { benchTable(b, "ablation-chunk") }
 
 // BenchmarkAblationKillPolicy compares best-effort eviction rules.
-func BenchmarkAblationKillPolicy(b *testing.B) { benchTable(b, experiments.AblationKillPolicy) }
+func BenchmarkAblationKillPolicy(b *testing.B) { benchTable(b, "ablation-kill-policy") }
 
 // BenchmarkAblationCompaction measures the left-shift post-pass.
-func BenchmarkAblationCompaction(b *testing.B) { benchTable(b, experiments.AblationCompaction) }
+func BenchmarkAblationCompaction(b *testing.B) { benchTable(b, "ablation-compaction") }

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	gridctl [-addr URL] run [-seed N] [-quick] [-workers N] [-watch]
-//	        [-format text|json|csv] [-legacy] <id>|<spec.json>
+//	        [-format text|json|csv] <id>|<spec.json>
 //	gridctl [-addr URL] runs [-format text|json]
 //	                                         list stored runs
 //	gridctl [-addr URL] status [-format json|text] <run-id>
@@ -25,9 +25,6 @@
 // "run" submits, waits for the terminal state and prints the result
 // (the text format is byte-identical to the cmd/experiments output).
 // -watch additionally narrates every cell completion on stderr.
-// -legacy drives the compatibility POST /scenarios shim instead and
-// renders the returned table locally — diffing it against "run"
-// output verifies the shim serves exactly the /v1 pipeline's table.
 //
 // "trace" streams the JSONL event trace of a finished traced run
 // (-swf re-exports it as an SWF archive the replay kind accepts);
@@ -50,12 +47,11 @@ import (
 	"repro/internal/api"
 	_ "repro/internal/experiments" // register kinds + catalog (spec file validation)
 	"repro/internal/scenario"
-	"repro/internal/trace"
 	"repro/pkg/client"
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: gridctl [-addr URL] run|submit [-seed N] [-quick] [-workers N] [-watch] [-format text|json|csv] [-legacy] <id>|<spec.json>")
+	fmt.Fprintln(os.Stderr, "usage: gridctl [-addr URL] run|submit [-seed N] [-quick] [-workers N] [-watch] [-format text|json|csv] <id>|<spec.json>")
 	fmt.Fprintln(os.Stderr, "       gridctl [-addr URL] runs [-format text|json]")
 	fmt.Fprintln(os.Stderr, "       gridctl [-addr URL] status [-format json|text] <run-id>")
 	fmt.Fprintln(os.Stderr, "       gridctl [-addr URL] cancel <run-id>")
@@ -74,7 +70,7 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	// No per-request transport timeout: the -legacy shim and result
+	// No per-request transport timeout: event streams and result
 	// fetches can legitimately take as long as the run; -timeout (the
 	// context deadline) is the only clock that matters here. The tenant
 	// API key, when the daemon requires one, comes from the
@@ -141,7 +137,6 @@ func runCmd(ctx context.Context, c *client.Client, cmd string, args []string) er
 	workers := fs.Int("workers", 0, "server-side cell worker pool (0 = sequential)")
 	watch := fs.Bool("watch", false, "narrate per-cell progress (SSE) on stderr")
 	format := fs.String("format", "text", "result rendering: text|json|csv")
-	legacy := fs.Bool("legacy", false, "use the legacy synchronous POST /scenarios shim")
 	_ = fs.Parse(args)
 	if fs.NArg() != 1 {
 		return fmt.Errorf("%s takes exactly one <id>|<spec.json> argument", cmd)
@@ -155,18 +150,6 @@ func runCmd(ctx context.Context, c *client.Client, cmd string, args []string) er
 	req, err := buildRequest(fs.Arg(0), seedp, *quick, *workers)
 	if err != nil {
 		return err
-	}
-
-	if *legacy {
-		if *format != "text" {
-			return fmt.Errorf("-legacy serves only the text table")
-		}
-		resp, err := c.SubmitScenarioLegacy(ctx, req)
-		if err != nil {
-			return err
-		}
-		t := &trace.Table{Title: resp.Title, Headers: resp.Headers, Rows: resp.Rows}
-		return t.Write(os.Stdout)
 	}
 
 	st, err := c.SubmitRun(ctx, req)

@@ -1,29 +1,31 @@
-// Command gridd is the online scheduler daemon. In its default mode it
-// runs one simulated cluster as a long-lived service; with -topology it
-// becomes a federated grid broker serving a whole fleet of clusters
-// behind one API, routing jobs and CiGri-style best-effort campaigns
-// across them with a pluggable grid policy.
+// Command gridd is the online scheduler daemon: a federated grid broker
+// serving a fleet of simulated clusters behind one API, routing jobs and
+// CiGri-style best-effort campaigns across them with a pluggable grid
+// policy. With -topology the fleet comes from a JSON file; without it,
+// gridd serves a one-cluster fleet built from -m -speed -policy -kill
+// -dilation — as in the paper, a single cluster is a one-cluster grid,
+// and both run the same code.
 //
 // Usage examples:
 //
 //	gridd -m 128 -policy easy -dilation 60        # 1 wall second = 60 sim seconds
 //	gridd -policy conservative -dilation 0        # free-running (as fast as possible)
-//	gridd -topology fleet.json                    # multi-cluster broker mode
+//	gridd -topology fleet.json                    # multi-cluster fleet
 //	gridd -list-policies                          # local + grid policy catalogs
 //
-// Single-cluster endpoints: POST /jobs, GET /jobs/{id}, GET /queue,
-// GET /stats, GET /metrics (Prometheus text), GET /policies, the
-// versioned /v1 run-lifecycle API (POST /v1/runs, GET /v1/runs[/{id}],
+// Every route is under /v1: POST /v1/jobs, GET /v1/jobs/{id},
+// GET /v1/queue, GET /v1/stats, GET /v1/metrics (Prometheus text,
+// per-cluster series labelled {cluster="name"}), GET /v1/policies,
+// GET /v1/topology, POST /v1/campaigns, GET /v1/campaigns[/{id}], the
+// run-lifecycle API (POST /v1/runs, GET /v1/runs[/{id}],
 // GET /v1/runs/{id}/events SSE stream, GET /v1/runs/{id}/result,
-// DELETE /v1/runs/{id}) and the legacy POST /scenarios shim over it
-// (-max-runs bounds concurrent scenario execution). Broker mode adds
-// POST /campaigns, GET /campaigns[/{id}], GET /topology, keeps the
-// whole run API, and labels per-cluster metrics with {cluster="name"}.
+// GET /v1/runs/{id}/trace, DELETE /v1/runs/{id}; -max-runs bounds
+// concurrent scenario execution), GET /v1/version and, with -fleet,
+// the /v1/fleet lease protocol.
 //
 // On SIGTERM/SIGINT the daemon drains gracefully: it stops accepting
-// submissions, fast-forwards every accepted job (and, in broker mode,
-// every campaign task) to completion, prints the final report, and
-// exits.
+// submissions, fast-forwards every accepted job and every campaign task
+// to completion, prints the final report, and exits.
 package main
 
 import (
@@ -40,12 +42,10 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/cluster"
 	_ "repro/internal/experiments" // registers the scenario kinds + catalog for the run API
 	"repro/internal/fleet"
 	"repro/internal/gridservice"
 	"repro/internal/registry"
-	"repro/internal/service"
 	"repro/internal/store"
 	"repro/pkg/client"
 )
@@ -53,12 +53,12 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", ":8042", "HTTP listen address")
-		m        = flag.Int("m", 64, "cluster width (processors)")
-		speed    = flag.Float64("speed", 1, "cluster speed factor")
-		policy   = flag.String("policy", "easy", "online policy name (see -list-policies)")
-		kill     = flag.String("kill", "newest", "best-effort eviction policy: newest|largest")
-		dilation = flag.Float64("dilation", 60, "simulated seconds per wall second (0 = free-running)")
-		topology = flag.String("topology", "", "fleet topology file: serve a multi-cluster grid broker")
+		m        = flag.Int("m", 64, "cluster width (processors) of the one-cluster fleet served without -topology")
+		speed    = flag.Float64("speed", 1, "cluster speed factor (without -topology)")
+		policy   = flag.String("policy", "easy", "online policy name, see -list-policies (without -topology)")
+		kill     = flag.String("kill", "newest", "best-effort eviction policy: newest|largest (without -topology)")
+		dilation = flag.Float64("dilation", 60, "simulated seconds per wall second, 0 = free-running (without -topology)")
+		topology = flag.String("topology", "", "fleet topology file: serve a multi-cluster fleet instead of one cluster")
 		drainT   = flag.Duration("drain-timeout", 30*time.Second, "graceful drain deadline on shutdown")
 		maxRuns  = flag.Int("max-runs", 2, "concurrent server-side scenario runs; further submissions queue, then get 429 + Retry-After")
 		logReqs  = flag.Bool("log-requests", false, "log one line per API request (method, path, status, duration, bytes, run id)")
@@ -90,7 +90,7 @@ func main() {
 	if *list {
 		fmt.Println("local queue policies:")
 		_ = registry.WriteCatalog(os.Stdout)
-		fmt.Println("\ngrid routing policies (-topology mode):")
+		fmt.Println("\ngrid routing policies (topology \"grid_policy\"):")
 		_ = registry.WriteGridCatalog(os.Stdout)
 		return
 	}
@@ -100,65 +100,33 @@ func main() {
 	}
 	apiCfg, closeStore := buildAPIConfig(*maxRuns, *logReqs, *dataDir, *tenantsF, *noPersist)
 	defer closeStore()
-	var fl *fleet.Coordinator
 	if *fleetOn {
-		fl = fleet.NewCoordinator(fleet.Config{TTL: *fleetTTL})
+		fl := fleet.NewCoordinator(fleet.Config{TTL: *fleetTTL})
 		defer fl.Close()
 		log.Printf("gridd: fleet coordinator enabled (lease TTL %v, catalog %s)",
 			*fleetTTL, fl.Build().CatalogHash)
+		apiCfg.Fleet = fl
+	}
+	topo := gridservice.Topology{
+		Dilation: *dilation,
+		Clusters: []gridservice.ClusterSpec{{M: *m, Speed: *speed, Policy: *policy, Kill: *kill}},
 	}
 	if *topology != "" {
-		// Broker mode takes its whole configuration from the topology
-		// file; warn about explicitly passed single-cluster flags that
-		// would otherwise be dropped silently.
+		// The topology file is the whole configuration; warn about
+		// explicitly passed one-cluster flags that would otherwise be
+		// dropped silently.
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "m", "speed", "policy", "kill", "dilation":
-				log.Printf("gridd: -%s is ignored in -topology mode (set it in %s)", f.Name, *topology)
+				log.Printf("gridd: -%s is ignored with -topology (set it in %s)", f.Name, *topology)
 			}
 		})
-		if fl != nil {
-			apiCfg.Fleet = fl
+		var err error
+		if topo, err = gridservice.LoadTopology(*topology); err != nil {
+			log.Fatalf("gridd: %v", err)
 		}
-		runBroker(*topology, *addr, *drainT, apiCfg, *pprofOn)
-		return
 	}
-	kp := cluster.KillNewest
-	switch *kill {
-	case "newest":
-	case "largest":
-		kp = cluster.KillLargestRemaining
-	default:
-		log.Fatalf("gridd: unknown kill policy %q (newest|largest)", *kill)
-	}
-	eng, err := service.New(service.Config{
-		M: *m, Speed: *speed, Policy: *policy, Kill: kp, Dilation: *dilation,
-	})
-	if err != nil {
-		log.Fatalf("gridd: %v", err)
-	}
-	eng.Start()
-	if fl != nil {
-		apiCfg.Fleet = fl
-	}
-	runs := api.NewRunService(apiCfg)
-	defer runs.Close()
-	srv := &http.Server{Addr: *addr, Handler: withPprof(eng.Handler(runs), *pprofOn)}
-
-	log.Printf("gridd: serving on %s (m=%d policy=%s dilation=%gx)", *addr, *m, *policy, *dilation)
-	serve(srv, func() { eng.Stop() })
-
-	ctx, cancel := context.WithTimeout(context.Background(), *drainT)
-	defer cancel()
-	st, err := eng.Drain(ctx)
-	if err != nil {
-		log.Printf("gridd: drain: %v", err)
-	} else {
-		fmt.Printf("gridd: drained: submitted=%d completed=%d %s\n",
-			st.Submitted, st.Completed, st.Report)
-	}
-	_ = srv.Shutdown(ctx)
-	eng.Stop()
+	runBroker(topo, *addr, *drainT, apiCfg, *pprofOn)
 }
 
 // buildAPIConfig assembles the shared run-service configuration: the
@@ -188,12 +156,8 @@ func buildAPIConfig(maxRuns int, logReqs bool, dataDir, tenantsPath string, noPe
 	return cfg, closeStore
 }
 
-// runBroker serves a multi-cluster fleet from a topology file.
-func runBroker(path, addr string, drainT time.Duration, cfg api.Config, pprofOn bool) {
-	topo, err := gridservice.LoadTopology(path)
-	if err != nil {
-		log.Fatalf("gridd: %v", err)
-	}
+// runBroker serves the fleet until SIGTERM/SIGINT, then drains it.
+func runBroker(topo gridservice.Topology, addr string, drainT time.Duration, cfg api.Config, pprofOn bool) {
 	b, err := gridservice.NewBroker(topo)
 	if err != nil {
 		log.Fatalf("gridd: %v", err)
@@ -203,11 +167,12 @@ func runBroker(path, addr string, drainT time.Duration, cfg api.Config, pprofOn 
 	defer runs.Close()
 	srv := &http.Server{Addr: addr, Handler: withPprof(b.Handler(runs), pprofOn)}
 
+	topo = b.Topology()
 	procs := 0
 	for _, c := range topo.Clusters {
 		procs += c.M
 	}
-	log.Printf("gridd: broker serving on %s (%d clusters, %d procs, grid policy %s, dilation %gx)",
+	log.Printf("gridd: serving on %s (%d clusters, %d procs, grid policy %s, dilation %gx)",
 		addr, len(topo.Clusters), procs, topo.GridPolicy, topo.Dilation)
 	serve(srv, func() { b.Stop() })
 

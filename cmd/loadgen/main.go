@@ -3,16 +3,16 @@
 // shapes) or replayed from an SWF trace — at a target submission rate
 // with concurrent workers, then prints a latency/throughput summary and
 // optionally waits until the daemon reports every accepted job
-// complete. Against a broker (-topology gridd) the summary additionally
-// breaks submission latency down per cluster, and -campaign fans a
-// bag-of-tasks campaign across the fleet and waits for it to finish.
+// complete. The summary breaks submission latency down per cluster, and
+// -campaign fans a bag-of-tasks campaign across the fleet and waits for
+// it to finish.
 //
 // Usage examples:
 //
 //	loadgen -addr http://localhost:8042 -n 200 -rps 100 -workers 4 -wait
 //	loadgen -swf trace.swf -use-release -rps 0
 //	loadgen -n 5000 -workers 8 -wait          # max-rate throughput probe
-//	loadgen -campaign 500 -run-time 30 -wait  # campaign mode (broker only)
+//	loadgen -campaign 500 -run-time 30 -wait  # campaign mode
 package main
 
 import (
@@ -358,7 +358,7 @@ func (r *result) print(w io.Writer) {
 	}
 }
 
-// waitComplete polls /stats until the daemon has completed `accepted`
+// waitComplete polls /v1/stats until the daemon has completed `accepted`
 // jobs beyond the pre-run baseline or the context deadline passes,
 // returning the number of this run's jobs still unfinished.
 func waitComplete(ctx context.Context, cl *client.Client, baseline, accepted int) (lost int, err error) {

@@ -5,16 +5,32 @@ package repro
 // bit-identical outputs) so refactors cannot silently change results.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
-	"repro/internal/experiments"
+	_ "repro/internal/experiments" // registers the scenario kinds and built-in catalog
+	"repro/internal/scenario"
 	"repro/internal/trace"
 )
 
+// catalogTable runs built-in scenario id at the given seed and scale
+// through scenario.Lookup + scenario.Run — the path the goldens pin.
+func catalogTable(id string, seed uint64, sc scenario.Scale) (*trace.Table, error) {
+	spec, ok := scenario.Lookup(id)
+	if !ok {
+		return nil, fmt.Errorf("no built-in scenario %q", id)
+	}
+	res, err := scenario.Run(spec, scenario.RunOptions{Seed: seed, SeedExplicit: true, Scale: sc})
+	if err != nil {
+		return nil, err
+	}
+	return res.Table, nil
+}
+
 func TestDeterminismAcrossRuns(t *testing.T) {
 	render := func() string {
-		tb, err := experiments.MRTTable(42, experiments.Scale{JobFactor: 20})
+		tb, err := catalogTable("mrt", 42, scenario.Scale{JobFactor: 20})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,33 +61,20 @@ func TestDeterminismFig2(t *testing.T) {
 }
 
 func TestEveryExperimentRunsAtTestScale(t *testing.T) {
-	sc := experiments.Scale{JobFactor: 20}
-	drivers := map[string]func(uint64, experiments.Scale) (*trace.Table, error){
-		"mrt":           experiments.MRTTable,
-		"batch":         experiments.BatchTable,
-		"smart":         experiments.SMARTTable,
-		"bicriteria":    experiments.BiCriteriaTable,
-		"dlt":           experiments.DLTTable,
-		"cigri":         experiments.CiGriTable,
-		"decentralized": experiments.DecentralizedTable,
-		"mixed":         experiments.MixedTable,
-		"reservations":  experiments.ReservationsTable,
-		"malleable":     experiments.MalleableTable,
-		"treedlt":       experiments.TreeDLTTable,
-		"criteria":      experiments.CriteriaMatrixTable,
-		"heterogrid":    experiments.HeteroGridTable,
-	}
-	for name, fn := range drivers {
-		tb, err := fn(1, sc)
+	for _, id := range []string{
+		"mrt", "batch", "smart", "bicriteria", "dlt", "cigri", "decentralized",
+		"mixed", "reservations", "malleable", "treedlt", "criteria", "heterogrid",
+	} {
+		tb, err := catalogTable(id, 1, scenario.Scale{JobFactor: 20})
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", id, err)
 		}
 		var sb strings.Builder
 		if err := tb.Write(&sb); err != nil {
-			t.Fatalf("%s: render: %v", name, err)
+			t.Fatalf("%s: render: %v", id, err)
 		}
 		if !strings.Contains(sb.String(), tb.Headers[0]) {
-			t.Fatalf("%s: header missing from render", name)
+			t.Fatalf("%s: header missing from render", id)
 		}
 	}
 }

@@ -252,6 +252,39 @@ func TestV1LifecycleMatchesLegacyTable(t *testing.T) {
 	if rj.Cells[0].Axes["m"] == nil || rj.Cells[0].Metrics["MRT"] == nil {
 		t.Fatalf("cell 0 axes/metrics: %+v", rj.Cells[0])
 	}
+
+	// An inline spec (the generic offline kind) renders the same table
+	// as a direct run of that spec.
+	seed := uint64(42)
+	inline := scenario.New("inline-sweep", "offline",
+		scenario.WithWorkload(scenario.Workload{N: 40, M: 16, Weighted: true}),
+		scenario.WithPolicies("mrt", "ffdh"),
+		scenario.WithMetrics("cmax_ratio", "util"))
+	body, err := json.Marshal(scenario.HTTPRequest{Spec: inline, Seed: &seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2, code, _ := postRun(t, srv.URL, string(body))
+	if code != http.StatusAccepted || st2.Kind != "offline" || st2.Seed != 42 {
+		t.Fatalf("inline submit: %d %+v", code, st2)
+	}
+	waitState(t, srv.URL, st2.ID, RunDone)
+	resp3, err := http.Get(srv.URL + "/v1/runs/" + st2.ID + "/result?format=text")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got2, _ := readAll(resp3)
+	want2, err := scenario.Run(inline, scenario.RunOptions{Seed: 42, SeedExplicit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := want2.Table.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got2 != buf.String() {
+		t.Fatalf("inline spec differs from direct run:\n got: %q\nwant: %q", got2, buf.String())
+	}
 }
 
 func readAll(resp *http.Response) (string, error) {
@@ -259,47 +292,6 @@ func readAll(resp *http.Response) (string, error) {
 	var buf bytes.Buffer
 	_, err := buf.ReadFrom(resp.Body)
 	return buf.String(), err
-}
-
-// TestLegacyShimMatchesV1: the POST /scenarios shim serves exactly the
-// table the /v1 pipeline produced for the same request.
-func TestLegacyShimMatchesV1(t *testing.T) {
-	_, srv := newTestService(t, Config{})
-
-	body := `{"id":"treedlt","quick":true}`
-	resp, err := http.Post(srv.URL+"/scenarios", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("shim status %d", resp.StatusCode)
-	}
-	var legacy scenario.HTTPResponse
-	if err := json.NewDecoder(resp.Body).Decode(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	st, code, _ := postRun(t, srv.URL, body)
-	if code != http.StatusAccepted {
-		t.Fatalf("v1 submit %d", code)
-	}
-	final := waitState(t, srv.URL, st.ID, RunDone)
-	textResp, err := http.Get(srv.URL + "/v1/runs/" + final.ID + "/result?format=text")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1Text, _ := readAll(textResp)
-
-	legacyTable := scenario.RenderTable(legacy.Title, legacy.Headers, nil)
-	legacyTable.Rows = legacy.Rows
-	var buf bytes.Buffer
-	if err := legacyTable.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != v1Text {
-		t.Fatalf("legacy shim table differs from /v1:\nlegacy: %q\n    v1: %q", buf.String(), v1Text)
-	}
 }
 
 // TestCancelBeforeStart: a queued run cancels instantly without ever
@@ -524,8 +516,9 @@ func TestBusyRetryAfter(t *testing.T) {
 	waitState(t, srv.URL, queued.ID, RunDone)
 }
 
-// TestSubmitValidation: bad submissions fail synchronously with the
-// legacy status codes.
+// TestSubmitValidation: bad submissions fail synchronously — malformed
+// JSON, neither or both of id and spec, unknown fields and kinds are
+// 400, an unknown catalog id 404.
 func TestSubmitValidation(t *testing.T) {
 	_, srv := newTestService(t, Config{})
 	cases := []struct {

@@ -1,11 +1,9 @@
-// Package api is the shared HTTP surface of the gridd daemon family:
-// the versioned /v1 run-lifecycle API (asynchronous scenario runs with
-// typed status, per-cell SSE progress streams and cooperative
-// cancellation), the bounded in-memory run store behind it, the legacy
-// POST /scenarios compatibility shim, and the middleware stack (body
-// limits, JSON error envelope, request logging) that the single-cluster
-// service (internal/service) and the grid broker (internal/gridservice)
-// both mount instead of each carrying its own copy.
+// Package api is the run side of the gridd HTTP surface: the versioned
+// /v1 run-lifecycle API (asynchronous scenario runs with typed status,
+// per-cell SSE progress streams and cooperative cancellation), the
+// bounded run store behind it, and the middleware stack (body limits,
+// JSON error envelope, request logging) the grid broker
+// (internal/gridservice) wraps its own /v1 routes in.
 package api
 
 import (
@@ -35,7 +33,7 @@ func WriteError(w http.ResponseWriter, code int, msg string) {
 }
 
 // WriteBusy writes a 429 with a Retry-After hint (the back-pressure
-// answer of the run endpoints, replacing the legacy bare 503).
+// answer of the run endpoints).
 func WriteBusy(w http.ResponseWriter, retryAfter time.Duration, msg string) {
 	secs := int(retryAfter / time.Second)
 	if secs < 1 {
@@ -45,22 +43,15 @@ func WriteBusy(w http.ResponseWriter, retryAfter time.Duration, msg string) {
 	WriteError(w, http.StatusTooManyRequests, msg)
 }
 
+// Router is where a service registers its routes: an *http.ServeMux,
+// or a recorder in tests that inspect the route table.
+type Router interface {
+	HandleFunc(pattern string, handler func(http.ResponseWriter, *http.Request))
+}
+
 // DefaultMaxBody caps request bodies across the API: job specs and
 // scenario specs are a few KB of JSON, so 1 MiB is generous.
 const DefaultMaxBody = 1 << 20
-
-// RegisterBoth registers one handler at its legacy path and under the
-// /v1 prefix — the compatibility guarantee is structural: both routes
-// run the same code. pattern is a method-qualified mux pattern like
-// "GET /stats".
-func RegisterBoth(mux *http.ServeMux, pattern string, h http.HandlerFunc) {
-	mux.HandleFunc(pattern, h)
-	method, path, ok := strings.Cut(pattern, " ")
-	if !ok {
-		panic("api: RegisterBoth pattern must be \"METHOD /path\"")
-	}
-	mux.HandleFunc(method+" /v1"+path, h)
-}
 
 // statusWriter records the response code and body size for the request
 // log while passing Flush through (the SSE stream needs the flusher).

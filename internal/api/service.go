@@ -94,7 +94,7 @@ func (c Config) fill() Config {
 	return c
 }
 
-// RunsSummary aggregates the run store for the /stats endpoints. It is
+// RunsSummary aggregates the run store for GET /v1/stats. It is
 // computed from the same Run records (and their Result cells) the /v1
 // endpoints serve, so the two surfaces cannot diverge.
 type RunsSummary struct {
@@ -125,9 +125,8 @@ var ErrBusy = errors.New("api: run queue full; retry later")
 var ErrStopped = errors.New("api: run service stopped")
 
 // RunService owns the run store and the executor pool behind the /v1
-// run-lifecycle API. One instance is shared by every handler of a
-// daemon (single-cluster service or broker), making it the single
-// source of truth for scenario-run state.
+// run-lifecycle API. One instance is shared by every handler of the
+// daemon, making it the single source of truth for scenario-run state.
 type RunService struct {
 	cfg Config
 
@@ -806,25 +805,6 @@ func (s *RunService) Cancel(r *Run) bool {
 		r.cancel()
 		s.mu.Unlock()
 		return true
-	}
-}
-
-// Wait blocks until the run reaches a terminal state or ctx fires,
-// returning the final status.
-func (s *RunService) Wait(ctx context.Context, r *Run) (RunStatus, error) {
-	for {
-		s.mu.Lock()
-		st := r.status(false)
-		wake := r.wake
-		s.mu.Unlock()
-		if st.State.Terminal() {
-			return st, nil
-		}
-		select {
-		case <-wake:
-		case <-ctx.Done():
-			return st, ctx.Err()
-		}
 	}
 }
 

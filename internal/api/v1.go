@@ -10,8 +10,7 @@ import (
 	"repro/internal/scenario"
 )
 
-// Mount registers the versioned run-lifecycle API plus the legacy
-// POST /scenarios compatibility shim on mux:
+// Mount registers the versioned run-lifecycle API on mux:
 //
 //	POST   /v1/runs              submit a scenario run (202 + RunStatus)
 //	GET    /v1/runs              list stored runs
@@ -20,9 +19,8 @@ import (
 //	GET    /v1/runs/{id}/result  result (?format=json|text|csv)
 //	GET    /v1/runs/{id}/trace   JSONL event trace (?cell=N filter)
 //	DELETE /v1/runs/{id}         cooperative cancellation
-//	POST   /scenarios            legacy synchronous shim over /v1
-//	                             (also served at /v1/scenarios)
-func (s *RunService) Mount(mux *http.ServeMux) {
+//	GET    /v1/version           build identity
+func (s *RunService) Mount(mux Router) {
 	mux.HandleFunc("POST /v1/runs", s.handleSubmit)
 	mux.HandleFunc("GET /v1/runs", s.handleList)
 	mux.HandleFunc("GET /v1/runs/{id}", s.handleStatus)
@@ -31,27 +29,13 @@ func (s *RunService) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("GET /v1/runs/{id}/trace", s.handleTrace)
 	mux.HandleFunc("DELETE /v1/runs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /v1/version", handleVersion)
-	RegisterBoth(mux, "POST /scenarios", s.handleLegacyScenario)
 	// A coordinator-backed service also serves the fleet lease
 	// protocol (POST /v1/fleet/lease|complete|heartbeat, GET
 	// /v1/fleet/workers) — mounted through the interface so the api
 	// package never imports internal/fleet.
-	if f, ok := s.cfg.Fleet.(interface{ Mount(*http.ServeMux) }); ok {
+	if f, ok := s.cfg.Fleet.(interface{ Mount(Router) }); ok {
 		f.Mount(mux)
 	}
-}
-
-// decodeRequest parses a run submission (shared by /v1/runs and the
-// legacy shim — same body shape).
-func decodeRequest(w http.ResponseWriter, r *http.Request) (scenario.HTTPRequest, bool) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var req scenario.HTTPRequest
-	if err := dec.Decode(&req); err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad scenario request: %v", err))
-		return req, false
-	}
-	return req, true
 }
 
 func (s *RunService) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -59,8 +43,11 @@ func (s *RunService) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, ok := decodeRequest(w, r)
-	if !ok {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	var req scenario.HTTPRequest
+	if err := dec.Decode(&req); err != nil {
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad scenario request: %v", err))
 		return
 	}
 	run, herr := s.SubmitAs(req, tn)
@@ -243,55 +230,8 @@ func (s *RunService) RetryAfter() time.Duration {
 	return d
 }
 
-// handleLegacyScenario is the POST /scenarios compatibility shim: it
-// submits through the same run store the /v1 API uses, waits for the
-// terminal state, and answers with the legacy one-shot table payload
-// (same status codes as the historical synchronous handler: 400/404
-// on bad requests, 422 for figure scenarios, plus 429 + Retry-After
-// when the run queue is full, where the old handler answered a bare
-// 503). Client disconnects cancel the run.
-func (s *RunService) handleLegacyScenario(w http.ResponseWriter, r *http.Request) {
-	tn, ok := s.tenantFor(w, r)
-	if !ok {
-		return
-	}
-	req, ok := decodeRequest(w, r)
-	if !ok {
-		return
-	}
-	run, herr := s.SubmitAs(req, tn)
-	if herr != nil {
-		s.writeSubmitErr(w, herr)
-		return
-	}
-	st, err := s.Wait(r.Context(), run)
-	if err != nil {
-		// The client went away: nobody wants this synchronous run.
-		s.Cancel(run)
-		return
-	}
-	switch st.State {
-	case RunFailed:
-		WriteError(w, http.StatusBadRequest, st.Error)
-		return
-	case RunCancelled:
-		WriteError(w, http.StatusServiceUnavailable, "run cancelled: "+st.Error)
-		return
-	}
-	res, ok := s.Result(run)
-	if !ok || res.Table == nil {
-		WriteError(w, http.StatusUnprocessableEntity,
-			fmt.Sprintf("scenario %q renders custom output; run it through the CLI", st.SpecID))
-		return
-	}
-	WriteJSON(w, http.StatusOK, scenario.HTTPResponse{
-		ID: st.SpecID, Kind: st.Kind, Seed: res.Seed,
-		Title: res.Table.Title, Headers: res.Table.Headers, Rows: res.Table.Rows,
-	})
-}
-
-// WriteRunMetrics appends the run-store series to a Prometheus text
-// exposition (shared by both daemon modes' /metrics handlers).
+// WriteRunMetrics appends the run-store series to the broker's
+// Prometheus text exposition (GET /v1/metrics).
 func WriteRunMetrics(w io.Writer, sum RunsSummary) {
 	g := func(name, help, typ string, v float64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", name, help, name, typ, name, v)

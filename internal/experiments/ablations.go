@@ -13,7 +13,6 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/smart"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -49,15 +48,6 @@ func ablationAllotmentRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario
 		return nil, err
 	}
 	return t.Result(), nil
-}
-
-// AblationAllotment is the compatibility entry point for ablation 1.
-func AblationAllotment(seed uint64, sc Scale) (*trace.Table, error) {
-	res, err := ablationAllotmentRun(mustSpec("ablation-allotment"), seed, sc)
-	if err != nil {
-		return nil, err
-	}
-	return res.Table, nil
 }
 
 // ablationDoublingBaseRun compares initial-deadline choices in the
@@ -97,15 +87,6 @@ func ablationDoublingBaseRun(spec *scenario.Spec, seed uint64, sc Scale) (*scena
 	return t.Result(), nil
 }
 
-// AblationDoublingBase is the compatibility entry point for ablation 2.
-func AblationDoublingBase(seed uint64, sc Scale) (*trace.Table, error) {
-	res, err := ablationDoublingBaseRun(mustSpec("ablation-doubling-base"), seed, sc)
-	if err != nil {
-		return nil, err
-	}
-	return res.Table, nil
-}
-
 // ablationShelfFillRun compares SMART's first-fit shelf filling against
 // best-fit (DESIGN.md ablation 3). Params: "ms", "n".
 func ablationShelfFillRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error) {
@@ -141,15 +122,6 @@ func ablationShelfFillRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario
 	return t.Result(), nil
 }
 
-// AblationShelfFill is the compatibility entry point for ablation 3.
-func AblationShelfFill(seed uint64, sc Scale) (*trace.Table, error) {
-	res, err := ablationShelfFillRun(mustSpec("ablation-shelf-fill"), seed, sc)
-	if err != nil {
-		return nil, err
-	}
-	return res.Table, nil
-}
-
 // ablationChunkRun sweeps the self-scheduling chunk size under latency
 // (DESIGN.md ablation 4). Params: "w", "latency", "chunks".
 func ablationChunkRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error) {
@@ -177,15 +149,6 @@ func ablationChunkRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Res
 		return nil, err
 	}
 	return t.Result(), nil
-}
-
-// AblationChunk is the compatibility entry point for ablation 4.
-func AblationChunk(seed uint64, sc Scale) (*trace.Table, error) {
-	res, err := ablationChunkRun(mustSpec("ablation-chunk"), seed, sc)
-	if err != nil {
-		return nil, err
-	}
-	return res.Table, nil
 }
 
 // ablationKillPolicyRun compares best-effort eviction rules on a loaded
@@ -239,15 +202,6 @@ func ablationKillPolicyRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenari
 	return t.Result(), nil
 }
 
-// AblationKillPolicy is the compatibility entry point for ablation 5.
-func AblationKillPolicy(seed uint64, sc Scale) (*trace.Table, error) {
-	res, err := ablationKillPolicyRun(mustSpec("ablation-kill-policy"), seed, sc)
-	if err != nil {
-		return nil, err
-	}
-	return res.Table, nil
-}
-
 // ablationCompactionRun measures the left-shift compaction post-pass
 // (rigid.Compact) applied to the batch-structured bi-criteria schedules:
 // batches leave idle steps at batch boundaries that compaction reclaims
@@ -297,13 +251,4 @@ func ablationCompactionRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenari
 		return nil, err
 	}
 	return t.Result(), nil
-}
-
-// AblationCompaction is the compatibility entry point for ablation 6.
-func AblationCompaction(seed uint64, sc Scale) (*trace.Table, error) {
-	res, err := ablationCompactionRun(mustSpec("ablation-compaction"), seed, sc)
-	if err != nil {
-		return nil, err
-	}
-	return res.Table, nil
 }

@@ -51,9 +51,8 @@ func fig2Kind(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, e
 	}), nil
 }
 
-// mustSpec resolves a built-in catalog Spec (the compatibility entry
-// points run through it so exported XxxTable calls see the same
-// defaults as the scenario engine).
+// mustSpec resolves a built-in catalog Spec (Fig2Tables runs through
+// it, so its points see the same defaults as the scenario engine).
 func mustSpec(id string) *scenario.Spec {
 	s, ok := scenario.Lookup(id)
 	if !ok {

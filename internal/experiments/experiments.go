@@ -6,9 +6,8 @@
 //
 // The package registers two things with internal/scenario at init time
 // (catalog.go): the kind interpreters, and the built-in Specs that
-// reproduce the paper's tables bit-identically. The exported XxxTable
-// functions are thin compatibility wrappers over the built-in Specs so
-// the root benchmark and integration suites keep their entry points.
+// reproduce the paper's tables bit-identically. Callers run a table
+// through scenario.Lookup + scenario.Run, the path the goldens pin.
 //
 // Every table is structured as a list of independent cells (one
 // parameter combination each, with a deterministic per-cell seed) that
@@ -29,7 +28,6 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/smart"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -138,16 +136,6 @@ func mrtRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error
 	return t.Result(), nil
 }
 
-// MRTTable is the compatibility entry point for T1 (the built-in "mrt"
-// scenario run at the given seed and scale).
-func MRTTable(seed uint64, sc Scale) (*trace.Table, error) {
-	res, err := mrtRun(mustSpec("mrt"), seed, sc)
-	if err != nil {
-		return nil, err
-	}
-	return res.Table, nil
-}
-
 // batchRun is experiment T2 (§4.2): the batch framework over MRT with
 // release dates versus its 2ρ = 3 + ε guarantee, across arrival
 // intensities. Params: "m", "n", "rates", "eps".
@@ -190,15 +178,6 @@ func batchRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, err
 		return nil, err
 	}
 	return t.Result(), nil
-}
-
-// BatchTable is the compatibility entry point for T2.
-func BatchTable(seed uint64, sc Scale) (*trace.Table, error) {
-	res, err := batchRun(mustSpec("batch"), seed, sc)
-	if err != nil {
-		return nil, err
-	}
-	return res.Table, nil
 }
 
 // smartRun is experiment T3 (§4.3): SMART shelves versus the 8 / 8.53
@@ -248,15 +227,6 @@ func smartRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, err
 		return nil, err
 	}
 	return t.Result(), nil
-}
-
-// SMARTTable is the compatibility entry point for T3.
-func SMARTTable(seed uint64, sc Scale) (*trace.Table, error) {
-	res, err := smartRun(mustSpec("smart"), seed, sc)
-	if err != nil {
-		return nil, err
-	}
-	return res.Table, nil
 }
 
 // bicriteriaRun is experiment T4 (§4.4): the doubling algorithm's two
@@ -316,15 +286,6 @@ func bicriteriaRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result
 	return t.Result(), nil
 }
 
-// BiCriteriaTable is the compatibility entry point for T4.
-func BiCriteriaTable(seed uint64, sc Scale) (*trace.Table, error) {
-	res, err := bicriteriaRun(mustSpec("bicriteria"), seed, sc)
-	if err != nil {
-		return nil, err
-	}
-	return res.Table, nil
-}
-
 // fig2Run regenerates both series of Figure 2 (the two series run as
 // independent cells). Params: "m", "reps", "ns" (full-scale axis).
 func fig2Run(spec *scenario.Spec, seed uint64, sc Scale) (np, p []bicriteria.Fig2Point, err error) {
@@ -351,7 +312,8 @@ func fig2Run(spec *scenario.Spec, seed uint64, sc Scale) (np, p []bicriteria.Fig
 	return series[0], series[1], nil
 }
 
-// Fig2Tables is the compatibility entry point for Figure 2.
+// Fig2Tables returns both Figure 2 series as points (the fig2 kind
+// renders them as a custom figure, not a table).
 func Fig2Tables(seed uint64, sc Scale) (np, p []bicriteria.Fig2Point, err error) {
 	return fig2Run(mustSpec("fig2"), seed, sc)
 }
@@ -392,15 +354,6 @@ func mixedRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, err
 		return nil, err
 	}
 	return t.Result(), nil
-}
-
-// MixedTable is the compatibility entry point for T8.
-func MixedTable(seed uint64, sc Scale) (*trace.Table, error) {
-	res, err := mixedRun(mustSpec("mixed"), seed, sc)
-	if err != nil {
-		return nil, err
-	}
-	return res.Table, nil
 }
 
 // runMixedStrategy implements §5.1's three ideas.

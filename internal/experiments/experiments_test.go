@@ -1,15 +1,34 @@
 package experiments
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/registry"
+	"repro/internal/scenario"
 	"repro/internal/trace"
 )
 
 var quick = Scale{JobFactor: 10}
+
+// catalogTable runs built-in scenario id at the given seed and scale
+// through scenario.Lookup + scenario.Run — the path the goldens pin.
+func catalogTable(id string, seed uint64, sc Scale) (*trace.Table, error) {
+	spec, ok := scenario.Lookup(id)
+	if !ok {
+		return nil, fmt.Errorf("no built-in scenario %q", id)
+	}
+	res, err := scenario.Run(spec, scenario.RunOptions{
+		Seed: seed, SeedExplicit: true,
+		Scale: scenario.Scale{JobFactor: sc.JobFactor, Workers: sc.Workers},
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res.Table, nil
+}
 
 // checkTable verifies the table renders and has the expected row count.
 func checkTable(t *testing.T, tb *trace.Table, err error, minRows int) string {
@@ -37,7 +56,7 @@ func parseRatio(t *testing.T, cell string) float64 {
 }
 
 func TestMRTTable(t *testing.T) {
-	tb, err := MRTTable(1, quick)
+	tb, err := catalogTable("mrt", 1, quick)
 	out := checkTable(t, tb, err, 9)
 	if !strings.Contains(out, "MRT") {
 		t.Fatal("missing MRT column")
@@ -51,7 +70,7 @@ func TestMRTTable(t *testing.T) {
 }
 
 func TestBatchTable(t *testing.T) {
-	tb, err := BatchTable(2, quick)
+	tb, err := catalogTable("batch", 2, quick)
 	checkTable(t, tb, err, 3)
 	for _, row := range tb.Rows {
 		if r := parseRatio(t, row[4]); r > 3.05 || r < 1.0-1e-9 {
@@ -61,7 +80,7 @@ func TestBatchTable(t *testing.T) {
 }
 
 func TestSMARTTable(t *testing.T) {
-	tb, err := SMARTTable(3, quick)
+	tb, err := catalogTable("smart", 3, quick)
 	checkTable(t, tb, err, 4)
 	for _, row := range tb.Rows {
 		if r := parseRatio(t, row[3]); r > 8.53 || r < 1.0-1e-9 {
@@ -71,7 +90,7 @@ func TestSMARTTable(t *testing.T) {
 }
 
 func TestBiCriteriaTable(t *testing.T) {
-	tb, err := BiCriteriaTable(4, quick)
+	tb, err := catalogTable("bicriteria", 4, quick)
 	checkTable(t, tb, err, 4)
 	for _, row := range tb.Rows {
 		if r := parseRatio(t, row[2]); r > 6 {
@@ -102,7 +121,7 @@ func TestFig2Tables(t *testing.T) {
 }
 
 func TestDLTTable(t *testing.T) {
-	tb, err := DLTTable(6, quick)
+	tb, err := catalogTable("dlt", 6, quick)
 	out := checkTable(t, tb, err, 8)
 	if !strings.Contains(out, "bus-4") || !strings.Contains(out, "star-hetero") {
 		t.Fatal("platforms missing")
@@ -127,7 +146,7 @@ func TestDLTTable(t *testing.T) {
 }
 
 func TestCiGriTable(t *testing.T) {
-	tb, err := CiGriTable(7, quick)
+	tb, err := catalogTable("cigri", 7, quick)
 	checkTable(t, tb, err, 2)
 	for _, row := range tb.Rows {
 		// Fairness: local flow difference must be ~0.
@@ -138,7 +157,7 @@ func TestCiGriTable(t *testing.T) {
 }
 
 func TestDecentralizedTable(t *testing.T) {
-	tb, err := DecentralizedTable(8, quick)
+	tb, err := catalogTable("decentralized", 8, quick)
 	checkTable(t, tb, err, 2)
 	isoFlow := parseRatio(t, tb.Rows[0][2])
 	exFlow := parseRatio(t, tb.Rows[1][2])
@@ -151,7 +170,7 @@ func TestDecentralizedTable(t *testing.T) {
 }
 
 func TestGridPolicyTable(t *testing.T) {
-	tb, err := GridPolicyTable(8, quick)
+	tb, err := catalogTable("gridpolicies", 8, quick)
 	checkTable(t, tb, err, len(registry.Grids()))
 	seen := map[string]bool{}
 	for _, row := range tb.Rows {
@@ -171,7 +190,7 @@ func TestGridPolicyTable(t *testing.T) {
 }
 
 func TestMixedTable(t *testing.T) {
-	tb, err := MixedTable(9, quick)
+	tb, err := catalogTable("mixed", 9, quick)
 	checkTable(t, tb, err, 6)
 	// Strategy C must be present and valid for both fractions.
 	foundC := 0
@@ -189,7 +208,7 @@ func TestMixedTable(t *testing.T) {
 }
 
 func TestReservationsTable(t *testing.T) {
-	tb, err := ReservationsTable(10, quick)
+	tb, err := catalogTable("reservations", 10, quick)
 	checkTable(t, tb, err, 2)
 	for _, row := range tb.Rows {
 		fcfs := parseRatio(t, row[2])
@@ -204,18 +223,10 @@ func TestReservationsTable(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	type run func(uint64, Scale) (*trace.Table, error)
-	for name, f := range map[string]run{
-		"allotment":    AblationAllotment,
-		"doublingBase": AblationDoublingBase,
-		"shelfFill":    AblationShelfFill,
-		"chunk":        AblationChunk,
-		"killPolicy":   AblationKillPolicy,
-		"compaction":   AblationCompaction,
-	} {
-		tb, err := f(11, quick)
+	for _, id := range scenario.CatalogIDs(scenario.GroupAblation) {
+		tb, err := catalogTable(id, 11, quick)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", id, err)
 		}
 		checkTable(t, tb, nil, 2)
 	}
@@ -246,7 +257,7 @@ func strconvParse(s string) (float64, error) {
 }
 
 func TestMalleableTable(t *testing.T) {
-	tb, err := MalleableTable(12, quick)
+	tb, err := catalogTable("malleable", 12, quick)
 	checkTable(t, tb, err, 2)
 	for _, row := range tb.Rows {
 		equi := parseRatio(t, row[3])
@@ -260,7 +271,7 @@ func TestMalleableTable(t *testing.T) {
 }
 
 func TestTreeDLTTable(t *testing.T) {
-	tb, err := TreeDLTTable(13, quick)
+	tb, err := catalogTable("treedlt", 13, quick)
 	checkTable(t, tb, err, 3)
 	// Hierarchy costs: flat star must be the fastest topology.
 	flat := parseRatio(t, tb.Rows[0][2])
@@ -272,7 +283,7 @@ func TestTreeDLTTable(t *testing.T) {
 }
 
 func TestDecentralizedTableHasPullRow(t *testing.T) {
-	tb, err := DecentralizedTable(8, quick)
+	tb, err := catalogTable("decentralized", 8, quick)
 	checkTable(t, tb, err, 3)
 	foundPull := false
 	for _, row := range tb.Rows {
@@ -289,7 +300,7 @@ func TestDecentralizedTableHasPullRow(t *testing.T) {
 }
 
 func TestCriteriaMatrixTable(t *testing.T) {
-	tb, err := CriteriaMatrixTable(14, quick)
+	tb, err := catalogTable("criteria", 14, quick)
 	checkTable(t, tb, err, 5)
 	// Find per-criterion winners: no single policy may win every column
 	// (the paper's argument for per-application selection).
@@ -312,7 +323,7 @@ func TestCriteriaMatrixTable(t *testing.T) {
 }
 
 func TestHeteroGridTable(t *testing.T) {
-	tb, err := HeteroGridTable(15, quick)
+	tb, err := catalogTable("heterogrid", 15, quick)
 	checkTable(t, tb, err, 6)
 	// In the capacity-bound regime (rows 3-5), speed-aware must beat
 	// round robin.

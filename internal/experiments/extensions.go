@@ -15,7 +15,6 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/smart"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -69,15 +68,6 @@ func malleableRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result,
 		return nil, err
 	}
 	return t.Result(), nil
-}
-
-// MalleableTable is the compatibility entry point for EXT1.
-func MalleableTable(seed uint64, sc Scale) (*trace.Table, error) {
-	res, err := malleableRun(mustSpec("malleable"), seed, sc)
-	if err != nil {
-		return nil, err
-	}
-	return res.Table, nil
 }
 
 // treeDLTRun is the extension experiment for the paper's reference [4]
@@ -145,15 +135,6 @@ func treeDLTRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, e
 		t.AddRow(c.name, cells[i].size, cells[i].makespan, cells[i].makespan/flat, cells[i].lb)
 	}
 	return t.Result(), nil
-}
-
-// TreeDLTTable is the compatibility entry point for EXT2.
-func TreeDLTTable(seed uint64, sc Scale) (*trace.Table, error) {
-	res, err := treeDLTRun(mustSpec("treedlt"), seed, sc)
-	if err != nil {
-		return nil, err
-	}
-	return res.Table, nil
 }
 
 // criteriaRun is extension experiment EXT3: the paper's title question
@@ -230,15 +211,6 @@ func criteriaRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, 
 	return t.Result(), nil
 }
 
-// CriteriaMatrixTable is the compatibility entry point for EXT3.
-func CriteriaMatrixTable(seed uint64, sc Scale) (*trace.Table, error) {
-	res, err := criteriaRun(mustSpec("criteria"), seed, sc)
-	if err != nil {
-		return nil, err
-	}
-	return res.Table, nil
-}
-
 // heteroGridRun is extension experiment EXT4: two-level scheduling
 // across the speed-heterogeneous CIMENT grid — the §2.2 "uniform
 // processors" view at grid scale. Compares the speed-aware partition
@@ -307,13 +279,4 @@ func heteroGridRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result
 		return nil, err
 	}
 	return t.Result(), nil
-}
-
-// HeteroGridTable is the compatibility entry point for EXT4.
-func HeteroGridTable(seed uint64, sc Scale) (*trace.Table, error) {
-	res, err := heteroGridRun(mustSpec("heterogrid"), seed, sc)
-	if err != nil {
-		return nil, err
-	}
-	return res.Table, nil
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/rigid"
 	"repro/internal/scenario"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -76,15 +75,6 @@ func dltRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error
 		return nil, err
 	}
 	return t.Result(), nil
-}
-
-// DLTTable is the compatibility entry point for T5.
-func DLTTable(seed uint64, sc Scale) (*trace.Table, error) {
-	res, err := dltRun(mustSpec("dlt"), seed, sc)
-	if err != nil {
-		return nil, err
-	}
-	return res.Table, nil
 }
 
 // communityMembers builds the CIMENT members with per-cluster community
@@ -180,15 +170,6 @@ func cigriRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, err
 	return t.Result(), nil
 }
 
-// CiGriTable is the compatibility entry point for T6.
-func CiGriTable(seed uint64, sc Scale) (*trace.Table, error) {
-	res, err := cigriRun(mustSpec("cigri"), seed, sc)
-	if err != nil {
-		return nil, err
-	}
-	return res.Table, nil
-}
-
 // decentralizedRun is experiment T7 (§5.2 decentralized): the same
 // imbalanced workload run isolated versus with periodic load exchange.
 // The three schemes (isolated, push, pull) are independent cells over
@@ -274,15 +255,6 @@ func decentralizedRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Res
 	return t.Result(), nil
 }
 
-// DecentralizedTable is the compatibility entry point for T7.
-func DecentralizedTable(seed uint64, sc Scale) (*trace.Table, error) {
-	res, err := decentralizedRun(mustSpec("decentralized"), seed, sc)
-	if err != nil {
-		return nil, err
-	}
-	return res.Table, nil
-}
-
 // reservationsRun is experiment T9 (§5.1): scheduling around advance
 // reservations with FCFS versus conservative backfilling. Params: "m",
 // "n".
@@ -348,15 +320,6 @@ func reservationsRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Resu
 			1.0)
 	}
 	return t.Result(), nil
-}
-
-// ReservationsTable is the compatibility entry point for T9.
-func ReservationsTable(seed uint64, sc Scale) (*trace.Table, error) {
-	res, err := reservationsRun(mustSpec("reservations"), seed, sc)
-	if err != nil {
-		return nil, err
-	}
-	return res.Table, nil
 }
 
 func cloneJobSlice(jobs []*workload.Job) []*workload.Job {

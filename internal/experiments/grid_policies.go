@@ -11,7 +11,6 @@ import (
 	"repro/internal/registry"
 	"repro/internal/runtrace"
 	"repro/internal/scenario"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -218,13 +217,4 @@ func gridRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, erro
 	res := t.Result()
 	tc.install(res)
 	return res, nil
-}
-
-// GridPolicyTable is the compatibility entry point for T15.
-func GridPolicyTable(seed uint64, sc Scale) (*trace.Table, error) {
-	res, err := gridRun(mustSpec("gridpolicies"), seed, sc)
-	if err != nil {
-		return nil, err
-	}
-	return res.Table, nil
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/lowerbound"
 	"repro/internal/metrics"
 	"repro/internal/scenario"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -112,15 +111,6 @@ func onlineRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, er
 	res := t.Result()
 	tc.install(res)
 	return res, nil
-}
-
-// OnlinePolicyTable is the compatibility entry point for T14.
-func OnlinePolicyTable(seed uint64, sc Scale) (*trace.Table, error) {
-	res, err := onlineRun(mustSpec("policies"), seed, sc)
-	if err != nil {
-		return nil, err
-	}
-	return res.Table, nil
 }
 
 // killPolicy resolves the best-effort eviction rule by name.

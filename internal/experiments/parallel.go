@@ -173,7 +173,7 @@ func (t *rtable) Result() *scenario.Result {
 // fan-outs use the raw runCells path and consume no ordinal), so for a
 // fixed spec the numbering is deterministic — it is the coordinate
 // system coordinator and workers share. Scales built without the
-// scenario.Run adapter (the compatibility entry points) carry no
+// scenario.Run adapter (Fig2Tables, tests) carry no
 // counter and label every fan-out 0, which is harmless: the fleet
 // hooks are only wired through fromOptions.
 func (s Scale) nextFanout() int {

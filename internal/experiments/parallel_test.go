@@ -27,36 +27,36 @@ func renderRows(t *testing.T, tb *trace.Table) []string {
 // bit-identical between the sequential runner and the worker pool — the
 // determinism contract of the parallel experiment harness.
 func TestParallelMatchesSequential(t *testing.T) {
-	type tableFn func(uint64, Scale) (*trace.Table, error)
-	tables := map[string]tableFn{
-		"mrt":           MRTTable,
-		"batch":         BatchTable,
-		"smart":         SMARTTable,
-		"bicriteria":    BiCriteriaTable,
-		"dlt":           DLTTable,
-		"cigri":         CiGriTable,
-		"decentralized": DecentralizedTable,
-		"mixed":         MixedTable,
-		"reservations":  ReservationsTable,
-		"malleable":     MalleableTable,
-		"treedlt":       TreeDLTTable,
-		"criteria":      CriteriaMatrixTable,
-		"heterogrid":    HeteroGridTable,
-		"gridpolicies":  GridPolicyTable,
-		"abl-allot":     AblationAllotment,
-		"abl-doubling":  AblationDoublingBase,
-		"abl-shelf":     AblationShelfFill,
-		"abl-chunk":     AblationChunk,
-		"abl-kill":      AblationKillPolicy,
-		"abl-compact":   AblationCompaction,
+	// Subtest name → built-in scenario id.
+	tables := map[string]string{
+		"mrt":           "mrt",
+		"batch":         "batch",
+		"smart":         "smart",
+		"bicriteria":    "bicriteria",
+		"dlt":           "dlt",
+		"cigri":         "cigri",
+		"decentralized": "decentralized",
+		"mixed":         "mixed",
+		"reservations":  "reservations",
+		"malleable":     "malleable",
+		"treedlt":       "treedlt",
+		"criteria":      "criteria",
+		"heterogrid":    "heterogrid",
+		"gridpolicies":  "gridpolicies",
+		"abl-allot":     "ablation-allotment",
+		"abl-doubling":  "ablation-doubling-base",
+		"abl-shelf":     "ablation-shelf-fill",
+		"abl-chunk":     "ablation-chunk",
+		"abl-kill":      "ablation-kill-policy",
+		"abl-compact":   "ablation-compaction",
 	}
-	for name, fn := range tables {
+	for name, id := range tables {
 		t.Run(name, func(t *testing.T) {
-			seq, err := fn(21, Scale{JobFactor: 20})
+			seq, err := catalogTable(id, 21, Scale{JobFactor: 20})
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := fn(21, Scale{JobFactor: 20, Workers: 8})
+			par, err := catalogTable(id, 21, Scale{JobFactor: 20, Workers: 8})
 			if err != nil {
 				t.Fatal(err)
 			}

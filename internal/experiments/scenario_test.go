@@ -91,22 +91,22 @@ func TestSpecJSONRoundTripRuns(t *testing.T) {
 	}
 }
 
-// TestCompatibilityWrappersUseCatalog: the exported XxxTable entry
-// points must produce the same table as the scenario engine (they are
-// documented as equivalent).
+// TestCompatibilityWrappersUseCatalog: a kind runner called directly on
+// its built-in spec produces the same table as the catalog path the
+// tests' catalogTable helper (and the goldens) use — scenario.Run's
+// seed and scale plumbing changes nothing.
 func TestCompatibilityWrappersUseCatalog(t *testing.T) {
 	sc := Scale{JobFactor: 20}
-	wrap, err := MRTTable(11, sc)
+	direct, err := mrtRun(mustSpec("mrt"), 11, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, _ := scenario.Lookup("mrt")
-	res, err := scenario.Run(spec, scenario.RunOptions{Seed: 11, Scale: scenario.Scale{JobFactor: 20}})
+	tb, err := catalogTable("mrt", 11, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(wrap.Rows, res.Table.Rows) {
-		t.Fatal("MRTTable and scenario engine disagree")
+	if !reflect.DeepEqual(direct.Table.Rows, tb.Rows) {
+		t.Fatal("mrt kind runner and scenario engine disagree")
 	}
 }
 

@@ -593,7 +593,7 @@ func (c *Coordinator) CompleteCells(_ context.Context, req CompleteRequest) (Com
 		case cr.Error != "":
 			out.err = fmt.Errorf("fleet: worker %s: cell %s: %s", req.WorkerID, cr.CellRef, cr.Error)
 		default:
-			rows, err := DecodeRows(cr.Rows)
+			rows, err := scenario.DecodeRows(cr.Rows)
 			if err != nil {
 				out.err = fmt.Errorf("fleet: worker %s: cell %s: %w", req.WorkerID, cr.CellRef, err)
 			} else {

@@ -33,7 +33,7 @@ func TestValueCodecRoundTrip(t *testing.T) {
 		true, false,
 	}
 	for _, v := range vals {
-		ev, err := EncodeValue(v)
+		ev, err := scenario.EncodeValue(v)
 		if err != nil {
 			t.Fatalf("encode %v (%T): %v", v, v, err)
 		}
@@ -50,7 +50,7 @@ func TestValueCodecRoundTrip(t *testing.T) {
 		}
 	}
 	// NaN defeats DeepEqual; check it separately.
-	ev, err := EncodeValue(math.NaN())
+	ev, err := scenario.EncodeValue(math.NaN())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,13 +62,13 @@ func TestValueCodecRoundTrip(t *testing.T) {
 		t.Fatalf("NaN round trip -> %v (%T)", got, got)
 	}
 	// Types outside the vocabulary are refused, not coerced.
-	if _, err := EncodeValue(int32(3)); err == nil {
+	if _, err := scenario.EncodeValue(int32(3)); err == nil {
 		t.Fatal("int32 encoded silently")
 	}
-	if _, err := EncodeValue(nil); err == nil {
+	if _, err := scenario.EncodeValue(nil); err == nil {
 		t.Fatal("nil encoded silently")
 	}
-	if _, err := (Value{T: "x", V: "1"}).Decode(); err == nil {
+	if _, err := (scenario.Value{T: "x", V: "1"}).Decode(); err == nil {
 		t.Fatal("unknown tag decoded")
 	}
 }
@@ -78,7 +78,7 @@ func complete(t *testing.T, c *Coordinator, worker, leaseID, runID string, cells
 	t.Helper()
 	var results []CellResult
 	for _, ref := range cells {
-		vals, err := EncodeRows(rows)
+		vals, err := scenario.EncodeRows(rows)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,7 +18,7 @@ import (
 //	POST /v1/fleet/complete   report typed cell results (idempotent)
 //	POST /v1/fleet/heartbeat  extend lease TTLs
 //	GET  /v1/fleet/workers    fleet view (gridctl workers)
-func (c *Coordinator) Mount(mux *http.ServeMux) {
+func (c *Coordinator) Mount(mux api.Router) {
 	mux.HandleFunc("POST /v1/fleet/lease", c.handleLease)
 	mux.HandleFunc("POST /v1/fleet/complete", c.handleComplete)
 	mux.HandleFunc("POST /v1/fleet/heartbeat", c.handleHeartbeat)

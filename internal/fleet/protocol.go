@@ -103,30 +103,13 @@ type LeaseResponse struct {
 	Lease *Lease `json:"lease,omitempty"`
 }
 
-// Value is one typed table value on the wire; the codec lives in the
-// scenario package (scenario.Value) because the durable run store
-// persists the same representation. The fleet protocol keeps these
-// aliases so wire types and existing callers are unchanged.
-type Value = scenario.Value
-
-// EncodeValue encodes one table value. Types outside the table-row
-// vocabulary error loudly: silently coercing them would break the
-// byte-identity contract far from the cause.
-func EncodeValue(v any) (Value, error) { return scenario.EncodeValue(v) }
-
-// EncodeRows encodes a cell's typed rows for the wire.
-func EncodeRows(rows [][]any) ([][]Value, error) { return scenario.EncodeRows(rows) }
-
-// DecodeRows restores a cell's typed rows.
-func DecodeRows(rows [][]Value) ([][]any, error) { return scenario.DecodeRows(rows) }
-
 // CellResult is one finished cell: its typed rows (or an error) plus
 // the worker's wall-clock measurement.
 type CellResult struct {
 	CellRef
-	Rows            [][]Value `json:"rows,omitempty"`
-	DurationSeconds float64   `json:"duration_seconds,omitempty"`
-	Error           string    `json:"error,omitempty"`
+	Rows            [][]scenario.Value `json:"rows,omitempty"`
+	DurationSeconds float64            `json:"duration_seconds,omitempty"`
+	Error           string             `json:"error,omitempty"`
 }
 
 // CompleteRequest reports a lease's results. Completion is idempotent:

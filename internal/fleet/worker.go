@@ -225,7 +225,7 @@ func ExecuteLease(ctx context.Context, ls *Lease, localWorkers int) []CellResult
 		OnCellRows: func(f, cl int, rows [][]any, d time.Duration) {
 			ref := CellRef{Fanout: f, Cell: cl}
 			cr := CellResult{CellRef: ref, DurationSeconds: d.Seconds()}
-			if vals, err := EncodeRows(rows); err != nil {
+			if vals, err := scenario.EncodeRows(rows); err != nil {
 				cr.Error = err.Error()
 			} else {
 				cr.Rows = vals

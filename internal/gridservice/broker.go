@@ -1,9 +1,11 @@
-// Package gridservice is the federated grid broker: the online,
-// multi-cluster counterpart of the offline grid simulations in
-// internal/grid. A Broker owns one service.Engine per cluster — each
-// with its own DES loop goroutine — on a shared paced virtual clock, and
-// routes work across the fleet with a pluggable grid policy
-// (grid.Router via the registry catalog):
+// Package gridservice is the federated grid broker behind the gridd
+// daemon: the online, multi-cluster counterpart of the offline grid
+// simulations in internal/grid. As in the paper, a single cluster is a
+// one-cluster grid — gridd without -topology serves a one-cluster
+// fleet through this same code. A Broker owns one service.Engine per
+// cluster — each with its own DES loop goroutine — on a shared paced
+// virtual clock, and routes work across the fleet with a pluggable grid
+// policy (grid.Router via the registry catalog):
 //
 //   - local jobs are placed on a cluster at submission time
 //     (round-robin home clusters, least-loaded, capacity-weighted
@@ -53,7 +55,7 @@ type JobStatus struct {
 	Cluster string `json:"cluster"`
 }
 
-// CampaignSpec is the POST /campaigns payload: a bag of Tasks identical
+// CampaignSpec is the POST /v1/campaigns payload: a bag of Tasks identical
 // independent runs of RunTime reference-speed seconds each.
 type CampaignSpec struct {
 	Name    string  `json:"name,omitempty"`
@@ -102,7 +104,14 @@ type ClusterStats struct {
 	Stats service.Stats `json:"stats"`
 }
 
-// FleetStats is the GET /stats payload of a broker.
+// ClusterQueue is one cluster's queue under its fleet name; GET
+// /v1/queue answers one per cluster, in fleet order.
+type ClusterQueue struct {
+	Name string `json:"name"`
+	service.QueueSnapshot
+}
+
+// FleetStats is the GET /v1/stats payload.
 type FleetStats struct {
 	GridPolicy string         `json:"grid_policy"`
 	Dilation   float64        `json:"dilation"`
@@ -180,7 +189,7 @@ func NewBroker(topo Topology) (*Broker, error) {
 		ci := i
 		eng, err := service.New(service.Config{
 			M: spec.M, Speed: spec.Speed, Policy: spec.Policy, Kill: kp,
-			Dilation: topo.Dilation, Label: spec.Name, Anchor: anchor,
+			Dilation: topo.Dilation, Anchor: anchor,
 			OnBEKilled: func(t cluster.BETask) { b.onKilled(t) },
 			OnBEDone:   func(t cluster.BETask) { b.onDone(ci, t) },
 		})
@@ -630,6 +639,19 @@ func (b *Broker) Job(id int) (JobStatus, bool, error) {
 // Engine exposes cluster i's engine (determinism tests compare each
 // shard against its offline twin).
 func (b *Broker) Engine(i int) *service.Engine { return b.engines[i] }
+
+// Queue snapshots every cluster's waiting and running jobs.
+func (b *Broker) Queue() ([]ClusterQueue, error) {
+	out := make([]ClusterQueue, len(b.engines))
+	for i, e := range b.engines {
+		snap, err := e.Queue()
+		if err != nil {
+			return nil, err
+		}
+		out[i] = ClusterQueue{Name: b.names[i], QueueSnapshot: snap}
+	}
+	return out, nil
+}
 
 // Stats aggregates per-cluster and fleet-wide statistics.
 func (b *Broker) Stats() (FleetStats, error) {

@@ -2,6 +2,7 @@ package gridservice
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -43,22 +44,44 @@ type completionKey struct {
 }
 
 // TestBrokerCentralizedMatchesOffline is the §5.2 determinism witness:
-// a trace replayed through the live 4-cluster broker under the
-// centralized grid policy must produce, on every cluster, exactly the
-// local completions of the offline grid.Centralized run over the same
-// round-robin split — and the campaign must complete in full on both.
+// a trace replayed through the live broker under the centralized grid
+// policy must produce, on every cluster, exactly the local completions
+// of the offline grid.Centralized run over the same round-robin split —
+// and the campaign must complete in full on both. The inputs are a
+// 4-cluster EASY fleet and, for every online policy, the one-cluster
+// fleet a flag-configured gridd serves.
 func TestBrokerCentralizedMatchesOffline(t *testing.T) {
-	const k, m, n, tasks = 4, 16, 120, 300
+	type fleetCase struct {
+		k      int
+		policy string
+	}
+	cases := []fleetCase{{4, "easy"}}
+	for _, e := range registry.Online() {
+		cases = append(cases, fleetCase{1, e.Name})
+	}
+	for _, fc := range cases {
+		t.Run(fmt.Sprintf("k%d-%s", fc.k, fc.policy), func(t *testing.T) {
+			matchOffline(t, fc.k, fc.policy)
+		})
+	}
+}
+
+func matchOffline(t *testing.T, k int, policy string) {
+	const m, n, tasks = 16, 120, 300
 	const runTime = 7.0
 	jobs := testJobs(n, m, 5)
+	entry, err := registry.Get(policy)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Offline reference: one DES, four member sims, central CiGri server.
+	// Offline reference: one DES, k member sims, central CiGri server.
 	split := grid.SplitJobsRoundRobin(cloneAll(jobs), k)
 	var members []grid.Member
 	for i := 0; i < k; i++ {
 		members = append(members, grid.Member{
 			Cluster: &platform.Cluster{Name: "ref", Nodes: m, ProcsPerNode: 1, Speed: 1},
-			Policy:  cluster.EASYPolicy{},
+			Policy:  entry.NewPolicy(),
 			Local:   split[i],
 		})
 	}
@@ -75,7 +98,9 @@ func TestBrokerCentralizedMatchesOffline(t *testing.T) {
 	}
 
 	// Live broker over the same stream.
-	b, err := NewBroker(fleetTopo(k, m, "centralized"))
+	topo := fleetTopo(k, m, "centralized")
+	topo.Defaults.Policy = policy
+	b, err := NewBroker(topo)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
-// HTTP layer of the broker: the gridd daemon in -topology (grid) mode.
-// The JSON API mirrors the single-engine service API and adds campaign
-// management plus fleet-wide aggregation; /metrics labels every
-// per-cluster series with {cluster="<name>"}.
+// HTTP layer of the broker: the gridd daemon's whole JSON API. /v1/stats
+// and /v1/queue report the fleet cluster by cluster, and /v1/metrics
+// labels every per-cluster series with {cluster="<name>"}.
 package gridservice
 
 import (
@@ -18,20 +17,20 @@ import (
 	"repro/internal/service"
 )
 
-// Handler returns the broker HTTP API. Every legacy route is also
-// served under /v1 (same handlers), and runs mounts the shared
-// run-lifecycle API (POST /v1/runs, status, SSE events, cancel, plus
-// the legacy POST /scenarios shim):
+// Handler returns the gridd HTTP API, every route under /v1; runs
+// mounts the shared run-lifecycle API (POST /v1/runs, status, SSE
+// events, result, trace, cancel, version):
 //
-//	POST /jobs           submit a JobSpec (optional "cluster" pin), 202
-//	GET  /jobs/{id}      status of one job (includes its cluster)
-//	POST /campaigns      submit a CampaignSpec, returns the Campaign (202)
-//	GET  /campaigns      all campaigns
-//	GET  /campaigns/{id} one campaign
-//	GET  /stats          fleet-wide + per-cluster statistics + runs summary
-//	GET  /metrics        Prometheus text, per-cluster labels
-//	GET  /policies       local policy catalog + grid policy catalog
-//	GET  /topology       the filled fleet configuration
+//	POST /v1/jobs            submit a JobSpec (optional "cluster" pin), 202
+//	GET  /v1/jobs/{id}       status of one job (includes its cluster)
+//	GET  /v1/queue           waiting + running jobs, per cluster
+//	POST /v1/campaigns       submit a CampaignSpec, returns the Campaign (202)
+//	GET  /v1/campaigns       all campaigns
+//	GET  /v1/campaigns/{id}  one campaign
+//	GET  /v1/stats           fleet-wide + per-cluster statistics + runs summary
+//	GET  /v1/metrics         Prometheus text, per-cluster labels
+//	GET  /v1/policies        local policy catalog + grid policy catalog
+//	GET  /v1/topology        the filled fleet configuration
 //
 // A nil runs service gets a default-config one (tests; cmd/gridd
 // passes its flag-configured instance).
@@ -40,110 +39,178 @@ func (b *Broker) Handler(runs *api.RunService) http.Handler {
 		runs = api.NewRunService(api.Config{})
 	}
 	mux := http.NewServeMux()
-	api.RegisterBoth(mux, "POST /jobs", b.handleSubmit)
-	api.RegisterBoth(mux, "GET /jobs/{id}", b.handleJob)
-	api.RegisterBoth(mux, "POST /campaigns", b.handleSubmitCampaign)
-	api.RegisterBoth(mux, "GET /campaigns", b.handleCampaigns)
-	api.RegisterBoth(mux, "GET /campaigns/{id}", b.handleCampaign)
-	api.RegisterBoth(mux, "GET /stats", b.statsHandler(runs))
-	api.RegisterBoth(mux, "GET /metrics", b.metricsHandler(runs))
-	api.RegisterBoth(mux, "GET /policies", b.handlePolicies)
-	api.RegisterBoth(mux, "GET /topology", b.handleTopology)
-	runs.Mount(mux)
+	b.routes(mux, runs)
 	return api.Wrap(mux, runs.Config().MaxBody, runs.Config().Log)
+}
+
+// routes registers the whole API on mux.
+func (b *Broker) routes(mux api.Router, runs *api.RunService) {
+	mux.HandleFunc("POST /v1/jobs", b.handleSubmit)
+	mux.HandleFunc("GET /v1/jobs/{id}", b.handleJob)
+	mux.HandleFunc("GET /v1/queue", b.handleQueue)
+	mux.HandleFunc("POST /v1/campaigns", b.handleSubmitCampaign)
+	mux.HandleFunc("GET /v1/campaigns", b.handleCampaigns)
+	mux.HandleFunc("GET /v1/campaigns/{id}", b.handleCampaign)
+	mux.HandleFunc("GET /v1/stats", b.statsHandler(runs))
+	mux.HandleFunc("GET /v1/metrics", b.metricsHandler(runs))
+	mux.HandleFunc("GET /v1/policies", handlePolicies)
+	mux.HandleFunc("GET /v1/topology", b.handleTopology)
+	runs.Mount(mux)
 }
 
 func (b *Broker) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec service.JobSpec
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		service.WriteJSON(w, http.StatusBadRequest, service.APIError{Error: fmt.Sprintf("bad job spec: %v", err)})
+		api.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad job spec: %v", err))
 		return
 	}
 	st, err := b.Submit(spec)
 	switch {
 	case errors.Is(err, cluster.ErrDrained) || errors.Is(err, service.ErrStopped):
-		service.WriteJSON(w, http.StatusServiceUnavailable, service.APIError{Error: err.Error()})
+		api.WriteError(w, http.StatusServiceUnavailable, err.Error())
 	case err != nil:
-		service.WriteJSON(w, http.StatusBadRequest, service.APIError{Error: err.Error()})
+		api.WriteError(w, http.StatusBadRequest, err.Error())
 	default:
-		service.WriteJSON(w, http.StatusAccepted, st)
+		api.WriteJSON(w, http.StatusAccepted, st)
 	}
 }
 
 func (b *Broker) handleJob(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		service.WriteJSON(w, http.StatusBadRequest, service.APIError{Error: "job id must be an integer"})
+		api.WriteError(w, http.StatusBadRequest, "job id must be an integer")
 		return
 	}
 	st, ok, err := b.Job(id)
 	if err != nil {
-		service.WriteJSON(w, http.StatusServiceUnavailable, service.APIError{Error: err.Error()})
+		api.WriteError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	if !ok {
-		service.WriteJSON(w, http.StatusNotFound, service.APIError{Error: fmt.Sprintf("unknown job %d", id)})
+		api.WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown job %d", id))
 		return
 	}
-	service.WriteJSON(w, http.StatusOK, st)
+	api.WriteJSON(w, http.StatusOK, st)
+}
+
+func (b *Broker) handleQueue(w http.ResponseWriter, r *http.Request) {
+	q, err := b.Queue()
+	if err != nil {
+		api.WriteError(w, http.StatusServiceUnavailable, err.Error())
+		return
+	}
+	api.WriteJSON(w, http.StatusOK, q)
 }
 
 func (b *Broker) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
 	var spec CampaignSpec
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		service.WriteJSON(w, http.StatusBadRequest, service.APIError{Error: fmt.Sprintf("bad campaign spec: %v", err)})
+		api.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad campaign spec: %v", err))
 		return
 	}
 	c, err := b.SubmitCampaign(spec)
 	if err != nil {
-		service.WriteJSON(w, http.StatusBadRequest, service.APIError{Error: err.Error()})
+		api.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	service.WriteJSON(w, http.StatusAccepted, c)
+	api.WriteJSON(w, http.StatusAccepted, c)
 }
 
 func (b *Broker) handleCampaigns(w http.ResponseWriter, r *http.Request) {
-	out := b.Campaigns()
-	if out == nil {
-		out = []Campaign{}
-	}
-	service.WriteJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, b.Campaigns())
 }
 
 func (b *Broker) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		service.WriteJSON(w, http.StatusBadRequest, service.APIError{Error: "campaign id must be an integer"})
+		api.WriteError(w, http.StatusBadRequest, "campaign id must be an integer")
 		return
 	}
 	c, ok := b.CampaignStatus(id)
 	if !ok {
-		service.WriteJSON(w, http.StatusNotFound, service.APIError{Error: fmt.Sprintf("unknown campaign %d", id)})
+		api.WriteError(w, http.StatusNotFound, fmt.Sprintf("unknown campaign %d", id))
 		return
 	}
-	service.WriteJSON(w, http.StatusOK, c)
+	api.WriteJSON(w, http.StatusOK, c)
 }
 
-// statsHandler serves /stats: fleet statistics plus the scenario runs
+// statsHandler serves /v1/stats: fleet statistics plus the scenario runs
 // summary, read from the same run store the /v1/runs endpoints serve
 // (single source of truth for run state).
 func (b *Broker) statsHandler(runs *api.RunService) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		st, err := b.Stats()
 		if err != nil {
-			service.WriteJSON(w, http.StatusServiceUnavailable, service.APIError{Error: err.Error()})
+			api.WriteError(w, http.StatusServiceUnavailable, err.Error())
 			return
 		}
 		sum := runs.Summary()
 		st.Runs = &sum
-		service.WriteJSON(w, http.StatusOK, st)
+		api.WriteJSON(w, http.StatusOK, st)
 	}
 }
 
+// clusterSeries are the per-cluster series of /v1/metrics, each written
+// once per cluster with a {cluster="name"} label.
+var clusterSeries = []struct {
+	name, help, typ string
+	get             func(s service.Stats) float64
+}{
+	{"gridd_cluster_processors", "Cluster width.", "gauge",
+		func(s service.Stats) float64 { return float64(s.M) }},
+	// Gauge, not counter: migrations move tracked jobs between clusters,
+	// so the per-cluster value can decrease.
+	{"gridd_cluster_jobs_tracked", "Jobs tracked by this cluster (migrations move them).", "gauge",
+		func(s service.Stats) float64 { return float64(s.Submitted) }},
+	{"gridd_cluster_jobs_completed_total", "Jobs completed on this cluster.", "counter",
+		func(s service.Stats) float64 { return float64(s.Completed) }},
+	{"gridd_cluster_jobs_waiting", "Jobs waiting on this cluster (pending arrival or queued).", "gauge",
+		func(s service.Stats) float64 { return float64(s.Waiting) }},
+	{"gridd_cluster_jobs_running", "Jobs running on this cluster.", "gauge",
+		func(s service.Stats) float64 { return float64(s.Running) }},
+	{"gridd_cluster_utilization_ratio", "Processor-time utilization.", "gauge",
+		func(s service.Stats) float64 { return s.Report.Utilization }},
+	{"gridd_cluster_makespan_seconds", "Cmax over completed jobs.", "gauge",
+		func(s service.Stats) float64 { return s.Report.Makespan }},
+	{"gridd_cluster_mean_flow_seconds", "Mean flow over completed jobs.", "gauge",
+		func(s service.Stats) float64 { return s.Report.MeanFlow }},
+	{"gridd_cluster_max_flow_seconds", "Max flow over completed jobs.", "gauge",
+		func(s service.Stats) float64 { return s.Report.MaxFlow }},
+	{"gridd_cluster_mean_stretch", "Mean normalized stretch over completed jobs.", "gauge",
+		func(s service.Stats) float64 { return s.Report.MeanStretch }},
+	{"gridd_cluster_max_stretch", "Max normalized stretch over completed jobs.", "gauge",
+		func(s service.Stats) float64 { return s.Report.MaxStretch }},
+	{"gridd_cluster_best_effort_completed_total", "Best-effort tasks completed here.", "counter",
+		func(s service.Stats) float64 { return float64(s.BestEffort.Completed) }},
+	{"gridd_cluster_best_effort_killed_total", "Best-effort tasks killed here.", "counter",
+		func(s service.Stats) float64 { return float64(s.BestEffort.Killed) }},
+	{"gridd_cluster_best_effort_redistributed_total", "Killed best-effort tasks re-arrived after drifting through the stock.", "counter",
+		func(s service.Stats) float64 { return float64(s.BestEffort.Redistributed) }},
+	{"gridd_cluster_fault_crashes_total", "Capacity-loss events injected.", "counter",
+		func(s service.Stats) float64 { return float64(s.Report.Faults.Crashes) }},
+	{"gridd_cluster_fault_repairs_total", "Capacity-return events.", "counter",
+		func(s service.Stats) float64 { return float64(s.Report.Faults.Repairs) }},
+	{"gridd_cluster_fault_requeues_total", "Local jobs killed by crashes and requeued.", "counter",
+		func(s service.Stats) float64 { return float64(s.Report.Faults.Requeues) }},
+	{"gridd_cluster_fault_lost_work_seconds", "Reference-speed work destroyed by crashes.", "counter",
+		func(s service.Stats) float64 { return s.Report.Faults.LostWork }},
+	{"gridd_cluster_fault_down_proc_seconds", "Integrated unavailable capacity.", "counter",
+		func(s service.Stats) float64 { return s.Report.Faults.DownProcSeconds }},
+	{"gridd_cluster_virtual_time_seconds", "Cluster virtual clock.", "gauge",
+		func(s service.Stats) float64 { return s.VirtualNow }},
+	{"gridd_cluster_time_dilation", "Simulated seconds per wall second (0 = free-running).", "gauge",
+		func(s service.Stats) float64 { return s.Dilation }},
+	{"gridd_cluster_drained", "1 once the cluster stopped accepting submissions.", "gauge",
+		func(s service.Stats) float64 {
+			if s.Drained {
+				return 1
+			}
+			return 0
+		}},
+}
+
 // metricsHandler renders fleet and per-cluster series in Prometheus
-// text exposition format, plus the run-store series shared with the
-// single-cluster mode. Per-cluster series carry a {cluster="name"}
-// label.
+// text exposition format, plus the run-store and trace series.
 func (b *Broker) metricsHandler(runs *api.RunService) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		st, err := b.Stats()
@@ -159,12 +226,6 @@ func (b *Broker) metricsHandler(runs *api.RunService) http.HandlerFunc {
 			head(name, help, typ)
 			fmt.Fprintf(w, "%s %g\n", name, v)
 		}
-		perCluster := func(name, help, typ string, get func(s service.Stats) float64) {
-			head(name, help, typ)
-			for _, c := range st.Clusters {
-				fmt.Fprintf(w, "%s{cluster=%q} %g\n", name, c.Name, get(c.Stats))
-			}
-		}
 		fleet("gridd_fleet_clusters", "Clusters in the fleet.", "gauge", float64(st.Fleet.Clusters))
 		fleet("gridd_fleet_processors", "Total processors across the fleet.", "gauge", float64(st.Fleet.Procs))
 		fleet("gridd_fleet_jobs_submitted_total", "Jobs accepted by the broker since start.", "counter", float64(st.Fleet.Submitted))
@@ -179,31 +240,26 @@ func (b *Broker) metricsHandler(runs *api.RunService) http.HandlerFunc {
 		fleet("gridd_fleet_best_effort_killed_total", "Best-effort tasks killed fleet-wide.", "counter", float64(st.Fleet.BestEffort.Killed))
 		fleet("gridd_fleet_virtual_time_seconds", "Fleet virtual clock (max across clusters).", "gauge", st.Fleet.VirtualNow)
 		fleet("gridd_fleet_uptime_seconds", "Broker wall-clock uptime.", "gauge", st.Fleet.UptimeSeconds)
-		perCluster("gridd_cluster_processors", "Cluster width.", "gauge",
-			func(s service.Stats) float64 { return float64(s.M) })
-		// Gauge, not counter: migrations move tracked jobs between clusters,
-		// so the per-cluster value can decrease.
-		perCluster("gridd_cluster_jobs_tracked", "Jobs tracked by this cluster (migrations move them).", "gauge",
-			func(s service.Stats) float64 { return float64(s.Submitted) })
-		perCluster("gridd_cluster_jobs_completed_total", "Jobs completed on this cluster.", "counter",
-			func(s service.Stats) float64 { return float64(s.Completed) })
-		perCluster("gridd_cluster_jobs_waiting", "Jobs waiting on this cluster.", "gauge",
-			func(s service.Stats) float64 { return float64(s.Waiting) })
-		perCluster("gridd_cluster_jobs_running", "Jobs running on this cluster.", "gauge",
-			func(s service.Stats) float64 { return float64(s.Running) })
-		perCluster("gridd_cluster_utilization_ratio", "Processor-time utilization.", "gauge",
-			func(s service.Stats) float64 { return s.Report.Utilization })
-		perCluster("gridd_cluster_mean_flow_seconds", "Mean flow over completed jobs.", "gauge",
-			func(s service.Stats) float64 { return s.Report.MeanFlow })
-		perCluster("gridd_cluster_best_effort_completed_total", "Best-effort tasks completed here.", "counter",
-			func(s service.Stats) float64 { return float64(s.BestEffort.Completed) })
-		perCluster("gridd_cluster_best_effort_killed_total", "Best-effort tasks killed here.", "counter",
-			func(s service.Stats) float64 { return float64(s.BestEffort.Killed) })
-		perCluster("gridd_cluster_virtual_time_seconds", "Cluster virtual clock.", "gauge",
-			func(s service.Stats) float64 { return s.VirtualNow })
+		for _, s := range clusterSeries {
+			head(s.name, s.help, s.typ)
+			for _, c := range st.Clusters {
+				fmt.Fprintf(w, "%s{cluster=%q} %g\n", s.name, c.Name, s.get(c.Stats))
+			}
+		}
 		api.WriteRunMetrics(w, runs.Summary())
 		metrics.WriteTraceMetrics(w)
 	}
+}
+
+// policyInfo is one local queue policy of the /v1/policies catalog.
+type policyInfo struct {
+	Name       string `json:"name"`
+	Caps       string `json:"caps"`
+	Online     bool   `json:"online"`
+	Offline    bool   `json:"offline"`
+	Moldable   bool   `json:"moldable"`
+	BestEffort bool   `json:"best_effort"`
+	Desc       string `json:"desc"`
 }
 
 type gridPolicyInfo struct {
@@ -214,12 +270,20 @@ type gridPolicyInfo struct {
 }
 
 type policyCatalog struct {
-	Local []service.PolicyInfo `json:"local"`
-	Grid  []gridPolicyInfo     `json:"grid"`
+	Local []policyInfo     `json:"local"`
+	Grid  []gridPolicyInfo `json:"grid"`
 }
 
-func (b *Broker) handlePolicies(w http.ResponseWriter, r *http.Request) {
-	out := policyCatalog{Local: service.CatalogPolicies()}
+func handlePolicies(w http.ResponseWriter, r *http.Request) {
+	var out policyCatalog
+	for _, e := range registry.All() {
+		out.Local = append(out.Local, policyInfo{
+			Name: e.Name, Caps: e.Caps.String(),
+			Online: e.Caps.Online, Offline: e.Caps.Offline,
+			Moldable: e.Caps.Moldable, BestEffort: e.Caps.BestEffort,
+			Desc: e.Desc,
+		})
+	}
 	for _, e := range registry.Grids() {
 		kind := "routing"
 		if e.Exchanges {
@@ -229,9 +293,9 @@ func (b *Broker) handlePolicies(w http.ResponseWriter, r *http.Request) {
 			Name: e.Name, Kind: kind, Exchanges: e.Exchanges, Desc: e.Desc,
 		})
 	}
-	service.WriteJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 func (b *Broker) handleTopology(w http.ResponseWriter, r *http.Request) {
-	service.WriteJSON(w, http.StatusOK, b.Topology())
+	api.WriteJSON(w, http.StatusOK, b.Topology())
 }

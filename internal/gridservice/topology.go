@@ -1,6 +1,8 @@
 // Topology configuration of a broker fleet: how many clusters, their
 // sizes, speeds and local queue policies, plus the grid routing policy
-// that binds them. Loaded from a JSON file by `gridd -topology`.
+// that binds them. Loaded from a JSON file by `gridd -topology`, or
+// built by gridd from its -m -speed -policy -kill -dilation flags as a
+// one-cluster fleet.
 package gridservice
 
 import (
@@ -174,7 +176,7 @@ func (t Topology) Validate() error {
 	return nil
 }
 
-// killPolicy parses the kill-policy name shared with the gridd flags.
+// killPolicy parses a kill-policy name (topology "kill", gridd -kill).
 func killPolicy(name string) (cluster.KillPolicy, error) {
 	switch name {
 	case "newest", "":

@@ -1,14 +1,13 @@
 package scenario
 
-// This file holds the wire types of the scenario-run HTTP surface.
-// The handlers themselves live in internal/api (the shared /v1
-// run-lifecycle API plus the legacy POST /scenarios shim); keeping the
-// request/response shapes here lets api, the services and the client
-// SDK share one definition without an import cycle.
+// This file holds the wire type of a scenario-run submission. The
+// handlers live in internal/api (the /v1 run-lifecycle API); keeping
+// the request shape here lets api and the client SDK share one
+// definition without an import cycle.
 
-// HTTPRequest is the body of POST /v1/runs and of the legacy
-// POST /scenarios shim: either a catalog id or an inline Spec, plus
-// invocation options. Exactly one of ID and Spec must be set.
+// HTTPRequest is the body of POST /v1/runs: either a catalog id or an
+// inline Spec, plus invocation options. Exactly one of ID and Spec must
+// be set.
 type HTTPRequest struct {
 	// ID names a built-in catalog scenario.
 	ID string `json:"id,omitempty"`
@@ -22,17 +21,4 @@ type HTTPRequest struct {
 	// Workers selects the cell worker pool (0/1 = sequential; capped
 	// at GOMAXPROCS server-side).
 	Workers int `json:"workers,omitempty"`
-}
-
-// HTTPResponse is the legacy POST /scenarios reply: the scenario's
-// finished table. Scenarios that render custom output (figures) are
-// rejected with 422 on that route; the /v1 result endpoint serves
-// them as text.
-type HTTPResponse struct {
-	ID      string     `json:"id"`
-	Kind    string     `json:"kind"`
-	Seed    uint64     `json:"seed"`
-	Title   string     `json:"title"`
-	Headers []string   `json:"headers"`
-	Rows    [][]string `json:"rows"`
 }

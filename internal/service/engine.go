@@ -3,8 +3,9 @@
 // DES event queue inside a single goroutine, accepts concurrent job
 // submissions through a channel-based mailbox, and advances the virtual
 // clock against wall-clock time with a configurable dilation factor (one
-// wall second = Dilation simulated seconds). The HTTP layer in http.go
-// exposes the engine as the gridd daemon.
+// wall second = Dilation simulated seconds). The grid broker
+// (internal/gridservice) runs one Engine per cluster and serves them as
+// the gridd daemon; a flag-configured gridd is a one-cluster broker.
 //
 // Because every mutation funnels through the mailbox into the same
 // single-threaded simulator the batch tools use, a trace replayed
@@ -22,7 +23,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/api"
 	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/metrics"
@@ -51,9 +51,6 @@ type Config struct {
 	Dilation float64
 	// Mailbox is the command-channel capacity. Default 256.
 	Mailbox int
-	// Label names this engine in multi-cluster fleets (Prometheus
-	// per-cluster labels; empty for a standalone daemon).
-	Label string
 	// Anchor, when non-zero, is the shared wall-clock instant that maps
 	// to virtual time 0. A grid broker starts every engine of a fleet
 	// with the same anchor so their paced virtual clocks advance in
@@ -84,15 +81,15 @@ func (c Config) fill() Config {
 	return c
 }
 
-// JobSpec is the submission payload (HTTP body of POST /jobs). Rigid
+// JobSpec is the submission payload (HTTP body of POST /v1/jobs). Rigid
 // jobs set min_procs only; moldable jobs set max_procs > min_procs and
 // are priced with an Amdahl speedup (alpha defaulting to 0.05).
 type JobSpec struct {
 	Name  string `json:"name,omitempty"`
 	Class string `json:"class,omitempty"`
-	// Cluster pins the job to a named cluster in broker (grid) mode: the
+	// Cluster pins the job to a named cluster of the broker's fleet: the
 	// CiGri contract that local users submit to their own machine. Empty
-	// lets the grid policy place the job; single-engine daemons ignore it.
+	// lets the grid policy place the job; an unknown name is rejected.
 	Cluster  string  `json:"cluster,omitempty"`
 	SeqTime  float64 `json:"seq_time"`
 	MinProcs int     `json:"min_procs,omitempty"` // 0 → 1
@@ -170,14 +167,14 @@ type JobStatus struct {
 	End     float64  `json:"end,omitempty"`
 }
 
-// QueueSnapshot is the GET /queue payload.
+// QueueSnapshot is one cluster's part of the GET /v1/queue payload.
 type QueueSnapshot struct {
 	VirtualNow float64     `json:"virtual_now"`
 	Waiting    []JobStatus `json:"waiting"`
 	Running    []JobStatus `json:"running"`
 }
 
-// Stats is the GET /stats payload.
+// Stats is one cluster's part of the GET /v1/stats payload.
 type Stats struct {
 	Policy        string          `json:"policy"`
 	M             int             `json:"m"`
@@ -192,9 +189,6 @@ type Stats struct {
 	Drained       bool            `json:"drained"`
 	BestEffort    cluster.BEStats `json:"best_effort"`
 	Report        metrics.Report  `json:"report"`
-	// Runs summarizes the scenario run store (filled by the HTTP
-	// layer from the same store the /v1/runs endpoints serve).
-	Runs *api.RunsSummary `json:"runs,omitempty"`
 }
 
 // Engine runs one online cluster scheduler. All simulator state is owned
@@ -213,14 +207,8 @@ type Engine struct {
 	// Everything below is owned by the loop goroutine.
 	jobs    map[int]*JobStatus
 	order   []int // completion order (event order)
-	nextID  int
 	started time.Time
 	counts  struct{ waiting, running, completed int }
-	// streaming is set once StreamJobs attaches a source: streamed jobs
-	// bypass the per-job status map (tracking every record would defeat
-	// the O(active) memory of lazy admission), so stats fall back to the
-	// simulator's own counters.
-	streaming bool
 }
 
 // New builds an engine from the config; Start launches it.
@@ -267,9 +255,6 @@ func New(cfg Config) (*Engine, error) {
 	sim.OnBEDone = cfg.OnBEDone
 	return e, nil
 }
-
-// Label returns the engine's fleet label (empty for standalone daemons).
-func (e *Engine) Label() string { return e.cfg.Label }
 
 // M returns the cluster width.
 func (e *Engine) M() int { return e.cfg.M }
@@ -364,31 +349,6 @@ func (e *Engine) do(fn func()) error {
 	}
 }
 
-// Submit accepts one job described by spec, assigns it an ID, and
-// schedules its arrival. It returns the initial status.
-func (e *Engine) Submit(spec JobSpec) (JobStatus, error) {
-	var st JobStatus
-	var err error
-	doErr := e.do(func() {
-		id := e.nextID
-		var j *workload.Job
-		j, err = spec.Job(id)
-		if err != nil {
-			return
-		}
-		if err = e.sim.Submit(j); err != nil {
-			return
-		}
-		e.nextID++
-		e.track(j)
-		st = *e.jobs[id]
-	})
-	if doErr != nil {
-		return JobStatus{}, doErr
-	}
-	return st, err
-}
-
 // SubmitJobs atomically submits pre-built jobs (trace replay): either
 // every job is scheduled before any simulation event runs, or none is.
 // Job IDs must be unique within the batch and not collide with earlier
@@ -425,50 +385,9 @@ func (e *Engine) SubmitJobs(jobs []*workload.Job) error {
 			return // unreachable after the validation above
 		}
 		for _, j := range jobs {
-			if j.ID >= e.nextID {
-				e.nextID = j.ID + 1
-			}
 			e.track(j)
 		}
 	})
-	if doErr != nil {
-		return doErr
-	}
-	return err
-}
-
-// StreamJobs attaches a pull-based source: jobs are admitted lazily as
-// their release times come due, so replaying a multi-million-job
-// archive through the daemon holds O(active) state instead of the whole
-// trace. Streamed jobs are not individually tracked (no /jobs/{id}
-// status, no completion-order witness) — aggregate statistics remain
-// exact via the simulator's accumulator. One source per engine; Submit
-// and SubmitJobs still work alongside it.
-func (e *Engine) StreamJobs(src workload.Source) error {
-	var err error
-	doErr := e.do(func() {
-		// The simulator itself would accept a fresh source once the
-		// previous one drained; the engine keeps the 1:1 contract so
-		// streamed stats always describe a single replay.
-		if e.streaming {
-			err = errors.New("service: a source is already streaming")
-			return
-		}
-		if err = e.sim.Stream(src); err == nil {
-			e.streaming = true
-		}
-	})
-	if doErr != nil {
-		return doErr
-	}
-	return err
-}
-
-// SetRetention swaps the completion-history store (e.g. a bounded ring
-// or discard for archive replays). Only valid before any completion.
-func (e *Engine) SetRetention(r metrics.Retention) error {
-	var err error
-	doErr := e.do(func() { err = e.sim.SetRetention(r) })
 	if doErr != nil {
 		return doErr
 	}
@@ -496,9 +415,10 @@ func (e *Engine) Job(id int) (JobStatus, bool, error) {
 	return st, ok, err
 }
 
-// Queue returns the waiting and running jobs.
+// Queue returns the waiting and running jobs (empty lists, never nil,
+// so the JSON arrays are never null).
 func (e *Engine) Queue() (QueueSnapshot, error) {
-	var snap QueueSnapshot
+	snap := QueueSnapshot{Waiting: []JobStatus{}, Running: []JobStatus{}}
 	err := e.do(func() {
 		snap.VirtualNow = e.virtualNow()
 		// Waiting = queued in the cluster (scheduling order) followed by
@@ -552,18 +472,7 @@ func (e *Engine) Stats() (Stats, error) {
 // stats builds the Stats payload (loop goroutine only). The criteria
 // report comes from the simulator's streaming accumulator, so a scrape
 // is O(1) no matter how old the daemon is or how history is retained.
-// Under StreamJobs the per-job map is not populated, so the lifecycle
-// counters come from the simulator too (Waiting then counts arrived
-// jobs only — records not yet pulled from the source are nowhere yet).
 func (e *Engine) stats() Stats {
-	submitted, waiting, running, completed :=
-		len(e.jobs), e.counts.waiting, e.counts.running, e.counts.completed
-	if e.streaming {
-		submitted = e.sim.Submitted()
-		waiting = e.sim.QueueLength()
-		running = e.sim.RunningCount()
-		completed = e.sim.CompletedCount()
-	}
 	return Stats{
 		Policy:        e.cfg.Policy,
 		M:             e.cfg.M,
@@ -571,10 +480,10 @@ func (e *Engine) stats() Stats {
 		Dilation:      e.cfg.Dilation,
 		VirtualNow:    e.virtualNow(),
 		UptimeSeconds: time.Since(e.started).Seconds(),
-		Submitted:     submitted,
-		Waiting:       waiting,
-		Running:       running,
-		Completed:     completed,
+		Submitted:     len(e.jobs),
+		Waiting:       e.counts.waiting,
+		Running:       e.counts.running,
+		Completed:     e.counts.completed,
 		Drained:       e.sim.Drained(),
 		BestEffort:    e.sim.BestEffort(),
 		Report:        e.sim.Report(),
@@ -607,24 +516,6 @@ func (e *Engine) VirtualNow() (float64, error) {
 	var v float64
 	err := e.do(func() { v = e.virtualNow() })
 	return v, err
-}
-
-// Crash takes procs processors down for the given virtual duration,
-// killing and requeueing the local jobs caught on them (fault-injection
-// testing against a live engine).
-func (e *Engine) Crash(procs int, duration float64) error {
-	var ierr error
-	err := e.do(func() {
-		now := e.virtualNow()
-		if now > e.sim.DES.Now() {
-			_ = e.sim.DES.RunUntil(now)
-		}
-		ierr = e.sim.Crash(procs, e.sim.DES.Now()+duration)
-	})
-	if err != nil {
-		return err
-	}
-	return ierr
 }
 
 // SubmitBestEffort hands grid campaign tasks to this cluster; they run

@@ -10,6 +10,26 @@ import (
 	"repro/internal/workload"
 )
 
+// submit is the single-job submission the broker performs: the spec
+// materialized at the next ID (IDs count up from 0 like the broker's),
+// then SubmitJobs. Two concurrent callers may pick the same ID, so it
+// is for sequential use.
+func submit(e *Engine, spec JobSpec) (JobStatus, error) {
+	st, err := e.Stats()
+	if err != nil {
+		return JobStatus{}, err
+	}
+	id := st.Submitted
+	j, err := spec.Job(id)
+	if err != nil {
+		return JobStatus{}, err
+	}
+	if err := e.SubmitJobs([]*workload.Job{j}); err != nil {
+		return JobStatus{}, err
+	}
+	return JobStatus{ID: id, Name: j.Name, Class: j.Class, State: StateWaiting, Release: j.Release}, nil
+}
+
 func TestSubmitAndComplete(t *testing.T) {
 	e, err := New(Config{M: 8, Policy: "easy"})
 	if err != nil {
@@ -18,7 +38,7 @@ func TestSubmitAndComplete(t *testing.T) {
 	e.Start()
 	defer e.Stop()
 
-	st, err := e.Submit(JobSpec{Name: "a", SeqTime: 100, MinProcs: 2})
+	st, err := submit(e, JobSpec{Name: "a", SeqTime: 100, MinProcs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,14 +69,14 @@ func TestSubmitValidation(t *testing.T) {
 	e.Start()
 	defer e.Stop()
 
-	if _, err := e.Submit(JobSpec{SeqTime: -1, MinProcs: 1}); err == nil {
+	if _, err := submit(e, JobSpec{SeqTime: -1, MinProcs: 1}); err == nil {
 		t.Fatal("negative seq_time accepted")
 	}
-	if _, err := e.Submit(JobSpec{SeqTime: 10, MinProcs: 99}); err == nil {
+	if _, err := submit(e, JobSpec{SeqTime: 10, MinProcs: 99}); err == nil {
 		t.Fatal("job wider than the cluster accepted")
 	}
 	// Failed submissions must not burn IDs.
-	st, err := e.Submit(JobSpec{SeqTime: 10, MinProcs: 1})
+	st, err := submit(e, JobSpec{SeqTime: 10, MinProcs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,13 +93,13 @@ func TestDrainRejectsFurtherSubmissions(t *testing.T) {
 	e.Start()
 	defer e.Stop()
 
-	if _, err := e.Submit(JobSpec{SeqTime: 10, MinProcs: 1}); err != nil {
+	if _, err := submit(e, JobSpec{SeqTime: 10, MinProcs: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	_, err = e.Submit(JobSpec{SeqTime: 10, MinProcs: 1})
+	_, err = submit(e, JobSpec{SeqTime: 10, MinProcs: 1})
 	if !errors.Is(err, cluster.ErrDrained) {
 		t.Fatalf("post-drain submit error = %v, want ErrDrained", err)
 	}
@@ -92,7 +112,7 @@ func TestStoppedEngineRejects(t *testing.T) {
 	}
 	e.Start()
 	e.Stop()
-	if _, err := e.Submit(JobSpec{SeqTime: 10, MinProcs: 1}); !errors.Is(err, ErrStopped) {
+	if _, err := submit(e, JobSpec{SeqTime: 10, MinProcs: 1}); !errors.Is(err, ErrStopped) {
 		t.Fatalf("submit after stop = %v, want ErrStopped", err)
 	}
 }
@@ -117,7 +137,7 @@ func TestDilationPacesVirtualClock(t *testing.T) {
 	e.Start()
 	defer e.Stop()
 
-	if _, err := e.Submit(JobSpec{SeqTime: 100, MinProcs: 1}); err != nil {
+	if _, err := submit(e, JobSpec{SeqTime: 100, MinProcs: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// At 1000 virtual s / wall s, completion is due ~100ms in.
@@ -160,7 +180,7 @@ func TestQueueSnapshot(t *testing.T) {
 
 	// Two 2-wide jobs: the second must wait behind the first.
 	for i := 0; i < 2; i++ {
-		if _, err := e.Submit(JobSpec{SeqTime: 10000, MinProcs: 2}); err != nil {
+		if _, err := submit(e, JobSpec{SeqTime: 10000, MinProcs: 2}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -233,7 +253,7 @@ func TestQueueIncludesPendingArrivals(t *testing.T) {
 
 	// Released an hour of virtual time out: at 1x it cannot arrive
 	// during the test.
-	if _, err := e.Submit(JobSpec{SeqTime: 10, MinProcs: 1, Release: 3600}); err != nil {
+	if _, err := submit(e, JobSpec{SeqTime: 10, MinProcs: 1, Release: 3600}); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := e.Queue()
@@ -267,7 +287,11 @@ func TestConcurrentSubmissions(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			for i := 0; i < per; i++ {
-				if _, err := e.Submit(JobSpec{SeqTime: 10, MinProcs: 1}); err != nil {
+				j, err := JobSpec{SeqTime: 10, MinProcs: 1}.Job(w*per + i)
+				if err == nil {
+					err = e.SubmitJobs([]*workload.Job{j})
+				}
+				if err != nil {
 					errc <- err
 					return
 				}

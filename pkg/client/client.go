@@ -90,7 +90,7 @@ func IsBusy(err error) bool {
 	return errors.As(err, &e) && e.Status == http.StatusTooManyRequests
 }
 
-// Client talks to one gridd daemon (single-cluster or broker).
+// Client talks to one gridd daemon.
 type Client struct {
 	base    string
 	hc      *http.Client
@@ -141,11 +141,8 @@ func (c *Client) Base() string { return c.base }
 // retryable reports whether a call may be reissued. Non-idempotent
 // methods (the POST submissions) are retried only on 429 back-pressure
 // — the one rejection where the server provably did not accept the
-// work. A transport failure on a POST is surfaced (the submission may
-// have landed; a blind retry would duplicate it), and so is a POST
-// 503: the legacy /scenarios shim answers 503 for a run that WAS
-// accepted and then cancelled, where a retry would resubmit the
-// cancelled work.
+// work. A transport failure or 5xx on a POST is surfaced: the
+// submission may have landed, and a blind retry would duplicate it.
 func retryable(method string, err *Error) bool {
 	if err.Status == http.StatusTooManyRequests {
 		return true

@@ -11,27 +11,37 @@ import (
 
 	"repro/internal/api"
 	_ "repro/internal/experiments" // register scenario kinds + catalog
+	"repro/internal/gridservice"
 	"repro/internal/scenario"
 	"repro/internal/service"
 )
 
-// newTestDaemon starts a real single-cluster engine with the shared
-// run service behind an httptest server — the SDK's target surface.
+// newTestDaemon starts a daemon with a default run service.
 func newTestDaemon(t *testing.T) *Client {
 	t.Helper()
-	e, err := service.New(service.Config{M: 8, Policy: "easy", Dilation: 0})
+	return New(serveDaemon(t, api.Config{}))
+}
+
+// serveDaemon starts what a flag-configured gridd serves — a one-cluster
+// broker over a run service configured by cfg — behind an httptest
+// server, the SDK's target surface, and returns its URL.
+func serveDaemon(t *testing.T, cfg api.Config) string {
+	t.Helper()
+	b, err := gridservice.NewBroker(gridservice.Topology{
+		Clusters: []gridservice.ClusterSpec{{M: 8, Policy: "easy"}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Start()
-	runs := api.NewRunService(api.Config{})
-	srv := httptest.NewServer(e.Handler(runs))
+	b.Start()
+	runs := api.NewRunService(cfg)
+	srv := httptest.NewServer(b.Handler(runs))
 	t.Cleanup(func() {
 		srv.Close()
 		runs.Close()
-		e.Stop()
+		b.Stop()
 	})
-	return New(srv.URL)
+	return srv.URL
 }
 
 // TestRunLifecycle: submit → stream → result through the SDK, and the
@@ -90,21 +100,6 @@ func TestRunLifecycle(t *testing.T) {
 	if err != nil || len(runs) == 0 {
 		t.Fatalf("list: %v (%d runs)", err, len(runs))
 	}
-
-	// Legacy shim answers the same table.
-	legacy, err := c.SubmitScenarioLegacy(ctx, scenario.HTTPRequest{ID: "mrt", Seed: &seed, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lt := &scenario.Result{Table: scenario.RenderTable(legacy.Title, legacy.Headers, nil)}
-	lt.Table.Rows = legacy.Rows
-	var lbuf bytes.Buffer
-	if err := lt.Table.Write(&lbuf); err != nil {
-		t.Fatal(err)
-	}
-	if lbuf.String() != text {
-		t.Fatal("legacy shim table differs from /v1 result")
-	}
 }
 
 // TestTypedErrors: 404 and cancel-conflict surface as typed errors.
@@ -126,7 +121,8 @@ func TestTypedErrors(t *testing.T) {
 	}
 }
 
-// TestJobsAPI: the loadgen surface — submit, status, stats counter.
+// TestJobsAPI: the loadgen surface — submit, status, stats counter,
+// campaigns.
 func TestJobsAPI(t *testing.T) {
 	c := newTestDaemon(t)
 	ctx := context.Background()
@@ -134,6 +130,9 @@ func TestJobsAPI(t *testing.T) {
 	st, err := c.SubmitJob(ctx, service.JobSpec{Name: "j", SeqTime: 10, MinProcs: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st.Cluster != "c0" {
+		t.Fatalf("accepted on cluster %q, want the one-cluster fleet's c0", st.Cluster)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -156,6 +155,30 @@ func TestJobsAPI(t *testing.T) {
 	if _, err := c.SubmitJob(ctx, service.JobSpec{SeqTime: 1, MinProcs: 1000}); err == nil {
 		t.Fatal("too-wide job must fail")
 	}
+	if _, err := c.SubmitJob(ctx, service.JobSpec{SeqTime: 1, Cluster: "nope"}); err == nil {
+		t.Fatal("unknown cluster pin must fail")
+	}
+
+	camp, err := c.SubmitCampaign(ctx, "sdk", 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		cs, err := c.CampaignStatus(ctx, camp.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cs.Done {
+			if cs.Completed != 8 || len(cs.PerCluster) != 1 || cs.PerCluster[0] != 8 {
+				t.Fatalf("campaign %+v", cs)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("campaign stuck: %+v", cs)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 }
 
 // TestRetryPolicy: transient 5xx answers are retried with backoff;
@@ -167,7 +190,7 @@ func TestRetryPolicy(t *testing.T) {
 			api.WriteError(w, http.StatusInternalServerError, "transient")
 			return
 		}
-		api.WriteJSON(w, http.StatusOK, map[string]int{"completed": 7})
+		api.WriteJSON(w, http.StatusOK, map[string]map[string]int{"fleet": {"completed": 7}})
 	}))
 	defer srv.Close()
 

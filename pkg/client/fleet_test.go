@@ -16,29 +16,16 @@ import (
 	_ "repro/internal/experiments" // register scenario kinds + catalog
 	"repro/internal/fleet"
 	"repro/internal/scenario"
-	"repro/internal/service"
 )
 
-// newFleetDaemon starts a coordinator-backed daemon: the same engine +
+// newFleetDaemon starts a coordinator-backed daemon: the same broker +
 // run service the plain tests use, with a fleet coordinator wired into
 // the run executor and the /v1/fleet surface mounted.
 func newFleetDaemon(t *testing.T, ttl time.Duration) (*Client, *fleet.Coordinator) {
 	t.Helper()
-	e, err := service.New(service.Config{M: 8, Policy: "easy", Dilation: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Start()
 	co := fleet.NewCoordinator(fleet.Config{TTL: ttl})
-	runs := api.NewRunService(api.Config{Fleet: co})
-	srv := httptest.NewServer(e.Handler(runs))
-	t.Cleanup(func() {
-		srv.Close()
-		runs.Close()
-		co.Close()
-		e.Stop()
-	})
-	return New(srv.URL), co
+	t.Cleanup(co.Close) // runs after the daemon's own cleanup
+	return New(serveDaemon(t, api.Config{Fleet: co})), co
 }
 
 // TestFleetOverHTTP is the full distributed loop over real HTTP: a

@@ -11,45 +11,37 @@ import (
 // Job and campaign API (the loadgen surface). Job payloads are the
 // service's own wire types.
 
-// JobAccepted is the submission answer: the job status, plus the
-// chosen cluster when the daemon is a broker.
+// JobAccepted is the submission answer: the job status, tagged with
+// the cluster the broker placed it on.
 type JobAccepted struct {
 	service.JobStatus
 	Cluster string `json:"cluster,omitempty"`
 }
 
-// SubmitJob submits one job (POST /jobs) and returns its accepted
-// status (brokers tag it with the chosen cluster).
+// SubmitJob submits one job (POST /v1/jobs) and returns its accepted
+// status.
 func (c *Client) SubmitJob(ctx context.Context, spec service.JobSpec) (JobAccepted, error) {
 	var st JobAccepted
-	err := c.do(ctx, http.MethodPost, "/jobs", spec, &st)
+	err := c.do(ctx, http.MethodPost, "/v1/jobs", spec, &st)
 	return st, err
 }
 
 // Job fetches one job's status.
 func (c *Client) Job(ctx context.Context, id int) (service.JobStatus, error) {
 	var st service.JobStatus
-	err := c.do(ctx, http.MethodGet, "/jobs/"+strconv.Itoa(id), nil, &st)
+	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+strconv.Itoa(id), nil, &st)
 	return st, err
 }
 
-// Completed reads the daemon's completed-job counter, transparently
-// handling both the single-cluster /stats shape and the broker's
-// fleet-wide shape.
+// Completed reads the daemon's fleet-wide completed-job counter.
 func (c *Client) Completed(ctx context.Context) (int, error) {
-	var probe struct {
-		Completed int `json:"completed"`
-		Fleet     *struct {
+	var st struct {
+		Fleet struct {
 			Completed int `json:"completed"`
 		} `json:"fleet"`
 	}
-	if err := c.do(ctx, http.MethodGet, "/stats", nil, &probe); err != nil {
-		return 0, err
-	}
-	if probe.Fleet != nil {
-		return probe.Fleet.Completed, nil
-	}
-	return probe.Completed, nil
+	err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &st)
+	return st.Fleet.Completed, err
 }
 
 // Campaign mirrors the broker's campaign payload.
@@ -63,11 +55,10 @@ type Campaign struct {
 	Done       bool   `json:"done"`
 }
 
-// SubmitCampaign fans a bag of best-effort tasks across the fleet
-// (broker mode only).
+// SubmitCampaign fans a bag of best-effort tasks across the fleet.
 func (c *Client) SubmitCampaign(ctx context.Context, name string, tasks int, runTime float64) (Campaign, error) {
 	var out Campaign
-	err := c.do(ctx, http.MethodPost, "/campaigns", map[string]any{
+	err := c.do(ctx, http.MethodPost, "/v1/campaigns", map[string]any{
 		"name": name, "tasks": tasks, "run_time": runTime,
 	}, &out)
 	return out, err
@@ -76,6 +67,6 @@ func (c *Client) SubmitCampaign(ctx context.Context, name string, tasks int, run
 // CampaignStatus fetches one campaign.
 func (c *Client) CampaignStatus(ctx context.Context, id int) (Campaign, error) {
 	var out Campaign
-	err := c.do(ctx, http.MethodGet, "/campaigns/"+strconv.Itoa(id), nil, &out)
+	err := c.do(ctx, http.MethodGet, "/v1/campaigns/"+strconv.Itoa(id), nil, &out)
 	return out, err
 }

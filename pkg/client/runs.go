@@ -183,12 +183,3 @@ func (c *Client) RunToCompletion(ctx context.Context, req scenario.HTTPRequest, 
 	}
 	return c.WaitRun(ctx, st.ID, 0)
 }
-
-// SubmitScenarioLegacy drives the legacy synchronous POST /scenarios
-// shim, returning the finished table payload (used to verify the shim
-// against the /v1 pipeline).
-func (c *Client) SubmitScenarioLegacy(ctx context.Context, req scenario.HTTPRequest) (scenario.HTTPResponse, error) {
-	var out scenario.HTTPResponse
-	err := c.do(ctx, http.MethodPost, "/scenarios", req, &out)
-	return out, err
-}

@@ -40,7 +40,7 @@ start_gridd() {
   "$BIN/gridd" -addr "127.0.0.1:$PORT" -dilation 0 \
     -data-dir "$DATA" -tenants "$BIN/tenants.json" >"$BIN/gridd.$1.log" 2>&1 &
   GRIDD_PID=$!
-  wait_http "http://127.0.0.1:$PORT/stats"
+  wait_http "http://127.0.0.1:$PORT/v1/version"
 }
 
 API="http://127.0.0.1:$PORT"
@@ -123,8 +123,8 @@ echo "$RESP" | grep -q '"state":"done"' || fail "cached resubmission not immedia
 HIT_ID="$(echo "$RESP" | grep -o '"id":"[^"]*"' | head -1 | cut -d'"' -f4)"
 curl -sf "$API/v1/runs/$HIT_ID/result?format=text" > "$BIN/traced.hit.txt"
 cmp "$BIN/traced.pre.txt" "$BIN/traced.hit.txt" || fail "cached result differs from original"
-curl -sf "$API/metrics" | grep -q '^gridd_run_cache_hits_total 1' \
-  || fail "cache hit missing from /metrics" <(curl -sf "$API/metrics" | grep gridd_run)
+curl -sf "$API/v1/metrics" | grep -q '^gridd_run_cache_hits_total 1' \
+  || fail "cache hit missing from /v1/metrics" <(curl -sf "$API/v1/metrics" | grep gridd_run)
 
 kill -TERM "$GRIDD_PID"
 wait "$GRIDD_PID" || true

@@ -43,7 +43,7 @@ EOF
 echo "== reference: single-process run =="
 "$BIN/gridd" -addr "127.0.0.1:$LOCAL_PORT" -dilation 0 >"$BIN/local.log" 2>&1 &
 LOCAL_PID=$!
-wait_http "http://127.0.0.1:$LOCAL_PORT/stats"
+wait_http "http://127.0.0.1:$LOCAL_PORT/v1/version"
 "$BIN/gridctl" -addr "http://127.0.0.1:$LOCAL_PORT" run -seed 7 "$BIN/spec.json" > "$BIN/local.txt"
 kill -TERM "$LOCAL_PID"
 wait "$LOCAL_PID" || true
@@ -52,7 +52,7 @@ LOCAL_PID=""
 echo "== coordinator (-fleet, 2s lease TTL) + 2 worker processes =="
 "$BIN/gridd" -addr "127.0.0.1:$COORD_PORT" -dilation 0 -fleet -fleet-ttl 2s >"$BIN/coord.log" 2>&1 &
 COORD_PID=$!
-wait_http "http://127.0.0.1:$COORD_PORT/stats"
+wait_http "http://127.0.0.1:$COORD_PORT/v1/version"
 "$BIN/gridd" -worker -coordinator "http://127.0.0.1:$COORD_PORT" -worker-id w1 -worker-batch 2 >"$BIN/w1.log" 2>&1 &
 W1_PID=$!
 "$BIN/gridd" -worker -coordinator "http://127.0.0.1:$COORD_PORT" -worker-id w2 -worker-batch 2 >"$BIN/w2.log" 2>&1 &

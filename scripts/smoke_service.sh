@@ -1,16 +1,15 @@
 #!/usr/bin/env bash
 # Smoke-test the online scheduler service end to end: build gridd,
-# loadgen and gridctl, start the daemon, fire a paced batch of jobs and
-# assert every one completes, then run a max-rate probe and assert the
-# service sustains at least MIN_RPS submissions per second with zero
-# lost jobs. Exercise the /v1 run-lifecycle API through the pkg/client
-# SDK (gridctl): submit a run and stream its per-cell events, assert
-# the legacy POST /scenarios shim returns byte-identically the same
-# table as the /v1 pipeline, and cancel a paper-scale run mid-flight.
-# Then repeat the load exercise against a 4-cluster broker fleet: a
-# campaign of CAMPAIGN_TASKS best-effort tasks must fan out and
-# complete, and the max-rate probe must sustain MIN_RPS through the
-# routing layer too.
+# loadgen and gridctl, start a flag-configured daemon (a one-cluster
+# fleet), fire a paced batch of jobs and assert every one completes,
+# then run a max-rate probe and assert the service sustains at least
+# MIN_RPS submissions per second with zero lost jobs, and that its
+# /v1/metrics labels the cluster. Exercise the /v1 run-lifecycle API
+# through the pkg/client SDK (gridctl): submit a run and stream its
+# per-cell events, and cancel a paper-scale run mid-flight. Then repeat
+# the load exercise against a 4-cluster -topology fleet: a campaign of
+# CAMPAIGN_TASKS best-effort tasks must fan out and complete, and the
+# max-rate probe must sustain MIN_RPS through the routing layer too.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,7 +49,7 @@ go build -o "$BIN/gridctl" ./cmd/gridctl
 "$BIN/gridd" -addr "127.0.0.1:$PORT" -m 128 -policy easy -dilation 0 >"$BIN/gridd.log" 2>&1 &
 GRIDD_PID=$!
 
-wait_http "http://127.0.0.1:$PORT/stats"
+wait_http "http://127.0.0.1:$PORT/v1/version"
 
 echo "== smoke: 200 paced jobs, all must complete =="
 "$BIN/loadgen" -addr "http://127.0.0.1:$PORT" -n 200 -rps 500 -workers 4 -wait -timeout 60s
@@ -60,17 +59,18 @@ OUT="$("$BIN/loadgen" -addr "http://127.0.0.1:$PORT" -n "$PROBE_JOBS" -workers 8
 echo "$OUT"
 assert_rps "$OUT" "single-cluster"
 
+# Capture first: grep -q exits on the first match and would SIGPIPE
+# curl under pipefail.
+METRICS="$(curl -sf "http://127.0.0.1:$PORT/v1/metrics")"
+echo "$METRICS" | grep -q 'gridd_cluster_jobs_completed_total{cluster=' \
+  || { echo "FAIL: flag-configured daemon's metrics carry no cluster label" >&2; exit 1; }
+
 GRIDCTL="$BIN/gridctl -addr http://127.0.0.1:$PORT"
 
 echo "== run API: submit via pkg/client, stream per-cell events =="
 $GRIDCTL run -quick -watch mrt > "$BIN/v1.txt" 2> "$BIN/watch.log"
 grep -q "cell" "$BIN/watch.log" || { echo "FAIL: no cell events streamed" >&2; cat "$BIN/watch.log" >&2; exit 1; }
 grep -q "state: done" "$BIN/watch.log" || { echo "FAIL: stream missing terminal state" >&2; exit 1; }
-
-echo "== run API: legacy /scenarios shim returns the same table as /v1 =="
-$GRIDCTL run -quick -legacy mrt > "$BIN/legacy.txt"
-cmp "$BIN/v1.txt" "$BIN/legacy.txt" \
-  || { echo "FAIL: legacy shim table differs from /v1 result" >&2; diff "$BIN/v1.txt" "$BIN/legacy.txt" >&2 || true; exit 1; }
 
 echo "== run API: cancel a paper-scale run mid-flight =="
 # A 16-cell MRT sweep heavy enough (~seconds) that the immediate
@@ -110,7 +110,7 @@ cat > "$BIN/fleet.json" <<EOF
 EOF
 "$BIN/gridd" -addr "127.0.0.1:$BROKER_PORT" -topology "$BIN/fleet.json" >"$BIN/broker.log" 2>&1 &
 BROKER_PID=$!
-wait_http "http://127.0.0.1:$BROKER_PORT/stats"
+wait_http "http://127.0.0.1:$BROKER_PORT/v1/version"
 
 echo "== broker smoke: paced campaign of $CAMPAIGN_TASKS tasks must complete =="
 "$BIN/loadgen" -addr "http://127.0.0.1:$BROKER_PORT" -campaign "$CAMPAIGN_TASKS" -run-time 20 -wait -timeout 60s
@@ -120,9 +120,7 @@ OUT="$("$BIN/loadgen" -addr "http://127.0.0.1:$BROKER_PORT" -n "$PROBE_JOBS" -wo
 echo "$OUT"
 assert_rps "$OUT" "broker"
 
-# Capture first: grep -q exits on the first match and would SIGPIPE
-# curl under pipefail.
-METRICS="$(curl -sf "http://127.0.0.1:$BROKER_PORT/metrics")"
+METRICS="$(curl -sf "http://127.0.0.1:$BROKER_PORT/v1/metrics")"
 echo "$METRICS" | grep -q 'gridd_cluster_jobs_completed_total{cluster="fast"}' \
   || { echo "FAIL: per-cluster metrics missing" >&2; exit 1; }
 

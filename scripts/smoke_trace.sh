@@ -5,7 +5,7 @@
 # whole chain holds together — the JSONL trace is served and conserves
 # jobs (submits == finishes + kills), `gridctl observe` renders it,
 # -swf re-exports it as a replayable archive, the pprof index answers
-# outside the API body caps, and /metrics carries the trace-derived
+# outside the API body caps, and /v1/metrics carries the trace-derived
 # histograms.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -28,7 +28,7 @@ go build -o "$BIN/gridctl" ./cmd/gridctl
 
 "$BIN/gridd" -addr "127.0.0.1:$PORT" -dilation 0 -pprof -log-requests >"$BIN/gridd.log" 2>&1 &
 GRIDD_PID=$!
-wait_http "http://127.0.0.1:$PORT/stats"
+wait_http "http://127.0.0.1:$PORT/v1/version"
 
 GRIDCTL="$BIN/gridctl -addr http://127.0.0.1:$PORT"
 
@@ -82,11 +82,11 @@ curl -sf "http://127.0.0.1:$PORT/debug/pprof/" >/dev/null \
   || { echo "FAIL: /debug/pprof/ not mounted" >&2; exit 1; }
 
 echo "== metrics: trace-derived histograms exported =="
-METRICS="$(curl -sf "http://127.0.0.1:$PORT/metrics")"
+METRICS="$(curl -sf "http://127.0.0.1:$PORT/v1/metrics")"
 echo "$METRICS" | grep -q 'gridd_trace_utilization_ratio_bucket' \
-  || { echo "FAIL: utilization histogram missing from /metrics" >&2; exit 1; }
+  || { echo "FAIL: utilization histogram missing from /v1/metrics" >&2; exit 1; }
 echo "$METRICS" | grep -q 'gridd_trace_queue_depth_bucket' \
-  || { echo "FAIL: queue-depth histogram missing from /metrics" >&2; exit 1; }
+  || { echo "FAIL: queue-depth histogram missing from /v1/metrics" >&2; exit 1; }
 
 echo "== request log: -log-requests wrote per-request lines =="
 kill -TERM "$GRIDD_PID"
