@@ -366,6 +366,75 @@ func TestHTTPPolicies(t *testing.T) {
 	}
 }
 
+// tableText renders a direct run of spec the way a run's text result
+// does.
+func tableText(t *testing.T, spec *scenario.Spec, opts scenario.RunOptions) string {
+	t.Helper()
+	want, err := scenario.Run(spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := want.Table.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// TestHTTPScenarios: a flag-configured daemon's POST /v1/runs returns
+// the table the CLI produces for the same spec, seed and scale — for a
+// built-in id and for an inline spec.
+func TestHTTPScenarios(t *testing.T) {
+	_, srv := serve(t, oneCluster(8, "easy", 0))
+
+	// 1) A built-in catalog scenario by id.
+	st := waitRun(t, srv.URL, `{"id":"mrt","seed":42,"quick":true}`)
+	if st.Kind != "mrt" || st.Seed != 42 {
+		t.Fatalf("metadata: %+v", st)
+	}
+	got, _ := getText(t, srv.URL+"/v1/runs/"+st.ID+"/result?format=text")
+	spec, _ := scenario.Lookup("mrt")
+	if want := tableText(t, spec, scenario.RunOptions{
+		Seed: 42, SeedExplicit: true, Scale: scenario.Scale{JobFactor: 10},
+	}); got != want {
+		t.Fatalf("HTTP table differs from engine:\n got %q\nwant %q", got, want)
+	}
+
+	// 2) An inline spec (the generic offline kind).
+	seed := uint64(42)
+	inline := scenario.New("inline-sweep", "offline",
+		scenario.WithWorkload(scenario.Workload{N: 40, M: 16, Weighted: true}),
+		scenario.WithPolicies("mrt", "ffdh"),
+		scenario.WithMetrics("cmax_ratio", "util"))
+	body, err := json.Marshal(scenario.HTTPRequest{Spec: inline, Seed: &seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2 := waitRun(t, srv.URL, string(body))
+	got2, _ := getText(t, srv.URL+"/v1/runs/"+st2.ID+"/result?format=text")
+	if want2 := tableText(t, inline, scenario.RunOptions{Seed: 42, SeedExplicit: true}); got2 != want2 {
+		t.Fatalf("inline spec differs:\n got %q\nwant %q", got2, want2)
+	}
+}
+
+// TestHTTPScenariosErrors: a flag-configured daemon rejects bad run
+// requests synchronously with the same status codes.
+func TestHTTPScenariosErrors(t *testing.T) {
+	_, srv := serve(t, oneCluster(8, "easy", 0))
+	for body, want := range map[string]int{
+		`{`:  http.StatusBadRequest,
+		`{}`: http.StatusBadRequest,
+		`{"id":"mrt","spec":{"id":"x","kind":"mrt"}}`: http.StatusBadRequest,
+		`{"id":"no-such-scenario"}`:                   http.StatusNotFound,
+		`{"spec":{"id":"x","kind":"no-such-kind"}}`:   http.StatusBadRequest,
+		`{"id":"mrt","bogus":true}`:                   http.StatusBadRequest,
+	} {
+		if resp, _ := postJSON(t, srv.URL+"/v1/runs", body); resp.StatusCode != want {
+			t.Errorf("POST /v1/runs %s: %d, want %d", body, resp.StatusCode, want)
+		}
+	}
+}
+
 func TestBrokerHTTPCampaignAndStats(t *testing.T) {
 	_, srv := startTestBroker(t)
 
