@@ -5,28 +5,22 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/metrics"
-	"repro/internal/rigid"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
 // benchView builds a realistic decision point: queued jobs behind a
-// running set, with the persistent profile the simulator would maintain.
+// running set.
 func benchView(nQueue, nRunning, m int) View {
 	rng := stats.NewRNG(11)
-	profile := rigid.NewProfile(m)
-	var running []RunningInfo
+	var running []busy
 	used := 0
 	for i := 0; i < nRunning; i++ {
 		procs := rng.IntRange(1, m/4)
 		if used+procs > m {
 			break
 		}
-		end := rng.Range(1, 50)
-		if err := profile.Reserve(0, end, procs); err != nil {
-			panic(err)
-		}
-		running = append(running, RunningInfo{End: end, Procs: procs})
+		running = append(running, busy{rng.Range(1, 50), procs})
 		used += procs
 	}
 	queue := make([]*workload.Job, nQueue)
@@ -38,23 +32,21 @@ func benchView(nQueue, nRunning, m int) View {
 			Model: workload.Linear{},
 		}
 	}
-	return View{
-		Now: 0, M: m, Avail: m - used, Speed: 1,
-		Queue: queue, Running: running, Profile: profile,
-	}
+	return testView(0, m, 1, m-used, queue, running...)
 }
 
-// BenchmarkConservativeDecide times a one-shot conservative-backfilling
-// plan of a 50-job queue (a view without a kept plan): the cost of
-// building a plan from scratch, which a simulation pays after a fault or
-// a queue edit — not per event. BenchmarkClusterSimConservativeDeep has
-// the per-event cost.
+// BenchmarkConservativeDecide times a conservative-backfilling plan of a
+// 50-job queue from scratch (the plan is invalidated before every
+// decision): the cost a simulation pays after a fault or a queue edit —
+// not per event. BenchmarkClusterSimConservativeDeep has the per-event
+// cost.
 func BenchmarkConservativeDecide(b *testing.B) {
 	v := benchView(50, 20, 64)
 	pol := ConservativePolicy{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		v.Plan.Invalidate()
 		if ds := pol.Decide(v); len(ds) == 0 {
 			b.Fatal("no decisions")
 		}
@@ -64,12 +56,10 @@ func BenchmarkConservativeDecide(b *testing.B) {
 // BenchmarkEASYDecide times one EASY decision on a 50-job queue: profile
 // clone, shadow time, and the backfill search of the queue index. The
 // view keeps its index from one iteration to the next, as a simulation's
-// views do; without one every iteration would index the whole queue from
-// scratch, a cost no simulation pays. BenchmarkClusterSimEASYDeep has the
-// cost per event with the index kept up as the queue changes.
+// views do. BenchmarkClusterSimEASYDeep has the cost per event with the
+// index kept up as the queue changes.
 func BenchmarkEASYDecide(b *testing.B) {
 	v := benchView(50, 20, 64)
-	v.Index = new(QueueIndex)
 	pol := EASYPolicy{}
 	b.ReportAllocs()
 	b.ResetTimer()

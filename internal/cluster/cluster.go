@@ -32,98 +32,59 @@ type Decision struct {
 	Procs int
 }
 
-// RunningInfo describes a running local job to policies (for shadow-time
-// computations).
-type RunningInfo struct {
-	End   float64
-	Procs int
-}
-
 // View is the state snapshot handed to a policy. Avail counts free
 // processors plus processors held by evictable best-effort tasks: the
 // §5.2 contract is that local jobs behave as if grid jobs did not exist.
 //
-// Queue and Running are the simulator's live waiting queue and running
-// set, not copies: policies read them during Decide, never write them,
-// and must not retain them afterwards — the starts that follow a decision
-// edit both in place. Profile, Plan and Index are the simulator's own
-// long-lived state, not snapshots: a policy that wraps another (tracing,
-// auditing, what-if) hands the view on unchanged and must not keep any of
-// the pointers past Decide; one that hands on a different Queue clears
-// Plan and Index.
+// Every field is the simulator's own state, lent for one decision and
+// copied from nothing: Queue is the live waiting queue, and Profile,
+// Plan, Index and Scratch are kept from one decision to the next.
+// Policies read Queue and Profile, never write them, and keep none of
+// the fields past Decide — the starts that follow a decision edit them in
+// place. A policy that wraps another (tracing, auditing) hands the view
+// on unchanged.
 type View struct {
 	Now   float64
 	M     int
 	Avail int
 	Speed float64
 	Queue []*workload.Job // submission order
-	// Running lists the running local jobs in start order (what
-	// Sim.Running reports, less the jobs themselves). The Sim edits it
-	// where it edits its running set — a start appends, a finish or a
-	// crash kill removes — and builds nothing per decision; the shipped
-	// policies read it only on a view without a Profile.
-	Running []RunningInfo
-	// Profile, when set, is the cluster's persistent availability
-	// profile: every running local job holds a reservation [Now, End),
-	// maintained incrementally across events. Policies must treat it as
-	// read-only — what-if reservations go into a (pooled) Clone, taken
-	// when there is one to write. Views built by hand may leave it nil;
-	// policies then derive the same information from Running.
+	// Profile is the cluster's persistent availability profile: every
+	// running local job holds a reservation [Now, End) and every capacity
+	// loss one until its repair time, maintained incrementally across
+	// events. Policies must treat it as read-only — what-if reservations
+	// go into a (pooled) Clone, taken when there is one to write.
 	Profile *rigid.Profile
-	// Plan, when set, is the cluster's persistent conservative-backfilling
-	// plan (see Plan and ConservativePolicy). ConservativePolicy extends
-	// it in place at every decision; every other policy ignores it.
-	// Deciding on a view without starting what was decided is allowed —
-	// the next decision notices the jobs still queued and plans again —
-	// but nothing else may be done with the plan from inside Decide. The
-	// Sim invalidates it wherever the queue or the capacity changes other
-	// than by an arrival at the tail or a start: crash, repair,
-	// SetAvailability and the defensive profile resync (rebuildProfile),
-	// the requeue of a killed local job, and StealQueued. Views built by
-	// hand may leave it nil; the policy then plans the whole queue once,
-	// through the same code.
+	// Plan is the cluster's persistent conservative-backfilling plan (see
+	// Plan and ConservativePolicy). ConservativePolicy extends it in place
+	// at every decision; every other policy ignores it. Deciding on a view
+	// without starting what was decided is allowed — the next decision
+	// notices the jobs still queued and plans again — but nothing else may
+	// be done with the plan from inside Decide. The Sim invalidates it at
+	// every profile rebuild: a crash, a repair or a SetAvailability step,
+	// whether or not the working count moves (with the requeue of the
+	// jobs a loss kills), and the defensive resync in start. The policy
+	// notices any other edit of the queue — a steal, a refused start — on
+	// its own (see Plan).
 	Plan *Plan
-	// Index, when set, is the cluster's persistent index of Queue (see
-	// QueueIndex), which EASYPolicy and GreedyFitPolicy search instead of
-	// walking the queue; every other policy ignores it. A search first
-	// indexes the jobs appended to the queue since the last one and
-	// changes nothing else, so deciding twice on one view, or deciding
-	// without starting what was decided, is allowed. In return the owner
-	// of the queue removes from the index every job it removes from the
-	// queue — the Sim does in start and StealQueued; arrivals and the
-	// requeue of a killed job append to the tail and need nothing — and
-	// never reorders the queue, because the index takes a job's arrival
-	// number for its queue position. Views built by hand may leave it
-	// nil; the policy then indexes the whole queue once, through the same
-	// code.
+	// Index is the cluster's persistent index of Queue (see QueueIndex),
+	// which EASYPolicy and GreedyFitPolicy search instead of walking the
+	// queue; every other policy ignores it. A search first indexes the
+	// jobs appended to the queue since the last one and changes nothing
+	// else, so deciding twice on one view, or deciding without starting
+	// what was decided, is allowed. In return the owner of the queue
+	// removes from the index every job it removes from the queue — the Sim
+	// does in start and StealQueued; arrivals and the requeue of a killed
+	// job append to the tail and need nothing — and never reorders the
+	// queue, because the index takes a job's arrival number for its queue
+	// position.
 	Index *QueueIndex
-	// Scratch, when set, is an empty slice with room to spare that Decide
-	// may append its decisions to and return instead of allocating one.
-	// The Sim lends the same memory to every decision and zeroes it once
-	// the decided jobs have started, so a policy must not keep it, or
-	// anything returned out of it, past Decide. Views built by hand leave
-	// it nil, and appending to that allocates.
+	// Scratch is an empty slice with room to spare that Decide may append
+	// its decisions to and return instead of allocating one. The Sim lends
+	// the same memory to every decision and zeroes it once the decided
+	// jobs have started, so a policy must not keep it, or anything
+	// returned out of it, past Decide.
 	Scratch []Decision
-}
-
-// planProfile returns a scratch profile seeded with the running set: a
-// pooled clone of the persistent profile when present, else a fresh one
-// rebuilt from Running. The caller owns the result and should Recycle it
-// when done. ok is false when Running is inconsistent (overcommitted).
-func (v View) planProfile() (p *rigid.Profile, ok bool) {
-	if v.Profile != nil {
-		return v.Profile.Clone(), true
-	}
-	p = rigid.NewProfile(v.M)
-	for _, r := range v.Running {
-		if r.End <= v.Now {
-			continue
-		}
-		if err := p.Reserve(v.Now, r.End-v.Now, r.Procs); err != nil {
-			return nil, false
-		}
-	}
-	return p, true
 }
 
 // Duration returns the execution time of job j on p processors on this
@@ -263,16 +224,12 @@ type Sim struct {
 	profile *rigid.Profile
 	// plan is the conservative-backfilling plan kept across decisions and
 	// handed to the policy through View.Plan; it stays empty under every
-	// other policy. Everything that edits the queue or the capacity
-	// behind the plan's back invalidates it (see View.Plan).
+	// other policy. Every profile rebuild invalidates it (see View.Plan).
 	plan Plan
 	// index is the backfill index of queue handed to the policy through
 	// View.Index; it stays empty until a policy searches it. dequeue keeps
 	// it in step with the queue.
 	index QueueIndex
-	// viewRunning is View.Running: viewRunning[i] describes running[i], and
-	// every edit of one slice is made to the other.
-	viewRunning []RunningInfo
 	// runFree holds localRunning records whose finish event has fired, for
 	// start to use again.
 	runFree []*localRunning
@@ -580,8 +537,7 @@ func (s *Sim) reschedule() {
 	s.decisions = nil
 	view := View{
 		Now: now, M: s.M, Avail: s.avail - s.localProcs, Speed: s.Speed,
-		Queue: s.queue, Running: s.viewRunning, Profile: s.profile, Plan: &s.plan, Index: &s.index,
-		Scratch: scratch,
+		Queue: s.queue, Profile: s.profile, Plan: &s.plan, Index: &s.index, Scratch: scratch,
 	}
 	decisions := s.policy.Decide(view)
 	for _, d := range decisions {
@@ -643,7 +599,6 @@ func (s *Sim) start(d Decision, now float64) {
 	}
 	run.job, run.procs, run.start, run.end, run.cancelled = d.Job, d.Procs, now, now+dur, false
 	s.running = append(s.running, run)
-	s.viewRunning = append(s.viewRunning, RunningInfo{End: run.end, Procs: run.procs})
 	s.localProcs += d.Procs
 	if s.OnLocalStart != nil {
 		s.OnLocalStart(run.job, run.procs, now)
@@ -674,8 +629,6 @@ func (s *Sim) finish(run *localRunning) {
 			copy(s.running[i:], s.running[i+1:])
 			s.running[last] = nil
 			s.running = s.running[:last]
-			copy(s.viewRunning[i:], s.viewRunning[i+1:])
-			s.viewRunning = s.viewRunning[:last]
 			break
 		}
 	}
@@ -696,36 +649,40 @@ func (s *Sim) finish(run *localRunning) {
 // rebuildProfile reconstructs the persistent profile from the running
 // set and the active capacity losses (fault events call it; otherwise a
 // defensive resync, never needed while the incremental updates and the
-// running list agree — the cross-check is a test invariant). Outages
-// with known repair times are carved out only until that time, so a
-// backfill plan sees the capacity come back and can reserve behind it.
+// running list agree — TestSimMatchesReference checks that they do).
+// Outages with known repair times are carved out only until that time,
+// so a backfill plan sees the capacity come back and can reserve behind
+// it.
+//
+// Every reservation is made from time 0 in the arithmetic that first
+// made it, and history is trimmed afterwards: a running job from its
+// start for TimeOn/Speed, as start reserved it, an outage until its
+// repair time. The rebuilt reservations thus end exactly where the
+// running records and the repair events say. (Reserving [now, end)
+// would round an end to now+(end-now), a float step off, and hold a
+// finished job's processors for that step.)
 func (s *Sim) rebuildProfile(now float64) {
 	s.plan.Invalidate()
 	s.profile = rigid.NewProfile(s.M)
-	s.profile.TrimBefore(now)
 	remaining := s.M - s.avail
 	for _, o := range s.outages {
 		if remaining <= 0 {
 			break
 		}
-		p := o.procs
-		if p > remaining {
-			p = remaining
-		}
+		p := min(o.procs, remaining)
 		if o.until > now && p > 0 {
-			_ = s.profile.Reserve(now, o.until-now, p)
+			_ = s.profile.Reserve(0, o.until, p)
 			remaining -= p
 		}
 	}
 	if remaining > 0 {
 		// Open-ended loss (SetAvailability): no known repair time.
-		_ = s.profile.Reserve(now, availHorizon, remaining)
+		_ = s.profile.Reserve(0, availHorizon, remaining)
 	}
 	for _, r := range s.running {
-		if r.end > now {
-			_ = s.profile.Reserve(now, r.end-now, r.procs)
-		}
+		_ = s.profile.Reserve(r.start, r.job.TimeOn(r.procs)/s.Speed, r.procs)
 	}
+	s.profile.TrimBefore(now)
 }
 
 // killOneBE evicts one best-effort task per the kill policy. Returns
@@ -782,13 +739,11 @@ func (s *Sim) killOneLocal(now float64) bool {
 	}
 	run := s.running[victim]
 	s.running = slices.Delete(s.running, victim, victim+1)
-	s.viewRunning = slices.Delete(s.viewRunning, victim, victim+1)
 	run.cancelled = true // and out of runFree until its finish event has fired
 	s.localProcs -= run.procs
 	s.faultStats.Requeues++
 	s.faultStats.LostWork += float64(run.procs) * (now - run.start) * s.Speed
 	s.queue = append(s.queue, run.job)
-	s.plan.Invalidate() // the victim's reservation is gone
 	w, _ := run.job.MinWork(s.M)
 	s.queuedWork += w
 	if s.OnLocalKilled != nil {
@@ -853,6 +808,9 @@ func (s *Sim) SetAvailability(avail int) {
 	if avail > s.M {
 		avail = s.M
 	}
+	if s.M-avail == s.traceDown {
+		return // the same step again: no loss changed
+	}
 	s.traceDown = s.M - avail
 	s.applyAvail(s.DES.Now())
 }
@@ -861,10 +819,12 @@ func (s *Sim) SetAvailability(avail int) {
 // faults are active).
 func (s *Sim) Avail() int { return s.avail }
 
-// applyAvail recomputes availability from the active capacity losses
-// and reconciles the simulation with it: integrate downtime, evict
-// overcommitted work, rebuild the profile with the losses carved out,
-// and reschedule.
+// applyAvail reconciles the simulation with a change of the active
+// capacity losses: recompute the working count (integrating downtime
+// when it moves), evict overcommitted work, rebuild the profile with the
+// losses carved out, and reschedule. The rebuild is due even when the
+// count stays put: a repair under a pinned SetAvailability changes when
+// the carved-out processors come back without changing how many work.
 func (s *Sim) applyAvail(now float64) {
 	down := s.traceDown
 	for _, o := range s.outages {
@@ -873,13 +833,11 @@ func (s *Sim) applyAvail(now float64) {
 	if down > s.M {
 		down = s.M
 	}
-	a := s.M - down
-	if a == s.avail {
-		return
+	if a := s.M - down; a != s.avail {
+		s.faultStats.DownProcSeconds += float64(s.M-s.avail) * (now - s.availSince)
+		s.availSince = now
+		s.avail = a
 	}
-	s.faultStats.DownProcSeconds += float64(s.M-s.avail) * (now - s.availSince)
-	s.availSince = now
-	s.avail = a
 	for s.free() < 0 && s.killOneBE(now) {
 	}
 	for s.free() < 0 && s.killOneLocal(now) {
@@ -1100,7 +1058,6 @@ func (s *Sim) StealQueued(n int) []*workload.Job {
 	for range stolen {
 		s.dequeue(len(s.queue) - 1)
 	}
-	s.plan.Invalidate() // the stolen jobs' reservations would block others
 	s.submitted -= n
 	for _, j := range stolen {
 		w, _ := j.MinWork(s.M)

@@ -452,3 +452,35 @@ func TestScheduleFromCompletionsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestViewBuffersReused: a decision copies nothing — the audit requires
+// every field of every view to be the simulator's own — and the memory
+// behind the lent decision scratch stops moving once it has held the
+// largest decision.
+func TestViewBuffersReused(t *testing.T) {
+	cov := map[string]int{}
+	s := auditedSim(t, 4, FCFSPolicy{}, cov)
+	moved := 0
+	var last *Decision
+	s.OnIdle = func(int) {
+		if cap(s.decisions) > 0 && &s.decisions[:1][0] != last {
+			last = &s.decisions[:1][0]
+			moved++
+		}
+	}
+	for i := 0; i < 30; i++ {
+		if err := s.Submit(rjob(i, 2, 1, float64(i)/2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Completions()) != 30 {
+		t.Fatalf("%d completions", len(s.Completions()))
+	}
+	// One job starts per decision: the scratch is allocated once.
+	if cov["decisions"] < 60 || moved != 1 {
+		t.Fatalf("%d decisions, the scratch moved %d times", cov["decisions"], moved)
+	}
+}

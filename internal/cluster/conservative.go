@@ -43,8 +43,7 @@ import (
 // queue was edited), when a job the last decision started is still
 // queued (the start was refused), when a planned start lies in the past,
 // or after a start that was due only within the 1e-12 tolerance and not
-// exactly (profiles rebuilt after a fault carry one-ULP end times). A
-// view without a plan gets a one-shot plan through the same path.
+// exactly (a reservation ending a hair after now).
 type ConservativePolicy struct{}
 
 // Name implements Policy.
@@ -55,8 +54,9 @@ func (ConservativePolicy) Name() string { return "conservative" }
 // jobs' reservations, and the planned prefix of the waiting queue with
 // its start times. The zero value is an empty, invalid plan. A Plan
 // belongs to one evolving queue (one Sim); only ConservativePolicy
-// reads or writes it, and its owner calls Invalidate when the queue or
-// the capacity changes other than by an arrival at the tail or a start.
+// reads or writes it, and its owner calls Invalidate when the capacity
+// behind it changes. Edits of the queue need no call: a decision keeps
+// the plan only while its jobs are still the head of the queue (holds).
 type Plan struct {
 	// profile is nil while the plan is invalid.
 	profile *rigid.Profile
@@ -98,10 +98,6 @@ func (pl *Plan) holds(v View) bool {
 // Decide implements Policy.
 func (ConservativePolicy) Decide(v View) []Decision {
 	pl := v.Plan
-	if pl == nil {
-		pl = new(Plan)
-		defer pl.Invalidate() // hands the scratch profile back to its pool
-	}
 	if !pl.holds(v) {
 		pl.Invalidate()
 	}
@@ -109,11 +105,7 @@ func (ConservativePolicy) Decide(v View) []Decision {
 		return nil
 	}
 	if pl.profile == nil {
-		profile, ok := v.planProfile()
-		if !ok {
-			return nil // inconsistent view; refuse rather than guess
-		}
-		pl.profile = profile
+		pl.profile = v.Profile.Clone()
 	}
 	pl.profile.TrimBefore(v.Now)
 

@@ -69,15 +69,8 @@ func (EASYPolicy) Decide(v View) []Decision {
 	queue := v.Queue
 	// profile is the cluster's own, to be read only, until the decision has
 	// a reservation to write; from then on (own) a clone, recycled on the
-	// way out. A view without one gets its own from the start.
+	// way out.
 	profile, own := v.Profile, false
-	if profile == nil {
-		var ok bool
-		if profile, ok = v.planProfile(); !ok {
-			return nil
-		}
-		own = true
-	}
 	defer func() {
 		if own {
 			profile.Recycle()
@@ -128,7 +121,8 @@ func (EASYPolicy) Decide(v View) []Decision {
 	// the last one taken that passes — and that is the question the index
 	// answers without the walk. The index only finds the job; the test
 	// that takes it is the walk's own arithmetic, re-run here.
-	ix := v.syncedIndex()
+	ix := v.Index
+	ix.sync(v)
 	after := ix.seqs[len(v.Queue)-len(queue)]
 	for avail > 0 {
 		j, seq := ix.next(after, avail, extra, v.Now, shadow+1e-12)
@@ -180,7 +174,8 @@ func (GreedyFitPolicy) Decide(v View) []Decision {
 	// Then, each time, the first job behind the last one taken that is no
 	// wider than what is left (see EASYPolicy): a backfill search whose
 	// spare processors are all of them, so that length never matters.
-	ix := v.syncedIndex()
+	ix := v.Index
+	ix.sync(v)
 	after := ix.seqs[k]
 	for avail > 0 {
 		j, seq := ix.next(after, avail, avail, 0, 0)

@@ -41,18 +41,6 @@ type QueueIndex struct {
 	lanes []lane
 }
 
-// syncedIndex returns the index of v.Queue with every queued job in it:
-// the view's own, brought up to date, or a one-shot index of the whole
-// queue for a view that carries none.
-func (v View) syncedIndex() *QueueIndex {
-	ix := v.Index
-	if ix == nil {
-		ix = new(QueueIndex)
-	}
-	ix.sync(v)
-	return ix
-}
-
 // sync indexes the jobs of v.Queue that are not indexed yet: the suffix
 // appended since the last search. Idempotent.
 func (ix *QueueIndex) sync(v View) {

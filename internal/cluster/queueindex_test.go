@@ -1,10 +1,10 @@
 package cluster
 
-// Differential tests for the queue index: EASYPolicy and GreedyFitPolicy
-// searching the index must decide, at every decision point, exactly what
-// the walk down the whole queue they replaced decides — the same jobs by
-// pointer, in the same order — and a lane must answer every search the
-// way a linear scan of its entries does.
+// Tests for the queue index: the index must stay in step with the queue
+// (checkIndex, which TestSimMatchesReference runs around every decision),
+// EASYPolicy and GreedyFitPolicy searching it must decide what the
+// reference's walks down the whole queue decide, and a lane must answer
+// every search the way a linear scan of its entries does.
 
 import (
 	"math"
@@ -15,80 +15,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
-
-// walkEASY is EASYPolicy.Decide as shipped before the index: after the
-// heads that fit, it tests every job behind the blocked head in queue
-// order. It never looks at v.Index.
-func walkEASY(v View) []Decision {
-	if len(v.Queue) == 0 {
-		return nil
-	}
-	var out []Decision
-	avail := v.Avail
-	queue := v.Queue
-	profile, ok := v.planProfile()
-	if !ok {
-		return nil
-	}
-	defer profile.Recycle()
-	for len(queue) > 0 {
-		head := queue[0]
-		p := procsFor(head)
-		if p > avail {
-			break
-		}
-		out = append(out, Decision{Job: head, Procs: p})
-		avail -= p
-		if err := profile.Reserve(v.Now, v.Duration(head, p), p); err != nil {
-			return out
-		}
-		queue = queue[1:]
-	}
-	if len(queue) == 0 {
-		return out
-	}
-	shadow, extra := profile.EarliestAvail(v.Now, procsFor(queue[0]))
-	if extra < 0 {
-		extra = 0
-	}
-	for _, j := range queue[1:] {
-		if avail <= 0 {
-			break
-		}
-		p := procsFor(j)
-		if p > avail {
-			continue
-		}
-		end := v.Now + v.Duration(j, p)
-		fitsBefore := end <= shadow+1e-12
-		fitsBeside := p <= extra
-		if fitsBefore || fitsBeside {
-			out = append(out, Decision{Job: j, Procs: p})
-			avail -= p
-			if !fitsBefore {
-				extra -= p
-			}
-		}
-	}
-	return out
-}
-
-// walkGreedyFit is GreedyFitPolicy.Decide as shipped before the index.
-func walkGreedyFit(v View) []Decision {
-	var out []Decision
-	avail := v.Avail
-	for _, j := range v.Queue {
-		if avail <= 0 {
-			break
-		}
-		p := procsFor(j)
-		if p <= avail {
-			out = append(out, Decision{Job: j, Procs: p})
-			avail -= p
-		}
-	}
-	return out
-}
 
 // sameKey compares two tree keys, NaN equal to NaN.
 func sameKey(a, b float64) bool { return a == b || (a != a && b != b) }
@@ -182,134 +108,6 @@ func checkIndex(t *testing.T, v View) {
 	}
 }
 
-// indexAudit runs an index-searching policy with the walk it replaced
-// beside it at every decision.
-type indexAudit struct {
-	t     *testing.T
-	inner Policy
-	walk  func(View) []Decision
-	// hog makes every third non-empty decision start with a wide job of
-	// the audit's own choosing, so that the Sim refuses, for want of
-	// processors, some of the starts that follow it.
-	hog bool
-
-	decisions, returned int
-	// searches counts the decisions that went on to search the index, by
-	// how many jobs the search took: none, one, several.
-	searches [3]int
-}
-
-func (p *indexAudit) Name() string { return p.inner.Name() }
-
-func (p *indexAudit) Decide(v View) []Decision {
-	t := p.t
-	p.decisions++
-	if v.Index == nil {
-		t.Fatal("view missing the queue index")
-	}
-	checkIndex(t, v) // as the Sim's starts, steals and requeues left it
-	want := p.walk(v)
-	got := p.inner.Decide(v)
-	sameDecisions(t, v.Now, got, want)
-	checkIndex(t, v)
-	// A decision consumes nothing: asked again, the policy says the same.
-	sameDecisions(t, v.Now, p.inner.Decide(v), want)
-	checkIndex(t, v)
-
-	// A decision searched if it stopped at a blocked head with processors
-	// left and every queued job is indexed. (EASY gives up before that on
-	// a view whose profile has fewer processors free than Avail says,
-	// which a repair under a pinned SetAvailability can produce.)
-	heads, avail := 0, v.Avail
-	for heads < len(got) && got[heads].Job == v.Queue[heads] {
-		avail -= got[heads].Procs
-		heads++
-	}
-	if heads < len(v.Queue) && avail > 0 && len(v.Index.seqs) == len(v.Queue) {
-		p.searches[min(len(got)-heads, 2)]++
-	}
-
-	if p.hog && len(got) > 0 && p.decisions%3 == 0 {
-		var wide *workload.Job
-		for _, j := range v.Queue {
-			if procsFor(j) <= v.Avail && (wide == nil || procsFor(j) > procsFor(wide)) {
-				wide = j
-			}
-		}
-		got = append([]Decision{{wide, procsFor(wide)}}, got...)
-	}
-	p.returned += len(got)
-	return got
-}
-
-// churnAudited runs churnTwoClusters with an indexAudit on each cluster
-// and returns the audits, the clusters and the number of starts made.
-func churnAudited(t *testing.T, seed uint64, inner Policy, walk func(View) []Decision, hog bool) (audits [2]*indexAudit, sims [2]*Sim, started int, ok bool) {
-	t.Helper()
-	for c := range audits {
-		audits[c] = &indexAudit{t: t, inner: inner, walk: walk, hog: hog}
-	}
-	sims, ok = churnTwoClusters(t, seed, [2]Policy{audits[0], audits[1]}, func(s *Sim) {
-		s.OnLocalStart = func(*workload.Job, int, float64) { started++ }
-	})
-	return audits, sims, started, ok
-}
-
-// testIndexMatchesWalk runs churnAudited over random seeds and requires
-// that searches taking no, one and several jobs all occurred.
-func testIndexMatchesWalk(t *testing.T, inner Policy, walk func(View) []Decision) {
-	decisions := 0
-	var searches [3]int
-	f := func(seed uint64) bool {
-		defer logFailingSeed(t, seed)
-		audits, _, _, ok := churnAudited(t, seed, inner, walk, false)
-		for _, a := range audits {
-			decisions += a.decisions
-			for k, n := range a.searches {
-				searches[k] += n
-			}
-		}
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCountScale: 1.5}); err != nil {
-		t.Fatal(err)
-	}
-	if searches[0] == 0 || searches[1] == 0 || searches[2] == 0 {
-		t.Fatalf("searches that took no, one, several jobs: %v — all three must be exercised", searches)
-	}
-	t.Logf("%d decisions; searches that took no, one, several jobs: %v", decisions, searches)
-}
-
-// TestEASYIndexMatchesWalk: EASY backfilling off the index against the
-// walk, on the harness of TestConservativePlanMatchesReplan.
-func TestEASYIndexMatchesWalk(t *testing.T) { testIndexMatchesWalk(t, EASYPolicy{}, walkEASY) }
-
-// TestGreedyFitIndexMatchesWalk is the same for GreedyFitPolicy.
-func TestGreedyFitIndexMatchesWalk(t *testing.T) {
-	testIndexMatchesWalk(t, GreedyFitPolicy{}, walkGreedyFit)
-}
-
-// TestIndexSurvivesRefusedStarts: a decided job whose start the Sim
-// refuses — the processors it counted on went to a start made before it,
-// or it was decided twice — stays queued and stays indexed, and the next
-// decision still matches the walk. (indexAudit also decides twice on
-// every view, which must change nothing.)
-func TestIndexSurvivesRefusedStarts(t *testing.T) {
-	returned, started := 0, 0
-	for seed := uint64(1); seed <= 40; seed++ {
-		audits, _, n, ok := churnAudited(t, seed, EASYPolicy{}, walkEASY, true)
-		if !ok {
-			t.Fatalf("seed %d: not every job completed", seed)
-		}
-		started += n
-		returned += audits[0].returned + audits[1].returned
-	}
-	if returned <= started {
-		t.Fatalf("%d starts decided, %d made: none refused", returned, started)
-	}
-	t.Logf("%d of %d decided starts refused", returned-started, returned)
-}
-
 // held counts the pointers left in a slice's backing array, all the way
 // to its capacity.
 func held[T any](s []*T) int {
@@ -380,31 +178,32 @@ func TestDrainedSimRetainsNothing(t *testing.T) {
 	}
 }
 
-// TestIndexMatchesWalkOnHandBuiltViews: random decision points built by
-// hand — jobs wider than the machine or zero wide, NaN, infinite and
+// TestIndexMatchesWalkOnHandBuiltViews: random decision points from
+// testView — jobs wider than the machine or zero wide, NaN, infinite and
 // zero durations, a shadow time that never comes, more processors
-// promised than the running set leaves — decided through a one-shot index
-// (View.Index nil) and through a kept one, twice; and, for EASY, on a
-// view that carries the running set as a Profile, which the decision
-// must read (cloning it only if it has to) and never write.
+// promised than the running set leaves — decided twice through the kept
+// index, against the reference's walks. The decision must read
+// View.Profile (cloning it only if it has to) and never write it.
 func TestIndexMatchesWalkOnHandBuiltViews(t *testing.T) {
 	odd := []float64{math.NaN(), math.Inf(1), 0, 1e-300, 1e300}
 	f := func(seed uint64) bool {
 		defer logFailingSeed(t, seed)
 		rng := stats.NewRNG(seed)
 		m := rng.IntRange(2, 24)
-		v := View{Now: rng.Range(0, 100), M: m, Speed: 1 + 0.37*float64(rng.Intn(2))}
+		now, speed := rng.Range(0, 100), 1+0.37*float64(rng.Intn(2))
+		var running []busy
 		used := 0
 		for used < m && rng.Bool(0.8) {
 			procs := rng.IntRange(1, m-used)
 			// Whole numbers often, so that jobs end exactly at the shadow time.
-			v.Running = append(v.Running, RunningInfo{End: v.Now + math.Ceil(rng.Range(0, 20)), Procs: procs})
+			running = append(running, busy{now + math.Ceil(rng.Range(0, 20)), procs})
 			used += procs
 		}
-		v.Avail = m - used
+		avail := m - used
 		if rng.Bool(0.15) {
-			v.Avail = min(m, v.Avail+rng.IntRange(1, 3)) // an inconsistent view
+			avail = min(m, avail+rng.IntRange(1, 3)) // an inconsistent view
 		}
+		var queue []*workload.Job
 		for i, n := 0, rng.Intn(40); i < n; i++ {
 			p := rng.IntRange(1, m/2)
 			switch {
@@ -413,7 +212,7 @@ func TestIndexMatchesWalkOnHandBuiltViews(t *testing.T) {
 			case rng.Bool(0.03):
 				p = 0
 			}
-			j := rjob(i, math.Ceil(rng.Range(0, 20))/v.Speed, p, 0)
+			j := rjob(i, math.Ceil(rng.Range(0, 20))/speed, p, 0)
 			switch {
 			case rng.Bool(0.3):
 				j = rjob(i, rng.Range(0.1, 20), p, 0)
@@ -421,28 +220,20 @@ func TestIndexMatchesWalkOnHandBuiltViews(t *testing.T) {
 				j.Times = make([]float64, p)
 				j.Times[p-1] = odd[rng.Intn(len(odd))]
 			}
-			v.Queue = append(v.Queue, j)
+			queue = append(queue, j)
 		}
 		for _, c := range []struct {
 			inner Policy
-			walk  func(View) []Decision
-		}{{EASYPolicy{}, walkEASY}, {GreedyFitPolicy{}, walkGreedyFit}} {
-			want := c.walk(v)
-			sameDecisions(t, v.Now, c.inner.Decide(v), want)
-			kept := v
-			kept.Index = new(QueueIndex)
+			walk  func(point) []Decision
+		}{{EASYPolicy{}, point.easy}, {GreedyFitPolicy{}, point.greedyFit}} {
+			v := testView(now, m, speed, avail, queue, running...)
+			want := c.walk(pointOf(v))
+			before := v.Profile.Clone()
 			for round := 0; round < 2; round++ {
-				sameDecisions(t, v.Now, c.inner.Decide(kept), want)
-				checkIndex(t, kept)
+				sameDecisions(t, now, c.inner.Decide(v), want)
+				checkIndex(t, v)
 			}
-		}
-		profiled := v
-		profiled.Profile, _ = v.planProfile()
-		before := profiled.Profile.Clone()
-		sameDecisions(t, v.Now, EASYPolicy{}.Decide(profiled), walkEASY(v))
-		sameAvailability(t, v.Now, profiled.Profile, before, 0, "View.Profile after the decision", "before")
-		if profiled.Profile.Segments() != before.Segments() {
-			t.Fatalf("t=%v: the decision left View.Profile with %d segments for %d", v.Now, profiled.Profile.Segments(), before.Segments())
+			sameProfile(t, now, v.Profile, before, "View.Profile after the decisions", "before")
 		}
 		return true
 	}
