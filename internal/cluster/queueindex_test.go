@@ -186,8 +186,7 @@ func TestDrainedSimRetainsNothing(t *testing.T) {
 // View.Profile (cloning it only if it has to) and never write it.
 func TestIndexMatchesWalkOnHandBuiltViews(t *testing.T) {
 	odd := []float64{math.NaN(), math.Inf(1), 0, 1e-300, 1e300}
-	f := func(seed uint64) bool {
-		defer logFailingSeed(t, seed)
+	checkSeeds(t, &quick.Config{MaxCountScale: 5}, func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
 		m := rng.IntRange(2, 24)
 		now, speed := rng.Range(0, 100), 1+0.37*float64(rng.Intn(2))
@@ -236,10 +235,7 @@ func TestIndexMatchesWalkOnHandBuiltViews(t *testing.T) {
 			sameProfile(t, now, v.Profile, before, "View.Profile after the decisions", "before")
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCountScale: 5}); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 // Palettes of the lane tests: few values, so that equal durations and
@@ -360,8 +356,7 @@ func runLaneOps(t *testing.T, ops []byte) {
 
 // TestLaneMatchesLinearScan is runLaneOps over random operation strings.
 func TestLaneMatchesLinearScan(t *testing.T) {
-	f := func(seed uint64) bool {
-		defer logFailingSeed(t, seed)
+	checkSeeds(t, nil, func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
 		ops := make([]byte, rng.IntRange(50, 3000))
 		for i := range ops {
@@ -369,10 +364,7 @@ func TestLaneMatchesLinearScan(t *testing.T) {
 		}
 		runLaneOps(t, ops)
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 // FuzzLaneOps is runLaneOps under the fuzzer.

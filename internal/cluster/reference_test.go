@@ -239,8 +239,10 @@ func (a *audit) Decide(v View) []Decision {
 	sameProfile(t, v.Now, v.Profile, ref.profile, "View.Profile", "the reference")
 
 	checkIndex(t, v)
-	if v.Plan.holds(v) && len(v.Plan.jobs) > 0 {
+	if _, ok := a.inner.(ConservativePolicy); ok && v.Plan.holds(v) && len(v.Plan.jobs) > 0 {
 		a.cov["decisions extending a kept plan"]++
+	} else if ok {
+		a.cov["decisions planning from scratch"]++
 	}
 	want, starts, plan := ref.decide(a.inner)
 	defer plan.Recycle()
@@ -410,13 +412,14 @@ func churnTwoClusters(t *testing.T, seed uint64, policies [2]Policy, setup func(
 	return sims, sims[0].CompletedCount()+sims[1].CompletedCount() == 2*n
 }
 
-// churnAudited runs churnTwoClusters with an audit bound to each cluster.
-// Unless hog refuses some on purpose, every start decided must be made.
-func churnAudited(t *testing.T, seed uint64, inner Policy, hog bool, cov map[string]int) bool {
+// churnAudited runs churnTwoClusters with an audit bound to each cluster,
+// cluster c deciding by policies[c]. Unless hog refuses some on purpose,
+// every start decided must be made.
+func churnAudited(t *testing.T, seed uint64, policies [2]Policy, hog bool, cov map[string]int) bool {
 	t.Helper()
 	var audits [2]*audit
 	for c := range audits {
-		audits[c] = &audit{t: t, inner: inner, hog: hog, cov: cov}
+		audits[c] = &audit{t: t, inner: policies[c], hog: hog, cov: cov}
 	}
 	bound, started := 0, 0
 	sims, ok := churnTwoClusters(t, seed, [2]Policy{audits[0], audits[1]}, func(s *Sim) {
@@ -442,29 +445,21 @@ func TestSimMatchesReference(t *testing.T) {
 		t.Run(inner.Name(), func(t *testing.T) {
 			cov := map[string]int{}
 			t.Run("churn", func(t *testing.T) {
-				f := func(seed uint64) bool {
-					defer logFailingSeed(t, seed)
-					return churnAudited(t, seed, inner, false, cov)
-				}
-				if err := quick.Check(f, &quick.Config{MaxCountScale: 1.5}); err != nil {
-					t.Fatal(err)
-				}
+				checkSeeds(t, &quick.Config{MaxCountScale: 1.5}, func(seed uint64) bool {
+					return churnAudited(t, seed, [2]Policy{inner, inner}, false, cov)
+				})
 			})
 			t.Run("refused-starts", func(t *testing.T) {
 				for seed := uint64(1); seed <= 40; seed++ {
-					if !churnAudited(t, seed, inner, true, cov) {
+					if !churnAudited(t, seed, [2]Policy{inner, inner}, true, cov) {
 						t.Fatalf("seed %d: not every job completed", seed)
 					}
 				}
 			})
 			t.Run("healthy", func(t *testing.T) {
-				f := func(seed uint64) bool {
-					defer logFailingSeed(t, seed)
+				checkSeeds(t, &quick.Config{MaxCount: 25}, func(seed uint64) bool {
 					return healthyAudited(t, seed, inner, cov)
-				}
-				if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-					t.Fatal(err)
-				}
+				})
 			})
 			t.Run("repair-under-pinned-loss", func(t *testing.T) { pinnedRepairAudited(t, inner, cov) })
 
@@ -473,19 +468,48 @@ func TestSimMatchesReference(t *testing.T) {
 			case EASYPolicy, GreedyFitPolicy:
 				want = append(want, "searches taking no job", "searches taking one job", "searches taking several jobs")
 			case ConservativePolicy:
-				want = append(want, "decisions extending a kept plan")
+				want = append(want, "decisions extending a kept plan", "decisions planning from scratch")
 			}
-			for _, path := range want {
-				if cov[path] == 0 {
-					t.Errorf("no %s: that path was not exercised (%v)", path, cov)
-				}
-			}
-			if cov["decisions extending a kept plan"] == cov["decisions"] {
-				t.Errorf("every decision extended a kept plan: planning from scratch was not exercised (%v)", cov)
-			}
+			requireCovered(t, cov, want...)
 			t.Logf("%v", cov)
 		})
 	}
+}
+
+// requireCovered fails for every path in want that cov never counted.
+func requireCovered(t *testing.T, cov map[string]int, want ...string) {
+	t.Helper()
+	for _, path := range want {
+		if cov[path] == 0 {
+			t.Errorf("no %s: that path was not exercised (%v)", path, cov)
+		}
+	}
+}
+
+// TestConservativePlanMatchesReplan audits conservative backfilling, its
+// kept plan included, on churnTwoClusters beside an EASY cluster whose
+// jobs a steal moves into the plan. Both plan paths must be taken.
+func TestConservativePlanMatchesReplan(t *testing.T) {
+	cov := map[string]int{}
+	checkSeeds(t, &quick.Config{MaxCountScale: 1.5}, func(seed uint64) bool {
+		return churnAudited(t, seed, [2]Policy{ConservativePolicy{}, EASYPolicy{}}, false, cov)
+	})
+	requireCovered(t, cov, "decisions extending a kept plan", "decisions planning from scratch")
+}
+
+// TestViewIsLiveUnderChurn: the audit requires every view to be the
+// simulator's own state (requireLiveView) on clusters that crash, steal,
+// migrate, evict and refuse starts, each seed's two clusters deciding by
+// two different policies.
+func TestViewIsLiveUnderChurn(t *testing.T) {
+	policies := []Policy{FCFSPolicy{}, EASYPolicy{}, GreedyFitPolicy{}, ConservativePolicy{}}
+	cov := map[string]int{}
+	for seed := uint64(1); seed <= 40; seed++ {
+		if !churnAudited(t, seed, [2]Policy{policies[seed%4], policies[(seed+1)%4]}, true, cov) {
+			t.Fatalf("seed %d: not every job completed", seed)
+		}
+	}
+	requireCovered(t, cov, "running jobs killed", "refused starts")
 }
 
 // auditedSim returns a cluster of m processors deciding by inner under
@@ -632,9 +656,19 @@ func describe(ds []Decision) [][2]int {
 	return out
 }
 
-// logFailingSeed names the seed of a randomized run that failed.
-func logFailingSeed(t *testing.T, seed uint64) {
-	if t.Failed() {
-		t.Logf("failing seed: %d", seed)
+// checkSeeds runs f on quick.Check's random seeds under cfg and names the
+// seed of a run that failed.
+func checkSeeds(t *testing.T, cfg *quick.Config, f func(seed uint64) bool) {
+	t.Helper()
+	err := quick.Check(func(seed uint64) bool {
+		defer func() {
+			if t.Failed() {
+				t.Logf("failing seed: %d", seed)
+			}
+		}()
+		return f(seed)
+	}, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
 }
