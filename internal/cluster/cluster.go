@@ -63,9 +63,10 @@ type View struct {
 	// be done with the plan from inside Decide. The Sim invalidates it at
 	// every profile rebuild: a crash, a repair or a SetAvailability step,
 	// whether or not the working count moves (with the requeue of the
-	// jobs a loss kills), and the defensive resync in start. The policy
-	// notices any other edit of the queue — a steal, a refused start — on
-	// its own (see Plan).
+	// jobs a loss kills), and the defensive resync in start; and at
+	// StealQueued, which may take a job whose start was refused. The
+	// policy notices any other edit of the queue — a refused start, an
+	// arrival — on its own (see Plan).
 	Plan *Plan
 	// Index is the cluster's persistent index of Queue (see QueueIndex),
 	// which EASYPolicy and GreedyFitPolicy search instead of walking the
@@ -1058,6 +1059,10 @@ func (s *Sim) StealQueued(n int) []*workload.Job {
 	for range stolen {
 		s.dequeue(len(s.queue) - 1)
 	}
+	// A stolen job may be one the last decision started and the Sim
+	// refused: its reservation stays in the plan, and it is not queued
+	// for the next decision to notice.
+	s.plan.Invalidate()
 	s.submitted -= n
 	for _, j := range stolen {
 		w, _ := j.MinWork(s.M)

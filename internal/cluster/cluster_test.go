@@ -27,10 +27,8 @@ func runSim(t *testing.T, m int, speed float64, policy Policy, jobs []*workload.
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range jobs {
-		if err := s.Submit(j); err != nil {
-			t.Fatal(err)
-		}
+	if err := s.SubmitAll(jobs); err != nil {
+		t.Fatal(err)
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -348,30 +346,9 @@ func TestPoliciesProperty(t *testing.T) {
 			jobs = append(jobs, rjob(i, rng.Range(0.5, 15), rng.IntRange(1, m), clock))
 		}
 		for _, pol := range []Policy{FCFSPolicy{}, EASYPolicy{}, GreedyFitPolicy{}} {
-			s, err := New(des.New(), m, 1, pol, KillNewest)
-			if err != nil {
-				return false
-			}
-			for _, j := range jobs {
-				if err := s.Submit(j); err != nil {
-					return false
-				}
-			}
-			if err := s.Run(); err != nil {
-				return false
-			}
-			cs := s.Completions()
+			cs := runSim(t, m, 1, pol, jobs).Completions()
+			validateCompletions(t, cs, m)
 			if len(cs) != n {
-				return false
-			}
-			intervals := make([]platform.Interval, len(cs))
-			for i, c := range cs {
-				if c.Start < c.Job.Release-1e-9 {
-					return false
-				}
-				intervals[i] = platform.Interval{Start: c.Start, End: c.End, Count: c.Procs}
-			}
-			if platform.PeakDemand(intervals) > m {
 				return false
 			}
 		}
@@ -420,8 +397,6 @@ func TestBestEffortNonInterferenceProperty(t *testing.T) {
 			return ends
 		}
 		without := runLocal(false)
-		rng2 := stats.NewRNG(seed) // re-seed so BE durations don't shift local draws
-		_ = rng2
 		with := runLocal(true)
 		if without == nil || with == nil {
 			return false

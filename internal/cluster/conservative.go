@@ -55,8 +55,11 @@ func (ConservativePolicy) Name() string { return "conservative" }
 // its start times. The zero value is an empty, invalid plan. A Plan
 // belongs to one evolving queue (one Sim); only ConservativePolicy
 // reads or writes it, and its owner calls Invalidate when the capacity
-// behind it changes. Edits of the queue need no call: a decision keeps
-// the plan only while its jobs are still the head of the queue (holds).
+// behind it changes. Other edits of the queue need no call, but for the
+// removal of a job the last decision started (a steal after a refused
+// start): a decision keeps the plan only while its jobs are still the
+// head of the queue and the jobs the last decision started have left it
+// (holds), which such a removal fools.
 type Plan struct {
 	// profile is nil while the plan is invalid.
 	profile *rigid.Profile

@@ -33,16 +33,21 @@ func TestConservativePlanOneShot(t *testing.T) {
 // TestConservativeRefusedStartAtPlanTail: a refused start that leaves the
 // planned jobs a prefix of the queue — the refused job sat behind all of
 // them — must still be noticed: its reservation is in the plan as if it
-// ran, and planning it again on top of that would push it back.
+// ran, and planning it again on top of that would push it back. So must
+// the refusal of the second of two due jobs after the first started.
 func TestConservativeRefusedStartAtPlanTail(t *testing.T) {
-	wide, filler := rjob(1, 5, 4, 0), rjob(2, 5, 2, 0)
-	v := testView(0, 4, 1, 2, []*workload.Job{wide, filler}, busy{10, 2})
+	wide, f1, f2 := rjob(1, 5, 4, 0), rjob(2, 5, 1, 0), rjob(3, 5, 1, 0)
+	v := testView(0, 4, 1, 2, []*workload.Job{wide, f1, f2}, busy{10, 2})
 	for round := 0; round < 3; round++ {
-		sameDecisions(t, 0, ConservativePolicy{}.Decide(v), []Decision{{filler, 2}})
+		sameDecisions(t, 0, ConservativePolicy{}.Decide(v), []Decision{{f1, 1}, {f2, 1}})
 	}
 	if len(v.Plan.jobs) != 1 || v.Plan.jobs[0] != wide || v.Plan.starts[0] != 10 {
 		t.Fatalf("plan keeps %v at %v, want the wide job at 10", v.Plan.jobs, v.Plan.starts)
 	}
+	pl := v.Plan
+	v = testView(0, 4, 1, 1, []*workload.Job{wide, f2}, busy{10, 2}, busy{5, 1})
+	v.Plan = pl
+	sameDecisions(t, 0, ConservativePolicy{}.Decide(v), []Decision{{f2, 1}})
 }
 
 // TestConservativeInexactStartInvalidates: a job due within the 1e-12

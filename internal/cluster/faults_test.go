@@ -11,6 +11,18 @@ import (
 	"repro/internal/workload"
 )
 
+// crashAt schedules s.Crash(procs, until) at time at.
+func crashAt(t *testing.T, s *Sim, at float64, procs int, until float64) {
+	t.Helper()
+	if err := s.DES.At(at, func() {
+		if err := s.Crash(procs, until); err != nil {
+			t.Errorf("crash: %v", err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCrashAtFinishInstant: a crash scheduled before the simulation
 // starts shares a timestamp with the victim's own finish event. The
 // crash event was enqueued first, so it fires first, kills the job and
@@ -23,13 +35,7 @@ func TestCrashAtFinishInstant(t *testing.T) {
 	}
 	// Crash enqueued before the job arrives: same fire time as the
 	// finish event, smaller sequence number.
-	if err := s.DES.At(10, func() {
-		if err := s.Crash(4, 20); err != nil {
-			t.Errorf("crash: %v", err)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
+	crashAt(t, s, 10, 4, 20)
 	if err := s.Submit(rjob(1, 10, 4, 0)); err != nil { // runs [0,10)
 		t.Fatal(err)
 	}
@@ -65,18 +71,10 @@ func TestCrashDuringDrain(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		jobs = append(jobs, rjob(i+1, 10, 2, 0)) // 6 sequential waves of 2
 	}
-	for _, j := range jobs {
-		if err := s.Submit(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.DES.At(15, func() {
-		if err := s.Crash(2, 35); err != nil {
-			t.Errorf("crash: %v", err)
-		}
-	}); err != nil {
+	if err := s.SubmitAll(jobs); err != nil {
 		t.Fatal(err)
 	}
+	crashAt(t, s, 15, 2, 35)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -108,13 +106,7 @@ func TestRepairWithEmptyQueue(t *testing.T) {
 	if err := s.Submit(rjob(1, 5, 2, 0)); err != nil { // done at 5
 		t.Fatal(err)
 	}
-	if err := s.DES.At(10, func() {
-		if err := s.Crash(3, 40); err != nil {
-			t.Errorf("crash: %v", err)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
+	crashAt(t, s, 10, 3, 40)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -142,18 +134,10 @@ func TestFullOutageNeverDeadlocks(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		jobs = append(jobs, rjob(i+1, 20, 2, float64(i)))
 	}
-	for _, j := range jobs {
-		if err := s.Submit(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.DES.At(10, func() {
-		if err := s.Crash(4, 50); err != nil { // whole cluster down
-			t.Errorf("crash: %v", err)
-		}
-	}); err != nil {
+	if err := s.SubmitAll(jobs); err != nil {
 		t.Fatal(err)
 	}
+	crashAt(t, s, 10, 4, 50) // whole cluster down
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -241,13 +225,7 @@ func beKillOrder(t *testing.T, kill KillPolicy, seed uint64) []string {
 			t.Fatal(err)
 		}
 	}
-	if err := s.DES.At(35, func() {
-		if err := s.Crash(4, 90); err != nil {
-			t.Errorf("crash: %v", err)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
+	crashAt(t, s, 35, 4, 90)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -108,24 +108,13 @@ func checkIndex(t *testing.T, v View) {
 	}
 }
 
-// held counts the pointers left in a slice's backing array, all the way
-// to its capacity.
-func held[T any](s []*T) int {
-	n := 0
-	for _, p := range s[:cap(s)] {
-		if p != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// decisionsHeld counts the decisions left in a slice's backing array, all
+// held counts the non-zero elements left in a slice's backing array, all
 // the way to its capacity.
-func decisionsHeld(s []Decision) int {
+func held[T comparable](s []T) int {
+	var zero T
 	n := 0
-	for _, d := range s[:cap(s)] {
-		if d != (Decision{}) {
+	for _, e := range s[:cap(s)] {
+		if e != zero {
 			n++
 		}
 	}
@@ -167,7 +156,7 @@ func TestDrainedSimRetainsNothing(t *testing.T) {
 				for what, n := range map[string]int{
 					"queued jobs": queued, "running jobs": held(s.running),
 					"best-effort tasks": held(s.beActive), "outages": held(s.outages),
-					"decisions in the scratch": decisionsHeld(s.decisions), "jobs in free run records (or records twice free)": recycled,
+					"decisions in the scratch": held(s.decisions), "jobs in free run records (or records twice free)": recycled,
 				} {
 					if n > 0 {
 						t.Fatalf("%s, seed %d: %d %s still referenced after the drain", policy.Name(), seed, n, what)

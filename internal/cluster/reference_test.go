@@ -201,10 +201,11 @@ func (p point) conservative() (out []Decision, starts []float64, plan *rigid.Pro
 // audit runs a shipped policy for sim and, at every decision, requires:
 // a view made of the Sim's live state; View.Avail equal to the working
 // processors less the running ones, room in those for the best-effort
-// tasks, and no running job started before its release; View.Profile equal to the reference's bit for bit; the
-// index in step with the queue before and after; the reference's
-// decisions, by pointer and in order, twice over; and, under
-// conservative backfilling, the reference's plan kept.
+// tasks, and no running job started before its release; View.Profile
+// equal to the reference's bit for bit; the index in step with the queue
+// before and after; the reference's decisions, by pointer and in order,
+// twice over; and, under conservative backfilling, the reference's plan
+// kept.
 type audit struct {
 	t     *testing.T
 	inner Policy
@@ -241,6 +242,9 @@ func (a *audit) Decide(v View) []Decision {
 	checkIndex(t, v)
 	if _, ok := a.inner.(ConservativePolicy); ok && v.Plan.holds(v) && len(v.Plan.jobs) > 0 {
 		a.cov["decisions extending a kept plan"]++
+		if len(v.Plan.due) > 0 {
+			a.cov["decisions extending a plan kept across starts"]++
+		}
 	} else if ok {
 		a.cov["decisions planning from scratch"]++
 	}
@@ -249,8 +253,14 @@ func (a *audit) Decide(v View) []Decision {
 	first := slices.Clone(a.inner.Decide(v))
 	checkIndex(t, v)
 	// A decision consumes nothing: asked again, the policy says the same.
+	// Conservative then plans afresh if the first decision started a job
+	// (it is still queued), so the plan the first decision left, the one
+	// the Sim goes on with and checkPlan checks, is put back afterwards.
+	kept := planCopy(v.Plan)
 	got := a.inner.Decide(v)
 	checkIndex(t, v)
+	v.Plan.Invalidate()
+	*v.Plan = kept
 	sameDecisions(t, v.Now, first, want)
 	sameDecisions(t, v.Now, got, want)
 	if plan != nil {
@@ -271,6 +281,15 @@ func (a *audit) Decide(v View) []Decision {
 	}
 	a.returned += len(got)
 	return got
+}
+
+// planCopy returns a copy of pl that shares no memory with it.
+func planCopy(pl *Plan) Plan {
+	c := Plan{jobs: slices.Clone(pl.jobs), starts: slices.Clone(pl.starts), due: slices.Clone(pl.due)}
+	if pl.profile != nil {
+		c.profile = pl.profile.Clone()
+	}
+	return c
 }
 
 // checkPlan requires the plan ConservativePolicy kept after deciding got
@@ -462,13 +481,14 @@ func TestSimMatchesReference(t *testing.T) {
 				})
 			})
 			t.Run("repair-under-pinned-loss", func(t *testing.T) { pinnedRepairAudited(t, inner, cov) })
+			t.Run("steal-inside-start", func(t *testing.T) { stealInsideStartAudited(t, inner, cov) })
 
 			want := []string{"running jobs killed", "refused starts"}
 			switch inner.(type) {
 			case EASYPolicy, GreedyFitPolicy:
 				want = append(want, "searches taking no job", "searches taking one job", "searches taking several jobs")
 			case ConservativePolicy:
-				want = append(want, "decisions extending a kept plan", "decisions planning from scratch")
+				want = append(want, planPaths...)
 			}
 			requireCovered(t, cov, want...)
 			t.Logf("%v", cov)
@@ -486,15 +506,20 @@ func requireCovered(t *testing.T, cov map[string]int, want ...string) {
 	}
 }
 
+// planPaths are the paths conservative backfilling must take under the
+// audit: a kept plan extended, one kept across a decision that started
+// jobs extended, and a plan made from scratch.
+var planPaths = []string{"decisions extending a kept plan", "decisions extending a plan kept across starts", "decisions planning from scratch"}
+
 // TestConservativePlanMatchesReplan audits conservative backfilling, its
 // kept plan included, on churnTwoClusters beside an EASY cluster whose
-// jobs a steal moves into the plan. Both plan paths must be taken.
+// jobs a steal moves into the plan. Every plan path must be taken.
 func TestConservativePlanMatchesReplan(t *testing.T) {
 	cov := map[string]int{}
 	checkSeeds(t, &quick.Config{MaxCountScale: 1.5}, func(seed uint64) bool {
 		return churnAudited(t, seed, [2]Policy{ConservativePolicy{}, EASYPolicy{}}, false, cov)
 	})
-	requireCovered(t, cov, "decisions extending a kept plan", "decisions planning from scratch")
+	requireCovered(t, cov, planPaths...)
 }
 
 // TestViewIsLiveUnderChurn: the audit requires every view to be the
@@ -576,6 +601,33 @@ func pinnedRepairAudited(t *testing.T, inner Policy, cov map[string]int) {
 	}
 }
 
+// stealInsideStartAudited: on 4 processors a 4-wide job runs until 2, and
+// A and C (2 wide) queue to run beside each other from 2, B (4 wide)
+// behind them. A's start at 2 steals C, the tail job, so C's start,
+// decided with A's, is refused. D (2 wide) arrives at 3 and fits beside A
+// before B; a plan still holding C's reservation has no room for it until
+// B ends.
+func stealInsideStartAudited(t *testing.T, inner Policy, cov map[string]int) {
+	s := auditedSim(t, 4, inner, cov)
+	a, b, c := rjob(1, 5, 2, 0), rjob(2, 5, 4, 0), rjob(3, 5, 2, 0)
+	var stolen []*workload.Job
+	s.OnLocalStart = func(j *workload.Job, _ int, _ float64) {
+		if j == a {
+			stolen = s.StealQueued(1)
+		}
+	}
+	err := s.SubmitAll([]*workload.Job{rjob(0, 2, 4, 0), a, b, c, rjob(4, 3, 2, 3)})
+	if err == nil {
+		err = s.Run()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stolen) != 1 || stolen[0] != c || s.CompletedCount() != 4 {
+		t.Fatalf("stole %v and completed %d jobs, want C stolen and the other 4 completed", stolen, s.CompletedCount())
+	}
+}
+
 // busy is a running job of a decision point built in a test: procs
 // processors held until end.
 type busy struct {
@@ -617,9 +669,9 @@ func requireLiveView(t *testing.T, s *Sim, v View) {
 	if v.Index != &s.index || v.Plan != &s.plan || v.Profile != s.profile {
 		t.Fatalf("t=%v: view does not carry the simulator's index, plan and profile", v.Now)
 	}
-	if s.decisions != nil || len(v.Scratch) != 0 || decisionsHeld(v.Scratch) != 0 {
+	if s.decisions != nil || len(v.Scratch) != 0 || held(v.Scratch) != 0 {
 		t.Fatalf("t=%v: scratch lent at length %d with %d decisions left in it (the Sim still holds one: %v)",
-			v.Now, len(v.Scratch), decisionsHeld(v.Scratch), s.decisions != nil)
+			v.Now, len(v.Scratch), held(v.Scratch), s.decisions != nil)
 	}
 }
 
