@@ -19,9 +19,9 @@ import (
 
 // benchScale keeps individual iterations under ~100 ms so -benchtime
 // produces stable numbers; pass -benchscale=1 wiring is deliberately
-// omitted — full-scale tables come from cmd/experiments. Workers enables
+// omitted — full-scale tables come from `gridctl local`. Workers enables
 // the parallel replication runner, so BenchmarkTable* time what
-// cmd/experiments -parallel ships; tables stay bit-identical to the
+// `gridctl local -workers N` ships; tables stay bit-identical to the
 // sequential runner (asserted by TestParallelMatchesSequential in
 // internal/experiments).
 var benchScale = scenario.Scale{JobFactor: 10, Workers: runtime.GOMAXPROCS(0)}

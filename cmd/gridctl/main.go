@@ -1,10 +1,20 @@
-// Command gridctl drives a running gridd daemon through the pkg/client
-// SDK and the /v1 run-lifecycle API: it submits scenario runs, watches
-// their per-cell progress live over SSE, lists, inspects and cancels
-// runs, and fetches results in any renderer format.
+// Command gridctl runs the paper's scenarios and drives a gridd daemon.
+// Four subcommands work in-process: "local" runs scenarios and prints
+// their tables, "scenarios" and "policies" print the catalogs, and
+// "sim" is the one-schedule quick look. The rest go through the
+// pkg/client SDK and the /v1 run-lifecycle API: they submit scenario
+// runs, watch their per-cell progress live over SSE, list, inspect and
+// cancel runs, and fetch results in any renderer format.
 //
 // Usage:
 //
+//	gridctl local [-seed N] [-quick] [-workers N] [-format text|json|csv]
+//	        <id>|all|ablations|<spec.json>   run scenarios in-process
+//	gridctl scenarios                        the scenario catalog
+//	gridctl policies                         local + grid policy catalogs
+//	gridctl sim [-policy P] [-n N] [-m M] [-seed N] [-rate R] [-weighted]
+//	        [-rigidfrac F] [-online] [-gantt] [-csv] [-swf FILE]
+//	                                         one schedule, §3 criteria report
 //	gridctl [-addr URL] run [-seed N] [-quick] [-workers N] [-watch]
 //	        [-format text|json|csv] <id>|<spec.json>
 //	gridctl [-addr URL] runs [-format text|json]
@@ -22,9 +32,11 @@
 //	gridctl [-addr URL] observe -diff <run-id-a> <run-id-b>
 //	                                         render timelines from a trace
 //
-// "run" submits, waits for the terminal state and prints the result
-// (the text format is byte-identical to the cmd/experiments output).
-// -watch additionally narrates every cell completion on stderr.
+// "local" prints each result followed by a blank line; -workers N with
+// N ≥ 2 runs cells on a pool, and tables stay bit-identical. "run"
+// submits, waits for the terminal state and prints the result, the
+// same text "local" prints for it. -watch additionally narrates every
+// cell completion on stderr.
 //
 // "trace" streams the JSONL event trace of a finished traced run
 // (-swf re-exports it as an SWF archive the replay kind accepts);
@@ -39,19 +51,23 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strings"
 	"time"
 
 	"repro/internal/api"
-	_ "repro/internal/experiments" // register kinds + catalog (spec file validation)
+	_ "repro/internal/experiments" // register kinds + catalog
 	"repro/internal/scenario"
 	"repro/pkg/client"
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: gridctl [-addr URL] run|submit [-seed N] [-quick] [-workers N] [-watch] [-format text|json|csv] <id>|<spec.json>")
+	fmt.Fprintln(os.Stderr, "usage: gridctl local [-seed N] [-quick] [-workers N] [-format text|json|csv] <id>|all|ablations|<spec.json>")
+	fmt.Fprintln(os.Stderr, "       gridctl scenarios | policies")
+	fmt.Fprintln(os.Stderr, "       gridctl sim [-policy P] [-n N] [-m M] [-seed N] [-rate R] [-weighted] [-rigidfrac F] [-online] [-gantt] [-csv] [-swf FILE]")
+	fmt.Fprintln(os.Stderr, "       gridctl [-addr URL] run|submit [-seed N] [-quick] [-workers N] [-watch] [-format text|json|csv] <id>|<spec.json>")
 	fmt.Fprintln(os.Stderr, "       gridctl [-addr URL] runs [-format text|json]")
 	fmt.Fprintln(os.Stderr, "       gridctl [-addr URL] status [-format json|text] <run-id>")
 	fmt.Fprintln(os.Stderr, "       gridctl [-addr URL] cancel <run-id>")
@@ -63,43 +79,25 @@ func usage() {
 
 func main() {
 	addr := flag.String("addr", "http://localhost:8042", "gridd base URL")
-	timeout := flag.Duration("timeout", 10*time.Minute, "overall deadline")
+	timeout := flag.Duration("timeout", 10*time.Minute, "overall deadline of a daemon subcommand")
 	flag.Usage = func() { usage(); flag.PrintDefaults() }
 	flag.Parse()
 	if flag.NArg() < 1 {
 		usage()
 		os.Exit(2)
 	}
-	// No per-request transport timeout: event streams and result
-	// fetches can legitimately take as long as the run; -timeout (the
-	// context deadline) is the only clock that matters here. The tenant
-	// API key, when the daemon requires one, comes from the
-	// GRIDD_API_KEY environment variable.
-	c := client.New(*addr,
-		client.WithHTTPClient(&http.Client{}),
-		client.WithAPIKey(os.Getenv("GRIDD_API_KEY")))
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-	defer cancel()
-
 	var err error
-	switch cmd := flag.Arg(0); cmd {
-	case "run", "submit":
-		err = runCmd(ctx, c, cmd, flag.Args()[1:])
-	case "runs":
-		err = listCmd(ctx, c, flag.Args()[1:])
-	case "status":
-		err = statusCmd(ctx, c, flag.Args()[1:])
-	case "cancel":
-		err = cancelCmd(ctx, c, flag.Args()[1:])
-	case "workers":
-		err = workersCmd(ctx, c, flag.Args()[1:])
-	case "trace":
-		err = traceCmd(ctx, c, flag.Args()[1:])
-	case "observe":
-		err = observeCmd(ctx, c, flag.Args()[1:])
+	switch cmd, args := flag.Arg(0), flag.Args()[1:]; cmd {
+	case "local":
+		err = localCmd(os.Stdout, args)
+	case "scenarios":
+		err = scenario.WriteCatalog(os.Stdout)
+	case "policies":
+		err = writePolicies(os.Stdout)
+	case "sim":
+		err = simCmd(os.Stdout, args)
 	default:
-		usage()
-		os.Exit(2)
+		err = daemonCmd(cmd, args, *addr, *timeout)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gridctl: %v\n", err)
@@ -114,57 +112,95 @@ func main() {
 	}
 }
 
-// buildRequest resolves the scenario argument: a catalog id or a spec
-// file (validated locally before submission).
-func buildRequest(arg string, seed *uint64, quick bool, workers int) (scenario.HTTPRequest, error) {
-	req := scenario.HTTPRequest{Seed: seed, Quick: quick, Workers: workers}
-	if strings.HasSuffix(arg, ".json") {
-		spec, err := scenario.Load(arg)
-		if err != nil {
-			return req, err
+// daemonCmd runs a subcommand against the gridd daemon at addr, under
+// the timeout.
+func daemonCmd(cmd string, args []string, addr string, timeout time.Duration) error {
+	// No per-request transport timeout: event streams and result
+	// fetches can legitimately take as long as the run; the context
+	// deadline is the only clock that matters here. The tenant API key,
+	// when the daemon requires one, comes from the GRIDD_API_KEY
+	// environment variable.
+	c := client.New(addr,
+		client.WithHTTPClient(&http.Client{}),
+		client.WithAPIKey(os.Getenv("GRIDD_API_KEY")))
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	switch cmd {
+	case "run", "submit":
+		return runCmd(ctx, c, os.Stdout, cmd, args)
+	case "runs":
+		return listCmd(ctx, c, args)
+	case "status":
+		return statusCmd(ctx, c, args)
+	case "cancel":
+		return cancelCmd(ctx, c, args)
+	case "workers":
+		return workersCmd(ctx, c, args)
+	case "trace":
+		return traceCmd(ctx, c, args)
+	case "observe":
+		return observeCmd(ctx, c, args)
+	}
+	usage()
+	os.Exit(2)
+	return nil
+}
+
+// buildRequest parses the flags run, submit and local share (local has
+// no -watch) and resolves the scenario argument: a spec file, loaded
+// and validated before anything runs, or else an id.
+func buildRequest(cmd string, args []string) (req scenario.HTTPRequest, format string, watch bool, err error) {
+	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	seed := fs.Uint64("seed", 0, "base RNG seed (default 42; overrides a spec-pinned seed)")
+	quick := fs.Bool("quick", false, "shrink workloads ~10x")
+	fs.IntVar(&req.Workers, "workers", 0, "cell worker pool, capped at GOMAXPROCS (0/1 = sequential)")
+	fs.StringVar(&format, "format", "text", "result rendering: text|json|csv")
+	if cmd != "local" {
+		fs.BoolVar(&watch, "watch", false, "narrate per-cell progress (SSE) on stderr")
+	}
+	_ = fs.Parse(args)
+	if fs.NArg() != 1 {
+		return req, format, watch, fmt.Errorf("%s takes exactly one scenario argument", cmd)
+	}
+	switch format {
+	case "text", "json", "csv":
+	default:
+		// Reject up front: discovering a typo after a paper-scale run
+		// finished would waste its compute.
+		return req, format, watch, fmt.Errorf("unknown format %q (text|json|csv)", format)
+	}
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "seed" {
+			req.Seed = seed
 		}
-		req.Spec = spec
+	})
+	req.Quick = *quick
+	if arg := fs.Arg(0); strings.HasSuffix(arg, ".json") {
+		req.Spec, err = scenario.Load(arg)
 	} else {
 		req.ID = arg
 	}
-	return req, nil
+	return req, format, watch, err
 }
 
-func runCmd(ctx context.Context, c *client.Client, cmd string, args []string) error {
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	seed := fs.Uint64("seed", 0, "base RNG seed (overrides a spec-pinned seed)")
-	quick := fs.Bool("quick", false, "shrink workloads ~10x")
-	workers := fs.Int("workers", 0, "server-side cell worker pool (0 = sequential)")
-	watch := fs.Bool("watch", false, "narrate per-cell progress (SSE) on stderr")
-	format := fs.String("format", "text", "result rendering: text|json|csv")
-	_ = fs.Parse(args)
-	if fs.NArg() != 1 {
-		return fmt.Errorf("%s takes exactly one <id>|<spec.json> argument", cmd)
-	}
-	var seedp *uint64
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
-			seedp = seed
-		}
-	})
-	req, err := buildRequest(fs.Arg(0), seedp, *quick, *workers)
+func runCmd(ctx context.Context, c *client.Client, w io.Writer, cmd string, args []string) error {
+	req, format, watch, err := buildRequest(cmd, args)
 	if err != nil {
 		return err
 	}
-
 	st, err := c.SubmitRun(ctx, req)
 	if err != nil {
 		return err
 	}
 	if cmd == "submit" {
-		fmt.Println(st.ID)
+		fmt.Fprintln(w, st.ID)
 		return nil
 	}
-	if *watch {
+	if watch {
 		fmt.Fprintf(os.Stderr, "run %s submitted (%s/%s)\n", st.ID, st.SpecID, st.Kind)
 	}
 	streamErr := c.StreamEvents(ctx, st.ID, func(e api.Event) error {
-		if !*watch {
+		if !watch {
 			return nil
 		}
 		switch e.Type {
@@ -185,12 +221,12 @@ func runCmd(ctx context.Context, c *client.Client, cmd string, args []string) er
 	}
 	switch final.State {
 	case api.RunDone:
-		out, err := c.RunResultText(ctx, st.ID, *format)
+		out, err := c.RunResultText(ctx, st.ID, format)
 		if err != nil {
 			return err
 		}
-		fmt.Print(out)
-		return nil
+		_, err = io.WriteString(w, out)
+		return err
 	case api.RunFailed:
 		return fmt.Errorf("run %s failed: %s", final.ID, final.Error)
 	default:

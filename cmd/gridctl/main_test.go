@@ -1,0 +1,104 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/api"
+	"repro/internal/scenario"
+	"repro/pkg/client"
+)
+
+func readGolden(t *testing.T, id string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", id+".txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+func local(t *testing.T, args ...string) string {
+	t.Helper()
+	var out bytes.Buffer
+	if err := localCmd(&out, args); err != nil {
+		t.Fatalf("local %v: %v", args, err)
+	}
+	return out.String()
+}
+
+// TestLocalMatchesGoldens: local -quick prints the committed golden of
+// each scenario byte for byte, sequentially and on the cell pool.
+func TestLocalMatchesGoldens(t *testing.T) {
+	for _, id := range []string{"fig2", "mrt", "replay", "churn"} {
+		want := readGolden(t, id)
+		if got := local(t, "-quick", id); got != want {
+			t.Errorf("local -quick %s differs from its golden:\n%s", id, got)
+		}
+		if got := local(t, "-quick", "-workers", "4", id); got != want {
+			t.Errorf("local -quick -workers 4 %s differs from its golden:\n%s", id, got)
+		}
+	}
+}
+
+// TestLocalAblations: "ablations" expands to the six ablation
+// scenarios in catalog order, each followed by its blank line.
+func TestLocalAblations(t *testing.T) {
+	ids := scenario.CatalogIDs(scenario.GroupAblation)
+	if len(ids) != 6 {
+		t.Fatalf("catalog has %d ablations, want 6: %v", len(ids), ids)
+	}
+	var want strings.Builder
+	for _, id := range ids {
+		want.WriteString(readGolden(t, id))
+	}
+	if got := local(t, "-quick", "ablations"); got != want.String() {
+		t.Fatalf("local -quick ablations is not the concatenation of the ablation goldens:\n%s", got)
+	}
+}
+
+// TestLocalMatchesRun: a run served by the daemon renders the same
+// text local prints for it, less local's trailing blank line, for a
+// catalog id and for a spec file under an explicit seed.
+func TestLocalMatchesRun(t *testing.T) {
+	svc := api.NewRunService(api.Config{})
+	defer svc.Close()
+	mux := http.NewServeMux()
+	svc.Mount(mux)
+	srv := httptest.NewServer(api.Wrap(mux, 0, nil))
+	defer srv.Close()
+	c := client.New(srv.URL)
+
+	spec := filepath.Join("..", "..", "examples", "scenario", "offline-sweep.json")
+	for _, arg := range []string{"mrt", spec} {
+		args := []string{"-seed", "7", arg}
+		var served bytes.Buffer
+		if err := runCmd(context.Background(), c, &served, "run", args); err != nil {
+			t.Fatalf("run %v: %v", args, err)
+		}
+		if got, want := local(t, args...), served.String()+"\n"; got != want {
+			t.Errorf("%s: local printed\n%s\nrun printed\n%s", arg, got, want)
+		}
+	}
+}
+
+// TestLocalRejectsUnknownFormat: a bad -format fails before anything
+// is resolved or run.
+func TestLocalRejectsUnknownFormat(t *testing.T) {
+	for _, arg := range []string{"mrt", "missing.json"} {
+		var out bytes.Buffer
+		err := localCmd(&out, []string{"-format", "yaml", arg})
+		if err == nil || !strings.Contains(err.Error(), `unknown format "yaml"`) {
+			t.Errorf("local -format yaml %s: err = %v, want the unknown-format error", arg, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("local -format yaml %s wrote %q", arg, out.String())
+		}
+	}
+}

@@ -11,7 +11,9 @@
 //	gridd -m 128 -policy easy -dilation 60        # 1 wall second = 60 sim seconds
 //	gridd -policy conservative -dilation 0        # free-running (as fast as possible)
 //	gridd -topology fleet.json                    # multi-cluster fleet
-//	gridd -list-policies                          # local + grid policy catalogs
+//
+// `gridctl policies` prints the local and grid policy catalogs. An
+// empty -data-dir (the default) keeps the run store in memory.
 //
 // Every route is under /v1: POST /v1/jobs, GET /v1/jobs/{id},
 // GET /v1/queue, GET /v1/stats, GET /v1/metrics (Prometheus text,
@@ -45,7 +47,6 @@ import (
 	_ "repro/internal/experiments" // registers the scenario kinds + catalog for the run API
 	"repro/internal/fleet"
 	"repro/internal/gridservice"
-	"repro/internal/registry"
 	"repro/internal/store"
 	"repro/pkg/client"
 )
@@ -55,7 +56,7 @@ func main() {
 		addr     = flag.String("addr", ":8042", "HTTP listen address")
 		m        = flag.Int("m", 64, "cluster width (processors) of the one-cluster fleet served without -topology")
 		speed    = flag.Float64("speed", 1, "cluster speed factor (without -topology)")
-		policy   = flag.String("policy", "easy", "online policy name, see -list-policies (without -topology)")
+		policy   = flag.String("policy", "easy", "online policy name, see gridctl policies (without -topology)")
 		kill     = flag.String("kill", "newest", "best-effort eviction policy: newest|largest (without -topology)")
 		dilation = flag.Float64("dilation", 60, "simulated seconds per wall second, 0 = free-running (without -topology)")
 		topology = flag.String("topology", "", "fleet topology file: serve a multi-cluster fleet instead of one cluster")
@@ -63,11 +64,9 @@ func main() {
 		maxRuns  = flag.Int("max-runs", 2, "concurrent server-side scenario runs; further submissions queue, then get 429 + Retry-After")
 		logReqs  = flag.Bool("log-requests", false, "log one line per API request (method, path, status, duration, bytes, run id)")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (outside the API body caps)")
-		list     = flag.Bool("list-policies", false, "print the policy catalogs and exit")
 
-		dataDir   = flag.String("data-dir", "", "durable run store directory (WAL + compacting snapshots); empty = in-memory store")
-		tenantsF  = flag.String("tenants", "", "tenants file (JSON): per-tenant API keys and admission quotas")
-		noPersist = flag.Bool("no-persist", false, "ignore -data-dir and keep the run store in memory")
+		dataDir  = flag.String("data-dir", "", "durable run store directory (WAL + compacting snapshots); empty = in-memory store")
+		tenantsF = flag.String("tenants", "", "tenants file (JSON): per-tenant API keys and admission quotas")
 
 		fleetOn  = flag.Bool("fleet", false, "coordinator mode: shard run cells across fleet workers via /v1/fleet")
 		fleetTTL = flag.Duration("fleet-ttl", 15*time.Second, "fleet lease TTL (expired leases requeue their cells)")
@@ -87,18 +86,11 @@ func main() {
 			v.Version, v.GoVersion, v.CatalogHash, v.Scenarios, v.Kinds)
 		return
 	}
-	if *list {
-		fmt.Println("local queue policies:")
-		_ = registry.WriteCatalog(os.Stdout)
-		fmt.Println("\ngrid routing policies (topology \"grid_policy\"):")
-		_ = registry.WriteGridCatalog(os.Stdout)
-		return
-	}
 	if *workerMode {
 		runWorker(*coordinator, *workerID, *workerBatch, *workerPool)
 		return
 	}
-	apiCfg, closeStore := buildAPIConfig(*maxRuns, *logReqs, *dataDir, *tenantsF, *noPersist)
+	apiCfg, closeStore := buildAPIConfig(*maxRuns, *logReqs, *dataDir, *tenantsF)
 	defer closeStore()
 	if *fleetOn {
 		fl := fleet.NewCoordinator(fleet.Config{TTL: *fleetTTL})
@@ -132,10 +124,10 @@ func main() {
 // buildAPIConfig assembles the shared run-service configuration: the
 // executor bounds, and — when requested — the durable store and the
 // tenant set. The returned closer releases the store's WAL handle.
-func buildAPIConfig(maxRuns int, logReqs bool, dataDir, tenantsPath string, noPersist bool) (api.Config, func()) {
+func buildAPIConfig(maxRuns int, logReqs bool, dataDir, tenantsPath string) (api.Config, func()) {
 	cfg := api.Config{MaxActive: maxRuns, Log: requestLogger(logReqs)}
 	closeStore := func() {}
-	if dataDir != "" && !noPersist {
+	if dataDir != "" {
 		st, err := store.Open(dataDir, store.Options{})
 		if err != nil {
 			log.Fatalf("gridd: run store: %v", err)

@@ -507,7 +507,7 @@ func TestMemoCollisionIsAMiss(t *testing.T) {
 	if herr != nil {
 		t.Fatal(herr.msg)
 	}
-	opt := options(spec, &req)
+	opt := req.Options(spec)
 	specJSON, _ := json.Marshal(spec)
 	keyB := store.MemoKey(specJSON, opt.Seed, opt.Scale.JobFactor, scenario.CatalogHash())
 	s.mu.Lock()

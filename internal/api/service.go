@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -283,27 +282,6 @@ func (s *RunService) resolveSpec(req *scenario.HTTPRequest) (*scenario.Spec, *ht
 	return spec, nil
 }
 
-// options resolves the effective RunOptions for a submission (same
-// precedence as the CLI: explicit seed beats a Spec-pinned one).
-func options(spec *scenario.Spec, req *scenario.HTTPRequest) scenario.RunOptions {
-	workers := req.Workers
-	if maxw := runtime.GOMAXPROCS(0); workers > maxw {
-		workers = maxw
-	}
-	opt := scenario.RunOptions{Seed: 42, Scale: scenario.Scale{Workers: workers}}
-	if req.Seed != nil {
-		opt.Seed = *req.Seed
-		opt.SeedExplicit = true
-	}
-	// One precedence rule, owned by the scenario package (the status
-	// endpoint shows the effective seed before the run executes).
-	opt.Seed = spec.EffectiveSeed(opt)
-	if req.Quick {
-		opt.Scale.JobFactor = 10
-	}
-	return opt
-}
-
 // Submit validates the request, registers a run and queues it for the
 // executor pool as the anonymous tenant. It returns immediately;
 // progress flows through the run's event stream.
@@ -321,7 +299,7 @@ func (s *RunService) SubmitAs(req scenario.HTTPRequest, tn *store.Tenant) (*Run,
 	if herr != nil {
 		return nil, herr
 	}
-	opt := options(spec, &req)
+	opt := req.Options(spec)
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		return nil, &httpErr{code: http.StatusInternalServerError, msg: err.Error()}
@@ -689,7 +667,7 @@ func (s *RunService) worker() {
 		if f := s.cfg.Fleet; f != nil && !r.spec.Traced() {
 			// Distributed mode: remoteable cells go through the
 			// coordinator's work queue (opt.Seed is already the
-			// resolved effective seed — see options()).
+			// resolved effective seed — see HTTPRequest.Options).
 			cr, ferr := f.Dispatcher(r.id, r.spec, opt.Seed, opt.Scale.JobFactor)
 			if ferr != nil {
 				s.mu.Lock()

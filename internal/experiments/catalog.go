@@ -11,8 +11,8 @@ import (
 // This file wires the experiment engine into internal/scenario: it
 // registers every kind interpreter and the built-in Spec catalog that
 // reproduces the paper's evaluation. Catalog registration order is the
-// CLI display and "all"-expansion order (figures, tables, ablations —
-// the historical cmd/experiments order).
+// display order of `gridctl scenarios` and the expansion order of
+// `gridctl local all` (figures, tables, ablations).
 
 // fromOptions converts the invocation options to the engine scale,
 // carrying the run-lifecycle plumbing (cancellation context, progress

@@ -206,7 +206,7 @@ func TestGenericGridKind(t *testing.T) {
 }
 
 // TestSpecFileLoading: a scenario written to disk loads and runs (the
-// cmd/experiments `run file.json` path).
+// `gridctl local file.json` path).
 func TestSpecFileLoading(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/s.json"

@@ -1,7 +1,7 @@
 // Package registry is the single policy catalog of the repo: every
 // scheduling policy is registered here under its CLI name together with
 // its capability flags (online/offline, rigid/moldable, best-effort
-// cooperation) and its constructors. cmd/gridsim, cmd/experiments and
+// cooperation) and its constructors. gridctl, the scenario kinds and
 // the gridd service all resolve policies through this catalog instead of
 // maintaining their own switch statements.
 //
@@ -287,8 +287,8 @@ func WriteGridCatalog(w io.Writer) error {
 	return nil
 }
 
-// WriteCatalog prints the catalog as an aligned table (the -list-policies
-// output shared by every command).
+// WriteCatalog prints the catalog as an aligned table (the first half
+// of `gridctl policies`).
 func WriteCatalog(w io.Writer) error {
 	width := 0
 	for n := range catalog {

@@ -393,7 +393,8 @@ func Run(s *Spec, opt RunOptions) (*Result, error) {
 }
 
 // WriteCatalog prints the scenario catalog as an aligned listing
-// (the -list-scenarios output, and the source of the usage id list).
+// (the `gridctl scenarios` output, whose first column scripts read as
+// the id list).
 func WriteCatalog(w io.Writer) error {
 	idw, kindw := 0, 0
 	for _, s := range builtins {

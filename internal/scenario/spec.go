@@ -22,7 +22,7 @@ import (
 )
 
 // Group classifies a catalog entry for listing and for the "all" /
-// "ablations" expansions of cmd/experiments.
+// "ablations" expansions of `gridctl local`.
 const (
 	GroupFigure   = "figure"
 	GroupTable    = "table"

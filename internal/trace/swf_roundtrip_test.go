@@ -57,7 +57,7 @@ func TestSWFRoundTripByteStable(t *testing.T) {
 
 // TestSWFRoundTripFromSimulation runs real workloads through the cluster
 // simulator and round-trips the resulting completions — the end-to-end
-// path gridsim -swf and loadgen -swf users exercise.
+// path gridctl sim -swf and loadgen -swf users exercise.
 func TestSWFRoundTripFromSimulation(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
 		jobs := workload.Parallel(workload.GenConfig{N: 60, M: 16, Seed: seed, ArrivalRate: 0.3})

@@ -1,7 +1,7 @@
 // Package trace renders schedules and experiment results: ASCII Gantt
 // charts for quick eyeballing, CSV exports for plotting, an SWF-flavoured
 // (Standard Workload Format) job-trace writer/reader, and the aligned
-// text tables used by cmd/experiments.
+// text tables every scenario result renders to.
 package trace
 
 import (
