@@ -267,7 +267,7 @@ func (s *RunService) recover() {
 		}
 		s.runs[r.id] = r
 		s.order = append(s.order, r)
-		if r.state == RunDone && r.memoKey != "" && !s.cfg.NoMemo {
+		if r.state == RunDone && r.memoKey != "" {
 			if _, ok := s.memo[r.memoKey]; !ok {
 				s.memo[r.memoKey] = r
 			}

@@ -149,7 +149,7 @@ func TestRestartRecoversRuns(t *testing.T) {
 }
 
 // TestMemoization: identical submissions are answered from the cache
-// without re-executing cells; different seeds miss; NoMemo disables.
+// without re-executing cells; different seeds miss.
 func TestMemoization(t *testing.T) {
 	_, srv := newTestService(t, Config{MaxActive: 2, MaxHistory: 8})
 	body := `{"spec":{"id":"m","kind":"api-sleep","params":{"cells":2,"us":1}},"seed":9}`
@@ -174,15 +174,6 @@ func TestMemoization(t *testing.T) {
 		t.Fatal("different seed served from cache")
 	}
 	waitState(t, srv.URL, miss.ID, RunDone)
-
-	_, srvOff := newTestService(t, Config{MaxActive: 2, MaxHistory: 8, NoMemo: true})
-	a, _, _ := postRun(t, srvOff.URL, body)
-	waitState(t, srvOff.URL, a.ID, RunDone)
-	b, _, _ := postRun(t, srvOff.URL, body)
-	if b.Cached {
-		t.Fatal("NoMemo service served a cache hit")
-	}
-	waitState(t, srvOff.URL, b.ID, RunDone)
 }
 
 func postRunKey(t *testing.T, url, key, body string) (RunStatus, int, http.Header) {

@@ -54,10 +54,6 @@ type Config struct {
 	// require a tenant API key and admission is per-tenant (token
 	// bucket + active-run cap) instead of only the global bound.
 	Tenants *store.TenantSet
-	// NoMemo disables content-addressed result memoization (identical
-	// spec+seed submissions re-execute instead of returning the cached
-	// terminal run).
-	NoMemo bool
 }
 
 // Fleet is the coordinator seam of a distributed daemon: the api
@@ -304,10 +300,7 @@ func (s *RunService) SubmitAs(req scenario.HTTPRequest, tn *store.Tenant) (*Run,
 	if err != nil {
 		return nil, &httpErr{code: http.StatusInternalServerError, msg: err.Error()}
 	}
-	var memoKey string
-	if !s.cfg.NoMemo {
-		memoKey = store.MemoKey(specJSON, opt.Seed, opt.Scale.JobFactor, scenario.CatalogHash())
-	}
+	memoKey := store.MemoKey(specJSON, opt.Seed, opt.Scale.JobFactor, scenario.CatalogHash())
 	now := time.Now()
 
 	s.mu.Lock()
@@ -345,7 +338,7 @@ func (s *RunService) registerLocked(spec *scenario.Spec, opt scenario.RunOptions
 	// The 64-bit key only nominates a source; the hit is decided on the
 	// identity itself, so a colliding key (accidental or built by another
 	// tenant) is a miss that executes and leaves the entry alone.
-	if src, ok := s.memo[memoKey]; ok && memoKey != "" && src.state == RunDone &&
+	if src, ok := s.memo[memoKey]; ok && src.state == RunDone &&
 		bytes.Equal(src.specJSON, specJSON) && src.opt.Seed == opt.Seed &&
 		src.opt.Scale.JobFactor == opt.Scale.JobFactor {
 		if tn != nil {
@@ -615,7 +608,7 @@ func (s *RunService) finishCloseLocked(c closing) {
 		r.tenantRef.Release()
 		r.tenantRef = nil
 	}
-	if r.state == RunDone && r.memoKey != "" && !s.cfg.NoMemo {
+	if r.state == RunDone && r.memoKey != "" {
 		if _, ok := s.memo[r.memoKey]; !ok {
 			s.memo[r.memoKey] = r
 		}
@@ -679,7 +672,7 @@ func (s *RunService) worker() {
 			opt.Remote = cr
 		}
 
-		res, err := runSpec(r.spec, opt)
+		res, err := scenario.Run(r.spec, opt)
 
 		if err == nil && res != nil {
 			// Outside the lock: histogram folds walk every event.
@@ -711,21 +704,6 @@ func (s *RunService) release(c closing) {
 	s.active--
 	s.mu.Unlock()
 	c.r.cancel() // release the context's resources
-}
-
-// runSpec executes the scenario, converting a runner panic into a
-// failed run: the executor runs on a plain goroutine, so without this
-// a pathological inline spec (validation is structural, not semantic)
-// would crash the whole daemon — including the live cluster
-// simulation it is pacing. The old synchronous handler got this
-// containment for free from net/http's per-request recover.
-func runSpec(spec *scenario.Spec, opt scenario.RunOptions) (res *scenario.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			res, err = nil, fmt.Errorf("api: scenario %q panicked: %v", spec.ID, p)
-		}
-	}()
-	return scenario.Run(spec, opt)
 }
 
 // Get returns a run by id.

@@ -19,7 +19,7 @@ import (
 // ablationAllotmentRun compares the MRT knapsack allotment against the
 // greedy γ(λ) allotment (DESIGN.md ablation 1). Params: "ms", "n",
 // "eps".
-func ablationAllotmentRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error) {
+func ablationAllotmentRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 	if err := spec.CheckParams(map[string]scenario.ParamType{"ms": scenario.IntsParam, "n": scenario.IntParam, "eps": scenario.FloatParam}); err != nil {
 		return nil, err
 	}
@@ -28,10 +28,10 @@ func ablationAllotmentRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario
 		"m", "n", "knapsack ratio", "greedy ratio", "knapsack iters", "greedy iters")
 	ms := spec.Ints("ms", []int{32, 100})
 	eps := spec.Float("eps", 0.01)
-	if err := runRowCells(t, sc, len(ms), func(i int) ([]any, error) {
+	if err := runRowCells(t, opt, len(ms), func(i int) ([]any, error) {
 		m := ms[i]
-		n := sc.jobs(spec.Int("n", 300))
-		jobs := workload.Parallel(workload.GenConfig{N: n, M: m, Seed: seed + uint64(i)})
+		n := scaled(opt.Scale, spec.Int("n", 300))
+		jobs := workload.Parallel(workload.GenConfig{N: n, M: m, Seed: opt.Seed + uint64(i)})
 		lb := lowerbound.CmaxDual(jobs, m)
 		knap, err := moldable.MRTWithAllot(jobs, m, eps, moldable.SelectAllotments)
 		if err != nil {
@@ -54,7 +54,7 @@ func ablationAllotmentRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario
 // bi-criteria algorithm: smallest job time (default) vs the instance
 // lower bound vs an oversized base (DESIGN.md ablation 2). Params:
 // "m", "n".
-func ablationDoublingBaseRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error) {
+func ablationDoublingBaseRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 	if err := spec.CheckParams(map[string]scenario.ParamType{"m": scenario.IntParam, "n": scenario.IntParam}); err != nil {
 		return nil, err
 	}
@@ -62,8 +62,8 @@ func ablationDoublingBaseRun(spec *scenario.Spec, seed uint64, sc Scale) (*scena
 		title(spec, "Ablation — bi-criteria initial deadline d"),
 		"d choice", "batches", "Cmax ratio", "ΣwC ratio")
 	m := spec.Int("m", 64)
-	n := sc.jobs(spec.Int("n", 300))
-	jobs := workload.Parallel(workload.GenConfig{N: n, M: m, Seed: seed, Weighted: true})
+	n := scaled(opt.Scale, spec.Int("n", 300))
+	jobs := workload.Parallel(workload.GenConfig{N: n, M: m, Seed: opt.Seed, Weighted: true})
 	lb := lowerbound.CmaxDual(jobs, m)
 	choices := []struct {
 		name string
@@ -73,7 +73,7 @@ func ablationDoublingBaseRun(spec *scenario.Spec, seed uint64, sc Scale) (*scena
 		{"instance LB", lb},
 		{"8×LB (oversized)", 8 * lb},
 	}
-	if err := runRowCells(t, sc, len(choices), func(i int) ([]any, error) {
+	if err := runRowCells(t, opt, len(choices), func(i int) ([]any, error) {
 		res, err := bicriteria.Schedule(jobs, m, bicriteria.Options{
 			InitialDeadline: choices[i].d,
 		})
@@ -89,7 +89,7 @@ func ablationDoublingBaseRun(spec *scenario.Spec, seed uint64, sc Scale) (*scena
 
 // ablationShelfFillRun compares SMART's first-fit shelf filling against
 // best-fit (DESIGN.md ablation 3). Params: "ms", "n".
-func ablationShelfFillRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error) {
+func ablationShelfFillRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 	if err := spec.CheckParams(map[string]scenario.ParamType{"ms": scenario.IntsParam, "n": scenario.IntParam}); err != nil {
 		return nil, err
 	}
@@ -97,11 +97,11 @@ func ablationShelfFillRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario
 		title(spec, "Ablation — SMART shelf filling rule"),
 		"m", "n", "first-fit ΣwC", "best-fit ΣwC", "FF shelves", "BF shelves")
 	ms := spec.Ints("ms", []int{16, 64})
-	if err := runRowCells(t, sc, len(ms), func(i int) ([]any, error) {
+	if err := runRowCells(t, opt, len(ms), func(i int) ([]any, error) {
 		m := ms[i]
-		n := sc.jobs(spec.Int("n", 400))
+		n := scaled(opt.Scale, spec.Int("n", 400))
 		jobs := workload.Parallel(workload.GenConfig{
-			N: n, M: m, Seed: seed + uint64(i), Weighted: true, RigidFraction: 1,
+			N: n, M: m, Seed: opt.Seed + uint64(i), Weighted: true, RigidFraction: 1,
 		})
 		lb := lowerbound.SumWeightedCompletion(jobs, m)
 		ff, nFF, err := smart.Schedule(jobs, m, smart.FirstFit)
@@ -124,7 +124,7 @@ func ablationShelfFillRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario
 
 // ablationChunkRun sweeps the self-scheduling chunk size under latency
 // (DESIGN.md ablation 4). Params: "w", "latency", "chunks".
-func ablationChunkRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error) {
+func ablationChunkRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 	if err := spec.CheckParams(map[string]scenario.ParamType{"w": scenario.FloatParam, "latency": scenario.FloatParam, "chunks": scenario.FloatsParam}); err != nil {
 		return nil, err
 	}
@@ -139,7 +139,7 @@ func ablationChunkRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Res
 		return nil, err
 	}
 	chunks := spec.Floats("chunks", []float64{W / 1000, W / 100, W / 20, W / 8})
-	if err := runRowCells(t, sc, len(chunks), func(i int) ([]any, error) {
+	if err := runRowCells(t, opt, len(chunks), func(i int) ([]any, error) {
 		d, err := dlt.SelfSchedule(mkStar(), W, chunks[i])
 		if err != nil {
 			return nil, err
@@ -153,14 +153,14 @@ func ablationChunkRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Res
 
 // ablationKillPolicyRun compares best-effort eviction rules on a loaded
 // cluster (DESIGN.md ablation 5). Params: "n", "tasks".
-func ablationKillPolicyRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error) {
+func ablationKillPolicyRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 	if err := spec.CheckParams(map[string]scenario.ParamType{"n": scenario.IntParam, "tasks": scenario.IntParam}); err != nil {
 		return nil, err
 	}
 	t := newTable(1,
 		title(spec, "Ablation — best-effort kill policy (single 64-proc cluster)"),
 		"policy", "BE done", "kills", "wasted work", "local Δ")
-	n := sc.jobs(spec.Int("n", 60))
+	n := scaled(opt.Scale, spec.Int("n", 60))
 	kps := []struct {
 		name string
 		kill cluster.KillPolicy
@@ -168,11 +168,11 @@ func ablationKillPolicyRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenari
 		{"kill-newest", cluster.KillNewest},
 		{"kill-largest-remaining", cluster.KillLargestRemaining},
 	}
-	if err := runRowCells(t, sc, len(kps), func(i int) ([]any, error) {
+	if err := runRowCells(t, opt, len(kps), func(i int) ([]any, error) {
 		jobs := workload.Parallel(workload.GenConfig{
-			N: n, M: 64, Seed: seed, RigidFraction: 1, ArrivalRate: 0.01,
+			N: n, M: 64, Seed: opt.Seed, RigidFraction: 1, ArrivalRate: 0.01,
 		})
-		nBE := sc.jobs(spec.Int("tasks", 2000))
+		nBE := scaled(opt.Scale, spec.Int("tasks", 2000))
 		sim := des.NewWithCapacity(len(jobs) + nBE)
 		cs, err := cluster.New(sim, 64, 1, cluster.EASYPolicy{}, kps[i].kill)
 		if err != nil {
@@ -180,7 +180,7 @@ func ablationKillPolicyRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenari
 		}
 		// Heterogeneous task lengths: the eviction choice matters only
 		// when victims differ in remaining work.
-		rng := stats.NewRNG(seed + 1000)
+		rng := stats.NewRNG(opt.Seed + 1000)
 		for k := 0; k < nBE; k++ {
 			cs.SubmitBestEffort(cluster.BETask{
 				BagID: 0, Index: k, Duration: rng.Range(20, 600),
@@ -206,7 +206,7 @@ func ablationKillPolicyRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenari
 // (rigid.Compact) applied to the batch-structured bi-criteria schedules:
 // batches leave idle steps at batch boundaries that compaction reclaims
 // without moving any job later. Params: "m", "n".
-func ablationCompactionRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error) {
+func ablationCompactionRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 	if err := spec.CheckParams(map[string]scenario.ParamType{"m": scenario.IntParam, "n": scenario.IntParam}); err != nil {
 		return nil, err
 	}
@@ -215,14 +215,14 @@ func ablationCompactionRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenari
 		"family", "n", "Cmax ratio", "compacted", "ΣwC ratio", "compacted ")
 	m := spec.Int("m", 64)
 	families := []bool{false, true}
-	if err := runRowCells(t, sc, len(families), func(i int) ([]any, error) {
+	if err := runRowCells(t, opt, len(families), func(i int) ([]any, error) {
 		parallel := families[i]
 		family := "non-parallel"
 		if parallel {
 			family = "parallel"
 		}
-		n := sc.jobs(spec.Int("n", 300))
-		cfg := workload.GenConfig{N: n, M: m, Seed: seed + uint64(i), Weighted: true}
+		n := scaled(opt.Scale, spec.Int("n", 300))
+		cfg := workload.GenConfig{N: n, M: m, Seed: opt.Seed + uint64(i), Weighted: true}
 		var jobs []*workload.Job
 		if parallel {
 			jobs = workload.Parallel(cfg)

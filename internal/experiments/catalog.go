@@ -1,96 +1,44 @@
 package experiments
 
-import (
-	"fmt"
-	"io"
-
-	"repro/internal/bicriteria"
-	"repro/internal/scenario"
-)
+import "repro/internal/scenario"
 
 // This file wires the experiment engine into internal/scenario: it
-// registers every kind interpreter and the built-in Spec catalog that
-// reproduces the paper's evaluation. Catalog registration order is the
-// display order of `gridctl scenarios` and the expansion order of
-// `gridctl local all` (figures, tables, ablations).
-
-// fromOptions converts the invocation options to the engine scale,
-// carrying the run-lifecycle plumbing (cancellation context, progress
-// callbacks) through to the cell worker pool.
-func fromOptions(opt scenario.RunOptions) Scale {
-	return Scale{
-		JobFactor: opt.Scale.JobFactor, Workers: opt.Scale.Workers,
-		Ctx: opt.Context, OnCellsStart: opt.OnCellsStart, OnCellDone: opt.OnCellDone,
-		Remote: opt.Remote, Select: opt.Select, OnCellRows: opt.OnCellRows,
-		fanoutSeq: new(int32),
-	}
-}
-
-// tableRun is the signature every table kind implements: it expands
-// the Spec into cells and returns the typed scenario.Result (the text
-// table derives from the cells through the one renderer).
-type tableRun func(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error)
-
-// tableKind adapts a tableRun into a scenario.Runner.
-func tableKind(fn tableRun) scenario.Runner {
-	return func(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
-		return fn(spec, opt.Seed, fromOptions(opt))
-	}
-}
-
-// fig2Kind renders Figure 2's two series through the bespoke figure
-// writer (it has no table form, matching the historical output).
-func fig2Kind(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
-	np, p, err := fig2Run(spec, opt.Seed, fromOptions(opt))
-	if err != nil {
-		return nil, err
-	}
-	return scenario.CustomResult(func(w io.Writer) error {
-		bicriteria.WriteFig2(w, np, p)
-		return nil
-	}), nil
-}
-
-// mustSpec resolves a built-in catalog Spec (Fig2Tables runs through
-// it, so its points see the same defaults as the scenario engine).
-func mustSpec(id string) *scenario.Spec {
-	s, ok := scenario.Lookup(id)
-	if !ok {
-		panic(fmt.Sprintf("experiments: built-in spec %q not registered", id))
-	}
-	return s
-}
+// registers every kind runner (each one a scenario.Runner as written)
+// and the built-in Spec catalog that reproduces the paper's
+// evaluation. Catalog registration order is the display order of
+// `gridctl scenarios` and the expansion order of `gridctl local all`
+// (figures, tables, ablations).
 
 func init() {
 	// Kind interpreters. One per bespoke table, plus the generic
 	// JSON-composable kinds ("offline", "online", "grid") that the
 	// built-in T14/T15 specs are themselves instances of.
-	scenario.RegisterKind("fig2", fig2Kind)
-	scenario.RegisterKind("mrt", tableKind(mrtRun))
-	scenario.RegisterKind("batch", tableKind(batchRun))
-	scenario.RegisterKind("smart", tableKind(smartRun))
-	scenario.RegisterKind("bicriteria", tableKind(bicriteriaRun))
-	scenario.RegisterKind("dlt", tableKind(dltRun))
-	scenario.RegisterKind("cigri", tableKind(cigriRun))
-	scenario.RegisterKind("decentralized", tableKind(decentralizedRun))
-	scenario.RegisterKind("mixed", tableKind(mixedRun))
-	scenario.RegisterKind("reservations", tableKind(reservationsRun))
-	scenario.RegisterKind("malleable", tableKind(malleableRun))
-	scenario.RegisterKind("treedlt", tableKind(treeDLTRun))
-	scenario.RegisterKind("criteria", tableKind(criteriaRun))
-	scenario.RegisterKind("heterogrid", tableKind(heteroGridRun))
-	scenario.RegisterKind("online", tableKind(onlineRun))
-	scenario.RegisterKind("grid", tableKind(gridRun))
-	scenario.RegisterKind("offline", tableKind(offlineRun))
-	scenario.RegisterKind("replay", tableKind(replayRun))
-	scenario.RegisterKind("faults", tableKind(faultsRun))
-	scenario.RegisterKind("faulttwin", tableKind(faultTwinRun))
-	scenario.RegisterKind("ablation-allotment", tableKind(ablationAllotmentRun))
-	scenario.RegisterKind("ablation-doubling-base", tableKind(ablationDoublingBaseRun))
-	scenario.RegisterKind("ablation-shelf-fill", tableKind(ablationShelfFillRun))
-	scenario.RegisterKind("ablation-chunk", tableKind(ablationChunkRun))
-	scenario.RegisterKind("ablation-kill-policy", tableKind(ablationKillPolicyRun))
-	scenario.RegisterKind("ablation-compaction", tableKind(ablationCompactionRun))
+	scenario.RegisterKind("fig2", fig2Run)
+	scenario.RegisterKind("mrt", mrtRun)
+	scenario.RegisterKind("batch", batchRun)
+	scenario.RegisterKind("smart", smartRun)
+	scenario.RegisterKind("bicriteria", bicriteriaRun)
+	scenario.RegisterKind("dlt", dltRun)
+	scenario.RegisterKind("cigri", cigriRun)
+	scenario.RegisterKind("decentralized", decentralizedRun)
+	scenario.RegisterKind("mixed", mixedRun)
+	scenario.RegisterKind("reservations", reservationsRun)
+	scenario.RegisterKind("malleable", malleableRun)
+	scenario.RegisterKind("treedlt", treeDLTRun)
+	scenario.RegisterKind("criteria", criteriaRun)
+	scenario.RegisterKind("heterogrid", heteroGridRun)
+	scenario.RegisterKind("online", onlineRun)
+	scenario.RegisterKind("grid", gridRun)
+	scenario.RegisterKind("offline", offlineRun)
+	scenario.RegisterKind("replay", replayRun)
+	scenario.RegisterKind("faults", faultsRun)
+	scenario.RegisterKind("faulttwin", faultTwinRun)
+	scenario.RegisterKind("ablation-allotment", ablationAllotmentRun)
+	scenario.RegisterKind("ablation-doubling-base", ablationDoublingBaseRun)
+	scenario.RegisterKind("ablation-shelf-fill", ablationShelfFillRun)
+	scenario.RegisterKind("ablation-chunk", ablationChunkRun)
+	scenario.RegisterKind("ablation-kill-policy", ablationKillPolicyRun)
+	scenario.RegisterKind("ablation-compaction", ablationCompactionRun)
 
 	// Built-in catalog: the paper's evaluation as Specs. Each records
 	// its headline parameters explicitly (same values the kind would

@@ -16,9 +16,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"time"
+	"io"
 
 	"repro/internal/batch"
 	"repro/internal/bicriteria"
@@ -31,41 +30,9 @@ import (
 	"repro/internal/workload"
 )
 
-// Scale shrinks experiment sizes for tests/benchmarks (1 = paper scale)
-// and selects the replication runner.
-type Scale struct {
-	// JobFactor divides job counts (min result 10).
-	JobFactor int
-	// Workers bounds the experiment worker pool: 0 or 1 runs cells
-	// sequentially, larger values fan independent cells out over up to
-	// min(Workers, GOMAXPROCS) goroutines. Tables are bit-identical
-	// across worker counts for a fixed seed.
-	Workers int
-
-	// Ctx, when non-nil, cancels cell dispatch cooperatively (see
-	// runCells); it does not affect determinism of completed cells.
-	Ctx context.Context
-	// OnCellsStart and OnCellDone observe worker-pool progress (cells
-	// discovered by a fan-out / one cell finished with its duration).
-	// OnCellDone may fire concurrently from worker goroutines.
-	OnCellsStart func(n int)
-	OnCellDone   func(index int, d time.Duration)
-
-	// Remote, Select and OnCellRows carry the fleet dispatch seam of
-	// scenario.RunOptions into the cell runner (see runTableCells);
-	// fromOptions wires them, together with the fan-out ordinal
-	// counter, so distributed runs shard exactly the fan-outs whose
-	// cells are plain table rows.
-	Remote     scenario.CellRunner
-	Select     func(fanout, cell int) bool
-	OnCellRows func(fanout, cell int, rows [][]any, d time.Duration)
-	// fanoutSeq numbers the run's remoteable fan-outs in invocation
-	// order (nil outside the scenario.Run adapter — the fleet hooks are
-	// only ever set alongside it).
-	fanoutSeq *int32
-}
-
-func (s Scale) jobs(n int) int {
+// scaled divides a paper-scale job count by the scale's JobFactor
+// (floor 10; JobFactor 0 or 1 is paper scale).
+func scaled(s scenario.Scale, n int) int {
 	if s.JobFactor <= 1 {
 		return n
 	}
@@ -86,7 +53,7 @@ func title(spec *scenario.Spec, def string) string {
 // mrtRun is experiment T1 (§4.1): the offline MRT algorithm versus its
 // 3/2 + ε guarantee and the naive allotment baselines, across platform
 // widths and job counts. Params: "ms", "ns" (the sweep axes), "eps".
-func mrtRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error) {
+func mrtRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 	if err := spec.CheckParams(map[string]scenario.ParamType{"ms": scenario.IntsParam, "ns": scenario.IntsParam, "eps": scenario.FloatParam}); err != nil {
 		return nil, err
 	}
@@ -103,9 +70,9 @@ func mrtRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error
 			cells = append(cells, cell{m, n})
 		}
 	}
-	if err := runRowCells(t, sc, len(cells), func(i int) ([]any, error) {
-		m, n := cells[i].m, sc.jobs(cells[i].n)
-		jobs := workload.Parallel(workload.GenConfig{N: n, M: m, Seed: seed + uint64(i)})
+	if err := runRowCells(t, opt, len(cells), func(i int) ([]any, error) {
+		m, n := cells[i].m, scaled(opt.Scale, cells[i].n)
+		jobs := workload.Parallel(workload.GenConfig{N: n, M: m, Seed: opt.Seed + uint64(i)})
 		lb := lowerbound.CmaxDual(jobs, m)
 		res, err := moldable.MRT(jobs, m, eps)
 		if err != nil {
@@ -139,7 +106,7 @@ func mrtRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error
 // batchRun is experiment T2 (§4.2): the batch framework over MRT with
 // release dates versus its 2ρ = 3 + ε guarantee, across arrival
 // intensities. Params: "m", "n", "rates", "eps".
-func batchRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error) {
+func batchRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 	if err := spec.CheckParams(map[string]scenario.ParamType{"m": scenario.IntParam, "n": scenario.IntParam, "rates": scenario.FloatsParam, "eps": scenario.FloatParam}); err != nil {
 		return nil, err
 	}
@@ -149,11 +116,11 @@ func batchRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, err
 	m := spec.Int("m", 64)
 	eps := spec.Float("eps", 0.01)
 	rates := spec.Floats("rates", []float64{0.05, 0.5, 5})
-	if err := runRowCells(t, sc, len(rates), func(i int) ([]any, error) {
+	if err := runRowCells(t, opt, len(rates), func(i int) ([]any, error) {
 		rate := rates[i]
-		n := sc.jobs(spec.Int("n", 300))
+		n := scaled(opt.Scale, spec.Int("n", 300))
 		jobs := workload.Parallel(workload.GenConfig{
-			N: n, M: m, Seed: seed + uint64(i), ArrivalRate: rate,
+			N: n, M: m, Seed: opt.Seed + uint64(i), ArrivalRate: rate,
 		})
 		lb := lowerbound.Cmax(jobs, m)
 		res, err := batch.OnlineMoldable(jobs, m, eps)
@@ -182,7 +149,7 @@ func batchRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, err
 
 // smartRun is experiment T3 (§4.3): SMART shelves versus the 8 / 8.53
 // bounds and a submission-order list baseline. Params: "ms", "n".
-func smartRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error) {
+func smartRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 	if err := spec.CheckParams(map[string]scenario.ParamType{"ms": scenario.IntsParam, "n": scenario.IntParam}); err != nil {
 		return nil, err
 	}
@@ -199,11 +166,11 @@ func smartRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, err
 			cells = append(cells, cell{m, weighted})
 		}
 	}
-	if err := runRowCells(t, sc, len(cells), func(i int) ([]any, error) {
+	if err := runRowCells(t, opt, len(cells), func(i int) ([]any, error) {
 		m, weighted := cells[i].m, cells[i].weighted
-		n := sc.jobs(spec.Int("n", 400))
+		n := scaled(opt.Scale, spec.Int("n", 400))
 		jobs := workload.Parallel(workload.GenConfig{
-			N: n, M: m, Seed: seed + uint64(i), Weighted: weighted, RigidFraction: 1,
+			N: n, M: m, Seed: opt.Seed + uint64(i), Weighted: weighted, RigidFraction: 1,
 		})
 		lb := lowerbound.SumWeightedCompletion(jobs, m)
 		s, shelves, err := smart.Schedule(jobs, m, smart.FirstFit)
@@ -232,7 +199,7 @@ func smartRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, err
 // bicriteriaRun is experiment T4 (§4.4): the doubling algorithm's two
 // ratios versus 4ρ, contrasted with pure MRT (good Cmax, unmanaged
 // ΣwC). Params: "m", "ns" (per-family job counts), "eps".
-func bicriteriaRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error) {
+func bicriteriaRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 	if err := spec.CheckParams(map[string]scenario.ParamType{"m": scenario.IntParam, "ns": scenario.IntsParam, "eps": scenario.FloatParam}); err != nil {
 		return nil, err
 	}
@@ -251,14 +218,14 @@ func bicriteriaRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result
 	}
 	m := spec.Int("m", 64)
 	eps := spec.Float("eps", 0.01)
-	if err := runRowCells(t, sc, len(cells), func(i int) ([]any, error) {
+	if err := runRowCells(t, opt, len(cells), func(i int) ([]any, error) {
 		parallel := cells[i].parallel
 		family := "non-parallel"
 		if parallel {
 			family = "parallel"
 		}
-		n := sc.jobs(cells[i].n0)
-		cfg := workload.GenConfig{N: n, M: m, Seed: seed + uint64(i), Weighted: true}
+		n := scaled(opt.Scale, cells[i].n0)
+		cfg := workload.GenConfig{N: n, M: m, Seed: opt.Seed + uint64(i), Weighted: true}
 		var jobs []*workload.Job
 		if parallel {
 			jobs = workload.Parallel(cfg)
@@ -287,40 +254,39 @@ func bicriteriaRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result
 }
 
 // fig2Run regenerates both series of Figure 2 (the two series run as
-// independent cells). Params: "m", "reps", "ns" (full-scale axis).
-func fig2Run(spec *scenario.Spec, seed uint64, sc Scale) (np, p []bicriteria.Fig2Point, err error) {
+// independent cells) and renders them through the bespoke figure
+// writer: it has no table form. Params: "m", "reps", "ns" (full-scale
+// axis), "quick_ns" (the axis when JobFactor > 1).
+func fig2Run(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 	if err := spec.CheckParams(map[string]scenario.ParamType{
 		"m": scenario.IntParam, "reps": scenario.IntParam,
 		"ns": scenario.IntsParam, "quick_ns": scenario.IntsParam,
 	}); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	ns := spec.Ints("ns", bicriteria.DefaultNs())
-	if sc.JobFactor > 1 {
+	if opt.Scale.JobFactor > 1 {
 		ns = spec.Ints("quick_ns", []int{10, 50, 100, 200})
 	}
 	m := spec.Int("m", 100)
 	reps := spec.Int("reps", 3)
-	series, err := runCells(sc, 2, func(i int) ([]bicriteria.Fig2Point, error) {
+	series, err := runCells(opt, 2, func(i int) ([]bicriteria.Fig2Point, error) {
 		return bicriteria.Fig2Series(bicriteria.Fig2Config{
-			M: m, Ns: ns, Seed: seed + uint64(i), Reps: reps, Parallel: i == 1,
+			M: m, Ns: ns, Seed: opt.Seed + uint64(i), Reps: reps, Parallel: i == 1,
 		})
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return series[0], series[1], nil
-}
-
-// Fig2Tables returns both Figure 2 series as points (the fig2 kind
-// renders them as a custom figure, not a table).
-func Fig2Tables(seed uint64, sc Scale) (np, p []bicriteria.Fig2Point, err error) {
-	return fig2Run(mustSpec("fig2"), seed, sc)
+	return scenario.CustomResult(func(w io.Writer) error {
+		bicriteria.WriteFig2(w, series[0], series[1])
+		return nil
+	}), nil
 }
 
 // mixedRun is experiment T8 (§5.1): the three strategies for mixing
 // rigid and moldable jobs on one cluster. Params: "m", "n", "fracs".
-func mixedRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error) {
+func mixedRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 	if err := spec.CheckParams(map[string]scenario.ParamType{"m": scenario.IntParam, "n": scenario.IntParam, "fracs": scenario.FloatsParam}); err != nil {
 		return nil, err
 	}
@@ -329,11 +295,11 @@ func mixedRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, err
 		"rigid frac", "n", "strategy", "Cmax ratio", "ΣwC ratio")
 	m := spec.Int("m", 64)
 	fracs := spec.Floats("fracs", []float64{0.3, 0.7})
-	if err := runMultiRowCells(t, sc, len(fracs), func(i int) ([][]any, error) {
+	if err := runMultiRowCells(t, opt, len(fracs), func(i int) ([][]any, error) {
 		frac := fracs[i]
-		n := sc.jobs(spec.Int("n", 200))
+		n := scaled(opt.Scale, spec.Int("n", 200))
 		jobs := workload.Mixed(workload.GenConfig{
-			N: n, M: m, Seed: seed + uint64(i), Weighted: true, RigidFraction: frac,
+			N: n, M: m, Seed: opt.Seed + uint64(i), Weighted: true, RigidFraction: frac,
 		})
 		cmaxLB := lowerbound.CmaxDual(jobs, m)
 		wcLB := lowerbound.SumWeightedCompletion(jobs, m)

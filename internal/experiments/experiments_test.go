@@ -11,23 +11,25 @@ import (
 	"repro/internal/trace"
 )
 
-var quick = Scale{JobFactor: 10}
+var quick = scenario.Scale{JobFactor: 10}
 
 // catalogTable runs built-in scenario id at the given seed and scale
 // through scenario.Lookup + scenario.Run — the path the goldens pin.
-func catalogTable(id string, seed uint64, sc Scale) (*trace.Table, error) {
-	spec, ok := scenario.Lookup(id)
-	if !ok {
-		return nil, fmt.Errorf("no built-in scenario %q", id)
-	}
-	res, err := scenario.Run(spec, scenario.RunOptions{
-		Seed: seed, SeedExplicit: true,
-		Scale: scenario.Scale{JobFactor: sc.JobFactor, Workers: sc.Workers},
-	})
+func catalogTable(id string, seed uint64, sc scenario.Scale) (*trace.Table, error) {
+	res, err := catalogRun(id, seed, sc)
 	if err != nil {
 		return nil, err
 	}
 	return res.Table, nil
+}
+
+// catalogRun is catalogTable's whole Result (figures have no table).
+func catalogRun(id string, seed uint64, sc scenario.Scale) (*scenario.Result, error) {
+	spec, ok := scenario.Lookup(id)
+	if !ok {
+		return nil, fmt.Errorf("no built-in scenario %q", id)
+	}
+	return scenario.Run(spec, scenario.RunOptions{Seed: seed, SeedExplicit: true, Scale: sc})
 }
 
 // checkTable verifies the table renders and has the expected row count.
@@ -98,24 +100,6 @@ func TestBiCriteriaTable(t *testing.T) {
 		}
 		if r := parseRatio(t, row[3]); r > 6 {
 			t.Fatalf("doubling ΣwC ratio %v exceeds 4ρ: row %v", r, row)
-		}
-	}
-}
-
-func TestFig2Tables(t *testing.T) {
-	np, p, err := Fig2Tables(5, quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(np) != len(p) || len(np) == 0 {
-		t.Fatalf("series lengths %d/%d", len(np), len(p))
-	}
-	for _, pt := range append(np, p...) {
-		if pt.CmaxRatio < 1-1e-9 || pt.CmaxRatio > 6 {
-			t.Fatalf("Cmax ratio %v out of envelope at n=%d", pt.CmaxRatio, pt.N)
-		}
-		if pt.WCRatio < 1-1e-9 || pt.WCRatio > 6 {
-			t.Fatalf("ΣwC ratio %v out of envelope at n=%d", pt.WCRatio, pt.N)
 		}
 	}
 }
@@ -233,11 +217,10 @@ func TestAblations(t *testing.T) {
 }
 
 func TestScaleFloor(t *testing.T) {
-	sc := Scale{JobFactor: 100}
-	if got := sc.jobs(50); got != 10 {
+	if got := scaled(scenario.Scale{JobFactor: 100}, 50); got != 10 {
 		t.Fatalf("scale floor = %d, want 10", got)
 	}
-	if got := (Scale{}).jobs(50); got != 50 {
+	if got := scaled(scenario.Scale{}, 50); got != 50 {
 		t.Fatalf("unit scale = %d, want 50", got)
 	}
 }

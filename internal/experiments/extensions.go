@@ -24,7 +24,7 @@ import (
 // versus the moldable MRT one-shot choice on the same jobs. It
 // quantifies the paper's expectation that "malleability is much more
 // easily usable from the scheduling point of view". Params: "ms", "n".
-func malleableRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error) {
+func malleableRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 	if err := spec.CheckParams(map[string]scenario.ParamType{"ms": scenario.IntsParam, "n": scenario.IntParam}); err != nil {
 		return nil, err
 	}
@@ -32,10 +32,10 @@ func malleableRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result,
 		title(spec, "EXT1 — §2.2 malleable jobs (paper's future work): EQUI vs moldable MRT (ratios to lower bound)"),
 		"m", "n", "moldable MRT", "malleable EQUI", "EQUI reallocs", "weighted EQUI ΣwC", "MRT ΣwC")
 	ms := spec.Ints("ms", []int{16, 64})
-	if err := runRowCells(t, sc, len(ms), func(i int) ([]any, error) {
+	if err := runRowCells(t, opt, len(ms), func(i int) ([]any, error) {
 		m := ms[i]
-		n := sc.jobs(spec.Int("n", 150))
-		jobs := workload.Parallel(workload.GenConfig{N: n, M: m, Seed: seed + uint64(i), Weighted: true})
+		n := scaled(opt.Scale, spec.Int("n", 150))
+		jobs := workload.Parallel(workload.GenConfig{N: n, M: m, Seed: opt.Seed + uint64(i), Weighted: true})
 		for _, j := range jobs {
 			j.Kind = workload.Malleable
 		}
@@ -76,7 +76,7 @@ func malleableRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result,
 // store-and-forward cost of hierarchy versus a flat star — the paper's
 // §1.2 observation that interconnects "may be hierarchical".
 // Params: "w" (total load).
-func treeDLTRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error) {
+func treeDLTRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 	if err := spec.CheckParams(map[string]scenario.ParamType{"w": scenario.FloatParam}); err != nil {
 		return nil, err
 	}
@@ -119,7 +119,7 @@ func treeDLTRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, e
 		makespan float64
 		lb       float64
 	}
-	cells, err := runCells(sc, len(topologies), func(i int) (treeCell, error) {
+	cells, err := runCells(opt, len(topologies), func(i int) (treeCell, error) {
 		n := topologies[i].build()
 		d, err := dlt.TreeSingleRound(n, W)
 		if err != nil {
@@ -142,7 +142,7 @@ func treeDLTRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, e
 // one shared workload. No policy wins everywhere, which is exactly the
 // paper's argument for per-application policy selection. Params: "m",
 // "n".
-func criteriaRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error) {
+func criteriaRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 	if err := spec.CheckParams(map[string]scenario.ParamType{"m": scenario.IntParam, "n": scenario.IntParam}); err != nil {
 		return nil, err
 	}
@@ -150,9 +150,9 @@ func criteriaRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, 
 		title(spec, "EXT3 — §3 criteria matrix: one workload, every policy, every criterion (ratios to lower bounds where defined)"),
 		"policy", "Cmax", "ΣwC", "mean flow", "max stretch", "late", "util %")
 	m := spec.Int("m", 64)
-	n := sc.jobs(spec.Int("n", 200))
+	n := scaled(opt.Scale, spec.Int("n", 200))
 	jobs := workload.Parallel(workload.GenConfig{
-		N: n, M: m, Seed: seed, Weighted: true, DueDateSlack: 8,
+		N: n, M: m, Seed: opt.Seed, Weighted: true, DueDateSlack: 8,
 	})
 	cmaxLB := lowerbound.CmaxDual(jobs, m)
 	wcLB := lowerbound.SumWeightedCompletion(jobs, m)
@@ -191,7 +191,7 @@ func criteriaRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, 
 			return moldable.MinWorkList(jobs, m)
 		}},
 	}
-	if err := runRowCells(t, sc, len(policies), func(i int) ([]any, error) {
+	if err := runRowCells(t, opt, len(policies), func(i int) ([]any, error) {
 		// Policy cells share the workload read-only (jobs are pure data).
 		s, err := policies[i].run(jobs)
 		if err != nil {
@@ -215,7 +215,7 @@ func criteriaRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, 
 // across the speed-heterogeneous CIMENT grid — the §2.2 "uniform
 // processors" view at grid scale. Compares the speed-aware partition
 // against using only the largest cluster and a speed-blind deal.
-func heteroGridRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error) {
+func heteroGridRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 	if err := spec.CheckParams(map[string]scenario.ParamType{}); err != nil {
 		return nil, err
 	}
@@ -228,10 +228,10 @@ func heteroGridRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result
 	}{
 		// Heavy-tailed wide jobs: the critical path binds; spreading
 		// cannot beat the fastest cluster but must not lose to it.
-		{"critical-bound", workload.GenConfig{N: sc.jobs(1500), M: 64, Seed: seed}},
+		{"critical-bound", workload.GenConfig{N: scaled(opt.Scale, 1500), M: 64, Seed: opt.Seed}},
 		// Many narrow jobs: aggregate capacity binds; spreading wins.
 		{"capacity-bound", workload.GenConfig{
-			N: sc.jobs(3000), M: 16, Seed: seed + 1, SeqSigma: 0.8, MaxProcsCap: 16,
+			N: scaled(opt.Scale, 3000), M: 16, Seed: opt.Seed + 1, SeqSigma: 0.8, MaxProcsCap: 16,
 		}},
 	}
 	partitions := []struct {
@@ -258,7 +258,7 @@ func heteroGridRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result
 			return wlData{jobs: jobs, lb: hetero.LowerBound(jobs, g)}
 		})
 	}
-	if err := runRowCells(t, sc, len(workloads)*len(partitions), func(i int) ([]any, error) {
+	if err := runRowCells(t, opt, len(workloads)*len(partitions), func(i int) ([]any, error) {
 		wl := workloads[i/len(partitions)]
 		part := partitions[i%len(partitions)]
 		d := data[i/len(partitions)]()

@@ -31,7 +31,7 @@ func planHasClusterFaults(p scenario.Faults) bool {
 // Faults (optional base plan: MTTR/CrashProcs/Seed defaults for the
 // sweep), params "mtbfs" (the MTBF axis; 0 rows run healthy),
 // "crash_procs", "tasks" (campaign size), and "kill".
-func faultsRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error) {
+func faultsRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 	if err := spec.CheckParams(map[string]scenario.ParamType{
 		"mtbfs": scenario.FloatsParam, "crash_procs": scenario.IntParam,
 		"tasks": scenario.IntParam, "kill": scenario.StringParam,
@@ -54,9 +54,9 @@ func faultsRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, er
 	if err != nil {
 		return nil, err
 	}
-	nBE := sc.jobs(spec.Int("tasks", 600))
+	nBE := scaled(opt.Scale, spec.Int("tasks", 600))
 	tc := newTraceCollector(spec, len(mtbfs))
-	if err := runMultiRowCells(t, sc, len(mtbfs), func(i int) ([][]any, error) {
+	if err := runMultiRowCells(t, opt, len(mtbfs), func(i int) ([][]any, error) {
 		mtbf := mtbfs[i]
 		plan := scenario.Faults{}
 		if spec.Faults != nil {
@@ -72,9 +72,9 @@ func faultsRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, er
 		} else if plan.CrashProcs == 0 {
 			plan.CrashProcs = spec.Int("crash_procs", 8)
 		}
-		plan.Seed ^= seed + uint64(i)
+		plan.Seed ^= opt.Seed + uint64(i)
 		c := cfg
-		c.N, c.Seed = sc.jobs(cfg.N), seed
+		c.N, c.Seed = scaled(opt.Scale, cfg.N), opt.Seed
 		var out [][]any
 		for _, e := range entries {
 			jobs, err := generate(gen, c)
@@ -97,7 +97,7 @@ func faultsRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, er
 			// Attach after the drift-back hook so the recorder chains it.
 			rec := tc.recorder()
 			rec.Attach(cs, "")
-			rng := stats.NewRNG(seed + 7000 + uint64(i))
+			rng := stats.NewRNG(opt.Seed + 7000 + uint64(i))
 			for k := 0; k < nBE; k++ {
 				cs.SubmitBestEffort(cluster.BETask{BagID: 0, Index: k, Duration: rng.Range(20, 600)})
 			}
@@ -143,7 +143,7 @@ func faultsRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, er
 //
 // Spec surface: params "n", "m", "kill"; Policies (a single queue
 // policy, default "easy").
-func faultTwinRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error) {
+func faultTwinRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 	if err := spec.CheckParams(map[string]scenario.ParamType{
 		"n": scenario.IntParam, "m": scenario.IntParam, "kill": scenario.StringParam,
 	}); err != nil {
@@ -153,7 +153,7 @@ func faultTwinRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result,
 		title(spec, "EXT7 — analytical twin: predicted (availability-discounted LB) vs simulated makespan per fault plan"),
 		"plan", "crashes", "requeues", "down %", "sim Cmax", "twin Cmax", "err %")
 	m := spec.Int("m", 32)
-	n := sc.jobs(spec.Int("n", 400))
+	n := scaled(opt.Scale, spec.Int("n", 400))
 	queueName := "easy"
 	if len(spec.Policies) == 1 {
 		queueName = spec.Policies[0]
@@ -181,11 +181,11 @@ func faultTwinRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result,
 			{Time: 300, Avail: 3 * m / 4}, {Time: 900, Avail: m / 4}, {Time: 1500, Avail: m},
 		}}},
 	}
-	if err := runRowCells(t, sc, len(plans), func(i int) ([]any, error) {
+	if err := runRowCells(t, opt, len(plans), func(i int) ([]any, error) {
 		plan := plans[i].plan
-		plan.Seed = seed + uint64(i)
+		plan.Seed = opt.Seed + uint64(i)
 		jobs := workload.Parallel(workload.GenConfig{
-			N: n, M: m, Seed: seed, RigidFraction: 1, ArrivalRate: 0.1,
+			N: n, M: m, Seed: opt.Seed, RigidFraction: 1, ArrivalRate: 0.1,
 		})
 		cs, err := cluster.New(des.NewWithCapacity(len(jobs)+16), m, 1, entries[0].NewPolicy(), kill)
 		if err != nil {

@@ -11,21 +11,13 @@ import (
 // same contract the healthy tables honour — churn seeds are derived
 // per cell, never from worker identity or completion order.
 func TestFaultTablesParallelMatchSequential(t *testing.T) {
-	kinds := map[string]func(*scenario.Spec, uint64, Scale) (*scenario.Result, error){
-		"churn":     faultsRun,
-		"faulttwin": faultTwinRun,
-	}
-	for id, fn := range kinds {
+	for _, id := range []string{"churn", "faulttwin"} {
 		t.Run(id, func(t *testing.T) {
-			spec, ok := scenario.Lookup(id)
-			if !ok {
-				t.Fatalf("spec %q not registered", id)
-			}
-			seq, err := fn(spec, 21, Scale{JobFactor: 20})
+			seq, err := catalogRun(id, 21, scenario.Scale{JobFactor: 20})
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := fn(spec, 21, Scale{JobFactor: 20, Workers: 8})
+			par, err := catalogRun(id, 21, scenario.Scale{JobFactor: 20, Workers: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,15 +42,10 @@ func TestFaultTablesParallelMatchSequential(t *testing.T) {
 // TestChurnTableShape: the churn table carries the twin-error column
 // and a healthy baseline row (MTBF 0) with zero crashes.
 func TestChurnTableShape(t *testing.T) {
-	spec, ok := scenario.Lookup("churn")
-	if !ok {
-		t.Fatal("churn spec not registered")
-	}
-	res, err := faultsRun(spec, 7, Scale{JobFactor: 25})
+	tb, err := catalogTable("churn", 7, scenario.Scale{JobFactor: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb := res.Table
 	last := len(tb.Headers) - 1
 	if tb.Headers[last] != "twin err %" {
 		t.Fatalf("last column is %q, want the twin error", tb.Headers[last])

@@ -168,7 +168,7 @@ func MetricNames() []string {
 // Spec surface: Workload, Platform.M (falls back to Workload.M),
 // Policies (default: every offline-capable policy), Metrics (default:
 // cmax_ratio, swc_ratio, mean_flow, max_stretch, late, util).
-func offlineRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error) {
+func offlineRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 	if err := spec.CheckParams(map[string]scenario.ParamType{}); err != nil {
 		return nil, err
 	}
@@ -195,15 +195,15 @@ func offlineRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, e
 		cols = append(cols, c)
 		headers = append(headers, c.header)
 	}
-	t := newTable(1, title(spec, fmt.Sprintf("offline policy sweep (m=%d, n=%d)", m, sc.jobs(cfg.N))), headers...)
-	cfg.N, cfg.Seed = sc.jobs(cfg.N), seed
+	t := newTable(1, title(spec, fmt.Sprintf("offline policy sweep (m=%d, n=%d)", m, scaled(opt.Scale, cfg.N))), headers...)
+	cfg.N, cfg.Seed = scaled(opt.Scale, cfg.N), opt.Seed
 	jobs, err := generate(gen, cfg)
 	if err != nil {
 		return nil, err
 	}
 	cmaxLB := lowerbound.CmaxDual(jobs, m)
 	wcLB := lowerbound.SumWeightedCompletion(jobs, m)
-	if err := runRowCells(t, sc, len(entries), func(i int) ([]any, error) {
+	if err := runRowCells(t, opt, len(entries), func(i int) ([]any, error) {
 		// Policy cells share the workload read-only (jobs are pure data).
 		s, err := entries[i].Offline(jobs, m)
 		if err != nil {

@@ -39,7 +39,7 @@ func dltPlatforms() []struct {
 // dynamic self-scheduling across latency regimes on bus and star
 // platforms, with the crossover the paper's model discussion predicts.
 // Params: "latencies", "w" (total load).
-func dltRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error) {
+func dltRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 	if err := spec.CheckParams(map[string]scenario.ParamType{"latencies": scenario.FloatsParam, "w": scenario.FloatParam}); err != nil {
 		return nil, err
 	}
@@ -49,7 +49,7 @@ func dltRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error
 	latencies := spec.Floats("latencies", []float64{0, 1, 10, 100})
 	nPlatforms := len(dltPlatforms())
 	W := spec.Float("w", 10000)
-	if err := runRowCells(t, sc, nPlatforms*len(latencies), func(i int) ([]any, error) {
+	if err := runRowCells(t, opt, nPlatforms*len(latencies), func(i int) ([]any, error) {
 		pf := dltPlatforms()[i/len(latencies)]
 		pf.star.Latency = latencies[i%len(latencies)]
 		one, err := dlt.SingleRound(pf.star, W)
@@ -105,7 +105,7 @@ func communityMembers(seed uint64, jobsPerCluster int, rate float64) []grid.Memb
 // the grid run are themselves independent cells (both rebuild the same
 // member workloads from the cell seed), so a full parallel run keeps all
 // four simulations in flight.
-func cigriRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error) {
+func cigriRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 	if err := spec.CheckParams(map[string]scenario.ParamType{"runs": scenario.IntParam, "run_time": scenario.FloatParam}); err != nil {
 		return nil, err
 	}
@@ -117,8 +117,8 @@ func cigriRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, err
 		rate float64
 		jobs int
 	}{
-		{"light", 0.001, sc.jobs(40)},
-		{"heavy", 0.01, sc.jobs(120)},
+		{"light", 0.001, scaled(opt.Scale, 40)},
+		{"heavy", 0.01, scaled(opt.Scale, 120)},
 	}
 	runTime := spec.Float("run_time", 60)
 	type gridResult struct {
@@ -126,11 +126,11 @@ func cigriRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, err
 		flowGrid float64 // grid-run mean flow (sub-cell 1)
 		stats    grid.CentralizedStats
 	}
-	if err := runRowCells(t, sc, len(loads), func(i int) ([]any, error) {
+	if err := runRowCells(t, opt, len(loads), func(i int) ([]any, error) {
 		load := loads[i]
-		cellSeed := seed + uint64(10*i)
-		runs := sc.jobs(spec.Int("runs", 5000))
-		parts, err := runCells(sc, 2, func(sub int) (gridResult, error) {
+		cellSeed := opt.Seed + uint64(10*i)
+		runs := scaled(opt.Scale, spec.Int("runs", 5000))
+		parts, err := runCells(opt, 2, func(sub int) (gridResult, error) {
 			members := communityMembers(cellSeed, load.jobs, load.rate)
 			if sub == 0 {
 				iso, err := grid.RunIsolated(members, cluster.KillNewest)
@@ -175,15 +175,15 @@ func cigriRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, err
 // The three schemes (isolated, push, pull) are independent cells over
 // clones of one shared workload. Params: "n", "period", "threshold",
 // "max_move".
-func decentralizedRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error) {
+func decentralizedRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 	if err := spec.CheckParams(map[string]scenario.ParamType{"n": scenario.IntParam, "period": scenario.FloatParam, "threshold": scenario.FloatParam, "max_move": scenario.IntParam}); err != nil {
 		return nil, err
 	}
 	t := newTable(1,
 		title(spec, "T7 — §5.2 decentralized load exchange (4×32-proc clusters, all load on cluster 0)"),
 		"scheme", "migrations", "mean flow", "max flow", "makespan")
-	rng := stats.NewRNG(seed)
-	n := sc.jobs(spec.Int("n", 200))
+	rng := stats.NewRNG(opt.Seed)
+	n := scaled(opt.Scale, spec.Int("n", 200))
 	period := spec.Float("period", 30)
 	threshold := spec.Float("threshold", 1.3)
 	maxMove := spec.Int("max_move", 8)
@@ -212,7 +212,7 @@ func decentralizedRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Res
 		}
 		return ms
 	}
-	if err := runRowCells(t, sc, 3, func(i int) ([]any, error) {
+	if err := runRowCells(t, opt, 3, func(i int) ([]any, error) {
 		members := mkMembers(cloneJobSlice(jobs))
 		switch i {
 		case 0:
@@ -258,7 +258,7 @@ func decentralizedRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Res
 // reservationsRun is experiment T9 (§5.1): scheduling around advance
 // reservations with FCFS versus conservative backfilling. Params: "m",
 // "n".
-func reservationsRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error) {
+func reservationsRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 	if err := spec.CheckParams(map[string]scenario.ParamType{"m": scenario.IntParam, "n": scenario.IntParam}); err != nil {
 		return nil, err
 	}
@@ -266,9 +266,9 @@ func reservationsRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Resu
 		title(spec, "T9 — §5.1 reservations: makespan ratios to the reservation-free lower bound"),
 		"reserved", "window", "FCFS", "conservative", "no-reservation conservative")
 	m := spec.Int("m", 32)
-	n := sc.jobs(spec.Int("n", 100))
+	n := scaled(opt.Scale, spec.Int("n", 100))
 	jobs := workload.Parallel(workload.GenConfig{
-		N: n, M: m, Seed: seed, RigidFraction: 1, MaxProcsCap: 16, ArrivalRate: 0.05,
+		N: n, M: m, Seed: opt.Seed, RigidFraction: 1, MaxProcsCap: 16, ArrivalRate: 0.05,
 	})
 	resCfgs := []struct {
 		procs int
@@ -282,7 +282,7 @@ func reservationsRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Resu
 	type resCell struct {
 		fcfs, cons float64
 	}
-	cells, err := runCells(sc, 1+len(resCfgs), func(i int) (resCell, error) {
+	cells, err := runCells(opt, 1+len(resCfgs), func(i int) (resCell, error) {
 		if i == 0 {
 			base, err := rigid.Conservative(jobs, m)
 			if err != nil {

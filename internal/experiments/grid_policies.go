@@ -56,7 +56,7 @@ func gridMembers(clusters []scenario.Cluster, newPolicy func() cluster.Policy) [
 // "gridpolicies" Spec (T15) is an instance of this kind with the paper
 // defaults, and stays registry-driven: a policy added to the grid
 // catalog shows up there automatically.
-func gridRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error) {
+func gridRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 	if err := spec.CheckParams(map[string]scenario.ParamType{"kill": scenario.StringParam}); err != nil {
 		return nil, err
 	}
@@ -85,13 +85,13 @@ func gridRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, erro
 	if tasks < 0 {
 		tasks = 0
 	} else {
-		tasks = sc.jobs(tasks)
+		tasks = scaled(opt.Scale, tasks)
 	}
 	runTime := g.CampaignRunTime
 	if runTime == 0 {
 		runTime = 30
 	}
-	ropt := grid.RouterOptions{Seed: seed, Threshold: g.Threshold, MaxMove: g.MaxMove}
+	ropt := grid.RouterOptions{Seed: opt.Seed, Threshold: g.Threshold, MaxMove: g.MaxMove}
 	if ropt.Threshold == 0 {
 		ropt.Threshold = 1.3
 	}
@@ -133,14 +133,14 @@ func gridRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, erro
 	} else {
 		entries = registry.Grids()
 	}
-	n := sc.jobs(cfg.N)
-	cfg.N, cfg.Seed = n, seed
+	n := scaled(opt.Scale, cfg.N)
+	cfg.N, cfg.Seed = n, opt.Seed
 	jobs, err := generate(gen, cfg)
 	if err != nil {
 		return nil, err
 	}
 	tc := newTraceCollector(spec, len(entries))
-	if err := runRowCells(t, sc, len(entries), func(i int) ([]any, error) {
+	if err := runRowCells(t, opt, len(entries), func(i int) ([]any, error) {
 		entry := entries[i]
 		router := entry.New(ropt)
 		var bags []*workload.Bag
@@ -161,7 +161,7 @@ func gridRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, erro
 					fp.Partitions = nil
 					// Every cluster churns from its own stream (one shared
 					// stream would crash the whole fleet in lockstep).
-					fp.Seed ^= seed + uint64(ci)*0x9e3779b97f4a7c15
+					fp.Seed ^= opt.Seed + uint64(ci)*0x9e3779b97f4a7c15
 					if _, err := faults.Attach(r.Sim(ci), fp); err != nil {
 						return nil, err
 					}

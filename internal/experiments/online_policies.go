@@ -24,7 +24,7 @@ import (
 // both is an error) and "kill" ("newest"|"largest"). The built-in
 // "policies" Spec (T14) is an instance of this kind with the paper
 // defaults.
-func onlineRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error) {
+func onlineRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 	if err := spec.CheckParams(map[string]scenario.ParamType{"rates": scenario.FloatsParam, "kill": scenario.StringParam}); err != nil {
 		return nil, err
 	}
@@ -57,13 +57,13 @@ func onlineRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, er
 		return nil, err
 	}
 	tc := newTraceCollector(spec, len(rates))
-	if err := runMultiRowCells(t, sc, len(rates), func(i int) ([][]any, error) {
+	if err := runMultiRowCells(t, opt, len(rates), func(i int) ([][]any, error) {
 		rate := rates[i]
-		n := sc.jobs(cfg.N)
+		n := scaled(opt.Scale, cfg.N)
 		var out [][]any
 		for _, e := range entries {
 			c := cfg
-			c.N, c.Seed, c.ArrivalRate = n, seed+uint64(i), rate
+			c.N, c.Seed, c.ArrivalRate = n, opt.Seed+uint64(i), rate
 			jobs, err := generate(gen, c)
 			if err != nil {
 				return nil, err
@@ -75,7 +75,7 @@ func onlineRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, er
 			if spec.Faults != nil {
 				fp := *spec.Faults
 				fp.Partitions = nil
-				fp.Seed ^= seed + uint64(i)
+				fp.Seed ^= opt.Seed + uint64(i)
 				if _, err := faults.Attach(sim, fp); err != nil {
 					return nil, err
 				}

@@ -2,15 +2,15 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/scenario"
 )
 
-// Workers in a Scale selects the replication runner: 0 or 1 runs every
+// opt.Scale.Workers selects the replication runner: 0 or 1 runs every
 // experiment cell sequentially (the historical behaviour); larger values
 // run independent cells on a worker pool bounded by GOMAXPROCS.
 //
@@ -20,8 +20,8 @@ import (
 // collected in cell-index order. Tables produced with Workers: N are
 // therefore bit-identical to Workers: 1 for the same base seed.
 
-// workers returns the effective worker count for this scale.
-func (s Scale) workers() int {
+// workers returns the effective worker count for a scale.
+func workers(s scenario.Scale) int {
 	w := s.Workers
 	if w <= 1 {
 		return 1
@@ -32,24 +32,24 @@ func (s Scale) workers() int {
 	return w
 }
 
-// runCells executes fn(0..n-1) — sequentially, or on sc.workers()
+// runCells executes fn(0..n-1) — sequentially, or on workers(opt.Scale)
 // goroutines — and returns the results in cell-index order. The first
 // error (lowest cell index) wins, matching what the sequential loop
 // would have reported.
 //
-// When sc.Ctx is cancelled, no further cells are dispatched and the
+// When opt.Context is cancelled, no further cells are dispatched and the
 // pool returns the context's error after the in-flight cells finish —
 // the cooperative-cancellation contract of the /v1 run API (a cancel
-// is answered within roughly one cell's duration). sc.OnCellsStart /
-// sc.OnCellDone observe progress; OnCellDone fires from worker
+// is answered within roughly one cell's duration). opt.OnCellsStart /
+// opt.OnCellDone observe progress; OnCellDone fires from worker
 // goroutines and must be safe for concurrent use.
 //
 // Cells may themselves call runCells (CiGriTable fans each load level
 // out into isolated/grid sub-runs); the outer workers then block in
 // Wait, so runnable goroutines stay near the bound though momentary
 // in-flight work can exceed it by the nesting factor.
-func runCells[T any](sc Scale, n int, fn func(cell int) (T, error)) ([]T, error) {
-	out, _, err := runCellsTimed(sc, n, fn)
+func runCells[T any](opt scenario.RunOptions, n int, fn func(cell int) (T, error)) ([]T, error) {
+	out, _, err := runCellsTimed(opt, n, fn)
 	return out, err
 }
 
@@ -58,23 +58,23 @@ func runCells[T any](sc Scale, n int, fn func(cell int) (T, error)) ([]T, error)
 // feeds both the OnCellDone progress event and the returned slice —
 // so the /v1 event stream and the stored result cells agree to the
 // nanosecond.
-func runCellsTimed[T any](sc Scale, n int, fn func(cell int) (T, error)) ([]T, []time.Duration, error) {
-	if sc.OnCellsStart != nil {
-		sc.OnCellsStart(n)
+func runCellsTimed[T any](opt scenario.RunOptions, n int, fn func(cell int) (T, error)) ([]T, []time.Duration, error) {
+	if opt.OnCellsStart != nil {
+		opt.OnCellsStart(n)
 	}
-	ctx := sc.Ctx
+	ctx := opt.Context
 	durs := make([]time.Duration, n)
 	run := func(i int) (T, error) {
 		t0 := time.Now()
-		v, err := fn(i)
+		v, err := callCell(fn, i)
 		durs[i] = time.Since(t0)
-		if err == nil && sc.OnCellDone != nil {
-			sc.OnCellDone(i, durs[i])
+		if err == nil && opt.OnCellDone != nil {
+			opt.OnCellDone(i, durs[i])
 		}
 		return v, err
 	}
 	out := make([]T, n)
-	if w := sc.workers(); w > 1 && n > 1 {
+	if w := workers(opt.Scale); w > 1 && n > 1 {
 		errs := make([]error, n)
 		var wg sync.WaitGroup
 		next := make(chan int)
@@ -136,6 +136,20 @@ func runCellsTimed[T any](sc Scale, n int, fn func(cell int) (T, error)) ([]T, [
 	return out, durs, nil
 }
 
+// callCell runs one cell, turning a panic into that cell's error. On
+// the pool a cell runs on a goroutine no caller can recover, so without
+// this one poison cell would take the whole process down (a daemon, or
+// every fleet worker its lease is requeued to); as an error it is
+// reported by the lowest-index rule like any other failure.
+func callCell[T any](fn func(cell int) (T, error), i int) (v T, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("experiments: cell %d panicked: %v", i, p)
+		}
+	}()
+	return fn(i)
+}
+
 // rtable accumulates the typed rows of one experiment table and
 // finalizes them as a scenario.Result — the typed cells plus the text
 // rendering derived from them by the one table renderer. The leading
@@ -168,28 +182,13 @@ func (t *rtable) Result() *scenario.Result {
 	return scenario.NewCellResult(t.title, t.headers, t.axes, t.cells)
 }
 
-// nextFanout assigns the next remoteable fan-out ordinal of this run.
-// Kind runners perform their remoteable fan-outs sequentially (nested
-// fan-outs use the raw runCells path and consume no ordinal), so for a
-// fixed spec the numbering is deterministic — it is the coordinate
-// system coordinator and workers share. Scales built without the
-// scenario.Run adapter (Fig2Tables, tests) carry no
-// counter and label every fan-out 0, which is harmless: the fleet
-// hooks are only wired through fromOptions.
-func (s Scale) nextFanout() int {
-	if s.fanoutSeq == nil {
-		return 0
-	}
-	return int(atomic.AddInt32(s.fanoutSeq, 1)) - 1
-}
-
 // runTableCells is the remoteable fan-out primitive: each cell's
 // entire product is typed table rows, so a cell can execute in another
-// process and ship its rows back. With sc.Remote set (the fleet
+// process and ship its rows back. With opt.Remote set (the fleet
 // coordinator side) every cell is dispatched through it concurrently —
 // dispatch is I/O-bound waiting on workers, so the local Workers bound
-// does not apply. With sc.Select set (the fleet worker side) only the
-// leased cells execute, reporting rows through sc.OnCellRows. With
+// does not apply. With opt.Select set (the fleet worker side) only the
+// leased cells execute, reporting rows through opt.OnCellRows. With
 // neither, this is exactly runCellsTimed: the local pool, results in
 // cell-index order.
 //
@@ -203,38 +202,38 @@ func (s Scale) nextFanout() int {
 // (gridRun's generate). TestSelectNoneRunIsCheap and
 // TestCoordinatorSideBuildsNothing hold every built-in kind to a
 // 256 KiB prologue.
-func runTableCells(sc Scale, n int, fn func(cell int) ([][]any, error)) ([][][]any, []time.Duration, error) {
-	fanout := sc.nextFanout()
-	if sc.Remote != nil {
-		return runRemoteCells(sc, fanout, n)
+func runTableCells(opt scenario.RunOptions, n int, fn func(cell int) ([][]any, error)) ([][][]any, []time.Duration, error) {
+	fanout := opt.NextFanout()
+	if opt.Remote != nil {
+		return runRemoteCells(opt, fanout, n)
 	}
-	if sc.Select != nil || sc.OnCellRows != nil {
+	if opt.Select != nil || opt.OnCellRows != nil {
 		inner := fn
 		fn = func(i int) ([][]any, error) {
-			if sc.Select != nil && !sc.Select(fanout, i) {
+			if opt.Select != nil && !opt.Select(fanout, i) {
 				return nil, nil // not ours: contributes no rows
 			}
 			t0 := time.Now()
 			rows, err := inner(i)
-			if err == nil && sc.OnCellRows != nil {
-				sc.OnCellRows(fanout, i, rows, time.Since(t0))
+			if err == nil && opt.OnCellRows != nil {
+				opt.OnCellRows(fanout, i, rows, time.Since(t0))
 			}
 			return rows, err
 		}
 	}
-	return runCellsTimed(sc, n, fn)
+	return runCellsTimed(opt, n, fn)
 }
 
 // runRemoteCells ships one fan-out through the coordinator seam. All n
-// cells block on sc.Remote concurrently; results land in their slots,
+// cells block on opt.Remote concurrently; results land in their slots,
 // so reassembly order is cell order no matter which worker finished
 // what when. The first error (lowest cell index) wins, matching the
 // local pool's contract.
-func runRemoteCells(sc Scale, fanout, n int) ([][][]any, []time.Duration, error) {
-	if sc.OnCellsStart != nil {
-		sc.OnCellsStart(n)
+func runRemoteCells(opt scenario.RunOptions, fanout, n int) ([][][]any, []time.Duration, error) {
+	if opt.OnCellsStart != nil {
+		opt.OnCellsStart(n)
 	}
-	ctx := sc.Ctx
+	ctx := opt.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -246,14 +245,14 @@ func runRemoteCells(sc Scale, fanout, n int) ([][][]any, []time.Duration, error)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rows, d, err := sc.Remote.RunCell(ctx, fanout, i)
+			rows, d, err := opt.Remote.RunCell(ctx, fanout, i)
 			if err != nil {
 				errs[i] = err
 				return
 			}
 			out[i], durs[i] = rows, d
-			if sc.OnCellDone != nil {
-				sc.OnCellDone(i, d)
+			if opt.OnCellDone != nil {
+				opt.OnCellDone(i, d)
 			}
 		}()
 	}
@@ -270,8 +269,8 @@ func runRemoteCells(sc Scale, fanout, n int) ([][][]any, []time.Duration, error)
 // it runs the cells (locally or through the fleet seam) and appends
 // each resulting row — with its wall duration — to the table in cell
 // order. On the fleet worker side, skipped cells contribute nothing.
-func runRowCells(t *rtable, sc Scale, n int, fn func(cell int) ([]any, error)) error {
-	rows, durs, err := runTableCells(sc, n, func(i int) ([][]any, error) {
+func runRowCells(t *rtable, opt scenario.RunOptions, n int, fn func(cell int) ([]any, error)) error {
+	rows, durs, err := runTableCells(opt, n, func(i int) ([][]any, error) {
 		row, err := fn(i)
 		if err != nil {
 			return nil, err
@@ -293,8 +292,8 @@ func runRowCells(t *rtable, sc Scale, n int, fn func(cell int) ([]any, error)) e
 // sweep coordinate, one row per policy inside it, say). Rows assembled
 // from shared work carry no per-cell duration, matching the historical
 // AddRow path.
-func runMultiRowCells(t *rtable, sc Scale, n int, fn func(cell int) ([][]any, error)) error {
-	rows, _, err := runTableCells(sc, n, fn)
+func runMultiRowCells(t *rtable, opt scenario.RunOptions, n int, fn func(cell int) ([][]any, error)) error {
+	rows, _, err := runTableCells(opt, n, fn)
 	if err != nil {
 		return err
 	}

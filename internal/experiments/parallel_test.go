@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/scenario"
 	"repro/internal/trace"
 )
 
@@ -23,12 +24,24 @@ func renderRows(t *testing.T, tb *trace.Table) []string {
 	return out
 }
 
+// renderLines is the text output of a result, line by line (figures
+// included, which have no table).
+func renderLines(t *testing.T, res *scenario.Result) []string {
+	t.Helper()
+	var sb strings.Builder
+	if err := res.EmitFormat(&sb, "text"); err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(sb.String(), "\n")
+}
+
 // TestParallelMatchesSequential: for a fixed seed, every table must be
 // bit-identical between the sequential runner and the worker pool — the
 // determinism contract of the parallel experiment harness.
 func TestParallelMatchesSequential(t *testing.T) {
 	// Subtest name → built-in scenario id.
 	tables := map[string]string{
+		"fig2":          "fig2",
 		"mrt":           "mrt",
 		"batch":         "batch",
 		"smart":         "smart",
@@ -52,21 +65,21 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 	for name, id := range tables {
 		t.Run(name, func(t *testing.T) {
-			seq, err := catalogTable(id, 21, Scale{JobFactor: 20})
+			seq, err := catalogRun(id, 21, scenario.Scale{JobFactor: 20})
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := catalogTable(id, 21, Scale{JobFactor: 20, Workers: 8})
+			par, err := catalogRun(id, 21, scenario.Scale{JobFactor: 20, Workers: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
-			seqRows, parRows := renderRows(t, seq), renderRows(t, par)
+			seqRows, parRows := renderLines(t, seq), renderLines(t, par)
 			if len(seqRows) != len(parRows) {
-				t.Fatalf("row counts differ: sequential %d, parallel %d", len(seqRows), len(parRows))
+				t.Fatalf("line counts differ: sequential %d, parallel %d", len(seqRows), len(parRows))
 			}
 			for i := range seqRows {
 				if seqRows[i] != parRows[i] {
-					t.Fatalf("row %d differs:\n  sequential: %s\n  parallel:   %s",
+					t.Fatalf("line %d differs:\n  sequential: %s\n  parallel:   %s",
 						i, seqRows[i], parRows[i])
 				}
 			}
@@ -74,30 +87,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestFig2ParallelMatchesSequential covers the non-Table figure driver.
-func TestFig2ParallelMatchesSequential(t *testing.T) {
-	np1, p1, err := Fig2Tables(5, Scale{JobFactor: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	np2, p2, err := Fig2Tables(5, Scale{JobFactor: 20, Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(np1) != len(np2) || len(p1) != len(p2) {
-		t.Fatalf("series lengths differ")
-	}
-	for i := range np1 {
-		if np1[i] != np2[i] || p1[i] != p2[i] {
-			t.Fatalf("point %d differs between runners", i)
-		}
-	}
-}
-
 func TestRunCellsOrderAndErrors(t *testing.T) {
 	// Results arrive in cell-index order however many workers run.
 	for _, workers := range []int{0, 1, 3, 64} {
-		got, err := runCells(Scale{Workers: workers}, 20, func(i int) (int, error) {
+		got, err := runCells(scenario.RunOptions{Scale: scenario.Scale{Workers: workers}}, 20, func(i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -112,7 +105,7 @@ func TestRunCellsOrderAndErrors(t *testing.T) {
 	// The lowest-index error wins, matching the sequential loop.
 	boom7 := errors.New("boom 7")
 	for _, workers := range []int{1, 4} {
-		_, err := runCells(Scale{Workers: workers}, 12, func(i int) (int, error) {
+		_, err := runCells(scenario.RunOptions{Scale: scenario.Scale{Workers: workers}}, 12, func(i int) (int, error) {
 			if i >= 7 {
 				return 0, fmt.Errorf("boom %d", i)
 			}
@@ -122,16 +115,29 @@ func TestRunCellsOrderAndErrors(t *testing.T) {
 			t.Fatalf("workers=%d: err = %v, want %v", workers, err, boom7)
 		}
 	}
+	// A panicking cell is that cell's error, on the pool as in the
+	// sequential loop: no pool goroutine lets it take the process down.
+	for _, workers := range []int{1, 8} {
+		_, err := runCells(scenario.RunOptions{Scale: scenario.Scale{Workers: workers}}, 12, func(i int) (int, error) {
+			if i == 5 {
+				panic("poison cell")
+			}
+			return i, nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "cell 5 panicked: poison cell") {
+			t.Fatalf("workers=%d: err = %v, want cell 5's panic", workers, err)
+		}
+	}
 }
 
-// TestRunCellsCancel: cancelling the scale context stops dispatch in
+// TestRunCellsCancel: cancelling the run context stops dispatch in
 // both runners within one cell's work, returns the context error, and
 // leaves the already-completed cells untouched.
 func TestRunCellsCancel(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int32
-		_, err := runCells(Scale{Workers: workers, Ctx: ctx}, 1000, func(i int) (int, error) {
+		_, err := runCells(scenario.RunOptions{Scale: scenario.Scale{Workers: workers}, Context: ctx}, 1000, func(i int) (int, error) {
 			if ran.Add(1) == 3 {
 				cancel()
 			}
@@ -157,8 +163,8 @@ func TestRunCellsProgress(t *testing.T) {
 		var mu sync.Mutex
 		total := 0
 		seen := map[int]int{}
-		sc := Scale{
-			Workers:      workers,
+		opt := scenario.RunOptions{
+			Scale:        scenario.Scale{Workers: workers},
 			OnCellsStart: func(n int) { mu.Lock(); total += n; mu.Unlock() },
 			OnCellDone: func(i int, d time.Duration) {
 				mu.Lock()
@@ -169,7 +175,7 @@ func TestRunCellsProgress(t *testing.T) {
 				mu.Unlock()
 			},
 		}
-		if _, err := runCells(sc, 17, func(i int) (int, error) { return i, nil }); err != nil {
+		if _, err := runCells(opt, 17, func(i int) (int, error) { return i, nil }); err != nil {
 			t.Fatal(err)
 		}
 		if total != 17 || len(seen) != 17 {

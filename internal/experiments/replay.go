@@ -27,7 +27,7 @@ import (
 // trace streamed instead of a generator), "retain"
 // ("none"|"ring"|"full", default "none"), "ring" (tail capacity for
 // retain=ring, default 1024) and "kill" ("newest"|"largest").
-func replayRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, error) {
+func replayRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 	if err := spec.CheckParams(map[string]scenario.ParamType{
 		"swf":    scenario.StringParam,
 		"retain": scenario.StringParam,
@@ -57,7 +57,7 @@ func replayRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, er
 	default:
 		return nil, fmt.Errorf("experiments: replay kind: unknown retain %q (none|ring|full)", retain)
 	}
-	cfg.N, cfg.Seed = sc.jobs(cfg.N), seed
+	cfg.N, cfg.Seed = scaled(opt.Scale, cfg.N), opt.Seed
 	src := fmt.Sprintf("%s stream, n=%d", gen, cfg.N)
 	if swf != "" {
 		src = "swf " + swf
@@ -66,7 +66,7 @@ func replayRun(spec *scenario.Spec, seed uint64, sc Scale) (*scenario.Result, er
 		title(spec, fmt.Sprintf("EXT5 — streaming replay (%s, m=%d, retain=%s): lazy admission, O(1) metrics", src, m, retain)),
 		"policy", "jobs", "Cmax", "mean flow", "max stretch", "util %")
 	tc := newTraceCollector(spec, len(entries))
-	if err := runRowCells(t, sc, len(entries), func(i int) ([]any, error) {
+	if err := runRowCells(t, opt, len(entries), func(i int) ([]any, error) {
 		e := entries[i]
 		// Each policy cell streams its own copy of the workload: a fresh
 		// generator (same seed → same jobs) or a fresh file handle.

@@ -16,12 +16,11 @@ import (
 // cells — and streaming changes nothing about the scores: a ring-retain
 // run equals the discard run.
 func TestReplayKindDeterministic(t *testing.T) {
-	spec := mustSpec("replay")
-	a, err := replayRun(spec, 7, Scale{JobFactor: 20})
+	a, err := catalogRun("replay", 7, scenario.Scale{JobFactor: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := replayRun(spec, 7, Scale{JobFactor: 20, Workers: 4})
+	b, err := catalogRun("replay", 7, scenario.Scale{JobFactor: 20, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +33,12 @@ func TestReplayKindDeterministic(t *testing.T) {
 		}
 	}
 
+	spec, _ := scenario.Lookup("replay")
 	ring := scenario.New("replay-ring", "replay",
 		scenario.WithDesc("ring variant"),
 		scenario.WithWorkload(*spec.Workload),
 		scenario.WithParam("retain", "ring"), scenario.WithParam("ring", 16))
-	c, err := replayRun(ring, 7, Scale{JobFactor: 20})
+	c, err := scenario.Run(ring, scenario.RunOptions{Seed: 7, Scale: scenario.Scale{JobFactor: 20}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestReplayKindSWF(t *testing.T) {
 		scenario.WithPolicies("fcfs", "easy"),
 		scenario.WithPlatform(scenario.Platform{M: 8}),
 		scenario.WithParam("swf", path))
-	res, err := replayRun(spec, 1, Scale{})
+	res, err := scenario.Run(spec, scenario.RunOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestReplayKindSWF(t *testing.T) {
 		scenario.WithDesc("missing file"),
 		scenario.WithPolicies("fcfs"),
 		scenario.WithParam("swf", filepath.Join(t.TempDir(), "absent.swf")))
-	if _, err := replayRun(bad, 1, Scale{}); err == nil {
+	if _, err := scenario.Run(bad, scenario.RunOptions{Seed: 1}); err == nil {
 		t.Fatal("missing trace file accepted")
 	}
 }

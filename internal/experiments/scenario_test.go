@@ -91,25 +91,6 @@ func TestSpecJSONRoundTripRuns(t *testing.T) {
 	}
 }
 
-// TestCompatibilityWrappersUseCatalog: a kind runner called directly on
-// its built-in spec produces the same table as the catalog path the
-// tests' catalogTable helper (and the goldens) use — scenario.Run's
-// seed and scale plumbing changes nothing.
-func TestCompatibilityWrappersUseCatalog(t *testing.T) {
-	sc := Scale{JobFactor: 20}
-	direct, err := mrtRun(mustSpec("mrt"), 11, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := catalogTable("mrt", 11, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(direct.Table.Rows, tb.Rows) {
-		t.Fatal("mrt kind runner and scenario engine disagree")
-	}
-}
-
 // TestGenericOfflineKind: the JSON-composable path — a spec written as
 // data sweeps chosen policies over a chosen workload with chosen
 // metric columns.

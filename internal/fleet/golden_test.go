@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -27,12 +29,10 @@ func runLocal(t *testing.T, spec *scenario.Spec, opt scenario.RunOptions) string
 	return buf.String()
 }
 
-// runFleet renders a spec through a coordinator with n in-process
-// workers driving the given transport (the Coordinator itself, or a
-// fault-injecting wrapper), mirroring exactly what the api executor
-// does: resolved seed into Dispatcher, Remote into the run options.
-func runFleet(t *testing.T, spec *scenario.Spec, opt scenario.RunOptions, c *Coordinator, tr Transport, n int) string {
-	t.Helper()
+// startWorkers runs n in-process workers (w0, w1, …) driving the given
+// transport (the Coordinator itself, or a fault-injecting wrapper) until
+// the returned stop is called.
+func startWorkers(t *testing.T, tr Transport, n int) (stop func()) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	for i := range n {
@@ -46,29 +46,30 @@ func runFleet(t *testing.T, spec *scenario.Spec, opt scenario.RunOptions, c *Coo
 			}
 		}()
 	}
-	defer func() {
+	return func() {
 		cancel()
 		wg.Wait()
-	}()
+	}
+}
 
-	runID := "run-" + spec.ID
+// runFleet renders a spec through a coordinator whose workers are
+// already running, mirroring exactly what the api executor does:
+// resolved seed into Dispatcher, Remote into the run options.
+func runFleet(spec *scenario.Spec, opt scenario.RunOptions, c *Coordinator) (string, error) {
 	if !spec.Traced() {
-		seed := spec.EffectiveSeed(opt)
-		cr, err := c.Dispatcher(runID, spec, seed, opt.Scale.JobFactor)
+		cr, err := c.Dispatcher("run-"+spec.ID, spec, spec.EffectiveSeed(opt), opt.Scale.JobFactor)
 		if err != nil {
-			t.Fatalf("dispatcher: %v", err)
+			return "", err
 		}
 		opt.Remote = cr
 	}
 	res, err := scenario.Run(spec, opt)
 	if err != nil {
-		t.Fatalf("fleet run: %v", err)
+		return "", err
 	}
 	var buf bytes.Buffer
-	if err := res.Emit(&buf, false); err != nil {
-		t.Fatalf("fleet emit: %v", err)
-	}
-	return buf.String()
+	err = res.Emit(&buf, false)
+	return buf.String(), err
 }
 
 // TestGoldenFleetMatchesLocal is the acceptance harness: every built-in
@@ -87,7 +88,12 @@ func TestGoldenFleetMatchesLocal(t *testing.T) {
 			want := runLocal(t, spec, opt)
 			c := NewCoordinator(Config{TTL: 30 * time.Second})
 			defer c.Close()
-			got := runFleet(t, spec, opt, c, c, 2)
+			stop := startWorkers(t, c, 2)
+			defer stop()
+			got, err := runFleet(spec, opt, c)
+			if err != nil {
+				t.Fatalf("fleet run: %v", err)
+			}
 			if got != want {
 				t.Fatalf("fleet output diverged from local:\n--- local\n%s\n--- fleet\n%s", want, got)
 			}
@@ -192,7 +198,12 @@ func TestGoldenFleetSurvivesWorkerDeath(t *testing.T) {
 	// never leases again, so its lease expires unattended).
 	ct := &crashingTransport{Transport: c}
 	tr := &perWorkerTransport{victim: "w0", crash: ct, direct: c, leased: make(chan struct{})}
-	got := runFleet(t, spec, opt, c, tr, 2)
+	stop := startWorkers(t, tr, 2)
+	got, err := runFleet(spec, opt, c)
+	stop()
+	if err != nil {
+		t.Fatalf("fleet run: %v", err)
+	}
 	if got != want {
 		t.Fatalf("post-crash fleet output diverged:\n--- local\n%s\n--- fleet\n%s", want, got)
 	}
@@ -214,5 +225,37 @@ func TestGoldenFleetSurvivesWorkerDeath(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("surviving worker absent from contributors: %v", workers)
+	}
+}
+
+// TestGoldenFleetSurvivesPoisonLease: a lease whose cells panic on the
+// worker's pool (an inline spec that validates but cannot run: a
+// negative platform width) comes back failed instead of killing the
+// worker, and the same worker then takes the next lease and renders
+// its run byte-identically to the single-process one.
+func TestGoldenFleetSurvivesPoisonLease(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // a real pool, not the sequential loop
+	}
+	opt := scenario.RunOptions{Seed: 42, Scale: scenario.Scale{JobFactor: 20}}
+	c := NewCoordinator(Config{TTL: 30 * time.Second})
+	defer c.Close()
+	stop := startWorkers(t, c, 1)
+	defer stop()
+
+	poison := scenario.New("poison", "mrt",
+		scenario.WithParam("ms", []int{-1}), scenario.WithParam("ns", []int{50, 60}))
+	if _, err := runFleet(poison, opt, c); err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("poison run: err = %v, want a failed lease naming the panic", err)
+	}
+
+	spec, _ := scenario.Lookup("mrt")
+	want := runLocal(t, spec, opt)
+	got, err := runFleet(spec, opt, c)
+	if err != nil {
+		t.Fatalf("run after the poison lease: %v", err)
+	}
+	if got != want {
+		t.Fatalf("run after the poison lease diverged:\n--- local\n%s\n--- fleet\n%s", want, got)
 	}
 }

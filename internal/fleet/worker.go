@@ -189,8 +189,9 @@ func heartbeatLoop(ctx context.Context, tr Transport, cfg WorkerConfig, ls *Leas
 // names identical work on both sides.
 //
 // One CellResult per leased cell, always: cells the run never reached
-// (an error upstream, a cancelled context) come back with an error so
-// the coordinator can account for them.
+// (an error upstream, a cancelled context) and cells that failed or
+// panicked come back with an error so the coordinator can account for
+// them, and the worker goes on to its next lease.
 func ExecuteLease(ctx context.Context, ls *Lease, localWorkers int) []CellResult {
 	out := make([]CellResult, 0, len(ls.Cells))
 	fail := func(msg string) []CellResult {
@@ -235,7 +236,7 @@ func ExecuteLease(ctx context.Context, ls *Lease, localWorkers int) []CellResult
 			mu.Unlock()
 		},
 	}
-	_, runErr := runSpec(spec, opt)
+	_, runErr := scenario.Run(spec, opt)
 	for _, ref := range ls.Cells {
 		if cr, ok := results[ref]; ok {
 			out = append(out, cr)
@@ -248,15 +249,4 @@ func ExecuteLease(ctx context.Context, ls *Lease, localWorkers int) []CellResult
 		out = append(out, CellResult{CellRef: ref, Error: msg})
 	}
 	return out
-}
-
-// runSpec contains a runner panic as a failed lease instead of
-// crashing the worker daemon (same containment the api executor has).
-func runSpec(spec *scenario.Spec, opt scenario.RunOptions) (res *scenario.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			res, err = nil, fmt.Errorf("scenario %q panicked: %v", spec.ID, p)
-		}
-	}()
-	return scenario.Run(spec, opt)
 }

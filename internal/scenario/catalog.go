@@ -8,6 +8,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/runtrace"
@@ -58,6 +59,10 @@ type RunOptions struct {
 	// results to ship back. It may be called concurrently from worker
 	// goroutines.
 	OnCellRows func(fanout, cell int, rows [][]any, d time.Duration)
+
+	// fanouts numbers the run's remoteable fan-outs (see NextFanout);
+	// Run installs a fresh one per run.
+	fanouts *atomic.Int32
 }
 
 // Cell is one typed row of a table Result: the raw (unformatted)
@@ -362,8 +367,12 @@ func (s *Spec) EffectiveSeed(opt RunOptions) uint64 {
 // Run validates and executes a Spec: it resolves the kind, merges the
 // Spec-pinned seed/scale with the invocation options (an explicit
 // -seed wins over the Spec; nonzero option scale fields win), and
-// invokes the registered runner.
-func Run(s *Spec, opt RunOptions) (*Result, error) {
+// invokes the registered runner. A runner panic comes back as an error
+// naming the spec: services call Run on plain executor goroutines, and
+// a pathological inline spec (validation is structural, not semantic)
+// must fail its run, not crash the daemon. Cell panics on the worker
+// pool are contained there, as that cell's error.
+func Run(s *Spec, opt RunOptions) (res *Result, err error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -372,6 +381,12 @@ func Run(s *Spec, opt RunOptions) (*Result, error) {
 		return nil, fmt.Errorf("scenario: spec %q: unknown kind %q (have: %s)",
 			s.ID, s.Kind, strings.Join(Kinds(), " "))
 	}
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("scenario: spec %q (kind %q) panicked: %v", s.ID, s.Kind, p)
+		}
+	}()
+	opt.fanouts = new(atomic.Int32)
 	opt.Seed = s.EffectiveSeed(opt)
 	if s.Scale != nil {
 		if opt.Scale.JobFactor == 0 {
@@ -381,7 +396,7 @@ func Run(s *Spec, opt RunOptions) (*Result, error) {
 			opt.Scale.Workers = s.Scale.Workers
 		}
 	}
-	res, err := runner(s, opt)
+	res, err = runner(s, opt)
 	if res != nil {
 		res.Options = opt
 		res.SpecID, res.Kind, res.Seed = s.ID, s.Kind, opt.Seed

@@ -151,20 +151,32 @@ func TestCodecRoundTripStructural(t *testing.T) {
 	}
 }
 
+// TestRunUnknownKind: Run fails a spec it cannot run with an error
+// instead of crashing — an unregistered kind, or a runner that panics.
 func TestRunUnknownKind(t *testing.T) {
-	_, err := Run(New("x", "no-such-kind"), RunOptions{Seed: 1})
-	if err == nil || !strings.Contains(err.Error(), "unknown kind") {
-		t.Fatalf("err = %v", err)
+	RegisterKind("panic-probe-kind", func(*Spec, RunOptions) (*Result, error) { panic("poison spec") })
+	for spec, want := range map[*Spec]string{
+		New("x", "no-such-kind"):          "unknown kind",
+		New("poison", "panic-probe-kind"): `spec "poison" (kind "panic-probe-kind") panicked: poison spec`,
+	} {
+		res, err := Run(spec, RunOptions{Seed: 1})
+		if res != nil || err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: res = %v, err = %v, want %q", spec.ID, res, err, want)
+		}
 	}
 }
 
 // TestRunSeedAndScaleResolution uses a private probe kind to check the
-// Spec/RunOptions merge rules.
+// Spec/RunOptions merge rules, and that every run numbers its fan-outs
+// from 0 on a counter of its own.
 func TestRunSeedAndScaleResolution(t *testing.T) {
 	var gotSeed uint64
 	var gotScale Scale
 	RegisterKind("probe-kind", func(s *Spec, opt RunOptions) (*Result, error) {
 		gotSeed, gotScale = opt.Seed, opt.Scale
+		if a, b := opt.NextFanout(), opt.NextFanout(); a != 0 || b != 1 {
+			t.Errorf("fan-outs numbered %d, %d; want 0, 1", a, b)
+		}
 		return TableResult(trace.NewTable("probe", "c")), nil
 	})
 	spec := New("probe", "probe-kind", WithSeed(99), WithScale(Scale{JobFactor: 5, Workers: 3}))
@@ -184,6 +196,14 @@ func TestRunSeedAndScaleResolution(t *testing.T) {
 	if gotSeed != 7 || gotScale.JobFactor != 20 || gotScale.Workers != 3 {
 		t.Fatalf("got seed=%d scale=%+v", gotSeed, gotScale)
 	}
+
+	// Options that bypass Run have no counter: numbering refuses.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NextFanout outside Run numbered a fan-out")
+		}
+	}()
+	RunOptions{}.NextFanout()
 }
 
 func TestCatalogRegistration(t *testing.T) {

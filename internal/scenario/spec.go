@@ -147,9 +147,9 @@ type PartitionWindow struct {
 	Clusters []int   `json:"clusters"`
 }
 
-// Scale shrinks a scenario and selects the replication runner. It is
-// the Spec-side mirror of experiments.Scale: a Spec may pin a scale,
-// and RunOptions may override it at invocation time.
+// Scale shrinks a scenario and selects the replication runner: a Spec
+// may pin a scale, RunOptions may override it at invocation time, and
+// the kind runners and the cell pool read the merged value.
 type Scale struct {
 	// JobFactor divides job counts (min result 10); 0/1 = paper scale.
 	JobFactor int `json:"job_factor,omitempty"`

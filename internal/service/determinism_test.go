@@ -48,6 +48,21 @@ func traceJobs(t *testing.T, seed uint64, n, m int) (forService, forOffline []*w
 	return a, b
 }
 
+// completionIDs returns the engine's job IDs in completion-event order
+// (the determinism witness compared against offline runs).
+func completionIDs(t *testing.T, e *Engine) []int {
+	t.Helper()
+	cs, err := e.Completions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]int, len(cs))
+	for i, c := range cs {
+		ids[i] = c.Job.ID
+	}
+	return ids
+}
+
 // TestServiceMatchesOfflineOrder is the determinism acceptance check: an
 // SWF trace replayed through the live service must complete jobs in
 // exactly the same order as an offline cluster.Sim run at the same seed,
@@ -94,10 +109,7 @@ func TestServiceMatchesOfflineOrder(t *testing.T) {
 			if stats.Completed != len(svcJobs) {
 				t.Fatalf("service completed %d of %d jobs", stats.Completed, len(svcJobs))
 			}
-			got, err := e.CompletionOrder()
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := completionIDs(t, e)
 			if len(got) != len(want) {
 				t.Fatalf("completion counts differ: service %d, offline %d", len(got), len(want))
 			}
@@ -129,11 +141,7 @@ func TestServiceDeterministicAcrossRuns(t *testing.T) {
 		if _, err := e.Drain(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		order, err := e.CompletionOrder()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return order
+		return completionIDs(t, e)
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {

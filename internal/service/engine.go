@@ -206,7 +206,6 @@ type Engine struct {
 
 	// Everything below is owned by the loop goroutine.
 	jobs    map[int]*JobStatus
-	order   []int // completion order (event order)
 	started time.Time
 	counts  struct{ waiting, running, completed int }
 }
@@ -248,7 +247,6 @@ func New(cfg Config) (*Engine, error) {
 			st.State, st.End = StateDone, c.End
 			e.counts.running--
 			e.counts.completed++
-			e.order = append(e.order, c.Job.ID)
 		}
 	}
 	sim.OnBEKilled = cfg.OnBEKilled
@@ -488,14 +486,6 @@ func (e *Engine) stats() Stats {
 		BestEffort:    e.sim.BestEffort(),
 		Report:        e.sim.Report(),
 	}
-}
-
-// CompletionOrder returns the job IDs in completion-event order (the
-// determinism witness compared against offline runs).
-func (e *Engine) CompletionOrder() ([]int, error) {
-	var out []int
-	err := e.do(func() { out = append([]int(nil), e.order...) })
-	return out, err
 }
 
 // Completions returns the local-job completion records so far.
