@@ -488,7 +488,8 @@ func (s *Sim) scheduleArrival() error {
 
 // arrive admits the stream head plus every follower already released —
 // a bursty arrival group costs one event, not one per job — then
-// re-arms the next arrival.
+// re-arms the next arrival. A head whose arrival cannot be scheduled (a
+// NaN release) ends the stream with an error Run returns.
 func (s *Sim) arrive() {
 	now := s.DES.Now()
 	for s.pending != nil && s.pending.Release <= now {
@@ -497,7 +498,10 @@ func (s *Sim) arrive() {
 		s.admit(j)
 		s.pull()
 	}
-	_ = s.scheduleArrival()
+	if err := s.scheduleArrival(); err != nil && s.srcErr == nil {
+		s.srcErr = fmt.Errorf("cluster: job %d: %w", s.pending.ID, err)
+		s.src, s.pending = nil, nil
+	}
 }
 
 // SubmitBestEffort enqueues a grid task; it will run in scheduling holes.

@@ -5,9 +5,10 @@
 // Peak memory is O(active jobs), so the heap figure stays flat as the
 // archive grows — BENCH_2.json records the 100k-vs-1M evidence.
 //
-// Run: go test -bench BenchmarkReplay -benchtime 1x .
-// Smoke (CI, under GOMEMLIMIT): REPLAY_SMOKE=1 go test -run TestReplaySmoke -v .
-package repro
+// Run: go test -run '^$' -bench BenchmarkReplay -benchtime 1x ./internal/cluster
+// Smoke (CI, under GOMEMLIMIT): scripts/smoke_replay.sh, which runs
+// REPLAY_SMOKE=1 go test -run TestReplaySmoke -v ./internal/cluster
+package cluster_test
 
 import (
 	"bytes"

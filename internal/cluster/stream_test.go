@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/des"
@@ -211,6 +213,33 @@ func TestStreamSourceError(t *testing.T) {
 	}
 	if err2 == nil {
 		t.Fatal("oversized streamed job not rejected")
+	}
+}
+
+// TestStreamUnschedulableArrival: a streamed job whose arrival the DES
+// refuses (a NaN release) ends the stream with an error from Run that
+// names it, instead of truncating the stream silently.
+func TestStreamUnschedulableArrival(t *testing.T) {
+	jobs := make([]*workload.Job, 3)
+	for i := range jobs {
+		jobs[i] = &workload.Job{
+			ID: i + 1, Kind: workload.Rigid, Release: float64(i), Weight: 1, DueDate: -1,
+			SeqTime: 5, MinProcs: 1, MaxProcs: 1, Model: workload.Linear{},
+		}
+	}
+	jobs[1].Release = math.NaN()
+	s, err := New(des.New(), 4, 1, EASYPolicy{}, KillNewest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Stream(workload.NewSliceSource(jobs)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(); err == nil || !strings.Contains(err.Error(), "cluster: job 2: des: scheduling at non-finite time") {
+		t.Fatalf("Run = %v, want job 2's scheduling error", err)
+	}
+	if s.CompletedCount() != 1 {
+		t.Fatalf("%d jobs completed, want 1", s.CompletedCount())
 	}
 }
 

@@ -48,38 +48,41 @@ func NewSWFScanner(r io.Reader) *SWFScanner {
 // It returns false at end of input or on the first malformed line; Err
 // distinguishes the two.
 //
-// A line is split in place, in the scanner's own buffer, and each of the
-// six fields goes to strconv.ParseFloat through a string that does not
-// outlive the call, so a record costs no allocation (a field longer than
-// the 32 bytes the compiler keeps on the stack for such a string costs
-// one). Values and error texts are strconv's own.
+// A line is decoded in place, in the scanner's own buffer, by one walk
+// that splits it and values its plain decimal fields (see swfLine).
+// Every other field goes to strconv.ParseFloat through a string that does
+// not outlive the call, so a record costs no allocation (a field longer
+// than the 32 bytes the compiler keeps on the stack for such a string
+// costs one). Values and error texts are strconv's own.
 func (s *SWFScanner) Scan() bool {
 	if s.err != nil || s.done {
 		return false
 	}
 	for s.sc.Scan() {
 		s.line++
-		var fields [6][]byte
-		n := splitFields(s.sc.Bytes(), &fields)
-		if n == 0 || fields[0][0] == ';' {
+		var l swfLine
+		n := l.decode(s.sc.Bytes())
+		if n == 0 || l.field[0][0] == ';' {
 			continue
 		}
 		if n < 6 {
 			s.err = fmt.Errorf("trace: line %d: %d fields, want 6", s.line, n)
 			return false
 		}
-		var vals [6]float64
-		for i, f := range fields {
+		for i, f := range l.field {
+			if l.exact&(1<<i) != 0 {
+				continue
+			}
 			v, err := strconv.ParseFloat(string(f), 64)
 			if err != nil {
 				s.err = fmt.Errorf("trace: line %d field %d: %w", s.line, i, err)
 				return false
 			}
-			vals[i] = v
+			l.val[i] = v
 		}
 		s.rec = SWFRecord{
-			ID: int(vals[0]), Submit: vals[1], Wait: vals[2],
-			Runtime: vals[3], Procs: int(vals[4]), Weight: vals[5],
+			ID: int(l.val[0]), Submit: l.val[1], Wait: l.val[2],
+			Runtime: l.val[3], Procs: int(l.val[4]), Weight: l.val[5],
 		}
 		return true
 	}
@@ -92,37 +95,93 @@ func (s *SWFScanner) Scan() bool {
 // table strings.Fields and strings.TrimSpace consult.
 var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
-// splitFields splits line around runs of white space exactly as
-// strings.Fields splits a string — a separator is a rune unicode.IsSpace
-// accepts, and a byte that starts no valid UTF-8 sequence is a rune of
-// its own that is not one — stores the first len(first) fields, which
-// alias line, and returns the number of all of them. Leading and trailing
-// white space bound no field, so the first field of a line is what
-// strings.TrimSpace would leave at its front: no fields is a blank line.
-func splitFields(line []byte, first *[6][]byte) int {
+// pow10 holds 10^0 … 10^19, each exact in a float64 (which holds every
+// power of ten up to 10^22 exactly).
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// swfLine is one trace line split into fields, with the values of those
+// of its first six fields whose value decode could prove.
+type swfLine struct {
+	field [6][]byte  // the first six fields, aliasing the line
+	val   [6]float64 // val[i] is field i's value where exact has bit i set
+	exact uint8      // the fields valued; strconv reads the others
+}
+
+// decode splits line around runs of white space exactly as strings.Fields
+// splits a string — a separator is a rune unicode.IsSpace accepts, and a
+// byte that starts no valid UTF-8 sequence is a rune of its own that is
+// not one — keeps the first six fields and returns the number of all of
+// them. Leading and trailing white space bound no field, so the first
+// field of a line is what strings.TrimSpace would leave at its front: no
+// fields is a blank line.
+//
+// In the same walk it reads each field as a decimal significand. A field
+// of the form [+-]digits[.digits] with 1 to 19 digits, leading zeros
+// counted, and a significand of at most 2^53 is valued
+// float64(significand) / 10^fraction, negated if signed. Both operands
+// are exact — the fraction has at most 19 digits — and the division
+// rounds correctly, so that is the value strconv.ParseFloat returns, -0
+// included. Any other field — an exponent, hex, Inf, NaN, underscores, no
+// digit, more digits — is left to strconv, which also words the errors.
+func (l *swfLine) decode(line []byte) int {
 	n := 0
-	start := -1 // of the field being read; negative between fields
 	for i := 0; i < len(line); {
 		c := line[i]
-		space, width := asciiSpace[c], 1
+		if asciiSpace[c] {
+			i++
+			continue
+		}
 		if c >= utf8.RuneSelf {
 			r, w := utf8.DecodeRune(line[i:])
-			space, width = unicode.IsSpace(r), w
-		}
-		if space && start >= 0 {
-			if n < len(first) {
-				first[n] = line[start:i]
+			if unicode.IsSpace(r) {
+				i += w
+				continue
 			}
-			n++
-			start = -1
-		} else if !space && start < 0 {
-			start = i
 		}
-		i += width
-	}
-	if start >= 0 {
-		if n < len(first) {
-			first[n] = line[start:]
+		start, neg := i, c == '-'
+		if c == '+' || c == '-' {
+			i++
+		}
+		body, dot := i, -1
+		var mant uint64 // wraps past 19 digits; such a field is not exact
+		plain := true
+		for ; i < len(line); i++ {
+			c = line[i]
+			if d := c - '0'; d < 10 {
+				mant = mant*10 + uint64(d)
+				continue
+			}
+			if c == '.' && dot < 0 {
+				dot = i
+				continue
+			}
+			if asciiSpace[c] {
+				break
+			}
+			if c >= utf8.RuneSelf {
+				r, w := utf8.DecodeRune(line[i:])
+				if unicode.IsSpace(r) {
+					break
+				}
+				i += w - 1
+			}
+			plain = false
+		}
+		if n < len(l.field) {
+			l.field[n] = line[start:i]
+			digits, frac := i-body, 0
+			if dot >= 0 {
+				digits, frac = digits-1, i-dot-1
+			}
+			if plain && digits >= 1 && digits <= 19 && mant <= 1<<53 {
+				v := float64(mant) / pow10[frac]
+				if neg {
+					v = -v
+				}
+				l.val[n] = v
+				l.exact |= 1 << n
+			}
 		}
 		n++
 	}
@@ -141,8 +200,8 @@ func (s *SWFScanner) Err() error { return s.err }
 // SWFJobSource adapts an SWF trace to workload.Source: records are
 // materialized as rigid jobs one at a time as the simulation pulls them,
 // so replaying a multi-million-job archive never holds more than the
-// stream head in memory. A record that cannot become a job (non-positive
-// procs or runtime) stops the stream with that error.
+// stream head in memory. A record that cannot become a job (see
+// SWFRecord.Job) stops the stream with that error.
 type SWFJobSource struct {
 	sc  *SWFScanner
 	err error

@@ -170,6 +170,23 @@ var swfEdgeCases = []struct {
 	{"forty_byte_field", "1 0." + strings.Repeat("3", 38) + " 0 5 2 1\n", 1, ""}, // beyond the 32-byte stack string
 	{"out_of_range", "1 1e999 0 5 2 1\n", 0, `line 1 field 1: strconv.ParseFloat: parsing "1e999": value out of range`},
 	{"lone_minus", "1 0 0 5 2 1\n2 - 0 5 2 1\n", 1, `line 2 field 1: strconv.ParseFloat: parsing "-": invalid syntax`},
+	// Both sides of every bound of the decoder's exact decimal path.
+	{"significand_2p53", "1 9007199254740992 0 5 2 1\n", 1, ""},
+	{"significand_2p53_plus_1", "1 9007199254740993 0 5 2 1\n", 1, ""},
+	{"significand_2p64_wraps_to_0", "1 18446744073709551616 0 5 2 1\n", 1, ""},
+	{"fraction_22_digits", "1 0." + strings.Repeat("0", 21) + "7 0 5 2 1\n", 1, ""},
+	{"fraction_23_digits", "1 0." + strings.Repeat("0", 22) + "7 0 5 2 1\n", 1, ""},
+	{"19_digits_leading_zeros", "1 " + strings.Repeat("0", 17) + ".25 0 5 2 1\n", 1, ""},
+	{"20_digits_leading_zeros", "1 " + strings.Repeat("0", 18) + ".25 0 5 2 1\n", 1, ""},
+	{"minus_zero_point_zero", "1 -0.0 0 5 2 1\n", 1, ""},
+	{"trailing_point", "1 1. 0 5 2 1\n", 1, ""},
+	{"leading_point", "1 .5 0 5 2 1\n", 1, ""},
+	{"one_tenth", "1 0.1 0 5 2 1\n", 1, ""},
+	{"plus_zero", "1 +0 0 5 2 1\n", 1, ""},
+	{"plus_point", "1 +. 0 5 2 1\n", 0, `line 1 field 1: strconv.ParseFloat: parsing "+.": invalid syntax`},
+	{"minus_point", "1 -. 0 5 2 1\n", 0, `line 1 field 1: strconv.ParseFloat: parsing "-.": invalid syntax`},
+	{"two_points", "1 1.2.5 0 5 2 1\n", 0, `line 1 field 1: strconv.ParseFloat: parsing "1.2.5": invalid syntax`},
+	{"inner_sign", "1 1-2 0 5 2 1\n", 0, `line 1 field 1: strconv.ParseFloat: parsing "1-2": invalid syntax`},
 	// The field count is checked before any field is read.
 	{"few_fields_bad_first", "zebra 0 0\n", 0, "line 1: 3 fields, want 6"},
 	{"five_fields_trailing_blank", "1 0 0 5 2 \n", 0, "line 1: 5 fields, want 6"},
@@ -476,6 +493,40 @@ func FuzzSWFScanner(f *testing.F) {
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatalf("write→read→write not stable:\n%s\nvs\n%s", first.String(), second.String())
+		}
+	})
+}
+
+// FuzzSWFDecimal: every field the decoder values itself is one
+// strconv.ParseFloat accepts, and its value is strconv's bit for bit (so
+// -0 is not 0). Besides the edge rows, the seeds are random uint64s of
+// any length behind up to two leading zeros, as they are and with a
+// point anywhere and an optional sign: both sides of the path's bounds.
+func FuzzSWFDecimal(f *testing.F) {
+	for _, tc := range swfEdgeCases {
+		f.Add(tc.input)
+	}
+	rng := stats.NewRNG(29)
+	for i := 0; i < 200; i++ {
+		digits := strings.Repeat("0", rng.Intn(3)) + strconv.FormatUint(rng.Uint64()>>uint(rng.Intn(64)), 10)
+		at := rng.Intn(len(digits) + 1)
+		f.Add([]string{"", "-", "+"}[rng.Intn(3)] + digits[:at] + "." + digits[at:])
+		f.Add(digits)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		var l swfLine
+		n := l.decode([]byte(input))
+		for i := range min(n, len(l.field)) {
+			if l.exact&(1<<i) == 0 {
+				continue
+			}
+			want, err := strconv.ParseFloat(string(l.field[i]), 64)
+			if err != nil {
+				t.Fatalf("field %d %q valued %v, strconv rejects it: %v", i, l.field[i], l.val[i], err)
+			}
+			if math.Float64bits(l.val[i]) != math.Float64bits(want) {
+				t.Fatalf("field %d %q valued %v, strconv reads %v", i, l.field[i], l.val[i], want)
+			}
 		}
 	})
 }

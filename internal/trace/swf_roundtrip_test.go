@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -100,6 +101,30 @@ func TestSWFRoundTripFromSimulation(t *testing.T) {
 			if err := j.Validate(); err != nil {
 				t.Fatalf("seed %d: parsed job invalid: %v", seed, err)
 			}
+		}
+	}
+}
+
+// TestSWFReplayStopsAtNonFiniteRecord: a NaN or infinite submit, runtime
+// or weight parses (strconv reads it) but becomes no job, so replaying
+// the archive through the simulator stops with an error naming the
+// record once the jobs before it are done — not with a starved queue,
+// and not silently after a truncated stream.
+func TestSWFReplayStopsAtNonFiniteRecord(t *testing.T) {
+	for _, line2 := range []string{"2 1 0 NaN 1 1", "2 1 0 +Inf 1 1", "2 NaN 0 5 1 1", "2 -Inf 0 5 1 1", "2 1 0 5 1 NaN"} {
+		sim, err := cluster.New(des.New(), 4, 1, cluster.EASYPolicy{}, cluster.KillNewest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Stream(NewSWFJobSource(strings.NewReader("1 0 0 5 1 1\n" + line2 + "\n3 2 0 5 1 1\n"))); err != nil {
+			t.Fatal(err)
+		}
+		err = sim.Run()
+		if err == nil || !strings.Contains(err.Error(), "trace: record 2:") || !strings.Contains(err.Error(), "not finite") {
+			t.Fatalf("%q: Run = %v, want the record 2 error", line2, err)
+		}
+		if sim.CompletedCount() != 1 {
+			t.Fatalf("%q: %d jobs completed, want 1", line2, sim.CompletedCount())
 		}
 	}
 }

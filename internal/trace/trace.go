@@ -120,10 +120,18 @@ func RecordOf(c metrics.Completion) SWFRecord {
 }
 
 // Job materializes a record as a rigid job (runtime frozen as the
-// sequential profile on the recorded processor count).
+// sequential profile on the recorded processor count). A record with
+// non-positive procs or runtime, or a submit, runtime or weight that is
+// NaN or infinite, becomes no job.
 func (rec SWFRecord) Job() (*workload.Job, error) {
 	if rec.Procs <= 0 || rec.Runtime <= 0 {
 		return nil, fmt.Errorf("trace: record %d: procs %d runtime %v", rec.ID, rec.Procs, rec.Runtime)
+	}
+	for _, v := range [...]float64{rec.Submit, rec.Runtime, rec.Weight} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("trace: record %d: submit %v runtime %v weight %v: not finite",
+				rec.ID, rec.Submit, rec.Runtime, rec.Weight)
+		}
 	}
 	return &workload.Job{
 		ID: rec.ID, Kind: workload.Rigid, Release: math.Max(rec.Submit, 0),

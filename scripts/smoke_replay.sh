@@ -2,8 +2,9 @@
 # smoke_replay.sh — streaming-replay smoke: generate a ~1M-job SWF
 # archive and replay it through the online simulator under a hard Go
 # runtime memory limit, asserting the peak-heap bound and an events/s
-# floor (TestReplaySmokeMillionJobs). A materialized replay of the same
-# archive needs hundreds of MB; the streamed path must fit in a few.
+# floor (TestReplaySmokeMillionJobs in internal/cluster). A materialized
+# replay of the same archive needs hundreds of MB; the streamed path must
+# fit in a few.
 #
 # Environment (all optional):
 #   REPLAY_JOBS                archive size          (default 1000000)
@@ -21,5 +22,5 @@ export GOMEMLIMIT="${GOMEMLIMIT:-256MiB}"
 
 echo "replay smoke: ${REPLAY_JOBS} jobs, GOMEMLIMIT=${GOMEMLIMIT}," \
      "peak heap <= ${REPLAY_MAX_HEAP_MB} MiB, >= ${REPLAY_MIN_EVENTS_PER_SEC} events/s"
-go test -run '^TestReplaySmokeMillionJobs$' -v -count=1 .
+go test -run '^TestReplaySmokeMillionJobs$' -v -count=1 ./internal/cluster
 echo "replay smoke ok"
