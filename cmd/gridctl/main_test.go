@@ -50,7 +50,12 @@ func TestLocalMatchesGoldens(t *testing.T) {
 // TestLocalAblations: "ablations" expands to the six ablation
 // scenarios in catalog order, each followed by its blank line.
 func TestLocalAblations(t *testing.T) {
-	ids := scenario.CatalogIDs(scenario.GroupAblation)
+	var ids []string
+	for _, s := range scenario.Catalog() {
+		if s.Group == scenario.GroupAblation {
+			ids = append(ids, s.ID)
+		}
+	}
 	if len(ids) != 6 {
 		t.Fatalf("catalog has %d ablations, want 6: %v", len(ids), ids)
 	}
@@ -71,7 +76,7 @@ func TestLocalMatchesRun(t *testing.T) {
 	defer svc.Close()
 	mux := http.NewServeMux()
 	svc.Mount(mux)
-	srv := httptest.NewServer(api.Wrap(mux, 0, nil))
+	srv := httptest.NewServer(api.Wrap(mux, nil))
 	defer srv.Close()
 	c := client.New(srv.URL)
 

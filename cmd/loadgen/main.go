@@ -136,8 +136,8 @@ func runCampaign(ctx context.Context, cl *client.Client, tasks int, runTime floa
 // specStream yields the submission stream one spec at a time: an SWF
 // replay reads the trace line by line and a synthetic run pulls from
 // the workload generator, so loadgen's memory stays O(1) in the trace
-// length. ok=false ends the stream; err then reports a malformed trace
-// (nil for a clean end).
+// length. ok=false ends the stream; err then reports a malformed or
+// refused trace record (nil for a clean end).
 type specStream interface {
 	Next() (sp service.JobSpec, ok bool, err error)
 }
@@ -145,17 +145,22 @@ type specStream interface {
 // swfSpec derives the submission payload of one trace record — the
 // single definition both the streaming path and tests share, so the
 // spec order of a streamed replay is the materialized order by
-// construction.
-func swfSpec(rec trace.SWFRecord, useRel bool) service.JobSpec {
+// construction. The job comes from SWFRecord.Job, so a record the
+// replay kind refuses (an unknown -1 runtime or processor count, a
+// non-finite field) is refused here too instead of becoming a job.
+func swfSpec(rec trace.SWFRecord, useRel bool) (service.JobSpec, error) {
+	j, err := rec.Job()
+	if err != nil {
+		return service.JobSpec{}, err
+	}
 	sp := service.JobSpec{
 		Name: fmt.Sprintf("swf-%d", rec.ID), Class: "swf",
-		SeqTime:  rec.Runtime * float64(rec.Procs),
-		MinProcs: rec.Procs, Weight: rec.Weight,
+		SeqTime: j.SeqTime, MinProcs: j.MinProcs, Weight: j.Weight,
 	}
 	if useRel {
 		sp.Release = rec.Submit
 	}
-	return sp
+	return sp, nil
 }
 
 // swfStream streams specs off an SWF trace file.
@@ -168,7 +173,11 @@ func (s *swfStream) Next() (service.JobSpec, bool, error) {
 	if !s.sc.Scan() {
 		return service.JobSpec{}, false, s.sc.Err()
 	}
-	return swfSpec(s.sc.Record(), s.useRel), true, nil
+	sp, err := swfSpec(s.sc.Record(), s.useRel)
+	if err != nil {
+		return service.JobSpec{}, false, err
+	}
+	return sp, true, nil
 }
 
 // jobStream streams specs off a synthetic workload source.
@@ -216,8 +225,8 @@ type result struct {
 
 // fire submits the stream with the worker pool, pacing it at rps
 // submissions per second (absolute schedule, so pacing does not drift).
-// A malformed trace record stops submission there; the prefix already
-// sent stands and the parse error is reported as a failure.
+// A malformed or refused trace record stops submission there; the
+// prefix already sent stands and the error is reported as a failure.
 func fire(ctx context.Context, cl *client.Client, stream specStream, rps float64, workers int) *result {
 	if workers < 1 {
 		workers = 1

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/service"
@@ -44,7 +45,9 @@ func materializedSWFSpecs(t *testing.T, path string, useRel bool) []service.JobS
 	}
 	specs := make([]service.JobSpec, len(recs))
 	for i, rec := range recs {
-		specs[i] = swfSpec(rec, useRel)
+		if specs[i], err = swfSpec(rec, useRel); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return specs
 }
@@ -67,7 +70,11 @@ func TestSWFStreamMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.WriteSWFRecords(f, recs); err != nil {
+	w := trace.NewSWFWriter(f)
+	for _, rec := range recs {
+		w.Write(rec) //nolint:errcheck // sticky, returned by Flush
+	}
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -120,23 +127,36 @@ func TestSyntheticStreamMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestSWFStreamSurfacesParseError: a malformed record mid-trace yields
-// the good prefix, then the parse error.
+// TestSWFStreamSurfacesParseError: a malformed record mid-trace, or one
+// the replay kind refuses (SWF's -1 for an unknown runtime or processor
+// count, a zero or non-finite field), yields the good prefix, then the
+// error the replay kind stops on.
 func TestSWFStreamSurfacesParseError(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.swf")
-	if err := os.WriteFile(path, []byte("1 0 0 5 2 1\n2 0 0 5 1 1\nbroken line\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stream, closeStream, err := buildStream(path, 0, 0, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeStream()
-	got, serr := collect(t, stream)
-	if len(got) != 2 {
-		t.Fatalf("yielded %d specs before the bad line, want 2", len(got))
-	}
-	if serr == nil {
-		t.Fatal("malformed trace record not surfaced")
+	for _, bad := range []string{"broken line", "3 0 0 -1 -1 1", "3 0 0 5 0 1", "3 0 0 0 2 1", "3 0 0 NaN 2 1", "3 0 0 5 2 +Inf"} {
+		input := "1 0 0 5 2 1\n2 0 0 5 1 1\n" + bad + "\n4 0 0 5 1 1\n"
+		path := filepath.Join(t.TempDir(), "bad.swf")
+		if err := os.WriteFile(path, []byte(input), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		stream, closeStream, err := buildStream(path, 0, 0, 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, serr := collect(t, stream)
+		if err := closeStream(); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 2 {
+			t.Fatalf("%q: yielded %d specs before the bad line, want 2", bad, len(got))
+		}
+		replay := trace.NewSWFJobSource(strings.NewReader(input))
+		for {
+			if _, ok := replay.Next(); !ok {
+				break
+			}
+		}
+		if serr == nil || replay.Err() == nil || serr.Error() != replay.Err().Error() {
+			t.Fatalf("%q: stream error %v, the replay kind stops on %v", bad, serr, replay.Err())
+		}
 	}
 }

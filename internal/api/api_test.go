@@ -85,7 +85,7 @@ func newTestService(t *testing.T, cfg Config) (*RunService, *httptest.Server) {
 	s := NewRunService(cfg)
 	mux := http.NewServeMux()
 	s.Mount(mux)
-	srv := httptest.NewServer(Wrap(mux, 0, nil))
+	srv := httptest.NewServer(Wrap(mux, nil))
 	t.Cleanup(func() {
 		srv.Close()
 		s.Close()
@@ -256,10 +256,10 @@ func TestV1LifecycleMatchesLegacyTable(t *testing.T) {
 	// An inline spec (the generic offline kind) renders the same table
 	// as a direct run of that spec.
 	seed := uint64(42)
-	inline := scenario.New("inline-sweep", "offline",
-		scenario.WithWorkload(scenario.Workload{N: 40, M: 16, Weighted: true}),
-		scenario.WithPolicies("mrt", "ffdh"),
-		scenario.WithMetrics("cmax_ratio", "util"))
+	inline := &scenario.Spec{ID: "inline-sweep", Kind: "offline",
+		Workload: &scenario.Workload{N: 40, M: 16, Weighted: true},
+		Policies: []string{"mrt", "ffdh"},
+		Metrics:  []string{"cmax_ratio", "util"}}
 	body, err := json.Marshal(scenario.HTTPRequest{Spec: inline, Seed: &seed})
 	if err != nil {
 		t.Fatal(err)

@@ -49,9 +49,9 @@ type Router interface {
 	HandleFunc(pattern string, handler func(http.ResponseWriter, *http.Request))
 }
 
-// DefaultMaxBody caps request bodies across the API: job specs and
-// scenario specs are a few KB of JSON, so 1 MiB is generous.
-const DefaultMaxBody = 1 << 20
+// maxBody caps request bodies across the API: job specs and scenario
+// specs are a few KB of JSON, so 1 MiB is generous.
+const maxBody = 1 << 20
 
 // statusWriter records the response code and body size for the request
 // log while passing Flush through (the SSE stream needs the flusher).
@@ -84,10 +84,7 @@ func (sw *statusWriter) Flush() {
 // Wrap applies the shared middleware stack around a service mux: the
 // request-body cap and, when logger is non-nil, a request log line per
 // call (method, path, status, duration).
-func Wrap(h http.Handler, maxBody int64, logger *log.Logger) http.Handler {
-	if maxBody <= 0 {
-		maxBody = DefaultMaxBody
-	}
+func Wrap(h http.Handler, logger *log.Logger) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Body != nil {
 			r.Body = http.MaxBytesReader(w, r.Body, maxBody)

@@ -29,12 +29,6 @@ type Config struct {
 	// MaxHistory bounds the run store: when exceeded, the oldest
 	// terminal runs are evicted (active runs never are). Default 64.
 	MaxHistory int
-	// MaxInlineJobs bounds the workload / campaign size an inline spec
-	// may request server-side (catalog ids are trusted). Default
-	// 100_000.
-	MaxInlineJobs int
-	// MaxBody caps request bodies (Wrap applies it). Default 1 MiB.
-	MaxBody int64
 	// Log, when set, receives request log lines from the middleware.
 	Log *log.Logger
 	// Fleet, when set, distributes each run's remoteable cells through
@@ -70,6 +64,10 @@ type Fleet interface {
 	Forget(runID string)
 }
 
+// maxInlineJobs bounds the workload / campaign size an inline spec may
+// request server-side (catalog ids are trusted).
+const maxInlineJobs = 100_000
+
 func (c Config) fill() Config {
 	if c.MaxActive <= 0 {
 		c.MaxActive = 2
@@ -79,12 +77,6 @@ func (c Config) fill() Config {
 	}
 	if c.MaxHistory <= 0 {
 		c.MaxHistory = 64
-	}
-	if c.MaxInlineJobs <= 0 {
-		c.MaxInlineJobs = 100_000
-	}
-	if c.MaxBody <= 0 {
-		c.MaxBody = DefaultMaxBody
 	}
 	return c
 }
@@ -249,15 +241,15 @@ func (s *RunService) resolveSpec(req *scenario.HTTPRequest) (*scenario.Spec, *ht
 		// Bound the work an inline spec can request of a live daemon
 		// (cancellation is cooperative per cell, so one huge cell could
 		// still pin a worker for its full duration).
-		if spec.Workload != nil && spec.Workload.N > s.cfg.MaxInlineJobs {
+		if spec.Workload != nil && spec.Workload.N > maxInlineJobs {
 			return nil, &httpErr{code: http.StatusBadRequest, msg: fmt.Sprintf(
 				"inline spec requests %d jobs (max %d server-side; run it through the CLI)",
-				spec.Workload.N, s.cfg.MaxInlineJobs)}
+				spec.Workload.N, maxInlineJobs)}
 		}
-		if spec.Grid != nil && spec.Grid.CampaignTasks > s.cfg.MaxInlineJobs {
+		if spec.Grid != nil && spec.Grid.CampaignTasks > maxInlineJobs {
 			return nil, &httpErr{code: http.StatusBadRequest, msg: fmt.Sprintf(
 				"inline spec requests %d campaign tasks (max %d server-side; run it through the CLI)",
-				spec.Grid.CampaignTasks, s.cfg.MaxInlineJobs)}
+				spec.Grid.CampaignTasks, maxInlineJobs)}
 		}
 		// Clamp inline trace recording (req.Spec is per-request, so
 		// mutating it is safe — catalog specs are shared and never
@@ -278,14 +270,9 @@ func (s *RunService) resolveSpec(req *scenario.HTTPRequest) (*scenario.Spec, *ht
 	return spec, nil
 }
 
-// Submit validates the request, registers a run and queues it for the
-// executor pool as the anonymous tenant. It returns immediately;
-// progress flows through the run's event stream.
-func (s *RunService) Submit(req scenario.HTTPRequest) (*Run, *httpErr) {
-	return s.SubmitAs(req, nil)
-}
-
-// SubmitAs is Submit on behalf of a tenant (nil = anonymous). The
+// SubmitAs validates the request, registers a run and queues it for
+// the executor pool on behalf of a tenant (nil = anonymous). It returns
+// immediately; progress flows through the run's event stream. The
 // order of gates matters: memoization first (a cache hit costs the
 // tenant a rate token but no executor capacity), then the global
 // backlog bound, then the tenant's own quota — so one tenant saturating

@@ -9,7 +9,6 @@ package batch
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/moldable"
@@ -107,30 +106,4 @@ func Online(jobs []*workload.Job, m int, offline OfflineScheduler) (*Result, err
 // giving ratio 2(3/2 + ε) = 3 + ε for online moldable Cmax.
 func OnlineMoldable(jobs []*workload.Job, m int, eps float64) (*Result, error) {
 	return Online(jobs, m, MRTOffline(eps))
-}
-
-// TheoreticalRatio returns the online ratio 2ρ for a given offline ratio.
-func TheoreticalRatio(rho float64) float64 { return 2 * rho }
-
-// MaxBatchSpan returns the longest batch duration (diagnostics).
-func (r *Result) MaxBatchSpan() float64 {
-	var mx float64
-	for _, b := range r.Batches {
-		if d := b.End - b.Start; d > mx {
-			mx = d
-		}
-	}
-	return mx
-}
-
-// Utilization-style check: batches must be disjoint and ordered.
-func (r *Result) checkBatches() error {
-	prev := math.Inf(-1)
-	for i, b := range r.Batches {
-		if b.Start < prev-1e-9 {
-			return fmt.Errorf("batch: batch %d starts at %v before previous end %v", i, b.Start, prev)
-		}
-		prev = b.End
-	}
-	return nil
 }

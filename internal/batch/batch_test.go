@@ -1,6 +1,8 @@
 package batch
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -50,7 +52,7 @@ func TestOnlineRespectsReleases(t *testing.T) {
 	if err := res.Schedule.Covers(jobs); err != nil {
 		t.Fatal(err)
 	}
-	if err := res.checkBatches(); err != nil {
+	if err := checkBatches(res); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -107,7 +109,7 @@ func TestOnlineRatioEnvelope(t *testing.T) {
 			worst = ratio
 		}
 	}
-	if worst > TheoreticalRatio(1.5)+0.02 {
+	if worst > 2*1.5+0.02 {
 		t.Fatalf("worst online ratio %v exceeds 2ρ = 3 + ε", worst)
 	}
 	if worst < 1 {
@@ -155,19 +157,6 @@ func TestOnlineDroppingOfflineRejected(t *testing.T) {
 	}
 }
 
-func TestTheoreticalRatio(t *testing.T) {
-	if TheoreticalRatio(1.5) != 3 {
-		t.Fatal("2ρ composition wrong")
-	}
-}
-
-func TestMaxBatchSpan(t *testing.T) {
-	r := &Result{Batches: []Info{{Start: 0, End: 5}, {Start: 5, End: 20}}}
-	if r.MaxBatchSpan() != 15 {
-		t.Fatalf("MaxBatchSpan = %v", r.MaxBatchSpan())
-	}
-}
-
 // Property: the batch framework always yields valid complete schedules
 // whose batches partition the job set, at any arrival intensity.
 func TestOnlineProperty(t *testing.T) {
@@ -187,9 +176,21 @@ func TestOnlineProperty(t *testing.T) {
 		for _, b := range res.Batches {
 			total += b.JobCount
 		}
-		return total == n && res.checkBatches() == nil
+		return total == n && checkBatches(res) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkBatches requires the batches to be disjoint and ordered.
+func checkBatches(r *Result) error {
+	prev := math.Inf(-1)
+	for i, b := range r.Batches {
+		if b.Start < prev-1e-9 {
+			return fmt.Errorf("batch: batch %d starts at %v before previous end %v", i, b.Start, prev)
+		}
+		prev = b.End
+	}
+	return nil
 }

@@ -100,16 +100,17 @@ func diffInstance(rng *stats.RNG) ([]*workload.Job, int, Options) {
 		}
 	}
 	if !sameIDs { // IDs in no relation to release order: ties on density fall to them
-		for i, id := range rng.Perm(len(jobs)) {
-			jobs[i].ID = id
+		for i, j := range jobs {
+			j.ID = i
 		}
+		shuffle(rng, len(jobs), func(i, k int) { jobs[i].ID, jobs[k].ID = jobs[k].ID, jobs[i].ID })
 	}
 	for _, j := range jobs {
 		if t, _ := j.MinTime(m); t < shortest {
 			shortest = t
 		}
 	}
-	rng.Shuffle(len(jobs), func(i, k int) { jobs[i], jobs[k] = jobs[k], jobs[i] })
+	shuffle(rng, len(jobs), func(i, k int) { jobs[i], jobs[k] = jobs[k], jobs[i] })
 
 	var opt Options
 	if math.IsInf(shortest, 0) {
@@ -122,6 +123,13 @@ func diffInstance(rng *stats.RNG) ([]*workload.Job, int, Options) {
 		opt.InitialDeadline = shortest * rng.Range(1, 100) // down to one batch
 	}
 	return jobs, m, opt
+}
+
+// shuffle is a Fisher–Yates pass over n elements through swap.
+func shuffle(rng *stats.RNG, n int, swap func(i, k int)) {
+	for i := n - 1; i > 0; i-- {
+		swap(i, rng.Intn(i+1))
+	}
 }
 
 // sameResult compares two outcomes of the doubling scheduler field for

@@ -116,6 +116,18 @@ const (
 	KillLargestRemaining
 )
 
+// ParseKillPolicy resolves a kill-policy name: "newest" (the default,
+// also for "") or "largest".
+func ParseKillPolicy(name string) (KillPolicy, error) {
+	switch name {
+	case "", "newest":
+		return KillNewest, nil
+	case "largest":
+		return KillLargestRemaining, nil
+	}
+	return KillNewest, fmt.Errorf("unknown kill policy %q (newest|largest)", name)
+}
+
 // BETask is one elementary run of a multi-parametric grid campaign.
 type BETask struct {
 	BagID    int
@@ -820,10 +832,6 @@ func (s *Sim) SetAvailability(avail int) {
 	s.applyAvail(s.DES.Now())
 }
 
-// Avail returns the current number of working processors (M unless
-// faults are active).
-func (s *Sim) Avail() int { return s.avail }
-
 // applyAvail reconciles the simulation with a change of the active
 // capacity losses: recompute the working count (integrating downtime
 // when it moves), evict overcommitted work, rebuild the profile with the
@@ -935,18 +943,6 @@ func (s *Sim) Drained() bool { return s.drained }
 // (SetRetention) return only what they kept — use Report for the exact
 // aggregate criteria, which never depend on retention.
 func (s *Sim) Completions() []metrics.Completion {
-	return s.retain.Completions()
-}
-
-// CompletionsView returns the live completion records without copying
-// when the retention store supports it (the default full store does).
-// Owner-goroutine only, read-only, and not to be retained across events
-// — use Completions for a stable snapshot. It exists so per-scrape
-// metric reports need not copy an ever-growing slice.
-func (s *Sim) CompletionsView() []metrics.Completion {
-	if v, ok := s.retain.(metrics.Viewer); ok {
-		return v.View()
-	}
 	return s.retain.Completions()
 }
 

@@ -58,7 +58,7 @@ func TestDESFCFSMatchesOffline(t *testing.T) {
 	for seed := uint64(0); seed < 20; seed++ {
 		jobs := randomRigidWorkload(seed, 25, 8, 0.4)
 		online := desStarts(t, jobs, 8, FCFSPolicy{})
-		offline, err := rigid.FCFS(jobs, 8)
+		offline, err := rigid.FCFSWithCalendar(jobs, 8, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

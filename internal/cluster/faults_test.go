@@ -117,8 +117,8 @@ func TestRepairWithEmptyQueue(t *testing.T) {
 	if fs.DownProcSeconds != 3*30 {
 		t.Fatalf("down proc-seconds = %v, want 90", fs.DownProcSeconds)
 	}
-	if s.Avail() != 8 {
-		t.Fatalf("avail = %d after repair, want 8", s.Avail())
+	if s.avail != 8 {
+		t.Fatalf("avail = %d after repair, want 8", s.avail)
 	}
 }
 
@@ -150,8 +150,8 @@ func TestFullOutageNeverDeadlocks(t *testing.T) {
 			t.Fatalf("job %d started at %v inside the full outage", c.Job.ID, c.Start)
 		}
 	}
-	if s.Avail() != 4 {
-		t.Fatalf("avail = %d after repair, want 4", s.Avail())
+	if s.avail != 4 {
+		t.Fatalf("avail = %d after repair, want 4", s.avail)
 	}
 	validateCompletions(t, cs, 4)
 }

@@ -99,7 +99,7 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 func TestStreamReportMatchesNewReport(t *testing.T) {
 	cfg := workload.GenConfig{N: 250, M: 16, Seed: 4, ArrivalRate: 1, Weighted: true, DueDateSlack: 2}
 	s := runStreamed(t, 16, EASYPolicy{}, workload.ParallelSource(cfg), nil)
-	if want := metrics.NewReport(s.CompletionsView(), 16); want != s.Report() {
+	if want := metrics.NewReport(s.Completions(), 16); want != s.Report() {
 		t.Fatalf("report diverged:\nNewReport %+v\nReport    %+v", want, s.Report())
 	}
 }
@@ -153,7 +153,7 @@ func TestStreamBurstGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Stream(workload.NewSliceSource(jobs)); err != nil {
+	if err := s.Stream(&sliceSource{jobs}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(); err != nil {
@@ -167,6 +167,18 @@ func TestStreamBurstGroup(t *testing.T) {
 	if got := s.DES.Processed; got > 48 {
 		t.Fatalf("burst groups not coalesced: %d events", got)
 	}
+}
+
+// sliceSource streams an in-memory job slice.
+type sliceSource struct{ jobs []*workload.Job }
+
+func (s *sliceSource) Next() (*workload.Job, bool) {
+	if len(s.jobs) == 0 {
+		return nil, false
+	}
+	j := s.jobs[0]
+	s.jobs = s.jobs[1:]
+	return j, true
 }
 
 // failingSource yields one good job then fails.
@@ -207,7 +219,7 @@ func TestStreamSourceError(t *testing.T) {
 		SeqTime: 1, MinProcs: 99, MaxProcs: 99, Model: workload.Linear{},
 	}
 	s2, _ := New(des.New(), 4, 1, FCFSPolicy{}, KillNewest)
-	err2 := s2.Stream(workload.NewSliceSource([]*workload.Job{wide}))
+	err2 := s2.Stream(&sliceSource{[]*workload.Job{wide}})
 	if err2 == nil {
 		err2 = s2.Run()
 	}
@@ -232,7 +244,7 @@ func TestStreamUnschedulableArrival(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Stream(workload.NewSliceSource(jobs)); err != nil {
+	if err := s.Stream(&sliceSource{jobs}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(); err == nil || !strings.Contains(err.Error(), "cluster: job 2: des: scheduling at non-finite time") {

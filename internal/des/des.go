@@ -70,10 +70,9 @@ type Simulator struct {
 	events eventHeap
 	// fns holds the scheduled callbacks, indexed by eventRef.slot and
 	// recycled through free once dispatched.
-	fns     []func()
-	free    []int32
-	seq     uint64
-	stopped bool
+	fns  []func()
+	free []int32
+	seq  uint64
 	// Processed counts executed events (diagnostics / runaway guards).
 	Processed uint64
 	// Limit aborts Run after this many events (0 = no limit). A safety
@@ -200,9 +199,6 @@ func (s *Simulator) pop() (float64, func()) {
 	return top.time, fn
 }
 
-// Stop makes Run return after the current event.
-func (s *Simulator) Stop() { s.stopped = true }
-
 // PeekTime returns the timestamp of the earliest pending event, or
 // ok=false when the queue is empty. Wall-clock drivers use it to decide
 // how long they may sleep before virtual time has to advance again.
@@ -216,11 +212,10 @@ func (s *Simulator) PeekTime() (t float64, ok bool) {
 // Pending returns the number of queued events.
 func (s *Simulator) Pending() int { return len(s.events) }
 
-// Run executes events in timestamp order until the queue drains, Stop is
-// called, or the event limit is hit (error in that last case).
+// Run executes events in timestamp order until the queue drains or the
+// event limit is hit (an error).
 func (s *Simulator) Run() error {
-	s.stopped = false
-	for len(s.events) > 0 && !s.stopped {
+	for len(s.events) > 0 {
 		if s.Limit > 0 && s.Processed >= s.Limit {
 			return fmt.Errorf("des: event limit %d reached at t=%v", s.Limit, s.clock)
 		}
@@ -237,8 +232,7 @@ func (s *Simulator) RunUntil(t float64) error {
 	if t < s.clock {
 		return fmt.Errorf("des: RunUntil(%v) before now (%v)", t, s.clock)
 	}
-	s.stopped = false
-	for len(s.events) > 0 && !s.stopped && s.events[0].time <= t {
+	for len(s.events) > 0 && s.events[0].time <= t {
 		if s.Limit > 0 && s.Processed >= s.Limit {
 			return fmt.Errorf("des: event limit %d reached at t=%v", s.Limit, s.clock)
 		}
@@ -247,8 +241,6 @@ func (s *Simulator) RunUntil(t float64) error {
 		s.Processed++
 		fn()
 	}
-	if !s.stopped {
-		s.clock = t
-	}
+	s.clock = t
 	return nil
 }

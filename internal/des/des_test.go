@@ -87,31 +87,6 @@ func TestPastSchedulingRejected(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	s := New()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		tm := float64(i)
-		if err := s.At(tm, func() {
-			count++
-			if count == 3 {
-				s.Stop()
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if count != 3 {
-		t.Fatalf("processed %d events after Stop", count)
-	}
-	if s.Pending() != 7 {
-		t.Fatalf("pending = %d", s.Pending())
-	}
-}
-
 func TestRunUntil(t *testing.T) {
 	s := New()
 	var hits []float64

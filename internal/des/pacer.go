@@ -31,9 +31,6 @@ func NewPacer(dilation float64, start time.Time, virtNow float64) (*Pacer, error
 	return &Pacer{dilation: dilation, start: start, virtStart: virtNow}, nil
 }
 
-// Dilation returns the virtual-seconds-per-wall-second factor.
-func (p *Pacer) Dilation() float64 { return p.dilation }
-
 // VirtualNow returns the virtual time corresponding to the wall instant
 // now. Instants before the anchor clamp to the anchor's virtual time
 // (virtual clocks never run backwards).

@@ -48,8 +48,8 @@ func TestPacerAnchorOffset(t *testing.T) {
 	if got := p.VirtualNow(anchor.Add(3 * time.Second)); got != 106 {
 		t.Fatalf("virtual time = %v, want 106", got)
 	}
-	if p.Dilation() != 2 {
-		t.Fatalf("dilation = %v", p.Dilation())
+	if p.dilation != 2 {
+		t.Fatalf("dilation = %v", p.dilation)
 	}
 }
 

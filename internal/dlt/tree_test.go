@@ -209,36 +209,3 @@ func BenchmarkTreeSingleRound(b *testing.B) {
 		}
 	}
 }
-
-func TestBestRoundsLatencyMonotone(t *testing.T) {
-	// The optimal round count must not increase with latency.
-	s := homogeneousBus(4, 1, 0.3)
-	W := 1000.0
-	prevR := 1 << 30
-	for _, lat := range []float64{0, 1, 10, 100} {
-		s.Latency = lat
-		r, d, err := BestRounds(s, W, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d == nil || d.Makespan < LowerBound(s, W)-1e-9 {
-			t.Fatalf("latency %v: bad best distribution", lat)
-		}
-		if r > prevR {
-			t.Fatalf("optimal rounds increased with latency: %d after %d at lat=%v",
-				r, prevR, lat)
-		}
-		prevR = r
-	}
-}
-
-func TestBestRoundsDegenerate(t *testing.T) {
-	s := homogeneousBus(2, 1, 0.1)
-	if _, _, err := BestRounds(s, 100, 0); err == nil {
-		t.Fatal("maxR=0 accepted")
-	}
-	r, d, err := BestRounds(s, 100, 1)
-	if err != nil || r != 1 || d == nil {
-		t.Fatalf("maxR=1: r=%d d=%v err=%v", r, d, err)
-	}
-}

@@ -207,7 +207,11 @@ func TestReservationsTable(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	for _, id := range scenario.CatalogIDs(scenario.GroupAblation) {
+	for _, s := range scenario.Catalog() {
+		if s.Group != scenario.GroupAblation {
+			continue
+		}
+		id := s.ID
 		tb, err := catalogTable(id, 11, quick)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)

@@ -50,7 +50,7 @@ func faultsRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, 
 	if err != nil {
 		return nil, err
 	}
-	kill, err := killPolicy(spec.String("kill", "newest"))
+	kill, err := cluster.ParseKillPolicy(spec.String("kill", "newest"))
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +164,7 @@ func faultTwinRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Resul
 	if err != nil {
 		return nil, err
 	}
-	kill, err := killPolicy(spec.String("kill", "newest"))
+	kill, err := cluster.ParseKillPolicy(spec.String("kill", "newest"))
 	if err != nil {
 		return nil, err
 	}

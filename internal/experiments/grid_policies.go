@@ -119,7 +119,7 @@ func gridRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, er
 	if !queue.Caps.Online {
 		return nil, fmt.Errorf("experiments: grid queue policy %q is not online-capable", queueName)
 	}
-	kill, err := killPolicy(spec.String("kill", "newest"))
+	kill, err := cluster.ParseKillPolicy(spec.String("kill", "newest"))
 	if err != nil {
 		return nil, err
 	}

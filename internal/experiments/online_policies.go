@@ -52,7 +52,7 @@ func onlineRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, 
 	if err != nil {
 		return nil, err
 	}
-	kill, err := killPolicy(spec.String("kill", "newest"))
+	kill, err := cluster.ParseKillPolicy(spec.String("kill", "newest"))
 	if err != nil {
 		return nil, err
 	}
@@ -111,15 +111,4 @@ func onlineRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, 
 	res := t.Result()
 	tc.install(res)
 	return res, nil
-}
-
-// killPolicy resolves the best-effort eviction rule by name.
-func killPolicy(name string) (cluster.KillPolicy, error) {
-	switch name {
-	case "", "newest":
-		return cluster.KillNewest, nil
-	case "largest":
-		return cluster.KillLargestRemaining, nil
-	}
-	return cluster.KillNewest, fmt.Errorf("experiments: unknown kill policy %q (newest|largest)", name)
 }

@@ -45,7 +45,7 @@ func replayRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, 
 	if err != nil {
 		return nil, err
 	}
-	kill, err := killPolicy(spec.String("kill", "newest"))
+	kill, err := cluster.ParseKillPolicy(spec.String("kill", "newest"))
 	if err != nil {
 		return nil, err
 	}

@@ -63,18 +63,20 @@ func TestReplayKindSWF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.WriteSWFRecords(f, recs); err != nil {
+	w := trace.NewSWFWriter(f)
+	for _, rec := range recs {
+		w.Write(rec) //nolint:errcheck // sticky, returned by Flush
+	}
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	spec := scenario.New("replay-swf", "replay",
-		scenario.WithDesc("swf variant"),
-		scenario.WithPolicies("fcfs", "easy"),
-		scenario.WithPlatform(scenario.Platform{M: 8}),
-		scenario.WithParam("swf", path))
+	spec := &scenario.Spec{ID: "replay-swf", Kind: "replay", Desc: "swf variant",
+		Policies: []string{"fcfs", "easy"}, Platform: &scenario.Platform{M: 8},
+		Params: map[string]any{"swf": path}}
 	res, err := scenario.Run(spec, scenario.RunOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -88,10 +90,9 @@ func TestReplayKindSWF(t *testing.T) {
 		}
 	}
 
-	bad := scenario.New("replay-missing", "replay",
-		scenario.WithDesc("missing file"),
-		scenario.WithPolicies("fcfs"),
-		scenario.WithParam("swf", filepath.Join(t.TempDir(), "absent.swf")))
+	bad := &scenario.Spec{ID: "replay-missing", Kind: "replay", Desc: "missing file",
+		Policies: []string{"fcfs"},
+		Params:   map[string]any{"swf": filepath.Join(t.TempDir(), "absent.swf")}}
 	if _, err := scenario.Run(bad, scenario.RunOptions{Seed: 1}); err == nil {
 		t.Fatal("missing trace file accepted")
 	}

@@ -23,7 +23,10 @@ func TestCatalogComplete(t *testing.T) {
 		"ablation-allotment", "ablation-doubling-base", "ablation-shelf-fill",
 		"ablation-chunk", "ablation-kill-policy", "ablation-compaction",
 	}
-	got := scenario.CatalogIDs("")
+	var got []string
+	for _, s := range scenario.Catalog() {
+		got = append(got, s.ID)
+	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("catalog order:\n got %v\nwant %v", got, want)
 	}
@@ -95,11 +98,11 @@ func TestSpecJSONRoundTripRuns(t *testing.T) {
 // data sweeps chosen policies over a chosen workload with chosen
 // metric columns.
 func TestGenericOfflineKind(t *testing.T) {
-	spec := scenario.New("custom-offline", "offline",
-		scenario.WithWorkload(scenario.Workload{N: 60, M: 32, Weighted: true}),
-		scenario.WithPolicies("mrt", "smart", "ffdh"),
-		scenario.WithMetrics("cmax_ratio", "swc_ratio", "util"),
-	)
+	spec := &scenario.Spec{ID: "custom-offline", Kind: "offline",
+		Workload: &scenario.Workload{N: 60, M: 32, Weighted: true},
+		Policies: []string{"mrt", "smart", "ffdh"},
+		Metrics:  []string{"cmax_ratio", "swc_ratio", "util"},
+	}
 	res, err := scenario.Run(spec, scenario.RunOptions{Seed: 5, Scale: scenario.Scale{JobFactor: 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -118,11 +121,11 @@ func TestGenericOfflineKind(t *testing.T) {
 		}
 	}
 	// Unknown metric and offline-incapable policy are rejected.
-	bad := scenario.New("x", "offline", scenario.WithMetrics("nope"))
+	bad := &scenario.Spec{ID: "x", Kind: "offline", Metrics: []string{"nope"}}
 	if _, err := scenario.Run(bad, scenario.RunOptions{Seed: 1}); err == nil {
 		t.Fatal("unknown metric accepted")
 	}
-	bad2 := scenario.New("x", "offline", scenario.WithPolicies("easy"))
+	bad2 := &scenario.Spec{ID: "x", Kind: "offline", Policies: []string{"easy"}}
 	if _, err := scenario.Run(bad2, scenario.RunOptions{Seed: 1}); err == nil {
 		t.Fatal("online-only policy accepted by offline kind")
 	}
@@ -130,11 +133,11 @@ func TestGenericOfflineKind(t *testing.T) {
 
 // TestGenericOnlineKind: policy subset + custom rate axis.
 func TestGenericOnlineKind(t *testing.T) {
-	spec := scenario.New("custom-online", "online",
-		scenario.WithWorkload(scenario.Workload{N: 80, M: 32, RigidFraction: 1}),
-		scenario.WithPolicies("fcfs", "easy"),
-		scenario.WithParam("rates", []float64{0.1}),
-	)
+	spec := &scenario.Spec{ID: "custom-online", Kind: "online",
+		Workload: &scenario.Workload{N: 80, M: 32, RigidFraction: 1},
+		Policies: []string{"fcfs", "easy"},
+		Params:   map[string]any{"rates": []float64{0.1}},
+	}
 	res, err := scenario.Run(spec, scenario.RunOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +150,7 @@ func TestGenericOnlineKind(t *testing.T) {
 			t.Fatalf("row %d policy = %q", i, res.Table.Rows[i][2])
 		}
 	}
-	bad := scenario.New("x", "online", scenario.WithPolicies("mrt"))
+	bad := &scenario.Spec{ID: "x", Kind: "online", Policies: []string{"mrt"}}
 	if _, err := scenario.Run(bad, scenario.RunOptions{Seed: 1}); err == nil {
 		t.Fatal("offline-only policy accepted by online kind")
 	}
@@ -155,13 +158,13 @@ func TestGenericOnlineKind(t *testing.T) {
 
 // TestGenericGridKind: custom fleet + single routing policy.
 func TestGenericGridKind(t *testing.T) {
-	spec := scenario.New("custom-grid", "grid",
-		scenario.WithWorkload(scenario.Workload{N: 40, M: 16, ArrivalRate: 0.2, RigidFraction: 1, MaxProcsCap: 16}),
-		scenario.WithPlatform(scenario.Platform{Clusters: []scenario.Cluster{
+	spec := &scenario.Spec{ID: "custom-grid", Kind: "grid",
+		Workload: &scenario.Workload{N: 40, M: 16, ArrivalRate: 0.2, RigidFraction: 1, MaxProcsCap: 16},
+		Platform: &scenario.Platform{Clusters: []scenario.Cluster{
 			{Name: "a", M: 32}, {Name: "b", M: 16, Speed: 2},
-		}}),
-		scenario.WithGrid(scenario.Grid{Policy: "centralized", CampaignTasks: 200, CampaignRunTime: 10}),
-	)
+		}},
+		Grid: &scenario.Grid{Policy: "centralized", CampaignTasks: 200, CampaignRunTime: 10},
+	}
 	res, err := scenario.Run(spec, scenario.RunOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +183,7 @@ func TestGenericGridKind(t *testing.T) {
 	if len(res2.Table.Rows) != len(registry.Grids()) {
 		t.Fatalf("sweep rows = %d, want %d", len(res2.Table.Rows), len(registry.Grids()))
 	}
-	bad := scenario.New("x", "grid", scenario.WithPolicies("easy", "fcfs"))
+	bad := &scenario.Spec{ID: "x", Kind: "grid", Policies: []string{"easy", "fcfs"}}
 	if _, err := scenario.Run(bad, scenario.RunOptions{Seed: 1}); err == nil {
 		t.Fatal("multiple queue policies accepted by grid kind")
 	}
@@ -191,9 +194,8 @@ func TestGenericGridKind(t *testing.T) {
 func TestSpecFileLoading(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/s.json"
-	spec := scenario.New("file-spec", "offline",
-		scenario.WithWorkload(scenario.Workload{N: 40, M: 16}),
-		scenario.WithPolicies("ffdh"))
+	spec := &scenario.Spec{ID: "file-spec", Kind: "offline",
+		Workload: &scenario.Workload{N: 40, M: 16}, Policies: []string{"ffdh"}}
 	data, err := spec.MarshalIndent()
 	if err != nil {
 		t.Fatal(err)
@@ -260,9 +262,9 @@ func TestGridKindSentinels(t *testing.T) {
 // TestOnlineKindWorkloadRate: workload.arrival_rate pins a single rate
 // for the online kind; combining it with params.rates errors.
 func TestOnlineKindWorkloadRate(t *testing.T) {
-	spec := scenario.New("single-rate", "online",
-		scenario.WithWorkload(scenario.Workload{N: 60, M: 32, ArrivalRate: 0.3, RigidFraction: 1}),
-		scenario.WithPolicies("fcfs"))
+	spec := &scenario.Spec{ID: "single-rate", Kind: "online",
+		Workload: &scenario.Workload{N: 60, M: 32, ArrivalRate: 0.3, RigidFraction: 1},
+		Policies: []string{"fcfs"}}
 	res, err := scenario.Run(spec, scenario.RunOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)

@@ -43,12 +43,12 @@ func TestTraceDeterminism(t *testing.T) {
 	tracedChurn := *churn // shallow copy: never mutate the shared catalog spec
 	tracedChurn.Trace = &scenario.Trace{Events: true}
 	specs := map[string]*scenario.Spec{
-		"healthy-online": scenario.New("trace-online", "online",
-			scenario.WithWorkload(scenario.Workload{N: 200, M: 32, RigidFraction: 0.5}),
-			scenario.WithPolicies("fcfs", "easy"),
-			scenario.WithParam("rates", []float64{0.1, 0.3}),
-			scenario.WithTrace(scenario.Trace{Events: true}),
-		),
+		"healthy-online": {ID: "trace-online", Kind: "online",
+			Workload: &scenario.Workload{N: 200, M: 32, RigidFraction: 0.5},
+			Policies: []string{"fcfs", "easy"},
+			Params:   map[string]any{"rates": []float64{0.1, 0.3}},
+			Trace:    &scenario.Trace{Events: true},
+		},
 		"churn": &tracedChurn,
 	}
 	for name, spec := range specs {
@@ -90,12 +90,12 @@ func TestTraceUnsupportedKind(t *testing.T) {
 // TestTraceMaxEventsDropped: the cap truncates storage but keeps the
 // dropped count, so a clipped trace is detectable.
 func TestTraceMaxEventsDropped(t *testing.T) {
-	spec := scenario.New("trace-capped", "online",
-		scenario.WithWorkload(scenario.Workload{N: 200, M: 32, RigidFraction: 1}),
-		scenario.WithPolicies("fcfs"),
-		scenario.WithParam("rates", []float64{0.3}),
-		scenario.WithTrace(scenario.Trace{Events: true, MaxEvents: 10}),
-	)
+	spec := &scenario.Spec{ID: "trace-capped", Kind: "online",
+		Workload: &scenario.Workload{N: 200, M: 32, RigidFraction: 1},
+		Policies: []string{"fcfs"},
+		Params:   map[string]any{"rates": []float64{0.3}},
+		Trace:    &scenario.Trace{Events: true, MaxEvents: 10},
+	}
 	res, err := scenario.Run(spec, scenario.RunOptions{Seed: 3, Scale: scenario.Scale{JobFactor: 20}})
 	if err != nil {
 		t.Fatal(err)
@@ -129,14 +129,14 @@ func finishOrder(tr runtrace.CellTrace) []int32 {
 // recorded run is a first-class workload input.
 func TestReplayReproducesRecordedTrace(t *testing.T) {
 	const m = 32
-	src := scenario.New("trace-src", "online",
+	src := &scenario.Spec{ID: "trace-src", Kind: "online",
 		// Rigid jobs only: the SWF record pins the allocation, so the
 		// replay sees exactly the recorded shape.
-		scenario.WithWorkload(scenario.Workload{N: 150, M: m, RigidFraction: 1}),
-		scenario.WithPolicies("fcfs"),
-		scenario.WithParam("rates", []float64{0.3}),
-		scenario.WithTrace(scenario.Trace{Events: true}),
-	)
+		Workload: &scenario.Workload{N: 150, M: m, RigidFraction: 1},
+		Policies: []string{"fcfs"},
+		Params:   map[string]any{"rates": []float64{0.3}},
+		Trace:    &scenario.Trace{Events: true},
+	}
 	res, err := scenario.Run(src, scenario.RunOptions{Seed: 11, Scale: scenario.Scale{JobFactor: 10}})
 	if err != nil {
 		t.Fatal(err)
@@ -166,12 +166,12 @@ func TestReplayReproducesRecordedTrace(t *testing.T) {
 		t.Fatalf("exported %d jobs, finished %d", n, len(want))
 	}
 
-	replay := scenario.New("trace-replay", "replay",
-		scenario.WithPlatform(scenario.Platform{M: m}),
-		scenario.WithPolicies("fcfs"),
-		scenario.WithParam("swf", path),
-		scenario.WithTrace(scenario.Trace{Events: true}),
-	)
+	replay := &scenario.Spec{ID: "trace-replay", Kind: "replay",
+		Platform: &scenario.Platform{M: m},
+		Policies: []string{"fcfs"},
+		Params:   map[string]any{"swf": path},
+		Trace:    &scenario.Trace{Events: true},
+	}
 	res2, err := scenario.Run(replay, scenario.RunOptions{Seed: 99}) // seed is irrelevant: the workload is the file
 	if err != nil {
 		t.Fatal(err)

@@ -144,8 +144,3 @@ func (e *Engine) done() bool {
 		s.QueueLength() == 0 && s.RunningCount() == 0 &&
 		s.BestEffortActive() == 0 && s.BestEffortQueueLength() == 0
 }
-
-// Crashes returns the number of churn crashes fired so far (the
-// scheduled outages and trace steps are counted by the cluster's own
-// FaultStats).
-func (e *Engine) Crashes() int { return e.crashes }

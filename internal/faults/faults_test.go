@@ -130,8 +130,8 @@ func TestMaxCrashes(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if e.Crashes() != 3 {
-		t.Fatalf("churn crashes = %d, want exactly 3", e.Crashes())
+	if e.crashes != 3 {
+		t.Fatalf("churn crashes = %d, want exactly 3", e.crashes)
 	}
 }
 

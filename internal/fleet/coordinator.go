@@ -18,9 +18,6 @@ type Config struct {
 	// TTL is the lease time budget: a lease not heartbeated within it
 	// requeues its unfinished cells. Default 15s.
 	TTL time.Duration
-	// MaxBatch caps cells per lease regardless of what a worker asks
-	// for. Default 16.
-	MaxBatch int
 	// AffinityBlock is the consistent-hash bucket width: cells of one
 	// fan-out are hashed to workers in blocks of this many adjacent
 	// indices, so a worker that warmed a spec's workload keeps getting
@@ -35,12 +32,12 @@ type Config struct {
 	Build BuildInfo
 }
 
+// maxBatch caps cells per lease regardless of what a worker asks for.
+const maxBatch = 16
+
 func (c Config) fill() Config {
 	if c.TTL <= 0 {
 		c.TTL = 15 * time.Second
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 16
 	}
 	if c.AffinityBlock <= 0 {
 		c.AffinityBlock = 4
@@ -152,9 +149,6 @@ func NewCoordinator(cfg Config) *Coordinator {
 
 // Build returns the coordinator's build identity.
 func (c *Coordinator) Build() BuildInfo { return c.cfg.Build }
-
-// TTL returns the configured lease TTL.
-func (c *Coordinator) TTL() time.Duration { return c.cfg.TTL }
 
 // Close stops the janitor, fails every outstanding cell with ErrClosed
 // (unblocking dispatchers) and rejects further calls.
@@ -421,8 +415,8 @@ func (c *Coordinator) LeaseCells(ctx context.Context, req LeaseRequest) (*Lease,
 	if max <= 0 {
 		max = 1
 	}
-	if max > c.cfg.MaxBatch {
-		max = c.cfg.MaxBatch
+	if max > maxBatch {
+		max = maxBatch
 	}
 	deadline := time.Now().Add(time.Duration(req.WaitSeconds * float64(time.Second)))
 	for {
@@ -681,12 +675,4 @@ func (c *Coordinator) WorkersStatus() []WorkerStatus {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// PendingCells reports the current queue depth (tests and the smoke
-// script's progress assertions).
-func (c *Coordinator) PendingCells() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.pending)
 }

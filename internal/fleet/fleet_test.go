@@ -15,9 +15,8 @@ import (
 // testSpec builds a minimal spec for protocol-level tests (the lease
 // payload just carries its JSON; no kind needs to run).
 func testSpec(id string) *scenario.Spec {
-	return scenario.New(id, "offline",
-		scenario.WithWorkload(scenario.Workload{N: 10, M: 8}),
-		scenario.WithPolicies("ffdh"))
+	return &scenario.Spec{ID: id, Kind: "offline",
+		Workload: &scenario.Workload{N: 10, M: 8}, Policies: []string{"ffdh"}}
 }
 
 // TestValueCodecRoundTrip: every table value type survives the wire
@@ -328,4 +327,11 @@ func TestRetainBoundsIdleRuns(t *testing.T) {
 	if n > 3 {
 		t.Fatalf("retained %d idle runs, want <= 3", n)
 	}
+}
+
+// PendingCells reports the coordinator's queue depth.
+func (c *Coordinator) PendingCells() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.pending)
 }

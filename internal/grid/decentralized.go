@@ -222,16 +222,6 @@ func RunIsolated(members []Member, kill cluster.KillPolicy) ([]metrics.Completio
 	return all, nil
 }
 
-// SplitJobsRoundRobin deals a job stream across k members (test/demo
-// helper for building imbalanced scenarios use SplitJobsSkewed).
-func SplitJobsRoundRobin(jobs []*workload.Job, k int) [][]*workload.Job {
-	out := make([][]*workload.Job, k)
-	for i, j := range jobs {
-		out[i%k] = append(out[i%k], j)
-	}
-	return out
-}
-
 // SplitJobsSkewed sends the given fraction of the stream to member 0 and
 // deals the rest round-robin over the others — the §5.2 imbalance
 // scenario (one community floods its own cluster).

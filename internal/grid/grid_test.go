@@ -199,7 +199,7 @@ func TestDecentralizedNoMigrationWhenBalanced(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		jobs = append(jobs, rjob(i, rng.Range(1, 5), 1, 0))
 	}
-	split := SplitJobsRoundRobin(jobs, 3)
+	split := splitJobsRoundRobin(jobs, 3)
 	d, err := NewDecentralized(smallMembers(split), DecentralizedOptions{
 		Period: 5, Threshold: 3,
 	}, cluster.KillNewest)
@@ -245,14 +245,19 @@ func TestDecentralizedWideJobNotMovedToSmallCluster(t *testing.T) {
 	}
 }
 
+// splitJobsRoundRobin deals a job stream across k members.
+func splitJobsRoundRobin(jobs []*workload.Job, k int) [][]*workload.Job {
+	out := make([][]*workload.Job, k)
+	for i, j := range jobs {
+		out[i%k] = append(out[i%k], j)
+	}
+	return out
+}
+
 func TestSplitters(t *testing.T) {
 	jobs := make([]*workload.Job, 10)
 	for i := range jobs {
 		jobs[i] = rjob(i, 1, 1, 0)
-	}
-	rr := SplitJobsRoundRobin(jobs, 3)
-	if len(rr[0]) != 4 || len(rr[1]) != 3 || len(rr[2]) != 3 {
-		t.Fatalf("round-robin split %d/%d/%d", len(rr[0]), len(rr[1]), len(rr[2]))
 	}
 	sk := SplitJobsSkewed(jobs, 3, 0.8)
 	if len(sk[0]) != 8 {
@@ -323,7 +328,7 @@ func TestPullDoesNotStealWhenBusy(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		jobs = append(jobs, rjob(i, 20, 4, 0)) // all full-width, same length
 	}
-	split := SplitJobsRoundRobin(jobs, 3)
+	split := splitJobsRoundRobin(jobs, 3)
 	d, err := NewDecentralized(smallMembers(split),
 		DecentralizedOptions{Period: 5, MaxMove: 4, Protocol: Pull}, cluster.KillNewest)
 	if err != nil {

@@ -120,7 +120,7 @@ func (r *Routed) loads() []cluster.LoadInfo {
 	now := r.DES.Now()
 	out := make([]cluster.LoadInfo, len(r.sims))
 	for i, cs := range r.sims {
-		if r.partitioned(i, now) {
+		if scenario.Partitioned(r.partitions, i, now) {
 			continue
 		}
 		out[i] = cluster.LoadInfo{
@@ -141,21 +141,6 @@ func (r *Routed) SetPartitions(windows []scenario.PartitionWindow) {
 	for _, w := range windows {
 		_ = r.DES.At(w.End, r.scheduleRedistribute)
 	}
-}
-
-// partitioned reports whether cluster i is cut off at virtual time now.
-func (r *Routed) partitioned(i int, now float64) bool {
-	for _, w := range r.partitions {
-		if now < w.Start || now >= w.End {
-			continue
-		}
-		for _, c := range w.Clusters {
-			if c == i {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // place routes one arriving job.
@@ -214,7 +199,7 @@ func (r *Routed) redistribute() {
 	now := r.DES.Now()
 	grants := r.router.Grants(r.loads(), len(r.stock))
 	for i, n := range grants {
-		if r.partitioned(i, now) {
+		if scenario.Partitioned(r.partitions, i, now) {
 			continue
 		}
 		for ; n > 0 && len(r.stock) > 0; n-- {
@@ -234,7 +219,8 @@ func (r *Routed) exchange() {
 	for _, mv := range r.router.Moves(r.loads()) {
 		if mv.Src == mv.Dst || mv.Src < 0 || mv.Dst < 0 ||
 			mv.Src >= len(r.sims) || mv.Dst >= len(r.sims) ||
-			r.partitioned(mv.Src, now) || r.partitioned(mv.Dst, now) {
+			scenario.Partitioned(r.partitions, mv.Src, now) ||
+			scenario.Partitioned(r.partitions, mv.Dst, now) {
 			continue
 		}
 		for _, j := range r.sims[mv.Src].StealQueued(mv.N) {
@@ -297,9 +283,4 @@ func (r *Routed) AllCompletions() []metrics.Completion {
 		all = append(all, cs.Completions()...)
 	}
 	return all
-}
-
-// LocalCompletions returns cluster i's completion records.
-func (r *Routed) LocalCompletions(i int) []metrics.Completion {
-	return r.sims[i].Completions()
 }

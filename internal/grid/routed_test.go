@@ -4,11 +4,17 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/metrics"
 	"repro/internal/platform"
 	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
+
+// LocalCompletions returns cluster i's completion records.
+func (r *Routed) LocalCompletions(i int) []metrics.Completion {
+	return r.sims[i].Completions()
+}
 
 func routedMembers() []Member {
 	var ms []Member

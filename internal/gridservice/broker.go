@@ -38,6 +38,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/registry"
+	"repro/internal/scenario"
 	"repro/internal/service"
 	"repro/internal/workload"
 )
@@ -182,7 +183,7 @@ func NewBroker(topo Topology) (*Broker, error) {
 	}
 	anchor := time.Now()
 	for i, spec := range topo.Clusters {
-		kp, err := killPolicy(spec.Kill)
+		kp, err := cluster.ParseKillPolicy(spec.Kill)
 		if err != nil {
 			return nil, err
 		}
@@ -222,9 +223,6 @@ func (b *Broker) Stop() {
 
 // Topology returns the filled fleet configuration.
 func (b *Broker) Topology() Topology { return b.topo }
-
-// Names returns the cluster names in fleet order.
-func (b *Broker) Names() []string { return append([]string(nil), b.names...) }
 
 // onKilled receives a killed best-effort task (engine loop goroutine):
 // back to the central stock at the next tick.
@@ -271,7 +269,7 @@ func (b *Broker) kickNow() {
 func (b *Broker) loads(now float64) []cluster.LoadInfo {
 	out := make([]cluster.LoadInfo, len(b.engines))
 	for i, e := range b.engines {
-		if b.partitioned(i, now) {
+		if scenario.Partitioned(b.topo.Partitions, i, now) {
 			continue
 		}
 		out[i] = e.Load()
@@ -295,21 +293,6 @@ func (b *Broker) virtualNow() float64 {
 		}
 	}
 	return now
-}
-
-// partitioned reports whether cluster i is cut off at virtual time now.
-func (b *Broker) partitioned(i int, now float64) bool {
-	for _, w := range b.topo.Partitions {
-		if now < w.Start || now >= w.End {
-			continue
-		}
-		for _, c := range w.Clusters {
-			if c == i {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // drainFeeds folds the pending engine events into broker state (caller
@@ -352,7 +335,7 @@ func (b *Broker) tick() {
 			// Partitioned clusters get nothing even when the router's
 			// remainder arithmetic grants them tasks over their masked
 			// loads; the tasks stay central until a later tick.
-			if n <= 0 || b.partitioned(i, now) {
+			if n <= 0 || scenario.Partitioned(b.topo.Partitions, i, now) {
 				continue
 			}
 			if n > len(b.stock) {
@@ -370,8 +353,9 @@ func (b *Broker) tick() {
 			_ = b.engines[i].SubmitBestEffort(batch...)
 		}
 	}
+	cut := b.topo.Partitions
 	for _, mv := range moves {
-		if b.partitioned(mv.Src, now) || b.partitioned(mv.Dst, now) {
+		if scenario.Partitioned(cut, mv.Src, now) || scenario.Partitioned(cut, mv.Dst, now) {
 			continue
 		}
 		b.applyMove(mv)
@@ -445,7 +429,7 @@ func (b *Broker) Submit(spec service.JobSpec) (JobStatus, error) {
 			b.mu.Unlock()
 			return JobStatus{}, fmt.Errorf("gridservice: unknown cluster %q", spec.Cluster)
 		}
-		if b.partitioned(idx, now) {
+		if scenario.Partitioned(b.topo.Partitions, idx, now) {
 			b.mu.Unlock()
 			return JobStatus{}, fmt.Errorf("gridservice: cluster %q: %w", spec.Cluster, ErrPartitioned)
 		}
@@ -635,10 +619,6 @@ func (b *Broker) Job(id int) (JobStatus, bool, error) {
 	}
 	return JobStatus{JobStatus: st, Cluster: b.names[idx]}, true, nil
 }
-
-// Engine exposes cluster i's engine (determinism tests compare each
-// shard against its offline twin).
-func (b *Broker) Engine(i int) *service.Engine { return b.engines[i] }
 
 // Queue snapshots every cluster's waiting and running jobs.
 func (b *Broker) Queue() ([]ClusterQueue, error) {

@@ -56,8 +56,10 @@ func TestBrokerCentralizedMatchesOffline(t *testing.T) {
 		policy string
 	}
 	cases := []fleetCase{{4, "easy"}}
-	for _, e := range registry.Online() {
-		cases = append(cases, fleetCase{1, e.Name})
+	for _, e := range registry.All() {
+		if e.Caps.Online {
+			cases = append(cases, fleetCase{1, e.Name})
+		}
 	}
 	for _, fc := range cases {
 		t.Run(fmt.Sprintf("k%d-%s", fc.k, fc.policy), func(t *testing.T) {
@@ -76,7 +78,10 @@ func matchOffline(t *testing.T, k int, policy string) {
 	}
 
 	// Offline reference: one DES, k member sims, central CiGri server.
-	split := grid.SplitJobsRoundRobin(cloneAll(jobs), k)
+	split := make([][]*workload.Job, k)
+	for i, j := range cloneAll(jobs) {
+		split[i%k] = append(split[i%k], j)
+	}
 	var members []grid.Member
 	for i := 0; i < k; i++ {
 		members = append(members, grid.Member{
@@ -144,7 +149,7 @@ func matchOffline(t *testing.T, k int, policy string) {
 		for _, cpl := range off.LocalCompletions(i) {
 			want[cpl.Job.ID] = completionKey{start: cpl.Start, end: cpl.End, procs: cpl.Procs}
 		}
-		got, err := b.Engine(i).Completions()
+		got, err := b.engines[i].Completions()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,7 +40,7 @@ func (b *Broker) Handler(runs *api.RunService) http.Handler {
 	}
 	mux := http.NewServeMux()
 	b.routes(mux, runs)
-	return api.Wrap(mux, runs.Config().MaxBody, runs.Config().Log)
+	return api.Wrap(mux, runs.Config().Log)
 }
 
 // routes registers the whole API on mux.

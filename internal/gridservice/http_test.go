@@ -402,10 +402,10 @@ func TestHTTPScenarios(t *testing.T) {
 
 	// 2) An inline spec (the generic offline kind).
 	seed := uint64(42)
-	inline := scenario.New("inline-sweep", "offline",
-		scenario.WithWorkload(scenario.Workload{N: 40, M: 16, Weighted: true}),
-		scenario.WithPolicies("mrt", "ffdh"),
-		scenario.WithMetrics("cmax_ratio", "util"))
+	inline := &scenario.Spec{ID: "inline-sweep", Kind: "offline",
+		Workload: &scenario.Workload{N: 40, M: 16, Weighted: true},
+		Policies: []string{"mrt", "ffdh"},
+		Metrics:  []string{"cmax_ratio", "util"}}
 	body, err := json.Marshal(scenario.HTTPRequest{Spec: inline, Seed: &seed})
 	if err != nil {
 		t.Fatal(err)

@@ -153,7 +153,7 @@ func (t Topology) Validate() error {
 		if !entry.Caps.Online {
 			return fmt.Errorf("cluster %s: policy %q is offline-only", c.Name, c.Policy)
 		}
-		if _, err := killPolicy(c.Kill); err != nil {
+		if _, err := cluster.ParseKillPolicy(c.Kill); err != nil {
 			return fmt.Errorf("cluster %s: %w", c.Name, err)
 		}
 	}
@@ -161,29 +161,14 @@ func (t Topology) Validate() error {
 		return fmt.Errorf("negative dilation %v", t.Dilation)
 	}
 	for i, p := range t.Partitions {
-		if p.Start < 0 || p.End <= p.Start {
-			return fmt.Errorf("partition %d window [%v, %v) invalid", i, p.Start, p.End)
-		}
-		if len(p.Clusters) == 0 {
-			return fmt.Errorf("partition %d cuts no clusters", i)
+		if err := p.Validate(); err != nil {
+			return fmt.Errorf("partition %d %w", i, err)
 		}
 		for _, c := range p.Clusters {
-			if c < 0 || c >= len(t.Clusters) {
+			if c >= len(t.Clusters) {
 				return fmt.Errorf("partition %d lists cluster %d of a %d-cluster fleet", i, c, len(t.Clusters))
 			}
 		}
 	}
 	return nil
-}
-
-// killPolicy parses a kill-policy name (topology "kill", gridd -kill).
-func killPolicy(name string) (cluster.KillPolicy, error) {
-	switch name {
-	case "newest", "":
-		return cluster.KillNewest, nil
-	case "largest":
-		return cluster.KillLargestRemaining, nil
-	default:
-		return 0, fmt.Errorf("unknown kill policy %q (newest|largest)", name)
-	}
 }

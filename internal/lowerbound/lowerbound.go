@@ -20,19 +20,6 @@ func CmaxArea(jobs []*workload.Job, m int) float64 {
 	return workload.TotalMinWork(jobs, m) / float64(m)
 }
 
-// CmaxMinTime returns the critical-job bound: the largest minimal
-// execution time over all jobs (every job must run somewhere, entirely).
-func CmaxMinTime(jobs []*workload.Job, m int) float64 {
-	var lb float64
-	for _, j := range jobs {
-		t, _ := j.MinTime(m)
-		if !math.IsInf(t, 0) && t > lb {
-			lb = t
-		}
-	}
-	return lb
-}
-
 // dualFeasible reports whether the guess λ passes the dual-approximation
 // feasibility test of §4.1: every job has an allocation meeting λ, and
 // the sum of the cheapest such allocations fits in the area λ·m.
@@ -56,8 +43,8 @@ func dualFeasible(costs []workload.Cost, m int, lambda float64) bool {
 // relative precision 1e-9) such that the instance passes the feasibility
 // test. In the optimal schedule of makespan C*, every job meets deadline
 // C* and the packed work fits in C*·m, so C* is feasible and the smallest
-// feasible λ is a valid lower bound. It dominates both CmaxArea and
-// CmaxMinTime.
+// feasible λ is a valid lower bound. It dominates both CmaxArea and the
+// critical-job bound (the largest minimal execution time).
 func CmaxDual(jobs []*workload.Job, m int) float64 {
 	return CmaxDualOf(workload.Costs(jobs, m), m)
 }
@@ -177,17 +164,4 @@ func SumWeightedCompletionOf(costs []workload.Cost, m int) float64 {
 		squashed += it.weight * clock
 	}
 	return math.Max(squashed, perJob)
-}
-
-// SumCompletion returns the unweighted specialization of
-// SumWeightedCompletion (treating every weight as 1 regardless of the
-// stored weights).
-func SumCompletion(jobs []*workload.Job, m int) float64 {
-	clone := make([]*workload.Job, len(jobs))
-	for i, j := range jobs {
-		c := j.Clone()
-		c.Weight = 1
-		clone[i] = c
-	}
-	return SumWeightedCompletion(clone, m)
 }

@@ -17,6 +17,30 @@ func mold(id int, seq float64, maxP int) *workload.Job {
 	}
 }
 
+// cmaxMinTime is the critical-job bound: the largest minimal execution
+// time over all jobs (every job must run somewhere, entirely).
+func cmaxMinTime(jobs []*workload.Job, m int) float64 {
+	var lb float64
+	for _, j := range jobs {
+		t, _ := j.MinTime(m)
+		if !math.IsInf(t, 0) && t > lb {
+			lb = t
+		}
+	}
+	return lb
+}
+
+// sumCompletion is the unweighted ΣCi bound: SumWeightedCompletion with
+// every weight 1, whatever the stored weights.
+func sumCompletion(jobs []*workload.Job, m int) float64 {
+	unit := make([]*workload.Job, len(jobs))
+	for i, j := range jobs {
+		unit[i] = j.Clone()
+		unit[i].Weight = 1
+	}
+	return SumWeightedCompletion(unit, m)
+}
+
 func TestCmaxArea(t *testing.T) {
 	jobs := []*workload.Job{mold(1, 10, 4), mold(2, 30, 4)}
 	if got := CmaxArea(jobs, 4); math.Abs(got-10) > 1e-12 {
@@ -27,7 +51,7 @@ func TestCmaxArea(t *testing.T) {
 func TestCmaxMinTime(t *testing.T) {
 	jobs := []*workload.Job{mold(1, 10, 1), mold(2, 30, 4)}
 	// job1 can only run sequentially: min time 10; job2: 30/4 = 7.5.
-	if got := CmaxMinTime(jobs, 4); got != 10 {
+	if got := cmaxMinTime(jobs, 4); got != 10 {
 		t.Fatalf("CmaxMinTime = %v, want 10", got)
 	}
 }
@@ -45,7 +69,7 @@ func TestCmaxDualDominates(t *testing.T) {
 	if dual < CmaxArea(jobs, m)-1e-9 {
 		t.Fatal("dual bound below area bound")
 	}
-	if dual < CmaxMinTime(jobs, m)-1e-9 {
+	if dual < cmaxMinTime(jobs, m)-1e-9 {
 		t.Fatal("dual bound below min-time bound")
 	}
 }
@@ -103,7 +127,7 @@ func TestSumWeightedCompletionUsesWeights(t *testing.T) {
 	b := mold(2, 10, 1)
 	b.Weight = 1
 	withW := SumWeightedCompletion([]*workload.Job{a, b}, 1)
-	unw := SumCompletion([]*workload.Job{a, b}, 1)
+	unw := sumCompletion([]*workload.Job{a, b}, 1)
 	if withW <= unw {
 		t.Fatalf("weighted bound %v not above unweighted %v", withW, unw)
 	}
@@ -113,7 +137,7 @@ func TestSumCompletionIgnoresStoredWeights(t *testing.T) {
 	a := mold(1, 5, 1)
 	a.Weight = 100
 	b := mold(2, 2, 1)
-	got := SumCompletion([]*workload.Job{a, b}, 1)
+	got := sumCompletion([]*workload.Job{a, b}, 1)
 	if math.Abs(got-9) > 1e-9 {
 		t.Fatalf("SumCompletion = %v, want 9", got)
 	}
@@ -173,7 +197,7 @@ func TestBoundsBelowFeasibleProperty(t *testing.T) {
 		if SumWeightedCompletion(jobs, m) > rep.SumWeightedCompletion+1e-6 {
 			return false
 		}
-		return SumCompletion(jobs, m) <= rep.SumCompletion+1e-6
+		return sumCompletion(jobs, m) <= rep.SumCompletion+1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -197,7 +221,7 @@ func TestDualMinimalityProperty(t *testing.T) {
 		if !dualFeasible(workload.Costs(jobs, m), m, lam*(1+1e-6)) {
 			return false
 		}
-		trivial := math.Max(CmaxArea(jobs, m), CmaxMinTime(jobs, m))
+		trivial := math.Max(CmaxArea(jobs, m), cmaxMinTime(jobs, m))
 		if lam > trivial*(1+1e-9) {
 			// Strictly above the trivial bound: must be minimal.
 			return !dualFeasible(workload.Costs(jobs, m), m, lam*0.99)

@@ -60,9 +60,6 @@ func (a *Accumulator) Add(c Completion) {
 // N returns the number of completions folded in so far.
 func (a *Accumulator) N() int { return a.n }
 
-// M returns the platform width the accumulator normalizes stretch by.
-func (a *Accumulator) M() int { return a.m }
-
 // Report finalizes the criteria (O(1): two divisions and the
 // utilization ratio).
 func (a *Accumulator) Report() Report {

@@ -29,7 +29,6 @@ func TestEmptyCompletions(t *testing.T) {
 		"MeanStretch":           MeanStretch(cs, 8),
 		"MaxStretch":            MaxStretch(cs, 8),
 		"SumTardiness":          SumTardiness(cs),
-		"MaxTardiness":          MaxTardiness(cs),
 		"Utilization":           Utilization(cs, 8),
 	}
 	for name, v := range checks {
@@ -103,26 +102,4 @@ func TestTardinessNoDueDate(t *testing.T) {
 	if s := SumTardiness(cs); s != 3 {
 		t.Fatalf("SumTardiness = %v, want 3", s)
 	}
-	if mx := MaxTardiness(cs); mx != 3 {
-		t.Fatalf("MaxTardiness = %v, want 3", mx)
-	}
-}
-
-// TestThroughputGuards pins the panic contract on non-positive horizons
-// and the boundary inclusion (End <= horizon counts).
-func TestThroughputGuards(t *testing.T) {
-	cs := []Completion{
-		{Job: edgeJob(1, 0, 10, 1, -1), Start: 0, End: 5, Procs: 1},
-		{Job: edgeJob(2, 0, 10, 1, -1), Start: 0, End: 10, Procs: 1},
-		{Job: edgeJob(3, 0, 10, 1, -1), Start: 0, End: 15, Procs: 1},
-	}
-	if th := Throughput(cs, 10); th != 0.2 {
-		t.Fatalf("Throughput = %v, want 0.2", th)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Throughput(0) did not panic")
-		}
-	}()
-	Throughput(cs, 0)
 }

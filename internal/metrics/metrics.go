@@ -149,32 +149,6 @@ func SumTardiness(cs []Completion) float64 {
 	return s
 }
 
-// MaxTardiness returns max tardiness over the records.
-func MaxTardiness(cs []Completion) float64 {
-	var mx float64
-	for _, c := range cs {
-		if d := c.Tardiness(); d > mx {
-			mx = d
-		}
-	}
-	return mx
-}
-
-// Throughput returns completed jobs per unit time over [0, horizon]
-// (§3's steady-state criterion). It panics on a non-positive horizon.
-func Throughput(cs []Completion, horizon float64) float64 {
-	if horizon <= 0 {
-		panic("metrics: non-positive horizon")
-	}
-	var n int
-	for _, c := range cs {
-		if c.End <= horizon {
-			n++
-		}
-	}
-	return float64(n) / horizon
-}
-
 // Utilization returns the fraction of the m-processor area [0, makespan]
 // that is covered by job execution. Empty records give 0.
 func Utilization(cs []Completion, m int) float64 {

@@ -74,28 +74,9 @@ func TestTardiness(t *testing.T) {
 	if got := SumTardiness(cs); got != 2 {
 		t.Fatalf("ΣT = %v", got)
 	}
-	if got := MaxTardiness(cs); got != 2 {
-		t.Fatalf("maxT = %v", got)
-	}
 	if got := LateCount(cs); got != 1 {
 		t.Fatalf("late = %d", got)
 	}
-}
-
-func TestThroughput(t *testing.T) {
-	cs := sample()
-	if got := Throughput(cs, 10); math.Abs(got-0.2) > 1e-12 {
-		t.Fatalf("Throughput(10) = %v", got) // jobs 1 and 3 done by t=10
-	}
-	if got := Throughput(cs, 100); math.Abs(got-0.03) > 1e-12 {
-		t.Fatalf("Throughput(100) = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Throughput(0) did not panic")
-		}
-	}()
-	Throughput(cs, 0)
 }
 
 func TestUtilization(t *testing.T) {

@@ -3,8 +3,8 @@ package metrics
 // Retention is the completion-history store of a simulation. The §3
 // criteria never need it — they stream through an Accumulator — so
 // keeping records is a policy choice: batch experiments and goldens
-// retain everything, archive replays retain nothing (or a bounded tail
-// for inspection), and the trace/observe path can spill to disk.
+// retain everything, and archive replays retain nothing (or a bounded
+// tail for inspection).
 type Retention interface {
 	// Add stores one completion record.
 	Add(c Completion)
@@ -30,20 +30,11 @@ func (f *fullRetention) Add(c Completion)          { f.cs = append(f.cs, c) }
 func (f *fullRetention) Len() int                  { return len(f.cs) }
 func (f *fullRetention) Completions() []Completion { return append([]Completion(nil), f.cs...) }
 
-// Viewer is an optional Retention extension giving zero-copy read
-// access to the live records (owner-goroutine only, not to be retained).
-type Viewer interface {
-	View() []Completion
-}
-
-func (f *fullRetention) View() []Completion { return f.cs }
-
 // ringRetention keeps the most recent capacity records.
 type ringRetention struct {
-	buf   []Completion
-	next  int
-	full  bool
-	spill func(c Completion)
+	buf  []Completion
+	next int
+	full bool
 }
 
 // NewRing retains only the most recent capacity completion records —
@@ -56,16 +47,6 @@ func NewRing(capacity int) Retention {
 	return &ringRetention{buf: make([]Completion, 0, capacity)}
 }
 
-// NewSpillRing is a ring whose evictions are handed to spill instead of
-// being dropped — the hook disk spoolers (e.g. trace.SWFSpool) attach
-// to. spill may be nil.
-func NewSpillRing(capacity int, spill func(c Completion)) Retention {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &ringRetention{buf: make([]Completion, 0, capacity), spill: spill}
-}
-
 func (r *ringRetention) Add(c Completion) {
 	if !r.full {
 		r.buf = append(r.buf, c)
@@ -73,9 +54,6 @@ func (r *ringRetention) Add(c Completion) {
 			r.full = true
 		}
 		return
-	}
-	if r.spill != nil {
-		r.spill(r.buf[r.next])
 	}
 	r.buf[r.next] = c
 	r.next = (r.next + 1) % len(r.buf)

@@ -20,12 +20,7 @@
 // attempt to the next.
 package moldable
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/workload"
-)
+import "repro/internal/workload"
 
 // Allotment is the per-job outcome of the knapsack selection for a guess λ.
 type Allotment struct {
@@ -89,49 +84,4 @@ func GreedyAllotments(costs []workload.Cost, m int, lambda float64) (allot []All
 		return nil, false
 	}
 	return allot, true
-}
-
-// TotalWork sums the work of an allotment set.
-func TotalWork(allot []Allotment) float64 {
-	var w float64
-	for _, a := range allot {
-		w += a.Work()
-	}
-	return w
-}
-
-// Shelf1Width sums the widths of shelf-1 allotments.
-func Shelf1Width(allot []Allotment) int {
-	var w int
-	for _, a := range allot {
-		if a.Shelf == 1 {
-			w += a.Procs
-		}
-	}
-	return w
-}
-
-// checkAllotment validates internal invariants (used by tests).
-func checkAllotment(allot []Allotment, m int, lambda float64) error {
-	for _, a := range allot {
-		if a.Time > lambda*(1+1e-9) {
-			return fmt.Errorf("moldable: job %d time %v exceeds λ=%v", a.Job.ID, a.Time, lambda)
-		}
-		if a.Shelf == 2 && a.Time > lambda/2*(1+1e-9) {
-			return fmt.Errorf("moldable: shelf-2 job %d time %v exceeds λ/2", a.Job.ID, a.Time)
-		}
-		if a.Shelf != 1 && a.Shelf != 2 {
-			return fmt.Errorf("moldable: job %d on shelf %d", a.Job.ID, a.Shelf)
-		}
-	}
-	if w := Shelf1Width(allot); w > m {
-		return fmt.Errorf("moldable: shelf-1 width %d exceeds %d", w, m)
-	}
-	if tw := TotalWork(allot); tw > lambda*float64(m)*(1+1e-9) {
-		return fmt.Errorf("moldable: total work %v exceeds area %v", tw, lambda*float64(m))
-	}
-	if math.IsNaN(TotalWork(allot)) {
-		return fmt.Errorf("moldable: NaN work")
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package moldable
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -10,6 +11,51 @@ import (
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
+
+// totalWork sums the work of an allotment set.
+func totalWork(allot []Allotment) float64 {
+	var w float64
+	for _, a := range allot {
+		w += a.Work()
+	}
+	return w
+}
+
+// shelf1Width sums the widths of shelf-1 allotments.
+func shelf1Width(allot []Allotment) int {
+	var w int
+	for _, a := range allot {
+		if a.Shelf == 1 {
+			w += a.Procs
+		}
+	}
+	return w
+}
+
+// checkAllotment validates the invariants of a two-shelf allotment.
+func checkAllotment(allot []Allotment, m int, lambda float64) error {
+	for _, a := range allot {
+		if a.Time > lambda*(1+1e-9) {
+			return fmt.Errorf("moldable: job %d time %v exceeds λ=%v", a.Job.ID, a.Time, lambda)
+		}
+		if a.Shelf == 2 && a.Time > lambda/2*(1+1e-9) {
+			return fmt.Errorf("moldable: shelf-2 job %d time %v exceeds λ/2", a.Job.ID, a.Time)
+		}
+		if a.Shelf != 1 && a.Shelf != 2 {
+			return fmt.Errorf("moldable: job %d on shelf %d", a.Job.ID, a.Shelf)
+		}
+	}
+	if w := shelf1Width(allot); w > m {
+		return fmt.Errorf("moldable: shelf-1 width %d exceeds %d", w, m)
+	}
+	if tw := totalWork(allot); tw > lambda*float64(m)*(1+1e-9) {
+		return fmt.Errorf("moldable: total work %v exceeds area %v", tw, lambda*float64(m))
+	}
+	if math.IsNaN(totalWork(allot)) {
+		return fmt.Errorf("moldable: NaN work")
+	}
+	return nil
+}
 
 func mold(id int, seq float64, maxP int, model workload.SpeedupModel) *workload.Job {
 	j := &workload.Job{
@@ -82,7 +128,7 @@ func TestSelectAllotmentsKnapsackPrefersShelf1Savings(t *testing.T) {
 	if !ok {
 		t.Fatalf("λ=LB=%v infeasible", lb)
 	}
-	if w := Shelf1Width(allot); w > m {
+	if w := shelf1Width(allot); w > m {
 		t.Fatalf("shelf-1 width %d exceeds %d", w, m)
 	}
 }
@@ -143,7 +189,7 @@ func TestMRTRatioOnMonotoneInstances(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r := res.Ratio(); r > worst {
+		if r := res.Schedule.Makespan() / res.LowerBound; r > worst {
 			worst = r
 		}
 	}
@@ -308,7 +354,7 @@ func TestAllotmentAreaProperty(t *testing.T) {
 		lambda := lowerbound.CmaxDual(jobs, m) * rng.Range(1.0, 3.0)
 		for _, f := range []AllotFunc{SelectAllotments, GreedyAllotments} {
 			if allot, ok := f(workload.Costs(jobs, m), m, lambda); ok {
-				if TotalWork(allot) > lambda*float64(m)*(1+1e-9) {
+				if totalWork(allot) > lambda*float64(m)*(1+1e-9) {
 					return false
 				}
 				for _, a := range allot {
@@ -322,13 +368,6 @@ func TestAllotmentAreaProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestResultRatioDegenerate(t *testing.T) {
-	r := &Result{Schedule: sched.New(4), LowerBound: 0}
-	if r.Ratio() != 1 {
-		t.Fatal("degenerate ratio != 1")
 	}
 }
 

@@ -25,15 +25,6 @@ type Result struct {
 	Iterations int
 }
 
-// Ratio returns makespan / lower bound (an upper bound on the true
-// performance ratio).
-func (r *Result) Ratio() float64 {
-	if r.LowerBound <= 0 {
-		return 1
-	}
-	return r.Schedule.Makespan() / r.LowerBound
-}
-
 // MRT schedules independent moldable jobs offline on m processors for
 // makespan, with accuracy parameter eps > 0 controlling the binary
 // search (§4.1: performance ratio 3/2 + ε on monotone instances).

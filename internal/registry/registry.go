@@ -192,17 +192,6 @@ func All() []*Entry {
 	return entries
 }
 
-// Online returns the online-capable entries sorted by name.
-func Online() []*Entry {
-	var out []*Entry
-	for _, e := range All() {
-		if e.Caps.Online {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // GridEntry is one catalogued grid routing policy.
 type GridEntry struct {
 	Name string

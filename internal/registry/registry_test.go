@@ -109,18 +109,6 @@ func TestGridCatalog(t *testing.T) {
 	}
 }
 
-func TestOnlineSubset(t *testing.T) {
-	online := Online()
-	if len(online) == 0 {
-		t.Fatal("no online policies")
-	}
-	for _, e := range online {
-		if !e.Caps.Online {
-			t.Fatalf("%s in Online() without the flag", e.Name)
-		}
-	}
-}
-
 // TestGridCatalogOrderingStable: the grid catalog (and its rendering)
 // is sorted by name and stable across calls — consumers like the T15
 // scenario sweep and the usage text rely on deterministic order.

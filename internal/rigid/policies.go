@@ -61,14 +61,10 @@ func sortJobs(jobs []*workload.Job, ord Order) []*workload.Job {
 // moldable package).
 func requireRigidCount(j *workload.Job) int { return j.MinProcs }
 
-// FCFS schedules jobs strictly in queue order: a job never starts before
+// FCFSWithCalendar schedules jobs strictly in queue order around a
+// reservation calendar (§5.1; nil for none): a job never starts before
 // any job ahead of it in the queue. This is the no-backfilling baseline
 // every batch system starts from.
-func FCFS(jobs []*workload.Job, m int) (*sched.Schedule, error) {
-	return FCFSWithCalendar(jobs, m, nil)
-}
-
-// FCFSWithCalendar is FCFS around a reservation calendar (§5.1).
 func FCFSWithCalendar(jobs []*workload.Job, m int, cal *platform.Calendar) (*sched.Schedule, error) {
 	profile, err := profileFor(m, cal)
 	if err != nil {
@@ -151,35 +147,6 @@ type Shelf struct {
 	Height float64 // shelf duration = max job time inside
 	Jobs   []*workload.Job
 	used   int
-}
-
-// Width returns the processors currently occupied on the shelf.
-func (sh *Shelf) Width() int { return sh.used }
-
-// NFDH packs rigid jobs with Next-Fit Decreasing Height: jobs sorted by
-// decreasing time; a job opens a new shelf when it does not fit on the
-// current one. Returns the shelves in bottom-up order; makespan is the
-// sum of shelf heights.
-func NFDH(jobs []*workload.Job, m int) ([]*Shelf, error) {
-	ordered := sortJobs(jobs, ByLPT)
-	var shelves []*Shelf
-	var cur *Shelf
-	clock := 0.0
-	for _, j := range ordered {
-		procs := requireRigidCount(j)
-		if procs > m {
-			return nil, fmt.Errorf("rigid: job %d needs %d > %d procs", j.ID, procs, m)
-		}
-		if cur == nil || cur.used+procs > m {
-			if cur != nil {
-				clock += cur.Height
-			}
-			cur = &Shelf{Start: clock}
-			shelves = append(shelves, cur)
-		}
-		placeOnShelf(cur, j, procs)
-	}
-	return shelves, nil
 }
 
 // FFDH packs with First-Fit Decreasing Height: each job goes on the first

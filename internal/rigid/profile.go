@@ -2,8 +2,8 @@
 // (§2.2: jobs whose processor count is fixed a priori, the strip-packing
 // view). It provides the resource-profile data structure shared by all
 // queue-based policies, the FCFS and conservative-backfilling builders,
-// priority list scheduling, and the NFDH/FFDH shelf packers used both as
-// baselines and as building blocks by the SMART and MRT implementations.
+// priority list scheduling, and the FFDH shelf packer used both as a
+// baseline and as a building block by the SMART and MRT implementations.
 package rigid
 
 import (
@@ -55,9 +55,6 @@ func NewProfileFromCalendar(cal *platform.Calendar) (*Profile, error) {
 	}
 	return p, nil
 }
-
-// M returns the processor count.
-func (p *Profile) M() int { return p.m }
 
 // segmentAt returns the index of the segment containing time t. t must be
 // >= times[0] (always true for t >= 0 on untrimmed profiles).

@@ -128,7 +128,7 @@ func TestFCFSOrder(t *testing.T) {
 		rjob(1, 10, 4), // released 0
 		rjob(2, 1, 1),  // released 0, queued after
 	}
-	s, err := FCFS(jobs, 4)
+	s, err := FCFSWithCalendar(jobs, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,33 +227,9 @@ func TestCalendarWidthMismatch(t *testing.T) {
 	}
 }
 
-func TestNFDHShelves(t *testing.T) {
-	jobs := []*workload.Job{
-		rjob(1, 10, 2), rjob(2, 8, 2), rjob(3, 6, 2), rjob(4, 4, 2),
-	}
-	shelves, err := NFDH(jobs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shelves) != 2 {
-		t.Fatalf("NFDH built %d shelves, want 2", len(shelves))
-	}
-	if shelves[0].Height != 10 || shelves[1].Height != 6 {
-		t.Fatalf("shelf heights %v/%v", shelves[0].Height, shelves[1].Height)
-	}
-	s := ShelvesToSchedule(shelves, 4)
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Makespan() != 16 {
-		t.Fatalf("makespan %v, want 16", s.Makespan())
-	}
-}
-
 func TestFFDHFillsEarlierShelves(t *testing.T) {
-	// Heights 10, 9, 1 with widths 2, 2, 2 on m=4: NFDH puts the third job
-	// on shelf 2 (it arrives after shelf 1 closed); FFDH also shelf 2; but
-	// widths 2,3,1: FFDH packs job3 back onto shelf 1.
+	// Heights 10, 9, 1 with widths 2, 3, 1 on m=4: job 2 opens shelf 2,
+	// and FFDH packs job 3 back onto shelf 1.
 	jobs := []*workload.Job{
 		rjob(1, 10, 2), rjob(2, 9, 3), rjob(3, 1, 1),
 	}
@@ -271,9 +247,6 @@ func TestFFDHFillsEarlierShelves(t *testing.T) {
 }
 
 func TestShelvesRejectOversizedJob(t *testing.T) {
-	if _, err := NFDH([]*workload.Job{rjob(1, 1, 9)}, 4); err == nil {
-		t.Fatal("oversized job accepted by NFDH")
-	}
 	if _, err := FFDH([]*workload.Job{rjob(1, 1, 9)}, 4); err == nil {
 		t.Fatal("oversized job accepted by FFDH")
 	}
@@ -294,7 +267,7 @@ func TestPoliciesProperty(t *testing.T) {
 			j.Release = clock
 			jobs = append(jobs, j)
 		}
-		fcfs, err := FCFS(jobs, m)
+		fcfs, err := FCFSWithCalendar(jobs, m, nil)
 		if err != nil || fcfs.Validate() != nil || fcfs.Covers(jobs) != nil {
 			return false
 		}
@@ -315,8 +288,8 @@ func TestPoliciesProperty(t *testing.T) {
 	}
 }
 
-// Property: NFDH/FFDH schedules are valid and within the classical 3x of
-// the lower bound for offline jobs (NFDH's asymptotic bound is 2·OPT +
+// Property: FFDH schedules are valid and within the classical 3x of the
+// lower bound for offline jobs (FFDH's asymptotic bound is 1.7·OPT +
 // hmax; 3x is a safe envelope that catches gross packing bugs).
 func TestShelfQualityProperty(t *testing.T) {
 	f := func(seed uint64) bool {
@@ -328,20 +301,12 @@ func TestShelfQualityProperty(t *testing.T) {
 			jobs = append(jobs, rjob(i, rng.Range(0.5, 20), rng.IntRange(1, m)))
 		}
 		lb := lowerbound.Cmax(jobs, m)
-		for _, build := range []func([]*workload.Job, int) ([]*Shelf, error){NFDH, FFDH} {
-			shelves, err := build(jobs, m)
-			if err != nil {
-				return false
-			}
-			s := ShelvesToSchedule(shelves, m)
-			if s.Validate() != nil || s.Covers(jobs) != nil {
-				return false
-			}
-			if s.Makespan() > 3*lb+1e-9 {
-				return false
-			}
+		shelves, err := FFDH(jobs, m)
+		if err != nil {
+			return false
 		}
-		return true
+		s := ShelvesToSchedule(shelves, m)
+		return s.Validate() == nil && s.Covers(jobs) == nil && s.Makespan() <= 3*lb+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -368,14 +333,14 @@ func TestSortJobsOrders(t *testing.T) {
 }
 
 func TestCompactImprovesShelfSchedule(t *testing.T) {
-	// NFDH leaves idle steps at the top of each shelf; compaction must
-	// reclaim some without breaking validity.
+	// A shelf schedule leaves idle steps at the top of each shelf;
+	// compaction must reclaim some without breaking validity.
 	rng := stats.NewRNG(21)
 	var jobs []*workload.Job
 	for i := 0; i < 50; i++ {
 		jobs = append(jobs, rjob(i, rng.Range(1, 20), rng.IntRange(1, 8)))
 	}
-	shelves, err := NFDH(jobs, 8)
+	shelves, err := FFDH(jobs, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +375,7 @@ func TestCompactProperty(t *testing.T) {
 			j.Release = clock
 			jobs = append(jobs, j)
 		}
-		base, err := FCFS(jobs, m)
+		base, err := FCFSWithCalendar(jobs, m, nil)
 		if err != nil {
 			return false
 		}

@@ -206,14 +206,6 @@ func (r *Recorder) Attach(s *cluster.Sim, label string) int {
 	return ci
 }
 
-// Len reports the number of recorded events (0 on a nil recorder).
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.events)
-}
-
 // Finish seals the recorder into a CellTrace for the given cell index
 // and label. The recorder must not be used afterwards. Nil recorders
 // return a zero trace.

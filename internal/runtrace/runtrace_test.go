@@ -136,9 +136,6 @@ func TestRecorderCapDrops(t *testing.T) {
 func TestNilRecorderIsNoop(t *testing.T) {
 	var rec *runtrace.Recorder
 	rec.Record(1, runtrace.EvSubmit, 1, 1, 0)
-	if rec.Len() != 0 {
-		t.Fatal("nil recorder stored an event")
-	}
 	tr := rec.Finish(3, "x")
 	if tr.Cell != 3 || tr.Label != "x" || len(tr.Events) != 0 {
 		t.Fatalf("nil Finish: %+v", tr)

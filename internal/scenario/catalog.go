@@ -342,18 +342,6 @@ func Catalog() []*Spec {
 	return append([]*Spec(nil), builtins...)
 }
 
-// CatalogIDs returns the built-in ids in catalog order, optionally
-// filtered by group ("" = all groups).
-func CatalogIDs(group string) []string {
-	var out []string
-	for _, s := range builtins {
-		if group == "" || s.Group == group {
-			out = append(out, s.ID)
-		}
-	}
-	return out
-}
-
 // EffectiveSeed resolves the seed precedence rule in one place (Run
 // and the HTTP submission path both use it): an explicitly chosen
 // invocation seed wins over a Spec-pinned one.

@@ -8,20 +8,16 @@ import (
 	"os"
 )
 
-// Encode writes the Spec as indented JSON. Encoding then Decoding
-// yields a Spec that runs cell-for-cell identically to the original
-// (the typed Params accessors absorb JSON's float64/[]any decoding).
-func (s *Spec) Encode(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.SetEscapeHTML(false)
-	return enc.Encode(s)
-}
-
-// MarshalIndent returns the Spec's canonical JSON bytes.
+// MarshalIndent returns the Spec's canonical JSON bytes: indented, with
+// HTML characters left unescaped. Decoding them yields a Spec that runs
+// cell-for-cell identically to the original (the typed Params accessors
+// absorb JSON's float64/[]any decoding).
 func (s *Spec) MarshalIndent() ([]byte, error) {
 	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(s); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

@@ -11,20 +11,28 @@ import (
 	"repro/internal/trace"
 )
 
+// encode is the Spec's canonical JSON form.
+func encode(t *testing.T, s *Spec) []byte {
+	t.Helper()
+	data, err := s.MarshalIndent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 func TestBuilderAndValidate(t *testing.T) {
 	s := New("demo", "offline",
 		WithTitle("demo title"),
 		WithDesc("a demo"),
 		WithGroup(GroupTable),
-		WithSeed(7),
 		WithWorkload(Workload{Generator: "parallel", N: 50, M: 16, Weighted: true}),
-		WithPlatform(Platform{M: 16}),
-		WithPolicies("mrt", "ffdh"),
-		WithMetrics("cmax_ratio", "util"),
-		WithScale(Scale{JobFactor: 10}),
 		WithParam("eps", 0.05),
 		WithParam("ms", []int{8, 16}),
 	)
+	seed := uint64(7)
+	s.Seed, s.Platform, s.Scale = &seed, &Platform{M: 16}, &Scale{JobFactor: 10}
+	s.Policies, s.Metrics = []string{"mrt", "ffdh"}, []string{"cmax_ratio", "util"}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -66,14 +74,9 @@ func TestParamCoercion(t *testing.T) {
 		WithParam("ms", []int{16, 64}),
 		WithParam("rates", []float64{0.05, 0.5}),
 		WithParam("names", []string{"a", "b"}),
-		WithParam("flag", true),
 		WithParam("mode", "fast"),
 	)
-	var buf bytes.Buffer
-	if err := native.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := Decode(&buf)
+	decoded, err := Decode(bytes.NewReader(encode(t, native)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,9 +95,6 @@ func TestParamCoercion(t *testing.T) {
 		}
 		if got := s.Strings("names", nil); !reflect.DeepEqual(got, []string{"a", "b"}) {
 			t.Fatalf("Strings(names) = %v", got)
-		}
-		if !s.Bool("flag", false) {
-			t.Fatal("Bool(flag) = false")
 		}
 		if got := s.String("mode", ""); got != "fast" {
 			t.Fatalf("String(mode) = %q", got)
@@ -120,14 +120,11 @@ func TestCodecRoundTripStructural(t *testing.T) {
 	s := New("rt", "grid",
 		WithTitle("t"),
 		WithWorkload(Workload{N: 100, M: 32, ArrivalRate: 0.1, RigidFraction: 1}),
-		WithPlatform(Platform{Clusters: []Cluster{{Name: "a", M: 64}, {Name: "b", M: 32, Speed: 2}}}),
 		WithGrid(Grid{Policy: "centralized", CampaignTasks: 100}),
-		WithPolicies("easy"),
 	)
-	data, err := s.MarshalIndent()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s.Platform = &Platform{Clusters: []Cluster{{Name: "a", M: 64}, {Name: "b", M: 32, Speed: 2}}}
+	s.Policies = []string{"easy"}
+	data := encode(t, s)
 	got, err := Decode(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -142,11 +139,7 @@ func TestCodecRoundTripStructural(t *testing.T) {
 		t.Fatalf("round trip mutated spec:\n  in:  %+v\n  out: %+v", s, got)
 	}
 	// And a second encode is byte-identical (canonical form).
-	data2, err := got.MarshalIndent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, data2) {
+	if data2 := encode(t, got); !bytes.Equal(data, data2) {
 		t.Fatalf("re-encode not byte-stable:\n%s\nvs\n%s", data, data2)
 	}
 }
@@ -179,7 +172,8 @@ func TestRunSeedAndScaleResolution(t *testing.T) {
 		}
 		return TableResult(trace.NewTable("probe", "c")), nil
 	})
-	spec := New("probe", "probe-kind", WithSeed(99), WithScale(Scale{JobFactor: 5, Workers: 3}))
+	seed := uint64(99)
+	spec := &Spec{ID: "probe", Kind: "probe-kind", Seed: &seed, Scale: &Scale{JobFactor: 5, Workers: 3}}
 
 	// Spec-pinned seed wins over the default.
 	if _, err := Run(spec, RunOptions{Seed: 42}); err != nil {
@@ -209,7 +203,10 @@ func TestRunSeedAndScaleResolution(t *testing.T) {
 func TestCatalogRegistration(t *testing.T) {
 	Register(New("cat-test-b", "probe-kind2", WithGroup(GroupAblation)))
 	Register(New("cat-test-a", "probe-kind2"))
-	ids := CatalogIDs("")
+	var ids []string
+	for _, s := range Catalog() {
+		ids = append(ids, s.ID)
+	}
 	ia, ib := -1, -1
 	for i, id := range ids {
 		switch id {
@@ -225,18 +222,8 @@ func TestCatalogRegistration(t *testing.T) {
 	if got, ok := Lookup("cat-test-a"); !ok || got.Group != GroupTable {
 		t.Fatalf("Lookup: %+v %v (default group not applied)", got, ok)
 	}
-	abl := CatalogIDs(GroupAblation)
-	found := false
-	for _, id := range abl {
-		if id == "cat-test-b" {
-			found = true
-		}
-		if s, _ := Lookup(id); s.Group != GroupAblation {
-			t.Fatalf("group filter leaked %q", id)
-		}
-	}
-	if !found {
-		t.Fatal("ablation filter missed cat-test-b")
+	if got, _ := Lookup("cat-test-b"); got.Group != GroupAblation {
+		t.Fatalf("Lookup: %+v (explicit group lost)", got)
 	}
 }
 
@@ -316,11 +303,7 @@ func TestCheckParams(t *testing.T) {
 		t.Fatal(err)
 	}
 	// JSON-decoded params ([]any + float64) must also pass.
-	var buf bytes.Buffer
-	if err := ok.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := Decode(&buf)
+	decoded, err := Decode(bytes.NewReader(encode(t, ok)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +356,8 @@ func TestRunResultOptionsResolved(t *testing.T) {
 	RegisterKind("probe-kind3", func(s *Spec, opt RunOptions) (*Result, error) {
 		return TableResult(trace.NewTable("p", "c")), nil
 	})
-	spec := New("probe3", "probe-kind3", WithSeed(99))
+	seed := uint64(99)
+	spec := &Spec{ID: "probe3", Kind: "probe-kind3", Seed: &seed}
 	res, err := Run(spec, RunOptions{Seed: 42})
 	if err != nil {
 		t.Fatal(err)

@@ -147,6 +147,41 @@ type PartitionWindow struct {
 	Clusters []int   `json:"clusters"`
 }
 
+// Validate checks the window on its own: a non-empty [Start, End) from a
+// non-negative start, cutting at least one cluster and no negative
+// index. Whether an index exists depends on the fleet the window is
+// applied to.
+func (w PartitionWindow) Validate() error {
+	if w.Start < 0 || math.IsNaN(w.Start) || math.IsNaN(w.End) || w.End <= w.Start {
+		return fmt.Errorf("window [%v, %v) invalid", w.Start, w.End)
+	}
+	if len(w.Clusters) == 0 {
+		return fmt.Errorf("cuts no clusters")
+	}
+	for _, c := range w.Clusters {
+		if c < 0 {
+			return fmt.Errorf("lists cluster %d", c)
+		}
+	}
+	return nil
+}
+
+// Partitioned reports whether any of the windows cuts cluster i off at
+// virtual time now.
+func Partitioned(windows []PartitionWindow, i int, now float64) bool {
+	for _, w := range windows {
+		if now < w.Start || now >= w.End {
+			continue
+		}
+		for _, c := range w.Clusters {
+			if c == i {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // Scale shrinks a scenario and selects the replication runner: a Spec
 // may pin a scale, RunOptions may override it at invocation time, and
 // the kind runners and the cell pool read the merged value.
@@ -219,32 +254,11 @@ func WithGroup(g string) Option { return func(s *Spec) { s.Group = g } }
 // WithDesc sets the catalog description.
 func WithDesc(d string) Option { return func(s *Spec) { s.Desc = d } }
 
-// WithSeed pins the base seed.
-func WithSeed(seed uint64) Option { return func(s *Spec) { s.Seed = &seed } }
-
 // WithWorkload sets the workload description.
 func WithWorkload(w Workload) Option { return func(s *Spec) { s.Workload = &w } }
 
-// WithPlatform sets the platform description.
-func WithPlatform(p Platform) Option { return func(s *Spec) { s.Platform = &p } }
-
-// WithPolicies sets the policy sweep list.
-func WithPolicies(names ...string) Option { return func(s *Spec) { s.Policies = names } }
-
 // WithGrid sets the grid routing description.
 func WithGrid(g Grid) Option { return func(s *Spec) { s.Grid = &g } }
-
-// WithFaults sets the fault-injection plan.
-func WithFaults(f Faults) Option { return func(s *Spec) { s.Faults = &f } }
-
-// WithTrace switches event tracing on.
-func WithTrace(t Trace) Option { return func(s *Spec) { s.Trace = &t } }
-
-// WithMetrics selects report columns for the generic kinds.
-func WithMetrics(cols ...string) Option { return func(s *Spec) { s.Metrics = cols } }
-
-// WithScale pins a scale.
-func WithScale(sc Scale) Option { return func(s *Spec) { s.Scale = &sc } }
 
 // WithParam sets one kind-specific parameter.
 func WithParam(key string, value any) Option {
@@ -347,16 +361,8 @@ func (f *Faults) Validate() error {
 		}
 	}
 	for i, p := range f.Partitions {
-		if p.Start < 0 || math.IsNaN(p.Start) || math.IsNaN(p.End) || p.End <= p.Start {
-			return fmt.Errorf("faults: partition %d window [%v, %v) invalid", i, p.Start, p.End)
-		}
-		if len(p.Clusters) == 0 {
-			return fmt.Errorf("faults: partition %d cuts no clusters", i)
-		}
-		for _, c := range p.Clusters {
-			if c < 0 {
-				return fmt.Errorf("faults: partition %d lists cluster %d", i, c)
-			}
+		if err := p.Validate(); err != nil {
+			return fmt.Errorf("faults: partition %d %w", i, err)
 		}
 	}
 	if f.MTBF == 0 && len(f.Outages) == 0 && len(f.Trace) == 0 && len(f.Partitions) == 0 {
@@ -535,16 +541,6 @@ func (s *Spec) Int(key string, def int) int {
 		return def
 	}
 	return int(f)
-}
-
-// Bool returns the named flag, or def when absent.
-func (s *Spec) Bool(key string, def bool) bool {
-	if v, ok := s.Params[key]; ok {
-		if b, ok := v.(bool); ok {
-			return b
-		}
-	}
-	return def
 }
 
 // String returns the named string, or def when absent.

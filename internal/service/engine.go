@@ -49,8 +49,6 @@ type Config struct {
 	// executed immediately after every mailbox interaction, so the
 	// virtual clock runs as fast as the hardware allows.
 	Dilation float64
-	// Mailbox is the command-channel capacity. Default 256.
-	Mailbox int
 	// Anchor, when non-zero, is the shared wall-clock instant that maps
 	// to virtual time 0. A grid broker starts every engine of a fleet
 	// with the same anchor so their paced virtual clocks advance in
@@ -65,6 +63,10 @@ type Config struct {
 	OnBEDone   func(t cluster.BETask)
 }
 
+// mailbox is the command-channel capacity: room for a burst of
+// submissions and queries while the loop is busy advancing the clock.
+const mailbox = 256
+
 func (c Config) fill() Config {
 	if c.M == 0 {
 		c.M = 64
@@ -74,9 +76,6 @@ func (c Config) fill() Config {
 	}
 	if c.Policy == "" {
 		c.Policy = "easy"
-	}
-	if c.Mailbox <= 0 {
-		c.Mailbox = 256
 	}
 	return c
 }
@@ -230,7 +229,7 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:  cfg,
 		sim:  sim,
-		cmds: make(chan func(), cfg.Mailbox),
+		cmds: make(chan func(), mailbox),
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
 		jobs: make(map[int]*JobStatus),

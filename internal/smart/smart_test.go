@@ -94,7 +94,7 @@ func TestUnweightedRatioBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lb := lowerbound.SumCompletion(jobs, 16)
+		lb := lowerbound.SumWeightedCompletion(jobs, 16) // unit weights: the ΣCi bound
 		ratio := s.Report().SumCompletion / lb
 		if ratio > worst {
 			worst = ratio

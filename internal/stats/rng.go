@@ -1,7 +1,7 @@
-// Package stats provides deterministic pseudo-random number generation,
-// probability distributions and summary statistics for the scheduling
-// simulations. Everything is seeded explicitly so that every experiment in
-// the repository is reproducible bit-for-bit.
+// Package stats provides deterministic pseudo-random number generation
+// and probability distributions for the scheduling simulations.
+// Everything is seeded explicitly so that every experiment in the
+// repository is reproducible bit-for-bit.
 //
 // The generator is xoshiro256** seeded through splitmix64, following the
 // reference construction by Blackman and Vigna. It is small, fast, and has
@@ -45,14 +45,6 @@ func NewRNG(seed uint64) *RNG {
 		r.s[0] = 1
 	}
 	return r
-}
-
-// Split returns a new generator whose stream is independent from r's
-// continued stream. It is used to hand sub-streams to workload generators
-// so that adding a consumer does not perturb the others.
-func (r *RNG) Split() *RNG {
-	seed := r.Uint64() ^ 0xd1b54a32d192ed03
-	return NewRNG(seed)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -144,18 +136,6 @@ func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.NormFloat64())
 }
 
-// Weibull returns a Weibull variate with shape k and scale lambda.
-func (r *RNG) Weibull(shape, scale float64) float64 {
-	if shape <= 0 || scale <= 0 {
-		panic("stats: Weibull with non-positive parameter")
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return scale * math.Pow(-math.Log(u), 1/shape)
-}
-
 // BoundedPareto returns a Pareto variate with index alpha truncated to
 // [lo, hi]. Heavy-tailed sizes such as multi-parametric bag run counts are
 // drawn from this.
@@ -192,27 +172,6 @@ func (r *RNG) Zipf(s float64, n int) int {
 		}
 	}
 	return n
-}
-
-// Perm returns a random permutation of [0, n) (Fisher–Yates).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle shuffles the first n elements using the provided swap function.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Choice returns a uniformly chosen index weighted by w (all weights must

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewRNGDeterministic(t *testing.T) {
@@ -28,15 +27,6 @@ func TestNewRNGDifferentSeeds(t *testing.T) {
 	}
 	if same > 0 {
 		t.Fatalf("different seeds produced %d identical outputs", same)
-	}
-}
-
-func TestSplitIndependence(t *testing.T) {
-	a := NewRNG(7)
-	sub := a.Split()
-	// Continuing the parent must not mirror the child.
-	if a.Uint64() == sub.Uint64() {
-		t.Fatal("split stream mirrors parent")
 	}
 }
 
@@ -147,19 +137,6 @@ func TestLogNormalMedian(t *testing.T) {
 	}
 }
 
-func TestWeibullShape1IsExponential(t *testing.T) {
-	r := NewRNG(23)
-	var sum float64
-	const n = 100000
-	for i := 0; i < n; i++ {
-		sum += r.Weibull(1, 3)
-	}
-	mean := sum / n
-	if math.Abs(mean-3) > 0.1 {
-		t.Fatalf("Weibull(1,3) mean = %v, want ~3", mean)
-	}
-}
-
 func TestBoundedParetoRange(t *testing.T) {
 	r := NewRNG(29)
 	for i := 0; i < 10000; i++ {
@@ -225,18 +202,6 @@ func TestZipfMatchesPerDrawLoop(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(37)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("Perm invalid at value %d", v)
-		}
-		seen[v] = true
-	}
-}
-
 func TestChoiceWeighted(t *testing.T) {
 	r := NewRNG(41)
 	counts := [3]int{}
@@ -251,158 +216,5 @@ func TestChoiceWeighted(t *testing.T) {
 		if r.Choice([]float64{0, 1, 0}) != 1 {
 			t.Fatal("Choice picked a zero-weight entry")
 		}
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 {
-		t.Fatalf("N = %d", s.N)
-	}
-	if math.Abs(s.Mean-5) > 1e-12 {
-		t.Fatalf("Mean = %v", s.Mean)
-	}
-	if s.Min != 2 || s.Max != 9 {
-		t.Fatalf("Min/Max = %v/%v", s.Min, s.Max)
-	}
-	// Sample std of this classic dataset is sqrt(32/7).
-	want := math.Sqrt(32.0 / 7.0)
-	if math.Abs(s.Std-want) > 1e-12 {
-		t.Fatalf("Std = %v, want %v", s.Std, want)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 || s.Mean != 0 {
-		t.Fatalf("empty summary = %+v", s)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	s := Summarize([]float64{1, 100})
-	if math.Abs(s.GeoMean()-10) > 1e-9 {
-		t.Fatalf("GeoMean = %v, want 10", s.GeoMean())
-	}
-	s2 := Summarize([]float64{0, 5})
-	if s2.GeoMean() != 0 {
-		t.Fatalf("GeoMean with zero sample = %v, want 0", s2.GeoMean())
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 50} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Fatalf("under/over = %d/%d", h.Under, h.Over)
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Fatalf("bin0 = %d", h.Counts[0])
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Fatalf("bin1 = %d", h.Counts[1])
-	}
-	if h.Counts[4] != 1 { // 9.99
-		t.Fatalf("bin4 = %d", h.Counts[4])
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total = %d", h.Total())
-	}
-}
-
-func TestMeanCI(t *testing.T) {
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = 5
-	}
-	mean, hw := MeanCI(xs)
-	if mean != 5 || hw != 0 {
-		t.Fatalf("constant-sample CI = %v ± %v", mean, hw)
-	}
-}
-
-// Property: quantiles are monotone in q for any sample.
-func TestQuantileMonotoneProperty(t *testing.T) {
-	f := func(raw []float64, a, b float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				xs = append(xs, x)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		sort.Float64s(xs)
-		qa := math.Abs(math.Mod(a, 1))
-		qb := math.Abs(math.Mod(b, 1))
-		if qa > qb {
-			qa, qb = qb, qa
-		}
-		return Quantile(xs, qa) <= Quantile(xs, qb)+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Perm always returns a valid permutation.
-func TestPermProperty(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := NewRNG(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: summary bounds bracket the mean and quantiles.
-func TestSummaryBoundsProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e100 {
-				xs = append(xs, x)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		s := Summarize(xs)
-		eps := 1e-9 * (1 + math.Abs(s.Max))
-		return s.Min <= s.Mean+eps && s.Mean <= s.Max+eps &&
-			s.Min <= s.P50+eps && s.P50 <= s.Max+eps
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -498,27 +498,6 @@ func (s *Store) Runs() []*RunRecord {
 	return out
 }
 
-// Dump renders the full store state as canonical JSON — the
-// byte-identity oracle for the prefix-replay property tests.
-func (s *Store) Dump() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	snap := snapshot{
-		Seq:       s.seq,
-		Evicted:   s.evicted,
-		CacheHits: s.cacheHits,
-		Runs:      make([]*RunRecord, 0, len(s.order)),
-	}
-	for _, id := range s.order {
-		snap.Runs = append(snap.Runs, s.runs[id])
-	}
-	b, err := json.MarshalIndent(&snap, "", "  ")
-	if err != nil {
-		panic("store: dump marshal: " + err.Error())
-	}
-	return b
-}
-
 func writeFileSync(path string, b []byte, noSync bool) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {

@@ -12,6 +12,27 @@ import (
 	"time"
 )
 
+// Dump renders the full store state as canonical JSON — the
+// byte-identity oracle for the prefix-replay property tests.
+func (s *Store) Dump() []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	snap := snapshot{
+		Seq:       s.seq,
+		Evicted:   s.evicted,
+		CacheHits: s.cacheHits,
+		Runs:      make([]*RunRecord, 0, len(s.order)),
+	}
+	for _, id := range s.order {
+		snap.Runs = append(snap.Runs, s.runs[id])
+	}
+	b, err := json.MarshalIndent(&snap, "", "  ")
+	if err != nil {
+		panic("store: dump marshal: " + err.Error())
+	}
+	return b
+}
+
 func openT(t *testing.T, dir string, opt Options) *Store {
 	t.Helper()
 	opt.NoSync = true

@@ -205,13 +205,6 @@ func (t *Tenant) Release() {
 	}
 }
 
-// Active returns the tenant's currently admitted run count.
-func (t *Tenant) Active() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.active
-}
-
 // refill tops up the token bucket for the time elapsed since the last
 // refill. Caller holds t.mu.
 func (t *Tenant) refill(now time.Time) {

@@ -72,8 +72,8 @@ func TestTenantAdmission(t *testing.T) {
 			t.Fatalf("admit %d refused", i)
 		}
 	}
-	if tn.Active() != 2 {
-		t.Fatalf("Active() = %d, want 2", tn.Active())
+	if tn.active != 2 {
+		t.Fatalf("active = %d, want 2", tn.active)
 	}
 	ok, retry := tn.Admit(now)
 	if ok || retry != time.Second {

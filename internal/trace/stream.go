@@ -8,7 +8,6 @@ import (
 	"unicode"
 	"unicode/utf8"
 
-	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
@@ -191,9 +190,6 @@ func (l *swfLine) decode(line []byte) int {
 // Record returns the record produced by the last successful Scan.
 func (s *SWFScanner) Record() SWFRecord { return s.rec }
 
-// Line returns the 1-based input line of the last record (diagnostics).
-func (s *SWFScanner) Line() int { return s.line }
-
 // Err returns the first parse or read error, or nil after a clean EOF.
 func (s *SWFScanner) Err() error { return s.err }
 
@@ -232,11 +228,10 @@ func (s *SWFJobSource) Next() (*workload.Job, bool) {
 // Err reports why the stream ended, nil for a clean EOF.
 func (s *SWFJobSource) Err() error { return s.err }
 
-// SWFWriter emits records one at a time in the WriteSWFRecords line
-// format (header, then "%d %g %g %g %d %g"). Unlike WriteSWFRecords it
-// does not sort: records appear in Write order, so callers streaming a
-// completion feed get End-time order, not ID order. Reading such a file
-// back and rewriting it with WriteSWFRecords canonicalizes the order.
+// SWFWriter emits records one at a time in the SWF line format: a
+// header, then "%d %g %g %g %d %g" per record, in Write order. Floats use
+// %g (the shortest form that parses back exactly), so writing what
+// ReadSWFRecords returned reproduces the input bytes.
 type SWFWriter struct {
 	bw  *bufio.Writer
 	buf []byte // the line being formatted, reused
@@ -281,61 +276,4 @@ func (w *SWFWriter) Flush() error {
 	}
 	w.err = w.bw.Flush()
 	return w.err
-}
-
-// SWFSpool is a metrics.Retention that keeps a bounded in-memory tail
-// and spools every evicted completion to an SWF stream — the full
-// history survives on disk while the simulation's heap stays O(tail).
-// Retention.Add cannot return an error, so write failures are sticky:
-// check Err (or the Flush result) after the run.
-type SWFSpool struct {
-	ring metrics.Retention
-	w    *SWFWriter
-}
-
-// NewSWFSpool spools evictions to w, retaining the last tailCap
-// completions in memory (tailCap <= 0 falls back to 1).
-func NewSWFSpool(w io.Writer, tailCap int) *SWFSpool {
-	sp := &SWFSpool{w: NewSWFWriter(w)}
-	sp.ring = metrics.NewSpillRing(tailCap, func(c metrics.Completion) {
-		sp.w.Write(RecordOf(c)) //nolint:errcheck // sticky in w.err, surfaced by Err/Flush
-	})
-	return sp
-}
-
-// Add records one completion, spilling the oldest tail entry if full.
-func (sp *SWFSpool) Add(c metrics.Completion) { sp.ring.Add(c) }
-
-// Len returns the in-memory tail length.
-func (sp *SWFSpool) Len() int { return sp.ring.Len() }
-
-// Completions returns the in-memory tail, oldest first.
-func (sp *SWFSpool) Completions() []metrics.Completion { return sp.ring.Completions() }
-
-// Flush drains buffered spilled records. The in-memory tail is NOT
-// written: it remains queryable via Completions. Call DrainTail first to
-// persist everything.
-func (sp *SWFSpool) Flush() error { return sp.w.Flush() }
-
-// DrainTail spools the retained tail to the stream (oldest first) and
-// empties it, then flushes. After DrainTail the on-disk file holds every
-// completion ever Added, in Add order.
-func (sp *SWFSpool) DrainTail() error {
-	for _, c := range sp.ring.Completions() {
-		if err := sp.w.Write(RecordOf(c)); err != nil {
-			return err
-		}
-	}
-	sp.ring = metrics.NewSpillRing(1, func(c metrics.Completion) {
-		sp.w.Write(RecordOf(c)) //nolint:errcheck // sticky in w.err
-	})
-	return sp.w.Flush()
-}
-
-// Err returns the first spool write error, if any.
-func (sp *SWFSpool) Err() error {
-	if sp.w.err != nil {
-		return sp.w.err
-	}
-	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"slices"
@@ -12,13 +13,11 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
-// randomRecs builds an adversarial, ID-sorted record set (the shape
-// WriteSWFRecords emits).
+// randomRecs builds an adversarial, ID-sorted record set.
 func randomRecs(rng *stats.RNG, n int) []SWFRecord {
 	recs := make([]SWFRecord, n)
 	for i := range recs {
@@ -32,6 +31,15 @@ func randomRecs(rng *stats.RNG, n int) []SWFRecord {
 		}
 	}
 	return recs
+}
+
+// writeSWF writes recs in order through an SWFWriter.
+func writeSWF(w io.Writer, recs []SWFRecord) error {
+	sw := NewSWFWriter(w)
+	for _, rec := range recs {
+		sw.Write(rec) //nolint:errcheck // sticky in sw, returned by Flush
+	}
+	return sw.Flush()
 }
 
 // scanReference is SWFScanner as it read a line before it split one in
@@ -87,10 +95,10 @@ func requireMatchesReference(t *testing.T, input string) ([]SWFRecord, error) {
 		i := len(got)
 		got = append(got, sc.Record())
 		if i >= len(want) {
-			t.Fatalf("record %d (line %d) %+v: the reference stops at %d records", i, sc.Line(), got[i], len(want))
+			t.Fatalf("record %d (line %d) %+v: the reference stops at %d records", i, sc.line, got[i], len(want))
 		}
-		if !sameRecord(got[i], want[i]) || sc.Line() != wantLines[i] {
-			t.Fatalf("record %d: %+v on line %d, the reference %+v on line %d", i, got[i], sc.Line(), want[i], wantLines[i])
+		if !sameRecord(got[i], want[i]) || sc.line != wantLines[i] {
+			t.Fatalf("record %d: %+v on line %d, the reference %+v on line %d", i, got[i], sc.line, want[i], wantLines[i])
 		}
 	}
 	if len(got) != len(want) {
@@ -114,7 +122,7 @@ func TestSWFScannerMatchesRead(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		recs := randomRecs(rng, 1+rng.Intn(60))
 		var buf bytes.Buffer
-		if err := WriteSWFRecords(&buf, recs); err != nil {
+		if err := writeSWF(&buf, recs); err != nil {
 			t.Fatal(err)
 		}
 		got, err := requireMatchesReference(t, buf.String())
@@ -228,13 +236,13 @@ func TestSWFScannerMalformed(t *testing.T) {
 // the line is split where bufio left it and no field reaches the heap.
 func TestSWFScannerZeroAlloc(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteSWFRecords(&buf, randomRecs(stats.NewRNG(5), 2000)); err != nil {
+	if err := writeSWF(&buf, randomRecs(stats.NewRNG(5), 2000)); err != nil {
 		t.Fatal(err)
 	}
 	sc := NewSWFScanner(bytes.NewReader(buf.Bytes()))
 	allocs := testing.AllocsPerRun(1500, func() {
 		if !sc.Scan() {
-			t.Fatalf("scan stopped on line %d: %v", sc.Line(), sc.Err())
+			t.Fatalf("scan stopped on line %d: %v", sc.line, sc.Err())
 		}
 	})
 	if allocs != 0 {
@@ -269,7 +277,7 @@ func TestSWFJobSourceStreamsJobs(t *testing.T) {
 	rng := stats.NewRNG(3)
 	recs := randomRecs(rng, 40)
 	var buf bytes.Buffer
-	if err := WriteSWFRecords(&buf, recs); err != nil {
+	if err := writeSWF(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
 	want, err := ReadSWF(bytes.NewReader(buf.Bytes()))
@@ -312,42 +320,6 @@ func TestSWFJobSourceStreamsJobs(t *testing.T) {
 	}
 	if _, ok := src.Next(); ok || src.Err() == nil {
 		t.Fatal("source restarted after error")
-	}
-}
-
-// TestSWFWriterStreamEquivalence: streaming records one at a time in ID
-// order produces the exact bytes of the batch writer, and the streamed
-// file preserves the write→read→write stability property.
-func TestSWFWriterStreamEquivalence(t *testing.T) {
-	rng := stats.NewRNG(11)
-	recs := randomRecs(rng, 50)
-	var batch bytes.Buffer
-	if err := WriteSWFRecords(&batch, recs); err != nil {
-		t.Fatal(err)
-	}
-	var stream bytes.Buffer
-	w := NewSWFWriter(&stream)
-	for _, rec := range recs {
-		if err := w.Write(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(batch.Bytes(), stream.Bytes()) {
-		t.Fatalf("streamed bytes diverged from batch writer:\n%s\nvs\n%s", stream.String(), batch.String())
-	}
-	parsed, err := ReadSWFRecords(bytes.NewReader(stream.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var second bytes.Buffer
-	if err := WriteSWFRecords(&second, parsed); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(stream.Bytes(), second.Bytes()) {
-		t.Fatal("streamed file not write→read→write stable")
 	}
 }
 
@@ -404,61 +376,6 @@ func TestSWFWriterMatchesFmt(t *testing.T) {
 	}
 }
 
-// TestSWFSpool: the spill retention keeps a bounded tail, spools
-// evictions in Add order, and DrainTail persists the remainder so the
-// file holds the complete history.
-func TestSWFSpool(t *testing.T) {
-	job := &workload.Job{ID: 0, Kind: workload.Rigid, Release: 0, Weight: 1, DueDate: -1,
-		SeqTime: 2, MinProcs: 1, MaxProcs: 1, Model: workload.Linear{}}
-	var file bytes.Buffer
-	sp := NewSWFSpool(&file, 4)
-	var all []metrics.Completion
-	for i := 0; i < 10; i++ {
-		j := *job
-		j.ID = i
-		c := metrics.Completion{Job: &j, Start: float64(i), End: float64(i + 2), Procs: 1}
-		all = append(all, c)
-		sp.Add(c)
-	}
-	if sp.Len() != 4 {
-		t.Fatalf("tail length %d, want 4", sp.Len())
-	}
-	if tail := sp.Completions(); tail[0].Job.ID != 6 || tail[3].Job.ID != 9 {
-		t.Fatalf("tail wrong: %v..%v", tail[0].Job.ID, tail[3].Job.ID)
-	}
-	if err := sp.DrainTail(); err != nil {
-		t.Fatal(err)
-	}
-	if sp.Err() != nil {
-		t.Fatal(sp.Err())
-	}
-	recs, err := ReadSWFRecords(bytes.NewReader(file.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 10 {
-		t.Fatalf("spooled %d records, want 10", len(recs))
-	}
-	for i, rec := range recs {
-		if want := RecordOf(all[i]); rec != want {
-			t.Fatalf("spooled record %d = %+v, want %+v", i, rec, want)
-		}
-	}
-
-	// Write failures are sticky and surface from Flush/Err.
-	bad := NewSWFSpool(failWriter{}, 1)
-	for i := 0; i < 64*1024; i++ { // push past the bufio buffer
-		bad.Add(all[0])
-	}
-	if bad.Flush() == nil || bad.Err() == nil {
-		t.Fatal("spool write failure not surfaced")
-	}
-}
-
-type failWriter struct{}
-
-func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
-
 // FuzzSWFScanner: for arbitrary input the scanner must never panic, must
 // deliver what scanReference delivers (records, their lines, and the error
 // to the letter), and any input that parses cleanly must round-trip
@@ -480,7 +397,7 @@ func FuzzSWFScanner(f *testing.F) {
 		}
 		// Canonicalize once, then the format is a fixed point.
 		var first bytes.Buffer
-		if err := WriteSWFRecords(&first, want); err != nil {
+		if err := writeSWF(&first, want); err != nil {
 			t.Fatal(err)
 		}
 		again, err := ReadSWFRecords(bytes.NewReader(first.Bytes()))
@@ -488,7 +405,7 @@ func FuzzSWFScanner(f *testing.F) {
 			t.Fatalf("canonical form failed to parse: %v", err)
 		}
 		var second bytes.Buffer
-		if err := WriteSWFRecords(&second, again); err != nil {
+		if err := writeSWF(&second, again); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {

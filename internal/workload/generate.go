@@ -186,37 +186,3 @@ func Bags(n int, seed uint64) []*Bag {
 	}
 	return bags
 }
-
-// DiurnalArrivals rewrites the release dates of jobs with a
-// non-homogeneous Poisson process whose rate follows a daily cycle —
-// grid submission streams peak during working hours (the §5.2 community
-// behaviour). The mean rate over a full day equals rate; the
-// instantaneous rate oscillates between (1-depth)·rate and
-// (1+depth)·rate with period dayLength. Jobs keep their submission
-// order. Implemented by thinning: candidate arrivals at the peak rate
-// are accepted with probability rate(t)/peak.
-func DiurnalArrivals(jobs []*Job, rate, dayLength, depth float64, seed uint64) {
-	if rate <= 0 || dayLength <= 0 {
-		return
-	}
-	if depth < 0 {
-		depth = 0
-	}
-	if depth > 1 {
-		depth = 1
-	}
-	rng := stats.NewRNG(seed)
-	peak := rate * (1 + depth)
-	clock := 0.0
-	for _, j := range jobs {
-		for {
-			clock += rng.Exp(peak)
-			// rate(t) = rate * (1 + depth·sin(2πt/day))
-			instant := rate * (1 + depth*math.Sin(2*math.Pi*clock/dayLength))
-			if rng.Float64() < instant/peak {
-				break
-			}
-		}
-		j.Release = clock
-	}
-}

@@ -1,15 +1,31 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 )
+
+// validateAll validates every job and checks ID uniqueness.
+func validateAll(jobs []*Job) error {
+	seen := make(map[int]bool, len(jobs))
+	for _, j := range jobs {
+		if err := j.Validate(); err != nil {
+			return err
+		}
+		if seen[j.ID] {
+			return fmt.Errorf("duplicate job ID %d", j.ID)
+		}
+		seen[j.ID] = true
+	}
+	return nil
+}
 
 func TestSequentialGenerator(t *testing.T) {
 	jobs := Sequential(GenConfig{N: 50, M: 100, Seed: 1})
 	if len(jobs) != 50 {
 		t.Fatalf("got %d jobs", len(jobs))
 	}
-	if err := ValidateAll(jobs); err != nil {
+	if err := validateAll(jobs); err != nil {
 		t.Fatal(err)
 	}
 	for _, j := range jobs {
@@ -58,7 +74,7 @@ func TestSequentialDeterminism(t *testing.T) {
 
 func TestMoldableGenerator(t *testing.T) {
 	jobs := Parallel(GenConfig{N: 200, M: 64, Seed: 3})
-	if err := ValidateAll(jobs); err != nil {
+	if err := validateAll(jobs); err != nil {
 		t.Fatal(err)
 	}
 	sawWide := false
@@ -151,7 +167,7 @@ func TestCommunities(t *testing.T) {
 		t.Fatalf("community shares sum to %v", total)
 	}
 	jobs := Communities(mix, 500, 104, 0.01, 11)
-	if err := ValidateAll(jobs); err != nil {
+	if err := validateAll(jobs); err != nil {
 		t.Fatal(err)
 	}
 	counts := map[string]int{}
@@ -185,52 +201,6 @@ func TestBags(t *testing.T) {
 		}
 		if b.TotalWork() != float64(b.Runs)*b.RunTime {
 			t.Fatal("TotalWork mismatch")
-		}
-	}
-}
-
-func TestDiurnalArrivals(t *testing.T) {
-	jobs := Sequential(GenConfig{N: 4000, Seed: 30})
-	day := 86400.0
-	DiurnalArrivals(jobs, 0.05, day, 0.9, 31)
-	// Releases must be increasing.
-	for i := 1; i < len(jobs); i++ {
-		if jobs[i].Release < jobs[i-1].Release {
-			t.Fatal("diurnal releases not monotone")
-		}
-	}
-	// Arrivals in the peak half-cycle (sin > 0) must outnumber the
-	// trough half-cycle substantially at depth 0.9.
-	peak, trough := 0, 0
-	for _, j := range jobs {
-		phase := j.Release / day
-		frac := phase - float64(int(phase))
-		if frac < 0.5 {
-			peak++
-		} else {
-			trough++
-		}
-	}
-	if peak <= trough {
-		t.Fatalf("no diurnal signal: peak=%d trough=%d", peak, trough)
-	}
-	ratio := float64(peak) / float64(trough)
-	if ratio < 1.5 {
-		t.Fatalf("diurnal modulation too weak: ratio %v", ratio)
-	}
-}
-
-func TestDiurnalArrivalsDegenerate(t *testing.T) {
-	jobs := Sequential(GenConfig{N: 5, Seed: 32})
-	before := jobs[4].Release
-	DiurnalArrivals(jobs, 0, 100, 0.5, 1) // zero rate: no-op
-	if jobs[4].Release != before {
-		t.Fatal("zero-rate DiurnalArrivals mutated releases")
-	}
-	DiurnalArrivals(jobs, 1, 100, 5, 2) // depth clamped to 1, still valid
-	for i := 1; i < len(jobs); i++ {
-		if jobs[i].Release < jobs[i-1].Release {
-			t.Fatal("clamped-depth releases not monotone")
 		}
 	}
 }

@@ -219,18 +219,3 @@ func TotalMinWork(jobs []*Job, m int) float64 {
 	}
 	return sum
 }
-
-// ValidateAll validates every job and checks ID uniqueness.
-func ValidateAll(jobs []*Job) error {
-	seen := make(map[int]bool, len(jobs))
-	for _, j := range jobs {
-		if err := j.Validate(); err != nil {
-			return err
-		}
-		if seen[j.ID] {
-			return fmt.Errorf("duplicate job ID %d", j.ID)
-		}
-		seen[j.ID] = true
-	}
-	return nil
-}

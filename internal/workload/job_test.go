@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -12,6 +13,17 @@ func testJob(seq float64, minP, maxP int, m SpeedupModel) *Job {
 		SeqTime: seq, MinProcs: minP, MaxProcs: maxP, Model: m,
 	}
 }
+
+// commPenalty is perfect parallelism plus a per-processor overhead,
+// time = seq/p + overhead*(p-1): a model that is not time-monotone once
+// the overhead dominates, which the monotone clamps must absorb.
+type commPenalty struct{ overhead float64 }
+
+func (c commPenalty) Time(seq float64, p int) float64 {
+	return seq/float64(p) + c.overhead*float64(p-1)
+}
+
+func (c commPenalty) Name() string { return fmt.Sprintf("commpenalty(%.3g)", c.overhead) }
 
 func TestValidate(t *testing.T) {
 	ok := testJob(10, 1, 4, Linear{})
@@ -47,14 +59,6 @@ func TestValidate(t *testing.T) {
 	frozen.Kind, frozen.Times = Rigid, []float64{0, 0, 4, -1}
 	if err := frozen.Validate(); err != nil {
 		t.Errorf("entries outside [MinProcs, MaxProcs] checked: %v", err)
-	}
-}
-
-func TestValidateAllDuplicateID(t *testing.T) {
-	a := testJob(10, 1, 2, Linear{})
-	b := testJob(10, 1, 2, Linear{})
-	if err := ValidateAll([]*Job{a, b}); err == nil {
-		t.Fatal("duplicate IDs accepted")
 	}
 }
 
@@ -131,6 +135,14 @@ func TestMinWorkNoFit(t *testing.T) {
 	}
 }
 
+func TestValidateAllDuplicateID(t *testing.T) {
+	a := testJob(10, 1, 2, Linear{})
+	b := testJob(10, 1, 2, Linear{})
+	if err := validateAll([]*Job{a, b}); err == nil {
+		t.Fatal("duplicate IDs accepted")
+	}
+}
+
 func TestIsMonotone(t *testing.T) {
 	if !testJob(10, 1, 16, Amdahl{Alpha: 0.1}).IsMonotone(16) {
 		t.Fatal("Amdahl should be monotone")
@@ -138,22 +150,14 @@ func TestIsMonotone(t *testing.T) {
 	if !testJob(10, 1, 16, PowerLaw{Sigma: 0.8}).IsMonotone(16) {
 		t.Fatal("PowerLaw(0.8) should be monotone")
 	}
-	// CommPenalty with large overhead is not time-monotone.
-	j := testJob(10, 1, 32, CommPenalty{Overhead: 2})
-	if j.IsMonotone(32) {
-		t.Fatal("CommPenalty(2) should not be monotone over 32 procs")
-	}
-	// But the Monotone wrapper fixes time-monotony.
-	j2 := testJob(10, 1, 32, Monotone{Base: CommPenalty{Overhead: 2}})
-	for p := 2; p <= 32; p++ {
-		if j2.TimeOn(p) > j2.TimeOn(p-1)+1e-12 {
-			t.Fatalf("Monotone wrapper not non-increasing at p=%d", p)
-		}
+	// A large communication overhead is not time-monotone.
+	if testJob(10, 1, 32, commPenalty{overhead: 2}).IsMonotone(32) {
+		t.Fatal("commpenalty(2) should not be monotone over 32 procs")
 	}
 }
 
 func TestMakeTableMonotone(t *testing.T) {
-	table := MakeTable(CommPenalty{Overhead: 5}, 100, 50)
+	table := MakeTable(commPenalty{overhead: 5}, 100, 50)
 	for p := 1; p < 50; p++ {
 		if table[p] > table[p-1]+1e-12 {
 			t.Fatalf("table increases at p=%d: %v -> %v", p, table[p-1], table[p])
@@ -187,38 +191,11 @@ func TestSpeedupModels(t *testing.T) {
 		{Amdahl{Alpha: 0.5}, 4, 100 * (0.5 + 0.5/4)},
 		{PowerLaw{Sigma: 1}, 4, 25},
 		{PowerLaw{Sigma: 0.5}, 4, 50},
-		{CommPenalty{Overhead: 1}, 4, 28},
 	}
 	for _, c := range cases {
 		if got := c.m.Time(100, c.p); math.Abs(got-c.want) > 1e-9 {
 			t.Errorf("%s.Time(100,%d) = %v, want %v", c.m.Name(), c.p, got, c.want)
 		}
-	}
-}
-
-func TestDowneySpeedupBounds(t *testing.T) {
-	for _, sigma := range []float64{0.3, 1.0, 2.0} {
-		d := Downey{A: 16, Sigma: sigma}
-		prev := math.Inf(1)
-		for p := 1; p <= 64; p++ {
-			tm := d.Time(100, p)
-			sp := 100 / tm
-			if sp < 1-1e-9 || sp > float64(p)+1e-9 {
-				t.Fatalf("sigma=%v p=%d: speedup %v outside [1, p]", sigma, p, sp)
-			}
-			if sp > 16+1e-9 {
-				t.Fatalf("sigma=%v p=%d: speedup %v exceeds A", sigma, p, sp)
-			}
-			_ = prev
-			prev = tm
-		}
-	}
-}
-
-func TestDowneyDegenerate(t *testing.T) {
-	d := Downey{A: 1, Sigma: 0.5}
-	if got := d.Time(100, 8); got != 100 {
-		t.Fatalf("A=1 job should not speed up, got %v", got)
 	}
 }
 
@@ -239,7 +216,7 @@ func TestGammaProperty(t *testing.T) {
 	f := func(seed uint64, seqRaw, deadlineRaw float64, maxPRaw uint8) bool {
 		seq := 1 + math.Abs(math.Mod(seqRaw, 1000))
 		maxP := int(maxPRaw%32) + 1
-		j := testJob(seq, 1, maxP, Monotone{Base: Amdahl{Alpha: 0.1}})
+		j := testJob(seq, 1, maxP, Amdahl{Alpha: 0.1})
 		j.Times = MakeTable(j.Model, seq, maxP)
 		d := math.Abs(math.Mod(deadlineRaw, 2*seq)) + 1e-6
 		c := j.Cost(maxP)

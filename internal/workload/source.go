@@ -27,26 +27,6 @@ type SizeHinter interface {
 	SizeHint() int
 }
 
-// sliceSource iterates over an in-memory job slice.
-type sliceSource struct {
-	jobs []*Job
-	i    int
-}
-
-// NewSliceSource adapts a materialized job slice into a Source.
-func NewSliceSource(jobs []*Job) Source { return &sliceSource{jobs: jobs} }
-
-func (s *sliceSource) Next() (*Job, bool) {
-	if s.i >= len(s.jobs) {
-		return nil, false
-	}
-	j := s.jobs[s.i]
-	s.i++
-	return j, true
-}
-
-func (s *sliceSource) SizeHint() int { return len(s.jobs) - s.i }
-
 // Collect drains a source into a slice (the materialized form the
 // offline algorithms need).
 func Collect(s Source) []*Job {

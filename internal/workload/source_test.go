@@ -211,12 +211,8 @@ func TestMakeTableTypedMatchesGeneric(t *testing.T) {
 			model = PowerLaw{Sigma: param(rng, -0.5, 1.5)}
 		case 4:
 			model = Linear{}
-		case 5:
-			model = CommPenalty{Overhead: param(rng, 0, 2)}
-		case 6:
-			model = Downey{A: param(rng, 0.5, 64), Sigma: param(rng, 0, 2)}
-		case 7:
-			model = Monotone{Base: CommPenalty{Overhead: param(rng, 0, 2)}}
+		case 5, 6, 7:
+			model = commPenalty{overhead: param(rng, 0, 2)}
 		default:
 			model = &Amdahl{Alpha: param(rng, 0, 1)} // pointer: not the typed case
 		}
@@ -315,23 +311,5 @@ func TestSourceReleaseOrder(t *testing.T) {
 			}
 			last = j.Release
 		}
-	}
-}
-
-func TestSliceSourceAndSizeHint(t *testing.T) {
-	jobs := Parallel(GenConfig{N: 10})
-	src := NewSliceSource(jobs)
-	if h := src.(SizeHinter).SizeHint(); h != 10 {
-		t.Fatalf("SizeHint = %d, want 10", h)
-	}
-	if _, ok := src.Next(); !ok {
-		t.Fatal("empty source")
-	}
-	if h := src.(SizeHinter).SizeHint(); h != 9 {
-		t.Fatalf("SizeHint after Next = %d, want 9", h)
-	}
-	got := Collect(src)
-	if len(got) != 9 || got[0] != jobs[1] {
-		t.Fatalf("Collect returned %d jobs", len(got))
 	}
 }
