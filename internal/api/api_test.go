@@ -541,6 +541,32 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestInlineSpecRefusesServerPath: an inline spec cannot name a file on
+// the daemon's host through params.swf. The submission is refused
+// before a run exists, so nothing opens the path.
+func TestInlineSpecRefusesServerPath(t *testing.T) {
+	s, srv := newTestService(t, Config{})
+	path := t.TempDir() + "/nonexistent.swf"
+	body := fmt.Sprintf(`{"spec":{"kind":"replay","policies":["fcfs"],"params":{"swf":%q}},"quick":true}`, path)
+	resp, err := http.Post(srv.URL+"/v1/runs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err := readAll(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, "params.swf") || !strings.Contains(msg, "gridctl local") {
+		t.Fatalf("POST /v1/runs with params.swf: %d %s, want 400 naming params.swf and gridctl local", resp.StatusCode, msg)
+	}
+	if strings.Contains(msg, path) {
+		t.Fatalf("refusal echoes the path: %s", msg)
+	}
+	if sum := s.Summary(); sum.Total != 0 {
+		t.Fatalf("a refused submission created %d runs", sum.Total)
+	}
+}
+
 // TestConcurrentSubmissions: parallel clients hammering POST /v1/runs
 // stay race-clean and every accepted run terminates.
 func TestConcurrentSubmissions(t *testing.T) {

@@ -251,6 +251,13 @@ func (s *RunService) resolveSpec(req *scenario.HTTPRequest) (*scenario.Spec, *ht
 				"inline spec requests %d campaign tasks (max %d server-side; run it through the CLI)",
 				spec.Grid.CampaignTasks, maxInlineJobs)}
 		}
+		// params.swf names a file on the daemon's host: a client could
+		// make the daemon read any path, and the archive's length escapes
+		// the job bound above.
+		if _, ok := spec.Params["swf"]; ok {
+			return nil, &httpErr{code: http.StatusBadRequest, msg: "inline spec sets params.swf, a server-side file path " +
+				"(replay local archives with gridctl local <spec.json>)"}
+		}
 		// Clamp inline trace recording (req.Spec is per-request, so
 		// mutating it is safe — catalog specs are shared and never
 		// touched here).

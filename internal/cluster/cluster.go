@@ -221,10 +221,11 @@ type Sim struct {
 	acc    *metrics.Accumulator
 	retain metrics.Retention
 
-	// Lazy-admission state (Stream): src yields jobs in release order,
-	// pending is the head waiting for its release event, srcErr records
-	// a mid-stream failure surfaced by Run.
-	src      workload.Source
+	// Lazy-admission state (Stream): src reads the attached source ahead
+	// and yields its jobs in release order, pending is the head waiting
+	// for its release event, srcErr records a mid-stream failure surfaced
+	// by Run.
+	src      *readAhead
 	pending  *workload.Job
 	srcErr   error
 	arriveFn func()
@@ -442,13 +443,16 @@ func (s *Sim) SubmitAll(jobs []*workload.Job) error {
 // Stream attaches a pull source for lazy admission: instead of one
 // pre-scheduled arrival event per job, the simulator keeps exactly one
 // pending arrival — the stream head — and pulls the next job when that
-// event fires, so peak memory is O(active jobs) regardless of stream
-// length. Jobs are admitted at max(Release, now); sources should yield
-// non-decreasing releases (all workload generators and sorted SWF
-// archives do), out-of-order jobs are admitted as soon as they surface.
-// Arrival groups sharing a release admit inside a single event. If the
-// source implements Err() error, a mid-stream failure aborts admission
-// and surfaces from Run.
+// event fires. A second goroutine reads the source up to one batch of
+// readAheadBatch jobs ahead (see readAhead), so peak memory is O(active
+// jobs + 2 × readAheadBatch) regardless of stream length. Jobs are
+// admitted at max(Release, now); sources should yield non-decreasing
+// releases (all workload generators and sorted SWF archives do),
+// out-of-order jobs are admitted as soon as they surface. Arrival groups
+// sharing a release admit inside a single event. If the source
+// implements Err() error, a mid-stream failure aborts admission and
+// surfaces from Run. Once Run or a failed Stream returns, no goroutine
+// touches the source any more.
 func (s *Sim) Stream(src workload.Source) error {
 	if s.drained {
 		return ErrDrained
@@ -462,31 +466,43 @@ func (s *Sim) Stream(src workload.Source) error {
 	if s.arriveFn == nil {
 		s.arriveFn = s.arrive
 	}
-	s.src = src
+	s.src = newReadAhead(src)
 	s.pull()
-	return s.scheduleArrival()
+	if err := s.scheduleArrival(); err != nil {
+		s.endStream()
+		return err
+	}
+	return nil
 }
 
 // pull advances the stream head into pending (or ends the stream).
 func (s *Sim) pull() {
 	j, ok := s.src.Next()
 	if !ok {
-		if es, hasErr := s.src.(interface{ Err() error }); hasErr {
-			if err := es.Err(); err != nil && s.srcErr == nil {
-				s.srcErr = err
-			}
+		if err := s.src.err; err != nil && s.srcErr == nil {
+			s.srcErr = err
 		}
-		s.src, s.pending = nil, nil
+		s.endStream()
 		return
 	}
 	if j.MinProcs > s.M {
 		if s.srcErr == nil {
 			s.srcErr = fmt.Errorf("cluster: job %d needs %d > %d procs", j.ID, j.MinProcs, s.M)
 		}
-		s.src, s.pending = nil, nil
+		s.endStream()
 		return
 	}
 	s.pending = j
+}
+
+// endStream detaches the source, first waiting for the read-ahead fill
+// in flight: the caller may close what the source reads once the Sim
+// lets go of it.
+func (s *Sim) endStream() {
+	if s.src != nil {
+		s.src.stop()
+	}
+	s.src, s.pending = nil, nil
 }
 
 // scheduleArrival schedules the single arrival event for the stream
@@ -512,7 +528,7 @@ func (s *Sim) arrive() {
 	}
 	if err := s.scheduleArrival(); err != nil && s.srcErr == nil {
 		s.srcErr = fmt.Errorf("cluster: job %d: %w", s.pending.ID, err)
-		s.src, s.pending = nil, nil
+		s.endStream()
 	}
 }
 
@@ -913,8 +929,11 @@ func (s *Sim) finishBE(b *beRunning) {
 
 // Run drives the simulation to completion (all submitted local jobs done
 // and the event queue drained). Afterwards the simulation is drained:
-// further Submit/InjectNow calls return ErrDrained.
+// further Submit/InjectNow calls return ErrDrained. A stream that the
+// run abandons (an event-limit error, a panicking policy) is detached
+// before Run returns.
 func (s *Sim) Run() error {
+	defer s.endStream()
 	err := s.DES.Run()
 	s.drained = true
 	if err != nil {

@@ -94,6 +94,49 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 	}
 }
 
+// TestStreamMatchesSubmitAllAcrossBatches: streams shorter than, equal
+// to, one past and several times the read-ahead batch give every policy
+// the completions and report of the same jobs submitted in one batch.
+func TestStreamMatchesSubmitAllAcrossBatches(t *testing.T) {
+	policies := []Policy{FCFSPolicy{}, EASYPolicy{}, GreedyFitPolicy{}, ConservativePolicy{}}
+	for _, n := range []int{0, 1, readAheadBatch - 1, readAheadBatch, readAheadBatch + 1, 3000} {
+		cfg := workload.GenConfig{N: max(n, 1), M: 32, Seed: uint64(40 + n), ArrivalRate: 1, SeqMu: 2.5, RigidFraction: 0.5}
+		for _, pol := range policies {
+			want, err := New(des.New(), 32, 1, pol, KillNewest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := want.SubmitAll(workload.Parallel(cfg)[:n]); err != nil {
+				t.Fatal(err)
+			}
+			if err := want.Run(); err != nil {
+				t.Fatal(err)
+			}
+			got := runStreamed(t, 32, pol, &sliceSource{workload.Parallel(cfg)[:n]}, nil)
+			wcs, gcs := want.Completions(), got.Completions()
+			if len(wcs) != n || len(gcs) != n {
+				t.Fatalf("%s/n=%d: %d vs %d completions", pol.Name(), n, len(wcs), len(gcs))
+			}
+			waited := 0
+			for i := range wcs {
+				if wcs[i].Start > wcs[i].Job.Release {
+					waited++
+				}
+				if !sameCompletion(wcs[i], gcs[i]) {
+					t.Fatalf("%s/n=%d: completion %d diverged:\nwant %+v\ngot  %+v", pol.Name(), n, i, wcs[i], gcs[i])
+				}
+			}
+			if want.Report() != got.Report() {
+				t.Fatalf("%s/n=%d: reports diverged:\nwant %+v\ngot  %+v", pol.Name(), n, want.Report(), got.Report())
+			}
+			// A queue must form, or every policy would schedule alike.
+			if n >= readAheadBatch && waited < n/10 {
+				t.Fatalf("%s/n=%d: only %d jobs waited; the stream does not load the cluster", pol.Name(), n, waited)
+			}
+		}
+	}
+}
+
 // TestStreamReportMatchesNewReport: the O(1) Report equals the
 // slice-based report over the full retained history.
 func TestStreamReportMatchesNewReport(t *testing.T) {
@@ -225,6 +268,45 @@ func TestStreamSourceError(t *testing.T) {
 	}
 	if err2 == nil {
 		t.Fatal("oversized streamed job not rejected")
+	}
+}
+
+// panickingSource yields n one-processor jobs, then panics.
+type panickingSource struct{ n, i int }
+
+func (p *panickingSource) Next() (*workload.Job, bool) {
+	if p.i == p.n {
+		panic("source broke")
+	}
+	p.i++
+	return &workload.Job{
+		ID: p.i, Kind: workload.Rigid, Release: float64(p.i), Weight: 1, DueDate: -1,
+		SeqTime: 1, MinProcs: 1, MaxProcs: 1, Model: workload.Linear{},
+	}, true
+}
+
+// TestStreamSourcePanicReachesRun: a panic in the source, met on the
+// read-ahead goroutine, is raised from Run on the caller's goroutine
+// once the jobs before it are admitted, so that a caller containing
+// panics (the scenario cell pool) still recovers it.
+func TestStreamSourcePanicReachesRun(t *testing.T) {
+	s, err := New(des.New(), 4, 1, FCFSPolicy{}, KillNewest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Stream(&panickingSource{n: 1500}); err != nil {
+		t.Fatal(err)
+	}
+	run := func() (v any) {
+		defer func() { v = recover() }()
+		_ = s.Run()
+		return nil
+	}
+	if v := run(); v != "source broke" {
+		t.Fatalf("Run panicked with %v, want the source's panic", v)
+	}
+	if s.Submitted() != 1500 {
+		t.Fatalf("%d jobs admitted before the panic, want 1500", s.Submitted())
 	}
 }
 

@@ -17,6 +17,10 @@ import (
 // Streams are expected in non-decreasing Release order (every generator
 // here and sorted SWF archives satisfy this); a consumer admitting
 // lazily clamps any out-of-order release to its own current time.
+//
+// A consumer may drain a source ahead of need, from another goroutine,
+// one call at a time (cluster.Sim.Stream reads a batch ahead). A source
+// must therefore not read its consumer's state.
 type Source interface {
 	Next() (*Job, bool)
 }

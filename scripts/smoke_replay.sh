@@ -8,16 +8,16 @@
 #
 # Environment (all optional):
 #   REPLAY_JOBS                archive size          (default 1000000)
-#   REPLAY_MAX_HEAP_MB         peak-heap bound       (default 256)
-#   REPLAY_MIN_EVENTS_PER_SEC  throughput floor      (default 100000)
+#   REPLAY_MAX_HEAP_MB         peak-heap bound       (default 32)
+#   REPLAY_MIN_EVENTS_PER_SEC  throughput floor      (default 500000)
 #   GOMEMLIMIT                 Go soft memory limit  (default 256MiB)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export REPLAY_SMOKE=1
 export REPLAY_JOBS="${REPLAY_JOBS:-1000000}"
-export REPLAY_MAX_HEAP_MB="${REPLAY_MAX_HEAP_MB:-256}"
-export REPLAY_MIN_EVENTS_PER_SEC="${REPLAY_MIN_EVENTS_PER_SEC:-100000}"
+export REPLAY_MAX_HEAP_MB="${REPLAY_MAX_HEAP_MB:-32}"
+export REPLAY_MIN_EVENTS_PER_SEC="${REPLAY_MIN_EVENTS_PER_SEC:-500000}"
 export GOMEMLIMIT="${GOMEMLIMIT:-256MiB}"
 
 echo "replay smoke: ${REPLAY_JOBS} jobs, GOMEMLIMIT=${GOMEMLIMIT}," \
