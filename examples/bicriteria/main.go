@@ -27,7 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	repro.WriteFig2(os.Stdout, nonParallel, parallel)
+	repro.WriteFig2(os.Stdout, 100, nonParallel, parallel)
 
 	fmt.Println("\nThe §4.4 guarantee bounds both ratios by 4ρ = 6; the")
 	fmt.Println("measured curves stay far below it, like the paper's Figure 2.")

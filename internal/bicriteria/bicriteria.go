@@ -52,7 +52,7 @@ func (r *Result) WCRatio() float64 {
 	if r.WCLB <= 0 {
 		return 1
 	}
-	return r.Schedule.Report().SumWeightedCompletion / r.WCLB
+	return r.Schedule.SumWeightedCompletion() / r.WCLB
 }
 
 // Options tunes the algorithm.

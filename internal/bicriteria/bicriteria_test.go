@@ -201,9 +201,9 @@ func TestWriteFig2(t *testing.T) {
 	np := []Fig2Point{{N: 10, CmaxRatio: 1.5, WCRatio: 2.0}}
 	p := []Fig2Point{{N: 10, CmaxRatio: 1.2, WCRatio: 1.8}}
 	var sb strings.Builder
-	WriteFig2(&sb, np, p)
+	WriteFig2(&sb, 16, np, p)
 	out := sb.String()
-	for _, want := range []string{"WiCi ratio", "Cmax ratio", "1.500", "1.200"} {
+	for _, want := range []string{"16-machine cluster", "WiCi ratio", "Cmax ratio", "1.500", "1.200"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}

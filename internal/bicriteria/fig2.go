@@ -21,10 +21,10 @@ type Fig2Point struct {
 // families ("Non Parallel" and "Parallel") and the two criteria Cmax and
 // ΣωiCi.
 type Fig2Config struct {
-	M    int   // platform width (paper: 100)
-	Ns   []int // task counts (paper: 0..1000)
+	M    int   // platform width (paper: 100; 0 picks 100)
+	Ns   []int // task counts, each ≥ 1 (paper: 0..1000; empty picks DefaultNs)
 	Seed uint64
-	Reps int // replications averaged per point
+	Reps int // replications averaged per point (0 picks 3)
 	// Parallel selects the moldable-parallel workload family; false
 	// selects the sequential ("Non Parallel") family.
 	Parallel bool
@@ -36,8 +36,24 @@ func DefaultNs() []int {
 }
 
 // Fig2Series runs the bi-criteria algorithm over the task-count sweep and
-// returns the measured ratio curves.
+// returns the measured ratio curves. A zero M or Reps takes its default;
+// a negative M or Reps, or a task count below 1, is an error.
+//
+// An instance is the workload of one (n, rep) pair of the sweep. Every
+// instance seed is drawn from the series RNG, in (n, rep) order, before
+// any instance is built, and building one is a pure function of its seed.
+// So a second goroutine generates instance k+1 while the caller schedules
+// instance k, and the result is the same as generating each in turn. The
+// generator runs at most one instance ahead and has exited when
+// Fig2Series returns. A panic while generating is raised again on the
+// caller's goroutine, at the instance that panicked.
 func Fig2Series(cfg Fig2Config) ([]Fig2Point, error) {
+	if cfg.M < 0 {
+		return nil, fmt.Errorf("bicriteria: fig2 on %d machines", cfg.M)
+	}
+	if cfg.Reps < 0 {
+		return nil, fmt.Errorf("bicriteria: fig2 with %d replications", cfg.Reps)
+	}
 	if cfg.M == 0 {
 		cfg.M = 100
 	}
@@ -47,21 +63,23 @@ func Fig2Series(cfg Fig2Config) ([]Fig2Point, error) {
 	if cfg.Reps == 0 {
 		cfg.Reps = 3
 	}
-	points := make([]Fig2Point, 0, len(cfg.Ns))
+	gens := make([]workload.GenConfig, 0, len(cfg.Ns)*cfg.Reps)
 	rng := stats.NewRNG(cfg.Seed)
+	for _, n := range cfg.Ns {
+		if n < 1 {
+			return nil, fmt.Errorf("bicriteria: fig2 task count %d is below 1", n)
+		}
+		for rep := 0; rep < cfg.Reps; rep++ {
+			gens = append(gens, workload.GenConfig{N: n, M: cfg.M, Seed: rng.Uint64(), Weighted: true})
+		}
+	}
+	next, stop := generateAhead(gens, cfg.Parallel)
+	defer stop()
+	points := make([]Fig2Point, 0, len(cfg.Ns))
 	for _, n := range cfg.Ns {
 		var cmaxSum, wcSum float64
 		for rep := 0; rep < cfg.Reps; rep++ {
-			gen := workload.GenConfig{
-				N: n, M: cfg.M, Seed: rng.Uint64(), Weighted: true,
-			}
-			var jobs []*workload.Job
-			if cfg.Parallel {
-				jobs = workload.Parallel(gen)
-			} else {
-				jobs = workload.Sequential(gen)
-			}
-			res, err := Schedule(jobs, cfg.M, Options{})
+			res, err := Schedule(next(), cfg.M, Options{})
 			if err != nil {
 				return nil, fmt.Errorf("bicriteria: fig2 n=%d rep=%d: %w", n, rep, err)
 			}
@@ -77,10 +95,73 @@ func Fig2Series(cfg Fig2Config) ([]Fig2Point, error) {
 	return points, nil
 }
 
+// fig2Generate builds one instance of the sweep. Tests replace it to make
+// generation fail.
+var fig2Generate = func(gen workload.GenConfig, parallel bool) []*workload.Job {
+	if parallel {
+		return workload.Parallel(gen)
+	}
+	return workload.Sequential(gen)
+}
+
+// fig2Instance is one generated instance, or the panic that ended
+// generation.
+type fig2Instance struct {
+	jobs     []*workload.Job
+	panicked any
+}
+
+// generateAhead builds the instances of gens, in order, on one helper
+// goroutine. The hand-off is unbuffered, so the helper builds the next
+// instance while the caller schedules the current one and never gets
+// further ahead. next returns the instances in order and raises again a
+// panic that ended generation. stop, which the caller must always call,
+// ends the helper and waits until it has exited.
+func generateAhead(gens []workload.GenConfig, parallel bool) (next func() []*workload.Job, stop func()) {
+	out := make(chan fig2Instance)
+	quit := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, gen := range gens {
+			inst := generateInstance(gen, parallel)
+			select {
+			case out <- inst:
+			case <-quit:
+				return
+			}
+			if inst.panicked != nil {
+				return
+			}
+		}
+	}()
+	next = func() []*workload.Job {
+		inst := <-out
+		if inst.panicked != nil {
+			panic(inst.panicked)
+		}
+		return inst.jobs
+	}
+	stop = func() {
+		close(quit)
+		<-done
+	}
+	return next, stop
+}
+
+// generateInstance builds one instance, or records the panic that
+// stopped it.
+func generateInstance(gen workload.GenConfig, parallel bool) (inst fig2Instance) {
+	defer func() { inst.panicked = recover() }()
+	inst.jobs = fig2Generate(gen, parallel)
+	return inst
+}
+
 // WriteFig2 renders both panels of Figure 2 (WiCi ratio and Cmax ratio vs
-// number of tasks) as aligned text tables, one row per task count.
-func WriteFig2(w io.Writer, nonParallel, parallel []Fig2Point) {
-	fmt.Fprintln(w, "Figure 2 — bi-criteria algorithm on a 100-machine cluster")
+// number of tasks) on an m-machine cluster as aligned text tables, one
+// row per task count.
+func WriteFig2(w io.Writer, m int, nonParallel, parallel []Fig2Point) {
+	fmt.Fprintf(w, "Figure 2 — bi-criteria algorithm on a %d-machine cluster\n", m)
 	fmt.Fprintln(w, "(ratios to lower bounds; paper reports ratios to optimum estimates)")
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "%8s  %22s  %22s\n", "", "WiCi ratio", "Cmax ratio")

@@ -113,8 +113,8 @@ func ablationShelfFillRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenar
 			return nil, err
 		}
 		return []any{m, n,
-			ff.Report().SumWeightedCompletion / lb,
-			bf.Report().SumWeightedCompletion / lb,
+			ff.SumWeightedCompletion() / lb,
+			bf.SumWeightedCompletion() / lb,
 			nFF, nBF}, nil
 	}); err != nil {
 		return nil, err
@@ -245,8 +245,8 @@ func ablationCompactionRun(spec *scenario.Spec, opt scenario.RunOptions) (*scena
 		return []any{family, n,
 			res.Schedule.Makespan() / cmaxLB,
 			compacted.Makespan() / cmaxLB,
-			res.Schedule.Report().SumWeightedCompletion / wcLB,
-			compacted.Report().SumWeightedCompletion / wcLB}, nil
+			res.Schedule.SumWeightedCompletion() / wcLB,
+			compacted.SumWeightedCompletion() / wcLB}, nil
 	}); err != nil {
 		return nil, err
 	}

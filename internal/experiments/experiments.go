@@ -186,8 +186,8 @@ func smartRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, e
 			bound = smart.RatioWeighted
 		}
 		return []any{m, n, weighted,
-			s.Report().SumWeightedCompletion / lb,
-			list.Report().SumWeightedCompletion / lb,
+			s.SumWeightedCompletion() / lb,
+			list.SumWeightedCompletion() / lb,
 			shelves,
 			bound}, nil
 	}); err != nil {
@@ -245,7 +245,7 @@ func bicriteriaRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Resu
 		return []any{family, n,
 			res.CmaxRatio(), res.WCRatio(),
 			mrt.Schedule.Makespan() / cmaxLB,
-			mrt.Schedule.Report().SumWeightedCompletion / wcLB,
+			mrt.Schedule.SumWeightedCompletion() / wcLB,
 			bicriteria.TheoreticalRatio(moldable.Rho)}, nil
 	}); err != nil {
 		return nil, err
@@ -255,8 +255,12 @@ func bicriteriaRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Resu
 
 // fig2Run regenerates both series of Figure 2 (the two series run as
 // independent cells) and renders them through the bespoke figure
-// writer: it has no table form. Params: "m", "reps", "ns" (full-scale
-// axis), "quick_ns" (the axis when JobFactor > 1).
+// writer: it has no table form. Params: "m" (platform width), "reps"
+// (replications per point), "ns" (full-scale axis) and "quick_ns" (the
+// axis when JobFactor > 1). m, reps and every task count of either axis
+// must be at least 1; any other value is refused before a cell runs. A
+// cell generates its series' next instance on a second goroutine while
+// it schedules the current one (bicriteria.Fig2Series).
 func fig2Run(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 	if err := spec.CheckParams(map[string]scenario.ParamType{
 		"m": scenario.IntParam, "reps": scenario.IntParam,
@@ -264,12 +268,26 @@ func fig2Run(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, er
 	}); err != nil {
 		return nil, err
 	}
-	ns := spec.Ints("ns", bicriteria.DefaultNs())
-	if opt.Scale.JobFactor > 1 {
-		ns = spec.Ints("quick_ns", []int{10, 50, 100, 200})
-	}
 	m := spec.Int("m", 100)
 	reps := spec.Int("reps", 3)
+	if m < 1 {
+		return nil, fmt.Errorf("experiments: fig2: param \"m\" is %d, want at least 1", m)
+	}
+	if reps < 1 {
+		return nil, fmt.Errorf("experiments: fig2: param \"reps\" is %d, want at least 1", reps)
+	}
+	axes := [2][]int{spec.Ints("ns", bicriteria.DefaultNs()), spec.Ints("quick_ns", []int{10, 50, 100, 200})}
+	for i, key := range []string{"ns", "quick_ns"} {
+		for _, n := range axes[i] {
+			if n < 1 {
+				return nil, fmt.Errorf("experiments: fig2: param %q has task count %d, want at least 1", key, n)
+			}
+		}
+	}
+	ns := axes[0]
+	if opt.Scale.JobFactor > 1 {
+		ns = axes[1]
+	}
 	series, err := runCells(opt, 2, func(i int) ([]bicriteria.Fig2Point, error) {
 		return bicriteria.Fig2Series(bicriteria.Fig2Config{
 			M: m, Ns: ns, Seed: opt.Seed + uint64(i), Reps: reps, Parallel: i == 1,
@@ -279,7 +297,7 @@ func fig2Run(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, er
 		return nil, err
 	}
 	return scenario.CustomResult(func(w io.Writer) error {
-		bicriteria.WriteFig2(w, series[0], series[1])
+		bicriteria.WriteFig2(w, m, series[0], series[1])
 		return nil
 	}), nil
 }

@@ -53,11 +53,11 @@ func malleableRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Resul
 		if err != nil {
 			return nil, err
 		}
-		var wpWC, mrtWC float64
+		var wpWC float64
 		for _, c := range wp.Completions {
 			wpWC += c.Job.Weight * c.End
 		}
-		mrtWC = mrt.Schedule.Report().SumWeightedCompletion
+		mrtWC := mrt.Schedule.SumWeightedCompletion()
 		return []any{m, n,
 			mrt.Schedule.Makespan() / cmaxLB,
 			equi.Makespan / cmaxLB,

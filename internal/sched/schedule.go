@@ -77,6 +77,16 @@ func (s *Schedule) Completions() []metrics.Completion {
 	return cs
 }
 
+// SumWeightedCompletion returns ΣωiCi without building a Report: the
+// same additions, in allocation order, as Report().SumWeightedCompletion.
+func (s *Schedule) SumWeightedCompletion() float64 {
+	var sum float64
+	for _, a := range s.Allocs {
+		sum += a.Job.Weight * a.End()
+	}
+	return sum
+}
+
 // Report evaluates all §3 criteria on the schedule.
 func (s *Schedule) Report() metrics.Report {
 	return metrics.NewReport(s.Completions(), s.M)
