@@ -35,7 +35,7 @@ func main() {
 	}
 
 	// One multi-parametric campaign: 3000 runs of ~60 s.
-	bags := []*repro.Bag{{ID: 0, Runs: 3000, RunTime: 60, Name: "param-study"}}
+	bags := []*repro.Bag{{ID: 0, Runs: 3000, RunTime: 60}}
 
 	g, err := repro.NewCentralizedGrid(members, bags, cluster.KillNewest)
 	if err != nil {

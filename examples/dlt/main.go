@@ -15,10 +15,10 @@ func main() {
 	// A small heterogeneous platform: fast workers on slow links and
 	// vice versa (the interesting DLT regime).
 	star := &repro.Star{Workers: []repro.Worker{
-		{Name: "itanium", Compute: 0.8, Link: 0.02},
-		{Name: "xeon", Compute: 1.0, Link: 0.08},
-		{Name: "athlon-a", Compute: 1.3, Link: 0.40},
-		{Name: "athlon-b", Compute: 1.3, Link: 0.40},
+		{Compute: 0.8, Link: 0.02}, // itanium
+		{Compute: 1.0, Link: 0.08}, // xeon
+		{Compute: 1.3, Link: 0.40}, // athlon-a
+		{Compute: 1.3, Link: 0.40}, // athlon-b
 	}}
 	const W = 10000.0 // total load units
 

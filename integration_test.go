@@ -47,14 +47,15 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 }
 
 func TestDeterminismFig2(t *testing.T) {
-	run := func() []Fig2Point {
-		pts, err := Fig2Series(Fig2Config{M: 32, Ns: []int{20}, Seed: 9, Reps: 2, Parallel: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pts
+	cfg := Fig2Config{M: 32, Ns: []int{20}, Seed: 9, Reps: 2, Parallel: true}
+	a, err := Fig2Series(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := run(), run()
+	b, err := Fig2Series(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a[0].CmaxRatio != b[0].CmaxRatio || a[0].WCRatio != b[0].WCRatio {
 		t.Fatalf("Fig2 not deterministic: %+v vs %+v", a[0], b[0])
 	}
@@ -94,7 +95,7 @@ func TestFullPipelineCIMENTGrid(t *testing.T) {
 		}
 		members = append(members, GridMember{Cluster: cl, Policy: EASY, Local: jobs})
 	}
-	bags := []*Bag{{ID: 0, Runs: 300, RunTime: 45, Name: "it"}}
+	bags := []*Bag{{ID: 0, Runs: 300, RunTime: 45}}
 	grid, err := NewCentralizedGrid(members, bags, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,6 @@ import (
 	"repro/internal/runtrace"
 	"repro/internal/scenario"
 	"repro/internal/store"
-	"repro/internal/trace"
 )
 
 // terminalPayload is the opaque Terminal blob the store keeps for a
@@ -34,19 +33,18 @@ type terminalPayload struct {
 }
 
 // resultRec persists a scenario.Result. Form picks the rebuild path:
-// "cells" (typed cells re-render the table), "rows" (pre-rendered
-// string rows), or "custom" (captured text output of a figure).
+// "cells" (typed cells re-render the table) or "custom" (captured text
+// output of a figure).
 type resultRec struct {
-	Form    string     `json:"form"`
-	SpecID  string     `json:"spec_id,omitempty"`
-	Kind    string     `json:"kind,omitempty"`
-	Seed    uint64     `json:"seed"`
-	Title   string     `json:"title,omitempty"`
-	Headers []string   `json:"headers,omitempty"`
-	Axes    int        `json:"axes,omitempty"`
-	Cells   []cellRec  `json:"cells,omitempty"`
-	Rows    [][]string `json:"rows,omitempty"`
-	Text    string     `json:"text,omitempty"`
+	Form    string    `json:"form"`
+	SpecID  string    `json:"spec_id,omitempty"`
+	Kind    string    `json:"kind,omitempty"`
+	Seed    uint64    `json:"seed"`
+	Title   string    `json:"title,omitempty"`
+	Headers []string  `json:"headers,omitempty"`
+	Axes    int       `json:"axes,omitempty"`
+	Cells   []cellRec `json:"cells,omitempty"`
+	Text    string    `json:"text,omitempty"`
 }
 
 // cellRec is one typed result cell, values wrapped in the tagged Value
@@ -90,8 +88,7 @@ func encodeResult(res *scenario.Result) (*resultRec, error) {
 		SpecID: res.SpecID, Kind: res.Kind, Seed: res.Seed,
 		Title: res.Title, Headers: res.Headers, Axes: res.Axes,
 	}
-	switch {
-	case res.Cells != nil:
+	if res.Table != nil {
 		rr.Form = "cells"
 		rr.Cells = make([]cellRec, len(res.Cells))
 		for i, c := range res.Cells {
@@ -105,23 +102,20 @@ func encodeResult(res *scenario.Result) (*resultRec, error) {
 			}
 			rr.Cells[i] = cellRec{Index: c.Index, Values: vals, Duration: c.Duration}
 		}
-	case res.Table != nil:
-		rr.Form = "rows"
-		rr.Rows = res.Table.Rows
-	default:
-		// Custom renderer (figures): capture its text once; the render
-		// is deterministic, so the capture is the output.
-		rr.Form = "custom"
-		var buf bytes.Buffer
-		if err := res.EmitFormat(&buf, "text"); err != nil {
-			return nil, err
-		}
-		rr.Text = buf.String()
+		return rr, nil
 	}
+	// Custom renderer (figures): capture its text once; the render is
+	// deterministic, so the capture is the output.
+	rr.Form = "custom"
+	var buf bytes.Buffer
+	if err := res.EmitFormat(&buf, "text"); err != nil {
+		return nil, err
+	}
+	rr.Text = buf.String()
 	return rr, nil
 }
 
-func decodeResult(rr *resultRec, opt scenario.RunOptions) (*scenario.Result, error) {
+func decodeResult(rr *resultRec) (*scenario.Result, error) {
 	var res *scenario.Result
 	switch rr.Form {
 	case "cells":
@@ -140,8 +134,6 @@ func decodeResult(rr *resultRec, opt scenario.RunOptions) (*scenario.Result, err
 		// NewCellResult re-renders the text table from the typed cells —
 		// byte-identical because the Value codec round-trips exactly.
 		res = scenario.NewCellResult(rr.Title, rr.Headers, rr.Axes, cells)
-	case "rows":
-		res = scenario.TableResult(&trace.Table{Title: rr.Title, Headers: rr.Headers, Rows: rr.Rows})
 	case "custom":
 		text := rr.Text
 		res = scenario.CustomResult(func(w io.Writer) error {
@@ -153,7 +145,6 @@ func decodeResult(rr *resultRec, opt scenario.RunOptions) (*scenario.Result, err
 		return nil, fmt.Errorf("api: unknown persisted result form %q", rr.Form)
 	}
 	res.SpecID, res.Kind, res.Seed, res.Axes = rr.SpecID, rr.Kind, rr.Seed, rr.Axes
-	res.Options = opt
 	return res, nil
 }
 
@@ -168,7 +159,7 @@ func applyTerminal(r *Run, payload json.RawMessage) error {
 	r.timings = p.Timings
 	r.cellsDone, r.cellsTotal = p.CellsDone, p.CellsTotal
 	if p.Result != nil {
-		res, err := decodeResult(p.Result, r.opt)
+		res, err := decodeResult(p.Result)
 		if err != nil {
 			return err
 		}

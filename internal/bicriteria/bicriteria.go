@@ -24,7 +24,6 @@ import (
 
 // Batch reports one doubling batch (for traces and experiments).
 type Batch struct {
-	Index    int
 	Deadline float64 // the 2^i·d deadline driving selection
 	Start    float64
 	End      float64
@@ -61,9 +60,6 @@ type Options struct {
 	// minimal execution time among the jobs (the natural starting scale;
 	// see the ablation on this choice).
 	InitialDeadline float64
-	// Rho is the performance ratio of the deadline procedure (3/2 for
-	// the MRT construction; exposed for the theoretical 4ρ checks).
-	Rho float64
 }
 
 // Schedule runs the doubling-batches bi-criteria algorithm on m
@@ -89,9 +85,6 @@ func Schedule(jobs []*workload.Job, m int, opt Options) (*Result, error) {
 	}
 	if d := opt.InitialDeadline; d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
 		return nil, fmt.Errorf("bicriteria: initial deadline %v is not a finite non-negative time", d)
-	}
-	if math.IsNaN(opt.Rho) {
-		return nil, fmt.Errorf("bicriteria: performance ratio ρ is NaN")
 	}
 	// The one cost build; the bounds read it in the caller's job order.
 	costs := workload.Costs(jobs, m)
@@ -150,7 +143,7 @@ func Schedule(jobs []*workload.Job, m int, opt Options) (*Result, error) {
 		clock    float64
 		released int
 	)
-	for batchIdx := 0; len(pending) > 0; {
+	for len(pending) > 0 {
 		// The clock never moves back, so the released prefix only grows.
 		for released < len(costs) && costs[released].Job.Release <= clock+1e-12 {
 			released++
@@ -196,10 +189,9 @@ func Schedule(jobs []*workload.Job, m int, opt Options) (*Result, error) {
 		}
 		end := bs.Makespan()
 		res.Batches = append(res.Batches, Batch{
-			Index: batchIdx, Deadline: deadline, Start: clock, End: end,
+			Deadline: deadline, Start: clock, End: end,
 			JobCount: n,
 		})
-		batchIdx++
 		// Remove the scheduled jobs from pending, keeping its order.
 		kept := admitted[0]
 		for i, next := admitted[0], 0; i < len(pending); i++ {

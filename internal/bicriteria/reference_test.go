@@ -25,9 +25,6 @@ func referenceSchedule(jobs []*workload.Job, m int, opt Options) (*Result, error
 	if m <= 0 {
 		return nil, fmt.Errorf("bicriteria: %d processors", m)
 	}
-	if opt.Rho == 0 {
-		opt.Rho = moldable.Rho
-	}
 	res := &Result{
 		Schedule: sched.New(m),
 		CmaxLB:   lowerbound.Cmax(jobs, m),
@@ -63,7 +60,6 @@ func referenceSchedule(jobs []*workload.Job, m int, opt Options) (*Result, error
 
 	clock := 0.0
 	deadline := d
-	batchIdx := 0
 	released := 0
 	taken := make([]bool, len(pending))
 	for len(pending) > 0 {
@@ -91,10 +87,9 @@ func referenceSchedule(jobs []*workload.Job, m int, opt Options) (*Result, error
 		}
 		end := shifted.Makespan()
 		res.Batches = append(res.Batches, Batch{
-			Index: batchIdx, Deadline: deadline, Start: clock, End: end,
+			Deadline: deadline, Start: clock, End: end,
 			JobCount: len(selected),
 		})
-		batchIdx++
 		// Remove the scheduled jobs from pending, keeping its order.
 		for _, i := range selected {
 			taken[i] = true

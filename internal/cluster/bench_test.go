@@ -81,7 +81,7 @@ func BenchmarkClusterSimEASY(b *testing.B) {
 			b.Fatal(err)
 		}
 		for k := 0; k < 400; k++ {
-			s.SubmitBestEffort(BETask{BagID: 0, Index: k, Duration: rng.Range(5, 50)})
+			s.SubmitBestEffort(BETask{BagID: 0, Duration: rng.Range(5, 50)})
 		}
 		clock := 0.0
 		for k := 0; k < 150; k++ {

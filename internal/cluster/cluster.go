@@ -45,7 +45,6 @@ type Decision struct {
 // on unchanged.
 type View struct {
 	Now   float64
-	M     int
 	Avail int
 	Speed float64
 	Queue []*workload.Job // submission order
@@ -131,7 +130,6 @@ func ParseKillPolicy(name string) (KillPolicy, error) {
 // BETask is one elementary run of a multi-parametric grid campaign.
 type BETask struct {
 	BagID    int
-	Index    int
 	Duration float64 // at reference speed 1.0
 	// Resubmits counts how many times this task has been killed and
 	// handed back for redistribution (killOneBE increments it before the
@@ -569,7 +567,7 @@ func (s *Sim) reschedule() {
 	scratch := s.decisions
 	s.decisions = nil
 	view := View{
-		Now: now, M: s.M, Avail: s.avail - s.localProcs, Speed: s.Speed,
+		Now: now, Avail: s.avail - s.localProcs, Speed: s.Speed,
 		Queue: s.queue, Profile: s.profile, Plan: &s.plan, Index: &s.index, Scratch: scratch,
 	}
 	decisions := s.policy.Decide(view)
@@ -1033,21 +1031,12 @@ func (s *Sim) Queued() []*workload.Job {
 	return append([]*workload.Job(nil), s.queue...)
 }
 
-// RunningSnapshot describes one running local job to external observers
-// (the gridd /queue endpoint).
-type RunningSnapshot struct {
-	Job   *workload.Job
-	Procs int
-	Start float64
-	End   float64
-}
-
-// Running returns a snapshot of the currently running local jobs in
-// start order.
-func (s *Sim) Running() []RunningSnapshot {
-	out := make([]RunningSnapshot, 0, len(s.running))
+// Running returns the currently running local jobs in start order (the
+// gridd /queue endpoint).
+func (s *Sim) Running() []*workload.Job {
+	out := make([]*workload.Job, 0, len(s.running))
 	for _, r := range s.running {
-		out = append(out, RunningSnapshot{Job: r.job, Procs: r.procs, Start: r.start, End: r.end})
+		out = append(out, r.job)
 	}
 	return out
 }

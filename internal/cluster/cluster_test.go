@@ -165,7 +165,7 @@ func TestBestEffortFillsAndIsKilled(t *testing.T) {
 	// Grid tasks available from the start; a local job arrives at t=5
 	// needing the whole machine → running BE tasks must die.
 	for i := 0; i < 4; i++ {
-		s.SubmitBestEffort(BETask{BagID: 1, Index: i, Duration: 100})
+		s.SubmitBestEffort(BETask{BagID: 1, Duration: 100})
 	}
 	if err := s.Submit(rjob(1, 10, 4, 5)); err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestBestEffortCompletesInHoles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SubmitBestEffort(BETask{BagID: 1, Index: 0, Duration: 3})
+	s.SubmitBestEffort(BETask{BagID: 1, Duration: 3})
 	if err := s.Submit(rjob(1, 10, 2, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -221,8 +221,8 @@ func TestKillNewestVsLargest(t *testing.T) {
 		}
 		// Long task starts first, short second; local 1-proc job at t=1
 		// forces one kill.
-		s.SubmitBestEffort(BETask{BagID: 0, Index: 0, Duration: 100})
-		s.SubmitBestEffort(BETask{BagID: 0, Index: 1, Duration: 2})
+		s.SubmitBestEffort(BETask{BagID: 0, Duration: 100})
+		s.SubmitBestEffort(BETask{BagID: 0, Duration: 2})
 		if err := s.Submit(rjob(1, 5, 1, 1)); err != nil {
 			t.Fatal(err)
 		}
@@ -379,7 +379,7 @@ func TestBestEffortNonInterferenceProperty(t *testing.T) {
 			}
 			if withBE {
 				for i := 0; i < 30; i++ {
-					s.SubmitBestEffort(BETask{BagID: 9, Index: i, Duration: rng.Range(1, 20)})
+					s.SubmitBestEffort(BETask{BagID: 9, Duration: rng.Range(1, 20)})
 				}
 			}
 			for _, j := range jobs {

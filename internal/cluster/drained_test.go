@@ -89,7 +89,7 @@ func TestQueuedAndRunningSnapshots(t *testing.T) {
 	}
 	running := s.Running()
 	queued := s.Queued()
-	if len(running) != 1 || running[0].Job.ID != 0 || running[0].Procs != 2 {
+	if len(running) != 1 || running[0].ID != 0 {
 		t.Fatalf("running snapshot: %+v", running)
 	}
 	if len(queued) != 1 || queued[0].ID != 1 {

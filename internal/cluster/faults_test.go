@@ -200,7 +200,7 @@ func TestCrashValidation(t *testing.T) {
 }
 
 // beKillOrder runs one loaded best-effort scenario and records the
-// eviction order (bag index and resubmit generation of each victim).
+// eviction order (task number and resubmit generation of each victim).
 func beKillOrder(t *testing.T, kill KillPolicy, seed uint64) []string {
 	t.Helper()
 	s, err := New(des.New(), 8, 1, EASYPolicy{}, kill)
@@ -209,7 +209,7 @@ func beKillOrder(t *testing.T, kill KillPolicy, seed uint64) []string {
 	}
 	var order []string
 	s.OnBEKilled = func(bt BETask) {
-		order = append(order, fmt.Sprintf("%d.%d", bt.Index, bt.Resubmits))
+		order = append(order, fmt.Sprintf("%d.%d", bt.BagID, bt.Resubmits))
 		s.SubmitBestEffort(bt) // drift back, so tasks can die repeatedly
 	}
 	rng := stats.NewRNG(seed)
@@ -218,7 +218,7 @@ func beKillOrder(t *testing.T, kill KillPolicy, seed uint64) []string {
 		if k%4 == 0 {
 			dur = 50 // deliberate ties: equal remaining work across victims
 		}
-		s.SubmitBestEffort(BETask{BagID: 0, Index: k, Duration: dur})
+		s.SubmitBestEffort(BETask{BagID: k, Duration: dur})
 	}
 	for i := 0; i < 12; i++ {
 		if err := s.Submit(rjob(i+1, 30, 4, float64(10*i))); err != nil {
@@ -270,7 +270,7 @@ func TestRedistributedCounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.OnBEKilled = func(bt BETask) { s.SubmitBestEffort(bt) }
-	s.SubmitBestEffort(BETask{BagID: 0, Index: 0, Duration: 100})
+	s.SubmitBestEffort(BETask{BagID: 0, Duration: 100})
 	if err := s.Submit(rjob(1, 10, 4, 5)); err != nil { // evicts the task at t=5
 		t.Fatal(err)
 	}

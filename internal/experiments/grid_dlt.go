@@ -139,7 +139,7 @@ func cigriRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, e
 				}
 				return gridResult{flowIso: metrics.MeanFlow(iso)}, nil
 			}
-			bags := []*workload.Bag{{ID: 0, Runs: runs, RunTime: runTime, Name: "campaign"}}
+			bags := []*workload.Bag{{ID: 0, Runs: runs, RunTime: runTime}}
 			g, err := grid.NewCentralized(members, bags, cluster.KillNewest)
 			if err != nil {
 				return gridResult{}, err

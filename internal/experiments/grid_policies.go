@@ -145,7 +145,7 @@ func gridRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, er
 		router := entry.New(ropt)
 		var bags []*workload.Bag
 		if tasks > 0 {
-			bags = []*workload.Bag{{ID: 0, Runs: tasks, RunTime: runTime, Name: "campaign"}}
+			bags = []*workload.Bag{{ID: 0, Runs: tasks, RunTime: runTime}}
 		}
 		r, err := grid.NewRouted(gridMembers(clusters, queue.NewPolicy), cloneJobSlice(jobs), bags, router,
 			grid.RoutedOptions{ExchangePeriod: period}, kill)

@@ -26,15 +26,6 @@ import (
 // aliases keep the one definition and its strict JSON codec).
 type Plan = scenario.Faults
 
-// Outage is one scheduled capacity-loss window.
-type Outage = scenario.Outage
-
-// AvailStep is one step of an availability trace.
-type AvailStep = scenario.AvailStep
-
-// PartitionWindow cuts clusters off the broker for a window.
-type PartitionWindow = scenario.PartitionWindow
-
 // minChurnGap floors the exponential draws so a pathological RNG streak
 // cannot schedule unbounded events into one instant.
 const minChurnGap = 1e-9

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/lowerbound"
+	"repro/internal/scenario"
 	"repro/internal/workload"
 )
 
@@ -29,13 +30,13 @@ func newSim(t *testing.T, m int) *cluster.Sim {
 
 func TestAttachValidates(t *testing.T) {
 	bad := []Plan{
-		{},                                       // empty plan
-		{MTBF: -1},                               // negative
-		{MTTR: 5},                                // MTTR without MTBF
-		{Outages: []Outage{{Start: 5, End: 5}}},  // empty window
-		{Outages: []Outage{{Start: -1, End: 5}}}, // negative start
-		{Trace: []AvailStep{{Time: 10, Avail: 4}, {Time: 5, Avail: 8}}}, // backwards
-		{Partitions: []PartitionWindow{{Start: 0, End: 10}}},            // no clusters
+		{},         // empty plan
+		{MTBF: -1}, // negative
+		{MTTR: 5},  // MTTR without MTBF
+		{Outages: []scenario.Outage{{Start: 5, End: 5}}},                         // empty window
+		{Outages: []scenario.Outage{{Start: -1, End: 5}}},                        // negative start
+		{Trace: []scenario.AvailStep{{Time: 10, Avail: 4}, {Time: 5, Avail: 8}}}, // backwards
+		{Partitions: []scenario.PartitionWindow{{Start: 0, End: 10}}},            // no clusters
 	}
 	for i, p := range bad {
 		if _, err := Attach(newSim(t, 8), p); err == nil {
@@ -138,8 +139,8 @@ func TestMaxCrashes(t *testing.T) {
 // TestOutagesAndTrace: scheduled windows fire as ordinary DES events.
 func TestOutagesAndTrace(t *testing.T) {
 	p := Plan{
-		Outages: []Outage{{Start: 10, End: 30, Procs: 4}},
-		Trace:   []AvailStep{{Time: 50, Avail: 2}, {Time: 60, Avail: 8}},
+		Outages: []scenario.Outage{{Start: 10, End: 30, Procs: 4}},
+		Trace:   []scenario.AvailStep{{Time: 50, Avail: 2}, {Time: 60, Avail: 8}},
 	}
 	s := runPlan(t, p, 20)
 	fs := s.FaultStats()
@@ -166,16 +167,16 @@ func TestAvgAvailabilityExact(t *testing.T) {
 	}{
 		{"empty", Plan{}, 100, 1},
 		{"churn steady state", Plan{MTBF: 100, MTTR: 10, CrashProcs: 2}, 1000, 1 - (2.0*10/100)/10},
-		{"outage half horizon", Plan{Outages: []Outage{{Start: 0, End: 50, Procs: 10}}}, 100, 0.5},
-		{"outage clipped", Plan{Outages: []Outage{{Start: 50, End: 1e9, Procs: 5}}}, 100, 0.75},
-		{"trace tail", Plan{Trace: []AvailStep{{Time: 50, Avail: 5}}}, 100, 1 - 0.25},
+		{"outage half horizon", Plan{Outages: []scenario.Outage{{Start: 0, End: 50, Procs: 10}}}, 100, 0.5},
+		{"outage clipped", Plan{Outages: []scenario.Outage{{Start: 50, End: 1e9, Procs: 5}}}, 100, 0.75},
+		{"trace tail", Plan{Trace: []scenario.AvailStep{{Time: 50, Avail: 5}}}, 100, 1 - 0.25},
 	}
 	for _, tc := range cases {
 		if got := AvgAvailability(tc.plan, m, tc.horizon); math.Abs(got-tc.want) > 1e-12 {
 			t.Errorf("%s: availability = %v, want %v", tc.name, got, tc.want)
 		}
 	}
-	if got := AvgAvailability(Plan{Outages: []Outage{{Start: 0, End: 100}}}, m, 100); got != 1e-3 {
+	if got := AvgAvailability(Plan{Outages: []scenario.Outage{{Start: 0, End: 100}}}, m, 100); got != 1e-3 {
 		t.Errorf("total blackout availability = %v, want the 1e-3 floor", got)
 	}
 }
@@ -190,7 +191,7 @@ func TestPredictCmaxLowerBound(t *testing.T) {
 	plans := []Plan{
 		{},
 		{MTBF: 40, MTTR: 15, CrashProcs: 4, Seed: 5},
-		{Outages: []Outage{{Start: 20, End: 200, Procs: 4}}},
+		{Outages: []scenario.Outage{{Start: 20, End: 200, Procs: 4}}},
 	}
 	healthy := lowerbound.Cmax(jobs, 8)
 	for i, p := range plans {

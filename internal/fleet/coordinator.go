@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"sync"
@@ -18,11 +17,6 @@ type Config struct {
 	// TTL is the lease time budget: a lease not heartbeated within it
 	// requeues its unfinished cells. Default 15s.
 	TTL time.Duration
-	// AffinityBlock is the consistent-hash bucket width: cells of one
-	// fan-out are hashed to workers in blocks of this many adjacent
-	// indices, so a worker that warmed a spec's workload keeps getting
-	// neighbouring cells. Default 4.
-	AffinityBlock int
 	// RetainRuns bounds how many idle (no outstanding cells) run
 	// records — contributor sets, spec payloads — the coordinator
 	// keeps for the RunStatus workers field. Default 128.
@@ -38,9 +32,6 @@ const maxBatch = 16
 func (c Config) fill() Config {
 	if c.TTL <= 0 {
 		c.TTL = 15 * time.Second
-	}
-	if c.AffinityBlock <= 0 {
-		c.AffinityBlock = 4
 	}
 	if c.RetainRuns <= 0 {
 		c.RetainRuns = 128
@@ -80,7 +71,6 @@ type outcome struct {
 // runState is the coordinator's record of one distributed run.
 type runState struct {
 	id           string
-	specID       string
 	spec         []byte
 	seed         uint64
 	jobFactor    int
@@ -249,7 +239,7 @@ func (c *Coordinator) Dispatcher(runID string, spec *scenario.Spec, seed uint64,
 		return nil, fmt.Errorf("fleet: run %s already registered", runID)
 	}
 	rs := &runState{
-		id: runID, specID: spec.ID, spec: b, seed: seed, jobFactor: jobFactor,
+		id: runID, spec: b, seed: seed, jobFactor: jobFactor,
 		tasks: map[CellRef]*task{}, contributors: map[string]struct{}{},
 	}
 	c.runs[runID] = rs
@@ -426,7 +416,7 @@ func (c *Coordinator) LeaseCells(ctx context.Context, req LeaseRequest) (*Lease,
 			return nil, ErrClosed
 		}
 		w := c.touchLocked(req.WorkerID, req.Build)
-		if batch := c.pickLocked(w, max); len(batch) > 0 {
+		if batch := c.pickLocked(max); len(batch) > 0 {
 			out := c.grantLocked(w, batch)
 			c.mu.Unlock()
 			return out, nil
@@ -461,75 +451,24 @@ func (c *Coordinator) touchLocked(id string, build BuildInfo) *workerInfo {
 }
 
 // aliveWindow is how long after its last contact a worker still counts
-// for affinity hashing.
+// as alive in the fleet view.
 func (c *Coordinator) aliveWindow() time.Duration { return 3 * c.cfg.TTL }
 
-// preferredLocked rendezvous-hashes a cell's affinity key — (spec id,
-// fanout, cell block) — over the alive workers. Same key, same fleet:
-// same worker, so profile/workload caches get reused; a worker joining
-// or dying only remaps the keys it wins or held.
-func (c *Coordinator) preferredLocked(t *task, now time.Time) string {
-	key := t.run.specID + "|" + strconv.Itoa(t.ref.Fanout) + "|" + strconv.Itoa(t.ref.Cell/c.cfg.AffinityBlock)
-	var best string
-	var bestScore uint64
-	for id, w := range c.workers {
-		if now.Sub(w.lastSeen) > c.aliveWindow() {
-			continue
-		}
-		h := fnv.New64a()
-		h.Write([]byte(key))
-		h.Write([]byte{0})
-		h.Write([]byte(id))
-		if s := h.Sum64(); best == "" || s > bestScore || (s == bestScore && id < best) {
-			best, bestScore = id, s
-		}
-	}
-	return best
-}
-
-// pickLocked selects a batch for the worker: its oldest
-// affinity-preferred cell if any (cache reuse), else the oldest
-// pending cell outright — work conservation beats affinity. The batch
-// fills with further cells of the same run, affinity-preferred first.
-func (c *Coordinator) pickLocked(w *workerInfo, max int) []*task {
+// pickLocked selects a batch: the oldest pending cell, filled with its
+// run's next pending cells in seq order. A worker keeps nothing between
+// leases (each cell decodes its spec and runs from scratch), so which
+// worker takes a cell does not matter.
+func (c *Coordinator) pickLocked(max int) []*task {
 	if len(c.pending) == 0 {
 		return nil
 	}
-	now := time.Now()
-	var first *task
-	for _, t := range c.pending {
-		if c.preferredLocked(t, now) == w.id {
-			first = t
-			break
-		}
-	}
-	if first == nil {
-		first = c.pending[0]
-	}
+	first := c.pending[0]
 	batch := []*task{first}
-	for _, t := range c.pending {
+	for _, t := range c.pending[1:] {
 		if len(batch) >= max {
 			break
 		}
-		if t != first && t.run == first.run && c.preferredLocked(t, now) == w.id {
-			batch = append(batch, t)
-		}
-	}
-	for _, t := range c.pending {
-		if len(batch) >= max {
-			break
-		}
-		if t == first || t.run != first.run {
-			continue
-		}
-		dup := false
-		for _, b := range batch {
-			if b == t {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if t.run == first.run {
 			batch = append(batch, t)
 		}
 	}

@@ -274,40 +274,21 @@ func TestCloseUnblocksDispatchers(t *testing.T) {
 	}
 }
 
-// TestAffinityDeterministic: the rendezvous hash gives every cell block
-// exactly one preferred worker, stable across calls, and spreads blocks
-// across a fleet.
-func TestAffinityDeterministic(t *testing.T) {
-	c := NewCoordinator(Config{TTL: time.Minute, AffinityBlock: 2})
+// TestLeaseBatchIsOldestRun: a lease takes the oldest pending cell and
+// fills up with that run's next pending cells in seq order.
+func TestLeaseBatchIsOldestRun(t *testing.T) {
+	c := NewCoordinator(Config{TTL: time.Minute})
 	defer c.Close()
-	now := time.Now()
-	for _, id := range []string{"w1", "w2", "w3"} {
-		c.mu.Lock()
-		c.touchLocked(id, c.Build())
-		c.mu.Unlock()
+	a, b := &runState{}, &runState{}
+	for seq, rs := range []*runState{b, a, b, b, a, b} {
+		c.pending = append(c.pending, &task{run: rs, seq: seq})
 	}
-	rs := &runState{specID: "mrt"}
-	seen := map[string]int{}
-	for cell := range 32 {
-		tk := &task{run: rs, ref: CellRef{Fanout: 0, Cell: cell}}
-		c.mu.Lock()
-		first := c.preferredLocked(tk, now)
-		second := c.preferredLocked(tk, now)
-		c.mu.Unlock()
-		if first != second || first == "" {
-			t.Fatalf("cell %d: unstable preference %q vs %q", cell, first, second)
-		}
-		// Adjacent cells of one block share a preference (cache reuse).
-		c.mu.Lock()
-		buddy := c.preferredLocked(&task{run: rs, ref: CellRef{Fanout: 0, Cell: cell ^ 1}}, now)
-		c.mu.Unlock()
-		if buddy != first {
-			t.Fatalf("cells %d and %d of one block prefer %q vs %q", cell, cell^1, first, buddy)
-		}
-		seen[first]++
+	var got []int
+	for _, tk := range c.pickLocked(3) {
+		got = append(got, tk.seq)
 	}
-	if len(seen) < 2 {
-		t.Fatalf("all 16 blocks hashed to one worker: %v", seen)
+	if !reflect.DeepEqual(got, []int{0, 2, 3}) {
+		t.Fatalf("batch seqs %v, want [0 2 3]", got)
 	}
 }
 

@@ -131,7 +131,7 @@ type CompleteResponse struct {
 }
 
 // HeartbeatRequest extends the TTL of the listed leases (and marks the
-// worker alive for affinity).
+// worker alive).
 type HeartbeatRequest struct {
 	WorkerID string   `json:"worker_id"`
 	LeaseIDs []string `json:"lease_ids,omitempty"`
@@ -161,6 +161,6 @@ type WorkerStatus struct {
 	Expirations int       `json:"expirations,omitempty"`
 	FirstSeen   time.Time `json:"first_seen"`
 	LastSeen    time.Time `json:"last_seen"`
-	// Alive reports a recent heartbeat (within the affinity window).
+	// Alive reports contact within the last three TTLs.
 	Alive bool `json:"alive"`
 }

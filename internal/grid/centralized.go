@@ -36,8 +36,6 @@ type CentralizedStats struct {
 	TasksCompleted int
 	// TasksKilled counts kill events (a task may die several times).
 	TasksKilled int
-	// Resubmissions equals TasksKilled (every kill triggers one).
-	Resubmissions int
 	// DoneWork and WastedWork are reference-speed grid work completed /
 	// lost to kills.
 	DoneWork, WastedWork float64
@@ -51,13 +49,11 @@ type CentralizedStats struct {
 // from the shared CentralizedFill policy, the same code the live broker
 // of internal/gridservice runs against a fleet of engines.
 type Centralized struct {
-	DES      *des.Simulator
-	sims     []*cluster.Sim
-	fill     CentralizedFill
-	stock    []cluster.BETask // central queue of not-yet-placed tasks
-	inFlight int
-	stats    CentralizedStats
-	members  []Member
+	DES   *des.Simulator
+	sims  []*cluster.Sim
+	fill  CentralizedFill
+	stock []cluster.BETask // central queue of not-yet-placed tasks
+	stats CentralizedStats
 	// redistributePending coalesces the zero-delay redistribution wakeups
 	// that kills and completions trigger in bursts.
 	redistributePending bool
@@ -74,7 +70,7 @@ func NewCentralized(members []Member, bags []*workload.Bag, kill cluster.KillPol
 		nLocal += len(mb.Local)
 	}
 	sim := des.NewWithCapacity(nLocal + 64)
-	c := &Centralized{DES: sim, members: members}
+	c := &Centralized{DES: sim}
 	for i, mb := range members {
 		if err := mb.Cluster.Validate(); err != nil {
 			return nil, err
@@ -105,7 +101,7 @@ func NewCentralized(members []Member, bags []*workload.Bag, kill cluster.KillPol
 	for r := 0; r < maxRuns; r++ {
 		for _, b := range bags {
 			if r < b.Runs {
-				c.stock = append(c.stock, cluster.BETask{BagID: b.ID, Index: r, Duration: b.RunTime})
+				c.stock = append(c.stock, cluster.BETask{BagID: b.ID, Duration: b.RunTime})
 			}
 		}
 	}
@@ -130,7 +126,6 @@ func (c *Centralized) grant(i, n int) {
 	for ; n > 0 && len(c.stock) > 0; n-- {
 		t := c.stock[0]
 		c.stock = c.stock[1:]
-		c.inFlight++
 		c.sims[i].SubmitBestEffort(t)
 	}
 }
@@ -138,9 +133,7 @@ func (c *Centralized) grant(i, n int) {
 // requeue returns a killed task to the central stock ("the central
 // server then has to submit it once again", §5.2).
 func (c *Centralized) requeue(t cluster.BETask) {
-	c.inFlight--
 	c.stats.TasksKilled++
-	c.stats.Resubmissions++
 	c.stock = append(c.stock, t)
 	// Another cluster may have room right now.
 	c.scheduleRedistribute()
@@ -160,7 +153,6 @@ func (c *Centralized) scheduleRedistribute() {
 }
 
 func (c *Centralized) taskDone(t cluster.BETask) {
-	c.inFlight--
 	c.stats.TasksCompleted++
 	c.stats.DoneWork += t.Duration
 	if now := c.DES.Now(); now > c.stats.GridMakespan {

@@ -12,15 +12,12 @@ import (
 // Protocol selects who initiates a work transfer.
 type Protocol int
 
-const (
-	// Push is sender-initiated: the most loaded cluster offloads to the
-	// least loaded when the imbalance exceeds the threshold.
-	Push Protocol = iota
-	// Pull is receiver-initiated (work stealing, in the spirit of the
-	// paper's [3]): clusters with an empty queue and free processors
-	// steal from the most loaded cluster regardless of the ratio.
-	Pull
-)
+// Pull is receiver-initiated (work stealing, in the spirit of the
+// paper's [3]): clusters with an empty queue and free processors steal
+// from the most loaded cluster regardless of the ratio. The zero
+// Protocol is sender-initiated push: the most loaded cluster offloads to
+// the least loaded when the imbalance exceeds the threshold.
+const Pull Protocol = 1
 
 // DecentralizedOptions tunes the load-exchange protocol.
 type DecentralizedOptions struct {
@@ -31,10 +28,7 @@ type DecentralizedOptions struct {
 	Threshold float64
 	// MaxMove caps jobs moved per exchange round per pair.
 	MaxMove int
-	// Horizon stops the periodic exchange (safety; 0 = run until all
-	// local work done, with the exchange rearmed only while jobs wait).
-	Horizon float64
-	// Protocol selects sender-initiated (Push, default) or
+	// Protocol selects sender-initiated (push, the zero value) or
 	// receiver-initiated (Pull) transfers.
 	Protocol Protocol
 }
@@ -55,7 +49,6 @@ func (o DecentralizedOptions) fill() DecentralizedOptions {
 // DecentralizedStats reports an exchange run.
 type DecentralizedStats struct {
 	Migrations int
-	Rounds     int
 }
 
 // Decentralized simulates the §5.2 decentralized vision: every job is
@@ -68,7 +61,6 @@ type Decentralized struct {
 	sims  []*cluster.Sim
 	opt   DecentralizedOptions
 	stats DecentralizedStats
-	done  bool
 }
 
 // NewDecentralized wires the members; exchange starts at t=Period.
@@ -100,7 +92,6 @@ func NewDecentralized(members []Member, opt DecentralizedOptions, kill cluster.K
 
 // exchange runs one balancing round and re-arms itself while work waits.
 func (d *Decentralized) exchange() {
-	d.stats.Rounds++
 	// Normalized load: queued work / (procs × speed) — time to drain.
 	load := make([]float64, len(d.sims))
 	for i, cs := range d.sims {
@@ -138,12 +129,8 @@ func (d *Decentralized) exchange() {
 	// Re-arm while the grid is still alive: our own event has already
 	// been popped, so a non-empty DES queue means arrivals or
 	// completions are still outstanding somewhere.
-	next := d.DES.Now() + d.opt.Period
-	if d.opt.Horizon > 0 && next > d.opt.Horizon {
-		return
-	}
 	if d.DES.Pending() > 0 {
-		_ = d.DES.At(next, d.exchange)
+		_ = d.DES.At(d.DES.Now()+d.opt.Period, d.exchange)
 	}
 }
 
@@ -174,20 +161,11 @@ func (d *Decentralized) moveOne(src, dst int, load []float64) bool {
 
 // Run drives the grid to completion.
 func (d *Decentralized) Run() error {
-	if err := d.DES.Run(); err != nil {
-		return err
-	}
-	d.done = true
-	return nil
+	return d.DES.Run()
 }
 
 // Stats returns exchange statistics (valid after Run).
 func (d *Decentralized) Stats() DecentralizedStats { return d.stats }
-
-// LocalCompletions returns cluster i's completion records.
-func (d *Decentralized) LocalCompletions(i int) []metrics.Completion {
-	return d.sims[i].Completions()
-}
 
 // AllCompletions merges every cluster's records.
 func (d *Decentralized) AllCompletions() []metrics.Completion {

@@ -11,6 +11,11 @@ import (
 	"repro/internal/workload"
 )
 
+// LocalCompletions returns cluster i's completion records.
+func (d *Decentralized) LocalCompletions(i int) []metrics.Completion {
+	return d.sims[i].Completions()
+}
+
 func rjob(id int, dur float64, procs int, release float64) *workload.Job {
 	return &workload.Job{
 		ID: id, Kind: workload.Rigid, Weight: 1, DueDate: -1, Release: release,
@@ -39,8 +44,8 @@ func TestCentralizedCompletesAllGridTasks(t *testing.T) {
 		{rjob(2, 5, 4, 0)},
 	})
 	bags := []*workload.Bag{
-		{ID: 0, Runs: 30, RunTime: 2, Name: "bag0"},
-		{ID: 1, Runs: 10, RunTime: 1, Name: "bag1"},
+		{ID: 0, Runs: 30, RunTime: 2},
+		{ID: 1, Runs: 10, RunTime: 1},
 	}
 	g, err := NewCentralized(members, bags, cluster.KillNewest)
 	if err != nil {
@@ -72,7 +77,7 @@ func TestCentralizedLocalJobsUndisturbed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bags := []*workload.Bag{{ID: 0, Runs: 200, RunTime: 3, Name: "bag"}}
+	bags := []*workload.Bag{{ID: 0, Runs: 200, RunTime: 3}}
 	g, err := NewCentralized(smallMembers(local), bags, cluster.KillNewest)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +109,7 @@ func TestCentralizedLocalJobsUndisturbed(t *testing.T) {
 
 func TestCentralizedWastedWorkAccounting(t *testing.T) {
 	local := [][]*workload.Job{{rjob(1, 10, 4, 5)}}
-	bags := []*workload.Bag{{ID: 0, Runs: 4, RunTime: 100, Name: "long"}}
+	bags := []*workload.Bag{{ID: 0, Runs: 4, RunTime: 100}}
 	g, err := NewCentralized(smallMembers(local[:1]), bags, cluster.KillNewest)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +146,7 @@ func TestCentralizedOnCIMENT(t *testing.T) {
 		}
 		members = append(members, Member{Cluster: cl, Policy: cluster.EASYPolicy{}, Local: jobs})
 	}
-	bags := []*workload.Bag{{ID: 0, Runs: 500, RunTime: 30, Name: "param"}}
+	bags := []*workload.Bag{{ID: 0, Runs: 500, RunTime: 30}}
 	g, err := NewCentralized(members, bags, cluster.KillNewest)
 	if err != nil {
 		t.Fatal(err)
@@ -355,7 +360,7 @@ func TestCentralizedApproachesSteadyStateBound(t *testing.T) {
 		members = append(members, Member{Cluster: cl, Policy: cluster.EASYPolicy{}})
 	}
 	const runs, runTime = 20000, 50.0
-	bags := []*workload.Bag{{ID: 0, Runs: runs, RunTime: runTime, Name: "big"}}
+	bags := []*workload.Bag{{ID: 0, Runs: runs, RunTime: runTime}}
 	gr, err := NewCentralized(members, bags, cluster.KillNewest)
 	if err != nil {
 		t.Fatal(err)

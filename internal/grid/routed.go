@@ -12,8 +12,6 @@ import (
 
 // RoutedOptions tunes the offline routed-grid simulation.
 type RoutedOptions struct {
-	// Router options (seed, exchange threshold, max moves per round).
-	Router RouterOptions
 	// ExchangePeriod is the interval of the Moves rounds (virtual
 	// seconds; default 60, ignored for routers that never move jobs).
 	ExchangePeriod float64
@@ -23,14 +21,13 @@ func (o RoutedOptions) fill() RoutedOptions {
 	if o.ExchangePeriod <= 0 {
 		o.ExchangePeriod = 60
 	}
-	o.Router = o.Router.fill()
 	return o
 }
 
 // RoutedStats aggregates a routed run.
 type RoutedStats struct {
-	// Routed and Rejected count local-job placements.
-	Routed, Rejected int
+	// Rejected counts local jobs no cluster could take.
+	Rejected int
 	// Migrations counts queued jobs moved by exchange rounds.
 	Migrations int
 	// Campaign accounting, mirroring CentralizedStats.
@@ -52,7 +49,6 @@ type Routed struct {
 	opt        RoutedOptions
 	stock      []cluster.BETask
 	stats      RoutedStats
-	nLocal     int
 	partitions []scenario.PartitionWindow
 
 	// OnMigrate, when set, observes every exchange-round migration: job
@@ -99,7 +95,7 @@ func NewRouted(members []Member, jobs []*workload.Job, bags []*workload.Bag, rou
 	}
 	for _, b := range bags {
 		for i := 0; i < b.Runs; i++ {
-			r.stock = append(r.stock, cluster.BETask{BagID: b.ID, Index: i, Duration: b.RunTime})
+			r.stock = append(r.stock, cluster.BETask{BagID: b.ID, Duration: b.RunTime})
 		}
 	}
 	_ = sim.At(0, r.redistribute)
@@ -154,8 +150,6 @@ func (r *Routed) place(j *workload.Job) {
 		r.stats.Rejected++
 		return
 	}
-	r.stats.Routed++
-	r.nLocal++
 }
 
 // requeue returns a killed campaign task to the stock.

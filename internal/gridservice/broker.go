@@ -552,7 +552,7 @@ func (b *Broker) SubmitCampaign(spec CampaignSpec) (Campaign, error) {
 	}
 	b.campaigns[id] = c
 	for i := 0; i < spec.Tasks; i++ {
-		b.stock = append(b.stock, cluster.BETask{BagID: id, Index: i, Duration: spec.RunTime})
+		b.stock = append(b.stock, cluster.BETask{BagID: id, Duration: spec.RunTime})
 	}
 	snap := *c
 	snap.PerCluster = append([]int(nil), c.PerCluster...)

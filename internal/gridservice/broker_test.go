@@ -90,7 +90,7 @@ func matchOffline(t *testing.T, k int, policy string) {
 			Local:   split[i],
 		})
 	}
-	bags := []*workload.Bag{{ID: 0, Runs: tasks, RunTime: runTime, Name: "campaign"}}
+	bags := []*workload.Bag{{ID: 0, Runs: tasks, RunTime: runTime}}
 	off, err := grid.NewCentralized(members, bags, cluster.KillNewest)
 	if err != nil {
 		t.Fatal(err)

@@ -75,11 +75,11 @@ func (r *ringRetention) Completions() []Completion {
 
 // discardRetention keeps nothing: the pure-streaming mode where the
 // accumulator report is the only output (archive replays).
-type discardRetention struct{ n int }
+type discardRetention struct{}
 
 // NewDiscard retains no completion records at all.
 func NewDiscard() Retention { return &discardRetention{} }
 
-func (d *discardRetention) Add(Completion)            { d.n++ }
+func (d *discardRetention) Add(Completion)            {}
 func (d *discardRetention) Len() int                  { return 0 }
 func (d *discardRetention) Completions() []Completion { return nil }

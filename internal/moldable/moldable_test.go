@@ -189,7 +189,7 @@ func TestMRTRatioOnMonotoneInstances(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r := res.Schedule.Makespan() / res.LowerBound; r > worst {
+		if r := res.Schedule.Makespan() / lowerbound.CmaxDualOf(workload.Costs(jobs, 32), 32); r > worst {
 			worst = r
 		}
 	}
@@ -334,7 +334,7 @@ func TestMRTProperty(t *testing.T) {
 			return false
 		}
 		mk := res.Schedule.Makespan()
-		return mk <= 1.5*res.Lambda*(1+1e-6) && mk >= res.LowerBound*(1-1e-6)
+		return mk <= 1.5*res.Lambda*(1+1e-6) && mk >= lowerbound.CmaxDualOf(workload.Costs(jobs, m), m)*(1-1e-6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -19,8 +19,6 @@ type Result struct {
 	// Lambda is the accepted guess: the smallest λ found whose
 	// construction fits within 3λ/2.
 	Lambda float64
-	// LowerBound is the certified makespan lower bound of the instance.
-	LowerBound float64
 	// Iterations counts binary-search steps.
 	Iterations int
 }
@@ -64,7 +62,7 @@ func search(jobs []*workload.Job, m int, eps float64, construct func([]workload.
 		eps = 0.01
 	}
 	if len(jobs) == 0 {
-		return &Result{Schedule: sched.New(m), Lambda: 0, LowerBound: 0}, nil
+		return &Result{Schedule: sched.New(m), Lambda: 0}, nil
 	}
 	costs := workload.Costs(jobs, m)
 	for i := range costs {
@@ -78,7 +76,7 @@ func search(jobs []*workload.Job, m int, eps float64, construct func([]workload.
 	}
 
 	// Find a feasible upper guess by doubling from the lower bound.
-	res := &Result{LowerBound: lb}
+	res := &Result{}
 	hi := lb
 	var hiSched *sched.Schedule
 	for i := 0; ; i++ {

@@ -24,30 +24,10 @@ type Cluster struct {
 	// Speed is the relative processor speed (reference cluster = 1.0).
 	// A job with sequential time s takes s/Speed on one processor here.
 	Speed float64
-	// Interconnect names the network ("myrinet", "gige", "eth100"). The PT
-	// model folds network cost into the per-job penalty, so this field is
-	// descriptive, but the DLT experiments derive bandwidth from it.
-	Interconnect string
 }
 
 // Procs returns the total processor count of the cluster.
 func (c *Cluster) Procs() int { return c.Nodes * c.ProcsPerNode }
-
-// Bandwidth returns an indicative link bandwidth in MB/s for the DLT
-// experiments, derived from the interconnect name. Unknown interconnects
-// get 100 MB/s.
-func (c *Cluster) Bandwidth() float64 {
-	switch c.Interconnect {
-	case "myrinet":
-		return 2000
-	case "gige":
-		return 125
-	case "eth100":
-		return 12.5
-	default:
-		return 100
-	}
-}
 
 // Validate checks structural invariants.
 func (c *Cluster) Validate() error {
@@ -100,21 +80,10 @@ func CIMENT() *Grid {
 	return &Grid{
 		Name: "CIMENT",
 		Clusters: []*Cluster{
-			{Name: "itanium", Nodes: 104, ProcsPerNode: 2, Speed: 1.3, Interconnect: "myrinet"},
-			{Name: "xeon", Nodes: 48, ProcsPerNode: 2, Speed: 1.0, Interconnect: "gige"},
-			{Name: "athlon-a", Nodes: 40, ProcsPerNode: 2, Speed: 0.8, Interconnect: "eth100"},
-			{Name: "athlon-b", Nodes: 24, ProcsPerNode: 2, Speed: 0.8, Interconnect: "eth100"},
-		},
-	}
-}
-
-// Uniform returns a single-cluster grid of m unit-speed processors — the
-// Figure 2 setting ("a cluster of 100 machines").
-func Uniform(name string, m int) *Grid {
-	return &Grid{
-		Name: name,
-		Clusters: []*Cluster{
-			{Name: name, Nodes: m, ProcsPerNode: 1, Speed: 1, Interconnect: "gige"},
+			{Name: "itanium", Nodes: 104, ProcsPerNode: 2, Speed: 1.3},
+			{Name: "xeon", Nodes: 48, ProcsPerNode: 2, Speed: 1.0},
+			{Name: "athlon-a", Nodes: 40, ProcsPerNode: 2, Speed: 0.8},
+			{Name: "athlon-b", Nodes: 24, ProcsPerNode: 2, Speed: 0.8},
 		},
 	}
 }

@@ -28,18 +28,6 @@ func TestClusterValidate(t *testing.T) {
 	}
 }
 
-func TestBandwidthOrdering(t *testing.T) {
-	my := (&Cluster{Interconnect: "myrinet"}).Bandwidth()
-	gi := (&Cluster{Interconnect: "gige"}).Bandwidth()
-	e1 := (&Cluster{Interconnect: "eth100"}).Bandwidth()
-	if !(my > gi && gi > e1) {
-		t.Fatalf("bandwidth ordering wrong: %v %v %v", my, gi, e1)
-	}
-	if (&Cluster{Interconnect: "unknown"}).Bandwidth() <= 0 {
-		t.Fatal("unknown interconnect must have positive bandwidth")
-	}
-}
-
 func TestCIMENTMatchesFigure3(t *testing.T) {
 	g := CIMENT()
 	if err := g.Validate(); err != nil {
@@ -64,16 +52,6 @@ func TestCIMENTMatchesFigure3(t *testing.T) {
 	// 216 bi-processor nodes = 432 processors.
 	if g.TotalProcs() != 432 {
 		t.Fatalf("TotalProcs = %d, want 432", g.TotalProcs())
-	}
-}
-
-func TestUniform(t *testing.T) {
-	g := Uniform("fig2", 100)
-	if g.TotalProcs() != 100 {
-		t.Fatalf("TotalProcs = %d", g.TotalProcs())
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -224,8 +224,7 @@ func (r *Recorder) Finish(cell int, label string) CellTrace {
 
 // Totals counts events by type for invariant checks and summaries.
 type Totals struct {
-	Submits, Starts, Finishes, Kills, Requeues int
-	Crashes, Repairs, Migrates                 int
+	Submits, Finishes, Kills, Migrates int
 }
 
 // Totals tallies the trace's events by type.
@@ -235,18 +234,10 @@ func (tr *CellTrace) Totals() Totals {
 		switch e.Type {
 		case EvSubmit:
 			n.Submits++
-		case EvStart:
-			n.Starts++
 		case EvFinish:
 			n.Finishes++
 		case EvKill:
 			n.Kills++
-		case EvRequeue:
-			n.Requeues++
-		case EvCrash:
-			n.Crashes++
-		case EvRepair:
-			n.Repairs++
 		case EvMigrate:
 			n.Migrates++
 		}

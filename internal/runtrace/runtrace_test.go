@@ -77,7 +77,7 @@ func TestRecorderEventSequence(t *testing.T) {
 		}
 	}
 	n := tr.Totals()
-	if n.Submits != 2 || n.Starts != 2 || n.Finishes != 2 || n.Kills != 0 {
+	if n.Submits != 2 || n.Finishes != 2 || n.Kills != 0 {
 		t.Fatalf("totals %+v", n)
 	}
 	if tr.Capacity() != 4 {
@@ -108,12 +108,21 @@ func TestRecorderCrashKillRequeue(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := rec.Finish(0, "")
-	n := tr.Totals()
-	if n.Crashes != 1 || n.Repairs != 1 {
-		t.Fatalf("crashes %d repairs %d, want 1/1", n.Crashes, n.Repairs)
+	count := func(typ runtrace.EventType) int {
+		k := 0
+		for _, e := range tr.Events {
+			if e.Type == typ {
+				k++
+			}
+		}
+		return k
 	}
-	if n.Kills != 1 || n.Requeues != 1 {
-		t.Fatalf("kills %d requeues %d, want 1/1", n.Kills, n.Requeues)
+	if c, r := count(runtrace.EvCrash), count(runtrace.EvRepair); c != 1 || r != 1 {
+		t.Fatalf("crashes %d repairs %d, want 1/1", c, r)
+	}
+	n := tr.Totals()
+	if rq := count(runtrace.EvRequeue); n.Kills != 1 || rq != 1 {
+		t.Fatalf("kills %d requeues %d, want 1/1", n.Kills, rq)
 	}
 	if n.Finishes != 1 {
 		t.Fatalf("finishes %d, want 1 (job restarts after repair)", n.Finishes)

@@ -110,11 +110,6 @@ type Result struct {
 	// Table is the text rendering of Cells, built once by the table
 	// renderer so every consumer shows byte-identical output.
 	Table *trace.Table
-	// Options echoes the fully resolved RunOptions the runner saw
-	// (Spec-pinned seed/scale merged with the invocation's), so
-	// callers can report the effective seed without re-deriving the
-	// precedence rules.
-	Options RunOptions
 	// Traces holds the per-cell event traces when the Spec's trace
 	// axis was set (cell order, one entry per cell sub-run). They ride
 	// outside the table so rendered output and goldens are unchanged.
@@ -143,34 +138,16 @@ func NewCellResult(title string, headers []string, axes int, cells []Cell) *Resu
 	}
 }
 
-// TableResult wraps a pre-rendered table as a Result (no typed cells).
-func TableResult(t *trace.Table) *Result {
-	return &Result{Table: t, Title: t.Title, Headers: t.Headers}
-}
-
 // CustomResult wraps a bespoke renderer (figures) as a Result.
 func CustomResult(render func(w io.Writer) error) *Result {
 	return &Result{render: render}
 }
 
 // CellViews returns the cells keyed by column header, split into axis
-// and metric maps. Results built from a pre-rendered table
-// (TableResult — no typed cells) fall back to the formatted row
-// strings so the machine formats never silently drop rows.
+// and metric maps.
 func (r *Result) CellViews() []CellView {
-	cells := r.Cells
-	if cells == nil && r.Table != nil {
-		cells = make([]Cell, len(r.Table.Rows))
-		for i, row := range r.Table.Rows {
-			vals := make([]any, len(row))
-			for k, c := range row {
-				vals[k] = c
-			}
-			cells[i] = Cell{Index: i, Values: vals}
-		}
-	}
-	out := make([]CellView, len(cells))
-	for i, c := range cells {
+	out := make([]CellView, len(r.Cells))
+	for i, c := range r.Cells {
 		v := CellView{Index: c.Index, DurationSeconds: c.Duration}
 		for k, val := range c.Values {
 			if k >= len(r.Headers) {
@@ -386,7 +363,6 @@ func Run(s *Spec, opt RunOptions) (res *Result, err error) {
 	}
 	res, err = runner(s, opt)
 	if res != nil {
-		res.Options = opt
 		res.SpecID, res.Kind, res.Seed = s.ID, s.Kind, opt.Seed
 	}
 	if err == nil && res != nil && s.Traced() && len(res.Traces) == 0 {

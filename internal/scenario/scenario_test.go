@@ -7,8 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/trace"
 )
 
 // encode is the Spec's canonical JSON form.
@@ -170,7 +168,7 @@ func TestRunSeedAndScaleResolution(t *testing.T) {
 		if a, b := opt.NextFanout(), opt.NextFanout(); a != 0 || b != 1 {
 			t.Errorf("fan-outs numbered %d, %d; want 0, 1", a, b)
 		}
-		return TableResult(trace.NewTable("probe", "c")), nil
+		return NewCellResult("probe", []string{"c"}, 0, nil), nil
 	})
 	seed := uint64(99)
 	spec := &Spec{ID: "probe", Kind: "probe-kind", Seed: &seed, Scale: &Scale{JobFactor: 5, Workers: 3}}
@@ -247,13 +245,12 @@ func TestCatalogHashFollowsRegistry(t *testing.T) {
 }
 
 func TestResultEmit(t *testing.T) {
-	tb := trace.NewTable("t", "a", "b")
-	tb.AddRow(1, 2.5)
+	res := NewCellResult("t", []string{"a", "b"}, 1, []Cell{{Values: []any{1, 2.5}}})
 	var aligned, csv bytes.Buffer
-	if err := TableResult(tb).Emit(&aligned, false); err != nil {
+	if err := res.Emit(&aligned, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := TableResult(tb).Emit(&csv, true); err != nil {
+	if err := res.Emit(&csv, true); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(aligned.String(), "t\n") || !strings.HasPrefix(csv.String(), "a,b\n") {
@@ -349,12 +346,12 @@ func TestCheckParamsStrictness(t *testing.T) {
 	}
 }
 
-// TestResultOptionsResolved: Run stamps the resolved options on the
+// TestRunResultOptionsResolved: Run stamps the resolved seed on the
 // Result (consumers report the effective seed without re-deriving the
 // precedence rules).
 func TestRunResultOptionsResolved(t *testing.T) {
 	RegisterKind("probe-kind3", func(s *Spec, opt RunOptions) (*Result, error) {
-		return TableResult(trace.NewTable("p", "c")), nil
+		return NewCellResult("p", []string{"c"}, 0, nil), nil
 	})
 	seed := uint64(99)
 	spec := &Spec{ID: "probe3", Kind: "probe-kind3", Seed: &seed}
@@ -362,14 +359,14 @@ func TestRunResultOptionsResolved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Options.Seed != 99 {
-		t.Fatalf("resolved seed = %d, want the spec-pinned 99", res.Options.Seed)
+	if res.Seed != 99 {
+		t.Fatalf("resolved seed = %d, want the spec-pinned 99", res.Seed)
 	}
 	res, err = Run(spec, RunOptions{Seed: 7, SeedExplicit: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Options.Seed != 7 {
-		t.Fatalf("resolved seed = %d, want the explicit 7", res.Options.Seed)
+	if res.Seed != 7 {
+		t.Fatalf("resolved seed = %d, want the explicit 7", res.Seed)
 	}
 }

@@ -302,22 +302,3 @@ func (s *Schedule) Merge(other *Schedule) error {
 	s.Allocs = append(s.Allocs, other.Allocs...)
 	return nil
 }
-
-// SortByStart orders allocations by start time (stable by job ID).
-func (s *Schedule) SortByStart() {
-	sort.Slice(s.Allocs, func(i, k int) bool {
-		if s.Allocs[i].Start != s.Allocs[k].Start {
-			return s.Allocs[i].Start < s.Allocs[k].Start
-		}
-		return s.Allocs[i].Job.ID < s.Allocs[k].Job.ID
-	})
-}
-
-// Work returns the total processor-time area of the schedule.
-func (s *Schedule) Work() float64 {
-	var w float64
-	for _, a := range s.Allocs {
-		w += float64(a.Procs) * a.EffectiveDuration()
-	}
-	return w
-}

@@ -35,9 +35,6 @@ func TestValidSchedule(t *testing.T) {
 	if got := s.Makespan(); got != 6 {
 		t.Fatalf("Makespan = %v", got)
 	}
-	if got := s.Work(); got != 8+4+8 {
-		t.Fatalf("Work = %v", got)
-	}
 }
 
 func TestValidateCapacity(t *testing.T) {
@@ -181,17 +178,6 @@ func TestShiftAndMerge(t *testing.T) {
 	bad := New(3)
 	if err := s.Merge(bad); err == nil {
 		t.Fatal("width mismatch accepted")
-	}
-}
-
-func TestSortByStart(t *testing.T) {
-	s := New(4)
-	s.Add(Alloc{Job: mold(2, 1, 2), Start: 5, Procs: 1})
-	s.Add(Alloc{Job: mold(1, 1, 2), Start: 0, Procs: 1})
-	s.Add(Alloc{Job: mold(3, 1, 2), Start: 5, Procs: 1})
-	s.SortByStart()
-	if s.Allocs[0].Job.ID != 1 || s.Allocs[1].Job.ID != 2 {
-		t.Fatal("SortByStart wrong order")
 	}
 }
 

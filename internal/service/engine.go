@@ -440,7 +440,7 @@ func (e *Engine) Queue() (QueueSnapshot, error) {
 			snap.Waiting = append(snap.Waiting, *e.jobs[id])
 		}
 		for _, r := range e.sim.Running() {
-			if rec := e.jobs[r.Job.ID]; rec != nil {
+			if rec := e.jobs[r.ID]; rec != nil {
 				snap.Running = append(snap.Running, *rec)
 			}
 		}

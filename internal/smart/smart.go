@@ -31,7 +31,6 @@ const (
 
 // shelf is one power-of-two shelf under construction.
 type shelf struct {
-	class  int // height = 2^class
 	height float64
 	width  int
 	weight float64
@@ -96,7 +95,7 @@ func Schedule(jobs []*workload.Job, m int, fill Fill) (*sched.Schedule, int, err
 			}
 		}
 		if target == nil {
-			target = &shelf{class: it.class, height: math.Pow(2, float64(it.class))}
+			target = &shelf{height: math.Pow(2, float64(it.class))}
 			shelvesByClass[it.class] = append(shelvesByClass[it.class], target)
 			shelves = append(shelves, target)
 		}

@@ -136,19 +136,6 @@ func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.NormFloat64())
 }
 
-// BoundedPareto returns a Pareto variate with index alpha truncated to
-// [lo, hi]. Heavy-tailed sizes such as multi-parametric bag run counts are
-// drawn from this.
-func (r *RNG) BoundedPareto(alpha, lo, hi float64) float64 {
-	if alpha <= 0 || lo <= 0 || hi <= lo {
-		panic("stats: BoundedPareto with invalid parameters")
-	}
-	u := r.Float64()
-	la := math.Pow(lo, alpha)
-	ha := math.Pow(hi, alpha)
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
-}
-
 // Zipf returns an integer in [1, n] with probability proportional to
 // 1/rank^s, by inverse transform over the cumulative table. The table is
 // summed left to right, exactly as a per-draw loop would, so draws are

@@ -137,16 +137,6 @@ func TestLogNormalMedian(t *testing.T) {
 	}
 }
 
-func TestBoundedParetoRange(t *testing.T) {
-	r := NewRNG(29)
-	for i := 0; i < 10000; i++ {
-		x := r.BoundedPareto(1.5, 10, 1000)
-		if x < 10-1e-9 || x > 1000+1e-9 {
-			t.Fatalf("BoundedPareto out of range: %v", x)
-		}
-	}
-}
-
 func TestZipfRange(t *testing.T) {
 	r := NewRNG(31)
 	counts := make([]int, 11)

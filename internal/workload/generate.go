@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/stats"
@@ -160,29 +159,4 @@ type Bag struct {
 	// RunTime is the duration of one elementary task (≈ identical across
 	// runs, as the paper notes).
 	RunTime float64
-	// Release is the submission time of the campaign.
-	Release float64
-	// Name tags the campaign in traces.
-	Name string
-}
-
-// TotalWork returns Runs * RunTime.
-func (b *Bag) TotalWork() float64 { return float64(b.Runs) * b.RunTime }
-
-// Bags generates multi-parametric campaigns with bounded-Pareto run counts
-// (hundreds to hundreds of thousands of runs) and short per-run times.
-func Bags(n int, seed uint64) []*Bag {
-	rng := stats.NewRNG(seed)
-	bags := make([]*Bag, n)
-	for i := range bags {
-		runs := int(rng.BoundedPareto(0.9, 200, 200000))
-		bags[i] = &Bag{
-			ID:      i,
-			Runs:    runs,
-			RunTime: rng.Range(10, 120),
-			Release: 0,
-			Name:    fmt.Sprintf("bag-%d", i),
-		}
-	}
-	return bags
 }

@@ -186,21 +186,3 @@ func TestCommunities(t *testing.T) {
 		}
 	}
 }
-
-func TestBags(t *testing.T) {
-	bags := Bags(50, 12)
-	if len(bags) != 50 {
-		t.Fatalf("got %d bags", len(bags))
-	}
-	for _, b := range bags {
-		if b.Runs < 200 || b.Runs > 200000 {
-			t.Fatalf("bag runs %d outside Pareto bounds", b.Runs)
-		}
-		if b.RunTime < 10 || b.RunTime > 120 {
-			t.Fatalf("run time %v outside [10,120]", b.RunTime)
-		}
-		if b.TotalWork() != float64(b.Runs)*b.RunTime {
-			t.Fatal("TotalWork mismatch")
-		}
-	}
-}

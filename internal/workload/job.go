@@ -168,26 +168,6 @@ func (j *Job) MinTime(m int) (t float64, procs int) {
 	return best, bestP
 }
 
-// IsMonotone reports whether, up to m processors, execution time is
-// non-increasing and work is non-decreasing in the processor count — the
-// standard "monotone task" assumption of the moldable literature.
-func (j *Job) IsMonotone(m int) bool {
-	hi := j.MaxProcs
-	if hi > m {
-		hi = m
-	}
-	const eps = 1e-9
-	for p := j.MinProcs + 1; p <= hi; p++ {
-		if j.TimeOn(p) > j.TimeOn(p-1)*(1+eps) {
-			return false
-		}
-		if j.WorkOn(p) < j.WorkOn(p-1)*(1-eps) {
-			return false
-		}
-	}
-	return true
-}
-
 // CompareRelease orders jobs by release date, then ID: submission order,
 // the queue order of the on-line algorithms (for slices.SortStableFunc).
 func CompareRelease(a, b *Job) int {

@@ -7,6 +7,26 @@ import (
 	"testing/quick"
 )
 
+// IsMonotone reports whether, up to m processors, execution time is
+// non-increasing and work is non-decreasing in the processor count — the
+// standard "monotone task" assumption of the moldable literature.
+func (j *Job) IsMonotone(m int) bool {
+	hi := j.MaxProcs
+	if hi > m {
+		hi = m
+	}
+	const eps = 1e-9
+	for p := j.MinProcs + 1; p <= hi; p++ {
+		if j.TimeOn(p) > j.TimeOn(p-1)*(1+eps) {
+			return false
+		}
+		if j.WorkOn(p) < j.WorkOn(p-1)*(1-eps) {
+			return false
+		}
+	}
+	return true
+}
+
 func testJob(seq float64, minP, maxP int, m SpeedupModel) *Job {
 	return &Job{
 		ID: 1, Kind: Moldable, Weight: 1, DueDate: -1,

@@ -2,22 +2,21 @@
 // Eyraud, Mounié and Trystram, "Models for scheduling on large scale
 // platforms: which policy for which application?" (IPDPS 2004).
 //
-// It re-exports the stable entry points of the internal packages:
+// It re-exports what the programs under examples/ call:
 //
 //   - application profiling and policy selection (the paper's title
 //     question) — Profile, Recommend, Run;
-//   - workload generation — GenConfig, Sequential, Parallel, Mixed,
-//     Communities, Bags;
-//   - platforms — CIMENT (Figure 3), Uniform (Figure 2's 100 machines);
-//   - the §4 algorithm stack under their own names via the internal
-//     packages (moldable.MRT, batch.OnlineMoldable, smart.Schedule,
-//     bicriteria.Schedule) for callers who want a specific algorithm
-//     rather than the recommendation;
-//   - divisible load (§2.1) — Star, SingleRound, MultiRound,
+//   - workload generation — GenConfig, ParallelJobs, CommunityJobs;
+//   - lower bounds — CmaxLowerBound, WeightedCompletionLowerBound;
+//   - Figure 2 — Fig2Config, Fig2Series, WriteFig2;
+//   - divisible load (§2.1) — Star, Worker, SingleRound, MultiRound,
 //     SelfSchedule, SteadyStateThroughput;
-//   - grid designs (§5.2) — Member, NewCentralized, NewDecentralized.
+//   - the CiGri grid (§5.2) — CIMENT, CIMENTCommunities, GridMember,
+//     Bag, EASY, NewCentralizedGrid.
 //
-// See the examples/ directory for end-to-end usage.
+// The §4 algorithm stack lives under its own names in the internal
+// packages (moldable.MRT, batch.OnlineMoldable, smart.Schedule,
+// bicriteria.Schedule). See the examples/ directory for end-to-end usage.
 package repro
 
 import (
@@ -27,92 +26,46 @@ import (
 	"repro/internal/dlt"
 	"repro/internal/grid"
 	"repro/internal/lowerbound"
-	"repro/internal/metrics"
 	"repro/internal/platform"
-	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
-// Policy selection (internal/core).
-type (
-	// Profile classifies an application (rigid/moldable/divisible,
-	// online/offline, target criterion).
-	Profile = core.Profile
-	// Recommendation is the selected policy with its §4 guarantee.
-	Recommendation = core.Recommendation
-	// Criterion is the optimization objective of §3.
-	Criterion = core.Criterion
-)
+// Profile classifies an application (rigid/moldable/divisible,
+// online/offline, target criterion).
+type Profile = core.Profile
 
-// Criteria values.
+// Criteria of §3.
 const (
 	Makespan           = core.Makespan
 	WeightedCompletion = core.WeightedCompletion
 	BiCriteria         = core.BiCriteria
 )
 
-// Recommend maps an application profile to the paper's policy choice.
-var Recommend = core.Recommend
+var (
+	// Recommend maps an application profile to the paper's policy choice.
+	Recommend = core.Recommend
+	// Run executes the recommended policy on a concrete instance.
+	Run = core.Run
+)
 
-// Run executes the recommended policy on a concrete instance.
-var Run = core.Run
-
-// Workloads (internal/workload).
 type (
-	// Job is a Parallel Task (§2.2).
-	Job = workload.Job
 	// GenConfig parameterizes the synthetic generators.
 	GenConfig = workload.GenConfig
 	// Bag is a multi-parametric campaign (§5.2).
 	Bag = workload.Bag
-	// Community shapes one CIMENT user community.
-	Community = workload.Community
 )
 
-// Workload generators.
 var (
-	// SequentialJobs generates the "Non Parallel" family of Figure 2.
-	SequentialJobs = workload.Sequential
 	// ParallelJobs generates the "Parallel" (moldable) family.
 	ParallelJobs = workload.Parallel
-	// MixedJobs generates the §5.1 rigid+moldable mix.
-	MixedJobs = workload.Mixed
 	// CommunityJobs draws from a community mix with Poisson arrivals.
 	CommunityJobs = workload.Communities
 	// CIMENTCommunities is the §5.2 community mix.
 	CIMENTCommunities = workload.CIMENTCommunities
-	// Bags generates multi-parametric campaigns.
-	Bags = workload.Bags
-)
-
-// Platforms (internal/platform).
-type (
-	// Cluster is one weakly-heterogeneous cluster.
-	Cluster = platform.Cluster
-	// LightGrid is a small set of clusters (Figure 1).
-	LightGrid = platform.Grid
-	// Reservation blocks processors during a window (§5.1).
-	Reservation = platform.Reservation
-)
-
-var (
 	// CIMENT is the Figure 3 platform (4 clusters, 432 processors).
 	CIMENT = platform.CIMENT
-	// UniformCluster is a single homogeneous cluster (Figure 2 uses 100).
-	UniformCluster = platform.Uniform
 )
 
-// Schedules and metrics.
-type (
-	// Schedule is a validated Gantt chart.
-	Schedule = sched.Schedule
-	// Report bundles every §3 criterion.
-	Report = metrics.Report
-	// Completion is one finished job record.
-	Completion = metrics.Completion
-)
-
-// Lower bounds (ratio denominators).
 var (
 	// CmaxLowerBound certifies a makespan lower bound.
 	CmaxLowerBound = lowerbound.Cmax
@@ -120,13 +73,8 @@ var (
 	WeightedCompletionLowerBound = lowerbound.SumWeightedCompletion
 )
 
-// Figure 2 reproduction (internal/bicriteria).
-type (
-	// Fig2Config parameterizes the Figure 2 sweep.
-	Fig2Config = bicriteria.Fig2Config
-	// Fig2Point is one measured point of the ratio curves.
-	Fig2Point = bicriteria.Fig2Point
-)
+// Fig2Config parameterizes the Figure 2 sweep.
+type Fig2Config = bicriteria.Fig2Config
 
 var (
 	// Fig2Series regenerates one Figure 2 series.
@@ -135,19 +83,14 @@ var (
 	WriteFig2 = bicriteria.WriteFig2
 )
 
-// Divisible load (internal/dlt).
 type (
 	// Star is a one-port master-worker platform.
 	Star = dlt.Star
 	// Worker is one DLT compute resource.
 	Worker = dlt.Worker
-	// Distribution is a DLT policy outcome.
-	Distribution = dlt.Distribution
 )
 
 var (
-	// BusPlatform builds a shared-link platform.
-	BusPlatform = dlt.Bus
 	// SingleRound is the optimal one-round closed form.
 	SingleRound = dlt.SingleRound
 	// MultiRound distributes in R installments.
@@ -158,29 +101,12 @@ var (
 	SteadyStateThroughput = dlt.SteadyStateThroughput
 )
 
-// Grid designs (internal/grid, internal/cluster).
-type (
-	// GridMember is one cluster plus its local workload and policy.
-	GridMember = grid.Member
-	// ClusterPolicy decides local starts in the cluster simulator.
-	ClusterPolicy = cluster.Policy
-)
+// GridMember is one cluster plus its local workload and policy.
+type GridMember = grid.Member
 
 var (
 	// NewCentralizedGrid builds the CiGri design (§5.2).
 	NewCentralizedGrid = grid.NewCentralized
-	// NewDecentralizedGrid builds the load-exchange design (§5.2).
-	NewDecentralizedGrid = grid.NewDecentralized
-	// RunIsolated is the no-grid baseline.
-	RunIsolated = grid.RunIsolated
-)
-
-// Cluster policies.
-var (
-	// FCFS is strict first-come-first-served.
-	FCFS = cluster.FCFSPolicy{}
 	// EASY is aggressive backfilling.
 	EASY = cluster.EASYPolicy{}
-	// GreedyFit starts anything that fits.
-	GreedyFit = cluster.GreedyFitPolicy{}
 )

@@ -33,16 +33,13 @@ func TestFacadeRecommendAndRun(t *testing.T) {
 }
 
 func TestFacadePlatforms(t *testing.T) {
-	if CIMENT().TotalProcs() != 432 {
+	if g := CIMENT(); g.TotalProcs() != 432 || len(g.Clusters) != 4 {
 		t.Fatal("CIMENT drifted from Figure 3")
-	}
-	if UniformCluster("x", 100).TotalProcs() != 100 {
-		t.Fatal("uniform platform broken")
 	}
 }
 
 func TestFacadeDLT(t *testing.T) {
-	star := BusPlatform([]float64{1, 2}, 0.1, 0)
+	star := &Star{Workers: []Worker{{Compute: 1, Link: 0.1}, {Compute: 2, Link: 0.1}}}
 	d, err := SingleRound(star, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -62,25 +59,17 @@ func TestFacadeDLT(t *testing.T) {
 }
 
 func TestFacadeWorkloads(t *testing.T) {
-	if len(SequentialJobs(GenConfig{N: 5, Seed: 1})) != 5 {
-		t.Fatal("SequentialJobs broken")
-	}
-	if len(MixedJobs(GenConfig{N: 5, M: 8, Seed: 1})) != 5 {
-		t.Fatal("MixedJobs broken")
+	if len(ParallelJobs(GenConfig{N: 5, M: 8, Seed: 1})) != 5 {
+		t.Fatal("ParallelJobs broken")
 	}
 	if len(CommunityJobs(CIMENTCommunities(), 5, 16, 0, 1)) != 5 {
 		t.Fatal("CommunityJobs broken")
 	}
-	if len(Bags(3, 1)) != 3 {
-		t.Fatal("Bags broken")
-	}
 }
 
 func TestFacadePolicies(t *testing.T) {
-	for _, p := range []ClusterPolicy{FCFS, EASY, GreedyFit} {
-		if p.Name() == "" {
-			t.Fatal("unnamed policy")
-		}
+	if EASY.Name() != "easy" {
+		t.Fatalf("EASY is named %q", EASY.Name())
 	}
 }
 

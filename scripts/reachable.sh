@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Reachability check: every function and method declared in a non-test
 # file under internal/ must be linked into one of the module's binaries
-# (./cmd/... and ./examples/...), or be named in the allowlist below
+# (./cmd/... and ./examples/...), or be named in scripts/reachable.allow
 # with the reason it stays. Code that only its own tests call fails.
+# Struct fields, consts, vars and types are checked by the root test
+# TestEveryDeclarationIsRead, which shares the allowlist and also fails
+# on a line that names nothing declared.
 #
 # The binaries are built with inlining off, so every called function
 # keeps its own symbol; `go tool nm` then lists what the linker kept.
@@ -11,34 +14,6 @@
 #   scripts/reachable.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-# One line per kept unlinked function: the name as package.Func or
-# package.Type.Method, then why it stays. The reason is one of
-#   bench  the benchmark module under bench/ calls it;
-#   api    the exported API of repro.go or pkg/client reaches it;
-#   test   a test of linked code uses it as its reference, or needs it
-#          to drive linked code it cannot reach any other way.
-allow=$(cat <<'EOF'
-rigid.Profile.Release                bench  engine_trace.go times reserve/release probes
-rigid.Profile.Segments               bench  engine_trace.go reports the probe profile's size
-scenario.Spec.MarshalIndent          bench  tables.go encodes the catalog specs it times
-core.Criterion.String                api    method of repro.Criterion
-grid.Decentralized.LocalCompletions  api    method of what repro.NewDecentralizedGrid returns
-platform.Cluster.Bandwidth           api    method of repro.Cluster
-platform.Uniform                     api    repro.UniformCluster
-sched.Schedule.SortByStart           api    method of repro.Schedule
-sched.Schedule.Work                  api    method of repro.Schedule
-stats.RNG.BoundedPareto              api    draws the run counts of repro.Bags
-workload.Bag.TotalWork               api    method of repro.Bag
-workload.Bags                        api    repro.Bags
-workload.Job.IsMonotone              api    method of repro.Job
-gridservice.Broker.SubmitBatch       test   the broker determinism tests submit a whole trace in one routing pass
-rigid.Profile.AvailableAt            test   the cluster reference audit compares profiles from package cluster
-rigid.Profile.Breakpoints            test   the cluster reference audit compares profiles from package cluster
-service.Engine.Completions           test   the service and broker determinism tests read an engine's completions
-store.Store.Compact                  test   api's persistence tests compact the store under a live service
-EOF
-)
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -95,16 +70,13 @@ for f in internal/*/*.go; do
     }' "$f"
 done | sort -k1,1 > "$tmp/declared"
 
-printf '%s\n' "$allow" | awk 'NF' > "$tmp/allow"
+# Function lines only: the test checks the other kinds.
+awk 'NF && $1 !~ /^#/' scripts/reachable.allow |
+  awk 'NR == FNR { declared[$1] = 1; next } $1 in declared' "$tmp/declared" - > "$tmp/allow"
 fail=0
-if bad=$(awk '$2 != "bench" && $2 != "api" && $2 != "test"' "$tmp/allow") && [ -n "$bad" ]; then
-  echo "allowlist lines without a reason (bench, api or test):" >&2
+if bad=$(awk '$2 != "bench" && $2 != "test"' "$tmp/allow") && [ -n "$bad" ]; then
+  echo "function allowlist lines without a reason (bench or test):" >&2
   echo "$bad" >&2
-  fail=1
-fi
-if stale=$(awk 'NR == FNR { seen[$1] = 1; next } !($1 in seen) { print $1 }' "$tmp/declared" "$tmp/allow") && [ -n "$stale" ]; then
-  echo "allowlisted but not declared (drop the line):" >&2
-  echo "$stale" >&2
   fail=1
 fi
 if live=$(awk 'NR == FNR { seen[$1] = 1; next } ($1 in seen) { print $1 }' "$tmp/linked" "$tmp/allow") && [ -n "$live" ]; then
