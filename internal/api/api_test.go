@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -564,6 +565,71 @@ func TestInlineSpecRefusesServerPath(t *testing.T) {
 	}
 	if sum := s.Summary(); sum.Total != 0 {
 		t.Fatalf("a refused submission created %d runs", sum.Total)
+	}
+}
+
+// TestInlineSpecSizeBounds: an inline spec asking for more than
+// maxInlineJobs jobs or a platform wider than maxInlineProcs is refused
+// with a 400 that names the field and points to gridctl local, wherever
+// the size is set, and no run is created; every catalog spec and every
+// example spec is still accepted inline.
+func TestInlineSpecSizeBounds(t *testing.T) {
+	s, srv := newTestService(t, Config{})
+	for field, spec := range map[string]string{
+		"params.ms":             `{"kind":"mrt","params":{"ms":[2000000],"ns":[50]}}`,
+		"params.m":              `{"kind":"batch","params":{"m":4097,"n":20}}`,
+		"params.n":              `{"kind":"batch","params":{"m":16,"n":100001}}`,
+		"params.ns":             `{"kind":"mrt","params":{"ms":[16],"ns":[50,100001]}}`,
+		"workload.n":            `{"kind":"offline","workload":{"n":1000000}}`,
+		"workload.m":            `{"kind":"offline","workload":{"n":20,"m":4097}}`,
+		"platform.m":            `{"kind":"online","workload":{"n":20},"platform":{"m":4097}}`,
+		"platform.clusters[].m": `{"kind":"grid","workload":{"n":20},"platform":{"clusters":[{"name":"a","m":8},{"name":"b","m":4097}]}}`,
+		"grid.campaign_tasks":   `{"kind":"grid","workload":{"n":20},"grid":{"campaign_tasks":100001}}`,
+	} {
+		t.Run(field, func(t *testing.T) {
+			resp, err := http.Post(srv.URL+"/v1/runs", "application/json", strings.NewReader(`{"spec":`+spec+`}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, err := readAll(resp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, field+" = ") || !strings.Contains(msg, "gridctl local") {
+				t.Fatalf("POST /v1/runs %s: %d %s, want 400 naming %s and gridctl local", spec, resp.StatusCode, msg, field)
+			}
+		})
+	}
+	if sum := s.Summary(); sum.Total != 0 {
+		t.Fatalf("refused submissions created %d runs", sum.Total)
+	}
+
+	accept := func(label string, spec *scenario.Spec) {
+		body, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var req scenario.HTTPRequest
+		if err := json.Unmarshal([]byte(`{"spec":`+string(body)+`}`), &req); err != nil {
+			t.Fatal(err)
+		}
+		if _, herr := s.resolveSpec(&req); herr != nil {
+			t.Errorf("%s refused inline: %d %s", label, herr.code, herr.msg)
+		}
+	}
+	for _, spec := range scenario.Catalog() {
+		accept("catalog "+spec.ID, spec)
+	}
+	examples, err := filepath.Glob("../../examples/scenario/*.json")
+	if err != nil || len(examples) == 0 {
+		t.Fatalf("no example specs: %v", err)
+	}
+	for _, path := range examples {
+		spec, err := scenario.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		accept(path, spec)
 	}
 }
 

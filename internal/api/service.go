@@ -9,6 +9,7 @@ import (
 	"log"
 	"net/http"
 	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -64,9 +65,15 @@ type Fleet interface {
 	Forget(runID string)
 }
 
-// maxInlineJobs bounds the workload / campaign size an inline spec may
-// request server-side (catalog ids are trusted).
-const maxInlineJobs = 100_000
+// maxInlineJobs bounds every job count, and maxInlineProcs every
+// platform width, an inline spec may request server-side (catalog ids
+// are trusted). A generated moldable job allocates a time table as wide
+// as its platform; 4 096 is also the widest one workload.MakeTable
+// prices with one math.Exp per entry.
+const (
+	maxInlineJobs  = 100_000
+	maxInlineProcs = 4096
+)
 
 func (c Config) fill() Config {
 	if c.MaxActive <= 0 {
@@ -241,15 +248,8 @@ func (s *RunService) resolveSpec(req *scenario.HTTPRequest) (*scenario.Spec, *ht
 		// Bound the work an inline spec can request of a live daemon
 		// (cancellation is cooperative per cell, so one huge cell could
 		// still pin a worker for its full duration).
-		if spec.Workload != nil && spec.Workload.N > maxInlineJobs {
-			return nil, &httpErr{code: http.StatusBadRequest, msg: fmt.Sprintf(
-				"inline spec requests %d jobs (max %d server-side; run it through the CLI)",
-				spec.Workload.N, maxInlineJobs)}
-		}
-		if spec.Grid != nil && spec.Grid.CampaignTasks > maxInlineJobs {
-			return nil, &httpErr{code: http.StatusBadRequest, msg: fmt.Sprintf(
-				"inline spec requests %d campaign tasks (max %d server-side; run it through the CLI)",
-				spec.Grid.CampaignTasks, maxInlineJobs)}
+		if herr := checkInlineSizes(spec); herr != nil {
+			return nil, herr
 		}
 		// params.swf names a file on the daemon's host: a client could
 		// make the daemon read any path, and the archive's length escapes
@@ -275,6 +275,51 @@ func (s *RunService) resolveSpec(req *scenario.HTTPRequest) (*scenario.Spec, *ht
 		return nil, &httpErr{code: http.StatusBadRequest, msg: fmt.Sprintf("unknown scenario kind %q", spec.Kind)}
 	}
 	return spec, nil
+}
+
+// checkInlineSizes refuses an inline spec that requests more than
+// maxInlineJobs jobs or a platform wider than maxInlineProcs, wherever
+// the size is set: the workload, the platform and its clusters, the grid
+// campaign, or the params of a kind that sizes itself from them.
+func checkInlineSizes(spec *scenario.Spec) *httpErr {
+	type size struct {
+		field string
+		max   int
+		vals  []float64
+	}
+	param := func(key string) []float64 { // a scalar, a list, or absent (0)
+		return append([]float64{spec.Float(key, 0)}, spec.Floats(key, nil)...)
+	}
+	sizes := []size{
+		{"params.n", maxInlineJobs, param("n")},
+		{"params.ns", maxInlineJobs, param("ns")},
+		{"params.m", maxInlineProcs, param("m")},
+		{"params.ms", maxInlineProcs, param("ms")},
+	}
+	if w := spec.Workload; w != nil {
+		sizes = append(sizes, size{"workload.n", maxInlineJobs, []float64{float64(w.N)}},
+			size{"workload.m", maxInlineProcs, []float64{float64(w.M)}})
+	}
+	if g := spec.Grid; g != nil {
+		sizes = append(sizes, size{"grid.campaign_tasks", maxInlineJobs, []float64{float64(g.CampaignTasks)}})
+	}
+	if p := spec.Platform; p != nil {
+		widths := size{"platform.clusters[].m", maxInlineProcs, nil}
+		for _, c := range p.Clusters {
+			widths.vals = append(widths.vals, float64(c.M))
+		}
+		sizes = append(sizes, size{"platform.m", maxInlineProcs, []float64{float64(p.M)}}, widths)
+	}
+	for _, s := range sizes {
+		for _, v := range s.vals {
+			if v > float64(s.max) {
+				return &httpErr{code: http.StatusBadRequest, msg: fmt.Sprintf(
+					"inline spec requests %s = %s (max %d server-side; run it with gridctl local)",
+					s.field, strconv.FormatFloat(v, 'f', -1, 64), s.max)}
+			}
+		}
+	}
+	return nil
 }
 
 // SubmitAs validates the request, registers a run and queues it for

@@ -188,11 +188,53 @@ func TestGeneratorModelsNeverClamp(t *testing.T) {
 	}
 }
 
+// TestPowerLawTableExact: every entry powerLawTable prices with one
+// math.Exp is math.Pow's, bit for bit, for every p it covers and σ at
+// both ends of its domain and over 2 000 draws from the generators'
+// [0.6, 1).
+func TestPowerLawTableExact(t *testing.T) {
+	rng := stats.NewRNG(34)
+	sigmas := []float64{math.Nextafter(0.5, 1), math.Nextafter(1, 0)}
+	for range 2000 {
+		sigmas = append(sigmas, rng.Range(0.6, 1))
+	}
+	table := make([]float64, len(logP)-1)
+	for _, s := range sigmas {
+		m, seq := PowerLaw{Sigma: s}, rng.LogNormal(5, 2)
+		powerLawTable(table, m, seq)
+		for i, got := range table {
+			if want := m.Time(seq, i+1); !sameFloat(got, want) {
+				t.Fatalf("σ %v, seq %v: table[%d] = %v, math.Pow gives %v", s, seq, i, got, want)
+			}
+		}
+	}
+}
+
+// FuzzPowerLawTable: MakeTable's power-law tables against the interface
+// loop over math.Pow, bit for bit, for any σ and sequential time and for
+// widths past the one-Exp range.
+func FuzzPowerLawTable(f *testing.F) {
+	for _, s := range []float64{0.5, math.Nextafter(0.5, 1), 0.8, math.Nextafter(1, 0), 1, -0.3, 1.2, math.NaN()} {
+		f.Add(s, 3600.0, uint16(100))
+	}
+	f.Add(0.7, 1.0, uint16(len(logP)+3))
+	f.Fuzz(func(t *testing.T, sigma, seq float64, n uint16) {
+		model, width := PowerLaw{Sigma: sigma}, int(n)%(2*len(logP))
+		want, got := referenceMakeTable(model, seq, width), MakeTable(model, seq, width)
+		for p := range want {
+			if !sameFloat(got[p], want[p]) {
+				t.Fatalf("σ %v, seq %v: table[%d] = %v, interface loop %v", sigma, seq, p, got[p], want[p])
+			}
+		}
+	})
+}
+
 // TestMakeTableTypedMatchesGeneric: MakeTable's typed loops against the
 // single interface loop it used to be, bit for bit — over the typed
 // models with parameters on both sides of monotone (so the clamp works),
-// over models that take the generic loop, and over sequential times no
-// generator draws.
+// power-law σ on and next to the ends of the one-Exp domain, widths on
+// both sides of its end, models that take the generic loop, and
+// sequential times no generator draws.
 func TestMakeTableTypedMatchesGeneric(t *testing.T) {
 	odd := []float64{0, -1, 1, 2, math.NaN(), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, math.MaxFloat64}
 	param := func(rng *stats.RNG, lo, hi float64) float64 {
@@ -201,6 +243,7 @@ func TestMakeTableTypedMatchesGeneric(t *testing.T) {
 		}
 		return rng.Range(lo, hi)
 	}
+	sigmaEdges := []float64{0.5, math.Nextafter(0.5, 0), math.Nextafter(0.5, 1), 1, math.Nextafter(1, 0), math.Nextafter(1, 2)}
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
 		var model SpeedupModel
@@ -209,6 +252,9 @@ func TestMakeTableTypedMatchesGeneric(t *testing.T) {
 			model = Amdahl{Alpha: param(rng, -0.5, 1.5)}
 		case 2, 3:
 			model = PowerLaw{Sigma: param(rng, -0.5, 1.5)}
+			if rng.Bool(0.2) {
+				model = PowerLaw{Sigma: sigmaEdges[rng.Intn(len(sigmaEdges))]}
+			}
 		case 4:
 			model = Linear{}
 		case 5, 6, 7:
@@ -217,6 +263,9 @@ func TestMakeTableTypedMatchesGeneric(t *testing.T) {
 			model = &Amdahl{Alpha: param(rng, 0, 1)} // pointer: not the typed case
 		}
 		seq, n := param(rng, 0.001, 1e6), rng.IntRange(0, 200)
+		if rng.Bool(0.05) {
+			n = rng.IntRange(len(logP)-8, len(logP)+100)
+		}
 		want, got := referenceMakeTable(model, seq, n), MakeTable(model, seq, n)
 		if len(got) != len(want) {
 			t.Logf("seed %d: %s: length %d, want %d", seed, model.Name(), len(got), len(want))
