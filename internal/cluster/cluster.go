@@ -27,9 +27,24 @@ var ErrDrained = errors.New("cluster: simulation drained; no further submissions
 
 // Decision is one start decision of a policy: run Job on Procs
 // processors now.
+//
+// at says where Job is: 1 + its index in View.Queue when the policy
+// decided, or 0 when that is unknown. The shipped policies fill it in, so
+// that Sim.start takes the job from where the policy saw it instead of
+// searching the queue for it; a policy from outside the package leaves it
+// zero, and the Sim searches. The shipped policies decide in queue order,
+// so each start the Sim makes moves the jobs decided after it one slot
+// down, and the Sim looks there. A slot that does not hold the job — after
+// a decision out of queue order, or an observer that edited the queue
+// inside a start — sends the Sim to the search as well. The job is matched by
+// pointer, and no admission path in the module queues a pointer that is
+// already queued: each submits a job it has just made, or one StealQueued
+// has just taken out of another queue. A pointer queued twice would leave
+// from the slot at names, or, searched for, from its first slot.
 type Decision struct {
 	Job   *workload.Job
 	Procs int
+	at    int
 }
 
 // View is the state snapshot handed to a policy. Avail counts free
@@ -38,7 +53,10 @@ type Decision struct {
 //
 // Every field is the simulator's own state, lent for one decision and
 // copied from nothing: Queue is the live waiting queue, and Profile,
-// Plan, Index and Scratch are kept from one decision to the next.
+// Plan, Index and Scratch are kept from one decision to the next. A
+// shipped policy records in each Decision the index in Queue of the job
+// it decided (see Decision); a policy from elsewhere cannot, and the Sim
+// then finds the job by searching Queue.
 // Policies read Queue and Profile, never write them, and keep none of
 // the fields past Decide — the starts that follow a decision edit them in
 // place. A policy that wraps another (tracing, auditing) hands the view
@@ -149,7 +167,8 @@ type LoadInfo struct {
 	// Free is the physically free processor count.
 	Free int
 	// Queued and QueuedWork describe the waiting local jobs (work at
-	// reference speed, the §5.2 load-balance signal).
+	// reference speed, the §5.2 load-balance signal). QueuedWork is a
+	// tally the Sim keeps only while polling is on (see EnablePolling).
 	Queued     int
 	QueuedWork float64
 	// BEQueued and BEActive count waiting / running best-effort tasks.
@@ -207,8 +226,10 @@ type Sim struct {
 	kill   KillPolicy
 
 	queue []*workload.Job
-	// queuedWork tracks the queue's total minimal work incrementally (the
-	// LoadSnapshot signal; QueuedWork() recomputes it exactly).
+	// queuedWork tallies the queue's total minimal work incrementally for
+	// LoadSnapshot, its only reader, and is kept only while poll is set:
+	// EnablePolling seeds it from the queue. QueuedWork() recomputes it
+	// exactly.
 	queuedWork float64
 	localProcs int
 	running    []*localRunning
@@ -366,13 +387,29 @@ func (s *Sim) forcePublishLoad() {
 	})
 }
 
-// EnablePolling turns on per-event LoadSnapshot publication (the gridd
-// engines enable it; batch simulations skip the per-event cost). Must be
-// called before the simulation starts running — it flips owner-side
-// state.
+// EnablePolling turns on per-event LoadSnapshot publication and the
+// queued-work tally behind LoadInfo.QueuedWork (the gridd engines enable
+// them; batch simulations skip the per-event cost). The tally starts as
+// the sum over the queue in queue order, which is 0 when polling is
+// turned on before the simulation runs, as the engines do. Owner
+// goroutine only: it flips owner-side state.
 func (s *Sim) EnablePolling() {
 	s.poll = true
+	s.queuedWork = s.QueuedWork()
 	s.forcePublishLoad()
+}
+
+// tally adds sign × j's minimal work to the queued-work tally when
+// polling is on, and does nothing otherwise.
+func (s *Sim) tally(j *workload.Job, sign float64) {
+	if !s.poll {
+		return
+	}
+	w, _ := j.MinWork(s.M)
+	s.queuedWork += sign * w
+	if s.queuedWork < 0 {
+		s.queuedWork = 0 // float drift guard
+	}
 }
 
 // LoadSnapshot returns the latest published load snapshot. Unlike every
@@ -387,8 +424,7 @@ func (s *Sim) LoadSnapshot() LoadInfo { return *s.load.Load() }
 // funnel through here so OnLocalSubmit observers see every arrival.
 func (s *Sim) admit(j *workload.Job) {
 	s.queue = append(s.queue, j)
-	w, _ := j.MinWork(s.M)
-	s.queuedWork += w
+	s.tally(j, 1)
 	if s.OnLocalSubmit != nil {
 		s.OnLocalSubmit(j, s.DES.Now())
 	}
@@ -571,8 +607,11 @@ func (s *Sim) reschedule() {
 		Queue: s.queue, Profile: s.profile, Plan: &s.plan, Index: &s.index, Scratch: scratch,
 	}
 	decisions := s.policy.Decide(view)
+	started := 0
 	for _, d := range decisions {
-		s.start(d, now)
+		if s.start(d, now, started) {
+			started++
+		}
 	}
 	// What came back is the scratch, or the larger array the policy's
 	// appends moved to, which takes its place.
@@ -588,29 +627,31 @@ func (s *Sim) reschedule() {
 	}
 }
 
-func (s *Sim) start(d Decision, now float64) {
+// start makes decision d, the one after started starts of the same
+// decision, and reports whether it did; a refused start changes nothing.
+func (s *Sim) start(d Decision, now float64, started int) bool {
 	// Remove from queue; ignore unknown jobs (policy bug guard). Matched
 	// by pointer: migrated and injected jobs may share an ID with a job
-	// already queued.
-	idx := slices.Index(s.queue, d.Job)
+	// already queued. The job is in the slot d.at names, less one per
+	// start before it, or else searched for (see Decision).
+	idx := d.at - 1 - started
+	if idx < 0 || idx >= len(s.queue) || s.queue[idx] != d.Job {
+		idx = slices.Index(s.queue, d.Job)
+	}
 	if idx < 0 || d.Procs < d.Job.MinProcs || d.Procs > d.Job.MaxProcs {
-		return
+		return false
 	}
 	if d.Procs > s.avail-s.localProcs {
-		return // policy overcommitted (or capacity just crashed); refuse
+		return false // policy overcommitted (or capacity just crashed); refuse
 	}
 	// Evict best-effort tasks if physically needed.
 	for s.free() < d.Procs {
 		if !s.killOneBE(now) {
-			return // cannot happen: free+BE >= M-localProcs >= d.Procs
+			return false // cannot happen: free+BE >= M-localProcs >= d.Procs
 		}
 	}
 	s.dequeue(idx)
-	w, _ := d.Job.MinWork(s.M)
-	s.queuedWork -= w
-	if s.queuedWork < 0 {
-		s.queuedWork = 0 // float drift guard
-	}
+	s.tally(d.Job, -1)
 	dur := d.Job.TimeOn(d.Procs) / s.Speed
 	if err := s.profile.Reserve(now, dur, d.Procs); err != nil {
 		// Cannot happen while profile and running set agree (the Procs
@@ -635,6 +676,7 @@ func (s *Sim) start(d Decision, now float64) {
 		s.OnLocalStart(run.job, run.procs, now)
 	}
 	_ = s.DES.At(run.end, run.fire)
+	return true
 }
 
 // dequeue removes queue[i] from the queue and from its index.
@@ -775,8 +817,7 @@ func (s *Sim) killOneLocal(now float64) bool {
 	s.faultStats.Requeues++
 	s.faultStats.LostWork += float64(run.procs) * (now - run.start) * s.Speed
 	s.queue = append(s.queue, run.job)
-	w, _ := run.job.MinWork(s.M)
-	s.queuedWork += w
+	s.tally(run.job, 1)
 	if s.OnLocalKilled != nil {
 		s.OnLocalKilled(run.job, run.procs, now)
 	}
@@ -1073,11 +1114,7 @@ func (s *Sim) StealQueued(n int) []*workload.Job {
 	s.plan.Invalidate()
 	s.submitted -= n
 	for _, j := range stolen {
-		w, _ := j.MinWork(s.M)
-		s.queuedWork -= w
-	}
-	if s.queuedWork < 0 {
-		s.queuedWork = 0
+		s.tally(j, -1)
 	}
 	s.publishLoad()
 	return stolen

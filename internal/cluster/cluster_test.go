@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -457,5 +458,55 @@ func TestViewBuffersReused(t *testing.T) {
 	// One job starts per decision: the scratch is allocated once.
 	if cov["decisions"] < 60 || moved != 1 {
 		t.Fatalf("%d decisions, the scratch moved %d times", cov["decisions"], moved)
+	}
+}
+
+// decideOnce decides ds, once, at the first decision with n jobs queued,
+// and nothing at any other.
+type decideOnce struct {
+	n  int
+	ds []Decision
+}
+
+func (p *decideOnce) Name() string { return "once" }
+
+func (p *decideOnce) Decide(v View) []Decision {
+	if len(v.Queue) != p.n {
+		return nil
+	}
+	ds := p.ds
+	p.ds = nil
+	return ds
+}
+
+// TestStartTakesTheNamedSlot: a start takes its job from the slot the
+// decision's position names, less one per start made before it in the
+// same decision, and a refused start does not count. The queue holds J
+// twice, so that which slot J leaves from shows: A, J, B, J is decided as
+// a job that is not queued (refused), A at position 1, then J at position
+// 4, the second J. After A leaves, that J is in slot 2, and A, the first
+// J and B must be left in that order. Taken from its first slot instead,
+// as a search would, J would leave B, J behind.
+func TestStartTakesTheNamedSlot(t *testing.T) {
+	a, j, b, absent := rjob(1, 5, 1, 0), rjob(2, 5, 1, 0), rjob(3, 5, 1, 0), rjob(4, 5, 1, 0)
+	pol := &decideOnce{n: 4, ds: []Decision{
+		{Job: absent, Procs: 1, at: 1}, {Job: a, Procs: 1, at: 1}, {Job: j, Procs: 1, at: 4},
+	}}
+	s, err := New(des.New(), 4, 1, pol, KillNewest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SubmitAll([]*workload.Job{a, j, b, j}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DES.RunUntil(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Queued(); !slices.Equal(got, []*workload.Job{j, b}) || s.RunningCount() != 2 {
+		var ids []int
+		for _, q := range got {
+			ids = append(ids, q.ID)
+		}
+		t.Fatalf("jobs %v queued and %d running, want 2 3 queued and A and J running", ids, s.RunningCount())
 	}
 }

@@ -115,6 +115,10 @@ func (ConservativePolicy) Decide(v View) []Decision {
 	// exact stays true while the plan is worth keeping: every queued job
 	// planned, every due job due exactly now.
 	exact := true
+	// The planned jobs are the head of the queue up to the first job that
+	// could not be planned: a due job's index in pl.jobs is its index in
+	// v.Queue below known, and unknown from there on.
+	known := len(v.Queue)
 	arrived := v.Queue[len(pl.jobs):]
 	pl.jobs = slices.Grow(pl.jobs, len(arrived))
 	pl.starts = slices.Grow(pl.starts, len(arrived))
@@ -129,6 +133,7 @@ func (ConservativePolicy) Decide(v View) []Decision {
 			// Wider than the machine; unreachable via Submit. The job is
 			// skipped and the rest planned as if it were not queued.
 			exact = false
+			known = min(known, len(pl.jobs))
 			continue
 		}
 		pl.jobs = append(pl.jobs, j)
@@ -141,7 +146,11 @@ func (ConservativePolicy) Decide(v View) []Decision {
 	for i, j := range pl.jobs {
 		start := pl.starts[i]
 		if start <= v.Now+1e-12 {
-			out = append(out, Decision{Job: j, Procs: procsFor(j)})
+			d := Decision{Job: j, Procs: procsFor(j)}
+			if i < known {
+				d.at = i + 1
+			}
+			out = append(out, d)
 			pl.due = append(pl.due, j)
 			exact = exact && start == v.Now
 			continue

@@ -39,7 +39,7 @@ func TestConservativeRefusedStartAtPlanTail(t *testing.T) {
 	wide, f1, f2 := rjob(1, 5, 4, 0), rjob(2, 5, 1, 0), rjob(3, 5, 1, 0)
 	v := testView(0, 4, 1, 2, []*workload.Job{wide, f1, f2}, busy{10, 2})
 	for round := 0; round < 3; round++ {
-		sameDecisions(t, 0, ConservativePolicy{}.Decide(v), []Decision{{f1, 1}, {f2, 1}})
+		sameDecisions(t, 0, ConservativePolicy{}.Decide(v), []Decision{{Job: f1, Procs: 1}, {Job: f2, Procs: 1}})
 	}
 	if len(v.Plan.jobs) != 1 || v.Plan.jobs[0] != wide || v.Plan.starts[0] != 10 {
 		t.Fatalf("plan keeps %v at %v, want the wide job at 10", v.Plan.jobs, v.Plan.starts)
@@ -47,7 +47,7 @@ func TestConservativeRefusedStartAtPlanTail(t *testing.T) {
 	pl := v.Plan
 	v = testView(0, 4, 1, 1, []*workload.Job{wide, f2}, busy{10, 2}, busy{5, 1})
 	v.Plan = pl
-	sameDecisions(t, 0, ConservativePolicy{}.Decide(v), []Decision{{f2, 1}})
+	sameDecisions(t, 0, ConservativePolicy{}.Decide(v), []Decision{{Job: f2, Procs: 1}})
 }
 
 // TestConservativeInexactStartInvalidates: a job due within the 1e-12
@@ -59,7 +59,7 @@ func TestConservativeInexactStartInvalidates(t *testing.T) {
 	late := math.Nextafter(5, 6)
 	first, second := rjob(1, 5, 4, 0), rjob(2, 5, 4, 0)
 	v := testView(5, 4, 1, 4, []*workload.Job{first, second}, busy{late, 4})
-	sameDecisions(t, 5, ConservativePolicy{}.Decide(v), []Decision{{first, 4}})
+	sameDecisions(t, 5, ConservativePolicy{}.Decide(v), []Decision{{Job: first, Procs: 4}})
 	if v.Plan.profile != nil {
 		t.Fatalf("plan kept after a start planned at %v but made at 5", late)
 	}
@@ -73,7 +73,7 @@ func TestConservativeSkipsUnplannableJob(t *testing.T) {
 	a, wide, b, c := rjob(1, 5, 4, 0), rjob(2, 5, 9, 0), rjob(3, 5, 4, 0), rjob(4, 5, 8, 0)
 	v := testView(0, 8, 1, 8, []*workload.Job{a, wide, b, c})
 	pl := v.Plan
-	sameDecisions(t, 0, ConservativePolicy{}.Decide(v), []Decision{{a, 4}, {b, 4}})
+	sameDecisions(t, 0, ConservativePolicy{}.Decide(v), []Decision{{Job: a, Procs: 4}, {Job: b, Procs: 4}})
 	if pl.profile != nil || len(pl.jobs) != 0 {
 		t.Fatalf("plan kept after skipping a job: %d planned jobs", len(pl.jobs))
 	}
@@ -86,7 +86,7 @@ func TestConservativeSkipsUnplannableJob(t *testing.T) {
 	}
 	v = testView(5, 8, 1, 8, []*workload.Job{wide, c})
 	v.Plan = pl
-	sameDecisions(t, 5, ConservativePolicy{}.Decide(v), []Decision{{c, 8}})
+	sameDecisions(t, 5, ConservativePolicy{}.Decide(v), []Decision{{Job: c, Procs: 8}})
 }
 
 // TestStartMatchesJobByPointer: two queued jobs sharing an ID (a

@@ -21,12 +21,12 @@ func (FCFSPolicy) Name() string { return "fcfs" }
 func (FCFSPolicy) Decide(v View) []Decision {
 	out := v.Scratch
 	avail := v.Avail
-	for _, j := range v.Queue {
+	for i, j := range v.Queue {
 		p := procsFor(j)
 		if p > avail {
 			break
 		}
-		out = append(out, Decision{Job: j, Procs: p})
+		out = append(out, Decision{Job: j, Procs: p, at: i + 1})
 		avail -= p
 	}
 	return out
@@ -84,7 +84,7 @@ func (EASYPolicy) Decide(v View) []Decision {
 		if p > avail {
 			break
 		}
-		out = append(out, Decision{Job: head, Procs: p})
+		out = append(out, Decision{Job: head, Procs: p, at: len(v.Queue) - len(queue) + 1})
 		avail -= p
 		queue = queue[1:]
 		if !own {
@@ -137,7 +137,7 @@ func (EASYPolicy) Decide(v View) []Decision {
 		if !fitsBefore && !fitsBeside {
 			continue // a NaN duration under an infinite shadow time
 		}
-		out = append(out, Decision{Job: j, Procs: p})
+		out = append(out, Decision{Job: j, Procs: p, at: ix.at(seq)})
 		avail -= p
 		if !fitsBefore {
 			extra -= p
@@ -165,7 +165,7 @@ func (GreedyFitPolicy) Decide(v View) []Decision {
 		if p > avail {
 			break
 		}
-		out = append(out, Decision{Job: v.Queue[k], Procs: p})
+		out = append(out, Decision{Job: v.Queue[k], Procs: p, at: k + 1})
 		avail -= p
 	}
 	if k == len(v.Queue) || avail <= 0 {
@@ -184,7 +184,7 @@ func (GreedyFitPolicy) Decide(v View) []Decision {
 		}
 		after = seq
 		p := procsFor(j)
-		out = append(out, Decision{Job: j, Procs: p})
+		out = append(out, Decision{Job: j, Procs: p, at: ix.at(seq)})
 		avail -= p
 	}
 	return out

@@ -73,6 +73,16 @@ func (ix *QueueIndex) remove(i int, j *workload.Job) {
 	ix.seqs = removeAt(ix.seqs, i)
 }
 
+// at returns 1 + the queue index of the indexed job with arrival number
+// seq, the position a Decision records, or 0 if no indexed job has it.
+func (ix *QueueIndex) at(seq uint64) int {
+	i, ok := slices.BinarySearch(ix.seqs, seq)
+	if !ok {
+		return 0
+	}
+	return i + 1
+}
+
 // next returns, with its arrival number, the first indexed job behind
 // arrival number after that the backfill test lets start: at most avail
 // wide, and either at most extra wide or short enough that

@@ -171,7 +171,8 @@ func TestDrainedSimRetainsNothing(t *testing.T) {
 // testView — jobs wider than the machine or zero wide, NaN, infinite and
 // zero durations, a shadow time that never comes, more processors
 // promised than the running set leaves — decided twice through the kept
-// index, against the reference's walks. The decision must read
+// index, against the reference's walks, every decision naming its job
+// through its position. The decision must read
 // View.Profile (cloning it only if it has to) and never write it.
 func TestIndexMatchesWalkOnHandBuiltViews(t *testing.T) {
 	odd := []float64{math.NaN(), math.Inf(1), 0, 1e-300, 1e300}
@@ -218,7 +219,9 @@ func TestIndexMatchesWalkOnHandBuiltViews(t *testing.T) {
 			want := c.walk(pointOf(v))
 			before := v.Profile.Clone()
 			for round := 0; round < 2; round++ {
-				sameDecisions(t, now, c.inner.Decide(v), want)
+				got := c.inner.Decide(v)
+				sameDecisions(t, now, got, want)
+				requirePositions(t, v, got)
 				checkIndex(t, v)
 			}
 			sameProfile(t, now, v.Profile, before, "View.Profile after the decisions", "before")

@@ -204,8 +204,8 @@ func (p point) conservative() (out []Decision, starts []float64, plan *rigid.Pro
 // tasks, and no running job started before its release; View.Profile
 // equal to the reference's bit for bit; the index in step with the queue
 // before and after; the reference's decisions, by pointer and in order,
-// twice over; and, under conservative backfilling, the reference's plan
-// kept.
+// twice over, each naming its job through its position; and, under
+// conservative backfilling, the reference's plan kept.
 type audit struct {
 	t     *testing.T
 	inner Policy
@@ -263,6 +263,8 @@ func (a *audit) Decide(v View) []Decision {
 	*v.Plan = kept
 	sameDecisions(t, v.Now, first, want)
 	sameDecisions(t, v.Now, got, want)
+	requirePositions(t, v, first)
+	requirePositions(t, v, got)
 	if plan != nil {
 		checkPlan(t, v, got, starts, plan)
 	}
@@ -276,7 +278,7 @@ func (a *audit) Decide(v View) []Decision {
 			}
 		}
 		if wide != nil {
-			got = slices.Insert(got, 0, Decision{wide, procsFor(wide)}) // in the scratch while it has room
+			got = slices.Insert(got, 0, Decision{Job: wide, Procs: procsFor(wide)}) // in the scratch while it has room
 		}
 	}
 	a.returned += len(got)
@@ -692,11 +694,28 @@ func sameProfile(t *testing.T, now float64, got, want *rigid.Profile, gotName, w
 }
 
 // sameDecisions requires the same jobs (by pointer) on the same
-// processor counts in the same order.
+// processor counts in the same order; positions are requirePositions's.
 func sameDecisions(t *testing.T, now float64, got, want []Decision) {
 	t.Helper()
-	if !slices.Equal(got, want) {
+	if !slices.EqualFunc(got, want, func(g, w Decision) bool { return g.Job == w.Job && g.Procs == w.Procs }) {
 		t.Fatalf("t=%v: decided %v, the reference %v", now, describe(got), describe(want))
+	}
+}
+
+// requirePositions requires every decision in ds to name its job through
+// its position, read the way Sim.start reads it: with every decision
+// before it started, the slot the position names less one per start is
+// the first slot of the job in what is left of v.Queue.
+func requirePositions(t *testing.T, v View, ds []Decision) {
+	t.Helper()
+	queue := slices.Clone(v.Queue)
+	for started, d := range ds {
+		k, slot := d.at-1-started, slices.Index(queue, d.Job)
+		if d.at == 0 || k != slot {
+			t.Fatalf("t=%v: decision %d names job %d at position %d, slot %d after %d starts; the job is in slot %d",
+				v.Now, started, d.Job.ID, d.at, k, started, slot)
+		}
+		queue = slices.Delete(queue, k, k+1)
 	}
 }
 

@@ -111,3 +111,41 @@ func TestLoadSnapshotRaceSafe(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestLoadSnapshotPollingTurnedOnLate: polling turned on while jobs wait
+// seeds the queued-work tally from the queue, so the snapshot published
+// after the next event — which starts two of them — still equals the
+// exact recompute. Every work is a whole number, so the two agree exactly.
+func TestLoadSnapshotPollingTurnedOnLate(t *testing.T) {
+	sim, err := New(des.New(), 8, 1, FCFSPolicy{}, KillNewest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := []*workload.Job{snapJob(0, 10, 8, 0), snapJob(1, 3, 4, 0), snapJob(2, 5, 4, 0), snapJob(3, 7, 4, 0), snapJob(4, 2, 4, 0)}
+	if err := sim.SubmitAll(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.DES.RunUntil(1); err != nil {
+		t.Fatal(err)
+	}
+	if sim.QueueLength() != 4 {
+		t.Fatalf("%d jobs queued at 1, want 4 behind the running one", sim.QueueLength())
+	}
+	sim.EnablePolling()
+	if got, want := sim.LoadSnapshot().QueuedWork, sim.QueuedWork(); got != want || want != 68 {
+		t.Fatalf("snapshot queued work %v when polling starts, accessor %v, want 68", got, want)
+	}
+	next, ok := sim.DES.PeekTime()
+	if !ok {
+		t.Fatal("no event pending")
+	}
+	if err := sim.DES.RunUntil(next); err != nil {
+		t.Fatal(err)
+	}
+	if sim.QueueLength() != 2 {
+		t.Fatalf("%d jobs queued after the event at %v, want 2", sim.QueueLength(), next)
+	}
+	if got, want := sim.LoadSnapshot().QueuedWork, sim.QueuedWork(); got != want {
+		t.Fatalf("snapshot queued work %v after the event at %v, accessor %v", got, next, want)
+	}
+}

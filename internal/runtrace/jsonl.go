@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -16,8 +17,9 @@ import (
 //	{"cell":0,"label":"easy","ev":"submit","t":0,"job":1,"procs":8}
 //	{"cell":0,"label":"easy","ev":"start","t":0,"job":1,"procs":8}
 //
-// Event lines omit "job" for non-job-scoped events (crash/repair) and
-// carry a "cluster" field only when the cluster has a name. Floats use
+// Event lines omit "job" for non-job-scoped events (crash/repair, job
+// -1), meta lines omit "dropped" when it is 0, and event lines carry a
+// "cluster" field only when the cluster has a name. Floats use
 // Go's %g shortest form, which round-trips exactly — equal traces
 // always serialize to identical bytes.
 func WriteJSONL(w io.Writer, traces []CellTrace) error {
@@ -52,7 +54,7 @@ func writeTrace(bw *bufio.Writer, tr *CellTrace, buf []byte) ([]byte, error) {
 	meta = append(meta, clusters...)
 	meta = append(meta, `,"events":`...)
 	meta = strconv.AppendInt(meta, int64(len(tr.Events)), 10)
-	if tr.Dropped > 0 {
+	if tr.Dropped != 0 {
 		meta = append(meta, `,"dropped":`...)
 		meta = strconv.AppendInt(meta, int64(tr.Dropped), 10)
 	}
@@ -82,7 +84,7 @@ func writeTrace(bw *bufio.Writer, tr *CellTrace, buf []byte) ([]byte, error) {
 		buf = append(buf, e.Type.String()...)
 		buf = append(buf, `","t":`...)
 		buf = strconv.AppendFloat(buf, e.T, 'g', -1, 64)
-		if e.Job >= 0 {
+		if e.Job != -1 {
 			buf = append(buf, `,"job":`...)
 			buf = strconv.AppendInt(buf, int64(e.Job), 10)
 		}
@@ -139,8 +141,11 @@ func ParseLines(r io.Reader) ([]Line, error) {
 
 // Rebuild reassembles CellTraces from decoded lines (the inverse of
 // WriteJSONL for well-formed streams). Traces are keyed by (cell,
-// label) in order of first appearance; event lines before any meta line
-// for their key start an implicit trace with no cluster metadata.
+// label) in order of first appearance. A trace takes its clusters and
+// drop count from the last meta line for its key, and its events name
+// clusters of that line, wherever it stands; a trace without one has no
+// cluster metadata. A line whose job, processor count or cluster an
+// Event cannot hold is an error.
 func Rebuild(lines []Line) ([]CellTrace, error) {
 	type key struct {
 		cell  int
@@ -156,16 +161,24 @@ func Rebuild(lines []Line) ([]CellTrace, error) {
 		traces = append(traces, CellTrace{Cell: k.cell, Label: k.label})
 		return &traces[len(traces)-1]
 	}
-	for i, ln := range lines {
+	for _, ln := range lines {
 		tr := at(key{ln.Cell, ln.Label})
 		if ln.Ev == "meta" {
 			tr.Clusters = ln.Clusters
 			tr.Dropped = ln.Dropped
+		}
+	}
+	for i, ln := range lines {
+		if ln.Ev == "meta" {
 			continue
 		}
+		tr := at(key{ln.Cell, ln.Label})
 		typ, ok := EventTypeOf(ln.Ev)
 		if !ok {
 			return nil, fmt.Errorf("runtrace: line %d: unknown event %q", i+1, ln.Ev)
+		}
+		if int(int32(ln.Job)) != ln.Job || int(int32(ln.Procs)) != ln.Procs {
+			return nil, fmt.Errorf("runtrace: line %d: job %d on %d processors out of range", i+1, ln.Job, ln.Procs)
 		}
 		ci := 0
 		if ln.Cluster != "" {
@@ -178,6 +191,9 @@ func Rebuild(lines []Line) ([]CellTrace, error) {
 			}
 			if ci < 0 {
 				return nil, fmt.Errorf("runtrace: line %d: unknown cluster %q", i+1, ln.Cluster)
+			}
+			if ci > math.MaxUint8 {
+				return nil, fmt.Errorf("runtrace: line %d: cluster %q is number %d; an event names one of the first %d", i+1, ln.Cluster, ci, math.MaxUint8+1)
 			}
 		}
 		tr.Events = append(tr.Events, Event{

@@ -2,6 +2,7 @@ package runtrace_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -148,6 +149,29 @@ func TestNilRecorderIsNoop(t *testing.T) {
 	tr := rec.Finish(3, "x")
 	if tr.Cell != 3 || tr.Label != "x" || len(tr.Events) != 0 {
 		t.Fatalf("nil Finish: %+v", tr)
+	}
+}
+
+// TestRebuildRejectsWhatAnEventCannotHold: a job or processor count past
+// int32 and a cluster past the 256th are errors, not values wrapped
+// round onto another job or cluster.
+func TestRebuildRejectsWhatAnEventCannotHold(t *testing.T) {
+	var clusters []string
+	for i := 0; i <= 256; i++ {
+		clusters = append(clusters, fmt.Sprintf(`{"name":"c%d","m":1}`, i))
+	}
+	for name, in := range map[string]string{
+		"job":     `{"ev":"start","job":4294967301,"procs":1}`,
+		"procs":   `{"ev":"start","job":1,"procs":-4294967295}`,
+		"cluster": `{"ev":"meta","clusters":[` + strings.Join(clusters, ",") + `]}` + "\n" + `{"ev":"start","job":1,"procs":1,"cluster":"c256"}`,
+	} {
+		lines, err := runtrace.ParseLines(strings.NewReader(in))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if traces, err := runtrace.Rebuild(lines); err == nil {
+			t.Fatalf("%s: rebuilt %+v", name, traces)
+		}
 	}
 }
 

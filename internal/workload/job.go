@@ -129,7 +129,9 @@ func (j *Job) WorkOn(p int) float64 { return float64(p) * j.TimeOn(p) }
 // processors, and the processor count achieving it. For monotone jobs the
 // minimum is at MinProcs, but we scan to stay correct for arbitrary
 // tables. Returns (0, 0) if no allocation fits within m. Algorithms that
-// ask more than once per job keep its Cost summary instead.
+// ask more than once per job keep its Cost summary instead. A scan is
+// O(MaxProcs): cluster.Sim runs one per queued job at admission and one
+// at its start only while LoadSnapshot polling is on.
 func (j *Job) MinWork(m int) (work float64, procs int) {
 	best := math.Inf(1)
 	bestP := 0
