@@ -8,26 +8,26 @@ import (
 	"log"
 	"os"
 
-	"repro"
+	"repro/internal/bicriteria"
 )
 
 func main() {
 	ns := []int{10, 50, 100, 250, 500, 1000}
 	fmt.Println("reproducing Figure 2 (this takes a few seconds)...")
 
-	nonParallel, err := repro.Fig2Series(repro.Fig2Config{
+	nonParallel, err := bicriteria.Fig2Series(bicriteria.Fig2Config{
 		M: 100, Ns: ns, Seed: 1, Reps: 3, Parallel: false,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	parallel, err := repro.Fig2Series(repro.Fig2Config{
+	parallel, err := bicriteria.Fig2Series(bicriteria.Fig2Config{
 		M: 100, Ns: ns, Seed: 2, Reps: 3, Parallel: true,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	repro.WriteFig2(os.Stdout, 100, nonParallel, parallel)
+	bicriteria.WriteFig2(os.Stdout, 100, nonParallel, parallel)
 
 	fmt.Println("\nThe §4.4 guarantee bounds both ratios by 4ρ = 6; the")
 	fmt.Println("measured curves stay far below it, like the paper's Figure 2.")

@@ -8,36 +8,38 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
 	"repro/internal/cluster"
+	"repro/internal/grid"
 	"repro/internal/metrics"
+	"repro/internal/platform"
+	"repro/internal/workload"
 )
 
 func main() {
-	grid := repro.CIMENT()
+	ciment := platform.CIMENT()
 	fmt.Printf("platform: %s — %d clusters, %d processors (Figure 3)\n",
-		grid.Name, len(grid.Clusters), grid.TotalProcs())
+		ciment.Name, len(ciment.Clusters), ciment.TotalProcs())
 
 	// Local community workloads per cluster.
-	var members []repro.GridMember
+	var members []grid.Member
 	seed := uint64(7)
 	id := 0
-	for _, cl := range grid.Clusters {
-		jobs := repro.CommunityJobs(repro.CIMENTCommunities(), 40, cl.Procs(), 0.002, seed)
+	for _, cl := range ciment.Clusters {
+		jobs := workload.Communities(workload.CIMENTCommunities(), 40, cl.Procs(), 0.002, seed)
 		seed++
 		for _, j := range jobs {
 			j.ID = id // unique across the grid
 			id++
 		}
-		members = append(members, repro.GridMember{
-			Cluster: cl, Policy: repro.EASY, Local: jobs,
+		members = append(members, grid.Member{
+			Cluster: cl, Policy: cluster.EASYPolicy{}, Local: jobs,
 		})
 	}
 
 	// One multi-parametric campaign: 3000 runs of ~60 s.
-	bags := []*repro.Bag{{ID: 0, Runs: 3000, RunTime: 60}}
+	bags := []*workload.Bag{{ID: 0, Runs: 3000, RunTime: 60}}
 
-	g, err := repro.NewCentralizedGrid(members, bags, cluster.KillNewest)
+	g, err := grid.NewCentralized(members, bags, cluster.KillNewest)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func main() {
 	fmt.Printf("campaign makespan: %.0f s\n", st.GridMakespan)
 
 	fmt.Println("\nper-cluster local service (grid jobs never delay local users):")
-	for i, cl := range grid.Clusters {
+	for i, cl := range ciment.Clusters {
 		cs := g.LocalCompletions(i)
 		fmt.Printf("  %-9s %3d local jobs, mean flow %8.0f s, BE done %d / killed %d\n",
 			cl.Name, len(cs), metrics.MeanFlow(cs),

@@ -8,13 +8,13 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/dlt"
 )
 
 func main() {
 	// A small heterogeneous platform: fast workers on slow links and
 	// vice versa (the interesting DLT regime).
-	star := &repro.Star{Workers: []repro.Worker{
+	star := &dlt.Star{Workers: []dlt.Worker{
 		{Compute: 0.8, Link: 0.02}, // itanium
 		{Compute: 1.0, Link: 0.08}, // xeon
 		{Compute: 1.3, Link: 0.40}, // athlon-a
@@ -23,20 +23,20 @@ func main() {
 	const W = 10000.0 // total load units
 
 	fmt.Printf("star platform, %d workers, load %g\n", len(star.Workers), W)
-	fmt.Printf("steady-state throughput bound: %.3f units/s\n\n", repro.SteadyStateThroughput(star))
+	fmt.Printf("steady-state throughput bound: %.3f units/s\n\n", dlt.SteadyStateThroughput(star))
 
 	fmt.Printf("%10s  %12s  %12s  %14s\n", "latency", "1 round", "10 rounds", "self-sched")
 	for _, latency := range []float64{0, 1, 10, 100} {
 		star.Latency = latency
-		one, err := repro.SingleRound(star, W)
+		one, err := dlt.SingleRound(star, W)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ten, err := repro.MultiRound(star, W, 10)
+		ten, err := dlt.MultiRound(star, W, 10)
 		if err != nil {
 			log.Fatal(err)
 		}
-		dyn, err := repro.SelfSchedule(star, W, W/100)
+		dyn, err := dlt.SelfSchedule(star, W, W/100)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/lowerbound"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -15,31 +17,31 @@ func main() {
 	const m = 100
 
 	// 200 moldable parallel jobs with priorities, all available now.
-	jobs := repro.ParallelJobs(repro.GenConfig{N: 200, M: m, Seed: 42, Weighted: true})
+	jobs := workload.Parallel(workload.GenConfig{N: 200, M: m, Seed: 42, Weighted: true})
 
 	// The paper's question: which policy for this application?
-	profile := repro.Profile{Moldable: true, Criterion: repro.BiCriteria}
-	rec := repro.Recommend(profile)
+	profile := core.Profile{Moldable: true, Criterion: core.BiCriteria}
+	rec := core.Recommend(profile)
 	fmt.Printf("application: offline moldable, both criteria\n")
 	fmt.Printf("recommended: %s (%s, guarantee %s)\n", rec.Policy, rec.Section, rec.Guarantee)
 
 	// Run it.
-	schedule, _, err := repro.Run(jobs, m, profile)
+	schedule, _, err := core.Run(jobs, m, profile)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Score against certified lower bounds.
 	report := schedule.Report()
-	cmaxLB := repro.CmaxLowerBound(jobs, m)
-	wcLB := repro.WeightedCompletionLowerBound(jobs, m)
+	cmaxLB := lowerbound.Cmax(jobs, m)
+	wcLB := lowerbound.SumWeightedCompletion(jobs, m)
 	fmt.Printf("makespan  : %.1f  (%.2fx the lower bound)\n", report.Makespan, report.Makespan/cmaxLB)
 	fmt.Printf("ΣwC       : %.3g  (%.2fx the lower bound)\n",
 		report.SumWeightedCompletion, report.SumWeightedCompletion/wcLB)
 	fmt.Printf("utilization: %.0f%%\n", 100*report.Utilization)
 
 	// Contrast with a pure-makespan profile.
-	rec2 := repro.Recommend(repro.Profile{Moldable: true, Criterion: repro.Makespan})
+	rec2 := core.Recommend(core.Profile{Moldable: true, Criterion: core.Makespan})
 	fmt.Printf("\nfor Cmax only the paper picks: %s (%s, guarantee %s)\n",
 		rec2.Policy, rec2.Section, rec2.Guarantee)
 }

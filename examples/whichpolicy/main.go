@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"log"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/lowerbound"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -17,18 +19,18 @@ func main() {
 
 	profiles := []struct {
 		desc string
-		p    repro.Profile
+		p    core.Profile
 	}{
-		{"offline moldable, makespan", repro.Profile{Moldable: true}},
-		{"online moldable, makespan", repro.Profile{Moldable: true, Online: true}},
-		{"rigid, weighted completion", repro.Profile{Criterion: repro.WeightedCompletion}},
-		{"moldable, both criteria", repro.Profile{Moldable: true, Criterion: repro.BiCriteria}},
-		{"offline rigid, makespan", repro.Profile{}},
-		{"online rigid, makespan", repro.Profile{Online: true}},
-		{"divisible (multi-parametric)", repro.Profile{Divisible: true}},
+		{"offline moldable, makespan", core.Profile{Moldable: true}},
+		{"online moldable, makespan", core.Profile{Moldable: true, Online: true}},
+		{"rigid, weighted completion", core.Profile{Criterion: core.WeightedCompletion}},
+		{"moldable, both criteria", core.Profile{Moldable: true, Criterion: core.BiCriteria}},
+		{"offline rigid, makespan", core.Profile{}},
+		{"online rigid, makespan", core.Profile{Online: true}},
+		{"divisible (multi-parametric)", core.Profile{Divisible: true}},
 	}
 	for _, x := range profiles {
-		rec := repro.Recommend(x.p)
+		rec := core.Recommend(x.p)
 		fmt.Printf("%-30s → %-24s %-10s ratio %s\n",
 			x.desc, rec.Policy, rec.Section, rec.Guarantee)
 	}
@@ -40,23 +42,23 @@ func main() {
 		if x.p.Divisible {
 			continue // handled by the dlt package (see examples/dlt)
 		}
-		cfg := repro.GenConfig{N: 60, M: m, Seed: 7, Weighted: true}
+		cfg := workload.GenConfig{N: 60, M: m, Seed: 7, Weighted: true}
 		if x.p.Online {
 			cfg.ArrivalRate = 0.1
 		}
 		if !x.p.Moldable {
 			cfg.RigidFraction = 1
 		}
-		jobs := repro.ParallelJobs(cfg)
-		s, rec, err := repro.Run(jobs, m, x.p)
+		jobs := workload.Parallel(cfg)
+		s, rec, err := core.Run(jobs, m, x.p)
 		if err != nil {
 			log.Fatal(err)
 		}
 		rep := s.Report()
 		fmt.Printf("%-30s Cmax %8.0f (%.2fx LB)   ΣwC %10.0f (%.2fx LB)\n",
 			rec.Policy,
-			rep.Makespan, rep.Makespan/repro.CmaxLowerBound(jobs, m),
+			rep.Makespan, rep.Makespan/lowerbound.Cmax(jobs, m),
 			rep.SumWeightedCompletion,
-			rep.SumWeightedCompletion/repro.WeightedCompletionLowerBound(jobs, m))
+			rep.SumWeightedCompletion/lowerbound.SumWeightedCompletion(jobs, m))
 	}
 }

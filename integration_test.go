@@ -1,7 +1,7 @@
 package repro
 
-// End-to-end integration tests: full pipelines through the public facade
-// and the experiments drivers, plus determinism goldens (same seed ⇒
+// End-to-end integration tests: full pipelines through the internal
+// packages and the experiments drivers, plus determinism goldens (same seed ⇒
 // bit-identical outputs) so refactors cannot silently change results.
 
 import (
@@ -9,9 +9,16 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bicriteria"
+	"repro/internal/cluster"
+	"repro/internal/core"
 	_ "repro/internal/experiments" // registers the scenario kinds and built-in catalog
+	"repro/internal/grid"
+	"repro/internal/lowerbound"
+	"repro/internal/platform"
 	"repro/internal/scenario"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // catalogTable runs built-in scenario id at the given seed and scale
@@ -47,12 +54,12 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 }
 
 func TestDeterminismFig2(t *testing.T) {
-	cfg := Fig2Config{M: 32, Ns: []int{20}, Seed: 9, Reps: 2, Parallel: true}
-	a, err := Fig2Series(cfg)
+	cfg := bicriteria.Fig2Config{M: 32, Ns: []int{20}, Seed: 9, Reps: 2, Parallel: true}
+	a, err := bicriteria.Fig2Series(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fig2Series(cfg)
+	b, err := bicriteria.Fig2Series(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,34 +88,34 @@ func TestEveryExperimentRunsAtTestScale(t *testing.T) {
 }
 
 func TestFullPipelineCIMENTGrid(t *testing.T) {
-	// Facade-level CiGri run: CIMENT platform, community jobs, one bag.
-	g := CIMENT()
-	var members []GridMember
+	// CiGri run: CIMENT platform, community jobs, one bag.
+	g := platform.CIMENT()
+	var members []grid.Member
 	id := 0
 	seed := uint64(3)
 	for _, cl := range g.Clusters {
-		jobs := CommunityJobs(CIMENTCommunities(), 8, cl.Procs(), 0.005, seed)
+		jobs := workload.Communities(workload.CIMENTCommunities(), 8, cl.Procs(), 0.005, seed)
 		seed++
 		for _, j := range jobs {
 			j.ID = id
 			id++
 		}
-		members = append(members, GridMember{Cluster: cl, Policy: EASY, Local: jobs})
+		members = append(members, grid.Member{Cluster: cl, Policy: cluster.EASYPolicy{}, Local: jobs})
 	}
-	bags := []*Bag{{ID: 0, Runs: 300, RunTime: 45}}
-	grid, err := NewCentralizedGrid(members, bags, 0)
+	bags := []*workload.Bag{{ID: 0, Runs: 300, RunTime: 45}}
+	ciGri, err := grid.NewCentralized(members, bags, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := grid.Run(); err != nil {
+	if err := ciGri.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if grid.Stats().TasksCompleted != 300 {
-		t.Fatalf("grid completed %d of 300", grid.Stats().TasksCompleted)
+	if ciGri.Stats().TasksCompleted != 300 {
+		t.Fatalf("grid completed %d of 300", ciGri.Stats().TasksCompleted)
 	}
 	total := 0
-	for i := 0; i < grid.Members(); i++ {
-		total += len(grid.LocalCompletions(i))
+	for i := 0; i < ciGri.Members(); i++ {
+		total += len(ciGri.LocalCompletions(i))
 	}
 	if total != id {
 		t.Fatalf("local completions %d of %d", total, id)
@@ -119,27 +126,27 @@ func TestRecommendationsAreConsistentWithRun(t *testing.T) {
 	// Every non-divisible profile must execute through Run and yield a
 	// schedule whose criteria beat a naive 10x-of-bound sanity envelope.
 	const m = 16
-	for _, p := range []Profile{
+	for _, p := range []core.Profile{
 		{Moldable: true},
 		{Moldable: true, Online: true},
-		{Criterion: WeightedCompletion},
-		{Criterion: BiCriteria, Moldable: true},
+		{Criterion: core.WeightedCompletion},
+		{Criterion: core.BiCriteria, Moldable: true},
 		{},
 		{Online: true},
 	} {
-		cfg := GenConfig{N: 30, M: m, Seed: 5, Weighted: true}
+		cfg := workload.GenConfig{N: 30, M: m, Seed: 5, Weighted: true}
 		if p.Online {
 			cfg.ArrivalRate = 0.2
 		}
 		if !p.Moldable {
 			cfg.RigidFraction = 1
 		}
-		jobs := ParallelJobs(cfg)
-		s, rec, err := Run(jobs, m, p)
+		jobs := workload.Parallel(cfg)
+		s, rec, err := core.Run(jobs, m, p)
 		if err != nil {
 			t.Fatalf("%+v (%s): %v", p, rec.Policy, err)
 		}
-		if ratio := s.Report().Makespan / CmaxLowerBound(jobs, m); ratio > 10 {
+		if ratio := s.Report().Makespan / lowerbound.Cmax(jobs, m); ratio > 10 {
 			t.Fatalf("%s: Cmax ratio %v fails the sanity envelope", rec.Policy, ratio)
 		}
 	}

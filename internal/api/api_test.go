@@ -54,10 +54,10 @@ func registerTestKinds() {
 				cells = append(cells, scenario.Cell{Index: i, Values: []any{i, i * i}})
 			}
 			return scenario.NewCellResult("api-sleep", []string{"i", "sq"}, 1, cells), nil
-		})
+		}, map[string]scenario.ParamType{"cells": scenario.IntParam, "us": scenario.IntParam})
 		scenario.RegisterKind("api-panic", func(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 			panic("kaboom")
-		})
+		}, nil)
 		scenario.RegisterKind("api-gate", func(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 			n := spec.Int("cells", 1)
 			if opt.OnCellsStart != nil {
@@ -76,7 +76,7 @@ func registerTestKinds() {
 				cells = append(cells, scenario.Cell{Index: i, Values: []any{i}})
 			}
 			return scenario.NewCellResult("api-gate", []string{"i"}, 1, cells), nil
-		})
+		}, map[string]scenario.ParamType{"cells": scenario.IntParam})
 	})
 }
 
@@ -585,6 +585,7 @@ func TestInlineSpecSizeBounds(t *testing.T) {
 		"platform.m":            `{"kind":"online","workload":{"n":20},"platform":{"m":4097}}`,
 		"platform.clusters[].m": `{"kind":"grid","workload":{"n":20},"platform":{"clusters":[{"name":"a","m":8},{"name":"b","m":4097}]}}`,
 		"grid.campaign_tasks":   `{"kind":"grid","workload":{"n":20},"grid":{"campaign_tasks":100001}}`,
+		"params.runs":           `{"kind":"cigri","params":{"runs":100001}}`,
 	} {
 		t.Run(field, func(t *testing.T) {
 			resp, err := http.Post(srv.URL+"/v1/runs", "application/json", strings.NewReader(`{"spec":`+spec+`}`))
@@ -597,6 +598,27 @@ func TestInlineSpecSizeBounds(t *testing.T) {
 			}
 			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, field+" = ") || !strings.Contains(msg, "gridctl local") {
 				t.Fatalf("POST /v1/runs %s: %d %s, want 400 naming %s and gridctl local", spec, resp.StatusCode, msg, field)
+			}
+		})
+	}
+	// A size below 1 is refused before it can take, and hang, an executor slot.
+	for _, c := range []struct{ spec, param string }{
+		{`{"kind":"mrt","params":{"ms":[0]}}`, "ms"},
+		{`{"kind":"batch","params":{"m":0}}`, "m"},
+		{`{"kind":"criteria","params":{"m":0}}`, "m"},
+	} {
+		t.Run(c.spec, func(t *testing.T) {
+			resp, err := http.Post(srv.URL+"/v1/runs", "application/json", strings.NewReader(`{"spec":`+c.spec+`}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var body struct{ Error string }
+			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if want := fmt.Sprintf("param %q holds 0", c.param); resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, want) {
+				t.Fatalf("POST /v1/runs %s: %d %q, want 400 naming %s", c.spec, resp.StatusCode, body.Error, want)
 			}
 		})
 	}

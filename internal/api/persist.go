@@ -194,6 +194,9 @@ func (r *Run) record() *store.RunRecord {
 // runFromRecord rebuilds a run from its durable record. The returned
 // run never executes (its context is pre-cancelled); non-terminal
 // records come back in their persisted state for the caller to repair.
+// The spec is decoded, not validated again: the WAL holds what an
+// earlier build accepted, and a stricter Validate must not drop that
+// run's history.
 func runFromRecord(rec *store.RunRecord) (*Run, error) {
 	spec, err := scenario.Decode(bytes.NewReader(rec.Spec))
 	if err != nil {

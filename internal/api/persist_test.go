@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/scenario"
 	"repro/internal/store"
@@ -145,6 +146,45 @@ func TestRestartRecoversRuns(t *testing.T) {
 	}
 	if sum := svc2.Summary(); sum.CacheHits != 1 {
 		t.Fatalf("CacheHits = %d, want 1", sum.CacheHits)
+	}
+}
+
+// TestRecoveryKeepsRunsOfRefusedSpecs: a data directory may hold runs
+// whose specs an earlier, more lenient build accepted — one that failed
+// in its runner, one still queued at the crash. Recovery restores both
+// as failed with their errors instead of dropping them because Validate
+// now refuses their specs.
+func TestRecoveryKeepsRunsOfRefusedSpecs(t *testing.T) {
+	dir := t.TempDir()
+	st := openStoreT(t, dir)
+	created := time.Now().Add(-time.Minute)
+	const bogusErr = `scenario: spec "adhoc": unknown param "bogus" for kind "faults" (known: crash_procs kill mtbfs tasks)`
+	for _, rec := range []store.Record{
+		{Op: "submit", Run: &store.RunRecord{ID: "r000001", Seq: 1, State: "queued", Seed: 42, Created: created,
+			Spec: json.RawMessage(`{"id":"adhoc","kind":"faults","params":{"bogus":1}}`)}},
+		{Op: "state", ID: "r000001", State: "running", Started: created},
+		{Op: "terminal", ID: "r000001", State: "failed", Error: bogusErr, Finished: created},
+		{Op: "submit", Run: &store.RunRecord{ID: "r000002", Seq: 2, State: "queued", Seed: 42, Created: created,
+			Spec: json.RawMessage(`{"id":"adhoc","kind":"mrt","params":{"ms":[0]}}`)}},
+	} {
+		if err := st.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	svc, _ := newTestService(t, Config{Store: openStoreT(t, dir)})
+	want := map[string]string{"r000001": bogusErr, "r000002": "interrupted by daemon restart"}
+	list := svc.List()
+	if len(list) != len(want) {
+		t.Fatalf("recovered %d runs %+v, want %d", len(list), list, len(want))
+	}
+	for _, run := range list {
+		if run.State != RunFailed || run.Error != want[run.ID] {
+			t.Errorf("run %s recovered as %q (err %q), want failed with %q", run.ID, run.State, run.Error, want[run.ID])
+		}
 	}
 }
 

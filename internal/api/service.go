@@ -9,7 +9,6 @@ import (
 	"log"
 	"net/http"
 	"slices"
-	"strconv"
 	"sync"
 	"time"
 
@@ -231,6 +230,7 @@ type httpErr struct {
 // only runnable Specs enter the queue.
 func (s *RunService) resolveSpec(req *scenario.HTTPRequest) (*scenario.Spec, *httpErr) {
 	var spec *scenario.Spec
+	var lim scenario.Limits // catalog specs are the daemon's own
 	switch {
 	case req.ID != "" && req.Spec != nil:
 		return nil, &httpErr{code: http.StatusBadRequest, msg: "set either id or spec, not both"}
@@ -245,19 +245,6 @@ func (s *RunService) resolveSpec(req *scenario.HTTPRequest) (*scenario.Spec, *ht
 		if spec.ID == "" {
 			spec.ID = "adhoc"
 		}
-		// Bound the work an inline spec can request of a live daemon
-		// (cancellation is cooperative per cell, so one huge cell could
-		// still pin a worker for its full duration).
-		if herr := checkInlineSizes(spec); herr != nil {
-			return nil, herr
-		}
-		// params.swf names a file on the daemon's host: a client could
-		// make the daemon read any path, and the archive's length escapes
-		// the job bound above.
-		if _, ok := spec.Params["swf"]; ok {
-			return nil, &httpErr{code: http.StatusBadRequest, msg: "inline spec sets params.swf, a server-side file path " +
-				"(replay local archives with gridctl local <spec.json>)"}
-		}
 		// Clamp inline trace recording (req.Spec is per-request, so
 		// mutating it is safe — catalog specs are shared and never
 		// touched here).
@@ -265,61 +252,19 @@ func (s *RunService) resolveSpec(req *scenario.HTTPRequest) (*scenario.Spec, *ht
 			(spec.Trace.MaxEvents == 0 || spec.Trace.MaxEvents > maxInlineTraceEvents) {
 			spec.Trace.MaxEvents = maxInlineTraceEvents
 		}
+		// Bound the work an inline spec can request of a live daemon, and
+		// refuse params naming a file on the daemon's host.
+		lim = scenario.Limits{MaxJobs: maxInlineJobs, MaxProcs: maxInlineProcs, NoServerPaths: true}
 	default:
 		return nil, &httpErr{code: http.StatusBadRequest, msg: "set id or spec"}
 	}
-	if err := spec.Validate(); err != nil {
+	if err := spec.Validate(lim); err != nil {
 		return nil, &httpErr{code: http.StatusBadRequest, msg: err.Error()}
 	}
 	if !scenario.HasKind(spec.Kind) {
 		return nil, &httpErr{code: http.StatusBadRequest, msg: fmt.Sprintf("unknown scenario kind %q", spec.Kind)}
 	}
 	return spec, nil
-}
-
-// checkInlineSizes refuses an inline spec that requests more than
-// maxInlineJobs jobs or a platform wider than maxInlineProcs, wherever
-// the size is set: the workload, the platform and its clusters, the grid
-// campaign, or the params of a kind that sizes itself from them.
-func checkInlineSizes(spec *scenario.Spec) *httpErr {
-	type size struct {
-		field string
-		max   int
-		vals  []float64
-	}
-	param := func(key string) []float64 { // a scalar, a list, or absent (0)
-		return append([]float64{spec.Float(key, 0)}, spec.Floats(key, nil)...)
-	}
-	sizes := []size{
-		{"params.n", maxInlineJobs, param("n")},
-		{"params.ns", maxInlineJobs, param("ns")},
-		{"params.m", maxInlineProcs, param("m")},
-		{"params.ms", maxInlineProcs, param("ms")},
-	}
-	if w := spec.Workload; w != nil {
-		sizes = append(sizes, size{"workload.n", maxInlineJobs, []float64{float64(w.N)}},
-			size{"workload.m", maxInlineProcs, []float64{float64(w.M)}})
-	}
-	if g := spec.Grid; g != nil {
-		sizes = append(sizes, size{"grid.campaign_tasks", maxInlineJobs, []float64{float64(g.CampaignTasks)}})
-	}
-	if p := spec.Platform; p != nil {
-		widths := size{"platform.clusters[].m", maxInlineProcs, nil}
-		for _, c := range p.Clusters {
-			widths.vals = append(widths.vals, float64(c.M))
-		}
-		sizes = append(sizes, size{"platform.m", maxInlineProcs, []float64{float64(p.M)}}, widths)
-	}
-	for _, s := range sizes {
-		for _, v := range s.vals {
-			if v > float64(s.max) {
-				return &httpErr{code: http.StatusBadRequest, msg: fmt.Sprintf(
-					"inline spec requests %s = %s (max %d server-side; run it with gridctl local)",
-					s.field, strconv.FormatFloat(v, 'f', -1, 64), s.max)}
-			}
-		}
-	}
-	return nil
 }
 
 // SubmitAs validates the request, registers a run and queues it for

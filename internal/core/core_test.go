@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/lowerbound"
 	"repro/internal/workload"
 )
 
@@ -82,4 +84,33 @@ func TestRunPropagatesPolicyErrors(t *testing.T) {
 			t.Fatalf("oversized job accepted by %+v", p)
 		}
 	}
+}
+
+// TestRunBiCriteriaWithinFourRho: the bi-criteria recommendation, run
+// through Run, keeps both ratios to the certified lower bounds within
+// the §4.4 guarantee 4ρ = 6.
+func TestRunBiCriteriaWithinFourRho(t *testing.T) {
+	const m = 32
+	jobs := workload.Parallel(workload.GenConfig{N: 40, M: m, Seed: 1, Weighted: true})
+	s, _, err := Run(jobs, m, Profile{Moldable: true, Criterion: BiCriteria})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := s.Report()
+	if rep.Makespan <= 0 || rep.N != 40 {
+		t.Fatalf("report: %+v", rep)
+	}
+	if r := rep.Makespan / lowerbound.Cmax(jobs, m); r > 6 {
+		t.Fatalf("Cmax ratio %v above 4ρ", r)
+	}
+	if r := rep.SumWeightedCompletion / lowerbound.SumWeightedCompletion(jobs, m); r > 6 {
+		t.Fatalf("ΣwC ratio %v above 4ρ", r)
+	}
+}
+
+// ExampleRecommend demonstrates the paper's decision procedure.
+func ExampleRecommend() {
+	rec := Recommend(Profile{Moldable: true, Online: true})
+	fmt.Println(rec.Policy, rec.Guarantee)
+	// Output: batch-mrt 3 + ε
 }

@@ -20,9 +20,6 @@ import (
 // greedy γ(λ) allotment (DESIGN.md ablation 1). Params: "ms", "n",
 // "eps".
 func ablationAllotmentRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
-	if err := spec.CheckParams(map[string]scenario.ParamType{"ms": scenario.IntsParam, "n": scenario.IntParam, "eps": scenario.FloatParam}); err != nil {
-		return nil, err
-	}
 	t := newTable(2,
 		title(spec, "Ablation — MRT allotment selection: knapsack (paper) vs greedy γ(λ)"),
 		"m", "n", "knapsack ratio", "greedy ratio", "knapsack iters", "greedy iters")
@@ -55,9 +52,6 @@ func ablationAllotmentRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenar
 // lower bound vs an oversized base (DESIGN.md ablation 2). Params:
 // "m", "n".
 func ablationDoublingBaseRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
-	if err := spec.CheckParams(map[string]scenario.ParamType{"m": scenario.IntParam, "n": scenario.IntParam}); err != nil {
-		return nil, err
-	}
 	t := newTable(1,
 		title(spec, "Ablation — bi-criteria initial deadline d"),
 		"d choice", "batches", "Cmax ratio", "ΣwC ratio")
@@ -90,9 +84,6 @@ func ablationDoublingBaseRun(spec *scenario.Spec, opt scenario.RunOptions) (*sce
 // ablationShelfFillRun compares SMART's first-fit shelf filling against
 // best-fit (DESIGN.md ablation 3). Params: "ms", "n".
 func ablationShelfFillRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
-	if err := spec.CheckParams(map[string]scenario.ParamType{"ms": scenario.IntsParam, "n": scenario.IntParam}); err != nil {
-		return nil, err
-	}
 	t := newTable(2,
 		title(spec, "Ablation — SMART shelf filling rule"),
 		"m", "n", "first-fit ΣwC", "best-fit ΣwC", "FF shelves", "BF shelves")
@@ -125,9 +116,6 @@ func ablationShelfFillRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenar
 // ablationChunkRun sweeps the self-scheduling chunk size under latency
 // (DESIGN.md ablation 4). Params: "w", "latency", "chunks".
 func ablationChunkRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
-	if err := spec.CheckParams(map[string]scenario.ParamType{"w": scenario.FloatParam, "latency": scenario.FloatParam, "chunks": scenario.FloatsParam}); err != nil {
-		return nil, err
-	}
 	W := spec.Float("w", 10000)
 	latency := spec.Float("latency", 1)
 	t := newTable(1,
@@ -154,9 +142,6 @@ func ablationChunkRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.R
 // ablationKillPolicyRun compares best-effort eviction rules on a loaded
 // cluster (DESIGN.md ablation 5). Params: "n", "tasks".
 func ablationKillPolicyRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
-	if err := spec.CheckParams(map[string]scenario.ParamType{"n": scenario.IntParam, "tasks": scenario.IntParam}); err != nil {
-		return nil, err
-	}
 	t := newTable(1,
 		title(spec, "Ablation — best-effort kill policy (single 64-proc cluster)"),
 		"policy", "BE done", "kills", "wasted work", "local Δ")
@@ -207,9 +192,6 @@ func ablationKillPolicyRun(spec *scenario.Spec, opt scenario.RunOptions) (*scena
 // batches leave idle steps at batch boundaries that compaction reclaims
 // without moving any job later. Params: "m", "n".
 func ablationCompactionRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
-	if err := spec.CheckParams(map[string]scenario.ParamType{"m": scenario.IntParam, "n": scenario.IntParam}); err != nil {
-		return nil, err
-	}
 	t := newTable(2,
 		title(spec, "Ablation — compaction post-pass on bi-criteria schedules"),
 		"family", "n", "Cmax ratio", "compacted", "ΣwC ratio", "compacted ")

@@ -4,41 +4,44 @@ import "repro/internal/scenario"
 
 // This file wires the experiment engine into internal/scenario: it
 // registers every kind runner (each one a scenario.Runner as written)
-// and the built-in Spec catalog that reproduces the paper's
-// evaluation. Catalog registration order is the display order of
-// `gridctl scenarios` and the expansion order of `gridctl local all`
-// (figures, tables, ablations).
+// with its param schema, and the built-in Spec catalog that reproduces
+// the paper's evaluation. Catalog registration order is the display
+// order of `gridctl scenarios` and the expansion order of
+// `gridctl local all` (figures, tables, ablations).
+
+// params is a kind's param schema.
+type params = map[string]scenario.ParamType
 
 func init() {
 	// Kind interpreters. One per bespoke table, plus the generic
 	// JSON-composable kinds ("offline", "online", "grid") that the
 	// built-in T14/T15 specs are themselves instances of.
-	scenario.RegisterKind("fig2", fig2Run)
-	scenario.RegisterKind("mrt", mrtRun)
-	scenario.RegisterKind("batch", batchRun)
-	scenario.RegisterKind("smart", smartRun)
-	scenario.RegisterKind("bicriteria", bicriteriaRun)
-	scenario.RegisterKind("dlt", dltRun)
-	scenario.RegisterKind("cigri", cigriRun)
-	scenario.RegisterKind("decentralized", decentralizedRun)
-	scenario.RegisterKind("mixed", mixedRun)
-	scenario.RegisterKind("reservations", reservationsRun)
-	scenario.RegisterKind("malleable", malleableRun)
-	scenario.RegisterKind("treedlt", treeDLTRun)
-	scenario.RegisterKind("criteria", criteriaRun)
-	scenario.RegisterKind("heterogrid", heteroGridRun)
-	scenario.RegisterKind("online", onlineRun)
-	scenario.RegisterKind("grid", gridRun)
-	scenario.RegisterKind("offline", offlineRun)
-	scenario.RegisterKind("replay", replayRun)
-	scenario.RegisterKind("faults", faultsRun)
-	scenario.RegisterKind("faulttwin", faultTwinRun)
-	scenario.RegisterKind("ablation-allotment", ablationAllotmentRun)
-	scenario.RegisterKind("ablation-doubling-base", ablationDoublingBaseRun)
-	scenario.RegisterKind("ablation-shelf-fill", ablationShelfFillRun)
-	scenario.RegisterKind("ablation-chunk", ablationChunkRun)
-	scenario.RegisterKind("ablation-kill-policy", ablationKillPolicyRun)
-	scenario.RegisterKind("ablation-compaction", ablationCompactionRun)
+	scenario.RegisterKind("fig2", fig2Run, params{"m": scenario.IntParam, "reps": scenario.IntParam, "ns": scenario.IntsParam, "quick_ns": scenario.IntsParam})
+	scenario.RegisterKind("mrt", mrtRun, params{"ms": scenario.IntsParam, "ns": scenario.IntsParam, "eps": scenario.FloatParam})
+	scenario.RegisterKind("batch", batchRun, params{"m": scenario.IntParam, "n": scenario.IntParam, "rates": scenario.FloatsParam, "eps": scenario.FloatParam})
+	scenario.RegisterKind("smart", smartRun, params{"ms": scenario.IntsParam, "n": scenario.IntParam})
+	scenario.RegisterKind("bicriteria", bicriteriaRun, params{"m": scenario.IntParam, "ns": scenario.IntsParam, "eps": scenario.FloatParam})
+	scenario.RegisterKind("dlt", dltRun, params{"latencies": scenario.FloatsParam, "w": scenario.FloatParam})
+	scenario.RegisterKind("cigri", cigriRun, params{"runs": scenario.IntParam, "run_time": scenario.FloatParam})
+	scenario.RegisterKind("decentralized", decentralizedRun, params{"n": scenario.IntParam, "period": scenario.FloatParam, "threshold": scenario.FloatParam, "max_move": scenario.IntParam})
+	scenario.RegisterKind("mixed", mixedRun, params{"m": scenario.IntParam, "n": scenario.IntParam, "fracs": scenario.FloatsParam})
+	scenario.RegisterKind("reservations", reservationsRun, params{"m": scenario.IntParam, "n": scenario.IntParam})
+	scenario.RegisterKind("malleable", malleableRun, params{"ms": scenario.IntsParam, "n": scenario.IntParam})
+	scenario.RegisterKind("treedlt", treeDLTRun, params{"w": scenario.FloatParam})
+	scenario.RegisterKind("criteria", criteriaRun, params{"m": scenario.IntParam, "n": scenario.IntParam})
+	scenario.RegisterKind("heterogrid", heteroGridRun, nil)
+	scenario.RegisterKind("online", onlineRun, params{"rates": scenario.FloatsParam, "kill": scenario.StringParam})
+	scenario.RegisterKind("grid", gridRun, params{"kill": scenario.StringParam})
+	scenario.RegisterKind("offline", offlineRun, nil)
+	scenario.RegisterKind("replay", replayRun, params{"swf": scenario.StringParam, "retain": scenario.StringParam, "ring": scenario.IntParam, "kill": scenario.StringParam})
+	scenario.RegisterKind("faults", faultsRun, params{"mtbfs": scenario.FloatsParam, "crash_procs": scenario.IntParam, "tasks": scenario.IntParam, "kill": scenario.StringParam})
+	scenario.RegisterKind("faulttwin", faultTwinRun, params{"n": scenario.IntParam, "m": scenario.IntParam, "kill": scenario.StringParam})
+	scenario.RegisterKind("ablation-allotment", ablationAllotmentRun, params{"ms": scenario.IntsParam, "n": scenario.IntParam, "eps": scenario.FloatParam})
+	scenario.RegisterKind("ablation-doubling-base", ablationDoublingBaseRun, params{"m": scenario.IntParam, "n": scenario.IntParam})
+	scenario.RegisterKind("ablation-shelf-fill", ablationShelfFillRun, params{"ms": scenario.IntsParam, "n": scenario.IntParam})
+	scenario.RegisterKind("ablation-chunk", ablationChunkRun, params{"w": scenario.FloatParam, "latency": scenario.FloatParam, "chunks": scenario.FloatsParam})
+	scenario.RegisterKind("ablation-kill-policy", ablationKillPolicyRun, params{"n": scenario.IntParam, "tasks": scenario.IntParam})
+	scenario.RegisterKind("ablation-compaction", ablationCompactionRun, params{"m": scenario.IntParam, "n": scenario.IntParam})
 
 	// Built-in catalog: the paper's evaluation as Specs. Each records
 	// its headline parameters explicitly (same values the kind would

@@ -54,9 +54,6 @@ func title(spec *scenario.Spec, def string) string {
 // 3/2 + ε guarantee and the naive allotment baselines, across platform
 // widths and job counts. Params: "ms", "ns" (the sweep axes), "eps".
 func mrtRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
-	if err := spec.CheckParams(map[string]scenario.ParamType{"ms": scenario.IntsParam, "ns": scenario.IntsParam, "eps": scenario.FloatParam}); err != nil {
-		return nil, err
-	}
 	t := newTable(2,
 		title(spec, "T1 — §4.1 offline moldable Cmax: MRT (3/2+ε) vs baselines (ratios to lower bound)"),
 		"m", "n", "MRT", "λ-accepted", "MinWork+LPT", "MaxProcs+LPT", "γ(LB)+LPT", "bound")
@@ -107,9 +104,6 @@ func mrtRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, err
 // release dates versus its 2ρ = 3 + ε guarantee, across arrival
 // intensities. Params: "m", "n", "rates", "eps".
 func batchRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
-	if err := spec.CheckParams(map[string]scenario.ParamType{"m": scenario.IntParam, "n": scenario.IntParam, "rates": scenario.FloatsParam, "eps": scenario.FloatParam}); err != nil {
-		return nil, err
-	}
 	t := newTable(3,
 		title(spec, "T2 — §4.2 online moldable Cmax: batches over MRT (ratios to lower bound, bound 3+ε)"),
 		"m", "n", "arrival rate", "batches", "online ratio", "offline-MRT ratio")
@@ -150,9 +144,6 @@ func batchRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, e
 // smartRun is experiment T3 (§4.3): SMART shelves versus the 8 / 8.53
 // bounds and a submission-order list baseline. Params: "ms", "n".
 func smartRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
-	if err := spec.CheckParams(map[string]scenario.ParamType{"ms": scenario.IntsParam, "n": scenario.IntParam}); err != nil {
-		return nil, err
-	}
 	t := newTable(3,
 		title(spec, "T3 — §4.3 rigid completion-time sums: SMART shelves (ratios to lower bound)"),
 		"m", "n", "weighted", "SMART ΣwC", "list ΣwC", "shelves", "bound")
@@ -200,9 +191,6 @@ func smartRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, e
 // ratios versus 4ρ, contrasted with pure MRT (good Cmax, unmanaged
 // ΣwC). Params: "m", "ns" (per-family job counts), "eps".
 func bicriteriaRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
-	if err := spec.CheckParams(map[string]scenario.ParamType{"m": scenario.IntParam, "ns": scenario.IntsParam, "eps": scenario.FloatParam}); err != nil {
-		return nil, err
-	}
 	t := newTable(2,
 		title(spec, "T4 — §4.4 bi-criteria doubling: both ratios bounded by 4ρ = 6"),
 		"family", "n", "doubling Cmax", "doubling ΣwC", "MRT Cmax", "MRT ΣwC", "bound")
@@ -257,36 +245,16 @@ func bicriteriaRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Resu
 // independent cells) and renders them through the bespoke figure
 // writer: it has no table form. Params: "m" (platform width), "reps"
 // (replications per point), "ns" (full-scale axis) and "quick_ns" (the
-// axis when JobFactor > 1). m, reps and every task count of either axis
-// must be at least 1; any other value is refused before a cell runs. A
-// cell generates its series' next instance on a second goroutine while
+// axis when JobFactor > 1); Validate holds each of them, and every task
+// count of either axis, to at least 1 before a cell runs. A cell
+// generates its series' next instance on a second goroutine while
 // it schedules the current one (bicriteria.Fig2Series).
 func fig2Run(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
-	if err := spec.CheckParams(map[string]scenario.ParamType{
-		"m": scenario.IntParam, "reps": scenario.IntParam,
-		"ns": scenario.IntsParam, "quick_ns": scenario.IntsParam,
-	}); err != nil {
-		return nil, err
-	}
 	m := spec.Int("m", 100)
 	reps := spec.Int("reps", 3)
-	if m < 1 {
-		return nil, fmt.Errorf("experiments: fig2: param \"m\" is %d, want at least 1", m)
-	}
-	if reps < 1 {
-		return nil, fmt.Errorf("experiments: fig2: param \"reps\" is %d, want at least 1", reps)
-	}
-	axes := [2][]int{spec.Ints("ns", bicriteria.DefaultNs()), spec.Ints("quick_ns", []int{10, 50, 100, 200})}
-	for i, key := range []string{"ns", "quick_ns"} {
-		for _, n := range axes[i] {
-			if n < 1 {
-				return nil, fmt.Errorf("experiments: fig2: param %q has task count %d, want at least 1", key, n)
-			}
-		}
-	}
-	ns := axes[0]
+	ns := spec.Ints("ns", bicriteria.DefaultNs())
 	if opt.Scale.JobFactor > 1 {
-		ns = axes[1]
+		ns = spec.Ints("quick_ns", []int{10, 50, 100, 200})
 	}
 	series, err := runCells(opt, 2, func(i int) ([]bicriteria.Fig2Point, error) {
 		return bicriteria.Fig2Series(bicriteria.Fig2Config{
@@ -305,9 +273,6 @@ func fig2Run(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, er
 // mixedRun is experiment T8 (§5.1): the three strategies for mixing
 // rigid and moldable jobs on one cluster. Params: "m", "n", "fracs".
 func mixedRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
-	if err := spec.CheckParams(map[string]scenario.ParamType{"m": scenario.IntParam, "n": scenario.IntParam, "fracs": scenario.FloatsParam}); err != nil {
-		return nil, err
-	}
 	t := newTable(3,
 		title(spec, "T8 — §5.1 rigid+moldable mixes: the three proposed strategies (Cmax/ΣwC ratios to lower bounds)"),
 		"rigid frac", "n", "strategy", "Cmax ratio", "ΣwC ratio")

@@ -25,9 +25,6 @@ import (
 // quantifies the paper's expectation that "malleability is much more
 // easily usable from the scheduling point of view". Params: "ms", "n".
 func malleableRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
-	if err := spec.CheckParams(map[string]scenario.ParamType{"ms": scenario.IntsParam, "n": scenario.IntParam}); err != nil {
-		return nil, err
-	}
 	t := newTable(2,
 		title(spec, "EXT1 — §2.2 malleable jobs (paper's future work): EQUI vs moldable MRT (ratios to lower bound)"),
 		"m", "n", "moldable MRT", "malleable EQUI", "EQUI reallocs", "weighted EQUI ΣwC", "MRT ΣwC")
@@ -77,9 +74,6 @@ func malleableRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Resul
 // §1.2 observation that interconnects "may be hierarchical".
 // Params: "w" (total load).
 func treeDLTRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
-	if err := spec.CheckParams(map[string]scenario.ParamType{"w": scenario.FloatParam}); err != nil {
-		return nil, err
-	}
 	t := newTable(2,
 		title(spec, "EXT2 — [4] divisible load on tree networks (same 13 workers, growing depth; W=10000)"),
 		"topology", "nodes", "makespan", "vs flat star", "LB")
@@ -143,9 +137,6 @@ func treeDLTRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result,
 // paper's argument for per-application policy selection. Params: "m",
 // "n".
 func criteriaRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
-	if err := spec.CheckParams(map[string]scenario.ParamType{"m": scenario.IntParam, "n": scenario.IntParam}); err != nil {
-		return nil, err
-	}
 	t := newTable(1,
 		title(spec, "EXT3 — §3 criteria matrix: one workload, every policy, every criterion (ratios to lower bounds where defined)"),
 		"policy", "Cmax", "ΣwC", "mean flow", "max stretch", "late", "util %")
@@ -216,9 +207,6 @@ func criteriaRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result
 // processors" view at grid scale. Compares the speed-aware partition
 // against using only the largest cluster and a speed-blind deal.
 func heteroGridRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
-	if err := spec.CheckParams(map[string]scenario.ParamType{}); err != nil {
-		return nil, err
-	}
 	t := newTable(2,
 		title(spec, "EXT4 — two-level moldable scheduling on the CIMENT grid (makespans, ratios to grid LB)"),
 		"workload", "partition", "grid makespan", "ratio", "clusters used")

@@ -32,12 +32,6 @@ func planHasClusterFaults(p scenario.Faults) bool {
 // sweep), params "mtbfs" (the MTBF axis; 0 rows run healthy),
 // "crash_procs", "tasks" (campaign size), and "kill".
 func faultsRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
-	if err := spec.CheckParams(map[string]scenario.ParamType{
-		"mtbfs": scenario.FloatsParam, "crash_procs": scenario.IntParam,
-		"tasks": scenario.IntParam, "kill": scenario.StringParam,
-	}); err != nil {
-		return nil, err
-	}
 	t := newTable(2,
 		title(spec, "EXT6 — policy robustness under node churn: §3 criteria and best-effort loss vs MTBF"),
 		"MTBF", "policy", "Cmax ratio", "mean flow", "crashes", "requeues",
@@ -144,11 +138,6 @@ func faultsRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, 
 // Spec surface: params "n", "m", "kill"; Policies (a single queue
 // policy, default "easy").
 func faultTwinRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
-	if err := spec.CheckParams(map[string]scenario.ParamType{
-		"n": scenario.IntParam, "m": scenario.IntParam, "kill": scenario.StringParam,
-	}); err != nil {
-		return nil, err
-	}
 	t := newTable(1,
 		title(spec, "EXT7 — analytical twin: predicted (availability-discounted LB) vs simulated makespan per fault plan"),
 		"plan", "crashes", "requeues", "down %", "sim Cmax", "twin Cmax", "err %")

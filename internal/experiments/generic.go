@@ -169,9 +169,6 @@ func MetricNames() []string {
 // Policies (default: every offline-capable policy), Metrics (default:
 // cmax_ratio, swc_ratio, mean_flow, max_stretch, late, util).
 func offlineRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
-	if err := spec.CheckParams(map[string]scenario.ParamType{}); err != nil {
-		return nil, err
-	}
 	gen, cfg := genConfig(spec.Workload, workload.GenConfig{N: 200, M: 64})
 	m := cfg.M
 	if spec.Platform != nil && spec.Platform.M != 0 {

@@ -40,9 +40,6 @@ func dltPlatforms() []struct {
 // platforms, with the crossover the paper's model discussion predicts.
 // Params: "latencies", "w" (total load).
 func dltRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
-	if err := spec.CheckParams(map[string]scenario.ParamType{"latencies": scenario.FloatsParam, "w": scenario.FloatParam}); err != nil {
-		return nil, err
-	}
 	t := newTable(2,
 		title(spec, "T5 — §2.1 divisible load policies (makespans, lower bound in last column)"),
 		"platform", "latency", "1 round", "4 rounds", "16 rounds", "self-sched", "LB")
@@ -106,9 +103,6 @@ func communityMembers(seed uint64, jobsPerCluster int, rate float64) []grid.Memb
 // member workloads from the cell seed), so a full parallel run keeps all
 // four simulations in flight.
 func cigriRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
-	if err := spec.CheckParams(map[string]scenario.ParamType{"runs": scenario.IntParam, "run_time": scenario.FloatParam}); err != nil {
-		return nil, err
-	}
 	t := newTable(2,
 		title(spec, "T6 — §5.2 centralized CiGri on CIMENT (Figure 3 platform)"),
 		"local load", "bag tasks", "local Δflow", "grid done", "kills", "wasted %", "grid makespan")
@@ -176,9 +170,6 @@ func cigriRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, e
 // clones of one shared workload. Params: "n", "period", "threshold",
 // "max_move".
 func decentralizedRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
-	if err := spec.CheckParams(map[string]scenario.ParamType{"n": scenario.IntParam, "period": scenario.FloatParam, "threshold": scenario.FloatParam, "max_move": scenario.IntParam}); err != nil {
-		return nil, err
-	}
 	t := newTable(1,
 		title(spec, "T7 — §5.2 decentralized load exchange (4×32-proc clusters, all load on cluster 0)"),
 		"scheme", "migrations", "mean flow", "max flow", "makespan")
@@ -259,9 +250,6 @@ func decentralizedRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.R
 // reservations with FCFS versus conservative backfilling. Params: "m",
 // "n".
 func reservationsRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
-	if err := spec.CheckParams(map[string]scenario.ParamType{"m": scenario.IntParam, "n": scenario.IntParam}); err != nil {
-		return nil, err
-	}
 	t := newTable(2,
 		title(spec, "T9 — §5.1 reservations: makespan ratios to the reservation-free lower bound"),
 		"reserved", "window", "FCFS", "conservative", "no-reservation conservative")

@@ -57,9 +57,6 @@ func gridMembers(clusters []scenario.Cluster, newPolicy func() cluster.Policy) [
 // defaults, and stays registry-driven: a policy added to the grid
 // catalog shows up there automatically.
 func gridRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
-	if err := spec.CheckParams(map[string]scenario.ParamType{"kill": scenario.StringParam}); err != nil {
-		return nil, err
-	}
 	headers := []string{"policy", "migr", "mean flow", "max flow", "makespan", "grid done", "kills", "wasted %", "grid Cmax"}
 	if spec.Faults != nil {
 		// Fault columns only when a plan is set, keeping the healthy

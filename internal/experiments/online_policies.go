@@ -25,9 +25,6 @@ import (
 // "policies" Spec (T14) is an instance of this kind with the paper
 // defaults.
 func onlineRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
-	if err := spec.CheckParams(map[string]scenario.ParamType{"rates": scenario.FloatsParam, "kill": scenario.StringParam}); err != nil {
-		return nil, err
-	}
 	headers := []string{"rate", "n", "policy", "Cmax ratio", "mean flow", "max flow", "mean stretch", "util%"}
 	if spec.Faults != nil {
 		// The fault columns appear only when a plan is set, so the

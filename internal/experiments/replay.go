@@ -28,14 +28,6 @@ import (
 // ("none"|"ring"|"full", default "none"), "ring" (tail capacity for
 // retain=ring, default 1024) and "kill" ("newest"|"largest").
 func replayRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
-	if err := spec.CheckParams(map[string]scenario.ParamType{
-		"swf":    scenario.StringParam,
-		"retain": scenario.StringParam,
-		"ring":   scenario.IntParam,
-		"kill":   scenario.StringParam,
-	}); err != nil {
-		return nil, err
-	}
 	gen, cfg := genConfig(spec.Workload, workload.GenConfig{N: 2000, M: 64, ArrivalRate: 2, RigidFraction: 0.5})
 	m := cfg.M
 	if spec.Platform != nil && spec.Platform.M != 0 {

@@ -228,11 +228,28 @@ func TestGoldenFleetSurvivesWorkerDeath(t *testing.T) {
 	}
 }
 
-// TestGoldenFleetSurvivesPoisonLease: a lease whose cells panic on the
-// worker's pool (an inline spec that validates but cannot run: a
-// negative platform width) comes back failed instead of killing the
-// worker, and the same worker then takes the next lease and renders
-// its run byte-identically to the single-process one.
+// poisonRun is a kind whose one remoteable cell panics wherever it
+// executes: the coordinator side ships the cell through opt.Remote, and
+// the worker that leases it panics inside scenario.Run.
+func poisonRun(_ *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
+	fanout := opt.NextFanout()
+	if opt.Remote != nil {
+		_, _, err := opt.Remote.RunCell(context.Background(), fanout, 0)
+		return nil, err
+	}
+	if opt.Select != nil && opt.Select(fanout, 0) {
+		panic("poison cell")
+	}
+	return nil, nil
+}
+
+func init() { scenario.RegisterKind("fleet-poison", poisonRun, nil) }
+
+// TestGoldenFleetSurvivesPoisonLease: a lease whose cell panics on the
+// worker (a spec that validates but cannot run) comes back failed
+// instead of killing the worker, and the same worker then takes the
+// next lease and renders its run byte-identically to the
+// single-process one.
 func TestGoldenFleetSurvivesPoisonLease(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // a real pool, not the sequential loop
@@ -243,8 +260,7 @@ func TestGoldenFleetSurvivesPoisonLease(t *testing.T) {
 	stop := startWorkers(t, c, 1)
 	defer stop()
 
-	poison := scenario.New("poison", "mrt",
-		scenario.WithParam("ms", []int{-1}), scenario.WithParam("ns", []int{50, 60}))
+	poison := scenario.New("poison", "fleet-poison")
 	if _, err := runFleet(poison, opt, c); err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("poison run: err = %v, want a failed lease naming the panic", err)
 	}

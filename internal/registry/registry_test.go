@@ -29,8 +29,8 @@ func TestCatalogConsistency(t *testing.T) {
 		}
 		if e.Caps.Online {
 			p := e.NewPolicy()
-			if p.Name() == "" {
-				t.Fatalf("%s: constructed policy has empty name", e.Name)
+			if p.Name() != e.Name {
+				t.Fatalf("%s: constructed policy is named %q", e.Name, p.Name())
 			}
 		}
 	}

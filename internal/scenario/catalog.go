@@ -251,25 +251,35 @@ func (r *Result) EmitFormat(w io.Writer, format string) error {
 // are already resolved against the Spec.
 type Runner func(spec *Spec, opt RunOptions) (*Result, error)
 
+// kind is one registered interpreter with its param schema.
+type kind struct {
+	run    Runner
+	params map[string]ParamType
+}
+
 var (
-	kinds = map[string]Runner{}
+	kinds = map[string]kind{}
 	// builtins is the ordered catalog: registration order is display
 	// and "all"-expansion order (the legacy CLI order).
 	builtins []*Spec
 	byID     = map[string]*Spec{}
 )
 
-// RegisterKind installs the interpreter for a kind. Panics on
-// duplicates: kinds register from init functions and a collision is a
-// programming error.
-func RegisterKind(kind string, r Runner) {
-	if kind == "" || r == nil {
+// RegisterKind installs the interpreter for a kind with the kind's param
+// schema: every param a spec of the kind may set, with the shape its
+// value must have (nil: the kind takes no params). The schema is the
+// kind's only declaration of its params; Validate enforces it, plus the
+// floor and bound each size param gets from its name (paramSizes). The
+// schema is not part of CatalogHash. Panics on duplicates: kinds
+// register from init functions and a collision is a programming error.
+func RegisterKind(name string, r Runner, params map[string]ParamType) {
+	if name == "" || r == nil {
 		panic("scenario: RegisterKind with empty kind or nil runner")
 	}
-	if _, dup := kinds[kind]; dup {
-		panic(fmt.Sprintf("scenario: kind %q registered twice", kind))
+	if _, dup := kinds[name]; dup {
+		panic(fmt.Sprintf("scenario: kind %q registered twice", name))
 	}
-	kinds[kind] = r
+	kinds[name] = kind{run: r, params: params}
 	catalogHash.Store(nil)
 }
 
@@ -293,7 +303,7 @@ func Kinds() []string {
 // Register adds a built-in Spec to the catalog (panics on duplicate
 // ids or invalid specs — built-ins register from init functions).
 func Register(s *Spec) {
-	if err := s.Validate(); err != nil {
+	if err := s.Validate(Limits{}); err != nil {
 		panic(err)
 	}
 	if _, dup := byID[s.ID]; dup {
@@ -334,14 +344,14 @@ func (s *Spec) EffectiveSeed(opt RunOptions) uint64 {
 // -seed wins over the Spec; nonzero option scale fields win), and
 // invokes the registered runner. A runner panic comes back as an error
 // naming the spec: services call Run on plain executor goroutines, and
-// a pathological inline spec (validation is structural, not semantic)
-// must fail its run, not crash the daemon. Cell panics on the worker
+// a pathological inline spec (Validate does not prove a runner cannot
+// fail) must fail its run, not crash the daemon. Cell panics on the worker
 // pool are contained there, as that cell's error.
 func Run(s *Spec, opt RunOptions) (res *Result, err error) {
-	if err := s.Validate(); err != nil {
+	if err := s.Validate(Limits{}); err != nil {
 		return nil, err
 	}
-	runner, ok := kinds[s.Kind]
+	k, ok := kinds[s.Kind]
 	if !ok {
 		return nil, fmt.Errorf("scenario: spec %q: unknown kind %q (have: %s)",
 			s.ID, s.Kind, strings.Join(Kinds(), " "))
@@ -361,7 +371,7 @@ func Run(s *Spec, opt RunOptions) (res *Result, err error) {
 			opt.Scale.Workers = s.Scale.Workers
 		}
 	}
-	res, err = runner(s, opt)
+	res, err = k.run(s, opt)
 	if res != nil {
 		res.SpecID, res.Kind, res.Seed = s.ID, s.Kind, opt.Seed
 	}

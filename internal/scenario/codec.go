@@ -25,7 +25,9 @@ func (s *Spec) MarshalIndent() ([]byte, error) {
 
 // Decode parses a Spec from JSON, rejecting unknown fields (a typo in
 // a scenario file should fail loudly, not silently fall back to a
-// default) and validating the result.
+// default). It does not judge the spec: Load, Run and the API call
+// Validate, and a run store decodes the specs it holds as they were
+// accepted.
 func Decode(r io.Reader) (*Spec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -33,13 +35,10 @@ func Decode(r io.Reader) (*Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("scenario: decode: %w", err)
 	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
 	return &s, nil
 }
 
-// Load reads a Spec from a JSON file.
+// Load reads a Spec from a JSON file and validates it.
 func Load(path string) (*Spec, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -47,6 +46,9 @@ func Load(path string) (*Spec, error) {
 	}
 	defer f.Close()
 	s, err := Decode(f)
+	if err == nil {
+		err = s.Validate(Limits{})
+	}
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %s: %w", path, err)
 	}

@@ -20,7 +20,7 @@ func encode(t *testing.T, s *Spec) []byte {
 }
 
 func TestBuilderAndValidate(t *testing.T) {
-	s := New("demo", "offline",
+	s := New("demo", "demo-kind",
 		WithTitle("demo title"),
 		WithDesc("a demo"),
 		WithGroup(GroupTable),
@@ -31,7 +31,7 @@ func TestBuilderAndValidate(t *testing.T) {
 	seed := uint64(7)
 	s.Seed, s.Platform, s.Scale = &seed, &Platform{M: 16}, &Scale{JobFactor: 10}
 	s.Policies, s.Metrics = []string{"mrt", "ffdh"}, []string{"cmax_ratio", "util"}
-	if err := s.Validate(); err != nil {
+	if err := s.Validate(Limits{}); err != nil {
 		t.Fatal(err)
 	}
 	if s.Seed == nil || *s.Seed != 7 {
@@ -57,7 +57,7 @@ func TestValidateRejects(t *testing.T) {
 		{ID: "x", Kind: "k", Params: map[string]any{"bad": struct{}{}}},
 	}
 	for i, s := range cases {
-		if err := s.Validate(); err == nil {
+		if err := s.Validate(Limits{}); err == nil {
 			t.Fatalf("case %d: invalid spec %+v passed validation", i, s)
 		}
 	}
@@ -145,7 +145,7 @@ func TestCodecRoundTripStructural(t *testing.T) {
 // TestRunUnknownKind: Run fails a spec it cannot run with an error
 // instead of crashing — an unregistered kind, or a runner that panics.
 func TestRunUnknownKind(t *testing.T) {
-	RegisterKind("panic-probe-kind", func(*Spec, RunOptions) (*Result, error) { panic("poison spec") })
+	RegisterKind("panic-probe-kind", func(*Spec, RunOptions) (*Result, error) { panic("poison spec") }, nil)
 	for spec, want := range map[*Spec]string{
 		New("x", "no-such-kind"):          "unknown kind",
 		New("poison", "panic-probe-kind"): `spec "poison" (kind "panic-probe-kind") panicked: poison spec`,
@@ -169,7 +169,7 @@ func TestRunSeedAndScaleResolution(t *testing.T) {
 			t.Errorf("fan-outs numbered %d, %d; want 0, 1", a, b)
 		}
 		return NewCellResult("probe", []string{"c"}, 0, nil), nil
-	})
+	}, nil)
 	seed := uint64(99)
 	spec := &Spec{ID: "probe", Kind: "probe-kind", Seed: &seed, Scale: &Scale{JobFactor: 5, Workers: 3}}
 
@@ -233,7 +233,7 @@ func TestCatalogHashFollowsRegistry(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { CatalogHash() }); n != 0 || CatalogHash() != h0 {
 		t.Fatalf("cached hash: %v allocations per call, %q then %q", n, h0, CatalogHash())
 	}
-	RegisterKind("hash-probe-kind", func(*Spec, RunOptions) (*Result, error) { return nil, nil })
+	RegisterKind("hash-probe-kind", func(*Spec, RunOptions) (*Result, error) { return nil, nil }, nil)
 	h1 := CatalogHash()
 	if h1 == h0 {
 		t.Fatalf("hash %q unchanged by RegisterKind", h0)
@@ -285,18 +285,25 @@ func TestDecodeParams(t *testing.T) {
 	}
 }
 
-// TestCheckParams: unknown keys and mistyped values fail loudly — the
-// params mirror of the codec's unknown-field rejection.
+// registerSchemaProbe registers a kind that declares schema and never runs.
+func registerSchemaProbe(kind string, schema map[string]ParamType) {
+	RegisterKind(kind, func(*Spec, RunOptions) (*Result, error) { return nil, nil }, schema)
+}
+
+// TestCheckParams: Validate enforces the schema the kind registered —
+// unknown keys and mistyped values fail loudly, the params mirror of the
+// codec's unknown-field rejection.
 func TestCheckParams(t *testing.T) {
-	schema := map[string]ParamType{
+	const k = "schema-probe-kind"
+	registerSchemaProbe(k, map[string]ParamType{
 		"ms": IntsParam, "eps": FloatParam, "kill": StringParam, "flag": BoolParam,
-	}
-	ok := New("ok", "k",
+	})
+	ok := New("ok", k,
 		WithParam("ms", []int{16, 64}),
 		WithParam("eps", 0.01),
 		WithParam("kill", "newest"),
 		WithParam("flag", true))
-	if err := ok.CheckParams(schema); err != nil {
+	if err := ok.Validate(Limits{}); err != nil {
 		t.Fatal(err)
 	}
 	// JSON-decoded params ([]any + float64) must also pass.
@@ -304,22 +311,22 @@ func TestCheckParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := decoded.CheckParams(schema); err != nil {
+	if err := decoded.Validate(Limits{}); err != nil {
 		t.Fatal(err)
 	}
 	bad := []struct {
 		name string
 		spec *Spec
 	}{
-		{"typo'd key", New("x", "k", WithParam("mss", []int{16}))},
-		{"string for number", New("x", "k", WithParam("eps", "0.005"))},
-		{"number for string", New("x", "k", WithParam("kill", 3))},
-		{"scalar for list", New("x", "k", WithParam("ms", 16))},
-		{"string list for number list", New("x", "k", WithParam("ms", []string{"a"}))},
-		{"number for bool", New("x", "k", WithParam("flag", 1))},
+		{"typo'd key", New("x", k, WithParam("mss", []int{16}))},
+		{"string for number", New("x", k, WithParam("eps", "0.005"))},
+		{"number for string", New("x", k, WithParam("kill", 3))},
+		{"scalar for list", New("x", k, WithParam("ms", 16))},
+		{"string list for number list", New("x", k, WithParam("ms", []string{"a"}))},
+		{"number for bool", New("x", k, WithParam("flag", 1))},
 	}
 	for _, c := range bad {
-		if err := c.spec.CheckParams(schema); err == nil {
+		if err := c.spec.Validate(Limits{}); err == nil {
 			t.Fatalf("%s accepted", c.name)
 		}
 	}
@@ -328,21 +335,55 @@ func TestCheckParams(t *testing.T) {
 // TestCheckParamsStrictness: non-integer values for int params and
 // empty lists are rejected, not silently truncated/zero-rowed.
 func TestCheckParamsStrictness(t *testing.T) {
-	schema := map[string]ParamType{"m": IntParam, "ms": IntsParam, "rates": FloatsParam}
-	if err := New("x", "k", WithParam("m", 64.9)).CheckParams(schema); err == nil {
+	const k = "strict-probe-kind"
+	registerSchemaProbe(k, map[string]ParamType{"m": IntParam, "ms": IntsParam, "rates": FloatsParam})
+	if err := New("x", k, WithParam("m", 64.9)).Validate(Limits{}); err == nil {
 		t.Fatal("fractional value accepted for IntParam")
 	}
-	if err := New("x", "k", WithParam("ms", []float64{16.5})).CheckParams(schema); err == nil {
+	if err := New("x", k, WithParam("ms", []float64{16.5})).Validate(Limits{}); err == nil {
 		t.Fatal("fractional element accepted for IntsParam")
 	}
-	if err := New("x", "k", WithParam("ms", []int{})).CheckParams(schema); err == nil {
+	if err := New("x", k, WithParam("ms", []int{})).Validate(Limits{}); err == nil {
 		t.Fatal("empty list accepted")
 	}
-	if err := New("x", "k", WithParam("rates", []any{})).CheckParams(schema); err == nil {
+	if err := New("x", k, WithParam("rates", []any{})).Validate(Limits{}); err == nil {
 		t.Fatal("empty []any accepted")
 	}
-	if err := New("x", "k", WithParam("m", 64.0)).CheckParams(schema); err != nil {
+	if err := New("x", k, WithParam("m", 64.0)).Validate(Limits{}); err != nil {
 		t.Fatalf("whole float rejected: %v", err)
+	}
+}
+
+// TestValidateSizes: a size param below 1 is refused under any limits;
+// the zero Limits bound nothing, and non-zero ones bound params and
+// struct fields alike.
+func TestValidateSizes(t *testing.T) {
+	const k = "size-probe-kind"
+	registerSchemaProbe(k, map[string]ParamType{"n": IntParam, "ms": IntsParam, "swf": StringParam})
+	inline := Limits{MaxJobs: 100, MaxProcs: 8, NoServerPaths: true}
+	for _, c := range []struct {
+		spec  *Spec
+		want  string // refusal under inline limits; "" = accepted
+		floor bool   // refused under the zero Limits too
+	}{
+		{New("x", k, WithParam("n", 0)), `param "n" holds 0, want at least 1`, true},
+		{New("x", k, WithParam("ms", []int{4, -1})), `param "ms" holds -1, want at least 1`, true},
+		{New("x", "unregistered", WithParam("ms", []int{0})), `param "ms" holds 0`, true},
+		{New("x", k, WithParam("n", 100), WithParam("ms", []int{8})), "", false},
+		{New("x", k, WithParam("n", 101)), "params.n = 101 (max 100", false},
+		{New("x", k, WithParam("ms", []int{4, 9})), "params.ms = 9 (max 8", false},
+		{New("x", k, WithParam("swf", "/a.swf")), "sets params.swf", false},
+		{New("x", k, WithWorkload(Workload{N: 101})), "workload.n = 101", false},
+		{New("x", k, WithGrid(Grid{CampaignTasks: 101})), "grid.campaign_tasks = 101", false},
+		{&Spec{ID: "x", Kind: k, Platform: &Platform{Clusters: []Cluster{{Name: "a", M: 9}}}}, "platform.clusters[].m = 9", false},
+	} {
+		err := c.spec.Validate(inline)
+		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("%v: inline error %v, want %q", c.spec.Params, err, c.want)
+		}
+		if err := c.spec.Validate(Limits{}); (err != nil) != c.floor {
+			t.Errorf("%v: unbounded error %v, want refused = %v", c.spec.Params, err, c.floor)
+		}
 	}
 }
 
@@ -352,7 +393,7 @@ func TestCheckParamsStrictness(t *testing.T) {
 func TestRunResultOptionsResolved(t *testing.T) {
 	RegisterKind("probe-kind3", func(s *Spec, opt RunOptions) (*Result, error) {
 		return NewCellResult("p", []string{"c"}, 0, nil), nil
-	})
+	}, nil)
 	seed := uint64(99)
 	spec := &Spec{ID: "probe3", Kind: "probe-kind3", Seed: &seed}
 	res, err := Run(spec, RunOptions{Seed: 42})

@@ -16,8 +16,10 @@ package scenario
 
 import (
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -270,8 +272,31 @@ func WithParam(key string, value any) Option {
 	}
 }
 
-// Validate checks the structural invariants common to every kind.
-func (s *Spec) Validate() error {
+// Limits bounds what a spec may ask of the host that runs it. The zero
+// value bounds nothing: gridctl local, the catalog and Run validate with
+// it. The /v1 API sets all three for inline specs, because cancellation
+// is cooperative per cell and one huge cell could pin an executor for
+// its whole duration.
+type Limits struct {
+	// MaxJobs bounds every job count: workload.n, grid.campaign_tasks
+	// and each jobs-class param (0 = unbounded).
+	MaxJobs int
+	// MaxProcs bounds every platform width: workload.m, platform.m,
+	// platform.clusters[].m and each procs-class param (0 = unbounded).
+	MaxProcs int
+	// NoServerPaths refuses every param that names a file on the host
+	// (params.swf).
+	NoServerPaths bool
+}
+
+// Validate is the one judge of whether a spec is acceptable. It checks
+// the structural invariants common to every kind; the param schema the
+// spec's kind declared through RegisterKind (skipped for a kind nobody
+// registered — Run and the API refuse such a kind themselves); the
+// floor of every size param, whose value and every list entry must be
+// at least 1 (no runner gives a lower value a meaning); and, under
+// non-zero lim, the job and processor bounds and the server-path ban.
+func (s *Spec) Validate(lim Limits) error {
 	if s == nil {
 		return fmt.Errorf("scenario: nil spec")
 	}
@@ -321,7 +346,10 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario: spec %q: param %q: unsupported value %T", s.ID, k, v)
 		}
 	}
-	return nil
+	if err := s.checkParams(lim); err != nil {
+		return err
+	}
+	return s.checkSizes(lim)
 }
 
 // Validate checks the fault plan's structural invariants.
@@ -416,19 +444,8 @@ func validParam(v any) bool {
 	}
 }
 
-// ParamKeys returns the sorted parameter names (for deterministic
-// listings and error messages).
-func (s *Spec) ParamKeys() []string {
-	keys := make([]string, 0, len(s.Params))
-	for k := range s.Params {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// ParamType declares the expected shape of one kind parameter, for
-// CheckParams.
+// ParamType declares the expected shape of one kind parameter in the
+// schema a kind registers.
 type ParamType int
 
 const (
@@ -461,56 +478,136 @@ func (p ParamType) String() string {
 	return "unknown"
 }
 
-// CheckParams enforces a kind's parameter schema: every present param
-// key must be declared and its value must coerce to the declared type.
-// Kind runners call this first so a typo'd key or a mistyped value in
-// a scenario file fails loudly instead of silently falling back to the
-// kind's default (the same contract the codec applies to struct
-// fields).
-func (s *Spec) CheckParams(allowed map[string]ParamType) error {
-	for _, key := range s.ParamKeys() {
-		pt, ok := allowed[key]
-		if !ok {
-			known := make([]string, 0, len(allowed))
-			for k := range allowed {
-				known = append(known, k)
-			}
-			sort.Strings(known)
-			return fmt.Errorf("scenario: spec %q: unknown param %q for kind %q (known: %s)",
-				s.ID, key, s.Kind, strings.Join(known, " "))
-		}
+// sizeClass says what a param's value measures, which decides the floor
+// and the bound Validate applies to it. The zero class sizes nothing.
+type sizeClass int
+
+const (
+	sizeJobs  sizeClass = iota + 1 // a job, task or replication count, or a buffer sized by one
+	sizeProcs                      // a processor count
+	sizePath                       // a file path on the host that runs the spec
+)
+
+// paramSizes classes params by name: every kind that declares one of
+// these names uses it for the same kind of quantity.
+var paramSizes = map[string]sizeClass{
+	"n": sizeJobs, "ns": sizeJobs, "quick_ns": sizeJobs, "tasks": sizeJobs,
+	"runs": sizeJobs, "reps": sizeJobs, "ring": sizeJobs, "max_move": sizeJobs,
+	"m": sizeProcs, "ms": sizeProcs, "crash_procs": sizeProcs,
+	"swf": sizePath,
+}
+
+// checkParams enforces the kind's param schema (every present key must
+// be declared and its value must coerce to the declared type, so a
+// typo'd key or a mistyped value fails loudly instead of silently
+// falling back to the kind's default — the same contract the codec
+// applies to struct fields), then the floor and the bounds of every size
+// param.
+func (s *Spec) checkParams(lim Limits) error {
+	k, registered := kinds[s.Kind]
+	for _, key := range slices.Sorted(maps.Keys(s.Params)) {
 		v := s.Params[key]
-		okType := false
-		switch pt {
-		case FloatParam:
-			_, okType = toFloat(v)
-		case IntParam:
-			var f float64
-			if f, okType = toFloat(v); okType {
-				okType = f == math.Trunc(f)
+		if registered {
+			pt, ok := k.params[key]
+			if !ok {
+				return fmt.Errorf("scenario: spec %q: unknown param %q for kind %q (known: %s)",
+					s.ID, key, s.Kind, strings.Join(slices.Sorted(maps.Keys(k.params)), " "))
 			}
-		case FloatsParam, IntsParam:
-			fs := s.Floats(key, nil)
-			okType = len(fs) > 0
-			if okType && pt == IntsParam {
-				for _, f := range fs {
-					if f != math.Trunc(f) {
-						okType = false
-						break
-					}
-				}
+			if !s.paramHasType(key, pt) {
+				return fmt.Errorf("scenario: spec %q: param %q must be a %s (lists non-empty, integers whole), got %v (%T)",
+					s.ID, key, pt, v, v)
 			}
-		case StringParam:
-			_, okType = v.(string)
-		case StringsParam:
-			okType = len(s.Strings(key, nil)) > 0
-		case BoolParam:
-			_, okType = v.(bool)
 		}
-		if !okType {
-			return fmt.Errorf("scenario: spec %q: param %q must be a %s (lists non-empty, integers whole), got %v (%T)",
-				s.ID, key, pt, v, v)
+		class := paramSizes[key]
+		if class == sizePath && lim.NoServerPaths {
+			return fmt.Errorf("scenario: spec %q sets params.%s, a server-side file path "+
+				"(replay local archives with gridctl local <spec.json>)", s.ID, key)
 		}
+		if class != sizeJobs && class != sizeProcs {
+			continue
+		}
+		bound := lim.MaxJobs
+		if class == sizeProcs {
+			bound = lim.MaxProcs
+		}
+		nums := s.Floats(key, nil)
+		if f, ok := toFloat(v); ok {
+			nums = []float64{f}
+		}
+		for _, f := range nums {
+			if f < 1 {
+				return fmt.Errorf("scenario: spec %q: param %q holds %v, want at least 1", s.ID, key, f)
+			}
+			if err := s.checkBound("params."+key, f, bound); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// paramHasType reports whether the key's value coerces to pt.
+func (s *Spec) paramHasType(key string, pt ParamType) bool {
+	v := s.Params[key]
+	switch pt {
+	case FloatParam:
+		_, ok := toFloat(v)
+		return ok
+	case IntParam:
+		f, ok := toFloat(v)
+		return ok && f == math.Trunc(f)
+	case FloatsParam, IntsParam:
+		fs := s.Floats(key, nil)
+		if len(fs) == 0 {
+			return false
+		}
+		for _, f := range fs {
+			if pt == IntsParam && f != math.Trunc(f) {
+				return false
+			}
+		}
+		return true
+	case StringParam:
+		_, ok := v.(string)
+		return ok
+	case StringsParam:
+		return len(s.Strings(key, nil)) > 0
+	case BoolParam:
+		_, ok := v.(bool)
+		return ok
+	}
+	return false
+}
+
+// checkSizes bounds the struct fields that size a run under lim.
+func (s *Spec) checkSizes(lim Limits) error {
+	var err error
+	check := func(field string, v, bound int) {
+		if err == nil {
+			err = s.checkBound(field, float64(v), bound)
+		}
+	}
+	if w := s.Workload; w != nil {
+		check("workload.n", w.N, lim.MaxJobs)
+		check("workload.m", w.M, lim.MaxProcs)
+	}
+	if g := s.Grid; g != nil {
+		check("grid.campaign_tasks", g.CampaignTasks, lim.MaxJobs)
+	}
+	if p := s.Platform; p != nil {
+		check("platform.m", p.M, lim.MaxProcs)
+		for _, c := range p.Clusters {
+			check("platform.clusters[].m", c.M, lim.MaxProcs)
+		}
+	}
+	return err
+}
+
+// checkBound refuses v above a non-zero bound.
+func (s *Spec) checkBound(field string, v float64, bound int) error {
+	if bound > 0 && v > float64(bound) {
+		return fmt.Errorf("scenario: spec %q requests %s = %s (max %d server-side; run it with gridctl local)",
+			s.ID, field, strconv.FormatFloat(v, 'f', -1, 64), bound)
 	}
 	return nil
 }

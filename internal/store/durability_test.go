@@ -43,13 +43,13 @@ func registerKinds() {
 				cells = append(cells, scenario.Cell{Index: i, Values: []any{i, spec.ID}})
 			}
 			return scenario.NewCellResult("durability-gate", []string{"i", "id"}, 1, cells), nil
-		})
+		}, map[string]scenario.ParamType{"cells": scenario.IntParam})
 		scenario.RegisterKind("durability-quick", func(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, error) {
 			opt.OnCellsStart(1)
 			opt.OnCellDone(0, time.Microsecond)
 			return scenario.NewCellResult("durability-quick", []string{"id"}, 1,
 				[]scenario.Cell{{Index: 0, Values: []any{spec.ID}}}), nil
-		})
+		}, nil)
 	})
 }
 

@@ -74,6 +74,9 @@ func TestSequentialDeterminism(t *testing.T) {
 
 func TestMoldableGenerator(t *testing.T) {
 	jobs := Parallel(GenConfig{N: 200, M: 64, Seed: 3})
+	if len(jobs) != 200 {
+		t.Fatalf("got %d jobs, want 200", len(jobs))
+	}
 	if err := validateAll(jobs); err != nil {
 		t.Fatal(err)
 	}
@@ -167,6 +170,9 @@ func TestCommunities(t *testing.T) {
 		t.Fatalf("community shares sum to %v", total)
 	}
 	jobs := Communities(mix, 500, 104, 0.01, 11)
+	if len(jobs) != 500 {
+		t.Fatalf("got %d jobs, want 500", len(jobs))
+	}
 	if err := validateAll(jobs); err != nil {
 		t.Fatal(err)
 	}
