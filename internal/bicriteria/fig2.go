@@ -42,11 +42,11 @@ func DefaultNs() []int {
 // An instance is the workload of one (n, rep) pair of the sweep. Every
 // instance seed is drawn from the series RNG, in (n, rep) order, before
 // any instance is built, and building one is a pure function of its seed.
-// So a second goroutine generates instance k+1 while the caller schedules
-// instance k, and the result is the same as generating each in turn. The
-// generator runs at most one instance ahead and has exited when
-// Fig2Series returns. A panic while generating is raised again on the
-// caller's goroutine, at the instance that panicked.
+// So a second goroutine (workload.Ahead) generates instance k+1 while the
+// caller schedules instance k, and the result is the same as generating
+// each in turn. The generator runs at most one instance ahead and has
+// exited when Fig2Series returns. A panic while generating is raised
+// again on the caller's goroutine, at the instance that panicked.
 func Fig2Series(cfg Fig2Config) ([]Fig2Point, error) {
 	if cfg.M < 0 {
 		return nil, fmt.Errorf("bicriteria: fig2 on %d machines", cfg.M)
@@ -73,13 +73,21 @@ func Fig2Series(cfg Fig2Config) ([]Fig2Point, error) {
 			gens = append(gens, workload.GenConfig{N: n, M: cfg.M, Seed: rng.Uint64(), Weighted: true})
 		}
 	}
-	next, stop := generateAhead(gens, cfg.Parallel)
-	defer stop()
+	ahead := workload.NewAhead(func() ([]*workload.Job, bool) {
+		if len(gens) == 0 {
+			return nil, false
+		}
+		gen := gens[0]
+		gens = gens[1:]
+		return fig2Generate(gen, cfg.Parallel), true
+	}, 1)
+	defer ahead.Stop()
 	points := make([]Fig2Point, 0, len(cfg.Ns))
 	for _, n := range cfg.Ns {
 		var cmaxSum, wcSum float64
 		for rep := 0; rep < cfg.Reps; rep++ {
-			res, err := Schedule(next(), cfg.M, Options{})
+			jobs, _ := ahead.Next()
+			res, err := Schedule(jobs, cfg.M, Options{})
 			if err != nil {
 				return nil, fmt.Errorf("bicriteria: fig2 n=%d rep=%d: %w", n, rep, err)
 			}
@@ -102,59 +110,6 @@ var fig2Generate = func(gen workload.GenConfig, parallel bool) []*workload.Job {
 		return workload.Parallel(gen)
 	}
 	return workload.Sequential(gen)
-}
-
-// fig2Instance is one generated instance, or the panic that ended
-// generation.
-type fig2Instance struct {
-	jobs     []*workload.Job
-	panicked any
-}
-
-// generateAhead builds the instances of gens, in order, on one helper
-// goroutine. The hand-off is unbuffered, so the helper builds the next
-// instance while the caller schedules the current one and never gets
-// further ahead. next returns the instances in order and raises again a
-// panic that ended generation. stop, which the caller must always call,
-// ends the helper and waits until it has exited.
-func generateAhead(gens []workload.GenConfig, parallel bool) (next func() []*workload.Job, stop func()) {
-	out := make(chan fig2Instance)
-	quit := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for _, gen := range gens {
-			inst := generateInstance(gen, parallel)
-			select {
-			case out <- inst:
-			case <-quit:
-				return
-			}
-			if inst.panicked != nil {
-				return
-			}
-		}
-	}()
-	next = func() []*workload.Job {
-		inst := <-out
-		if inst.panicked != nil {
-			panic(inst.panicked)
-		}
-		return inst.jobs
-	}
-	stop = func() {
-		close(quit)
-		<-done
-	}
-	return next, stop
-}
-
-// generateInstance builds one instance, or records the panic that
-// stopped it.
-func generateInstance(gen workload.GenConfig, parallel bool) (inst fig2Instance) {
-	defer func() { inst.panicked = recover() }()
-	inst.jobs = fig2Generate(gen, parallel)
-	return inst
 }
 
 // WriteFig2 renders both panels of Figure 2 (WiCi ratio and Cmax ratio vs

@@ -124,12 +124,14 @@ func TestFig2SeriesRefusesOutOfRangeConfig(t *testing.T) {
 
 // settleGoroutines waits until the goroutine count is back to before:
 // a helper that has handed over its last instance only has to return.
+// Fewer is fine: a goroutine of the previous test may still have been
+// exiting when before was counted.
 func settleGoroutines(t *testing.T, before int) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
-	if n := runtime.NumGoroutine(); n != before {
+	if n := runtime.NumGoroutine(); n > before {
 		t.Fatalf("%d goroutines after Fig2Series, %d before", n, before)
 	}
 }

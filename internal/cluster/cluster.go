@@ -241,10 +241,11 @@ type Sim struct {
 	retain metrics.Retention
 
 	// Lazy-admission state (Stream): src reads the attached source ahead
-	// and yields its jobs in release order, pending is the head waiting
-	// for its release event, srcErr records a mid-stream failure surfaced
-	// by Run.
-	src      *readAhead
+	// and yields its jobs in release order, source is kept for its Err,
+	// pending is the head waiting for its release event, srcErr records
+	// a mid-stream failure surfaced by Run.
+	source   workload.Source
+	src      *workload.Ahead[*workload.Job]
 	pending  *workload.Job
 	srcErr   error
 	arriveFn func()
@@ -474,12 +475,18 @@ func (s *Sim) SubmitAll(jobs []*workload.Job) error {
 	return nil
 }
 
+// readAheadBatch is the number of jobs one read-ahead fill reads.
+// Replaying 100 000 SWF jobs on a 2-core host (BenchmarkReplayMillionJobs),
+// batches of 64 were no faster than reading in line, 512 and 1024 were
+// the fastest (about −25 %), and 4096 gained nothing more.
+const readAheadBatch = 1024
+
 // Stream attaches a pull source for lazy admission: instead of one
 // pre-scheduled arrival event per job, the simulator keeps exactly one
 // pending arrival — the stream head — and pulls the next job when that
 // event fires. A second goroutine reads the source up to one batch of
-// readAheadBatch jobs ahead (see readAhead), so peak memory is O(active
-// jobs + 2 × readAheadBatch) regardless of stream length. Jobs are
+// readAheadBatch jobs ahead (see workload.Ahead), so peak memory is
+// O(active jobs + 2 × readAheadBatch) regardless of stream length. Jobs are
 // admitted at max(Release, now); sources should yield non-decreasing
 // releases (all workload generators and sorted SWF archives do),
 // out-of-order jobs are admitted as soon as they surface. Arrival groups
@@ -500,7 +507,7 @@ func (s *Sim) Stream(src workload.Source) error {
 	if s.arriveFn == nil {
 		s.arriveFn = s.arrive
 	}
-	s.src = newReadAhead(src)
+	s.source, s.src = src, workload.NewAhead(src.Next, readAheadBatch)
 	s.pull()
 	if err := s.scheduleArrival(); err != nil {
 		s.endStream()
@@ -513,8 +520,10 @@ func (s *Sim) Stream(src workload.Source) error {
 func (s *Sim) pull() {
 	j, ok := s.src.Next()
 	if !ok {
-		if err := s.src.err; err != nil && s.srcErr == nil {
-			s.srcErr = err
+		// Next has taken the last fill from its channel, so reading Err
+		// here follows every call the fill made.
+		if es, hasErr := s.source.(interface{ Err() error }); hasErr && s.srcErr == nil {
+			s.srcErr = es.Err()
 		}
 		s.endStream()
 		return
@@ -530,13 +539,13 @@ func (s *Sim) pull() {
 }
 
 // endStream detaches the source, first waiting for the read-ahead fill
-// in flight: the caller may close what the source reads once the Sim
-// lets go of it.
+// in flight (workload.Ahead.Stop): the caller may close what the source
+// reads once the Sim lets go of it.
 func (s *Sim) endStream() {
 	if s.src != nil {
-		s.src.stop()
+		s.src.Stop()
 	}
-	s.src, s.pending = nil, nil
+	s.source, s.src, s.pending = nil, nil, nil
 }
 
 // scheduleArrival schedules the single arrival event for the stream

@@ -114,7 +114,7 @@ func RunWorker(ctx context.Context, tr Transport, cfg WorkerConfig) error {
 			defer hwg.Done()
 			heartbeatLoop(hctx, tr, cfg, ls)
 		}()
-		results := ExecuteLease(ctx, ls, cfg.Workers)
+		results := executeLease(ctx, ls, cfg.Workers)
 		stopHeartbeat()
 		hwg.Wait()
 
@@ -180,7 +180,7 @@ func heartbeatLoop(ctx context.Context, tr Transport, cfg WorkerConfig, ls *Leas
 	}
 }
 
-// ExecuteLease reproduces the leased cells locally: it decodes the
+// executeLease reproduces the leased cells locally: it decodes the
 // run's spec, re-runs it with a Select filter that executes exactly
 // the leased cells (every other cell is skipped unrun), and captures
 // each cell's typed rows through the OnCellRows hook. Determinism
@@ -192,7 +192,7 @@ func heartbeatLoop(ctx context.Context, tr Transport, cfg WorkerConfig, ls *Leas
 // (an error upstream, a cancelled context) and cells that failed or
 // panicked come back with an error so the coordinator can account for
 // them, and the worker goes on to its next lease.
-func ExecuteLease(ctx context.Context, ls *Lease, localWorkers int) []CellResult {
+func executeLease(ctx context.Context, ls *Lease, localWorkers int) []CellResult {
 	out := make([]CellResult, 0, len(ls.Cells))
 	fail := func(msg string) []CellResult {
 		for _, ref := range ls.Cells {
@@ -212,9 +212,6 @@ func ExecuteLease(ctx context.Context, ls *Lease, localWorkers int) []CellResult
 	want := make(map[CellRef]bool, len(ls.Cells))
 	for _, ref := range ls.Cells {
 		want[ref] = true
-	}
-	if localWorkers <= 0 {
-		localWorkers = runtime.GOMAXPROCS(0)
 	}
 	var mu sync.Mutex
 	results := map[CellRef]CellResult{}

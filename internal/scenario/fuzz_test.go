@@ -2,6 +2,7 @@ package scenario_test
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -60,6 +61,50 @@ func FuzzSpecDecode(f *testing.F) {
 		}
 		if !bytes.Equal(first, second) {
 			t.Fatalf("canonical bytes changed through a round trip:\n%s\nvs\n%s", first, second)
+		}
+	})
+}
+
+// FuzzValueCodec feeds arbitrary (T, V) pairs through Value.Decode, which
+// must not panic. A value Decode accepts must encode under the same tag
+// and decode again to the same Go type and value: floats bit for bit,
+// except that a NaN need only come back as a NaN. Seeded with every tag,
+// the float edge cases among them.
+func FuzzValueCodec(f *testing.F) {
+	for _, v := range []any{
+		0, -7, math.MaxInt, math.MinInt, uint64(0), uint64(math.MaxUint64),
+		0.0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		math.SmallestNonzeroFloat64, 0.1, "", "a b", true, false,
+	} {
+		ev, err := scenario.EncodeValue(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(ev.T, ev.V)
+	}
+	f.Fuzz(func(t *testing.T, tag, text string) {
+		v, err := scenario.Value{T: tag, V: text}.Decode()
+		if err != nil {
+			return
+		}
+		ev, err := scenario.EncodeValue(v)
+		if err != nil {
+			t.Fatalf("%q %q decodes to %v (%T), which does not encode: %v", tag, text, v, v, err)
+		}
+		if ev.T != tag {
+			t.Fatalf("%q %q decodes to %v (%T), which encodes under tag %q", tag, text, v, v, ev.T)
+		}
+		back, err := ev.Decode()
+		if err != nil {
+			t.Fatalf("%q %q encodes to %q, which does not decode: %v", tag, text, ev.V, err)
+		}
+		same := back == v
+		if x, ok := v.(float64); ok {
+			y, _ := back.(float64)
+			same = math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
+		}
+		if !same {
+			t.Fatalf("%q %q decodes to %v (%T), which comes back as %v (%T)", tag, text, v, v, back, back)
 		}
 	})
 }
