@@ -7,6 +7,7 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -232,7 +233,11 @@ type Sim struct {
 	// exactly.
 	queuedWork float64
 	localProcs int
-	running    []*localRunning
+	// running holds the running local jobs in no particular order: the
+	// last record fills the slot of one that leaves (unrun), and each
+	// record's seq, drawn from runSeq at its start, keeps the start order.
+	running []*localRunning
+	runSeq  uint64
 	// acc streams every completion through the one-pass §3 criteria
 	// report; retain decides which records are kept (full history by
 	// default — goldens, tests and the offline tables read it — or a
@@ -334,6 +339,9 @@ type localRunning struct {
 	procs int
 	start float64
 	end   float64
+	// at is the record's index in Sim.running, seq its start number.
+	at  int
+	seq uint64
 	// cancelled guards the pending finish event of a job killed by a
 	// crash: the event still fires but must not complete the job.
 	cancelled bool
@@ -554,7 +562,7 @@ func (s *Sim) scheduleArrival() error {
 	if s.pending == nil {
 		return s.srcErr
 	}
-	return s.DES.At(math.Max(s.pending.Release, s.DES.Now()), s.arriveFn)
+	return s.DES.Feed(math.Max(s.pending.Release, s.DES.Now()), s.arriveFn)
 }
 
 // arrive admits the stream head plus every follower already released —
@@ -679,6 +687,8 @@ func (s *Sim) start(d Decision, now float64, started int) bool {
 		run.fire = func() { s.finish(r) }
 	}
 	run.job, run.procs, run.start, run.end, run.cancelled = d.Job, d.Procs, now, now+dur, false
+	run.at, run.seq = len(s.running), s.runSeq
+	s.runSeq++
 	s.running = append(s.running, run)
 	s.localProcs += d.Procs
 	if s.OnLocalStart != nil {
@@ -702,18 +712,7 @@ func (s *Sim) finish(run *localRunning) {
 		s.runFree = append(s.runFree, run)
 		return
 	}
-	// Spelled out where the other removals use slices.Delete: this one
-	// runs once per job, and the generic call measured about 2.5 % of an
-	// unsaturated replay pass. The vacated slot is zeroed all the same.
-	for i, r := range s.running {
-		if r == run {
-			last := len(s.running) - 1
-			copy(s.running[i:], s.running[i+1:])
-			s.running[last] = nil
-			s.running = s.running[:last]
-			break
-		}
-	}
+	s.unrun(run)
 	s.localProcs -= run.procs
 	c := metrics.Completion{
 		Job: run.job, Start: run.start, End: run.end, Procs: run.procs,
@@ -726,6 +725,15 @@ func (s *Sim) finish(run *localRunning) {
 		s.OnLocalDone(c)
 	}
 	s.reschedule()
+}
+
+// unrun removes run from the running set, moving the last record into
+// its slot.
+func (s *Sim) unrun(run *localRunning) {
+	last := s.running[len(s.running)-1]
+	s.running[run.at], last.at = last, run.at
+	s.running[len(s.running)-1] = nil
+	s.running = s.running[:len(s.running)-1]
 }
 
 // rebuildProfile reconstructs the persistent profile from the running
@@ -804,7 +812,8 @@ func (s *Sim) killOneBE(now float64) bool {
 }
 
 // killOneLocal evicts the most recently started local job (least sunk
-// work, ties broken by the larger job ID — deterministic) and requeues
+// work, ties broken by the larger job ID, then by the earlier start
+// among records of one ID — deterministic) and requeues
 // it at the tail of the submission queue with its release date intact,
 // so the §3 flow/stretch criteria absorb the wait-time penalty. Returns
 // false when nothing is running.
@@ -815,12 +824,13 @@ func (s *Sim) killOneLocal(now float64) bool {
 	victim := 0
 	for i, r := range s.running {
 		v := s.running[victim]
-		if r.start > v.start || (r.start == v.start && r.job.ID > v.job.ID) {
+		if r.start > v.start || r.start == v.start &&
+			(r.job.ID > v.job.ID || r.job.ID == v.job.ID && r.seq < v.seq) {
 			victim = i
 		}
 	}
 	run := s.running[victim]
-	s.running = slices.Delete(s.running, victim, victim+1)
+	s.unrun(run)
 	run.cancelled = true // and out of runFree until its finish event has fired
 	s.localProcs -= run.procs
 	s.faultStats.Requeues++
@@ -1084,9 +1094,12 @@ func (s *Sim) Queued() []*workload.Job {
 // Running returns the currently running local jobs in start order (the
 // gridd /queue endpoint).
 func (s *Sim) Running() []*workload.Job {
-	out := make([]*workload.Job, 0, len(s.running))
-	for _, r := range s.running {
-		out = append(out, r.job)
+	runs := slices.SortedFunc(slices.Values(s.running), func(a, b *localRunning) int {
+		return cmp.Compare(a.seq, b.seq)
+	})
+	out := make([]*workload.Job, len(runs))
+	for i, r := range runs {
+		out[i] = r.job
 	}
 	return out
 }

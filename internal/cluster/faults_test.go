@@ -354,3 +354,40 @@ func TestCancelledRunRecordNotReusedEarly(t *testing.T) {
 	}
 	validateCompletions(t, cs, 4)
 }
+
+// TestKillOneLocalTieBreak: a capacity loss kills the latest start, then
+// the larger job ID, and among records of one start and one ID — jobs
+// that share an ID, as migrated and injected ones may — the one started
+// first. A finish that moves the last running record into the vacated
+// slot must not change that choice, nor Running's start order.
+func TestKillOneLocalTieBreak(t *testing.T) {
+	s, err := New(des.New(), 6, 1, FCFSPolicy{}, KillNewest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, c := rjob(5, 1, 2, 0), rjob(7, 10, 2, 0), rjob(7, 10, 2, 0)
+	var killed []*workload.Job
+	s.OnLocalKilled = func(j *workload.Job, _ int, _ float64) { killed = append(killed, j) }
+	for _, j := range []*workload.Job{a, b, c} {
+		if err := s.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.DES.At(2, func() {
+		// a finished at 1, and c took its slot in the running set.
+		if got := s.Running(); !slices.Equal(got, []*workload.Job{b, c}) {
+			t.Errorf("Running() = %v, want b then c in start order", got)
+		}
+		if err := s.Crash(4, 3); err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(killed) != 1 || killed[0] != b {
+		t.Fatalf("killed %v, want only b (%p), started before c (%p) with the same start and ID", killed, b, c)
+	}
+}

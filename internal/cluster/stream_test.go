@@ -415,3 +415,44 @@ func TestStreamLargeScaleBounded(t *testing.T) {
 		t.Fatalf("completed %d", lean.CompletedCount())
 	}
 }
+
+// TestTwoStreamsShareOneDES: two Sims streaming on one DES (as the grid
+// simulators share one) take turns in its one-event feed slot, the
+// arrival of one going through the heap while the other's holds the
+// slot. Every job must complete exactly as it does on a DES of its own.
+func TestTwoStreamsShareOneDES(t *testing.T) {
+	cfgs := []workload.GenConfig{
+		{N: 400, M: 32, Seed: 21, ArrivalRate: 0.5, RigidFraction: 0.5},
+		{N: 300, M: 32, Seed: 22, ArrivalRate: 2, RigidFraction: 0.5},
+	}
+	policies := []Policy{EASYPolicy{}, ConservativePolicy{}}
+	shared := des.New()
+	sims := make([]*Sim, len(cfgs))
+	for i, cfg := range cfgs {
+		s, err := New(shared, 32, 1, policies[i], KillNewest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Stream(workload.ParallelSource(cfg)); err != nil {
+			t.Fatal(err)
+		}
+		sims[i] = s
+	}
+	for _, s := range sims {
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, cfg := range cfgs {
+		want := runStreamed(t, 32, policies[i], workload.ParallelSource(cfg), nil).Completions()
+		got := sims[i].Completions()
+		if len(got) != len(want) || len(got) != cfg.N {
+			t.Fatalf("stream %d: %d completions on the shared DES, %d alone, want %d", i, len(got), len(want), cfg.N)
+		}
+		for k := range want {
+			if !sameCompletion(got[k], want[k]) {
+				t.Fatalf("stream %d, completion %d: %+v on the shared DES, %+v alone", i, k, got[k], want[k])
+			}
+		}
+	}
+}

@@ -1,7 +1,8 @@
 // Package des is a minimal deterministic discrete-event simulation
 // kernel: a clock and a binary-heap event queue with stable FIFO
-// tie-breaking at equal timestamps. The cluster and grid simulators are
-// built on it.
+// tie-breaking at equal timestamps, plus a one-event feed slot beside
+// the heap where a streamed simulation parks its next arrival (Feed).
+// The cluster and grid simulators are built on it.
 //
 // The heap holds pointer-free eventRef values (time, seq, callback slot)
 // and the callbacks live in a free-listed side table: sifting the heap
@@ -72,7 +73,11 @@ type Simulator struct {
 	// recycled through free once dispatched.
 	fns  []func()
 	free []int32
-	seq  uint64
+	// feed is the event Feed parked beside the heap (its slot unused),
+	// pending while feedFn is not nil.
+	feed   eventRef
+	feedFn func()
+	seq    uint64
 	// Processed counts executed events (diagnostics / runaway guards).
 	Processed uint64
 	// Limit aborts Run after this many events (0 = no limit). A safety
@@ -100,14 +105,32 @@ func NewWithCapacity(n int) *Simulator {
 // Now returns the current virtual time.
 func (s *Simulator) Now() float64 { return s.clock }
 
-// At schedules fn at absolute time t. Scheduling in the past is an error.
-func (s *Simulator) At(t float64, fn func()) error {
+// check refuses an event at t that At would not schedule.
+func (s *Simulator) check(t float64, fn func()) error {
 	if t < s.clock {
 		return fmt.Errorf("des: scheduling at %v before now (%v)", t, s.clock)
 	}
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		return fmt.Errorf("des: scheduling at non-finite time %v", t)
 	}
+	if fn == nil {
+		return fmt.Errorf("des: nil event callback")
+	}
+	return nil
+}
+
+// At schedules fn at absolute time t. Scheduling in the past is an error.
+func (s *Simulator) At(t float64, fn func()) error {
+	if err := s.check(t, fn); err != nil {
+		return err
+	}
+	s.push(t, fn)
+	s.events.siftUp(len(s.events) - 1)
+	return nil
+}
+
+// push appends an event at t to the heap without restoring its order.
+func (s *Simulator) push(t float64, fn func()) {
 	var slot int32
 	if n := len(s.free); n > 0 {
 		slot = s.free[n-1]
@@ -119,7 +142,24 @@ func (s *Simulator) At(t float64, fn func()) error {
 	}
 	s.events = append(s.events, eventRef{time: t, seq: s.seq, slot: slot})
 	s.seq++
-	s.events.siftUp(len(s.events) - 1)
+}
+
+// Feed schedules fn at t like At: it takes the next sequence number and
+// is dispatched in the same (time, seq) order. The event waits in a
+// one-deep slot beside the heap instead, costing no push or pop — a
+// stream that keeps one pending arrival (cluster.Sim.Stream) feeds it
+// here. With the slot already held, as when two streams share one
+// Simulator, Feed is At.
+func (s *Simulator) Feed(t float64, fn func()) error {
+	if s.feedFn != nil {
+		return s.At(t, fn)
+	}
+	if err := s.check(t, fn); err != nil {
+		return err
+	}
+	s.feed = eventRef{time: t, seq: s.seq}
+	s.feedFn = fn
+	s.seq++
 	return nil
 }
 
@@ -140,29 +180,13 @@ type Event struct {
 // with a single O(pending+k) heapify instead of k O(log n) sift-ups.
 func (s *Simulator) AtBatch(evs []Event) error {
 	for _, e := range evs {
-		if e.Time < s.clock {
-			return fmt.Errorf("des: scheduling at %v before now (%v)", e.Time, s.clock)
-		}
-		if math.IsNaN(e.Time) || math.IsInf(e.Time, 0) {
-			return fmt.Errorf("des: scheduling at non-finite time %v", e.Time)
-		}
-		if e.Fn == nil {
-			return fmt.Errorf("des: nil event callback")
+		if err := s.check(e.Time, e.Fn); err != nil {
+			return err
 		}
 	}
 	heapify := len(evs) > len(s.events)
 	for _, e := range evs {
-		var slot int32
-		if n := len(s.free); n > 0 {
-			slot = s.free[n-1]
-			s.free = s.free[:n-1]
-			s.fns[slot] = e.Fn
-		} else {
-			slot = int32(len(s.fns))
-			s.fns = append(s.fns, e.Fn)
-		}
-		s.events = append(s.events, eventRef{time: e.Time, seq: s.seq, slot: slot})
-		s.seq++
+		s.push(e.Time, e.Fn)
 		if !heapify {
 			s.events.siftUp(len(s.events) - 1)
 		}
@@ -183,9 +207,27 @@ func (s *Simulator) After(d float64, fn func()) error {
 	return s.At(s.clock+d, fn)
 }
 
+// feedFirst reports whether the feed slot holds the earliest pending
+// event.
+func (s *Simulator) feedFirst() bool {
+	if s.feedFn == nil {
+		return false
+	}
+	if len(s.events) == 0 {
+		return true
+	}
+	top := s.events[0]
+	return s.feed.time < top.time || s.feed.time == top.time && s.feed.seq < top.seq
+}
+
 // pop removes and returns the earliest event's time and callback,
-// recycling its slot.
+// recycling its slot. Some event must be pending.
 func (s *Simulator) pop() (float64, func()) {
+	if s.feedFirst() {
+		fn := s.feedFn
+		s.feedFn = nil
+		return s.feed.time, fn
+	}
 	top := s.events[0]
 	n := len(s.events) - 1
 	s.events[0] = s.events[n]
@@ -203,19 +245,27 @@ func (s *Simulator) pop() (float64, func()) {
 // ok=false when the queue is empty. Wall-clock drivers use it to decide
 // how long they may sleep before virtual time has to advance again.
 func (s *Simulator) PeekTime() (t float64, ok bool) {
+	if s.feedFirst() {
+		return s.feed.time, true
+	}
 	if len(s.events) == 0 {
 		return 0, false
 	}
 	return s.events[0].time, true
 }
 
-// Pending returns the number of queued events.
-func (s *Simulator) Pending() int { return len(s.events) }
+// Pending returns the number of queued events, the feed slot's included.
+func (s *Simulator) Pending() int {
+	if s.feedFn != nil {
+		return len(s.events) + 1
+	}
+	return len(s.events)
+}
 
 // Run executes events in timestamp order until the queue drains or the
 // event limit is hit (an error).
 func (s *Simulator) Run() error {
-	for len(s.events) > 0 {
+	for s.Pending() > 0 {
 		if s.Limit > 0 && s.Processed >= s.Limit {
 			return fmt.Errorf("des: event limit %d reached at t=%v", s.Limit, s.clock)
 		}
@@ -227,12 +277,16 @@ func (s *Simulator) Run() error {
 	return nil
 }
 
-// RunUntil executes events with timestamps <= t, then sets the clock to t.
+// RunUntil executes events with timestamps <= t, then sets the clock to
+// t, which must be finite and not before now.
 func (s *Simulator) RunUntil(t float64) error {
 	if t < s.clock {
 		return fmt.Errorf("des: RunUntil(%v) before now (%v)", t, s.clock)
 	}
-	for len(s.events) > 0 && s.events[0].time <= t {
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		return fmt.Errorf("des: RunUntil at non-finite time %v", t)
+	}
+	for next, ok := s.PeekTime(); ok && next <= t; next, ok = s.PeekTime() {
 		if s.Limit > 0 && s.Processed >= s.Limit {
 			return fmt.Errorf("des: event limit %d reached at t=%v", s.Limit, s.clock)
 		}

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"math"
 	"testing"
 )
 
@@ -141,5 +142,33 @@ func TestNonFiniteTimeRejected(t *testing.T) {
 	}
 	if err := s.At(inf, func() {}); err == nil {
 		t.Fatal("infinite time accepted")
+	}
+}
+
+// TestRefusesNilCallbackAndNonFiniteRunUntil: At and Feed refuse a nil
+// callback, as AtBatch does, instead of panicking in Run; RunUntil
+// refuses a NaN or infinite horizon instead of leaving the clock there.
+func TestRefusesNilCallbackAndNonFiniteRunUntil(t *testing.T) {
+	s := New()
+	if err := s.At(1, nil); err == nil {
+		t.Fatal("At accepted a nil callback")
+	}
+	if err := s.Feed(1, nil); err == nil {
+		t.Fatal("Feed accepted a nil callback")
+	}
+	for _, until := range []float64{math.NaN(), math.Inf(1)} {
+		if err := s.RunUntil(until); err == nil {
+			t.Fatalf("RunUntil(%v) accepted", until)
+		}
+	}
+	if s.Now() != 0 || s.Pending() != 0 {
+		t.Fatalf("clock %v with %d events pending after refusals, want 0 and 0", s.Now(), s.Pending())
+	}
+	ran := false
+	if err := s.At(6, func() { ran = true }); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(); err != nil || !ran || s.Now() != 6 {
+		t.Fatalf("Run: %v, event ran %v, clock %v", err, ran, s.Now())
 	}
 }

@@ -99,14 +99,19 @@ func (p *Profile) split(t float64) int {
 	if p.times[i] == t {
 		return i
 	}
-	p.times = append(p.times, 0)
-	p.avail = append(p.avail, 0)
-	copy(p.times[i+2:], p.times[i+1:])
-	copy(p.avail[i+2:], p.avail[i+1:])
-	p.times[i+1] = t
-	p.avail[i+1] = p.avail[i]
+	p.insert(i+1, t, p.avail[i])
 	p.hint = i + 1
 	return i + 1
+}
+
+// insert puts a breakpoint at t with availability a at index k.
+func (p *Profile) insert(k int, t float64, a int) {
+	p.times = append(p.times, 0)
+	p.avail = append(p.avail, 0)
+	copy(p.times[k+1:], p.times[k:])
+	copy(p.avail[k+1:], p.avail[k:])
+	p.times[k] = t
+	p.avail[k] = a
 }
 
 // coalesceAt removes breakpoint k when it separates two segments of equal
@@ -120,20 +125,6 @@ func (p *Profile) coalesceAt(k int) {
 	if p.hint >= len(p.times) {
 		p.hint = len(p.times) - 1
 	}
-}
-
-// fits reports whether procs processors are free during [start, start+dur).
-func (p *Profile) fits(start, dur float64, procs int) bool {
-	end := start + dur
-	for i := p.segmentAt(start); i < len(p.times); i++ {
-		if p.times[i] >= end {
-			break
-		}
-		if p.avail[i] < procs {
-			return false
-		}
-	}
-	return true
 }
 
 // EarliestSlot returns the earliest start time >= ready at which procs
@@ -208,19 +199,35 @@ func (p *Profile) Reserve(start, dur float64, procs int) error {
 	if procs < 0 || dur < 0 || start < p.times[0] {
 		return fmt.Errorf("rigid: invalid reservation start=%v dur=%v procs=%d", start, dur, procs)
 	}
-	if !p.fits(start, dur, procs) {
-		return fmt.Errorf("rigid: reservation of %d procs at [%v,%v) exceeds availability",
-			procs, start, start+dur)
+	// One walk checks the window and finds where it ends: k stops at the
+	// first breakpoint at or after end, or past the last segment — a NaN
+	// end compares false, so the negated test walks it there, as split
+	// would place it.
+	end := start + dur
+	i := p.segmentAt(start)
+	k := i
+	for ; k < len(p.times) && !(p.times[k] >= end); k++ {
+		if p.avail[k] < procs {
+			return fmt.Errorf("rigid: reservation of %d procs at [%v,%v) exceeds availability",
+				procs, start, end)
+		}
 	}
-	i := p.split(start)
-	j := p.split(start + dur)
-	for k := i; k < j; k++ {
-		p.avail[k] -= procs
+	if j := p.split(start); j != i {
+		i, k = j, k+1
+	}
+	if end == start {
+		k = i // dur is below start's ulp: an empty window, no segment of its own
+	} else if k == len(p.times) || p.times[k] != end {
+		p.insert(k, end, p.avail[k-1])
+	}
+	p.hint = k
+	for x := i; x < k; x++ {
+		p.avail[x] -= procs
 	}
 	// Only the window edges can have become mergeable: interior
 	// breakpoints separated distinct availabilities before the uniform
-	// subtraction and still do. Coalesce j before i so indices stay valid.
-	p.coalesceAt(j)
+	// subtraction and still do. Coalesce k before i so indices stay valid.
+	p.coalesceAt(k)
 	p.coalesceAt(i)
 	return nil
 }

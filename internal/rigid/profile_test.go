@@ -1,7 +1,9 @@
 package rigid
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -23,6 +25,43 @@ func refAvail(m int, live []refReservation, t float64) int {
 		}
 	}
 	return a
+}
+
+// fits reports whether procs processors are free during [start, start+dur).
+func (p *Profile) fits(start, dur float64, procs int) bool {
+	end := start + dur
+	for i := p.segmentAt(start); i < len(p.times); i++ {
+		if p.times[i] >= end {
+			break
+		}
+		if p.avail[i] < procs {
+			return false
+		}
+	}
+	return true
+}
+
+// referenceReserve is Reserve as it was before one walk both checked the
+// window and found its end: fits, then a split at each edge.
+func referenceReserve(p *Profile, start, dur float64, procs int) error {
+	if procs == 0 || dur == 0 {
+		return nil
+	}
+	if procs < 0 || dur < 0 || start < p.times[0] {
+		return fmt.Errorf("rigid: invalid reservation start=%v dur=%v procs=%d", start, dur, procs)
+	}
+	if !p.fits(start, dur, procs) {
+		return fmt.Errorf("rigid: reservation of %d procs at [%v,%v) exceeds availability",
+			procs, start, start+dur)
+	}
+	i := p.split(start)
+	j := p.split(start + dur)
+	for k := i; k < j; k++ {
+		p.avail[k] -= procs
+	}
+	p.coalesceAt(j)
+	p.coalesceAt(i)
+	return nil
 }
 
 // checkCanonical asserts no two adjacent segments share an availability
@@ -366,4 +405,100 @@ func TestProfileReset(t *testing.T) {
 			t.Errorf("%s profile after Reset(5): slot for all 5 processors at %v, %v", name, start, err)
 		}
 	}
+}
+
+// FuzzProfileReserve runs one program of profile operations on two
+// profiles, Reserve on one and referenceReserve on the other, and
+// requires equal breakpoints (bit for bit), availabilities, lookup hints,
+// errors and query answers after every operation. A program is a list of
+// four-byte operations: an opcode (Reserve, Release, TrimBefore,
+// EarliestSlot, EarliestAvail, Clone), two value codes and a processor
+// count. A value code below 200 is a multiple of 1/4, so ends often fall
+// on breakpoints; the others are x, y, NaN, ±Inf, a duration far below
+// the ulp of any start past 1e-280, and Start()−1. A NaN breakpoint
+// leaves the profile unsorted, where no operation promises anything, so
+// the program ends after the operation that made one.
+func FuzzProfileReserve(f *testing.F) {
+	op := func(code, a, b, procs byte) []byte { return []byte{code, a, b, procs} }
+	prog := func(ops ...[]byte) []byte { return slices.Concat(ops...) }
+	const vx, vy, nan, inf, ninf, tiny, before = 200, 201, 202, 203, 204, 205, 206
+	f.Add(uint8(7), 3.0, 0.0, prog(op(0, 4, 40, 2), op(0, 1, nan, 1), op(0, 2, 8, 1)))
+	f.Add(uint8(7), 3.0, 0.0, prog(op(0, 4, 40, 2), op(0, 8, inf, 1), op(3, 0, 4, 3), op(0, 4, ninf, 1)))
+	f.Add(uint8(7), 1e6+0.5, 1e-300, prog(op(0, 4, 40, 2), op(0, vx, vy, 1), op(0, vx, tiny, 1), op(2, vx, 0, 0), op(0, vx, vy, 8)))
+	f.Add(uint8(3), 0.0, 0.0, prog(op(0, 0, 8, 2), op(0, 8, 8, 2), op(0, 4, 4, 1), op(0, 2, 6, 1), op(1, 4, 4, 1), op(1, 2, 2, 3)))
+	f.Add(uint8(5), 0.0, 0.0, prog(op(2, 9, 0, 0), op(0, before, 4, 1), op(0, 9, 4, 1), op(5, 0, 0, 0), op(4, 9, 0, 6), op(0, 13, 4, 5)))
+	f.Fuzz(func(t *testing.T, mb uint8, x, y float64, code []byte) {
+		m := 1 + int(mb%16)
+		got, want := NewProfile(m), NewProfile(m)
+		value := func(c byte) float64 {
+			switch c {
+			case vx:
+				return x
+			case vy:
+				return y
+			case nan:
+				return math.NaN()
+			case inf:
+				return math.Inf(1)
+			case ninf:
+				return math.Inf(-1)
+			case tiny:
+				return 1e-300
+			case before:
+				return want.Start() - 1
+			}
+			return float64(c%200) / 4
+		}
+		for n := 0; len(code) >= 4 && n < 64; code, n = code[4:], n+1 {
+			a, b, procs := value(code[1]), value(code[2]), int(code[3]%byte(m+2))
+			var what string
+			var gotErr, wantErr error
+			switch code[0] % 6 {
+			case 0:
+				what = fmt.Sprintf("Reserve(%v, %v, %d)", a, b, procs)
+				gotErr, wantErr = got.Reserve(a, b, procs), referenceReserve(want, a, b, procs)
+			case 1:
+				what = fmt.Sprintf("Release(%v, %v, %d)", a, b, procs)
+				gotErr, wantErr = got.Release(a, b, procs), want.Release(a, b, procs)
+			case 2:
+				what = fmt.Sprintf("TrimBefore(%v)", a)
+				got.TrimBefore(a)
+				want.TrimBefore(a)
+			case 3:
+				what = fmt.Sprintf("EarliestSlot(%v, %v, %d)", a, b, procs)
+				g, ge := got.EarliestSlot(a, b, procs)
+				w, we := want.EarliestSlot(a, b, procs)
+				if math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s = %v, reference profile %v", what, g, w)
+				}
+				gotErr, wantErr = ge, we
+			case 4:
+				what = fmt.Sprintf("EarliestAvail(%v, %d)", a, procs)
+				g, gs := got.EarliestAvail(a, procs)
+				w, ws := want.EarliestAvail(a, procs)
+				if math.Float64bits(g) != math.Float64bits(w) || gs != ws {
+					t.Fatalf("%s = %v, %d; reference profile %v, %d", what, g, gs, w, ws)
+				}
+			case 5:
+				what = "Clone"
+				gc, wc := got.Clone(), want.Clone()
+				got.Recycle()
+				want.Recycle()
+				got, want = gc, wc
+			}
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s: error %v, reference %v", what, gotErr, wantErr)
+			}
+			sameBits := slices.EqualFunc(got.times, want.times, func(g, w float64) bool {
+				return math.Float64bits(g) == math.Float64bits(w)
+			})
+			if !sameBits || !slices.Equal(got.avail, want.avail) || got.hint != want.hint {
+				t.Fatalf("after %s: breakpoints %v avail %v hint %d, reference %v avail %v hint %d",
+					what, got.times, got.avail, got.hint, want.times, want.avail, want.hint)
+			}
+			if slices.ContainsFunc(got.times, math.IsNaN) {
+				return
+			}
+		}
+	})
 }
