@@ -12,9 +12,7 @@
 package hetero
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/moldable"
 	"repro/internal/platform"
@@ -111,28 +109,16 @@ func Schedule(jobs []*workload.Job, g *platform.Grid, part Partition, eps float6
 		}
 	default: // SpeedAwareLPT
 		// Order by minimal work on the widest cluster, largest first.
-		type keyed struct {
-			job  *workload.Job
-			work float64
-		}
-		ordered := make([]keyed, len(jobs))
+		ordered := make([]workload.Keyed, len(jobs))
 		widest := maxProcs(g)
 		for i, j := range jobs {
 			w, _ := j.MinWork(widest)
-			ordered[i] = keyed{j, w}
+			ordered[i] = workload.Keyed{Key: w, ID: j.ID, Pos: i}
 		}
-		slices.SortStableFunc(ordered, func(a, b keyed) int {
-			if a.work != b.work {
-				if a.work > b.work {
-					return -1
-				}
-				return 1
-			}
-			return cmp.Compare(a.job.ID, b.job.ID)
-		})
+		workload.SortKeyed(ordered, true)
 		load := make([]float64, len(g.Clusters)) // normalized drain time
 		for _, o := range ordered {
-			j := o.job
+			j := jobs[o.Pos]
 			best := -1
 			var bestCost, bestWork float64
 			for i, c := range g.Clusters {

@@ -8,7 +8,7 @@ package lowerbound
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/workload"
 )
@@ -20,23 +20,37 @@ func CmaxArea(jobs []*workload.Job, m int) float64 {
 	return workload.TotalMinWork(jobs, m) / float64(m)
 }
 
-// dualFeasible reports whether the guess λ passes the dual-approximation
-// feasibility test of §4.1: every job has an allocation meeting λ, and
-// the sum of the cheapest such allocations fits in the area λ·m.
-func dualFeasible(costs []workload.Cost, m int, lambda float64) bool {
+// dualProbe runs the dual-approximation feasibility test of §4.1 at the
+// guess λ: every job has an allocation meeting λ, and the sum of the
+// cheapest such allocations, taken in job order, fits in the area λ·m.
+// It records each job's cheapest work in at and returns the verdict and
+// how many jobs the test reached before it stopped.
+//
+// With a bracket (lo and hi non-nil), lo[i] and hi[i] hold job i's
+// MinWorkUnder at a deadline at or below λ and one at or above it. A job
+// whose two values are equal reads that value instead of searching:
+// MinWorkUnder is monotone non-increasing in the deadline on both of its
+// paths, so its value at λ lies between them, bit for bit.
+func dualProbe(costs []workload.Cost, m int, lambda float64, lo, hi, at []float64) (ok bool, reached int) {
 	var work float64
 	bound := lambda * float64(m)
 	for i := range costs {
-		w := costs[i].MinWorkUnder(lambda)
+		var w float64
+		if lo != nil && lo[i] == hi[i] {
+			w = lo[i]
+		} else {
+			w = costs[i].MinWorkUnder(lambda)
+		}
+		at[i] = w
 		if math.IsInf(w, 0) {
-			return false
+			return false, i + 1
 		}
 		work += w
 		if work > bound*(1+1e-12) {
-			return false
+			return false, i + 1
 		}
 	}
-	return true
+	return true, len(costs)
 }
 
 // CmaxDual returns the dual-approximation bound: the smallest λ (up to
@@ -68,11 +82,26 @@ func CmaxDualOf(costs []workload.Cost, m int) float64 {
 	if lo == 0 {
 		return 0
 	}
-	if dualFeasible(costs, m, lo) {
+	// Each job's MinWorkUnder at the bisection's lo, at its hi and at the
+	// probe under way. A job the lo probe did not reach starts at +Inf,
+	// its value at an infinitely early deadline.
+	n := len(costs)
+	scratch := make([]float64, 3*n)
+	wLo, wHi, wAt := scratch[:n:n], scratch[n:2*n:2*n], scratch[2*n:]
+	ok, reached := dualProbe(costs, m, lo, nil, nil, wLo)
+	if ok {
 		return lo
 	}
+	for i := reached; i < n; i++ {
+		wLo[i] = math.Inf(1)
+	}
 	hi := critical + area
-	for !dualFeasible(costs, m, hi) {
+	for {
+		// The doubling probes have no bracket yet, and lo does not move:
+		// they leave the lo side alone.
+		if ok, _ := dualProbe(costs, m, hi, nil, nil, wAt); ok {
+			break
+		}
 		// Degenerate profiles (e.g. min-work allocation slower than λ):
 		// widen until feasible. Doubling terminates because at λ ≥ max
 		// sequential time the cheapest allocation is unconstrained.
@@ -81,12 +110,18 @@ func CmaxDualOf(costs []workload.Cost, m int) float64 {
 			return lo
 		}
 	}
+	wHi, wAt = wAt, wHi
 	for i := 0; i < 100 && (hi-lo) > 1e-9*hi; i++ {
 		mid := (lo + hi) / 2
-		if dualFeasible(costs, m, mid) {
+		ok, reached := dualProbe(costs, m, mid, wLo, wHi, wAt)
+		if ok {
 			hi = mid
+			wHi, wAt = wAt, wHi
 		} else {
+			// Only the jobs the probe reached hold values at mid; the rest
+			// keep their values at an earlier lo, still a valid bracket end.
 			lo = mid
+			copy(wLo[:reached], wAt[:reached])
 		}
 	}
 	return hi
@@ -149,14 +184,20 @@ func SumWeightedCompletionOf(costs []workload.Cost, m int) float64 {
 	}
 	// Smith's rule: sort by size/weight ascending (zero-weight jobs last;
 	// they contribute nothing but still occupy the squashed machine).
-	// Stays sort.Slice: equal ratios tie, and pdqsort's permutation of
-	// ties decides the float order of the sums below.
-	sort.Slice(items, func(a, b int) bool {
-		wa, wb := items[a].weight, items[b].weight
-		if wa > 0 && wb > 0 {
-			return items[a].size*wb < items[b].size*wa
+	// Equal ratios tie, and the permutation of ties decides the float
+	// order of the sums below. slices.SortFunc gives sort.Slice's
+	// permutation: both are pdqsort generated from one template
+	// (sort/gen_sort_variants.go), both pass bits.Len(n) as the limit,
+	// and the code only ever tests cmp < 0, which is exactly the old less.
+	slices.SortFunc(items, func(a, b item) int {
+		if a.weight > 0 && b.weight > 0 {
+			if a.size*b.weight < b.size*a.weight {
+				return -1
+			}
+		} else if a.weight > b.weight {
+			return -1
 		}
-		return wa > wb
+		return 1
 	})
 	var clock, squashed float64
 	for _, it := range items {

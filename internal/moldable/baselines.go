@@ -9,18 +9,20 @@ import (
 	"repro/internal/workload"
 )
 
-// freeze returns rigid clones of the jobs with the given per-job
-// processor counts, suitable for the rigid-job policies.
+// freeze returns rigid copies of the jobs with the given per-job
+// processor counts, suitable for the rigid-job policies. A copy shares
+// its job's time table: nothing writes a table, and pinning MinProcs and
+// MaxProcs only narrows the range read from it.
 func freeze(costs []workload.Cost, procs func(*workload.Cost) int) ([]*workload.Job, map[int]*workload.Job) {
 	frozen := make([]*workload.Job, len(costs))
 	orig := make(map[int]*workload.Job, len(costs))
 	for i := range costs {
 		p := procs(&costs[i])
 		j := costs[i].Job
-		c := j.Clone()
+		c := *j
 		c.Kind = workload.Rigid
 		c.MinProcs, c.MaxProcs = p, p
-		frozen[i] = c
+		frozen[i] = &c
 		orig[j.ID] = j
 	}
 	return frozen, orig

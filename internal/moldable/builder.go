@@ -1,7 +1,6 @@
 package moldable
 
 import (
-	"cmp"
 	"slices"
 
 	"repro/internal/rigid"
@@ -52,6 +51,7 @@ type Builder struct {
 
 	allot   []Allotment
 	shelf2  []Allotment
+	keys    []workload.Keyed // shelf 2's order
 	allocs  []sched.Alloc
 	profile rigid.Profile
 }
@@ -217,18 +217,15 @@ func (b *Builder) pack(allot []Allotment, m int, lambda float64) (*sched.Schedul
 		}
 		b.allocs = append(b.allocs, sched.Alloc{Job: a.Job, Start: 0, Procs: a.Procs})
 	}
-	// Shelf 2: first-fit decreasing time into the profile.
-	slices.SortStableFunc(b.shelf2, func(x, y Allotment) int {
-		if x.Time != y.Time {
-			if x.Time > y.Time {
-				return -1
-			}
-			return 1
-		}
-		return cmp.Compare(x.Job.ID, y.Job.ID)
-	})
+	// Shelf 2: first-fit decreasing time into the profile, ties by job ID.
+	b.keys = slices.Grow(b.keys[:0], len(b.shelf2))
+	for i, a := range b.shelf2 {
+		b.keys = append(b.keys, workload.Keyed{Key: a.Time, ID: a.Job.ID, Pos: i})
+	}
+	workload.SortKeyed(b.keys, true)
 	limit := 1.5 * lambda * (1 + 1e-9)
-	for _, a := range b.shelf2 {
+	for _, k := range b.keys {
+		a := b.shelf2[k.Pos]
 		start, err := b.profile.EarliestSlot(0, a.Time, a.Procs)
 		if err != nil || start+a.Time > limit {
 			return nil, false

@@ -9,6 +9,7 @@ package platform
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -131,10 +132,14 @@ func NewCalendar(m int, rs []Reservation) (*Calendar, error) {
 			return nil, err
 		}
 	}
-	// Stays sort.Slice: equal starts tie, and Reservations returns them
-	// in this order.
-	sort.Slice(c.reservations, func(i, k int) bool {
-		return c.reservations[i].Start < c.reservations[k].Start
+	// Equal starts tie, and Reservations returns them in this order:
+	// slices.SortFunc with this cmp gives sort.Slice's, as in
+	// lowerbound.SumWeightedCompletionOf.
+	slices.SortFunc(c.reservations, func(a, b Reservation) int {
+		if a.Start < b.Start {
+			return -1
+		}
+		return 1
 	})
 	// Check peak demand with a sweep.
 	type ev struct {

@@ -26,32 +26,28 @@ const (
 )
 
 // sortJobs returns a copy of jobs in the requested order. Rigid jobs use
-// their fixed processor count to price time/area.
+// their fixed processor count to price time/area. Each job's key is
+// computed once: one ascending or descending float per order, equal keys
+// falling through to the job ID and then to the input position.
 func sortJobs(jobs []*workload.Job, ord Order) []*workload.Job {
-	out := append([]*workload.Job(nil), jobs...)
-	cmpTime := func(j *workload.Job) float64 { return j.TimeOn(j.MinProcs) }
-	// One ascending float key per order (descending ones swap sides);
-	// equal keys fall through to the job ID.
-	slices.SortStableFunc(out, func(a, b *workload.Job) int {
-		var ka, kb float64
+	keys := make([]workload.Keyed, len(jobs))
+	for i, j := range jobs {
+		var k float64
 		switch ord {
-		case ByLPT:
-			ka, kb = cmpTime(b), cmpTime(a) // descending
-		case BySPT:
-			ka, kb = cmpTime(a), cmpTime(b)
+		case ByLPT, BySPT:
+			k = j.TimeOn(j.MinProcs)
 		case ByArea:
-			ka, kb = b.WorkOn(b.MinProcs), a.WorkOn(a.MinProcs) // descending
+			k = j.WorkOn(j.MinProcs)
 		default: // ByRelease
-			ka, kb = a.Release, b.Release
+			k = j.Release
 		}
-		if ka != kb {
-			if ka < kb {
-				return -1
-			}
-			return 1
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
+		keys[i] = workload.Keyed{Key: k, ID: j.ID, Pos: i}
+	}
+	workload.SortKeyed(keys, ord == ByLPT || ord == ByArea)
+	out := make([]*workload.Job, len(jobs))
+	for i, k := range keys {
+		out[i] = jobs[k.Pos]
+	}
 	return out
 }
 

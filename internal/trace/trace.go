@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -82,9 +82,15 @@ func WriteCSV(w io.Writer, s *sched.Schedule) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "job,class,start,end,procs,weight,release")
 	rows := append([]sched.Alloc(nil), s.Allocs...)
-	// Stays sort.Slice: equal starts tie, and the permutation of ties is
-	// the row order of the file.
-	sort.Slice(rows, func(i, k int) bool { return rows[i].Start < rows[k].Start })
+	// Equal starts tie, and the permutation of ties is the row order of
+	// the file: slices.SortFunc with this cmp gives sort.Slice's, as in
+	// lowerbound.SumWeightedCompletionOf.
+	slices.SortFunc(rows, func(a, b sched.Alloc) int {
+		if a.Start < b.Start {
+			return -1
+		}
+		return 1
+	})
 	for _, a := range rows {
 		fmt.Fprintf(bw, "%d,%s,%g,%g,%d,%g,%g\n",
 			a.Job.ID, a.Job.Class, a.Start, a.End(), a.Procs, a.Job.Weight, a.Job.Release)

@@ -10,6 +10,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Kind classifies a Parallel Task following §2.2 of the paper.
@@ -77,19 +78,20 @@ type Job struct {
 // table it checks the length and the entries of the legal range
 // [MinProcs, MaxProcs], the only ones a scheduler can read.
 func (j *Job) Validate() error {
+	// The comparisons are negated so that NaN fails them too.
 	switch {
-	case j.SeqTime <= 0 && j.Times == nil:
-		return fmt.Errorf("job %d: non-positive sequential time %v", j.ID, j.SeqTime)
+	case j.Times == nil && !(j.SeqTime > 0 && j.SeqTime < math.Inf(1)):
+		return fmt.Errorf("job %d: sequential time %v not positive and finite", j.ID, j.SeqTime)
 	case j.MinProcs <= 0:
 		return fmt.Errorf("job %d: MinProcs = %d", j.ID, j.MinProcs)
 	case j.MaxProcs < j.MinProcs:
 		return fmt.Errorf("job %d: MaxProcs %d < MinProcs %d", j.ID, j.MaxProcs, j.MinProcs)
 	case j.Kind == Rigid && j.MinProcs != j.MaxProcs:
 		return fmt.Errorf("job %d: rigid job with MinProcs %d != MaxProcs %d", j.ID, j.MinProcs, j.MaxProcs)
-	case j.Release < 0:
-		return fmt.Errorf("job %d: negative release %v", j.ID, j.Release)
-	case j.Weight < 0:
-		return fmt.Errorf("job %d: negative weight %v", j.ID, j.Weight)
+	case !(j.Release >= 0 && j.Release < math.Inf(1)):
+		return fmt.Errorf("job %d: release %v not non-negative and finite", j.ID, j.Release)
+	case !(j.Weight >= 0 && j.Weight < math.Inf(1)):
+		return fmt.Errorf("job %d: weight %v not non-negative and finite", j.ID, j.Weight)
 	case j.Model == nil && j.Times == nil:
 		return fmt.Errorf("job %d: no speedup model and no time table", j.ID)
 	}
@@ -180,6 +182,42 @@ func CompareRelease(a, b *Job) int {
 		return 1
 	}
 	return cmp.Compare(a.ID, b.ID)
+}
+
+// Keyed is one entry of a job order whose key is computed once per job:
+// the key the order's comparator would compute, the job's ID, and the
+// job's position in the input.
+type Keyed struct {
+	Key float64
+	ID  int
+	Pos int
+}
+
+// SortKeyed sorts keys by Key, ascending or (desc) descending, then by
+// ID, then by Pos. This is the order slices.SortStableFunc gives with
+// the comparator on (Key, ID): a stable sort leaves elements that
+// compare equal in input order, the Pos order, and with Pos as the last
+// key no two elements compare equal, so pdqsort has only one answer.
+// That holds while no key is NaN (Validate refuses NaN sequential
+// times, releases, weights and table entries); -0 and +0 compare equal,
+// as before.
+func SortKeyed(keys []Keyed, desc bool) {
+	slices.SortFunc(keys, func(a, b Keyed) int {
+		ka, kb := a.Key, b.Key
+		if desc {
+			ka, kb = kb, ka
+		}
+		if ka != kb {
+			if ka < kb {
+				return -1
+			}
+			return 1
+		}
+		if a.ID != b.ID {
+			return cmp.Compare(a.ID, b.ID)
+		}
+		return cmp.Compare(a.Pos, b.Pos)
+	})
 }
 
 // Clone returns a deep copy of the job.

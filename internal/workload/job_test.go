@@ -82,6 +82,25 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateRefusesNonFinite: a Model-only job with a NaN or +Inf
+// sequential time, release or weight is refused. Each of the six passed
+// the sign checks once, since every comparison with NaN is false.
+func TestValidateRefusesNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		for name, set := range map[string]func(*Job){
+			"seq":     func(j *Job) { j.SeqTime = v },
+			"release": func(j *Job) { j.Release = v },
+			"weight":  func(j *Job) { j.Weight = v },
+		} {
+			j := testJob(10, 1, 4, Linear{})
+			set(j)
+			if err := j.Validate(); err == nil {
+				t.Errorf("%s %v: job accepted", name, v)
+			}
+		}
+	}
+}
+
 func TestTimeOnLinear(t *testing.T) {
 	j := testJob(12, 1, 4, Linear{})
 	if got := j.TimeOn(3); math.Abs(got-4) > 1e-12 {

@@ -7,8 +7,8 @@
 #
 #   scripts/bench-pair.sh [options] <parent-ref> <workload>[:<pairs>[:<trace>]] ...
 #
-#   --seed N       first seed (default 1); every pair takes the next one,
-#                  across workloads in the order given
+#   --seed N       first seed (default: drawn from /dev/urandom); every
+#                  pair takes the next one, across workloads in the order given
 #   --seconds S    run length passed to bench/run.sh (default 15)
 #   --out FILE     write the ledger there (default: standard output)
 #   --note TEXT    free text stored as the ledger's "note"
@@ -21,8 +21,12 @@
 # bench/run.sh, after one short unrecorded warm-up run per workload.
 # Progress goes to standard error. The exit status is non-zero when a run
 # fails to produce a result, reports "correct": false or a failed
-# operation, or when the two sides of a pair disagree on sim_digest for a
-# stream pass both completed; the ledger is written either way.
+# operation, when the two sides of a pair disagree on sim_digest for a
+# stream pass both completed, or when an untraced end-to-end metric
+# regresses: its change median is worse than the parent's by more than
+# its BENCHMARK.json bound, and the change loses a one-sided sign test
+# over the pairs at 5 % (worse in 9 or more of 10 untied pairs). The
+# ledger is written either way.
 set -euo pipefail
 
 usage() {
@@ -30,7 +34,7 @@ usage() {
 	exit "${1:-2}"
 }
 
-seed=1 seconds=15 out= note= claim=
+seed= seconds=15 out= note= claim=
 while [ $# -gt 0 ]; do
 	case $1 in
 	--seed) seed=$2; shift 2 ;;
@@ -44,6 +48,12 @@ while [ $# -gt 0 ]; do
 	esac
 done
 [ $# -ge 2 ] || usage
+seed_source=given
+if [ -z "$seed" ]; then
+	seed=$(od -An -N3 -tu4 /dev/urandom | tr -d ' ')
+	seed_source=drawn
+	echo "bench-pair: drew first seed $seed" >&2
+fi
 ref=$1
 shift
 case $out in "" | /*) ;; *) out=$PWD/$out ;; esac
@@ -122,7 +132,8 @@ host=$(jq -n --arg cpu "$(grep -m1 'model name' /proc/cpuinfo | cut -d: -f2- | s
 ledger=$(jq -s \
 	--slurpfile bench "$root/BENCHMARK.json" --argjson host "$host" --arg note "$note" --arg claim "$claim" \
 	--arg parent "$ref ($parent_sha)" --arg change "working tree of $(git rev-parse HEAD)$(git diff --quiet HEAD || echo ', with uncommitted changes')" \
-	--argjson seconds "$seconds" -f /dev/stdin "$tmp/runs.jsonl" <<'JQ'
+	--argjson seconds "$seconds" --argjson seed "$seed" --arg seed_source "$seed_source" \
+	-f /dev/stdin "$tmp/runs.jsonl" <<'JQ'
 def r4: if type == "number" then . * 10000 | round / 10000 else . end;
 # quantile with linear interpolation between order statistics
 def quantile($p): sort as $s | ($s | length) as $n
@@ -137,6 +148,11 @@ def same_digest($a; $b):
   elif $a == null or $b == null then false
   else [$a | keys[] | select($b[.] != null)] as $k
     | ($k | length) > 0 and ($k | all(. as $x | $a[$x] == $b[$x])) end;
+# One-sided sign test: the chance that a fair coin comes up "worse" in
+# at least $k of $n pairs.
+def sign_p($k; $n):
+  def choose($a; $b): reduce range(0; $b) as $i (1; . * ($a - $i) / ($i + 1));
+  [range($k; $n + 1) | choose($n; .)] | add // 0 | . / pow(2; $n);
 def quartiles: {q1: (quantile(0.25) | r4), median: (quantile(0.5) | r4), q3: (quantile(0.75) | r4)};
 ($bench[0] | [.end_to_end[], .per_layer[]] | map({key: .name, value: .}) | from_entries) as $decl
 | . as $runs
@@ -171,23 +187,31 @@ def quartiles: {q1: (quantile(0.25) | r4), median: (quantile(0.5) | r4), q3: (qu
                change_wins: ($ok | map(select(if $better == "higher" then .change[$m] > .parent[$m] else .change[$m] < .parent[$m] end)) | length),
                ties: ($ok | map(select(.change[$m] == .parent[$m])) | length),
                pairs: ($ok | length),
+               change_worse_in_pairs: ($ok | map(select(if $better == "higher" then .change[$m] < .parent[$m] else .change[$m] > .parent[$m] end)) | length),
                change_over_parent_median: ($ratio | r4),
                worse_than_parent_median_by: ($worse | r4),
                every_change_run_better_than_every_parent_run: (($ok | length) > 0 and
                  (if $better == "higher" then ($cv | min) > ($pv | max) else ($cv | max) < ($pv | min) end))
              } + (if $decl[$m].bound then {bound: $decl[$m].bound, within_bound: ($worse == null or $worse <= $decl[$m].bound)} else {} end))})
-           | from_entries)}})
+           | from_entries
+           | map_values(if has("bound") then
+               sign_p(.change_worse_in_pairs; .pairs - .ties) as $p
+               | . + {sign_test_p: ($p | r4), regressed: (.within_bound == false and $p <= 0.05)}
+             else . end))}})
    | from_entries) as $workloads
 | {
     note: $note,
     tool: "scripts/bench-pair.sh",
     command: "bash bench/run.sh --workload <name> --seed <seed> --seconds \($seconds) --trace <0|1>",
     parent: $parent, change: $change, host: $host, seconds: $seconds,
+    first_seed: $seed, seed_source: $seed_source,
     order: "pairs run workload by workload in the order given; pair i ran the parent first when i is even, the change first when i is odd; one unrecorded 2 s warm-up run per side and workload (seed 1) came first",
     workloads: $workloads,
     limits: {
       every_end_to_end_metric_within_its_bound_on_every_workload:
         ([$workloads[] | select(.trace == 0) | .summary[] | select(has("bound")) | .within_bound] | all),
+      no_end_to_end_metric_regressed:
+        ([$workloads[] | select(.trace == 0) | .summary[] | select(has("bound")) | .regressed] | any | not),
       failed_ops_do_not_rise: ([$workloads[] | .failed_ops.change <= .failed_ops.parent] | all),
       all_correct: ([$workloads[] | .all_correct] | all),
       all_sim_digests_equal: ([$workloads[] | .all_sim_digests_equal] | all)
@@ -214,3 +238,9 @@ jq -e '[.raw_runs[] | .exit == 0 and .correct == true and .failed == 0] | all' <
 	{ echo "bench-pair: a run failed, was not correct or had failed operations" >&2; exit 1; }
 jq -e '.limits.all_sim_digests_equal' <<<"$ledger" >/dev/null ||
 	{ echo "bench-pair: the two sides of a pair disagree on sim_digest" >&2; exit 1; }
+jq -e '.limits.no_end_to_end_metric_regressed' <<<"$ledger" >/dev/null || {
+	echo "bench-pair: an end-to-end metric is worse than its bound and loses the sign test:" >&2
+	jq -r '.workloads | to_entries[] | select(.value.trace == 0) | .key as $w | .value.summary | to_entries[]
+		| select(.value.regressed) | "  \($w) \(.key): \(.value.worse_than_parent_median_by) worse, worse in \(.value.change_worse_in_pairs) of \(.value.pairs) pairs"' <<<"$ledger" >&2
+	exit 1
+}
