@@ -47,6 +47,25 @@ func TestLocalMatchesGoldens(t *testing.T) {
 	}
 }
 
+// TestSimGanttMatchesGoldens: sim -gantt draws the committed chart of
+// an offline, an online-batch and a backfilling policy byte for byte
+// (testdata/gantt/).
+func TestSimGanttMatchesGoldens(t *testing.T) {
+	for _, policy := range []string{"mrt", "smart", "conservative"} {
+		want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "gantt", policy+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := simCmd(&got, []string{"-policy", policy, "-n", "30", "-m", "16", "-seed", "7", "-gantt"}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("sim -gantt -policy %s differs from its golden:\n%s", policy, got.String())
+		}
+	}
+}
+
 // TestLocalAblations: "ablations" expands to the six ablation
 // scenarios in catalog order, each followed by its blank line.
 func TestLocalAblations(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/rigid"
 	"repro/internal/scenario"
+	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -292,6 +293,11 @@ func reservationsRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Re
 		c, err := rigid.ConservativeWithCalendar(jobs, m, cal)
 		if err != nil {
 			return resCell{}, err
+		}
+		for _, s := range []*sched.Schedule{f, c} {
+			if err := s.ValidateWith(sched.ValidateOptions{Calendar: cal}); err != nil {
+				return resCell{}, err
+			}
 		}
 		return resCell{fcfs: f.Makespan(), cons: c.Makespan()}, nil
 	})

@@ -23,8 +23,8 @@ import (
 // Assignment is the outcome of a grid-level schedule.
 type Assignment struct {
 	// PerCluster holds one schedule per grid cluster (same order as the
-	// grid's cluster list). Durations inside each schedule are in the
-	// cluster's local (speed-scaled) time.
+	// grid's cluster list), in job-profile time: divide by the cluster's
+	// Speed for real time.
 	PerCluster []*sched.Schedule
 	// JobCluster maps job ID to its cluster index.
 	JobCluster map[int]int

@@ -145,8 +145,7 @@ func sameSchedule(t *testing.T, what string, got, want *sched.Schedule) bool {
 	}
 	for i := range want.Allocs {
 		g, w := got.Allocs[i], want.Allocs[i]
-		if g.Job != w.Job || g.Procs != w.Procs || g.Duration != w.Duration || g.ProcIDs != nil ||
-			math.Float64bits(g.Start) != math.Float64bits(w.Start) {
+		if g.Job != w.Job || g.Procs != w.Procs || math.Float64bits(g.Start) != math.Float64bits(w.Start) {
 			t.Errorf("%s: allocation %d is job %d at %v on %d, reference job %d at %v on %d",
 				what, i, g.Job.ID, g.Start, g.Procs, w.Job.ID, w.Start, w.Procs)
 			return false

@@ -39,17 +39,13 @@ func (h *intHeap) Pop() interface{} {
 // The assignment is the classic sweep: process interval starts in time
 // order (ends released first at equal times) and grab the lowest-numbered
 // free processors. Because demand never exceeds m, the greedy grab always
-// succeeds — this is interval graph coloring.
+// succeeds — this is interval graph coloring. An interval that starts and
+// ends inside one tie group of the sweep holds nothing and gets no
+// processors, like a zero-width one.
 func Assign(m int, intervals []Interval) ([][]int, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("platform: Assign with m = %d", m)
 	}
-	type event struct {
-		t     float64
-		start bool
-		idx   int
-	}
-	events := make([]event, 0, 2*len(intervals))
 	for i, iv := range intervals {
 		if iv.Count < 0 {
 			return nil, fmt.Errorf("platform: interval %d has negative count", i)
@@ -57,21 +53,7 @@ func Assign(m int, intervals []Interval) ([][]int, error) {
 		if iv.End < iv.Start {
 			return nil, fmt.Errorf("platform: interval %d has End < Start", i)
 		}
-		if iv.Count == 0 || iv.End == iv.Start {
-			continue // zero-width or zero-demand intervals get no processors
-		}
-		events = append(events, event{iv.Start, true, i}, event{iv.End, false, i})
 	}
-	sort.Slice(events, func(a, b int) bool {
-		if events[a].t != events[b].t {
-			return events[a].t < events[b].t
-		}
-		if events[a].start != events[b].start {
-			return !events[a].start // ends first
-		}
-		return events[a].idx < events[b].idx
-	})
-
 	free := make(intHeap, m)
 	for i := range free {
 		free[i] = i
@@ -79,39 +61,33 @@ func Assign(m int, intervals []Interval) ([][]int, error) {
 	heap.Init(&free)
 
 	out := make([][]int, len(intervals))
-	for i := 0; i < len(events); {
-		groupEnd := i
-		eps := sweepEps(events[i].t)
-		for groupEnd < len(events) && events[groupEnd].t-events[i].t <= eps {
-			groupEnd++
+	_, err := sweep(intervals, func(i int, start bool) error {
+		if !start {
+			if out[i] == nil {
+				out[i] = []int{} // it starts later in this tie group: it holds nothing
+			}
+			for _, p := range out[i] {
+				heap.Push(&free, p)
+			}
+			return nil
 		}
-		// Apply all ends in the group before any start, so hairline
-		// float overlaps from shifted schedules do not spuriously
-		// exhaust the free pool.
-		for k := i; k < groupEnd; k++ {
-			if !events[k].start {
-				for _, p := range out[events[k].idx] {
-					heap.Push(&free, p)
-				}
-			}
+		if out[i] != nil {
+			return nil // it ended earlier in this tie group
 		}
-		for k := i; k < groupEnd; k++ {
-			e := events[k]
-			if !e.start {
-				continue
-			}
-			iv := intervals[e.idx]
-			if iv.Count > free.Len() {
-				return nil, fmt.Errorf("platform: demand exceeds %d processors at t=%v", m, e.t)
-			}
-			procs := make([]int, iv.Count)
-			for q := range procs {
-				procs[q] = heap.Pop(&free).(int)
-			}
-			sort.Ints(procs)
-			out[e.idx] = procs
+		iv := intervals[i]
+		if iv.Count > free.Len() {
+			return fmt.Errorf("platform: demand exceeds %d processors at t=%v", m, iv.Start)
 		}
-		i = groupEnd
+		procs := make([]int, iv.Count)
+		for q := range procs {
+			procs[q] = heap.Pop(&free).(int)
+		}
+		sort.Ints(procs)
+		out[i] = procs
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -122,23 +98,30 @@ func Assign(m int, intervals []Interval) ([][]int, error) {
 // with releases applied before grabs.
 func sweepEps(t float64) float64 { return 1e-9 * (1 + math.Abs(t)) }
 
-// PeakDemand returns the maximum simultaneous processor demand of the
-// intervals (useful to size a platform or validate feasibility quickly).
-// Events closer than a relative 1e-9 are coalesced, releases first.
-func PeakDemand(intervals []Interval) int {
-	type event struct {
-		t float64
-		d int
-	}
+// event is one end (d < 0) or start (d > 0) of interval i, holding |d|
+// processors.
+type event struct {
+	t float64
+	i int32
+	d int32
+}
+
+// sweep is the one capacity sweep behind every validity check. It visits
+// the ends and starts of the intervals with a positive count and length
+// in time order, ends before starts at equal times, then by index. Its tie
+// rule: the events within sweepEps of a group's first event form one
+// group, and every end of a group is applied before any of its starts, so
+// intervals that touch up to float rounding do not overlap. visit, when
+// non-nil, sees each event in that order; its first error stops the
+// sweep. The peak is the largest demand right after a start.
+func sweep(intervals []Interval, visit func(i int, start bool) error) (peak int, err error) {
 	evs := make([]event, 0, 2*len(intervals))
-	for _, iv := range intervals {
-		if iv.Count == 0 || iv.End <= iv.Start {
-			continue
+	for i, iv := range intervals {
+		if iv.Count > 0 && iv.End > iv.Start {
+			evs = append(evs, event{iv.Start, int32(i), int32(iv.Count)}, event{iv.End, int32(i), -int32(iv.Count)})
 		}
-		evs = append(evs, event{iv.Start, iv.Count}, event{iv.End, -iv.Count})
 	}
-	// The comparator orders the whole struct, so tied events are
-	// indistinguishable and any sort gives the same sequence.
+	// A total order, so any sort gives this one sequence.
 	slices.SortFunc(evs, func(a, b event) int {
 		if a.t != b.t {
 			if a.t < b.t {
@@ -146,30 +129,43 @@ func PeakDemand(intervals []Interval) int {
 			}
 			return 1
 		}
-		return cmp.Compare(a.d, b.d)
-	})
-	cur, peak := 0, 0
-	for i := 0; i < len(evs); {
-		groupEnd := i
-		eps := sweepEps(evs[i].t)
-		for groupEnd < len(evs) && evs[groupEnd].t-evs[i].t <= eps {
-			groupEnd++
-		}
-		// Releases first within the group.
-		for k := i; k < groupEnd; k++ {
-			if evs[k].d < 0 {
-				cur += evs[k].d
+		if (a.d > 0) != (b.d > 0) {
+			if b.d > 0 {
+				return -1
 			}
+			return 1
 		}
-		for k := i; k < groupEnd; k++ {
-			if evs[k].d > 0 {
-				cur += evs[k].d
-				if cur > peak {
-					peak = cur
+		return cmp.Compare(a.i, b.i)
+	})
+	cur := 0
+	for g := 0; g < len(evs); {
+		t0, eps := evs[g].t, sweepEps(evs[g].t)
+		end := g + 1
+		for end < len(evs) && evs[end].t-t0 <= eps {
+			end++
+		}
+		for _, start := range [2]bool{false, true} {
+			for _, e := range evs[g:end] {
+				if (e.d > 0) != start {
+					continue
+				}
+				cur += int(e.d)
+				peak = max(peak, cur)
+				if visit != nil {
+					if err := visit(int(e.i), start); err != nil {
+						return peak, err
+					}
 				}
 			}
 		}
-		i = groupEnd
+		g = end
 	}
+	return peak, nil
+}
+
+// PeakDemand returns the maximum simultaneous processor demand of the
+// intervals under the sweep's tie rule.
+func PeakDemand(intervals []Interval) int {
+	peak, _ := sweep(intervals, nil)
 	return peak
 }

@@ -2,15 +2,14 @@
 // light grid is a small set of clusters, each a collection of tens to
 // hundreds of nodes, weakly heterogeneous inside a cluster (clock speeds)
 // and strongly heterogeneous across clusters (architecture, interconnect,
-// OS). It also provides reservation calendars (§5.1) and the concrete
-// processor-assignment sweep used to turn (start, duration, count)
-// schedules into per-processor allocations.
+// OS). It also provides reservation calendars (§5.1) and the one
+// capacity sweep that checks every schedule and calendar and turns
+// (start, duration, count) schedules into per-processor allocations.
 package platform
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // Cluster is one weakly-heterogeneous cluster of a light grid.
@@ -111,9 +110,8 @@ func (r Reservation) Validate() error {
 	return nil
 }
 
-// Calendar is a set of reservations on one cluster. It answers
-// availability queries: how many processors are free of reservations at
-// time t, and what is the next boundary after t.
+// Calendar is a set of reservations on one cluster. Its reservations
+// never hold more than its m processors at once.
 type Calendar struct {
 	m            int
 	reservations []Reservation
@@ -121,16 +119,21 @@ type Calendar struct {
 
 // NewCalendar builds a calendar for a cluster of m processors. It returns
 // an error if any reservation is invalid or if at some instant the
-// reserved processors exceed m.
+// reserved processors exceed m, under the PeakDemand tie rule.
 func NewCalendar(m int, rs []Reservation) (*Calendar, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("calendar: %d processors", m)
 	}
 	c := &Calendar{m: m, reservations: append([]Reservation(nil), rs...)}
-	for _, r := range c.reservations {
+	held := make([]Interval, len(rs))
+	for i, r := range c.reservations {
 		if err := r.Validate(); err != nil {
 			return nil, err
 		}
+		held[i] = Interval{Start: r.Start, End: r.End, Count: r.Procs}
+	}
+	if PeakDemand(held) > m {
+		return nil, fmt.Errorf("calendar: reservations exceed %d processors", m)
 	}
 	// Equal starts tie, and Reservations returns them in this order:
 	// slices.SortFunc with this cmp gives sort.Slice's, as in
@@ -141,80 +144,11 @@ func NewCalendar(m int, rs []Reservation) (*Calendar, error) {
 		}
 		return 1
 	})
-	// Check peak demand with a sweep.
-	type ev struct {
-		t float64
-		d int
-	}
-	var evs []ev
-	for _, r := range c.reservations {
-		evs = append(evs, ev{r.Start, r.Procs}, ev{r.End, -r.Procs})
-	}
-	sort.Slice(evs, func(i, k int) bool {
-		if evs[i].t != evs[k].t {
-			return evs[i].t < evs[k].t
-		}
-		return evs[i].d < evs[k].d // process releases before grabs at ties
-	})
-	cur := 0
-	for _, e := range evs {
-		cur += e.d
-		if cur > m {
-			return nil, fmt.Errorf("calendar: reservations exceed %d processors", m)
-		}
-	}
 	return c, nil
 }
 
 // M returns the processor count of the underlying cluster.
 func (c *Calendar) M() int { return c.m }
-
-// Reserved returns the number of processors reserved at time t
-// (reservations are half-open [Start, End)).
-func (c *Calendar) Reserved(t float64) int {
-	var n int
-	for _, r := range c.reservations {
-		if r.Start <= t && t < r.End {
-			n += r.Procs
-		}
-	}
-	return n
-}
-
-// Available returns m - Reserved(t).
-func (c *Calendar) Available(t float64) int { return c.m - c.Reserved(t) }
-
-// NextBoundary returns the smallest reservation start or end strictly
-// greater than t, or ok=false if none exists.
-func (c *Calendar) NextBoundary(t float64) (boundary float64, ok bool) {
-	best := 0.0
-	found := false
-	for _, r := range c.reservations {
-		for _, b := range [2]float64{r.Start, r.End} {
-			if b > t && (!found || b < best) {
-				best = b
-				found = true
-			}
-		}
-	}
-	return best, found
-}
-
-// MinAvailable returns the minimum availability over the window [t0, t1).
-func (c *Calendar) MinAvailable(t0, t1 float64) int {
-	minAvail := c.Available(t0)
-	t := t0
-	for {
-		b, ok := c.NextBoundary(t)
-		if !ok || b >= t1 {
-			return minAvail
-		}
-		if a := c.Available(b); a < minAvail {
-			minAvail = a
-		}
-		t = b
-	}
-}
 
 // Reservations returns a copy of the sorted reservation list.
 func (c *Calendar) Reservations() []Reservation {

@@ -78,6 +78,24 @@ func TestReservationValidate(t *testing.T) {
 	}
 }
 
+// freeFor returns how many processors stay free of the calendar's
+// reservations over all of [t0, t1): the largest k that PeakDemand lets
+// an interval of k processors there hold beside them.
+func freeFor(cal *Calendar, t0, t1 float64) int {
+	var held []Interval
+	for _, r := range cal.Reservations() {
+		held = append(held, Interval{Start: r.Start, End: r.End, Count: r.Procs})
+	}
+	k := 0
+	for k < cal.M() && PeakDemand(append(held, Interval{Start: t0, End: t1, Count: k + 1})) <= cal.M() {
+		k++
+	}
+	return k
+}
+
+// TestCalendarAvailability: reservations hold processors over half-open
+// windows, so a probe at a window's start sees them and one at its end
+// does not.
 func TestCalendarAvailability(t *testing.T) {
 	cal, err := NewCalendar(10, []Reservation{
 		{Name: "demo", Start: 100, End: 200, Procs: 4},
@@ -94,8 +112,8 @@ func TestCalendarAvailability(t *testing.T) {
 		{199, 3}, {200, 7}, {299, 7}, {300, 10},
 	}
 	for _, c := range cases {
-		if got := cal.Available(c.t); got != c.want {
-			t.Errorf("Available(%v) = %d, want %d", c.t, got, c.want)
+		if got := freeFor(cal, c.t, c.t+0.5); got != c.want {
+			t.Errorf("free at %v = %d, want %d", c.t, got, c.want)
 		}
 	}
 }
@@ -117,36 +135,20 @@ func TestCalendarOverflow(t *testing.T) {
 	}
 }
 
-func TestNextBoundary(t *testing.T) {
-	cal, _ := NewCalendar(10, []Reservation{
-		{Name: "r", Start: 100, End: 200, Procs: 1},
-	})
-	if b, ok := cal.NextBoundary(0); !ok || b != 100 {
-		t.Fatalf("NextBoundary(0) = %v,%v", b, ok)
-	}
-	if b, ok := cal.NextBoundary(100); !ok || b != 200 {
-		t.Fatalf("NextBoundary(100) = %v,%v", b, ok)
-	}
-	if _, ok := cal.NextBoundary(200); ok {
-		t.Fatal("NextBoundary past all reservations should report none")
-	}
-}
-
+// TestMinAvailable: a window's free processors are its tightest instant's.
 func TestMinAvailable(t *testing.T) {
 	cal, _ := NewCalendar(10, []Reservation{
 		{Name: "r", Start: 100, End: 200, Procs: 4},
 	})
-	if got := cal.MinAvailable(0, 50); got != 10 {
-		t.Fatalf("MinAvailable before reservation = %d", got)
-	}
-	if got := cal.MinAvailable(0, 150); got != 6 {
-		t.Fatalf("MinAvailable spanning start = %d", got)
-	}
-	if got := cal.MinAvailable(150, 250); got != 6 {
-		t.Fatalf("MinAvailable inside = %d", got)
-	}
-	if got := cal.MinAvailable(200, 300); got != 10 {
-		t.Fatalf("MinAvailable after = %d", got)
+	for _, c := range []struct {
+		t0, t1 float64
+		want   int
+	}{
+		{0, 50, 10}, {0, 100, 10}, {0, 150, 6}, {150, 250, 6}, {200, 300, 10},
+	} {
+		if got := freeFor(cal, c.t0, c.t1); got != c.want {
+			t.Errorf("free over [%v,%v) = %d, want %d", c.t0, c.t1, got, c.want)
+		}
 	}
 }
 
@@ -210,6 +212,20 @@ func TestAssignZeroWidth(t *testing.T) {
 	}
 }
 
+// TestAssignInsideOneTieGroup: an interval that starts and ends within
+// one tie group holds nothing, so it leaks no processor a later start
+// needs, and Assign fails only where PeakDemand exceeds m.
+func TestAssignInsideOneTieGroup(t *testing.T) {
+	ivs := []Interval{{Start: 0, End: 1e-12, Count: 1}, {Start: 1, End: 2, Count: 1}}
+	got, err := Assign(1, ivs)
+	if err != nil || PeakDemand(ivs) != 1 {
+		t.Fatalf("Assign = %v, %v with peak %d", got, err, PeakDemand(ivs))
+	}
+	if len(got[0]) != 0 || len(got[1]) != 1 {
+		t.Fatalf("processors %v", got)
+	}
+}
+
 func TestPeakDemand(t *testing.T) {
 	peak := PeakDemand([]Interval{
 		{Start: 0, End: 10, Count: 2},
@@ -221,6 +237,14 @@ func TestPeakDemand(t *testing.T) {
 	}
 	if PeakDemand(nil) != 0 {
 		t.Fatal("empty PeakDemand != 0")
+	}
+}
+
+// TestPeakDemandUnbounded: an interval that never ends is one group of
+// its own at +Inf, where t - t is NaN; the sweep still moves on.
+func TestPeakDemandUnbounded(t *testing.T) {
+	if got := PeakDemand([]Interval{{Start: 0, End: math.Inf(1), Count: 2}, {Start: 1, End: 2, Count: 1}}); got != 3 {
+		t.Fatalf("PeakDemand = %d, want 3", got)
 	}
 }
 
@@ -277,50 +301,11 @@ func TestAssignProperty(t *testing.T) {
 	}
 }
 
-// Property: calendar availability is always within [0, m].
-func TestCalendarProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := stats.NewRNG(seed)
-		m := rng.IntRange(1, 32)
-		var rs []Reservation
-		for i := 0; i < rng.Intn(5); i++ {
-			s := rng.Range(0, 100)
-			rs = append(rs, Reservation{
-				Name:  "r",
-				Start: s,
-				End:   s + rng.Range(1, 50),
-				Procs: rng.IntRange(1, m),
-			})
-		}
-		cal, err := NewCalendar(m, rs)
-		if err != nil {
-			return true // overcommitted draw; rejection is correct
-		}
-		for t := 0.0; t < 160; t += 7.3 {
-			a := cal.Available(t)
-			if a < 0 || a > m {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCalendarReservationsCopy(t *testing.T) {
 	cal, _ := NewCalendar(4, []Reservation{{Name: "r", Start: 1, End: 2, Procs: 1}})
 	rs := cal.Reservations()
 	rs[0].Procs = 99
-	if cal.Reserved(1.5) != 1 {
-		t.Fatal("Reservations() exposed internal state")
-	}
-}
-
-func TestMinAvailableUnbounded(t *testing.T) {
-	cal, _ := NewCalendar(8, nil)
-	if got := cal.MinAvailable(0, math.Inf(1)); got != 8 {
-		t.Fatalf("empty calendar MinAvailable = %d", got)
+	if got := cal.Reservations()[0].Procs; got != 1 {
+		t.Fatalf("Reservations() exposed internal state: procs %d after editing the copy", got)
 	}
 }

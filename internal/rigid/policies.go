@@ -223,7 +223,7 @@ func Compact(s *sched.Schedule) (*sched.Schedule, error) {
 	profile := NewProfile(s.M)
 	out := sched.New(s.M)
 	for _, a := range ordered {
-		dur := a.EffectiveDuration()
+		dur := a.Job.TimeOn(a.Procs)
 		start, err := profile.EarliestSlot(a.Job.Release, dur, a.Procs)
 		if err != nil {
 			return nil, fmt.Errorf("rigid: compaction failed for job %d: %w", a.Job.ID, err)
@@ -234,7 +234,7 @@ func Compact(s *sched.Schedule) (*sched.Schedule, error) {
 		if err := profile.Reserve(start, dur, a.Procs); err != nil {
 			return nil, err
 		}
-		out.Add(sched.Alloc{Job: a.Job, Start: start, Procs: a.Procs, Duration: a.Duration})
+		out.Add(sched.Alloc{Job: a.Job, Start: start, Procs: a.Procs})
 	}
 	return out, nil
 }

@@ -227,6 +227,23 @@ func TestCalendarWidthMismatch(t *testing.T) {
 	}
 }
 
+// TestProfileFromHairlineCalendar: NewCalendar's tie rule accepts
+// reservations [0, 0.1+0.2) and [0.3, 1) on one processor, but a profile
+// reserves exactly, so it refuses the ulp they overlap by.
+func TestProfileFromHairlineCalendar(t *testing.T) {
+	tenth, fifth := 0.1, 0.2
+	cal, err := platform.NewCalendar(1, []platform.Reservation{
+		{Name: "a", Start: 0, End: tenth + fifth, Procs: 1},
+		{Name: "b", Start: 0.3, End: 1, Procs: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewProfileFromCalendar(cal); err == nil {
+		t.Fatal("a profile reserved one processor twice over [0.3, 0.1+0.2)")
+	}
+}
+
 func TestFFDHFillsEarlierShelves(t *testing.T) {
 	// Heights 10, 9, 1 with widths 2, 3, 1 on m=4: job 2 opens shelf 2,
 	// and FFDH packs job 3 back onto shelf 1.

@@ -5,43 +5,29 @@
 // Algorithms produce allocations as (job, start, processor count); the
 // package verifies the §2.2 semantics — rigid jobs get exactly their
 // requested processors, moldable jobs a legal count fixed for the whole
-// execution, release dates respected, platform capacity never exceeded —
-// and can materialize concrete processor IDs via the platform sweep.
+// execution, release dates respected, platform capacity never exceeded,
+// §5.1 reservations included — and can materialize concrete processor
+// IDs via the platform sweep.
 package sched
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"repro/internal/metrics"
 	"repro/internal/platform"
 	"repro/internal/workload"
 )
 
-// Alloc is one scheduled job: Start time and processor count. Duration is
-// normally derived from the job profile; a positive Duration overrides it
-// (used by heterogeneous-speed simulations where the same job runs slower
-// on another cluster).
+// Alloc is one scheduled job: it holds Procs processors from Start for
+// Job.TimeOn(Procs).
 type Alloc struct {
-	Job      *workload.Job
-	Start    float64
-	Procs    int
-	Duration float64 // 0 ⇒ Job.TimeOn(Procs)
-	// ProcIDs, when non-nil, pins the concrete processors.
-	ProcIDs []int
+	Job   *workload.Job
+	Start float64
+	Procs int
 }
 
-// End returns Start + the effective duration.
-func (a Alloc) End() float64 { return a.Start + a.EffectiveDuration() }
-
-// EffectiveDuration returns Duration if set, else the job profile time.
-func (a Alloc) EffectiveDuration() float64 {
-	if a.Duration > 0 {
-		return a.Duration
-	}
-	return a.Job.TimeOn(a.Procs)
-}
+// End returns Start + Job.TimeOn(Procs).
+func (a Alloc) End() float64 { return a.Start + a.Job.TimeOn(a.Procs) }
 
 // Schedule is a complete Gantt chart on m processors.
 type Schedule struct {
@@ -97,10 +83,8 @@ type ValidateOptions struct {
 	// IgnoreReleases skips the start >= release check (used by offline
 	// algorithms that deliberately reset releases to 0).
 	IgnoreReleases bool
-	// AllowDurationOverride accepts Duration != Job.TimeOn(Procs).
-	AllowDurationOverride bool
-	// Calendar, when non-nil, additionally checks that allocations only
-	// use processors left free by reservations.
+	// Calendar, when non-nil, counts its reservations as processor
+	// demand (§5.1), so allocations only use processors they leave free.
 	Calendar *platform.Calendar
 }
 
@@ -109,17 +93,15 @@ func (s *Schedule) Validate() error { return s.ValidateWith(ValidateOptions{}) }
 
 // ValidateWith checks:
 //   - every allocation has a legal processor count for its job kind;
-//   - durations match the moldable profile (unless overridden);
 //   - no job appears twice;
 //   - release dates are respected (unless ignored);
-//   - aggregate demand never exceeds M (and reservations, if any);
-//   - pinned ProcIDs are in range, unique, and non-overlapping.
+//   - aggregate demand, reservations included, never exceeds M, under
+//     platform.PeakDemand's tie rule.
 func (s *Schedule) ValidateWith(opt ValidateOptions) error {
 	if s.M <= 0 {
 		return fmt.Errorf("sched: schedule on %d processors", s.M)
 	}
 	seen := make(map[int]bool, len(s.Allocs))
-	intervals := make([]platform.Interval, 0, len(s.Allocs))
 	const eps = 1e-9
 	for i, a := range s.Allocs {
 		j := a.Job
@@ -140,124 +122,42 @@ func (s *Schedule) ValidateWith(opt ValidateOptions) error {
 		if j.Kind == workload.Rigid && a.Procs != j.MinProcs {
 			return fmt.Errorf("sched: rigid job %d on %d procs, requested %d", j.ID, a.Procs, j.MinProcs)
 		}
-		if !opt.AllowDurationOverride && a.Duration > 0 {
-			want := j.TimeOn(a.Procs)
-			if math.Abs(a.Duration-want) > eps*(1+want) {
-				return fmt.Errorf("sched: job %d duration %v != profile %v", j.ID, a.Duration, want)
-			}
-		}
 		if !opt.IgnoreReleases && a.Start < j.Release-eps {
 			return fmt.Errorf("sched: job %d starts at %v before release %v", j.ID, a.Start, j.Release)
 		}
 		if a.Start < 0 {
 			return fmt.Errorf("sched: job %d starts at negative time %v", j.ID, a.Start)
 		}
-		if a.ProcIDs != nil {
-			if len(a.ProcIDs) != a.Procs {
-				return fmt.Errorf("sched: job %d pins %d procs but Procs=%d", j.ID, len(a.ProcIDs), a.Procs)
-			}
-			ids := map[int]bool{}
-			for _, p := range a.ProcIDs {
-				if p < 0 || p >= s.M {
-					return fmt.Errorf("sched: job %d pins out-of-range proc %d", j.ID, p)
-				}
-				if ids[p] {
-					return fmt.Errorf("sched: job %d pins proc %d twice", j.ID, p)
-				}
-				ids[p] = true
-			}
+	}
+	intervals := s.intervals()
+	if cal := opt.Calendar; cal != nil {
+		if cal.M() != s.M {
+			return fmt.Errorf("sched: calendar of %d processors for a schedule on %d", cal.M(), s.M)
 		}
-		intervals = append(intervals, platform.Interval{Start: a.Start, End: a.End(), Count: a.Procs})
+		for _, r := range cal.Reservations() {
+			intervals = append(intervals, platform.Interval{Start: r.Start, End: r.End, Count: r.Procs})
+		}
 	}
 	if peak := platform.PeakDemand(intervals); peak > s.M {
 		return fmt.Errorf("sched: peak demand %d exceeds %d processors", peak, s.M)
 	}
-	if opt.Calendar != nil {
-		if err := s.validateCalendar(opt.Calendar); err != nil {
-			return err
-		}
-	}
-	// Pairwise overlap check for pinned processors.
-	return s.validatePinned()
-}
-
-func (s *Schedule) validateCalendar(cal *platform.Calendar) error {
-	// At every allocation boundary, demand must fit the free capacity.
-	type ev struct {
-		t float64
-		d int
-	}
-	var evs []ev
-	for _, a := range s.Allocs {
-		evs = append(evs, ev{a.Start, a.Procs}, ev{a.End(), -a.Procs})
-	}
-	sort.Slice(evs, func(i, k int) bool {
-		if evs[i].t != evs[k].t {
-			return evs[i].t < evs[k].t
-		}
-		return evs[i].d < evs[k].d
-	})
-	cur := 0
-	for i, e := range evs {
-		cur += e.d
-		// Check the interval [e.t, next boundary): availability may dip
-		// inside due to a reservation starting there.
-		end := math.Inf(1)
-		if i+1 < len(evs) {
-			end = evs[i+1].t
-		}
-		if cur > 0 && cal.MinAvailable(e.t, end) < cur {
-			return fmt.Errorf("sched: demand %d exceeds reservation-free capacity after t=%v", cur, e.t)
-		}
-	}
 	return nil
 }
 
-func (s *Schedule) validatePinned() error {
-	pinned := make([]Alloc, 0)
-	for _, a := range s.Allocs {
-		if a.ProcIDs != nil {
-			pinned = append(pinned, a)
-		}
-	}
-	for i := range pinned {
-		for k := i + 1; k < len(pinned); k++ {
-			a, b := pinned[i], pinned[k]
-			if a.Start < b.End() && b.Start < a.End() {
-				used := map[int]bool{}
-				for _, p := range a.ProcIDs {
-					used[p] = true
-				}
-				for _, p := range b.ProcIDs {
-					if used[p] {
-						return fmt.Errorf("sched: jobs %d and %d share proc %d while overlapping",
-							a.Job.ID, b.Job.ID, p)
-					}
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// AssignProcessors computes concrete processor IDs for every allocation
-// that does not pin them yet, using the platform interval sweep. The
-// schedule must be valid. The assignment is stored in place.
-func (s *Schedule) AssignProcessors() error {
-	intervals := make([]platform.Interval, len(s.Allocs))
+// intervals returns each allocation's demand over [Start, End()).
+func (s *Schedule) intervals() []platform.Interval {
+	out := make([]platform.Interval, len(s.Allocs))
 	for i, a := range s.Allocs {
-		intervals[i] = platform.Interval{Start: a.Start, End: a.End(), Count: a.Procs}
+		out[i] = platform.Interval{Start: a.Start, End: a.End(), Count: a.Procs}
 	}
-	ids, err := platform.Assign(s.M, intervals)
-	if err != nil {
-		return err
-	}
-	for i := range s.Allocs {
-		if s.Allocs[i].ProcIDs == nil {
-			s.Allocs[i].ProcIDs = ids[i]
-		}
-	}
-	return nil
+	return out
+}
+
+// AssignProcessors returns concrete processor IDs for every allocation,
+// in allocation order, from the platform interval sweep; it fails if the
+// schedule oversubscribes its M processors. The schedule is not changed.
+func (s *Schedule) AssignProcessors() ([][]int, error) {
+	return platform.Assign(s.M, s.intervals())
 }
 
 // Covers reports whether the schedule contains exactly the given jobs.

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -77,17 +78,6 @@ func TestValidateDoubleSchedule(t *testing.T) {
 	}
 }
 
-func TestValidateDurationOverride(t *testing.T) {
-	s := New(2)
-	s.Add(Alloc{Job: mold(1, 4, 2), Start: 0, Procs: 1, Duration: 99})
-	if err := s.Validate(); err == nil {
-		t.Fatal("wrong duration accepted")
-	}
-	if err := s.ValidateWith(ValidateOptions{AllowDurationOverride: true}); err != nil {
-		t.Fatalf("override rejected: %v", err)
-	}
-}
-
 func TestValidateProcsOutOfRange(t *testing.T) {
 	s := New(8)
 	j := mold(1, 4, 2)
@@ -118,25 +108,89 @@ func TestValidateWithCalendar(t *testing.T) {
 	}
 }
 
+// TestValidateAroundReservations: reservations hold processors over
+// half-open windows, counted as demand under the capacity sweep's tie
+// rule. The old calendar check refused the last three rows: two by exact
+// ties on hairline boundaries, one by judging each of two ends at the
+// reservation's start alone.
+func TestValidateAroundReservations(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		m     int
+		res   platform.Reservation
+		jobs  []Alloc
+		valid bool
+	}{
+		{"job ends at the reservation's start", 2, platform.Reservation{Start: 5, End: 10, Procs: 2},
+			[]Alloc{{Job: rigidFor(1, 5, 2), Start: 0, Procs: 2}}, true},
+		{"job starts at the reservation's end", 2, platform.Reservation{Start: 0, End: 5, Procs: 2},
+			[]Alloc{{Job: rigidFor(1, 5, 2), Start: 5, Procs: 2}}, true},
+		{"one processor over during the window", 4, platform.Reservation{Start: 5, End: 10, Procs: 3},
+			[]Alloc{{Job: rigidFor(1, 2, 2), Start: 6, Procs: 2}}, false},
+		{"hairline jobs around a reservation", 2, platform.Reservation{Start: 0, End: 2, Procs: 1},
+			[]Alloc{{Job: rigidFor(1, tenth+fifth, 1), Start: 0, Procs: 1}, {Job: rigidFor(2, 1, 1), Start: 0.3, Procs: 1}}, true},
+		{"hairline job before a reservation", 1, platform.Reservation{Start: 0.3, End: 1, Procs: 1},
+			[]Alloc{{Job: rigidFor(1, tenth+fifth, 1), Start: 0, Procs: 1}}, true},
+		{"two jobs end together at the reservation's start", 2, platform.Reservation{Start: 5, End: 10, Procs: 2},
+			[]Alloc{{Job: rigidFor(1, 5, 1), Start: 0, Procs: 1}, {Job: rigidFor(2, 5, 1), Start: 0, Procs: 1}}, true},
+	} {
+		c.res.Name = "r"
+		cal, err := platform.NewCalendar(c.m, []platform.Reservation{c.res})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := &Schedule{M: c.m, Allocs: c.jobs}
+		if err := s.ValidateWith(ValidateOptions{Calendar: cal}); (err == nil) != c.valid {
+			t.Errorf("%s: ValidateWith = %v, want valid %v", c.name, err, c.valid)
+		}
+	}
+}
+
+// TestValidateCalendarWidth: reservations count against the schedule's
+// M, so a calendar of another width is refused.
+func TestValidateCalendarWidth(t *testing.T) {
+	cal, _ := platform.NewCalendar(8, nil)
+	s := New(4)
+	s.Add(Alloc{Job: mold(1, 4, 4), Start: 0, Procs: 1})
+	if err := s.ValidateWith(ValidateOptions{Calendar: cal}); err == nil {
+		t.Fatal("calendar of 8 processors accepted for a schedule on 4")
+	}
+}
+
+// TestAssignProcessors: overlapping jobs get disjoint processors, a
+// hairline successor reuses its predecessor's, and the schedule is not
+// changed.
 func TestAssignProcessors(t *testing.T) {
 	s := New(4)
 	s.Add(Alloc{Job: mold(1, 8, 4), Start: 0, Procs: 2})
 	s.Add(Alloc{Job: mold(2, 8, 4), Start: 0, Procs: 2})
 	s.Add(Alloc{Job: mold(3, 4, 4), Start: 4, Procs: 4})
-	if err := s.AssignProcessors(); err != nil {
+	before := slices.Clone(s.Allocs)
+	ids, err := s.AssignProcessors()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
+	if !slices.Equal(s.Allocs, before) {
+		t.Fatal("AssignProcessors changed the schedule")
 	}
-	used := map[int]bool{}
-	for _, p := range s.Allocs[0].ProcIDs {
-		used[p] = true
-	}
-	for _, p := range s.Allocs[1].ProcIDs {
-		if used[p] {
+	for _, p := range ids[0] {
+		if slices.Contains(ids[1], p) {
 			t.Fatal("overlapping jobs share a processor")
 		}
+	}
+	if len(ids[2]) != 4 {
+		t.Fatalf("job 3 got processors %v", ids[2])
+	}
+	// On one processor, [0, 0.1+0.2) and [0.3, 1.3) validate, so they
+	// must also be assigned.
+	h := New(1)
+	h.Add(Alloc{Job: rigidFor(1, tenth+fifth, 1), Start: 0, Procs: 1})
+	h.Add(Alloc{Job: rigidFor(2, 1, 1), Start: 0.3, Procs: 1})
+	if err := h.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if ids, err := h.AssignProcessors(); err != nil || ids[0][0] != 0 || ids[1][0] != 0 {
+		t.Fatalf("hairline successors: %v, %v", ids, err)
 	}
 }
 
@@ -194,7 +248,7 @@ func TestReportFromSchedule(t *testing.T) {
 }
 
 // Property: a randomly generated non-overlapping stack of shelves always
-// validates, and AssignProcessors always yields a pinned-valid schedule.
+// validates, and AssignProcessors always assigns it.
 func TestScheduleProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
@@ -221,10 +275,8 @@ func TestScheduleProperty(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			return false
 		}
-		if err := s.AssignProcessors(); err != nil {
-			return false
-		}
-		return s.Validate() == nil
+		_, err := s.AssignProcessors()
+		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

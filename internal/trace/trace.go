@@ -29,29 +29,16 @@ func Gantt(w io.Writer, s *sched.Schedule, width int) error {
 		_, err := fmt.Fprintln(w, "(empty schedule)")
 		return err
 	}
-	// Need concrete processors.
-	pinned := s
-	hasPins := true
-	for _, a := range s.Allocs {
-		if a.ProcIDs == nil {
-			hasPins = false
-			break
-		}
+	ids, err := s.AssignProcessors()
+	if err != nil {
+		return fmt.Errorf("trace: %w", err)
 	}
-	if !hasPins {
-		clone := sched.New(s.M)
-		clone.Allocs = append([]sched.Alloc(nil), s.Allocs...)
-		if err := clone.AssignProcessors(); err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		pinned = clone
-	}
-	mk := pinned.Makespan()
+	mk := s.Makespan()
 	grid := make([][]byte, s.M)
 	for p := range grid {
 		grid[p] = []byte(strings.Repeat(".", width))
 	}
-	for _, a := range pinned.Allocs {
+	for i, a := range s.Allocs {
 		label := byte('0' + byte(a.Job.ID%10))
 		c0 := int(a.Start / mk * float64(width))
 		c1 := int(a.End() / mk * float64(width))
@@ -61,7 +48,7 @@ func Gantt(w io.Writer, s *sched.Schedule, width int) error {
 		if c1 > width {
 			c1 = width
 		}
-		for _, p := range a.ProcIDs {
+		for _, p := range ids[i] {
 			for c := c0; c < c1; c++ {
 				grid[p][c] = label
 			}

@@ -143,20 +143,6 @@ func TestTable(t *testing.T) {
 	}
 }
 
-func TestGanttWithPinnedProcessors(t *testing.T) {
-	s := demoSchedule()
-	if err := s.AssignProcessors(); err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := Gantt(&sb, s, 20); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "p03") {
-		t.Fatal("pinned Gantt missing processor rows")
-	}
-}
-
 func TestGanttInfeasibleWidth(t *testing.T) {
 	// A schedule that overcommits cannot be assigned processors: Gantt
 	// must surface the error rather than render garbage.

@@ -224,7 +224,10 @@ func TestSortsMatchOldCalls(t *testing.T) {
 		{"trace.WriteCSV rows", func(rng *stats.RNG) bool {
 			s := sched.New(8)
 			for i, j := range tieJobs(rng) {
-				s.Add(sched.Alloc{Job: j, Start: float64(rng.Intn(5)), Procs: j.MinProcs, Duration: float64(i + 1)})
+				// A distinct SeqTime gives tied starts distinct ends, so
+				// their row order shows in the file.
+				j.SeqTime, j.Times, j.Model = float64(i+1), nil, workload.Linear{}
+				s.Add(sched.Alloc{Job: j, Start: float64(rng.Intn(5)), Procs: j.MinProcs})
 			}
 			rows := slices.Clone(s.Allocs)
 			sort.Slice(rows, func(i, k int) bool { return rows[i].Start < rows[k].Start })
