@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/lowerbound"
 	"repro/internal/moldable"
@@ -80,27 +81,33 @@ type Options struct {
 // Density is a property of the job alone, so the order is computed once;
 // a batch only filters it.
 func Schedule(jobs []*workload.Job, m int, opt Options) (*Result, error) {
+	return ScheduleOf(workload.Costs(jobs, m), m, opt)
+}
+
+// ScheduleOf is Schedule for callers that already hold the jobs' cost
+// summaries on m processors, in the jobs' order; it does not write them,
+// so cells may share one slice. Its CmaxLB is lowerbound.CmaxOf(costs, m)
+// and its WCLB lowerbound.SumWeightedCompletionOf(costs, m), bit for bit.
+func ScheduleOf(costs []workload.Cost, m int, opt Options) (*Result, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("bicriteria: %d processors", m)
 	}
 	if d := opt.InitialDeadline; d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
 		return nil, fmt.Errorf("bicriteria: initial deadline %v is not a finite non-negative time", d)
 	}
-	// The one cost build; the bounds read it in the caller's job order.
-	costs := workload.Costs(jobs, m)
 	res := &Result{
-		Schedule: sched.New(m),
+		Schedule: &sched.Schedule{M: m, Allocs: make([]sched.Alloc, 0, len(costs))},
 		CmaxLB:   lowerbound.CmaxOf(costs, m),
 		WCLB:     lowerbound.SumWeightedCompletionOf(costs, m),
 	}
-	if len(jobs) == 0 {
+	if len(costs) == 0 {
 		return res, nil
 	}
 	shortest := math.Inf(1)
 	for i := range costs {
 		t, _ := costs[i].MinTime()
 		if math.IsInf(t, 0) {
-			return nil, fmt.Errorf("bicriteria: job %d cannot run on %d processors", jobs[i].ID, m)
+			return nil, fmt.Errorf("bicriteria: job %d cannot run on %d processors", costs[i].Job.ID, m)
 		}
 		if t < shortest {
 			shortest = t
@@ -110,20 +117,24 @@ func Schedule(jobs []*workload.Job, m int, opt Options) (*Result, error) {
 	if deadline == 0 {
 		deadline = shortest
 	}
-	// costs in release order: costs[:released] are those released by the
-	// clock, scheduled or not.
-	slices.SortStableFunc(costs, func(a, b workload.Cost) int {
-		return workload.CompareRelease(a.Job, b.Job)
+	// The cost positions in release order: order[:released] are those
+	// released by the clock, scheduled or not.
+	order := make([]int, len(costs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return workload.CompareRelease(costs[a].Job, costs[b].Job)
 	})
 	// pending is the unscheduled jobs in density order: weight / minwork,
 	// descending — heavier-per-area jobs first maximizes batch weight
 	// under the area budget D·m — then ID, then release position, so the
 	// order is total and filtering it equals sorting the filtered.
 	pending := make([]candidate, len(costs))
-	for i := range costs {
-		w, _ := costs[i].MinWork()
-		t, _ := costs[i].MinTime()
-		j := costs[i].Job
+	for i, k := range order {
+		w, _ := costs[k].MinWork()
+		t, _ := costs[k].MinTime()
+		j := costs[k].Job
 		pending[i] = candidate{pos: i, id: j.ID, density: density(j.Weight, w), work: w, minTime: t}
 	}
 	slices.SortFunc(pending, func(a, b candidate) int {
@@ -136,8 +147,9 @@ func Schedule(jobs []*workload.Job, m int, opt Options) (*Result, error) {
 		return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.pos, b.pos))
 	})
 
+	builder := builders.Get().(*moldable.Builder)
+	defer builders.Put(builder)
 	var (
-		builder  moldable.Builder
 		admitted []int           // indices into pending, in density order
 		selected []workload.Cost // their cost summaries, the builder's input
 		clock    float64
@@ -145,14 +157,14 @@ func Schedule(jobs []*workload.Job, m int, opt Options) (*Result, error) {
 	)
 	for len(pending) > 0 {
 		// The clock never moves back, so the released prefix only grows.
-		for released < len(costs) && costs[released].Job.Release <= clock+1e-12 {
+		for released < len(costs) && costs[order[released]].Job.Release <= clock+1e-12 {
 			released++
 		}
 		if released == len(costs)-len(pending) {
 			// Every released job is scheduled: idle until the next
 			// release; the deadline keeps its value (batches only count
 			// when they execute work).
-			clock = costs[released].Job.Release
+			clock = costs[order[released]].Job.Release
 			continue
 		}
 		// Greedy admission under the area budget, over the released jobs
@@ -163,7 +175,7 @@ func Schedule(jobs []*workload.Job, m int, opt Options) (*Result, error) {
 		for i, c := range pending {
 			if c.pos < released && c.minTime <= deadline && used+c.work <= budget {
 				admitted = append(admitted, i)
-				selected = append(selected, costs[c.pos])
+				selected = append(selected, costs[order[c.pos]])
 				used += c.work
 			}
 		}
@@ -182,7 +194,7 @@ func Schedule(jobs []*workload.Job, m int, opt Options) (*Result, error) {
 			continue
 		}
 		for i := range bs.Allocs {
-			bs.Allocs[i].Start += clock // the batch schedule is ours alone
+			bs.Allocs[i].Start += clock // the builder rewrites it next batch
 		}
 		if err := res.Schedule.Merge(bs); err != nil {
 			return nil, err
@@ -211,6 +223,11 @@ func Schedule(jobs []*workload.Job, m int, opt Options) (*Result, error) {
 	}
 	return res, nil
 }
+
+// builders holds idle Builders, so that one schedule reuses the scratch
+// an earlier one grew. Each batch schedule is merged, which copies it,
+// before the Builder is used again or put back.
+var builders = sync.Pool{New: func() any { return new(moldable.Builder) }}
 
 // candidate is the thin sort key of one job: what a batch needs to
 // filter and admit it without touching its cost summary.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/lowerbound"
 	"repro/internal/moldable"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -310,29 +311,36 @@ func TestScheduleManyEqualJobsBatchGrowth(t *testing.T) {
 
 // Experiment cells share one []*Job and cost it for different platform
 // widths at the same time (scenario cells of one fan-out run in a worker
-// pool). Cost summaries live in each algorithm's frame, never on the
-// Job, so concurrent cells must reproduce their sequential results; run
-// under -race this also proves nothing writes to the shared jobs, the
-// frozen clones of the list baselines included.
+// pool), and the cells of one width share its cost summaries. Cost
+// summaries live in each cell's frame, never on the Job, and no
+// algorithm writes the summaries it is given, so concurrent cells must
+// reproduce their sequential results; run under -race this also proves
+// nothing writes to the shared jobs or summaries, the frozen clones of
+// the list baselines included.
 func TestConcurrentCellsShareJobs(t *testing.T) {
 	jobs := workload.Parallel(workload.GenConfig{N: 150, M: 64, Seed: 5, Weighted: true, ArrivalRate: 0.05})
 	type outcome struct{ bi, wc, mrt, minWork, maxProcs, gamma float64 }
-	cell := func(m int) (o outcome, err error) {
-		res, err := Schedule(jobs, m, Options{})
+	cell := func(costs []workload.Cost, m int) (o outcome, err error) {
+		res, err := ScheduleOf(costs, m, Options{})
 		if err != nil {
 			return o, err
 		}
 		o.bi, o.wc = res.Schedule.Makespan(), res.WCRatio()
-		mrt, err := moldable.MRT(jobs, m, 0.01)
+		lb := lowerbound.CmaxDualOf(costs, m)
+		mrt, err := moldable.MRTOf(costs, m, lb, 0.01)
 		if err != nil {
 			return o, err
 		}
 		o.mrt = mrt.Schedule.Makespan()
 		for _, b := range []struct {
-			run func([]*workload.Job, int) (*sched.Schedule, error)
+			run func() (*sched.Schedule, error)
 			out *float64
-		}{{moldable.MinWorkList, &o.minWork}, {moldable.MaxProcsList, &o.maxProcs}, {moldable.GammaList, &o.gamma}} {
-			s, err := b.run(jobs, m)
+		}{
+			{func() (*sched.Schedule, error) { return moldable.MinWorkListOf(costs, m) }, &o.minWork},
+			{func() (*sched.Schedule, error) { return moldable.MaxProcsListOf(costs, m) }, &o.maxProcs},
+			{func() (*sched.Schedule, error) { return moldable.GammaListOf(costs, m, lb) }, &o.gamma},
+		} {
+			s, err := b.run()
 			if err != nil {
 				return o, err
 			}
@@ -342,30 +350,34 @@ func TestConcurrentCellsShareJobs(t *testing.T) {
 	}
 	widths := []int{16, 64, 40, 100}
 	want := make([]outcome, len(widths))
+	costs := make([][]workload.Cost, len(widths))
 	for i, m := range widths {
 		var err error
-		if want[i], err = cell(m); err != nil {
+		if want[i], err = cell(workload.Costs(jobs, m), m); err != nil {
 			t.Fatal(err)
 		}
+		costs[i] = workload.Costs(jobs, m)
 	}
+	const perWidth = 2 // cells sharing one width's summaries
 	for round := 0; round < 3; round++ {
-		got := make([]outcome, len(widths))
-		errs := make([]error, len(widths))
+		got := make([]outcome, perWidth*len(widths))
+		errs := make([]error, len(got))
 		var wg sync.WaitGroup
-		for i, m := range widths {
+		for k := range got {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got[i], errs[i] = cell(m)
+				i := k / perWidth
+				got[k], errs[k] = cell(costs[i], widths[i])
 			}()
 		}
 		wg.Wait()
-		for i, m := range widths {
-			if errs[i] != nil {
-				t.Fatal(errs[i])
+		for k := range got {
+			if errs[k] != nil {
+				t.Fatal(errs[k])
 			}
-			if got[i] != want[i] {
-				t.Fatalf("m=%d: concurrent cell %+v, sequential %+v", m, got[i], want[i])
+			if i := k / perWidth; got[k] != want[i] {
+				t.Fatalf("m=%d: concurrent cell %+v, sequential %+v", widths[i], got[k], want[i])
 			}
 		}
 	}

@@ -29,12 +29,13 @@ func ablationAllotmentRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenar
 		m := ms[i]
 		n := scaled(opt.Scale, spec.Int("n", 300))
 		jobs := workload.Parallel(workload.GenConfig{N: n, M: m, Seed: opt.Seed + uint64(i)})
-		lb := lowerbound.CmaxDual(jobs, m)
-		knap, err := moldable.MRTWithAllot(jobs, m, eps, moldable.SelectAllotments)
+		costs := workload.Costs(jobs, m)
+		lb := lowerbound.CmaxDualOf(costs, m)
+		knap, err := moldable.MRTWithAllotOf(costs, m, lb, eps, moldable.SelectAllotments)
 		if err != nil {
 			return nil, err
 		}
-		greedy, err := moldable.MRTWithAllot(jobs, m, eps, moldable.GreedyAllotments)
+		greedy, err := moldable.MRTWithAllotOf(costs, m, lb, eps, moldable.GreedyAllotments)
 		if err != nil {
 			return nil, err
 		}
@@ -58,7 +59,9 @@ func ablationDoublingBaseRun(spec *scenario.Spec, opt scenario.RunOptions) (*sce
 	m := spec.Int("m", 64)
 	n := scaled(opt.Scale, spec.Int("n", 300))
 	jobs := workload.Parallel(workload.GenConfig{N: n, M: m, Seed: opt.Seed, Weighted: true})
-	lb := lowerbound.CmaxDual(jobs, m)
+	// The choice cells share the cost summaries read-only.
+	costs := workload.Costs(jobs, m)
+	lb := lowerbound.CmaxDualOf(costs, m)
 	choices := []struct {
 		name string
 		d    float64
@@ -68,7 +71,7 @@ func ablationDoublingBaseRun(spec *scenario.Spec, opt scenario.RunOptions) (*sce
 		{"8×LB (oversized)", 8 * lb},
 	}
 	if err := runRowCells(t, opt, len(choices), func(i int) ([]any, error) {
-		res, err := bicriteria.Schedule(jobs, m, bicriteria.Options{
+		res, err := bicriteria.ScheduleOf(costs, m, bicriteria.Options{
 			InitialDeadline: choices[i].d,
 		})
 		if err != nil {
@@ -222,8 +225,9 @@ func ablationCompactionRun(spec *scenario.Spec, opt scenario.RunOptions) (*scena
 		if err := compacted.Validate(); err != nil {
 			return nil, err
 		}
-		cmaxLB := lowerbound.Cmax(jobs, m)
-		wcLB := lowerbound.SumWeightedCompletion(jobs, m)
+		// Schedule's bounds are lowerbound.Cmax and SumWeightedCompletion
+		// of the same jobs on m, bit for bit.
+		cmaxLB, wcLB := res.CmaxLB, res.WCLB
 		return []any{family, n,
 			res.Schedule.Makespan() / cmaxLB,
 			compacted.Makespan() / cmaxLB,

@@ -70,20 +70,21 @@ func mrtRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, err
 	if err := runRowCells(t, opt, len(cells), func(i int) ([]any, error) {
 		m, n := cells[i].m, scaled(opt.Scale, cells[i].n)
 		jobs := workload.Parallel(workload.GenConfig{N: n, M: m, Seed: opt.Seed + uint64(i)})
-		lb := lowerbound.CmaxDual(jobs, m)
-		res, err := moldable.MRT(jobs, m, eps)
+		costs := workload.Costs(jobs, m)
+		lb := lowerbound.CmaxDualOf(costs, m)
+		res, err := moldable.MRTOf(costs, m, lb, eps)
 		if err != nil {
 			return nil, err
 		}
-		minw, err := moldable.MinWorkList(jobs, m)
+		minw, err := moldable.MinWorkListOf(costs, m)
 		if err != nil {
 			return nil, err
 		}
-		maxp, err := moldable.MaxProcsList(jobs, m)
+		maxp, err := moldable.MaxProcsListOf(costs, m)
 		if err != nil {
 			return nil, err
 		}
-		gl, err := moldable.GammaList(jobs, m)
+		gl, err := moldable.GammaListOf(costs, m, lb)
 		if err != nil {
 			return nil, err
 		}
@@ -116,25 +117,22 @@ func batchRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, e
 		jobs := workload.Parallel(workload.GenConfig{
 			N: n, M: m, Seed: opt.Seed + uint64(i), ArrivalRate: rate,
 		})
-		lb := lowerbound.Cmax(jobs, m)
+		costs := workload.Costs(jobs, m)
+		lb := lowerbound.CmaxOf(costs, m)
 		res, err := batch.OnlineMoldable(jobs, m, eps)
 		if err != nil {
 			return nil, err
 		}
-		// Offline reference: same jobs, releases ignored.
-		offline := make([]*workload.Job, len(jobs))
-		for k, j := range jobs {
-			c := j.Clone()
-			c.Release = 0
-			offline[k] = c
-		}
-		off, err := moldable.MRT(offline, m, eps)
+		// Offline reference: the same jobs with releases ignored, which
+		// neither MRT nor the dual bound reads.
+		dual := lowerbound.CmaxDualOf(costs, m)
+		off, err := moldable.MRTOf(costs, m, dual, eps)
 		if err != nil {
 			return nil, err
 		}
 		return []any{m, n, rate, len(res.Batches),
 			res.Schedule.Makespan() / lb,
-			off.Schedule.Makespan() / lowerbound.CmaxDual(offline, m)}, nil
+			off.Schedule.Makespan() / dual}, nil
 	}); err != nil {
 		return nil, err
 	}
@@ -220,16 +218,19 @@ func bicriteriaRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Resu
 		} else {
 			jobs = workload.Sequential(cfg)
 		}
-		res, err := bicriteria.Schedule(jobs, m, bicriteria.Options{})
+		costs := workload.Costs(jobs, m)
+		res, err := bicriteria.ScheduleOf(costs, m, bicriteria.Options{})
 		if err != nil {
 			return nil, err
 		}
-		mrt, err := moldable.MRT(jobs, m, eps)
+		// No job has a release date, so res.CmaxLB (lowerbound.CmaxOf) is
+		// the dual bound bit for bit: each release term 0 + minTime is at
+		// most the dual's critical-job floor.
+		cmaxLB, wcLB := res.CmaxLB, res.WCLB
+		mrt, err := moldable.MRTOf(costs, m, cmaxLB, eps)
 		if err != nil {
 			return nil, err
 		}
-		wcLB := lowerbound.SumWeightedCompletion(jobs, m)
-		cmaxLB := lowerbound.CmaxDual(jobs, m)
 		return []any{family, n,
 			res.CmaxRatio(), res.WCRatio(),
 			mrt.Schedule.Makespan() / cmaxLB,
@@ -284,11 +285,12 @@ func mixedRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, e
 		jobs := workload.Mixed(workload.GenConfig{
 			N: n, M: m, Seed: opt.Seed + uint64(i), Weighted: true, RigidFraction: frac,
 		})
-		cmaxLB := lowerbound.CmaxDual(jobs, m)
-		wcLB := lowerbound.SumWeightedCompletion(jobs, m)
+		costs := workload.Costs(jobs, m)
+		cmaxLB := lowerbound.CmaxDualOf(costs, m)
+		wcLB := lowerbound.SumWeightedCompletionOf(costs, m)
 		var out [][]any
 		for _, strat := range []string{"A: phases", "B: a-priori allot", "C: bicriteria batches"} {
-			s, err := runMixedStrategy(strat, jobs, m)
+			s, err := runMixedStrategy(strat, jobs, costs, m, cmaxLB)
 			if err != nil {
 				return nil, err
 			}
@@ -305,8 +307,9 @@ func mixedRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, e
 	return t.Result(), nil
 }
 
-// runMixedStrategy implements §5.1's three ideas.
-func runMixedStrategy(strat string, jobs []*workload.Job, m int) (*sched.Schedule, error) {
+// runMixedStrategy implements §5.1's three ideas over the jobs, their
+// cost summaries on m processors and their dual bound lb.
+func runMixedStrategy(strat string, jobs []*workload.Job, costs []workload.Cost, m int, lb float64) (*sched.Schedule, error) {
 	switch strat[:1] {
 	case "A":
 		// Separate: rigid jobs first (conservative packing), moldable
@@ -344,12 +347,12 @@ func runMixedStrategy(strat string, jobs []*workload.Job, m int) (*sched.Schedul
 	case "B":
 		// A-priori allotment: freeze every moldable job at its γ(LB)
 		// allocation, then one rigid scheduling pass over everything.
-		return moldable.GammaList(jobs, m)
+		return moldable.GammaListOf(costs, m, lb)
 	default:
 		// C: the bi-criteria batch algorithm handles rigid jobs natively
 		// (a rigid job is a moldable job with a single allocation) —
 		// "schedule each rigid job in the first batch in which it fits".
-		res, err := bicriteria.Schedule(jobs, m, bicriteria.Options{})
+		res, err := bicriteria.ScheduleOf(costs, m, bicriteria.Options{})
 		if err != nil {
 			return nil, err
 		}

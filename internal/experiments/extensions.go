@@ -36,9 +36,10 @@ func malleableRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Resul
 		for _, j := range jobs {
 			j.Kind = workload.Malleable
 		}
-		cmaxLB := lowerbound.CmaxDual(jobs, m)
-		wcLB := lowerbound.SumWeightedCompletion(jobs, m)
-		mrt, err := moldable.MRT(jobs, m, 0.01)
+		costs := workload.Costs(jobs, m)
+		cmaxLB := lowerbound.CmaxDualOf(costs, m)
+		wcLB := lowerbound.SumWeightedCompletionOf(costs, m)
+		mrt, err := moldable.MRTOf(costs, m, cmaxLB, 0.01)
 		if err != nil {
 			return nil, err
 		}
@@ -145,8 +146,10 @@ func criteriaRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result
 	jobs := workload.Parallel(workload.GenConfig{
 		N: n, M: m, Seed: opt.Seed, Weighted: true, DueDateSlack: 8,
 	})
-	cmaxLB := lowerbound.CmaxDual(jobs, m)
-	wcLB := lowerbound.SumWeightedCompletion(jobs, m)
+	// Policy cells share the workload and its cost summaries read-only.
+	costs := workload.Costs(jobs, m)
+	cmaxLB := lowerbound.CmaxDualOf(costs, m)
+	wcLB := lowerbound.SumWeightedCompletionOf(costs, m)
 
 	type policy struct {
 		name string
@@ -154,7 +157,7 @@ func criteriaRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result
 	}
 	policies := []policy{
 		{"mrt (§4.1)", func(jobs []*workload.Job) (*sched.Schedule, error) {
-			r, err := moldable.MRT(jobs, m, 0.01)
+			r, err := moldable.MRTOf(costs, m, cmaxLB, 0.01)
 			if err != nil {
 				return nil, err
 			}
@@ -165,7 +168,7 @@ func criteriaRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result
 			return s, err
 		}},
 		{"bicriteria (§4.4)", func(jobs []*workload.Job) (*sched.Schedule, error) {
-			r, err := bicriteria.Schedule(jobs, m, bicriteria.Options{})
+			r, err := bicriteria.ScheduleOf(costs, m, bicriteria.Options{})
 			if err != nil {
 				return nil, err
 			}
@@ -179,7 +182,7 @@ func criteriaRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result
 			return rigid.ShelvesToSchedule(sh, m), nil
 		}},
 		{"minwork+lpt", func(jobs []*workload.Job) (*sched.Schedule, error) {
-			return moldable.MinWorkList(jobs, m)
+			return moldable.MinWorkListOf(costs, m)
 		}},
 	}
 	if err := runRowCells(t, opt, len(policies), func(i int) ([]any, error) {

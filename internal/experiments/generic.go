@@ -198,8 +198,9 @@ func offlineRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result,
 	if err != nil {
 		return nil, err
 	}
-	cmaxLB := lowerbound.CmaxDual(jobs, m)
-	wcLB := lowerbound.SumWeightedCompletion(jobs, m)
+	costs := workload.Costs(jobs, m)
+	cmaxLB := lowerbound.CmaxDualOf(costs, m)
+	wcLB := lowerbound.SumWeightedCompletionOf(costs, m)
 	if err := runRowCells(t, opt, len(entries), func(i int) ([]any, error) {
 		// Policy cells share the workload read-only (jobs are pure data).
 		s, err := entries[i].Offline(jobs, m)

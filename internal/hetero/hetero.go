@@ -13,7 +13,9 @@ package hetero
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/lowerbound"
 	"repro/internal/moldable"
 	"repro/internal/platform"
 	"repro/internal/sched"
@@ -78,7 +80,15 @@ func Schedule(jobs []*workload.Job, g *platform.Grid, part Partition, eps float6
 		}
 	}
 
-	buckets := make([][]*workload.Job, len(g.Clusters))
+	// The partition deals the jobs one at a time: dealt[k] is the cost
+	// summary of the k-th job dealt on the width of its cluster to[k].
+	dealt := make([]workload.Cost, 0, len(jobs))
+	to := make([]int, 0, len(jobs))
+	deal := func(j *workload.Job, i int, c workload.Cost) {
+		dealt = append(dealt, c)
+		to = append(to, i)
+		asg.JobCluster[j.ID] = i
+	}
 	switch part {
 	case LargestOnly:
 		big := 0
@@ -91,8 +101,7 @@ func Schedule(jobs []*workload.Job, g *platform.Grid, part Partition, eps float6
 			if !fits(j, g.Clusters[big]) {
 				return nil, fmt.Errorf("hetero: job %d does not fit the largest cluster", j.ID)
 			}
-			buckets[big] = append(buckets[big], j)
-			asg.JobCluster[j.ID] = big
+			deal(j, big, j.Cost(g.Clusters[big].Procs()))
 		}
 	case RoundRobin:
 		k := 0
@@ -100,8 +109,7 @@ func Schedule(jobs []*workload.Job, g *platform.Grid, part Partition, eps float6
 			for tries := 0; tries < len(g.Clusters); tries++ {
 				i := (k + tries) % len(g.Clusters)
 				if fits(j, g.Clusters[i]) {
-					buckets[i] = append(buckets[i], j)
-					asg.JobCluster[j.ID] = i
+					deal(j, i, j.Cost(g.Clusters[i].Procs()))
 					k = i + 1
 					break
 				}
@@ -109,14 +117,18 @@ func Schedule(jobs []*workload.Job, g *platform.Grid, part Partition, eps float6
 		}
 	default: // SpeedAwareLPT
 		// Order by minimal work on the widest cluster, largest first.
+		widestProcs := maxProcs(g)
+		widest := workload.Costs(jobs, widestProcs)
 		ordered := make([]workload.Keyed, len(jobs))
-		widest := maxProcs(g)
 		for i, j := range jobs {
-			w, _ := j.MinWork(widest)
+			w, _ := widest[i].MinWork()
 			ordered[i] = workload.Keyed{Key: w, ID: j.ID, Pos: i}
 		}
 		workload.SortKeyed(ordered, true)
 		load := make([]float64, len(g.Clusters)) // normalized drain time
+		// jc[i] is the job's cost summary on cluster i, priced once per
+		// distinct width.
+		jc := make([]workload.Cost, len(g.Clusters))
 		for _, o := range ordered {
 			j := jobs[o.Pos]
 			best := -1
@@ -125,14 +137,14 @@ func Schedule(jobs []*workload.Job, g *platform.Grid, part Partition, eps float6
 				if !fits(j, c) {
 					continue
 				}
+				jc[i] = priceOn(j, g, i, jc[:i], widestProcs, &widest[o.Pos])
 				// Estimated completion on cluster i: the area term (queue
 				// drain plus this job's work) or the job's own critical
 				// time on that cluster's speed, whichever binds. Pure
 				// area balancing would park long jobs on slow clusters
 				// and lose to the critical path.
-				jc := j.Cost(c.Procs())
-				w, _ := jc.MinWork()
-				tm, _ := jc.MinTime()
+				w, _ := jc[i].MinWork()
+				tm, _ := jc[i].MinTime()
 				cost := load[i] + w/(float64(c.Procs())*c.Speed)
 				if crit := tm / c.Speed; crit > cost {
 					cost = crit
@@ -143,20 +155,35 @@ func Schedule(jobs []*workload.Job, g *platform.Grid, part Partition, eps float6
 			}
 			c := g.Clusters[best]
 			load[best] += bestWork / (float64(c.Procs()) * c.Speed)
-			buckets[best] = append(buckets[best], j)
-			asg.JobCluster[j.ID] = best
+			deal(j, best, jc[best])
 		}
+	}
+
+	// Each cluster's MRT input is its jobs' summaries in the order they
+	// were dealt: one slice per cluster over one array.
+	start := make([]int, len(g.Clusters)+1)
+	for _, i := range to {
+		start[i+1]++
+	}
+	for i := range g.Clusters {
+		start[i+1] += start[i]
+	}
+	next := slices.Clone(start[:len(g.Clusters)])
+	all := make([]workload.Cost, len(dealt))
+	for k, i := range to {
+		all[next[i]] = dealt[k]
+		next[i]++
 	}
 
 	// Per-cluster MRT, then scale to real time by the cluster speed.
 	asg.PerCluster = make([]*sched.Schedule, len(g.Clusters))
-	for i, bucket := range buckets {
-		c := g.Clusters[i]
+	for i, c := range g.Clusters {
+		bucket := all[start[i]:start[i+1]]
 		if len(bucket) == 0 {
 			asg.PerCluster[i] = sched.New(c.Procs())
 			continue
 		}
-		res, err := moldable.MRT(bucket, c.Procs(), eps)
+		res, err := moldable.MRTOf(bucket, c.Procs(), lowerbound.CmaxDualOf(bucket, c.Procs()), eps)
 		if err != nil {
 			return nil, fmt.Errorf("hetero: cluster %s: %w", c.Name, err)
 		}
@@ -166,6 +193,22 @@ func Schedule(jobs []*workload.Job, g *platform.Grid, part Partition, eps float6
 		}
 	}
 	return asg, nil
+}
+
+// priceOn returns job j's cost summary on the width of grid cluster i:
+// the one already taken for the widest cluster, or for an earlier
+// cluster of the same width (prior[k] for cluster k), or else a new one.
+func priceOn(j *workload.Job, g *platform.Grid, i int, prior []workload.Cost, widestProcs int, widest *workload.Cost) workload.Cost {
+	procs := g.Clusters[i].Procs()
+	if procs == widestProcs {
+		return *widest
+	}
+	for k := range prior {
+		if g.Clusters[k].Procs() == procs {
+			return prior[k]
+		}
+	}
+	return j.Cost(procs)
 }
 
 func maxProcs(g *platform.Grid) int {

@@ -11,7 +11,7 @@ func BenchmarkCmaxDual1000(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if CmaxDual(jobs, 100) <= 0 {
+		if CmaxDualOf(workload.Costs(jobs, 100), 100) <= 0 {
 			b.Fatal("degenerate bound")
 		}
 	}

@@ -53,18 +53,13 @@ func dualProbe(costs []workload.Cost, m int, lambda float64, lo, hi, at []float6
 	return true, len(costs)
 }
 
-// CmaxDual returns the dual-approximation bound: the smallest λ (up to
-// relative precision 1e-9) such that the instance passes the feasibility
-// test. In the optimal schedule of makespan C*, every job meets deadline
-// C* and the packed work fits in C*·m, so C* is feasible and the smallest
+// CmaxDualOf returns the dual-approximation bound of the jobs whose cost
+// summaries on m processors it is given: the smallest λ (up to relative
+// precision 1e-9) such that the instance passes the feasibility test. In
+// the optimal schedule of makespan C*, every job meets deadline C* and
+// the packed work fits in C*·m, so C* is feasible and the smallest
 // feasible λ is a valid lower bound. It dominates both CmaxArea and the
 // critical-job bound (the largest minimal execution time).
-func CmaxDual(jobs []*workload.Job, m int) float64 {
-	return CmaxDualOf(workload.Costs(jobs, m), m)
-}
-
-// CmaxDualOf is CmaxDual for callers that already hold the jobs' cost
-// summaries on m processors.
 func CmaxDualOf(costs []workload.Cost, m int) float64 {
 	if len(costs) == 0 {
 		return 0

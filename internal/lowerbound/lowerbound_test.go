@@ -65,7 +65,7 @@ func TestCmaxDualDominates(t *testing.T) {
 		jobs = append(jobs, j)
 	}
 	m := 8
-	dual := CmaxDual(jobs, m)
+	dual := CmaxDualOf(workload.Costs(jobs, m), m)
 	if dual < CmaxArea(jobs, m)-1e-9 {
 		t.Fatal("dual bound below area bound")
 	}
@@ -77,7 +77,7 @@ func TestCmaxDualDominates(t *testing.T) {
 func TestCmaxDualSingleJob(t *testing.T) {
 	// One sequential-only job: the dual bound must equal its time.
 	jobs := []*workload.Job{mold(1, 42, 1)}
-	if got := CmaxDual(jobs, 16); math.Abs(got-42) > 1e-6 {
+	if got := CmaxDualOf(workload.Costs(jobs, 16), 16); math.Abs(got-42) > 1e-6 {
 		t.Fatalf("CmaxDual = %v, want 42", got)
 	}
 }
@@ -88,7 +88,7 @@ func TestCmaxDualTightOnPerfectPacking(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		jobs = append(jobs, mold(i, 10, 1))
 	}
-	if got := CmaxDual(jobs, 8); math.Abs(got-10) > 1e-6 {
+	if got := CmaxDualOf(workload.Costs(jobs, 8), 8); math.Abs(got-10) > 1e-6 {
 		t.Fatalf("CmaxDual = %v, want 10", got)
 	}
 }
@@ -102,7 +102,7 @@ func TestCmaxWithReleases(t *testing.T) {
 }
 
 func TestCmaxEmpty(t *testing.T) {
-	if CmaxDual(nil, 4) != 0 || Cmax(nil, 4) != 0 {
+	if CmaxDualOf(workload.Costs(nil, 4), 4) != 0 || Cmax(nil, 4) != 0 {
 		t.Fatal("empty instance bound != 0")
 	}
 }
@@ -217,7 +217,7 @@ func TestDualMinimalityProperty(t *testing.T) {
 			j.Model = workload.PowerLaw{Sigma: rng.Range(0.5, 1.0)}
 			jobs = append(jobs, j)
 		}
-		lam := CmaxDual(jobs, m)
+		lam := CmaxDualOf(workload.Costs(jobs, m), m)
 		if !dualFeasible(workload.Costs(jobs, m), m, lam*(1+1e-6)) {
 			return false
 		}

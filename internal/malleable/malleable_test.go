@@ -150,7 +150,7 @@ func TestMalleableAtLeastLowerBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb := lowerbound.CmaxDual(jobs, 16)
+	lb := lowerbound.CmaxDualOf(workload.Costs(jobs, 16), 16)
 	if res.Makespan < lb*(1-1e-9) {
 		t.Fatalf("makespan %v below lower bound %v", res.Makespan, lb)
 	}

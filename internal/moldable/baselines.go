@@ -3,7 +3,6 @@ package moldable
 import (
 	"fmt"
 
-	"repro/internal/lowerbound"
 	"repro/internal/rigid"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -15,14 +14,16 @@ import (
 // MaxProcs only narrows the range read from it.
 func freeze(costs []workload.Cost, procs func(*workload.Cost) int) ([]*workload.Job, map[int]*workload.Job) {
 	frozen := make([]*workload.Job, len(costs))
+	copies := make([]workload.Job, len(costs))
 	orig := make(map[int]*workload.Job, len(costs))
 	for i := range costs {
 		p := procs(&costs[i])
 		j := costs[i].Job
-		c := *j
+		c := &copies[i]
+		*c = *j
 		c.Kind = workload.Rigid
 		c.MinProcs, c.MaxProcs = p, p
-		frozen[i] = &c
+		frozen[i] = c
 		orig[j.ID] = j
 	}
 	return frozen, orig
@@ -31,20 +32,19 @@ func freeze(costs []workload.Cost, procs func(*workload.Cost) int) ([]*workload.
 // rebind maps a schedule over frozen clones back to the original jobs so
 // callers see their own pointers.
 func rebind(s *sched.Schedule, orig map[int]*workload.Job) *sched.Schedule {
-	out := sched.New(s.M)
-	for _, a := range s.Allocs {
-		a.Job = orig[a.Job.ID]
-		out.Add(a)
+	for i := range s.Allocs {
+		s.Allocs[i].Job = orig[s.Allocs[i].Job.ID]
 	}
-	return out
+	return s
 }
 
-// MinWorkList is the communication-shy baseline: every job takes its
-// minimal-work allocation (usually sequential) and the resulting rigid
-// jobs are LPT list-scheduled. It wastes no work but ignores the
-// critical path, so long sequential jobs dominate its makespan.
-func MinWorkList(jobs []*workload.Job, m int) (*sched.Schedule, error) {
-	frozen, orig := freeze(workload.Costs(jobs, m), func(c *workload.Cost) int {
+// MinWorkListOf is the communication-shy baseline over the jobs' cost
+// summaries on m processors: every job takes its minimal-work allocation
+// (usually sequential) and the resulting rigid jobs are LPT
+// list-scheduled. It wastes no work but ignores the critical path, so
+// long sequential jobs dominate its makespan.
+func MinWorkListOf(costs []workload.Cost, m int) (*sched.Schedule, error) {
+	frozen, orig := freeze(costs, func(c *workload.Cost) int {
 		_, p := c.MinWork()
 		return p
 	})
@@ -55,13 +55,13 @@ func MinWorkList(jobs []*workload.Job, m int) (*sched.Schedule, error) {
 	return rebind(s, orig), nil
 }
 
-// MaxProcsList is the greedy-parallel baseline: every job takes its
-// fastest allocation (MaxProcs capped at m) and the rigid jobs are LPT
-// list-scheduled. It minimizes per-job time but inflates work, so it
-// loses when speedups are sublinear — the trade-off the MRT knapsack
-// balances.
-func MaxProcsList(jobs []*workload.Job, m int) (*sched.Schedule, error) {
-	frozen, orig := freeze(workload.Costs(jobs, m), func(c *workload.Cost) int {
+// MaxProcsListOf is the greedy-parallel baseline over the jobs' cost
+// summaries on m processors: every job takes its fastest allocation
+// (MaxProcs capped at m) and the rigid jobs are LPT list-scheduled. It
+// minimizes per-job time but inflates work, so it loses when speedups
+// are sublinear — the trade-off the MRT knapsack balances.
+func MaxProcsListOf(costs []workload.Cost, m int) (*sched.Schedule, error) {
+	frozen, orig := freeze(costs, func(c *workload.Cost) int {
 		_, p := c.MinTime()
 		return p
 	})
@@ -72,14 +72,14 @@ func MaxProcsList(jobs []*workload.Job, m int) (*sched.Schedule, error) {
 	return rebind(s, orig), nil
 }
 
-// GammaList is the one-shot dual baseline: jobs take their canonical
-// allotment γ(j, LB) for the instance lower bound (falling back to the
-// minimal-work allocation when even γ(j, LB) does not exist) and are LPT
-// list-scheduled. One construction, no binary search — the natural
-// middle ground between the naive baselines and full MRT.
-func GammaList(jobs []*workload.Job, m int) (*sched.Schedule, error) {
-	costs := workload.Costs(jobs, m)
-	lb := lowerbound.CmaxDualOf(costs, m)
+// GammaListOf is the one-shot dual baseline over the jobs' cost
+// summaries on m processors and their dual bound lb =
+// lowerbound.CmaxDualOf(costs, m): jobs take their canonical allotment
+// γ(j, lb) (falling back to the minimal-work allocation when even
+// γ(j, lb) does not exist) and are LPT list-scheduled. One construction,
+// no binary search — the natural middle ground between the naive
+// baselines and full MRT.
+func GammaListOf(costs []workload.Cost, m int, lb float64) (*sched.Schedule, error) {
 	frozen, orig := freeze(costs, func(c *workload.Cost) int {
 		if q := c.Gamma(lb); q > 0 {
 			return q

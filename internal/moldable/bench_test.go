@@ -35,7 +35,7 @@ func BenchmarkMRT1000x100(b *testing.B) {
 
 func BenchmarkSelectAllotments(b *testing.B) {
 	jobs := benchInstance(500, 100)
-	lambda := lowerbound.CmaxDual(jobs, 100)
+	lambda := lowerbound.CmaxDualOf(workload.Costs(jobs, 100), 100)
 	costs := workload.Costs(jobs, 100)
 	b.ReportAllocs()
 	b.ResetTimer()

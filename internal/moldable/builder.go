@@ -19,8 +19,9 @@ import (
 //
 // All scratch — per-job options, prefix sums, knapsack rows, the shelf-2
 // buffer, the allocation buffer and the availability profile — is kept
-// between calls, so a failed construction allocates nothing and a
-// successful one only its schedule. The zero Builder is ready to use; a
+// between calls, and a construction returns the Builder's own schedule
+// over its allocation buffer, valid until the next construction: once
+// warm, a Builder allocates nothing. The zero Builder is ready to use; a
 // Builder must not be shared between goroutines.
 type Builder struct {
 	m      int
@@ -53,6 +54,7 @@ type Builder struct {
 	shelf2  []Allotment
 	keys    []workload.Keyed // shelf 2's order
 	allocs  []sched.Alloc
+	out     sched.Schedule // pack's result, over allocs
 	profile rigid.Profile
 }
 
@@ -200,7 +202,8 @@ func (b *Builder) minWork(n int) float64 {
 // 3λ/2, which keeps the accepted-guess invariant of the dual
 // approximation. It is the one packing routine: every selector's
 // allotments end here, on the Builder's reused profile and buffers, and
-// only a success allocates (its schedule).
+// the schedule it returns is the Builder's own, valid until its next
+// construction.
 func (b *Builder) pack(allot []Allotment, m int, lambda float64) (*sched.Schedule, bool) {
 	b.profile.Reset(m)
 	b.allocs = slices.Grow(b.allocs[:0], len(allot))
@@ -235,7 +238,8 @@ func (b *Builder) pack(allot []Allotment, m int, lambda float64) (*sched.Schedul
 		}
 		b.allocs = append(b.allocs, sched.Alloc{Job: a.Job, Start: start, Procs: a.Procs})
 	}
-	return &sched.Schedule{M: m, Allocs: slices.Clone(b.allocs)}, true
+	b.out = sched.Schedule{M: m, Allocs: b.allocs}
+	return &b.out, true
 }
 
 // construct selects and packs costs[:n] at the prepared guess.
@@ -251,7 +255,8 @@ func (b *Builder) construct(n int) (*sched.Schedule, bool) {
 // prefix costs[:n] — trying len(costs) first and dropping one job from
 // the tail at a time — that the single-guess construction schedules
 // within 3d/2 using guess d, with that schedule; (nil, 0) if not even
-// the first job alone constructs.
+// the first job alone constructs. The schedule is the Builder's own: the
+// caller copies what it keeps past the Builder's next call.
 func (b *Builder) LargestPrefixForDeadline(costs []workload.Cost, m int, d float64) (*sched.Schedule, int) {
 	b.prepare(costs, m, d, 1)
 	for n := b.feasible; n > 0; n-- {

@@ -97,7 +97,7 @@ func diffGuess(rng *stats.RNG, jobs []*workload.Job, m int) float64 {
 			scale = math.Max(scale, t)
 		}
 	}
-	if lb := lowerbound.CmaxDual(jobs, m); lb > 0 && rng.Bool(0.7) {
+	if lb := lowerbound.CmaxDualOf(workload.Costs(jobs, m), m); lb > 0 && rng.Bool(0.7) {
 		scale = lb
 	}
 	switch rng.Intn(4) {
@@ -411,21 +411,22 @@ func TestPackMatchesReferenceOnGreedyAllotments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plugged, err := MRTWithAllot(jobs, 24, 0.01, SelectAllotments)
+		costs := workload.Costs(jobs, 24)
+		plugged, err := MRTWithAllotOf(costs, 24, lowerbound.CmaxDualOf(costs, 24), 0.01, SelectAllotments)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if own.Lambda != plugged.Lambda || own.Iterations != plugged.Iterations ||
-			!sameSchedule(t, "MRTWithAllot(SelectAllotments)", plugged.Schedule, own.Schedule) {
-			t.Fatalf("seed %d: MRT and MRTWithAllot(SelectAllotments) disagree", seed)
+			!sameSchedule(t, "MRTWithAllotOf(SelectAllotments)", plugged.Schedule, own.Schedule) {
+			t.Fatalf("seed %d: MRT and MRTWithAllotOf(SelectAllotments) disagree", seed)
 		}
 	}
 }
 
 // TestBuilderSteadyStateAllocs: after one warm call the workspace pays
-// for nothing but results — a construction that fails, in the selection
-// or in the packing, allocates nothing, and one that succeeds allocates
-// its schedule (the struct and its allocations) and no more.
+// for nothing — a construction that fails, in the selection or in the
+// packing, allocates nothing, and one that succeeds returns the
+// Builder's own schedule over its buffer and allocates nothing either.
 func TestBuilderSteadyStateAllocs(t *testing.T) {
 	// At guess 20 on 100 processors: three wide jobs construct, the
 	// fourth is selected and overflows the packing, the fifth is refused
@@ -449,16 +450,16 @@ func TestBuilderSteadyStateAllocs(t *testing.T) {
 		if _, ok := b.construct(3); !ok {
 			t.Fatal("prefix 3 does not construct")
 		}
-	}); a != 2 {
-		t.Errorf("a successful construction allocates %v times, want 2 (the schedule and its allocations)", a)
+	}); a != 0 {
+		t.Errorf("a successful construction allocates %v times, want 0", a)
 	}
 	// The batch step whole: prepare, two evictions, one success.
 	if a := testing.AllocsPerRun(50, func() {
 		if _, kept := b.LargestPrefixForDeadline(costs, 100, 20); kept != 3 {
 			t.Fatalf("kept %d jobs, want 3", kept)
 		}
-	}); a != 2 {
-		t.Errorf("a batch step with evictions allocates %v times, want 2", a)
+	}); a != 0 {
+		t.Errorf("a batch step with evictions allocates %v times, want 0", a)
 	}
 	if a := testing.AllocsPerRun(50, func() { b.LargestPrefixForDeadline(costs, 100, 1) }); a != 0 {
 		t.Errorf("a batch step that schedules nothing allocates %v times, want 0", a)

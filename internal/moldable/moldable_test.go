@@ -83,7 +83,7 @@ func randomInstance(seed uint64, n, m int) []*workload.Job {
 
 func TestSelectAllotmentsInvariants(t *testing.T) {
 	jobs := randomInstance(1, 50, 16)
-	lb := lowerbound.CmaxDual(jobs, 16)
+	lb := lowerbound.CmaxDualOf(workload.Costs(jobs, 16), 16)
 	for _, mult := range []float64{1.0, 1.2, 2.0} {
 		lambda := lb * mult
 		allot, ok := SelectAllotments(workload.Costs(jobs, 16), 16, lambda)
@@ -123,7 +123,7 @@ func TestSelectAllotmentsKnapsackPrefersShelf1Savings(t *testing.T) {
 		mold(2, 40, 8, workload.Linear{}),
 	}
 	m := 8
-	lb := lowerbound.CmaxDual(jobs, m) // = 10 (80 work / 8)
+	lb := lowerbound.CmaxDualOf(workload.Costs(jobs, m), m) // = 10 (80 work / 8)
 	allot, ok := SelectAllotments(workload.Costs(jobs, m), m, lb)
 	if !ok {
 		t.Fatalf("λ=LB=%v infeasible", lb)
@@ -219,7 +219,8 @@ func TestMRTIdenticalSequentialJobs(t *testing.T) {
 
 func TestMRTGreedyAblationStillValid(t *testing.T) {
 	jobs := randomInstance(30, 40, 16)
-	res, err := MRTWithAllot(jobs, 16, 0.01, GreedyAllotments)
+	costs := workload.Costs(jobs, 16)
+	res, err := MRTWithAllotOf(costs, 16, lowerbound.CmaxDualOf(costs, 16), 0.01, GreedyAllotments)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestMRTGreedyAblationStillValid(t *testing.T) {
 func TestLargestPrefixForDeadline(t *testing.T) {
 	jobs := randomInstance(40, 30, 16)
 	costs := workload.Costs(jobs, 16)
-	lb := lowerbound.CmaxDual(jobs, 16)
+	lb := lowerbound.CmaxDualOf(workload.Costs(jobs, 16), 16)
 	var b Builder
 	// A generous deadline must take the whole list and fit in 3d/2.
 	s, n := b.LargestPrefixForDeadline(costs, 16, 2*lb)
@@ -269,12 +270,14 @@ func TestLargestPrefixForDeadline(t *testing.T) {
 
 func TestBaselines(t *testing.T) {
 	jobs := randomInstance(50, 40, 16)
-	for name, f := range map[string]func([]*workload.Job, int) (*sched.Schedule, error){
-		"MinWorkList":  MinWorkList,
-		"MaxProcsList": MaxProcsList,
-		"GammaList":    GammaList,
+	costs := workload.Costs(jobs, 16)
+	lb := lowerbound.CmaxDualOf(costs, 16)
+	for name, f := range map[string]func() (*sched.Schedule, error){
+		"MinWorkListOf":  func() (*sched.Schedule, error) { return MinWorkListOf(costs, 16) },
+		"MaxProcsListOf": func() (*sched.Schedule, error) { return MaxProcsListOf(costs, 16) },
+		"GammaListOf":    func() (*sched.Schedule, error) { return GammaListOf(costs, 16, lb) },
 	} {
-		s, err := f(jobs, 16)
+		s, err := f()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -306,7 +309,7 @@ func TestMRTBeatsNaiveBaselinesOnParallelWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := MinWorkList(jobs, m)
+	seq, err := MinWorkListOf(workload.Costs(jobs, m), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +354,7 @@ func TestAllotmentAreaProperty(t *testing.T) {
 		rng := stats.NewRNG(seed)
 		m := rng.IntRange(2, 24)
 		jobs := randomInstance(seed, rng.IntRange(1, 40), m)
-		lambda := lowerbound.CmaxDual(jobs, m) * rng.Range(1.0, 3.0)
+		lambda := lowerbound.CmaxDualOf(workload.Costs(jobs, m), m) * rng.Range(1.0, 3.0)
 		for _, f := range []AllotFunc{SelectAllotments, GreedyAllotments} {
 			if allot, ok := f(workload.Costs(jobs, m), m, lambda); ok {
 				if totalWork(allot) > lambda*float64(m)*(1+1e-9) {

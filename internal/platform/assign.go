@@ -61,7 +61,8 @@ func Assign(m int, intervals []Interval) ([][]int, error) {
 	heap.Init(&free)
 
 	out := make([][]int, len(intervals))
-	_, err := sweep(intervals, func(i int, start bool) error {
+	d := demandOf(intervals)
+	_, err := sweep(d.evs, func(i int, start bool) error {
 		if !start {
 			if out[i] == nil {
 				out[i] = []int{} // it starts later in this tie group: it holds nothing
@@ -106,36 +107,56 @@ type event struct {
 	d int32
 }
 
-// sweep is the one capacity sweep behind every validity check. It visits
-// the ends and starts of the intervals with a positive count and length
-// in time order, ends before starts at equal times, then by index. Its tie
-// rule: the events within sweepEps of a group's first event form one
-// group, and every end of a group is applied before any of its starts, so
-// intervals that touch up to float rounding do not overlap. visit, when
-// non-nil, sees each event in that order; its first error stops the
-// sweep. The peak is the largest demand right after a start.
-func sweep(intervals []Interval, visit func(i int, start bool) error) (peak int, err error) {
-	evs := make([]event, 0, 2*len(intervals))
-	for i, iv := range intervals {
-		if iv.Count > 0 && iv.End > iv.Start {
-			evs = append(evs, event{iv.Start, int32(i), int32(iv.Count)}, event{iv.End, int32(i), -int32(iv.Count)})
-		}
+// Demand is a set of processor demands over half-open time windows,
+// added one at a time, for callers that hold their windows in another
+// shape than []Interval. Its peak is read by the one capacity sweep.
+type Demand struct {
+	evs []event
+	n   int32 // windows added so far, empty ones included
+}
+
+// NewDemand returns an empty Demand with room for the given number of
+// windows.
+func NewDemand(windows int) Demand {
+	return Demand{evs: make([]event, 0, 2*windows)}
+}
+
+// Add adds count processors held over [start, end). Windows are indexed
+// in the order they are added; one with no processors or no length holds
+// nothing.
+func (d *Demand) Add(start, end float64, count int) {
+	if count > 0 && end > start {
+		d.evs = append(d.evs, event{start, d.n, int32(count)}, event{end, d.n, -int32(count)})
 	}
-	// A total order, so any sort gives this one sequence.
+	d.n++
+}
+
+// Peak returns the maximum simultaneous demand of the windows under the
+// sweep's tie rule.
+func (d *Demand) Peak() int {
+	peak, _ := sweep(d.evs, nil)
+	return peak
+}
+
+// sweep is the one capacity sweep behind every validity check. It sorts
+// the events on time alone; the events within sweepEps of a group's
+// first event form one group, so the groups do not depend on how equal
+// times were ordered. Its tie rule: every end of a group is applied
+// before any of its starts, so intervals that touch up to float rounding
+// do not overlap. The peak is the largest demand right after a start,
+// which is the demand after a whole group, so a call without visit reads
+// each group's sum. visit, when non-nil, sees each event of a group in
+// the order ends first, then time, then index (the order a sort on all
+// three keys would give); its first error stops the sweep.
+func sweep(evs []event, visit func(i int, start bool) error) (peak int, err error) {
 	slices.SortFunc(evs, func(a, b event) int {
-		if a.t != b.t {
-			if a.t < b.t {
-				return -1
-			}
+		if a.t < b.t {
+			return -1
+		}
+		if a.t > b.t {
 			return 1
 		}
-		if (a.d > 0) != (b.d > 0) {
-			if b.d > 0 {
-				return -1
-			}
-			return 1
-		}
-		return cmp.Compare(a.i, b.i)
+		return 0
 	})
 	cur := 0
 	for g := 0; g < len(evs); {
@@ -144,21 +165,33 @@ func sweep(intervals []Interval, visit func(i int, start bool) error) (peak int,
 		for end < len(evs) && evs[end].t-t0 <= eps {
 			end++
 		}
-		for _, start := range [2]bool{false, true} {
-			for _, e := range evs[g:end] {
-				if (e.d > 0) != start {
-					continue
-				}
+		group := evs[g:end]
+		g = end
+		if visit == nil {
+			for _, e := range group {
 				cur += int(e.d)
-				peak = max(peak, cur)
-				if visit != nil {
-					if err := visit(int(e.i), start); err != nil {
-						return peak, err
+			}
+			peak = max(peak, cur)
+			continue
+		}
+		if len(group) > 1 {
+			slices.SortFunc(group, func(a, b event) int {
+				if (a.d > 0) != (b.d > 0) {
+					if b.d > 0 {
+						return -1
 					}
+					return 1
 				}
+				return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.i, b.i))
+			})
+		}
+		for _, e := range group {
+			cur += int(e.d)
+			peak = max(peak, cur)
+			if err := visit(int(e.i), e.d > 0); err != nil {
+				return peak, err
 			}
 		}
-		g = end
 	}
 	return peak, nil
 }
@@ -166,6 +199,15 @@ func sweep(intervals []Interval, visit func(i int, start bool) error) (peak int,
 // PeakDemand returns the maximum simultaneous processor demand of the
 // intervals under the sweep's tie rule.
 func PeakDemand(intervals []Interval) int {
-	peak, _ := sweep(intervals, nil)
-	return peak
+	d := demandOf(intervals)
+	return d.Peak()
+}
+
+// demandOf returns the intervals as a Demand, interval i as window i.
+func demandOf(intervals []Interval) Demand {
+	d := NewDemand(len(intervals))
+	for _, iv := range intervals {
+		d.Add(iv.Start, iv.End, iv.Count)
+	}
+	return d
 }

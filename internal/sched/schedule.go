@@ -12,6 +12,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/metrics"
 	"repro/internal/platform"
@@ -101,17 +102,17 @@ func (s *Schedule) ValidateWith(opt ValidateOptions) error {
 	if s.M <= 0 {
 		return fmt.Errorf("sched: schedule on %d processors", s.M)
 	}
-	seen := make(map[int]bool, len(s.Allocs))
+	repeat := firstRepeat(s.Allocs)
+	demand := platform.NewDemand(len(s.Allocs))
 	const eps = 1e-9
 	for i, a := range s.Allocs {
 		j := a.Job
 		if j == nil {
 			return fmt.Errorf("sched: allocation %d has nil job", i)
 		}
-		if seen[j.ID] {
+		if i == repeat {
 			return fmt.Errorf("sched: job %d scheduled twice", j.ID)
 		}
-		seen[j.ID] = true
 		if !j.CanRunOn(a.Procs) {
 			return fmt.Errorf("sched: job %d on %d procs outside [%d,%d]",
 				j.ID, a.Procs, j.MinProcs, j.MaxProcs)
@@ -128,20 +129,62 @@ func (s *Schedule) ValidateWith(opt ValidateOptions) error {
 		if a.Start < 0 {
 			return fmt.Errorf("sched: job %d starts at negative time %v", j.ID, a.Start)
 		}
+		demand.Add(a.Start, a.End(), a.Procs)
 	}
-	intervals := s.intervals()
 	if cal := opt.Calendar; cal != nil {
 		if cal.M() != s.M {
 			return fmt.Errorf("sched: calendar of %d processors for a schedule on %d", cal.M(), s.M)
 		}
 		for _, r := range cal.Reservations() {
-			intervals = append(intervals, platform.Interval{Start: r.Start, End: r.End, Count: r.Procs})
+			demand.Add(r.Start, r.End, r.Procs)
 		}
 	}
-	if peak := platform.PeakDemand(intervals); peak > s.M {
+	if peak := demand.Peak(); peak > s.M {
 		return fmt.Errorf("sched: peak demand %d exceeds %d processors", peak, s.M)
 	}
 	return nil
+}
+
+// firstRepeat returns the index of the first allocation whose job ID an
+// earlier allocation already holds, or -1 if no ID repeats; nil jobs are
+// skipped. IDs that span fewer than 64 values per allocation, as dense
+// job numbers do, are marked in a bitset; sparser ones in a map.
+func firstRepeat(allocs []Alloc) int {
+	lo, hi := math.MaxInt, math.MinInt
+	for _, a := range allocs {
+		if a.Job != nil {
+			lo, hi = min(lo, a.Job.ID), max(hi, a.Job.ID)
+		}
+	}
+	if lo > hi {
+		return -1
+	}
+	// The difference wraps as an int but is exact as a uint.
+	if span := uint(hi - lo); span/64 < uint(len(allocs)) {
+		bits := make([]uint64, span/64+1)
+		for i, a := range allocs {
+			if a.Job == nil {
+				continue
+			}
+			k := uint(a.Job.ID - lo)
+			if bits[k/64]&(1<<(k%64)) != 0 {
+				return i
+			}
+			bits[k/64] |= 1 << (k % 64)
+		}
+		return -1
+	}
+	seen := make(map[int]bool, len(allocs))
+	for i, a := range allocs {
+		if a.Job == nil {
+			continue
+		}
+		if seen[a.Job.ID] {
+			return i
+		}
+		seen[a.Job.ID] = true
+	}
+	return -1
 }
 
 // intervals returns each allocation's demand over [Start, End()).
