@@ -2,11 +2,14 @@ package bicriteria
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"repro/internal/lowerbound"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -287,5 +290,45 @@ func TestScheduleRejectsDeadlinesItCannotDouble(t *testing.T) {
 		case <-time.After(2 * time.Second):
 			t.Fatalf("%s: Schedule still running after 2 s", name)
 		}
+	}
+}
+
+// TestScheduleOfMatchesReference: ScheduleOf, handed the jobs' cost
+// summaries, is the old scheduler kept in reference_test.go alloc for
+// alloc and leaves the summaries as it found them (cells share them).
+// Where no job has a release date its CmaxLB is the dual bound bit for
+// bit, which the T4 cell passes to moldable.MRTOf as that bound.
+func TestScheduleOfMatchesReference(t *testing.T) {
+	var zeroReleases int
+	f := func(seed uint64) bool {
+		rng := stats.NewRNG(seed)
+		jobs, m, opt := diffInstance(rng)
+		if rng.Bool(0.3) {
+			for _, j := range jobs {
+				j.Release = 0
+			}
+		}
+		costs := workload.Costs(jobs, m)
+		kept := slices.Clone(costs)
+		want, wantErr := referenceSchedule(jobs, m, opt)
+		got, gotErr := ScheduleOf(costs, m, opt)
+		if !sameResult(t, got, want, gotErr, wantErr) || !reflect.DeepEqual(costs, kept) {
+			t.Logf("failing seed: %d (n=%d m=%d d=%v)", seed, len(jobs), m, opt.InitialDeadline)
+			return false
+		}
+		if gotErr == nil && !slices.ContainsFunc(jobs, func(j *workload.Job) bool { return j.Release != 0 }) {
+			zeroReleases++
+			if dual := lowerbound.CmaxDualOf(costs, m); math.Float64bits(got.CmaxLB) != math.Float64bits(dual) {
+				t.Errorf("seed %d: CmaxLB %v without releases, dual bound %v", seed, got.CmaxLB, dual)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if zeroReleases == 0 {
+		t.Fatal("no instance without release dates was scheduled")
 	}
 }

@@ -379,3 +379,31 @@ func TestRhoConstant(t *testing.T) {
 		t.Fatal("Rho drifted from the §4.1 value")
 	}
 }
+
+// TestMRTRejectsNonFiniteEps: a NaN or infinite eps used to turn the
+// bisection off (hi-lo > eps*lo is false), so MRT returned its doubling
+// guess: λ = 1241.23 after 0 iterations on this instance, against
+// 625.46 after 7 at eps 0.01. It is an error now, as for bicriteria's
+// InitialDeadline; eps ≤ 0 still takes the default 0.01.
+func TestMRTRejectsNonFiniteEps(t *testing.T) {
+	jobs := workload.Parallel(workload.GenConfig{N: 30, M: 16, Seed: 4})
+	for _, eps := range []float64{0.01, 0, -1} {
+		res, err := MRT(jobs, 16, eps)
+		if err != nil {
+			t.Fatalf("eps %v: %v", eps, err)
+		}
+		if math.Abs(res.Lambda-625.46) > 0.01 || res.Iterations != 7 {
+			t.Fatalf("eps %v: λ = %v after %d iterations, want 625.46 after 7", eps, res.Lambda, res.Iterations)
+		}
+	}
+	costs := workload.Costs(jobs, 16)
+	lb := lowerbound.CmaxDualOf(costs, 16)
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if res, err := MRT(jobs, 16, eps); err == nil {
+			t.Errorf("MRT with eps %v: λ = %v after %d iterations, want an error", eps, res.Lambda, res.Iterations)
+		}
+		if _, err := MRTWithAllotOf(costs, 16, lb, eps, GreedyAllotments); err == nil {
+			t.Errorf("MRTWithAllotOf with eps %v: no error", eps)
+		}
+	}
+}

@@ -1,9 +1,11 @@
 package moldable
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
+	"repro/internal/lowerbound"
 	"repro/internal/rigid"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -172,4 +174,128 @@ func referenceLargestPrefix(costs []workload.Cost, m int, d float64) (*sched.Sch
 		selected = selected[:len(selected)-1]
 	}
 	return nil, 0
+}
+
+// The job-slice entry points as they stood before the cost-summary forms,
+// kept as the differential reference for MRTOf, MRTWithAllotOf and the
+// list baselines: each prices the jobs and bisects the dual bound itself,
+// constructs through referenceConstruct, clones every frozen job and
+// rebuilds the baseline schedule.
+
+// referenceMRT is the old MRT (allot referenceSelectAllotments) and
+// MRTWithAllot; it also returns the bound its search started from.
+func referenceMRT(jobs []*workload.Job, m int, eps float64, allot AllotFunc) (*Result, float64, error) {
+	if m <= 0 {
+		return nil, 0, fmt.Errorf("moldable: MRT on %d processors", m)
+	}
+	if eps <= 0 {
+		eps = 0.01
+	}
+	if len(jobs) == 0 {
+		return &Result{Schedule: sched.New(m), Lambda: 0}, 0, nil
+	}
+	costs := workload.Costs(jobs, m)
+	for i := range costs {
+		if t, _ := costs[i].MinTime(); math.IsInf(t, 0) {
+			return nil, 0, fmt.Errorf("moldable: job %d cannot run on %d processors", jobs[i].ID, m)
+		}
+	}
+	lb := lowerbound.CmaxDualOf(costs, m)
+	if lb <= 0 {
+		return nil, lb, fmt.Errorf("moldable: degenerate lower bound %v", lb)
+	}
+	res := &Result{}
+	hi := lb
+	var hiSched *sched.Schedule
+	for i := 0; ; i++ {
+		if s, ok := referenceConstruct(costs, m, hi, allot); ok {
+			hiSched = s
+			break
+		}
+		hi *= 2
+		if i > 60 {
+			return nil, lb, fmt.Errorf("moldable: no feasible guess found up to %v", hi)
+		}
+	}
+	lo := lb
+	res.Lambda = hi
+	res.Schedule = hiSched
+	for res.Iterations = 0; hi-lo > eps*lo && res.Iterations < 200; res.Iterations++ {
+		mid := (lo + hi) / 2
+		if s, ok := referenceConstruct(costs, m, mid, allot); ok {
+			hi = mid
+			res.Lambda = mid
+			res.Schedule = s
+		} else {
+			lo = mid
+		}
+	}
+	if err := res.Schedule.ValidateWith(sched.ValidateOptions{IgnoreReleases: true}); err != nil {
+		return nil, lb, fmt.Errorf("moldable: produced invalid schedule: %w", err)
+	}
+	return res, lb, nil
+}
+
+// referenceFreeze is the old freeze: one heap clone per job.
+func referenceFreeze(costs []workload.Cost, procs func(*workload.Cost) int) ([]*workload.Job, map[int]*workload.Job) {
+	frozen := make([]*workload.Job, len(costs))
+	orig := make(map[int]*workload.Job, len(costs))
+	for i := range costs {
+		p := procs(&costs[i])
+		j := costs[i].Job
+		c := *j
+		c.Kind = workload.Rigid
+		c.MinProcs, c.MaxProcs = p, p
+		frozen[i] = &c
+		orig[j.ID] = j
+	}
+	return frozen, orig
+}
+
+// referenceRebind is the old rebind: a new schedule of the originals.
+func referenceRebind(s *sched.Schedule, orig map[int]*workload.Job) *sched.Schedule {
+	out := sched.New(s.M)
+	for _, a := range s.Allocs {
+		a.Job = orig[a.Job.ID]
+		out.Add(a)
+	}
+	return out
+}
+
+// referenceList is the old body of the three list baselines.
+func referenceList(name string, jobs []*workload.Job, m int, procs func(*workload.Cost) int) (*sched.Schedule, error) {
+	frozen, orig := referenceFreeze(workload.Costs(jobs, m), procs)
+	s, err := rigid.List(frozen, m, rigid.ByLPT)
+	if err != nil {
+		return nil, fmt.Errorf("moldable: %s: %w", name, err)
+	}
+	return referenceRebind(s, orig), nil
+}
+
+// referenceMinWorkList is the old MinWorkList.
+func referenceMinWorkList(jobs []*workload.Job, m int) (*sched.Schedule, error) {
+	return referenceList("MinWorkList", jobs, m, func(c *workload.Cost) int {
+		_, p := c.MinWork()
+		return p
+	})
+}
+
+// referenceMaxProcsList is the old MaxProcsList.
+func referenceMaxProcsList(jobs []*workload.Job, m int) (*sched.Schedule, error) {
+	return referenceList("MaxProcsList", jobs, m, func(c *workload.Cost) int {
+		_, p := c.MinTime()
+		return p
+	})
+}
+
+// referenceGammaList is the old GammaList, which bisected its own bound.
+func referenceGammaList(jobs []*workload.Job, m int) (*sched.Schedule, error) {
+	lb := lowerbound.CmaxDualOf(workload.Costs(jobs, m), m)
+	return referenceList("GammaList", jobs, m, func(c *workload.Cost) int {
+		if q := c.Gamma(lb); q > 0 {
+			return q
+		}
+		_, p := c.MinWork()
+		return p
+	})
 }

@@ -334,3 +334,95 @@ func FuzzCapacitySweep(f *testing.F) {
 		sameSweep(t, m, ivs)
 	})
 }
+
+// visitRec is one event a sweep visits: interval i's start or end.
+type visitRec struct {
+	i     int
+	start bool
+}
+
+// fullOrderVisits is the order the sweep visited events in when it
+// sorted them on all three keys — time, ends before starts, index — and
+// then applied each tie group's ends before its starts.
+func fullOrderVisits(intervals []Interval) []visitRec {
+	type ev struct {
+		t     float64
+		i     int
+		start bool
+	}
+	var evs []ev
+	for i, iv := range intervals {
+		if iv.Count > 0 && iv.End > iv.Start {
+			evs = append(evs, ev{iv.Start, i, true}, ev{iv.End, i, false})
+		}
+	}
+	sort.Slice(evs, func(a, b int) bool {
+		x, y := evs[a], evs[b]
+		if x.t != y.t {
+			return x.t < y.t
+		}
+		if x.start != y.start {
+			return !x.start
+		}
+		return x.i < y.i
+	})
+	var out []visitRec
+	for g := 0; g < len(evs); {
+		end := g + 1
+		for end < len(evs) && evs[end].t-evs[g].t <= referenceSweepEps(evs[g].t) {
+			end++
+		}
+		for _, start := range [2]bool{false, true} {
+			for _, e := range evs[g:end] {
+				if e.start == start {
+					out = append(out, visitRec{e.i, e.start})
+				}
+			}
+		}
+		g = end
+	}
+	return out
+}
+
+// TestSweepVisitsInFullOrder: sorting events on time alone and ordering
+// each tie group afterwards visits them exactly as the three-key sort
+// did, which is what Assign's processor IDs depend on. Inputs are up to
+// five of FuzzCapacitySweep's joined, so that a sort of more than twelve
+// events meets equal times (pdqsort leaves those in any order), and the
+// peak-only sweep reads the same peak.
+func TestSweepVisitsInFullOrder(t *testing.T) {
+	var shuffled int
+	f := func(data []byte, parts uint8) bool {
+		var ivs []Interval
+		for range parts%5 + 1 {
+			_, more := decodeIntervals(data)
+			ivs = append(ivs, more...)
+			data = data[min(len(data), 2+3*len(more)):]
+		}
+		d := demandOf(ivs)
+		var got []visitRec
+		peak, _ := sweep(slices.Clone(d.evs), func(i int, start bool) error {
+			got = append(got, visitRec{i, start})
+			return nil
+		})
+		want := fullOrderVisits(ivs)
+		if !slices.Equal(got, want) {
+			t.Errorf("%v: visits %v, three-key order %v", ivs, got, want)
+			return false
+		}
+		if p := d.Peak(); p != peak {
+			t.Errorf("%v: peak %d without visits, %d with", ivs, p, peak)
+			return false
+		}
+		if len(got) > 12 {
+			shuffled++
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if shuffled == 0 {
+		t.Fatal("no input had more than twelve events")
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -255,4 +256,165 @@ func FuzzCapacitySweep(f *testing.F) {
 			sameCalendarCheck(t, s, cal)
 		}
 	})
+}
+
+// referenceValidateWith is ValidateWith as it stood before it fed the
+// sweep straight from the allocations: a map of the job IDs seen, then
+// the allocations and reservations as intervals.
+func referenceValidateWith(s *Schedule, opt ValidateOptions) error {
+	if s.M <= 0 {
+		return fmt.Errorf("sched: schedule on %d processors", s.M)
+	}
+	seen := make(map[int]bool, len(s.Allocs))
+	const eps = 1e-9
+	for i, a := range s.Allocs {
+		j := a.Job
+		if j == nil {
+			return fmt.Errorf("sched: allocation %d has nil job", i)
+		}
+		if seen[j.ID] {
+			return fmt.Errorf("sched: job %d scheduled twice", j.ID)
+		}
+		seen[j.ID] = true
+		if !j.CanRunOn(a.Procs) {
+			return fmt.Errorf("sched: job %d on %d procs outside [%d,%d]",
+				j.ID, a.Procs, j.MinProcs, j.MaxProcs)
+		}
+		if a.Procs > s.M {
+			return fmt.Errorf("sched: job %d on %d procs exceeds platform %d", j.ID, a.Procs, s.M)
+		}
+		if j.Kind == workload.Rigid && a.Procs != j.MinProcs {
+			return fmt.Errorf("sched: rigid job %d on %d procs, requested %d", j.ID, a.Procs, j.MinProcs)
+		}
+		if !opt.IgnoreReleases && a.Start < j.Release-eps {
+			return fmt.Errorf("sched: job %d starts at %v before release %v", j.ID, a.Start, j.Release)
+		}
+		if a.Start < 0 {
+			return fmt.Errorf("sched: job %d starts at negative time %v", j.ID, a.Start)
+		}
+	}
+	intervals := s.intervals()
+	if cal := opt.Calendar; cal != nil {
+		if cal.M() != s.M {
+			return fmt.Errorf("sched: calendar of %d processors for a schedule on %d", cal.M(), s.M)
+		}
+		for _, r := range cal.Reservations() {
+			intervals = append(intervals, platform.Interval{Start: r.Start, End: r.End, Count: r.Procs})
+		}
+	}
+	if peak := platform.PeakDemand(intervals); peak > s.M {
+		return fmt.Errorf("sched: peak demand %d exceeds %d processors", peak, s.M)
+	}
+	return nil
+}
+
+// decodeViolations builds a schedule of up to 12 allocations from bytes,
+// each drawn to break one rule now and then: a nil job, a repeated ID
+// (dense IDs, or sparse ones up to the int range's ends), a count outside
+// the job's range or wider than M, a rigid job off its request (its
+// range may be wider than the request), a start
+// before its release or below zero, and demand above M; plus, at times,
+// a calendar, of the schedule's width or another.
+func decodeViolations(data []byte) (*Schedule, ValidateOptions) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	m := next()%6 + 1
+	s := New(m)
+	sparse := next()%2 == 1
+	n := next() % 13
+	var jobs []*workload.Job
+	for len(s.Allocs) < n && len(data) > 0 {
+		if next()%16 == 0 {
+			s.Add(Alloc{Start: float64(next() % 5)})
+			continue
+		}
+		var j *workload.Job
+		if len(jobs) > 0 && next()%5 == 0 {
+			j = jobs[next()%len(jobs)] // the same job again
+		} else {
+			id := len(jobs)
+			switch {
+			case sparse && next()%2 == 0:
+				id = []int{math.MinInt, math.MaxInt, -7, 1 << 40, 1<<40 + 63}[next()%5]
+			case sparse:
+				id = next() * 1000003
+			case len(jobs) > 0 && next()%6 == 0:
+				id = jobs[next()%len(jobs)].ID // another job with a taken ID
+			}
+			lo := next()%m + 1
+			j = &workload.Job{
+				ID: id, Kind: workload.Moldable, Weight: 1, DueDate: -1,
+				Release: float64(next() % 4), SeqTime: float64(next()%5 + 1),
+				MinProcs: lo, MaxProcs: lo + next()%3, Model: workload.Linear{},
+			}
+			if next()%4 == 0 {
+				j.Kind = workload.Rigid // a range wider than the request lets it run off it
+			}
+			jobs = append(jobs, j)
+		}
+		procs := j.MinProcs + next()%(j.MaxProcs-j.MinProcs+1)
+		if next()%8 == 0 {
+			procs = next() % (m + 3)
+		}
+		start := j.Release + float64(next()%6)
+		if next()%8 == 0 {
+			start = float64(next()%6) - 2
+		}
+		s.Add(Alloc{Job: j, Start: start, Procs: procs})
+	}
+	opt := ValidateOptions{IgnoreReleases: next()%3 == 0}
+	if next()%3 == 0 {
+		width := m
+		if next()%3 == 0 {
+			width = m + 1
+		}
+		cal, err := platform.NewCalendar(width, []platform.Reservation{
+			{Name: "r", Start: float64(next() % 4), End: float64(next()%4 + 4), Procs: 1},
+		})
+		if err == nil {
+			opt.Calendar = cal
+		}
+	}
+	return s, opt
+}
+
+// TestValidateMatchesReference: ValidateWith returns the old check's
+// error, text and all, or none where it returned none, on schedules that
+// break each rule; every kind of verdict occurs.
+func TestValidateMatchesReference(t *testing.T) {
+	verdicts := map[string]int{}
+	f := func(data []byte) bool {
+		s, opt := decodeViolations(data)
+		got, want := s.ValidateWith(opt), referenceValidateWith(s, opt)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("ValidateWith: %v, reference %v", got, want)
+			return false
+		}
+		verdict := "valid"
+		if want != nil {
+			verdict = strings.Fields(strings.TrimPrefix(want.Error(), "sched: "))[0]
+			for _, w := range []string{"twice", "outside", "exceeds platform", "rigid", "before release", "negative", "peak", "calendar"} {
+				if strings.Contains(want.Error(), w) {
+					verdict = w
+				}
+			}
+		}
+		verdicts[verdict]++
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 50}); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"valid", "allocation", "twice", "outside", "exceeds platform", "rigid", "before release", "negative", "peak", "calendar"} {
+		if verdicts[v] == 0 {
+			t.Errorf("no schedule drew the %q verdict: %v", v, verdicts)
+		}
+	}
+	t.Logf("verdicts: %v", verdicts)
 }
