@@ -126,9 +126,15 @@ func Schedule(jobs []*workload.Job, g *platform.Grid, part Partition, eps float6
 		}
 		workload.SortKeyed(ordered, true)
 		load := make([]float64, len(g.Clusters)) // normalized drain time
-		// jc[i] is the job's cost summary on cluster i, priced once per
-		// distinct width.
+		// jc[i] is the job's cost summary on cluster i. A job is priced
+		// once per distinct width: cluster i reads first[i]'s summary, the
+		// first cluster as wide, or for the widest width the summary the
+		// order used.
 		jc := make([]workload.Cost, len(g.Clusters))
+		first := make([]int, len(g.Clusters))
+		for i, c := range g.Clusters {
+			first[i] = slices.IndexFunc(g.Clusters, func(d *platform.Cluster) bool { return d.Procs() == c.Procs() })
+		}
 		for _, o := range ordered {
 			j := jobs[o.Pos]
 			best := -1
@@ -137,7 +143,14 @@ func Schedule(jobs []*workload.Job, g *platform.Grid, part Partition, eps float6
 				if !fits(j, c) {
 					continue
 				}
-				jc[i] = priceOn(j, g, i, jc[:i], widestProcs, &widest[o.Pos])
+				switch {
+				case first[i] < i:
+					jc[i] = jc[first[i]]
+				case c.Procs() == widestProcs:
+					jc[i] = widest[o.Pos]
+				default:
+					jc[i] = j.Cost(c.Procs())
+				}
 				// Estimated completion on cluster i: the area term (queue
 				// drain plus this job's work) or the job's own critical
 				// time on that cluster's speed, whichever binds. Pure
@@ -193,22 +206,6 @@ func Schedule(jobs []*workload.Job, g *platform.Grid, part Partition, eps float6
 		}
 	}
 	return asg, nil
-}
-
-// priceOn returns job j's cost summary on the width of grid cluster i:
-// the one already taken for the widest cluster, or for an earlier
-// cluster of the same width (prior[k] for cluster k), or else a new one.
-func priceOn(j *workload.Job, g *platform.Grid, i int, prior []workload.Cost, widestProcs int, widest *workload.Cost) workload.Cost {
-	procs := g.Clusters[i].Procs()
-	if procs == widestProcs {
-		return *widest
-	}
-	for k := range prior {
-		if g.Clusters[k].Procs() == procs {
-			return prior[k]
-		}
-	}
-	return j.Cost(procs)
 }
 
 func maxProcs(g *platform.Grid) int {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // Interval is a processor demand over a half-open time window. Assign
@@ -62,6 +63,7 @@ func Assign(m int, intervals []Interval) ([][]int, error) {
 
 	out := make([][]int, len(intervals))
 	d := demandOf(intervals)
+	defer d.Release()
 	_, err := sweep(d.evs, func(i int, start bool) error {
 		if !start {
 			if out[i] == nil {
@@ -115,11 +117,19 @@ type Demand struct {
 	n   int32 // windows added so far, empty ones included
 }
 
+// demands holds released Demands, so that a warm sweep allocates nothing.
+var demands = sync.Pool{New: func() any { return new(Demand) }}
+
 // NewDemand returns an empty Demand with room for the given number of
-// windows.
-func NewDemand(windows int) Demand {
-	return Demand{evs: make([]event, 0, 2*windows)}
+// windows. Release gives it back for reuse once its peak is read.
+func NewDemand(windows int) *Demand {
+	d := demands.Get().(*Demand)
+	d.evs, d.n = slices.Grow(d.evs[:0], 2*windows), 0
+	return d
 }
+
+// Release returns d for reuse; d must not be used after.
+func (d *Demand) Release() { demands.Put(d) }
 
 // Add adds count processors held over [start, end). Windows are indexed
 // in the order they are added; one with no processors or no length holds
@@ -200,11 +210,12 @@ func sweep(evs []event, visit func(i int, start bool) error) (peak int, err erro
 // intervals under the sweep's tie rule.
 func PeakDemand(intervals []Interval) int {
 	d := demandOf(intervals)
+	defer d.Release()
 	return d.Peak()
 }
 
 // demandOf returns the intervals as a Demand, interval i as window i.
-func demandOf(intervals []Interval) Demand {
+func demandOf(intervals []Interval) *Demand {
 	d := NewDemand(len(intervals))
 	for _, iv := range intervals {
 		d.Add(iv.Start, iv.End, iv.Count)

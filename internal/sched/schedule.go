@@ -104,6 +104,7 @@ func (s *Schedule) ValidateWith(opt ValidateOptions) error {
 	}
 	repeat := firstRepeat(s.Allocs)
 	demand := platform.NewDemand(len(s.Allocs))
+	defer demand.Release()
 	const eps = 1e-9
 	for i, a := range s.Allocs {
 		j := a.Job

@@ -8,10 +8,12 @@ import "math"
 // γ(j, t) and the cheapest allotment meeting a deadline — without
 // rescanning the job's time table on every question.
 //
-// An algorithm builds the summary once per invocation (Job.Cost, Costs)
-// and keeps it in its own frame. It is deliberately not cached on the
-// Job: jobs are shared by concurrent experiment cells that use different
-// m, and freezing a clone rewrites MinProcs/MaxProcs.
+// A caller builds one []Cost per (instance, m) with Costs and passes it
+// down to the algorithms and bounds that take summaries (the *Of entry
+// points of lowerbound, moldable and bicriteria), which read it and never
+// write it, so cells of one instance may share it. It is deliberately
+// not cached on the Job: jobs are shared by concurrent experiment cells
+// that use different m, and freezing a clone rewrites MinProcs/MaxProcs.
 type Cost struct {
 	Job *Job
 
