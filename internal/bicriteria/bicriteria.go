@@ -117,11 +117,12 @@ func ScheduleOf(costs []workload.Cost, m int, opt Options) (*Result, error) {
 	if deadline == 0 {
 		deadline = shortest
 	}
+	ws := workspaces.Get().(*workspace)
 	// The cost positions in release order: order[:released] are those
 	// released by the clock, scheduled or not.
-	order := make([]int, len(costs))
-	for i := range order {
-		order[i] = i
+	order := ws.order[:0]
+	for i := range costs {
+		order = append(order, i)
 	}
 	slices.SortStableFunc(order, func(a, b int) int {
 		return workload.CompareRelease(costs[a].Job, costs[b].Job)
@@ -130,12 +131,12 @@ func ScheduleOf(costs []workload.Cost, m int, opt Options) (*Result, error) {
 	// descending — heavier-per-area jobs first maximizes batch weight
 	// under the area budget D·m — then ID, then release position, so the
 	// order is total and filtering it equals sorting the filtered.
-	pending := make([]candidate, len(costs))
+	pending := ws.pending[:0]
 	for i, k := range order {
 		w, _ := costs[k].MinWork()
 		t, _ := costs[k].MinTime()
 		j := costs[k].Job
-		pending[i] = candidate{pos: i, id: j.ID, density: density(j.Weight, w), work: w, minTime: t}
+		pending = append(pending, candidate{pos: i, id: j.ID, density: density(j.Weight, w), work: w, minTime: t})
 	}
 	slices.SortFunc(pending, func(a, b candidate) int {
 		if a.density != b.density {
@@ -147,14 +148,17 @@ func ScheduleOf(costs []workload.Cost, m int, opt Options) (*Result, error) {
 		return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.pos, b.pos))
 	})
 
-	builder := builders.Get().(*moldable.Builder)
-	defer builders.Put(builder)
 	var (
-		admitted []int           // indices into pending, in density order
-		selected []workload.Cost // their cost summaries, the builder's input
+		builder  = &ws.builder
+		admitted = ws.admitted[:0] // indices into pending, in density order
+		selected = ws.selected[:0] // their cost summaries, the builder's input
 		clock    float64
 		released int
 	)
+	defer func() {
+		ws.order, ws.pending, ws.admitted, ws.selected = order, pending, admitted, selected
+		workspaces.Put(ws)
+	}()
 	for len(pending) > 0 {
 		// The clock never moves back, so the released prefix only grows.
 		for released < len(costs) && costs[order[released]].Job.Release <= clock+1e-12 {
@@ -224,10 +228,21 @@ func ScheduleOf(costs []workload.Cost, m int, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// builders holds idle Builders, so that one schedule reuses the scratch
-// an earlier one grew. Each batch schedule is merged, which copies it,
-// before the Builder is used again or put back.
-var builders = sync.Pool{New: func() any { return new(moldable.Builder) }}
+// workspace is ScheduleOf's scratch: the construction Builder and the
+// buffers of the release order, the density order and the batch under
+// construction. Each batch schedule is merged, which copies it, before
+// the Builder is used again or the workspace put back.
+type workspace struct {
+	builder  moldable.Builder
+	order    []int
+	pending  []candidate
+	admitted []int
+	selected []workload.Cost
+}
+
+// workspaces holds idle workspaces, so that one schedule reuses the
+// buffers an earlier one grew.
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
 
 // candidate is the thin sort key of one job: what a batch needs to
 // filter and admit it without touching its cost summary.

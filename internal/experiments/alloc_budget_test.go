@@ -20,30 +20,30 @@ var allocBudgets = []struct {
 	parentBytes, parentAllocs uint64
 	maxBytes, maxAllocs       uint64
 }{
-	{"fig2", 1960536, 8986, 1469143, 8055},
+	{"fig2", 1960536, 8986, 1241856, 7718},
 	{"mrt", 953240, 4403, 678894, 3029},
 	{"batch", 221424, 1418, 101887, 870},
 	{"smart", 117544, 1250, 129299, 1375},
-	{"bicriteria", 191016, 993, 88396, 710},
+	{"bicriteria", 191016, 993, 75936, 665},
 	{"dlt", 23384, 593, 25723, 653},
 	{"cigri", 461440, 3809, 507585, 4190},
 	{"decentralized", 90448, 1107, 99493, 1218},
-	{"mixed", 108104, 775, 72178, 583},
+	{"mixed", 108104, 775, 67725, 561},
 	{"reservations", 26320, 265, 22916, 270},
 	{"malleable", 84464, 1154, 76191, 1209},
 	{"treedlt", 48008, 1438, 52809, 1582},
-	{"criteria", 63216, 503, 48172, 438},
-	{"heterogrid", 1184688, 3146, 713628, 2581},
+	{"criteria", 63216, 503, 45954, 427},
+	{"heterogrid", 1184688, 3146, 713698, 2583},
 	{"policies", 227544, 2369, 250299, 2606},
 	{"gridpolicies", 361792, 3252, 397972, 3578},
 	{"faulttwin", 226040, 2334, 248645, 2568},
 	{"ablation-allotment", 88872, 439, 58318, 395},
-	{"ablation-doubling-base", 85792, 404, 50161, 303},
+	{"ablation-doubling-base", 85792, 404, 33071, 259},
 	{"ablation-shelf-fill", 63056, 756, 69362, 832},
 	{"ablation-chunk", 10584, 162, 11643, 179},
 	{"ablation-kill-policy", 89008, 779, 97909, 857},
-	{"ablation-compaction", 86648, 510, 54147, 405},
-	{"paper", 68294408, 278395, 52027237, 278805},
+	{"ablation-compaction", 86648, 510, 47406, 381},
+	{"paper", 68294408, 278395, 48019700, 277150},
 }
 
 // catalogTables are the scenarios of the benchmark's catalog_tables
