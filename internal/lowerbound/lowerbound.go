@@ -61,7 +61,9 @@ func dualProbe(costs []workload.Cost, m int, lambda float64, lo, hi, at []float6
 // feasible λ is a valid lower bound. It dominates both CmaxArea and the
 // critical-job bound (the largest minimal execution time).
 func CmaxDualOf(costs []workload.Cost, m int) float64 {
-	if len(costs) == 0 {
+	// No processors: the area term is not a number, so the doubling below
+	// would never end. There is no bound to give.
+	if len(costs) == 0 || m <= 0 {
 		return 0
 	}
 	var work, critical float64

@@ -105,6 +105,12 @@ func TestCmaxEmpty(t *testing.T) {
 	if CmaxDualOf(workload.Costs(nil, 4), 4) != 0 || Cmax(nil, 4) != 0 {
 		t.Fatal("empty instance bound != 0")
 	}
+	// Zero processors used to leave a NaN area term and a doubling that
+	// never ended.
+	jobs := workload.Parallel(workload.GenConfig{N: 3, M: 4, Seed: 1})
+	if got := CmaxDualOf(workload.Costs(jobs, 0), 0); got != 0 {
+		t.Fatalf("bound on zero processors = %v, want 0", got)
+	}
 }
 
 func TestSumWeightedCompletionSingleMachine(t *testing.T) {

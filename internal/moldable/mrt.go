@@ -32,9 +32,6 @@ type Result struct {
 // the batch package layers release dates on top. It prices the jobs and
 // starts the search from their dual bound, as MRTOf does.
 func MRT(jobs []*workload.Job, m int, eps float64) (*Result, error) {
-	if m <= 0 {
-		return nil, fmt.Errorf("moldable: MRT on %d processors", m)
-	}
 	costs := workload.Costs(jobs, m)
 	return MRTOf(costs, m, lowerbound.CmaxDualOf(costs, m), eps)
 }
@@ -68,8 +65,8 @@ func MRTWithAllotOf(costs []workload.Cost, m int, lb, eps float64, allot AllotFu
 }
 
 // builders holds idle Builders, so that one search reuses the scratch
-// an earlier one grew. search copies out every schedule it keeps, so a
-// Builder holds nothing of a finished search.
+// an earlier one grew. search copies out every schedule it keeps, so no
+// result refers to a pooled Builder.
 var builders = sync.Pool{New: func() any { return new(Builder) }}
 
 // search is the dual-approximation driver: doubling from the lower bound
