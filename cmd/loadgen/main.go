@@ -25,7 +25,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/service"
+	"repro/internal/gridservice"
 	"repro/internal/trace"
 	"repro/internal/workload"
 	"repro/pkg/client"
@@ -139,7 +139,7 @@ func runCampaign(ctx context.Context, cl *client.Client, tasks int, runTime floa
 // length. ok=false ends the stream; err then reports a malformed or
 // refused trace record (nil for a clean end).
 type specStream interface {
-	Next() (sp service.JobSpec, ok bool, err error)
+	Next() (sp gridservice.JobSpec, ok bool, err error)
 }
 
 // swfSpec derives the submission payload of one trace record — the
@@ -148,12 +148,12 @@ type specStream interface {
 // construction. The job comes from SWFRecord.Job, so a record the
 // replay kind refuses (an unknown -1 runtime or processor count, a
 // non-finite field) is refused here too instead of becoming a job.
-func swfSpec(rec trace.SWFRecord, useRel bool) (service.JobSpec, error) {
+func swfSpec(rec trace.SWFRecord, useRel bool) (gridservice.JobSpec, error) {
 	j, err := rec.Job()
 	if err != nil {
-		return service.JobSpec{}, err
+		return gridservice.JobSpec{}, err
 	}
-	sp := service.JobSpec{
+	sp := gridservice.JobSpec{
 		Name: fmt.Sprintf("swf-%d", rec.ID), Class: "swf",
 		SeqTime: j.SeqTime, MinProcs: j.MinProcs, Weight: j.Weight,
 	}
@@ -169,13 +169,13 @@ type swfStream struct {
 	useRel bool
 }
 
-func (s *swfStream) Next() (service.JobSpec, bool, error) {
+func (s *swfStream) Next() (gridservice.JobSpec, bool, error) {
 	if !s.sc.Scan() {
-		return service.JobSpec{}, false, s.sc.Err()
+		return gridservice.JobSpec{}, false, s.sc.Err()
 	}
 	sp, err := swfSpec(s.sc.Record(), s.useRel)
 	if err != nil {
-		return service.JobSpec{}, false, err
+		return gridservice.JobSpec{}, false, err
 	}
 	return sp, true, nil
 }
@@ -186,12 +186,12 @@ type jobStream struct {
 	useRel bool
 }
 
-func (s *jobStream) Next() (service.JobSpec, bool, error) {
+func (s *jobStream) Next() (gridservice.JobSpec, bool, error) {
 	j, ok := s.src.Next()
 	if !ok {
-		return service.JobSpec{}, false, nil
+		return gridservice.JobSpec{}, false, nil
 	}
-	sp := service.JobSpec{
+	sp := gridservice.JobSpec{
 		Name: j.Name, Class: j.Class, SeqTime: j.SeqTime,
 		MinProcs: j.MinProcs, MaxProcs: j.MaxProcs, Weight: j.Weight,
 	}
@@ -231,7 +231,7 @@ func fire(ctx context.Context, cl *client.Client, stream specStream, rps float64
 	if workers < 1 {
 		workers = 1
 	}
-	feed := make(chan service.JobSpec, workers)
+	feed := make(chan gridservice.JobSpec, workers)
 	var mu sync.Mutex
 	res := &result{perCluster: map[string][]time.Duration{}}
 	var wg sync.WaitGroup

@@ -7,16 +7,16 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/service"
+	"repro/internal/gridservice"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 // collect drains a specStream.
-func collect(t *testing.T, s specStream) ([]service.JobSpec, error) {
+func collect(t *testing.T, s specStream) ([]gridservice.JobSpec, error) {
 	t.Helper()
-	var out []service.JobSpec
+	var out []gridservice.JobSpec
 	for {
 		sp, ok, err := s.Next()
 		if err != nil {
@@ -32,7 +32,7 @@ func collect(t *testing.T, s specStream) ([]service.JobSpec, error) {
 // materializedSWFSpecs is the historical buildSpecs SWF path: read the
 // whole trace, then map every record. The streaming path must produce
 // the identical spec sequence.
-func materializedSWFSpecs(t *testing.T, path string, useRel bool) []service.JobSpec {
+func materializedSWFSpecs(t *testing.T, path string, useRel bool) []gridservice.JobSpec {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
@@ -43,7 +43,7 @@ func materializedSWFSpecs(t *testing.T, path string, useRel bool) []service.JobS
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := make([]service.JobSpec, len(recs))
+	specs := make([]gridservice.JobSpec, len(recs))
 	for i, rec := range recs {
 		if specs[i], err = swfSpec(rec, useRel); err != nil {
 			t.Fatal(err)
@@ -105,9 +105,9 @@ func TestSWFStreamMatchesMaterialized(t *testing.T) {
 func TestSyntheticStreamMatchesMaterialized(t *testing.T) {
 	const n, m, seed = 150, 32, uint64(42)
 	jobs := workload.Parallel(workload.GenConfig{N: n, M: m, Seed: seed, ArrivalRate: 0.5})
-	var want []service.JobSpec
+	var want []gridservice.JobSpec
 	for _, j := range jobs {
-		want = append(want, service.JobSpec{
+		want = append(want, gridservice.JobSpec{
 			Name: j.Name, Class: j.Class, SeqTime: j.SeqTime,
 			MinProcs: j.MinProcs, MaxProcs: j.MaxProcs, Weight: j.Weight,
 			Release: j.Release,

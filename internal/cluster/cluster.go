@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/des"
 	"repro/internal/metrics"
@@ -157,10 +156,8 @@ type BETask struct {
 	Resubmits int
 }
 
-// LoadInfo is a point-in-time load snapshot of one cluster, published
-// atomically at event granularity so external observers (the grid broker
-// routing submissions across a fleet) can poll it from any goroutine
-// without going through the simulator's owner.
+// LoadInfo is one cluster's load at an instant (Sim.Load): what a grid
+// router reads to place jobs, grant campaign tasks and pick migrations.
 type LoadInfo struct {
 	// M and Speed are the static cluster dimensions.
 	M     int
@@ -168,8 +165,7 @@ type LoadInfo struct {
 	// Free is the physically free processor count.
 	Free int
 	// Queued and QueuedWork describe the waiting local jobs (work at
-	// reference speed, the §5.2 load-balance signal). QueuedWork is a
-	// tally the Sim keeps only while polling is on (see EnablePolling).
+	// reference speed, the §5.2 load-balance signal).
 	Queued     int
 	QueuedWork float64
 	// BEQueued and BEActive count waiting / running best-effort tasks.
@@ -228,10 +224,11 @@ type Sim struct {
 
 	queue []*workload.Job
 	// queuedWork tallies the queue's total minimal work incrementally for
-	// LoadSnapshot, its only reader, and is kept only while poll is set:
-	// EnablePolling seeds it from the queue. QueuedWork() recomputes it
+	// Load, its only reader, and is kept only while tallying is set:
+	// TallyQueuedWork seeds it from the queue. QueuedWork() recomputes it
 	// exactly.
 	queuedWork float64
+	tallying   bool
 	localProcs int
 	// running holds the running local jobs in no particular order: the
 	// last record fills the slot of one that leaves (unrun), and each
@@ -298,13 +295,6 @@ type Sim struct {
 	outages    []*outage
 	availSince float64
 	faultStats FaultStats
-
-	// load is the atomically published LoadInfo snapshot behind
-	// LoadSnapshot, refreshed after every event that changes the queue or
-	// the processor occupation. Publication is gated on poll so offline
-	// simulations (no external observers) pay nothing per event.
-	load atomic.Pointer[LoadInfo]
-	poll bool
 
 	// OnBEKilled, when set, receives killed tasks (the grid server
 	// resubmits them). OnBEDone receives completed tasks.
@@ -375,43 +365,24 @@ func New(sim *des.Simulator, m int, speed float64, policy Policy, kill KillPolic
 		retain:  metrics.NewFullRetention(),
 		avail:   m,
 	}
-	s.forcePublishLoad()
 	return s, nil
 }
 
-// publishLoad refreshes the atomic LoadSnapshot (loop/owner goroutine
-// only; readers are lock-free). A no-op until EnablePolling.
-func (s *Sim) publishLoad() {
-	if !s.poll {
-		return
-	}
-	s.forcePublishLoad()
-}
-
-func (s *Sim) forcePublishLoad() {
-	s.load.Store(&LoadInfo{
-		M: s.M, Speed: s.Speed, Free: s.free(),
-		Queued: len(s.queue), QueuedWork: s.queuedWork,
-		BEQueued: len(s.beQueue), BEActive: len(s.beActive),
-	})
-}
-
-// EnablePolling turns on per-event LoadSnapshot publication and the
-// queued-work tally behind LoadInfo.QueuedWork (the gridd engines enable
-// them; batch simulations skip the per-event cost). The tally starts as
-// the sum over the queue in queue order, which is 0 when polling is
-// turned on before the simulation runs, as the engines do. Owner
-// goroutine only: it flips owner-side state.
-func (s *Sim) EnablePolling() {
-	s.poll = true
+// TallyQueuedWork keeps the queue's total minimal work as a running
+// tally, so Load answers in O(1) instead of summing the queue (the gridd
+// broker routes every submission on it; batch simulations skip the
+// per-job cost). The tally starts as the sum over the queue in queue
+// order, which is 0 when it is turned on before the simulation runs, as
+// the broker does.
+func (s *Sim) TallyQueuedWork() {
+	s.tallying = true
 	s.queuedWork = s.QueuedWork()
-	s.forcePublishLoad()
 }
 
 // tally adds sign × j's minimal work to the queued-work tally when
-// polling is on, and does nothing otherwise.
+// tallying is on, and does nothing otherwise.
 func (s *Sim) tally(j *workload.Job, sign float64) {
-	if !s.poll {
+	if !s.tallying {
 		return
 	}
 	w, _ := j.MinWork(s.M)
@@ -421,12 +392,20 @@ func (s *Sim) tally(j *workload.Job, sign float64) {
 	}
 }
 
-// LoadSnapshot returns the latest published load snapshot. Unlike every
-// other accessor it is safe to call from any goroutine while the
-// simulation runs elsewhere: the snapshot is replaced atomically at
-// event granularity, so readers see a consistent (if slightly stale)
-// view. Without EnablePolling it reports the construction-time state.
-func (s *Sim) LoadSnapshot() LoadInfo { return *s.load.Load() }
+// Load returns the cluster's load now. QueuedWork is the running tally
+// once TallyQueuedWork turned it on, and the exact sum over the queue
+// otherwise.
+func (s *Sim) Load() LoadInfo {
+	w := s.queuedWork
+	if !s.tallying {
+		w = s.QueuedWork()
+	}
+	return LoadInfo{
+		M: s.M, Speed: s.Speed, Free: s.free(),
+		Queued: len(s.queue), QueuedWork: w,
+		BEQueued: len(s.beQueue), BEActive: len(s.beActive),
+	}
+}
 
 // admit appends one job to the waiting queue from event context. All
 // four admission paths (Submit, SubmitAll, streamed arrival, InjectNow)
@@ -589,7 +568,6 @@ func (s *Sim) SubmitBestEffort(t BETask) {
 		s.beStats.Redistributed++
 	}
 	s.beQueue = append(s.beQueue, t)
-	s.publishLoad()
 	// Defer the fill to an immediate event so that submission during
 	// another event keeps deterministic ordering. Bursts of submissions
 	// coalesce into a single pending reschedule: one fill pass over the
@@ -638,7 +616,6 @@ func (s *Sim) reschedule() {
 	}
 	s.decisions = scratch
 	s.fillBestEffort(now)
-	s.publishLoad()
 	if s.OnIdle != nil {
 		s.OnIdle(s.free())
 	}
@@ -1138,7 +1115,6 @@ func (s *Sim) StealQueued(n int) []*workload.Job {
 	for _, j := range stolen {
 		s.tally(j, -1)
 	}
-	s.publishLoad()
 	return stolen
 }
 

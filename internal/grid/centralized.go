@@ -47,7 +47,7 @@ type CentralizedStats struct {
 
 // Centralized simulates the CiGri design. Its placement decisions come
 // from the shared CentralizedFill policy, the same code the live broker
-// of internal/gridservice runs against a fleet of engines.
+// of internal/gridservice runs through Fleet.Grant.
 type Centralized struct {
 	DES   *des.Simulator
 	sims  []*cluster.Sim

@@ -1,0 +1,93 @@
+package grid
+
+import (
+	"repro/internal/cluster"
+	"repro/internal/scenario"
+	"repro/internal/workload"
+)
+
+// Fleet is what the offline Routed grid and the live gridd broker share:
+// k clusters on one DES, the Router that decides for all of them, and
+// the partition windows that cut clusters off it. Its three steps —
+// Loads, Grant and Migrate — are the only code either side runs to
+// place work across clusters.
+type Fleet struct {
+	Sims   []*cluster.Sim
+	Router Router
+	// Partitions cut clusters off the router during [start, end)
+	// windows of virtual time: no placements, grants or migrations reach
+	// them. Work already on the cluster keeps running — a partition cuts
+	// scheduling traffic, not execution.
+	Partitions []scenario.PartitionWindow
+}
+
+// Loads returns the fleet's load vector at virtual time now. Clusters
+// behind an open partition window are masked to a zero LoadInfo so
+// every router skips them.
+func (f *Fleet) Loads(now float64) []cluster.LoadInfo {
+	out := make([]cluster.LoadInfo, len(f.Sims))
+	for i, cs := range f.Sims {
+		if !scenario.Partitioned(f.Partitions, i, now) {
+			out[i] = cs.Load()
+		}
+	}
+	return out
+}
+
+// Grant hands stock tasks, from its head, to the clusters per the
+// router's fill rule and returns what stays in the stock. Partitioned
+// clusters are skipped even when the router's remainder arithmetic
+// grants them tasks (their loads are masked, but e.g. the decentralized
+// largest-remainder loop spreads over every index); the skipped tasks
+// stay in the stock.
+func (f *Fleet) Grant(now float64, stock []cluster.BETask) []cluster.BETask {
+	if len(stock) == 0 {
+		return stock
+	}
+	for i, n := range f.Router.Grants(f.Loads(now), len(stock)) {
+		if scenario.Partitioned(f.Partitions, i, now) {
+			continue
+		}
+		for ; n > 0 && len(stock) > 0; n-- {
+			f.Sims[i].SubmitBestEffort(stock[0])
+			stock = stock[1:]
+		}
+	}
+	return stock
+}
+
+// Migrate runs one exchange round of the router's Moves and returns the
+// number of jobs moved. Each stolen job is injected into its
+// destination, or back home when it does not fit there or the
+// destination refuses it; onMigrate, when set, observes every job that
+// moved. Moves touching a partitioned cluster are dropped for the
+// round: the masked loads keep senders quiet, but an idle partitioned
+// cluster can still surface as the argmin destination.
+func (f *Fleet) Migrate(now float64, onMigrate func(j *workload.Job, src, dst int, now float64)) int {
+	moved := 0
+	for _, mv := range f.Router.Moves(f.Loads(now)) {
+		if mv.Src == mv.Dst || mv.Src < 0 || mv.Dst < 0 ||
+			mv.Src >= len(f.Sims) || mv.Dst >= len(f.Sims) ||
+			scenario.Partitioned(f.Partitions, mv.Src, now) ||
+			scenario.Partitioned(f.Partitions, mv.Dst, now) {
+			continue
+		}
+		for _, j := range f.Sims[mv.Src].StealQueued(mv.N) {
+			dst := mv.Dst
+			if j.MinProcs > f.Sims[dst].M {
+				dst = mv.Src // does not fit; back home
+			}
+			if err := f.Sims[dst].InjectNow(j); err != nil {
+				_ = f.Sims[mv.Src].InjectNow(j)
+				continue
+			}
+			if dst == mv.Dst {
+				moved++
+				if onMigrate != nil {
+					onMigrate(j, mv.Src, dst, now)
+				}
+			}
+		}
+	}
+	return moved
+}

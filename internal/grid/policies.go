@@ -2,9 +2,8 @@
 // designs, extracted into small policy types shared between the offline
 // grid simulations (Centralized/Decentralized in this package) and the
 // live broker of internal/gridservice. A Router sees only per-cluster
-// LoadInfo snapshots, so the same decision code runs inside a
-// single-threaded DES and against a fleet of concurrently running
-// engines.
+// LoadInfo, so the same decision code runs in the offline tables and in
+// the broker's loop, both through Fleet.
 package grid
 
 import (

@@ -38,18 +38,17 @@ type RoutedStats struct {
 }
 
 // Routed is the offline twin of the live broker: one DES, k member
-// clusters, and a grid Router deciding — with exactly the code the
-// broker runs — where each arriving job goes, how the campaign stock
-// fans out, and which queued jobs migrate. It exists so the online grid
-// policies can be swept deterministically in the paper tables.
+// clusters, and a grid Router deciding — through the same Fleet steps
+// the broker runs — where each arriving job goes, how the campaign
+// stock fans out, and which queued jobs migrate. It exists so the
+// online grid policies can be swept deterministically in the paper
+// tables.
 type Routed struct {
-	DES        *des.Simulator
-	sims       []*cluster.Sim
-	router     Router
-	opt        RoutedOptions
-	stock      []cluster.BETask
-	stats      RoutedStats
-	partitions []scenario.PartitionWindow
+	DES   *des.Simulator
+	fleet Fleet
+	opt   RoutedOptions
+	stock []cluster.BETask
+	stats RoutedStats
 
 	// OnMigrate, when set, observes every exchange-round migration: job
 	// j moved from cluster src to cluster dst at virtual time now. Nil
@@ -72,7 +71,7 @@ func NewRouted(members []Member, jobs []*workload.Job, bags []*workload.Bag, rou
 	}
 	opt = opt.fill()
 	sim := des.NewWithCapacity(len(jobs) + 64)
-	r := &Routed{DES: sim, router: router, opt: opt}
+	r := &Routed{DES: sim, fleet: Fleet{Router: router}, opt: opt}
 	for _, mb := range members {
 		if err := mb.Cluster.Validate(); err != nil {
 			return nil, err
@@ -83,7 +82,7 @@ func NewRouted(members []Member, jobs []*workload.Job, bags []*workload.Bag, rou
 		}
 		cs.OnBEKilled = func(t cluster.BETask) { r.requeue(t) }
 		cs.OnBEDone = func(t cluster.BETask) { r.taskDone(t) }
-		r.sims = append(r.sims, cs)
+		r.fleet.Sims = append(r.fleet.Sims, cs)
 	}
 	// Each job arrives at its release date and is routed against the
 	// fleet's live load at that instant — the broker's Submit path.
@@ -106,34 +105,12 @@ func NewRouted(members []Member, jobs []*workload.Job, bags []*workload.Bag, rou
 	return r, nil
 }
 
-// loads builds the exact fleet load vector (single-threaded, so no
-// staleness — the broker reads the same fields via LoadSnapshot).
-// Clusters behind an open partition window are masked to a zero
-// LoadInfo so every router skips them: no placements, no grants, no
-// migrations reach a partitioned cluster. Work already on the cluster
-// keeps running — a partition cuts scheduling traffic, not execution.
-func (r *Routed) loads() []cluster.LoadInfo {
-	now := r.DES.Now()
-	out := make([]cluster.LoadInfo, len(r.sims))
-	for i, cs := range r.sims {
-		if scenario.Partitioned(r.partitions, i, now) {
-			continue
-		}
-		out[i] = cluster.LoadInfo{
-			M: cs.M, Speed: cs.Speed, Free: cs.Free(),
-			Queued: cs.QueueLength(), QueuedWork: cs.QueuedWork(),
-			BEQueued: cs.BestEffortQueueLength(), BEActive: cs.BestEffortActive(),
-		}
-	}
-	return out
-}
-
 // SetPartitions installs the broker-link partition windows. Must be
 // called before Run; each window's close is armed as a redistribution
 // wakeup so stock stranded during a blackout is re-delivered the
 // instant a cluster becomes reachable again.
 func (r *Routed) SetPartitions(windows []scenario.PartitionWindow) {
-	r.partitions = windows
+	r.fleet.Partitions = windows
 	for _, w := range windows {
 		_ = r.DES.At(w.End, r.scheduleRedistribute)
 	}
@@ -141,12 +118,12 @@ func (r *Routed) SetPartitions(windows []scenario.PartitionWindow) {
 
 // place routes one arriving job.
 func (r *Routed) place(j *workload.Job) {
-	idx := r.router.Route(j.MinProcs, r.loads())
+	idx := r.fleet.Router.Route(j.MinProcs, r.fleet.Loads(r.DES.Now()))
 	if idx < 0 {
 		r.stats.Rejected++
 		return
 	}
-	if err := r.sims[idx].InjectNow(j); err != nil {
+	if err := r.fleet.Sims[idx].InjectNow(j); err != nil {
 		r.stats.Rejected++
 		return
 	}
@@ -182,58 +159,13 @@ func (r *Routed) scheduleRedistribute() {
 }
 
 // redistribute grants stock tasks per the router's fill rule.
-// Partitioned clusters are skipped even when the router's remainder
-// arithmetic grants them tasks (their loads are masked, but e.g. the
-// decentralized largest-remainder loop spreads over every index); the
-// skipped tasks stay in the central stock.
 func (r *Routed) redistribute() {
-	if len(r.stock) == 0 {
-		return
-	}
-	now := r.DES.Now()
-	grants := r.router.Grants(r.loads(), len(r.stock))
-	for i, n := range grants {
-		if scenario.Partitioned(r.partitions, i, now) {
-			continue
-		}
-		for ; n > 0 && len(r.stock) > 0; n-- {
-			t := r.stock[0]
-			r.stock = r.stock[1:]
-			r.sims[i].SubmitBestEffort(t)
-		}
-	}
+	r.stock = r.fleet.Grant(r.DES.Now(), r.stock)
 }
 
 // exchange runs one Moves round and re-arms while the grid is alive.
-// Moves touching a partitioned cluster are dropped for the round: the
-// masked loads keep senders quiet, but an idle partitioned cluster can
-// still surface as the argmin destination.
 func (r *Routed) exchange() {
-	now := r.DES.Now()
-	for _, mv := range r.router.Moves(r.loads()) {
-		if mv.Src == mv.Dst || mv.Src < 0 || mv.Dst < 0 ||
-			mv.Src >= len(r.sims) || mv.Dst >= len(r.sims) ||
-			scenario.Partitioned(r.partitions, mv.Src, now) ||
-			scenario.Partitioned(r.partitions, mv.Dst, now) {
-			continue
-		}
-		for _, j := range r.sims[mv.Src].StealQueued(mv.N) {
-			dst := mv.Dst
-			if j.MinProcs > r.sims[dst].M {
-				dst = mv.Src // does not fit; back home
-			}
-			if err := r.sims[dst].InjectNow(j); err != nil {
-				_ = r.sims[mv.Src].InjectNow(j)
-				continue
-			}
-			if dst == mv.Dst {
-				r.stats.Migrations++
-				if r.OnMigrate != nil {
-					r.OnMigrate(j, mv.Src, dst, now)
-				}
-			}
-		}
-	}
+	r.stats.Migrations += r.fleet.Migrate(r.DES.Now(), r.OnMigrate)
 	if r.DES.Pending() > 0 {
 		_ = r.DES.At(r.DES.Now()+r.opt.ExchangePeriod, r.exchange)
 	}
@@ -255,7 +187,7 @@ func (r *Routed) Run() error {
 			return fmt.Errorf("grid: %d tasks stuck in routed stock", len(r.stock))
 		}
 	}
-	for _, cs := range r.sims {
+	for _, cs := range r.fleet.Sims {
 		st := cs.BestEffort()
 		r.stats.PerCluster = append(r.stats.PerCluster, st)
 		r.stats.WastedWork += st.WastedWork
@@ -268,12 +200,12 @@ func (r *Routed) Stats() RoutedStats { return r.stats }
 
 // Sim exposes member cluster i's simulation (fault engines attach to
 // it before Run; determinism tests compare it to the live broker).
-func (r *Routed) Sim(i int) *cluster.Sim { return r.sims[i] }
+func (r *Routed) Sim(i int) *cluster.Sim { return r.fleet.Sims[i] }
 
 // AllCompletions merges every cluster's local completion records.
 func (r *Routed) AllCompletions() []metrics.Completion {
 	var all []metrics.Completion
-	for _, cs := range r.sims {
+	for _, cs := range r.fleet.Sims {
 		all = append(all, cs.Completions()...)
 	}
 	return all

@@ -13,7 +13,7 @@ import (
 
 // LocalCompletions returns cluster i's completion records.
 func (r *Routed) LocalCompletions(i int) []metrics.Completion {
-	return r.sims[i].Completions()
+	return r.Sim(i).Completions()
 }
 
 func routedMembers() []Member {

@@ -2,10 +2,11 @@
 // daemon: the online, multi-cluster counterpart of the offline grid
 // simulations in internal/grid. As in the paper, a single cluster is a
 // one-cluster grid — gridd without -topology serves a one-cluster
-// fleet through this same code. A Broker owns one service.Engine per
-// cluster — each with its own DES loop goroutine — on a shared paced
-// virtual clock, and routes work across the fleet with a pluggable grid
-// policy (grid.Router via the registry catalog):
+// fleet through this same code. A Broker runs every cluster.Sim of the
+// fleet on one DES, paced against wall time, and routes work across the
+// fleet with a pluggable grid policy (grid.Router via the registry
+// catalog) through the same grid.Fleet steps the offline grid.Routed
+// runs:
 //
 //   - local jobs are placed on a cluster at submission time
 //     (round-robin home clusters, least-loaded, capacity-weighted
@@ -17,29 +18,28 @@
 //   - the decentralized policy additionally migrates queued jobs from
 //     overloaded to underloaded clusters each broker tick.
 //
-// Concurrency layout: every engine mutation goes through that engine's
-// mailbox; broker bookkeeping (stock, campaigns, job→cluster map) lives
-// under Broker.mu; engine→broker callbacks (best-effort kills and
-// completions, which fire on engine loop goroutines) only append to a
-// pending list under the narrower feedMu, so an engine loop never blocks
-// on broker work and the broker can hold mu while talking to engines
-// without deadlock. Load polling is lock-free via cluster.LoadSnapshot.
+// Concurrency layout: one loop goroutine owns the DES, every Sim and all
+// broker bookkeeping (stock, campaigns, job records). Every public
+// method hands a closure to the loop's mailbox and waits for it, so a
+// replayed trace completes jobs in exactly the order of an offline run,
+// and the Sims' callbacks update the broker's records directly.
 package gridservice
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/cluster"
+	"repro/internal/des"
 	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/registry"
 	"repro/internal/scenario"
-	"repro/internal/service"
 	"repro/internal/workload"
 )
 
@@ -50,11 +50,16 @@ var ErrNoCluster = errors.New("gridservice: no cluster fits the job")
 // off by an open partition window.
 var ErrPartitioned = errors.New("gridservice: cluster is partitioned from the broker")
 
-// JobStatus is a service.JobStatus plus the cluster that runs the job.
-type JobStatus struct {
-	service.JobStatus
-	Cluster string `json:"cluster"`
-}
+// ErrStopped rejects calls into a broker whose loop has exited.
+var ErrStopped = errors.New("gridservice: broker stopped")
+
+// maxCampaignTasks caps one campaign: its tasks all enter the central
+// stock at once, 24 bytes each.
+const maxCampaignTasks = 1 << 20
+
+// mailbox is the command-channel capacity: room for a burst of
+// submissions and queries while the loop is busy advancing the clock.
+const mailbox = 256
 
 // CampaignSpec is the POST /v1/campaigns payload: a bag of Tasks identical
 // independent runs of RunTime reference-speed seconds each.
@@ -101,15 +106,15 @@ type FleetTotals struct {
 
 // ClusterStats is one cluster's stats under its fleet name.
 type ClusterStats struct {
-	Name  string        `json:"name"`
-	Stats service.Stats `json:"stats"`
+	Name  string `json:"name"`
+	Stats Stats  `json:"stats"`
 }
 
 // ClusterQueue is one cluster's queue under its fleet name; GET
 // /v1/queue answers one per cluster, in fleet order.
 type ClusterQueue struct {
 	Name string `json:"name"`
-	service.QueueSnapshot
+	QueueSnapshot
 }
 
 // FleetStats is the GET /v1/stats payload.
@@ -123,41 +128,40 @@ type FleetStats struct {
 	Runs *api.RunsSummary `json:"runs,omitempty"`
 }
 
-type doneEvent struct {
-	task    cluster.BETask
-	cluster int
+// jobRecord is the broker's record of one accepted job: its status
+// (Cluster left empty) and the fleet index of the cluster holding it.
+type jobRecord struct {
+	status JobStatus
+	home   int
 }
 
-// Broker federates N engines behind one submission API.
+// counts are one cluster's job tallies behind its Stats.
+type counts struct {
+	tracked, waiting, running, completed int
+}
+
+// Broker runs a fleet of clusters on one DES behind one submission API.
 type Broker struct {
-	topo    Topology
-	engines []*service.Engine
-	names   []string
-	router  grid.Router
+	topo  Topology
+	des   *des.Simulator
+	fleet grid.Fleet
 
-	// mu guards the broker bookkeeping below. It may be held across
-	// engine mailbox calls (engine loops never take it).
-	mu         sync.Mutex
-	stock      []cluster.BETask
-	campaigns  map[int]*Campaign
-	nextCamp   int
-	nextJobID  int
-	jobHome    map[int]int
-	submitted  int
-	migrations int
-
-	// feedMu guards the engine→broker event lists. Engine loop callbacks
-	// take only this lock, and the broker never holds it while calling
-	// into an engine.
-	feedMu        sync.Mutex
-	pendingKilled []cluster.BETask
-	pendingDone   []doneEvent
-
-	started  time.Time
-	kick     chan struct{}
+	cmds     chan func()
 	quit     chan struct{}
 	done     chan struct{}
 	stopOnce sync.Once
+
+	// Everything below is owned by the loop goroutine (Start sets pacer
+	// and started before launching it).
+	pacer      *des.Pacer // nil while free-running, and after Drain
+	started    time.Time
+	jobs       map[int]*jobRecord
+	counts     []counts // per cluster, fleet order
+	stock      []cluster.BETask
+	campaigns  []*Campaign // indexed by ID
+	nextJobID  int
+	submitted  int
+	migrations int
 }
 
 // NewBroker wires the fleet from a filled topology (see LoadTopology).
@@ -172,567 +176,536 @@ func NewBroker(topo Topology) (*Broker, error) {
 	}
 	b := &Broker{
 		topo: topo,
-		router: gentry.New(grid.RouterOptions{
-			Seed: topo.Seed, Threshold: topo.Threshold, MaxMove: topo.MaxMove,
-		}),
-		campaigns: make(map[int]*Campaign),
-		jobHome:   make(map[int]int),
-		kick:      make(chan struct{}, 1),
-		quit:      make(chan struct{}),
-		done:      make(chan struct{}),
+		des:  des.New(),
+		fleet: grid.Fleet{
+			Router: gentry.New(grid.RouterOptions{
+				Seed: topo.Seed, Threshold: topo.Threshold, MaxMove: topo.MaxMove,
+			}),
+			Partitions: topo.Partitions,
+		},
+		cmds:   make(chan func(), mailbox),
+		quit:   make(chan struct{}),
+		done:   make(chan struct{}),
+		jobs:   make(map[int]*jobRecord),
+		counts: make([]counts, len(topo.Clusters)),
 	}
-	anchor := time.Now()
 	for i, spec := range topo.Clusters {
 		kp, err := cluster.ParseKillPolicy(spec.Kill)
 		if err != nil {
 			return nil, err
 		}
-		ci := i
-		eng, err := service.New(service.Config{
-			M: spec.M, Speed: spec.Speed, Policy: spec.Policy, Kill: kp,
-			Dilation: topo.Dilation, Anchor: anchor,
-			OnBEKilled: func(t cluster.BETask) { b.onKilled(t) },
-			OnBEDone:   func(t cluster.BETask) { b.onDone(ci, t) },
-		})
+		entry, err := registry.Get(spec.Policy)
 		if err != nil {
 			return nil, fmt.Errorf("gridservice: cluster %s: %w", spec.Name, err)
 		}
-		b.engines = append(b.engines, eng)
-		b.names = append(b.names, spec.Name)
+		cs, err := cluster.New(b.des, spec.M, spec.Speed, entry.NewPolicy(), kp)
+		if err != nil {
+			return nil, fmt.Errorf("gridservice: cluster %s: %w", spec.Name, err)
+		}
+		// Routing reads every cluster's queued work on every submission.
+		cs.TallyQueuedWork()
+		b.watch(i, cs)
+		b.fleet.Sims = append(b.fleet.Sims, cs)
 	}
 	return b, nil
 }
 
-// Start launches every engine and the broker tick loop.
+// watch hooks cluster i's lifecycle callbacks into the broker's records.
+// They run on the loop, inside the DES events that cause them.
+func (b *Broker) watch(i int, cs *cluster.Sim) {
+	c := &b.counts[i]
+	cs.OnLocalStart = func(j *workload.Job, procs int, now float64) {
+		if rec := b.jobs[j.ID]; rec != nil {
+			rec.status.State, rec.status.Procs, rec.status.Start = StateRunning, procs, now
+			c.waiting--
+			c.running++
+		}
+	}
+	cs.OnLocalDone = func(cpl metrics.Completion) {
+		if rec := b.jobs[cpl.Job.ID]; rec != nil {
+			rec.status.State, rec.status.End = StateDone, cpl.End
+			c.running--
+			c.completed++
+		}
+	}
+	// A killed campaign task goes back to the central stock; the next
+	// tick grants it again.
+	cs.OnBEKilled = func(t cluster.BETask) {
+		b.campaigns[t.BagID].Killed++
+		b.stock = append(b.stock, t)
+	}
+	cs.OnBEDone = func(t cluster.BETask) {
+		camp := b.campaigns[t.BagID]
+		camp.Completed++
+		camp.PerCluster[i]++
+		camp.Done = camp.Completed >= camp.Tasks
+	}
+}
+
+// Start launches the loop. With a dilation D, virtual time t maps to
+// the start instant plus t/D wall seconds.
 func (b *Broker) Start() {
 	b.started = time.Now()
-	for _, e := range b.engines {
-		e.Start()
+	if b.topo.Dilation > 0 {
+		b.pacer, _ = des.NewPacer(b.topo.Dilation, b.started, 0)
 	}
 	go b.loop()
 }
 
-// Stop terminates the tick loop and every engine without draining.
+// Stop terminates the loop without draining (pending virtual work is
+// abandoned). Safe to call more than once.
 func (b *Broker) Stop() {
 	b.stopOnce.Do(func() { close(b.quit) })
 	<-b.done
-	for _, e := range b.engines {
-		e.Stop()
-	}
 }
 
 // Topology returns the filled fleet configuration.
 func (b *Broker) Topology() Topology { return b.topo }
 
-// onKilled receives a killed best-effort task (engine loop goroutine):
-// back to the central stock at the next tick.
-func (b *Broker) onKilled(t cluster.BETask) {
-	b.feedMu.Lock()
-	b.pendingKilled = append(b.pendingKilled, t)
-	b.feedMu.Unlock()
-}
-
-// onDone receives a completed best-effort task (engine loop goroutine).
-func (b *Broker) onDone(ci int, t cluster.BETask) {
-	b.feedMu.Lock()
-	b.pendingDone = append(b.pendingDone, doneEvent{task: t, cluster: ci})
-	b.feedMu.Unlock()
-}
-
-// loop ticks the redistribution machinery on wall time until Stop.
+// loop is the broker: it catches the virtual clock up, then waits for a
+// command, the next paced event or the redistribution tick.
 func (b *Broker) loop() {
 	defer close(b.done)
 	ticker := time.NewTicker(time.Duration(b.topo.TickMS) * time.Millisecond)
 	defer ticker.Stop()
 	for {
+		b.advance()
+		var timer *time.Timer
+		var next <-chan time.Time
+		if b.pacer != nil {
+			if at, ok := b.des.PeekTime(); ok {
+				timer = time.NewTimer(b.pacer.WallUntil(at, time.Now()))
+				next = timer.C
+			}
+		}
 		select {
-		case <-b.quit:
-			return
-		case <-b.kick:
+		case cmd := <-b.cmds:
+			cmd()
+			b.drainCmds()
+		case <-next:
 		case <-ticker.C:
+			b.tick()
+		case <-b.quit:
+			if timer != nil {
+				timer.Stop()
+			}
+			return
 		}
-		b.tick()
+		if timer != nil {
+			timer.Stop()
+		}
 	}
 }
 
-// kickNow wakes the tick loop without waiting for the ticker.
-func (b *Broker) kickNow() {
+// drainCmds executes every queued command without blocking, so a burst
+// of submissions is applied atomically before the clock advances again.
+func (b *Broker) drainCmds() {
+	for {
+		select {
+		case cmd := <-b.cmds:
+			cmd()
+		default:
+			return
+		}
+	}
+}
+
+// advance catches the virtual clock up: to the pacer's wall-mapped time
+// in dilated mode, or through every pending event while free-running.
+func (b *Broker) advance() {
+	if b.pacer != nil {
+		_ = b.des.RunUntil(b.pacer.VirtualNow(time.Now()))
+		return
+	}
+	_ = b.des.Run()
+}
+
+// do runs fn on the loop goroutine and waits for it.
+func (b *Broker) do(fn func()) error {
+	ack := make(chan struct{})
 	select {
-	case b.kick <- struct{}{}:
-	default:
+	case b.cmds <- func() { fn(); close(ack) }:
+	case <-b.done:
+		return ErrStopped
+	}
+	select {
+	case <-ack:
+		return nil
+	case <-b.done:
+		return ErrStopped
 	}
 }
 
-// loads polls every cluster's lock-free load snapshot. Clusters behind
-// an open partition window (checked against the fleet's virtual clock)
-// are masked to a zero LoadInfo so the router skips them.
-func (b *Broker) loads(now float64) []cluster.LoadInfo {
-	out := make([]cluster.LoadInfo, len(b.engines))
-	for i, e := range b.engines {
-		if scenario.Partitioned(b.topo.Partitions, i, now) {
-			continue
-		}
-		out[i] = e.Load()
-	}
-	return out
-}
-
-// virtualNow returns the fleet's virtual clock: the maximum engine
-// clock (they advance in lockstep under a shared pacer; free-running
-// fleets take the frontier). 0 when no partitions are configured — the
-// windows are the only consumer, so the healthy fleet never pays the
-// mailbox round-trips.
+// virtualNow returns the fleet's virtual clock.
 func (b *Broker) virtualNow() float64 {
-	if len(b.topo.Partitions) == 0 {
-		return 0
-	}
-	var now float64
-	for _, e := range b.engines {
-		if v, err := e.VirtualNow(); err == nil && v > now {
-			now = v
+	now := b.des.Now()
+	if b.pacer != nil {
+		if v := b.pacer.VirtualNow(time.Now()); v > now {
+			return v
 		}
 	}
 	return now
 }
 
-// drainFeeds folds the pending engine events into broker state (caller
-// holds mu).
-func (b *Broker) drainFeeds() {
-	b.feedMu.Lock()
-	killed := b.pendingKilled
-	done := b.pendingDone
-	b.pendingKilled, b.pendingDone = nil, nil
-	b.feedMu.Unlock()
-	for _, t := range killed {
-		if c := b.campaigns[t.BagID]; c != nil {
-			c.Killed++
-		}
-		b.stock = append(b.stock, t)
-	}
-	for _, ev := range done {
-		if c := b.campaigns[ev.task.BagID]; c != nil {
-			c.Completed++
-			c.PerCluster[ev.cluster]++
-			if c.Completed >= c.Tasks {
-				c.Done = true
-			}
-		}
-	}
-}
-
-// tick is one redistribution round: fold kill/done events, grant stock
-// tasks to clusters with room, and apply exchange migrations.
+// tick is one redistribution round: grant stock tasks to clusters with
+// room, then apply the router's exchange migrations.
 func (b *Broker) tick() {
 	now := b.virtualNow()
-	b.mu.Lock()
-	b.drainFeeds()
-	loads := b.loads(now)
-	var batches [][]cluster.BETask
-	if len(b.stock) > 0 {
-		grants := b.router.Grants(loads, len(b.stock))
-		batches = make([][]cluster.BETask, len(b.engines))
-		for i, n := range grants {
-			// Partitioned clusters get nothing even when the router's
-			// remainder arithmetic grants them tasks over their masked
-			// loads; the tasks stay central until a later tick.
-			if n <= 0 || scenario.Partitioned(b.topo.Partitions, i, now) {
-				continue
-			}
-			if n > len(b.stock) {
-				n = len(b.stock)
-			}
-			batches[i] = append([]cluster.BETask(nil), b.stock[:n]...)
-			b.stock = b.stock[n:]
-		}
-	}
-	moves := b.router.Moves(loads)
-	b.mu.Unlock()
-
-	for i, batch := range batches {
-		if len(batch) > 0 {
-			_ = b.engines[i].SubmitBestEffort(batch...)
-		}
-	}
-	cut := b.topo.Partitions
-	for _, mv := range moves {
-		if scenario.Partitioned(cut, mv.Src, now) || scenario.Partitioned(cut, mv.Dst, now) {
-			continue
-		}
-		b.applyMove(mv)
-	}
+	b.stock = b.fleet.Grant(now, b.stock)
+	b.migrations += b.fleet.Migrate(now, b.moved)
 }
 
-// applyMove executes one queued-job migration plan entry: steal up to N
-// jobs from the source engine and re-inject the ones that fit the
-// destination (misfits go straight back to the source). The whole
-// steal→re-place sequence runs under mu so a concurrent Job lookup never
-// observes the in-between state where a live job is tracked by no engine
-// (engine loops never take mu, so holding it across mailbox calls is
-// deadlock-free).
-func (b *Broker) applyMove(mv grid.Move) {
-	if mv.Src == mv.Dst || mv.Src < 0 || mv.Dst < 0 ||
-		mv.Src >= len(b.engines) || mv.Dst >= len(b.engines) {
-		return
+// moved re-homes a migrated job's record and counts.
+func (b *Broker) moved(j *workload.Job, src, dst int, _ float64) {
+	if rec := b.jobs[j.ID]; rec != nil {
+		rec.home = dst
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	stolen, err := b.engines[mv.Src].StealQueued(mv.N)
-	if err != nil || len(stolen) == 0 {
-		return
+	b.counts[src].tracked--
+	b.counts[src].waiting--
+	b.counts[dst].tracked++
+	b.counts[dst].waiting++
+}
+
+// track records a freshly accepted job on cluster home.
+func (b *Broker) track(j *workload.Job, home int) *jobRecord {
+	rec := &jobRecord{
+		status: JobStatus{ID: j.ID, Name: j.Name, Class: j.Class, State: StateWaiting, Release: j.Release},
+		home:   home,
 	}
-	dstM := b.engines[mv.Dst].M()
-	var fit, misfit []*workload.Job
-	for _, j := range stolen {
-		if j.MinProcs <= dstM {
-			fit = append(fit, j)
-		} else {
-			misfit = append(misfit, j)
-		}
-	}
-	if len(misfit) > 0 {
-		_ = b.engines[mv.Src].SubmitJobs(misfit)
-	}
-	if len(fit) == 0 {
-		return
-	}
-	if err := b.engines[mv.Dst].SubmitJobs(fit); err != nil {
-		// Destination refused (e.g. a racing drain): put them back.
-		_ = b.engines[mv.Src].SubmitJobs(fit)
-		return
-	}
-	for _, j := range fit {
-		b.jobHome[j.ID] = mv.Dst
-	}
-	b.migrations += len(fit)
+	b.jobs[j.ID] = rec
+	b.counts[home].tracked++
+	b.counts[home].waiting++
+	b.submitted++
+	return rec
+}
+
+// status returns a job record's status tagged with its cluster.
+func (b *Broker) status(rec *jobRecord) JobStatus {
+	st := rec.status
+	st.Cluster = b.topo.Clusters[rec.home].Name
+	return st
 }
 
 // Submit routes one job described by spec across the fleet and submits
 // it. The assigned global job ID is unique across all clusters.
-func (b *Broker) Submit(spec service.JobSpec) (JobStatus, error) {
-	b.mu.Lock()
-	id := b.nextJobID
-	j, err := spec.Job(id)
+func (b *Broker) Submit(spec JobSpec) (JobStatus, error) {
+	var st JobStatus
+	var err error
+	if derr := b.do(func() { st, err = b.submit(spec) }); derr != nil {
+		return JobStatus{}, derr
+	}
+	return st, err
+}
+
+func (b *Broker) submit(spec JobSpec) (JobStatus, error) {
+	j, err := spec.Job(b.nextJobID)
 	if err != nil {
-		b.mu.Unlock()
 		return JobStatus{}, err
 	}
-	idx := -1
 	now := b.virtualNow()
+	idx := -1
 	if spec.Cluster != "" {
-		for i, n := range b.names {
-			if n == spec.Cluster {
+		for i, c := range b.topo.Clusters {
+			if c.Name == spec.Cluster {
 				idx = i
 				break
 			}
 		}
 		if idx < 0 {
-			b.mu.Unlock()
 			return JobStatus{}, fmt.Errorf("gridservice: unknown cluster %q", spec.Cluster)
 		}
 		if scenario.Partitioned(b.topo.Partitions, idx, now) {
-			b.mu.Unlock()
 			return JobStatus{}, fmt.Errorf("gridservice: cluster %q: %w", spec.Cluster, ErrPartitioned)
 		}
-		if j.MinProcs > b.engines[idx].M() {
-			b.mu.Unlock()
+		if m := b.topo.Clusters[idx].M; j.MinProcs > m {
 			return JobStatus{}, fmt.Errorf("gridservice: job needs %d > %d procs on cluster %s",
-				j.MinProcs, b.engines[idx].M(), spec.Cluster)
+				j.MinProcs, m, spec.Cluster)
 		}
-	} else {
-		idx = b.router.Route(j.MinProcs, b.loads(now))
-		if idx < 0 {
-			b.mu.Unlock()
-			return JobStatus{}, ErrNoCluster
-		}
+	} else if idx = b.fleet.Router.Route(j.MinProcs, b.fleet.Loads(now)); idx < 0 {
+		return JobStatus{}, ErrNoCluster
 	}
-	b.nextJobID++
-	b.jobHome[id] = idx
-	b.submitted++
-	eng := b.engines[idx]
-	b.mu.Unlock()
-
-	if err := eng.SubmitJobs([]*workload.Job{j}); err != nil {
-		b.mu.Lock()
-		delete(b.jobHome, id)
-		b.submitted--
-		b.mu.Unlock()
+	if err := b.fleet.Sims[idx].Submit(j); err != nil {
 		return JobStatus{}, err
 	}
-	return JobStatus{
-		JobStatus: service.JobStatus{
-			ID: id, Name: j.Name, Class: j.Class,
-			State: service.StateWaiting, Release: j.Release,
-		},
-		Cluster: b.names[idx],
-	}, nil
+	b.nextJobID++
+	return b.status(b.track(j, idx)), nil
 }
 
-// SubmitBatch routes and submits pre-built jobs (trace replay) with one
-// atomic batch per engine. Routing runs against a fleet-start load model
-// evolved only by the batch itself, never against live wall-clock state —
-// this is what makes a broker replay deterministic and comparable to the
-// offline grid runs (the same stream routes identically on every run).
-// Job IDs must be unique across the fleet's history.
+// SubmitBatch routes and submits pre-built jobs (trace replay) in one
+// command: either every job is scheduled before any simulation event
+// runs, or none is. Routing runs against a fleet-start load model
+// evolved only by the batch itself, never against live wall-clock state
+// — this is what makes a broker replay deterministic and comparable to
+// the offline grid runs (the same stream routes identically on every
+// run). Job IDs must be unique across the fleet's history.
 func (b *Broker) SubmitBatch(jobs []*workload.Job) error {
-	b.mu.Lock()
-	model := make([]cluster.LoadInfo, len(b.engines))
-	for i, spec := range b.topo.Clusters {
-		model[i] = cluster.LoadInfo{M: spec.M, Speed: spec.Speed, Free: spec.M}
-	}
-	perEngine := make([][]*workload.Job, len(b.engines))
-	routed := make(map[int]int, len(jobs))
-	for _, j := range jobs {
-		if _, dup := b.jobHome[j.ID]; dup {
-			b.mu.Unlock()
-			return fmt.Errorf("gridservice: duplicate job ID %d", j.ID)
-		}
-		if _, dup := routed[j.ID]; dup {
-			b.mu.Unlock()
-			return fmt.Errorf("gridservice: duplicate job ID %d in batch", j.ID)
-		}
-		idx := b.router.Route(j.MinProcs, model)
-		if idx < 0 {
-			b.mu.Unlock()
-			return fmt.Errorf("gridservice: job %d: %w", j.ID, ErrNoCluster)
-		}
-		perEngine[idx] = append(perEngine[idx], j)
-		routed[j.ID] = idx
-		w, _ := j.MinWork(model[idx].M)
-		model[idx].Queued++
-		model[idx].QueuedWork += w
-	}
-	for id, idx := range routed {
-		b.jobHome[id] = idx
-		if id >= b.nextJobID {
-			b.nextJobID = id + 1
-		}
-	}
-	b.submitted += len(jobs)
-	b.mu.Unlock()
-
-	var firstErr error
-	for i, batch := range perEngine {
-		if len(batch) == 0 {
-			continue
-		}
-		if err := b.engines[i].SubmitJobs(batch); err != nil {
-			// SubmitJobs is atomic per engine: a refusal (e.g. drained)
-			// means none of this engine's share was accepted, so undo its
-			// bookkeeping — a retry must not see phantom submissions or
-			// spurious duplicate-ID errors.
-			b.mu.Lock()
-			for _, j := range batch {
-				delete(b.jobHome, j.ID)
+	var err error
+	derr := b.do(func() {
+		seen := make(map[int]bool, len(jobs))
+		for _, j := range jobs {
+			if _, dup := b.jobs[j.ID]; dup || seen[j.ID] {
+				err = fmt.Errorf("gridservice: duplicate job ID %d", j.ID)
+				return
 			}
-			b.submitted -= len(batch)
-			b.mu.Unlock()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("gridservice: cluster %s: %w", b.names[i], err)
+			seen[j.ID] = true
+			if err = j.Validate(); err != nil {
+				err = fmt.Errorf("gridservice: %w", err)
+				return
 			}
 		}
+		model := make([]cluster.LoadInfo, len(b.fleet.Sims))
+		for i, spec := range b.topo.Clusters {
+			model[i] = cluster.LoadInfo{M: spec.M, Speed: spec.Speed, Free: spec.M}
+		}
+		home := make([]int, len(jobs))
+		perCluster := make([][]*workload.Job, len(b.fleet.Sims))
+		for k, j := range jobs {
+			idx := b.fleet.Router.Route(j.MinProcs, model)
+			if idx < 0 {
+				err = fmt.Errorf("gridservice: job %d: %w", j.ID, ErrNoCluster)
+				return
+			}
+			home[k] = idx
+			perCluster[idx] = append(perCluster[idx], j)
+			w, _ := j.MinWork(model[idx].M)
+			model[idx].Queued++
+			model[idx].QueuedWork += w
+		}
+		// Every job fits its cluster (the router checked), so only a
+		// drained fleet refuses a share — and it refuses the first, before
+		// any other is submitted.
+		for i, batch := range perCluster {
+			if len(batch) == 0 {
+				continue
+			}
+			if err = b.fleet.Sims[i].SubmitAll(batch); err != nil {
+				err = fmt.Errorf("gridservice: cluster %s: %w", b.topo.Clusters[i].Name, err)
+				return
+			}
+		}
+		for k, j := range jobs {
+			b.track(j, home[k])
+			if j.ID >= b.nextJobID {
+				b.nextJobID = j.ID + 1
+			}
+		}
+	})
+	if derr != nil {
+		return derr
 	}
-	return firstErr
+	return err
 }
 
 // SubmitCampaign accepts a bag-of-tasks campaign into the central stock
-// and wakes the tick loop so the fan-out starts immediately.
+// and starts the fan-out at once.
 func (b *Broker) SubmitCampaign(spec CampaignSpec) (Campaign, error) {
 	if spec.Tasks <= 0 {
 		return Campaign{}, fmt.Errorf("gridservice: campaign needs tasks > 0")
 	}
+	if spec.Tasks > maxCampaignTasks {
+		return Campaign{}, fmt.Errorf("gridservice: campaign of %d tasks exceeds the cap of %d", spec.Tasks, maxCampaignTasks)
+	}
 	if spec.RunTime <= 0 {
 		return Campaign{}, fmt.Errorf("gridservice: campaign needs run_time > 0")
 	}
-	b.mu.Lock()
-	id := b.nextCamp
-	b.nextCamp++
-	c := &Campaign{
-		ID: id, Name: spec.Name, Tasks: spec.Tasks, RunTime: spec.RunTime,
-		PerCluster: make([]int, len(b.engines)),
-	}
-	b.campaigns[id] = c
-	for i := 0; i < spec.Tasks; i++ {
-		b.stock = append(b.stock, cluster.BETask{BagID: id, Duration: spec.RunTime})
-	}
-	snap := *c
-	snap.PerCluster = append([]int(nil), c.PerCluster...)
-	b.mu.Unlock()
-	b.kickNow()
-	return snap, nil
-}
-
-// CampaignStatus returns one campaign (fresh as of the last tick).
-func (b *Broker) CampaignStatus(id int) (Campaign, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.drainFeeds()
-	c, ok := b.campaigns[id]
-	if !ok {
-		return Campaign{}, false
-	}
-	snap := *c
-	snap.PerCluster = append([]int(nil), c.PerCluster...)
-	return snap, true
-}
-
-// Campaigns lists every campaign in ID order.
-func (b *Broker) Campaigns() []Campaign {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.drainFeeds()
-	out := make([]Campaign, 0, len(b.campaigns))
-	for id := 0; id < b.nextCamp; id++ {
-		if c, ok := b.campaigns[id]; ok {
-			snap := *c
-			snap.PerCluster = append([]int(nil), c.PerCluster...)
-			out = append(out, snap)
+	var snap Campaign
+	err := b.do(func() {
+		c := &Campaign{
+			ID: len(b.campaigns), Name: spec.Name, Tasks: spec.Tasks, RunTime: spec.RunTime,
+			PerCluster: make([]int, len(b.fleet.Sims)),
 		}
-	}
+		b.campaigns = append(b.campaigns, c)
+		for i := 0; i < spec.Tasks; i++ {
+			b.stock = append(b.stock, cluster.BETask{BagID: c.ID, Duration: spec.RunTime})
+		}
+		snap = c.snapshot()
+		b.tick()
+	})
+	return snap, err
+}
+
+// snapshot copies the campaign for a caller off the loop.
+func (c *Campaign) snapshot() Campaign {
+	snap := *c
+	snap.PerCluster = append([]int(nil), c.PerCluster...)
+	return snap
+}
+
+// CampaignStatus returns one campaign; a stopped broker knows none.
+func (b *Broker) CampaignStatus(id int) (Campaign, bool) {
+	var snap Campaign
+	ok := false
+	_ = b.do(func() { // ErrStopped leaves ok false
+		if ok = id >= 0 && id < len(b.campaigns); ok {
+			snap = b.campaigns[id].snapshot()
+		}
+	})
+	return snap, ok
+}
+
+// Campaigns lists every campaign in ID order; a stopped broker lists
+// none.
+func (b *Broker) Campaigns() []Campaign {
+	out := []Campaign{}
+	_ = b.do(func() { // ErrStopped leaves the list empty
+		out = make([]Campaign, len(b.campaigns))
+		for i, c := range b.campaigns {
+			out[i] = c.snapshot()
+		}
+	})
 	return out
 }
 
-// Job resolves a global job ID to its status and cluster. A miss on the
-// recorded home cluster is retried under mu: that serializes with any
-// in-flight migration (applyMove holds mu from steal to re-place), so an
-// accepted job is never reported unknown just because it was mid-move.
+// Job resolves a global job ID to its status and cluster.
 func (b *Broker) Job(id int) (JobStatus, bool, error) {
-	b.mu.Lock()
-	idx, ok := b.jobHome[id]
-	b.mu.Unlock()
-	if !ok {
-		return JobStatus{}, false, nil
-	}
-	st, found, err := b.engines[idx].Job(id)
-	if err != nil {
-		return JobStatus{}, false, err
-	}
-	if !found {
-		b.mu.Lock()
-		idx, ok = b.jobHome[id]
-		if ok {
-			st, found, err = b.engines[idx].Job(id)
+	var st JobStatus
+	ok := false
+	err := b.do(func() {
+		if rec := b.jobs[id]; rec != nil {
+			st, ok = b.status(rec), true
 		}
-		b.mu.Unlock()
-		if err != nil || !found {
-			return JobStatus{}, found, err
-		}
-	}
-	return JobStatus{JobStatus: st, Cluster: b.names[idx]}, true, nil
+	})
+	return st, ok, err
 }
 
-// Queue snapshots every cluster's waiting and running jobs.
+// Queue snapshots every cluster's waiting and running jobs (empty
+// lists, never nil, so the JSON arrays are never null). Waiting is the
+// cluster's queue in scheduling order followed by its submitted jobs
+// that have not arrived yet (future release under dilation) in ID
+// order; both carry StateWaiting, and together they match the cluster's
+// stats waiting count.
 func (b *Broker) Queue() ([]ClusterQueue, error) {
-	out := make([]ClusterQueue, len(b.engines))
-	for i, e := range b.engines {
-		snap, err := e.Queue()
-		if err != nil {
-			return nil, err
+	var out []ClusterQueue
+	err := b.do(func() {
+		now := b.virtualNow()
+		out = make([]ClusterQueue, len(b.fleet.Sims))
+		queued := make(map[int]bool)
+		for i, cs := range b.fleet.Sims {
+			q := QueueSnapshot{VirtualNow: now, Waiting: []JobStatus{}, Running: []JobStatus{}}
+			for _, j := range cs.Queued() {
+				if rec := b.jobs[j.ID]; rec != nil {
+					q.Waiting = append(q.Waiting, rec.status)
+					queued[j.ID] = true
+				}
+			}
+			for _, j := range cs.Running() {
+				if rec := b.jobs[j.ID]; rec != nil {
+					q.Running = append(q.Running, rec.status)
+				}
+			}
+			out[i] = ClusterQueue{Name: b.topo.Clusters[i].Name, QueueSnapshot: q}
 		}
-		out[i] = ClusterQueue{Name: b.names[i], QueueSnapshot: snap}
-	}
-	return out, nil
+		var pending []int
+		for id, rec := range b.jobs {
+			if rec.status.State == StateWaiting && !queued[id] {
+				pending = append(pending, id)
+			}
+		}
+		sort.Ints(pending)
+		for _, id := range pending {
+			rec := b.jobs[id]
+			out[rec.home].Waiting = append(out[rec.home].Waiting, rec.status)
+		}
+	})
+	return out, err
 }
 
-// Stats aggregates per-cluster and fleet-wide statistics.
+// Stats aggregates per-cluster and fleet-wide statistics. The criteria
+// reports come from each Sim's streaming accumulator, so a scrape is
+// O(clusters) no matter how old the daemon is.
 func (b *Broker) Stats() (FleetStats, error) {
-	per := make([]ClusterStats, len(b.engines))
-	for i, e := range b.engines {
-		st, err := e.Stats()
-		if err != nil {
-			return FleetStats{}, err
-		}
-		per[i] = ClusterStats{Name: b.names[i], Stats: st}
-	}
-	b.mu.Lock()
-	b.drainFeeds()
+	var st FleetStats
+	err := b.do(func() { st = b.stats() })
+	return st, err
+}
+
+func (b *Broker) stats() FleetStats {
+	now := b.virtualNow()
+	uptime := time.Since(b.started).Seconds()
 	fleet := FleetTotals{
-		Clusters:      len(b.engines),
+		Clusters:      len(b.fleet.Sims),
 		Submitted:     b.submitted,
 		Migrations:    b.migrations,
 		Stock:         len(b.stock),
 		Campaigns:     len(b.campaigns),
-		UptimeSeconds: time.Since(b.started).Seconds(),
+		VirtualNow:    now,
+		UptimeSeconds: uptime,
 	}
 	for _, c := range b.campaigns {
 		if c.Done {
 			fleet.CampaignsDone++
 		}
 	}
-	b.mu.Unlock()
-	for _, p := range per {
-		fleet.Procs += p.Stats.M
-		fleet.Waiting += p.Stats.Waiting
-		fleet.Running += p.Stats.Running
-		fleet.Completed += p.Stats.Completed
-		fleet.BestEffort.Completed += p.Stats.BestEffort.Completed
-		fleet.BestEffort.Killed += p.Stats.BestEffort.Killed
-		fleet.BestEffort.Redistributed += p.Stats.BestEffort.Redistributed
-		fleet.BestEffort.DoneWork += p.Stats.BestEffort.DoneWork
-		fleet.BestEffort.WastedWork += p.Stats.BestEffort.WastedWork
-		fleet.Faults.Crashes += p.Stats.Report.Faults.Crashes
-		fleet.Faults.Repairs += p.Stats.Report.Faults.Repairs
-		fleet.Faults.Requeues += p.Stats.Report.Faults.Requeues
-		fleet.Faults.LostWork += p.Stats.Report.Faults.LostWork
-		fleet.Faults.DownProcSeconds += p.Stats.Report.Faults.DownProcSeconds
-		if p.Stats.VirtualNow > fleet.VirtualNow {
-			fleet.VirtualNow = p.Stats.VirtualNow
+	per := make([]ClusterStats, len(b.fleet.Sims))
+	for i, cs := range b.fleet.Sims {
+		spec, c := b.topo.Clusters[i], b.counts[i]
+		st := Stats{
+			Policy: spec.Policy, M: spec.M, Speed: spec.Speed, Dilation: b.topo.Dilation,
+			VirtualNow: now, UptimeSeconds: uptime,
+			Submitted: c.tracked, Waiting: c.waiting, Running: c.running, Completed: c.completed,
+			Drained: cs.Drained(), BestEffort: cs.BestEffort(), Report: cs.Report(),
 		}
+		per[i] = ClusterStats{Name: spec.Name, Stats: st}
+		fleet.Procs += st.M
+		fleet.Waiting += st.Waiting
+		fleet.Running += st.Running
+		fleet.Completed += st.Completed
+		fleet.BestEffort.Completed += st.BestEffort.Completed
+		fleet.BestEffort.Killed += st.BestEffort.Killed
+		fleet.BestEffort.Redistributed += st.BestEffort.Redistributed
+		fleet.BestEffort.DoneWork += st.BestEffort.DoneWork
+		fleet.BestEffort.WastedWork += st.BestEffort.WastedWork
+		fleet.Faults.Crashes += st.Report.Faults.Crashes
+		fleet.Faults.Repairs += st.Report.Faults.Repairs
+		fleet.Faults.Requeues += st.Report.Faults.Requeues
+		fleet.Faults.LostWork += st.Report.Faults.LostWork
+		fleet.Faults.DownProcSeconds += st.Report.Faults.DownProcSeconds
 	}
 	return FleetStats{
 		GridPolicy: b.topo.GridPolicy,
 		Dilation:   b.topo.Dilation,
 		Fleet:      fleet,
 		Clusters:   per,
-	}, nil
+	}
 }
 
-// Drain gracefully shuts the fleet down: stop the tick loop, refuse new
-// local work and fast-forward every engine, then keep redistributing the
-// central stock (killed campaign tasks included) until every campaign
-// task has completed or the context expires.
+// Drain gracefully shuts the fleet down: refuse new local work and
+// fast-forward every cluster regardless of dilation (every accepted job
+// still completes, immediately rather than in wall time), then keep
+// redistributing the central stock (killed campaign tasks included)
+// until every campaign task has completed or the context expires. The
+// loop keeps answering queries between rounds, and free-runs from here
+// on.
 func (b *Broker) Drain(ctx context.Context) (FleetStats, error) {
-	b.stopOnce.Do(func() { close(b.quit) })
-	<-b.done
-	for _, e := range b.engines {
-		if _, err := e.Drain(ctx); err != nil {
-			return FleetStats{}, err
+	err := b.do(func() {
+		for _, cs := range b.fleet.Sims {
+			cs.Drain()
+		}
+		b.pacer = nil
+	})
+	for settled := false; err == nil && !settled; {
+		if err = ctx.Err(); err == nil {
+			err = b.do(func() { settled = b.settle() })
 		}
 	}
-	// Post-drain the engines free-run, so the leftover campaign work is
-	// a deterministic redistribution loop, not a wall-clock wait.
-	for {
-		if err := ctx.Err(); err != nil {
-			return FleetStats{}, err
-		}
-		b.mu.Lock()
-		b.drainFeeds()
-		stock := len(b.stock)
-		b.mu.Unlock()
-		busy := 0
-		for _, e := range b.engines {
-			ld := e.Load()
-			busy += ld.BEQueued + ld.BEActive
-		}
-		if stock == 0 && busy == 0 {
-			// One final fold: completions may have landed between the
-			// stock check and the engine poll.
-			b.mu.Lock()
-			b.drainFeeds()
-			stuck := len(b.stock)
-			b.mu.Unlock()
-			if stuck == 0 {
-				break
-			}
-			continue
-		}
-		if stock > 0 {
-			b.tick()
-		}
-		for _, e := range b.engines {
-			if err := e.Sync(); err != nil {
-				return FleetStats{}, err
-			}
-		}
+	if err != nil {
+		return FleetStats{}, err
 	}
 	return b.Stats()
+}
+
+// settle runs one drain round: fast-forward, then report whether the
+// stock and every cluster's best-effort work are empty, or grant the
+// stock again.
+func (b *Broker) settle() bool {
+	_ = b.des.Run()
+	busy := len(b.stock) > 0
+	for _, cs := range b.fleet.Sims {
+		ld := cs.Load()
+		busy = busy || ld.BEQueued+ld.BEActive > 0
+	}
+	if busy {
+		b.tick()
+	}
+	return !busy
 }

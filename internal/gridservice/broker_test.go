@@ -10,7 +10,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/platform"
 	"repro/internal/registry"
-	"repro/internal/service"
 	"repro/internal/workload"
 )
 
@@ -149,7 +148,7 @@ func matchOffline(t *testing.T, k int, policy string) {
 		for _, cpl := range off.LocalCompletions(i) {
 			want[cpl.Job.ID] = completionKey{start: cpl.Start, end: cpl.End, procs: cpl.Procs}
 		}
-		got, err := b.engines[i].Completions()
+		got, err := b.completions(i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -428,6 +427,6 @@ func TestBrokerDecentralizedMigrates(t *testing.T) {
 	}
 }
 
-func serviceSpec(minProcs int) service.JobSpec {
-	return service.JobSpec{SeqTime: 10 * float64(minProcs), MinProcs: minProcs}
+func serviceSpec(minProcs int) JobSpec {
+	return JobSpec{SeqTime: 10 * float64(minProcs), MinProcs: minProcs}
 }

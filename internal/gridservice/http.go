@@ -14,7 +14,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/registry"
-	"repro/internal/service"
 )
 
 // Handler returns the gridd HTTP API, every route under /v1; runs
@@ -59,14 +58,14 @@ func (b *Broker) routes(mux api.Router, runs *api.RunService) {
 }
 
 func (b *Broker) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec service.JobSpec
+	var spec JobSpec
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
 		api.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad job spec: %v", err))
 		return
 	}
 	st, err := b.Submit(spec)
 	switch {
-	case errors.Is(err, cluster.ErrDrained) || errors.Is(err, service.ErrStopped):
+	case errors.Is(err, cluster.ErrDrained) || errors.Is(err, ErrStopped):
 		api.WriteError(w, http.StatusServiceUnavailable, err.Error())
 	case err != nil:
 		api.WriteError(w, http.StatusBadRequest, err.Error())
@@ -154,54 +153,54 @@ func (b *Broker) statsHandler(runs *api.RunService) http.HandlerFunc {
 // once per cluster with a {cluster="name"} label.
 var clusterSeries = []struct {
 	name, help, typ string
-	get             func(s service.Stats) float64
+	get             func(s Stats) float64
 }{
 	{"gridd_cluster_processors", "Cluster width.", "gauge",
-		func(s service.Stats) float64 { return float64(s.M) }},
+		func(s Stats) float64 { return float64(s.M) }},
 	// Gauge, not counter: migrations move tracked jobs between clusters,
 	// so the per-cluster value can decrease.
 	{"gridd_cluster_jobs_tracked", "Jobs tracked by this cluster (migrations move them).", "gauge",
-		func(s service.Stats) float64 { return float64(s.Submitted) }},
+		func(s Stats) float64 { return float64(s.Submitted) }},
 	{"gridd_cluster_jobs_completed_total", "Jobs completed on this cluster.", "counter",
-		func(s service.Stats) float64 { return float64(s.Completed) }},
+		func(s Stats) float64 { return float64(s.Completed) }},
 	{"gridd_cluster_jobs_waiting", "Jobs waiting on this cluster (pending arrival or queued).", "gauge",
-		func(s service.Stats) float64 { return float64(s.Waiting) }},
+		func(s Stats) float64 { return float64(s.Waiting) }},
 	{"gridd_cluster_jobs_running", "Jobs running on this cluster.", "gauge",
-		func(s service.Stats) float64 { return float64(s.Running) }},
+		func(s Stats) float64 { return float64(s.Running) }},
 	{"gridd_cluster_utilization_ratio", "Processor-time utilization.", "gauge",
-		func(s service.Stats) float64 { return s.Report.Utilization }},
+		func(s Stats) float64 { return s.Report.Utilization }},
 	{"gridd_cluster_makespan_seconds", "Cmax over completed jobs.", "gauge",
-		func(s service.Stats) float64 { return s.Report.Makespan }},
+		func(s Stats) float64 { return s.Report.Makespan }},
 	{"gridd_cluster_mean_flow_seconds", "Mean flow over completed jobs.", "gauge",
-		func(s service.Stats) float64 { return s.Report.MeanFlow }},
+		func(s Stats) float64 { return s.Report.MeanFlow }},
 	{"gridd_cluster_max_flow_seconds", "Max flow over completed jobs.", "gauge",
-		func(s service.Stats) float64 { return s.Report.MaxFlow }},
+		func(s Stats) float64 { return s.Report.MaxFlow }},
 	{"gridd_cluster_mean_stretch", "Mean normalized stretch over completed jobs.", "gauge",
-		func(s service.Stats) float64 { return s.Report.MeanStretch }},
+		func(s Stats) float64 { return s.Report.MeanStretch }},
 	{"gridd_cluster_max_stretch", "Max normalized stretch over completed jobs.", "gauge",
-		func(s service.Stats) float64 { return s.Report.MaxStretch }},
+		func(s Stats) float64 { return s.Report.MaxStretch }},
 	{"gridd_cluster_best_effort_completed_total", "Best-effort tasks completed here.", "counter",
-		func(s service.Stats) float64 { return float64(s.BestEffort.Completed) }},
+		func(s Stats) float64 { return float64(s.BestEffort.Completed) }},
 	{"gridd_cluster_best_effort_killed_total", "Best-effort tasks killed here.", "counter",
-		func(s service.Stats) float64 { return float64(s.BestEffort.Killed) }},
+		func(s Stats) float64 { return float64(s.BestEffort.Killed) }},
 	{"gridd_cluster_best_effort_redistributed_total", "Killed best-effort tasks re-arrived after drifting through the stock.", "counter",
-		func(s service.Stats) float64 { return float64(s.BestEffort.Redistributed) }},
+		func(s Stats) float64 { return float64(s.BestEffort.Redistributed) }},
 	{"gridd_cluster_fault_crashes_total", "Capacity-loss events injected.", "counter",
-		func(s service.Stats) float64 { return float64(s.Report.Faults.Crashes) }},
+		func(s Stats) float64 { return float64(s.Report.Faults.Crashes) }},
 	{"gridd_cluster_fault_repairs_total", "Capacity-return events.", "counter",
-		func(s service.Stats) float64 { return float64(s.Report.Faults.Repairs) }},
+		func(s Stats) float64 { return float64(s.Report.Faults.Repairs) }},
 	{"gridd_cluster_fault_requeues_total", "Local jobs killed by crashes and requeued.", "counter",
-		func(s service.Stats) float64 { return float64(s.Report.Faults.Requeues) }},
+		func(s Stats) float64 { return float64(s.Report.Faults.Requeues) }},
 	{"gridd_cluster_fault_lost_work_seconds", "Reference-speed work destroyed by crashes.", "counter",
-		func(s service.Stats) float64 { return s.Report.Faults.LostWork }},
+		func(s Stats) float64 { return s.Report.Faults.LostWork }},
 	{"gridd_cluster_fault_down_proc_seconds", "Integrated unavailable capacity.", "counter",
-		func(s service.Stats) float64 { return s.Report.Faults.DownProcSeconds }},
+		func(s Stats) float64 { return s.Report.Faults.DownProcSeconds }},
 	{"gridd_cluster_virtual_time_seconds", "Cluster virtual clock.", "gauge",
-		func(s service.Stats) float64 { return s.VirtualNow }},
+		func(s Stats) float64 { return s.VirtualNow }},
 	{"gridd_cluster_time_dilation", "Simulated seconds per wall second (0 = free-running).", "gauge",
-		func(s service.Stats) float64 { return s.Dilation }},
+		func(s Stats) float64 { return s.Dilation }},
 	{"gridd_cluster_drained", "1 once the cluster stopped accepting submissions.", "gauge",
-		func(s service.Stats) float64 {
+		func(s Stats) float64 {
 			if s.Drained {
 				return 1
 			}

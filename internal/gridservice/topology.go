@@ -36,9 +36,9 @@ type Topology struct {
 	// GridPolicy is the routing policy name (registry grid catalog).
 	// Default "centralized".
 	GridPolicy string `json:"grid_policy"`
-	// Dilation is the shared fleet clock: simulated seconds per wall
-	// second, 0 = free-running. Every engine runs the same dilation off
-	// one anchor so the fleet's virtual clocks advance in lockstep.
+	// Dilation is the fleet clock: simulated seconds per wall second,
+	// 0 = free-running. Every cluster runs on the broker's one DES, so
+	// the fleet shares one virtual clock.
 	Dilation float64 `json:"dilation"`
 	// Seed drives the weighted-random router.
 	Seed uint64 `json:"seed"`

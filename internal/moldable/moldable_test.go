@@ -272,12 +272,31 @@ func TestBaselines(t *testing.T) {
 	jobs := randomInstance(50, 40, 16)
 	costs := workload.Costs(jobs, 16)
 	lb := lowerbound.CmaxDualOf(costs, 16)
-	for name, f := range map[string]func() (*sched.Schedule, error){
-		"MinWorkListOf":  func() (*sched.Schedule, error) { return MinWorkListOf(costs, 16) },
-		"MaxProcsListOf": func() (*sched.Schedule, error) { return MaxProcsListOf(costs, 16) },
-		"GammaListOf":    func() (*sched.Schedule, error) { return GammaListOf(costs, 16, lb) },
-	} {
-		s, err := f()
+	baselines := map[string]func(costs []workload.Cost, m int, lb float64) (*sched.Schedule, error){
+		"MinWorkListOf":  func(c []workload.Cost, m int, _ float64) (*sched.Schedule, error) { return MinWorkListOf(c, m) },
+		"MaxProcsListOf": func(c []workload.Cost, m int, _ float64) (*sched.Schedule, error) { return MaxProcsListOf(c, m) },
+		"GammaListOf":    GammaListOf,
+	}
+	// A job no count on m = 4 fits gets MRT's error, not an allocation
+	// on 0 processors.
+	rigidWide := &workload.Job{
+		ID: 0, Kind: workload.Rigid, SeqTime: 10, MinProcs: 8, MaxProcs: 8,
+		Model: workload.Linear{}, Weight: 1, DueDate: -1,
+	}
+	moldableWide := &workload.Job{
+		ID: 0, Kind: workload.Moldable, SeqTime: 10, MinProcs: 6, MaxProcs: 12,
+		Model: workload.Linear{}, Weight: 1, DueDate: -1,
+	}
+	for name, f := range baselines {
+		for _, j := range []*workload.Job{rigidWide, moldableWide} {
+			_, err := f(workload.Costs([]*workload.Job{j}, 4), 4, 1)
+			if want := "moldable: job 0 cannot run on 4 processors"; err == nil || err.Error() != want {
+				t.Errorf("%s, job on [%d,%d] with m = 4: error %v, want %q", name, j.MinProcs, j.MaxProcs, err, want)
+			}
+		}
+	}
+	for name, f := range baselines {
+		s, err := f(costs, 16, lb)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -133,7 +133,8 @@ func (j *Job) WorkOn(p int) float64 { return float64(p) * j.TimeOn(p) }
 // tables. Returns (0, 0) if no allocation fits within m. Algorithms that
 // ask more than once per job keep its Cost summary instead. A scan is
 // O(MaxProcs): cluster.Sim runs one per queued job at admission and one
-// at its start only while LoadSnapshot polling is on.
+// at its start only while its queued-work tally is on (TallyQueuedWork),
+// and one per queued job per Load otherwise.
 func (j *Job) MinWork(m int) (work float64, procs int) {
 	best := math.Inf(1)
 	bestP := 0

@@ -13,7 +13,6 @@ import (
 	_ "repro/internal/experiments" // register scenario kinds + catalog
 	"repro/internal/gridservice"
 	"repro/internal/scenario"
-	"repro/internal/service"
 )
 
 // newTestDaemon starts a daemon with a default run service.
@@ -127,7 +126,7 @@ func TestJobsAPI(t *testing.T) {
 	c := newTestDaemon(t)
 	ctx := context.Background()
 
-	st, err := c.SubmitJob(ctx, service.JobSpec{Name: "j", SeqTime: 10, MinProcs: 1})
+	st, err := c.SubmitJob(ctx, gridservice.JobSpec{Name: "j", SeqTime: 10, MinProcs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +139,7 @@ func TestJobsAPI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if js.State == service.StateDone {
+		if js.State == gridservice.StateDone {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -152,10 +151,10 @@ func TestJobsAPI(t *testing.T) {
 	if err != nil || done != 1 {
 		t.Fatalf("completed = %d (%v)", done, err)
 	}
-	if _, err := c.SubmitJob(ctx, service.JobSpec{SeqTime: 1, MinProcs: 1000}); err == nil {
+	if _, err := c.SubmitJob(ctx, gridservice.JobSpec{SeqTime: 1, MinProcs: 1000}); err == nil {
 		t.Fatal("too-wide job must fail")
 	}
-	if _, err := c.SubmitJob(ctx, service.JobSpec{SeqTime: 1, Cluster: "nope"}); err == nil {
+	if _, err := c.SubmitJob(ctx, gridservice.JobSpec{SeqTime: 1, Cluster: "nope"}); err == nil {
 		t.Fatal("unknown cluster pin must fail")
 	}
 

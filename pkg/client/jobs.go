@@ -5,30 +5,23 @@ import (
 	"net/http"
 	"strconv"
 
-	"repro/internal/service"
+	"repro/internal/gridservice"
 )
 
 // Job and campaign API (the loadgen surface). Job payloads are the
-// service's own wire types.
-
-// JobAccepted is the submission answer: the job status, tagged with
-// the cluster the broker placed it on.
-type JobAccepted struct {
-	service.JobStatus
-	Cluster string `json:"cluster,omitempty"`
-}
+// broker's own wire types.
 
 // SubmitJob submits one job (POST /v1/jobs) and returns its accepted
-// status.
-func (c *Client) SubmitJob(ctx context.Context, spec service.JobSpec) (JobAccepted, error) {
-	var st JobAccepted
+// status, tagged with the cluster the broker placed it on.
+func (c *Client) SubmitJob(ctx context.Context, spec gridservice.JobSpec) (gridservice.JobStatus, error) {
+	var st gridservice.JobStatus
 	err := c.do(ctx, http.MethodPost, "/v1/jobs", spec, &st)
 	return st, err
 }
 
 // Job fetches one job's status.
-func (c *Client) Job(ctx context.Context, id int) (service.JobStatus, error) {
-	var st service.JobStatus
+func (c *Client) Job(ctx context.Context, id int) (gridservice.JobStatus, error) {
+	var st gridservice.JobStatus
 	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+strconv.Itoa(id), nil, &st)
 	return st, err
 }
