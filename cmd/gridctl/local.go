@@ -165,8 +165,10 @@ func runPolicy(name string, jobs []*workload.Job, m int, online bool) (*sched.Sc
 	if err != nil {
 		return nil, err
 	}
-	if err := sim.SubmitAll(jobs); err != nil {
-		return nil, err
+	for _, j := range jobs {
+		if err := sim.Submit(j); err != nil {
+			return nil, err
+		}
 	}
 	if err := sim.Run(); err != nil {
 		return nil, err

@@ -39,10 +39,12 @@ func main() {
 	// One multi-parametric campaign: 3000 runs of ~60 s.
 	bags := []*workload.Bag{{ID: 0, Runs: 3000, RunTime: 60}}
 
-	g, err := grid.NewCentralized(members, bags, cluster.KillNewest)
+	g, err := grid.NewRouted(members, nil, bags, grid.NewCentralizedRouter(grid.RouterOptions{}),
+		grid.RoutedOptions{}, cluster.KillNewest)
 	if err != nil {
 		log.Fatal(err)
 	}
+	g.FeedOnIdle()
 	if err := g.Run(); err != nil {
 		log.Fatal(err)
 	}
@@ -56,7 +58,7 @@ func main() {
 
 	fmt.Println("\nper-cluster local service (grid jobs never delay local users):")
 	for i, cl := range ciment.Clusters {
-		cs := g.LocalCompletions(i)
+		cs := g.Sim(i).Completions()
 		fmt.Printf("  %-9s %3d local jobs, mean flow %8.0f s, BE done %d / killed %d\n",
 			cl.Name, len(cs), metrics.MeanFlow(cs),
 			st.PerCluster[i].Completed, st.PerCluster[i].Killed)

@@ -103,21 +103,19 @@ func TestFullPipelineCIMENTGrid(t *testing.T) {
 		members = append(members, grid.Member{Cluster: cl, Policy: cluster.EASYPolicy{}, Local: jobs})
 	}
 	bags := []*workload.Bag{{ID: 0, Runs: 300, RunTime: 45}}
-	ciGri, err := grid.NewCentralized(members, bags, 0)
+	ciGri, err := grid.NewRouted(members, nil, bags, grid.NewCentralizedRouter(grid.RouterOptions{}),
+		grid.RoutedOptions{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ciGri.FeedOnIdle()
 	if err := ciGri.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if ciGri.Stats().TasksCompleted != 300 {
 		t.Fatalf("grid completed %d of 300", ciGri.Stats().TasksCompleted)
 	}
-	total := 0
-	for i := 0; i < ciGri.Members(); i++ {
-		total += len(ciGri.LocalCompletions(i))
-	}
-	if total != id {
+	if total := len(ciGri.AllCompletions()); total != id {
 		t.Fatalf("local completions %d of %d", total, id)
 	}
 }

@@ -408,8 +408,8 @@ func (s *Sim) Load() LoadInfo {
 }
 
 // admit appends one job to the waiting queue from event context. All
-// four admission paths (Submit, SubmitAll, streamed arrival, InjectNow)
-// funnel through here so OnLocalSubmit observers see every arrival.
+// three admission paths (Submit, streamed arrival, InjectNow) funnel
+// through here so OnLocalSubmit observers see every arrival.
 func (s *Sim) admit(j *workload.Job) {
 	s.queue = append(s.queue, j)
 	s.tally(j, 1)
@@ -431,35 +431,6 @@ func (s *Sim) Submit(j *workload.Job) error {
 	return s.DES.At(math.Max(j.Release, s.DES.Now()), func() {
 		s.admit(j)
 	})
-}
-
-// SubmitAll submits a batch of local jobs in one heap operation
-// (des.AtBatch): arrival events get consecutive sequence numbers in
-// slice order, so the simulation is indistinguishable from a Submit
-// loop — only the insertion cost changes. The whole batch is validated
-// first; on error nothing was submitted.
-func (s *Sim) SubmitAll(jobs []*workload.Job) error {
-	if s.drained {
-		return ErrDrained
-	}
-	for _, j := range jobs {
-		if j.MinProcs > s.M {
-			return fmt.Errorf("cluster: job %d needs %d > %d procs", j.ID, j.MinProcs, s.M)
-		}
-	}
-	now := s.DES.Now()
-	evs := make([]des.Event, len(jobs))
-	for i, j := range jobs {
-		j := j
-		evs[i] = des.Event{Time: math.Max(j.Release, now), Fn: func() {
-			s.admit(j)
-		}}
-	}
-	if err := s.DES.AtBatch(evs); err != nil {
-		return err
-	}
-	s.submitted += len(jobs)
-	return nil
 }
 
 // readAheadBatch is the number of jobs one read-ahead fill reads.

@@ -28,7 +28,7 @@ func runSim(t *testing.T, m int, speed float64, policy Policy, jobs []*workload.
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SubmitAll(jobs); err != nil {
+	if err := submitAll(s, jobs); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(); err != nil {
@@ -496,7 +496,7 @@ func TestStartTakesTheNamedSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SubmitAll([]*workload.Job{a, j, b, j}); err != nil {
+	if err := submitAll(s, []*workload.Job{a, j, b, j}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.DES.RunUntil(0); err != nil {

@@ -71,7 +71,7 @@ func TestCrashDuringDrain(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		jobs = append(jobs, rjob(i+1, 10, 2, 0)) // 6 sequential waves of 2
 	}
-	if err := s.SubmitAll(jobs); err != nil {
+	if err := submitAll(s, jobs); err != nil {
 		t.Fatal(err)
 	}
 	crashAt(t, s, 15, 2, 35)
@@ -134,7 +134,7 @@ func TestFullOutageNeverDeadlocks(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		jobs = append(jobs, rjob(i+1, 20, 2, float64(i)))
 	}
-	if err := s.SubmitAll(jobs); err != nil {
+	if err := submitAll(s, jobs); err != nil {
 		t.Fatal(err)
 	}
 	crashAt(t, s, 10, 4, 50) // whole cluster down

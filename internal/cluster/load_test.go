@@ -73,7 +73,7 @@ func TestLoadTallyTurnedOnLate(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs := []*workload.Job{snapJob(0, 10, 8, 0), snapJob(1, 3, 4, 0), snapJob(2, 5, 4, 0), snapJob(3, 7, 4, 0), snapJob(4, 2, 4, 0)}
-	if err := sim.SubmitAll(jobs); err != nil {
+	if err := submitAll(sim, jobs); err != nil {
 		t.Fatal(err)
 	}
 	if err := sim.DES.RunUntil(1); err != nil {

@@ -585,7 +585,7 @@ func pinnedRepairAudited(t *testing.T, inner Policy, cov map[string]int) {
 		s.DES.At(1, func() { _ = s.Crash(3, 5) }),
 		s.DES.At(2, func() { s.SetAvailability(0) }),
 		s.DES.At(10, func() { s.SetAvailability(10) }),
-		s.SubmitAll([]*workload.Job{rjob(0, 4, 2, 6), rjob(1, 4, 2, 6), rjob(2, 4, 2, 6)}),
+		submitAll(s, []*workload.Job{rjob(0, 4, 2, 6), rjob(1, 4, 2, 6), rjob(2, 4, 2, 6)}),
 	)
 	if err == nil {
 		err = s.Run()
@@ -618,7 +618,7 @@ func stealInsideStartAudited(t *testing.T, inner Policy, cov map[string]int) {
 			stolen = s.StealQueued(1)
 		}
 	}
-	err := s.SubmitAll([]*workload.Job{rjob(0, 2, 4, 0), a, b, c, rjob(4, 3, 2, 3)})
+	err := submitAll(s, []*workload.Job{rjob(0, 2, 4, 0), a, b, c, rjob(4, 3, 2, 3)})
 	if err == nil {
 		err = s.Run()
 	}

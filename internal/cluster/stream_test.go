@@ -24,15 +24,23 @@ func runMaterialized(t *testing.T, m int, policy Policy, jobs []*workload.Job) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range jobs {
-		if err := s.Submit(j); err != nil {
-			t.Fatal(err)
-		}
+	if err := submitAll(s, jobs); err != nil {
+		t.Fatal(err)
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// submitAll submits jobs in slice order and stops at the first error.
+func submitAll(s *Sim, jobs []*workload.Job) error {
+	for _, j := range jobs {
+		if err := s.Submit(j); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // runStreamed admits the same jobs lazily through Stream.
@@ -96,22 +104,13 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 
 // TestStreamMatchesSubmitAllAcrossBatches: streams shorter than, equal
 // to, one past and several times the read-ahead batch give every policy
-// the completions and report of the same jobs submitted in one batch.
+// the completions and report of the same jobs submitted up front.
 func TestStreamMatchesSubmitAllAcrossBatches(t *testing.T) {
 	policies := []Policy{FCFSPolicy{}, EASYPolicy{}, GreedyFitPolicy{}, ConservativePolicy{}}
 	for _, n := range []int{0, 1, readAheadBatch - 1, readAheadBatch, readAheadBatch + 1, 3000} {
 		cfg := workload.GenConfig{N: max(n, 1), M: 32, Seed: uint64(40 + n), ArrivalRate: 1, SeqMu: 2.5, RigidFraction: 0.5}
 		for _, pol := range policies {
-			want, err := New(des.New(), 32, 1, pol, KillNewest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := want.SubmitAll(workload.Parallel(cfg)[:n]); err != nil {
-				t.Fatal(err)
-			}
-			if err := want.Run(); err != nil {
-				t.Fatal(err)
-			}
+			want := runMaterialized(t, 32, pol, workload.Parallel(cfg)[:n])
 			got := runStreamed(t, 32, pol, &sliceSource{workload.Parallel(cfg)[:n]}, nil)
 			wcs, gcs := want.Completions(), got.Completions()
 			if len(wcs) != n || len(gcs) != n {
@@ -356,45 +355,6 @@ func TestStreamGuards(t *testing.T) {
 	}
 	if err := s.Stream(src); !errors.Is(err, ErrDrained) {
 		t.Fatalf("post-drain Stream = %v, want ErrDrained", err)
-	}
-}
-
-// TestSubmitAllMatchesSubmitLoop: the batch insertion path is
-// indistinguishable from the Submit loop.
-func TestSubmitAllMatchesSubmitLoop(t *testing.T) {
-	cfg := workload.GenConfig{N: 200, M: 16, Seed: 21, ArrivalRate: 1, RigidFraction: 0.3}
-	jobs := workload.Parallel(cfg)
-	want := runMaterialized(t, 16, EASYPolicy{}, jobs)
-
-	s, err := New(des.New(), 16, 1, EASYPolicy{}, KillNewest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SubmitAll(workload.Parallel(cfg)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	wcs, gcs := want.Completions(), s.Completions()
-	if len(wcs) != len(gcs) {
-		t.Fatalf("%d vs %d completions", len(wcs), len(gcs))
-	}
-	for i := range wcs {
-		if wcs[i].Job.ID != gcs[i].Job.ID || wcs[i].End != gcs[i].End {
-			t.Fatalf("completion %d diverged", i)
-		}
-	}
-
-	// Validation is atomic: one oversized job rejects the whole batch.
-	bad := []*workload.Job{jobs[0], {ID: 999, Kind: workload.Rigid, Release: 0, Weight: 1,
-		DueDate: -1, SeqTime: 1, MinProcs: 99, MaxProcs: 99, Model: workload.Linear{}}}
-	s2, _ := New(des.New(), 16, 1, EASYPolicy{}, KillNewest)
-	if err := s2.SubmitAll(bad); err == nil {
-		t.Fatal("oversized batch accepted")
-	}
-	if s2.Submitted() != 0 || s2.DES.Pending() != 0 {
-		t.Fatalf("partial batch: submitted=%d pending=%d", s2.Submitted(), s2.DES.Pending())
 	}
 }
 

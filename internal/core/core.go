@@ -19,12 +19,8 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/batch"
-	"repro/internal/bicriteria"
-	"repro/internal/moldable"
-	"repro/internal/rigid"
+	"repro/internal/registry"
 	"repro/internal/sched"
-	"repro/internal/smart"
 	"repro/internal/workload"
 )
 
@@ -56,6 +52,8 @@ type Profile struct {
 
 // Recommendation names the policy the paper's analysis selects.
 type Recommendation struct {
+	// Policy is the policy's registry catalog name, or "dlt" for a
+	// divisible load (which the catalog does not schedule).
 	Policy    string
 	Guarantee string
 	Section   string
@@ -73,19 +71,19 @@ func Recommend(p Profile) Recommendation {
 	switch {
 	case p.Criterion == BiCriteria:
 		return Recommendation{
-			Policy:    "bicriteria-doubling",
+			Policy:    "bicriteria",
 			Guarantee: "4ρ = 6 on both Cmax and ΣωiCi",
 			Section:   "§4.4",
 		}
 	case p.Criterion == WeightedCompletion:
 		return Recommendation{
-			Policy:    "smart-shelves",
+			Policy:    "smart",
 			Guarantee: "8 (ΣCi), 8.53 (ΣωiCi)",
 			Section:   "§4.3",
 		}
 	case p.Moldable && p.Online:
 		return Recommendation{
-			Policy:    "batch-mrt",
+			Policy:    "batch",
 			Guarantee: "3 + ε",
 			Section:   "§4.2",
 		}
@@ -97,7 +95,7 @@ func Recommend(p Profile) Recommendation {
 		}
 	case p.Online:
 		return Recommendation{
-			Policy:    "conservative-backfilling",
+			Policy:    "conservative",
 			Guarantee: "heuristic (no constant ratio)",
 			Section:   "§5.2",
 		}
@@ -115,44 +113,14 @@ func Recommend(p Profile) Recommendation {
 // work there is a load mass, not discrete jobs).
 func Run(jobs []*workload.Job, m int, p Profile) (*sched.Schedule, Recommendation, error) {
 	rec := Recommend(p)
-	var (
-		s   *sched.Schedule
-		err error
-	)
-	switch rec.Policy {
-	case "dlt":
+	if rec.Policy == "dlt" {
 		return nil, rec, fmt.Errorf("core: divisible workloads are handled by the dlt package, not discrete scheduling")
-	case "bicriteria-doubling":
-		var res *bicriteria.Result
-		res, err = bicriteria.Schedule(jobs, m, bicriteria.Options{})
-		if err == nil {
-			s = res.Schedule
-		}
-	case "smart-shelves":
-		s, _, err = smart.Schedule(jobs, m, smart.FirstFit)
-	case "batch-mrt":
-		var res *batch.Result
-		res, err = batch.OnlineMoldable(jobs, m, 0.01)
-		if err == nil {
-			s = res.Schedule
-		}
-	case "mrt":
-		var res *moldable.Result
-		res, err = moldable.MRT(jobs, m, 0.01)
-		if err == nil {
-			s = res.Schedule
-		}
-	case "conservative-backfilling":
-		s, err = rigid.Conservative(jobs, m)
-	case "ffdh":
-		var shelves []*rigid.Shelf
-		shelves, err = rigid.FFDH(jobs, m)
-		if err == nil {
-			s = rigid.ShelvesToSchedule(shelves, m)
-		}
-	default:
-		err = fmt.Errorf("core: unknown policy %q", rec.Policy)
 	}
+	e, err := registry.Get(rec.Policy)
+	if err != nil {
+		return nil, rec, err
+	}
+	s, err := e.Offline(jobs, m)
 	if err != nil {
 		return nil, rec, err
 	}

@@ -14,11 +14,11 @@ func TestRecommendTable(t *testing.T) {
 		want string
 	}{
 		{Profile{Divisible: true}, "dlt"},
-		{Profile{Criterion: BiCriteria, Moldable: true}, "bicriteria-doubling"},
-		{Profile{Criterion: WeightedCompletion}, "smart-shelves"},
-		{Profile{Moldable: true, Online: true}, "batch-mrt"},
+		{Profile{Criterion: BiCriteria, Moldable: true}, "bicriteria"},
+		{Profile{Criterion: WeightedCompletion}, "smart"},
+		{Profile{Moldable: true, Online: true}, "batch"},
 		{Profile{Moldable: true}, "mrt"},
-		{Profile{Online: true}, "conservative-backfilling"},
+		{Profile{Online: true}, "conservative"},
 		{Profile{}, "ffdh"},
 	}
 	for _, c := range cases {
@@ -112,5 +112,5 @@ func TestRunBiCriteriaWithinFourRho(t *testing.T) {
 func ExampleRecommend() {
 	rec := Recommend(Profile{Moldable: true, Online: true})
 	fmt.Println(rec.Policy, rec.Guarantee)
-	// Output: batch-mrt 3 + ε
+	// Output: batch 3 + ε
 }

@@ -124,13 +124,6 @@ func (s *Simulator) At(t float64, fn func()) error {
 	if err := s.check(t, fn); err != nil {
 		return err
 	}
-	s.push(t, fn)
-	s.events.siftUp(len(s.events) - 1)
-	return nil
-}
-
-// push appends an event at t to the heap without restoring its order.
-func (s *Simulator) push(t float64, fn func()) {
 	var slot int32
 	if n := len(s.free); n > 0 {
 		slot = s.free[n-1]
@@ -142,6 +135,8 @@ func (s *Simulator) push(t float64, fn func()) {
 	}
 	s.events = append(s.events, eventRef{time: t, seq: s.seq, slot: slot})
 	s.seq++
+	s.events.siftUp(len(s.events) - 1)
+	return nil
 }
 
 // Feed schedules fn at t like At: it takes the next sequence number and
@@ -160,42 +155,6 @@ func (s *Simulator) Feed(t float64, fn func()) error {
 	s.feed = eventRef{time: t, seq: s.seq}
 	s.feedFn = fn
 	s.seq++
-	return nil
-}
-
-// Event pairs a timestamp with a callback for AtBatch.
-type Event struct {
-	Time float64
-	Fn   func()
-}
-
-// AtBatch schedules many events in one heap operation — the bursty
-// arrival groups of trace replays and atomic batch submissions. FIFO
-// tie-breaking follows slice order (event i gets a smaller seq than
-// event i+1), so dispatch is indistinguishable from calling At in a
-// loop. The whole batch is validated before the first insertion: on
-// error nothing was scheduled.
-//
-// When the batch rivals the pending set in size the heap is rebuilt
-// with a single O(pending+k) heapify instead of k O(log n) sift-ups.
-func (s *Simulator) AtBatch(evs []Event) error {
-	for _, e := range evs {
-		if err := s.check(e.Time, e.Fn); err != nil {
-			return err
-		}
-	}
-	heapify := len(evs) > len(s.events)
-	for _, e := range evs {
-		s.push(e.Time, e.Fn)
-		if !heapify {
-			s.events.siftUp(len(s.events) - 1)
-		}
-	}
-	if heapify {
-		for i := len(s.events)/2 - 1; i >= 0; i-- {
-			s.events.siftDown(i)
-		}
-	}
 	return nil
 }
 

@@ -146,7 +146,7 @@ func TestNonFiniteTimeRejected(t *testing.T) {
 }
 
 // TestRefusesNilCallbackAndNonFiniteRunUntil: At and Feed refuse a nil
-// callback, as AtBatch does, instead of panicking in Run; RunUntil
+// callback instead of panicking in Run; RunUntil
 // refuses a NaN or infinite horizon instead of leaving the clock there.
 func TestRefusesNilCallbackAndNonFiniteRunUntil(t *testing.T) {
 	s := New()

@@ -10,10 +10,10 @@ import (
 )
 
 // feedScript drives one simulator through a random interleaving of At,
-// AtBatch, Feed, RunUntil, PeekTime and Pending, drawn from seed; events
-// schedule more events when they fire. It returns the log of dispatches
-// and observations. With feed false every Feed and AtBatch becomes At, so
-// the two logs must be equal. held counts Feeds made while the slot was
+// Feed, RunUntil, PeekTime and Pending, drawn from seed; events schedule
+// more events when they fire. It returns the log of dispatches and
+// observations. With feed false every Feed becomes At, so the two logs
+// must be equal. held counts Feeds made while the slot was
 // already taken, parked those that took it.
 func feedScript(seed uint64, feed bool) (log []string, held, parked int) {
 	rng := stats.NewRNG(seed)
@@ -37,7 +37,7 @@ func feedScript(seed uint64, feed bool) (log []string, held, parked int) {
 	}
 	schedule = func(depth int) {
 		t := s.Now() + float64(rng.Intn(4)) // coarse, so ties are common
-		switch rng.Intn(3) {
+		switch rng.Intn(2) {
 		case 0:
 			at(t, event(ids, depth))
 			ids++
@@ -55,21 +55,6 @@ func feedScript(seed uint64, feed bool) (log []string, held, parked int) {
 				}
 			}
 			ids++
-		case 2:
-			evs := make([]Event, rng.Intn(4))
-			for i := range evs {
-				evs[i] = Event{Time: t + float64(rng.Intn(2)), Fn: event(ids, depth)}
-				ids++
-			}
-			if feed {
-				if err := s.AtBatch(evs); err != nil {
-					panic(err)
-				}
-			} else {
-				for _, e := range evs {
-					at(e.Time, e.Fn)
-				}
-			}
 		}
 	}
 	for range 40 {

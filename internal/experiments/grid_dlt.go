@@ -119,7 +119,7 @@ func cigriRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, e
 	type gridResult struct {
 		flowIso  float64 // isolated-run mean flow (sub-cell 0)
 		flowGrid float64 // grid-run mean flow (sub-cell 1)
-		stats    grid.CentralizedStats
+		stats    grid.RoutedStats
 	}
 	if err := runRowCells(t, opt, len(loads), func(i int) ([]any, error) {
 		load := loads[i]
@@ -135,18 +135,16 @@ func cigriRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, e
 				return gridResult{flowIso: metrics.MeanFlow(iso)}, nil
 			}
 			bags := []*workload.Bag{{ID: 0, Runs: runs, RunTime: runTime}}
-			g, err := grid.NewCentralized(members, bags, cluster.KillNewest)
+			g, err := grid.NewRouted(members, nil, bags, grid.NewCentralizedRouter(grid.RouterOptions{}),
+				grid.RoutedOptions{}, cluster.KillNewest)
 			if err != nil {
 				return gridResult{}, err
 			}
+			g.FeedOnIdle()
 			if err := g.Run(); err != nil {
 				return gridResult{}, err
 			}
-			var withGrid []metrics.Completion
-			for k := 0; k < g.Members(); k++ {
-				withGrid = append(withGrid, g.LocalCompletions(k)...)
-			}
-			return gridResult{flowGrid: metrics.MeanFlow(withGrid), stats: g.Stats()}, nil
+			return gridResult{flowGrid: metrics.MeanFlow(g.AllCompletions()), stats: g.Stats()}, nil
 		})
 		if err != nil {
 			return nil, err

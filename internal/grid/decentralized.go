@@ -1,8 +1,6 @@
 package grid
 
 import (
-	"fmt"
-
 	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/metrics"
@@ -57,35 +55,21 @@ type DecentralizedStats struct {
 // threshold protocol standing in for the paper's open design space —
 // graph coupling, economic models, consensus, ...).
 type Decentralized struct {
+	clusters
 	DES   *des.Simulator
-	sims  []*cluster.Sim
 	opt   DecentralizedOptions
 	stats DecentralizedStats
 }
 
 // NewDecentralized wires the members; exchange starts at t=Period.
 func NewDecentralized(members []Member, opt DecentralizedOptions, kill cluster.KillPolicy) (*Decentralized, error) {
-	if len(members) == 0 {
-		return nil, fmt.Errorf("grid: no members")
+	sim := des.New()
+	cs, err := newClusters(sim, members, kill)
+	if err != nil {
+		return nil, err
 	}
 	opt = opt.fill()
-	sim := des.New()
-	d := &Decentralized{DES: sim, opt: opt}
-	for _, mb := range members {
-		if err := mb.Cluster.Validate(); err != nil {
-			return nil, err
-		}
-		cs, err := cluster.New(sim, mb.Cluster.Procs(), mb.Cluster.Speed, mb.Policy, kill)
-		if err != nil {
-			return nil, err
-		}
-		for _, j := range mb.Local {
-			if err := cs.Submit(j); err != nil {
-				return nil, err
-			}
-		}
-		d.sims = append(d.sims, cs)
-	}
+	d := &Decentralized{clusters: cs, DES: sim, opt: opt}
 	_ = sim.At(opt.Period, d.exchange)
 	return d, nil
 }
@@ -93,15 +77,15 @@ func NewDecentralized(members []Member, opt DecentralizedOptions, kill cluster.K
 // exchange runs one balancing round and re-arms itself while work waits.
 func (d *Decentralized) exchange() {
 	// Normalized load: queued work / (procs × speed) — time to drain.
-	load := make([]float64, len(d.sims))
-	for i, cs := range d.sims {
+	load := make([]float64, len(d.clusters))
+	for i, cs := range d.clusters {
 		load[i] = cs.QueuedWork() / (float64(cs.M) * cs.Speed)
 	}
 	switch d.opt.Protocol {
 	case Pull:
 		// Every idle cluster (empty queue, free processors) steals up to
 		// MaxMove jobs from the currently most loaded cluster.
-		for i, cs := range d.sims {
+		for i, cs := range d.clusters {
 			if cs.QueueLength() > 0 || cs.Free() == 0 {
 				continue
 			}
@@ -136,26 +120,26 @@ func (d *Decentralized) exchange() {
 
 // moveOne steals one queued job from src that fits dst and injects it.
 func (d *Decentralized) moveOne(src, dst int, load []float64) bool {
-	stolen := d.sims[src].StealQueued(1)
+	stolen := d.clusters[src].StealQueued(1)
 	if len(stolen) == 0 {
 		return false
 	}
 	j := stolen[0]
-	if j.MinProcs > d.sims[dst].M {
+	if j.MinProcs > d.clusters[dst].M {
 		// Does not fit the target; put it back.
-		if err := d.sims[src].InjectNow(j); err != nil {
+		if err := d.clusters[src].InjectNow(j); err != nil {
 			return false
 		}
 		return false
 	}
-	if err := d.sims[dst].InjectNow(j); err != nil {
-		_ = d.sims[src].InjectNow(j)
+	if err := d.clusters[dst].InjectNow(j); err != nil {
+		_ = d.clusters[src].InjectNow(j)
 		return false
 	}
 	d.stats.Migrations++
-	w, _ := j.MinWork(d.sims[src].M)
-	load[src] -= w / (float64(d.sims[src].M) * d.sims[src].Speed)
-	load[dst] += w / (float64(d.sims[dst].M) * d.sims[dst].Speed)
+	w, _ := j.MinWork(d.clusters[src].M)
+	load[src] -= w / (float64(d.clusters[src].M) * d.clusters[src].Speed)
+	load[dst] += w / (float64(d.clusters[dst].M) * d.clusters[dst].Speed)
 	return true
 }
 
@@ -167,35 +151,20 @@ func (d *Decentralized) Run() error {
 // Stats returns exchange statistics (valid after Run).
 func (d *Decentralized) Stats() DecentralizedStats { return d.stats }
 
-// AllCompletions merges every cluster's records.
-func (d *Decentralized) AllCompletions() []metrics.Completion {
-	var all []metrics.Completion
-	for _, cs := range d.sims {
-		all = append(all, cs.Completions()...)
-	}
-	return all
-}
-
 // RunIsolated runs the same members with no exchange at all (the
 // baseline: communities keep their machines to themselves) and returns
 // the merged completion records.
 func RunIsolated(members []Member, kill cluster.KillPolicy) ([]metrics.Completion, error) {
 	var all []metrics.Completion
 	for _, mb := range members {
-		sim := des.New()
-		cs, err := cluster.New(sim, mb.Cluster.Procs(), mb.Cluster.Speed, mb.Policy, kill)
+		cs, err := newClusters(des.New(), []Member{mb}, kill)
 		if err != nil {
 			return nil, err
 		}
-		for _, j := range mb.Local {
-			if err := cs.Submit(j); err != nil {
-				return nil, err
-			}
-		}
-		if err := cs.Run(); err != nil {
+		if err := cs[0].Run(); err != nil {
 			return nil, err
 		}
-		all = append(all, cs.Completions()...)
+		all = append(all, cs[0].Completions()...)
 	}
 	return all, nil
 }

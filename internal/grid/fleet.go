@@ -1,10 +1,64 @@
 package grid
 
 import (
+	"fmt"
+
 	"repro/internal/cluster"
+	"repro/internal/des"
+	"repro/internal/metrics"
+	"repro/internal/platform"
 	"repro/internal/scenario"
 	"repro/internal/workload"
 )
+
+// Member is one cluster of the grid together with its local workload.
+type Member struct {
+	Cluster *platform.Cluster
+	Policy  cluster.Policy
+	Local   []*workload.Job
+}
+
+// clusters is a grid's member simulations in member order.
+type clusters []*cluster.Sim
+
+// newClusters builds one simulation per member on sim and submits each
+// member's local jobs to its own cluster, in member then job order.
+func newClusters(sim *des.Simulator, members []Member, kill cluster.KillPolicy) (clusters, error) {
+	if len(members) == 0 {
+		return nil, fmt.Errorf("grid: no members")
+	}
+	cs := make(clusters, 0, len(members))
+	for _, mb := range members {
+		if err := mb.Cluster.Validate(); err != nil {
+			return nil, err
+		}
+		s, err := cluster.New(sim, mb.Cluster.Procs(), mb.Cluster.Speed, mb.Policy, kill)
+		if err != nil {
+			return nil, err
+		}
+		for _, j := range mb.Local {
+			if err := s.Submit(j); err != nil {
+				return nil, err
+			}
+		}
+		cs = append(cs, s)
+	}
+	return cs, nil
+}
+
+// Sim exposes member cluster i's simulation: fault engines attach to
+// it before Run, callers read its records after.
+func (cs clusters) Sim(i int) *cluster.Sim { return cs[i] }
+
+// AllCompletions merges every member cluster's local completion
+// records, in member order.
+func (cs clusters) AllCompletions() []metrics.Completion {
+	var all []metrics.Completion
+	for _, s := range cs {
+		all = append(all, s.Completions()...)
+	}
+	return all
+}
 
 // Fleet is what the offline Routed grid and the live gridd broker share:
 // k clusters on one DES, the Router that decides for all of them, and
@@ -45,27 +99,38 @@ func (f *Fleet) Grant(now float64, stock []cluster.BETask) []cluster.BETask {
 		return stock
 	}
 	for i, n := range f.Router.Grants(f.Loads(now), len(stock)) {
-		if scenario.Partitioned(f.Partitions, i, now) {
-			continue
-		}
-		for ; n > 0 && len(stock) > 0; n-- {
-			f.Sims[i].SubmitBestEffort(stock[0])
-			stock = stock[1:]
+		if !scenario.Partitioned(f.Partitions, i, now) {
+			stock = f.give(i, n, stock)
 		}
 	}
 	return stock
 }
 
+// give hands up to n tasks from the head of stock to cluster i and
+// returns what stays in the stock.
+func (f *Fleet) give(i, n int, stock []cluster.BETask) []cluster.BETask {
+	for ; n > 0 && len(stock) > 0; n-- {
+		f.Sims[i].SubmitBestEffort(stock[0])
+		stock = stock[1:]
+	}
+	return stock
+}
+
 // Migrate runs one exchange round of the router's Moves and returns the
-// number of jobs moved. Each stolen job is injected into its
-// destination, or back home when it does not fit there or the
-// destination refuses it; onMigrate, when set, observes every job that
-// moved. Moves touching a partitioned cluster are dropped for the
-// round: the masked loads keep senders quiet, but an idle partitioned
-// cluster can still surface as the argmin destination.
+// number of jobs moved (0 for a router that is not an Exchanger). Each
+// stolen job is injected into its destination, or back home when it
+// does not fit there or the destination refuses it; onMigrate, when
+// set, observes every job that moved. Moves touching a partitioned
+// cluster are dropped for the round: the masked loads keep senders
+// quiet, but an idle partitioned cluster can still surface as the
+// argmin destination.
 func (f *Fleet) Migrate(now float64, onMigrate func(j *workload.Job, src, dst int, now float64)) int {
+	ex, ok := f.Router.(Exchanger)
+	if !ok {
+		return 0
+	}
 	moved := 0
-	for _, mv := range f.Router.Moves(f.Loads(now)) {
+	for _, mv := range ex.Moves(f.Loads(now)) {
 		if mv.Src == mv.Dst || mv.Src < 0 || mv.Dst < 0 ||
 			mv.Src >= len(f.Sims) || mv.Dst >= len(f.Sims) ||
 			scenario.Partitioned(f.Partitions, mv.Src, now) ||

@@ -11,9 +11,15 @@ import (
 	"repro/internal/workload"
 )
 
-// LocalCompletions returns cluster i's completion records.
-func (d *Decentralized) LocalCompletions(i int) []metrics.Completion {
-	return d.sims[i].Completions()
+// newCiGri runs the §5.2 centralized design on Routed: the members'
+// local jobs, the campaigns, the centralized router and the idle feed.
+func newCiGri(members []Member, bags []*workload.Bag, kill cluster.KillPolicy) (*Routed, error) {
+	r, err := NewRouted(members, nil, bags, NewCentralizedRouter(RouterOptions{}), RoutedOptions{}, kill)
+	if err != nil {
+		return nil, err
+	}
+	r.FeedOnIdle()
+	return r, nil
 }
 
 func rjob(id int, dur float64, procs int, release float64) *workload.Job {
@@ -47,7 +53,7 @@ func TestCentralizedCompletesAllGridTasks(t *testing.T) {
 		{ID: 0, Runs: 30, RunTime: 2},
 		{ID: 1, Runs: 10, RunTime: 1},
 	}
-	g, err := NewCentralized(members, bags, cluster.KillNewest)
+	g, err := newCiGri(members, bags, cluster.KillNewest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,17 +84,14 @@ func TestCentralizedLocalJobsUndisturbed(t *testing.T) {
 		t.Fatal(err)
 	}
 	bags := []*workload.Bag{{ID: 0, Runs: 200, RunTime: 3}}
-	g, err := NewCentralized(smallMembers(local), bags, cluster.KillNewest)
+	g, err := newCiGri(smallMembers(local), bags, cluster.KillNewest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Run(); err != nil {
 		t.Fatal(err)
 	}
-	var withGrid []metrics.Completion
-	for i := 0; i < g.Members(); i++ {
-		withGrid = append(withGrid, g.LocalCompletions(i)...)
-	}
+	withGrid := g.AllCompletions()
 	isoEnd := map[int]float64{}
 	for _, c := range isolated {
 		isoEnd[c.Job.ID] = c.End
@@ -110,7 +113,7 @@ func TestCentralizedLocalJobsUndisturbed(t *testing.T) {
 func TestCentralizedWastedWorkAccounting(t *testing.T) {
 	local := [][]*workload.Job{{rjob(1, 10, 4, 5)}}
 	bags := []*workload.Bag{{ID: 0, Runs: 4, RunTime: 100}}
-	g, err := NewCentralized(smallMembers(local[:1]), bags, cluster.KillNewest)
+	g, err := newCiGri(smallMembers(local[:1]), bags, cluster.KillNewest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +150,7 @@ func TestCentralizedOnCIMENT(t *testing.T) {
 		members = append(members, Member{Cluster: cl, Policy: cluster.EASYPolicy{}, Local: jobs})
 	}
 	bags := []*workload.Bag{{ID: 0, Runs: 500, RunTime: 30}}
-	g, err := NewCentralized(members, bags, cluster.KillNewest)
+	g, err := newCiGri(members, bags, cluster.KillNewest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,10 +245,10 @@ func TestDecentralizedWideJobNotMovedToSmallCluster(t *testing.T) {
 	if err := d.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(d.LocalCompletions(1)); got != 0 {
+	if got := len(d.Sim(1).Completions()); got != 0 {
 		t.Fatalf("small cluster ran %d oversized jobs", got)
 	}
-	if got := len(d.LocalCompletions(0)); got != 6 {
+	if got := len(d.Sim(0).Completions()); got != 6 {
 		t.Fatalf("big cluster completed %d of 6", got)
 	}
 }
@@ -275,7 +278,7 @@ func TestSplitters(t *testing.T) {
 }
 
 func TestEmptyMembersRejected(t *testing.T) {
-	if _, err := NewCentralized(nil, nil, cluster.KillNewest); err == nil {
+	if _, err := newCiGri(nil, nil, cluster.KillNewest); err == nil {
 		t.Fatal("empty centralized accepted")
 	}
 	if _, err := NewDecentralized(nil, DecentralizedOptions{}, cluster.KillNewest); err == nil {
@@ -361,7 +364,7 @@ func TestCentralizedApproachesSteadyStateBound(t *testing.T) {
 	}
 	const runs, runTime = 20000, 50.0
 	bags := []*workload.Bag{{ID: 0, Runs: runs, RunTime: runTime}}
-	gr, err := NewCentralized(members, bags, cluster.KillNewest)
+	gr, err := newCiGri(members, bags, cluster.KillNewest)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Online grid policies: the routing decisions of the §5.2 multi-cluster
 // designs, extracted into small policy types shared between the offline
-// grid simulations (Centralized/Decentralized in this package) and the
+// grid simulations (Routed and Decentralized in this package) and the
 // live broker of internal/gridservice. A Router sees only per-cluster
 // LoadInfo, so the same decision code runs in the offline tables and in
 // the broker's loop, both through Fleet.
@@ -19,10 +19,10 @@ type Move struct {
 	Src, Dst, N int
 }
 
-// Router is an online grid policy: it places local job submissions,
-// distributes campaign (best-effort) tasks from the central stock, and
-// optionally proposes periodic queue rebalancing. Implementations keep
-// private state (round-robin cursors, RNGs) and are not safe for
+// Router is an online grid policy: it places local job submissions and
+// distributes campaign (best-effort) tasks from the central stock; a
+// Router that also rebalances queues is an Exchanger. Implementations
+// keep private state (round-robin cursors, RNGs) and are not safe for
 // concurrent use — the broker serializes calls, the offline sims are
 // single-threaded anyway.
 type Router interface {
@@ -33,8 +33,14 @@ type Router interface {
 	// Grants distributes up to stock campaign tasks: grants[i] tasks go
 	// to cluster i this round; the rest stays in the central stock.
 	Grants(loads []cluster.LoadInfo, stock int) []int
-	// Moves proposes queued-job migrations for this round (nil for
-	// policies without a load-exchange protocol).
+}
+
+// Exchanger is a Router with a load-exchange protocol. Fleet.Migrate
+// runs its rounds; routers that are not Exchangers never move a queued
+// job, so no round is run for them.
+type Exchanger interface {
+	// Moves proposes queued-job migrations for this round (nil when
+	// the fleet is balanced).
 	Moves(loads []cluster.LoadInfo) []Move
 }
 
@@ -161,8 +167,6 @@ func (r *CentralizedRouter) Grants(loads []cluster.LoadInfo, stock int) []int {
 	return r.fill.Grants(loads, stock)
 }
 
-func (r *CentralizedRouter) Moves([]cluster.LoadInfo) []Move { return nil }
-
 // DecentralizedRouter is the online §5.2 decentralized vision: jobs are
 // dealt to home clusters, campaign tasks are split across the fleet by
 // capacity (there is no central server to hold them), and a periodic
@@ -262,8 +266,6 @@ func (r *LeastLoadedRouter) Grants(loads []cluster.LoadInfo, stock int) []int {
 	return r.fill.Grants(loads, stock)
 }
 
-func (r *LeastLoadedRouter) Moves([]cluster.LoadInfo) []Move { return nil }
-
 // WeightedRandomRouter routes jobs randomly with probability proportional
 // to cluster capacity (M × Speed) over the clusters that fit, from a
 // seeded deterministic RNG; campaign tasks use the CiGri top-up rule.
@@ -297,5 +299,3 @@ func (r *WeightedRandomRouter) Route(minProcs int, loads []cluster.LoadInfo) int
 func (r *WeightedRandomRouter) Grants(loads []cluster.LoadInfo, stock int) []int {
 	return r.fill.Grants(loads, stock)
 }
-
-func (r *WeightedRandomRouter) Moves([]cluster.LoadInfo) []Move { return nil }

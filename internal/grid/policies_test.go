@@ -127,7 +127,7 @@ func TestDecentralizedRouterGrantsSpreadByCapacity(t *testing.T) {
 }
 
 func TestDecentralizedRouterMoves(t *testing.T) {
-	r := NewDecentralizedRouter(RouterOptions{Threshold: 1.5, MaxMove: 4})
+	r := NewDecentralizedRouter(RouterOptions{Threshold: 1.5, MaxMove: 4}).(Exchanger)
 	ld := loads4()
 	moves := r.Moves(ld)
 	if len(moves) != 1 {

@@ -1,3 +1,17 @@
+// Package grid implements the two multi-cluster designs of §5.2 of the
+// paper on top of the cluster simulator:
+//
+//   - Centralized (the CiGri system as deployed in Grenoble): each
+//     cluster keeps its own submission system for local jobs; a central
+//     server holds the multi-parametric grid campaigns and feeds their
+//     elementary tasks into scheduling holes as best-effort jobs. A
+//     best-effort task whose processor is claimed by a local job is
+//     killed and resubmitted by the server. Local users are never
+//     delayed by grid work. Routed runs it: the members' local jobs,
+//     the campaigns, NewCentralizedRouter and FeedOnIdle.
+//
+//   - Decentralized: all jobs are local, but neighbouring schedulers
+//     periodically exchange queued work to balance load.
 package grid
 
 import (
@@ -5,7 +19,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/des"
-	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/workload"
 )
@@ -13,7 +26,8 @@ import (
 // RoutedOptions tunes the offline routed-grid simulation.
 type RoutedOptions struct {
 	// ExchangePeriod is the interval of the Moves rounds (virtual
-	// seconds; default 60, ignored for routers that never move jobs).
+	// seconds; default 60, ignored for a router that is not an
+	// Exchanger).
 	ExchangePeriod float64
 }
 
@@ -30,7 +44,10 @@ type RoutedStats struct {
 	Rejected int
 	// Migrations counts queued jobs moved by exchange rounds.
 	Migrations int
-	// Campaign accounting, mirroring CentralizedStats.
+	// Campaign accounting: tasks completed and kill events (a task may
+	// die several times), reference-speed work done and lost to kills,
+	// when the last task finished (0 if none ran), and each cluster's
+	// best-effort stats.
 	TasksCompleted, TasksKilled int
 	DoneWork, WastedWork        float64
 	GridMakespan                float64
@@ -42,8 +59,10 @@ type RoutedStats struct {
 // the broker runs — where each arriving job goes, how the campaign
 // stock fans out, and which queued jobs migrate. It exists so the
 // online grid policies can be swept deterministically in the paper
-// tables.
+// tables; with the centralized router and FeedOnIdle it is the CiGri
+// simulation.
 type Routed struct {
+	clusters
 	DES   *des.Simulator
 	fleet Fleet
 	opt   RoutedOptions
@@ -58,31 +77,27 @@ type Routed struct {
 	redistributePending bool
 }
 
-// NewRouted wires the routed grid: members supply the platforms and
-// local queue policies (their Local job lists are ignored — routing is
-// the router's job), jobs is the single arrival stream, bags the
-// campaign load.
+// NewRouted wires the routed grid: members supply the platforms, local
+// queue policies and the local jobs each submits to its own cluster,
+// jobs is the arrival stream the router places, bags the campaign load.
 func NewRouted(members []Member, jobs []*workload.Job, bags []*workload.Bag, router Router, opt RoutedOptions, kill cluster.KillPolicy) (*Routed, error) {
-	if len(members) == 0 {
-		return nil, fmt.Errorf("grid: no members")
+	n := len(jobs)
+	for _, mb := range members {
+		n += len(mb.Local)
+	}
+	sim := des.NewWithCapacity(n + 64)
+	cs, err := newClusters(sim, members, kill)
+	if err != nil {
+		return nil, err
 	}
 	if router == nil {
 		return nil, fmt.Errorf("grid: nil router")
 	}
 	opt = opt.fill()
-	sim := des.NewWithCapacity(len(jobs) + 64)
-	r := &Routed{DES: sim, fleet: Fleet{Router: router}, opt: opt}
-	for _, mb := range members {
-		if err := mb.Cluster.Validate(); err != nil {
-			return nil, err
-		}
-		cs, err := cluster.New(sim, mb.Cluster.Procs(), mb.Cluster.Speed, mb.Policy, kill)
-		if err != nil {
-			return nil, err
-		}
-		cs.OnBEKilled = func(t cluster.BETask) { r.requeue(t) }
-		cs.OnBEDone = func(t cluster.BETask) { r.taskDone(t) }
-		r.fleet.Sims = append(r.fleet.Sims, cs)
+	r := &Routed{clusters: cs, DES: sim, fleet: Fleet{Sims: cs, Router: router}, opt: opt}
+	for _, s := range cs {
+		s.OnBEKilled = r.requeue
+		s.OnBEDone = r.taskDone
 	}
 	// Each job arrives at its release date and is routed against the
 	// fleet's live load at that instant — the broker's Submit path.
@@ -92,17 +107,40 @@ func NewRouted(members []Member, jobs []*workload.Job, bags []*workload.Bag, rou
 			return nil, err
 		}
 	}
-	for _, b := range bags {
-		for i := 0; i < b.Runs; i++ {
-			r.stock = append(r.stock, cluster.BETask{BagID: b.ID, Duration: b.RunTime})
+	// The stock deals the campaigns round-robin, so every one progresses.
+	for k, dealt := 0, true; dealt; k++ {
+		dealt = false
+		for _, b := range bags {
+			if k < b.Runs {
+				r.stock = append(r.stock, cluster.BETask{BagID: b.ID, Duration: b.RunTime})
+				dealt = true
+			}
 		}
 	}
 	_ = sim.At(0, r.redistribute)
-	// Exchange rounds are armed for every router; routers without a
-	// protocol return no moves and the round re-arms only while events
-	// remain, so the no-op rounds cost nothing once the grid drains.
-	_ = sim.At(opt.ExchangePeriod, r.exchange)
+	if _, ok := router.(Exchanger); ok {
+		_ = sim.At(opt.ExchangePeriod, r.exchange)
+	}
 	return r, nil
+}
+
+// FeedOnIdle hands the stock to holes as they open, the CiGri server's
+// rule: after every reschedule, cluster i receives min(free, stock)
+// tasks from the head of the stock — unless it is behind an open
+// partition window, which Fleet.Grant skips too. Call it before Run.
+//
+// The stock's first grant runs at t = 0, after the t = 0 arrivals, and
+// reads live loads like every later one: a cluster with local jobs
+// released at exactly t = 0 is topped up to its free processors less
+// the best-effort tasks already queued on it.
+func (r *Routed) FeedOnIdle() {
+	for i, s := range r.clusters {
+		s.OnIdle = func(free int) {
+			if !scenario.Partitioned(r.fleet.Partitions, i, r.DES.Now()) {
+				r.stock = r.fleet.give(i, free, r.stock)
+			}
+		}
+	}
 }
 
 // SetPartitions installs the broker-link partition windows. Must be
@@ -163,7 +201,8 @@ func (r *Routed) redistribute() {
 	r.stock = r.fleet.Grant(r.DES.Now(), r.stock)
 }
 
-// exchange runs one Moves round and re-arms while the grid is alive.
+// exchange runs one Moves round and re-arms while the grid is alive;
+// only an Exchanger's rounds are armed.
 func (r *Routed) exchange() {
 	r.stats.Migrations += r.fleet.Migrate(r.DES.Now(), r.OnMigrate)
 	if r.DES.Pending() > 0 {
@@ -197,16 +236,3 @@ func (r *Routed) Run() error {
 
 // Stats returns the aggregated statistics (valid after Run).
 func (r *Routed) Stats() RoutedStats { return r.stats }
-
-// Sim exposes member cluster i's simulation (fault engines attach to
-// it before Run; determinism tests compare it to the live broker).
-func (r *Routed) Sim(i int) *cluster.Sim { return r.fleet.Sims[i] }
-
-// AllCompletions merges every cluster's local completion records.
-func (r *Routed) AllCompletions() []metrics.Completion {
-	var all []metrics.Completion
-	for _, cs := range r.fleet.Sims {
-		all = append(all, cs.Completions()...)
-	}
-	return all
-}

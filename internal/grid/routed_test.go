@@ -4,17 +4,11 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/metrics"
 	"repro/internal/platform"
 	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
-
-// LocalCompletions returns cluster i's completion records.
-func (r *Routed) LocalCompletions(i int) []metrics.Completion {
-	return r.Sim(i).Completions()
-}
 
 func routedMembers() []Member {
 	var ms []Member
@@ -85,7 +79,7 @@ func TestRoutedWideJobsAvoidNarrowCluster(t *testing.T) {
 	if err := r.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(r.LocalCompletions(1)); got != 0 {
+	if got := len(r.Sim(1).Completions()); got != 0 {
 		t.Fatalf("narrow cluster ran %d wide jobs", got)
 	}
 	if got := len(r.AllCompletions()); got != 12 {
@@ -112,27 +106,38 @@ func TestRoutedRejectsOversized(t *testing.T) {
 }
 
 // TestRoutedPartitionMasksCluster: a cluster behind an open partition
-// window receives no campaign grants; the rest of the fleet absorbs
-// the stock and the run still completes everything.
+// window receives no campaign grants, neither from the router's rounds
+// nor, with FeedOnIdle, when its own local jobs open holes; the rest of
+// the fleet absorbs the stock and the run still completes everything.
 func TestRoutedPartitionMasksCluster(t *testing.T) {
-	bags := []*workload.Bag{{ID: 0, Runs: 60, RunTime: 4}}
-	r, err := NewRouted(routedMembers(), nil, bags, NewCentralizedRouter(RouterOptions{}),
-		RoutedOptions{ExchangePeriod: 10}, cluster.KillNewest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cluster 0 is cut for far longer than the fleet needs to drain the
-	// campaign on the remaining 12 processors.
-	r.SetPartitions([]scenario.PartitionWindow{{Start: 0, End: 500, Clusters: []int{0}}})
-	if err := r.Run(); err != nil {
-		t.Fatal(err)
-	}
-	st := r.Stats()
-	if st.TasksCompleted != 60 {
-		t.Fatalf("campaign completed %d of 60", st.TasksCompleted)
-	}
-	if got := r.Sim(0).BestEffort().Completed; got != 0 {
-		t.Fatalf("partitioned cluster completed %d tasks", got)
+	for _, feed := range []bool{false, true} {
+		bags := []*workload.Bag{{ID: 0, Runs: 60, RunTime: 4}}
+		members := routedMembers()
+		members[0].Local = []*workload.Job{rjob(100, 5, 2, 1), rjob(101, 5, 2, 20)}
+		r, err := NewRouted(members, nil, bags, NewCentralizedRouter(RouterOptions{}),
+			RoutedOptions{ExchangePeriod: 10}, cluster.KillNewest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if feed {
+			r.FeedOnIdle()
+		}
+		// Cluster 0 is cut for far longer than the fleet needs to drain
+		// the campaign on the remaining 12 processors.
+		r.SetPartitions([]scenario.PartitionWindow{{Start: 0, End: 500, Clusters: []int{0}}})
+		if err := r.Run(); err != nil {
+			t.Fatal(err)
+		}
+		st := r.Stats()
+		if st.TasksCompleted != 60 {
+			t.Fatalf("feed %v: campaign completed %d of 60", feed, st.TasksCompleted)
+		}
+		if got := r.Sim(0).BestEffort().Completed; got != 0 {
+			t.Fatalf("feed %v: partitioned cluster completed %d tasks", feed, got)
+		}
+		if got := len(r.Sim(0).Completions()); got != 2 {
+			t.Fatalf("feed %v: partitioned cluster completed %d of its 2 local jobs", feed, got)
+		}
 	}
 }
 
@@ -183,12 +188,12 @@ func TestRoutedPartitionWindowCloses(t *testing.T) {
 	if st := r2.Stats(); st.Rejected != 0 {
 		t.Fatalf("rejected %d", st.Rejected)
 	}
-	for _, c := range r2.LocalCompletions(0) {
+	for _, c := range r2.Sim(0).Completions() {
 		if c.Start < 50 {
 			t.Fatalf("partitioned cluster started job %d at %v inside the window", c.Job.ID, c.Start)
 		}
 	}
-	if got := len(r2.LocalCompletions(0)); got == 0 {
+	if got := len(r2.Sim(0).Completions()); got == 0 {
 		t.Fatal("cluster 0 never rejoined the fleet after the window closed")
 	}
 	if got := len(r2.AllCompletions()); got != 16 {
@@ -221,7 +226,7 @@ func TestRoutedDecentralizedMigrates(t *testing.T) {
 	if got := len(r.AllCompletions()); got != 40 {
 		t.Fatalf("%d of 40 completed", got)
 	}
-	if got := len(r.LocalCompletions(1)); got != 0 {
+	if got := len(r.Sim(1).Completions()); got != 0 {
 		t.Fatalf("narrow cluster ran %d wide jobs after exchange", got)
 	}
 }

@@ -475,12 +475,11 @@ func (b *Broker) SubmitBatch(jobs []*workload.Job) error {
 		// drained fleet refuses a share — and it refuses the first, before
 		// any other is submitted.
 		for i, batch := range perCluster {
-			if len(batch) == 0 {
-				continue
-			}
-			if err = b.fleet.Sims[i].SubmitAll(batch); err != nil {
-				err = fmt.Errorf("gridservice: cluster %s: %w", b.topo.Clusters[i].Name, err)
-				return
+			for _, j := range batch {
+				if err = b.fleet.Sims[i].Submit(j); err != nil {
+					err = fmt.Errorf("gridservice: cluster %s: %w", b.topo.Clusters[i].Name, err)
+					return
+				}
 			}
 		}
 		for k, j := range jobs {

@@ -45,8 +45,9 @@ type completionKey struct {
 // TestBrokerCentralizedMatchesOffline is the §5.2 determinism witness:
 // a trace replayed through the live broker under the centralized grid
 // policy must produce, on every cluster, exactly the local completions
-// of the offline grid.Centralized run over the same round-robin split —
-// and the campaign must complete in full on both. The inputs are a
+// of the offline CiGri run (grid.Routed under the centralized router,
+// fed on idle) over the same round-robin split — and the campaign must
+// complete in full on both. The inputs are a
 // 4-cluster EASY fleet and, for every online policy, the one-cluster
 // fleet a flag-configured gridd serves.
 func TestBrokerCentralizedMatchesOffline(t *testing.T) {
@@ -90,10 +91,12 @@ func matchOffline(t *testing.T, k int, policy string) {
 		})
 	}
 	bags := []*workload.Bag{{ID: 0, Runs: tasks, RunTime: runTime}}
-	off, err := grid.NewCentralized(members, bags, cluster.KillNewest)
+	off, err := grid.NewRouted(members, nil, bags, grid.NewCentralizedRouter(grid.RouterOptions{}),
+		grid.RoutedOptions{}, cluster.KillNewest)
 	if err != nil {
 		t.Fatal(err)
 	}
+	off.FeedOnIdle()
 	if err := off.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +148,7 @@ func matchOffline(t *testing.T, k int, policy string) {
 	// start/end times — best-effort interference never shifts local work.
 	for i := 0; i < k; i++ {
 		want := map[int]completionKey{}
-		for _, cpl := range off.LocalCompletions(i) {
+		for _, cpl := range off.Sim(i).Completions() {
 			want[cpl.Job.ID] = completionKey{start: cpl.Start, end: cpl.End, procs: cpl.Procs}
 		}
 		got, err := b.completions(i)

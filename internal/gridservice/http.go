@@ -59,7 +59,7 @@ func (b *Broker) routes(mux api.Router, runs *api.RunService) {
 
 func (b *Broker) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := decodeStrict(r, &spec); err != nil {
 		api.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad job spec: %v", err))
 		return
 	}
@@ -72,6 +72,14 @@ func (b *Broker) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	default:
 		api.WriteJSON(w, http.StatusAccepted, st)
 	}
+}
+
+// decodeStrict decodes a request body into v, refusing any field v does
+// not have: a misspelt field is an error, not a default.
+func decodeStrict(r *http.Request, v any) error {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 func (b *Broker) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -103,7 +111,7 @@ func (b *Broker) handleQueue(w http.ResponseWriter, r *http.Request) {
 
 func (b *Broker) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
 	var spec CampaignSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := decodeStrict(r, &spec); err != nil {
 		api.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad campaign spec: %v", err))
 		return
 	}
@@ -285,11 +293,11 @@ func handlePolicies(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, e := range registry.Grids() {
 		kind := "routing"
-		if e.Exchanges {
+		if e.Exchanges() {
 			kind = "routing+exchange"
 		}
 		out.Grid = append(out.Grid, gridPolicyInfo{
-			Name: e.Name, Kind: kind, Exchanges: e.Exchanges, Desc: e.Desc,
+			Name: e.Name, Kind: kind, Exchanges: e.Exchanges(), Desc: e.Desc,
 		})
 	}
 	api.WriteJSON(w, http.StatusOK, out)

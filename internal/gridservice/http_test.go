@@ -240,6 +240,33 @@ func TestHTTPBadSpec(t *testing.T) {
 	}
 }
 
+// TestHTTPUnknownFieldsRejected: a job or campaign spec with a field the
+// broker does not know (a misspelling such as "min_proc") is a 400 that
+// names the field, and nothing is created — it is not run with defaults.
+func TestHTTPUnknownFieldsRejected(t *testing.T) {
+	_, srv := startTestBroker(t)
+	for _, c := range []struct{ path, body, field string }{
+		{"/v1/jobs", `{"seq_time": 5, "min_proc": 2}`, "min_proc"},
+		{"/v1/campaigns", `{"tasks": 4, "run_time": 1, "runtime": 2}`, "runtime"},
+	} {
+		resp, body := postJSON(t, srv.URL+c.path, c.body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), c.field) {
+			t.Fatalf("POST %s %s: %d %s, want a 400 naming %q", c.path, c.body, resp.StatusCode, body, c.field)
+		}
+	}
+	var st FleetStats
+	if code := getJSON(t, srv.URL+"/v1/stats", &st); code != http.StatusOK {
+		t.Fatalf("stats: %d", code)
+	}
+	var camps []Campaign
+	if code := getJSON(t, srv.URL+"/v1/campaigns", &camps); code != http.StatusOK {
+		t.Fatalf("campaigns: %d", code)
+	}
+	if st.Fleet.Submitted != 0 || len(camps) != 0 {
+		t.Fatalf("rejected specs created %d jobs and %d campaigns", st.Fleet.Submitted, len(camps))
+	}
+}
+
 // TestHTTPStatsAndQueue: /v1/stats reports the cluster's identity and
 // counts; /v1/queue lists running jobs and then waiting ones — queued in
 // scheduling order, then not-yet-arrived in ID order — as JSON arrays

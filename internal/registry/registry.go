@@ -196,9 +196,6 @@ func All() []*Entry {
 type GridEntry struct {
 	Name string
 	Desc string
-	// Exchanges reports whether the policy migrates queued jobs between
-	// clusters (the decentralized load-exchange protocol).
-	Exchanges bool
 	// New constructs a fresh router; routers carry private state
 	// (cursors, RNGs) and must not be shared between brokers.
 	New func(opt grid.RouterOptions) grid.Router
@@ -211,10 +208,9 @@ var gridCatalog = map[string]*GridEntry{
 		New:  grid.NewCentralizedRouter,
 	},
 	"decentralized": {
-		Name:      "decentralized",
-		Desc:      "neighbour redistribution: campaigns split by capacity, queued jobs pushed from overloaded to underloaded clusters",
-		Exchanges: true,
-		New:       grid.NewDecentralizedRouter,
+		Name: "decentralized",
+		Desc: "neighbour redistribution: campaigns split by capacity, queued jobs pushed from overloaded to underloaded clusters",
+		New:  grid.NewDecentralizedRouter,
 	},
 	"least-loaded": {
 		Name: "least-loaded",
@@ -226,6 +222,13 @@ var gridCatalog = map[string]*GridEntry{
 		Desc: "route jobs randomly, weighted by cluster capacity (seeded, deterministic)",
 		New:  grid.NewWeightedRandomRouter,
 	},
+}
+
+// Exchanges reports whether the policy migrates queued jobs between
+// clusters: whether its router is a grid.Exchanger.
+func (e *GridEntry) Exchanges() bool {
+	_, ok := e.New(grid.RouterOptions{}).(grid.Exchanger)
+	return ok
 }
 
 // GetGrid resolves a grid routing policy by name.
@@ -266,7 +269,7 @@ func WriteGridCatalog(w io.Writer) error {
 	}
 	for _, e := range Grids() {
 		kind := "routing"
-		if e.Exchanges {
+		if e.Exchanges() {
 			kind = "routing+exchange"
 		}
 		if _, err := fmt.Fprintf(w, "%-*s  %-16s  %s\n", width, e.Name, kind, e.Desc); err != nil {

@@ -152,8 +152,12 @@ func TestGridCatalogOrderingStable(t *testing.T) {
 		if !strings.HasPrefix(line, entries[i].Name) {
 			t.Fatalf("line %d %q does not lead with %q", i, line, entries[i].Name)
 		}
+		// The decentralized router is the one grid.Exchanger.
+		if got := entries[i].Exchanges(); got != (entries[i].Name == "decentralized") {
+			t.Fatalf("%s: Exchanges() = %v", entries[i].Name, got)
+		}
 		wantKind := "routing"
-		if entries[i].Exchanges {
+		if entries[i].Exchanges() {
 			wantKind = "routing+exchange"
 		}
 		if !strings.Contains(line, wantKind) {
