@@ -51,39 +51,32 @@ type Decision struct {
 // processors plus processors held by evictable best-effort tasks: the
 // §5.2 contract is that local jobs behave as if grid jobs did not exist.
 //
-// Every field is the simulator's own state, lent for one decision and
-// copied from nothing: Queue is the live waiting queue, and Profile,
-// Plan, Index and Scratch are kept from one decision to the next. A
-// shipped policy records in each Decision the index in Queue of the job
-// it decided (see Decision); a policy from elsewhere cannot, and the Sim
+// A view is the simulator's own state, lent for one decision and copied
+// from nothing: Queue is the live waiting queue, and the profile, Plan,
+// Index and Scratch are kept from one decision to the next. A shipped
+// policy records in each Decision the index in Queue of the job it
+// decided (see Decision); a policy from elsewhere cannot, and the Sim
 // then finds the job by searching Queue.
-// Policies read Queue and Profile, never write them, and keep none of
-// the fields past Decide — the starts that follow a decision edit them in
-// place. A policy that wraps another (tracing, auditing) hands the view
-// on unchanged.
+// Policies read Queue and the profile, never write them, and keep
+// nothing of the view past Decide — the starts that follow a decision
+// edit it in place. A policy that wraps another (tracing, auditing) hands
+// the view on unchanged.
 type View struct {
 	Now   float64
 	Avail int
 	Speed float64
 	Queue []*workload.Job // submission order
-	// Profile is the cluster's persistent availability profile: every
-	// running local job holds a reservation [Now, End) and every capacity
-	// loss one until its repair time, maintained incrementally across
-	// events. Policies must treat it as read-only — what-if reservations
-	// go into a (pooled) Clone, taken when there is one to write.
-	Profile *rigid.Profile
 	// Plan is the cluster's persistent conservative-backfilling plan (see
 	// Plan and ConservativePolicy). ConservativePolicy extends it in place
 	// at every decision; every other policy ignores it. Deciding on a view
 	// without starting what was decided is allowed — the next decision
 	// notices the jobs still queued and plans again — but nothing else may
 	// be done with the plan from inside Decide. The Sim invalidates it at
-	// every profile rebuild: a crash, a repair or a SetAvailability step,
-	// whether or not the working count moves (with the requeue of the
-	// jobs a loss kills), and the defensive resync in start; and at
-	// StealQueued, which may take a job whose start was refused. The
-	// policy notices any other edit of the queue — a refused start, an
-	// arrival — on its own (see Plan).
+	// every change of capacity: a crash, a repair or a SetAvailability
+	// step, whether or not the working count moves (with the requeue of the
+	// jobs a loss kills); and at StealQueued, which may take a job whose
+	// start was refused. The policy notices any other edit of the queue — a
+	// refused start, an arrival — on its own (see Plan).
 	Plan *Plan
 	// Index is the cluster's persistent index of Queue (see QueueIndex),
 	// which EASYPolicy and GreedyFitPolicy search instead of walking the
@@ -103,6 +96,26 @@ type View struct {
 	// jobs have started, so a policy must not keep it, or anything
 	// returned out of it, past Decide.
 	Scratch []Decision
+
+	// sim is the Sim that lent the view, whose profile Profile brings up
+	// to date; a view built by hand (in a test) has none and carries
+	// profile instead.
+	sim     *Sim
+	profile *rigid.Profile
+}
+
+// Profile returns the cluster's persistent availability profile at Now:
+// every running local job holds a reservation until its end and every
+// capacity loss one until its repair time. The Sim keeps it up to date
+// only when it is read — a policy that never calls Profile pays nothing
+// for it — so a policy fetches it when it needs it, not on entry.
+// Policies must treat it as read-only — what-if reservations go into a
+// (pooled) Clone, taken when there is one to write.
+func (v View) Profile() *rigid.Profile {
+	if v.sim != nil {
+		return v.sim.syncedProfile()
+	}
+	return v.profile
 }
 
 // Duration returns the execution time of job j on p processors on this
@@ -230,11 +243,14 @@ type Sim struct {
 	queuedWork float64
 	tallying   bool
 	localProcs int
-	// running holds the running local jobs in no particular order: the
-	// last record fills the slot of one that leaves (unrun), and each
-	// record's seq, drawn from runSeq at its start, keeps the start order.
-	running []*localRunning
-	runSeq  uint64
+	// running holds the running local jobs in no particular order, split
+	// in two: running[:reserved] are in the profile, running[reserved:]
+	// started since it was last read. A record that leaves gives its slot
+	// to the last record of its part (unrun), and each record's seq, drawn
+	// from runSeq at its start, keeps the start order.
+	running  []*localRunning
+	reserved int
+	runSeq   uint64
 	// acc streams every completion through the one-pass §3 criteria
 	// report; retain decides which records are kept (full history by
 	// default — goldens, tests and the offline tables read it — or a
@@ -252,15 +268,18 @@ type Sim struct {
 	srcErr   error
 	arriveFn func()
 
-	// profile is the persistent availability timeline of the local jobs:
-	// starting a job reserves [now, end) and the reservation expires on
-	// its own, so no work is needed at finish beyond trimming history.
-	// Policies receive it through View.Profile instead of rebuilding an
-	// equivalent profile from the running set at every decision point.
+	// profile is the persistent availability timeline of the local jobs
+	// and the capacity losses, brought up to date only when a policy reads
+	// it through View.Profile (syncedProfile): the read reserves the jobs
+	// started since the last one and trims history, and a reservation
+	// expires on its own, so a finish costs nothing. stale marks a change
+	// of capacity since the last read, after which the read rebuilds the
+	// profile instead.
 	profile *rigid.Profile
+	stale   bool
 	// plan is the conservative-backfilling plan kept across decisions and
 	// handed to the policy through View.Plan; it stays empty under every
-	// other policy. Every profile rebuild invalidates it (see View.Plan).
+	// other policy. Every change of capacity invalidates it (see View.Plan).
 	plan Plan
 	// index is the backfill index of queue handed to the policy through
 	// View.Index; it stays empty until a policy searches it. dequeue keeps
@@ -563,14 +582,13 @@ func (s *Sim) free() int {
 // tasks as needed), then refills holes with best-effort tasks.
 func (s *Sim) reschedule() {
 	now := s.DES.Now()
-	s.profile.TrimBefore(now)
 	// The scratch is out of reach while it is lent: an observer that
 	// changes the capacity from inside a start comes back through here.
 	scratch := s.decisions
 	s.decisions = nil
 	view := View{
 		Now: now, Avail: s.avail - s.localProcs, Speed: s.Speed,
-		Queue: s.queue, Profile: s.profile, Plan: &s.plan, Index: &s.index, Scratch: scratch,
+		Queue: s.queue, Plan: &s.plan, Index: &s.index, Scratch: scratch, sim: s,
 	}
 	decisions := s.policy.Decide(view)
 	started := 0
@@ -618,13 +636,6 @@ func (s *Sim) start(d Decision, now float64, started int) bool {
 	s.dequeue(idx)
 	s.tally(d.Job, -1)
 	dur := d.Job.TimeOn(d.Procs) / s.Speed
-	if err := s.profile.Reserve(now, dur, d.Procs); err != nil {
-		// Cannot happen while profile and running set agree (the Procs
-		// guard above bounds the demand by the profile's minimum
-		// availability); resync defensively rather than diverge.
-		s.rebuildProfile(now)
-		_ = s.profile.Reserve(now, dur, d.Procs)
-	}
 	var run *localRunning
 	if n := len(s.runFree); n > 0 {
 		run = s.runFree[n-1]
@@ -675,43 +686,83 @@ func (s *Sim) finish(run *localRunning) {
 	s.reschedule()
 }
 
-// unrun removes run from the running set, moving the last record into
-// its slot.
+// unrun removes run from the running set and keeps the split at
+// reserved: a reserved record's slot takes the last reserved record, and
+// the slot that leaves free takes the last record.
 func (s *Sim) unrun(run *localRunning) {
-	last := s.running[len(s.running)-1]
-	s.running[run.at], last.at = last, run.at
-	s.running[len(s.running)-1] = nil
-	s.running = s.running[:len(s.running)-1]
+	at := run.at
+	if at < s.reserved {
+		s.reserved--
+		s.moveRun(s.reserved, at)
+		at = s.reserved
+	}
+	last := len(s.running) - 1
+	s.moveRun(last, at)
+	s.running[last] = nil
+	s.running = s.running[:last]
 }
 
-// rebuildProfile reconstructs the persistent profile from the running
-// set and the active capacity losses (fault events call it; otherwise a
-// defensive resync, never needed while the incremental updates and the
-// running list agree — TestSimMatchesReference checks that they do).
-// Outages with known repair times are carved out only until that time,
-// so a backfill plan sees the capacity come back and can reserve behind
-// it.
+// moveRun puts the running record in slot from into slot to, if they
+// differ.
+func (s *Sim) moveRun(from, to int) {
+	if from != to {
+		r := s.running[from]
+		s.running[to], r.at = r, to
+	}
+}
+
+// syncedProfile brings the profile up to date at the current time and
+// returns it. The jobs started since the last read are reserved from
+// their start for TimeOn/Speed, as rebuildProfile reserves them, and
+// history is trimmed: the profile is canonical, so from now on its
+// segments depend only on the availability from now on, whatever order
+// the reservations were made in, and a job that finished unreserved would
+// have been trimmed with the rest. After a change of capacity (stale),
+// or should a reservation not fit — which cannot happen while the
+// profile and the running set agree — the profile is rebuilt instead.
+func (s *Sim) syncedProfile() *rigid.Profile {
+	if !s.stale {
+		for _, r := range s.running[s.reserved:] {
+			if s.profile.Reserve(r.start, r.job.TimeOn(r.procs)/s.Speed, r.procs) != nil {
+				s.stale = true
+				break
+			}
+		}
+	}
+	if s.stale {
+		s.rebuildProfile()
+	}
+	s.reserved = len(s.running)
+	s.profile.TrimBefore(s.DES.Now())
+	return s.profile
+}
+
+// rebuildProfile reconstructs the profile from the running set and the
+// active capacity losses. Outages with known repair times are carved out
+// only until that time, so a backfill plan sees the capacity come back
+// and can reserve behind it; an outage whose repair is due now, its event
+// still to fire, is carved out nowhere and is not lost for good either.
 //
 // Every reservation is made from time 0 in the arithmetic that first
-// made it, and history is trimmed afterwards: a running job from its
-// start for TimeOn/Speed, as start reserved it, an outage until its
-// repair time. The rebuilt reservations thus end exactly where the
-// running records and the repair events say. (Reserving [now, end)
-// would round an end to now+(end-now), a float step off, and hold a
-// finished job's processors for that step.)
-func (s *Sim) rebuildProfile(now float64) {
-	s.plan.Invalidate()
-	s.profile = rigid.NewProfile(s.M)
+// made it, and history is trimmed afterwards (syncedProfile): a running
+// job from its start for TimeOn/Speed, an outage until its repair time.
+// The rebuilt reservations thus end exactly where the running records and
+// the repair events say. (Reserving [now, end) would round an end to
+// now+(end-now), a float step off, and hold a finished job's processors
+// for that step.)
+func (s *Sim) rebuildProfile() {
+	s.stale = false
+	s.profile.Reset(s.M)
 	remaining := s.M - s.avail
 	for _, o := range s.outages {
 		if remaining <= 0 {
 			break
 		}
 		p := min(o.procs, remaining)
-		if o.until > now && p > 0 {
+		if o.until > s.DES.Now() {
 			_ = s.profile.Reserve(0, o.until, p)
-			remaining -= p
 		}
+		remaining -= p
 	}
 	if remaining > 0 {
 		// Open-ended loss (SetAvailability): no known repair time.
@@ -720,7 +771,6 @@ func (s *Sim) rebuildProfile(now float64) {
 	for _, r := range s.running {
 		_ = s.profile.Reserve(r.start, r.job.TimeOn(r.procs)/s.Speed, r.procs)
 	}
-	s.profile.TrimBefore(now)
 }
 
 // killOneBE evicts one best-effort task per the kill policy. Returns
@@ -856,10 +906,11 @@ func (s *Sim) SetAvailability(avail int) {
 
 // applyAvail reconciles the simulation with a change of the active
 // capacity losses: recompute the working count (integrating downtime
-// when it moves), evict overcommitted work, rebuild the profile with the
-// losses carved out, and reschedule. The rebuild is due even when the
-// count stays put: a repair under a pinned SetAvailability changes when
-// the carved-out processors come back without changing how many work.
+// when it moves), evict overcommitted work, invalidate the plan, mark the
+// profile for a rebuild at its next read, and reschedule. The rebuild is
+// due even when the count stays put: a repair under a pinned
+// SetAvailability changes when the carved-out processors come back
+// without changing how many work.
 func (s *Sim) applyAvail(now float64) {
 	down := s.traceDown
 	for _, o := range s.outages {
@@ -877,7 +928,8 @@ func (s *Sim) applyAvail(now float64) {
 	}
 	for s.free() < 0 && s.killOneLocal(now) {
 	}
-	s.rebuildProfile(now)
+	s.plan.Invalidate()
+	s.stale = true
 	s.reschedule()
 }
 

@@ -108,7 +108,7 @@ func (ConservativePolicy) Decide(v View) []Decision {
 		return nil
 	}
 	if pl.profile == nil {
-		pl.profile = v.Profile.Clone()
+		pl.profile = v.Profile().Clone()
 	}
 	pl.profile.TrimBefore(v.Now)
 

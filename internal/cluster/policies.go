@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"repro/internal/rigid"
 	"repro/internal/workload"
 )
 
@@ -45,15 +46,16 @@ func (FCFSPolicy) Decide(v View) []Decision {
 // and its surplus counts *every* processor free at that instant, where
 // the former sorted-scan stopped mid-way through simultaneous releases.
 //
-// The shadow time has to count the heads this decision starts, whose
+// The profile is fetched on first use, never on entry: a decision that
+// needs no shadow time leaves the Sim nothing to bring up to date. The
+// shadow time has to count the heads this decision starts, whose
 // reservations are not in the cluster's profile yet, so they go into a
 // clone of it — once the decision has a reservation to write and will
 // read the profile again. After the first head that fits, it will only if
 // the next head fits too or is blocked with processors left to backfill
 // around it. Otherwise the decision ends there, as it does for every
 // arrival on an unsaturated cluster, with the same decisions whether the
-// reservation succeeds or not; Sim.start makes it in the real profile
-// next, and a copy made here would have been thrown away.
+// reservation succeeds or not, and without reading the profile at all.
 type EASYPolicy struct{}
 
 // Name implements Policy.
@@ -67,10 +69,11 @@ func (EASYPolicy) Decide(v View) []Decision {
 	out := v.Scratch
 	avail := v.Avail
 	queue := v.Queue
-	// profile is the cluster's own, to be read only, until the decision has
-	// a reservation to write; from then on (own) a clone, recycled on the
-	// way out.
-	profile, own := v.Profile, false
+	// profile is nil until the decision reads it. It is a clone (own),
+	// recycled on the way out, once the decision has a reservation to
+	// write, and otherwise the cluster's own, to be read only.
+	var profile *rigid.Profile
+	own := false
 	defer func() {
 		if own {
 			profile.Recycle()
@@ -94,7 +97,7 @@ func (EASYPolicy) Decide(v View) []Decision {
 			if len(queue) == 0 || (procsFor(queue[0]) > avail && avail <= 0) {
 				return out
 			}
-			profile, own = profile.Clone(), true
+			profile, own = v.Profile().Clone(), true
 		}
 		if err := profile.Reserve(v.Now, v.Duration(head, p), p); err != nil {
 			return out // inconsistent view; stop extending the plan
@@ -105,6 +108,9 @@ func (EASYPolicy) Decide(v View) []Decision {
 	}
 
 	// Shadow time for the blocked head.
+	if !own {
+		profile = v.Profile()
+	}
 	head := queue[0]
 	need := procsFor(head)
 	shadow, extra := profile.EarliestAvail(v.Now, need)

@@ -217,14 +217,14 @@ func TestIndexMatchesWalkOnHandBuiltViews(t *testing.T) {
 		}{{EASYPolicy{}, point.easy}, {GreedyFitPolicy{}, point.greedyFit}} {
 			v := testView(now, m, speed, avail, queue, running...)
 			want := c.walk(pointOf(v))
-			before := v.Profile.Clone()
+			before := v.Profile().Clone()
 			for round := 0; round < 2; round++ {
 				got := c.inner.Decide(v)
 				sameDecisions(t, now, got, want)
 				requirePositions(t, v, got)
 				checkIndex(t, v)
 			}
-			sameProfile(t, now, v.Profile, before, "View.Profile after the decisions", "before")
+			sameProfile(t, now, v.Profile(), before, "View.Profile after the decisions", "before")
 		}
 		return true
 	})

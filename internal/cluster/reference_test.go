@@ -18,6 +18,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/des"
+	"repro/internal/metrics"
 	"repro/internal/rigid"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -39,9 +40,10 @@ func (p point) duration(j *workload.Job, procs int) float64 { return j.TimeOn(pr
 // A running job's reservation starts at its recorded start and lasts
 // TimeOn/Speed, as Sim.start made it; the capacity losses are carved out
 // the way rebuildProfile carves them: the outages in order until their
-// repair times, whatever else is lost for good. The profile is therefore
-// the Sim's bit for bit, whether or not a fault has rebuilt it. working
-// is the working count the losses leave.
+// repair times (none for one whose repair is due now), whatever else is
+// lost for good. The profile is therefore the Sim's bit for bit, whether
+// the Sim brought it up to date reservation by reservation or rebuilt it.
+// working is the working count the losses leave.
 func referenceOf(t *testing.T, s *Sim) (p point, working int) {
 	t.Helper()
 	now := s.DES.Now()
@@ -58,10 +60,11 @@ func referenceOf(t *testing.T, s *Sim) (p point, working int) {
 	}
 	lost := s.M - working
 	for _, o := range s.outages {
-		if k := min(o.procs, lost); o.until > now && k > 0 {
+		k := min(o.procs, lost)
+		if o.until > now {
 			reserve(0, o.until, k)
-			lost -= k
 		}
+		lost -= k
 	}
 	reserve(0, availHorizon, lost)
 	for _, r := range s.running {
@@ -213,6 +216,14 @@ type audit struct {
 	// hog makes every third non-empty decision start with the widest job
 	// that fits, so that the Sim refuses some of the starts that follow.
 	hog bool
+	// sample, when set, makes the audit read View.Profile only at the
+	// decisions it draws, so that starts pile up unreserved between reads
+	// as they do under a policy that seldom reads it.
+	sample *stats.RNG
+	// unread, when set, holds the jobs started since the Sim's profile was
+	// last read, kept from the start, finish and kill observers alone;
+	// every decision requires it to be the Sim's running[reserved:].
+	unread map[*workload.Job]bool
 	// cov counts, across audits, how often each path was taken.
 	cov      map[string]int
 	returned int
@@ -237,7 +248,15 @@ func (a *audit) Decide(v View) []Decision {
 			t.Fatalf("t=%v: job %d started at %v, before its release at %v", v.Now, r.job.ID, r.start, r.job.Release)
 		}
 	}
-	sameProfile(t, v.Now, v.Profile, ref.profile, "View.Profile", "the reference")
+	if a.unread != nil {
+		a.checkUnread()
+	}
+	if a.sample == nil || a.sample.Bool(0.2) {
+		if a.sample != nil && s.stale && len(s.running) > s.reserved {
+			a.cov["stale profiles read with unread starts"]++
+		}
+		sameProfile(t, v.Now, v.Profile(), ref.profile, "View.Profile", "the reference")
+	}
 
 	checkIndex(t, v)
 	if _, ok := a.inner.(ConservativePolicy); ok && v.Plan.holds(v) && len(v.Plan.jobs) > 0 {
@@ -269,6 +288,9 @@ func (a *audit) Decide(v View) []Decision {
 		checkPlan(t, v, got, starts, plan)
 	}
 	a.countSearch(v, got)
+	if s.reserved == len(s.running) {
+		clear(a.unread) // the profile was read: every start is reserved
+	}
 
 	if a.hog && len(got) > 0 && a.cov["decisions"]%3 == 0 {
 		var wide *workload.Job
@@ -283,6 +305,18 @@ func (a *audit) Decide(v View) []Decision {
 	}
 	a.returned += len(got)
 	return got
+}
+
+// checkUnread requires the records the Sim holds unreserved to be the
+// jobs started since the profile was last read, as the observers saw
+// them.
+func (a *audit) checkUnread() {
+	s := a.sim
+	pending := s.running[s.reserved:]
+	if len(pending) != len(a.unread) || slices.ContainsFunc(pending, func(r *localRunning) bool { return !a.unread[r.job] }) {
+		a.t.Fatalf("t=%v: %d of %d running records unreserved, %d jobs started since the last read",
+			s.DES.Now(), len(pending), len(s.running), len(a.unread))
+	}
 }
 
 // planCopy returns a copy of pl that shares no memory with it.
@@ -435,18 +469,56 @@ func churnTwoClusters(t *testing.T, seed uint64, policies [2]Policy, setup func(
 
 // churnAudited runs churnTwoClusters with an audit bound to each cluster,
 // cluster c deciding by policies[c]. Unless hog refuses some on purpose,
-// every start decided must be made.
-func churnAudited(t *testing.T, seed uint64, policies [2]Policy, hog bool, cov map[string]int) bool {
+// every start decided must be made. lazy makes each audit read the
+// profile at a seeded subset of decisions only and follow the starts the
+// Sim leaves unreserved: those that finish, are killed, or are killed and
+// then stolen by the other cluster before a read.
+func churnAudited(t *testing.T, seed uint64, policies [2]Policy, hog, lazy bool, cov map[string]int) bool {
 	t.Helper()
 	var audits [2]*audit
 	for c := range audits {
 		audits[c] = &audit{t: t, inner: policies[c], hog: hog, cov: cov}
+		if lazy {
+			audits[c].sample = stats.NewRNG(seed*2 + uint64(c))
+			audits[c].unread = map[*workload.Job]bool{}
+		}
 	}
+	// killedUnread maps a job killed before its start was reserved to the
+	// cluster that killed it.
+	killedUnread := map[*workload.Job]*Sim{}
 	bound, started := 0, 0
 	sims, ok := churnTwoClusters(t, seed, [2]Policy{audits[0], audits[1]}, func(s *Sim) {
-		audits[bound].sim = s
+		a := audits[bound]
+		a.sim = s
 		bound++
-		s.OnLocalStart = func(*workload.Job, int, float64) { started++ }
+		s.OnLocalStart = func(j *workload.Job, _ int, _ float64) {
+			started++
+			if lazy {
+				a.unread[j] = true
+				delete(killedUnread, j)
+			}
+		}
+		if !lazy {
+			return
+		}
+		s.OnLocalDone = func(c metrics.Completion) {
+			if a.unread[c.Job] {
+				cov["unread starts finished"]++
+				delete(a.unread, c.Job)
+			}
+		}
+		s.OnLocalKilled = func(j *workload.Job, _ int, _ float64) {
+			if a.unread[j] {
+				cov["unread starts killed"]++
+				delete(a.unread, j)
+				killedUnread[j] = s
+			}
+		}
+		s.OnLocalSubmit = func(j *workload.Job, _ float64) {
+			if from := killedUnread[j]; from != nil && from != s {
+				cov["unread starts killed, then stolen"]++
+			}
+		}
 	})
 	refused := audits[0].returned + audits[1].returned - started
 	if !hog && refused != 0 {
@@ -459,23 +531,29 @@ func churnAudited(t *testing.T, seed uint64, policies [2]Policy, hog bool, cov m
 
 // TestSimMatchesReference audits every shipped policy against the
 // reference on the fault harness, on the same harness with refused
-// starts, on a healthy cluster with best-effort churn, and on a repair
-// under a pinned availability.
+// starts, again with the profile read at a seeded subset of decisions
+// only, on a healthy cluster with best-effort churn, on a repair under a
+// pinned availability and on one due at the instant of a rebuild.
 func TestSimMatchesReference(t *testing.T) {
 	for _, inner := range []Policy{FCFSPolicy{}, EASYPolicy{}, GreedyFitPolicy{}, ConservativePolicy{}} {
 		t.Run(inner.Name(), func(t *testing.T) {
 			cov := map[string]int{}
 			t.Run("churn", func(t *testing.T) {
 				checkSeeds(t, &quick.Config{MaxCountScale: 1.5}, func(seed uint64) bool {
-					return churnAudited(t, seed, [2]Policy{inner, inner}, false, cov)
+					return churnAudited(t, seed, [2]Policy{inner, inner}, false, false, cov)
 				})
 			})
 			t.Run("refused-starts", func(t *testing.T) {
 				for seed := uint64(1); seed <= 40; seed++ {
-					if !churnAudited(t, seed, [2]Policy{inner, inner}, true, cov) {
+					if !churnAudited(t, seed, [2]Policy{inner, inner}, true, false, cov) {
 						t.Fatalf("seed %d: not every job completed", seed)
 					}
 				}
+			})
+			t.Run("sampled-reads", func(t *testing.T) {
+				checkSeeds(t, &quick.Config{MaxCountScale: 1.5}, func(seed uint64) bool {
+					return churnAudited(t, seed, [2]Policy{inner, inner}, true, true, cov)
+				})
 			})
 			t.Run("healthy", func(t *testing.T) {
 				checkSeeds(t, &quick.Config{MaxCount: 25}, func(seed uint64) bool {
@@ -483,9 +561,10 @@ func TestSimMatchesReference(t *testing.T) {
 				})
 			})
 			t.Run("repair-under-pinned-loss", func(t *testing.T) { pinnedRepairAudited(t, inner, cov) })
+			t.Run("repair-due-at-rebuild", func(t *testing.T) { repairDueAtRebuildAudited(t, inner, cov) })
 			t.Run("steal-inside-start", func(t *testing.T) { stealInsideStartAudited(t, inner, cov) })
 
-			want := []string{"running jobs killed", "refused starts"}
+			want := append([]string{"running jobs killed", "refused starts"}, unreadPaths...)
 			switch inner.(type) {
 			case EASYPolicy, GreedyFitPolicy:
 				want = append(want, "searches taking no job", "searches taking one job", "searches taking several jobs")
@@ -508,6 +587,13 @@ func requireCovered(t *testing.T, cov map[string]int, want ...string) {
 	}
 }
 
+// unreadPaths are the paths a start the Sim has not reserved yet must
+// take under the sampled audit: it finishes, or is killed and requeued,
+// or is killed and taken by the other cluster, before the profile is
+// read; and a read finds the profile due for a rebuild with such starts
+// still running.
+var unreadPaths = []string{"unread starts finished", "unread starts killed", "unread starts killed, then stolen", "stale profiles read with unread starts"}
+
 // planPaths are the paths conservative backfilling must take under the
 // audit: a kept plan extended, one kept across a decision that started
 // jobs extended, and a plan made from scratch.
@@ -519,7 +605,7 @@ var planPaths = []string{"decisions extending a kept plan", "decisions extending
 func TestConservativePlanMatchesReplan(t *testing.T) {
 	cov := map[string]int{}
 	checkSeeds(t, &quick.Config{MaxCountScale: 1.5}, func(seed uint64) bool {
-		return churnAudited(t, seed, [2]Policy{ConservativePolicy{}, EASYPolicy{}}, false, cov)
+		return churnAudited(t, seed, [2]Policy{ConservativePolicy{}, EASYPolicy{}}, false, false, cov)
 	})
 	requireCovered(t, cov, planPaths...)
 }
@@ -532,7 +618,7 @@ func TestViewIsLiveUnderChurn(t *testing.T) {
 	policies := []Policy{FCFSPolicy{}, EASYPolicy{}, GreedyFitPolicy{}, ConservativePolicy{}}
 	cov := map[string]int{}
 	for seed := uint64(1); seed <= 40; seed++ {
-		if !churnAudited(t, seed, [2]Policy{policies[seed%4], policies[(seed+1)%4]}, true, cov) {
+		if !churnAudited(t, seed, [2]Policy{policies[seed%4], policies[(seed+1)%4]}, true, false, cov) {
 			t.Fatalf("seed %d: not every job completed", seed)
 		}
 	}
@@ -603,6 +689,47 @@ func pinnedRepairAudited(t *testing.T, inner Policy, cov map[string]int) {
 	}
 }
 
+// repairDueAtRebuildAudited: on 4 processors the availability is pinned
+// to 3 at 0 and 1 processor crashes until 10. R (1 wide, 50 long) starts
+// at 0 and H (3 wide, 5 long) waits; at 10 the pin lifts, B (1 wide, 30
+// long) arrives and the crash is repaired, in that order. The rebuild at
+// the lifted pin sees the outage's repair due now, its event still to
+// fire: the outage's processor comes back at 10, so EASY keeps H's
+// shadow at 10 and H starts at the repair. A rebuild that held that
+// processor lost for good would put the shadow at R's end, let B
+// backfill, and delay H to 40, when B ends. Greedy fit starts B at 10 and
+// H at 40 either way.
+func repairDueAtRebuildAudited(t *testing.T, inner Policy, cov map[string]int) {
+	s := auditedSim(t, 4, inner, cov)
+	h := rjob(1, 5, 3, 0)
+	err := errors.Join(
+		s.DES.At(0, func() {
+			s.SetAvailability(3)
+			_ = s.Crash(1, 10)
+		}),
+		s.DES.At(10, func() { s.SetAvailability(4) }),
+		submitAll(s, []*workload.Job{rjob(0, 50, 1, 0), h, rjob(2, 30, 1, 10)}),
+	)
+	if err == nil {
+		err = s.Run()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 10.0
+	if _, ok := inner.(GreedyFitPolicy); ok {
+		want = 40
+	}
+	for _, c := range s.Completions() {
+		if c.Job == h && c.Start != want {
+			t.Fatalf("H started at %v, want %v", c.Start, want)
+		}
+	}
+	if got := s.CompletedCount(); got != 3 {
+		t.Fatalf("%d of 3 jobs completed", got)
+	}
+}
+
 // stealInsideStartAudited: on 4 processors a 4-wide job runs until 2, and
 // A and C (2 wide) queue to run beside each other from 2, B (4 wide)
 // behind them. A's start at 2 steals C, the tail job, so C's start,
@@ -651,13 +778,13 @@ func testView(now float64, m int, speed float64, avail int, queue []*workload.Jo
 			}
 		}
 	}
-	return View{Now: now, Avail: avail, Speed: speed, Queue: queue, Profile: profile, Plan: new(Plan), Index: new(QueueIndex)}
+	return View{Now: now, Avail: avail, Speed: speed, Queue: queue, Plan: new(Plan), Index: new(QueueIndex), profile: profile}
 }
 
 // pointOf is the reference's reading of a view built by testView, whose
 // Profile is made of nothing but the running jobs it was given.
 func pointOf(v View) point {
-	return point{now: v.Now, speed: v.Speed, avail: v.Avail, queue: v.Queue, profile: v.Profile}
+	return point{now: v.Now, speed: v.Speed, avail: v.Avail, queue: v.Queue, profile: v.profile}
 }
 
 // requireLiveView fails unless v is made of s's own state and nothing
@@ -668,7 +795,7 @@ func requireLiveView(t *testing.T, s *Sim, v View) {
 	if len(v.Queue) != len(s.queue) || (len(v.Queue) > 0 && &v.Queue[0] != &s.queue[0]) {
 		t.Fatalf("t=%v: View.Queue is not the live queue", v.Now)
 	}
-	if v.Index != &s.index || v.Plan != &s.plan || v.Profile != s.profile {
+	if v.Index != &s.index || v.Plan != &s.plan || v.sim != s || v.profile != nil {
 		t.Fatalf("t=%v: view does not carry the simulator's index, plan and profile", v.Now)
 	}
 	if s.decisions != nil || len(v.Scratch) != 0 || held(v.Scratch) != 0 {

@@ -85,9 +85,11 @@ func writeReplayArchive(tb testing.TB, path string, n int) {
 // without the benchmark: replaying an archive under EASY with discard
 // retention allocates the *workload.Job it hands the simulator and, per
 // job, nothing else — no string or field slice per line, no run record,
-// closure or decision slice per start. The constant covers set-up: the
-// scanner's buffer, the event heap, queue and profile growing to their
-// working size.
+// closure or decision slice per start, no profile reservation at a start
+// (the profile is brought up to date only when EASY reads it, and the
+// read reserves into arrays already grown). The constant covers set-up:
+// the scanner's buffer, the event heap, queue and profile growing to
+// their working size.
 func TestReplayAllocBudget(t *testing.T) {
 	const n = 20_000
 	var archive bytes.Buffer
@@ -116,6 +118,34 @@ func TestReplayAllocBudget(t *testing.T) {
 		t.Fatalf("%d allocations for %d jobs (%.2f per job), budget %d", mallocs, n, float64(mallocs)/n, budget)
 	}
 	t.Logf("%d allocations for %d jobs", mallocs, n)
+}
+
+// TestFCFSReplayLeavesProfileUntouched: FCFS never reads the profile, so
+// replaying 20 000 jobs under it leaves the profile as New made it — one
+// segment from 0 with every processor free — and no start or finish paid
+// for a reservation or a trim.
+func TestFCFSReplayLeavesProfileUntouched(t *testing.T) {
+	const n = 20_000
+	var archive bytes.Buffer
+	writeReplayRecords(t, &archive, n)
+	sim, err := cluster.New(des.New(), replayM, 1, cluster.FCFSPolicy{}, cluster.KillNewest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Stream(trace.NewSWFJobSource(bytes.NewReader(archive.Bytes()))); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if sim.CompletedCount() != n {
+		t.Fatalf("completed %d of %d jobs", sim.CompletedCount(), n)
+	}
+	p := sim.ProfileAsIs()
+	if p.Segments() != 1 || p.Start() != 0 || p.AvailableAt(0) != replayM {
+		t.Fatalf("profile breaks at %v with %d free from %v, want one segment from 0 with all %d free",
+			p.Breakpoints(), p.AvailableAt(p.Start()), p.Start(), replayM)
+	}
 }
 
 // defectArchive is a 5000-record replay archive whose record at (1-based)
