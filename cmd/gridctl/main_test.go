@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -123,6 +125,71 @@ func TestLocalRejectsUnknownFormat(t *testing.T) {
 		}
 		if out.Len() != 0 {
 			t.Errorf("local -format yaml %s wrote %q", arg, out.String())
+		}
+	}
+}
+
+// TestLocalAndRunRefuseExchangeSettings: an exchange period below the
+// floor or an imbalance threshold of 1 or less is refused before
+// anything runs, with one error text by local and by POST /v1/runs,
+// for the decentralized kind's params and the grid kind's grid fields.
+func TestLocalAndRunRefuseExchangeSettings(t *testing.T) {
+	svc := api.NewRunService(api.Config{})
+	defer svc.Close()
+	mux := http.NewServeMux()
+	svc.Mount(mux)
+	srv := httptest.NewServer(api.Wrap(mux, nil))
+	defer srv.Close()
+	c := client.New(srv.URL)
+
+	f, err := os.Open(filepath.Join("..", "..", "examples", "scenario", "grid-fleet.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fleet, err := scenario.Decode(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withGrid := func(edit func(*scenario.Grid)) *scenario.Spec {
+		s := *fleet
+		g := *fleet.Grid
+		edit(&g)
+		s.Grid = &g
+		return &s
+	}
+	for _, tc := range []struct {
+		spec *scenario.Spec
+		want string
+	}{
+		{scenario.New("t7", "decentralized", scenario.WithParam("period", 1e-6)), "params.period = 1e-06, want an exchange period of at least 1 virtual second"},
+		{scenario.New("t7", "decentralized", scenario.WithParam("period", -5)), "params.period = -5, want an exchange period"},
+		{scenario.New("t7", "decentralized", scenario.WithParam("threshold", 1)), "params.threshold = 1, want an imbalance threshold above 1"},
+		{withGrid(func(g *scenario.Grid) { g.ExchangePeriod = 1e-6 }), "grid.exchange_period = 1e-06, want an exchange period of at least 1 virtual second"},
+		{withGrid(func(g *scenario.Grid) { g.ExchangePeriod = -1 }), "grid.exchange_period = -1, want an exchange period"},
+		{withGrid(func(g *scenario.Grid) { g.Threshold = 0.5 }), "grid.threshold = 0.5, want an imbalance threshold above 1"},
+	} {
+		verr := tc.spec.Validate(scenario.Limits{})
+		if verr == nil || !strings.Contains(verr.Error(), tc.want) {
+			t.Fatalf("%s: Validate = %v, want %q", tc.spec.ID, verr, tc.want)
+		}
+		b, err := json.Marshal(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "spec.json")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		lerr := localCmd(&out, []string{"-quick", path})
+		if lerr == nil || !strings.HasSuffix(lerr.Error(), verr.Error()) || out.Len() != 0 {
+			t.Errorf("local %s: err = %v, printed %q; want the error %q", tc.want, lerr, out.String(), verr)
+		}
+		_, serr := c.SubmitRun(context.Background(), scenario.HTTPRequest{Spec: tc.spec, Quick: true})
+		var ce *client.Error
+		if !errors.As(serr, &ce) || ce.Status != http.StatusBadRequest || ce.Message != verr.Error() {
+			t.Errorf("POST /v1/runs %s: err = %v; want a 400 with %q", tc.want, serr, verr)
 		}
 	}
 }

@@ -1079,11 +1079,7 @@ func (s *Sim) BestEffortQueueLength() int { return len(s.beQueue) }
 // BestEffortActive returns the number of grid tasks currently running.
 func (s *Sim) BestEffortActive() int { return len(s.beActive) }
 
-// Free returns the currently free processor count.
-func (s *Sim) Free() int { return s.free() }
-
-// QueueLength returns the current waiting-queue length (used by the
-// decentralized load exchange to compare cluster loads).
+// QueueLength returns the current waiting-queue length.
 func (s *Sim) QueueLength() int { return len(s.queue) }
 
 // Queued returns a copy of the waiting queue in submission order.

@@ -41,10 +41,10 @@ func TestLoadConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	ld = sim.Load()
-	if ld.Free != sim.Free() || ld.Queued != sim.QueueLength() ||
+	if ld.Free != sim.free() || ld.Queued != sim.QueueLength() ||
 		ld.BEQueued != sim.BestEffortQueueLength() || ld.BEActive != sim.BestEffortActive() {
 		t.Fatalf("load %+v diverges from accessors (free=%d queued=%d beq=%d bea=%d)",
-			ld, sim.Free(), sim.QueueLength(), sim.BestEffortQueueLength(), sim.BestEffortActive())
+			ld, sim.free(), sim.QueueLength(), sim.BestEffortQueueLength(), sim.BestEffortActive())
 	}
 	if got, want := ld.QueuedWork, sim.QueuedWork(); got != want {
 		t.Fatalf("tallied queued work %v, accessor %v", got, want)

@@ -212,32 +212,23 @@ func decentralizedRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.R
 			}
 			return []any{"isolated", 0,
 				metrics.MeanFlow(iso), metrics.MaxFlow(iso), metrics.Makespan(iso)}, nil
-		case 1:
-			d, err := grid.NewDecentralized(members, grid.DecentralizedOptions{
-				Period: period, Threshold: threshold, MaxMove: maxMove,
-			}, cluster.KillNewest)
-			if err != nil {
-				return nil, err
-			}
-			if err := d.Run(); err != nil {
-				return nil, err
-			}
-			ex := d.AllCompletions()
-			return []any{"push exchange", d.Stats().Migrations,
-				metrics.MeanFlow(ex), metrics.MaxFlow(ex), metrics.Makespan(ex)}, nil
 		default:
-			p, err := grid.NewDecentralized(members, grid.DecentralizedOptions{
-				Period: period, MaxMove: maxMove, Protocol: grid.Pull,
-			}, cluster.KillNewest)
+			scheme, exchange := "push exchange", grid.NewPushExchange
+			if i == 2 {
+				scheme, exchange = "pull stealing", grid.NewPullExchange
+			}
+			r, err := grid.NewRouted(members, nil, nil,
+				exchange(grid.RouterOptions{Threshold: threshold, MaxMove: maxMove}),
+				grid.RoutedOptions{ExchangePeriod: period}, cluster.KillNewest)
 			if err != nil {
 				return nil, err
 			}
-			if err := p.Run(); err != nil {
+			if err := r.Run(); err != nil {
 				return nil, err
 			}
-			pc := p.AllCompletions()
-			return []any{"pull stealing", p.Stats().Migrations,
-				metrics.MeanFlow(pc), metrics.MaxFlow(pc), metrics.Makespan(pc)}, nil
+			ex := r.AllCompletions()
+			return []any{scheme, r.Stats().Migrations,
+				metrics.MeanFlow(ex), metrics.MaxFlow(ex), metrics.Makespan(ex)}, nil
 		}
 	}); err != nil {
 		return nil, err

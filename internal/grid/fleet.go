@@ -73,19 +73,23 @@ type Fleet struct {
 	// them. Work already on the cluster keeps running — a partition cuts
 	// scheduling traffic, not execution.
 	Partitions []scenario.PartitionWindow
+
+	loads []cluster.LoadInfo // Loads' buffer
 }
 
-// Loads returns the fleet's load vector at virtual time now. Clusters
-// behind an open partition window are masked to a zero LoadInfo so
-// every router skips them.
+// Loads returns the fleet's load vector at virtual time now, in a
+// buffer the next call reuses. Clusters behind an open partition window
+// are masked to a zero LoadInfo so every router skips them.
 func (f *Fleet) Loads(now float64) []cluster.LoadInfo {
-	out := make([]cluster.LoadInfo, len(f.Sims))
+	f.loads = f.loads[:0]
 	for i, cs := range f.Sims {
+		var ld cluster.LoadInfo
 		if !scenario.Partitioned(f.Partitions, i, now) {
-			out[i] = cs.Load()
+			ld = cs.Load()
 		}
+		f.loads = append(f.loads, ld)
 	}
-	return out
+	return f.loads
 }
 
 // Grant hands stock tasks, from its head, to the clusters per the
@@ -116,28 +120,32 @@ func (f *Fleet) give(i, n int, stock []cluster.BETask) []cluster.BETask {
 	return stock
 }
 
-// Migrate runs one exchange round of the router's Moves and returns the
-// number of jobs moved (0 for a router that is not an Exchanger). Each
-// stolen job is injected into its destination, or back home when it
-// does not fit there or the destination refuses it; onMigrate, when
-// set, observes every job that moved. Moves touching a partitioned
-// cluster are dropped for the round: the masked loads keep senders
-// quiet, but an idle partitioned cluster can still surface as the
-// argmin destination.
+// Migrate runs one exchange round of the router's and returns the
+// number of jobs moved (0 for a router that is not an Exchanger). For
+// each Move the exchanger proposes, it steals up to N jobs from the
+// tail of Src's queue and injects each into Dst, or back home when it
+// does not fit there or Dst refuses it; onMigrate, when set, observes
+// every job that moved, and the exchanger hears what became of the Move
+// before it proposes the next. A Move touching a partitioned cluster
+// is dropped: the masked loads keep senders quiet, but an idle
+// partitioned cluster can still surface as the argmin destination.
 func (f *Fleet) Migrate(now float64, onMigrate func(j *workload.Job, src, dst int, now float64)) int {
 	ex, ok := f.Router.(Exchanger)
 	if !ok {
 		return 0
 	}
-	moved := 0
-	for _, mv := range ex.Moves(f.Loads(now)) {
-		if mv.Src == mv.Dst || mv.Src < 0 || mv.Dst < 0 ||
-			mv.Src >= len(f.Sims) || mv.Dst >= len(f.Sims) ||
-			scenario.Partitioned(f.Partitions, mv.Src, now) ||
-			scenario.Partitioned(f.Partitions, mv.Dst, now) {
-			continue
+	total := 0
+	ex.Begin(f.Loads(now))
+	for mv, ok := ex.Next(); ok; mv, ok = ex.Next() {
+		var stolen []*workload.Job
+		if mv.Src != mv.Dst && mv.Src >= 0 && mv.Dst >= 0 &&
+			mv.Src < len(f.Sims) && mv.Dst < len(f.Sims) &&
+			!scenario.Partitioned(f.Partitions, mv.Src, now) &&
+			!scenario.Partitioned(f.Partitions, mv.Dst, now) {
+			stolen = f.Sims[mv.Src].StealQueued(mv.N)
 		}
-		for _, j := range f.Sims[mv.Src].StealQueued(mv.N) {
+		moved := stolen[:0]
+		for _, j := range stolen {
 			dst := mv.Dst
 			if j.MinProcs > f.Sims[dst].M {
 				dst = mv.Src // does not fit; back home
@@ -147,12 +155,34 @@ func (f *Fleet) Migrate(now float64, onMigrate func(j *workload.Job, src, dst in
 				continue
 			}
 			if dst == mv.Dst {
-				moved++
+				moved = append(moved, j)
 				if onMigrate != nil {
 					onMigrate(j, mv.Src, dst, now)
 				}
 			}
 		}
+		total += len(moved)
+		ex.Moved(mv, len(stolen), moved)
 	}
-	return moved
+	return total
+}
+
+// SplitJobsSkewed sends the given fraction of the stream to member 0 and
+// deals the rest round-robin over the others — the §5.2 imbalance
+// scenario (one community floods its own cluster).
+func SplitJobsSkewed(jobs []*workload.Job, k int, frac float64) [][]*workload.Job {
+	out := make([][]*workload.Job, k)
+	if k == 1 {
+		out[0] = jobs
+		return out
+	}
+	cut := int(frac * float64(len(jobs)))
+	for i, j := range jobs {
+		if i < cut {
+			out[0] = append(out[0], j)
+		} else {
+			out[1+(i-cut)%(k-1)] = append(out[1+(i-cut)%(k-1)], j)
+		}
+	}
+	return out
 }

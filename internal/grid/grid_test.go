@@ -22,6 +22,12 @@ func newCiGri(members []Member, bags []*workload.Bag, kill cluster.KillPolicy) (
 	return r, nil
 }
 
+// newExchange runs the members' local jobs on Routed under one of T7's
+// exchangers, a round every period.
+func newExchange(members []Member, exchange func(RouterOptions) Router, opt RouterOptions, period float64) (*Routed, error) {
+	return NewRouted(members, nil, nil, exchange(opt), RoutedOptions{ExchangePeriod: period}, cluster.KillNewest)
+}
+
 func rjob(id int, dur float64, procs int, release float64) *workload.Job {
 	return &workload.Job{
 		ID: id, Kind: workload.Rigid, Weight: 1, DueDate: -1, Release: release,
@@ -178,9 +184,7 @@ func TestDecentralizedBalancesLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	cloneSplit := SplitJobsSkewed(cloneJobs(jobs), 3, 1.0)
-	d, err := NewDecentralized(smallMembers(cloneSplit), DecentralizedOptions{
-		Period: 10, Threshold: 1.2, MaxMove: 8,
-	}, cluster.KillNewest)
+	d, err := newExchange(smallMembers(cloneSplit), NewPushExchange, RouterOptions{Threshold: 1.2, MaxMove: 8}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,9 +212,7 @@ func TestDecentralizedNoMigrationWhenBalanced(t *testing.T) {
 		jobs = append(jobs, rjob(i, rng.Range(1, 5), 1, 0))
 	}
 	split := splitJobsRoundRobin(jobs, 3)
-	d, err := NewDecentralized(smallMembers(split), DecentralizedOptions{
-		Period: 5, Threshold: 3,
-	}, cluster.KillNewest)
+	d, err := newExchange(smallMembers(split), NewPushExchange, RouterOptions{Threshold: 3}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +240,7 @@ func TestDecentralizedWideJobNotMovedToSmallCluster(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		members[0].Local = append(members[0].Local, rjob(i, 10, 8, 0))
 	}
-	d, err := NewDecentralized(members, DecentralizedOptions{Period: 5, Threshold: 1.1}, cluster.KillNewest)
+	d, err := newExchange(members, NewPushExchange, RouterOptions{Threshold: 1.1}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +283,7 @@ func TestEmptyMembersRejected(t *testing.T) {
 	if _, err := newCiGri(nil, nil, cluster.KillNewest); err == nil {
 		t.Fatal("empty centralized accepted")
 	}
-	if _, err := NewDecentralized(nil, DecentralizedOptions{}, cluster.KillNewest); err == nil {
+	if _, err := newExchange(nil, NewPushExchange, RouterOptions{}, 0); err == nil {
 		t.Fatal("empty decentralized accepted")
 	}
 }
@@ -307,8 +309,8 @@ func TestPullProtocolStealsWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDecentralized(smallMembers(SplitJobsSkewed(cloneJobs(jobs), 3, 1.0)),
-		DecentralizedOptions{Period: 10, MaxMove: 4, Protocol: Pull}, cluster.KillNewest)
+	d, err := newExchange(smallMembers(SplitJobsSkewed(cloneJobs(jobs), 3, 1.0)),
+		NewPullExchange, RouterOptions{MaxMove: 4}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,8 +339,7 @@ func TestPullDoesNotStealWhenBusy(t *testing.T) {
 		jobs = append(jobs, rjob(i, 20, 4, 0)) // all full-width, same length
 	}
 	split := splitJobsRoundRobin(jobs, 3)
-	d, err := NewDecentralized(smallMembers(split),
-		DecentralizedOptions{Period: 5, MaxMove: 4, Protocol: Pull}, cluster.KillNewest)
+	d, err := newExchange(smallMembers(split), NewPullExchange, RouterOptions{MaxMove: 4}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Online grid policies: the routing decisions of the §5.2 multi-cluster
 // designs, extracted into small policy types shared between the offline
-// grid simulations (Routed and Decentralized in this package) and the
+// driver of this package (Routed, which runs every table's grid) and the
 // live broker of internal/gridservice. A Router sees only per-cluster
 // LoadInfo, so the same decision code runs in the offline tables and in
 // the broker's loop, both through Fleet.
@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // Move is one queued-job migration proposal: steal up to N waiting jobs
@@ -36,12 +37,18 @@ type Router interface {
 }
 
 // Exchanger is a Router with a load-exchange protocol. Fleet.Migrate
-// runs its rounds; routers that are not Exchangers never move a queued
-// job, so no round is run for them.
+// runs its rounds one Move at a time; routers that are not Exchangers
+// never move a queued job, so no round is run for them.
 type Exchanger interface {
-	// Moves proposes queued-job migrations for this round (nil when
-	// the fleet is balanced).
-	Moves(loads []cluster.LoadInfo) []Move
+	// Begin opens a round on the fleet's loads, which are the
+	// exchanger's to keep and change until the round ends.
+	Begin(loads []cluster.LoadInfo)
+	// Next proposes the round's next Move, or ok=false to end the round.
+	Next() (mv Move, ok bool)
+	// Moved reports what became of mv before the next Next: how many
+	// jobs were stolen from mv.Src and which of them reached mv.Dst
+	// (none when the driver dropped the Move).
+	Moved(mv Move, stolen int, moved []*workload.Job)
 }
 
 // RouterOptions tunes the routing policies (zero values select the
@@ -98,10 +105,10 @@ func (f CentralizedFill) Grants(loads []cluster.LoadInfo, stock int) []int {
 	return grants
 }
 
-// PushPick selects the (src, dst) pair for one sender-initiated transfer
+// pushPick selects the (src, dst) pair for one sender-initiated transfer
 // over normalized loads, or ok=false when the imbalance is below the
 // threshold (the §5.2 decentralized push protocol step).
-func PushPick(loads []float64, threshold float64) (src, dst int, ok bool) {
+func pushPick(loads []float64, threshold float64) (src, dst int, ok bool) {
 	src, dst = argmax(loads), argmin(loads)
 	if src == dst || loads[src] <= threshold*math.Max(loads[dst], 1e-12) {
 		return 0, 0, false
@@ -109,15 +116,35 @@ func PushPick(loads []float64, threshold float64) (src, dst int, ok bool) {
 	return src, dst, true
 }
 
-// PullPick selects the source an idle cluster i steals from (the
+// pullPick selects the source an idle cluster i steals from (the
 // receiver-initiated work-stealing step), or ok=false when nothing is
 // worth stealing.
-func PullPick(loads []float64, i int) (src int, ok bool) {
+func pullPick(loads []float64, i int) (src int, ok bool) {
 	src = argmax(loads)
 	if src == i || loads[src] <= 0 {
 		return 0, false
 	}
 	return src, true
+}
+
+func argmax(xs []float64) int {
+	best := 0
+	for i, x := range xs {
+		if x > xs[best] {
+			best = i
+		}
+	}
+	return best
+}
+
+func argmin(xs []float64) int {
+	best := 0
+	for i, x := range xs {
+		if x < xs[best] {
+			best = i
+		}
+	}
+	return best
 }
 
 // roundRobinRoute advances cursor over the clusters wide enough for the
@@ -173,8 +200,9 @@ func (r *CentralizedRouter) Grants(loads []cluster.LoadInfo, stock int) []int {
 // push exchange migrates queued jobs from overloaded to underloaded
 // clusters.
 type DecentralizedRouter struct {
-	opt RouterOptions
-	rr  int
+	opt  RouterOptions
+	rr   int
+	move Move // the round's one proposal, until Next hands it out
 }
 
 // NewDecentralizedRouter builds the online load-exchange policy.
@@ -214,19 +242,106 @@ func (r *DecentralizedRouter) Grants(loads []cluster.LoadInfo, stock int) []int 
 	return grants
 }
 
-func (r *DecentralizedRouter) Moves(loads []cluster.LoadInfo) []Move {
-	src, dst, ok := PushPick(normLoads(loads), r.opt.Threshold)
-	if !ok {
-		return nil
+// Begin plans the round's one push: up to MaxMove jobs, no more than
+// the source queues, from the most to the least loaded cluster when
+// their normalized loads differ by more than the threshold.
+func (r *DecentralizedRouter) Begin(loads []cluster.LoadInfo) {
+	r.move = Move{}
+	if src, dst, ok := pushPick(normLoads(loads), r.opt.Threshold); ok {
+		r.move = Move{Src: src, Dst: dst, N: min(r.opt.MaxMove, loads[src].Queued)}
 	}
-	n := r.opt.MaxMove
-	if q := loads[src].Queued; n > q {
-		n = q
+}
+
+func (r *DecentralizedRouter) Next() (Move, bool) {
+	mv := r.move
+	r.move = Move{}
+	return mv, mv.N > 0
+}
+
+// Moved has nothing to update: the round ends after its one Move.
+func (r *DecentralizedRouter) Moved(Move, int, []*workload.Job) {}
+
+// jobExchange is experiment T7's load exchange: one job per Move, and
+// the normalized loads of the round's start moved with every job
+// rather than read again. It routes and grants like DecentralizedRouter.
+type jobExchange struct {
+	DecentralizedRouter
+	pull  bool
+	loads []cluster.LoadInfo // the round's view; pull keeps Queued live
+	load  []float64          // normalized queued loads
+	i     int                // pull: the cluster whose turn it is
+	moved int                // jobs moved this round (push) or in cluster i's turn (pull)
+}
+
+// NewPushExchange builds T7's sender-initiated exchange: a round moves
+// up to MaxMove jobs one at a time from the most to the least loaded
+// cluster while their loads differ by more than the threshold,
+// re-picking both after every job, and ends at the first job that does
+// not move.
+func NewPushExchange(opt RouterOptions) Router {
+	return &jobExchange{DecentralizedRouter: DecentralizedRouter{opt: opt.fill()}}
+}
+
+// NewPullExchange builds T7's receiver-initiated exchange (work
+// stealing, in the spirit of the paper's [3]): in cluster order, every
+// idle cluster (empty queue, free processors) steals up to MaxMove jobs
+// one at a time from the most loaded cluster, regardless of the ratio,
+// until one does not move.
+func NewPullExchange(opt RouterOptions) Router {
+	return &jobExchange{DecentralizedRouter: DecentralizedRouter{opt: opt.fill()}, pull: true}
+}
+
+func (x *jobExchange) Name() string {
+	if x.pull {
+		return "pull"
 	}
-	if n <= 0 {
-		return nil
+	return "push"
+}
+
+func (x *jobExchange) Begin(loads []cluster.LoadInfo) {
+	x.loads, x.load = loads, x.load[:0]
+	for _, ld := range loads {
+		x.load = append(x.load, ld.NormLoad())
 	}
-	return []Move{{Src: src, Dst: dst, N: n}}
+	x.i, x.moved = 0, 0
+}
+
+func (x *jobExchange) Next() (Move, bool) {
+	if !x.pull {
+		if x.moved >= x.opt.MaxMove {
+			return Move{}, false
+		}
+		src, dst, ok := pushPick(x.load, x.opt.Threshold)
+		return Move{Src: src, Dst: dst, N: 1}, ok
+	}
+	for ; x.i < len(x.loads); x.i, x.moved = x.i+1, 0 {
+		// Queued is live: a source emptied earlier in the round may steal.
+		if ld := x.loads[x.i]; ld.Queued > 0 || ld.Free == 0 || x.moved >= x.opt.MaxMove {
+			continue
+		}
+		if src, ok := pullPick(x.load, x.i); ok {
+			return Move{Src: src, Dst: x.i, N: 1}, true
+		}
+	}
+	return Move{}, false
+}
+
+// Moved shifts a moved job's work from the source's load to the
+// destination's. A Move that moved nothing spends the budget: it ends
+// a push round, and cluster i's turn in a pull round.
+func (x *jobExchange) Moved(mv Move, stolen int, moved []*workload.Job) {
+	x.loads[mv.Src].Queued -= stolen
+	if len(moved) == 0 {
+		x.moved = x.opt.MaxMove
+		return
+	}
+	src, dst := x.loads[mv.Src], x.loads[mv.Dst]
+	for _, j := range moved {
+		w, _ := j.MinWork(src.M)
+		x.load[mv.Src] -= w / (float64(src.M) * src.Speed)
+		x.load[mv.Dst] += w / (float64(dst.M) * dst.Speed)
+		x.moved++
+	}
 }
 
 // LeastLoadedRouter routes every job to the cluster with the smallest

@@ -129,7 +129,7 @@ func TestDecentralizedRouterGrantsSpreadByCapacity(t *testing.T) {
 func TestDecentralizedRouterMoves(t *testing.T) {
 	r := NewDecentralizedRouter(RouterOptions{Threshold: 1.5, MaxMove: 4}).(Exchanger)
 	ld := loads4()
-	moves := r.Moves(ld)
+	moves := roundMoves(r, ld)
 	if len(moves) != 1 {
 		t.Fatalf("moves %v", moves)
 	}
@@ -146,23 +146,35 @@ func TestDecentralizedRouterMoves(t *testing.T) {
 		{M: 32, Speed: 1, Queued: 2, QueuedWork: 100},
 		{M: 32, Speed: 1, Queued: 2, QueuedWork: 100},
 	}
-	if mv := r.Moves(bal); mv != nil {
+	if mv := roundMoves(r, bal); mv != nil {
 		t.Fatalf("balanced fleet moved %v", mv)
 	}
 }
 
+// roundMoves runs one exchange round with no fleet behind it: every
+// proposed Move is reported as dropped.
+func roundMoves(ex Exchanger, loads []cluster.LoadInfo) []Move {
+	var moves []Move
+	ex.Begin(loads)
+	for mv, ok := ex.Next(); ok; mv, ok = ex.Next() {
+		moves = append(moves, mv)
+		ex.Moved(mv, 0, nil)
+	}
+	return moves
+}
+
 func TestPushPullPicks(t *testing.T) {
-	if _, _, ok := PushPick([]float64{1, 1.2}, 1.5); ok {
+	if _, _, ok := pushPick([]float64{1, 1.2}, 1.5); ok {
 		t.Fatal("push below threshold")
 	}
-	src, dst, ok := PushPick([]float64{10, 1}, 1.5)
+	src, dst, ok := pushPick([]float64{10, 1}, 1.5)
 	if !ok || src != 0 || dst != 1 {
 		t.Fatalf("push pick %d→%d ok=%v", src, dst, ok)
 	}
-	if _, ok := PullPick([]float64{0, 0}, 1); ok {
+	if _, ok := pullPick([]float64{0, 0}, 1); ok {
 		t.Fatal("pull with no load")
 	}
-	src, ok = PullPick([]float64{5, 0}, 1)
+	src, ok = pullPick([]float64{5, 0}, 1)
 	if !ok || src != 0 {
 		t.Fatalf("pull pick %d ok=%v", src, ok)
 	}

@@ -1,5 +1,6 @@
 // Package grid implements the two multi-cluster designs of §5.2 of the
-// paper on top of the cluster simulator:
+// paper on top of the cluster simulator, both run by one driver, Routed,
+// through the Fleet steps the live broker shares:
 //
 //   - Centralized (the CiGri system as deployed in Grenoble): each
 //     cluster keeps its own submission system for local jobs; a central
@@ -7,11 +8,15 @@
 //     elementary tasks into scheduling holes as best-effort jobs. A
 //     best-effort task whose processor is claimed by a local job is
 //     killed and resubmitted by the server. Local users are never
-//     delayed by grid work. Routed runs it: the members' local jobs,
+//     delayed by grid work. Routed runs it with the members' local jobs,
 //     the campaigns, NewCentralizedRouter and FeedOnIdle.
 //
 //   - Decentralized: all jobs are local, but neighbouring schedulers
-//     periodically exchange queued work to balance load.
+//     periodically exchange queued work to balance load. Every exchange
+//     protocol is an Exchanger whose rounds Routed arms and Fleet.Migrate
+//     runs one Move at a time: the decentralized router's push (the one
+//     gridd serves), and experiment T7's per-job push and pull
+//     (NewPushExchange, NewPullExchange), which gridd does not serve.
 package grid
 
 import (
@@ -19,6 +24,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/des"
+	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/workload"
 )
@@ -236,3 +242,17 @@ func (r *Routed) Run() error {
 
 // Stats returns the aggregated statistics (valid after Run).
 func (r *Routed) Stats() RoutedStats { return r.stats }
+
+// RunIsolated runs the members with nothing to route or exchange (the
+// baseline: communities keep their machines to themselves) and returns
+// the merged completion records in member order.
+func RunIsolated(members []Member, kill cluster.KillPolicy) ([]metrics.Completion, error) {
+	r, err := NewRouted(members, nil, nil, NewCentralizedRouter(RouterOptions{}), RoutedOptions{}, kill)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.Run(); err != nil {
+		return nil, err
+	}
+	return r.AllCompletions(), nil
+}

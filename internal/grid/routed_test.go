@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -228,5 +229,74 @@ func TestRoutedDecentralizedMigrates(t *testing.T) {
 	}
 	if got := len(r.Sim(1).Completions()); got != 0 {
 		t.Fatalf("narrow cluster ran %d wide jobs after exchange", got)
+	}
+}
+
+// unmaskedPull is the pull exchanger with a view that ignores partition
+// windows: it reads every cluster's live load.
+type unmaskedPull struct {
+	*jobExchange
+	sims clusters
+}
+
+func (u *unmaskedPull) Begin(loads []cluster.LoadInfo) {
+	for i, s := range u.sims {
+		loads[i] = s.Load()
+	}
+	u.jobExchange.Begin(loads)
+}
+
+// TestPullRespectsPartitions: while a partition window is open, a pull
+// round neither steals from the cut-off cluster (the one loaded
+// cluster) nor steals into it (an idle one), and once the window closes
+// the cluster exchanges again. It holds with the exchanger seeing the
+// fleet's masked loads and with one that sees through the mask, where
+// Fleet.Migrate's own check is all that stops the steals.
+func TestPullRespectsPartitions(t *testing.T) {
+	const end = 25
+	for _, cut := range []int{0, 1} {
+		for _, seeThrough := range []bool{false, true} {
+			name := fmt.Sprintf("cluster %d cut, see-through view %v", cut, seeThrough)
+			var loaded []*workload.Job
+			for i := 0; i < 8; i++ {
+				loaded = append(loaded, rjob(i, 12, 4, 0))
+			}
+			x := NewPullExchange(RouterOptions{MaxMove: 2}).(*jobExchange)
+			u := &unmaskedPull{jobExchange: x}
+			var router Router = x
+			if seeThrough {
+				router = u
+			}
+			r, err := NewRouted(smallMembers([][]*workload.Job{loaded, nil, nil}), nil, nil, router,
+				RoutedOptions{ExchangePeriod: 10}, cluster.KillNewest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			u.sims = r.clusters
+			r.SetPartitions([]scenario.PartitionWindow{{Start: 0, End: end, Clusters: []int{cut}}})
+			var inside, cutAfter int
+			r.OnMigrate = func(j *workload.Job, src, dst int, now float64) {
+				switch {
+				case now < end && (src == cut || dst == cut):
+					t.Errorf("%s: job %d stolen %d→%d at %v, inside the window", name, j.ID, src, dst, now)
+				case now < end:
+					inside++
+				case src == cut || dst == cut:
+					cutAfter++
+				}
+			}
+			if err := r.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if cut == 1 && inside == 0 {
+				t.Errorf("%s: the idle cluster outside the window stole nothing inside it", name)
+			}
+			if cutAfter == 0 {
+				t.Errorf("%s: cluster %d exchanged nothing after the window closed", name, cut)
+			}
+			if got := len(r.AllCompletions()); got != 8 {
+				t.Errorf("%s: %d of 8 jobs completed", name, got)
+			}
+		}
 	}
 }

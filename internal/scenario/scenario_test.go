@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -409,5 +410,33 @@ func TestRunResultOptionsResolved(t *testing.T) {
 	}
 	if res.Seed != 7 {
 		t.Fatalf("resolved seed = %d, want the explicit 7", res.Seed)
+	}
+}
+
+// TestValidateExchange: a load-exchange period below MinExchangePeriod
+// and an imbalance threshold of 1 or less are refused, in params and in
+// grid fields alike; the floor itself, a threshold just above 1 and
+// absent grid fields are accepted.
+func TestValidateExchange(t *testing.T) {
+	const k = "exchange-probe-kind"
+	registerSchemaProbe(k, map[string]ParamType{"period": FloatParam, "threshold": FloatParam})
+	for _, c := range []struct {
+		spec *Spec
+		want string // "" = accepted
+	}{
+		{New("x", k, WithParam("period", 0)), "params.period = 0, want an exchange period of at least 1 virtual second"},
+		{New("x", k, WithParam("period", 0.5)), "params.period = 0.5"},
+		{New("x", k, WithParam("period", 1)), ""},
+		{New("x", k, WithParam("threshold", 1)), "params.threshold = 1, want an imbalance threshold above 1"},
+		{New("x", k, WithParam("threshold", 1.01)), ""},
+		{New("x", k, WithGrid(Grid{})), ""},
+		{New("x", k, WithGrid(Grid{ExchangePeriod: 0.999})), "grid.exchange_period = 0.999"},
+		{New("x", k, WithGrid(Grid{ExchangePeriod: math.NaN()})), "grid.exchange_period = NaN"},
+		{New("x", k, WithGrid(Grid{ExchangePeriod: 1, Threshold: -2})), "grid.threshold = -2"},
+	} {
+		err := c.spec.Validate(Limits{})
+		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("params %v, grid %+v: error %v, want %q", c.spec.Params, c.spec.Grid, err, c.want)
+		}
 	}
 }

@@ -294,8 +294,9 @@ type Limits struct {
 // spec's kind declared through RegisterKind (skipped for a kind nobody
 // registered — Run and the API refuse such a kind themselves); the
 // floor of every size param, whose value and every list entry must be
-// at least 1 (no runner gives a lower value a meaning); and, under
-// non-zero lim, the job and processor bounds and the server-path ban.
+// at least 1 (no runner gives a lower value a meaning); the floor of the
+// load-exchange settings (checkExchange); and, under non-zero lim, the
+// job and processor bounds and the server-path ban.
 func (s *Spec) Validate(lim Limits) error {
 	if s == nil {
 		return fmt.Errorf("scenario: nil spec")
@@ -349,7 +350,49 @@ func (s *Spec) Validate(lim Limits) error {
 	if err := s.checkParams(lim); err != nil {
 		return err
 	}
+	if err := s.checkExchange(); err != nil {
+		return err
+	}
 	return s.checkSizes(lim)
+}
+
+// MinExchangePeriod is the shortest load-exchange period a spec may set,
+// in virtual seconds. A round re-arms the next while work is
+// outstanding, so a period far below the jobs' time scale runs rounds
+// by the million while the run's clock barely moves.
+const MinExchangePeriod = 1
+
+// checkExchange refuses load-exchange settings that would hang a run or
+// that the routers would silently replace: an exchange period
+// (params.period, grid.exchange_period) below MinExchangePeriod, and an
+// imbalance threshold (params.threshold, grid.threshold) of 1 or less.
+// A zero grid field is absent and keeps the kind's default.
+func (s *Spec) checkExchange() error {
+	var g Grid
+	if s.Grid != nil {
+		g = *s.Grid
+	}
+	for _, k := range []struct {
+		field     string
+		v         float64
+		set       bool
+		threshold bool
+	}{
+		{"params.period", s.Float("period", 0), s.Params["period"] != nil, false},
+		{"grid.exchange_period", g.ExchangePeriod, g.ExchangePeriod != 0, false},
+		{"params.threshold", s.Float("threshold", 0), s.Params["threshold"] != nil, true},
+		{"grid.threshold", g.Threshold, g.Threshold != 0, true},
+	} {
+		switch {
+		case !k.set:
+		case k.threshold && !(k.v > 1):
+			return fmt.Errorf("scenario: spec %q: %s = %v, want an imbalance threshold above 1", s.ID, k.field, k.v)
+		case !k.threshold && !(k.v >= MinExchangePeriod):
+			return fmt.Errorf("scenario: spec %q: %s = %v, want an exchange period of at least %v virtual second",
+				s.ID, k.field, k.v, MinExchangePeriod)
+		}
+	}
+	return nil
 }
 
 // Validate checks the fault plan's structural invariants.
