@@ -60,7 +60,7 @@ func main() {
 	for i, cl := range ciment.Clusters {
 		cs := g.Sim(i).Completions()
 		fmt.Printf("  %-9s %3d local jobs, mean flow %8.0f s, BE done %d / killed %d\n",
-			cl.Name, len(cs), metrics.MeanFlow(cs),
+			cl.Name, len(cs), metrics.NewReport(cs, 0).MeanFlow,
 			st.PerCluster[i].Completed, st.PerCluster[i].Killed)
 	}
 }

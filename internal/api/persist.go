@@ -92,13 +92,9 @@ func encodeResult(res *scenario.Result) (*resultRec, error) {
 		rr.Form = "cells"
 		rr.Cells = make([]cellRec, len(res.Cells))
 		for i, c := range res.Cells {
-			vals := make([]scenario.Value, len(c.Values))
-			for j, v := range c.Values {
-				ev, err := scenario.EncodeValue(v)
-				if err != nil {
-					return nil, err
-				}
-				vals[j] = ev
+			vals, err := scenario.EncodeRow(c.Values)
+			if err != nil {
+				return nil, err
 			}
 			rr.Cells[i] = cellRec{Index: c.Index, Values: vals, Duration: c.Duration}
 		}
@@ -121,13 +117,9 @@ func decodeResult(rr *resultRec) (*scenario.Result, error) {
 	case "cells":
 		cells := make([]scenario.Cell, len(rr.Cells))
 		for i, c := range rr.Cells {
-			vals := make([]any, len(c.Values))
-			for j, v := range c.Values {
-				dv, err := v.Decode()
-				if err != nil {
-					return nil, err
-				}
-				vals[j] = dv
+			vals, err := scenario.DecodeRow(c.Values)
+			if err != nil {
+				return nil, err
 			}
 			cells[i] = scenario.Cell{Index: c.Index, Values: vals, Duration: c.Duration}
 		}

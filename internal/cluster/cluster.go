@@ -125,8 +125,10 @@ func (v View) Duration(j *workload.Job, p int) float64 {
 }
 
 // Policy decides which queued jobs start now. Implementations must only
-// start jobs that fit in v.Avail and must not start a job twice. The
-// slice returned passes to the caller (see View.Scratch).
+// start jobs that fit in v.Avail and must not start a job twice. The Sim
+// decides only once every repair due now has fired (see reschedule), so
+// v.Avail and the profile count the same processors. The slice returned
+// passes to the caller (see View.Scratch).
 type Policy interface {
 	Name() string
 	Decide(v View) []Decision
@@ -579,9 +581,17 @@ func (s *Sim) free() int {
 }
 
 // reschedule runs the policy, starts its decisions (evicting best-effort
-// tasks as needed), then refills holes with best-effort tasks.
+// tasks as needed), then refills holes with best-effort tasks. It decides
+// nothing while a repair due now has not fired: that repair's event is
+// pending at now and reschedules once the processors are back, so every
+// decision sees the capacity the instant ends with.
 func (s *Sim) reschedule() {
 	now := s.DES.Now()
+	for _, o := range s.outages {
+		if o.until <= now {
+			return
+		}
+	}
 	// The scratch is out of reach while it is lent: an observer that
 	// changes the capacity from inside a start comes back through here.
 	scratch := s.decisions
@@ -625,7 +635,7 @@ func (s *Sim) start(d Decision, now float64, started int) bool {
 		return false
 	}
 	if d.Procs > s.avail-s.localProcs {
-		return false // policy overcommitted (or capacity just crashed); refuse
+		return false // policy overcommitted; refuse
 	}
 	// Evict best-effort tasks if physically needed.
 	for s.free() < d.Procs {
@@ -740,8 +750,7 @@ func (s *Sim) syncedProfile() *rigid.Profile {
 // rebuildProfile reconstructs the profile from the running set and the
 // active capacity losses. Outages with known repair times are carved out
 // only until that time, so a backfill plan sees the capacity come back
-// and can reserve behind it; an outage whose repair is due now, its event
-// still to fire, is carved out nowhere and is not lost for good either.
+// and can reserve behind it.
 //
 // Every reservation is made from time 0 in the arithmetic that first
 // made it, and history is trimmed afterwards (syncedProfile): a running
@@ -759,9 +768,7 @@ func (s *Sim) rebuildProfile() {
 			break
 		}
 		p := min(o.procs, remaining)
-		if o.until > s.DES.Now() {
-			_ = s.profile.Reserve(0, o.until, p)
-		}
+		_ = s.profile.Reserve(0, o.until, p)
 		remaining -= p
 	}
 	if remaining > 0 {

@@ -40,9 +40,9 @@ func (p point) duration(j *workload.Job, procs int) float64 { return j.TimeOn(pr
 // A running job's reservation starts at its recorded start and lasts
 // TimeOn/Speed, as Sim.start made it; the capacity losses are carved out
 // the way rebuildProfile carves them: the outages in order until their
-// repair times (none for one whose repair is due now), whatever else is
-// lost for good. The profile is therefore the Sim's bit for bit, whether
-// the Sim brought it up to date reservation by reservation or rebuilt it.
+// repair times, whatever else is lost for good. The profile is therefore
+// the Sim's bit for bit, whether the Sim brought it up to date
+// reservation by reservation or rebuilt it.
 // working is the working count the losses leave.
 func referenceOf(t *testing.T, s *Sim) (p point, working int) {
 	t.Helper()
@@ -61,9 +61,7 @@ func referenceOf(t *testing.T, s *Sim) (p point, working int) {
 	lost := s.M - working
 	for _, o := range s.outages {
 		k := min(o.procs, lost)
-		if o.until > now {
-			reserve(0, o.until, k)
-		}
+		reserve(0, o.until, k)
 		lost -= k
 	}
 	reserve(0, availHorizon, lost)
@@ -225,8 +223,12 @@ type audit struct {
 	// every decision requires it to be the Sim's running[reserved:].
 	unread map[*workload.Job]bool
 	// cov counts, across audits, how often each path was taken.
-	cov      map[string]int
-	returned int
+	cov map[string]int
+	// returned counts the starts decided, started those made (kept by
+	// auditedSim's start observer), and decided the decisions at each
+	// instant.
+	returned, started int
+	decided           map[float64]int
 }
 
 func (a *audit) Name() string { return a.inner.Name() }
@@ -234,6 +236,7 @@ func (a *audit) Name() string { return a.inner.Name() }
 func (a *audit) Decide(v View) []Decision {
 	t, s := a.t, a.sim
 	a.cov["decisions"]++
+	a.decided[v.Now]++
 	requireLiveView(t, s, v)
 	ref, working := referenceOf(t, s)
 	if working != s.avail || v.Avail != ref.avail || v.Avail < 0 {
@@ -477,7 +480,7 @@ func churnAudited(t *testing.T, seed uint64, policies [2]Policy, hog, lazy bool,
 	t.Helper()
 	var audits [2]*audit
 	for c := range audits {
-		audits[c] = &audit{t: t, inner: policies[c], hog: hog, cov: cov}
+		audits[c] = &audit{t: t, inner: policies[c], hog: hog, cov: cov, decided: map[float64]int{}}
 		if lazy {
 			audits[c].sample = stats.NewRNG(seed*2 + uint64(c))
 			audits[c].unread = map[*workload.Job]bool{}
@@ -626,15 +629,26 @@ func TestViewIsLiveUnderChurn(t *testing.T) {
 }
 
 // auditedSim returns a cluster of m processors deciding by inner under
-// an audit.
+// an audit that counts the starts made.
 func auditedSim(t *testing.T, m int, inner Policy, cov map[string]int) *Sim {
-	a := &audit{t: t, inner: inner, cov: cov}
+	a := &audit{t: t, inner: inner, cov: cov, decided: map[float64]int{}}
 	s, err := New(des.New(), m, 1, a, KillNewest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a.sim = s
+	s.OnLocalStart = func(*workload.Job, int, float64) { a.started++ }
 	return s
+}
+
+// requireRefused fails unless the Sim refused exactly want of the starts
+// its audit decided.
+func requireRefused(t *testing.T, s *Sim, want int) {
+	t.Helper()
+	a := s.policy.(*audit)
+	if got := a.returned - a.started; got != want {
+		t.Fatalf("%d of %d decided starts refused, want %d", got, a.returned, want)
+	}
 }
 
 // healthyAudited runs local jobs and best-effort churn, forcing kills and
@@ -657,6 +671,7 @@ func healthyAudited(t *testing.T, seed uint64, inner Policy, cov map[string]int)
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
+	requireRefused(t, s, 0)
 	return len(s.Completions()) == n
 }
 
@@ -687,18 +702,20 @@ func pinnedRepairAudited(t *testing.T, inner Policy, cov map[string]int) {
 	if got := s.CompletedCount(); got != 3 {
 		t.Fatalf("%d of 3 jobs completed", got)
 	}
+	requireRefused(t, s, 0)
 }
 
 // repairDueAtRebuildAudited: on 4 processors the availability is pinned
 // to 3 at 0 and 1 processor crashes until 10. R (1 wide, 50 long) starts
 // at 0 and H (3 wide, 5 long) waits; at 10 the pin lifts, B (1 wide, 30
-// long) arrives and the crash is repaired, in that order. The rebuild at
-// the lifted pin sees the outage's repair due now, its event still to
-// fire: the outage's processor comes back at 10, so EASY keeps H's
-// shadow at 10 and H starts at the repair. A rebuild that held that
-// processor lost for good would put the shadow at R's end, let B
-// backfill, and delay H to 40, when B ends. Greedy fit starts B at 10 and
-// H at 40 either way.
+// long) arrives and the crash is repaired, in that order. Neither the
+// lifted pin nor B's arrival decides while the repair is due: the one
+// decision at 10 follows the repair, sees all 4 processors, and every
+// policy starts H then. A decision before the repair sees 2 processors
+// free beside R, too few for H: with the repair's processor held for
+// good, B backfills and H waits until 40, when B ends; with it coming
+// back at 10, greedy fit still starts B first, and conservative decides
+// H before the processor is there, a start the Sim refuses.
 func repairDueAtRebuildAudited(t *testing.T, inner Policy, cov map[string]int) {
 	s := auditedSim(t, 4, inner, cov)
 	h := rjob(1, 5, 3, 0)
@@ -716,31 +733,34 @@ func repairDueAtRebuildAudited(t *testing.T, inner Policy, cov map[string]int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 10.0
-	if _, ok := inner.(GreedyFitPolicy); ok {
-		want = 40
-	}
 	for _, c := range s.Completions() {
-		if c.Job == h && c.Start != want {
-			t.Fatalf("H started at %v, want %v", c.Start, want)
+		if c.Job == h && c.Start != 10 {
+			t.Fatalf("H started at %v, want 10", c.Start)
 		}
 	}
 	if got := s.CompletedCount(); got != 3 {
 		t.Fatalf("%d of 3 jobs completed", got)
 	}
+	if n := s.policy.(*audit).decided[10]; n != 1 {
+		t.Fatalf("%d decisions at 10, want 1", n)
+	}
+	requireRefused(t, s, 0)
 }
 
 // stealInsideStartAudited: on 4 processors a 4-wide job runs until 2, and
 // A and C (2 wide) queue to run beside each other from 2, B (4 wide)
 // behind them. A's start at 2 steals C, the tail job, so C's start,
-// decided with A's, is refused. D (2 wide) arrives at 3 and fits beside A
-// before B; a plan still holding C's reservation has no room for it until
-// B ends.
+// decided with A's by every policy but FCFS, is refused: the one refusal
+// an unwrapped case makes, and not for want of processors. D (2 wide)
+// arrives at 3 and fits beside A before B; a plan still holding C's
+// reservation has no room for it until B ends.
 func stealInsideStartAudited(t *testing.T, inner Policy, cov map[string]int) {
 	s := auditedSim(t, 4, inner, cov)
 	a, b, c := rjob(1, 5, 2, 0), rjob(2, 5, 4, 0), rjob(3, 5, 2, 0)
 	var stolen []*workload.Job
-	s.OnLocalStart = func(j *workload.Job, _ int, _ float64) {
+	count := s.OnLocalStart
+	s.OnLocalStart = func(j *workload.Job, procs int, now float64) {
+		count(j, procs, now)
 		if j == a {
 			stolen = s.StealQueued(1)
 		}
@@ -755,6 +775,11 @@ func stealInsideStartAudited(t *testing.T, inner Policy, cov map[string]int) {
 	if len(stolen) != 1 || stolen[0] != c || s.CompletedCount() != 4 {
 		t.Fatalf("stole %v and completed %d jobs, want C stolen and the other 4 completed", stolen, s.CompletedCount())
 	}
+	want := 1
+	if _, ok := inner.(FCFSPolicy); ok {
+		want = 0
+	}
+	requireRefused(t, s, want)
 }
 
 // busy is a running job of a decision point built in a test: procs

@@ -136,8 +136,9 @@ func TestStreamMatchesSubmitAllAcrossBatches(t *testing.T) {
 	}
 }
 
-// TestStreamReportMatchesNewReport: the O(1) Report equals the
-// slice-based report over the full retained history.
+// TestStreamReportMatchesNewReport: the O(1) Report, folded as jobs
+// finish, equals NewReport's fold of the full retained history, so the
+// default retention keeps every completion, once, in completion order.
 func TestStreamReportMatchesNewReport(t *testing.T) {
 	cfg := workload.GenConfig{N: 250, M: 16, Seed: 4, ArrivalRate: 1, Weighted: true, DueDateSlack: 2}
 	s := runStreamed(t, 16, EASYPolicy{}, workload.ParallelSource(cfg), nil)

@@ -132,7 +132,7 @@ func cigriRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, e
 				if err != nil {
 					return gridResult{}, err
 				}
-				return gridResult{flowIso: metrics.MeanFlow(iso)}, nil
+				return gridResult{flowIso: metrics.NewReport(iso, 0).MeanFlow}, nil
 			}
 			bags := []*workload.Bag{{ID: 0, Runs: runs, RunTime: runTime}}
 			g, err := grid.NewRouted(members, nil, bags, grid.NewCentralizedRouter(grid.RouterOptions{}),
@@ -144,7 +144,7 @@ func cigriRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, e
 			if err := g.Run(); err != nil {
 				return gridResult{}, err
 			}
-			return gridResult{flowGrid: metrics.MeanFlow(g.AllCompletions()), stats: g.Stats()}, nil
+			return gridResult{flowGrid: metrics.NewReport(g.AllCompletions(), 0).MeanFlow, stats: g.Stats()}, nil
 		})
 		if err != nil {
 			return nil, err
@@ -210,8 +210,8 @@ func decentralizedRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.R
 			if err != nil {
 				return nil, err
 			}
-			return []any{"isolated", 0,
-				metrics.MeanFlow(iso), metrics.MaxFlow(iso), metrics.Makespan(iso)}, nil
+			rep := metrics.NewReport(iso, 0)
+			return []any{"isolated", 0, rep.MeanFlow, rep.MaxFlow, rep.Makespan}, nil
 		default:
 			scheme, exchange := "push exchange", grid.NewPushExchange
 			if i == 2 {
@@ -226,9 +226,8 @@ func decentralizedRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.R
 			if err := r.Run(); err != nil {
 				return nil, err
 			}
-			ex := r.AllCompletions()
-			return []any{scheme, r.Stats().Migrations,
-				metrics.MeanFlow(ex), metrics.MaxFlow(ex), metrics.Makespan(ex)}, nil
+			rep := metrics.NewReport(r.AllCompletions(), 0)
+			return []any{scheme, r.Stats().Migrations, rep.MeanFlow, rep.MaxFlow, rep.Makespan}, nil
 		}
 	}); err != nil {
 		return nil, err

@@ -196,13 +196,13 @@ func gridRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, er
 				requeues += fs.Requeues
 			}
 		}
-		cs := r.AllCompletions()
+		rep := metrics.NewReport(r.AllCompletions(), 0)
 		wastedPct := 0.0
 		if st.DoneWork+st.WastedWork > 0 {
 			wastedPct = 100 * st.WastedWork / (st.DoneWork + st.WastedWork)
 		}
 		row := []any{entry.Name, st.Migrations,
-			metrics.MeanFlow(cs), metrics.MaxFlow(cs), metrics.Makespan(cs),
+			rep.MeanFlow, rep.MaxFlow, rep.Makespan,
 			st.TasksCompleted, st.TasksKilled, wastedPct, st.GridMakespan}
 		if spec.Faults != nil {
 			row = append(row, st.Rejected, crashes, requeues)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/des"
 	"repro/internal/faults"
 	"repro/internal/lowerbound"
-	"repro/internal/metrics"
 	"repro/internal/scenario"
 	"repro/internal/workload"
 )
@@ -88,15 +87,14 @@ func onlineRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, 
 				return nil, fmt.Errorf("experiments: %s: %w", e.Name, err)
 			}
 			tc.add(i, e.Name, rec)
-			cs := sim.Completions()
-			rep := metrics.NewReport(cs, c.M)
+			rep := sim.Report()
 			cmaxLB := lowerbound.Cmax(jobs, c.M)
 			row := []any{
 				rate, n, e.Name, rep.Makespan / cmaxLB,
 				rep.MeanFlow, rep.MaxFlow, rep.MeanStretch, 100 * rep.Utilization,
 			}
 			if spec.Faults != nil {
-				fs := sim.FaultStats()
+				fs := rep.Faults
 				row = append(row, fs.Crashes, fs.Requeues, fs.LostWork)
 			}
 			out = append(out, row)

@@ -198,8 +198,8 @@ func TestDecentralizedBalancesLoad(t *testing.T) {
 	if len(exchanged) != 60 {
 		t.Fatalf("%d completions, want 60", len(exchanged))
 	}
-	flowIso := metrics.MeanFlow(isolated)
-	flowEx := metrics.MeanFlow(exchanged)
+	flowIso := metrics.NewReport(isolated, 0).MeanFlow
+	flowEx := metrics.NewReport(exchanged, 0).MeanFlow
 	if flowEx >= flowIso {
 		t.Fatalf("exchange did not improve mean flow: %v vs isolated %v", flowEx, flowIso)
 	}
@@ -324,9 +324,8 @@ func TestPullProtocolStealsWork(t *testing.T) {
 	if len(ex) != 50 {
 		t.Fatalf("%d completions, want 50", len(ex))
 	}
-	if metrics.MeanFlow(ex) >= metrics.MeanFlow(iso) {
-		t.Fatalf("pull (%v) did not improve on isolated (%v)",
-			metrics.MeanFlow(ex), metrics.MeanFlow(iso))
+	if flowEx, flowIso := metrics.NewReport(ex, 0).MeanFlow, metrics.NewReport(iso, 0).MeanFlow; flowEx >= flowIso {
+		t.Fatalf("pull (%v) did not improve on isolated (%v)", flowEx, flowIso)
 	}
 }
 

@@ -42,7 +42,8 @@ type Topology struct {
 	Dilation float64 `json:"dilation"`
 	// Seed drives the weighted-random router.
 	Seed uint64 `json:"seed"`
-	// Threshold and MaxMove tune the decentralized exchange.
+	// Threshold and MaxMove tune the decentralized exchange. A set
+	// threshold must be above 1; 0 keeps the router's default.
 	Threshold float64 `json:"threshold"`
 	MaxMove   int     `json:"max_move"`
 	// TickMS is the broker's redistribution period in wall milliseconds
@@ -159,6 +160,9 @@ func (t Topology) Validate() error {
 	}
 	if t.Dilation < 0 {
 		return fmt.Errorf("negative dilation %v", t.Dilation)
+	}
+	if t.Threshold != 0 && !(t.Threshold > 1) {
+		return fmt.Errorf("threshold = %v, want an imbalance threshold above 1", t.Threshold)
 	}
 	for i, p := range t.Partitions {
 		if err := p.Validate(); err != nil {

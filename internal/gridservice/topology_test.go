@@ -59,6 +59,8 @@ func TestLoadTopologyRejects(t *testing.T) {
 		"negative speed":    `{"clusters": [{"speed": -1}]}`,
 		"unknown field":     `{"clusterz": [{}]}`,
 		"negative dilation": `{"dilation": -1, "clusters": [{}]}`,
+		"threshold of 1":    `{"grid_policy": "decentralized", "threshold": 1, "clusters": [{}]}`,
+		"threshold below 1": `{"grid_policy": "decentralized", "threshold": 0.5, "clusters": [{}]}`,
 	}
 	for name, body := range cases {
 		if _, err := LoadTopology(writeTopo(t, body)); err == nil {
@@ -77,5 +79,11 @@ func TestNewBrokerRejectsBadTopology(t *testing.T) {
 	}
 	if _, err := NewBroker(Topology{GridPolicy: "nope", Clusters: []ClusterSpec{{}}}); err == nil {
 		t.Fatal("unknown grid policy accepted")
+	}
+	// Refused in the words a spec's grid.threshold is refused in, rather
+	// than run at the router's default.
+	_, err := NewBroker(Topology{GridPolicy: "decentralized", Threshold: 0.5, Clusters: []ClusterSpec{{}}})
+	if err == nil || !strings.Contains(err.Error(), "want an imbalance threshold above 1") {
+		t.Fatalf("threshold 0.5: %v", err)
 	}
 }

@@ -3,10 +3,9 @@ package metrics
 // Accumulator computes the full §3 criteria Report in one pass over the
 // completion stream, in O(1) memory: simulations feed every completion
 // through Add as it happens and can ask for the Report at any point
-// without retaining the records. Fed the same completions in the same
-// order, Report() is bit-for-bit identical to NewReport over the
-// materialized slice — each criterion performs the exact same float
-// operations in the exact same order (a single left fold per metric).
+// without retaining the records. It is the one implementation of the
+// criteria: NewReport folds a slice through it, so fed the same
+// completions in the same order the two reports are bit for bit equal.
 //
 // The platform width m is fixed at construction because stretch
 // normalizes by the job's best execution time on m processors, which

@@ -24,9 +24,10 @@ func accumulate(cs []Completion, m int) Report {
 }
 
 // TestAccumulatorMatchesNewReportRandom is the property test of the
-// streaming stats path: across randomized workloads (moldable and
-// rigid, weighted, due dates, out-of-order completion streams) the
-// one-pass report equals the slice-based NewReport bit-for-bit.
+// criteria: across randomized workloads (moldable and rigid, weighted,
+// due dates, out-of-order completion streams) the one-pass report, and
+// NewReport's fold of the slice, equal the per-criterion loops of
+// referenceReport bit for bit, on the platform width and on none.
 func TestAccumulatorMatchesNewReportRandom(t *testing.T) {
 	rng := stats.NewRNG(99)
 	for trial := 0; trial < 200; trial++ {
@@ -59,21 +60,28 @@ func TestAccumulatorMatchesNewReportRandom(t *testing.T) {
 			k := rng.Intn(i + 1)
 			cs[i], cs[k] = cs[k], cs[i]
 		}
-		want := NewReport(cs, m)
-		got := accumulate(cs, m)
-		if !reportsIdentical(want, got) {
-			t.Fatalf("trial %d (n=%d m=%d): accumulator diverged\nwant %+v\ngot  %+v",
-				trial, len(cs), m, want, got)
+		for _, width := range []int{m, 0} {
+			want := referenceReport(cs, width)
+			for name, got := range map[string]Report{"accumulator": accumulate(cs, width), "NewReport": NewReport(cs, width)} {
+				if !reportsIdentical(want, got) {
+					t.Fatalf("trial %d (n=%d m=%d): %s diverged\nwant %+v\ngot  %+v",
+						trial, len(cs), width, name, want, got)
+				}
+			}
+		}
+		if r := NewReport(cs, 0); r.MeanStretch != 0 || r.MaxStretch != 0 || r.Utilization != 0 {
+			t.Fatalf("trial %d: no platform width, yet stretch %v / %v and utilization %v",
+				trial, r.MeanStretch, r.MaxStretch, r.Utilization)
 		}
 	}
 }
 
-// TestAccumulatorEdgeCases mirrors the metrics/edge_test.go cases the
-// slice path pins: empty stream, zero-duration stretch suppression,
-// DueDate=-1 never late, zero-makespan utilization.
+// TestAccumulatorEdgeCases holds the accumulator to the reference on the
+// edge cases metrics/edge_test.go pins: empty stream, zero-duration
+// stretch suppression, DueDate=-1 never late, zero-makespan utilization.
 func TestAccumulatorEdgeCases(t *testing.T) {
 	// Empty: all zeros, no NaN.
-	if rep := NewAccumulator(8).Report(); !reportsIdentical(rep, NewReport(nil, 8)) {
+	if rep := NewAccumulator(8).Report(); !reportsIdentical(rep, referenceReport(nil, 8)) {
 		t.Fatalf("empty accumulator report = %+v", rep)
 	}
 
@@ -88,7 +96,7 @@ func TestAccumulatorEdgeCases(t *testing.T) {
 		{Job: late, Start: 0, End: 2, Procs: 2},
 		{Job: noDue, Start: 2, End: 5, Procs: 1},
 	}
-	want := NewReport(cs, 4)
+	want := referenceReport(cs, 4)
 	got := accumulate(cs, 4)
 	if !reportsIdentical(want, got) {
 		t.Fatalf("edge stream diverged\nwant %+v\ngot  %+v", want, got)
@@ -102,7 +110,7 @@ func TestAccumulatorEdgeCases(t *testing.T) {
 
 	// All-zero-duration stream at t=0: utilization denominator is 0.
 	zcs := []Completion{{Job: zero, Start: 0, End: 0, Procs: 1}}
-	if w, g := NewReport(zcs, 4), accumulate(zcs, 4); !reportsIdentical(w, g) {
+	if w, g := referenceReport(zcs, 4), accumulate(zcs, 4); !reportsIdentical(w, g) {
 		t.Fatalf("zero-makespan stream diverged\nwant %+v\ngot  %+v", w, g)
 	}
 }

@@ -18,29 +18,24 @@ func edgeJob(id int, release, seq float64, procs int, due float64) *workload.Job
 // return zero (not NaN, not panic), since a freshly started gridd serves
 // /stats before any job has completed.
 func TestEmptyCompletions(t *testing.T) {
-	var cs []Completion
+	rep := NewReport(nil, 8)
 	checks := map[string]float64{
-		"Makespan":              Makespan(cs),
-		"SumCompletion":         SumCompletion(cs),
-		"SumWeightedCompletion": SumWeightedCompletion(cs),
-		"SumFlow":               SumFlow(cs),
-		"MeanFlow":              MeanFlow(cs),
-		"MaxFlow":               MaxFlow(cs),
-		"MeanStretch":           MeanStretch(cs, 8),
-		"MaxStretch":            MaxStretch(cs, 8),
-		"SumTardiness":          SumTardiness(cs),
-		"Utilization":           Utilization(cs, 8),
+		"Makespan":              rep.Makespan,
+		"SumCompletion":         rep.SumCompletion,
+		"SumWeightedCompletion": rep.SumWeightedCompletion,
+		"MeanFlow":              rep.MeanFlow,
+		"MaxFlow":               rep.MaxFlow,
+		"MeanStretch":           rep.MeanStretch,
+		"MaxStretch":            rep.MaxStretch,
+		"SumTardiness":          rep.SumTardiness,
+		"Utilization":           rep.Utilization,
 	}
 	for name, v := range checks {
 		if v != 0 || math.IsNaN(v) {
 			t.Fatalf("%s(empty) = %v, want 0", name, v)
 		}
 	}
-	if LateCount(cs) != 0 {
-		t.Fatalf("LateCount(empty) = %d", LateCount(cs))
-	}
-	rep := NewReport(cs, 8)
-	if rep.N != 0 || rep.MeanStretch != 0 || rep.Utilization != 0 {
+	if rep.N != 0 || rep.LateCount != 0 {
 		t.Fatalf("NewReport(empty) = %+v", rep)
 	}
 }
@@ -59,11 +54,11 @@ func TestZeroDurationStretch(t *testing.T) {
 	}
 	// Mixed with a normal job, the zero-duration one must not dominate.
 	normal := Completion{Job: edgeJob(2, 0, 10, 1, -1), Start: 0, End: 20, Procs: 1}
-	cs := []Completion{c, normal}
-	if mx := MaxStretch(cs, 4); math.IsInf(mx, 1) || math.IsNaN(mx) || mx != 2 {
+	r := NewReport([]Completion{c, normal}, 4)
+	if mx := r.MaxStretch; math.IsInf(mx, 1) || math.IsNaN(mx) || mx != 2 {
 		t.Fatalf("MaxStretch with zero-duration job = %v, want 2", mx)
 	}
-	if mean := MeanStretch(cs, 4); math.IsNaN(mean) || mean != 1 {
+	if mean := r.MeanStretch; math.IsNaN(mean) || mean != 1 {
 		t.Fatalf("MeanStretch with zero-duration job = %v, want 1", mean)
 	}
 }
@@ -76,7 +71,7 @@ func TestZeroDurationCompletion(t *testing.T) {
 		{Job: edgeJob(1, 0, 10, 2, -1), Start: 3, End: 3, Procs: 2},
 		{Job: edgeJob(2, 0, 12, 3, -1), Start: 0, End: 4, Procs: 3},
 	}
-	if u := Utilization(cs, 4); math.IsNaN(u) || u != 12.0/16.0 {
+	if u := NewReport(cs, 4).Utilization; math.IsNaN(u) || u != 12.0/16.0 {
 		t.Fatalf("Utilization = %v, want %v", u, 12.0/16.0)
 	}
 	if f := cs[0].Flow(); f != 3 {
@@ -96,10 +91,11 @@ func TestTardinessNoDueDate(t *testing.T) {
 		{Job: edgeJob(2, 0, 10, 1, 5), Start: 0, End: 8, Procs: 1},  // 3 late
 		{Job: edgeJob(3, 0, 10, 1, 20), Start: 0, End: 8, Procs: 1}, // on time
 	}
-	if n := LateCount(cs); n != 1 {
+	r := NewReport(cs, 4)
+	if n := r.LateCount; n != 1 {
 		t.Fatalf("LateCount = %d, want 1", n)
 	}
-	if s := SumTardiness(cs); s != 3 {
+	if s := r.SumTardiness; s != 3 {
 		t.Fatalf("SumTardiness = %v, want 3", s)
 	}
 }

@@ -48,121 +48,6 @@ func (c Completion) Tardiness() float64 {
 	return 0
 }
 
-// Makespan returns max End over the records (0 when empty) — Cmax in §3.
-func Makespan(cs []Completion) float64 {
-	var mk float64
-	for _, c := range cs {
-		if c.End > mk {
-			mk = c.End
-		}
-	}
-	return mk
-}
-
-// SumCompletion returns ΣCi.
-func SumCompletion(cs []Completion) float64 {
-	var s float64
-	for _, c := range cs {
-		s += c.End
-	}
-	return s
-}
-
-// SumWeightedCompletion returns ΣωiCi.
-func SumWeightedCompletion(cs []Completion) float64 {
-	var s float64
-	for _, c := range cs {
-		s += c.Job.Weight * c.End
-	}
-	return s
-}
-
-// SumFlow returns Σ(Ci - ri), the paper's "mean stretch" numerator.
-func SumFlow(cs []Completion) float64 {
-	var s float64
-	for _, c := range cs {
-		s += c.Flow()
-	}
-	return s
-}
-
-// MeanFlow returns SumFlow / n (0 when empty).
-func MeanFlow(cs []Completion) float64 {
-	if len(cs) == 0 {
-		return 0
-	}
-	return SumFlow(cs) / float64(len(cs))
-}
-
-// MaxFlow returns the maximum Ci - ri ("the longest waiting time for a
-// user" in §3's maximum-stretch sense, unnormalized).
-func MaxFlow(cs []Completion) float64 {
-	var mx float64
-	for _, c := range cs {
-		if f := c.Flow(); f > mx {
-			mx = f
-		}
-	}
-	return mx
-}
-
-// MaxStretch returns the maximum normalized stretch over the records.
-func MaxStretch(cs []Completion, m int) float64 {
-	var mx float64
-	for _, c := range cs {
-		if s := c.Stretch(m); s > mx {
-			mx = s
-		}
-	}
-	return mx
-}
-
-// MeanStretch returns the average normalized stretch.
-func MeanStretch(cs []Completion, m int) float64 {
-	if len(cs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, c := range cs {
-		s += c.Stretch(m)
-	}
-	return s / float64(len(cs))
-}
-
-// LateCount returns the number of tardy jobs.
-func LateCount(cs []Completion) int {
-	var n int
-	for _, c := range cs {
-		if c.Tardiness() > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// SumTardiness returns Σ max(0, Ci - di).
-func SumTardiness(cs []Completion) float64 {
-	var s float64
-	for _, c := range cs {
-		s += c.Tardiness()
-	}
-	return s
-}
-
-// Utilization returns the fraction of the m-processor area [0, makespan]
-// that is covered by job execution. Empty records give 0.
-func Utilization(cs []Completion, m int) float64 {
-	mk := Makespan(cs)
-	if mk <= 0 || m <= 0 {
-		return 0
-	}
-	var area float64
-	for _, c := range cs {
-		area += float64(c.Procs) * (c.End - c.Start)
-	}
-	return area / (mk * float64(m))
-}
-
 // BestEffortStats aggregates the best-effort (grid campaign) activity
 // of one cluster: the §5.2 semantics where grid tasks fill scheduling
 // holes and are killed whenever local work needs their processors.
@@ -216,21 +101,15 @@ type Report struct {
 	Faults                FaultStats
 }
 
-// NewReport evaluates all criteria at once.
+// NewReport evaluates all criteria at once on an m-processor platform:
+// the records folded through an Accumulator in order. m = 0 means no
+// platform width: stretch and utilization read 0.
 func NewReport(cs []Completion, m int) Report {
-	return Report{
-		N:                     len(cs),
-		Makespan:              Makespan(cs),
-		SumCompletion:         SumCompletion(cs),
-		SumWeightedCompletion: SumWeightedCompletion(cs),
-		MeanFlow:              MeanFlow(cs),
-		MaxFlow:               MaxFlow(cs),
-		MeanStretch:           MeanStretch(cs, m),
-		MaxStretch:            MaxStretch(cs, m),
-		LateCount:             LateCount(cs),
-		SumTardiness:          SumTardiness(cs),
-		Utilization:           Utilization(cs, m),
+	acc := Accumulator{m: m}
+	for _, c := range cs {
+		acc.Add(c)
 	}
+	return acc.Report()
 }
 
 // String renders the report as a compact single line.

@@ -24,30 +24,27 @@ func sample() []Completion {
 }
 
 func TestMakespan(t *testing.T) {
-	if got := Makespan(sample()); got != 14 {
+	if got := NewReport(sample(), 4).Makespan; got != 14 {
 		t.Fatalf("Makespan = %v", got)
 	}
-	if Makespan(nil) != 0 {
+	if NewReport(nil, 4).Makespan != 0 {
 		t.Fatal("empty Makespan != 0")
 	}
 }
 
 func TestSums(t *testing.T) {
-	cs := sample()
-	if got := SumCompletion(cs); got != 29 {
+	r := NewReport(sample(), 4)
+	if got := r.SumCompletion; got != 29 {
 		t.Fatalf("ΣC = %v", got)
 	}
-	if got := SumWeightedCompletion(cs); got != 10+42+10 {
+	if got := r.SumWeightedCompletion; got != 10+42+10 {
 		t.Fatalf("ΣwC = %v", got)
 	}
-	// flows: 10-0, 14-5, 5-2 = 10, 9, 3
-	if got := SumFlow(cs); got != 22 {
-		t.Fatalf("ΣF = %v", got)
+	// flows: 10-0, 14-5, 5-2 = 10, 9, 3; ΣF = 22, exactly.
+	if got := r.MeanFlow; got != 22.0/3 {
+		t.Fatalf("meanF = %v, want ΣF = 22 over 3 jobs", got)
 	}
-	if got := MeanFlow(cs); math.Abs(got-22.0/3) > 1e-12 {
-		t.Fatalf("meanF = %v", got)
-	}
-	if got := MaxFlow(cs); got != 10 {
+	if got := r.MaxFlow; got != 10 {
 		t.Fatalf("maxF = %v", got)
 	}
 }
@@ -58,34 +55,34 @@ func TestStretch(t *testing.T) {
 	if got := cs[0].Stretch(4); math.Abs(got-5) > 1e-12 {
 		t.Fatalf("stretch = %v", got)
 	}
-	if got := MaxStretch(cs, 4); math.Abs(got-9.0) > 1e-12 {
+	r := NewReport(cs, 4)
+	if got := r.MaxStretch; math.Abs(got-9.0) > 1e-12 {
 		// job2: min time 1, flow 9 → 9; job3: min 0.5, flow 3 → 6.
 		t.Fatalf("MaxStretch = %v", got)
 	}
 	want := (5.0 + 9.0 + 6.0) / 3
-	if got := MeanStretch(cs, 4); math.Abs(got-want) > 1e-12 {
+	if got := r.MeanStretch; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("MeanStretch = %v, want %v", got, want)
 	}
 }
 
 func TestTardiness(t *testing.T) {
-	cs := sample()
+	r := NewReport(sample(), 4)
 	// job1 no due date; job2 due 12 end 14 → 2; job3 due 100 → 0.
-	if got := SumTardiness(cs); got != 2 {
+	if got := r.SumTardiness; got != 2 {
 		t.Fatalf("ΣT = %v", got)
 	}
-	if got := LateCount(cs); got != 1 {
+	if got := r.LateCount; got != 1 {
 		t.Fatalf("late = %d", got)
 	}
 }
 
 func TestUtilization(t *testing.T) {
-	cs := sample()
 	// areas: 2*10 + 1*8 + 4*2 = 36; horizon 14 * m.
-	if got := Utilization(cs, 4); math.Abs(got-36.0/56) > 1e-12 {
+	if got := NewReport(sample(), 4).Utilization; math.Abs(got-36.0/56) > 1e-12 {
 		t.Fatalf("Utilization = %v", got)
 	}
-	if Utilization(nil, 4) != 0 {
+	if NewReport(nil, 4).Utilization != 0 {
 		t.Fatal("empty utilization != 0")
 	}
 }

@@ -75,17 +75,40 @@ func (v Value) Decode() (any, error) {
 	return nil, fmt.Errorf("scenario: unknown value tag %q", v.T)
 }
 
+// EncodeRow encodes one typed row (an empty row encodes to an empty,
+// non-nil slice).
+func EncodeRow(row []any) ([]Value, error) {
+	out := make([]Value, len(row))
+	for j, v := range row {
+		ev, err := EncodeValue(v)
+		if err != nil {
+			return nil, err
+		}
+		out[j] = ev
+	}
+	return out, nil
+}
+
+// DecodeRow restores one typed row.
+func DecodeRow(row []Value) ([]any, error) {
+	out := make([]any, len(row))
+	for j, v := range row {
+		dv, err := v.Decode()
+		if err != nil {
+			return nil, err
+		}
+		out[j] = dv
+	}
+	return out, nil
+}
+
 // EncodeRows encodes a cell's typed rows.
 func EncodeRows(rows [][]any) ([][]Value, error) {
 	out := make([][]Value, len(rows))
 	for i, row := range rows {
-		out[i] = make([]Value, len(row))
-		for j, v := range row {
-			ev, err := EncodeValue(v)
-			if err != nil {
-				return nil, err
-			}
-			out[i][j] = ev
+		var err error
+		if out[i], err = EncodeRow(row); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
@@ -95,13 +118,9 @@ func EncodeRows(rows [][]any) ([][]Value, error) {
 func DecodeRows(rows [][]Value) ([][]any, error) {
 	out := make([][]any, len(rows))
 	for i, row := range rows {
-		out[i] = make([]any, len(row))
-		for j, v := range row {
-			dv, err := v.Decode()
-			if err != nil {
-				return nil, err
-			}
-			out[i][j] = dv
+		var err error
+		if out[i], err = DecodeRow(row); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil

@@ -74,9 +74,14 @@ func (s *Schedule) SumWeightedCompletion() float64 {
 	return sum
 }
 
-// Report evaluates all §3 criteria on the schedule.
+// Report evaluates all §3 criteria on the schedule, folding its
+// allocations in order.
 func (s *Schedule) Report() metrics.Report {
-	return metrics.NewReport(s.Completions(), s.M)
+	acc := metrics.NewAccumulator(s.M)
+	for _, a := range s.Allocs {
+		acc.Add(metrics.Completion{Job: a.Job, Start: a.Start, End: a.End(), Procs: a.Procs})
+	}
+	return acc.Report()
 }
 
 // ValidateOptions tunes schedule validation.
