@@ -197,12 +197,12 @@ func runWorker(base, id string, batch, pool int) {
 	ctx, cancel := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer cancel()
 
-	mine := fleet.CurrentBuild()
+	mine := api.CurrentBuild()
 	v, err := cl.Version(ctx)
 	if err != nil {
 		log.Fatalf("gridd: worker: coordinator %s: %v", base, err)
 	}
-	theirs := fleet.BuildInfo{Version: v.Version, GoVersion: v.GoVersion, CatalogHash: v.CatalogHash}
+	theirs := v.BuildInfo
 	if !mine.Compatible(theirs) {
 		log.Fatalf("gridd: worker: incompatible coordinator %s: local %+v, remote %+v", base, mine, theirs)
 	}

@@ -58,10 +58,10 @@ func main() {
 	}()
 
 	// Exactly what the daemon's run executor does: resolve the seed,
-	// register the run with the coordinator, and hand the returned cell
-	// runner to the scenario engine via RunOptions.Remote.
-	runID := "example-mrt"
-	cr, err := c.Dispatcher(runID, spec, spec.EffectiveSeed(opt), opt.Scale.JobFactor)
+	// register the run with the coordinator for as long as its context
+	// lives, and hand the returned cell runner to the scenario engine via
+	// RunOptions.Remote.
+	cr, err := c.Dispatcher(ctx, "example-mrt", spec, spec.EffectiveSeed(opt), opt.Scale.JobFactor)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func main() {
 	if got.String() != want.String() {
 		log.Fatal("distributed table diverged from the single-process run")
 	}
-	fmt.Printf("\nbyte-identical to the single-process run; contributors: %v\n", c.RunWorkers(runID))
+	fmt.Printf("\nbyte-identical to the single-process run; contributors: %v\n", cr.Workers())
 	for _, w := range c.WorkersStatus() {
 		fmt.Printf("  %-8s leased->done %d cells (%.1f cells/s)\n", w.ID, w.CellsDone, w.CellsPerSec)
 	}

@@ -3,6 +3,7 @@ package api
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"reflect"
 	"sync"
@@ -12,34 +13,32 @@ import (
 	"repro/internal/scenario"
 )
 
-// fakeFleet implements the Fleet seam without a coordinator: it hands
-// back no runner (cells stay local) and records the calls the service
-// makes, so the integration contract is testable in isolation.
+// fakeFleet implements the Fleet seam without a coordinator: it
+// records the runs the service registers and hands back a handle that
+// lists fixed workers, so the integration contract is testable in
+// isolation. The test kinds have no remoteable fan-out, so their cells
+// stay local and the handle runs none.
 type fakeFleet struct {
-	mu        sync.Mutex
-	workers   []string
-	forgotten []string
-	runs      []string
+	mu      sync.Mutex
+	workers []string
+	runs    []string
 }
 
-func (f *fakeFleet) Dispatcher(runID string, spec *scenario.Spec, seed uint64, jobFactor int) (scenario.CellRunner, error) {
+func (f *fakeFleet) Dispatcher(_ context.Context, runID string, _ *scenario.Spec, _ uint64, _ int) (FleetRun, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.runs = append(f.runs, runID)
-	return nil, nil
+	return fakeRun(f.workers), nil
 }
 
-func (f *fakeFleet) RunWorkers(runID string) []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]string(nil), f.workers...)
+// fakeRun is a fakeFleet run handle.
+type fakeRun []string
+
+func (w fakeRun) RunCell(context.Context, int, int) ([][]any, time.Duration, error) {
+	return nil, 0, errors.New("fake fleet runs no cells")
 }
 
-func (f *fakeFleet) Forget(runID string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.forgotten = append(f.forgotten, runID)
-}
+func (w fakeRun) Workers() []string { return append([]string(nil), w...) }
 
 // TestVersionEndpoint: GET /v1/version reports the build identity a
 // fleet worker handshakes against — in particular the catalog hash,
@@ -66,6 +65,37 @@ func TestVersionEndpoint(t *testing.T) {
 	}
 	if v.Scenarios != len(scenario.Catalog()) || v.Kinds != len(scenario.Kinds()) {
 		t.Fatalf("catalog counts %+v", v)
+	}
+}
+
+// TestVersionKeys pins /v1/version's JSON keys and their order: the
+// build identity's three fields, then the catalog's size.
+func TestVersionKeys(t *testing.T) {
+	_, srv := newTestService(t, Config{})
+	resp, err := http.Get(srv.URL + "/v1/version")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	if _, err := dec.Token(); err != nil { // {
+		t.Fatal(err)
+	}
+	var keys []string
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var value json.RawMessage
+		if err := dec.Decode(&value); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key.(string))
+	}
+	want := []string{"version", "go_version", "catalog_hash", "scenarios", "kinds"}
+	if !reflect.DeepEqual(keys, want) {
+		t.Fatalf("keys %v, want %v", keys, want)
 	}
 }
 
@@ -112,16 +142,29 @@ func TestRetryAfterScalesWithBacklog(t *testing.T) {
 }
 
 // TestRunStatusWorkersField: with a Fleet configured, run statuses and
-// listings carry the contributing worker ids, and store eviction tells
-// the fleet to forget the run.
+// listings carry the contributing worker ids, read from the handle the
+// run keeps — while the run executes and after it ends — and a memo hit
+// shows none.
 func TestRunStatusWorkersField(t *testing.T) {
 	ff := &fakeFleet{workers: []string{"host-a", "host-b"}}
-	_, srv := newTestService(t, Config{MaxHistory: 1, Fleet: ff})
+	_, srv := newTestService(t, Config{MaxHistory: 4, Fleet: ff})
 
-	st, code, _ := postRun(t, srv.URL, `{"spec":{"id":"w","kind":"api-sleep","params":{"cells":2,"us":1}}}`)
+	body := `{"spec":{"id":"w","kind":"api-gate","params":{"cells":1}}}`
+	st, code, _ := postRun(t, srv.URL, body)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d", code)
 	}
+	// The gate kind counts its cell before blocking on the gate, and the
+	// handle is in place before the kind starts.
+	running := waitState(t, srv.URL, st.ID, RunRunning)
+	for running.CellsTotal == 0 {
+		time.Sleep(2 * time.Millisecond)
+		running = getStatus(t, srv.URL, st.ID)
+	}
+	if !reflect.DeepEqual(running.Workers, []string{"host-a", "host-b"}) {
+		t.Fatalf("workers while running = %v", running.Workers)
+	}
+	gate <- struct{}{}
 	final := waitState(t, srv.URL, st.ID, RunDone)
 	if !reflect.DeepEqual(final.Workers, []string{"host-a", "host-b"}) {
 		t.Fatalf("workers = %v", final.Workers)
@@ -133,29 +176,21 @@ func TestRunStatusWorkersField(t *testing.T) {
 		t.Fatalf("dispatcher saw runs %v, want [%s]", dispatched, st.ID)
 	}
 
-	// A second run evicts the first (MaxHistory 1) and must Forget it.
-	st2, _, _ := postRun(t, srv.URL, `{"spec":{"id":"w2","kind":"api-sleep","params":{"cells":1,"us":1}}}`)
-	waitState(t, srv.URL, st2.ID, RunDone)
-	_, _, _ = postRun(t, srv.URL, `{"spec":{"id":"w3","kind":"api-sleep","params":{"cells":1,"us":1}}}`)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		ff.mu.Lock()
-		n := len(ff.forgotten)
-		first := ""
-		if n > 0 {
-			first = ff.forgotten[0]
-		}
-		ff.mu.Unlock()
-		if n > 0 {
-			if first != st.ID {
-				t.Fatalf("first forgotten run %q, want %q", first, st.ID)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("eviction never told the fleet to forget the run")
-		}
-		time.Sleep(2 * time.Millisecond)
+	hit, _, _ := postRun(t, srv.URL, body)
+	if !hit.Cached || hit.Workers != nil {
+		t.Fatalf("memo hit: cached=%v workers=%v, want cached and no workers", hit.Cached, hit.Workers)
+	}
+	var list []RunStatus
+	resp, err := http.Get(srv.URL + "/v1/runs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list) != 2 || !reflect.DeepEqual(list[0].Workers, []string{"host-a", "host-b"}) || list[1].Workers != nil {
+		t.Fatalf("listing workers = %+v", list)
 	}
 }
 

@@ -16,17 +16,17 @@ import (
 )
 
 // terminalPayload is the opaque Terminal blob the store keeps for a
-// finished run: everything needed to re-serve the status timings, the
-// SSE event history, /result in every format, and /trace byte-identically
-// after a restart. All fields are typed structs (no raw []any), so a
-// JSON round trip cannot blur int/float distinctions the text renderer
-// depends on.
+// finished run: everything needed to re-serve the status, the SSE event
+// history, /result in every format, and /trace byte-identically after a
+// restart. A status's per-cell timings are read back from the cell
+// events; the "timings" list earlier builds wrote beside them is
+// ignored. All fields are typed structs (no raw []any), so a JSON round
+// trip cannot blur int/float distinctions the text renderer depends on.
 type terminalPayload struct {
-	Events     []Event      `json:"events,omitempty"`
-	Timings    []CellTiming `json:"timings,omitempty"`
-	CellsDone  int          `json:"cells_done,omitempty"`
-	CellsTotal int          `json:"cells_total,omitempty"`
-	Result     *resultRec   `json:"result,omitempty"`
+	Events     []Event    `json:"events,omitempty"`
+	CellsDone  int        `json:"cells_done,omitempty"`
+	CellsTotal int        `json:"cells_total,omitempty"`
+	Result     *resultRec `json:"result,omitempty"`
 	// TraceJSONL is the run's event trace in the exact JSONL encoding
 	// /v1/runs/{id}/trace serves (runtrace round-trips it losslessly).
 	TraceJSONL string `json:"trace_jsonl,omitempty"`
@@ -62,7 +62,6 @@ type cellRec struct {
 func buildTerminal(r *Run, closing Event, res *scenario.Result) (json.RawMessage, error) {
 	p := terminalPayload{
 		Events:     append(r.events[:len(r.events):len(r.events)], closing),
-		Timings:    r.timings,
 		CellsDone:  r.cellsDone,
 		CellsTotal: r.cellsTotal,
 	}
@@ -148,7 +147,6 @@ func applyTerminal(r *Run, payload json.RawMessage) error {
 		return err
 	}
 	r.events = p.Events
-	r.timings = p.Timings
 	r.cellsDone, r.cellsTotal = p.CellsDone, p.CellsTotal
 	if p.Result != nil {
 		res, err := decodeResult(p.Result)
@@ -217,7 +215,7 @@ func runFromRecord(rec *store.RunRecord) (*Run, error) {
 			// The payload is the source run's (shared by the store when the
 			// record names a source); a memo hit's own history is the one
 			// event it was born with, and it timed no cells.
-			r.events, r.timings = cachedHistory(), nil
+			r.events = cachedHistory()
 		}
 	}
 	return r, nil

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -432,7 +433,7 @@ func TestCachedRunSurvivesRestart(t *testing.T) {
 		if err := json.Unmarshal(rec.Terminal, &payload); err != nil {
 			t.Fatal(err)
 		}
-		payload.Events, payload.Timings = cachedHistory(), nil
+		payload.Events = cachedHistory()
 		inline := *rec
 		inline.Source = ""
 		var err error
@@ -447,6 +448,74 @@ func TestCachedRunSurvivesRestart(t *testing.T) {
 	re.Store = old
 	_, srvOld := newTestService(t, re)
 	sameServed(t, "record in the inline format", want, served(t, srvOld.URL, hit.ID))
+}
+
+// TestPayloadWithTimingsRecovers: the terminal payload no longer
+// carries a "timings" list, since a status's cells are read from the
+// run's cell events. A payload written in the earlier format, with the
+// list, still loads, and both formats serve the status the live run
+// served, cells included.
+func TestPayloadWithTimingsRecovers(t *testing.T) {
+	dir := t.TempDir()
+	st := openStoreT(t, dir)
+	_, srv := newTestService(t, Config{Store: st})
+	run, _, _ := postRun(t, srv.URL, `{"spec":{"id":"t","kind":"api-sleep","params":{"cells":3,"us":1}}}`)
+	waitState(t, srv.URL, run.ID, RunDone)
+	want, _ := getText(t, srv.URL, "/v1/runs/"+run.ID)
+	var live RunStatus
+	if err := json.Unmarshal([]byte(want), &live); err != nil {
+		t.Fatal(err)
+	}
+	if len(live.Cells) != 3 {
+		t.Fatalf("live status lists %d cells, want 3:\n%s", len(live.Cells), want)
+	}
+
+	oldDir := t.TempDir()
+	old := openStoreT(t, oldDir)
+	for _, rec := range st.Runs() {
+		var payload map[string]json.RawMessage
+		if err := json.Unmarshal(rec.Terminal, &payload); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := payload["timings"]; ok {
+			t.Fatalf("terminal payload still writes timings: %s", rec.Terminal)
+		}
+		timings, err := json.Marshal(live.Cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload["timings"] = timings
+		withTimings := *rec
+		if withTimings.Terminal, err = json.Marshal(payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := old.Append(store.Record{Op: "submit", Run: &withTimings}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A recovered duration is read from wall-clock times, the live one
+	// from the monotonic clock, so the two recoveries are compared byte
+	// for byte and the live status by its cells.
+	recovered := func(st *store.Store) (string, []CellTiming) {
+		t.Helper()
+		_, srv2 := newTestService(t, Config{Store: st})
+		body, _ := getText(t, srv2.URL, "/v1/runs/"+run.ID)
+		var rs RunStatus
+		if err := json.Unmarshal([]byte(body), &rs); err != nil {
+			t.Fatal(err)
+		}
+		return body, rs.Cells
+	}
+	asWritten, cells := recovered(openStoreT(t, copyStoreDir(t, dir)))
+	if !reflect.DeepEqual(cells, live.Cells) {
+		t.Fatalf("recovered cells %v, live %v", cells, live.Cells)
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := recovered(openStoreT(t, oldDir)); got != asWritten {
+		t.Fatalf("payload with timings serves\n%s\nwant\n%s", got, asWritten)
+	}
 }
 
 // TestTornBatchRecovers: a crash that tears the batch "submit, evict"

@@ -51,7 +51,7 @@ type Event struct {
 }
 
 // CellTiming is one per-cell wall-clock timing in a RunStatus, listed
-// in completion order.
+// in completion order: the run's cell events, read back.
 type CellTiming struct {
 	Index           int     `json:"index"`
 	DurationSeconds float64 `json:"duration_seconds"`
@@ -128,8 +128,9 @@ type Run struct {
 	finished   time.Time
 	cellsDone  int
 	cellsTotal int
-	timings    []CellTiming
 	result     *scenario.Result
+	// fleet is the run's handle on the fleet (distributed runs only).
+	fleet FleetRun
 
 	events []Event
 	// wake is closed and replaced on every event append; stream
@@ -174,8 +175,12 @@ func (r *Run) status(includeCells bool) RunStatus {
 			st.DurationSeconds = r.finished.Sub(r.started).Seconds()
 		}
 	}
-	if includeCells && len(r.timings) > 0 {
-		st.Cells = append([]CellTiming(nil), r.timings...)
+	if includeCells {
+		for _, e := range r.events {
+			if e.Cell != nil {
+				st.Cells = append(st.Cells, CellTiming{Index: e.Cell.Index, DurationSeconds: e.Cell.DurationSeconds})
+			}
+		}
 	}
 	return st
 }

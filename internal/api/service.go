@@ -33,8 +33,9 @@ type Config struct {
 	Log *log.Logger
 	// Fleet, when set, distributes each run's remoteable cells through
 	// a coordinator (implemented by *fleet.Coordinator) instead of the
-	// local pool. Traced runs always execute locally — their recorders
-	// cannot ship over the wire.
+	// local pool. The run keeps the handle it gets, which lists the
+	// run's contributing workers. Traced runs always execute locally —
+	// their recorders cannot ship over the wire.
 	Fleet Fleet
 	// Store, when set, makes the run store durable: submissions, state
 	// transitions and terminal results are WAL-persisted and the whole
@@ -55,13 +56,19 @@ type Config struct {
 // mounts its handlers through this service) and the fleet package
 // implements it.
 type Fleet interface {
-	// Dispatcher registers a run and returns the CellRunner the
-	// scenario engine dispatches remoteable cells through.
-	Dispatcher(runID string, spec *scenario.Spec, seed uint64, jobFactor int) (scenario.CellRunner, error)
-	// RunWorkers lists the workers that contributed cells to a run.
-	RunWorkers(runID string) []string
-	// Forget drops a run's fleet-side record (store eviction).
-	Forget(runID string)
+	// Dispatcher registers a run for as long as ctx lives and returns
+	// its handle.
+	Dispatcher(ctx context.Context, runID string, spec *scenario.Spec, seed uint64, jobFactor int) (FleetRun, error)
+}
+
+// FleetRun is one run's handle on the fleet: the CellRunner the
+// scenario engine dispatches remoteable cells through, and the run's
+// contributors, still listed after the fleet has dropped its record.
+type FleetRun interface {
+	scenario.CellRunner
+	// Workers lists the sorted ids of the workers that contributed
+	// cells to the run.
+	Workers() []string
 }
 
 // maxInlineJobs bounds every job count, and maxInlineProcs every
@@ -467,9 +474,6 @@ func (s *RunService) dropLocked(victims []*Run) {
 			// identical submission re-executes and re-registers.
 			delete(s.memo, r.memoKey)
 		}
-		if s.cfg.Fleet != nil {
-			s.cfg.Fleet.Forget(r.id)
-		}
 	}
 }
 
@@ -633,7 +637,6 @@ func (s *RunService) worker() {
 		opt.OnCellDone = func(index int, d time.Duration) {
 			s.mu.Lock()
 			r.cellsDone++
-			r.timings = append(r.timings, CellTiming{Index: index, DurationSeconds: d.Seconds()})
 			r.publish(Event{Type: "cell", Cell: &CellEvent{
 				Index: index, Done: r.cellsDone, Total: r.cellsTotal,
 				DurationSeconds: d.Seconds(),
@@ -645,7 +648,7 @@ func (s *RunService) worker() {
 			// Distributed mode: remoteable cells go through the
 			// coordinator's work queue (opt.Seed is already the
 			// resolved effective seed — see HTTPRequest.Options).
-			cr, ferr := f.Dispatcher(r.id, r.spec, opt.Seed, opt.Scale.JobFactor)
+			fr, ferr := f.Dispatcher(r.ctx, r.id, r.spec, opt.Seed, opt.Scale.JobFactor)
 			if ferr != nil {
 				s.mu.Lock()
 				c := s.beginCloseLocked(r, RunFailed, ferr.Error(), nil)
@@ -653,7 +656,10 @@ func (s *RunService) worker() {
 				s.release(c)
 				continue
 			}
-			opt.Remote = cr
+			s.mu.Lock()
+			r.fleet = fr
+			s.mu.Unlock()
+			opt.Remote = fr
 		}
 
 		res, err := scenario.Run(r.spec, opt)
@@ -702,25 +708,27 @@ func (s *RunService) Get(id string) (*Run, bool) {
 // outside the store lock (the coordinator has its own).
 func (s *RunService) Status(r *Run, includeCells bool) RunStatus {
 	s.mu.Lock()
-	st := r.status(includeCells)
+	st, fr := r.status(includeCells), r.fleet
 	s.mu.Unlock()
-	if s.cfg.Fleet != nil {
-		st.Workers = s.cfg.Fleet.RunWorkers(st.ID)
+	if fr != nil {
+		st.Workers = fr.Workers()
 	}
 	return st
 }
 
-// List snapshots every stored run in submission order.
+// List snapshots every stored run in submission order; never nil, so
+// an empty store lists as [].
 func (s *RunService) List() []RunStatus {
 	s.mu.Lock()
 	out := make([]RunStatus, len(s.order))
+	handles := make([]FleetRun, len(s.order))
 	for i, r := range s.order {
-		out[i] = r.status(false)
+		out[i], handles[i] = r.status(false), r.fleet
 	}
 	s.mu.Unlock()
-	if s.cfg.Fleet != nil {
-		for i := range out {
-			out[i].Workers = s.cfg.Fleet.RunWorkers(out[i].ID)
+	for i, fr := range handles {
+		if fr != nil {
+			out[i].Workers = fr.Workers()
 		}
 	}
 	return out

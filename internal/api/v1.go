@@ -74,11 +74,7 @@ func (s *RunService) writeSubmitErr(w http.ResponseWriter, herr *httpErr) {
 }
 
 func (s *RunService) handleList(w http.ResponseWriter, r *http.Request) {
-	out := s.List()
-	if out == nil {
-		out = []RunStatus{}
-	}
-	WriteJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, s.List())
 }
 
 // lookup resolves the {id} path value, answering 404 itself.

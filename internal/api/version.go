@@ -7,26 +7,44 @@ import (
 	"repro/internal/version"
 )
 
-// VersionInfo is the GET /v1/version payload: enough build identity
-// for a fleet worker (or any client) to decide compatibility before
-// doing work — the catalog hash pins the scenario semantics, version
-// and toolchain pin the numerics.
-type VersionInfo struct {
+// BuildInfo identifies a binary well enough to refuse mixing
+// incompatible coordinator and worker builds in one distributed run:
+// the catalog hash guards the scenario semantics, version and
+// toolchain guard the numerics.
+type BuildInfo struct {
 	Version     string `json:"version"`
 	GoVersion   string `json:"go_version"`
 	CatalogHash string `json:"catalog_hash"`
-	Scenarios   int    `json:"scenarios"`
-	Kinds       int    `json:"kinds"`
+}
+
+// CurrentBuild returns this binary's build identity.
+func CurrentBuild() BuildInfo {
+	return BuildInfo{
+		Version:     version.Version,
+		GoVersion:   version.Go(),
+		CatalogHash: scenario.CatalogHash(),
+	}
+}
+
+// Compatible reports whether two builds may share a distributed run.
+// All three fields must match exactly.
+func (b BuildInfo) Compatible(o BuildInfo) bool { return b == o }
+
+// VersionInfo is the GET /v1/version payload: the build identity a
+// fleet worker (or any client) checks compatibility against before
+// doing work, plus the size of the catalog it serves.
+type VersionInfo struct {
+	BuildInfo
+	Scenarios int `json:"scenarios"`
+	Kinds     int `json:"kinds"`
 }
 
 // CurrentVersion returns this binary's build info.
 func CurrentVersion() VersionInfo {
 	return VersionInfo{
-		Version:     version.Version,
-		GoVersion:   version.Go(),
-		CatalogHash: scenario.CatalogHash(),
-		Scenarios:   len(scenario.Catalog()),
-		Kinds:       len(scenario.Kinds()),
+		BuildInfo: CurrentBuild(),
+		Scenarios: len(scenario.Catalog()),
+		Kinds:     len(scenario.Kinds()),
 	}
 }
 

@@ -1,0 +1,87 @@
+package cluster
+
+import (
+	"testing"
+
+	"repro/internal/des"
+	"repro/internal/workload"
+)
+
+// countingPolicy wraps a policy and counts its Decide calls: all of
+// them, those that start nothing, and those at each instant. It counts
+// from the test side, so the Sim carries no counter of its own.
+type countingPolicy struct {
+	Policy
+	calls, empty int
+	at           map[float64]int
+}
+
+func (p *countingPolicy) Decide(v View) []Decision {
+	d := p.Policy.Decide(v)
+	p.calls++
+	if len(d) == 0 {
+		p.empty++
+	}
+	p.at[v.Now]++
+	return d
+}
+
+// countDecisions runs the jobs feed admits to completion on m
+// processors under the counted policy.
+func countDecisions(t *testing.T, m int, policy Policy, feed func(*Sim) error) *countingPolicy {
+	t.Helper()
+	p := &countingPolicy{Policy: policy, at: map[float64]int{}}
+	s, err := New(des.New(), m, 1, p, KillNewest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := feed(s); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestDecideCountsArrivalGroup pins the decisions an arrival group
+// costs: five 4-wide jobs released together at t = 1 onto 4
+// processors under EASY. The Sim decides once per admitted job, so the
+// group costs five calls at t = 1 where one would do; with one call per
+// finish that makes ten, five of which start nothing.
+func TestDecideCountsArrivalGroup(t *testing.T) {
+	jobs := make([]*workload.Job, 5)
+	for i := range jobs {
+		jobs[i] = rigidJob(i, 8, 4)
+		jobs[i].Release = 1
+	}
+	p := countDecisions(t, 4, EASYPolicy{}, func(s *Sim) error { return submitAll(s, jobs) })
+	if p.calls != 10 || p.empty != 5 || p.at[1] != 5 {
+		t.Fatalf("EASY on the arrival group: %d calls, %d empty, %d at t = 1", p.calls, p.empty, p.at[1])
+	}
+}
+
+// TestDecideCountsDeepQueue pins the decisions of the deep benchmarks'
+// stream (MixedSource, M = 64, seed 7, rate 2) under FCFS, EASY and
+// conservative backfilling: the calls, and the share that start
+// nothing.
+func TestDecideCountsDeepQueue(t *testing.T) {
+	for _, tc := range []struct {
+		policy       Policy
+		n            int
+		calls, empty int
+	}{
+		{FCFSPolicy{}, 5000, 10000, 8314},
+		{EASYPolicy{}, 5000, 10000, 6502},
+		{ConservativePolicy{}, 700, 1400, 1031},
+	} {
+		t.Run(tc.policy.Name(), func(t *testing.T) {
+			src := workload.MixedSource(workload.GenConfig{N: tc.n, M: 64, Seed: 7, ArrivalRate: 2, RigidFraction: 0.5})
+			p := countDecisions(t, 64, tc.policy, func(s *Sim) error { return s.Stream(src) })
+			if p.calls != tc.calls || p.empty != tc.empty {
+				t.Fatalf("%d jobs: %d calls, %d empty (%.0f %%); want %d calls, %d empty",
+					tc.n, p.calls, p.empty, 100*float64(p.empty)/float64(p.calls), tc.calls, tc.empty)
+			}
+		})
+	}
+}

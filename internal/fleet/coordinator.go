@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/scenario"
 )
 
@@ -17,13 +18,9 @@ type Config struct {
 	// TTL is the lease time budget: a lease not heartbeated within it
 	// requeues its unfinished cells. Default 15s.
 	TTL time.Duration
-	// RetainRuns bounds how many idle (no outstanding cells) run
-	// records — contributor sets, spec payloads — the coordinator
-	// keeps for the RunStatus workers field. Default 128.
-	RetainRuns int
 	// Build is the coordinator's identity for the compatibility check.
-	// Zero means CurrentBuild().
-	Build BuildInfo
+	// Zero means api.CurrentBuild().
+	Build api.BuildInfo
 }
 
 // maxBatch caps cells per lease regardless of what a worker asks for.
@@ -33,11 +30,8 @@ func (c Config) fill() Config {
 	if c.TTL <= 0 {
 		c.TTL = 15 * time.Second
 	}
-	if c.RetainRuns <= 0 {
-		c.RetainRuns = 128
-	}
-	if c.Build == (BuildInfo{}) {
-		c.Build = CurrentBuild()
+	if c.Build == (api.BuildInfo{}) {
+		c.Build = api.CurrentBuild()
 	}
 	return c
 }
@@ -68,7 +62,8 @@ type outcome struct {
 	err  error
 }
 
-// runState is the coordinator's record of one distributed run.
+// runState is the coordinator's record of one distributed run, held
+// in Coordinator.runs for as long as the run's context lives.
 type runState struct {
 	id           string
 	spec         []byte
@@ -76,8 +71,7 @@ type runState struct {
 	jobFactor    int
 	tasks        map[CellRef]*task
 	contributors map[string]struct{}
-	open         int // tasks not yet done
-	forgotten    bool
+	ended        error // the run's context error once the record is dropped
 }
 
 // lease is one granted batch.
@@ -91,7 +85,7 @@ type lease struct {
 
 type workerInfo struct {
 	id          string
-	build       BuildInfo
+	build       api.BuildInfo
 	firstSeen   time.Time
 	lastSeen    time.Time
 	leases      int
@@ -101,9 +95,9 @@ type workerInfo struct {
 }
 
 // Coordinator owns the cell work queue of a distributed daemon. It
-// implements the api.Fleet seam (Dispatcher/RunWorkers/Forget), the
-// Transport interface (so in-process workers can drive it directly in
-// tests), and mounts the /v1/fleet HTTP surface.
+// implements the api.Fleet seam (Dispatcher), the Transport interface
+// (so in-process workers can drive it directly in tests), and mounts
+// the /v1/fleet HTTP surface.
 type Coordinator struct {
 	cfg Config
 
@@ -111,8 +105,7 @@ type Coordinator struct {
 	closed   bool
 	wake     chan struct{} // closed+replaced when work arrives
 	runs     map[string]*runState
-	order    []string // run registration order (retention)
-	pending  []*task  // task seq order
+	pending  []*task // task seq order
 	leases   map[string]*lease
 	workers  map[string]*workerInfo
 	leaseSeq int
@@ -138,7 +131,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 }
 
 // Build returns the coordinator's build identity.
-func (c *Coordinator) Build() BuildInfo { return c.cfg.Build }
+func (c *Coordinator) Build() api.BuildInfo { return c.cfg.Build }
 
 // Close stops the janitor, fails every outstanding cell with ErrClosed
 // (unblocking dispatchers) and rejects further calls.
@@ -150,16 +143,10 @@ func (c *Coordinator) Close() {
 	}
 	c.closed = true
 	close(c.stop)
+	c.pending = nil // every pending cell fails below
 	for _, rs := range c.runs {
-		for _, t := range rs.tasks {
-			if t.state != taskDone {
-				t.state = taskDone
-				rs.open--
-				t.result <- outcome{err: ErrClosed}
-			}
-		}
+		c.failLocked(rs, ErrClosed)
 	}
-	c.pending = nil
 	c.wakeLocked()
 	c.mu.Unlock()
 	c.wg.Wait()
@@ -222,10 +209,14 @@ func (c *Coordinator) expireLocked(now time.Time) {
 	}
 }
 
-// Dispatcher registers a run and returns its scenario.CellRunner: the
-// coordinator side of the fleet seam (api.Config.Fleet). The spec is
-// serialized once here; every lease of the run carries it.
-func (c *Coordinator) Dispatcher(runID string, spec *scenario.Spec, seed uint64, jobFactor int) (scenario.CellRunner, error) {
+// Dispatcher registers a run for as long as ctx lives and returns its
+// handle: the coordinator side of the fleet seam (api.Config.Fleet).
+// The spec is serialized once here; every lease of the run carries it.
+// When ctx ends the record is dropped and any cell still outstanding
+// fails with ctx's error; a late completion then counts as a duplicate.
+// A ctx that has already ended registers nothing, and every cell of
+// the handle fails. The handle keeps answering Workers.
+func (c *Coordinator) Dispatcher(ctx context.Context, runID string, spec *scenario.Spec, seed uint64, jobFactor int) (api.FleetRun, error) {
 	b, err := json.Marshal(spec)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: encode spec %q: %w", spec.ID, err)
@@ -242,84 +233,57 @@ func (c *Coordinator) Dispatcher(runID string, spec *scenario.Spec, seed uint64,
 		id: runID, spec: b, seed: seed, jobFactor: jobFactor,
 		tasks: map[CellRef]*task{}, contributors: map[string]struct{}{},
 	}
-	c.runs[runID] = rs
-	c.order = append(c.order, runID)
-	c.retainLocked()
+	if rs.ended = ctx.Err(); rs.ended == nil {
+		c.runs[runID] = rs
+		context.AfterFunc(ctx, func() { c.drop(rs, ctx.Err()) })
+	}
 	return &dispatcher{c: c, run: rs}, nil
 }
 
-// retainLocked drops the oldest idle run records past the retention
-// bound (active runs — open cells — are never dropped).
-func (c *Coordinator) retainLocked() {
-	for len(c.runs) > c.cfg.RetainRuns {
-		victim := -1
-		for i, id := range c.order {
-			if rs := c.runs[id]; rs != nil && rs.open == 0 {
-				victim = i
-				break
-			}
-		}
-		if victim < 0 {
-			return
-		}
-		id := c.order[victim]
-		c.runs[id].forgotten = true
-		delete(c.runs, id)
-		c.order = append(c.order[:victim], c.order[victim+1:]...)
-	}
-}
-
-// Forget drops a run's record (the api store evicted it).
-func (c *Coordinator) Forget(runID string) {
+// drop removes a run's record once its context has ended, failing
+// anything still outstanding: nobody will consume late results.
+func (c *Coordinator) drop(rs *runState, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rs := c.runs[runID]
-	if rs == nil {
-		return
-	}
-	// Fail anything still outstanding: the run is gone, nobody will
-	// consume late results.
+	c.failLocked(rs, err)
+	rs.ended = err
+	delete(c.runs, rs.id)
+}
+
+// failLocked ends every outstanding cell of rs with err.
+func (c *Coordinator) failLocked(rs *runState, err error) {
 	for _, t := range rs.tasks {
-		if t.state != taskDone {
-			if t.state == taskPending {
-				c.removePendingLocked(t)
-			}
-			t.state = taskDone
-			rs.open--
-			t.result <- outcome{err: fmt.Errorf("fleet: run %s evicted", runID)}
+		if t.state == taskPending {
+			c.removePendingLocked(t)
 		}
-	}
-	rs.forgotten = true
-	delete(c.runs, runID)
-	for i, id := range c.order {
-		if id == runID {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
+		if t.state != taskDone {
+			t.state = taskDone
+			t.result <- outcome{err: err}
 		}
 	}
 }
 
-// RunWorkers returns the sorted ids of workers that contributed cells
+// dispatcher is the per-run handle: the scenario.CellRunner handed to
+// the engine, and the run's contributor list.
+type dispatcher struct {
+	c   *Coordinator
+	run *runState
+}
+
+// Workers returns the sorted ids of the workers that contributed cells
 // to the run (the RunStatus workers field).
-func (c *Coordinator) RunWorkers(runID string) []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rs := c.runs[runID]
-	if rs == nil || len(rs.contributors) == 0 {
+func (d *dispatcher) Workers() []string {
+	d.c.mu.Lock()
+	defer d.c.mu.Unlock()
+	if len(d.run.contributors) == 0 {
 		return nil
 	}
-	out := make([]string, 0, len(rs.contributors))
-	for id := range rs.contributors {
+	out := make([]string, 0, len(d.run.contributors))
+	for id := range d.run.contributors {
 		out = append(out, id)
 	}
 	sort.Strings(out)
 	return out
-}
-
-// dispatcher is the per-run scenario.CellRunner handed to the engine.
-type dispatcher struct {
-	c   *Coordinator
-	run *runState
 }
 
 // RunCell enqueues one cell and blocks until a worker completes it (or
@@ -351,8 +315,8 @@ func (c *Coordinator) enqueue(rs *runState, ref CellRef) (*task, error) {
 	if c.closed {
 		return nil, ErrClosed
 	}
-	if rs.forgotten {
-		return nil, fmt.Errorf("fleet: run %s evicted", rs.id)
+	if rs.ended != nil {
+		return nil, rs.ended
 	}
 	if _, dup := rs.tasks[ref]; dup {
 		return nil, fmt.Errorf("fleet: run %s cell %s dispatched twice", rs.id, ref)
@@ -360,7 +324,6 @@ func (c *Coordinator) enqueue(rs *runState, ref CellRef) (*task, error) {
 	c.taskSeq++
 	t := &task{run: rs, ref: ref, seq: c.taskSeq, result: make(chan outcome, 1)}
 	rs.tasks[ref] = t
-	rs.open++
 	c.pending = append(c.pending, t)
 	c.wakeLocked()
 	return t, nil
@@ -376,7 +339,6 @@ func (c *Coordinator) abandon(t *task) {
 		c.removePendingLocked(t)
 	}
 	t.state = taskDone
-	t.run.open--
 }
 
 func (c *Coordinator) removePendingLocked(t *task) {
@@ -440,7 +402,7 @@ func (c *Coordinator) LeaseCells(ctx context.Context, req LeaseRequest) (*Lease,
 	}
 }
 
-func (c *Coordinator) touchLocked(id string, build BuildInfo) *workerInfo {
+func (c *Coordinator) touchLocked(id string, build api.BuildInfo) *workerInfo {
 	w := c.workers[id]
 	if w == nil {
 		w = &workerInfo{id: id, build: build, firstSeen: time.Now()}
@@ -540,7 +502,6 @@ func (c *Coordinator) CompleteCells(_ context.Context, req CompleteRequest) (Com
 			c.removePendingLocked(t)
 		}
 		t.state = taskDone
-		rs.open--
 		t.result <- out
 		rs.contributors[req.WorkerID] = struct{}{}
 		if w != nil {
@@ -594,7 +555,8 @@ func (c *Coordinator) Heartbeat(_ context.Context, req HeartbeatRequest) (Heartb
 	return resp, nil
 }
 
-// WorkersStatus snapshots the fleet view, sorted by worker id.
+// WorkersStatus snapshots the fleet view, sorted by worker id; never
+// nil, so an empty fleet lists as [].
 func (c *Coordinator) WorkersStatus() []WorkerStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -4,11 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/scenario"
 )
 
@@ -99,7 +103,7 @@ func TestLeaseLifecycle(t *testing.T) {
 	c := NewCoordinator(Config{TTL: time.Minute})
 	defer c.Close()
 
-	cr, err := c.Dispatcher("r1", testSpec("s1"), 42, 0)
+	cr, err := c.Dispatcher(context.Background(), "r1", testSpec("s1"), 42, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +135,7 @@ func TestLeaseLifecycle(t *testing.T) {
 	if out.err != nil || !reflect.DeepEqual(out.rows, want) {
 		t.Fatalf("dispatcher got %v, %v", out.rows, out.err)
 	}
-	if ws := c.RunWorkers("r1"); !reflect.DeepEqual(ws, []string{"w1"}) {
+	if ws := cr.Workers(); !reflect.DeepEqual(ws, []string{"w1"}) {
 		t.Fatalf("contributors = %v", ws)
 	}
 	st := c.WorkersStatus()
@@ -149,7 +153,7 @@ func TestLeaseExpiryRequeueAndDuplicate(t *testing.T) {
 	c := NewCoordinator(Config{TTL: 80 * time.Millisecond})
 	defer c.Close()
 
-	cr, err := c.Dispatcher("r1", testSpec("s1"), 1, 0)
+	cr, err := c.Dispatcher(context.Background(), "r1", testSpec("s1"), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +187,7 @@ func TestLeaseExpiryRequeueAndDuplicate(t *testing.T) {
 	if rows := <-done; !reflect.DeepEqual(rows, [][]any{{"from-b"}}) {
 		t.Fatalf("dispatcher saw %v, want from-b (first accepted wins)", rows)
 	}
-	if ws := c.RunWorkers("r1"); !reflect.DeepEqual(ws, []string{"b"}) {
+	if ws := cr.Workers(); !reflect.DeepEqual(ws, []string{"b"}) {
 		t.Fatalf("contributors = %v, want [b]", ws)
 	}
 	st := c.WorkersStatus()
@@ -225,30 +229,121 @@ func TestLongPollTimesOutEmpty(t *testing.T) {
 	}
 }
 
-// TestForgetFailsOutstanding: evicting a run fails its blocked
-// dispatchers instead of leaking them.
-func TestForgetFailsOutstanding(t *testing.T) {
+// hasRun reports whether the coordinator still holds a record of runID.
+func (c *Coordinator) hasRun(runID string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.runs[runID]
+	return ok
+}
+
+// waitDropped waits until the coordinator has dropped runID's record
+// (the drop runs on its own goroutine once the run's context ends).
+func waitDropped(t *testing.T, c *Coordinator, runID string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for c.hasRun(runID) {
+		if time.Now().After(deadline) {
+			t.Fatalf("run %s still recorded after its context ended", runID)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRunEndFailsOutstanding: when a run's context ends the coordinator
+// drops its record, fails its blocked dispatchers instead of leaking
+// them, judges a late completion a duplicate, and the run's handle
+// still lists the workers that contributed.
+func TestRunEndFailsOutstanding(t *testing.T) {
 	c := NewCoordinator(Config{TTL: time.Minute})
 	defer c.Close()
-	cr, err := c.Dispatcher("r1", testSpec("s1"), 1, 0)
+	ctx, end := context.WithCancel(context.Background())
+	cr, err := c.Dispatcher(ctx, "r1", testSpec("s1"), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	errc := make(chan error, 1)
-	go func() {
-		_, _, err := cr.RunCell(context.Background(), 0, 0)
-		errc <- err
-	}()
-	// Wait until the cell is enqueued, then forget the run.
-	for c.PendingCells() == 0 {
+	errc := make(chan error, 2)
+	for cell := range 2 {
+		go func() {
+			_, _, err := cr.RunCell(context.Background(), 0, cell)
+			errc <- err
+		}()
+	}
+	for c.PendingCells() < 2 {
 		time.Sleep(time.Millisecond)
 	}
-	c.Forget("r1")
-	if err := <-errc; err == nil {
-		t.Fatal("RunCell survived Forget")
+	// w1 finishes one cell; w2 leases the other and is still on it when
+	// the run ends.
+	ls1, err := c.LeaseCells(context.Background(), LeaseRequest{WorkerID: "w1", Build: c.Build(), MaxCells: 1})
+	if err != nil || ls1 == nil {
+		t.Fatalf("lease w1: %v %v", ls1, err)
+	}
+	if resp := complete(t, c, "w1", ls1.ID, "r1", ls1.Cells, [][]any{{1}}); resp.Accepted != 1 {
+		t.Fatalf("w1 completion = %+v", resp)
+	}
+	if err := <-errc; err != nil {
+		t.Fatalf("completed cell: %v", err)
+	}
+	ls2, err := c.LeaseCells(context.Background(), LeaseRequest{WorkerID: "w2", Build: c.Build(), MaxCells: 1})
+	if err != nil || ls2 == nil {
+		t.Fatalf("lease w2: %v %v", ls2, err)
+	}
+
+	end()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("outstanding RunCell = %v, want context.Canceled", err)
+	}
+	waitDropped(t, c, "r1")
+	if resp := complete(t, c, "w2", ls2.ID, "r1", ls2.Cells, [][]any{{2}}); resp.Accepted != 0 || resp.Duplicates != 1 {
+		t.Fatalf("late completion = %+v, want one duplicate", resp)
+	}
+	if _, _, err := cr.RunCell(context.Background(), 1, 0); err == nil {
+		t.Fatal("a cell dispatched after the run ended was accepted")
 	}
 	if c.PendingCells() != 0 {
-		t.Fatal("forgotten run left pending cells")
+		t.Fatal("ended run left pending cells")
+	}
+	if ws := cr.Workers(); !reflect.DeepEqual(ws, []string{"w1"}) {
+		t.Fatalf("contributors after the run ended = %v, want [w1]", ws)
+	}
+}
+
+// TestEndedRunsLeaveNoRecord: the coordinator holds a run's record
+// exactly as long as the run's context lives — ended runs leave none,
+// and a run whose context has already ended registers nothing.
+func TestEndedRunsLeaveNoRecord(t *testing.T) {
+	c := NewCoordinator(Config{TTL: time.Minute})
+	defer c.Close()
+	for i := range 10 {
+		id := fmt.Sprintf("r%d", i)
+		ctx, end := context.WithCancel(context.Background())
+		if _, err := c.Dispatcher(ctx, id, testSpec("s"), 1, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !c.hasRun(id) {
+			t.Fatalf("live run %s has no record", id)
+		}
+		end()
+		waitDropped(t, c, id)
+	}
+
+	ctx, end := context.WithCancel(context.Background())
+	end()
+	cr, err := c.Dispatcher(ctx, "late", testSpec("s"), 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.hasRun("late") {
+		t.Fatal("a run whose context had ended was registered")
+	}
+	if _, _, err := cr.RunCell(context.Background(), 0, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunCell on an ended run = %v, want context.Canceled", err)
+	}
+	if c.PendingCells() != 0 || cr.Workers() != nil {
+		t.Fatalf("ended run left %d pending cells, workers %v", c.PendingCells(), cr.Workers())
+	}
+	if _, err := c.Dispatcher(context.Background(), "late", testSpec("s"), 1, 0); err != nil {
+		t.Fatalf("re-registering the id: %v", err)
 	}
 }
 
@@ -256,7 +351,7 @@ func TestForgetFailsOutstanding(t *testing.T) {
 // ErrClosed.
 func TestCloseUnblocksDispatchers(t *testing.T) {
 	c := NewCoordinator(Config{TTL: time.Minute})
-	cr, err := c.Dispatcher("r1", testSpec("s1"), 1, 0)
+	cr, err := c.Dispatcher(context.Background(), "r1", testSpec("s1"), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,21 +387,30 @@ func TestLeaseBatchIsOldestRun(t *testing.T) {
 	}
 }
 
-// TestRetainBoundsIdleRuns: finished run records are bounded; active
-// ones survive retention.
-func TestRetainBoundsIdleRuns(t *testing.T) {
-	c := NewCoordinator(Config{TTL: time.Minute, RetainRuns: 3})
+// TestEmptyListingsEncodeAsArrays: a coordinator-backed service with no
+// runs and no workers lists both as [], not null.
+func TestEmptyListingsEncodeAsArrays(t *testing.T) {
+	c := NewCoordinator(Config{TTL: time.Minute})
 	defer c.Close()
-	for i := range 10 {
-		if _, err := c.Dispatcher(fmt.Sprintf("r%d", i), testSpec("s"), 1, 0); err != nil {
+	svc := api.NewRunService(api.Config{Fleet: c})
+	defer svc.Close()
+	mux := http.NewServeMux()
+	svc.Mount(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	for _, path := range []string{"/v1/runs", "/v1/fleet/workers"} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	c.mu.Lock()
-	n := len(c.runs)
-	c.mu.Unlock()
-	if n > 3 {
-		t.Fatalf("retained %d idle runs, want <= 3", n)
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(body) != "[]\n" {
+			t.Fatalf("GET %s = %q, want []", path, body)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	_ "repro/internal/experiments" // register the scenario kinds + catalog
 	"repro/internal/scenario"
 )
@@ -54,22 +55,32 @@ func startWorkers(t *testing.T, tr Transport, n int) (stop func()) {
 
 // runFleet renders a spec through a coordinator whose workers are
 // already running, mirroring exactly what the api executor does:
-// resolved seed into Dispatcher, Remote into the run options.
-func runFleet(spec *scenario.Spec, opt scenario.RunOptions, c *Coordinator) (string, error) {
+// resolved seed and the run's context into Dispatcher, Remote into the
+// run options, the context ended once the run is. It also returns the
+// run's contributors.
+func runFleet(spec *scenario.Spec, opt scenario.RunOptions, c *Coordinator) (string, []string, error) {
+	ctx, end := context.WithCancel(context.Background())
+	defer end()
+	opt.Context = ctx
+	var fr api.FleetRun
 	if !spec.Traced() {
-		cr, err := c.Dispatcher("run-"+spec.ID, spec, spec.EffectiveSeed(opt), opt.Scale.JobFactor)
-		if err != nil {
-			return "", err
+		var err error
+		if fr, err = c.Dispatcher(ctx, "run-"+spec.ID, spec, spec.EffectiveSeed(opt), opt.Scale.JobFactor); err != nil {
+			return "", nil, err
 		}
-		opt.Remote = cr
+		opt.Remote = fr
 	}
 	res, err := scenario.Run(spec, opt)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
 	var buf bytes.Buffer
 	err = res.Emit(&buf, false)
-	return buf.String(), err
+	var workers []string
+	if fr != nil {
+		workers = fr.Workers()
+	}
+	return buf.String(), workers, err
 }
 
 // TestGoldenFleetMatchesLocal is the acceptance harness: every built-in
@@ -90,7 +101,7 @@ func TestGoldenFleetMatchesLocal(t *testing.T) {
 			defer c.Close()
 			stop := startWorkers(t, c, 2)
 			defer stop()
-			got, err := runFleet(spec, opt, c)
+			got, _, err := runFleet(spec, opt, c)
 			if err != nil {
 				t.Fatalf("fleet run: %v", err)
 			}
@@ -199,7 +210,7 @@ func TestGoldenFleetSurvivesWorkerDeath(t *testing.T) {
 	ct := &crashingTransport{Transport: c}
 	tr := &perWorkerTransport{victim: "w0", crash: ct, direct: c, leased: make(chan struct{})}
 	stop := startWorkers(t, tr, 2)
-	got, err := runFleet(spec, opt, c)
+	got, workers, err := runFleet(spec, opt, c)
 	stop()
 	if err != nil {
 		t.Fatalf("fleet run: %v", err)
@@ -216,7 +227,6 @@ func TestGoldenFleetSurvivesWorkerDeath(t *testing.T) {
 	// The surviving worker must have contributed (w0's swallowed ack may
 	// still have raced some cells in as duplicates-to-be, but the run
 	// cannot have completed without w1 picking up the expired cells).
-	workers := c.RunWorkers("run-" + spec.ID)
 	found := false
 	for _, w := range workers {
 		if w == "w1" {
@@ -261,13 +271,13 @@ func TestGoldenFleetSurvivesPoisonLease(t *testing.T) {
 	defer stop()
 
 	poison := scenario.New("poison", "fleet-poison")
-	if _, err := runFleet(poison, opt, c); err == nil || !strings.Contains(err.Error(), "panicked") {
+	if _, _, err := runFleet(poison, opt, c); err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("poison run: err = %v, want a failed lease naming the panic", err)
 	}
 
 	spec, _ := scenario.Lookup("mrt")
 	want := runLocal(t, spec, opt)
-	got, err := runFleet(spec, opt, c)
+	got, _, err := runFleet(spec, opt, c)
 	if err != nil {
 		t.Fatalf("run after the poison lease: %v", err)
 	}

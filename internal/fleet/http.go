@@ -90,9 +90,5 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	out := c.WorkersStatus()
-	if out == nil {
-		out = []WorkerStatus{}
-	}
-	api.WriteJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, c.WorkersStatus())
 }

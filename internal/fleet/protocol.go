@@ -22,8 +22,8 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/scenario"
-	"repro/internal/version"
 )
 
 // ErrIncompatible rejects a worker whose build info does not match the
@@ -33,29 +33,6 @@ var ErrIncompatible = errors.New("fleet: incompatible worker build")
 
 // ErrClosed rejects calls into a closed coordinator.
 var ErrClosed = errors.New("fleet: coordinator closed")
-
-// BuildInfo identifies a binary well enough to refuse mixing
-// incompatible coordinator/worker builds in one run: the catalog hash
-// guards the scenario semantics, version and toolchain guard the
-// numerics.
-type BuildInfo struct {
-	Version     string `json:"version"`
-	GoVersion   string `json:"go_version"`
-	CatalogHash string `json:"catalog_hash"`
-}
-
-// CurrentBuild returns this binary's build identity.
-func CurrentBuild() BuildInfo {
-	return BuildInfo{
-		Version:     version.Version,
-		GoVersion:   version.Go(),
-		CatalogHash: scenario.CatalogHash(),
-	}
-}
-
-// Compatible reports whether two builds may share a distributed run.
-// All three fields must match exactly.
-func (b BuildInfo) Compatible(o BuildInfo) bool { return b == o }
 
 // CellRef names one remoteable cell within a run: the fan-out ordinal
 // (kind runners perform remoteable fan-outs sequentially, so ordinals
@@ -69,8 +46,8 @@ func (r CellRef) String() string { return strconv.Itoa(r.Fanout) + "/" + strconv
 
 // LeaseRequest asks the coordinator for a batch of cells.
 type LeaseRequest struct {
-	WorkerID string    `json:"worker_id"`
-	Build    BuildInfo `json:"build"`
+	WorkerID string        `json:"worker_id"`
+	Build    api.BuildInfo `json:"build"`
 	// MaxCells bounds the batch (capped by the coordinator's own
 	// bound; 0 means 1).
 	MaxCells int `json:"max_cells,omitempty"`

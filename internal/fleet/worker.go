@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/scenario"
 )
 
@@ -30,8 +31,8 @@ type WorkerConfig struct {
 	// "host-pid").
 	ID string
 	// Build is the identity offered in lease requests (default
-	// CurrentBuild()).
-	Build BuildInfo
+	// api.CurrentBuild()).
+	Build api.BuildInfo
 	// Batch is the cells requested per lease. Default 4.
 	Batch int
 	// Poll is the lease long-poll wait. Default 5s.
@@ -51,8 +52,8 @@ func (c WorkerConfig) fill() WorkerConfig {
 		}
 		c.ID = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	if c.Build == (BuildInfo{}) {
-		c.Build = CurrentBuild()
+	if c.Build == (api.BuildInfo{}) {
+		c.Build = api.CurrentBuild()
 	}
 	if c.Batch <= 0 {
 		c.Batch = 4

@@ -30,13 +30,7 @@ import (
 //	GET  /v1/metrics         Prometheus text, per-cluster labels
 //	GET  /v1/policies        local policy catalog + grid policy catalog
 //	GET  /v1/topology        the filled fleet configuration
-//
-// A nil runs service gets a default-config one (tests; cmd/gridd
-// passes its flag-configured instance).
 func (b *Broker) Handler(runs *api.RunService) http.Handler {
-	if runs == nil {
-		runs = api.NewRunService(api.Config{})
-	}
 	mux := http.NewServeMux()
 	b.routes(mux, runs)
 	return api.Wrap(mux, runs.Config().Log)

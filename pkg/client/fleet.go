@@ -15,7 +15,7 @@ import (
 var _ fleet.Transport = (*Client)(nil)
 
 // Version fetches the daemon's build identity (GET /v1/version). A
-// worker compares it against its own fleet.CurrentBuild() before
+// worker compares it against its own api.CurrentBuild() before
 // leasing: mismatched catalog hashes would silently break the
 // coordinator's byte-identity guarantee.
 func (c *Client) Version(ctx context.Context) (api.VersionInfo, error) {

@@ -43,7 +43,7 @@ func TestFleetOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mine := fleet.CurrentBuild()
+	mine := api.CurrentBuild()
 	if v.CatalogHash != mine.CatalogHash {
 		t.Fatalf("catalog hash skew: daemon %s, local %s", v.CatalogHash, mine.CatalogHash)
 	}
@@ -113,7 +113,7 @@ func TestFleetOverHTTP(t *testing.T) {
 // instead of retrying forever).
 func TestLeaseIncompatibleMapsTo409(t *testing.T) {
 	c, _ := newFleetDaemon(t, 30*time.Second)
-	bad := fleet.CurrentBuild()
+	bad := api.CurrentBuild()
 	bad.CatalogHash = "0000000000000000"
 	_, err := c.LeaseCells(context.Background(), fleet.LeaseRequest{WorkerID: "w", Build: bad})
 	if !errors.Is(err, fleet.ErrIncompatible) {
