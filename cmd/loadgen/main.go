@@ -142,42 +142,35 @@ type specStream interface {
 	Next() (sp gridservice.JobSpec, ok bool, err error)
 }
 
-// swfSpec derives the submission payload of one trace record — the
-// single definition both the streaming path and tests share, so the
+// swfSpec derives the submission payload of one replayed trace job —
+// the single definition both the streaming path and tests share, so the
 // spec order of a streamed replay is the materialized order by
-// construction. The job comes from SWFRecord.Job, so a record the
+// construction. The job comes from trace.SWFJobSource, so a record the
 // replay kind refuses (an unknown -1 runtime or processor count, a
 // non-finite field) is refused here too instead of becoming a job.
-func swfSpec(rec trace.SWFRecord, useRel bool) (gridservice.JobSpec, error) {
-	j, err := rec.Job()
-	if err != nil {
-		return gridservice.JobSpec{}, err
-	}
+func swfSpec(j *workload.Job, useRel bool) gridservice.JobSpec {
 	sp := gridservice.JobSpec{
-		Name: fmt.Sprintf("swf-%d", rec.ID), Class: "swf",
+		Name: fmt.Sprintf("swf-%d", j.ID), Class: "swf",
 		SeqTime: j.SeqTime, MinProcs: j.MinProcs, Weight: j.Weight,
 	}
 	if useRel {
-		sp.Release = rec.Submit
+		sp.Release = j.Release
 	}
-	return sp, nil
+	return sp
 }
 
 // swfStream streams specs off an SWF trace file.
 type swfStream struct {
-	sc     *trace.SWFScanner
+	src    *trace.SWFJobSource
 	useRel bool
 }
 
 func (s *swfStream) Next() (gridservice.JobSpec, bool, error) {
-	if !s.sc.Scan() {
-		return gridservice.JobSpec{}, false, s.sc.Err()
+	j, ok := s.src.Next()
+	if !ok {
+		return gridservice.JobSpec{}, false, s.src.Err()
 	}
-	sp, err := swfSpec(s.sc.Record(), s.useRel)
-	if err != nil {
-		return gridservice.JobSpec{}, false, err
-	}
-	return sp, true, nil
+	return swfSpec(j, s.useRel), true, nil
 }
 
 // jobStream streams specs off a synthetic workload source.
@@ -209,7 +202,7 @@ func buildStream(swf string, n, m int, seed uint64, useRel bool) (specStream, fu
 		if err != nil {
 			return nil, nil, err
 		}
-		return &swfStream{sc: trace.NewSWFScanner(f), useRel: useRel}, f.Close, nil
+		return &swfStream{src: trace.NewSWFJobSource(f), useRel: useRel}, f.Close, nil
 	}
 	src := workload.ParallelSource(workload.GenConfig{N: n, M: m, Seed: seed, ArrivalRate: 0.5})
 	return &jobStream{src: src, useRel: useRel}, func() error { return nil }, nil

@@ -30,7 +30,7 @@ func collect(t *testing.T, s specStream) ([]gridservice.JobSpec, error) {
 }
 
 // materializedSWFSpecs is the historical buildSpecs SWF path: read the
-// whole trace, then map every record. The streaming path must produce
+// whole trace, then map every job. The streaming path must produce
 // the identical spec sequence.
 func materializedSWFSpecs(t *testing.T, path string, useRel bool) []gridservice.JobSpec {
 	t.Helper()
@@ -39,15 +39,13 @@ func materializedSWFSpecs(t *testing.T, path string, useRel bool) []gridservice.
 		t.Fatal(err)
 	}
 	defer f.Close()
-	recs, err := trace.ReadSWFRecords(f)
+	jobs, err := trace.ReadSWF(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := make([]gridservice.JobSpec, len(recs))
-	for i, rec := range recs {
-		if specs[i], err = swfSpec(rec, useRel); err != nil {
-			t.Fatal(err)
-		}
+	specs := make([]gridservice.JobSpec, len(jobs))
+	for i, j := range jobs {
+		specs[i] = swfSpec(j, useRel)
 	}
 	return specs
 }

@@ -242,7 +242,7 @@ func (s *RunService) recover() {
 		if !r.state.Terminal() {
 			r.state = RunFailed
 			r.err = "interrupted by daemon restart"
-			r.finished = time.Now()
+			r.finished = time.Now().Round(0)
 			r.publish(Event{Type: "state", State: RunFailed, Error: r.err})
 			repairs = append(repairs, store.Record{
 				Op: "terminal", ID: r.id, State: string(RunFailed),

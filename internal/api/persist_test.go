@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -493,28 +492,20 @@ func TestPayloadWithTimingsRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A recovered duration is read from wall-clock times, the live one
-	// from the monotonic clock, so the two recoveries are compared byte
-	// for byte and the live status by its cells.
-	recovered := func(st *store.Store) (string, []CellTiming) {
+	recovered := func(st *store.Store) string {
 		t.Helper()
 		_, srv2 := newTestService(t, Config{Store: st})
 		body, _ := getText(t, srv2.URL, "/v1/runs/"+run.ID)
-		var rs RunStatus
-		if err := json.Unmarshal([]byte(body), &rs); err != nil {
-			t.Fatal(err)
-		}
-		return body, rs.Cells
+		return body
 	}
-	asWritten, cells := recovered(openStoreT(t, copyStoreDir(t, dir)))
-	if !reflect.DeepEqual(cells, live.Cells) {
-		t.Fatalf("recovered cells %v, live %v", cells, live.Cells)
+	if got := recovered(openStoreT(t, copyStoreDir(t, dir))); got != want {
+		t.Fatalf("recovered payload serves\n%s\nwant the live\n%s", got, want)
 	}
 	if err := old.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := recovered(openStoreT(t, oldDir)); got != asWritten {
-		t.Fatalf("payload with timings serves\n%s\nwant\n%s", got, asWritten)
+	if got := recovered(openStoreT(t, oldDir)); got != want {
+		t.Fatalf("payload with timings serves\n%s\nwant the live\n%s", got, want)
 	}
 }
 

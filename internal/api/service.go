@@ -542,7 +542,7 @@ func (s *RunService) beginCloseLocked(r *Run, state RunState, errMsg string, res
 	c := closing{
 		r:        r,
 		last:     Event{Seq: len(r.events), Type: "state", State: state, Error: errMsg},
-		finished: time.Now(), result: res,
+		finished: time.Now().Round(0), result: res,
 	}
 	r.closing = true
 	if s.cfg.Store != nil {
@@ -614,7 +614,7 @@ func (s *RunService) worker() {
 			continue
 		}
 		r.state = RunRunning
-		r.started = time.Now()
+		r.started = time.Now().Round(0) // wall clock only: a duration reads the same after a restart
 		r.publish(Event{Type: "state", State: RunRunning})
 		if s.cfg.Store != nil {
 			// Written in order, not awaited: nothing is acknowledged on

@@ -465,14 +465,16 @@ const readAheadBatch = 1024
 // pending arrival — the stream head — and pulls the next job when that
 // event fires. A second goroutine reads the source up to one batch of
 // readAheadBatch jobs ahead (see workload.Ahead), so peak memory is
-// O(active jobs + 2 × readAheadBatch) regardless of stream length. Jobs are
-// admitted at max(Release, now); sources should yield non-decreasing
-// releases (all workload generators and sorted SWF archives do),
-// out-of-order jobs are admitted as soon as they surface. Arrival groups
-// sharing a release admit inside a single event. If the source
-// implements Err() error, a mid-stream failure aborts admission and
-// surfaces from Run. Once Run or a failed Stream returns, no goroutine
-// touches the source any more.
+// O(active jobs + 2 × readAheadBatch) regardless of stream length (a
+// 64-job slab of trace.SWFJobSource lives while any of its jobs does: at
+// worst 64 job structs per active job, the same bound when jobs finish
+// roughly in submission order). Jobs are admitted at max(Release, now);
+// sources should yield non-decreasing releases (all workload generators
+// and sorted SWF archives do), out-of-order jobs are admitted as soon as
+// they surface. Arrival groups sharing a release admit inside a single
+// event. If the source implements Err() error, a mid-stream failure
+// aborts admission and surfaces from Run. Once Run or a failed Stream
+// returns, no goroutine touches the source any more.
 func (s *Sim) Stream(src workload.Source) error {
 	if s.drained {
 		return ErrDrained

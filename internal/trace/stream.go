@@ -32,7 +32,6 @@ type SWFScanner struct {
 	line int
 	rec  SWFRecord
 	err  error
-	done bool
 }
 
 // NewSWFScanner returns a scanner over r. Input is buffered; lines are
@@ -54,7 +53,7 @@ func NewSWFScanner(r io.Reader) *SWFScanner {
 // than the 32 bytes the compiler keeps on the stack for such a string
 // costs one). Values and error texts are strconv's own.
 func (s *SWFScanner) Scan() bool {
-	if s.err != nil || s.done {
+	if s.err != nil {
 		return false
 	}
 	for s.sc.Scan() {
@@ -85,8 +84,7 @@ func (s *SWFScanner) Scan() bool {
 		}
 		return true
 	}
-	s.done = true
-	s.err = s.sc.Err()
+	s.err = s.sc.Err() // nil at EOF; bufio.Scanner stays ended, so a later Scan ends again
 	return false
 }
 
@@ -193,14 +191,18 @@ func (s *SWFScanner) Record() SWFRecord { return s.rec }
 // Err returns the first parse or read error, or nil after a clean EOF.
 func (s *SWFScanner) Err() error { return s.err }
 
+// swfSlab is the number of jobs SWFJobSource builds in one allocation.
+const swfSlab = 64
+
 // SWFJobSource adapts an SWF trace to workload.Source: records are
 // materialized as rigid jobs one at a time as the simulation pulls them,
-// so replaying a multi-million-job archive never holds more than the
-// stream head in memory. A record that cannot become a job (see
-// SWFRecord.Job) stops the stream with that error.
+// each in the next slot of a slab of swfSlab jobs, so replaying a
+// multi-million-job archive holds only the slabs of live jobs. A record
+// that cannot become a job (see SWFRecord.fill) takes no slot and stops
+// the stream with that error.
 type SWFJobSource struct {
-	sc  *SWFScanner
-	err error
+	sc   *SWFScanner    // its err also holds a refused record's, ending the scan
+	slab []workload.Job // the slots of the current slab not yet handed out
 }
 
 // NewSWFJobSource returns a job source streaming from r.
@@ -210,23 +212,22 @@ func NewSWFJobSource(r io.Reader) *SWFJobSource {
 
 // Next returns the next job in trace order.
 func (s *SWFJobSource) Next() (*workload.Job, bool) {
-	if s.err != nil {
-		return nil, false
-	}
 	if !s.sc.Scan() {
-		s.err = s.sc.Err()
 		return nil, false
 	}
-	j, err := s.sc.Record().Job()
-	if err != nil {
-		s.err = err
+	if len(s.slab) == 0 {
+		s.slab = make([]workload.Job, swfSlab)
+	}
+	j := &s.slab[0]
+	if s.sc.err = s.sc.rec.fill(j); s.sc.err != nil {
 		return nil, false
 	}
+	s.slab = s.slab[1:]
 	return j, true
 }
 
 // Err reports why the stream ended, nil for a clean EOF.
-func (s *SWFJobSource) Err() error { return s.err }
+func (s *SWFJobSource) Err() error { return s.sc.err }
 
 // SWFWriter emits records one at a time in the SWF line format: a
 // header, then "%d %g %g %g %d %g" per record, in Write order. Floats use

@@ -271,11 +271,13 @@ func TestSWFScannerOversizedLine(t *testing.T) {
 }
 
 // TestSWFJobSourceStreamsJobs: the Source adapter yields the same jobs
-// as the materializing ReadSWF, and a record that cannot become a job
-// stops the stream with an error after the preceding jobs were yielded.
+// as the materializing ReadSWF across several slabs, each at its own
+// address, and a record that cannot become a job stops the stream with
+// an error after the preceding jobs were yielded, leaving them as they
+// were and taking no slot.
 func TestSWFJobSourceStreamsJobs(t *testing.T) {
 	rng := stats.NewRNG(3)
-	recs := randomRecs(rng, 40)
+	recs := randomRecs(rng, 200)
 	var buf bytes.Buffer
 	if err := writeSWF(&buf, recs); err != nil {
 		t.Fatal(err)
@@ -299,27 +301,65 @@ func TestSWFJobSourceStreamsJobs(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("streamed %d jobs, want %d", len(got), len(want))
 	}
+	seen := make(map[*workload.Job]int, len(got))
 	for i := range want {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Fatalf("job %d diverged: %+v vs %+v", i, got[i], want[i])
 		}
+		if k, dup := seen[got[i]]; dup {
+			t.Fatalf("jobs %d and %d share one address", k, i)
+		}
+		seen[got[i]] = i
+	}
+	// Overwriting any one job changes that job alone.
+	for k := range got {
+		saved := *got[k]
+		*got[k] = workload.Job{ID: -1, Weight: math.NaN()}
+		for i := range got {
+			if i != k && !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("writing job %d changed job %d: %+v", k, i, got[i])
+			}
+		}
+		*got[k] = saved
 	}
 
-	// Zero-proc record mid-stream: two good jobs, then a hard stop.
-	bad := "1 0 0 5 2 1\n2 0 0 5 1 1\n3 0 0 5 0 1\n4 0 0 5 1 1\n"
-	src = NewSWFJobSource(strings.NewReader(bad))
-	n := 0
-	for {
-		if _, ok := src.Next(); !ok {
-			break
+	// A refused record six slots into the second slab: the 70 jobs
+	// before it are yielded, then a hard stop that leaves them and the
+	// slab's free slots untouched.
+	for _, bad := range []string{"71 0 0 5 0 1", "71 0 0 0 2 1", "71 0 0 NaN 2 1", "71 0 0 5 2 +Inf", "71 0 0 x 2 1"} {
+		var in strings.Builder
+		for id := 1; id <= 70; id++ {
+			fmt.Fprintf(&in, "%d %d 0 5 %d 1\n", id, id, 1+id%3)
 		}
-		n++
-	}
-	if n != 2 || src.Err() == nil {
-		t.Fatalf("bad record: yielded %d jobs, err=%v", n, src.Err())
-	}
-	if _, ok := src.Next(); ok || src.Err() == nil {
-		t.Fatal("source restarted after error")
+		in.WriteString(bad + "\n72 0 0 5 1 1\n")
+		src = NewSWFJobSource(strings.NewReader(in.String()))
+		var yielded []*workload.Job
+		var values []workload.Job
+		for {
+			j, ok := src.Next()
+			if !ok {
+				break
+			}
+			yielded = append(yielded, j)
+			values = append(values, *j)
+		}
+		if len(yielded) != 70 || src.Err() == nil {
+			t.Fatalf("%q: yielded %d jobs, err=%v", bad, len(yielded), src.Err())
+		}
+		for i, j := range yielded {
+			if !reflect.DeepEqual(*j, values[i]) {
+				t.Fatalf("%q: job %d changed after it was yielded: %+v, was %+v", bad, i, *j, values[i])
+			}
+		}
+		if free := len(src.slab); free != 2*swfSlab-70 {
+			t.Fatalf("%q: %d free slots in the slab, want %d", bad, free, 2*swfSlab-70)
+		}
+		if !reflect.DeepEqual(src.slab[0], workload.Job{}) {
+			t.Fatalf("%q: the refused record wrote its slot: %+v", bad, src.slab[0])
+		}
+		if _, ok := src.Next(); ok || src.Err() == nil {
+			t.Fatalf("%q: source restarted after error", bad)
+		}
 	}
 }
 

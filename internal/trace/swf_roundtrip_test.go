@@ -151,14 +151,17 @@ func TestRecordOfCompletion(t *testing.T) {
 	if rec.ID != 4 || rec.Submit != 10 || rec.Wait != 5 || rec.Runtime != 10 || rec.Procs != 3 || rec.Weight != 2 {
 		t.Fatalf("record = %+v", rec)
 	}
-	job, err := rec.Job()
-	if err != nil {
+	var job workload.Job
+	if err := rec.fill(&job); err != nil {
 		t.Fatal(err)
 	}
 	if job.SeqTime != 30 || job.MinProcs != 3 || job.Release != 10 {
 		t.Fatalf("record job = %+v", job)
 	}
-	if _, err := (SWFRecord{ID: 1, Runtime: 0, Procs: 1}).Job(); err == nil {
+	if err := (SWFRecord{ID: 1, Runtime: 0, Procs: 1}).fill(&job); err == nil {
 		t.Fatal("zero-runtime record materialized a job")
+	}
+	if job.ID != 4 || job.SeqTime != 30 {
+		t.Fatalf("a refused record wrote the job: %+v", job)
 	}
 }

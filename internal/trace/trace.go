@@ -100,26 +100,28 @@ type SWFRecord struct {
 	Weight  float64
 }
 
-// Job materializes a record as a rigid job (runtime frozen as the
-// sequential profile on the recorded processor count). A record with
-// non-positive procs or runtime, or a submit, runtime or weight that is
-// NaN or infinite, becomes no job.
-func (rec SWFRecord) Job() (*workload.Job, error) {
+// fill materializes the record in place as a rigid job (runtime frozen
+// as the sequential profile on the recorded processor count). A record
+// with non-positive procs or runtime, or a submit, runtime or weight that
+// is NaN or infinite, becomes no job: fill returns the error and leaves
+// *j as it was.
+func (rec SWFRecord) fill(j *workload.Job) error {
 	if rec.Procs <= 0 || rec.Runtime <= 0 {
-		return nil, fmt.Errorf("trace: record %d: procs %d runtime %v", rec.ID, rec.Procs, rec.Runtime)
+		return fmt.Errorf("trace: record %d: procs %d runtime %v", rec.ID, rec.Procs, rec.Runtime)
 	}
 	for _, v := range [...]float64{rec.Submit, rec.Runtime, rec.Weight} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("trace: record %d: submit %v runtime %v weight %v: not finite",
+			return fmt.Errorf("trace: record %d: submit %v runtime %v weight %v: not finite",
 				rec.ID, rec.Submit, rec.Runtime, rec.Weight)
 		}
 	}
-	return &workload.Job{
+	*j = workload.Job{
 		ID: rec.ID, Kind: workload.Rigid, Release: math.Max(rec.Submit, 0),
 		Weight: rec.Weight, DueDate: -1,
 		SeqTime: rec.Runtime * float64(rec.Procs), MinProcs: rec.Procs, MaxProcs: rec.Procs,
 		Model: workload.Linear{},
-	}, nil
+	}
+	return nil
 }
 
 // ReadSWFRecords parses the SWFWriter format, preserving every field. It
@@ -138,19 +140,20 @@ func ReadSWFRecords(r io.Reader) ([]SWFRecord, error) {
 }
 
 // ReadSWF parses the SWFWriter format back into rigid jobs (runtime frozen
-// as the sequential profile on the recorded processor count).
+// as the sequential profile on the recorded processor count). The jobs
+// are built in place in one array.
 func ReadSWF(r io.Reader) ([]*workload.Job, error) {
 	recs, err := ReadSWFRecords(r)
 	if err != nil {
 		return nil, err
 	}
-	jobs := make([]*workload.Job, 0, len(recs))
-	for _, rec := range recs {
-		j, err := rec.Job()
-		if err != nil {
+	slab := make([]workload.Job, len(recs))
+	jobs := make([]*workload.Job, len(recs))
+	for i, rec := range recs {
+		if err := rec.fill(&slab[i]); err != nil {
 			return nil, err
 		}
-		jobs = append(jobs, j)
+		jobs[i] = &slab[i]
 	}
 	return jobs, nil
 }
