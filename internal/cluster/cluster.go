@@ -28,19 +28,20 @@ var ErrDrained = errors.New("cluster: simulation drained; no further submissions
 // Decision is one start decision of a policy: run Job on Procs
 // processors now.
 //
-// at says where Job is: 1 + its index in View.Queue when the policy
+// at names Job's slot: 1 + its index in View.Queue when the policy
 // decided, or 0 when that is unknown. The shipped policies fill it in, so
-// that Sim.start takes the job from where the policy saw it instead of
-// searching the queue for it; a policy from outside the package leaves it
-// zero, and the Sim searches. The shipped policies decide in queue order,
-// so each start the Sim makes moves the jobs decided after it one slot
-// down, and the Sim looks there. A slot that does not hold the job — after
-// a decision out of queue order, or an observer that edited the queue
-// inside a start — sends the Sim to the search as well. The job is matched by
-// pointer, and no admission path in the module queues a pointer that is
-// already queued: each submits a job it has just made, or one StealQueued
-// has just taken out of another queue. A pointer queued twice would leave
-// from the slot at names, or, searched for, from its first slot.
+// that Sim.start takes the job from its slot instead of searching the
+// queue for it; a policy from outside the package leaves it zero, and the
+// Sim searches. A start leaves a hole in its slot and moves no other job
+// (see View.Queue), so every decision of one call names its slot as the
+// policy saw it, whatever was started before it. A slot that does not hold
+// the job — an observer that edited the queue inside a start, or a
+// decision that named the wrong slot — sends the Sim to the search as
+// well. The job is matched by pointer, and no admission path in the module
+// queues a pointer that is already queued: each submits a job it has just
+// made, or one StealQueued has just taken out of another queue. A pointer
+// queued twice would leave from the slot at names, or, searched for, from
+// its first slot.
 type Decision struct {
 	Job   *workload.Job
 	Procs int
@@ -54,7 +55,7 @@ type Decision struct {
 // A view is the simulator's own state, lent for one decision and copied
 // from nothing: Queue is the live waiting queue, and the profile, Plan,
 // Index and Scratch are kept from one decision to the next. A shipped
-// policy records in each Decision the index in Queue of the job it
+// policy records in each Decision the slot in Queue of the job it
 // decided (see Decision); a policy from elsewhere cannot, and the Sim
 // then finds the job by searching Queue.
 // Policies read Queue and the profile, never write them, and keep
@@ -65,7 +66,15 @@ type View struct {
 	Now   float64
 	Avail int
 	Speed float64
-	Queue []*workload.Job // submission order
+	// Queue lends the waiting queue's slots in submission order. A nil
+	// slot is a hole: its job started, or was stolen, since the queue was
+	// last compacted. A job keeps its slot until then, so a start moves no
+	// other job. The Sim trims the holes at either end and compacts the
+	// slots, in one pass, once holes outnumber the jobs queued — before a
+	// decision or once its starts are all made, never between them — so a
+	// policy sees len(Queue) at most twice the jobs queued, and every
+	// policy skips the holes.
+	Queue []*workload.Job
 	// Plan is the cluster's persistent conservative-backfilling plan (see
 	// Plan and ConservativePolicy). ConservativePolicy extends it in place
 	// at every decision; every other policy ignores it. Deciding on a view
@@ -74,9 +83,10 @@ type View struct {
 	// be done with the plan from inside Decide. The Sim invalidates it at
 	// every change of capacity: a crash, a repair or a SetAvailability
 	// step, whether or not the working count moves (with the requeue of the
-	// jobs a loss kills); and at StealQueued, which may take a job whose
-	// start was refused. The policy notices any other edit of the queue — a
-	// refused start, an arrival — on its own (see Plan).
+	// jobs a loss kills); at StealQueued, which may take a planned job; and
+	// at the start of a job the last decision did not find due. The policy
+	// notices the two other edits of the queue — a refused start, an
+	// arrival — on its own (see Plan).
 	Plan *Plan
 	// Index is the cluster's persistent index of Queue (see QueueIndex),
 	// which EASYPolicy and GreedyFitPolicy search instead of walking the
@@ -87,8 +97,7 @@ type View struct {
 	// removes from the index every job it removes from the queue — the Sim
 	// does in start and StealQueued; arrivals and the requeue of a killed
 	// job append to the tail and need nothing — and never reorders the
-	// queue, because the index takes a job's arrival number for its queue
-	// position.
+	// queue.
 	Index *QueueIndex
 	// Scratch is an empty slice with room to spare that Decide may append
 	// its decisions to and return instead of allocating one. The Sim lends
@@ -97,11 +106,46 @@ type View struct {
 	// returned out of it, past Decide.
 	Scratch []Decision
 
+	// seqs[i] is the arrival number of Queue[i], hole or not: strictly
+	// increasing, so a job's slot is a binary search away (slot), and
+	// stable across compactions, so the index and the plan name jobs by
+	// it.
+	seqs []uint64
 	// sim is the Sim that lent the view, whose profile Profile brings up
 	// to date; a view built by hand (in a test) has none and carries
 	// profile instead.
 	sim     *Sim
 	profile *rigid.Profile
+}
+
+// slot returns 1 + the index in Queue of the slot with arrival number
+// seq, the position a Decision records, or 0 if no slot has it.
+func (v View) slot(seq uint64) int {
+	i, ok := slices.BinarySearch(v.seqs, seq)
+	if !ok {
+		return 0
+	}
+	return i + 1
+}
+
+// behind returns the first slot whose arrival number is above last,
+// or len(seqs) if none is: a walk back from the tail, which costs one
+// step per slot behind last — the slots a caller then visits anyway.
+func behind(seqs []uint64, last uint64) int {
+	i := len(seqs)
+	for i > 0 && seqs[i-1] > last {
+		i--
+	}
+	return i
+}
+
+// nextLive returns the index of the first job in queue at or after i, or
+// len(queue) if only holes are left.
+func nextLive(queue []*workload.Job, i int) int {
+	for i < len(queue) && queue[i] == nil {
+		i++
+	}
+	return i
 }
 
 // Profile returns the cluster's persistent availability profile at Now:
@@ -237,7 +281,7 @@ type Sim struct {
 	policy Policy
 	kill   KillPolicy
 
-	queue []*workload.Job
+	queue waitQueue
 	// queuedWork tallies the queue's total minimal work incrementally for
 	// Load, its only reader, and is kept only while tallying is set:
 	// TallyQueuedWork seeds it from the queue. QueuedWork() recomputes it
@@ -345,6 +389,65 @@ type Sim struct {
 	OnRepair func(procs int, now float64)
 }
 
+// waitQueue is the waiting queue of local jobs: slots in arrival order,
+// each with the arrival number its job got when it was queued. A job
+// that leaves — a start, a steal — leaves a hole (a nil slot) and moves
+// no other job. tidy trims the holes at either end and compacts the
+// slots and their numbers in one pass once holes outnumber live jobs, so
+// that len(jobs) <= 2·live after every tidy, at amortised O(1) per job
+// that leaves: a compaction copies at most 2·holes slots and leaves none.
+type waitQueue struct {
+	jobs []*workload.Job
+	// seqs[i] is the arrival number of jobs[i]: strictly increasing, from
+	// 1, and never reused.
+	seqs []uint64
+	live int    // non-nil slots
+	last uint64 // the highest arrival number handed out
+}
+
+// push queues j at the tail under the next arrival number.
+func (q *waitQueue) push(j *workload.Job) {
+	q.last++
+	q.jobs = append(q.jobs, j)
+	q.seqs = append(q.seqs, q.last)
+	q.live++
+}
+
+// tidy trims the holes at either end — when none is left, the slots
+// start again at the front of their array — and compacts the rest when
+// holes outnumber live jobs. A queue without holes, the common case on
+// a cluster that keeps up, costs one comparison.
+func (q *waitQueue) tidy() {
+	if len(q.jobs) > q.live {
+		q.trim()
+	}
+}
+
+// trim is tidy for a queue that holds a hole.
+func (q *waitQueue) trim() {
+	if q.live == 0 {
+		q.jobs, q.seqs = q.jobs[:0], q.seqs[:0]
+		return
+	}
+	lo, hi := nextLive(q.jobs, 0), len(q.jobs)
+	for q.jobs[hi-1] == nil {
+		hi--
+	}
+	q.jobs, q.seqs = q.jobs[lo:hi], q.seqs[lo:hi]
+	if len(q.jobs) <= 2*q.live {
+		return
+	}
+	k := 0
+	for i, j := range q.jobs {
+		if j != nil {
+			q.jobs[k], q.seqs[k] = j, q.seqs[i]
+			k++
+		}
+	}
+	clear(q.jobs[k:])
+	q.jobs, q.seqs = q.jobs[:k], q.seqs[:k]
+}
+
 type localRunning struct {
 	job   *workload.Job
 	procs int
@@ -423,7 +526,7 @@ func (s *Sim) Load() LoadInfo {
 	}
 	return LoadInfo{
 		M: s.M, Speed: s.Speed, Free: s.free(),
-		Queued: len(s.queue), QueuedWork: w,
+		Queued: s.queue.live, QueuedWork: w,
 		BEQueued: len(s.beQueue), BEActive: len(s.beActive),
 	}
 }
@@ -432,7 +535,7 @@ func (s *Sim) Load() LoadInfo {
 // three admission paths (Submit, streamed arrival, InjectNow) funnel
 // through here so OnLocalSubmit observers see every arrival.
 func (s *Sim) admit(j *workload.Job) {
-	s.queue = append(s.queue, j)
+	s.queue.push(j)
 	s.tally(j, 1)
 	if s.OnLocalSubmit != nil {
 		s.OnLocalSubmit(j, s.DES.Now())
@@ -594,21 +697,26 @@ func (s *Sim) reschedule() {
 			return
 		}
 	}
+	// The queue is tidied before the decision and after its starts, never
+	// in between, so the slots the decisions name are still theirs — but
+	// for a decision an observer makes from inside a start, which comes
+	// back through here, whose tidy sends the rest of the outer starts to
+	// the search.
+	s.queue.tidy()
 	// The scratch is out of reach while it is lent: an observer that
 	// changes the capacity from inside a start comes back through here.
 	scratch := s.decisions
 	s.decisions = nil
 	view := View{
 		Now: now, Avail: s.avail - s.localProcs, Speed: s.Speed,
-		Queue: s.queue, Plan: &s.plan, Index: &s.index, Scratch: scratch, sim: s,
+		Queue: s.queue.jobs, Plan: &s.plan, Index: &s.index, Scratch: scratch,
+		seqs: s.queue.seqs, sim: s,
 	}
 	decisions := s.policy.Decide(view)
-	started := 0
 	for _, d := range decisions {
-		if s.start(d, now, started) {
-			started++
-		}
+		s.start(d, now)
 	}
+	s.queue.tidy()
 	// What came back is the scratch, or the larger array the policy's
 	// appends moved to, which takes its place.
 	clear(decisions)
@@ -622,29 +730,32 @@ func (s *Sim) reschedule() {
 	}
 }
 
-// start makes decision d, the one after started starts of the same
-// decision, and reports whether it did; a refused start changes nothing.
-func (s *Sim) start(d Decision, now float64, started int) bool {
+// start makes decision d; a refused start changes nothing.
+func (s *Sim) start(d Decision, now float64) {
 	// Remove from queue; ignore unknown jobs (policy bug guard). Matched
 	// by pointer: migrated and injected jobs may share an ID with a job
-	// already queued. The job is in the slot d.at names, less one per
-	// start before it, or else searched for (see Decision).
-	idx := d.at - 1 - started
-	if idx < 0 || idx >= len(s.queue) || s.queue[idx] != d.Job {
-		idx = slices.Index(s.queue, d.Job)
+	// already queued. The job is in the slot d.at names, or else searched
+	// for (see Decision); a nil job would find a hole.
+	if d.Job == nil {
+		return
+	}
+	idx := d.at - 1
+	if idx < 0 || idx >= len(s.queue.jobs) || s.queue.jobs[idx] != d.Job {
+		idx = slices.Index(s.queue.jobs, d.Job)
 	}
 	if idx < 0 || d.Procs < d.Job.MinProcs || d.Procs > d.Job.MaxProcs {
-		return false
+		return
 	}
 	if d.Procs > s.avail-s.localProcs {
-		return false // policy overcommitted; refuse
+		return // policy overcommitted; refuse
 	}
 	// Evict best-effort tasks if physically needed.
 	for s.free() < d.Procs {
 		if !s.killOneBE(now) {
-			return false // cannot happen: free+BE >= M-localProcs >= d.Procs
+			return // cannot happen: free+BE >= M-localProcs >= d.Procs
 		}
 	}
+	s.plan.started(s.queue.seqs[idx])
 	s.dequeue(idx)
 	s.tally(d.Job, -1)
 	dur := d.Job.TimeOn(d.Procs) / s.Speed
@@ -666,13 +777,17 @@ func (s *Sim) start(d Decision, now float64, started int) bool {
 		s.OnLocalStart(run.job, run.procs, now)
 	}
 	_ = s.DES.At(run.end, run.fire)
-	return true
 }
 
-// dequeue removes queue[i] from the queue and from its index.
-func (s *Sim) dequeue(i int) {
-	s.index.remove(i, s.queue[i])
-	s.queue = removeAt(s.queue, i)
+// dequeue takes the job in slot i out of the queue, leaving a hole, and
+// out of the index, and returns it.
+func (s *Sim) dequeue(i int) *workload.Job {
+	q := &s.queue
+	j := q.jobs[i]
+	s.index.remove(q.seqs[i], j)
+	q.jobs[i] = nil
+	q.live--
+	return j
 }
 
 // finish fires for every started job, including one killed by a crash
@@ -842,7 +957,7 @@ func (s *Sim) killOneLocal(now float64) bool {
 	s.localProcs -= run.procs
 	s.faultStats.Requeues++
 	s.faultStats.LostWork += float64(run.procs) * (now - run.start) * s.Speed
-	s.queue = append(s.queue, run.job)
+	s.queue.push(run.job)
 	s.tally(run.job, 1)
 	if s.OnLocalKilled != nil {
 		s.OnLocalKilled(run.job, run.procs, now)
@@ -1011,7 +1126,7 @@ func (s *Sim) Run() error {
 	}
 	if s.acc.N() != s.submitted {
 		return fmt.Errorf("cluster: %d of %d local jobs completed (queue starved: %d waiting)",
-			s.acc.N(), s.submitted, len(s.queue))
+			s.acc.N(), s.submitted, s.queue.live)
 	}
 	return nil
 }
@@ -1088,12 +1203,18 @@ func (s *Sim) BestEffortQueueLength() int { return len(s.beQueue) }
 // BestEffortActive returns the number of grid tasks currently running.
 func (s *Sim) BestEffortActive() int { return len(s.beActive) }
 
-// QueueLength returns the current waiting-queue length.
-func (s *Sim) QueueLength() int { return len(s.queue) }
+// QueueLength returns the number of jobs waiting.
+func (s *Sim) QueueLength() int { return s.queue.live }
 
-// Queued returns a copy of the waiting queue in submission order.
+// Queued returns the waiting jobs in submission order, in a new slice.
 func (s *Sim) Queued() []*workload.Job {
-	return append([]*workload.Job(nil), s.queue...)
+	out := slices.Grow([]*workload.Job(nil), s.queue.live)
+	for _, j := range s.queue.jobs {
+		if j != nil {
+			out = append(out, j)
+		}
+	}
+	return out
 }
 
 // Running returns the currently running local jobs in start order (the
@@ -1114,9 +1235,11 @@ func (s *Sim) Running() []*workload.Job {
 // scheme).
 func (s *Sim) QueuedWork() float64 {
 	var w float64
-	for _, j := range s.queue {
-		mw, _ := j.MinWork(s.M)
-		w += mw
+	for _, j := range s.queue.jobs {
+		if j != nil {
+			mw, _ := j.MinWork(s.M)
+			w += mw
+		}
 	}
 	return w
 }
@@ -1125,19 +1248,19 @@ func (s *Sim) QueuedWork() float64 {
 // waiting queue (decentralized work exchange). Jobs already started
 // cannot be stolen.
 func (s *Sim) StealQueued(n int) []*workload.Job {
-	if n <= 0 || len(s.queue) == 0 {
+	n = min(n, s.queue.live)
+	if n <= 0 {
 		return nil
 	}
-	if n > len(s.queue) {
-		n = len(s.queue)
+	stolen := make([]*workload.Job, n)
+	for i, k := len(s.queue.jobs)-1, n; k > 0; i-- {
+		if s.queue.jobs[i] != nil {
+			k--
+			stolen[k] = s.dequeue(i)
+		}
 	}
-	stolen := append([]*workload.Job(nil), s.queue[len(s.queue)-n:]...)
-	for range stolen {
-		s.dequeue(len(s.queue) - 1)
-	}
-	// A stolen job may be one the last decision started and the Sim
-	// refused: its reservation stays in the plan, and it is not queued
-	// for the next decision to notice.
+	// A stolen job holds a reservation in the plan, and is not queued for
+	// the next decision to notice.
 	s.plan.Invalidate()
 	s.submitted -= n
 	for _, j := range stolen {

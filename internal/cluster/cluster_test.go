@@ -480,13 +480,13 @@ func (p *decideOnce) Decide(v View) []Decision {
 }
 
 // TestStartTakesTheNamedSlot: a start takes its job from the slot the
-// decision's position names, less one per start made before it in the
-// same decision, and a refused start does not count. The queue holds J
-// twice, so that which slot J leaves from shows: A, J, B, J is decided as
-// a job that is not queued (refused), A at position 1, then J at position
-// 4, the second J. After A leaves, that J is in slot 2, and A, the first
-// J and B must be left in that order. Taken from its first slot instead,
-// as a search would, J would leave B, J behind.
+// decision's position names, which the starts before it in the same
+// decision, made or refused, leave where it was. The queue holds J twice,
+// so that which slot J leaves from shows: A, J, B, J is decided as a job
+// that is not queued (refused), A at position 1, then J at position 4,
+// the second J, still in slot 4 after A left slot 1. The first J and B
+// must be left in that order. Taken from its first slot instead, as a
+// search would, J would leave B, J behind.
 func TestStartTakesTheNamedSlot(t *testing.T) {
 	a, j, b, absent := rjob(1, 5, 1, 0), rjob(2, 5, 1, 0), rjob(3, 5, 1, 0), rjob(4, 5, 1, 0)
 	pol := &decideOnce{n: 4, ds: []Decision{

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"repro/internal/rigid"
-	"repro/internal/workload"
 )
 
 // ConservativePolicy is online conservative backfilling: every queued
@@ -17,10 +16,11 @@ import (
 // The policy value itself holds no state; the plan travels in View.Plan
 // and is kept from one decision to the next. A decision trims the plan
 // to the current time, reserves a slot for only the jobs appended to the
-// queue since the previous decision, and emits the planned jobs that are
-// due — one reservation per arrival rather than one per queued job per
-// event. Planning the whole queue again at every event would change
-// nothing, because:
+// queue since the previous decision, and pops the planned jobs that are
+// due off the plan's heap — one reservation per arrival rather than one
+// per queued job per event, and no walk over the jobs still planned.
+// Planning the whole queue again at every event would change nothing,
+// because:
 //
 //  1. cluster.Sim runs a started job for exactly the duration the plan
 //     reserved (run.end = now + TimeOn/Speed: there is no estimate that
@@ -38,12 +38,12 @@ import (
 // (compression), the way capacity changes do today.
 //
 // Whatever the argument misses, Decide re-checks: the plan is discarded
-// and built again from the view — the same code, started empty — when
-// the planned jobs are no longer a pointer-equal prefix of v.Queue (the
-// queue was edited), when a job the last decision started is still
-// queued (the start was refused), when a planned start lies in the past,
-// or after a start that was due only within the 1e-12 tolerance and not
-// exactly (a reservation ending a hair after now).
+// and built again from the view — the same code, started empty — when a
+// job the last decision started is still queued (the start was refused),
+// when a planned start lies in the past, or after a start that was due
+// only within the 1e-12 tolerance and not exactly (a reservation ending
+// a hair after now). Every other edit of the queue the plan cannot see is
+// the Sim's to report (see View.Plan).
 type ConservativePolicy struct{}
 
 // Name implements Policy.
@@ -51,24 +51,81 @@ func (ConservativePolicy) Name() string { return "conservative" }
 
 // Plan is a conservative-backfilling schedule carried across decisions:
 // an availability profile holding the running jobs' and the planned
-// jobs' reservations, and the planned prefix of the waiting queue with
-// its start times. The zero value is an empty, invalid plan. A Plan
-// belongs to one evolving queue (one Sim); only ConservativePolicy
+// jobs' reservations, and a min-heap of the planned jobs on (planned
+// start, arrival number), so the jobs due now are the ones on top. A job
+// is named by the arrival number of its queue slot (View.Queue), which
+// survives compaction; the jobs planned are the queued jobs numbered up
+// to last, and a decision plans those numbered behind it. The zero value
+// is an empty, invalid plan.
+//
+// A Plan belongs to one evolving queue (one Sim); only ConservativePolicy
 // reads or writes it, and its owner calls Invalidate when the capacity
-// behind it changes. Other edits of the queue need no call, but for the
-// removal of a job the last decision started (a steal after a refused
-// start): a decision keeps the plan only while its jobs are still the
-// head of the queue and the jobs the last decision started have left it
-// (holds), which such a removal fools.
+// behind it changes and whenever a planned job leaves the queue without
+// the plan having found it due: a steal, or a start the last decision did
+// not make (started does it for the Sim). A decision keeps the plan while
+// it exists, does not start in the decision's future, plans nothing before
+// now (the heap's top), and the jobs the last decision found due have all
+// left the queue (holds).
 type Plan struct {
 	// profile is nil while the plan is invalid.
 	profile *rigid.Profile
-	jobs    []*workload.Job
-	starts  []float64
-	// due holds the jobs the last decision started. Their reservations
-	// are in profile as if they ran; one of them still queued at the next
-	// decision means its start was refused.
-	due []*workload.Job
+	// heap holds the planned jobs still queued: every job queued under an
+	// arrival number up to last, but for the due ones.
+	heap []planned
+	last uint64
+	// due holds, sorted, the arrival numbers of the jobs the last decision
+	// started. Their reservations are in profile as if they ran; one of
+	// them still queued at the next decision means its start was refused.
+	due []uint64
+}
+
+// planned is a job of the plan: its arrival number and planned start.
+type planned struct {
+	start float64
+	seq   uint64
+}
+
+// before orders the plan's heap: by planned start, then arrival number.
+func (a planned) before(b planned) bool {
+	return a.start < b.start || a.start == b.start && a.seq < b.seq
+}
+
+// push adds e to the heap.
+func (pl *Plan) push(e planned) {
+	h := append(pl.heap, e)
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !h[i].before(h[up]) {
+			break
+		}
+		h[i], h[up] = h[up], h[i]
+		i = up
+	}
+	pl.heap = h
+}
+
+// pop removes and returns the top of the heap, which must not be empty.
+func (pl *Plan) pop() planned {
+	h := pl.heap
+	top, n := h[0], len(h)-1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	pl.heap = h
+	return top
 }
 
 // Invalidate discards the plan; the next decision plans the whole queue
@@ -76,26 +133,39 @@ type Plan struct {
 func (pl *Plan) Invalidate() {
 	pl.profile.Recycle()
 	pl.profile = nil
-	clear(pl.jobs)
-	pl.jobs, pl.starts, pl.due = pl.jobs[:0], pl.starts[:0], pl.due[:0]
+	pl.heap, pl.due, pl.last = pl.heap[:0], pl.due[:0], 0
+}
+
+// started tells the plan that the job queued under arrival number seq has
+// started. A job the last decision found due was planned to start now;
+// any other start holds processors the plan does not know of, and the
+// plan goes.
+func (pl *Plan) started(seq uint64) {
+	if pl.profile != nil {
+		pl.startedPlanned(seq)
+	}
+}
+
+// startedPlanned is started for a valid plan.
+func (pl *Plan) startedPlanned(seq uint64) {
+	if _, due := slices.BinarySearch(pl.due, seq); !due {
+		pl.Invalidate()
+	}
 }
 
 // holds reports whether the plan can be extended at v: it exists, does
-// not start in v's future, its jobs are still the head of the queue in
-// order, none of them was due before now, and every job the last
-// decision started has left the queue. The queue keeps its order, so a
-// refused job either breaks the prefix or is the first job behind it.
+// not start in v's future, plans no start before now, and every job the
+// last decision started has left the queue.
 func (pl *Plan) holds(v View) bool {
-	n := len(pl.jobs)
-	if pl.profile == nil || pl.profile.Start() > v.Now || n > len(v.Queue) {
+	if pl.profile == nil || pl.profile.Start() > v.Now || len(pl.heap) > 0 && pl.heap[0].start < v.Now {
 		return false
 	}
-	for i, j := range pl.jobs {
-		if v.Queue[i] != j || pl.starts[i] < v.Now {
+	for _, seq := range pl.due {
+		if i := v.slot(seq); i > 0 && v.Queue[i-1] != nil {
 			return false
 		}
 	}
-	return n == len(v.Queue) || !slices.Contains(pl.due, v.Queue[n])
+	return true
 }
 
 // Decide implements Policy.
@@ -115,14 +185,11 @@ func (ConservativePolicy) Decide(v View) []Decision {
 	// exact stays true while the plan is worth keeping: every queued job
 	// planned, every due job due exactly now.
 	exact := true
-	// The planned jobs are the head of the queue up to the first job that
-	// could not be planned: a due job's index in pl.jobs is its index in
-	// v.Queue below known, and unknown from there on.
-	known := len(v.Queue)
-	arrived := v.Queue[len(pl.jobs):]
-	pl.jobs = slices.Grow(pl.jobs, len(arrived))
-	pl.starts = slices.Grow(pl.starts, len(arrived))
-	for _, j := range arrived {
+	for i := behind(v.seqs, pl.last); i < len(v.Queue); i++ {
+		j := v.Queue[i]
+		if j == nil {
+			continue
+		}
 		p := procsFor(j)
 		dur := v.Duration(j, p)
 		start, err := pl.profile.EarliestSlot(v.Now, dur, p)
@@ -133,33 +200,26 @@ func (ConservativePolicy) Decide(v View) []Decision {
 			// Wider than the machine; unreachable via Submit. The job is
 			// skipped and the rest planned as if it were not queued.
 			exact = false
-			known = min(known, len(pl.jobs))
 			continue
 		}
-		pl.jobs = append(pl.jobs, j)
-		pl.starts = append(pl.starts, start)
+		pl.push(planned{start, v.seqs[i]})
 	}
+	pl.last = max(pl.last, v.seqs[len(v.seqs)-1])
 
-	out := v.Scratch
+	// The due jobs start in queue order, the order they were planned in.
 	pl.due = pl.due[:0]
-	keep := 0
-	for i, j := range pl.jobs {
-		start := pl.starts[i]
-		if start <= v.Now+1e-12 {
-			d := Decision{Job: j, Procs: procsFor(j)}
-			if i < known {
-				d.at = i + 1
-			}
-			out = append(out, d)
-			pl.due = append(pl.due, j)
-			exact = exact && start == v.Now
-			continue
-		}
-		pl.jobs[keep], pl.starts[keep] = j, start
-		keep++
+	for len(pl.heap) > 0 && pl.heap[0].start <= v.Now+1e-12 {
+		e := pl.pop()
+		pl.due = append(pl.due, e.seq)
+		exact = exact && e.start == v.Now
 	}
-	clear(pl.jobs[keep:])
-	pl.jobs, pl.starts = pl.jobs[:keep], pl.starts[:keep]
+	slices.Sort(pl.due)
+	out := v.Scratch
+	for _, seq := range pl.due {
+		i := v.slot(seq) - 1
+		j := v.Queue[i]
+		out = append(out, Decision{Job: j, Procs: procsFor(j), at: i + 1})
+	}
 	if !exact {
 		pl.Invalidate()
 	}

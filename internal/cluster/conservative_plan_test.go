@@ -24,8 +24,8 @@ func TestConservativePlanOneShot(t *testing.T) {
 		t.Fatal("reference decided nothing")
 	}
 	sameDecisions(t, v.Now, ConservativePolicy{}.Decide(v), want)
-	if len(v.Plan.jobs) != len(v.Queue)-len(want) {
-		t.Fatalf("plan keeps %d jobs, want the %d not started", len(v.Plan.jobs), len(v.Queue)-len(want))
+	if len(v.Plan.heap) != len(v.Queue)-len(want) {
+		t.Fatalf("plan keeps %d jobs, want the %d not started", len(v.Plan.heap), len(v.Queue)-len(want))
 	}
 	sameDecisions(t, v.Now, ConservativePolicy{}.Decide(v), want)
 }
@@ -41,11 +41,11 @@ func TestConservativeRefusedStartAtPlanTail(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		sameDecisions(t, 0, ConservativePolicy{}.Decide(v), []Decision{{Job: f1, Procs: 1}, {Job: f2, Procs: 1}})
 	}
-	if len(v.Plan.jobs) != 1 || v.Plan.jobs[0] != wide || v.Plan.starts[0] != 10 {
-		t.Fatalf("plan keeps %v at %v, want the wide job at 10", v.Plan.jobs, v.Plan.starts)
+	if len(v.Plan.heap) != 1 || v.Plan.heap[0] != (planned{10, 1}) {
+		t.Fatalf("plan keeps %+v, want the wide job (arrival number 1) at 10", v.Plan.heap)
 	}
 	pl := v.Plan
-	v = testView(0, 4, 1, 1, []*workload.Job{wide, f2}, busy{10, 2}, busy{5, 1})
+	v = testView(0, 4, 1, 1, []*workload.Job{wide, nil, f2}, busy{10, 2}, busy{5, 1})
 	v.Plan = pl
 	sameDecisions(t, 0, ConservativePolicy{}.Decide(v), []Decision{{Job: f2, Procs: 1}})
 }
@@ -65,6 +65,34 @@ func TestConservativeInexactStartInvalidates(t *testing.T) {
 	}
 }
 
+// TestConservativeDueInQueueOrder: the jobs due now start in queue
+// order, whatever their planned starts within the tolerance. On 4
+// processors 2 are held until one ULP after now; the first job (3 wide)
+// is planned then, the second (1 wide) now beside it, and both are due.
+func TestConservativeDueInQueueOrder(t *testing.T) {
+	late := math.Nextafter(5, 6)
+	first, second := rjob(1, 5, 3, 0), rjob(2, 5, 1, 0)
+	v := testView(5, 4, 1, 2, []*workload.Job{first, second}, busy{late, 2})
+	sameDecisions(t, 5, ConservativePolicy{}.Decide(v), []Decision{{Job: first, Procs: 3}, {Job: second, Procs: 1}})
+}
+
+// TestConservativePlanInThePastReplans: a plan whose earliest start has
+// passed without a decision is planned again. On 4 processors held until
+// 5, A and B (4 wide, 5 long) are planned at 5 and 10; asked next at 11,
+// on an idle machine, the kept plan would find both due, the plan made
+// again A alone.
+func TestConservativePlanInThePastReplans(t *testing.T) {
+	a, b := rjob(1, 5, 4, 0), rjob(2, 5, 4, 0)
+	v := testView(0, 4, 1, 0, []*workload.Job{a, b}, busy{5, 4})
+	pl := v.Plan
+	if got := (ConservativePolicy{}).Decide(v); len(got) != 0 {
+		t.Fatalf("decided %v on a full machine", describe(got))
+	}
+	v = testView(11, 4, 1, 4, []*workload.Job{a, b})
+	v.Plan = pl
+	sameDecisions(t, 11, ConservativePolicy{}.Decide(v), []Decision{{Job: a, Procs: 4}})
+}
+
 // TestConservativeSkipsUnplannableJob: a job wider than the machine
 // (unreachable via Submit) is skipped and the rest of the queue planned
 // as if it were not there — and the plan, which no longer covers a
@@ -74,17 +102,17 @@ func TestConservativeSkipsUnplannableJob(t *testing.T) {
 	v := testView(0, 8, 1, 8, []*workload.Job{a, wide, b, c})
 	pl := v.Plan
 	sameDecisions(t, 0, ConservativePolicy{}.Decide(v), []Decision{{Job: a, Procs: 4}, {Job: b, Procs: 4}})
-	if pl.profile != nil || len(pl.jobs) != 0 {
-		t.Fatalf("plan kept after skipping a job: %d planned jobs", len(pl.jobs))
+	if pl.profile != nil || len(pl.heap) != 0 {
+		t.Fatalf("plan kept after skipping a job: %d planned jobs", len(pl.heap))
 	}
 	// a and b run until 5; c, behind the skipped job, is planned from
 	// scratch and starts when they finish.
-	v = testView(0, 8, 1, 0, []*workload.Job{wide, c}, busy{5, 4}, busy{5, 4})
+	v = testView(0, 8, 1, 0, []*workload.Job{nil, wide, nil, c}, busy{5, 4}, busy{5, 4})
 	v.Plan = pl
 	if got := (ConservativePolicy{}).Decide(v); len(got) != 0 {
 		t.Fatalf("decided %v on a full machine", describe(got))
 	}
-	v = testView(5, 8, 1, 8, []*workload.Job{wide, c})
+	v = testView(5, 8, 1, 8, []*workload.Job{nil, wide, nil, c})
 	v.Plan = pl
 	sameDecisions(t, 5, ConservativePolicy{}.Decide(v), []Decision{{Job: c, Procs: 8}})
 }

@@ -62,8 +62,8 @@ func TestDecideCountsArrivalGroup(t *testing.T) {
 }
 
 // TestDecideCountsDeepQueue pins the decisions of the deep benchmarks'
-// stream (MixedSource, M = 64, seed 7, rate 2) under FCFS, EASY and
-// conservative backfilling: the calls, and the share that start
+// stream (MixedSource, M = 64, seed 7, rate 2) under FCFS, EASY, greedy
+// fit and conservative backfilling: the calls, and the share that start
 // nothing.
 func TestDecideCountsDeepQueue(t *testing.T) {
 	for _, tc := range []struct {
@@ -73,6 +73,7 @@ func TestDecideCountsDeepQueue(t *testing.T) {
 	}{
 		{FCFSPolicy{}, 5000, 10000, 8314},
 		{EASYPolicy{}, 5000, 10000, 6502},
+		{GreedyFitPolicy{}, 5000, 10000, 5046},
 		{ConservativePolicy{}, 700, 1400, 1031},
 	} {
 		t.Run(tc.policy.Name(), func(t *testing.T) {

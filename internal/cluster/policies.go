@@ -23,6 +23,9 @@ func (FCFSPolicy) Decide(v View) []Decision {
 	out := v.Scratch
 	avail := v.Avail
 	for i, j := range v.Queue {
+		if j == nil {
+			continue
+		}
 		p := procsFor(j)
 		if p > avail {
 			break
@@ -80,21 +83,22 @@ func (EASYPolicy) Decide(v View) []Decision {
 		}
 	}()
 
-	// Start heads while they fit.
-	for len(queue) > 0 {
-		head := queue[0]
+	// Start heads while they fit; k is the head's slot.
+	k := nextLive(queue, 0)
+	for k < len(queue) {
+		head := queue[k]
 		p := procsFor(head)
 		if p > avail {
 			break
 		}
-		out = append(out, Decision{Job: head, Procs: p, at: len(v.Queue) - len(queue) + 1})
+		out = append(out, Decision{Job: head, Procs: p, at: k + 1})
 		avail -= p
-		queue = queue[1:]
+		k = nextLive(queue, k+1)
 		if !own {
 			// The two tests that lead back to the profile: this loop's, and
 			// the one behind it. (The second does not imply the first: a
 			// job of no width starts on a full machine.)
-			if len(queue) == 0 || (procsFor(queue[0]) > avail && avail <= 0) {
+			if k == len(queue) || (procsFor(queue[k]) > avail && avail <= 0) {
 				return out
 			}
 			profile, own = v.Profile().Clone(), true
@@ -103,7 +107,7 @@ func (EASYPolicy) Decide(v View) []Decision {
 			return out // inconsistent view; stop extending the plan
 		}
 	}
-	if len(queue) == 0 || avail <= 0 {
+	if k == len(queue) || avail <= 0 {
 		return out // every job needs at least one processor
 	}
 
@@ -111,7 +115,7 @@ func (EASYPolicy) Decide(v View) []Decision {
 	if !own {
 		profile = v.Profile()
 	}
-	head := queue[0]
+	head := queue[k]
 	need := procsFor(head)
 	shadow, extra := profile.EarliestAvail(v.Now, need)
 	if extra < 0 {
@@ -129,7 +133,7 @@ func (EASYPolicy) Decide(v View) []Decision {
 	// that takes it is the walk's own arithmetic, re-run here.
 	ix := v.Index
 	ix.sync(v)
-	after := ix.seqs[len(v.Queue)-len(queue)]
+	after := v.seqs[k]
 	for avail > 0 {
 		j, seq := ix.next(after, avail, extra, v.Now, shadow+1e-12)
 		if j == nil {
@@ -143,7 +147,7 @@ func (EASYPolicy) Decide(v View) []Decision {
 		if !fitsBefore && !fitsBeside {
 			continue // a NaN duration under an infinite shadow time
 		}
-		out = append(out, Decision{Job: j, Procs: p, at: ix.at(seq)})
+		out = append(out, Decision{Job: j, Procs: p, at: v.slot(seq)})
 		avail -= p
 		if !fitsBefore {
 			extra -= p
@@ -165,8 +169,8 @@ func (GreedyFitPolicy) Decide(v View) []Decision {
 	out := v.Scratch
 	avail := v.Avail
 	// Heads that fit start without touching the index, as under EASY.
-	k := 0
-	for ; k < len(v.Queue) && avail > 0; k++ {
+	k := nextLive(v.Queue, 0)
+	for ; k < len(v.Queue) && avail > 0; k = nextLive(v.Queue, k+1) {
 		p := procsFor(v.Queue[k])
 		if p > avail {
 			break
@@ -182,7 +186,7 @@ func (GreedyFitPolicy) Decide(v View) []Decision {
 	// spare processors are all of them, so that length never matters.
 	ix := v.Index
 	ix.sync(v)
-	after := ix.seqs[k]
+	after := v.seqs[k]
 	for avail > 0 {
 		j, seq := ix.next(after, avail, avail, 0, 0)
 		if j == nil {
@@ -190,7 +194,7 @@ func (GreedyFitPolicy) Decide(v View) []Decision {
 		}
 		after = seq
 		p := procsFor(j)
-		out = append(out, Decision{Job: j, Procs: p, at: ix.at(seq)})
+		out = append(out, Decision{Job: j, Procs: p, at: v.slot(seq)})
 		avail -= p
 	}
 	return out

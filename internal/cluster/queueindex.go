@@ -16,11 +16,12 @@ import (
 // the free processors and short enough for the shadow time? — in
 // O(log n) per lane searched.
 //
-// Indexed jobs get an arrival number, handed out in queue order; the
-// queue only ever grows at its tail and every removal keeps the order,
-// so comparing arrival numbers is comparing queue positions, however
-// positions shift. One lane per processor width holds that width's jobs
-// by arrival number under a tournament tree of their durations.
+// A job is indexed under the arrival number its queue slot carries
+// (View.Queue): the queue only ever grows at its tail and a job keeps its
+// number wherever compaction moves its slot, so comparing arrival
+// numbers is comparing queue positions. One lane per processor width
+// holds that width's jobs by arrival number under a tournament tree of
+// their durations.
 //
 // Jobs are indexed lazily, when a search first needs them (sync): a job
 // that starts as the queue head the moment it arrives — every job of an
@@ -32,23 +33,25 @@ import (
 // whenever it removes one from the queue (see View.Index). It is not
 // safe for concurrent use.
 type QueueIndex struct {
-	// seqs[i] is the arrival number of Queue[i]; the indexed jobs are the
-	// first len(seqs) of the queue. Strictly increasing, from 1.
-	seqs []uint64
-	last uint64 // highest arrival number handed out
+	// last is the highest arrival number indexed: every job queued under
+	// a number up to it is in its lane, and none behind it is.
+	last uint64
 	// lanes is sorted by width; a lane appears with the first indexed job
 	// of its width, so nothing depends on the cluster size.
 	lanes []lane
 }
 
-// sync indexes the jobs of v.Queue that are not indexed yet: the suffix
-// appended since the last search. Idempotent.
+// sync indexes the jobs of v.Queue that are not indexed yet: those
+// appended since the last search, holes skipped. Idempotent.
 func (ix *QueueIndex) sync(v View) {
-	for _, j := range v.Queue[len(ix.seqs):] {
-		ix.last++
-		ix.seqs = append(ix.seqs, ix.last)
-		p := procsFor(j)
-		ix.lane(p).push(j, ix.last, v.Duration(j, p))
+	for i := behind(v.seqs, ix.last); i < len(v.Queue); i++ {
+		if j := v.Queue[i]; j != nil {
+			p := procsFor(j)
+			ix.lane(p).push(j, v.seqs[i], v.Duration(j, p))
+		}
+	}
+	if n := len(v.seqs); n > 0 {
+		ix.last = max(ix.last, v.seqs[n-1])
 	}
 }
 
@@ -62,25 +65,13 @@ func (ix *QueueIndex) lane(width int) *lane {
 	return &ix.lanes[i]
 }
 
-// remove takes Queue[i], which is j, out of the index; the caller
-// removes it from the queue. Jobs beyond the indexed prefix cost
+// remove takes j, queued under arrival number seq, out of the index;
+// the caller removes it from the queue. A job not indexed yet costs
 // nothing.
-func (ix *QueueIndex) remove(i int, j *workload.Job) {
-	if i >= len(ix.seqs) {
-		return
+func (ix *QueueIndex) remove(seq uint64, j *workload.Job) {
+	if seq <= ix.last {
+		ix.lane(procsFor(j)).remove(seq)
 	}
-	ix.lane(procsFor(j)).remove(ix.seqs[i])
-	ix.seqs = removeAt(ix.seqs, i)
-}
-
-// at returns 1 + the queue index of the indexed job with arrival number
-// seq, the position a Decision records, or 0 if no indexed job has it.
-func (ix *QueueIndex) at(seq uint64) int {
-	i, ok := slices.BinarySearch(ix.seqs, seq)
-	if !ok {
-		return 0
-	}
-	return i + 1
 }
 
 // next returns, with its arrival number, the first indexed job behind
@@ -236,19 +227,4 @@ func (l *lane) first(after uint64, now, bound float64) int {
 			return -1 // wrapped around: that was the last one
 		}
 	}
-}
-
-// removeAt deletes s[i] keeping the order, moving whichever side of i
-// is shorter — deleting the head is a re-slice — and zeroes the slot
-// that falls out of s so that it keeps nothing reachable.
-func removeAt[T any](s []T, i int) []T {
-	var zero T
-	if i < len(s)/2 {
-		copy(s[1:i+1], s[:i])
-		s[0] = zero
-		return s[1:]
-	}
-	copy(s[i:], s[i+1:])
-	s[len(s)-1] = zero
-	return s[:len(s)-1]
 }

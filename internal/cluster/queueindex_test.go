@@ -60,15 +60,15 @@ func checkLane(t *testing.T, l *lane) {
 	}
 }
 
-// checkIndex verifies that v.Index is in step with v.Queue: the indexed
-// jobs are a prefix of the queue, numbered in queue order; each sits,
-// live, in the lane of its width under its arrival number and its
-// duration on this cluster; the lanes hold nothing else.
+// checkIndex verifies that v.Index is in step with v.Queue: the slots'
+// arrival numbers increase; each job queued under a number up to the
+// index's last sits, live, in the lane of its width under its arrival
+// number and its duration on this cluster; the lanes hold nothing else.
 func checkIndex(t *testing.T, v View) {
 	t.Helper()
 	ix := v.Index
-	if len(ix.seqs) > len(v.Queue) {
-		t.Fatalf("t=%v: %d jobs indexed, %d queued", v.Now, len(ix.seqs), len(v.Queue))
+	if len(v.seqs) != len(v.Queue) {
+		t.Fatalf("t=%v: %d arrival numbers for %d slots", v.Now, len(v.seqs), len(v.Queue))
 	}
 	live := 0
 	for i := range ix.lanes {
@@ -79,15 +79,16 @@ func checkIndex(t *testing.T, v View) {
 		checkLane(t, l)
 		live += l.live
 	}
-	if live != len(ix.seqs) {
-		t.Fatalf("t=%v: lanes hold %d jobs, %d are indexed", v.Now, live, len(ix.seqs))
-	}
-	for i, seq := range ix.seqs {
-		j := v.Queue[i]
-		if seq > ix.last || (i > 0 && seq <= ix.seqs[i-1]) {
-			t.Fatalf("t=%v: queue position %d has arrival number %d after %d (last handed out: %d)",
-				v.Now, i, seq, ix.seqs[max(i, 1)-1], ix.last)
+	indexed := 0
+	for i, seq := range v.seqs {
+		if i > 0 && seq <= v.seqs[i-1] {
+			t.Fatalf("t=%v: slot %d has arrival number %d after %d", v.Now, i, seq, v.seqs[i-1])
 		}
+		j := v.Queue[i]
+		if j == nil || seq > ix.last {
+			continue
+		}
+		indexed++
 		p := procsFor(j)
 		li := slices.IndexFunc(ix.lanes, func(l lane) bool { return l.width == p })
 		if li < 0 {
@@ -105,6 +106,9 @@ func checkIndex(t *testing.T, v View) {
 		if key := l.tree[len(l.tree)/2+k]; key != want {
 			t.Fatalf("t=%v: job %d indexed under duration %v, runs for %v", v.Now, j.ID, key, want)
 		}
+	}
+	if live != indexed {
+		t.Fatalf("t=%v: lanes hold %d jobs, %d queued jobs are indexed", v.Now, live, indexed)
 	}
 }
 
@@ -130,12 +134,12 @@ func held[T comparable](s []T) int {
 func TestDrainedSimRetainsNothing(t *testing.T) {
 	for _, policy := range []Policy{EASYPolicy{}, GreedyFitPolicy{}, ConservativePolicy{}, FCFSPolicy{}} {
 		for seed := uint64(1); seed <= 10; seed++ {
-			sims, ok := churnTwoClusters(t, seed, [2]Policy{policy, policy}, nil)
+			sims, ok := churnTwoClusters(t, seed, [2]Policy{policy, policy}, map[string]int{}, nil)
 			if !ok {
 				t.Fatalf("%s, seed %d: not every job completed", policy.Name(), seed)
 			}
 			for _, s := range sims {
-				queued := held(s.queue) + held(s.plan.jobs) + len(s.index.seqs)
+				queued := held(s.queue.jobs)
 				for _, l := range s.index.lanes {
 					queued += held(l.jobs)
 				}
@@ -168,12 +172,13 @@ func TestDrainedSimRetainsNothing(t *testing.T) {
 }
 
 // TestIndexMatchesWalkOnHandBuiltViews: random decision points from
-// testView — jobs wider than the machine or zero wide, NaN, infinite and
-// zero durations, a shadow time that never comes, more processors
-// promised than the running set leaves — decided twice through the kept
-// index, against the reference's walks, every decision naming its job
-// through its position. The decision must read
-// View.Profile (cloning it only if it has to) and never write it.
+// testView — holes anywhere in the queue, jobs wider than the machine or
+// zero wide, NaN, infinite and zero durations, a shadow time that never
+// comes, more processors promised than the running set leaves — decided
+// twice through the kept index, against the reference's walks, which
+// skip the holes, every decision naming its job's slot. The decision
+// must read View.Profile (cloning it only if it has to) and never write
+// it.
 func TestIndexMatchesWalkOnHandBuiltViews(t *testing.T) {
 	odd := []float64{math.NaN(), math.Inf(1), 0, 1e-300, 1e300}
 	checkSeeds(t, &quick.Config{MaxCountScale: 5}, func(seed uint64) bool {
@@ -194,6 +199,10 @@ func TestIndexMatchesWalkOnHandBuiltViews(t *testing.T) {
 		}
 		var queue []*workload.Job
 		for i, n := 0, rng.Intn(40); i < n; i++ {
+			if rng.Bool(0.2) {
+				queue = append(queue, nil)
+				continue
+			}
 			p := rng.IntRange(1, m/2)
 			switch {
 			case rng.Bool(0.05):
@@ -238,26 +247,24 @@ var (
 	laneNows = []float64{0, 1, 0.1, 123.456, 1e9, 1e-9}
 )
 
-// runLaneOps drives one lane and a linear-scan model of it through the
-// operations encoded in ops — push, remove, rebuild (which compacts,
-// grows or shrinks) and search — and requires the same answer to every
-// search and the lane's invariants after every step. Search bounds sit
-// exactly at now+duration of some entry, one ULP below it and one ULP
-// above, where a pruning test that was not the entry's own expression
-// would show.
+// runLaneOps drives a queue index over a hand-built queue and a linear
+// scan of that queue, holes skipped, through the operations encoded in
+// ops — queue a job (1 or 2 wide, so that lane 1's arrival numbers skip
+// some), remove one (a hole, and out of the index if it is indexed),
+// tidy the queue (trims and compaction move slots, never arrival
+// numbers), rebuild lane 1 (which compacts, grows or shrinks it) and
+// search lane 1 after indexing what is new — and requires the same
+// answer to every search, and the index in step with the queue after
+// every step. Search bounds sit exactly at now+duration of some palette
+// duration, one ULP below it and one ULP above, where a pruning test
+// that was not the entry's own expression would show.
 func runLaneOps(t *testing.T, ops []byte) {
 	t.Helper()
-	type entry struct {
-		seq  uint64
-		key  float64
-		live bool
-	}
 	var (
-		l     = lane{width: 1}
-		model []entry
-		live  int
-		seq   uint64
+		q  waitQueue
+		ix QueueIndex
 	)
+	view := func() View { return View{Speed: 1, Queue: q.jobs, seqs: q.seqs, Index: &ix} }
 	take := func() int {
 		if len(ops) == 0 {
 			return 0
@@ -266,50 +273,59 @@ func runLaneOps(t *testing.T, ops []byte) {
 		ops = ops[1:]
 		return int(b)
 	}
+	lane1 := func() *lane {
+		if k := slices.IndexFunc(ix.lanes, func(l lane) bool { return l.width == 1 }); k >= 0 {
+			return &ix.lanes[k]
+		}
+		return nil // a lane exists from its first indexed job on
+	}
+	key := func(d float64) float64 {
+		if d != d {
+			return math.Inf(1)
+		}
+		return d
+	}
 	for len(ops) > 0 {
 		switch op := take() % 8; op {
 		case 0, 1, 2:
-			seq += uint64(1 + take()%3) // other lanes take the numbers between
-			dur := laneDurs[take()%len(laneDurs)]
-			l.push(&workload.Job{ID: int(seq)}, seq, dur)
-			if dur != dur {
-				dur = math.Inf(1)
-			}
-			model = append(model, entry{seq, dur, true})
-			live++
+			width := 1 + take()%3/2
+			times := make([]float64, width)
+			times[width-1] = laneDurs[take()%len(laneDurs)]
+			q.push(&workload.Job{ID: int(q.last + 1), MinProcs: width, MaxProcs: width, Times: times})
 		case 3, 4:
-			if live == 0 {
+			if q.live == 0 {
 				continue
 			}
-			k := take() % live
-			for i := range model {
-				if model[i].live {
-					if k == 0 {
-						l.remove(model[i].seq)
-						model[i].live = false
-						live--
-						break
-					}
-					k--
-				}
+			i := nextLive(q.jobs, 0)
+			for k := take() % q.live; k > 0; k-- {
+				i = nextLive(q.jobs, i+1)
 			}
+			ix.remove(q.seqs[i], q.jobs[i])
+			q.jobs[i] = nil
+			q.live--
 		case 5:
-			l.rebuild()
+			if l := lane1(); l != nil && take()%2 == 0 {
+				l.rebuild()
+			} else {
+				q.tidy()
+			}
 		default:
-			if len(model) == 0 {
-				continue // a lane exists from its first push on
+			ix.sync(view())
+			l := lane1()
+			if l == nil || len(q.seqs) == 0 {
+				continue
 			}
 			after := uint64(0)
-			switch pick := model[take()%len(model)].seq; take() % 4 {
+			switch pick := q.seqs[take()%len(q.seqs)]; take() % 4 {
 			case 0:
 				after = pick
 			case 1:
 				after = pick - 1
 			case 2:
-				after = seq
+				after = q.last
 			}
 			now := laneNows[take()%len(laneNows)]
-			bound := now + model[take()%len(model)].key
+			bound := now + key(laneDurs[take()%len(laneDurs)])
 			switch take() % 8 {
 			case 0:
 				bound = math.Nextafter(bound, math.Inf(-1))
@@ -323,9 +339,9 @@ func runLaneOps(t *testing.T, ops []byte) {
 				bound = math.Inf(-1)
 			}
 			want := int64(-1)
-			for _, e := range model {
-				if e.live && e.seq > after && now+e.key <= bound {
-					want = int64(e.seq)
+			for i, j := range q.jobs {
+				if j != nil && j.MinProcs == 1 && q.seqs[i] > after && now+key(j.Times[0]) <= bound {
+					want = int64(q.seqs[i])
 					break
 				}
 			}
@@ -337,12 +353,7 @@ func runLaneOps(t *testing.T, ops []byte) {
 				t.Fatalf("first job after %d with %v+duration <= %v: lane says %d, linear scan %d", after, now, bound, got, want)
 			}
 		}
-		if l.tree != nil {
-			checkLane(t, &l)
-		}
-		if l.live != live {
-			t.Fatalf("lane holds %d live entries, model %d", l.live, live)
-		}
+		checkIndex(t, view())
 	}
 }
 

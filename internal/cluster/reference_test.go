@@ -11,6 +11,7 @@ package cluster
 // a disagreement with it.
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"slices"
@@ -28,7 +29,9 @@ import (
 type point struct {
 	now, speed float64
 	avail      int
-	queue      []*workload.Job
+	// queue is the queue's slots, holes (nil) included; the walks skip
+	// them.
+	queue []*workload.Job
 	// profile holds the running jobs' reservations and the capacity
 	// losses. The walks read it and write only into clones.
 	profile *rigid.Profile
@@ -52,7 +55,7 @@ func referenceOf(t *testing.T, s *Sim) (p point, working int) {
 		down += o.procs
 	}
 	working = s.M - min(down, s.M)
-	p = point{now: now, speed: s.Speed, avail: working, queue: s.queue, profile: rigid.NewProfile(s.M)}
+	p = point{now: now, speed: s.Speed, avail: working, queue: s.queue.jobs, profile: rigid.NewProfile(s.M)}
 	reserve := func(start, dur float64, procs int) {
 		if err := p.profile.Reserve(start, dur, procs); err != nil {
 			t.Fatalf("t=%v: the running set and the losses overcommit the machine: %v", now, err)
@@ -91,11 +94,16 @@ func (p point) decide(pol Policy) (out []Decision, starts []float64, plan *rigid
 	panic("no reference for policy " + pol.Name())
 }
 
+// live returns the jobs of p's queue in order, holes left out.
+func (p point) live() []*workload.Job {
+	return slices.DeleteFunc(slices.Clone(p.queue), func(j *workload.Job) bool { return j == nil })
+}
+
 // fcfs starts queue heads while they fit.
 func (p point) fcfs() []Decision {
 	var out []Decision
 	avail := p.avail
-	for _, j := range p.queue {
+	for _, j := range p.live() {
 		q := procsFor(j)
 		if q > avail {
 			break
@@ -114,7 +122,7 @@ func (p point) easy() []Decision {
 	}
 	var out []Decision
 	avail := p.avail
-	queue := p.queue
+	queue := p.live()
 	profile := p.profile.Clone()
 	defer profile.Recycle()
 	for len(queue) > 0 {
@@ -163,7 +171,7 @@ func (p point) easy() []Decision {
 func (p point) greedyFit() []Decision {
 	var out []Decision
 	avail := p.avail
-	for _, j := range p.queue {
+	for _, j := range p.live() {
 		if avail <= 0 {
 			break
 		}
@@ -176,12 +184,16 @@ func (p point) greedyFit() []Decision {
 }
 
 // conservative plans every queued job from now, in queue order, on the
-// running set's profile and starts what is due.
+// running set's profile and starts what is due. starts is by slot, NaN
+// for a hole.
 func (p point) conservative() (out []Decision, starts []float64, plan *rigid.Profile) {
 	plan = p.profile.Clone()
 	starts = make([]float64, len(p.queue))
 	for i, j := range p.queue {
 		starts[i] = math.NaN()
+		if j == nil {
+			continue
+		}
 		q := procsFor(j)
 		dur := p.duration(j, q)
 		start, err := plan.EarliestSlot(p.now, dur, q)
@@ -224,6 +236,9 @@ type audit struct {
 	unread map[*workload.Job]bool
 	// cov counts, across audits, how often each path was taken.
 	cov map[string]int
+	// slots maps the arrival number of each job queued at the last
+	// decision to its slot, for noteCompaction.
+	slots map[uint64]int
 	// returned counts the starts decided, started those made (kept by
 	// auditedSim's start observer), and decided the decisions at each
 	// instant.
@@ -262,7 +277,8 @@ func (a *audit) Decide(v View) []Decision {
 	}
 
 	checkIndex(t, v)
-	if _, ok := a.inner.(ConservativePolicy); ok && v.Plan.holds(v) && len(v.Plan.jobs) > 0 {
+	a.noteCompaction(v)
+	if _, ok := a.inner.(ConservativePolicy); ok && v.Plan.holds(v) && len(v.Plan.heap) > 0 {
 		a.cov["decisions extending a kept plan"]++
 		if len(v.Plan.due) > 0 {
 			a.cov["decisions extending a plan kept across starts"]++
@@ -297,7 +313,7 @@ func (a *audit) Decide(v View) []Decision {
 
 	if a.hog && len(got) > 0 && a.cov["decisions"]%3 == 0 {
 		var wide *workload.Job
-		for _, j := range v.Queue {
+		for _, j := range pointOf(v).live() {
 			if procsFor(j) <= v.Avail && (wide == nil || procsFor(j) > procsFor(wide)) {
 				wide = j
 			}
@@ -308,6 +324,34 @@ func (a *audit) Decide(v View) []Decision {
 	}
 	a.returned += len(got)
 	return got
+}
+
+// noteCompaction counts the decisions that find the queue compacted
+// since the last: the only edit that moves two jobs queued at both
+// decisions by different numbers of slots (a trim moves every job by
+// the same number).
+func (a *audit) noteCompaction(v View) {
+	shift, common, moved := 0, false, false
+	for i, j := range v.Queue {
+		if j == nil {
+			continue
+		}
+		if k, ok := a.slots[v.seqs[i]]; ok {
+			if !common {
+				shift, common = i-k, true
+			}
+			moved = moved || i-k != shift
+		}
+	}
+	if moved {
+		a.cov["queue compacted"]++
+	}
+	clear(a.slots)
+	for i, j := range v.Queue {
+		if j != nil {
+			a.slots[v.seqs[i]] = i
+		}
+	}
 }
 
 // checkUnread requires the records the Sim holds unreserved to be the
@@ -324,7 +368,7 @@ func (a *audit) checkUnread() {
 
 // planCopy returns a copy of pl that shares no memory with it.
 func planCopy(pl *Plan) Plan {
-	c := Plan{jobs: slices.Clone(pl.jobs), starts: slices.Clone(pl.starts), due: slices.Clone(pl.due)}
+	c := Plan{heap: slices.Clone(pl.heap), last: pl.last, due: slices.Clone(pl.due)}
 	if pl.profile != nil {
 		c.profile = pl.profile.Clone()
 	}
@@ -332,8 +376,9 @@ func planCopy(pl *Plan) Plan {
 }
 
 // checkPlan requires the plan ConservativePolicy kept after deciding got
-// to be the reference's: the jobs still queued, in order, each at the
-// start the whole-queue plan gives it, on the same timeline.
+// to be the reference's: the jobs still queued, by arrival number, each
+// at the start the whole-queue plan gives it, on the same timeline, with
+// every job queued planned and a heap in order.
 func checkPlan(t *testing.T, v View, got []Decision, starts []float64, plan *rigid.Profile) {
 	t.Helper()
 	pl := v.Plan
@@ -342,21 +387,30 @@ func checkPlan(t *testing.T, v View, got []Decision, starts []float64, plan *rig
 		// nothing to plan: an empty queue returns before the trim.
 		return
 	}
+	for i := 1; i < len(pl.heap); i++ {
+		if pl.heap[i].before(pl.heap[(i-1)/2]) {
+			t.Fatalf("t=%v: plan heap entry %d %+v comes before its parent %+v", v.Now, i, pl.heap[i], pl.heap[(i-1)/2])
+		}
+	}
+	byArrival := slices.SortedFunc(slices.Values(pl.heap), func(a, b planned) int { return cmp.Compare(a.seq, b.seq) })
+	if n := len(v.seqs); pl.last < v.seqs[n-1] {
+		t.Fatalf("t=%v: plan covers arrival numbers up to %d, the queue up to %d", v.Now, pl.last, v.seqs[n-1])
+	}
 	k := 0
 	for i, j := range v.Queue {
-		if slices.ContainsFunc(got, func(d Decision) bool { return d.Job == j }) {
+		if j == nil || slices.ContainsFunc(got, func(d Decision) bool { return d.Job == j }) {
 			continue
 		}
-		if k >= len(pl.jobs) || pl.jobs[k] != j {
-			t.Fatalf("t=%v: queued job %d (position %d) is not planned job %d", v.Now, j.ID, i, k)
+		if k >= len(byArrival) || byArrival[k].seq != v.seqs[i] {
+			t.Fatalf("t=%v: queued job %d (slot %d, arrival number %d) is not planned job %d", v.Now, j.ID, i, v.seqs[i], k)
 		}
-		if math.Float64bits(pl.starts[k]) != math.Float64bits(starts[i]) {
-			t.Fatalf("t=%v: job %d planned at %v, the reference plans it at %v", v.Now, j.ID, pl.starts[k], starts[i])
+		if math.Float64bits(byArrival[k].start) != math.Float64bits(starts[i]) {
+			t.Fatalf("t=%v: job %d planned at %v, the reference plans it at %v", v.Now, j.ID, byArrival[k].start, starts[i])
 		}
 		k++
 	}
-	if k != len(pl.jobs) {
-		t.Fatalf("t=%v: %d planned jobs, %d still queued", v.Now, len(pl.jobs), k)
+	if k != len(byArrival) {
+		t.Fatalf("t=%v: %d planned jobs, %d still queued", v.Now, len(byArrival), k)
 	}
 	sameProfile(t, v.Now, pl.profile, plan, "the kept plan", "the reference's plan")
 }
@@ -371,17 +425,18 @@ func (a *audit) countSearch(v View, got []Decision) {
 	default:
 		return
 	}
+	queue := pointOf(v).live()
 	heads, avail := 0, v.Avail
-	for heads < len(got) && got[heads].Job == v.Queue[heads] {
+	for heads < len(got) && got[heads].Job == queue[heads] {
 		avail -= got[heads].Procs
 		heads++
 	}
-	if heads == len(v.Queue) || avail <= 0 {
+	if heads == len(queue) || avail <= 0 {
 		return
 	}
-	if len(v.Index.seqs) != len(v.Queue) {
-		a.t.Fatalf("t=%v: the decision stopped at a blocked head with %d processors left and indexed %d of %d queued jobs",
-			v.Now, avail, len(v.Index.seqs), len(v.Queue))
+	if last := v.seqs[len(v.seqs)-1]; v.Index.last < last {
+		a.t.Fatalf("t=%v: the decision stopped at a blocked head with %d processors left and indexed up to arrival number %d of %d",
+			v.Now, avail, v.Index.last, last)
 	}
 	a.cov[[...]string{"searches taking no job", "searches taking one job", "searches taking several jobs"}[min(len(got)-heads, 2)]]++
 }
@@ -390,10 +445,11 @@ func (a *audit) countSearch(v View, got []Decision) {
 // one policy each, through a randomized saturating workload with
 // best-effort churn, arrival groups sharing a timestamp, crashes and
 // repairs, availability steps and queue migration between the two
-// (StealQueued into InjectNow). setup, when set, sees each cluster
-// before anything is submitted. It returns the clusters once both have
-// run dry, and whether every job completed.
-func churnTwoClusters(t *testing.T, seed uint64, policies [2]Policy, setup func(*Sim)) (sims [2]*Sim, ok bool) {
+// (StealQueued into InjectNow, through steal, which counts into cov).
+// setup, when set, sees each cluster before anything is submitted. It
+// returns the clusters once both have run dry, and whether every job
+// completed.
+func churnTwoClusters(t *testing.T, seed uint64, policies [2]Policy, cov map[string]int, setup func(*Sim)) (sims [2]*Sim, ok bool) {
 	t.Helper()
 	rng := stats.NewRNG(seed)
 	clock := des.New()
@@ -445,7 +501,7 @@ func churnTwoClusters(t *testing.T, seed uint64, policies [2]Policy, setup func(
 	for k := rng.IntRange(0, 6); k > 0; k-- {
 		src, at, count := rng.Intn(2), rng.Range(0, horizon), rng.IntRange(1, 3)
 		if err := clock.At(at, func() {
-			for _, j := range sims[src].StealQueued(count) {
+			for _, j := range steal(t, sims[src], count, cov) {
 				if err := sims[1-src].InjectNow(j); err != nil {
 					t.Error(err)
 				}
@@ -470,6 +526,23 @@ func churnTwoClusters(t *testing.T, seed uint64, policies [2]Policy, setup func(
 	return sims, sims[0].CompletedCount()+sims[1].CompletedCount() == 2*n
 }
 
+// steal is s.StealQueued(n), which must take the last n jobs queued, or
+// all of them, and leave the others queued in order. A steal from a queue
+// holding holes counts as "steal with holes present" in cov.
+func steal(t *testing.T, s *Sim, n int, cov map[string]int) []*workload.Job {
+	t.Helper()
+	if len(s.queue.jobs) > s.queue.live {
+		cov["steal with holes present"]++
+	}
+	before := s.Queued()
+	stolen := s.StealQueued(n)
+	after := s.Queued()
+	if k := len(before) - min(n, len(before)); !slices.Equal(after, before[:k]) || !slices.Equal(stolen, before[k:]) {
+		t.Fatalf("t=%v: stealing %d of %d queued jobs took %d and left %d", s.DES.Now(), n, len(before), len(stolen), len(after))
+	}
+	return stolen
+}
+
 // churnAudited runs churnTwoClusters with an audit bound to each cluster,
 // cluster c deciding by policies[c]. Unless hog refuses some on purpose,
 // every start decided must be made. lazy makes each audit read the
@@ -480,7 +553,7 @@ func churnAudited(t *testing.T, seed uint64, policies [2]Policy, hog, lazy bool,
 	t.Helper()
 	var audits [2]*audit
 	for c := range audits {
-		audits[c] = &audit{t: t, inner: policies[c], hog: hog, cov: cov, decided: map[float64]int{}}
+		audits[c] = &audit{t: t, inner: policies[c], hog: hog, cov: cov, decided: map[float64]int{}, slots: map[uint64]int{}}
 		if lazy {
 			audits[c].sample = stats.NewRNG(seed*2 + uint64(c))
 			audits[c].unread = map[*workload.Job]bool{}
@@ -490,7 +563,7 @@ func churnAudited(t *testing.T, seed uint64, policies [2]Policy, hog, lazy bool,
 	// cluster that killed it.
 	killedUnread := map[*workload.Job]*Sim{}
 	bound, started := 0, 0
-	sims, ok := churnTwoClusters(t, seed, [2]Policy{audits[0], audits[1]}, func(s *Sim) {
+	sims, ok := churnTwoClusters(t, seed, [2]Policy{audits[0], audits[1]}, cov, func(s *Sim) {
 		a := audits[bound]
 		a.sim = s
 		bound++
@@ -567,7 +640,7 @@ func TestSimMatchesReference(t *testing.T) {
 			t.Run("repair-due-at-rebuild", func(t *testing.T) { repairDueAtRebuildAudited(t, inner, cov) })
 			t.Run("steal-inside-start", func(t *testing.T) { stealInsideStartAudited(t, inner, cov) })
 
-			want := append([]string{"running jobs killed", "refused starts"}, unreadPaths...)
+			want := append([]string{"running jobs killed", "refused starts", "queue compacted", "steal with holes present"}, unreadPaths...)
 			switch inner.(type) {
 			case EASYPolicy, GreedyFitPolicy:
 				want = append(want, "searches taking no job", "searches taking one job", "searches taking several jobs")
@@ -631,7 +704,7 @@ func TestViewIsLiveUnderChurn(t *testing.T) {
 // auditedSim returns a cluster of m processors deciding by inner under
 // an audit that counts the starts made.
 func auditedSim(t *testing.T, m int, inner Policy, cov map[string]int) *Sim {
-	a := &audit{t: t, inner: inner, cov: cov, decided: map[float64]int{}}
+	a := &audit{t: t, inner: inner, cov: cov, decided: map[float64]int{}, slots: map[uint64]int{}}
 	s, err := New(des.New(), m, 1, a, KillNewest)
 	if err != nil {
 		t.Fatal(err)
@@ -762,7 +835,7 @@ func stealInsideStartAudited(t *testing.T, inner Policy, cov map[string]int) {
 	s.OnLocalStart = func(j *workload.Job, procs int, now float64) {
 		count(j, procs, now)
 		if j == a {
-			stolen = s.StealQueued(1)
+			stolen = steal(t, s, 1, cov)
 		}
 	}
 	err := submitAll(s, []*workload.Job{rjob(0, 2, 4, 0), a, b, c, rjob(4, 3, 2, 3)})
@@ -792,7 +865,8 @@ type busy struct {
 // testView returns the decision point a Sim would hand its policy at now
 // on m processors of the given speed, with avail processors free, queue
 // waiting and running holding processors: a Profile made of the running
-// jobs' reservations, an empty plan and an empty index.
+// jobs' reservations, an empty plan and an empty index. queue may hold
+// holes (nil); slot i has arrival number i+1.
 func testView(now float64, m int, speed float64, avail int, queue []*workload.Job, running ...busy) View {
 	profile := rigid.NewProfile(m)
 	profile.TrimBefore(now)
@@ -803,7 +877,11 @@ func testView(now float64, m int, speed float64, avail int, queue []*workload.Jo
 			}
 		}
 	}
-	return View{Now: now, Avail: avail, Speed: speed, Queue: queue, Plan: new(Plan), Index: new(QueueIndex), profile: profile}
+	seqs := make([]uint64, len(queue))
+	for i := range seqs {
+		seqs[i] = uint64(i + 1)
+	}
+	return View{Now: now, Avail: avail, Speed: speed, Queue: queue, Plan: new(Plan), Index: new(QueueIndex), seqs: seqs, profile: profile}
 }
 
 // pointOf is the reference's reading of a view built by testView, whose
@@ -817,8 +895,10 @@ func pointOf(v View) point {
 // decision scratch, empty and zeroed.
 func requireLiveView(t *testing.T, s *Sim, v View) {
 	t.Helper()
-	if len(v.Queue) != len(s.queue) || (len(v.Queue) > 0 && &v.Queue[0] != &s.queue[0]) {
-		t.Fatalf("t=%v: View.Queue is not the live queue", v.Now)
+	q := &s.queue
+	if len(v.Queue) != len(q.jobs) || (len(v.Queue) > 0 && &v.Queue[0] != &q.jobs[0]) ||
+		len(v.seqs) != len(q.seqs) || (len(v.seqs) > 0 && &v.seqs[0] != &q.seqs[0]) {
+		t.Fatalf("t=%v: View.Queue is not the live queue, or its arrival numbers not the queue's", v.Now)
 	}
 	if v.Index != &s.index || v.Plan != &s.plan || v.sim != s || v.profile != nil {
 		t.Fatalf("t=%v: view does not carry the simulator's index, plan and profile", v.Now)
@@ -854,20 +934,15 @@ func sameDecisions(t *testing.T, now float64, got, want []Decision) {
 	}
 }
 
-// requirePositions requires every decision in ds to name its job through
-// its position, read the way Sim.start reads it: with every decision
-// before it started, the slot the position names less one per start is
-// the first slot of the job in what is left of v.Queue.
+// requirePositions requires every decision in ds to name its job's slot
+// in v.Queue, the first that holds it, as Sim.start reads it: a start
+// moves no other job.
 func requirePositions(t *testing.T, v View, ds []Decision) {
 	t.Helper()
-	queue := slices.Clone(v.Queue)
-	for started, d := range ds {
-		k, slot := d.at-1-started, slices.Index(queue, d.Job)
-		if d.at == 0 || k != slot {
-			t.Fatalf("t=%v: decision %d names job %d at position %d, slot %d after %d starts; the job is in slot %d",
-				v.Now, started, d.Job.ID, d.at, k, started, slot)
+	for i, d := range ds {
+		if slot := slices.Index(v.Queue, d.Job); d.at != slot+1 {
+			t.Fatalf("t=%v: decision %d names job %d at position %d; the job is in slot %d", v.Now, i, d.Job.ID, d.at, slot)
 		}
-		queue = slices.Delete(queue, k, k+1)
 	}
 }
 
