@@ -42,10 +42,18 @@ var ErrDrained = errors.New("cluster: simulation drained; no further submissions
 // made, or one StealQueued has just taken out of another queue. A pointer
 // queued twice would leave from the slot at names, or, searched for, from
 // its first slot.
+//
+// pos names Job's entry in its lane of View.Index in the same way, 1 + its
+// position there, for a job a backfill search found (QueueIndex.next), or
+// 0. The start hands it to the index's removal, which searches the lane
+// when the entry there is not Job's: a decision an observer makes from
+// inside a start may rebuild the lane under the outer decision's later
+// starts.
 type Decision struct {
 	Job   *workload.Job
 	Procs int
 	at    int
+	pos   int
 }
 
 // View is the state snapshot handed to a policy. Avail counts free
@@ -531,16 +539,22 @@ func (s *Sim) Load() LoadInfo {
 	}
 }
 
-// admit appends one job to the waiting queue from event context. All
-// three admission paths (Submit, streamed arrival, InjectNow) funnel
-// through here so OnLocalSubmit observers see every arrival.
+// admit appends one job to the waiting queue from event context and
+// reschedules.
 func (s *Sim) admit(j *workload.Job) {
+	s.enqueue(j)
+	s.reschedule()
+}
+
+// enqueue appends one job to the waiting queue. All three admission
+// paths (Submit, streamed arrival, InjectNow) funnel through here so
+// OnLocalSubmit observers see every arrival.
+func (s *Sim) enqueue(j *workload.Job) {
 	s.queue.push(j)
 	s.tally(j, 1)
 	if s.OnLocalSubmit != nil {
 		s.OnLocalSubmit(j, s.DES.Now())
 	}
-	s.reschedule()
 }
 
 // Submit registers a local job: it arrives at its release date.
@@ -575,9 +589,9 @@ const readAheadBatch = 1024
 // sources should yield non-decreasing releases (all workload generators
 // and sorted SWF archives do), out-of-order jobs are admitted as soon as
 // they surface. Arrival groups sharing a release admit inside a single
-// event. If the source implements Err() error, a mid-stream failure
-// aborts admission and surfaces from Run. Once Run or a failed Stream
-// returns, no goroutine touches the source any more.
+// event, which decides once. If the source implements Err() error, a
+// mid-stream failure aborts admission and surfaces from Run. Once Run or
+// a failed Stream returns, no goroutine touches the source any more.
 func (s *Sim) Stream(src workload.Source) error {
 	if s.drained {
 		return ErrDrained
@@ -641,18 +655,19 @@ func (s *Sim) scheduleArrival() error {
 	return s.DES.Feed(math.Max(s.pending.Release, s.DES.Now()), s.arriveFn)
 }
 
-// arrive admits the stream head plus every follower already released —
-// a bursty arrival group costs one event, not one per job — then
-// re-arms the next arrival. A head whose arrival cannot be scheduled (a
-// NaN release) ends the stream with an error Run returns.
+// arrive admits the stream head plus every follower already released,
+// then reschedules — a bursty arrival group costs one event and one
+// decision, not one per job — and re-arms the next arrival. A head whose
+// arrival cannot be scheduled (a NaN release) ends the stream with an
+// error Run returns.
 func (s *Sim) arrive() {
 	now := s.DES.Now()
 	for s.pending != nil && s.pending.Release <= now {
-		j := s.pending
 		s.submitted++
-		s.admit(j)
+		s.enqueue(s.pending)
 		s.pull()
 	}
+	s.reschedule()
 	if err := s.scheduleArrival(); err != nil && s.srcErr == nil {
 		s.srcErr = fmt.Errorf("cluster: job %d: %w", s.pending.ID, err)
 		s.endStream()
@@ -756,7 +771,7 @@ func (s *Sim) start(d Decision, now float64) {
 		}
 	}
 	s.plan.started(s.queue.seqs[idx])
-	s.dequeue(idx)
+	s.dequeue(idx, d.pos)
 	s.tally(d.Job, -1)
 	dur := d.Job.TimeOn(d.Procs) / s.Speed
 	var run *localRunning
@@ -780,11 +795,12 @@ func (s *Sim) start(d Decision, now float64) {
 }
 
 // dequeue takes the job in slot i out of the queue, leaving a hole, and
-// out of the index, and returns it.
-func (s *Sim) dequeue(i int) *workload.Job {
+// out of the index, where a search found it at pos (0: unknown), and
+// returns it.
+func (s *Sim) dequeue(i, pos int) *workload.Job {
 	q := &s.queue
 	j := q.jobs[i]
-	s.index.remove(q.seqs[i], j)
+	s.index.remove(q.seqs[i], j, pos)
 	q.jobs[i] = nil
 	q.live--
 	return j
@@ -1256,7 +1272,7 @@ func (s *Sim) StealQueued(n int) []*workload.Job {
 	for i, k := len(s.queue.jobs)-1, n; k > 0; i-- {
 		if s.queue.jobs[i] != nil {
 			k--
-			stolen[k] = s.dequeue(i)
+			stolen[k] = s.dequeue(i, 0)
 		}
 	}
 	// A stolen job holds a reservation in the plan, and is not queued for

@@ -45,19 +45,34 @@ func countDecisions(t *testing.T, m int, policy Policy, feed func(*Sim) error) *
 }
 
 // TestDecideCountsArrivalGroup pins the decisions an arrival group
-// costs: five 4-wide jobs released together at t = 1 onto 4
-// processors under EASY. The Sim decides once per admitted job, so the
-// group costs five calls at t = 1 where one would do; with one call per
-// finish that makes ten, five of which start nothing.
+// costs: five 4-wide jobs released together at t = 1 onto 4 processors
+// under EASY. Submitted, each job is its own arrival event and decision,
+// so the group costs five calls at t = 1; with one call per finish that
+// makes ten, five of which start nothing. Streamed, the group arrives in
+// one event that decides once: one call at t = 1, six in all, one empty.
 func TestDecideCountsArrivalGroup(t *testing.T) {
-	jobs := make([]*workload.Job, 5)
-	for i := range jobs {
-		jobs[i] = rigidJob(i, 8, 4)
-		jobs[i].Release = 1
+	group := func() []*workload.Job {
+		jobs := make([]*workload.Job, 5)
+		for i := range jobs {
+			jobs[i] = rigidJob(i, 8, 4)
+			jobs[i].Release = 1
+		}
+		return jobs
 	}
-	p := countDecisions(t, 4, EASYPolicy{}, func(s *Sim) error { return submitAll(s, jobs) })
-	if p.calls != 10 || p.empty != 5 || p.at[1] != 5 {
-		t.Fatalf("EASY on the arrival group: %d calls, %d empty, %d at t = 1", p.calls, p.empty, p.at[1])
+	for _, tc := range []struct {
+		name                string
+		feed                func(*Sim, []*workload.Job) error
+		calls, empty, atOne int
+	}{
+		{"submitted", submitAll, 10, 5, 5},
+		{"streamed", func(s *Sim, jobs []*workload.Job) error { return s.Stream(&sliceSource{jobs: jobs}) }, 6, 1, 1},
+	} {
+		jobs := group()
+		p := countDecisions(t, 4, EASYPolicy{}, func(s *Sim) error { return tc.feed(s, jobs) })
+		if p.calls != tc.calls || p.empty != tc.empty || p.at[1] != tc.atOne {
+			t.Fatalf("EASY on the %s arrival group: %d calls, %d empty, %d at t = 1; want %d, %d, %d",
+				tc.name, p.calls, p.empty, p.at[1], tc.calls, tc.empty, tc.atOne)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math"
+
 	"repro/internal/rigid"
 	"repro/internal/workload"
 )
@@ -130,24 +132,31 @@ func (EASYPolicy) Decide(v View) []Decision {
 	// against the same numbers: it takes, each time, the first job behind
 	// the last one taken that passes — and that is the question the index
 	// answers without the walk. The index only finds the job; the test
-	// that takes it is the walk's own arithmetic, re-run here.
+	// that takes it is the walk's own arithmetic, re-run here on the
+	// duration the lane keys the job by. A NaN duration keys as +Inf, which
+	// passes under an infinite shadow time where NaN must not, so a key of
+	// +Inf is read again.
 	ix := v.Index
 	ix.sync(v)
 	after := v.seqs[k]
 	for avail > 0 {
-		j, seq := ix.next(after, avail, extra, v.Now, shadow+1e-12)
-		if j == nil {
+		l, pos := ix.next(after, avail, extra, v.Now, shadow+1e-12)
+		if l == nil {
 			break
 		}
-		after = seq
+		j, dur := l.jobs[pos], l.key(pos)
+		after = l.seqs[pos]
 		p := procsFor(j)
-		end := v.Now + v.Duration(j, p)
+		if math.IsInf(dur, 1) {
+			dur = v.Duration(j, p)
+		}
+		end := v.Now + dur
 		fitsBefore := end <= shadow+1e-12
 		fitsBeside := p <= extra
 		if !fitsBefore && !fitsBeside {
 			continue // a NaN duration under an infinite shadow time
 		}
-		out = append(out, Decision{Job: j, Procs: p, at: v.slot(seq)})
+		out = append(out, Decision{Job: j, Procs: p, at: v.slot(after), pos: pos + 1})
 		avail -= p
 		if !fitsBefore {
 			extra -= p
@@ -188,13 +197,14 @@ func (GreedyFitPolicy) Decide(v View) []Decision {
 	ix.sync(v)
 	after := v.seqs[k]
 	for avail > 0 {
-		j, seq := ix.next(after, avail, avail, 0, 0)
-		if j == nil {
+		l, pos := ix.next(after, avail, avail, 0, 0)
+		if l == nil {
 			break
 		}
-		after = seq
+		j := l.jobs[pos]
+		after = l.seqs[pos]
 		p := procsFor(j)
-		out = append(out, Decision{Job: j, Procs: p, at: v.slot(seq)})
+		out = append(out, Decision{Job: j, Procs: p, at: v.slot(after), pos: pos + 1})
 		avail -= p
 	}
 	return out

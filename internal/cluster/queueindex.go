@@ -8,37 +8,31 @@ import (
 	"repro/internal/workload"
 )
 
-// QueueIndex finds backfill candidates in a waiting queue without
-// walking it. EASYPolicy and GreedyFitPolicy used to test every queued
-// job at every decision; on a saturated cluster that is thousands of
-// jobs per event to start, usually, none. The index answers the walk's
-// question — which is the next job, in queue order, narrow enough for
-// the free processors and short enough for the shadow time? — in
-// O(log n) per lane searched.
+// QueueIndex finds, for EASYPolicy and GreedyFitPolicy, the next job in
+// queue order narrow enough for the free processors and short enough for
+// the shadow time, without walking the queue. A job sits in the lane of
+// its width under its slot's arrival number (View.Queue), beneath a
+// tournament tree of durations; a search first indexes the jobs queued
+// since the last one (sync), so a job that starts as a head never is.
 //
-// A job is indexed under the arrival number its queue slot carries
-// (View.Queue): the queue only ever grows at its tail and a job keeps its
-// number wherever compaction moves its slot, so comparing arrival
-// numbers is comparing queue positions. One lane per processor width
-// holds that width's jobs by arrival number under a tournament tree of
-// their durations.
+// Worst cases, for lanes of at most n entries: a next call visits each
+// lane no wider than the free processors, O(1) if none of its jobs
+// passes, else a descent from the root, O(log n), then, unless that lands
+// behind after (98 % of lane searches on the deep stream), a binary
+// search and a climb, O(log n) each. A removal replays O(log n) tree
+// nodes, plus a binary search if no search handed its position over (a
+// head, a steal) or a rebuild moved the entry since. Pushes: O(log n).
 //
-// Jobs are indexed lazily, when a search first needs them (sync): a job
-// that starts as the queue head the moment it arrives — every job of an
-// unsaturated cluster — is never indexed, and FCFS and conservative
-// backfilling never search, so they never pay.
-//
-// The zero value is an empty index. An index belongs to one evolving
-// queue and one cluster speed: its owner removes a job from the index
-// whenever it removes one from the queue (see View.Index). It is not
-// safe for concurrent use.
+// The zero value is empty. An index serves one queue at one cluster
+// speed, whose owner removes from it every job it removes from the queue
+// (see View.Index). It is not safe for concurrent use.
 type QueueIndex struct {
-	// last is the highest arrival number indexed: every job queued under
-	// a number up to it is in its lane, and none behind it is.
+	// last is the highest arrival number indexed; every job up to it is.
 	last uint64
-	// lanes is sorted by width; a lane appears with the first indexed job
-	// of its width, so nothing depends on the cluster size.
+	// lanes is sorted by width, a lane made with the first job of its
+	// width; at[w] is 1 + the index in lanes of the lane of width w, or 0.
 	lanes []lane
+	at    []int32
 }
 
 // sync indexes the jobs of v.Queue that are not indexed yet: those
@@ -46,8 +40,7 @@ type QueueIndex struct {
 func (ix *QueueIndex) sync(v View) {
 	for i := behind(v.seqs, ix.last); i < len(v.Queue); i++ {
 		if j := v.Queue[i]; j != nil {
-			p := procsFor(j)
-			ix.lane(p).push(j, v.seqs[i], v.Duration(j, p))
+			ix.lane(procsFor(j)).push(j, v.seqs[i], v.Duration(j, procsFor(j)))
 		}
 	}
 	if n := len(v.seqs); n > 0 {
@@ -55,34 +48,40 @@ func (ix *QueueIndex) sync(v View) {
 	}
 }
 
-// lane returns the lane of the given width, creating it if need be. The
-// pointer is good until the next call.
+// lane returns the lane of the given width, made if need be; the pointer
+// is good until the next call.
 func (ix *QueueIndex) lane(width int) *lane {
+	if uint(width) < uint(len(ix.at)) && ix.at[width] > 0 {
+		return &ix.lanes[ix.at[width]-1]
+	}
 	i := sort.Search(len(ix.lanes), func(i int) bool { return ix.lanes[i].width >= width })
 	if i == len(ix.lanes) || ix.lanes[i].width != width {
 		ix.lanes = slices.Insert(ix.lanes, i, lane{width: width})
+		ix.at = append(ix.at, make([]int32, max(0, width+1-len(ix.at)))...)
+		for k, l := range ix.lanes[i:] {
+			if l.width >= 0 { // a negative width is searched for
+				ix.at[l.width] = int32(i + k + 1)
+			}
+		}
 	}
 	return &ix.lanes[i]
 }
 
-// remove takes j, queued under arrival number seq, out of the index;
-// the caller removes it from the queue. A job not indexed yet costs
-// nothing.
-func (ix *QueueIndex) remove(seq uint64, j *workload.Job) {
+// remove takes j, queued under arrival number seq, out of the index, if
+// it is indexed; pos is what next handed over for j (Decision.pos), or 0.
+func (ix *QueueIndex) remove(seq uint64, j *workload.Job, pos int) {
 	if seq <= ix.last {
-		ix.lane(procsFor(j)).remove(seq)
+		ix.lane(procsFor(j)).remove(seq, j, pos-1)
 	}
 }
 
-// next returns, with its arrival number, the first indexed job behind
-// arrival number after that the backfill test lets start: at most avail
-// wide, and either at most extra wide or short enough that
-// now+duration <= bound. It returns nil when there is none. A job with
-// a NaN duration may be returned although it fails the test; callers
-// that care re-check (and must anyway, to tell which clause held).
-func (ix *QueueIndex) next(after uint64, avail, extra int, now, bound float64) (*workload.Job, uint64) {
-	var job *workload.Job
-	best := uint64(math.MaxUint64)
+// next returns the lane and position of the first indexed job behind
+// arrival number after that is at most avail wide and either at most
+// extra wide or short enough that now+duration <= bound, or a nil lane.
+// A NaN duration keys as +Inf and may pass: callers re-check.
+func (ix *QueueIndex) next(after uint64, avail, extra int, now, bound float64) (*lane, int) {
+	var best *lane
+	pos := 0
 	for i := range ix.lanes {
 		l := &ix.lanes[i]
 		if l.width > avail {
@@ -90,29 +89,26 @@ func (ix *QueueIndex) next(after uint64, avail, extra int, now, bound float64) (
 		}
 		lnow, lbound := now, bound
 		if l.width <= extra {
-			// Any length fits: 0+key <= +Inf holds for every live key.
-			lnow, lbound = 0, math.Inf(1)
+			lnow, lbound = 0, math.Inf(1) // any length fits: 0+key <= +Inf
 		}
-		if k := l.first(after, lnow, lbound); k >= 0 && l.seqs[k] < best {
-			job, best = l.jobs[k], l.seqs[k]
+		if k := l.first(after, lnow, lbound); k >= 0 && (best == nil || l.seqs[k] < best.seqs[pos]) {
+			best, pos = l, k
 		}
 	}
-	return job, best
+	return best, pos
 }
 
 // lane holds the indexed jobs of one width in arrival order.
 type lane struct {
 	width int
-	// jobs and seqs are the entries and their arrival numbers (strictly
-	// increasing); a removed entry keeps its slot, with a nil job, until
-	// the lane is rebuilt. Both have the capacity of the tree's leaf row.
+	// jobs and seqs are the entries and their strictly increasing arrival
+	// numbers, with the leaf row's capacity; a removed entry keeps its
+	// slot, with a nil job, until the lane is rebuilt.
 	jobs []*workload.Job
 	seqs []uint64
-	// tree is a tournament tree over the entries' keys: with n =
-	// len(tree)/2 leaves, tree[n+i] is the key of entry i and tree[k] the
-	// smaller of tree[2k] and tree[2k+1]. The key of an entry is its
-	// duration (+Inf for a NaN duration); removed entries and unused
-	// leaves hold NaN, which minKey ignores and no bound admits.
+	// tree[n+i], n = len(tree)/2, is the key of entry i — its duration,
+	// +Inf for NaN; NaN, which no bound admits, once removed or unused —
+	// and tree[k] the minKey of tree[2k] and tree[2k+1].
 	tree []float64
 	live int
 }
@@ -127,6 +123,9 @@ func minKey(a, b float64) float64 {
 	return a
 }
 
+// key returns the key of entry i.
+func (l *lane) key(i int) float64 { return l.tree[len(l.tree)/2+i] }
+
 // push appends an entry; seq must exceed every arrival number in the lane.
 func (l *lane) push(j *workload.Job, seq uint64, dur float64) {
 	if len(l.jobs) == len(l.tree)/2 {
@@ -135,17 +134,19 @@ func (l *lane) push(j *workload.Job, seq uint64, dur float64) {
 	if dur != dur {
 		dur = math.Inf(1) // live, but admitted only by an infinite bound
 	}
-	l.jobs = append(l.jobs, j)
-	l.seqs = append(l.seqs, seq)
+	l.jobs, l.seqs = append(l.jobs, j), append(l.seqs, seq)
 	l.live++
 	l.set(len(l.jobs)-1, dur)
 }
 
-// remove drops the entry with the given arrival number.
-func (l *lane) remove(seq uint64) {
-	i, found := slices.BinarySearch(l.seqs, seq)
-	if !found || l.jobs[i] == nil {
-		panic("cluster: queue index out of step with the queue")
+// remove drops the entry of j, arrival number seq, which is entry i
+// unless a rebuild has moved it since a search found it there.
+func (l *lane) remove(seq uint64, j *workload.Job, i int) {
+	if uint(i) >= uint(len(l.seqs)) || l.seqs[i] != seq || l.jobs[i] != j {
+		var found bool
+		if i, found = slices.BinarySearch(l.seqs, seq); !found || l.jobs[i] == nil {
+			panic("cluster: queue index out of step with the queue")
+		}
 	}
 	l.jobs[i] = nil
 	l.live--
@@ -162,10 +163,7 @@ func (l *lane) set(i int, key float64) {
 }
 
 // rebuild makes room in a full lane: the live entries move to the front
-// of a lane sized for twice their number — larger, the same or smaller
-// than before — so a lane's memory follows the jobs queued now, not the
-// jobs ever queued, and a rebuild is paid for by the pushes and removals
-// since the last one.
+// of a lane sized for twice their number, which later pushes pay for.
 func (l *lane) rebuild() {
 	n, c := len(l.tree)/2, minLaneCap
 	for c < 2*l.live {
@@ -192,39 +190,41 @@ func (l *lane) rebuild() {
 }
 
 // first returns the position of the first live entry behind arrival
-// number after whose key passes now+key <= bound, or -1.
-//
-// A subtree is skipped when its smallest key fails that same expression.
-// That loses nothing: floating-point addition is monotone (a <= b
-// implies now+a <= now+b after rounding, for finite now), so if the
-// shortest job of a subtree ends past the bound every job in it does;
-// and a subtree whose smallest key passes holds that key in a leaf, so
-// the descent always arrives.
+// number after whose key passes now+key <= bound, or -1: the leftmost
+// one that passes, found from the root, unless it is not behind after.
+// A subtree whose smallest key fails that expression is skipped, which
+// loses nothing: addition is monotone (a <= b implies now+a <= now+b,
+// for finite now), and a descent always arrives at the smallest key.
 func (l *lane) first(after uint64, now, bound float64) int {
 	if !(now+l.tree[1] <= bound) {
 		return -1 // nothing in the whole lane: the common case, O(1)
 	}
-	lo, _ := slices.BinarySearch(l.seqs, after+1)
-	if lo == len(l.seqs) {
-		return -1
-	}
 	n := len(l.tree) / 2
-	for k := n + lo; ; {
+	if i := l.descend(1, now, bound) - n; l.seqs[i] > after {
+		return i
+	}
+	lo, _ := slices.BinarySearch(l.seqs, after+1)
+	for k := n + lo; lo < len(l.seqs); k++ { // k++: the next subtree right
 		for k&1 == 0 {
 			k >>= 1 // a left child's parent starts at the same leaf
 		}
 		if now+l.tree[k] <= bound {
-			for k < n {
-				k <<= 1
-				if !(now+l.tree[k] <= bound) {
-					k++
-				}
-			}
-			return k - n
+			return l.descend(k, now, bound) - n
 		}
-		k++ // the next subtree to the right
-		if k&(k-1) == 0 {
-			return -1 // wrapped around: that was the last one
+		if (k+1)&k == 0 {
+			break // the rightmost subtree of its level: nothing is left
 		}
 	}
+	return -1
+}
+
+// descend returns the leftmost passing leaf under node k, which passes.
+func (l *lane) descend(k int, now, bound float64) int {
+	for n := len(l.tree) / 2; k < n; {
+		k <<= 1
+		if !(now+l.tree[k] <= bound) {
+			k++
+		}
+	}
+	return k
 }

@@ -16,6 +16,14 @@ import (
 	"repro/internal/workload"
 )
 
+// laneOf returns ix's lane of the given width, or nil if it has none.
+func laneOf(ix *QueueIndex, width int) *lane {
+	if k := slices.IndexFunc(ix.lanes, func(l lane) bool { return l.width == width }); k >= 0 {
+		return &ix.lanes[k]
+	}
+	return nil
+}
+
 // sameKey compares two tree keys, NaN equal to NaN.
 func sameKey(a, b float64) bool { return a == b || (a != a && b != b) }
 
@@ -76,6 +84,9 @@ func checkIndex(t *testing.T, v View) {
 		if i > 0 && l.width <= ix.lanes[i-1].width {
 			t.Fatalf("t=%v: lanes of width %d, %d in that order", v.Now, ix.lanes[i-1].width, l.width)
 		}
+		if l.width >= 0 && (l.width >= len(ix.at) || ix.at[l.width] != int32(i+1)) {
+			t.Fatalf("t=%v: lane %d is not found by its width", v.Now, l.width)
+		}
 		checkLane(t, l)
 		live += l.live
 	}
@@ -90,11 +101,10 @@ func checkIndex(t *testing.T, v View) {
 		}
 		indexed++
 		p := procsFor(j)
-		li := slices.IndexFunc(ix.lanes, func(l lane) bool { return l.width == p })
-		if li < 0 {
+		l := laneOf(ix, p)
+		if l == nil {
 			t.Fatalf("t=%v: job %d is indexed and there is no lane %d", v.Now, j.ID, p)
 		}
-		l := &ix.lanes[li]
 		k, found := slices.BinarySearch(l.seqs, seq)
 		if !found || l.jobs[k] != j {
 			t.Fatalf("t=%v: job %d (queue position %d, arrival number %d) is not in lane %d", v.Now, j.ID, i, seq, p)
@@ -252,10 +262,12 @@ var (
 // ops — queue a job (1 or 2 wide, so that lane 1's arrival numbers skip
 // some), remove one (a hole, and out of the index if it is indexed),
 // tidy the queue (trims and compaction move slots, never arrival
-// numbers), rebuild lane 1 (which compacts, grows or shrinks it) and
-// search lane 1 after indexing what is new — and requires the same
-// answer to every search, and the index in step with the queue after
-// every step. Search bounds sit exactly at now+duration of some palette
+// numbers), rebuild lane 1 (which compacts, grows or shrinks it), search
+// lane 1 after indexing what is new, and search it and remove the job
+// found by the position the search handed over, as a start does — at
+// once, or after a rebuild of lane 1 or a tidy of the queue, which may
+// leave the position stale — and requires the same answer to every
+// search, and the index in step with the queue after every step. Search bounds sit exactly at now+duration of some palette
 // duration, one ULP below it and one ULP above, where a pruning test
 // that was not the entry's own expression would show.
 func runLaneOps(t *testing.T, ops []byte) {
@@ -272,12 +284,6 @@ func runLaneOps(t *testing.T, ops []byte) {
 		b := ops[0]
 		ops = ops[1:]
 		return int(b)
-	}
-	lane1 := func() *lane {
-		if k := slices.IndexFunc(ix.lanes, func(l lane) bool { return l.width == 1 }); k >= 0 {
-			return &ix.lanes[k]
-		}
-		return nil // a lane exists from its first indexed job on
 	}
 	key := func(d float64) float64 {
 		if d != d {
@@ -300,18 +306,18 @@ func runLaneOps(t *testing.T, ops []byte) {
 			for k := take() % q.live; k > 0; k-- {
 				i = nextLive(q.jobs, i+1)
 			}
-			ix.remove(q.seqs[i], q.jobs[i])
+			ix.remove(q.seqs[i], q.jobs[i], 0)
 			q.jobs[i] = nil
 			q.live--
 		case 5:
-			if l := lane1(); l != nil && take()%2 == 0 {
+			if l := laneOf(&ix, 1); l != nil && take()%2 == 0 {
 				l.rebuild()
 			} else {
 				q.tidy()
 			}
 		default:
 			ix.sync(view())
-			l := lane1()
+			l := laneOf(&ix, 1) // a lane exists from its first indexed job on
 			if l == nil || len(q.seqs) == 0 {
 				continue
 			}
@@ -346,11 +352,25 @@ func runLaneOps(t *testing.T, ops []byte) {
 				}
 			}
 			got := int64(-1)
-			if k := l.first(after, now, bound); k >= 0 {
+			k := l.first(after, now, bound)
+			if k >= 0 {
 				got = int64(l.seqs[k])
 			}
 			if got != want {
 				t.Fatalf("first job after %d with %v+duration <= %v: lane says %d, linear scan %d", after, now, bound, got, want)
+			}
+			if op == 7 && k >= 0 {
+				j, seq := l.jobs[k], l.seqs[k]
+				switch take() % 3 {
+				case 1:
+					l.rebuild()
+				case 2:
+					q.tidy()
+				}
+				i, _ := slices.BinarySearch(q.seqs, seq)
+				ix.remove(seq, j, k+1)
+				q.jobs[i] = nil
+				q.live--
 			}
 		}
 		checkIndex(t, view())
@@ -375,5 +395,11 @@ func FuzzLaneOps(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 1, 4, 6, 0, 0, 0, 0, 0})
 	f.Add([]byte{0, 0, 14, 1, 2, 15, 2, 0, 11, 7, 1, 2, 4, 2, 2, 3, 0, 5, 6, 0, 3, 5, 1, 1})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 3, 0, 3, 0, 3, 0, 3, 0, 5, 7, 0, 0, 0, 0, 1})
+	// Three jobs queued, then two searches, each removing the job it found
+	// by the position it handed over, at once.
+	f.Add([]byte{0, 0, 1, 0, 0, 1, 0, 0, 1, 7, 0, 3, 0, 1, 2, 0, 7, 0, 3, 0, 1, 2, 0})
+	// Three jobs queued and indexed, the first removed, then a search whose
+	// job is removed after a rebuild has moved it: a stale position.
+	f.Add([]byte{0, 0, 1, 0, 0, 1, 0, 0, 1, 6, 0, 3, 0, 1, 2, 3, 0, 7, 0, 3, 0, 1, 2, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) { runLaneOps(t, ops) })
 }

@@ -244,9 +244,44 @@ type audit struct {
 	// instant.
 	returned, started int
 	decided           map[float64]int
+	// inStart is set while a start observer re-enters a decision, which
+	// starts nothing under quiet.
+	inStart, quiet bool
+	// handed holds, for each job a decision named through its lane
+	// position, its arrival number and that position, until its start.
+	handed map[*workload.Job]handover
+}
+
+// handover is a job's arrival number and the lane position a decision
+// handed over for it (Decision.pos).
+type handover struct {
+	seq uint64
+	pos int
+}
+
+// newAudit returns an audit of inner counting into cov, to be bound to
+// its Sim.
+func newAudit(t *testing.T, inner Policy, cov map[string]int) *audit {
+	return &audit{t: t, inner: inner, cov: cov, decided: map[float64]int{}, slots: map[uint64]int{},
+		handed: map[*workload.Job]handover{}}
 }
 
 func (a *audit) Name() string { return a.inner.Name() }
+
+// noteStart, called as j starts, counts a start whose decision handed
+// over a lane position that no longer gave j's entry when the Sim took j
+// out of the index — a decision re-entered from an earlier start rebuilt
+// the lane — so that the index found the entry by its arrival number.
+func (a *audit) noteStart(j *workload.Job) {
+	h, ok := a.handed[j]
+	if !ok {
+		return
+	}
+	delete(a.handed, j)
+	if l := laneOf(&a.sim.index, procsFor(j)); h.pos > len(l.seqs) || l.seqs[h.pos-1] != h.seq {
+		a.cov["stale index position"]++
+	}
+}
 
 func (a *audit) Decide(v View) []Decision {
 	t, s := a.t, a.sim
@@ -309,6 +344,19 @@ func (a *audit) Decide(v View) []Decision {
 	a.countSearch(v, got)
 	if s.reserved == len(s.running) {
 		clear(a.unread) // the profile was read: every start is reserved
+	}
+	if a.inStart {
+		a.cov["decisions re-entered from a start"]++
+		if a.quiet {
+			return nil
+		}
+	} else {
+		clear(a.handed) // the starts of the last decision are all made or refused
+	}
+	for _, d := range got {
+		if d.pos > 0 {
+			a.handed[d.Job] = handover{v.seqs[d.at-1], d.pos}
+		}
 	}
 
 	if a.hog && len(got) > 0 && a.cov["decisions"]%3 == 0 {
@@ -431,6 +479,11 @@ func (a *audit) countSearch(v View, got []Decision) {
 		avail -= got[heads].Procs
 		heads++
 	}
+	for _, d := range got[heads:] {
+		if d.pos == 0 {
+			a.t.Fatalf("t=%v: job %d, backfilled, names no lane position", v.Now, d.Job.ID)
+		}
+	}
 	if heads == len(queue) || avail <= 0 {
 		return
 	}
@@ -543,18 +596,28 @@ func steal(t *testing.T, s *Sim, n int, cov map[string]int) []*workload.Job {
 	return stolen
 }
 
+// churnMode selects what churnAudited does beyond auditing: hog refuses
+// starts on purpose (see audit); lazy makes each audit read the profile
+// at a seeded subset of decisions only and follow the starts the Sim
+// leaves unreserved: those that finish, are killed, or are killed and
+// then stolen by the other cluster before a read; reenter makes a start
+// observer crash processors at a seeded subset of starts, which kills
+// running jobs and re-enters a decision from inside the start — quiet,
+// so that the outer decision's later starts are still made, on a lane
+// the re-entered search may have rebuilt under them.
+type churnMode struct{ hog, lazy, reenter bool }
+
 // churnAudited runs churnTwoClusters with an audit bound to each cluster,
-// cluster c deciding by policies[c]. Unless hog refuses some on purpose,
-// every start decided must be made. lazy makes each audit read the
-// profile at a seeded subset of decisions only and follow the starts the
-// Sim leaves unreserved: those that finish, are killed, or are killed and
-// then stolen by the other cluster before a read.
-func churnAudited(t *testing.T, seed uint64, policies [2]Policy, hog, lazy bool, cov map[string]int) bool {
+// cluster c deciding by policies[c]. Unless the mode refuses some on
+// purpose (hog) or crashes inside starts (reenter), every start decided
+// must be made.
+func churnAudited(t *testing.T, seed uint64, policies [2]Policy, mode churnMode, cov map[string]int) bool {
 	t.Helper()
 	var audits [2]*audit
 	for c := range audits {
-		audits[c] = &audit{t: t, inner: policies[c], hog: hog, cov: cov, decided: map[float64]int{}, slots: map[uint64]int{}}
-		if lazy {
+		audits[c] = newAudit(t, policies[c], cov)
+		audits[c].hog, audits[c].quiet = mode.hog, mode.reenter
+		if mode.lazy {
 			audits[c].sample = stats.NewRNG(seed*2 + uint64(c))
 			audits[c].unread = map[*workload.Job]bool{}
 		}
@@ -566,15 +629,25 @@ func churnAudited(t *testing.T, seed uint64, policies [2]Policy, hog, lazy bool,
 	sims, ok := churnTwoClusters(t, seed, [2]Policy{audits[0], audits[1]}, cov, func(s *Sim) {
 		a := audits[bound]
 		a.sim = s
+		var crash *stats.RNG
+		if mode.reenter {
+			crash = stats.NewRNG(seed*2 + uint64(bound) + 1)
+		}
 		bound++
-		s.OnLocalStart = func(j *workload.Job, _ int, _ float64) {
+		s.OnLocalStart = func(j *workload.Job, _ int, now float64) {
 			started++
-			if lazy {
+			a.noteStart(j)
+			if mode.lazy {
 				a.unread[j] = true
 				delete(killedUnread, j)
 			}
+			if crash != nil && s.avail > 0 && crash.Bool(0.25) {
+				a.inStart = true
+				_ = s.Crash(crash.IntRange(1, s.avail), now+crash.Range(0.5, 5))
+				a.inStart = false
+			}
 		}
-		if !lazy {
+		if !mode.lazy {
 			return
 		}
 		s.OnLocalDone = func(c metrics.Completion) {
@@ -597,7 +670,7 @@ func churnAudited(t *testing.T, seed uint64, policies [2]Policy, hog, lazy bool,
 		}
 	})
 	refused := audits[0].returned + audits[1].returned - started
-	if !hog && refused != 0 {
+	if !mode.hog && !mode.reenter && refused != 0 {
 		t.Fatalf("%d decided starts refused", refused)
 	}
 	cov["refused starts"] += refused
@@ -608,27 +681,36 @@ func churnAudited(t *testing.T, seed uint64, policies [2]Policy, hog, lazy bool,
 // TestSimMatchesReference audits every shipped policy against the
 // reference on the fault harness, on the same harness with refused
 // starts, again with the profile read at a seeded subset of decisions
-// only, on a healthy cluster with best-effort churn, on a repair under a
-// pinned availability and on one due at the instant of a rebuild.
+// only, again with crashes that re-enter a decision from inside a start,
+// on a healthy cluster with best-effort churn, on a repair under a
+// pinned availability, on one due at the instant of a rebuild, and on
+// starts that steal or crash from inside. Under EASY and greedy fit a
+// start must hand the index a lane position a re-entered decision made
+// stale.
 func TestSimMatchesReference(t *testing.T) {
 	for _, inner := range []Policy{FCFSPolicy{}, EASYPolicy{}, GreedyFitPolicy{}, ConservativePolicy{}} {
 		t.Run(inner.Name(), func(t *testing.T) {
 			cov := map[string]int{}
 			t.Run("churn", func(t *testing.T) {
 				checkSeeds(t, &quick.Config{MaxCountScale: 1.5}, func(seed uint64) bool {
-					return churnAudited(t, seed, [2]Policy{inner, inner}, false, false, cov)
+					return churnAudited(t, seed, [2]Policy{inner, inner}, churnMode{}, cov)
 				})
 			})
 			t.Run("refused-starts", func(t *testing.T) {
 				for seed := uint64(1); seed <= 40; seed++ {
-					if !churnAudited(t, seed, [2]Policy{inner, inner}, true, false, cov) {
+					if !churnAudited(t, seed, [2]Policy{inner, inner}, churnMode{hog: true}, cov) {
 						t.Fatalf("seed %d: not every job completed", seed)
 					}
 				}
 			})
 			t.Run("sampled-reads", func(t *testing.T) {
 				checkSeeds(t, &quick.Config{MaxCountScale: 1.5}, func(seed uint64) bool {
-					return churnAudited(t, seed, [2]Policy{inner, inner}, true, true, cov)
+					return churnAudited(t, seed, [2]Policy{inner, inner}, churnMode{hog: true, lazy: true}, cov)
+				})
+			})
+			t.Run("reenter-inside-start", func(t *testing.T) {
+				checkSeeds(t, &quick.Config{MaxCountScale: 0.5}, func(seed uint64) bool {
+					return churnAudited(t, seed, [2]Policy{inner, inner}, churnMode{reenter: true}, cov)
 				})
 			})
 			t.Run("healthy", func(t *testing.T) {
@@ -639,11 +721,14 @@ func TestSimMatchesReference(t *testing.T) {
 			t.Run("repair-under-pinned-loss", func(t *testing.T) { pinnedRepairAudited(t, inner, cov) })
 			t.Run("repair-due-at-rebuild", func(t *testing.T) { repairDueAtRebuildAudited(t, inner, cov) })
 			t.Run("steal-inside-start", func(t *testing.T) { stealInsideStartAudited(t, inner, cov) })
+			t.Run("crash-inside-start", func(t *testing.T) { crashInsideStartAudited(t, inner, cov) })
 
-			want := append([]string{"running jobs killed", "refused starts", "queue compacted", "steal with holes present"}, unreadPaths...)
+			want := append([]string{"running jobs killed", "refused starts", "queue compacted", "steal with holes present",
+				"decisions re-entered from a start"}, unreadPaths...)
 			switch inner.(type) {
 			case EASYPolicy, GreedyFitPolicy:
-				want = append(want, "searches taking no job", "searches taking one job", "searches taking several jobs")
+				want = append(want, "searches taking no job", "searches taking one job", "searches taking several jobs",
+					"stale index position")
 			case ConservativePolicy:
 				want = append(want, planPaths...)
 			}
@@ -681,7 +766,7 @@ var planPaths = []string{"decisions extending a kept plan", "decisions extending
 func TestConservativePlanMatchesReplan(t *testing.T) {
 	cov := map[string]int{}
 	checkSeeds(t, &quick.Config{MaxCountScale: 1.5}, func(seed uint64) bool {
-		return churnAudited(t, seed, [2]Policy{ConservativePolicy{}, EASYPolicy{}}, false, false, cov)
+		return churnAudited(t, seed, [2]Policy{ConservativePolicy{}, EASYPolicy{}}, churnMode{}, cov)
 	})
 	requireCovered(t, cov, planPaths...)
 }
@@ -694,7 +779,7 @@ func TestViewIsLiveUnderChurn(t *testing.T) {
 	policies := []Policy{FCFSPolicy{}, EASYPolicy{}, GreedyFitPolicy{}, ConservativePolicy{}}
 	cov := map[string]int{}
 	for seed := uint64(1); seed <= 40; seed++ {
-		if !churnAudited(t, seed, [2]Policy{policies[seed%4], policies[(seed+1)%4]}, true, false, cov) {
+		if !churnAudited(t, seed, [2]Policy{policies[seed%4], policies[(seed+1)%4]}, churnMode{hog: true}, cov) {
 			t.Fatalf("seed %d: not every job completed", seed)
 		}
 	}
@@ -704,13 +789,16 @@ func TestViewIsLiveUnderChurn(t *testing.T) {
 // auditedSim returns a cluster of m processors deciding by inner under
 // an audit that counts the starts made.
 func auditedSim(t *testing.T, m int, inner Policy, cov map[string]int) *Sim {
-	a := &audit{t: t, inner: inner, cov: cov, decided: map[float64]int{}, slots: map[uint64]int{}}
+	a := newAudit(t, inner, cov)
 	s, err := New(des.New(), m, 1, a, KillNewest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a.sim = s
-	s.OnLocalStart = func(*workload.Job, int, float64) { a.started++ }
+	s.OnLocalStart = func(j *workload.Job, _ int, _ float64) {
+		a.started++
+		a.noteStart(j)
+	}
 	return s
 }
 
@@ -855,6 +943,64 @@ func stealInsideStartAudited(t *testing.T, inner Policy, cov map[string]int) {
 	requireRefused(t, s, want)
 }
 
+// crashInsideStartAudited: on 16 processors L (1 wide) runs until 100,
+// so that H (16 wide) waits at the head until then, Z (13 wide) until 10
+// and E (2 wide) until 12. The lane of width 2 then holds E, A, B and
+// C1…C5 (2 wide, 5 long), eight entries, one gone, when Z's end at 10
+// decides R' (9 wide), A and B behind H, which fills the machine. A's
+// start crashes 9 processors, which kills A and R' (both started at 10,
+// A the later ID) and decides again from inside the start, under a quiet
+// audit, starting nothing: that search indexes A's requeue in its full
+// lane, whose rebuild moves B from entry 2, which then holds C2, to
+// entry 0. B's start, still made on the 4 processors the crash leaves
+// free, hands over that stale position under EASY and greedy fit. The
+// policies that never search run the same case.
+func crashInsideStartAudited(t *testing.T, inner Policy, cov map[string]int) {
+	s := auditedSim(t, 16, inner, cov)
+	a := s.policy.(*audit)
+	a.quiet = true
+	r, aj, b := rjob(4, 5, 9, 0), rjob(5, 5, 2, 0), rjob(6, 5, 2, 0)
+	jobs := []*workload.Job{rjob(0, 100, 1, 0), rjob(1, 10, 13, 0), rjob(2, 1, 16, 0), rjob(3, 12, 2, 0), r, aj, b}
+	for i := 0; i < 5; i++ {
+		jobs = append(jobs, rjob(7+i, 5, 2, 0))
+	}
+	var crashed, bStart float64 = -1, -1
+	stale := cov["stale index position"]
+	count := s.OnLocalStart
+	s.OnLocalStart = func(j *workload.Job, procs int, now float64) {
+		count(j, procs, now)
+		switch {
+		case j == aj && crashed < 0:
+			crashed = now
+			a.inStart = true
+			if err := s.Crash(9, now+5); err != nil {
+				t.Fatal(err)
+			}
+			a.inStart = false
+		case j == b && bStart < 0:
+			bStart = now
+		}
+	}
+	err := submitAll(s, jobs)
+	if err == nil {
+		err = s.Run()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.CompletedCount(); got != len(jobs) {
+		t.Fatalf("%d of %d jobs completed", got, len(jobs))
+	}
+	switch inner.(type) {
+	case EASYPolicy, GreedyFitPolicy:
+		if crashed != 10 || bStart != 10 || cov["stale index position"] != stale+1 {
+			t.Fatalf("A started (and crashed) at %v and B at %v, %d stale positions handed over; want both at 10, B's stale",
+				crashed, bStart, cov["stale index position"]-stale)
+		}
+	}
+	requireRefused(t, s, 0)
+}
+
 // busy is a running job of a decision point built in a test: procs
 // processors held until end.
 type busy struct {
@@ -936,12 +1082,19 @@ func sameDecisions(t *testing.T, now float64, got, want []Decision) {
 
 // requirePositions requires every decision in ds to name its job's slot
 // in v.Queue, the first that holds it, as Sim.start reads it: a start
-// moves no other job.
+// moves no other job. A decision that names a lane position must name
+// the job's entry in its lane of v.Index.
 func requirePositions(t *testing.T, v View, ds []Decision) {
 	t.Helper()
 	for i, d := range ds {
 		if slot := slices.Index(v.Queue, d.Job); d.at != slot+1 {
 			t.Fatalf("t=%v: decision %d names job %d at position %d; the job is in slot %d", v.Now, i, d.Job.ID, d.at, slot)
+		}
+		if d.pos == 0 {
+			continue
+		}
+		if l := laneOf(v.Index, procsFor(d.Job)); l == nil || d.pos > len(l.jobs) || l.jobs[d.pos-1] != d.Job {
+			t.Fatalf("t=%v: decision %d names job %d at lane position %d, which does not hold it", v.Now, i, d.Job.ID, d.pos)
 		}
 	}
 }
