@@ -267,9 +267,10 @@ var (
 // found by the position the search handed over, as a start does — at
 // once, or after a rebuild of lane 1 or a tidy of the queue, which may
 // leave the position stale — and requires the same answer to every
-// search, and the index in step with the queue after every step. Search bounds sit exactly at now+duration of some palette
-// duration, one ULP below it and one ULP above, where a pruning test
-// that was not the entry's own expression would show.
+// search, and the index in step with the queue after every step. Search
+// bounds sit exactly at now+duration of some palette duration, one ULP
+// below it and one ULP above, where a pruning test that was not the
+// entry's own expression would show.
 func runLaneOps(t *testing.T, ops []byte) {
 	t.Helper()
 	var (
