@@ -42,11 +42,12 @@ func DefaultNs() []int {
 // An instance is the workload of one (n, rep) pair of the sweep. Every
 // instance seed is drawn from the series RNG, in (n, rep) order, before
 // any instance is built, and building one is a pure function of its seed.
-// So a second goroutine (workload.Ahead) generates instance k+1 while the
-// caller schedules instance k, and the result is the same as generating
-// each in turn. The generator runs at most one instance ahead and has
-// exited when Fig2Series returns. A panic while generating is raised
-// again on the caller's goroutine, at the instance that panicked.
+// So a second goroutine (workload.Ahead, one for the whole series)
+// generates instance k+1 while the caller schedules instance k, and the
+// result is the same as generating each in turn. The generator runs at
+// most one instance ahead and has exited when Fig2Series returns. A panic
+// while generating is raised again on the caller's goroutine, at the
+// instance that panicked.
 func Fig2Series(cfg Fig2Config) ([]Fig2Point, error) {
 	if cfg.M < 0 {
 		return nil, fmt.Errorf("bicriteria: fig2 on %d machines", cfg.M)

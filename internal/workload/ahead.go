@@ -1,25 +1,31 @@
 package workload
 
-// Ahead runs a producer one batch ahead of its consumer on a second
-// goroutine, so that producing overlaps consuming instead of running in
-// series with it. At most one fill is in flight: the consumer starts the
-// next one when it takes a finished batch from the channel, which orders
-// every produce call of one fill before every call of the next and
-// before whatever the consumer does after Next. Only one goroutine calls
-// produce at a time, and none once Next has reported the end or Stop has
-// returned.
+// Ahead runs a producer ahead of its consumer on a second goroutine, so
+// that producing overlaps consuming instead of running in series with
+// it. One producer goroutine lives for the whole stream. It fills a ring
+// of k buffers of n = max(size/4, 1) items, k = 2·size/n (8 × 256 for
+// size 1024, 2 × 1 for size 1), and hands each filled buffer over; Next
+// gives a buffer back when it needs the next one, so at most 2·size
+// items are ever produced and not yet taken. The first fill is 1/32 of a
+// buffer (at least one item) and each later fill doubles up to a whole
+// buffer: the first item waits for a few produce calls, not for a whole
+// batch. A hand-off orders every produce call before it ahead of
+// whatever the consumer does after the Next that takes it. Only one
+// goroutine calls produce, and none once Next has reported the end or
+// Stop has returned.
 type Ahead[T any] struct {
-	produce func() (T, bool)
-	batch   []T // the batch being consumed; taken slots are zeroed
-	next    int
-	fills   chan aheadFill[T] // capacity 1: a fill sends its batch and exits
-	filling bool              // a fill is in flight
-	// panicked is the value of a panic in produce, once the batch it
+	batch []T // the buffer being consumed; taken slots are zeroed
+	next  int
+	full  chan aheadFill[T] // filled buffers, in order; capacity k, so sends never block
+	free  chan []T          // emptied buffers, back to the producer; capacity k; Stop closes it
+	done  chan struct{}     // closed when the producer has returned
+	ended bool              // Next took the last fill, or Stop returned
+	// panicked is the value of a panic in produce, once the fill it
 	// ended is taken.
 	panicked any
 }
 
-// aheadFill is one finished batch. end is set when produce reported the
+// aheadFill is one filled buffer. end is set when produce reported the
 // end or panicked inside it.
 type aheadFill[T any] struct {
 	items    []T
@@ -27,33 +33,41 @@ type aheadFill[T any] struct {
 	panicked any
 }
 
-// NewAhead starts calling produce, size items per fill, until it reports
-// false or panics. The caller must call Stop unless Next has reported
-// the end.
+// NewAhead starts calling produce until it reports false or panics. The
+// caller must call Stop unless Next has reported the end.
 func NewAhead[T any](produce func() (T, bool), size int) *Ahead[T] {
-	// One array holds both batches: the one being consumed and the one
-	// being filled. The three-index slices keep each fill in its half.
-	buf := make([]T, 2*size)
-	a := &Ahead[T]{produce: produce, batch: buf[size:size:len(buf)], fills: make(chan aheadFill[T], 1)}
-	a.fill(buf[:0:size])
+	n := max(size/4, 1)
+	k := 2 * size / n
+	// One array holds every buffer; the three-index slices keep each
+	// fill in its own.
+	buf := make([]T, k*n)
+	a := &Ahead[T]{full: make(chan aheadFill[T], k), free: make(chan []T, k), done: make(chan struct{})}
+	for i := 0; i < k; i++ {
+		a.free <- buf[i*n : i*n : (i+1)*n]
+	}
+	go a.run(produce, max(n/32, 1), n)
 	return a
 }
 
-// fill produces up to cap(buf) items into buf on a new goroutine. A
-// panic in produce ends the batch; Next raises it again on the
-// consumer's goroutine, at the position where it happened, so that a
-// caller containing panics can still recover it.
-func (a *Ahead[T]) fill(buf []T) {
-	a.filling = true
-	go func(produce func() (T, bool), fills chan<- aheadFill[T]) {
-		f := aheadFill[T]{items: buf}
-		defer func() {
-			if f.panicked = recover(); f.panicked != nil {
-				f.end = true
-			}
-			fills <- f
-		}()
-		for len(f.items) < cap(f.items) {
+// run fills buffers of first, 2·first, … up to n items until produce
+// reports the end or panics, or Stop has closed free and every buffer
+// given back before is filled. A panic in produce ends the fill; Next
+// raises it again on the consumer's goroutine, at the position where it
+// happened, so that a caller containing panics can still recover it.
+func (a *Ahead[T]) run(produce func() (T, bool), first, n int) {
+	defer close(a.done)
+	var f aheadFill[T]
+	defer func() {
+		if f.panicked = recover(); f.panicked != nil {
+			f.end = true
+		}
+		if f.end {
+			a.full <- f
+		}
+	}()
+	fill := first
+	for f.items = range a.free {
+		for len(f.items) < fill {
 			v, ok := produce()
 			if !ok {
 				f.end = true
@@ -61,7 +75,9 @@ func (a *Ahead[T]) fill(buf []T) {
 			}
 			f.items = append(f.items, v)
 		}
-	}(a.produce, a.fills)
+		a.full <- f
+		fill = min(2*fill, n)
+	}
 }
 
 // Next returns the next item. After the last one it reports false, or
@@ -69,21 +85,18 @@ func (a *Ahead[T]) fill(buf []T) {
 func (a *Ahead[T]) Next() (T, bool) {
 	var zero T
 	for a.next == len(a.batch) {
-		if !a.filling {
+		if a.ended {
 			if a.panicked != nil {
 				panic(a.panicked)
 			}
 			return zero, false
 		}
-		f := <-a.fills
-		a.filling = false
-		spare := a.batch[:0]
-		a.batch, a.next = f.items, 0
-		if f.end {
-			a.panicked = f.panicked
-		} else {
-			a.fill(spare)
+		if a.batch != nil {
+			a.free <- a.batch[:0]
 		}
+		f := <-a.full
+		a.batch, a.next = f.items, 0
+		a.ended, a.panicked = f.end, f.panicked
 	}
 	v := a.batch[a.next]
 	a.batch[a.next] = zero
@@ -91,11 +104,14 @@ func (a *Ahead[T]) Next() (T, bool) {
 	return v, true
 }
 
-// Stop waits for the fill in flight, if any, and drops what is left.
+// Stop lets the producer fill the buffers Next gave back, so that how
+// many items were produced depends only on how many were taken, then
+// waits for it to return and drops what is left.
 func (a *Ahead[T]) Stop() {
-	if a.filling {
-		<-a.fills
-		a.filling = false
+	if a.free != nil {
+		close(a.free)
+		<-a.done
+		a.free = nil
 	}
-	a.batch, a.next = nil, 0
+	a.batch, a.next, a.ended = nil, 0, true
 }
