@@ -35,20 +35,17 @@ var ErrDrained = errors.New("cluster: simulation drained; no further submissions
 // Sim searches. A start leaves a hole in its slot and moves no other job
 // (see View.Queue), so every decision of one call names its slot as the
 // policy saw it, whatever was started before it. A slot that does not hold
-// the job — an observer that edited the queue inside a start, or a
-// decision that named the wrong slot — sends the Sim to the search as
-// well. The job is matched by pointer, and no admission path in the module
-// queues a pointer that is already queued: each submits a job it has just
-// made, or one StealQueued has just taken out of another queue. A pointer
-// queued twice would leave from the slot at names, or, searched for, from
-// its first slot.
+// the job — a start observer stole it, or a decision named the wrong
+// slot — sends the Sim to the search as well. The job is matched by
+// pointer, and no admission path in the module queues a pointer that is
+// already queued: each submits a job it has just made, or one StealQueued
+// has just taken out of another queue. A pointer queued twice would leave
+// from the slot at names, or, searched for, from its first slot.
 //
 // pos names Job's entry in its lane of View.Index in the same way, 1 + its
 // position there, for a job a backfill search found (QueueIndex.next), or
-// 0. The start hands it to the index's removal, which searches the lane
-// when the entry there is not Job's: a decision an observer makes from
-// inside a start may rebuild the lane under the outer decision's later
-// starts.
+// 0, and the start hands it to the index's removal: no lane is rebuilt
+// before the next decision (see Policy).
 type Decision struct {
 	Job   *workload.Job
 	Procs int
@@ -92,9 +89,9 @@ type View struct {
 	// every change of capacity: a crash, a repair or a SetAvailability
 	// step, whether or not the working count moves (with the requeue of the
 	// jobs a loss kills); at StealQueued, which may take a planned job; and
-	// at the start of a job the last decision did not find due. The policy
-	// notices the two other edits of the queue — a refused start, an
-	// arrival — on its own (see Plan).
+	// at a start whose decision, unlike ConservativePolicy's, names no slot
+	// of its job (see Decision). The policy notices the two other edits of
+	// the queue — a refused start, an arrival — on its own (see Plan).
 	Plan *Plan
 	// Index is the cluster's persistent index of Queue (see QueueIndex),
 	// which EASYPolicy and GreedyFitPolicy search instead of walking the
@@ -178,9 +175,10 @@ func (v View) Duration(j *workload.Job, p int) float64 {
 
 // Policy decides which queued jobs start now. Implementations must only
 // start jobs that fit in v.Avail and must not start a job twice. The Sim
-// decides only once every repair due now has fired (see reschedule), so
-// v.Avail and the profile count the same processors. The slice returned
-// passes to the caller (see View.Scratch).
+// decides once per instant, after every event at it has fired and never
+// while another decision's starts are being made (see wake), so v.Avail
+// and the profile count the same processors. The slice returned passes to
+// the caller (see View.Scratch).
 type Policy interface {
 	Name() string
 	Decide(v View) []Decision
@@ -343,11 +341,12 @@ type Sim struct {
 	// start to use again.
 	runFree []*localRunning
 	// decisions is the memory behind View.Scratch, empty and zeroed between
-	// decisions; nil while a decision's starts are being made.
+	// decisions.
 	decisions []Decision
-	// reschedulePending coalesces best-effort submission bursts into one
-	// zero-delay reschedule event.
-	reschedulePending bool
+	// woken is set while the instant's decision is deferred (wake);
+	// decide is the deferred call, reschedule, made once.
+	woken  bool
+	decide func()
 
 	beQueue   []BETask
 	beActive  []*beRunning
@@ -497,6 +496,7 @@ func New(sim *des.Simulator, m int, speed float64, policy Policy, kill KillPolic
 		retain:  metrics.NewFullRetention(),
 		avail:   m,
 	}
+	s.decide = s.reschedule
 	return s, nil
 }
 
@@ -540,10 +540,10 @@ func (s *Sim) Load() LoadInfo {
 }
 
 // admit appends one job to the waiting queue from event context and
-// reschedules.
+// wakes the Sim.
 func (s *Sim) admit(j *workload.Job) {
 	s.enqueue(j)
-	s.reschedule()
+	s.wake()
 }
 
 // enqueue appends one job to the waiting queue. All three admission
@@ -659,10 +659,9 @@ func (s *Sim) scheduleArrival() error {
 }
 
 // arrive admits the stream head plus every follower already released,
-// then reschedules — a bursty arrival group costs one event and one
-// decision, not one per job — and re-arms the next arrival. A head whose
-// arrival cannot be scheduled (a NaN release) ends the stream with an
-// error Run returns.
+// then wakes the Sim — a bursty arrival group costs one event, not one per
+// job — and re-arms the next arrival. A head whose arrival cannot be
+// scheduled (a NaN release) ends the stream with an error Run returns.
 func (s *Sim) arrive() {
 	now := s.DES.Now()
 	for s.pending != nil && s.pending.Release <= now {
@@ -670,7 +669,7 @@ func (s *Sim) arrive() {
 		s.enqueue(s.pending)
 		s.pull()
 	}
-	s.reschedule()
+	s.wake()
 	if err := s.scheduleArrival(); err != nil && s.srcErr == nil {
 		s.srcErr = fmt.Errorf("cluster: job %d: %w", s.pending.ID, err)
 		s.endStream()
@@ -683,19 +682,7 @@ func (s *Sim) SubmitBestEffort(t BETask) {
 		s.beStats.Redistributed++
 	}
 	s.beQueue = append(s.beQueue, t)
-	// Defer the fill to an immediate event so that submission during
-	// another event keeps deterministic ordering. Bursts of submissions
-	// coalesce into a single pending reschedule: one fill pass over the
-	// queue is equivalent to one pass per task and keeps the event heap
-	// from ballooning with no-op wakeups.
-	if s.reschedulePending {
-		return
-	}
-	s.reschedulePending = true
-	_ = s.DES.After(0, func() {
-		s.reschedulePending = false
-		s.reschedule()
-	})
+	s.wake()
 }
 
 // free returns physically free working processors.
@@ -703,31 +690,29 @@ func (s *Sim) free() int {
 	return s.avail - s.localProcs - len(s.beActive)
 }
 
-// reschedule runs the policy, starts its decisions (evicting best-effort
-// tasks as needed), then refills holes with best-effort tasks. It decides
-// nothing while a repair due now has not fired: that repair's event is
-// pending at now and reschedules once the processors are back, so every
-// decision sees the capacity the instant ends with.
-func (s *Sim) reschedule() {
-	now := s.DES.Now()
-	for _, o := range s.outages {
-		if o.until <= now {
-			return
-		}
+// wake asks for the instant's decision: an arrival, a finish, a change of
+// capacity and a best-effort submission each wake the Sim, which decides
+// once every event at the instant has fired (des.Simulator.Defer). A wake
+// during that decision's starts (an observer that crashes processors)
+// asks for the next one.
+func (s *Sim) wake() {
+	if !s.woken {
+		s.woken = true
+		s.DES.Defer(s.decide)
 	}
+}
+
+// reschedule runs the policy, starts its decisions (evicting best-effort
+// tasks as needed), then refills holes with best-effort tasks.
+func (s *Sim) reschedule() {
+	s.woken = false
+	now := s.DES.Now()
 	// The queue is tidied before the decision and after its starts, never
-	// in between, so the slots the decisions name are still theirs — but
-	// for a decision an observer makes from inside a start, which comes
-	// back through here, whose tidy sends the rest of the outer starts to
-	// the search.
+	// in between, so the slots the decisions name are still theirs.
 	s.queue.tidy()
-	// The scratch is out of reach while it is lent: an observer that
-	// changes the capacity from inside a start comes back through here.
-	scratch := s.decisions
-	s.decisions = nil
 	view := View{
 		Now: now, Avail: s.avail - s.localProcs, Speed: s.Speed,
-		Queue: s.queue.jobs, Plan: &s.plan, Index: &s.index, Scratch: scratch,
+		Queue: s.queue.jobs, Plan: &s.plan, Index: &s.index, Scratch: s.decisions,
 		seqs: s.queue.seqs, sim: s,
 	}
 	decisions := s.policy.Decide(view)
@@ -738,10 +723,9 @@ func (s *Sim) reschedule() {
 	// What came back is the scratch, or the larger array the policy's
 	// appends moved to, which takes its place.
 	clear(decisions)
-	if cap(decisions) > cap(scratch) {
-		scratch = decisions[:0]
+	if cap(decisions) > cap(s.decisions) {
+		s.decisions = decisions[:0]
 	}
-	s.decisions = scratch
 	s.fillBestEffort(now)
 	if s.OnIdle != nil {
 		s.OnIdle(s.free())
@@ -753,12 +737,13 @@ func (s *Sim) start(d Decision, now float64) {
 	// Remove from queue; ignore unknown jobs (policy bug guard). Matched
 	// by pointer: migrated and injected jobs may share an ID with a job
 	// already queued. The job is in the slot d.at names, or else searched
-	// for (see Decision); a nil job would find a hole.
+	// for, and the plan goes (see View.Plan); a nil job would find a hole.
 	if d.Job == nil {
 		return
 	}
 	idx := d.at - 1
 	if idx < 0 || idx >= len(s.queue.jobs) || s.queue.jobs[idx] != d.Job {
+		s.plan.Invalidate()
 		idx = slices.Index(s.queue.jobs, d.Job)
 	}
 	if idx < 0 || d.Procs < d.Job.MinProcs || d.Procs > d.Job.MaxProcs {
@@ -773,7 +758,6 @@ func (s *Sim) start(d Decision, now float64) {
 			return // cannot happen: free+BE >= M-localProcs >= d.Procs
 		}
 	}
-	s.plan.started(s.queue.seqs[idx])
 	s.dequeue(idx, d.pos)
 	s.tally(d.Job, -1)
 	dur := d.Job.TimeOn(d.Procs) / s.Speed
@@ -829,7 +813,7 @@ func (s *Sim) finish(run *localRunning) {
 	if s.OnLocalDone != nil {
 		s.OnLocalDone(c)
 	}
-	s.reschedule()
+	s.wake()
 }
 
 // unrun removes run from the running set and keeps the split at
@@ -1032,7 +1016,7 @@ func (s *Sim) repair(o *outage) {
 // (clamped to [0, M]) with no scheduled repair — the hook behind
 // time-varying availability traces, where the fault engine issues one
 // call per trace step. Shrinking evicts best-effort tasks first, then
-// requeues local jobs; growing triggers an immediate reschedule.
+// requeues local jobs; either way the Sim wakes.
 func (s *Sim) SetAvailability(avail int) {
 	if avail < 0 {
 		avail = 0
@@ -1050,7 +1034,7 @@ func (s *Sim) SetAvailability(avail int) {
 // applyAvail reconciles the simulation with a change of the active
 // capacity losses: recompute the working count (integrating downtime
 // when it moves), evict overcommitted work, invalidate the plan, mark the
-// profile for a rebuild at its next read, and reschedule. The rebuild is
+// profile for a rebuild at its next read, and wake the Sim. The rebuild is
 // due even when the count stays put: a repair under a pinned
 // SetAvailability changes when the carved-out processors come back
 // without changing how many work.
@@ -1073,7 +1057,7 @@ func (s *Sim) applyAvail(now float64) {
 	}
 	s.plan.Invalidate()
 	s.stale = true
-	s.reschedule()
+	s.wake()
 }
 
 // FaultStats returns the fault counters with the downtime integral
@@ -1125,7 +1109,7 @@ func (s *Sim) finishBE(b *beRunning) {
 	if s.OnBEDone != nil {
 		s.OnBEDone(task)
 	}
-	s.reschedule()
+	s.wake()
 }
 
 // Run drives the simulation to completion (all submitted local jobs done

@@ -438,7 +438,9 @@ func TestViewBuffersReused(t *testing.T) {
 	s := auditedSim(t, 4, FCFSPolicy{}, cov)
 	moved := 0
 	var last *Decision
-	s.OnIdle = func(int) {
+	idle := s.OnIdle
+	s.OnIdle = func(free int) {
+		idle(free)
 		if cap(s.decisions) > 0 && &s.decisions[:1][0] != last {
 			last = &s.decisions[:1][0]
 			moved++
@@ -455,8 +457,11 @@ func TestViewBuffersReused(t *testing.T) {
 	if len(s.Completions()) != 30 {
 		t.Fatalf("%d completions", len(s.Completions()))
 	}
-	// One job starts per decision: the scratch is allocated once.
-	if cov["decisions"] < 60 || moved != 1 {
+	// One decision per instant: the 30 arrivals, 0.5 apart from 0, and the
+	// finishes 2 later, all but the last four on an arrival's instant, make
+	// 34. At most one job starts per decision: the scratch is allocated
+	// once.
+	if cov["decisions"] != 34 || moved != 1 {
 		t.Fatalf("%d decisions, the scratch moved %d times", cov["decisions"], moved)
 	}
 }

@@ -61,11 +61,11 @@ func (ConservativePolicy) Name() string { return "conservative" }
 // A Plan belongs to one evolving queue (one Sim); only ConservativePolicy
 // reads or writes it, and its owner calls Invalidate when the capacity
 // behind it changes and whenever a planned job leaves the queue without
-// the plan having found it due: a steal, or a start the last decision did
-// not make (started does it for the Sim). A decision keeps the plan while
-// it exists, does not start in the decision's future, plans nothing before
-// now (the heap's top), and the jobs the last decision found due have all
-// left the queue (holds).
+// the plan having found it due: a steal, or a start whose decision names
+// no slot (see View.Plan). A decision keeps the plan while it exists, does
+// not start in the decision's future, plans nothing before now (the heap's
+// top), and the jobs the last decision found due have all left the queue
+// (holds).
 type Plan struct {
 	// profile is nil while the plan is invalid.
 	profile *rigid.Profile
@@ -134,23 +134,6 @@ func (pl *Plan) Invalidate() {
 	pl.profile.Recycle()
 	pl.profile = nil
 	pl.heap, pl.due, pl.last = pl.heap[:0], pl.due[:0], 0
-}
-
-// started tells the plan that the job queued under arrival number seq has
-// started. A job the last decision found due was planned to start now;
-// any other start holds processors the plan does not know of, and the
-// plan goes.
-func (pl *Plan) started(seq uint64) {
-	if pl.profile != nil {
-		pl.startedPlanned(seq)
-	}
-}
-
-// startedPlanned is started for a valid plan.
-func (pl *Plan) startedPlanned(seq uint64) {
-	if _, due := slices.BinarySearch(pl.due, seq); !due {
-		pl.Invalidate()
-	}
 }
 
 // holds reports whether the plan can be extended at v: it exists, does

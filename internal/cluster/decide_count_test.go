@@ -46,10 +46,10 @@ func countDecisions(t *testing.T, m int, policy Policy, feed func(*Sim) error) *
 
 // TestDecideCountsArrivalGroup pins the decisions an arrival group
 // costs: five 4-wide jobs released together at t = 1 onto 4 processors
-// under EASY. Submitted, each job is its own arrival event and decision,
-// so the group costs five calls at t = 1; with one call per finish that
-// makes ten, five of which start nothing. Streamed, the group arrives in
-// one event that decides once: one call at t = 1, six in all, one empty.
+// under EASY. Submitted, each job is its own arrival event; streamed, the
+// group arrives in one event. Either way the Sim decides once at t = 1,
+// after the last of them, and once at each finish: six calls, the last,
+// at the final finish, empty.
 func TestDecideCountsArrivalGroup(t *testing.T) {
 	group := func() []*workload.Job {
 		jobs := make([]*workload.Job, 5)
@@ -64,7 +64,7 @@ func TestDecideCountsArrivalGroup(t *testing.T) {
 		feed                func(*Sim, []*workload.Job) error
 		calls, empty, atOne int
 	}{
-		{"submitted", submitAll, 10, 5, 5},
+		{"submitted", submitAll, 6, 1, 1},
 		{"streamed", func(s *Sim, jobs []*workload.Job) error { return s.Stream(&sliceSource{jobs: jobs}) }, 6, 1, 1},
 	} {
 		jobs := group()

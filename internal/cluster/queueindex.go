@@ -21,7 +21,7 @@ import (
 // behind after (98 % of lane searches on the deep stream), a binary
 // search and a climb, O(log n) each. A removal replays O(log n) tree
 // nodes, plus a binary search if no search handed its position over (a
-// head, a steal) or a rebuild moved the entry since. Pushes: O(log n).
+// head, a steal). Pushes: O(log n).
 //
 // The zero value is empty. An index serves one queue at one cluster
 // speed, whose owner removes from it every job it removes from the queue
@@ -139,8 +139,8 @@ func (l *lane) push(j *workload.Job, seq uint64, dur float64) {
 	l.set(len(l.jobs)-1, dur)
 }
 
-// remove drops the entry of j, arrival number seq, which is entry i
-// unless a rebuild has moved it since a search found it there.
+// remove drops the entry of j, arrival number seq: entry i, the position
+// a search handed over, or else the one a binary search finds.
 func (l *lane) remove(seq uint64, j *workload.Job, i int) {
 	if uint(i) >= uint(len(l.seqs)) || l.seqs[i] != seq || l.jobs[i] != j {
 		var found bool

@@ -212,7 +212,9 @@ func (p point) conservative() (out []Decision, starts []float64, plan *rigid.Pro
 }
 
 // audit runs a shipped policy for sim and, at every decision, requires:
-// a view made of the Sim's live state; View.Avail equal to the working
+// one decision per instant — no event still pending at the decision's
+// time, and no decision while the last one's starts are being made; a
+// view made of the Sim's live state; View.Avail equal to the working
 // processors less the running ones, room in those for the best-effort
 // tasks, and no running job started before its release; View.Profile
 // equal to the reference's bit for bit; the index in step with the queue
@@ -244,47 +246,34 @@ type audit struct {
 	// instant.
 	returned, started int
 	decided           map[float64]int
-	// inStart is set while a start observer re-enters a decision, which
-	// starts nothing under quiet.
-	inStart, quiet bool
-	// handed holds, for each job a decision named through its lane
-	// position, its arrival number and that position, until its start.
-	handed map[*workload.Job]handover
-}
-
-// handover is a job's arrival number and the lane position a decision
-// handed over for it (Decision.pos).
-type handover struct {
-	seq uint64
-	pos int
+	// starting is set from a decision's return until the Sim reports idle
+	// (OnIdle), once that decision's starts are all made or refused.
+	starting bool
 }
 
 // newAudit returns an audit of inner counting into cov, to be bound to
 // its Sim.
 func newAudit(t *testing.T, inner Policy, cov map[string]int) *audit {
-	return &audit{t: t, inner: inner, cov: cov, decided: map[float64]int{}, slots: map[uint64]int{},
-		handed: map[*workload.Job]handover{}}
+	return &audit{t: t, inner: inner, cov: cov, decided: map[float64]int{}, slots: map[uint64]int{}}
+}
+
+// bind makes s the audited Sim, whose idle report ends each decision's
+// starts.
+func (a *audit) bind(s *Sim) {
+	a.sim = s
+	s.OnIdle = func(int) { a.starting = false }
 }
 
 func (a *audit) Name() string { return a.inner.Name() }
 
-// noteStart, called as j starts, counts a start whose decision handed
-// over a lane position that no longer gave j's entry when the Sim took j
-// out of the index — a decision re-entered from an earlier start rebuilt
-// the lane — so that the index found the entry by its arrival number.
-func (a *audit) noteStart(j *workload.Job) {
-	h, ok := a.handed[j]
-	if !ok {
-		return
-	}
-	delete(a.handed, j)
-	if l := laneOf(&a.sim.index, procsFor(j)); h.pos > len(l.seqs) || l.seqs[h.pos-1] != h.seq {
-		a.cov["stale index position"]++
-	}
-}
-
 func (a *audit) Decide(v View) []Decision {
 	t, s := a.t, a.sim
+	if next, ok := s.DES.PeekTime(); ok && next <= v.Now {
+		t.Fatalf("t=%v: a decision with an event still pending at %v", v.Now, next)
+	}
+	if a.starting {
+		t.Fatalf("t=%v: a decision while the last decision's starts are being made", v.Now)
+	}
 	a.cov["decisions"]++
 	a.decided[v.Now]++
 	requireLiveView(t, s, v)
@@ -345,19 +334,6 @@ func (a *audit) Decide(v View) []Decision {
 	if s.reserved == len(s.running) {
 		clear(a.unread) // the profile was read: every start is reserved
 	}
-	if a.inStart {
-		a.cov["decisions re-entered from a start"]++
-		if a.quiet {
-			return nil
-		}
-	} else {
-		clear(a.handed) // the starts of the last decision are all made or refused
-	}
-	for _, d := range got {
-		if d.pos > 0 {
-			a.handed[d.Job] = handover{v.seqs[d.at-1], d.pos}
-		}
-	}
 
 	if a.hog && len(got) > 0 && a.cov["decisions"]%3 == 0 {
 		var wide *workload.Job
@@ -371,6 +347,7 @@ func (a *audit) Decide(v View) []Decision {
 		}
 	}
 	a.returned += len(got)
+	a.starting = true
 	return got
 }
 
@@ -600,23 +577,18 @@ func steal(t *testing.T, s *Sim, n int, cov map[string]int) []*workload.Job {
 // starts on purpose (see audit); lazy makes each audit read the profile
 // at a seeded subset of decisions only and follow the starts the Sim
 // leaves unreserved: those that finish, are killed, or are killed and
-// then stolen by the other cluster before a read; reenter makes a start
-// observer crash processors at a seeded subset of starts, which kills
-// running jobs and re-enters a decision from inside the start — quiet,
-// so that the outer decision's later starts are still made, on a lane
-// the re-entered search may have rebuilt under them.
-type churnMode struct{ hog, lazy, reenter bool }
+// then stolen by the other cluster before a read.
+type churnMode struct{ hog, lazy bool }
 
 // churnAudited runs churnTwoClusters with an audit bound to each cluster,
 // cluster c deciding by policies[c]. Unless the mode refuses some on
-// purpose (hog) or crashes inside starts (reenter), every start decided
-// must be made.
+// purpose (hog), every start decided must be made.
 func churnAudited(t *testing.T, seed uint64, policies [2]Policy, mode churnMode, cov map[string]int) bool {
 	t.Helper()
 	var audits [2]*audit
 	for c := range audits {
 		audits[c] = newAudit(t, policies[c], cov)
-		audits[c].hog, audits[c].quiet = mode.hog, mode.reenter
+		audits[c].hog = mode.hog
 		if mode.lazy {
 			audits[c].sample = stats.NewRNG(seed*2 + uint64(c))
 			audits[c].unread = map[*workload.Job]bool{}
@@ -628,23 +600,13 @@ func churnAudited(t *testing.T, seed uint64, policies [2]Policy, mode churnMode,
 	bound, started := 0, 0
 	sims, ok := churnTwoClusters(t, seed, [2]Policy{audits[0], audits[1]}, cov, func(s *Sim) {
 		a := audits[bound]
-		a.sim = s
-		var crash *stats.RNG
-		if mode.reenter {
-			crash = stats.NewRNG(seed*2 + uint64(bound) + 1)
-		}
+		a.bind(s)
 		bound++
-		s.OnLocalStart = func(j *workload.Job, _ int, now float64) {
+		s.OnLocalStart = func(j *workload.Job, _ int, _ float64) {
 			started++
-			a.noteStart(j)
 			if mode.lazy {
 				a.unread[j] = true
 				delete(killedUnread, j)
-			}
-			if crash != nil && s.avail > 0 && crash.Bool(0.25) {
-				a.inStart = true
-				_ = s.Crash(crash.IntRange(1, s.avail), now+crash.Range(0.5, 5))
-				a.inStart = false
 			}
 		}
 		if !mode.lazy {
@@ -670,7 +632,7 @@ func churnAudited(t *testing.T, seed uint64, policies [2]Policy, mode churnMode,
 		}
 	})
 	refused := audits[0].returned + audits[1].returned - started
-	if !mode.hog && !mode.reenter && refused != 0 {
+	if !mode.hog && refused != 0 {
 		t.Fatalf("%d decided starts refused", refused)
 	}
 	cov["refused starts"] += refused
@@ -681,12 +643,10 @@ func churnAudited(t *testing.T, seed uint64, policies [2]Policy, mode churnMode,
 // TestSimMatchesReference audits every shipped policy against the
 // reference on the fault harness, on the same harness with refused
 // starts, again with the profile read at a seeded subset of decisions
-// only, again with crashes that re-enter a decision from inside a start,
-// on a healthy cluster with best-effort churn, on a repair under a
+// only, on a healthy cluster with best-effort churn, on a repair under a
 // pinned availability, on one due at the instant of a rebuild, and on
-// starts that steal or crash from inside. Under EASY and greedy fit a
-// start must hand the index a lane position a re-entered decision made
-// stale.
+// starts that steal or crash from inside. The audit holds the Sim to one
+// decision per instant on every one of these histories.
 func TestSimMatchesReference(t *testing.T) {
 	for _, inner := range []Policy{FCFSPolicy{}, EASYPolicy{}, GreedyFitPolicy{}, ConservativePolicy{}} {
 		t.Run(inner.Name(), func(t *testing.T) {
@@ -708,11 +668,6 @@ func TestSimMatchesReference(t *testing.T) {
 					return churnAudited(t, seed, [2]Policy{inner, inner}, churnMode{hog: true, lazy: true}, cov)
 				})
 			})
-			t.Run("reenter-inside-start", func(t *testing.T) {
-				checkSeeds(t, &quick.Config{MaxCountScale: 0.5}, func(seed uint64) bool {
-					return churnAudited(t, seed, [2]Policy{inner, inner}, churnMode{reenter: true}, cov)
-				})
-			})
 			t.Run("healthy", func(t *testing.T) {
 				checkSeeds(t, &quick.Config{MaxCount: 25}, func(seed uint64) bool {
 					return healthyAudited(t, seed, inner, cov)
@@ -723,12 +678,11 @@ func TestSimMatchesReference(t *testing.T) {
 			t.Run("steal-inside-start", func(t *testing.T) { stealInsideStartAudited(t, inner, cov) })
 			t.Run("crash-inside-start", func(t *testing.T) { crashInsideStartAudited(t, inner, cov) })
 
-			want := append([]string{"running jobs killed", "refused starts", "queue compacted", "steal with holes present",
-				"decisions re-entered from a start"}, unreadPaths...)
+			want := append([]string{"running jobs killed", "refused starts", "queue compacted", "steal with holes present"},
+				unreadPaths...)
 			switch inner.(type) {
 			case EASYPolicy, GreedyFitPolicy:
-				want = append(want, "searches taking no job", "searches taking one job", "searches taking several jobs",
-					"stale index position")
+				want = append(want, "searches taking no job", "searches taking one job", "searches taking several jobs")
 			case ConservativePolicy:
 				want = append(want, planPaths...)
 			}
@@ -794,11 +748,8 @@ func auditedSim(t *testing.T, m int, inner Policy, cov map[string]int) *Sim {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.sim = s
-	s.OnLocalStart = func(j *workload.Job, _ int, _ float64) {
-		a.started++
-		a.noteStart(j)
-	}
+	a.bind(s)
+	s.OnLocalStart = func(*workload.Job, int, float64) { a.started++ }
 	return s
 }
 
@@ -943,62 +894,48 @@ func stealInsideStartAudited(t *testing.T, inner Policy, cov map[string]int) {
 	requireRefused(t, s, want)
 }
 
-// crashInsideStartAudited: on 16 processors L (1 wide) runs until 100,
-// so that H (16 wide) waits at the head until then, Z (13 wide) until 10
-// and E (2 wide) until 12. The lane of width 2 then holds E, A, B and
-// C1…C5 (2 wide, 5 long), eight entries, one gone, when Z's end at 10
-// decides R' (9 wide), A and B behind H, which fills the machine. A's
-// start crashes 9 processors, which kills A and R' (both started at 10,
-// A the later ID) and decides again from inside the start, under a quiet
-// audit, starting nothing: that search indexes A's requeue in its full
-// lane, whose rebuild moves B from entry 2, which then holds C2, to
-// entry 0. B's start, still made on the 4 processors the crash leaves
-// free, hands over that stale position under EASY and greedy fit. The
-// policies that never search run the same case.
+// crashInsideStartAudited: on 8 processors A and B (2 wide) and C (4
+// wide), released at 0, fill the machine, and every policy decides all
+// three at 0. A's start crashes all 8 processors until 5, which kills A
+// and requeues it behind C. The crash decides nothing from inside the
+// start: B's and C's starts, decided with A's, are still made, and
+// refused for want of processors, and the decision the crash asks for
+// comes after them, at the end of the instant, and starts nothing. At
+// the repair B, C and A start together.
 func crashInsideStartAudited(t *testing.T, inner Policy, cov map[string]int) {
-	s := auditedSim(t, 16, inner, cov)
+	s := auditedSim(t, 8, inner, cov)
 	a := s.policy.(*audit)
-	a.quiet = true
-	r, aj, b := rjob(4, 5, 9, 0), rjob(5, 5, 2, 0), rjob(6, 5, 2, 0)
-	jobs := []*workload.Job{rjob(0, 100, 1, 0), rjob(1, 10, 13, 0), rjob(2, 1, 16, 0), rjob(3, 12, 2, 0), r, aj, b}
-	for i := 0; i < 5; i++ {
-		jobs = append(jobs, rjob(7+i, 5, 2, 0))
-	}
-	var crashed, bStart float64 = -1, -1
-	stale := cov["stale index position"]
+	aj := rjob(0, 5, 2, 0)
 	count := s.OnLocalStart
+	crashed := false
 	s.OnLocalStart = func(j *workload.Job, procs int, now float64) {
 		count(j, procs, now)
-		switch {
-		case j == aj && crashed < 0:
-			crashed = now
-			a.inStart = true
-			if err := s.Crash(9, now+5); err != nil {
+		if j == aj && !crashed {
+			crashed = true
+			if err := s.Crash(8, 5); err != nil {
 				t.Fatal(err)
 			}
-			a.inStart = false
-		case j == b && bStart < 0:
-			bStart = now
+			if a.decided[0] != 1 {
+				t.Fatalf("%d decisions at 0 inside A's start, want the one that started it", a.decided[0])
+			}
 		}
 	}
-	err := submitAll(s, jobs)
+	err := submitAll(s, []*workload.Job{aj, rjob(1, 5, 2, 0), rjob(2, 5, 4, 0)})
 	if err == nil {
 		err = s.Run()
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.CompletedCount(); got != len(jobs) {
-		t.Fatalf("%d of %d jobs completed", got, len(jobs))
-	}
-	switch inner.(type) {
-	case EASYPolicy, GreedyFitPolicy:
-		if crashed != 10 || bStart != 10 || cov["stale index position"] != stale+1 {
-			t.Fatalf("A started (and crashed) at %v and B at %v, %d stale positions handed over; want both at 10, B's stale",
-				crashed, bStart, cov["stale index position"]-stale)
+	for _, c := range s.Completions() {
+		if c.Start != 5 {
+			t.Fatalf("job %d started at %v, want 5, at the repair", c.Job.ID, c.Start)
 		}
 	}
-	requireRefused(t, s, 0)
+	if got := s.CompletedCount(); got != 3 || a.decided[0] != 2 {
+		t.Fatalf("%d of 3 jobs completed, %d decisions at 0; want all, and 2", got, a.decided[0])
+	}
+	requireRefused(t, s, 2)
 }
 
 // busy is a running job of a decision point built in a test: procs
@@ -1049,9 +986,9 @@ func requireLiveView(t *testing.T, s *Sim, v View) {
 	if v.Index != &s.index || v.Plan != &s.plan || v.sim != s || v.profile != nil {
 		t.Fatalf("t=%v: view does not carry the simulator's index, plan and profile", v.Now)
 	}
-	if s.decisions != nil || len(v.Scratch) != 0 || held(v.Scratch) != 0 {
-		t.Fatalf("t=%v: scratch lent at length %d with %d decisions left in it (the Sim still holds one: %v)",
-			v.Now, len(v.Scratch), held(v.Scratch), s.decisions != nil)
+	if len(v.Scratch) != 0 || held(v.Scratch) != 0 || cap(v.Scratch) != cap(s.decisions) ||
+		cap(v.Scratch) > 0 && &v.Scratch[:1][0] != &s.decisions[:1][0] {
+		t.Fatalf("t=%v: scratch lent at length %d with %d decisions left in it, or not the Sim's", v.Now, len(v.Scratch), held(v.Scratch))
 	}
 }
 

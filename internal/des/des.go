@@ -1,8 +1,9 @@
 // Package des is a minimal deterministic discrete-event simulation
 // kernel: a clock and a binary-heap event queue with stable FIFO
 // tie-breaking at equal timestamps, plus a one-event feed slot beside
-// the heap where a streamed simulation parks its next arrival (Feed).
-// The cluster and grid simulators are built on it.
+// the heap where a streamed simulation parks its next arrival (Feed), and
+// calls deferred to the end of the current instant (Defer). The cluster
+// and grid simulators are built on it.
 //
 // The heap holds pointer-free eventRef values (time, seq, callback slot)
 // and the callbacks live in a free-listed side table: sifting the heap
@@ -78,6 +79,9 @@ type Simulator struct {
 	feed   eventRef
 	feedFn func()
 	seq    uint64
+	// deferred holds the calls Defer made for the end of the instant, and
+	// spare the other batch's slice, which running a batch swaps in.
+	deferred, spare []func()
 	// Processed counts executed events (diagnostics / runaway guards).
 	Processed uint64
 	// Limit aborts Run after this many events (0 = no limit). A safety
@@ -166,6 +170,14 @@ func (s *Simulator) After(d float64, fn func()) error {
 	return s.At(s.clock+d, fn)
 }
 
+// Defer runs fn, which must not be nil, once no event is pending at the
+// current time, before the clock moves on. Deferred calls run in the order
+// they were deferred, in batches: events that a batch schedules at the
+// current time run before the next batch, which holds the calls deferred
+// meanwhile. Deferring takes no heap entry and, once the two batches'
+// slices have grown, allocates nothing.
+func (s *Simulator) Defer(fn func()) { s.deferred = append(s.deferred, fn) }
+
 // feedFirst reports whether the feed slot holds the earliest pending
 // event.
 func (s *Simulator) feedFirst() bool {
@@ -179,13 +191,25 @@ func (s *Simulator) feedFirst() bool {
 	return s.feed.time < top.time || s.feed.time == top.time && s.feed.seq < top.seq
 }
 
-// pop removes and returns the earliest event's time and callback,
-// recycling its slot. Some event must be pending.
-func (s *Simulator) pop() (float64, func()) {
+// peek returns the earliest pending event's time and whether it waits in
+// the feed slot, or ok=false when no event is pending.
+func (s *Simulator) peek() (t float64, feed, ok bool) {
 	if s.feedFirst() {
+		return s.feed.time, true, true
+	}
+	if len(s.events) == 0 {
+		return 0, false, false
+	}
+	return s.events[0].time, false, true
+}
+
+// pop removes and returns the earliest event's callback, from the feed
+// slot if peek found it there, recycling its slot.
+func (s *Simulator) pop(feed bool) func() {
+	if feed {
 		fn := s.feedFn
 		s.feedFn = nil
-		return s.feed.time, fn
+		return fn
 	}
 	top := s.events[0]
 	n := len(s.events) - 1
@@ -197,47 +221,32 @@ func (s *Simulator) pop() (float64, func()) {
 	fn := s.fns[top.slot]
 	s.fns[top.slot] = nil
 	s.free = append(s.free, top.slot)
-	return top.time, fn
+	return fn
 }
 
 // PeekTime returns the timestamp of the earliest pending event, or
 // ok=false when the queue is empty. Wall-clock drivers use it to decide
 // how long they may sleep before virtual time has to advance again.
-func (s *Simulator) PeekTime() (t float64, ok bool) {
-	if s.feedFirst() {
-		return s.feed.time, true
-	}
-	if len(s.events) == 0 {
-		return 0, false
-	}
-	return s.events[0].time, true
-}
+func (s *Simulator) PeekTime() (t float64, ok bool) { t, _, ok = s.peek(); return t, ok }
 
-// Pending returns the number of queued events, the feed slot's included.
+// Pending returns the number of queued events, the feed slot's included,
+// plus the deferred calls not yet run.
 func (s *Simulator) Pending() int {
+	n := len(s.events) + len(s.deferred)
 	if s.feedFn != nil {
-		return len(s.events) + 1
+		n++
 	}
-	return len(s.events)
+	return n
 }
 
-// Run executes events in timestamp order until the queue drains or the
-// event limit is hit (an error).
-func (s *Simulator) Run() error {
-	for s.Pending() > 0 {
-		if s.Limit > 0 && s.Processed >= s.Limit {
-			return fmt.Errorf("des: event limit %d reached at t=%v", s.Limit, s.clock)
-		}
-		t, fn := s.pop()
-		s.clock = t
-		s.Processed++
-		fn()
-	}
-	return nil
-}
+// Run executes events in timestamp order, and each instant's deferred
+// calls once its events have run, until nothing is pending or the event
+// limit is hit (an error).
+func (s *Simulator) Run() error { return s.dispatch(math.Inf(1)) }
 
-// RunUntil executes events with timestamps <= t, then sets the clock to
-// t, which must be finite and not before now.
+// RunUntil executes events with timestamps <= t, and the deferred calls
+// of their instants, then sets the clock to t, which must be finite and
+// not before now.
 func (s *Simulator) RunUntil(t float64) error {
 	if t < s.clock {
 		return fmt.Errorf("des: RunUntil(%v) before now (%v)", t, s.clock)
@@ -245,15 +254,37 @@ func (s *Simulator) RunUntil(t float64) error {
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		return fmt.Errorf("des: RunUntil at non-finite time %v", t)
 	}
-	for next, ok := s.PeekTime(); ok && next <= t; next, ok = s.PeekTime() {
-		if s.Limit > 0 && s.Processed >= s.Limit {
-			return fmt.Errorf("des: event limit %d reached at t=%v", s.Limit, s.clock)
-		}
-		et, fn := s.pop()
-		s.clock = et
-		s.Processed++
-		fn()
+	if err := s.dispatch(t); err != nil {
+		return err
 	}
 	s.clock = t
 	return nil
+}
+
+// dispatch is the one loop behind Run and RunUntil: it runs the events
+// with timestamps <= until in (time, seq) order, and a batch of deferred
+// calls whenever no event is left at the current time.
+func (s *Simulator) dispatch(until float64) error {
+	for {
+		next, feed, ok := s.peek()
+		if len(s.deferred) > 0 && (!ok || next > s.clock) {
+			batch := s.deferred // calls deferred meanwhile gather in spare
+			s.deferred = s.spare
+			for _, fn := range batch {
+				fn()
+			}
+			s.spare = batch[:0] // its calls stay referenced until overwritten
+			continue
+		}
+		if !ok || next > until {
+			return nil
+		}
+		if s.Limit > 0 && s.Processed >= s.Limit {
+			return fmt.Errorf("des: event limit %d reached at t=%v", s.Limit, s.clock)
+		}
+		fn := s.pop(feed)
+		s.clock = next
+		s.Processed++
+		fn()
+	}
 }

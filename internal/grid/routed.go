@@ -135,10 +135,10 @@ func NewRouted(members []Member, jobs []*workload.Job, bags []*workload.Bag, rou
 // tasks from the head of the stock — unless it is behind an open
 // partition window, which Fleet.Grant skips too. Call it before Run.
 //
-// The stock's first grant runs at t = 0, after the t = 0 arrivals, and
-// reads live loads like every later one: a cluster with local jobs
-// released at exactly t = 0 is topped up to its free processors less
-// the best-effort tasks already queued on it.
+// The stock's first grant runs at t = 0 and reads live loads like every
+// later one, before any cluster has decided (each decides once the
+// instant's events have fired): every cluster is topped up to all of its
+// processors, whatever local jobs it has queued at t = 0.
 func (r *Routed) FeedOnIdle() {
 	for i, s := range r.clusters {
 		s.OnIdle = func(free int) {

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Paired benchmark ledger. Runs bench/run.sh alternately on a parent git
-# ref and on this checkout's working tree, over consecutive seeds, and
+# Paired benchmark ledger. Runs bench/run.sh alternately on a parent (a
+# git ref or a directory) and on this checkout's working tree, over
+# consecutive seeds, and
 # writes the comparison as JSON: every raw run, per-metric medians and
 # quartiles, how many pairs the change won, and whether the two sides'
 # sim_digest values agree.
 #
-#   scripts/bench-pair.sh [options] <parent-ref> <workload>[:<pairs>[:<trace>]] ...
+#   scripts/bench-pair.sh [options] <parent-ref|parent-dir> <workload>[:<pairs>[:<trace>]] ...
 #
 #   --seed N       first seed (default: drawn from /dev/urandom); every
 #                  pair takes the next one, across workloads in the order given
@@ -15,10 +16,12 @@
 #   --claim W:M    judge metric M of workload W (untraced) as a claimed gain
 #
 # <pairs> defaults to 10 and <trace> (0 or 1) to 0. Pair i runs the
-# parent first when i is even. The parent is checked out with
-# `git worktree add` under .bench_build/, which is git-ignored, and
-# removed on every exit; each side builds itself through its own
-# bench/run.sh, after one short unrecorded warm-up run per workload.
+# parent first when i is even. A parent given as a directory (say, a
+# `git archive` copy of the parent commit) is used as it is and left in
+# place; a parent given as a ref is checked out with `git worktree add`
+# under .bench_build/, which is git-ignored, and removed on every exit.
+# Each side builds itself through its own bench/run.sh, after one short
+# unrecorded warm-up run per workload.
 # Progress goes to standard error. The exit status is non-zero when a run
 # fails to produce a result, reports "correct": false or a failed
 # operation, when the two sides of a pair disagree on sim_digest for a
@@ -30,7 +33,7 @@
 set -euo pipefail
 
 usage() {
-	sed -n '8,17p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
+	sed -n '9,18p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
 	exit "${1:-2}"
 }
 
@@ -57,21 +60,34 @@ fi
 ref=$1
 shift
 case $out in "" | /*) ;; *) out=$PWD/$out ;; esac
+parent_dir=
+if [ -d "$ref" ]; then
+	parent_dir=$(cd "$ref" && pwd)
+fi
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 root=$PWD
-parent_sha=$(git rev-parse --verify "$ref^{commit}")
-tree=$root/.bench_build/pair-parent
-unpair() {
-	git -C "$root" worktree remove --force "$tree" >/dev/null 2>&1 || rm -rf "$tree"
-	git -C "$root" worktree prune
-}
-unpair # a worktree left by a run that was killed
+if [ -n "$parent_dir" ]; then
+	tree=$parent_dir
+	parent="directory $tree"
+	unpair() { :; }
+else
+	parent_sha=$(git rev-parse --verify "$ref^{commit}")
+	parent="$ref ($parent_sha)"
+	tree=$root/.bench_build/pair-parent
+	unpair() {
+		git -C "$root" worktree remove --force "$tree" >/dev/null 2>&1 || rm -rf "$tree"
+		git -C "$root" worktree prune
+	}
+	unpair # a worktree left by a run that was killed
+fi
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/bench-pair.XXXXXX")
 trap 'unpair; rm -rf "$tmp"' EXIT
 trap 'exit 130' INT TERM
-mkdir -p "$root/.bench_build"
-git worktree add --detach "$tree" "$parent_sha" >/dev/null 2>&1
+if [ -z "$parent_dir" ]; then
+	mkdir -p "$root/.bench_build"
+	git worktree add --detach "$tree" "$parent_sha" >/dev/null 2>&1
+fi
 
 # run SIDE WORKLOAD SEED TRACE PAIR SECONDS appends one run record to
 # runs.jsonl (PAIR -1: a warm-up, not recorded).
@@ -131,7 +147,7 @@ host=$(jq -n --arg cpu "$(grep -m1 'model name' /proc/cpuinfo | cut -d: -f2- | s
 	'{nproc: $nproc, cpu: $cpu, kernel: $kernel, go: $go}')
 ledger=$(jq -s \
 	--slurpfile bench "$root/BENCHMARK.json" --argjson host "$host" --arg note "$note" --arg claim "$claim" \
-	--arg parent "$ref ($parent_sha)" --arg change "working tree of $(git rev-parse HEAD)$(git diff --quiet HEAD || echo ', with uncommitted changes')" \
+	--arg parent "$parent" --arg change "working tree of $(git rev-parse HEAD)$(git diff --quiet HEAD || echo ', with uncommitted changes')" \
 	--argjson seconds "$seconds" --argjson seed "$seed" --arg seed_source "$seed_source" \
 	-f /dev/stdin "$tmp/runs.jsonl" <<'JQ'
 def r4: if type == "number" then . * 10000 | round / 10000 else . end;
