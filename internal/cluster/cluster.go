@@ -175,9 +175,10 @@ func (v View) Duration(j *workload.Job, p int) float64 {
 
 // Policy decides which queued jobs start now. Implementations must only
 // start jobs that fit in v.Avail and must not start a job twice. The Sim
-// decides once per instant, after every event at it has fired and never
-// while another decision's starts are being made (see wake), so v.Avail
-// and the profile count the same processors. The slice returned passes to
+// decides once per instant at which a job is queued, after every event at
+// it has fired and never while another decision's starts are being made
+// (see wake), so v.Avail and the profile count the same processors; with
+// the queue empty it does not call Decide. The slice returned passes to
 // the caller (see View.Scratch).
 type Policy interface {
 	Name() string
@@ -702,29 +703,35 @@ func (s *Sim) wake() {
 	}
 }
 
-// reschedule runs the policy, starts its decisions (evicting best-effort
-// tasks as needed), then refills holes with best-effort tasks.
+// reschedule runs the policy while a job is queued, starts its decisions
+// (evicting best-effort tasks as needed), then refills holes with
+// best-effort tasks.
 func (s *Sim) reschedule() {
 	s.woken = false
 	now := s.DES.Now()
 	// The queue is tidied before the decision and after its starts, never
 	// in between, so the slots the decisions name are still theirs.
 	s.queue.tidy()
-	view := View{
-		Now: now, Avail: s.avail - s.localProcs, Speed: s.Speed,
-		Queue: s.queue.jobs, Plan: &s.plan, Index: &s.index, Scratch: s.decisions,
-		seqs: s.queue.seqs, sim: s,
-	}
-	decisions := s.policy.Decide(view)
-	for _, d := range decisions {
-		s.start(d, now)
-	}
-	s.queue.tidy()
-	// What came back is the scratch, or the larger array the policy's
-	// appends moved to, which takes its place.
-	clear(decisions)
-	if cap(decisions) > cap(s.decisions) {
-		s.decisions = decisions[:0]
+	// On an empty queue no shipped policy decides or changes anything (a
+	// conservative plan holds there: each job it planned has left the
+	// queue), so the policy is not asked.
+	if len(s.queue.jobs) > 0 {
+		view := View{
+			Now: now, Avail: s.avail - s.localProcs, Speed: s.Speed,
+			Queue: s.queue.jobs, Plan: &s.plan, Index: &s.index, Scratch: s.decisions,
+			seqs: s.queue.seqs, sim: s,
+		}
+		decisions := s.policy.Decide(view)
+		for _, d := range decisions {
+			s.start(d, now)
+		}
+		s.queue.tidy()
+		// What came back is the scratch, or the larger array the policy's
+		// appends moved to, which takes its place.
+		clear(decisions)
+		if cap(decisions) > cap(s.decisions) {
+			s.decisions = decisions[:0]
+		}
 	}
 	s.fillBestEffort(now)
 	if s.OnIdle != nil {

@@ -457,11 +457,11 @@ func TestViewBuffersReused(t *testing.T) {
 	if len(s.Completions()) != 30 {
 		t.Fatalf("%d completions", len(s.Completions()))
 	}
-	// One decision per instant: the 30 arrivals, 0.5 apart from 0, and the
-	// finishes 2 later, all but the last four on an arrival's instant, make
-	// 34. At most one job starts per decision: the scratch is allocated
-	// once.
-	if cov["decisions"] != 34 || moved != 1 {
+	// One decision per instant at which a job is queued: the 30 arrivals,
+	// 0.5 apart from 0, make 30. The finishes 2 later fall on an arrival's
+	// instant but for the last four, which find the queue empty. At most
+	// one job starts per decision: the scratch is allocated once.
+	if cov["decisions"] != 30 || moved != 1 {
 		t.Fatalf("%d decisions, the scratch moved %d times", cov["decisions"], moved)
 	}
 }

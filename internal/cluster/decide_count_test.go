@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/des"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -48,8 +50,9 @@ func countDecisions(t *testing.T, m int, policy Policy, feed func(*Sim) error) *
 // costs: five 4-wide jobs released together at t = 1 onto 4 processors
 // under EASY. Submitted, each job is its own arrival event; streamed, the
 // group arrives in one event. Either way the Sim decides once at t = 1,
-// after the last of them, and once at each finish: six calls, the last,
-// at the final finish, empty.
+// after the last of them, and once at each finish but the last, which
+// finds the queue empty and asks the policy nothing: five calls, each of
+// which starts a job.
 func TestDecideCountsArrivalGroup(t *testing.T) {
 	group := func() []*workload.Job {
 		jobs := make([]*workload.Job, 5)
@@ -64,8 +67,8 @@ func TestDecideCountsArrivalGroup(t *testing.T) {
 		feed                func(*Sim, []*workload.Job) error
 		calls, empty, atOne int
 	}{
-		{"submitted", submitAll, 6, 1, 1},
-		{"streamed", func(s *Sim, jobs []*workload.Job) error { return s.Stream(&sliceSource{jobs: jobs}) }, 6, 1, 1},
+		{"submitted", submitAll, 5, 0, 1},
+		{"streamed", func(s *Sim, jobs []*workload.Job) error { return s.Stream(&sliceSource{jobs: jobs}) }, 5, 0, 1},
 	} {
 		jobs := group()
 		p := countDecisions(t, 4, EASYPolicy{}, func(s *Sim) error { return tc.feed(s, jobs) })
@@ -79,17 +82,17 @@ func TestDecideCountsArrivalGroup(t *testing.T) {
 // TestDecideCountsDeepQueue pins the decisions of the deep benchmarks'
 // stream (MixedSource, M = 64, seed 7, rate 2) under FCFS, EASY, greedy
 // fit and conservative backfilling: the calls, and the share that start
-// nothing.
+// nothing. A finish that leaves the queue empty asks the policy nothing.
 func TestDecideCountsDeepQueue(t *testing.T) {
 	for _, tc := range []struct {
 		policy       Policy
 		n            int
 		calls, empty int
 	}{
-		{FCFSPolicy{}, 5000, 10000, 8314},
-		{EASYPolicy{}, 5000, 10000, 6502},
-		{GreedyFitPolicy{}, 5000, 10000, 5046},
-		{ConservativePolicy{}, 700, 1400, 1031},
+		{FCFSPolicy{}, 5000, 9969, 8283},
+		{EASYPolicy{}, 5000, 9996, 6498},
+		{GreedyFitPolicy{}, 5000, 9998, 5044},
+		{ConservativePolicy{}, 700, 1382, 1013},
 	} {
 		t.Run(tc.policy.Name(), func(t *testing.T) {
 			src := workload.MixedSource(workload.GenConfig{N: tc.n, M: 64, Seed: 7, ArrivalRate: 2, RigidFraction: 0.5})
@@ -99,5 +102,22 @@ func TestDecideCountsDeepQueue(t *testing.T) {
 					tc.n, p.calls, p.empty, 100*float64(p.empty)/float64(p.calls), tc.calls, tc.empty)
 			}
 		})
+	}
+}
+
+// TestDecideCountsReplay pins the decisions of TestReplayAllocBudget's
+// replay: EASY on the 20 000-job archive at about half load. Every job
+// arrives at an instant of its own and finds the machine with room, so
+// the Sim decides once per arrival and starts the job; a finish leaves
+// the queue empty and asks the policy nothing. 20 000 calls, none empty.
+func TestDecideCountsReplay(t *testing.T) {
+	const n = 20_000
+	var archive bytes.Buffer
+	WriteReplayRecords(t, &archive, n)
+	p := countDecisions(t, ReplayM, EASYPolicy{}, func(s *Sim) error {
+		return s.Stream(trace.NewSWFJobSource(bytes.NewReader(archive.Bytes())))
+	})
+	if p.calls != n || p.empty != 0 {
+		t.Fatalf("%d jobs: %d calls, %d empty; want %d calls, 0 empty", n, p.calls, p.empty, n)
 	}
 }

@@ -13,7 +13,6 @@ package cluster_test
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -25,16 +24,9 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/metrics"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
-
-// replayM is the cluster width the replay stream is shaped for. The
-// arrival rate (2 jobs/s) times the mean work per job (~10.5s × ~1.5
-// procs) keeps utilization near 50%, so the queue — and with it the
-// active set — stays bounded however long the archive is.
-const replayM = 64
 
 // replayJobs resolves the archive size (REPLAY_JOBS env, default 1M).
 func replayJobs(tb testing.TB) int {
@@ -49,25 +41,6 @@ func replayJobs(tb testing.TB) int {
 	return n
 }
 
-// writeReplayRecords streams an n-job rigid trace to out in O(1) memory
-// (the generator writes line by line; nothing is accumulated).
-func writeReplayRecords(tb testing.TB, out io.Writer, n int) {
-	tb.Helper()
-	w := trace.NewSWFWriter(out)
-	rng := stats.NewRNG(1)
-	for i := 0; i < n; i++ {
-		if err := w.Write(trace.SWFRecord{
-			ID: i, Submit: float64(i) * 0.5, Wait: 0,
-			Runtime: rng.Range(1, 20), Procs: rng.IntRange(1, 2), Weight: 1,
-		}); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		tb.Fatal(err)
-	}
-}
-
 // writeReplayArchive writes that trace to a file at path.
 func writeReplayArchive(tb testing.TB, path string, n int) {
 	tb.Helper()
@@ -75,7 +48,7 @@ func writeReplayArchive(tb testing.TB, path string, n int) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	writeReplayRecords(tb, f, n)
+	cluster.WriteReplayRecords(tb, f, n)
 	if err := f.Close(); err != nil {
 		tb.Fatal(err)
 	}
@@ -94,8 +67,8 @@ func writeReplayArchive(tb testing.TB, path string, n int) {
 func TestReplayAllocBudget(t *testing.T) {
 	const n = 20_000
 	var archive bytes.Buffer
-	writeReplayRecords(t, &archive, n)
-	sim, err := cluster.New(des.New(), replayM, 1, cluster.EASYPolicy{}, cluster.KillNewest)
+	cluster.WriteReplayRecords(t, &archive, n)
+	sim, err := cluster.New(des.New(), cluster.ReplayM, 1, cluster.EASYPolicy{}, cluster.KillNewest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +101,8 @@ func TestReplayAllocBudget(t *testing.T) {
 func TestFCFSReplayLeavesProfileUntouched(t *testing.T) {
 	const n = 20_000
 	var archive bytes.Buffer
-	writeReplayRecords(t, &archive, n)
-	sim, err := cluster.New(des.New(), replayM, 1, cluster.FCFSPolicy{}, cluster.KillNewest)
+	cluster.WriteReplayRecords(t, &archive, n)
+	sim, err := cluster.New(des.New(), cluster.ReplayM, 1, cluster.FCFSPolicy{}, cluster.KillNewest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,9 +116,9 @@ func TestFCFSReplayLeavesProfileUntouched(t *testing.T) {
 		t.Fatalf("completed %d of %d jobs", sim.CompletedCount(), n)
 	}
 	p := sim.ProfileAsIs()
-	if p.Segments() != 1 || p.Start() != 0 || p.AvailableAt(0) != replayM {
+	if p.Segments() != 1 || p.Start() != 0 || p.AvailableAt(0) != cluster.ReplayM {
 		t.Fatalf("profile breaks at %v with %d free from %v, want one segment from 0 with all %d free",
-			p.Breakpoints(), p.AvailableAt(p.Start()), p.Start(), replayM)
+			p.Breakpoints(), p.AvailableAt(p.Start()), p.Start(), cluster.ReplayM)
 	}
 }
 
@@ -182,7 +155,7 @@ func (s *countingSource) Next() (*workload.Job, bool) {
 // admitted, the source's Next calls and Run's error.
 func streamDefect(t *testing.T, archive []byte) (admitted, calls int, err error) {
 	t.Helper()
-	sim, err := cluster.New(des.New(), replayM, 1, cluster.EASYPolicy{}, cluster.KillNewest)
+	sim, err := cluster.New(des.New(), cluster.ReplayM, 1, cluster.EASYPolicy{}, cluster.KillNewest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,8 +186,8 @@ func TestStreamMalformedRecordMidArchive(t *testing.T) {
 // reads the source any more.
 func TestStreamWideJobStopsReadAhead(t *testing.T) {
 	before := runtime.NumGoroutine()
-	admitted, calls, err := streamDefect(t, defectArchive(2500, fmt.Sprintf("2500 1250 0 5 %d 1", replayM+1)))
-	want := fmt.Sprintf("cluster: job 2500 needs %d > %d procs", replayM+1, replayM)
+	admitted, calls, err := streamDefect(t, defectArchive(2500, fmt.Sprintf("2500 1250 0 5 %d 1", cluster.ReplayM+1)))
+	want := fmt.Sprintf("cluster: job 2500 needs %d > %d procs", cluster.ReplayM+1, cluster.ReplayM)
 	if err == nil || err.Error() != want {
 		t.Fatalf("Run = %v, want %s", err, want)
 	}
@@ -245,7 +218,7 @@ func streamReplay(tb testing.TB, path string, n int) (events uint64, peakHeap ui
 		tb.Fatal(err)
 	}
 	defer f.Close()
-	sim, err := cluster.New(des.New(), replayM, 1, cluster.EASYPolicy{}, cluster.KillNewest)
+	sim, err := cluster.New(des.New(), cluster.ReplayM, 1, cluster.EASYPolicy{}, cluster.KillNewest)
 	if err != nil {
 		tb.Fatal(err)
 	}

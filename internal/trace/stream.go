@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"unicode"
 	"unicode/utf8"
@@ -51,7 +52,9 @@ func NewSWFScanner(r io.Reader) *SWFScanner {
 // Every other field goes to strconv.ParseFloat through a string that does
 // not outlive the call, so a record costs no allocation (a field longer
 // than the 32 bytes the compiler keeps on the stack for such a string
-// costs one). Values and error texts are strconv's own.
+// costs one). Values and error texts are strconv's own. The ID and procs
+// fields must then hold integers within ±2^53 (see isInt53): any other
+// value ends the scan with an error naming the line and the field.
 func (s *SWFScanner) Scan() bool {
 	if s.err != nil {
 		return false
@@ -78,6 +81,12 @@ func (s *SWFScanner) Scan() bool {
 			}
 			l.val[i] = v
 		}
+		for _, i := range [...]int{0, 4} {
+			if !isInt53(l.val[i]) {
+				s.err = fmt.Errorf("trace: line %d field %d: %q is not an integer within ±2^53", s.line, i, l.field[i])
+				return false
+			}
+		}
 		s.rec = SWFRecord{
 			ID: int(l.val[0]), Submit: l.val[1], Wait: l.val[2],
 			Runtime: l.val[3], Procs: int(l.val[4]), Weight: l.val[5],
@@ -86,6 +95,14 @@ func (s *SWFScanner) Scan() bool {
 	}
 	s.err = s.sc.Err() // nil at EOF; bufio.Scanner stays ended, so a later Scan ends again
 	return false
+}
+
+// isInt53 reports whether v is an integer of magnitude at most 2^53: a
+// value of an integer field (ID, procs) that int(v) converts exactly and
+// the same way on every host. For NaN or a value out of int's range the
+// conversion is implementation-dependent, and of a fraction it drops.
+func isInt53(v float64) bool {
+	return math.Abs(v) <= 1<<53 && v == math.Trunc(v)
 }
 
 // asciiSpace marks the ASCII bytes that unicode.IsSpace accepts — the
@@ -115,12 +132,20 @@ type swfLine struct {
 //
 // In the same walk it reads each field as a decimal significand. A field
 // of the form [+-]digits[.digits] with 1 to 19 digits, leading zeros
-// counted, and a significand of at most 2^53 is valued
-// float64(significand) / 10^fraction, negated if signed. Both operands
-// are exact — the fraction has at most 19 digits — and the division
-// rounds correctly, so that is the value strconv.ParseFloat returns, -0
-// included. Any other field — an exponent, hex, Inf, NaN, underscores, no
-// digit, more digits — is left to strconv, which also words the errors.
+// counted, is valued on one of two exact paths, each giving the
+// correctly rounded value and so the one strconv.ParseFloat returns, -0
+// included:
+//
+//   - a significand of at most 2^53 is float64(significand), divided by
+//     10^fraction when there is a fraction: both operands are exact — the
+//     fraction has at most 19 digits — and the division rounds correctly;
+//   - a larger one (a %g float of 16 or 17 digits) is significand ×
+//     10^-fraction by eiselLemire64, strconv's own next path. Where that
+//     cannot tell which way the value rounds, the field is left to
+//     strconv, which settles it on its exact slow path.
+//
+// Any other field — an exponent, hex, Inf, NaN, underscores, no digit,
+// more digits — is left to strconv, which also words the errors.
 func (l *swfLine) decode(line []byte) int {
 	n := 0
 	for i := 0; i < len(line); {
@@ -171,13 +196,22 @@ func (l *swfLine) decode(line []byte) int {
 			if dot >= 0 {
 				digits, frac = digits-1, i-dot-1
 			}
-			if plain && digits >= 1 && digits <= 19 && mant <= 1<<53 {
-				v := float64(mant) / pow10[frac]
-				if neg {
-					v = -v
+			if plain && digits >= 1 && digits <= 19 {
+				v, ok := float64(mant), true
+				if mant > 1<<53 {
+					v, ok = eiselLemire64(mant, -frac, neg)
+				} else {
+					if frac > 0 {
+						v /= pow10[frac]
+					}
+					if neg {
+						v = -v
+					}
 				}
-				l.val[n] = v
-				l.exact |= 1 << n
+				if ok {
+					l.val[n] = v
+					l.exact |= 1 << n
+				}
 			}
 		}
 		n++

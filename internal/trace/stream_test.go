@@ -44,8 +44,9 @@ func writeSWF(w io.Writer, recs []SWFRecord) error {
 
 // scanReference is SWFScanner as it read a line before it split one in
 // place: strings.TrimSpace, strings.Fields, then strconv.ParseFloat on
-// each of the first six fields. It returns every record delivered with
-// its line number, and the error that ended the scan.
+// each of the first six fields, of which the ID and procs must be
+// integers of magnitude at most 2^53. It returns every record delivered
+// with its line number, and the error that ended the scan.
 func scanReference(input string) (recs []SWFRecord, lines []int, err error) {
 	sc := bufio.NewScanner(strings.NewReader(input))
 	sc.Buffer(make([]byte, 0, 64*1024), maxSWFLine)
@@ -65,6 +66,11 @@ func scanReference(input string) (recs []SWFRecord, lines []int, err error) {
 				return recs, lines, fmt.Errorf("trace: line %d field %d: %w", line, i, err)
 			}
 			vals[i] = v
+		}
+		for _, i := range []int{0, 4} {
+			if v := vals[i]; math.IsNaN(v) || math.Abs(v) > 1<<53 || v != math.Floor(v) {
+				return recs, lines, fmt.Errorf("trace: line %d field %d: %q is not an integer within ±2^53", line, i, fields[i])
+			}
 		}
 		recs = append(recs, SWFRecord{
 			ID: int(vals[0]), Submit: vals[1], Wait: vals[2],
@@ -171,10 +177,10 @@ var swfEdgeCases = []struct {
 	// Everything strconv reads as a float is a field value.
 	{"signed_zeros_and_plus", "-0 +5 -0 +5 +5 -0\n", 1, ""},
 	{"underscores", "1_000 0 0 5 2 1\n", 1, ""},
-	{"hex_float", "0x1p-2 0x1p-2 0 5 2 1\n", 1, ""},
+	{"hex_float", "0x1p2 0x1p-2 0 5 2 1\n", 1, ""},
 	{"infinities", "1 Inf -inf +Infinity 2 1\n", 1, ""},
 	{"nan_spellings", "1 nan NaN 5 2 1\n", 1, ""},
-	{"twenty_digit_id", "12345678901234567890 0 0 5 2 1\n", 1, ""},
+	{"twenty_digit_id", "12345678901234567890 0 0 5 2 1\n", 0, `line 1 field 0: "12345678901234567890" is not an integer within ±2^53`},
 	{"forty_byte_field", "1 0." + strings.Repeat("3", 38) + " 0 5 2 1\n", 1, ""}, // beyond the 32-byte stack string
 	{"out_of_range", "1 1e999 0 5 2 1\n", 0, `line 1 field 1: strconv.ParseFloat: parsing "1e999": value out of range`},
 	{"lone_minus", "1 0 0 5 2 1\n2 - 0 5 2 1\n", 1, `line 2 field 1: strconv.ParseFloat: parsing "-": invalid syntax`},
@@ -195,6 +201,23 @@ var swfEdgeCases = []struct {
 	{"minus_point", "1 -. 0 5 2 1\n", 0, `line 1 field 1: strconv.ParseFloat: parsing "-.": invalid syntax`},
 	{"two_points", "1 1.2.5 0 5 2 1\n", 0, `line 1 field 1: strconv.ParseFloat: parsing "1.2.5": invalid syntax`},
 	{"inner_sign", "1 1-2 0 5 2 1\n", 0, `line 1 field 1: strconv.ParseFloat: parsing "1-2": invalid syntax`},
+	// The ID and procs are integers within ±2^53, whatever their spelling,
+	// so that int() converts them alike on every host; the first of the
+	// two that is not ends the scan, after every field has been read.
+	{"integer_spellings", "1e1 0 0 5 2.0 1\n0x1p2 0 0 5 +2. 1\n-0 0 0 5 0020 1\n", 3, ""},
+	{"procs_fraction", "1 0 0 5 2.5 1\n", 0, `line 1 field 4: "2.5" is not an integer within ±2^53`},
+	{"id_fraction", "1 0 0 5 2 1\n2.5 0 0 5 2 1\n", 1, `line 2 field 0: "2.5" is not an integer within ±2^53`},
+	{"hex_fraction_id", "0x1p-2 0 0 5 2 1\n", 0, `line 1 field 0: "0x1p-2" is not an integer within ±2^53`},
+	{"procs_1e300", "1 0 0 5 1e300 1\n", 0, `line 1 field 4: "1e300" is not an integer within ±2^53`},
+	{"procs_minus_1e300", "1 0 0 5 -1e300 1\n", 0, `line 1 field 4: "-1e300" is not an integer within ±2^53`},
+	{"procs_inf", "1 0 0 5 +Inf 1\n", 0, `line 1 field 4: "+Inf" is not an integer within ±2^53`},
+	{"id_nan", "NaN 0 0 5 2 1\n", 0, `line 1 field 0: "NaN" is not an integer within ±2^53`},
+	{"id_first_of_both", "0.5 0 0 5 0.5 1\n", 0, `line 1 field 0: "0.5" is not an integer within ±2^53`},
+	{"unparsable_before_integer_check", "0.5 0 zebra 5 2 1\n", 0, `line 1 field 2: strconv.ParseFloat: parsing "zebra": invalid syntax`},
+	{"id_2p53", "9007199254740992 0 0 5 2 1\n-9007199254740992 0 0 5 2 1\n", 2, ""},
+	{"id_2p53_plus_1_reads_as_2p53", "9007199254740993 0 0 5 2 1\n", 1, ""},
+	{"id_2p53_plus_2", "9007199254740994 0 0 5 2 1\n", 0, `line 1 field 0: "9007199254740994" is not an integer within ±2^53`},
+	{"procs_minus_2p53_plus_2", "1 0 0 5 -9007199254740994 1\n", 0, `line 1 field 4: "-9007199254740994" is not an integer within ±2^53`},
 	// The field count is checked before any field is read.
 	{"few_fields_bad_first", "zebra 0 0\n", 0, "line 1: 3 fields, want 6"},
 	{"five_fields_trailing_blank", "1 0 0 5 2 \n", 0, "line 1: 5 fields, want 6"},
@@ -326,7 +349,7 @@ func TestSWFJobSourceStreamsJobs(t *testing.T) {
 	// A refused record six slots into the second slab: the 70 jobs
 	// before it are yielded, then a hard stop that leaves them and the
 	// slab's free slots untouched.
-	for _, bad := range []string{"71 0 0 5 0 1", "71 0 0 0 2 1", "71 0 0 NaN 2 1", "71 0 0 5 2 +Inf", "71 0 0 x 2 1"} {
+	for _, bad := range []string{"71 0 0 5 0 1", "71 0 0 0 2 1", "71 0 0 NaN 2 1", "71 0 0 5 2 +Inf", "71 0 0 x 2 1", "71 0 0 5 2.5 1"} {
 		var in strings.Builder
 		for id := 1; id <= 70; id++ {
 			fmt.Fprintf(&in, "%d %d 0 5 %d 1\n", id, id, 1+id%3)
@@ -458,10 +481,14 @@ func FuzzSWFScanner(f *testing.F) {
 // strconv.ParseFloat accepts, and its value is strconv's bit for bit (so
 // -0 is not 0). Besides the edge rows, the seeds are random uint64s of
 // any length behind up to two leading zeros, as they are and with a
-// point anywhere and an optional sign: both sides of the path's bounds.
+// point anywhere and an optional sign: both sides of the exact paths'
+// bounds; and decimalSeeds, for the Eisel–Lemire path and its fallback.
 func FuzzSWFDecimal(f *testing.F) {
 	for _, tc := range swfEdgeCases {
 		f.Add(tc.input)
+	}
+	for _, s := range decimalSeeds() {
+		f.Add(s)
 	}
 	rng := stats.NewRNG(29)
 	for i := 0; i < 200; i++ {

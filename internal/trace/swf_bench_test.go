@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"testing"
 
 	"repro/internal/stats"
@@ -21,15 +22,21 @@ func benchArchive(n int) []SWFRecord {
 	return recs
 }
 
-func BenchmarkSWFScan(b *testing.B) {
+// benchArchiveBytes is benchArchive's 10 000 records in the SWF format.
+func benchArchiveBytes(b *testing.B) []byte {
 	var buf bytes.Buffer
 	if err := writeSWF(&buf, benchArchive(10_000)); err != nil {
 		b.Fatal(err)
 	}
+	return buf.Bytes()
+}
+
+func BenchmarkSWFScan(b *testing.B) {
+	archive := benchArchiveBytes(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sc := NewSWFScanner(bytes.NewReader(buf.Bytes()))
+		sc := NewSWFScanner(bytes.NewReader(archive))
 		n := 0
 		for sc.Scan() {
 			n++
@@ -38,6 +45,31 @@ func BenchmarkSWFScan(b *testing.B) {
 			b.Fatalf("%d records, err %v", n, sc.Err())
 		}
 	}
+}
+
+// BenchmarkSWFJobSource reads the archive as the replay does: the
+// scanner, then each record filled into the next slot of a job slab. It
+// reports the time and the allocations per record.
+func BenchmarkSWFJobSource(b *testing.B) {
+	archive := benchArchiveBytes(b)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src := NewSWFJobSource(bytes.NewReader(archive))
+		n := 0
+		for _, ok := src.Next(); ok; _, ok = src.Next() {
+			n++
+		}
+		if n != 10_000 || src.Err() != nil {
+			b.Fatalf("%d jobs, err %v", n, src.Err())
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	records := float64(b.N) * 10_000
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/records, "ns/record")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/records, "allocs/record")
 }
 
 func BenchmarkSWFWrite(b *testing.B) {

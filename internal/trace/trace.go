@@ -101,10 +101,11 @@ type SWFRecord struct {
 }
 
 // fill materializes the record in place as a rigid job (runtime frozen
-// as the sequential profile on the recorded processor count). A record
-// with non-positive procs or runtime, or a submit, runtime or weight that
-// is NaN or infinite, becomes no job: fill returns the error and leaves
-// *j as it was.
+// as the sequential profile on the recorded processor count) in *j, which
+// must be the zero Job: fill writes only the fields a rigid job sets. A
+// record with non-positive procs or runtime, or a submit, runtime or
+// weight that is NaN or infinite, becomes no job: fill returns the error
+// and leaves *j as it was.
 func (rec SWFRecord) fill(j *workload.Job) error {
 	if rec.Procs <= 0 || rec.Runtime <= 0 {
 		return fmt.Errorf("trace: record %d: procs %d runtime %v", rec.ID, rec.Procs, rec.Runtime)
@@ -115,12 +116,13 @@ func (rec SWFRecord) fill(j *workload.Job) error {
 				rec.ID, rec.Submit, rec.Runtime, rec.Weight)
 		}
 	}
-	*j = workload.Job{
-		ID: rec.ID, Kind: workload.Rigid, Release: math.Max(rec.Submit, 0),
-		Weight: rec.Weight, DueDate: -1,
-		SeqTime: rec.Runtime * float64(rec.Procs), MinProcs: rec.Procs, MaxProcs: rec.Procs,
-		Model: workload.Linear{},
-	}
+	// Field by field rather than a composite literal, which would build
+	// the whole Job in a temporary and copy it in behind a bulk write
+	// barrier.
+	j.ID, j.Kind, j.Release = rec.ID, workload.Rigid, math.Max(rec.Submit, 0)
+	j.Weight, j.DueDate = rec.Weight, -1
+	j.SeqTime, j.MinProcs, j.MaxProcs = rec.Runtime*float64(rec.Procs), rec.Procs, rec.Procs
+	j.Model = workload.Linear{}
 	return nil
 }
 
