@@ -547,9 +547,10 @@ func (s *Sim) admit(j *workload.Job) {
 	s.wake()
 }
 
-// enqueue appends one job to the waiting queue. All three admission
-// paths (Submit, streamed arrival, InjectNow) funnel through here so
-// OnLocalSubmit observers see every arrival.
+// enqueue appends one job to the waiting queue. Both admission paths
+// (Submit, which migrations and routed arrivals use too, and streamed
+// arrival) funnel through here so OnLocalSubmit observers see every
+// arrival.
 func (s *Sim) enqueue(j *workload.Job) {
 	s.queue.push(j)
 	s.tally(j, 1)
@@ -1121,7 +1122,7 @@ func (s *Sim) finishBE(b *beRunning) {
 
 // Run drives the simulation to completion (all submitted local jobs done
 // and the event queue drained). Afterwards the simulation is drained:
-// further Submit/InjectNow calls return ErrDrained. A stream that the
+// further Submit calls return ErrDrained. A stream that the
 // run abandons (an event-limit error, a panicking policy) is detached
 // before Run returns.
 func (s *Sim) Run() error {
@@ -1277,19 +1278,4 @@ func (s *Sim) StealQueued(n int) []*workload.Job {
 		s.tally(j, -1)
 	}
 	return stolen
-}
-
-// InjectNow enqueues a job immediately (migration arrival from another
-// cluster; its release date is in the past by construction).
-func (s *Sim) InjectNow(j *workload.Job) error {
-	if s.drained {
-		return ErrDrained
-	}
-	if j.MinProcs > s.M {
-		return fmt.Errorf("cluster: job %d needs %d > %d procs", j.ID, j.MinProcs, s.M)
-	}
-	s.submitted++
-	return s.DES.After(0, func() {
-		s.admit(j)
-	})
 }

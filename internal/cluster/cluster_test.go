@@ -282,7 +282,10 @@ func TestStealQueued(t *testing.T) {
 	}
 }
 
-func TestInjectNow(t *testing.T) {
+// TestSubmitReleasedInPast: a job released before now (a migration
+// arrival, or one routed at its release event) is admitted at now, not
+// at its release date.
+func TestSubmitReleasedInPast(t *testing.T) {
 	sim := des.New()
 	s, err := New(sim, 2, 1, FCFSPolicy{}, KillNewest)
 	if err != nil {
@@ -292,15 +295,15 @@ func TestInjectNow(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := rjob(1, 5, 1, 0) // released long ago on another cluster
-	if err := s.InjectNow(j); err != nil {
+	if err := s.Submit(j); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	c := s.Completions()[0]
-	if c.Start < 10 {
-		t.Fatalf("injected job ran at %v before injection time", c.Start)
+	if c.Start != 10 {
+		t.Fatalf("job released at 0 and submitted at 10 started at %v, want 10", c.Start)
 	}
 }
 
@@ -311,9 +314,6 @@ func TestOversizedSubmitRejected(t *testing.T) {
 	}
 	if err := s.Submit(rjob(1, 5, 4, 0)); err == nil {
 		t.Fatal("oversized job accepted")
-	}
-	if err := s.InjectNow(rjob(2, 5, 4, 0)); err == nil {
-		t.Fatal("oversized injection accepted")
 	}
 }
 

@@ -16,7 +16,7 @@ func rigidJob(id int, seq float64, procs int) *workload.Job {
 }
 
 // TestSubmitAfterRunDrained pins the ErrDrained contract: once Run has
-// returned, Submit and InjectNow must refuse instead of scheduling
+// returned, Submit must refuse instead of scheduling
 // events that will never fire.
 func TestSubmitAfterRunDrained(t *testing.T) {
 	s, err := New(des.New(), 4, 1, FCFSPolicy{}, KillNewest)
@@ -37,9 +37,6 @@ func TestSubmitAfterRunDrained(t *testing.T) {
 	}
 	if err := s.Submit(rigidJob(1, 10, 2)); !errors.Is(err, ErrDrained) {
 		t.Fatalf("Submit after Run = %v, want ErrDrained", err)
-	}
-	if err := s.InjectNow(rigidJob(2, 10, 2)); !errors.Is(err, ErrDrained) {
-		t.Fatalf("InjectNow after Run = %v, want ErrDrained", err)
 	}
 	if got := len(s.Completions()); got != 1 {
 		t.Fatalf("%d completions after rejected submissions, want 1", got)

@@ -475,7 +475,7 @@ func (a *audit) countSearch(v View, got []Decision) {
 // one policy each, through a randomized saturating workload with
 // best-effort churn, arrival groups sharing a timestamp, crashes and
 // repairs, availability steps and queue migration between the two
-// (StealQueued into InjectNow, through steal, which counts into cov).
+// (StealQueued into Submit, through steal, which counts into cov).
 // setup, when set, sees each cluster before anything is submitted. It
 // returns the clusters once both have run dry, and whether every job
 // completed.
@@ -532,7 +532,7 @@ func churnTwoClusters(t *testing.T, seed uint64, policies [2]Policy, cov map[str
 		src, at, count := rng.Intn(2), rng.Range(0, horizon), rng.IntRange(1, 3)
 		if err := clock.At(at, func() {
 			for _, j := range steal(t, sims[src], count, cov) {
-				if err := sims[1-src].InjectNow(j); err != nil {
+				if err := sims[1-src].Submit(j); err != nil {
 					t.Error(err)
 				}
 			}

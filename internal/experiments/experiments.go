@@ -2,7 +2,7 @@
 // every table and figure of the paper's evaluation (see DESIGN.md §1
 // for the experiment index) is expressed as a kind runner that expands
 // a declarative scenario.Spec into independent cells and feeds them to
-// the worker-pool replication runner (parallel.go).
+// the one cell loop (parallel.go).
 //
 // The package registers two things with internal/scenario at init time
 // (catalog.go): the kind interpreters, and the built-in Specs that
@@ -11,7 +11,7 @@
 //
 // Every table is structured as a list of independent cells (one
 // parameter combination each, with a deterministic per-cell seed) that
-// runCells executes either sequentially or on a worker pool — see
+// runCells executes one at a time or several at once — see
 // parallel.go for the determinism contract.
 package experiments
 

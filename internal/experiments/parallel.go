@@ -5,22 +5,21 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/scenario"
 )
 
-// opt.Scale.Workers selects the replication runner: 0 or 1 runs every
-// experiment cell sequentially (the historical behaviour); larger values
-// run independent cells on a worker pool bounded by GOMAXPROCS.
-//
 // Determinism contract: a cell is a self-contained unit of work — it
 // derives its own RNG stream from a seed assigned *before* the fan-out
 // and never shares mutable state with other cells — and results are
 // collected in cell-index order. Tables produced with Workers: N are
 // therefore bit-identical to Workers: 1 for the same base seed.
 
-// workers returns the effective worker count for a scale.
+// workers returns how many cells of a scale run at once: 1 for Workers
+// 0 or 1 (sequential, the historical behaviour), else Workers capped at
+// GOMAXPROCS.
 func workers(s scenario.Scale) int {
 	w := s.Workers
 	if w <= 1 {
@@ -32,17 +31,70 @@ func workers(s scenario.Scale) int {
 	return w
 }
 
-// runCells executes fn(0..n-1) — sequentially, or on workers(opt.Scale)
-// goroutines — and returns the results in cell-index order. The first
-// error (lowest cell index) wins, matching what the sequential loop
-// would have reported.
+// fanOut is the one loop every fan-out runs through: cell(0..n-1) on
+// the caller's goroutine and min(w, n) − 1 more, each taking the next
+// cell index from one counter. At w = 1 no goroutine starts, and the
+// cells run in order on the caller's. It returns each cell's duration
+// as the cell reported it, which OnCellDone also sees.
 //
-// When opt.Context is cancelled, no further cells are dispatched and the
-// pool returns the context's error after the in-flight cells finish —
-// the cooperative-cancellation contract of the /v1 run API (a cancel
-// is answered within roughly one cell's duration). opt.OnCellsStart /
-// opt.OnCellDone observe progress; OnCellDone fires from worker
-// goroutines and must be safe for concurrent use.
+// The lowest failed index wins: a cell is skipped once a lower-index
+// cell has failed, and a cell below a failure is never skipped, so the
+// reported error does not depend on timing (at w = 1 the loop stops at
+// the first failure). When opt.Context ends, the cells not yet started
+// fail with its error and the cells in flight finish.
+func fanOut(opt scenario.RunOptions, n, w int, cell func(i int) (time.Duration, error)) ([]time.Duration, error) {
+	if opt.OnCellsStart != nil {
+		opt.OnCellsStart(n)
+	}
+	durs := make([]time.Duration, n)
+	errs := make([]error, n)
+	var next atomic.Int64
+	var low atomic.Int64 // the lowest failed index so far; n while none has
+	low.Store(int64(n))
+	work := func() {
+		for {
+			i := next.Add(1) - 1
+			if i >= low.Load() {
+				return
+			}
+			var err error
+			if opt.Context != nil {
+				err = opt.Context.Err()
+			}
+			if err == nil {
+				if durs[i], err = cell(int(i)); err == nil {
+					if opt.OnCellDone != nil {
+						opt.OnCellDone(int(i), durs[i])
+					}
+					continue
+				}
+			}
+			errs[i] = err
+			for l := low.Load(); i < l && !low.CompareAndSwap(l, i); l = low.Load() {
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(w, n) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	if l := low.Load(); l < int64(n) {
+		return nil, errs[l]
+	}
+	return durs, nil
+}
+
+// runCells executes fn(0..n-1), workers(opt.Scale) at a time, and
+// returns the results in cell-index order. A cancel is answered within
+// roughly one cell's duration — the cooperative-cancellation contract
+// of the /v1 run API. opt.OnCellDone fires on the goroutine that ran
+// the cell and must be safe for concurrent use.
 //
 // Cells may themselves call runCells (CiGriTable fans each load level
 // out into isolated/grid sub-runs); the outer workers then block in
@@ -59,85 +111,20 @@ func runCells[T any](opt scenario.RunOptions, n int, fn func(cell int) (T, error
 // so the /v1 event stream and the stored result cells agree to the
 // nanosecond.
 func runCellsTimed[T any](opt scenario.RunOptions, n int, fn func(cell int) (T, error)) ([]T, []time.Duration, error) {
-	if opt.OnCellsStart != nil {
-		opt.OnCellsStart(n)
-	}
-	ctx := opt.Context
-	durs := make([]time.Duration, n)
-	run := func(i int) (T, error) {
-		t0 := time.Now()
-		v, err := callCell(fn, i)
-		durs[i] = time.Since(t0)
-		if err == nil && opt.OnCellDone != nil {
-			opt.OnCellDone(i, durs[i])
-		}
-		return v, err
-	}
 	out := make([]T, n)
-	if w := workers(opt.Scale); w > 1 && n > 1 {
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		next := make(chan int)
-		if w > n {
-			w = n
-		}
-		for range w {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					// A cell dispatched before the cancel but not yet
-					// started is skipped, not run.
-					if ctx != nil && ctx.Err() != nil {
-						errs[i] = ctx.Err()
-						continue
-					}
-					out[i], errs[i] = run(i)
-				}
-			}()
-		}
-		for i := range n {
-			if ctx == nil {
-				next <- i
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				// Undispatched cells fail with the cancellation error
-				// (slots untouched by any worker — no data race).
-				errs[i] = err
-				continue
-			}
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				errs[i] = ctx.Err()
-			}
-		}
-		close(next)
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		return out, durs, nil
-	}
-	for i := range n {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-		}
-		var err error
-		if out[i], err = run(i); err != nil {
-			return nil, nil, err
-		}
+	durs, err := fanOut(opt, n, workers(opt.Scale), func(i int) (_ time.Duration, err error) {
+		t0 := time.Now()
+		out[i], err = callCell(fn, i)
+		return time.Since(t0), err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return out, durs, nil
 }
 
-// callCell runs one cell, turning a panic into that cell's error. On
-// the pool a cell runs on a goroutine no caller can recover, so without
+// callCell runs one cell, turning a panic into that cell's error. At
+// w > 1 a cell may run on a goroutine no caller can recover, so without
 // this one poison cell would take the whole process down (a daemon, or
 // every fleet worker its lease is requeued to); as an error it is
 // reported by the lowest-index rule like any other failure.
@@ -167,8 +154,8 @@ func newTable(axes int, title string, headers ...string) *rtable {
 	return &rtable{title: title, axes: axes, headers: headers}
 }
 
-// AddRow appends one typed row (rows assembled outside the worker
-// pool carry no per-cell duration).
+// AddRow appends one typed row (rows assembled outside a cell carry no
+// per-cell duration).
 func (t *rtable) AddRow(vals ...any) { t.addCell(vals, 0) }
 
 func (t *rtable) addCell(vals []any, d time.Duration) {
@@ -185,12 +172,11 @@ func (t *rtable) Result() *scenario.Result {
 // runTableCells is the remoteable fan-out primitive: each cell's
 // entire product is typed table rows, so a cell can execute in another
 // process and ship its rows back. With opt.Remote set (the fleet
-// coordinator side) every cell is dispatched through it concurrently —
+// coordinator side) every cell is dispatched through it at once —
 // dispatch is I/O-bound waiting on workers, so the local Workers bound
 // does not apply. With opt.Select set (the fleet worker side) only the
 // leased cells execute, reporting rows through opt.OnCellRows. With
-// neither, this is exactly runCellsTimed: the local pool, results in
-// cell-index order.
+// neither, this is exactly runCellsTimed.
 //
 // The rule for kind runners that follows: anything built before the
 // fan-out is built by every process of a fleet run — by the coordinator,
@@ -224,43 +210,23 @@ func runTableCells(opt scenario.RunOptions, n int, fn func(cell int) ([][]any, e
 	return runCellsTimed(opt, n, fn)
 }
 
-// runRemoteCells ships one fan-out through the coordinator seam. All n
-// cells block on opt.Remote concurrently; results land in their slots,
-// so reassembly order is cell order no matter which worker finished
-// what when. The first error (lowest cell index) wins, matching the
-// local pool's contract.
+// runRemoteCells ships one fan-out through the coordinator seam:
+// fanOut with one goroutine per cell, so all n cells block on opt.Remote
+// at once. Each cell keeps the duration its worker measured; results
+// land in their slots, so reassembly order is cell order no matter
+// which worker finished what when.
 func runRemoteCells(opt scenario.RunOptions, fanout, n int) ([][][]any, []time.Duration, error) {
-	if opt.OnCellsStart != nil {
-		opt.OnCellsStart(n)
-	}
 	ctx := opt.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	out := make([][][]any, n)
-	durs := make([]time.Duration, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range n {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rows, d, err := opt.Remote.RunCell(ctx, fanout, i)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			out[i], durs[i] = rows, d
-			if opt.OnCellDone != nil {
-				opt.OnCellDone(i, d)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
+	durs, err := fanOut(opt, n, n, func(i int) (d time.Duration, err error) {
+		out[i], d, err = opt.Remote.RunCell(ctx, fanout, i)
+		return d, err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return out, durs, nil
 }

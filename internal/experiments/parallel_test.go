@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -186,5 +187,152 @@ func TestRunCellsProgress(t *testing.T) {
 				t.Fatalf("workers=%d: cell %d reported %d times", workers, i, n)
 			}
 		}
+	}
+}
+
+// TestRunCellsLowestErrorWins: the reported error is the lowest failed
+// cell's even when a higher cell fails first, whatever the width.
+func TestRunCellsLowestErrorWins(t *testing.T) {
+	const n = 12
+	for _, w := range []int{1, 4, n} {
+		for run := range 50 {
+			_, err := fanOut(scenario.RunOptions{}, n, w, func(i int) (time.Duration, error) {
+				switch i {
+				case 3:
+					time.Sleep(2 * time.Millisecond)
+					return 0, errors.New("boom 3")
+				case 7:
+					return 0, errors.New("boom 7")
+				}
+				return 0, nil
+			})
+			if err == nil || err.Error() != "boom 3" {
+				t.Fatalf("w=%d run %d: err = %v, want boom 3", w, run, err)
+			}
+		}
+	}
+}
+
+// goid is the calling goroutine's id, read from its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// TestRunCellsSequentialOnCaller: at Workers 0 or 1 the cells run in
+// order on the caller's goroutine, and none starts after the first
+// failure.
+func TestRunCellsSequentialOnCaller(t *testing.T) {
+	caller := goid()
+	for _, workers := range []int{0, 1} {
+		var order []int
+		_, err := runCells(scenario.RunOptions{Scale: scenario.Scale{Workers: workers}}, 10, func(i int) (int, error) {
+			if g := goid(); g != caller {
+				t.Errorf("workers=%d: cell %d ran on goroutine %s, caller is %s", workers, i, g, caller)
+			}
+			order = append(order, i)
+			if i == 4 {
+				return 0, errors.New("boom 4")
+			}
+			return i, nil
+		})
+		if err == nil || err.Error() != "boom 4" {
+			t.Fatalf("workers=%d: err = %v, want boom 4", workers, err)
+		}
+		if fmt.Sprint(order) != "[0 1 2 3 4]" {
+			t.Fatalf("workers=%d: cells ran in order %v, want [0 1 2 3 4]", workers, order)
+		}
+	}
+}
+
+// TestRunCellsBelowFailureAllRun: on several goroutines, a failure
+// skips only cells above it; every cell below it still runs.
+func TestRunCellsBelowFailureAllRun(t *testing.T) {
+	const n, failed = 40, 20
+	for _, w := range []int{2, 4, n} {
+		for run := range 10 {
+			var ran [n]atomic.Bool
+			_, err := fanOut(scenario.RunOptions{}, n, w, func(i int) (time.Duration, error) {
+				ran[i].Store(true)
+				if i == failed {
+					return 0, errors.New("boom")
+				}
+				time.Sleep(100 * time.Microsecond)
+				return 0, nil
+			})
+			if err == nil {
+				t.Fatalf("w=%d run %d: no error", w, run)
+			}
+			for i := range failed + 1 {
+				if !ran[i].Load() {
+					t.Fatalf("w=%d run %d: cell %d below the failure was skipped", w, run, i)
+				}
+			}
+		}
+	}
+}
+
+// barrierRunner is a fake fleet coordinator: every RunCell blocks until
+// all n cells are in flight at once, then reports cell i's rows and a
+// worker-measured duration of i+1 ms. With hold set, the cells then
+// wait for the run's context to end instead.
+type barrierRunner struct {
+	n       int32
+	arrived atomic.Int32
+	all     chan struct{}
+	hold    bool
+}
+
+func (r *barrierRunner) RunCell(ctx context.Context, _, cell int) ([][]any, time.Duration, error) {
+	if r.arrived.Add(1) == r.n {
+		close(r.all)
+	}
+	select {
+	case <-r.all:
+	case <-time.After(10 * time.Second):
+		return nil, 0, fmt.Errorf("cell %d: the %d cells were never in flight at once", cell, r.n)
+	}
+	if r.hold {
+		<-ctx.Done()
+		return nil, 0, ctx.Err()
+	}
+	return [][]any{{cell}}, time.Duration(cell+1) * time.Millisecond, nil
+}
+
+// TestRunCellsRemote: the coordinator side blocks on every cell at
+// once, keeps the duration each worker measured, and a cancel ends the
+// fan-out with the context's error.
+func TestRunCellsRemote(t *testing.T) {
+	const n = 16
+	r := &barrierRunner{n: n, all: make(chan struct{})}
+	var mu sync.Mutex
+	done := map[int]time.Duration{}
+	opt := scenario.RunOptions{Remote: r, OnCellDone: func(i int, d time.Duration) {
+		mu.Lock()
+		done[i] = d
+		mu.Unlock()
+	}}
+	rows, durs, err := runRemoteCells(opt, 0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range n {
+		want := time.Duration(i+1) * time.Millisecond
+		if durs[i] != want || done[i] != want {
+			t.Fatalf("cell %d: duration %v, progress %v, want the worker's %v", i, durs[i], done[i], want)
+		}
+		if fmt.Sprint(rows[i]) != fmt.Sprintf("[[%d]]", i) {
+			t.Fatalf("cell %d: rows %v", i, rows[i])
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	r = &barrierRunner{n: n, all: make(chan struct{}), hold: true}
+	go func() {
+		<-r.all
+		cancel()
+	}()
+	if _, _, err := runRemoteCells(scenario.RunOptions{Remote: r, Context: ctx}, 0, n); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

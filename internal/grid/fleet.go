@@ -150,8 +150,8 @@ func (f *Fleet) Migrate(now float64, onMigrate func(j *workload.Job, src, dst in
 			if j.MinProcs > f.Sims[dst].M {
 				dst = mv.Src // does not fit; back home
 			}
-			if err := f.Sims[dst].InjectNow(j); err != nil {
-				_ = f.Sims[mv.Src].InjectNow(j)
+			if err := f.Sims[dst].Submit(j); err != nil {
+				_ = f.Sims[mv.Src].Submit(j)
 				continue
 			}
 			if dst == mv.Dst {

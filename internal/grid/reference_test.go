@@ -498,13 +498,13 @@ func (d *Decentralized) moveOne(src, dst int, load []float64) bool {
 	j := stolen[0]
 	if j.MinProcs > d.clusters[dst].M {
 		// Does not fit the target; put it back.
-		if err := d.clusters[src].InjectNow(j); err != nil {
+		if err := d.clusters[src].Submit(j); err != nil {
 			return false
 		}
 		return false
 	}
-	if err := d.clusters[dst].InjectNow(j); err != nil {
-		_ = d.clusters[src].InjectNow(j)
+	if err := d.clusters[dst].Submit(j); err != nil {
+		_ = d.clusters[src].Submit(j)
 		return false
 	}
 	d.stats.Migrations++

@@ -167,7 +167,7 @@ func (r *Routed) place(j *workload.Job) {
 		r.stats.Rejected++
 		return
 	}
-	if err := r.fleet.Sims[idx].InjectNow(j); err != nil {
+	if err := r.fleet.Sims[idx].Submit(j); err != nil {
 		r.stats.Rejected++
 		return
 	}

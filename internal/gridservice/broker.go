@@ -135,11 +135,6 @@ type jobRecord struct {
 	home   int
 }
 
-// counts are one cluster's job tallies behind its Stats.
-type counts struct {
-	tracked, waiting, running, completed int
-}
-
 // Broker runs a fleet of clusters on one DES behind one submission API.
 type Broker struct {
 	topo  Topology
@@ -156,7 +151,6 @@ type Broker struct {
 	pacer      *des.Pacer // nil while free-running, and after Drain
 	started    time.Time
 	jobs       map[int]*jobRecord
-	counts     []counts // per cluster, fleet order
 	stock      []cluster.BETask
 	campaigns  []*Campaign // indexed by ID
 	nextJobID  int
@@ -183,11 +177,10 @@ func NewBroker(topo Topology) (*Broker, error) {
 			}),
 			Partitions: topo.Partitions,
 		},
-		cmds:   make(chan func(), mailbox),
-		quit:   make(chan struct{}),
-		done:   make(chan struct{}),
-		jobs:   make(map[int]*jobRecord),
-		counts: make([]counts, len(topo.Clusters)),
+		cmds: make(chan func(), mailbox),
+		quit: make(chan struct{}),
+		done: make(chan struct{}),
+		jobs: make(map[int]*jobRecord),
 	}
 	for i, spec := range topo.Clusters {
 		kp, err := cluster.ParseKillPolicy(spec.Kill)
@@ -204,6 +197,11 @@ func NewBroker(topo Topology) (*Broker, error) {
 		}
 		// Routing reads every cluster's queued work on every submission.
 		cs.TallyQueuedWork()
+		// No product code reads the completion history, and a daemon
+		// that kept it would hold every record and its job for good.
+		if err := cs.SetRetention(metrics.NewDiscard()); err != nil {
+			return nil, err
+		}
 		b.watch(i, cs)
 		b.fleet.Sims = append(b.fleet.Sims, cs)
 	}
@@ -213,19 +211,14 @@ func NewBroker(topo Topology) (*Broker, error) {
 // watch hooks cluster i's lifecycle callbacks into the broker's records.
 // They run on the loop, inside the DES events that cause them.
 func (b *Broker) watch(i int, cs *cluster.Sim) {
-	c := &b.counts[i]
 	cs.OnLocalStart = func(j *workload.Job, procs int, now float64) {
 		if rec := b.jobs[j.ID]; rec != nil {
 			rec.status.State, rec.status.Procs, rec.status.Start = StateRunning, procs, now
-			c.waiting--
-			c.running++
 		}
 	}
 	cs.OnLocalDone = func(cpl metrics.Completion) {
 		if rec := b.jobs[cpl.Job.ID]; rec != nil {
 			rec.status.State, rec.status.End = StateDone, cpl.End
-			c.running--
-			c.completed++
 		}
 	}
 	// A killed campaign task goes back to the central stock; the next
@@ -355,15 +348,11 @@ func (b *Broker) tick() {
 	b.migrations += b.fleet.Migrate(now, b.moved)
 }
 
-// moved re-homes a migrated job's record and counts.
-func (b *Broker) moved(j *workload.Job, src, dst int, _ float64) {
+// moved re-homes a migrated job's record.
+func (b *Broker) moved(j *workload.Job, _, dst int, _ float64) {
 	if rec := b.jobs[j.ID]; rec != nil {
 		rec.home = dst
 	}
-	b.counts[src].tracked--
-	b.counts[src].waiting--
-	b.counts[dst].tracked++
-	b.counts[dst].waiting++
 }
 
 // track records a freshly accepted job on cluster home.
@@ -373,8 +362,6 @@ func (b *Broker) track(j *workload.Job, home int) *jobRecord {
 		home:   home,
 	}
 	b.jobs[j.ID] = rec
-	b.counts[home].tracked++
-	b.counts[home].waiting++
 	b.submitted++
 	return rec
 }
@@ -637,11 +624,13 @@ func (b *Broker) stats() FleetStats {
 	}
 	per := make([]ClusterStats, len(b.fleet.Sims))
 	for i, cs := range b.fleet.Sims {
-		spec, c := b.topo.Clusters[i], b.counts[i]
+		spec := b.topo.Clusters[i]
+		submitted, running, completed := cs.Submitted(), cs.RunningCount(), cs.CompletedCount()
 		st := Stats{
 			Policy: spec.Policy, M: spec.M, Speed: spec.Speed, Dilation: b.topo.Dilation,
 			VirtualNow: now, UptimeSeconds: uptime,
-			Submitted: c.tracked, Waiting: c.waiting, Running: c.running, Completed: c.completed,
+			Submitted: submitted, Waiting: submitted - running - completed,
+			Running: running, Completed: completed,
 			Drained: cs.Drained(), BestEffort: cs.BestEffort(), Report: cs.Report(),
 		}
 		per[i] = ClusterStats{Name: spec.Name, Stats: st}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 
 	"repro/internal/api"
 	"repro/internal/cluster"
@@ -244,13 +245,19 @@ func (b *Broker) metricsHandler(runs *api.RunService) http.HandlerFunc {
 		for _, s := range clusterSeries {
 			head(s.name, s.help, s.typ)
 			for _, c := range st.Clusters {
-				fmt.Fprintf(w, "%s{cluster=%q} %g\n", s.name, c.Name, s.get(c.Stats))
+				fmt.Fprintf(w, "%s{cluster=\"%s\"} %g\n", s.name, labelValue.Replace(c.Name), s.get(c.Stats))
 			}
 		}
 		api.WriteRunMetrics(w, runs.Summary())
 		metrics.WriteTraceMetrics(w)
 	}
 }
+
+// labelValue escapes a label value as the Prometheus text format does:
+// backslash, double quote and line feed, and nothing else (a Go %q
+// escape such as \t is not one of the format's, and a scraper would
+// reject the whole page).
+var labelValue = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // policyInfo is one local queue policy of the /v1/policies catalog.
 type policyInfo struct {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -561,6 +562,27 @@ func TestBrokerHTTPMetricsAndCatalogs(t *testing.T) {
 	}
 	if len(topo.Clusters) != 4 || topo.GridPolicy != "centralized" {
 		t.Fatalf("topology %+v", topo)
+	}
+}
+
+// TestMetricsLabelEscaping: a cluster name holding a tab, a quote, a
+// backslash and a newline is written as the text format escapes it, so
+// every line of the page still parses.
+func TestMetricsLabelEscaping(t *testing.T) {
+	_, srv := serve(t, Topology{Clusters: []ClusterSpec{{Name: "a\tb\"c\\d\ne", M: 4}}})
+	text, _ := getText(t, srv.URL+"/v1/metrics")
+	if want := `gridd_cluster_processors{cluster="a` + "\t" + `b\"c\\d\ne"} 4`; !strings.Contains(text, want) {
+		t.Fatalf("metrics missing %q:\n%s", want, text)
+	}
+	// A sample line: a name, optional labels whose values use only the
+	// three escapes \\ \" \n, and a value.
+	sample := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*` +
+		`(\{[a-zA-Z_][a-zA-Z0-9_]*="([^"\\\n]|\\[\\"n])*"` +
+		`(,[a-zA-Z_][a-zA-Z0-9_]*="([^"\\\n]|\\[\\"n])*")*\})? \S+$`)
+	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		if !strings.HasPrefix(line, "#") && !sample.MatchString(line) {
+			t.Fatalf("line does not parse as the text format: %q", line)
+		}
 	}
 }
 

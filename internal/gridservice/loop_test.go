@@ -19,11 +19,26 @@ import (
 	"repro/internal/workload"
 )
 
-// completions reads cluster i's local completion records on the loop.
-func (b *Broker) completions(i int) ([]metrics.Completion, error) {
-	var out []metrics.Completion
-	err := b.do(func() { out = b.fleet.Sims[i].Completions() })
-	return out, err
+// recordCompletions wraps every cluster's OnLocalDone, on the loop, so
+// a test sees the completion records the broker itself does not keep.
+// Call it before submitting work; got[i] is cluster i's records in
+// completion order, safe to read once a later Drain has returned.
+func recordCompletions(t *testing.T, b *Broker) (got [][]metrics.Completion) {
+	t.Helper()
+	got = make([][]metrics.Completion, len(b.fleet.Sims))
+	err := b.do(func() {
+		for i, cs := range b.fleet.Sims {
+			done := cs.OnLocalDone
+			cs.OnLocalDone = func(c metrics.Completion) {
+				done(c)
+				got[i] = append(got[i], c)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
 }
 
 // startOne starts the one-cluster broker a flag-configured gridd serves.
@@ -90,6 +105,7 @@ func traceJobs(t *testing.T, seed uint64, n, m int) (forBroker, forOffline []*wo
 func replayIDs(t *testing.T, jobs []*workload.Job, m int, policy string) []int {
 	t.Helper()
 	b := startOne(t, m, policy, 0)
+	done := recordCompletions(t, b)
 	if err := b.SubmitBatch(jobs); err != nil {
 		t.Fatal(err)
 	}
@@ -100,15 +116,36 @@ func replayIDs(t *testing.T, jobs []*workload.Job, m int, policy string) []int {
 	if st.Fleet.Completed != len(jobs) {
 		t.Fatalf("broker completed %d of %d jobs", st.Fleet.Completed, len(jobs))
 	}
-	cs, err := b.completions(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := make([]int, len(cs))
-	for i, c := range cs {
+	ids := make([]int, len(done[0]))
+	for i, c := range done[0] {
 		ids[i] = c.Job.ID
 	}
 	return ids
+}
+
+// TestBrokerKeepsNoHistory: a drained broker holds no completion
+// record (each would pin its job for the daemon's lifetime), and its
+// stats still count every job.
+func TestBrokerKeepsNoHistory(t *testing.T) {
+	const n, m = 500, 16
+	b := startOne(t, m, "easy", 0)
+	if err := b.SubmitBatch(testJobs(n, m, 5)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := b.Drain(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := st.Clusters[0].Stats; c.Submitted != n || c.Completed != n || c.Waiting != 0 || c.Running != 0 {
+		t.Fatalf("stats after drain: %+v", c)
+	}
+	var held int
+	if err := b.do(func() { held = len(b.fleet.Sims[0].Completions()) }); err != nil {
+		t.Fatal(err)
+	}
+	if held != 0 {
+		t.Fatalf("%d of %d completion records held after drain, want 0", held, n)
+	}
 }
 
 // TestServiceMatchesOfflineOrder is the determinism acceptance check: an

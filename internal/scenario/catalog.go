@@ -29,12 +29,12 @@ type RunOptions struct {
 	// fields win).
 	Scale Scale
 
-	// Context, when non-nil, cancels the run cooperatively: the cell
-	// worker pool stops dispatching new cells and the run returns the
-	// context's error. Cells already executing finish first, so a
-	// cancel is answered within roughly one cell's duration.
+	// Context, when non-nil, cancels the run cooperatively: the cells
+	// not yet started fail with the context's error, which the run
+	// returns. Cells already executing finish first, so a cancel is
+	// answered within roughly one cell's duration.
 	Context context.Context
-	// OnCellsStart observes the worker pool discovering work: it is
+	// OnCellsStart observes the cell loop discovering work: it is
 	// called with the cell count of every fan-out the run performs
 	// (nested fan-outs report too, so the running total is the number
 	// of cells discovered so far, not a final figure known up front).
@@ -246,8 +246,8 @@ func (r *Result) EmitFormat(w io.Writer, format string) error {
 	return fmt.Errorf("scenario: empty result")
 }
 
-// Runner expands one Spec into cells and runs them (on the experiment
-// worker pool when opt.Scale.Workers > 1). The seed and scale in opt
+// Runner expands one Spec into cells and runs them (several at once
+// when opt.Scale.Workers > 1). The seed and scale in opt
 // are already resolved against the Spec.
 type Runner func(spec *Spec, opt RunOptions) (*Result, error)
 

@@ -20,8 +20,8 @@ type HTTPRequest struct {
 	Seed *uint64 `json:"seed,omitempty"`
 	// Quick shrinks workloads ~10x (the CLI -quick flag).
 	Quick bool `json:"quick,omitempty"`
-	// Workers selects the cell worker pool (0/1 = sequential; capped
-	// at GOMAXPROCS).
+	// Workers is how many cells run at once (0/1 = sequential, on the
+	// caller's goroutine; capped at GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
 }
 

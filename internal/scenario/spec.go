@@ -190,7 +190,7 @@ func Partitioned(windows []PartitionWindow, i int, now float64) bool {
 type Scale struct {
 	// JobFactor divides job counts (min result 10); 0/1 = paper scale.
 	JobFactor int `json:"job_factor,omitempty"`
-	// Workers bounds the cell worker pool (0/1 = sequential).
+	// Workers bounds how many cells run at once (0/1 = sequential).
 	Workers int `json:"workers,omitempty"`
 }
 

@@ -55,15 +55,6 @@ func (s *Schedule) Makespan() float64 {
 	return mk
 }
 
-// Completions converts the schedule to metric records.
-func (s *Schedule) Completions() []metrics.Completion {
-	cs := make([]metrics.Completion, len(s.Allocs))
-	for i, a := range s.Allocs {
-		cs[i] = metrics.Completion{Job: a.Job, Start: a.Start, End: a.End(), Procs: a.Procs}
-	}
-	return cs
-}
-
 // SumWeightedCompletion returns ΣωiCi without building a Report: the
 // same additions, in allocation order, as Report().SumWeightedCompletion.
 func (s *Schedule) SumWeightedCompletion() float64 {

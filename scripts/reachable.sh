@@ -10,6 +10,13 @@
 # The binaries are built with inlining off, so every called function
 # keeps its own symbol; `go tool nm` then lists what the linker kept.
 #
+# Blind spot: once a binary can look methods up by reflection (through
+# text/template or encoding/json, say), the linker keeps every exported
+# method of each type converted to an interface, called or not. Such a
+# method passes here with no call site; `go build -ldflags=-dumpdep`
+# shows the edge as `type:*T <UsedInIface> -> T.Method`. An unused
+# exported method on such a type is found only by reading its callers.
+#
 # Usage:
 #   scripts/reachable.sh
 set -euo pipefail
