@@ -62,15 +62,19 @@ func fanOut(opt scenario.RunOptions, n, w int, cell func(i int) (time.Duration, 
 				err = opt.Context.Err()
 			}
 			if err == nil {
-				if durs[i], err = cell(int(i)); err == nil {
-					if opt.OnCellDone != nil {
-						opt.OnCellDone(int(i), durs[i])
-					}
-					continue
+				durs[i], err = cell(int(i))
+			}
+			if err == nil {
+				if opt.OnCellDone != nil {
+					opt.OnCellDone(int(i), durs[i])
 				}
+				continue
 			}
 			errs[i] = err
-			for l := low.Load(); i < l && !low.CompareAndSwap(l, i); l = low.Load() {
+			for l := low.Load(); i < l; l = low.Load() { // lower low to i
+				if low.CompareAndSwap(l, i) {
+					break
+				}
 			}
 		}
 	}
