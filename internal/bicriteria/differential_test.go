@@ -84,7 +84,7 @@ func diffInstance(rng *stats.RNG) ([]*workload.Job, int, Options) {
 		case shape < 9: // Model-only
 		default: // a range that starts above one processor
 			j.MinProcs = rng.IntRange(1, j.MaxProcs)
-			j.Times = workload.MakeTable(model, seq, j.MaxProcs)
+			j.Times = workload.MakeTable(model, seq, j.MaxProcs)[j.MinProcs-1:]
 		}
 		if tooWide && rng.Bool(0.1) {
 			j.Kind, j.MinProcs, j.MaxProcs, j.Times = workload.Rigid, m+1, m+1, nil

@@ -587,13 +587,17 @@ const readAheadBatch = 1024
 // event fires. One producer goroutine reads the source ahead for the
 // whole stream, at most 2 × readAheadBatch jobs past the last one taken
 // (see workload.Ahead), so peak memory is
-// O(active jobs + 2 × readAheadBatch) regardless of stream length (a
-// 64-job slab of trace.SWFJobSource lives while any of its jobs does: at
-// worst 64 job structs per active job, the same bound when jobs finish
-// roughly in submission order). Jobs are admitted at max(Release, now);
-// sources should yield non-decreasing releases (all workload generators
-// and sorted SWF archives do), out-of-order jobs are admitted as soon as
-// they surface. Arrival groups sharing a release admit inside a single
+// O(active jobs + 2 × readAheadBatch) regardless of stream length. The
+// generators and trace.SWFJobSource build jobs 64 to a slab, and a slab
+// lives while any of its jobs does, as do a generator slab's string of
+// names and the arena its job's table was cut from (one slab's tables,
+// rounded up to a size class whose rest holds the next slab's first
+// ones). At worst an active job holds 64 jobs, their names and about two
+// slabs' tables; when jobs finish roughly in submission order the bound
+// is the same, counted in slabs of the stream. Jobs are admitted at
+// max(Release, now); sources should yield non-decreasing releases (all
+// workload generators and sorted SWF archives do), out-of-order jobs are
+// admitted as soon as they surface. Arrival groups sharing a release admit inside a single
 // event, which decides once. If the source implements Err() error, a
 // mid-stream failure aborts admission and surfaces from Run. Once Run or
 // a failed Stream returns, no goroutine touches the source any more.

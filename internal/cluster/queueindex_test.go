@@ -225,8 +225,7 @@ func TestIndexMatchesWalkOnHandBuiltViews(t *testing.T) {
 			case rng.Bool(0.3):
 				j = rjob(i, rng.Range(0.1, 20), p, 0)
 			case rng.Bool(0.15) && p > 0:
-				j.Times = make([]float64, p)
-				j.Times[p-1] = odd[rng.Intn(len(odd))]
+				j.Times = []float64{odd[rng.Intn(len(odd))]}
 			}
 			queue = append(queue, j)
 		}
@@ -296,8 +295,7 @@ func runLaneOps(t *testing.T, ops []byte) {
 		switch op := take() % 8; op {
 		case 0, 1, 2:
 			width := 1 + take()%3/2
-			times := make([]float64, width)
-			times[width-1] = laneDurs[take()%len(laneDurs)]
+			times := []float64{laneDurs[take()%len(laneDurs)]}
 			q.push(&workload.Job{ID: int(q.last + 1), MinProcs: width, MaxProcs: width, Times: times})
 		case 3, 4:
 			if q.live == 0 {

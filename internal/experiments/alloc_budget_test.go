@@ -20,30 +20,30 @@ var allocBudgets = []struct {
 	parentBytes, parentAllocs uint64
 	maxBytes, maxAllocs       uint64
 }{
-	{"fig2", 1960536, 8986, 1241856, 7718},
-	{"mrt", 953240, 4403, 678894, 3029},
-	{"batch", 221424, 1418, 101887, 870},
-	{"smart", 117544, 1250, 129299, 1375},
-	{"bicriteria", 191016, 993, 75936, 665},
-	{"dlt", 23384, 593, 25723, 653},
-	{"cigri", 461440, 3809, 507585, 4190},
-	{"decentralized", 90448, 1107, 99493, 1218},
-	{"mixed", 108104, 775, 67725, 561},
-	{"reservations", 26320, 265, 22916, 270},
-	{"malleable", 84464, 1154, 76191, 1209},
-	{"treedlt", 48008, 1438, 52809, 1582},
-	{"criteria", 63216, 503, 45954, 427},
-	{"heterogrid", 1184688, 3146, 713698, 2583},
-	{"policies", 227544, 2369, 250299, 2606},
-	{"gridpolicies", 361792, 3252, 397972, 3578},
-	{"faulttwin", 226040, 2334, 248645, 2568},
-	{"ablation-allotment", 88872, 439, 58318, 395},
-	{"ablation-doubling-base", 85792, 404, 33071, 259},
-	{"ablation-shelf-fill", 63056, 756, 69362, 832},
-	{"ablation-chunk", 10584, 162, 11643, 179},
-	{"ablation-kill-policy", 89008, 779, 97909, 857},
-	{"ablation-compaction", 86648, 510, 47406, 381},
-	{"paper", 68294408, 278395, 48019700, 277150},
+	{"fig2", 1127760, 6977, 1222760, 1850},
+	{"mrt", 617480, 2759, 678894, 1786},
+	{"batch", 92784, 795, 101887, 587},
+	{"smart", 117720, 1255, 117515, 866},
+	{"bicriteria", 69208, 609, 75706, 351},
+	{"dlt", 23624, 598, 25723, 653},
+	{"cigri", 459704, 3618, 502348, 3452},
+	{"decentralized", 98712, 1156, 99493, 1218},
+	{"mixed", 57488, 509, 61609, 435},
+	{"reservations", 20992, 250, 22625, 245},
+	{"malleable", 69408, 1104, 76191, 1122},
+	{"treedlt", 48168, 1443, 52809, 1582},
+	{"criteria", 38448, 388, 42689, 364},
+	{"heterogrid", 649024, 2353, 709324, 1130},
+	{"policies", 218184, 2342, 226662, 1811},
+	{"gridpolicies", 315184, 2926, 337955, 3143},
+	{"faulttwin", 226792, 2298, 235374, 1756},
+	{"ablation-allotment", 53160, 364, 58318, 209},
+	{"ablation-doubling-base", 30224, 240, 33071, 168},
+	{"ablation-shelf-fill", 63200, 761, 63897, 580},
+	{"ablation-chunk", 10760, 167, 11643, 179},
+	{"ablation-kill-policy", 88992, 780, 94142, 799},
+	{"ablation-compaction", 43240, 351, 47406, 227},
+	{"paper", 43129104, 238190, 46026279, 101831},
 }
 
 // catalogTables are the scenarios of the benchmark's catalog_tables

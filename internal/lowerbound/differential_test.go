@@ -29,10 +29,12 @@ func tableJob(rng *stats.RNG, id, m int) *workload.Job {
 			times[p] = 1.5 * base
 		}
 	}
-	return &workload.Job{
+	j := &workload.Job{
 		ID: id, Kind: workload.Moldable, Release: float64(rng.Intn(5)), Weight: float64(rng.Intn(4)),
-		DueDate: -1, SeqTime: base, MinProcs: rng.IntRange(1, maxP), MaxProcs: maxP, Times: times,
+		DueDate: -1, SeqTime: base, MinProcs: rng.IntRange(1, maxP), MaxProcs: maxP,
 	}
+	j.Times = times[j.MinProcs-1:] // drawn over [1, maxP]; indexed from MinProcs
+	return j
 }
 
 // cliffJob is slow but cheap on up to m-1 processors and fast only on
@@ -247,10 +249,11 @@ func FuzzCmaxDual(f *testing.F) {
 			if head%2 == 0 {
 				j.Model = workload.Amdahl{Alpha: float64(head%10) / 20}
 			} else {
-				j.Times = make([]float64, maxP)
-				for p := range j.Times {
-					j.Times[p] = float64(next()%64+1) / 4
+				times := make([]float64, maxP)
+				for p := range times {
+					times[p] = float64(next()%64+1) / 4
 				}
+				j.Times = times[j.MinProcs-1:]
 			}
 			jobs[i] = j
 		}

@@ -11,8 +11,9 @@ import (
 // freeze returns rigid copies of the jobs with the given per-job
 // processor counts, suitable for the rigid-job policies, or MRT's error
 // when a job has no legal count on m processors (procs answers 0 then).
-// A copy shares its job's time table: nothing writes a table, and
-// pinning MinProcs and MaxProcs only narrows the range read from it.
+// A copy shares its job's time table: nothing writes a table. A table is
+// indexed from MinProcs, so pinning the copy at p narrows its table with
+// the range, to the one entry of p.
 func freeze(costs []workload.Cost, m int, procs func(*workload.Cost) int) ([]*workload.Job, map[int]*workload.Job, error) {
 	frozen := make([]*workload.Job, len(costs))
 	copies := make([]workload.Job, len(costs))
@@ -27,6 +28,9 @@ func freeze(costs []workload.Cost, m int, procs func(*workload.Cost) int) ([]*wo
 		*c = *j
 		c.Kind = workload.Rigid
 		c.MinProcs, c.MaxProcs = p, p
+		if j.Times != nil {
+			c.Times = j.Times[p-j.MinProcs:][:1]
+		}
 		frozen[i] = c
 		orig[j.ID] = j
 	}

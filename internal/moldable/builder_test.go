@@ -65,7 +65,7 @@ func diffInstance(rng *stats.RNG, maxN, maxM int) ([]*workload.Job, int) {
 			j.MaxProcs = j.MinProcs
 		default: // a range that starts above one processor
 			j.MinProcs = rng.IntRange(1, j.MaxProcs)
-			j.Times = workload.MakeTable(model, seq, j.MaxProcs)
+			j.Times = workload.MakeTable(model, seq, j.MaxProcs)[j.MinProcs-1:]
 		}
 		jobs = append(jobs, j)
 		for rng.Bool(0.15) && len(jobs) < n { // a run of twins

@@ -236,7 +236,8 @@ func referenceMRT(jobs []*workload.Job, m int, eps float64, allot AllotFunc) (*R
 	return res, lb, nil
 }
 
-// referenceFreeze is the old freeze: one heap clone per job.
+// referenceFreeze is the old freeze: one heap clone per job, its table
+// narrowed with its range.
 func referenceFreeze(costs []workload.Cost, procs func(*workload.Cost) int) ([]*workload.Job, map[int]*workload.Job) {
 	frozen := make([]*workload.Job, len(costs))
 	orig := make(map[int]*workload.Job, len(costs))
@@ -246,6 +247,9 @@ func referenceFreeze(costs []workload.Cost, procs func(*workload.Cost) int) ([]*
 		c := *j
 		c.Kind = workload.Rigid
 		c.MinProcs, c.MaxProcs = p, p
+		if j.Times != nil {
+			c.Times = j.Times[p-j.MinProcs:][:1]
+		}
 		frozen[i] = &c
 		orig[j.ID] = j
 	}

@@ -122,12 +122,8 @@ func hairline(k, mode int) float64 {
 
 // rigidFor is a rigid job on p processors that runs for d.
 func rigidFor(id int, d float64, p int) *workload.Job {
-	times := make([]float64, p)
-	for i := range times {
-		times[i] = d
-	}
 	return &workload.Job{ID: id, Kind: workload.Rigid, Weight: 1, DueDate: -1,
-		SeqTime: d, MinProcs: p, MaxProcs: p, Times: times}
+		SeqTime: d, MinProcs: p, MaxProcs: p, Times: []float64{d}}
 }
 
 // decodeCalendarCase builds, from bytes, a schedule on M in [1, 6] and

@@ -266,25 +266,37 @@ func (s *SWFJobSource) Err() error { return s.sc.err }
 // SWFWriter emits records one at a time in the SWF line format: a
 // header, then "%d %g %g %g %d %g" per record, in Write order. Floats use
 // %g (the shortest form that parses back exactly), so writing what
-// ReadSWFRecords returned reproduces the input bytes.
+// ReadSWFRecords returned reproduces the input bytes. It refuses what
+// SWFScanner refuses of an ID or a processor count, so that a written
+// trace always reads back.
 type SWFWriter struct {
-	bw  *bufio.Writer
-	buf []byte // the line being formatted, reused
-	err error
+	bw   *bufio.Writer
+	buf  []byte // the line being formatted, reused
+	line int    // the line last written, the header being line 1
+	err  error
 }
 
 // NewSWFWriter wraps w and writes the SWF header line.
 func NewSWFWriter(w io.Writer) *SWFWriter {
 	bw := bufio.NewWriter(w)
 	_, err := fmt.Fprintln(bw, "; id submit wait runtime procs weight")
-	return &SWFWriter{bw: bw, err: err}
+	return &SWFWriter{bw: bw, line: 1, err: err}
 }
 
-// Write appends one record. After the first error all writes are no-ops
-// returning that error.
+// Write appends one record. A record whose ID or procs is not an integer
+// within ±2^53 writes nothing and fails with the error SWFScanner would
+// give its line. After the first error all writes are no-ops returning
+// that error.
 func (w *SWFWriter) Write(rec SWFRecord) error {
 	if w.err != nil {
 		return w.err
+	}
+	w.line++
+	for _, f := range [...]struct{ field, v int }{{0, rec.ID}, {4, rec.Procs}} {
+		if v := int64(f.v); v < -1<<53 || v > 1<<53 {
+			w.err = fmt.Errorf("trace: line %d field %d: %q is not an integer within ±2^53", w.line, f.field, strconv.Itoa(f.v))
+			return w.err
+		}
 	}
 	w.buf = appendSWFRecord(w.buf[:0], rec)
 	_, w.err = w.bw.Write(w.buf)

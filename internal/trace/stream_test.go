@@ -391,7 +391,10 @@ func TestSWFJobSourceStreamsJobs(t *testing.T) {
 // with strconv — over the values where the two could part (NaN, the
 // infinities, signed zeros, subnormals, both ends of the range where 'g'
 // switches to an exponent) and over random bit patterns, long lines and
-// short ones sharing the writer's buffer.
+// short ones sharing the writer's buffer — and what was written reads
+// back equal. A record whose ID or procs lies beyond ±2^53
+// (math.MaxInt64 and math.MinInt64 among them) is refused instead, with
+// the error text SWFScanner gives such a field, and writes nothing.
 func TestSWFWriterMatchesFmt(t *testing.T) {
 	floats := []float64{
 		0, math.Copysign(0, -1), 1, -1, 0.5, 1.0 / 3, 123456.789,
@@ -400,7 +403,7 @@ func TestSWFWriterMatchesFmt(t *testing.T) {
 		1e20, math.Nextafter(1e21, 0), 1e21, math.Nextafter(1e21, 2e21), 1e22, 123456789012345678901234,
 		1e-4, math.Nextafter(1e-4, 0), 1e-5, 1e-7, 0.000012345, 100000, 1e6, 12345678,
 	}
-	ints := []int{0, 1, -1, 42, 1_000_000, math.MaxInt64, math.MinInt64}
+	ints := []int{0, 1, -1, 42, 1_000_000, 1 << 53, -1 << 53, 1<<53 + 1, math.MaxInt64, math.MinInt64}
 	var recs []SWFRecord
 	for i, f := range floats {
 		pick := func(k int) float64 { return floats[(i+k)%len(floats)] }
@@ -410,23 +413,64 @@ func TestSWFWriterMatchesFmt(t *testing.T) {
 	}
 	rng := stats.NewRNG(23)
 	bitsOf := func() float64 { return math.Float64frombits(rng.Uint64()) }
+	intOf := func() int { return int(int64(rng.Uint64()) >> uint(rng.Intn(64))) }
 	for i := 0; i < 20000; i++ {
 		recs = append(recs, SWFRecord{
-			ID: int(rng.Uint64()), Submit: bitsOf(), Wait: bitsOf(), Runtime: bitsOf(), Procs: int(rng.Uint64() >> uint(rng.Intn(64))), Weight: bitsOf(),
+			ID: intOf(), Submit: bitsOf(), Wait: bitsOf(), Runtime: bitsOf(), Procs: intOf(), Weight: bitsOf(),
 		})
 	}
 
+	const header = "; id submit wait runtime procs weight\n"
 	var want, got bytes.Buffer
-	fmt.Fprintln(&want, "; id submit wait runtime procs weight")
+	want.WriteString(header)
 	w := NewSWFWriter(&got)
+	var written []SWFRecord
 	for _, rec := range recs {
-		fmt.Fprintf(&want, "%d %g %g %g %d %g\n", rec.ID, rec.Submit, rec.Wait, rec.Runtime, rec.Procs, rec.Weight)
+		line := fmt.Sprintf("%d %g %g %g %d %g\n", rec.ID, rec.Submit, rec.Wait, rec.Runtime, rec.Procs, rec.Weight)
+		// The writer names the first field past ±2^53. The scanner
+		// refuses fmt's line naming one of them, or, where such a field
+		// parses to an integer within ±2^53 (2^53+1 rounds to 2^53),
+		// reads back another record.
+		var refusals []string
+		for _, f := range [...]struct{ field, v int }{{0, rec.ID}, {4, rec.Procs}} {
+			if int64(f.v) < -1<<53 || int64(f.v) > 1<<53 {
+				refusals = append(refusals, fmt.Sprintf("trace: line 2 field %d: %q is not an integer within ±2^53", f.field, strconv.Itoa(f.v)))
+			}
+		}
+		if len(refusals) > 0 {
+			sc := NewSWFScanner(strings.NewReader(header + line))
+			if sc.Scan() {
+				if r := sc.Record(); r.ID == rec.ID && r.Procs == rec.Procs {
+					t.Fatalf("%q reads back", line)
+				}
+			} else if sc.Err() == nil || !slices.Contains(refusals, sc.Err().Error()) {
+				t.Fatalf("%q: the scanner fails with %v, want one of %q", line, sc.Err(), refusals)
+			}
+			var out bytes.Buffer
+			rw := NewSWFWriter(&out)
+			err := rw.Write(rec)
+			if err == nil || err.Error() != refusals[0] {
+				t.Fatalf("%q: Write returned %v, want %s", line, err, refusals[0])
+			}
+			if again := rw.Write(SWFRecord{ID: 1, Procs: 1}); again != err {
+				t.Fatalf("%q: the next Write returned %v, want the first error", line, again)
+			}
+			if ferr := rw.Flush(); ferr != err || strings.Contains(out.String(), line) {
+				t.Fatalf("%q: Flush returned %v and wrote %q", line, ferr, out.String())
+			}
+			continue
+		}
+		want.WriteString(line)
 		if err := w.Write(rec); err != nil {
 			t.Fatal(err)
 		}
+		written = append(written, rec)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
+	}
+	if len(written) == len(recs) || len(written) < len(recs)/2 {
+		t.Fatalf("%d of %d records within ±2^53: both paths are not exercised", len(written), len(recs))
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(want.String(), "\n")
@@ -436,6 +480,22 @@ func TestSWFWriterMatchesFmt(t *testing.T) {
 			}
 		}
 		t.Fatalf("wrote %d lines, fmt prints %d", len(gotLines), len(wantLines))
+	}
+	back, err := ReadSWFRecords(&got)
+	if err != nil || len(back) != len(written) {
+		t.Fatalf("read back %d of %d records: %v", len(back), len(written), err)
+	}
+	for i, rec := range written {
+		// A NaN reads back as the one NaN strconv parses, whatever its
+		// payload was.
+		for _, v := range []*float64{&rec.Submit, &rec.Wait, &rec.Runtime, &rec.Weight} {
+			if math.IsNaN(*v) {
+				*v = math.NaN()
+			}
+		}
+		if !sameRecord(back[i], rec) {
+			t.Fatalf("record %d: wrote %+v, read back %+v", i, rec, back[i])
+		}
 	}
 }
 

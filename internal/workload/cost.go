@@ -42,7 +42,7 @@ func (j *Job) Cost(m int) Cost {
 	for p := j.MinProcs; p <= c.hi; p++ {
 		var t float64 // TimeOn(p), minus its range check
 		if j.Times != nil {
-			t = j.Times[p-1]
+			t = j.Times[p-j.MinProcs]
 		} else {
 			t = j.Model.Time(j.SeqTime, p)
 		}
@@ -93,12 +93,12 @@ func (c *Cost) Gamma(t float64) int {
 	if !c.mono {
 		return j.gammaScan(t, c.hi)
 	}
-	// First p in [MinProcs, hi] with Times[p-1] <= t; MakeTable clamps,
-	// so plateaus are common and the first index on one is wanted.
+	// First p in [MinProcs, hi] with Times[p-MinProcs] <= t; MakeTable
+	// clamps, so plateaus are common and the first index on one is wanted.
 	lo, hi := j.MinProcs, c.hi+1
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if j.Times[mid-1] <= t {
+		if j.Times[mid-j.MinProcs] <= t {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -122,7 +122,7 @@ func (c *Cost) MinWorkUnder(deadline float64) float64 {
 	if p == 0 {
 		return math.Inf(1)
 	}
-	return float64(p) * c.Job.Times[p-1]
+	return float64(p) * c.Job.Times[p-c.Job.MinProcs]
 }
 
 // gammaScan is Gamma for arbitrary profiles: the first p ≤ hi meeting t.

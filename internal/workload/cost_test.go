@@ -78,6 +78,9 @@ func randomCostJob(rng *stats.RNG, id int) *Job {
 			j.Model = randomModel(rng)
 		}
 	}
+	if j.Times != nil {
+		j.Times = j.Times[minP-1:] // priced over [1, maxP]; indexed from MinProcs
+	}
 	return j
 }
 
@@ -171,8 +174,8 @@ func TestCostPlateauTakesFirstIndex(t *testing.T) {
 }
 
 // A summary belongs to the (job, m) it was built from: freezing a clone
-// rewrites MinProcs/MaxProcs, and the clone's own summary must describe
-// the frozen job, not the original.
+// rewrites MinProcs/MaxProcs and narrows its table with them, and the
+// clone's own summary must describe the frozen job, not the original.
 func TestCostOfFrozenCloneIsFresh(t *testing.T) {
 	rng := stats.NewRNG(7)
 	for id := 0; id < 200; id++ {
@@ -183,6 +186,9 @@ func TestCostOfFrozenCloneIsFresh(t *testing.T) {
 		c := j.Clone()
 		c.Kind = Rigid
 		c.MinProcs, c.MaxProcs = p, p
+		if c.Times != nil {
+			c.Times = c.Times[p-j.MinProcs:][:1]
+		}
 		frozen := c.Cost(m)
 		if w, fp := frozen.MinWork(); fp != p || !sameFloat(w, j.WorkOn(p)) {
 			t.Fatalf("job %d frozen at %d: MinWork = (%v,%d)", id, p, w, fp)

@@ -89,14 +89,6 @@ func weight(rng *stats.RNG, weighted bool) float64 {
 	return float64(rng.Zipf(1.1, 10))
 }
 
-func setDueDate(j *Job, rng *stats.RNG, slackMax float64) {
-	if slackMax <= 0 {
-		return
-	}
-	slack := rng.Range(1, math.Max(slackMax, 1.0000001))
-	j.DueDate = j.Release + slack*j.TimeOn(j.MinProcs)
-}
-
 // Community describes one CIMENT user community (§5.2): its share of the
 // job stream and the shape of its jobs.
 type Community struct {

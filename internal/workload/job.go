@@ -64,13 +64,14 @@ type Job struct {
 	// Model prices a moldable allocation. Ignored when Times is set.
 	Model SpeedupModel
 	// Times, when non-nil, gives the execution time on p processors at
-	// Times[p-1]; len(Times) is at least MaxProcs. Only the legal range
-	// [MinProcs, MaxProcs] is ever read (TimeOn panics outside it, Cost
-	// and Validate stay inside it, freezing a clone only narrows it):
-	// there entries must be positive and the table is expected to be
-	// monotone non-increasing. Entries below MinProcs carry no meaning —
-	// the generators leave them zero, so a job frozen rigid at p is
-	// priced once, at Times[p-1].
+	// Times[p-MinProcs]; len(Times) is at least MaxProcs-MinProcs+1.
+	// Only the legal range [MinProcs, MaxProcs] is ever read (TimeOn
+	// panics outside it, Cost and Validate stay inside it): there entries
+	// must be positive and the table is expected to be monotone
+	// non-increasing. Entries past MaxProcs carry no meaning. A rigid job
+	// frozen at p carries one value, Times[0]; a moldable job with
+	// MinProcs = 1 carries MakeTable's layout. Whoever narrows the range
+	// narrows the table with it (moldable's freeze slices it).
 	Times []float64
 }
 
@@ -96,11 +97,12 @@ func (j *Job) Validate() error {
 		return fmt.Errorf("job %d: no speedup model and no time table", j.ID)
 	}
 	if j.Times != nil {
-		if len(j.Times) < j.MaxProcs {
-			return fmt.Errorf("job %d: time table of length %d shorter than MaxProcs %d", j.ID, len(j.Times), j.MaxProcs)
+		if width := j.MaxProcs - j.MinProcs + 1; len(j.Times) < width {
+			return fmt.Errorf("job %d: time table of length %d shorter than the %d widths [%d, %d]",
+				j.ID, len(j.Times), width, j.MinProcs, j.MaxProcs)
 		}
 		for p := j.MinProcs; p <= j.MaxProcs; p++ {
-			if t := j.Times[p-1]; t <= 0 || math.IsNaN(t) || math.IsInf(t, 0) {
+			if t := j.Times[p-j.MinProcs]; t <= 0 || math.IsNaN(t) || math.IsInf(t, 0) {
 				return fmt.Errorf("job %d: invalid time %v on %d procs", j.ID, t, p)
 			}
 		}
@@ -116,7 +118,7 @@ func (j *Job) TimeOn(p int) float64 {
 			j.ID, p, j.MinProcs, j.MaxProcs))
 	}
 	if j.Times != nil {
-		return j.Times[p-1]
+		return j.Times[p-j.MinProcs]
 	}
 	return j.Model.Time(j.SeqTime, p)
 }

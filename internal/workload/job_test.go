@@ -63,7 +63,8 @@ func TestValidate(t *testing.T) {
 		{"no model", func(j *Job) { j.Model = nil }},
 		{"short table", func(j *Job) { j.Times = []float64{5} }},
 		{"bad table entry", func(j *Job) { j.Times = []float64{5, 3, -1, 2} }},
-		{"bad entry at MinProcs", func(j *Job) { j.MinProcs, j.Times = 2, []float64{5, 0, 2, 2} }},
+		{"bad entry at MinProcs", func(j *Job) { j.MinProcs, j.Times = 2, []float64{0, 2, 2} }},
+		{"table short of its range", func(j *Job) { j.MinProcs, j.Times = 2, []float64{3, 2} }},
 		{"bad entry at MaxProcs", func(j *Job) { j.Times = []float64{5, 3, 2, math.NaN()} }},
 	}
 	for _, c := range cases {
@@ -74,9 +75,9 @@ func TestValidate(t *testing.T) {
 		}
 	}
 	// Only the legal range is read, so only it is checked: a job frozen at
-	// 3 carries one priced entry.
+	// 3 carries one priced entry, Times[0], and what follows it is not read.
 	frozen := testJob(10, 3, 3, Linear{})
-	frozen.Kind, frozen.Times = Rigid, []float64{0, 0, 4, -1}
+	frozen.Kind, frozen.Times = Rigid, []float64{4, -1}
 	if err := frozen.Validate(); err != nil {
 		t.Errorf("entries outside [MinProcs, MaxProcs] checked: %v", err)
 	}

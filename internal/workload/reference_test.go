@@ -10,9 +10,11 @@ import (
 // The generators as they stood before a job was priced only over the
 // allocations it can be given — every job gets a full clamped table from
 // referenceMakeTable before the rigid draw, names go through fmt — kept
-// verbatim as the reference of TestSourcesMatchGenerators. The product
-// sources must draw the same RNG sequence and agree on every value a
-// scheduler can read.
+// verbatim as the reference of TestSourcesMatchGenerators, but for the
+// one line per generator that narrows a frozen job's table with its
+// range, since a table is indexed from MinProcs. The product sources
+// must draw the same RNG sequence and agree on every value a scheduler
+// can read.
 
 // referenceMakeTable is MakeTable's single interface loop.
 func referenceMakeTable(model SpeedupModel, seq float64, maxProcs int) []float64 {
@@ -89,6 +91,7 @@ func referenceParallel(cfg GenConfig) []*Job {
 			p := rng.IntRange(1, maxP)
 			j.Kind = Rigid
 			j.MinProcs, j.MaxProcs = p, p
+			j.Times = j.Times[p-1:] // a table is indexed from MinProcs
 		}
 		setDueDate(j, rng, cfg.DueDateSlack)
 		jobs[i] = j
@@ -140,8 +143,19 @@ func referenceCommunities(mix []Community, n, m int, rate float64, seed uint64) 
 			p := rng.IntRange(1, maxP)
 			j.Kind = Rigid
 			j.MinProcs, j.MaxProcs = p, p
+			j.Times = j.Times[p-1:] // a table is indexed from MinProcs
 		}
 		jobs[i] = j
 	}
 	return jobs
+}
+
+// setDueDate is the eager generators' due date: DueDate = Release +
+// slack·TimeOn(MinProcs), the slack drawn in [1, slackMax].
+func setDueDate(j *Job, rng *stats.RNG, slackMax float64) {
+	if slackMax <= 0 {
+		return
+	}
+	slack := rng.Range(1, math.Max(slackMax, 1.0000001))
+	j.DueDate = j.Release + slack*j.TimeOn(j.MinProcs)
 }

@@ -28,10 +28,12 @@ func tieJobs(rng *stats.RNG) []*workload.Job {
 		for p := range times {
 			times[p] = float64(rng.IntRange(1, 4))
 		}
-		jobs[i] = &workload.Job{
+		j := &workload.Job{
 			ID: rng.Intn(8), Kind: workload.Moldable, Release: float64(rng.Intn(4)), Weight: 1, DueDate: -1,
-			SeqTime: 1, MinProcs: rng.IntRange(1, maxP), MaxProcs: maxP, Times: times,
+			SeqTime: 1, MinProcs: rng.IntRange(1, maxP), MaxProcs: maxP,
 		}
+		j.Times = times[j.MinProcs-1:] // drawn over [1, maxP]; indexed from MinProcs
+		jobs[i] = j
 	}
 	switch rng.Intn(4) {
 	case 0:

@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,10 +16,11 @@ import (
 
 // sameJob compares a generated job with the reference generator's, on
 // everything a reader can observe: every scalar field bit for bit, the
-// model, and the time table over the legal range. Outside that range the
-// two differ by design — the reference prices [1, maxP] for every job,
-// the sources only what TimeOn can reach — so there the test pins the
-// new shape instead: a table of length MaxProcs, zero below MinProcs.
+// model, and the time table over the legal range. The two tables differ
+// in shape by design — the reference prices [1, maxP] for every job, the
+// sources only what TimeOn can reach — so the test pins the new shape
+// too: a table of exactly MaxProcs-MinProcs+1 entries, Times[p-MinProcs]
+// the time on p, that cannot be grown in place.
 func sameJob(want, got *Job) error {
 	switch {
 	case got.ID != want.ID, got.Name != want.Name, got.Class != want.Class, got.Kind != want.Kind,
@@ -31,17 +34,13 @@ func sameJob(want, got *Job) error {
 	if got.Times == nil {
 		return nil
 	}
-	if len(got.Times) != got.MaxProcs || len(want.Times) < len(got.Times) {
-		return fmt.Errorf("table of length %d for MaxProcs %d (reference length %d)",
-			len(got.Times), got.MaxProcs, len(want.Times))
+	if width := got.MaxProcs - got.MinProcs + 1; len(got.Times) != width || cap(got.Times) != width {
+		return fmt.Errorf("table of length %d, capacity %d for [%d, %d]",
+			len(got.Times), cap(got.Times), got.MinProcs, got.MaxProcs)
 	}
-	for p := 1; p <= got.MaxProcs; p++ {
-		if p < got.MinProcs {
-			if got.Times[p-1] != 0 {
-				return fmt.Errorf("entry %d below MinProcs %d is priced: %v", p, got.MinProcs, got.Times[p-1])
-			}
-		} else if !sameFloat(got.Times[p-1], want.Times[p-1]) {
-			return fmt.Errorf("time on %d procs: want %v, got %v", p, want.Times[p-1], got.Times[p-1])
+	for p := got.MinProcs; p <= got.MaxProcs; p++ {
+		if w, g := want.TimeOn(p), got.TimeOn(p); !sameFloat(g, w) {
+			return fmt.Errorf("time on %d procs: want %v, got %v", p, w, g)
 		}
 	}
 	return got.Validate()
@@ -90,8 +89,7 @@ func diffConfig(rng *stats.RNG) GenConfig {
 }
 
 // diffMix draws a community mix: CIMENT's, or one to four made-up
-// communities whose names run from one byte to well past jobName's
-// stack buffer.
+// communities whose names run from one byte to past 32 bytes.
 func diffMix(rng *stats.RNG) []Community {
 	if rng.Bool(0.5) {
 		return CIMENTCommunities()
@@ -284,24 +282,145 @@ func TestMakeTableTypedMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestGeneratorAllocBudget: a generated job costs its Job, its name and
-// its table; a Parallel/Mixed job also the box of the model it drew (the
-// communities share one model, a sequential job has no table).
+// TestGeneratorAllocBudget: a generated job is built in place, so its
+// Job, name and table cost three allocations per slab of 64 jobs, which
+// AllocsPerRun's whole-number average rounds to 0; a Parallel/Mixed job
+// also costs the box of the model it drew (the communities share one
+// model, a sequential job has no table). Each row also bounds the bytes
+// per job: the value measured when it was set plus about 10 %.
 func TestGeneratorAllocBudget(t *testing.T) {
 	const n = 4000
 	for _, tc := range []struct {
-		name   string
-		src    Source
-		perJob float64
+		name          string
+		src           Source
+		allocs, bytes float64
 	}{
-		{"sequential", SequentialSource(GenConfig{N: 2 * n, Seed: 1, Weighted: true, DueDateSlack: 3}), 2},
-		{"parallel", ParallelSource(GenConfig{N: 2 * n, M: 100, Seed: 1, Weighted: true, DueDateSlack: 3}), 4},
-		{"mixed", MixedSource(GenConfig{N: 2 * n, M: 64, Seed: 1, ArrivalRate: 2, RigidFraction: 0.5}), 4},
-		{"communities", CommunitiesSource(CIMENTCommunities(), 2*n, 64, 0.1, 1), 3},
+		{"sequential", SequentialSource(GenConfig{N: 2 * n, Seed: 1, Weighted: true, DueDateSlack: 3}), 0, 160},
+		{"parallel", ParallelSource(GenConfig{N: 2 * n, M: 100, Seed: 1, Weighted: true, DueDateSlack: 3}), 1, 615},
+		{"mixed", MixedSource(GenConfig{N: 2 * n, M: 64, Seed: 1, ArrivalRate: 2, RigidFraction: 0.5}), 1, 316},
+		{"communities", CommunitiesSource(CIMENTCommunities(), 2*n, 64, 0.1, 1), 0, 231},
 	} {
-		got := testing.AllocsPerRun(n-1, func() { tc.src.Next() })
-		if got > tc.perJob {
-			t.Errorf("%s: %.2f allocations per job, budget %v", tc.name, got, tc.perJob)
+		allocs := testing.AllocsPerRun(n-1, func() { tc.src.Next() })
+		bytes := bytesPerJob(tc.src, n)
+		t.Logf("%-11s %.0f allocations and %.1f bytes per job", tc.name, allocs, bytes)
+		if allocs > tc.allocs || bytes > tc.bytes {
+			t.Errorf("%s: %.0f allocations and %.1f bytes per job, budget %v and %v", tc.name, allocs, bytes, tc.allocs, tc.bytes)
+		}
+	}
+}
+
+// bytesPerJob is the mean number of bytes the next n jobs of src
+// allocate, on one P so that no other goroutine runs in between.
+func bytesPerJob(src Source, n int) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		src.Next()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// generatedStreams builds the four generators' streams for one drawn
+// configuration: diffConfig's, and diffMix's communities.
+func generatedStreams(rng *stats.RNG) map[string][]*Job {
+	cfg := diffConfig(rng)
+	mix, m, rate := diffMix(rng), rng.IntRange(1, 64), []float64{0, rng.Range(0.01, 5)}[rng.Intn(2)]
+	return map[string][]*Job{
+		"sequential":  Sequential(cfg),
+		"parallel":    Parallel(cfg),
+		"mixed":       Mixed(cfg),
+		"communities": Communities(mix, cfg.N, m, rate, cfg.Seed),
+	}
+}
+
+// tableContract checks one generated job against the table contract:
+// it validates, and over [MinProcs, MaxProcs] TimeOn(p) is the model's
+// time on p bit for bit — through MakeTable's clamp for a moldable job,
+// Model.Time itself for a job frozen rigid — and so is its clone's.
+func tableContract(j *Job) error {
+	if err := j.Validate(); err != nil {
+		return err
+	}
+	var clamped []float64
+	if j.Kind == Moldable {
+		clamped = MakeTable(j.Model, j.SeqTime, j.MaxProcs)
+	}
+	c := j.Clone()
+	for p := j.MinProcs; p <= j.MaxProcs; p++ {
+		want := j.Model.Time(j.SeqTime, p)
+		if clamped != nil {
+			want = clamped[p-1]
+		}
+		if got := j.TimeOn(p); !sameFloat(got, want) {
+			return fmt.Errorf("%s job %d: TimeOn(%d) = %v, model %v", j.Kind, j.ID, p, got, want)
+		}
+		if got := c.TimeOn(p); !sameFloat(got, want) {
+			return fmt.Errorf("%s job %d: clone's TimeOn(%d) = %v, model %v", j.Kind, j.ID, p, got, want)
+		}
+	}
+	return nil
+}
+
+// TestGeneratedTableContract holds every job of every generator to the
+// table contract (tableContract); moldable's TestFreezeTableContract
+// holds a freeze at each legal width to it. `-quickchecks N` scales the
+// budget (10 configurations per check, four streams each; CI runs it
+// long).
+func TestGeneratedTableContract(t *testing.T) {
+	kinds := map[Kind]int{}
+	f := func(seed uint64) bool {
+		for name, jobs := range generatedStreams(stats.NewRNG(seed)) {
+			for _, j := range jobs {
+				if err := tableContract(j); err != nil {
+					t.Logf("seed %d, %s: %v", seed, name, err)
+					return false
+				}
+				if j.Times != nil {
+					kinds[j.Kind]++
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCountScale: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if kinds[Rigid] == 0 || kinds[Moldable] == 0 {
+		t.Fatalf("tables not all exercised: %v", kinds)
+	}
+}
+
+// TestStreamSlabsDoNotAlias: a job a source has handed out is never
+// written again — not while the rest of its slab is built, and not by
+// the slabs after it, whose tables may start in what its arena has left.
+func TestStreamSlabsDoNotAlias(t *testing.T) {
+	const kept = 2 * genSlab // past the first slab, however many its size class holds
+	for name, src := range map[string]Source{
+		"sequential":  SequentialSource(GenConfig{N: 6 * genSlab, Seed: 5, DueDateSlack: 2}),
+		"parallel":    ParallelSource(GenConfig{N: 6 * genSlab, M: 48, Seed: 5, DueDateSlack: 2}),
+		"mixed":       MixedSource(GenConfig{N: 6 * genSlab, M: 48, Seed: 5, RigidFraction: 0.5}),
+		"communities": CommunitiesSource(CIMENTCommunities(), 6*genSlab, 64, 1, 5),
+	} {
+		var jobs []*Job
+		var copies []Job
+		for i := 0; ; i++ {
+			j, ok := src.Next()
+			if !ok {
+				break
+			}
+			if i < kept {
+				jobs, copies = append(jobs, j), append(copies, *j.Clone())
+			}
+		}
+		if len(jobs) != kept {
+			t.Fatalf("%s: %d jobs", name, len(jobs))
+		}
+		for k, j := range jobs {
+			if !reflect.DeepEqual(*j, copies[k]) {
+				t.Fatalf("%s: job %d changed after it was handed out:\nthen %+v\nnow  %+v", name, k, copies[k], *j)
+			}
 		}
 	}
 }

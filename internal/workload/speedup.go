@@ -86,7 +86,9 @@ func powerLawTable(table []float64, m PowerLaw, seq float64) {
 
 // MakeTable materializes the execution-time table of a model for
 // p = 1..maxProcs, clamping to enforce time-monotony. The resulting table
-// can be assigned to Job.Times to freeze the job's profile.
+// can be assigned to Job.Times to freeze the profile of a job with
+// MinProcs = 1; a job whose range starts at k takes MakeTable(...)[k-1:],
+// since a table is indexed from MinProcs.
 //
 // The two models the generators draw get a loop over the concrete type,
 // so Time is a direct (inlined) call instead of an interface call per
@@ -97,6 +99,13 @@ func powerLawTable(table []float64, m PowerLaw, seq float64) {
 // (powerLawTable).
 func MakeTable(model SpeedupModel, seq float64, maxProcs int) []float64 {
 	table := make([]float64, maxProcs)
+	fillTable(table, model, seq)
+	return table
+}
+
+// fillTable is MakeTable into a table the caller owns, of length
+// maxProcs.
+func fillTable(table []float64, model SpeedupModel, seq float64) {
 	switch m := model.(type) {
 	case Amdahl:
 		for i := range table {
@@ -116,5 +125,4 @@ func MakeTable(model SpeedupModel, seq float64, maxProcs int) []float64 {
 		}
 		table[i] = best
 	}
-	return table
 }

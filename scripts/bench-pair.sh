@@ -142,12 +142,20 @@ for spec in "$@"; do
 	done
 done
 
+# The change side is this checkout's working tree: named by its commit,
+# or by its path when it is not a git checkout (say, a `git archive`
+# copy), where git would print usage text instead.
+if head=$(git rev-parse --verify -q HEAD 2>/dev/null); then
+	change="working tree of $head$(git diff --quiet HEAD || echo ', with uncommitted changes')"
+else
+	change="directory $root"
+fi
 host=$(jq -n --arg cpu "$(grep -m1 'model name' /proc/cpuinfo | cut -d: -f2- | sed 's/^ //')" \
 	--arg kernel "$(uname -r)" --arg go "$(go version | cut -d' ' -f3-)" --argjson nproc "$(nproc)" \
 	'{nproc: $nproc, cpu: $cpu, kernel: $kernel, go: $go}')
 ledger=$(jq -s \
 	--slurpfile bench "$root/BENCHMARK.json" --argjson host "$host" --arg note "$note" --arg claim "$claim" \
-	--arg parent "$parent" --arg change "working tree of $(git rev-parse HEAD)$(git diff --quiet HEAD || echo ', with uncommitted changes')" \
+	--arg parent "$parent" --arg change "$change" \
 	--argjson seconds "$seconds" --argjson seed "$seed" --arg seed_source "$seed_source" \
 	-f /dev/stdin "$tmp/runs.jsonl" <<'JQ'
 def r4: if type == "number" then . * 10000 | round / 10000 else . end;
