@@ -27,6 +27,19 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// DecodeBody decodes a request body into v strictly — a field v does not
+// have is an error, not a default — and on failure answers 400 with
+// "bad <what>: <err>". It reports whether v was decoded.
+func DecodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		WriteError(w, http.StatusBadRequest, "bad "+what+": "+err.Error())
+		return false
+	}
+	return true
+}
+
 // WriteError writes the shared JSON error envelope.
 func WriteError(w http.ResponseWriter, code int, msg string) {
 	WriteJSON(w, code, Error{Error: msg})

@@ -43,11 +43,8 @@ func (s *RunService) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req scenario.HTTPRequest
-	if err := dec.Decode(&req); err != nil {
-		WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad scenario request: %v", err))
+	if !DecodeBody(w, r, "scenario request", &req) {
 		return
 	}
 	run, herr := s.SubmitAs(req, tn)

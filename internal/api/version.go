@@ -2,15 +2,24 @@ package api
 
 import (
 	"net/http"
+	"runtime"
 
 	"repro/internal/scenario"
-	"repro/internal/version"
 )
 
-// BuildInfo identifies a binary well enough to refuse mixing
-// incompatible coordinator and worker builds in one distributed run:
-// the catalog hash guards the scenario semantics, version and
-// toolchain guard the numerics.
+// Version is the repo release string. Override at build time with
+//
+//	go build -ldflags "-X repro/internal/api.Version=v1.2.3"
+var Version = "0.9.0"
+
+// BuildInfo is the build identity of the gridd binary family. The daemon
+// serves it at GET /v1/version, and the fleet coordinator compares it
+// against every worker's before granting a lease: two builds that
+// disagree on version, toolchain or catalog could produce subtly
+// different cell rows, and a distributed run must never merge those
+// into one table. The catalog hash guards the scenario semantics,
+// version and toolchain (floating-point code generation differs across
+// toolchains) guard the numerics.
 type BuildInfo struct {
 	Version     string `json:"version"`
 	GoVersion   string `json:"go_version"`
@@ -20,8 +29,8 @@ type BuildInfo struct {
 // CurrentBuild returns this binary's build identity.
 func CurrentBuild() BuildInfo {
 	return BuildInfo{
-		Version:     version.Version,
-		GoVersion:   version.Go(),
+		Version:     Version,
+		GoVersion:   runtime.Version(),
 		CatalogHash: scenario.CatalogHash(),
 	}
 }

@@ -91,7 +91,8 @@ func diffInstance(rng *stats.RNG) ([]*workload.Job, int, Options) {
 		}
 		jobs = append(jobs, j)
 		for rng.Bool(0.15) && len(jobs) < n { // a run of twins
-			twin := j.Clone()
+			c := *j
+			twin := &c
 			if !sameIDs {
 				twin.ID = len(jobs)
 			}

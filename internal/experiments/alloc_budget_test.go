@@ -21,7 +21,7 @@ var allocBudgets = []struct {
 	maxBytes, maxAllocs       uint64
 }{
 	{"fig2", 1127760, 6977, 1222760, 1850},
-	{"mrt", 617480, 2759, 678894, 1786},
+	{"mrt", 617488, 1624, 458982, 1638},
 	{"batch", 92784, 795, 101887, 587},
 	{"smart", 117720, 1255, 117515, 866},
 	{"bicriteria", 69208, 609, 75706, 351},
@@ -34,7 +34,7 @@ var allocBudgets = []struct {
 	{"treedlt", 48168, 1443, 52809, 1582},
 	{"criteria", 38448, 388, 42689, 364},
 	{"heterogrid", 649024, 2353, 709324, 1130},
-	{"policies", 218184, 2342, 226662, 1811},
+	{"policies", 206056, 1646, 138644, 1547},
 	{"gridpolicies", 315184, 2926, 337955, 3143},
 	{"faulttwin", 226792, 2298, 235374, 1756},
 	{"ablation-allotment", 53160, 364, 58318, 209},
@@ -43,7 +43,7 @@ var allocBudgets = []struct {
 	{"ablation-chunk", 10760, 167, 11643, 179},
 	{"ablation-kill-policy", 88992, 780, 94142, 799},
 	{"ablation-compaction", 43240, 351, 47406, 227},
-	{"paper", 43129104, 238190, 46026279, 101831},
+	{"paper", 41842120, 92575, 42707016, 96729},
 }
 
 // catalogTables are the scenarios of the benchmark's catalog_tables

@@ -166,7 +166,7 @@ func smartRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, e
 		if err != nil {
 			return nil, err
 		}
-		list, err := rigid.List(jobs, m, rigid.ByRelease)
+		list, err := rigid.List(jobs, nil, m, rigid.ByRelease)
 		if err != nil {
 			return nil, err
 		}
@@ -325,7 +325,7 @@ func runMixedStrategy(strat string, jobs []*workload.Job, costs []workload.Cost,
 		s := sched.New(m)
 		phaseEnd := 0.0
 		if len(rigids) > 0 {
-			rs, err := rigid.List(rigids, m, rigid.ByLPT)
+			rs, err := rigid.List(rigids, nil, m, rigid.ByLPT)
 			if err != nil {
 				return nil, err
 			}
@@ -345,7 +345,7 @@ func runMixedStrategy(strat string, jobs []*workload.Job, costs []workload.Cost,
 		}
 		return s, nil
 	case "B":
-		// A-priori allotment: freeze every moldable job at its γ(LB)
+		// A-priori allotment: pin every moldable job at its γ(LB)
 		// allocation, then one rigid scheduling pass over everything.
 		return moldable.GammaListOf(costs, m, lb)
 	default:

@@ -69,12 +69,14 @@ func faultsRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, 
 		plan.Seed ^= opt.Seed + uint64(i)
 		c := cfg
 		c.N, c.Seed = scaled(opt.Scale, cfg.N), opt.Seed
+		jobs, err := generate(gen, c)
+		if err != nil {
+			return nil, err
+		}
+		cmaxLB := lowerbound.Cmax(jobs, c.M)
+		pred := faults.PredictCmax(jobs, c.M, plan)
 		var out [][]any
 		for _, e := range entries {
-			jobs, err := generate(gen, c)
-			if err != nil {
-				return nil, err
-			}
 			sim := des.NewWithCapacity(len(jobs) + nBE)
 			cs, err := cluster.New(sim, c.M, 1, e.NewPolicy(), kill)
 			if err != nil {
@@ -105,8 +107,6 @@ func faultsRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, 
 			}
 			tc.add(i, e.Name, rec)
 			rep := cs.Report()
-			cmaxLB := lowerbound.Cmax(jobs, c.M)
-			pred := faults.PredictCmax(jobs, c.M, plan)
 			downPct := 0.0
 			if now := sim.Now(); now > 0 {
 				downPct = 100 * rep.Faults.DownProcSeconds / (float64(c.M) * now)

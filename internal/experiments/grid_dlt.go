@@ -203,7 +203,7 @@ func decentralizedRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.R
 		return ms
 	}
 	if err := runRowCells(t, opt, 3, func(i int) ([]any, error) {
-		members := mkMembers(cloneJobSlice(jobs))
+		members := mkMembers(jobs)
 		switch i {
 		case 0:
 			iso, err := grid.RunIsolated(members, cluster.KillNewest)
@@ -302,12 +302,4 @@ func reservationsRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Re
 			1.0)
 	}
 	return t.Result(), nil
-}
-
-func cloneJobSlice(jobs []*workload.Job) []*workload.Job {
-	out := make([]*workload.Job, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.Clone()
-	}
-	return out
 }

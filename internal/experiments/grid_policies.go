@@ -144,7 +144,7 @@ func gridRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, er
 		if tasks > 0 {
 			bags = []*workload.Bag{{ID: 0, Runs: tasks, RunTime: runTime}}
 		}
-		r, err := grid.NewRouted(gridMembers(clusters, queue.NewPolicy), cloneJobSlice(jobs), bags, router,
+		r, err := grid.NewRouted(gridMembers(clusters, queue.NewPolicy), jobs, bags, router,
 			grid.RoutedOptions{ExchangePeriod: period}, kill)
 		if err != nil {
 			return nil, err

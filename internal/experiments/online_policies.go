@@ -55,15 +55,15 @@ func onlineRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, 
 	tc := newTraceCollector(spec, len(rates))
 	if err := runMultiRowCells(t, opt, len(rates), func(i int) ([][]any, error) {
 		rate := rates[i]
-		n := scaled(opt.Scale, cfg.N)
+		c := cfg
+		c.N, c.Seed, c.ArrivalRate = scaled(opt.Scale, cfg.N), opt.Seed+uint64(i), rate
+		jobs, err := generate(gen, c)
+		if err != nil {
+			return nil, err
+		}
+		cmaxLB := lowerbound.Cmax(jobs, c.M)
 		var out [][]any
 		for _, e := range entries {
-			c := cfg
-			c.N, c.Seed, c.ArrivalRate = n, opt.Seed+uint64(i), rate
-			jobs, err := generate(gen, c)
-			if err != nil {
-				return nil, err
-			}
 			sim, err := cluster.New(des.New(), c.M, 1, e.NewPolicy(), kill)
 			if err != nil {
 				return nil, err
@@ -88,9 +88,8 @@ func onlineRun(spec *scenario.Spec, opt scenario.RunOptions) (*scenario.Result, 
 			}
 			tc.add(i, e.Name, rec)
 			rep := sim.Report()
-			cmaxLB := lowerbound.Cmax(jobs, c.M)
 			row := []any{
-				rate, n, e.Name, rep.Makespan / cmaxLB,
+				rate, c.N, e.Name, rep.Makespan / cmaxLB,
 				rep.MeanFlow, rep.MaxFlow, rep.MeanStretch, 100 * rep.Utilization,
 			}
 			if spec.Faults != nil {

@@ -1,9 +1,7 @@
 package fleet
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 
 	"repro/internal/api"
@@ -25,18 +23,6 @@ func (c *Coordinator) Mount(mux api.Router) {
 	mux.HandleFunc("GET /v1/fleet/workers", c.handleWorkers)
 }
 
-// decodeBody parses a fleet request strictly (workers are our own
-// binaries; an unknown field means a build skew worth failing loudly).
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		api.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad fleet request: %v", err))
-		return false
-	}
-	return true
-}
-
 func writeFleetError(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
 	case errors.Is(err, ErrIncompatible):
@@ -52,7 +38,7 @@ func writeFleetError(w http.ResponseWriter, r *http.Request, err error) {
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if !decodeBody(w, r, &req) {
+	if !api.DecodeBody(w, r, "fleet request", &req) {
 		return
 	}
 	ls, err := c.LeaseCells(r.Context(), req)
@@ -65,7 +51,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
-	if !decodeBody(w, r, &req) {
+	if !api.DecodeBody(w, r, "fleet request", &req) {
 		return
 	}
 	resp, err := c.CompleteCells(r.Context(), req)
@@ -78,7 +64,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if !decodeBody(w, r, &req) {
+	if !api.DecodeBody(w, r, "fleet request", &req) {
 		return
 	}
 	resp, err := c.Heartbeat(r.Context(), req)

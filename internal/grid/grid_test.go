@@ -183,8 +183,7 @@ func TestDecentralizedBalancesLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cloneSplit := SplitJobsSkewed(cloneJobs(jobs), 3, 1.0)
-	d, err := newExchange(smallMembers(cloneSplit), NewPushExchange, RouterOptions{Threshold: 1.2, MaxMove: 8}, 10)
+	d, err := newExchange(smallMembers(split), NewPushExchange, RouterOptions{Threshold: 1.2, MaxMove: 8}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,14 +287,6 @@ func TestEmptyMembersRejected(t *testing.T) {
 	}
 }
 
-func cloneJobs(jobs []*workload.Job) []*workload.Job {
-	out := make([]*workload.Job, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.Clone()
-	}
-	return out
-}
-
 func TestPullProtocolStealsWork(t *testing.T) {
 	rng := stats.NewRNG(9)
 	var jobs []*workload.Job
@@ -309,7 +300,7 @@ func TestPullProtocolStealsWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := newExchange(smallMembers(SplitJobsSkewed(cloneJobs(jobs), 3, 1.0)),
+	d, err := newExchange(smallMembers(split),
 		NewPullExchange, RouterOptions{MaxMove: 4}, 10)
 	if err != nil {
 		t.Fatal(err)

@@ -29,14 +29,6 @@ func testJobs(n, m int, seed uint64) []*workload.Job {
 	})
 }
 
-func cloneAll(jobs []*workload.Job) []*workload.Job {
-	out := make([]*workload.Job, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.Clone()
-	}
-	return out
-}
-
 type completionKey struct {
 	start, end float64
 	procs      int
@@ -79,7 +71,7 @@ func matchOffline(t *testing.T, k int, policy string) {
 
 	// Offline reference: one DES, k member sims, central CiGri server.
 	split := make([][]*workload.Job, k)
-	for i, j := range cloneAll(jobs) {
+	for i, j := range jobs {
 		split[i%k] = append(split[i%k], j)
 	}
 	var members []grid.Member
@@ -114,7 +106,7 @@ func matchOffline(t *testing.T, k int, policy string) {
 	b.Start()
 	defer b.Stop()
 	done := recordCompletions(t, b)
-	if err := b.SubmitBatch(cloneAll(jobs)); err != nil {
+	if err := b.SubmitBatch(jobs); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := b.SubmitCampaign(CampaignSpec{Name: "campaign", Tasks: tasks, RunTime: runTime}); err != nil {
@@ -186,7 +178,7 @@ func TestBrokerAllGridPoliciesComplete(t *testing.T) {
 			}
 			b.Start()
 			defer b.Stop()
-			if err := b.SubmitBatch(cloneAll(jobs)); err != nil {
+			if err := b.SubmitBatch(jobs); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := b.SubmitCampaign(CampaignSpec{Tasks: tasks, RunTime: 3}); err != nil {
@@ -233,7 +225,7 @@ func TestBrokerReplayReproducible(t *testing.T) {
 					t.Fatal(err)
 				}
 				b.Start()
-				if err := b.SubmitBatch(cloneAll(jobs)); err != nil {
+				if err := b.SubmitBatch(jobs); err != nil {
 					b.Stop()
 					t.Fatal(err)
 				}

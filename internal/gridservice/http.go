@@ -4,7 +4,6 @@
 package gridservice
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -54,8 +53,7 @@ func (b *Broker) routes(mux api.Router, runs *api.RunService) {
 
 func (b *Broker) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := decodeStrict(r, &spec); err != nil {
-		api.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad job spec: %v", err))
+	if !api.DecodeBody(w, r, "job spec", &spec) {
 		return
 	}
 	st, err := b.Submit(spec)
@@ -67,14 +65,6 @@ func (b *Broker) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	default:
 		api.WriteJSON(w, http.StatusAccepted, st)
 	}
-}
-
-// decodeStrict decodes a request body into v, refusing any field v does
-// not have: a misspelt field is an error, not a default.
-func decodeStrict(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
 }
 
 func (b *Broker) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -106,8 +96,7 @@ func (b *Broker) handleQueue(w http.ResponseWriter, r *http.Request) {
 
 func (b *Broker) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
 	var spec CampaignSpec
-	if err := decodeStrict(r, &spec); err != nil {
-		api.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad campaign spec: %v", err))
+	if !api.DecodeBody(w, r, "campaign spec", &spec) {
 		return
 	}
 	c, err := b.SubmitCampaign(spec)

@@ -35,8 +35,9 @@ func cmaxMinTime(jobs []*workload.Job, m int) float64 {
 func sumCompletion(jobs []*workload.Job, m int) float64 {
 	unit := make([]*workload.Job, len(jobs))
 	for i, j := range jobs {
-		unit[i] = j.Clone()
-		unit[i].Weight = 1
+		c := *j
+		c.Weight = 1
+		unit[i] = &c
 	}
 	return SumWeightedCompletion(unit, m)
 }

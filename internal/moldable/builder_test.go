@@ -69,7 +69,8 @@ func diffInstance(rng *stats.RNG, maxN, maxM int) ([]*workload.Job, int) {
 		}
 		jobs = append(jobs, j)
 		for rng.Bool(0.15) && len(jobs) < n { // a run of twins
-			twin := j.Clone()
+			c := *j
+			twin := &c
 			if rng.Bool(0.5) {
 				twin.ID = len(jobs)
 			}

@@ -426,44 +426,3 @@ func TestMRTRejectsNonFiniteEps(t *testing.T) {
 		}
 	}
 }
-
-// TestFreezeTableContract: freezing a generated job at any legal width p
-// gives a rigid copy that validates, carries at most the one table entry
-// of p, and prices p bit for bit as the job does — for the moldable jobs
-// of every generator and for the jobs they froze rigid themselves.
-// workload's TestGeneratedTableContract holds the jobs to the same.
-// `-quickchecks N` scales the budget.
-func TestFreezeTableContract(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := stats.NewRNG(seed)
-		m := rng.IntRange(1, 64)
-		cfg := workload.GenConfig{
-			N: rng.IntRange(1, 40), M: m, Seed: rng.Uint64(),
-			RigidFraction: []float64{0, 0.3, 1}[rng.Intn(3)],
-		}
-		jobs := append(workload.Mixed(cfg), workload.Communities(workload.CIMENTCommunities(), cfg.N, m, 0, cfg.Seed)...)
-		costs := workload.Costs(jobs, m)
-		for p := 1; p <= m; p++ {
-			frozen, _, err := freeze(costs, m, func(c *workload.Cost) int {
-				return min(max(p, c.Job.MinProcs), c.Job.MaxProcs)
-			})
-			if err != nil {
-				t.Logf("seed %d: %v", seed, err)
-				return false
-			}
-			for i, c := range frozen {
-				j, q := jobs[i], c.MinProcs
-				if err := c.Validate(); err != nil || c.Kind != workload.Rigid || c.MaxProcs != q ||
-					len(c.Times) > 1 || math.Float64bits(c.TimeOn(q)) != math.Float64bits(j.TimeOn(q)) {
-					t.Logf("seed %d: job %d frozen at %d: %v, table %v, time %v, the job's %v",
-						seed, j.ID, q, err, c.Times, c.TimeOn(q), j.TimeOn(q))
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}

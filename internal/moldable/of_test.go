@@ -87,7 +87,7 @@ func TestOfFormsMatchReference(t *testing.T) {
 			return fail("MRTWithAllotOf(GreedyAllotments)")
 		}
 
-		// The list baselines freeze every job at a legal count: they are
+		// The list baselines pin every job at a legal count: they are
 		// only defined when every job fits on m.
 		fits := !slices.ContainsFunc(costs, func(c workload.Cost) bool { _, p := c.MinTime(); return p == 0 })
 		if fits {
@@ -129,5 +129,47 @@ func TestOfFormsMatchReference(t *testing.T) {
 	}
 	if failed == 0 || failed == ran || listed == 0 {
 		t.Fatalf("%d of %d instances failed the greedy search, %d ran the list baselines: both outcomes and the baselines must occur", failed, ran, listed)
+	}
+}
+
+// TestListBaselinesNameTheirOwnTwins: two jobs that share an ID stay two
+// jobs through the list baselines: each allocation names the job whose
+// width it priced, at a width that job allows.
+func TestListBaselinesNameTheirOwnTwins(t *testing.T) {
+	const m = 4
+	// wide's least work, least time and γ(5) are all at 2 processors.
+	wide := &workload.Job{ID: 1, Kind: workload.Moldable, Weight: 1, DueDate: -1,
+		MinProcs: 1, MaxProcs: 4, Times: []float64{10, 4, 4, 4}}
+	narrow := &workload.Job{ID: 1, Kind: workload.Rigid, Weight: 1, DueDate: -1,
+		MinProcs: 1, MaxProcs: 1, Times: []float64{3}}
+	costs := workload.Costs([]*workload.Job{wide, narrow}, m)
+	want := map[*workload.Job]int{wide: 2, narrow: 1}
+	for _, b := range []struct {
+		name string
+		list func() (*sched.Schedule, error)
+	}{
+		{"MinWorkListOf", func() (*sched.Schedule, error) { return MinWorkListOf(costs, m) }},
+		{"MaxProcsListOf", func() (*sched.Schedule, error) { return MaxProcsListOf(costs, m) }},
+		{"GammaListOf", func() (*sched.Schedule, error) { return GammaListOf(costs, m, 5) }},
+	} {
+		s, err := b.list()
+		if err != nil {
+			t.Fatalf("%s: %v", b.name, err)
+		}
+		named := map[*workload.Job]bool{}
+		for _, a := range s.Allocs {
+			one := sched.New(m)
+			one.Add(a)
+			if err := one.Validate(); err != nil {
+				t.Fatalf("%s: %v", b.name, err)
+			}
+			if a.Procs != want[a.Job] || named[a.Job] {
+				t.Fatalf("%s: job %p on %d procs, want each twin once, wide on 2 and narrow on 1", b.name, a.Job, a.Procs)
+			}
+			named[a.Job] = true
+		}
+		if len(named) != 2 {
+			t.Fatalf("%s: %d allocations name %d twins", b.name, len(s.Allocs), len(named))
+		}
 	}
 }

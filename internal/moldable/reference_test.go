@@ -238,9 +238,9 @@ func referenceMRT(jobs []*workload.Job, m int, eps float64, allot AllotFunc) (*R
 
 // referenceFreeze is the old freeze: one heap clone per job, its table
 // narrowed with its range.
-func referenceFreeze(costs []workload.Cost, procs func(*workload.Cost) int) ([]*workload.Job, map[int]*workload.Job) {
+func referenceFreeze(costs []workload.Cost, procs func(*workload.Cost) int) ([]*workload.Job, map[*workload.Job]*workload.Job) {
 	frozen := make([]*workload.Job, len(costs))
-	orig := make(map[int]*workload.Job, len(costs))
+	orig := make(map[*workload.Job]*workload.Job, len(costs))
 	for i := range costs {
 		p := procs(&costs[i])
 		j := costs[i].Job
@@ -251,16 +251,18 @@ func referenceFreeze(costs []workload.Cost, procs func(*workload.Cost) int) ([]*
 			c.Times = j.Times[p-j.MinProcs:][:1]
 		}
 		frozen[i] = &c
-		orig[j.ID] = j
+		orig[&c] = j
 	}
 	return frozen, orig
 }
 
 // referenceRebind is the old rebind: a new schedule of the originals.
-func referenceRebind(s *sched.Schedule, orig map[int]*workload.Job) *sched.Schedule {
+// It maps each frozen copy to its own original, not by ID as the old
+// code did, which sent two jobs that share an ID to the same one.
+func referenceRebind(s *sched.Schedule, orig map[*workload.Job]*workload.Job) *sched.Schedule {
 	out := sched.New(s.M)
 	for _, a := range s.Allocs {
-		a.Job = orig[a.Job.ID]
+		a.Job = orig[a.Job]
 		out.Add(a)
 	}
 	return out
@@ -269,7 +271,7 @@ func referenceRebind(s *sched.Schedule, orig map[int]*workload.Job) *sched.Sched
 // referenceList is the old body of the three list baselines.
 func referenceList(name string, jobs []*workload.Job, m int, procs func(*workload.Cost) int) (*sched.Schedule, error) {
 	frozen, orig := referenceFreeze(workload.Costs(jobs, m), procs)
-	s, err := rigid.List(frozen, m, rigid.ByLPT)
+	s, err := rigid.List(frozen, nil, m, rigid.ByLPT)
 	if err != nil {
 		return nil, fmt.Errorf("moldable: %s: %w", name, err)
 	}

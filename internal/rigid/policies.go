@@ -25,37 +25,38 @@ const (
 	ByArea
 )
 
-// sortJobs returns a copy of jobs in the requested order. Rigid jobs use
-// their fixed processor count to price time/area. Each job's key is
-// computed once: one ascending or descending float per order, equal keys
-// falling through to the job ID and then to the input position.
-func sortJobs(jobs []*workload.Job, ord Order) []*workload.Job {
+// sortJobs returns the jobs' positions in the requested order, each job
+// priced on width(jobs, procs, i) processors. Each job's key is computed
+// once: one ascending or descending float per order, equal keys falling
+// through to the job ID and then to the input position.
+func sortJobs(jobs []*workload.Job, procs []int, ord Order) []workload.Keyed {
 	keys := make([]workload.Keyed, len(jobs))
 	for i, j := range jobs {
 		var k float64
 		switch ord {
 		case ByLPT, BySPT:
-			k = j.TimeOn(j.MinProcs)
+			k = j.TimeOn(width(jobs, procs, i))
 		case ByArea:
-			k = j.WorkOn(j.MinProcs)
+			k = j.WorkOn(width(jobs, procs, i))
 		default: // ByRelease
 			k = j.Release
 		}
 		keys[i] = workload.Keyed{Key: k, ID: j.ID, Pos: i}
 	}
 	workload.SortKeyed(keys, ord == ByLPT || ord == ByArea)
-	out := make([]*workload.Job, len(jobs))
-	for i, k := range keys {
-		out[i] = jobs[k.Pos]
-	}
-	return out
+	return keys
 }
 
-// requireRigidCount returns the processor count a policy should use for
-// the job: rigid jobs use their fixed count; moldable jobs are frozen at
-// MinProcs (callers wanting smarter allotments should pre-mold via the
-// moldable package).
-func requireRigidCount(j *workload.Job) int { return j.MinProcs }
+// width returns the processor count job i runs on: procs[i], or with
+// procs nil the job's MinProcs — a rigid job's fixed count, the
+// smallest width of a moldable one (callers wanting smarter allotments
+// choose the widths themselves, as the moldable baselines do).
+func width(jobs []*workload.Job, procs []int, i int) int {
+	if procs != nil {
+		return procs[i]
+	}
+	return jobs[i].MinProcs
+}
 
 // FCFSWithCalendar schedules jobs strictly in queue order around a
 // reservation calendar (§5.1; nil for none): a job never starts before
@@ -68,8 +69,8 @@ func FCFSWithCalendar(jobs []*workload.Job, m int, cal *platform.Calendar) (*sch
 	}
 	s := sched.New(m)
 	frontier := 0.0 // start-time monotonicity enforces queue order
-	for _, j := range sortJobs(jobs, ByRelease) {
-		procs := requireRigidCount(j)
+	for _, k := range sortJobs(jobs, nil, ByRelease) {
+		j, procs := jobs[k.Pos], jobs[k.Pos].MinProcs
 		dur := j.TimeOn(procs)
 		ready := math.Max(j.Release, frontier)
 		start, err := profile.EarliestSlot(ready, dur, procs)
@@ -95,14 +96,25 @@ func Conservative(jobs []*workload.Job, m int) (*sched.Schedule, error) {
 
 // ConservativeWithCalendar is Conservative around reservations.
 func ConservativeWithCalendar(jobs []*workload.Job, m int, cal *platform.Calendar) (*sched.Schedule, error) {
-	return listWithProfile(sortJobs(jobs, ByRelease), m, cal)
+	return listWithProfile(jobs, nil, ByRelease, m, cal)
 }
 
 // List schedules jobs by the given priority order, giving each job the
 // earliest slot that fits (Graham list scheduling generalized to rigid
 // multiprocessor jobs). With ByLPT this is the classic LPT baseline.
-func List(jobs []*workload.Job, m int, ord Order) (*sched.Schedule, error) {
-	return listWithProfile(sortJobs(jobs, ord), m, nil)
+// Job i runs on procs[i] processors, a width it allows, and the order
+// prices it there; with procs nil every job runs on its MinProcs. The
+// allocations name the jobs themselves.
+func List(jobs []*workload.Job, procs []int, m int, ord Order) (*sched.Schedule, error) {
+	if procs != nil && len(procs) != len(jobs) {
+		return nil, fmt.Errorf("rigid: %d widths for %d jobs", len(procs), len(jobs))
+	}
+	for i, p := range procs {
+		if j := jobs[i]; !j.CanRunOn(p) {
+			return nil, fmt.Errorf("rigid: job %d cannot run on %d procs (range [%d,%d])", j.ID, p, j.MinProcs, j.MaxProcs)
+		}
+	}
+	return listWithProfile(jobs, procs, ord, m, nil)
 }
 
 func profileFor(m int, cal *platform.Calendar) (*Profile, error) {
@@ -115,14 +127,14 @@ func profileFor(m int, cal *platform.Calendar) (*Profile, error) {
 	return NewProfile(m), nil
 }
 
-func listWithProfile(ordered []*workload.Job, m int, cal *platform.Calendar) (*sched.Schedule, error) {
+func listWithProfile(jobs []*workload.Job, widths []int, ord Order, m int, cal *platform.Calendar) (*sched.Schedule, error) {
 	profile, err := profileFor(m, cal)
 	if err != nil {
 		return nil, err
 	}
 	s := sched.New(m)
-	for _, j := range ordered {
-		procs := requireRigidCount(j)
+	for _, k := range sortJobs(jobs, widths, ord) {
+		j, procs := jobs[k.Pos], width(jobs, widths, k.Pos)
 		dur := j.TimeOn(procs)
 		start, err := profile.EarliestSlot(j.Release, dur, procs)
 		if err != nil {
@@ -149,10 +161,9 @@ type Shelf struct {
 // existing shelf with room, else opens a new shelf. Shelf start times are
 // assigned afterwards by stacking.
 func FFDH(jobs []*workload.Job, m int) ([]*Shelf, error) {
-	ordered := sortJobs(jobs, ByLPT)
 	var shelves []*Shelf
-	for _, j := range ordered {
-		procs := requireRigidCount(j)
+	for _, k := range sortJobs(jobs, nil, ByLPT) {
+		j, procs := jobs[k.Pos], jobs[k.Pos].MinProcs
 		if procs > m {
 			return nil, fmt.Errorf("rigid: job %d needs %d > %d procs", j.ID, procs, m)
 		}
@@ -197,7 +208,7 @@ func ShelvesToSchedule(shelves []*Shelf, m int) *sched.Schedule {
 	s := sched.New(m)
 	for _, sh := range shelves {
 		for _, j := range sh.Jobs {
-			s.Add(sched.Alloc{Job: j, Start: sh.Start, Procs: requireRigidCount(j)})
+			s.Add(sched.Alloc{Job: j, Start: sh.Start, Procs: j.MinProcs})
 		}
 	}
 	return s

@@ -1,7 +1,7 @@
 package rigid
 
 import (
-	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -190,7 +190,7 @@ func TestListLPTBetterOrEqualFCFSOnCmax(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		jobs = append(jobs, rjob(i, rng.Range(1, 20), rng.IntRange(1, 8)))
 	}
-	lpt, err := List(jobs, 8, ByLPT)
+	lpt, err := List(jobs, nil, 8, ByLPT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestPoliciesProperty(t *testing.T) {
 		if err != nil || cons.Validate() != nil || cons.Covers(jobs) != nil {
 			return false
 		}
-		lpt, err := List(jobs, m, ByLPT)
+		lpt, err := List(jobs, nil, m, ByLPT)
 		if err != nil || lpt.Validate() != nil {
 			return false
 		}
@@ -332,20 +332,53 @@ func TestShelfQualityProperty(t *testing.T) {
 
 func TestSortJobsOrders(t *testing.T) {
 	jobs := []*workload.Job{rjob(1, 5, 1), rjob(2, 10, 2), rjob(3, 1, 4)}
-	lpt := sortJobs(jobs, ByLPT)
-	if lpt[0].ID != 2 || lpt[2].ID != 3 {
+	first := func(ord Order, procs []int) int { return jobs[sortJobs(jobs, procs, ord)[0].Pos].ID }
+	if lpt := sortJobs(jobs, nil, ByLPT); jobs[lpt[0].Pos].ID != 2 || jobs[lpt[2].Pos].ID != 3 {
 		t.Fatal("ByLPT wrong")
 	}
-	spt := sortJobs(jobs, BySPT)
-	if spt[0].ID != 3 {
+	if first(BySPT, nil) != 3 {
 		t.Fatal("BySPT wrong")
 	}
-	area := sortJobs(jobs, ByArea)
-	if area[0].ID != 2 { // 20 > 5 ≥ 4
+	if first(ByArea, nil) != 2 { // 20 > 5 ≥ 4
 		t.Fatal("ByArea wrong")
 	}
-	if math.IsNaN(lpt[0].SeqTime) {
-		t.Fatal("unreachable")
+	// Widths price the order: job 1 at 1 proc (5) outlasts job 2 pinned
+	// where it takes 1 and job 3 where it takes 0.25.
+	mold := func(id int, seq float64, maxP int) *workload.Job {
+		return &workload.Job{ID: id, Kind: workload.Moldable, Weight: 1, DueDate: -1,
+			SeqTime: seq, MinProcs: 1, MaxProcs: maxP, Model: workload.Linear{}}
+	}
+	jobs = []*workload.Job{rjob(1, 5, 1), mold(2, 10, 10), mold(3, 1, 4)}
+	if first(ByLPT, []int{1, 10, 4}) != 1 || first(ByLPT, nil) != 2 {
+		t.Fatal("ByLPT does not price the given widths")
+	}
+}
+
+// TestListRunsTheGivenWidths: List runs job i on procs[i] and names the
+// job itself, and refuses a width the job does not allow or a width
+// slice of another length.
+func TestListRunsTheGivenWidths(t *testing.T) {
+	jobs := []*workload.Job{rjob(1, 5, 1),
+		{ID: 2, Kind: workload.Moldable, Weight: 1, SeqTime: 10, MinProcs: 1, MaxProcs: 10, Model: workload.Linear{}}}
+	procs := []int{1, 4}
+	s, err := List(jobs, procs, 8, ByLPT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range s.Allocs {
+		i := slices.Index(jobs, a.Job)
+		if i < 0 || a.Procs != procs[i] || a.Job.TimeOn(a.Procs) != []float64{5, 2.5}[i] {
+			t.Fatalf("allocation %+v, want job %d on %v", a, a.Job.ID, procs)
+		}
+	}
+	if _, err := List(jobs, []int{1, 11}, 16, ByLPT); err == nil {
+		t.Fatal("a width outside the job's range was accepted")
+	}
+	if _, err := List(jobs, []int{1}, 8, ByLPT); err == nil {
+		t.Fatal("one width for two jobs was accepted")
 	}
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -54,7 +55,10 @@ func NewSWFScanner(r io.Reader) *SWFScanner {
 // than the 32 bytes the compiler keeps on the stack for such a string
 // costs one). Values and error texts are strconv's own. The ID and procs
 // fields must then hold integers within ±2^53 (see isInt53): any other
-// value ends the scan with an error naming the line and the field.
+// value ends the scan with an error naming the line and the field. A
+// plain decimal is judged on its digits, not on the float they round to,
+// so 9007199254740993 (2^53+1) is refused rather than read as 2^53; a
+// field strconv values (an exponent, hex) is judged on its value.
 func (s *SWFScanner) Scan() bool {
 	if s.err != nil {
 		return false
@@ -82,7 +86,7 @@ func (s *SWFScanner) Scan() bool {
 			l.val[i] = v
 		}
 		for _, i := range [...]int{0, 4} {
-			if !isInt53(l.val[i]) {
+			if !isInt53(l.val[i]) || l.wide&(1<<i) != 0 && !plainInt53(l.field[i]) {
 				s.err = fmt.Errorf("trace: line %d field %d: %q is not an integer within ±2^53", s.line, i, l.field[i])
 				return false
 			}
@@ -105,6 +109,22 @@ func isInt53(v float64) bool {
 	return math.Abs(v) <= 1<<53 && v == math.Trunc(v)
 }
 
+// plainInt53 reports whether f, a plain decimal [+-]digits[.digits],
+// spells an integer of magnitude at most 2^53, judged on its digits. A
+// plain decimal whose significand is at most 2^53 needs no such check:
+// its value is exact to within a rounding too small to reach an integer,
+// so isInt53 judges it right.
+func plainInt53(f []byte) bool {
+	if f[0] == '+' || f[0] == '-' {
+		f = f[1:]
+	}
+	whole, frac, _ := bytes.Cut(f, []byte{'.'})
+	whole = bytes.TrimLeft(whole, "0")
+	const max = "9007199254740992" // 2^53
+	return len(bytes.TrimRight(frac, "0")) == 0 &&
+		(len(whole) < len(max) || len(whole) == len(max) && string(whole) <= max)
+}
+
 // asciiSpace marks the ASCII bytes that unicode.IsSpace accepts — the
 // table strings.Fields and strings.TrimSpace consult.
 var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
@@ -120,6 +140,7 @@ type swfLine struct {
 	field [6][]byte  // the first six fields, aliasing the line
 	val   [6]float64 // val[i] is field i's value where exact has bit i set
 	exact uint8      // the fields valued; strconv reads the others
+	wide  uint8      // the plain decimals whose significand exceeds 2^53
 }
 
 // decode splits line around runs of white space exactly as strings.Fields
@@ -145,7 +166,10 @@ type swfLine struct {
 //     strconv, which settles it on its exact slow path.
 //
 // Any other field — an exponent, hex, Inf, NaN, underscores, no digit,
-// more digits — is left to strconv, which also words the errors.
+// more digits — is left to strconv, which also words the errors. A plain
+// field whose significand exceeds 2^53, or that has more than 19 digits,
+// is marked wide: its value may have rounded onto an integer, so an
+// integer field's digits must be read (plainInt53).
 func (l *swfLine) decode(line []byte) int {
 	n := 0
 	for i := 0; i < len(line); {
@@ -200,6 +224,7 @@ func (l *swfLine) decode(line []byte) int {
 				v, ok := float64(mant), true
 				if mant > 1<<53 {
 					v, ok = eiselLemire64(mant, -frac, neg)
+					l.wide |= 1 << n
 				} else {
 					if frac > 0 {
 						v /= pow10[frac]
@@ -212,6 +237,8 @@ func (l *swfLine) decode(line []byte) int {
 					l.val[n] = v
 					l.exact |= 1 << n
 				}
+			} else if plain && digits > 19 {
+				l.wide |= 1 << n
 			}
 		}
 		n++

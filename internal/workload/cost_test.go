@@ -173,9 +173,9 @@ func TestCostPlateauTakesFirstIndex(t *testing.T) {
 	}
 }
 
-// A summary belongs to the (job, m) it was built from: freezing a clone
+// A summary belongs to the (job, m) it was built from: freezing a copy
 // rewrites MinProcs/MaxProcs and narrows its table with them, and the
-// clone's own summary must describe the frozen job, not the original.
+// copy's own summary must describe the frozen job, not the original.
 func TestCostOfFrozenCloneIsFresh(t *testing.T) {
 	rng := stats.NewRNG(7)
 	for id := 0; id < 200; id++ {
@@ -183,7 +183,7 @@ func TestCostOfFrozenCloneIsFresh(t *testing.T) {
 		m := j.MaxProcs
 		orig := j.Cost(m)
 		_, p := orig.MinTime()
-		c := j.Clone()
+		c := *j
 		c.Kind = Rigid
 		c.MinProcs, c.MaxProcs = p, p
 		if c.Times != nil {
@@ -197,7 +197,7 @@ func TestCostOfFrozenCloneIsFresh(t *testing.T) {
 			t.Fatalf("job %d frozen at %d: Gamma(+Inf) = %d", id, p, g)
 		}
 		if again := j.Cost(m); again != orig {
-			t.Fatalf("job %d: summary of the original changed after freezing a clone", id)
+			t.Fatalf("job %d: summary of the original changed after freezing a copy", id)
 		}
 	}
 }

@@ -48,6 +48,14 @@ func (k Kind) String() string {
 //
 // All times are in abstract seconds. Weight is the ΣωiCi priority weight
 // (1 when the workload is unweighted). DueDate < 0 means "no due date".
+//
+// A job is read-only once its generator or loader hands it out: no
+// scheduler, simulator or experiment writes any field of it or any entry
+// of its table, so one job may be shared by every schedule, cell and
+// goroutine that reads it. A width is a scheduling decision, not part of
+// the job: a caller that runs a moldable job on p processors passes p
+// beside it (rigid.List takes one width per job), and a test that needs
+// a distinct twin copies the struct (c := *j).
 type Job struct {
 	ID      int
 	Name    string
@@ -70,8 +78,7 @@ type Job struct {
 	// must be positive and the table is expected to be monotone
 	// non-increasing. Entries past MaxProcs carry no meaning. A rigid job
 	// frozen at p carries one value, Times[0]; a moldable job with
-	// MinProcs = 1 carries MakeTable's layout. Whoever narrows the range
-	// narrows the table with it (moldable's freeze slices it).
+	// MinProcs = 1 carries MakeTable's layout.
 	Times []float64
 }
 
@@ -221,15 +228,6 @@ func SortKeyed(keys []Keyed, desc bool) {
 		}
 		return cmp.Compare(a.Pos, b.Pos)
 	})
-}
-
-// Clone returns a deep copy of the job.
-func (j *Job) Clone() *Job {
-	c := *j
-	if j.Times != nil {
-		c.Times = append([]float64(nil), j.Times...)
-	}
-	return &c
 }
 
 // TotalMinWork sums the minimal work of each job (the area lower bound

@@ -205,16 +205,6 @@ func TestMakeTableMonotone(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	j := testJob(10, 1, 3, Linear{})
-	j.Times = []float64{10, 5, 4}
-	c := j.Clone()
-	c.Times[0] = 99
-	if j.Times[0] == 99 {
-		t.Fatal("Clone shares the Times slice")
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if Rigid.String() != "rigid" || Moldable.String() != "moldable" || Malleable.String() != "malleable" {
 		t.Fatal("Kind.String mismatch")

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -287,7 +288,8 @@ func TestMakeTableTypedMatchesGeneric(t *testing.T) {
 // AllocsPerRun's whole-number average rounds to 0; a Parallel/Mixed job
 // also costs the box of the model it drew (the communities share one
 // model, a sequential job has no table). Each row also bounds the bytes
-// per job: the value measured when it was set plus about 10 %.
+// per job in plain builds: the value measured when it was set plus about
+// 10 %.
 func TestGeneratorAllocBudget(t *testing.T) {
 	const n = 4000
 	for _, tc := range []struct {
@@ -303,7 +305,9 @@ func TestGeneratorAllocBudget(t *testing.T) {
 		allocs := testing.AllocsPerRun(n-1, func() { tc.src.Next() })
 		bytes := bytesPerJob(tc.src, n)
 		t.Logf("%-11s %.0f allocations and %.1f bytes per job", tc.name, allocs, bytes)
-		if allocs > tc.allocs || bytes > tc.bytes {
+		// The race detector allocates on its own account; byte budgets
+		// are for plain builds.
+		if allocs > tc.allocs || bytes > tc.bytes && !raceEnabled {
 			t.Errorf("%s: %.0f allocations and %.1f bytes per job, budget %v and %v", tc.name, allocs, bytes, tc.allocs, tc.bytes)
 		}
 	}
@@ -338,7 +342,7 @@ func generatedStreams(rng *stats.RNG) map[string][]*Job {
 // tableContract checks one generated job against the table contract:
 // it validates, and over [MinProcs, MaxProcs] TimeOn(p) is the model's
 // time on p bit for bit — through MakeTable's clamp for a moldable job,
-// Model.Time itself for a job frozen rigid — and so is its clone's.
+// Model.Time itself for a job frozen rigid.
 func tableContract(j *Job) error {
 	if err := j.Validate(); err != nil {
 		return err
@@ -347,7 +351,6 @@ func tableContract(j *Job) error {
 	if j.Kind == Moldable {
 		clamped = MakeTable(j.Model, j.SeqTime, j.MaxProcs)
 	}
-	c := j.Clone()
 	for p := j.MinProcs; p <= j.MaxProcs; p++ {
 		want := j.Model.Time(j.SeqTime, p)
 		if clamped != nil {
@@ -356,16 +359,12 @@ func tableContract(j *Job) error {
 		if got := j.TimeOn(p); !sameFloat(got, want) {
 			return fmt.Errorf("%s job %d: TimeOn(%d) = %v, model %v", j.Kind, j.ID, p, got, want)
 		}
-		if got := c.TimeOn(p); !sameFloat(got, want) {
-			return fmt.Errorf("%s job %d: clone's TimeOn(%d) = %v, model %v", j.Kind, j.ID, p, got, want)
-		}
 	}
 	return nil
 }
 
 // TestGeneratedTableContract holds every job of every generator to the
-// table contract (tableContract); moldable's TestFreezeTableContract
-// holds a freeze at each legal width to it. `-quickchecks N` scales the
+// table contract (tableContract). `-quickchecks N` scales the
 // budget (10 configurations per check, four streams each; CI runs it
 // long).
 func TestGeneratedTableContract(t *testing.T) {
@@ -411,7 +410,9 @@ func TestStreamSlabsDoNotAlias(t *testing.T) {
 				break
 			}
 			if i < kept {
-				jobs, copies = append(jobs, j), append(copies, *j.Clone())
+				c := *j
+				c.Times = slices.Clone(j.Times)
+				jobs, copies = append(jobs, j), append(copies, c)
 			}
 		}
 		if len(jobs) != kept {
