@@ -331,15 +331,17 @@ func TestShelfQualityProperty(t *testing.T) {
 }
 
 func TestSortJobsOrders(t *testing.T) {
+	first := func(jobs []*workload.Job, ord Order, procs []int) int {
+		return jobs[sortJobs(jobs, procs, ord)[0].Pos].ID
+	}
 	jobs := []*workload.Job{rjob(1, 5, 1), rjob(2, 10, 2), rjob(3, 1, 4)}
-	first := func(ord Order, procs []int) int { return jobs[sortJobs(jobs, procs, ord)[0].Pos].ID }
 	if lpt := sortJobs(jobs, nil, ByLPT); jobs[lpt[0].Pos].ID != 2 || jobs[lpt[2].Pos].ID != 3 {
 		t.Fatal("ByLPT wrong")
 	}
-	if first(BySPT, nil) != 3 {
+	if first(jobs, BySPT, nil) != 3 {
 		t.Fatal("BySPT wrong")
 	}
-	if first(ByArea, nil) != 2 { // 20 > 5 ≥ 4
+	if first(jobs, ByArea, nil) != 2 { // 20 > 5 ≥ 4
 		t.Fatal("ByArea wrong")
 	}
 	// Widths price the order: job 1 at 1 proc (5) outlasts job 2 pinned
@@ -348,8 +350,8 @@ func TestSortJobsOrders(t *testing.T) {
 		return &workload.Job{ID: id, Kind: workload.Moldable, Weight: 1, DueDate: -1,
 			SeqTime: seq, MinProcs: 1, MaxProcs: maxP, Model: workload.Linear{}}
 	}
-	jobs = []*workload.Job{rjob(1, 5, 1), mold(2, 10, 10), mold(3, 1, 4)}
-	if first(ByLPT, []int{1, 10, 4}) != 1 || first(ByLPT, nil) != 2 {
+	molds := []*workload.Job{rjob(1, 5, 1), mold(2, 10, 10), mold(3, 1, 4)}
+	if first(molds, ByLPT, []int{1, 10, 4}) != 1 || first(molds, ByLPT, nil) != 2 {
 		t.Fatal("ByLPT does not price the given widths")
 	}
 }

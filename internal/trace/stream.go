@@ -140,7 +140,7 @@ type swfLine struct {
 	field [6][]byte  // the first six fields, aliasing the line
 	val   [6]float64 // val[i] is field i's value where exact has bit i set
 	exact uint8      // the fields valued; strconv reads the others
-	wide  uint8      // the plain decimals whose significand exceeds 2^53
+	wide  uint8      // the plain decimals past 2^53 or 19 digits (plainInt53)
 }
 
 // decode splits line around runs of white space exactly as strings.Fields

@@ -52,7 +52,9 @@ func (k Kind) String() string {
 // A job is read-only once its generator or loader hands it out: no
 // scheduler, simulator or experiment writes any field of it or any entry
 // of its table, so one job may be shared by every schedule, cell and
-// goroutine that reads it. A width is a scheduling decision, not part of
+// goroutine that reads it. Only the caller that receives a fresh slice
+// may finish its jobs (renumber them, mark them malleable) before any
+// other code reads them. A width is a scheduling decision, not part of
 // the job: a caller that runs a moldable job on p processors passes p
 // beside it (rigid.List takes one width per job), and a test that needs
 // a distinct twin copies the struct (c := *j).
