@@ -73,12 +73,12 @@ type View struct {
 	Speed float64
 	// Queue lends the waiting queue's slots in submission order. A nil
 	// slot is a hole: its job started, or was stolen, since the queue was
-	// last compacted. A job keeps its slot until then, so a start moves no
-	// other job. The Sim trims the holes at either end and compacts the
-	// slots, in one pass, once holes outnumber the jobs queued — before a
-	// decision or once its starts are all made, never between them — so a
-	// policy sees len(Queue) at most twice the jobs queued, and every
-	// policy skips the holes.
+	// last compacted. A job keeps its slot and its slot number until then,
+	// so a start moves no other job. The Sim trims the holes at either end
+	// and compacts the slots, in one pass, once holes outnumber the jobs
+	// queued — before a decision or once its starts are all made, never
+	// between them — so a policy sees len(Queue) at most twice the jobs
+	// queued, and every policy skips the holes (see Sim.tidy).
 	Queue []*workload.Job
 	// Plan is the cluster's persistent conservative-backfilling plan (see
 	// Plan and ConservativePolicy). ConservativePolicy extends it in place
@@ -111,37 +111,14 @@ type View struct {
 	// returned out of it, past Decide.
 	Scratch []Decision
 
-	// seqs[i] is the arrival number of Queue[i], hole or not: strictly
-	// increasing, so a job's slot is a binary search away (slot), and
-	// stable across compactions, so the index and the plan name jobs by
-	// it.
-	seqs []uint64
+	// base is the slot number of Queue[0]: slot i is numbered base+i, the
+	// name the index and the plan know its job by (see waitQueue).
+	base int
 	// sim is the Sim that lent the view, whose profile Profile brings up
 	// to date; a view built by hand (in a test) has none and carries
 	// profile instead.
 	sim     *Sim
 	profile *rigid.Profile
-}
-
-// slot returns 1 + the index in Queue of the slot with arrival number
-// seq, the position a Decision records, or 0 if no slot has it.
-func (v View) slot(seq uint64) int {
-	i, ok := slices.BinarySearch(v.seqs, seq)
-	if !ok {
-		return 0
-	}
-	return i + 1
-}
-
-// behind returns the first slot whose arrival number is above last,
-// or len(seqs) if none is: a walk back from the tail, which costs one
-// step per slot behind last — the slots a caller then visits anyway.
-func behind(seqs []uint64, last uint64) int {
-	i := len(seqs)
-	for i > 0 && seqs[i-1] > last {
-		i--
-	}
-	return i
 }
 
 // nextLive returns the index of the first job in queue at or after i, or
@@ -398,62 +375,35 @@ type Sim struct {
 }
 
 // waitQueue is the waiting queue of local jobs: slots in arrival order,
-// each with the arrival number its job got when it was queued. A job
-// that leaves — a start, a steal — leaves a hole (a nil slot) and moves
-// no other job. tidy trims the holes at either end and compacts the
-// slots and their numbers in one pass once holes outnumber live jobs, so
-// that len(jobs) <= 2·live after every tidy, at amortised O(1) per job
-// that leaves: a compaction copies at most 2·holes slots and leaves none.
+// slot i numbered base+i, the name the queue index and the conservative
+// plan know its job by. A job that leaves — a start, a steal — leaves a
+// hole (a nil slot) and moves no other job, until Sim.tidy trims and
+// compacts the slots.
 type waitQueue struct {
 	jobs []*workload.Job
-	// seqs[i] is the arrival number of jobs[i]: strictly increasing, from
-	// 1, and never reused.
-	seqs []uint64
-	live int    // non-nil slots
-	last uint64 // the highest arrival number handed out
+	base int // the slot number of jobs[0]
+	live int // non-nil slots
+	// renum, after a compaction, holds for each slot i as it was before
+	// it base + the number of jobs ahead of slot i, and one entry more
+	// (see renamed).
+	renum []int
 }
 
-// push queues j at the tail under the next arrival number.
+// push queues j at the tail, under the next slot number.
 func (q *waitQueue) push(j *workload.Job) {
-	q.last++
 	q.jobs = append(q.jobs, j)
-	q.seqs = append(q.seqs, q.last)
 	q.live++
 }
 
-// tidy trims the holes at either end — when none is left, the slots
-// start again at the front of their array — and compacts the rest when
-// holes outnumber live jobs. A queue without holes, the common case on
-// a cluster that keeps up, costs one comparison.
-func (q *waitQueue) tidy() {
-	if len(q.jobs) > q.live {
-		q.trim()
+// renamed returns the number the last compaction gave slot n: its job's,
+// a hole's next job's (a bound stays the bound of the same jobs), or the
+// new end past the old tail; n itself when n is below base or q is nil.
+// Slot n held a job if and only if n+1 maps elsewhere.
+func (q *waitQueue) renamed(n int) int {
+	if q == nil || n < q.base {
+		return n
 	}
-}
-
-// trim is tidy for a queue that holds a hole.
-func (q *waitQueue) trim() {
-	if q.live == 0 {
-		q.jobs, q.seqs = q.jobs[:0], q.seqs[:0]
-		return
-	}
-	lo, hi := nextLive(q.jobs, 0), len(q.jobs)
-	for q.jobs[hi-1] == nil {
-		hi--
-	}
-	q.jobs, q.seqs = q.jobs[lo:hi], q.seqs[lo:hi]
-	if len(q.jobs) <= 2*q.live {
-		return
-	}
-	k := 0
-	for i, j := range q.jobs {
-		if j != nil {
-			q.jobs[k], q.seqs[k] = j, q.seqs[i]
-			k++
-		}
-	}
-	clear(q.jobs[k:])
-	q.jobs, q.seqs = q.jobs[:k], q.seqs[:k]
+	return q.renum[min(n-q.base, len(q.renum)-1)]
 }
 
 type localRunning struct {
@@ -716,7 +666,7 @@ func (s *Sim) reschedule() {
 	now := s.DES.Now()
 	// The queue is tidied before the decision and after its starts, never
 	// in between, so the slots the decisions name are still theirs.
-	s.queue.tidy()
+	s.tidy()
 	// On an empty queue no shipped policy decides or changes anything (a
 	// conservative plan holds there: each job it planned has left the
 	// queue), so the policy is not asked.
@@ -724,13 +674,13 @@ func (s *Sim) reschedule() {
 		view := View{
 			Now: now, Avail: s.avail - s.localProcs, Speed: s.Speed,
 			Queue: s.queue.jobs, Plan: &s.plan, Index: &s.index, Scratch: s.decisions,
-			seqs: s.queue.seqs, sim: s,
+			base: s.queue.base, sim: s,
 		}
 		decisions := s.policy.Decide(view)
 		for _, d := range decisions {
 			s.start(d, now)
 		}
-		s.queue.tidy()
+		s.tidy()
 		// What came back is the scratch, or the larger array the policy's
 		// appends moved to, which takes its place.
 		clear(decisions)
@@ -793,13 +743,62 @@ func (s *Sim) start(d Decision, now float64) {
 	_ = s.DES.At(run.end, run.fire)
 }
 
+// tidy trims the queue's holes at either end and compacts the slots in
+// one pass once holes outnumber live jobs, so that len(jobs) <= 2·live,
+// at amortised O(1) per job that leaves: a compaction copies at most
+// 2·holes slots and leaves none. A front trim moves base and renames
+// nothing. A tail trim frees the numbers past the new tail, which the
+// index and the plan forget, and an emptied queue moves base past its old
+// tail instead. A compaction numbers the jobs left from base on, and the
+// index (each lane rebuilt, removed entries dropped) and the plan are
+// renamed with it. A queue without holes costs one comparison.
+func (s *Sim) tidy() {
+	q := &s.queue
+	if len(q.jobs) == q.live {
+		return
+	}
+	if q.live == 0 {
+		q.base, q.jobs = q.base+len(q.jobs), q.jobs[:0]
+		return
+	}
+	lo, hi := nextLive(q.jobs, 0), len(q.jobs)
+	for q.jobs[hi-1] == nil {
+		hi--
+	}
+	q.base, q.jobs = q.base+lo, q.jobs[lo:hi]
+	end := q.base + len(q.jobs)
+	s.index.end = min(s.index.end, end)
+	s.plan.forget(end)
+	if len(q.jobs) <= 2*q.live {
+		return
+	}
+	k, renum := 0, q.renum[:0]
+	for _, j := range q.jobs {
+		renum = append(renum, q.base+k)
+		if j != nil {
+			q.jobs[k] = j
+			k++
+		}
+	}
+	q.renum = append(renum, q.base+k)
+	clear(q.jobs[k:])
+	q.jobs = q.jobs[:k]
+	s.index.end = q.renamed(s.index.end)
+	for i := range s.index.lanes {
+		s.index.lanes[i].rebuild(q)
+	}
+	s.plan.rename(q)
+}
+
 // dequeue takes the job in slot i out of the queue, leaving a hole, and
-// out of the index, where a search found it at pos (0: unknown), and
-// returns it.
+// out of its lane of the index if it is indexed, where a search found it
+// at pos (0: unknown), and returns it.
 func (s *Sim) dequeue(i, pos int) *workload.Job {
 	q := &s.queue
 	j := q.jobs[i]
-	s.index.remove(q.seqs[i], j, pos)
+	if slot := q.base + i; slot < s.index.end {
+		s.index.lane(procsFor(j)).remove(slot, j, pos-1)
+	}
 	q.jobs[i] = nil
 	q.live--
 	return j
@@ -1223,13 +1222,7 @@ func (s *Sim) QueueLength() int { return s.queue.live }
 
 // Queued returns the waiting jobs in submission order, in a new slice.
 func (s *Sim) Queued() []*workload.Job {
-	out := slices.Grow([]*workload.Job(nil), s.queue.live)
-	for _, j := range s.queue.jobs {
-		if j != nil {
-			out = append(out, j)
-		}
-	}
-	return out
+	return slices.DeleteFunc(slices.Clone(s.queue.jobs), func(j *workload.Job) bool { return j == nil })
 }
 
 // Running returns the currently running local jobs in start order (the

@@ -52,11 +52,11 @@ func (ConservativePolicy) Name() string { return "conservative" }
 // Plan is a conservative-backfilling schedule carried across decisions:
 // an availability profile holding the running jobs' and the planned
 // jobs' reservations, and a min-heap of the planned jobs on (planned
-// start, arrival number), so the jobs due now are the ones on top. A job
-// is named by the arrival number of its queue slot (View.Queue), which
-// survives compaction; the jobs planned are the queued jobs numbered up
-// to last, and a decision plans those numbered behind it. The zero value
-// is an empty, invalid plan.
+// start, slot number), so the jobs due now are the ones on top. A job is
+// named by its slot number, which the Sim renames and frees with the
+// queue's (see Sim.tidy); the jobs planned are the queued jobs numbered
+// below end, and a decision plans those numbered from end on. The zero
+// value is an empty, invalid plan.
 //
 // A Plan belongs to one evolving queue (one Sim); only ConservativePolicy
 // reads or writes it, and its owner calls Invalidate when the capacity
@@ -69,25 +69,25 @@ func (ConservativePolicy) Name() string { return "conservative" }
 type Plan struct {
 	// profile is nil while the plan is invalid.
 	profile *rigid.Profile
-	// heap holds the planned jobs still queued: every job queued under an
-	// arrival number up to last, but for the due ones.
+	// heap holds the planned jobs still queued: every job queued in a slot
+	// numbered below end, but for the due ones.
 	heap []planned
-	last uint64
-	// due holds, sorted, the arrival numbers of the jobs the last decision
+	end  int
+	// due holds, sorted, the slot numbers of the jobs the last decision
 	// started. Their reservations are in profile as if they ran; one of
 	// them still queued at the next decision means its start was refused.
-	due []uint64
+	due []int
 }
 
-// planned is a job of the plan: its arrival number and planned start.
+// planned is a job of the plan: its slot number and planned start.
 type planned struct {
 	start float64
-	seq   uint64
+	slot  int
 }
 
-// before orders the plan's heap: by planned start, then arrival number.
+// before orders the plan's heap: by planned start, then slot number.
 func (a planned) before(b planned) bool {
-	return a.start < b.start || a.start == b.start && a.seq < b.seq
+	return a.start < b.start || a.start == b.start && a.slot < b.slot
 }
 
 // push adds e to the heap.
@@ -133,7 +133,28 @@ func (pl *Plan) pop() planned {
 func (pl *Plan) Invalidate() {
 	pl.profile.Recycle()
 	pl.profile = nil
-	pl.heap, pl.due, pl.last = pl.heap[:0], pl.due[:0], 0
+	pl.heap, pl.due, pl.end = pl.heap[:0], pl.due[:0], 0
+}
+
+// forget drops the slot numbers from end on, which a tail trim freed.
+func (pl *Plan) forget(end int) {
+	i, _ := slices.BinarySearch(pl.due, end)
+	pl.due, pl.end = pl.due[:i], min(pl.end, end)
+}
+
+// rename gives each planned job, and each due job still queued, the
+// number q's last compaction gave its slot (in order: the heap holds).
+func (pl *Plan) rename(q *waitQueue) {
+	for i := range pl.heap {
+		pl.heap[i].slot = q.renamed(pl.heap[i].slot)
+	}
+	due := pl.due[:0]
+	for _, n := range pl.due {
+		if m := q.renamed(n); m != q.renamed(n+1) {
+			due = append(due, m)
+		}
+	}
+	pl.due, pl.end = due, q.renamed(pl.end)
 }
 
 // holds reports whether the plan can be extended at v: it exists, does
@@ -143,8 +164,8 @@ func (pl *Plan) holds(v View) bool {
 	if pl.profile == nil || pl.profile.Start() > v.Now || len(pl.heap) > 0 && pl.heap[0].start < v.Now {
 		return false
 	}
-	for _, seq := range pl.due {
-		if i := v.slot(seq); i > 0 && v.Queue[i-1] != nil {
+	for _, n := range pl.due {
+		if i := n - v.base; uint(i) < uint(len(v.Queue)) && v.Queue[i] != nil {
 			return false
 		}
 	}
@@ -168,7 +189,7 @@ func (ConservativePolicy) Decide(v View) []Decision {
 	// exact stays true while the plan is worth keeping: every queued job
 	// planned, every due job due exactly now.
 	exact := true
-	for i := behind(v.seqs, pl.last); i < len(v.Queue); i++ {
+	for i := max(pl.end-v.base, 0); i < len(v.Queue); i++ {
 		j := v.Queue[i]
 		if j == nil {
 			continue
@@ -185,23 +206,22 @@ func (ConservativePolicy) Decide(v View) []Decision {
 			exact = false
 			continue
 		}
-		pl.push(planned{start, v.seqs[i]})
+		pl.push(planned{start, v.base + i})
 	}
-	pl.last = max(pl.last, v.seqs[len(v.seqs)-1])
+	pl.end = v.base + len(v.Queue)
 
 	// The due jobs start in queue order, the order they were planned in.
 	pl.due = pl.due[:0]
 	for len(pl.heap) > 0 && pl.heap[0].start <= v.Now+1e-12 {
 		e := pl.pop()
-		pl.due = append(pl.due, e.seq)
+		pl.due = append(pl.due, e.slot)
 		exact = exact && e.start == v.Now
 	}
 	slices.Sort(pl.due)
 	out := v.Scratch
-	for _, seq := range pl.due {
-		i := v.slot(seq) - 1
-		j := v.Queue[i]
-		out = append(out, Decision{Job: j, Procs: procsFor(j), at: i + 1})
+	for _, n := range pl.due {
+		j := v.Queue[n-v.base]
+		out = append(out, Decision{Job: j, Procs: procsFor(j), at: n - v.base + 1})
 	}
 	if !exact {
 		pl.Invalidate()

@@ -42,7 +42,7 @@ func TestConservativeRefusedStartAtPlanTail(t *testing.T) {
 		sameDecisions(t, 0, ConservativePolicy{}.Decide(v), []Decision{{Job: f1, Procs: 1}, {Job: f2, Procs: 1}})
 	}
 	if len(v.Plan.heap) != 1 || v.Plan.heap[0] != (planned{10, 1}) {
-		t.Fatalf("plan keeps %+v, want the wide job (arrival number 1) at 10", v.Plan.heap)
+		t.Fatalf("plan keeps %+v, want the wide job (slot number 1) at 10", v.Plan.heap)
 	}
 	pl := v.Plan
 	v = testView(0, 4, 1, 1, []*workload.Job{wide, nil, f2}, busy{10, 2}, busy{5, 1})

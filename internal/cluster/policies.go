@@ -124,28 +124,33 @@ func (EASYPolicy) Decide(v View) []Decision {
 		extra = 0 // saturated forever: nothing fits beside the head
 	}
 
-	// Backfill the rest: every job behind the head, in queue order, that
-	// fits the free processors and either ends by the shadow time or fits
-	// the processors spare at it. avail and extra change only when a job
-	// is taken (and only shrink, so avail at 0 ends it), which means a
-	// walk down the queue tests all the jobs between two taken ones
-	// against the same numbers: it takes, each time, the first job behind
-	// the last one taken that passes — and that is the question the index
-	// answers without the walk. The index only finds the job; the test
-	// that takes it is the walk's own arithmetic, re-run here on the
-	// duration the lane keys the job by. A NaN duration keys as +Inf, which
-	// passes under an infinite shadow time where NaN must not, so a key of
-	// +Inf is read again.
+	return backfill(v, out, k, avail, extra, shadow)
+}
+
+// backfill appends to out the backfill of EASYPolicy and GreedyFitPolicy
+// behind the blocked head in slot k, and returns it: every job behind the
+// head, in queue order, that fits the avail free processors and either
+// ends by the shadow time or fits the extra processors spare at it. avail
+// and extra change only when a job is taken (and only shrink, so avail
+// at 0 ends it), which means a walk down the queue tests all the jobs
+// between two taken ones against the same numbers: it takes, each time,
+// the first job behind the last one taken that passes — and that is the
+// question the index answers without the walk. The index only finds the
+// job; the test that takes it is the walk's own arithmetic, re-run here
+// on the duration the lane keys the job by. A NaN duration keys as +Inf,
+// which passes under an infinite shadow time where NaN must not, so a key
+// of +Inf is read again. Each decision names its slot and lane position.
+func backfill(v View, out []Decision, k, avail, extra int, shadow float64) []Decision {
 	ix := v.Index
 	ix.sync(v)
-	after := v.seqs[k]
+	after := v.base + k
 	for avail > 0 {
 		l, pos := ix.next(after, avail, extra, v.Now, shadow+1e-12)
 		if l == nil {
 			break
 		}
 		j, dur := l.jobs[pos], l.key(pos)
-		after = l.seqs[pos]
+		after = l.slots[pos]
 		p := procsFor(j)
 		if math.IsInf(dur, 1) {
 			dur = v.Duration(j, p)
@@ -156,7 +161,7 @@ func (EASYPolicy) Decide(v View) []Decision {
 		if !fitsBefore && !fitsBeside {
 			continue // a NaN duration under an infinite shadow time
 		}
-		out = append(out, Decision{Job: j, Procs: p, at: v.slot(after), pos: pos + 1})
+		out = append(out, Decision{Job: j, Procs: p, at: after - v.base + 1, pos: pos + 1})
 		avail -= p
 		if !fitsBefore {
 			extra -= p
@@ -190,22 +195,7 @@ func (GreedyFitPolicy) Decide(v View) []Decision {
 	if k == len(v.Queue) || avail <= 0 {
 		return out // every job needs at least one processor
 	}
-	// Then, each time, the first job behind the last one taken that is no
-	// wider than what is left (see EASYPolicy): a backfill search whose
-	// spare processors are all of them, so that length never matters.
-	ix := v.Index
-	ix.sync(v)
-	after := v.seqs[k]
-	for avail > 0 {
-		l, pos := ix.next(after, avail, avail, 0, 0)
-		if l == nil {
-			break
-		}
-		j := l.jobs[pos]
-		after = l.seqs[pos]
-		p := procsFor(j)
-		out = append(out, Decision{Job: j, Procs: p, at: v.slot(after), pos: pos + 1})
-		avail -= p
-	}
-	return out
+	// Then the backfill search, with every processor left spare: length
+	// never matters.
+	return backfill(v, out, k, avail, avail, math.Inf(1))
 }

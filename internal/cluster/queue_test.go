@@ -123,3 +123,74 @@ func TestQueueSlotsOnDeepStream(t *testing.T) {
 		})
 	}
 }
+
+// slotNames wraps a policy and holds every decision it returns to
+// requirePositions: the job's slot, and the job's lane entry, under its
+// slot number, where the decision names one. A backfill of a policy that
+// searches the index must name one (see TestDecisionsNameTheirSlots).
+type slotNames struct {
+	Policy
+	t *testing.T
+	// backfills counts the decisions of a job with a job queued ahead of
+	// it that the decision does not start first.
+	backfills int
+}
+
+func (p *slotNames) Decide(v View) []Decision {
+	ds := p.Policy.Decide(v)
+	requirePositions(p.t, v, ds)
+	_, easy := p.Policy.(EASYPolicy)
+	_, greedy := p.Policy.(GreedyFitPolicy)
+	for i, d := range ds {
+		if !slices.ContainsFunc(v.Queue[:d.at-1], func(j *workload.Job) bool {
+			return j != nil && !slices.ContainsFunc(ds[:i], func(e Decision) bool { return e.Job == j })
+		}) {
+			continue
+		}
+		p.backfills++
+		if (easy || greedy) && d.pos == 0 {
+			p.t.Fatalf("t=%v: job %d, backfilled from slot %d, names no lane position", v.Now, d.Job.ID, d.at-1)
+		}
+	}
+	return ds
+}
+
+// TestDecisionsNameTheirSlots runs every shipped policy, wrapped in
+// slotNames, over the deep benchmarks' stream (MixedSource, M = 64, seed
+// 7, rate 2), where the queue is compacted — renumbered — several times,
+// and over churnTwoClusters, whose steals and kills trim the queue's tail
+// and queue jobs under the numbers the trim freed. The backfilling
+// policies must have backfilled, and compacted the deep queue.
+func TestDecisionsNameTheirSlots(t *testing.T) {
+	for _, tc := range []struct {
+		policy Policy
+		n      int
+	}{
+		{FCFSPolicy{}, 7000}, {EASYPolicy{}, 7000}, {GreedyFitPolicy{}, 7000}, {ConservativePolicy{}, 700},
+	} {
+		t.Run(tc.policy.Name(), func(t *testing.T) {
+			p := &slotNames{Policy: tc.policy, t: t}
+			s, err := New(des.New(), 64, 1, p, KillNewest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := workload.MixedSource(workload.GenConfig{N: tc.n, M: 64, Seed: 7, ArrivalRate: 2, RigidFraction: 0.5})
+			if err := s.Stream(src); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			churn := &slotNames{Policy: tc.policy, t: t}
+			for seed := uint64(1); seed <= 20; seed++ {
+				if _, ok := churnTwoClusters(t, seed, [2]Policy{churn, churn}, map[string]int{}, nil); !ok {
+					t.Fatalf("seed %d: not every job completed", seed)
+				}
+			}
+			// FCFS starts heads only, so its queue has holes only at the front.
+			if _, fcfs := tc.policy.(FCFSPolicy); !fcfs && (p.backfills == 0 || churn.backfills == 0 || len(s.queue.renum) == 0) {
+				t.Fatalf("%d backfills on the deep stream, %d under churn; deep queue compacted: %v", p.backfills, churn.backfills, len(s.queue.renum) > 0)
+			}
+		})
+	}
+}

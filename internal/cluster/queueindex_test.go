@@ -28,7 +28,7 @@ func laneOf(ix *QueueIndex, width int) *lane {
 func sameKey(a, b float64) bool { return a == b || (a != a && b != b) }
 
 // checkLane verifies a lane's own invariants: entries by strictly
-// increasing arrival number, a leaf row with each live entry's key and
+// increasing slot number, a leaf row with each live entry's key and
 // NaN everywhere else, and every inner node the minKey of its children.
 func checkLane(t *testing.T, l *lane) {
 	t.Helper()
@@ -36,9 +36,9 @@ func checkLane(t *testing.T, l *lane) {
 	if n < minLaneCap || n&(n-1) != 0 || len(l.tree) != 2*n {
 		t.Fatalf("lane %d: tree of %d nodes", l.width, len(l.tree))
 	}
-	if len(l.jobs) != len(l.seqs) || len(l.jobs) > n || cap(l.jobs) != n || cap(l.seqs) != n {
-		t.Fatalf("lane %d: %d jobs (cap %d), %d arrival numbers (cap %d) under %d leaves",
-			l.width, len(l.jobs), cap(l.jobs), len(l.seqs), cap(l.seqs), n)
+	if len(l.jobs) != len(l.slots) || len(l.jobs) > n || cap(l.jobs) != n || cap(l.slots) != n {
+		t.Fatalf("lane %d: %d jobs (cap %d), %d slot numbers (cap %d) under %d leaves",
+			l.width, len(l.jobs), cap(l.jobs), len(l.slots), cap(l.slots), n)
 	}
 	live := 0
 	for i := 0; i < n; i++ {
@@ -49,8 +49,8 @@ func checkLane(t *testing.T, l *lane) {
 		if !dead {
 			live++
 		}
-		if i > 0 && i < len(l.seqs) && l.seqs[i] <= l.seqs[i-1] {
-			t.Fatalf("lane %d: arrival numbers %d, %d at entries %d, %d", l.width, l.seqs[i-1], l.seqs[i], i-1, i)
+		if i > 0 && i < len(l.slots) && l.slots[i] <= l.slots[i-1] {
+			t.Fatalf("lane %d: slot numbers %d, %d at entries %d, %d", l.width, l.slots[i-1], l.slots[i], i-1, i)
 		}
 	}
 	if live != l.live {
@@ -68,15 +68,16 @@ func checkLane(t *testing.T, l *lane) {
 	}
 }
 
-// checkIndex verifies that v.Index is in step with v.Queue: the slots'
-// arrival numbers increase; each job queued under a number up to the
-// index's last sits, live, in the lane of its width under its arrival
-// number and its duration on this cluster; the lanes hold nothing else.
+// checkIndex verifies that v.Index is in step with v.Queue: the index's
+// end lies at most at the queue's, so that an arrival is indexed at the
+// next search; each job queued in a slot numbered below that end sits,
+// live, in the lane of its width under its slot number and its duration
+// on this cluster; the lanes hold nothing else.
 func checkIndex(t *testing.T, v View) {
 	t.Helper()
 	ix := v.Index
-	if len(v.seqs) != len(v.Queue) {
-		t.Fatalf("t=%v: %d arrival numbers for %d slots", v.Now, len(v.seqs), len(v.Queue))
+	if end := v.base + len(v.Queue); ix.end > end {
+		t.Fatalf("t=%v: the index counts slots up to %d indexed, the queue ends at %d", v.Now, ix.end, end)
 	}
 	live := 0
 	for i := range ix.lanes {
@@ -91,12 +92,9 @@ func checkIndex(t *testing.T, v View) {
 		live += l.live
 	}
 	indexed := 0
-	for i, seq := range v.seqs {
-		if i > 0 && seq <= v.seqs[i-1] {
-			t.Fatalf("t=%v: slot %d has arrival number %d after %d", v.Now, i, seq, v.seqs[i-1])
-		}
-		j := v.Queue[i]
-		if j == nil || seq > ix.last {
+	for i, j := range v.Queue {
+		slot := v.base + i
+		if j == nil || slot >= ix.end {
 			continue
 		}
 		indexed++
@@ -105,9 +103,9 @@ func checkIndex(t *testing.T, v View) {
 		if l == nil {
 			t.Fatalf("t=%v: job %d is indexed and there is no lane %d", v.Now, j.ID, p)
 		}
-		k, found := slices.BinarySearch(l.seqs, seq)
+		k, found := slices.BinarySearch(l.slots, slot)
 		if !found || l.jobs[k] != j {
-			t.Fatalf("t=%v: job %d (queue position %d, arrival number %d) is not in lane %d", v.Now, j.ID, i, seq, p)
+			t.Fatalf("t=%v: job %d (queue position %d, slot number %d) is not in lane %d", v.Now, j.ID, i, slot, p)
 		}
 		want := v.Duration(j, p)
 		if want != want {
@@ -258,25 +256,24 @@ var (
 
 // runLaneOps drives a queue index over a hand-built queue and a linear
 // scan of that queue, holes skipped, through the operations encoded in
-// ops — queue a job (1 or 2 wide, so that lane 1's arrival numbers skip
-// some), remove one (a hole, and out of the index if it is indexed),
-// tidy the queue (trims and compaction move slots, never arrival
-// numbers), rebuild lane 1 (which compacts, grows or shrinks it), search
-// lane 1 after indexing what is new, and search it and remove the job
-// found by the position the search handed over, as a start does — at
-// once, or after a rebuild of lane 1 or a tidy of the queue, which may
-// leave the position stale — and requires the same answer to every
-// search, and the index in step with the queue after every step. Search
-// bounds sit exactly at now+duration of some palette duration, one ULP
-// below it and one ULP above, where a pruning test that was not the
-// entry's own expression would show.
+// ops — queue a job (1 or 2 wide, so that lane 1's slot numbers skip
+// some), remove one (a hole, and out of the index if it is indexed, by
+// Sim.dequeue), tidy the queue by Sim.tidy (a tail trim frees numbers
+// that the next arrivals take again; a compaction renumbers the slots
+// and renames the index's entries), rebuild lane 1 (which compacts, grows
+// or shrinks it), search lane 1 after indexing what is new, and search it
+// and remove the job found by the position the search handed over, as a
+// start does — at once, or after a rebuild of lane 1 or a tidy of the
+// queue, which may leave the position stale — and requires the same
+// answer to every search, and the index in step with the queue after
+// every step. Search bounds sit exactly at now+duration of some palette
+// duration, one ULP below it and one ULP above, where a pruning test that
+// was not the entry's own expression would show.
 func runLaneOps(t *testing.T, ops []byte) {
 	t.Helper()
-	var (
-		q  waitQueue
-		ix QueueIndex
-	)
-	view := func() View { return View{Speed: 1, Queue: q.jobs, seqs: q.seqs, Index: &ix} }
+	var s Sim // only its queue, index and plan, for tidy and dequeue
+	q, ix := &s.queue, &s.index
+	view := func() View { return View{Speed: 1, Queue: q.jobs, base: q.base, Index: ix} }
 	take := func() int {
 		if len(ops) == 0 {
 			return 0
@@ -291,12 +288,13 @@ func runLaneOps(t *testing.T, ops []byte) {
 		}
 		return d
 	}
-	for len(ops) > 0 {
+	for id := 1; len(ops) > 0; {
 		switch op := take() % 8; op {
 		case 0, 1, 2:
 			width := 1 + take()%3/2
 			times := []float64{laneDurs[take()%len(laneDurs)]}
-			q.push(&workload.Job{ID: int(q.last + 1), MinProcs: width, MaxProcs: width, Times: times})
+			q.push(&workload.Job{ID: id, MinProcs: width, MaxProcs: width, Times: times})
+			id++
 		case 3, 4:
 			if q.live == 0 {
 				continue
@@ -305,29 +303,27 @@ func runLaneOps(t *testing.T, ops []byte) {
 			for k := take() % q.live; k > 0; k-- {
 				i = nextLive(q.jobs, i+1)
 			}
-			ix.remove(q.seqs[i], q.jobs[i], 0)
-			q.jobs[i] = nil
-			q.live--
+			s.dequeue(i, 0)
 		case 5:
-			if l := laneOf(&ix, 1); l != nil && take()%2 == 0 {
-				l.rebuild()
+			if l := laneOf(ix, 1); l != nil && take()%2 == 0 {
+				l.rebuild(nil)
 			} else {
-				q.tidy()
+				s.tidy()
 			}
 		default:
 			ix.sync(view())
-			l := laneOf(&ix, 1) // a lane exists from its first indexed job on
-			if l == nil || len(q.seqs) == 0 {
+			l := laneOf(ix, 1) // a lane exists from its first indexed job on
+			if l == nil || len(q.jobs) == 0 {
 				continue
 			}
-			after := uint64(0)
-			switch pick := q.seqs[take()%len(q.seqs)]; take() % 4 {
+			after := -1
+			switch pick := q.base + take()%len(q.jobs); take() % 4 {
 			case 0:
 				after = pick
 			case 1:
 				after = pick - 1
 			case 2:
-				after = q.last
+				after = q.base + len(q.jobs) - 1
 			}
 			now := laneNows[take()%len(laneNows)]
 			bound := now + key(laneDurs[take()%len(laneDurs)])
@@ -343,33 +339,30 @@ func runLaneOps(t *testing.T, ops []byte) {
 			case 4:
 				bound = math.Inf(-1)
 			}
-			want := int64(-1)
+			want := -1
 			for i, j := range q.jobs {
-				if j != nil && j.MinProcs == 1 && q.seqs[i] > after && now+key(j.Times[0]) <= bound {
-					want = int64(q.seqs[i])
+				if j != nil && j.MinProcs == 1 && q.base+i > after && now+key(j.Times[0]) <= bound {
+					want = q.base + i
 					break
 				}
 			}
-			got := int64(-1)
+			got := -1
 			k := l.first(after, now, bound)
 			if k >= 0 {
-				got = int64(l.seqs[k])
+				got = l.slots[k]
 			}
 			if got != want {
 				t.Fatalf("first job after %d with %v+duration <= %v: lane says %d, linear scan %d", after, now, bound, got, want)
 			}
 			if op == 7 && k >= 0 {
-				j, seq := l.jobs[k], l.seqs[k]
+				j := l.jobs[k]
 				switch take() % 3 {
 				case 1:
-					l.rebuild()
+					l.rebuild(nil)
 				case 2:
-					q.tidy()
+					s.tidy()
 				}
-				i, _ := slices.BinarySearch(q.seqs, seq)
-				ix.remove(seq, j, k+1)
-				q.jobs[i] = nil
-				q.live--
+				s.dequeue(slices.Index(q.jobs, j), k+1)
 			}
 		}
 		checkIndex(t, view())
@@ -400,5 +393,9 @@ func FuzzLaneOps(f *testing.F) {
 	// Three jobs queued and indexed, the first removed, then a search whose
 	// job is removed after a rebuild has moved it: a stale position.
 	f.Add([]byte{0, 0, 1, 0, 0, 1, 0, 0, 1, 6, 0, 3, 0, 1, 2, 3, 0, 7, 0, 3, 0, 1, 2, 1})
+	// Two jobs of one width queued and indexed, the tail one removed, a tidy
+	// that trims it and frees its number, a job queued under that number
+	// again, then a search, which indexes it behind the freed entry.
+	f.Add([]byte{0, 0, 1, 0, 0, 1, 6, 0, 3, 0, 2, 5, 3, 1, 5, 1, 0, 0, 1, 6, 0, 3, 0, 2, 5})
 	f.Fuzz(func(t *testing.T, ops []byte) { runLaneOps(t, ops) })
 }

@@ -238,9 +238,9 @@ type audit struct {
 	unread map[*workload.Job]bool
 	// cov counts, across audits, how often each path was taken.
 	cov map[string]int
-	// slots maps the arrival number of each job queued at the last
-	// decision to its slot, for noteCompaction.
-	slots map[uint64]int
+	// slots maps each job queued at the last decision, and neither started
+	// nor stolen since, to its slot number, for noteCompaction.
+	slots map[*workload.Job]int
 	// returned counts the starts decided, started those made (kept by
 	// auditedSim's start observer), and decided the decisions at each
 	// instant.
@@ -254,7 +254,7 @@ type audit struct {
 // newAudit returns an audit of inner counting into cov, to be bound to
 // its Sim.
 func newAudit(t *testing.T, inner Policy, cov map[string]int) *audit {
-	return &audit{t: t, inner: inner, cov: cov, decided: map[float64]int{}, slots: map[uint64]int{}}
+	return &audit{t: t, inner: inner, cov: cov, decided: map[float64]int{}, slots: map[*workload.Job]int{}}
 }
 
 // bind makes s the audited Sim, whose idle report ends each decision's
@@ -346,26 +346,24 @@ func (a *audit) Decide(v View) []Decision {
 			got = slices.Insert(got, 0, Decision{Job: wide, Procs: procsFor(wide)}) // in the scratch while it has room
 		}
 	}
+	for _, d := range got {
+		delete(a.slots, d.Job)
+	}
 	a.returned += len(got)
 	a.starting = true
 	return got
 }
 
 // noteCompaction counts the decisions that find the queue compacted
-// since the last: the only edit that moves two jobs queued at both
-// decisions by different numbers of slots (a trim moves every job by
-// the same number).
+// since the last: the only edit that renumbers a job queued at both
+// decisions (a trim keeps every number). A job that left in between and
+// came back has a new number, so Decide forgets the jobs it decides, and
+// steal those it steals.
 func (a *audit) noteCompaction(v View) {
-	shift, common, moved := 0, false, false
+	moved := false
 	for i, j := range v.Queue {
-		if j == nil {
-			continue
-		}
-		if k, ok := a.slots[v.seqs[i]]; ok {
-			if !common {
-				shift, common = i-k, true
-			}
-			moved = moved || i-k != shift
+		if k, ok := a.slots[j]; ok {
+			moved = moved || k != v.base+i
 		}
 	}
 	if moved {
@@ -374,7 +372,7 @@ func (a *audit) noteCompaction(v View) {
 	clear(a.slots)
 	for i, j := range v.Queue {
 		if j != nil {
-			a.slots[v.seqs[i]] = i
+			a.slots[j] = v.base + i
 		}
 	}
 }
@@ -393,7 +391,7 @@ func (a *audit) checkUnread() {
 
 // planCopy returns a copy of pl that shares no memory with it.
 func planCopy(pl *Plan) Plan {
-	c := Plan{heap: slices.Clone(pl.heap), last: pl.last, due: slices.Clone(pl.due)}
+	c := Plan{heap: slices.Clone(pl.heap), end: pl.end, due: slices.Clone(pl.due)}
 	if pl.profile != nil {
 		c.profile = pl.profile.Clone()
 	}
@@ -401,7 +399,7 @@ func planCopy(pl *Plan) Plan {
 }
 
 // checkPlan requires the plan ConservativePolicy kept after deciding got
-// to be the reference's: the jobs still queued, by arrival number, each
+// to be the reference's: the jobs still queued, by slot number, each
 // at the start the whole-queue plan gives it, on the same timeline, with
 // every job queued planned and a heap in order.
 func checkPlan(t *testing.T, v View, got []Decision, starts []float64, plan *rigid.Profile) {
@@ -417,17 +415,17 @@ func checkPlan(t *testing.T, v View, got []Decision, starts []float64, plan *rig
 			t.Fatalf("t=%v: plan heap entry %d %+v comes before its parent %+v", v.Now, i, pl.heap[i], pl.heap[(i-1)/2])
 		}
 	}
-	byArrival := slices.SortedFunc(slices.Values(pl.heap), func(a, b planned) int { return cmp.Compare(a.seq, b.seq) })
-	if n := len(v.seqs); pl.last < v.seqs[n-1] {
-		t.Fatalf("t=%v: plan covers arrival numbers up to %d, the queue up to %d", v.Now, pl.last, v.seqs[n-1])
+	byArrival := slices.SortedFunc(slices.Values(pl.heap), func(a, b planned) int { return cmp.Compare(a.slot, b.slot) })
+	if end := v.base + len(v.Queue); pl.end != end {
+		t.Fatalf("t=%v: plan covers slot numbers below %d, the queue ends at %d", v.Now, pl.end, end)
 	}
 	k := 0
 	for i, j := range v.Queue {
 		if j == nil || slices.ContainsFunc(got, func(d Decision) bool { return d.Job == j }) {
 			continue
 		}
-		if k >= len(byArrival) || byArrival[k].seq != v.seqs[i] {
-			t.Fatalf("t=%v: queued job %d (slot %d, arrival number %d) is not planned job %d", v.Now, j.ID, i, v.seqs[i], k)
+		if k >= len(byArrival) || byArrival[k].slot != v.base+i {
+			t.Fatalf("t=%v: queued job %d (slot %d, slot number %d) is not planned job %d", v.Now, j.ID, i, v.base+i, k)
 		}
 		if math.Float64bits(byArrival[k].start) != math.Float64bits(starts[i]) {
 			t.Fatalf("t=%v: job %d planned at %v, the reference plans it at %v", v.Now, j.ID, byArrival[k].start, starts[i])
@@ -464,9 +462,9 @@ func (a *audit) countSearch(v View, got []Decision) {
 	if heads == len(queue) || avail <= 0 {
 		return
 	}
-	if last := v.seqs[len(v.seqs)-1]; v.Index.last < last {
-		a.t.Fatalf("t=%v: the decision stopped at a blocked head with %d processors left and indexed up to arrival number %d of %d",
-			v.Now, avail, v.Index.last, last)
+	if end := v.base + len(v.Queue); v.Index.end < end {
+		a.t.Fatalf("t=%v: the decision stopped at a blocked head with %d processors left and indexed slot numbers below %d of %d",
+			v.Now, avail, v.Index.end, end)
 	}
 	a.cov[[...]string{"searches taking no job", "searches taking one job", "searches taking several jobs"}[min(len(got)-heads, 2)]]++
 }
@@ -566,6 +564,11 @@ func steal(t *testing.T, s *Sim, n int, cov map[string]int) []*workload.Job {
 	}
 	before := s.Queued()
 	stolen := s.StealQueued(n)
+	if a, ok := s.policy.(*audit); ok {
+		for _, j := range stolen {
+			delete(a.slots, j) // see noteCompaction
+		}
+	}
 	after := s.Queued()
 	if k := len(before) - min(n, len(before)); !slices.Equal(after, before[:k]) || !slices.Equal(stolen, before[k:]) {
 		t.Fatalf("t=%v: stealing %d of %d queued jobs took %d and left %d", s.DES.Now(), n, len(before), len(stolen), len(after))
@@ -949,7 +952,7 @@ type busy struct {
 // on m processors of the given speed, with avail processors free, queue
 // waiting and running holding processors: a Profile made of the running
 // jobs' reservations, an empty plan and an empty index. queue may hold
-// holes (nil); slot i has arrival number i+1.
+// holes (nil); slot i has slot number i+1.
 func testView(now float64, m int, speed float64, avail int, queue []*workload.Job, running ...busy) View {
 	profile := rigid.NewProfile(m)
 	profile.TrimBefore(now)
@@ -960,11 +963,7 @@ func testView(now float64, m int, speed float64, avail int, queue []*workload.Jo
 			}
 		}
 	}
-	seqs := make([]uint64, len(queue))
-	for i := range seqs {
-		seqs[i] = uint64(i + 1)
-	}
-	return View{Now: now, Avail: avail, Speed: speed, Queue: queue, Plan: new(Plan), Index: new(QueueIndex), seqs: seqs, profile: profile}
+	return View{Now: now, Avail: avail, Speed: speed, Queue: queue, Plan: new(Plan), Index: new(QueueIndex), base: 1, profile: profile}
 }
 
 // pointOf is the reference's reading of a view built by testView, whose
@@ -979,9 +978,8 @@ func pointOf(v View) point {
 func requireLiveView(t *testing.T, s *Sim, v View) {
 	t.Helper()
 	q := &s.queue
-	if len(v.Queue) != len(q.jobs) || (len(v.Queue) > 0 && &v.Queue[0] != &q.jobs[0]) ||
-		len(v.seqs) != len(q.seqs) || (len(v.seqs) > 0 && &v.seqs[0] != &q.seqs[0]) {
-		t.Fatalf("t=%v: View.Queue is not the live queue, or its arrival numbers not the queue's", v.Now)
+	if len(v.Queue) != len(q.jobs) || (len(v.Queue) > 0 && &v.Queue[0] != &q.jobs[0]) || v.base != q.base {
+		t.Fatalf("t=%v: View.Queue is not the live queue, or its slot numbers not the queue's", v.Now)
 	}
 	if v.Index != &s.index || v.Plan != &s.plan || v.sim != s || v.profile != nil {
 		t.Fatalf("t=%v: view does not carry the simulator's index, plan and profile", v.Now)
@@ -1020,7 +1018,7 @@ func sameDecisions(t *testing.T, now float64, got, want []Decision) {
 // requirePositions requires every decision in ds to name its job's slot
 // in v.Queue, the first that holds it, as Sim.start reads it: a start
 // moves no other job. A decision that names a lane position must name
-// the job's entry in its lane of v.Index.
+// the job's entry in its lane of v.Index, under the slot's number.
 func requirePositions(t *testing.T, v View, ds []Decision) {
 	t.Helper()
 	for i, d := range ds {
@@ -1030,8 +1028,8 @@ func requirePositions(t *testing.T, v View, ds []Decision) {
 		if d.pos == 0 {
 			continue
 		}
-		if l := laneOf(v.Index, procsFor(d.Job)); l == nil || d.pos > len(l.jobs) || l.jobs[d.pos-1] != d.Job {
-			t.Fatalf("t=%v: decision %d names job %d at lane position %d, which does not hold it", v.Now, i, d.Job.ID, d.pos)
+		if l := laneOf(v.Index, procsFor(d.Job)); l == nil || d.pos > len(l.jobs) || l.jobs[d.pos-1] != d.Job || l.slots[d.pos-1] != v.base+d.at-1 {
+			t.Fatalf("t=%v: decision %d names job %d at lane position %d, which does not hold it under slot number %d", v.Now, i, d.Job.ID, d.pos, v.base+d.at-1)
 		}
 	}
 }

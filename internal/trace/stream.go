@@ -2,10 +2,10 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"math"
+	"math/big"
 	"strconv"
 	"unicode"
 	"unicode/utf8"
@@ -56,9 +56,10 @@ func NewSWFScanner(r io.Reader) *SWFScanner {
 // costs one). Values and error texts are strconv's own. The ID and procs
 // fields must then hold integers within ±2^53 (see isInt53): any other
 // value ends the scan with an error naming the line and the field. A
-// plain decimal is judged on its digits, not on the float they round to,
-// so 9007199254740993 (2^53+1) is refused rather than read as 2^53; a
-// field strconv values (an exponent, hex) is judged on its value.
+// field is judged on what it spells, not on the float it rounds to, so
+// 9007199254740993 (2^53+1) and 9.007199254740993e15 are refused rather
+// than read as 2^53: unless decode valued it exactly, by math/big
+// (bigInt53).
 func (s *SWFScanner) Scan() bool {
 	if s.err != nil {
 		return false
@@ -86,7 +87,7 @@ func (s *SWFScanner) Scan() bool {
 			l.val[i] = v
 		}
 		for _, i := range [...]int{0, 4} {
-			if !isInt53(l.val[i]) || l.wide&(1<<i) != 0 && !plainInt53(l.field[i]) {
+			if !isInt53(l.val[i]) || l.exact&^l.wide&(1<<i) == 0 && !bigInt53(l.field[i]) {
 				s.err = fmt.Errorf("trace: line %d field %d: %q is not an integer within ±2^53", s.line, i, l.field[i])
 				return false
 			}
@@ -109,20 +110,19 @@ func isInt53(v float64) bool {
 	return math.Abs(v) <= 1<<53 && v == math.Trunc(v)
 }
 
-// plainInt53 reports whether f, a plain decimal [+-]digits[.digits],
-// spells an integer of magnitude at most 2^53, judged on its digits. A
-// plain decimal whose significand is at most 2^53 needs no such check:
-// its value is exact to within a rounding too small to reach an integer,
-// so isInt53 judges it right.
-func plainInt53(f []byte) bool {
-	if f[0] == '+' || f[0] == '-' {
-		f = f[1:]
+// bigInt53 reports whether field f is exactly an integer of magnitude at
+// most 2^53, read by math/big off the hot path: f is an integer field
+// that strconv valued, or a plain decimal whose significand exceeds 2^53.
+// A plain decimal of at most 2^53 needs no such check: its value is exact
+// to within a rounding too small to reach an integer, so isInt53 judges
+// it right. math/big reads digits in quadratic time, so a field longer
+// than the 800 digits strconv keeps is refused unread.
+func bigInt53(f []byte) bool {
+	if len(f) > 800 {
+		return false
 	}
-	whole, frac, _ := bytes.Cut(f, []byte{'.'})
-	whole = bytes.TrimLeft(whole, "0")
-	const max = "9007199254740992" // 2^53
-	return len(bytes.TrimRight(frac, "0")) == 0 &&
-		(len(whole) < len(max) || len(whole) == len(max) && string(whole) <= max)
+	r, ok := new(big.Rat).SetString(string(f))
+	return ok && r.IsInt() && r.Num().CmpAbs(big.NewInt(1<<53)) <= 0
 }
 
 // asciiSpace marks the ASCII bytes that unicode.IsSpace accepts — the
@@ -140,7 +140,7 @@ type swfLine struct {
 	field [6][]byte  // the first six fields, aliasing the line
 	val   [6]float64 // val[i] is field i's value where exact has bit i set
 	exact uint8      // the fields valued; strconv reads the others
-	wide  uint8      // the plain decimals past 2^53 or 19 digits (plainInt53)
+	wide  uint8      // the fields valued from a significand past 2^53
 }
 
 // decode splits line around runs of white space exactly as strings.Fields
@@ -166,10 +166,10 @@ type swfLine struct {
 //     strconv, which settles it on its exact slow path.
 //
 // Any other field — an exponent, hex, Inf, NaN, underscores, no digit,
-// more digits — is left to strconv, which also words the errors. A plain
-// field whose significand exceeds 2^53, or that has more than 19 digits,
-// is marked wide: its value may have rounded onto an integer, so an
-// integer field's digits must be read (plainInt53).
+// more digits — is left to strconv, which also words the errors. A field
+// valued from a significand past 2^53 is marked wide: its value may have
+// rounded onto an integer, so an integer field must be read exactly
+// (bigInt53), like every field strconv values.
 func (l *swfLine) decode(line []byte) int {
 	n := 0
 	for i := 0; i < len(line); {
@@ -237,8 +237,6 @@ func (l *swfLine) decode(line []byte) int {
 					l.val[n] = v
 					l.exact |= 1 << n
 				}
-			} else if plain && digits > 19 {
-				l.wide |= 1 << n
 			}
 		}
 		n++

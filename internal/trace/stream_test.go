@@ -9,7 +9,6 @@ import (
 	"math"
 	"math/big"
 	"reflect"
-	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -47,11 +46,9 @@ func writeSWF(w io.Writer, recs []SWFRecord) error {
 // scanReference is SWFScanner as it read a line before it split one in
 // place: strings.TrimSpace, strings.Fields, then strconv.ParseFloat on
 // each of the first six fields, of which the ID and procs must be
-// integers of magnitude at most 2^53 — a plain decimal by its exact
-// value (math/big), any other spelling by its float value. It returns
-// every record delivered with its line number, and the error that ended
-// the scan.
-var plainDecimal = regexp.MustCompile(`^[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)$`)
+// integers of magnitude at most 2^53 by their exact value (math/big),
+// spelled in at most 800 bytes. It returns every record delivered with
+// its line number, and the error that ended the scan.
 
 func scanReference(input string) (recs []SWFRecord, lines []int, err error) {
 	sc := bufio.NewScanner(strings.NewReader(input))
@@ -74,13 +71,8 @@ func scanReference(input string) (recs []SWFRecord, lines []int, err error) {
 			vals[i] = v
 		}
 		for _, i := range []int{0, 4} {
-			v := vals[i]
-			bad := math.IsNaN(v) || math.Abs(v) > 1<<53 || v != math.Floor(v)
-			if plainDecimal.MatchString(fields[i]) {
-				r, _ := new(big.Rat).SetString(fields[i])
-				bad = !r.IsInt() || r.Num().CmpAbs(big.NewInt(1<<53)) > 0
-			}
-			if bad {
+			r, ok := new(big.Rat).SetString(fields[i])
+			if !ok || !r.IsInt() || r.Num().CmpAbs(big.NewInt(1<<53)) > 0 || len(fields[i]) > 800 {
 				return recs, lines, fmt.Errorf("trace: line %d field %d: %q is not an integer within ±2^53", line, i, fields[i])
 			}
 		}
@@ -235,6 +227,17 @@ var swfEdgeCases = []struct {
 	{"procs_2p53_spelled_wide", "1 0 0 5 +0009007199254740992.000 1\n2 0 0 5 " + strings.Repeat("0", 30) + "7 1\n", 2, ""},
 	{"id_2p53_plus_2", "9007199254740994 0 0 5 2 1\n", 0, `line 1 field 0: "9007199254740994" is not an integer within ±2^53`},
 	{"procs_minus_2p53_plus_2", "1 0 0 5 -9007199254740994 1\n", 0, `line 1 field 4: "-9007199254740994" is not an integer within ±2^53`},
+	// Spelled with an exponent or in hex, they are judged on what they
+	// spell too, not on the float it rounds to.
+	{"id_exponent_2p53", "9.007199254740992e15 0 0 5 2 1\n-9.007199254740992E15 0 0 5 2 1\n", 2, ""},
+	{"id_exponent_2p53_plus_1", "9.007199254740993e15 0 0 5 2 1\n", 0, `line 1 field 0: "9.007199254740993e15" is not an integer within ±2^53`},
+	{"id_exponent_2p52_plus_half", "4.5035996273704965e15 0 0 5 2 1\n", 0, `line 1 field 0: "4.5035996273704965e15" is not an integer within ±2^53`},
+	{"procs_exponent_2p53_plus_1", "1 0 0 5 9.007199254740993e15 1\n", 0, `line 1 field 4: "9.007199254740993e15" is not an integer within ±2^53`},
+	{"procs_exponent_2p52_plus_half", "1 0 0 5 -4.5035996273704965e15 1\n", 0, `line 1 field 4: "-4.5035996273704965e15" is not an integer within ±2^53`},
+	{"procs_exponent_rounds_to_1", "1 0 0 5 1.0000000000000001e0 1\n", 0, `line 1 field 4: "1.0000000000000001e0" is not an integer within ±2^53`},
+	{"id_hex_2p53_plus_1", "0x20000000000001p0 0 0 5 2 1\n", 0, `line 1 field 0: "0x20000000000001p0" is not an integer within ±2^53`},
+	{"procs_exponent_800_bytes", "1 0 0 5 2." + strings.Repeat("0", 796) + "e0 1\n2 0 0 5 2." + strings.Repeat("0", 797) + "e0 1\n", 1,
+		`line 2 field 4: "2.` + strings.Repeat("0", 797) + `e0" is not an integer within ±2^53`},
 	// The field count is checked before any field is read.
 	{"few_fields_bad_first", "zebra 0 0\n", 0, "line 1: 3 fields, want 6"},
 	{"five_fields_trailing_blank", "1 0 0 5 2 \n", 0, "line 1: 5 fields, want 6"},

@@ -17,9 +17,10 @@
 #
 # <pairs> defaults to 10 and <trace> (0 or 1) to 0. Pair i runs the
 # parent first when i is even. A parent given as a directory (say, a
-# `git archive` copy of the parent commit) is used as it is and left in
-# place; a parent given as a ref is checked out with `git worktree add`
-# under .bench_build/, which is git-ignored, and removed on every exit.
+# `git archive` copy of the parent commit) is used as it is, left in
+# place and labelled by its contents (dirlabel); a parent given as a ref
+# is checked out with `git worktree add` under .bench_build/, which is
+# git-ignored, and removed on every exit.
 # Each side builds itself through its own bench/run.sh, after one short
 # unrecorded warm-up run per workload.
 # Progress goes to standard error. The exit status is non-zero when a run
@@ -65,11 +66,22 @@ if [ -d "$ref" ]; then
 	parent_dir=$(cd "$ref" && pwd)
 fi
 
+# dirlabel names a directory by its base name and a sha256 over its
+# files' sorted relative paths and the sha256 of each, with .bench_build/
+# (what bench/run.sh builds there) and .git/ left out, so that two copies
+# of one source at different paths get one label.
+dirlabel() {
+	local sum
+	sum=$(cd "$1" && find . \( -path ./.bench_build -o -path ./.git \) -prune -o -type f -print0 | LC_ALL=C sort -z |
+		while IFS= read -r -d '' f; do printf '%s %s\n' "$(sha256sum <"$f" | cut -c1-64)" "$f"; done | sha256sum | cut -c1-64)
+	echo "directory $(basename "$1") sha256:$sum"
+}
+
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 root=$PWD
 if [ -n "$parent_dir" ]; then
 	tree=$parent_dir
-	parent="directory $tree"
+	parent=$(dirlabel "$tree")
 	unpair() { :; }
 else
 	parent_sha=$(git rev-parse --verify "$ref^{commit}")
@@ -143,12 +155,12 @@ for spec in "$@"; do
 done
 
 # The change side is this checkout's working tree: named by its commit,
-# or by its path when it is not a git checkout (say, a `git archive`
-# copy), where git would print usage text instead.
+# or by its contents (dirlabel) when it is not a git checkout (say, a
+# `git archive` copy), where git would print usage text instead.
 if head=$(git rev-parse --verify -q HEAD 2>/dev/null); then
 	change="working tree of $head$(git diff --quiet HEAD || echo ', with uncommitted changes')"
 else
-	change="directory $root"
+	change=$(dirlabel "$root")
 fi
 host=$(jq -n --arg cpu "$(grep -m1 'model name' /proc/cpuinfo | cut -d: -f2- | sed 's/^ //')" \
 	--arg kernel "$(uname -r)" --arg go "$(go version | cut -d' ' -f3-)" --argjson nproc "$(nproc)" \
