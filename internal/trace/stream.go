@@ -140,7 +140,7 @@ type swfLine struct {
 	field [6][]byte  // the first six fields, aliasing the line
 	val   [6]float64 // val[i] is field i's value where exact has bit i set
 	exact uint8      // the fields valued; strconv reads the others
-	wide  uint8      // the fields valued from a significand past 2^53
+	wide  uint8      // the plain fields whose significand passes 2^53
 }
 
 // decode splits line around runs of white space exactly as strings.Fields
@@ -166,8 +166,8 @@ type swfLine struct {
 //     strconv, which settles it on its exact slow path.
 //
 // Any other field — an exponent, hex, Inf, NaN, underscores, no digit,
-// more digits — is left to strconv, which also words the errors. A field
-// valued from a significand past 2^53 is marked wide: its value may have
+// more digits — is left to strconv, which also words the errors. A plain
+// field whose significand passes 2^53 is marked wide: its value may have
 // rounded onto an integer, so an integer field must be read exactly
 // (bigInt53), like every field strconv values.
 func (l *swfLine) decode(line []byte) int {
