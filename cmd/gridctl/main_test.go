@@ -14,6 +14,8 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/scenario"
+	"repro/internal/trace"
+	"repro/internal/workload"
 	"repro/pkg/client"
 )
 
@@ -64,6 +66,73 @@ func TestSimGanttMatchesGoldens(t *testing.T) {
 		}
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Errorf("sim -gantt -policy %s differs from its golden:\n%s", policy, got.String())
+		}
+	}
+}
+
+// TestSimModes: sim runs a dual-capability policy through the online
+// simulator with -online and refuses -online for an offline-only one,
+// and -swf replays an archive of a generated rigid stream to the report
+// of that stream (all but the first line, which prints the rate flag).
+func TestSimModes(t *testing.T) {
+	const n, m, seed, rate = 30, 16, 7, 0.2
+	gen := []string{"-n", "30", "-m", "16", "-seed", "7", "-rate", "0.2", "-rigidfrac", "1"}
+	jobs := workload.Parallel(workload.GenConfig{N: n, M: m, Seed: seed, ArrivalRate: rate, RigidFraction: 1})
+	archive := filepath.Join(t.TempDir(), "stream.swf")
+	var swf bytes.Buffer
+	sw := trace.NewSWFWriter(&swf)
+	for _, j := range jobs {
+		if err := sw.Write(trace.SWFRecord{ID: j.ID, Submit: j.Release, Runtime: j.TimeOn(j.MinProcs), Procs: j.MinProcs, Weight: j.Weight}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(archive, swf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sim := func(args ...string) (string, error) {
+		var out bytes.Buffer
+		err := simCmd(&out, args)
+		return out.String(), err
+	}
+	generated, err := sim(append([]string{"-policy", "easy"}, gen...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		args    []string
+		first   string // the report's first line
+		sameAs  string // the rest of the report, when set
+		wantErr string
+	}{
+		{name: "online", args: append([]string{"-policy", "conservative", "-online"}, gen...),
+			first: "policy=conservative n=30 m=16 rate=0.2"},
+		{name: "online offline-only", args: []string{"-policy", "mrt", "-online"},
+			wantErr: `policy "mrt" is offline-only; -online does not apply`},
+		{name: "swf", args: []string{"-policy", "easy", "-m", "16", "-swf", archive},
+			first: "policy=easy n=30 m=16 rate=0", sameAs: generated},
+		{name: "swf missing", args: []string{"-swf", archive + ".missing"},
+			wantErr: "no such file"},
+	} {
+		got, err := sim(c.args...)
+		if c.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("%s: error %v, want one containing %q", c.name, err, c.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		first, rest, _ := strings.Cut(got, "\n")
+		if first != c.first || !strings.Contains(rest, "x LB") {
+			t.Errorf("%s printed\n%s", c.name, got)
+		}
+		if _, wantRest, _ := strings.Cut(c.sameAs, "\n"); c.sameAs != "" && rest != wantRest {
+			t.Errorf("%s printed\n%s\nthe generated stream printed\n%s", c.name, got, c.sameAs)
 		}
 	}
 }

@@ -364,6 +364,43 @@ func sameServed(t *testing.T, when string, want, got map[string]string) {
 	}
 }
 
+// TestFigureResultSurvivesRestart: a figure renders through its own
+// writer, not from cells, so the store keeps its text. fig2 at quick
+// scale serves its golden table (less the blank line `gridctl local`
+// prints after every table) before the service and the store close and
+// after both reopen on the same directory.
+func TestFigureResultSurvivesRestart(t *testing.T) {
+	golden, err := os.ReadFile("../../testdata/golden/fig2.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.TrimSuffix(string(golden), "\n")
+	dir := t.TempDir()
+	st := openStoreT(t, dir)
+	cfg := Config{MaxActive: 1, MaxHistory: 4, Store: st}
+	svc, srv := newTestService(t, cfg)
+	run, code, _ := postRun(t, srv.URL, `{"id":"fig2","quick":true}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	waitState(t, srv.URL, run.ID, RunDone)
+	path := "/v1/runs/" + run.ID + "/result?format=text"
+	if got, code := getText(t, srv.URL, path); code != http.StatusOK || got != want {
+		t.Fatalf("fig2 before the restart (status %d):\n%s\nwant:\n%s", code, got, want)
+	}
+	srv.Close()
+	svc.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Store = openStoreT(t, dir)
+	_, srv2 := newTestService(t, cfg)
+	if got, code := getText(t, srv2.URL, path); code != http.StatusOK || got != want {
+		t.Fatalf("fig2 after the restart (status %d):\n%s\nwant:\n%s", code, got, want)
+	}
+}
+
 // TestCachedRunSurvivesRestart: a memo hit is persisted as a reference
 // to its source run, yet comes back byte-identical — status, event
 // history, result in every format — after a restart, after the source

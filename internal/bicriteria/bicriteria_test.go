@@ -178,6 +178,24 @@ func TestImpossibleJobRejected(t *testing.T) {
 	}
 }
 
+// TestOneJobTwiceRejected: a job is its pointer. The same job listed
+// twice is scheduled twice, and the schedule's own check refuses it;
+// twins that share an ID are two jobs and schedule.
+func TestOneJobTwiceRejected(t *testing.T) {
+	j := &workload.Job{
+		ID: 1, Kind: workload.Rigid, Weight: 1, DueDate: -1,
+		SeqTime: 10, MinProcs: 2, MaxProcs: 2, Model: workload.Linear{},
+	}
+	twin := *j
+	if _, err := Schedule([]*workload.Job{j, &twin}, 4, Options{}); err != nil {
+		t.Fatalf("twins that share an ID: %v", err)
+	}
+	const want = "bicriteria: produced invalid schedule: sched: job 1 scheduled twice"
+	if _, err := Schedule([]*workload.Job{j, j}, 4, Options{}); err == nil || err.Error() != want {
+		t.Fatalf("one job twice: %v, want %s", err, want)
+	}
+}
+
 func TestFig2SeriesSmall(t *testing.T) {
 	pts, err := Fig2Series(Fig2Config{
 		M: 16, Ns: []int{5, 20}, Seed: 1, Reps: 2, Parallel: true,

@@ -437,9 +437,6 @@ func New(sim *des.Simulator, m int, speed float64, policy Policy, kill KillPolic
 	if policy == nil {
 		return nil, fmt.Errorf("cluster: nil policy")
 	}
-	if sim == nil {
-		sim = des.New()
-	}
 	s := &Sim{
 		DES: sim, M: m, Speed: speed, policy: policy, kill: kill,
 		profile: rigid.NewProfile(m),

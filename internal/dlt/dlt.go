@@ -194,12 +194,9 @@ func MultiRound(s *Star, W float64, R int) (*Distribution, error) {
 	}
 	order := ordering(s)
 	// Intra-round proportions from the latency-free closed form over all
-	// workers; if that fails (cannot here with L=0), uniform.
-	noLat := &Star{Workers: s.Workers, Latency: 0}
-	base, ok := singleRoundPrefix(noLat, W, order)
-	if !ok {
-		base = &Distribution{Alpha: uniform(len(s.Workers))}
-	}
+	// workers, which cannot fail: with L = 0 every B_i is 0, A_1 = 1 and
+	// every A_i is positive, so no fraction is negative.
+	base, _ := singleRoundPrefix(&Star{Workers: s.Workers}, W, order)
 	alpha := base.Alpha
 
 	clock := 0.0 // master port free time
@@ -279,14 +276,6 @@ func SelfSchedule(s *Star, W float64, chunk float64) (*Distribution, error) {
 		total[i] /= W
 	}
 	return &Distribution{Alpha: total, Makespan: finish, Messages: messages}, nil
-}
-
-func uniform(n int) []float64 {
-	a := make([]float64, n)
-	for i := range a {
-		a[i] = 1 / float64(n)
-	}
-	return a
 }
 
 // LowerBound returns a certified makespan lower bound for distributing

@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -226,6 +229,103 @@ func TestSpecFileLoading(t *testing.T) {
 
 func writeFile(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o644)
+}
+
+// TestExampleSpecsRun: every worked spec under examples/scenario runs
+// to completion at quick scale, as `gridctl local -quick file.json` runs
+// it, and the two with a fault plan on an online or grid kind print the
+// fault columns.
+func TestExampleSpecsRun(t *testing.T) {
+	paths, err := filepath.Glob("../../examples/scenario/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example specs: %v", err)
+	}
+	faulty := map[string]bool{"fleet-outage": true, "online-churn": true}
+	for _, path := range paths {
+		spec, err := scenario.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(spec.ID, func(t *testing.T) {
+			req := scenario.HTTPRequest{Quick: true}
+			res, err := scenario.Run(spec, req.Options(spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Table == nil || len(res.Table.Rows) == 0 {
+				t.Fatal("no rows")
+			}
+			if !faulty[spec.ID] {
+				return
+			}
+			delete(faulty, spec.ID)
+			for _, col := range []string{"crashes", "requeues"} {
+				if !slices.Contains(res.Table.Headers, col) {
+					t.Errorf("no %q column in %v", col, res.Table.Headers)
+				}
+			}
+		})
+	}
+	if len(faulty) > 0 {
+		t.Fatalf("example specs missing: %v", faulty)
+	}
+}
+
+// TestGenericKindGenerators: the generic kinds draw their stream from
+// every generator they name — sequential and mixed through the batch
+// kinds, communities streamed through replay — and a batch kind refuses
+// communities; the offline kind's absolute columns are its ratio columns
+// times one shared lower bound.
+func TestGenericKindGenerators(t *testing.T) {
+	w := func(gen string) *scenario.Workload {
+		return &scenario.Workload{Generator: gen, N: 40, M: 16, RigidFraction: 1}
+	}
+	for _, c := range []struct {
+		spec    *scenario.Spec
+		rows    int
+		wantErr string
+	}{
+		{spec: &scenario.Spec{ID: "seq", Kind: "offline", Workload: w("sequential"),
+			Policies: []string{"mrt", "ffdh"},
+			Metrics:  []string{"cmax", "cmax_ratio", "swc", "swc_ratio", "max_flow", "mean_stretch"}}, rows: 2},
+		{spec: &scenario.Spec{ID: "mixed", Kind: "online", Workload: w("mixed"),
+			Policies: []string{"fcfs", "easy"}, Params: map[string]any{"rates": []float64{0.2}}}, rows: 2},
+		{spec: &scenario.Spec{ID: "communities", Kind: "replay", Workload: w("communities"),
+			Policies: []string{"easy"}}, rows: 1},
+		{spec: &scenario.Spec{ID: "x", Kind: "offline", Workload: w("communities")},
+			wantErr: "not usable here"},
+	} {
+		res, err := scenario.Run(c.spec, scenario.RunOptions{Seed: 3})
+		if c.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("%s/%s: error %v, want one containing %q", c.spec.Kind, c.spec.Workload.Generator, err, c.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s/%s: %v", c.spec.Kind, c.spec.Workload.Generator, err)
+		}
+		if len(res.Cells) != c.rows {
+			t.Fatalf("%s/%s: %d rows, want %d", c.spec.Kind, c.spec.Workload.Generator, len(res.Cells), c.rows)
+		}
+		if c.spec.Kind != "offline" {
+			continue
+		}
+		var cmaxLB, swcLB float64
+		for _, cell := range res.Cells {
+			v := cell.Values
+			cmax, cmaxRatio, swc, swcRatio := v[1].(float64), v[2].(float64), v[3].(float64), v[4].(float64)
+			if cmaxRatio < 1 || swcRatio < 1 || v[5].(float64) <= 0 || v[6].(float64) <= 0 {
+				t.Fatalf("%s row %v: a ratio below 1 or a non-positive flow or stretch", c.spec.ID, v)
+			}
+			if cmaxLB == 0 {
+				cmaxLB, swcLB = cmax/cmaxRatio, swc/swcRatio
+			}
+			if math.Abs(cmax/cmaxRatio-cmaxLB) > 1e-9*cmaxLB || math.Abs(swc/swcRatio-swcLB) > 1e-9*swcLB {
+				t.Fatalf("%s row %v: bounds %v and %v, want %v and %v", c.spec.ID, v, cmax/cmaxRatio, swc/swcRatio, cmaxLB, swcLB)
+			}
+		}
+	}
 }
 
 // TestKindsRejectBadParams: a typo'd or mistyped param in a scenario

@@ -133,8 +133,9 @@ func TestOfFormsMatchReference(t *testing.T) {
 }
 
 // TestListBaselinesNameTheirOwnTwins: two jobs that share an ID stay two
-// jobs through the list baselines: each allocation names the job whose
-// width it priced, at a width that job allows.
+// jobs through the list baselines and MRT: each allocation names the job
+// whose width it priced, at a width that job allows, and the schedule
+// validates whole.
 func TestListBaselinesNameTheirOwnTwins(t *testing.T) {
 	const m = 4
 	// wide's least work, least time and γ(5) are all at 2 processors.
@@ -171,5 +172,28 @@ func TestListBaselinesNameTheirOwnTwins(t *testing.T) {
 		if len(named) != 2 {
 			t.Fatalf("%s: %d allocations name %d twins", b.name, len(s.Allocs), len(named))
 		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("%s: %v", b.name, err)
+		}
+	}
+	r, err := MRT([]*workload.Job{wide, narrow}, m, 0.01)
+	if err != nil {
+		t.Fatalf("MRT: %v", err)
+	}
+	named := map[*workload.Job]bool{}
+	for _, a := range r.Schedule.Allocs {
+		if named[a.Job] || !a.Job.CanRunOn(a.Procs) {
+			t.Fatalf("MRT: job %p on %d procs, want each twin once at a width it allows", a.Job, a.Procs)
+		}
+		named[a.Job] = true
+	}
+	if len(named) != 2 {
+		t.Fatalf("MRT: %d allocations name %d twins", len(r.Schedule.Allocs), len(named))
+	}
+	// One job listed twice is two allocations of one job, which MRT's own
+	// check refuses.
+	const twice = "moldable: produced invalid schedule: sched: job 1 scheduled twice"
+	if _, err := MRT([]*workload.Job{wide, wide}, m, 0.01); fmt.Sprint(err) != twice {
+		t.Fatalf("MRT over one job twice: %v, want %s", err, twice)
 	}
 }

@@ -139,10 +139,11 @@ func (r *Recorder) Record(t float64, typ EventType, job, procs, clusterIdx int) 
 	})
 }
 
-// Attach registers the cluster under the given label and chains the
-// recorder onto the simulation's observer hooks, preserving any hooks
-// already installed (fault engines and grid routers set OnBEKilled
-// before tracing attaches). It returns the cluster index used for the
+// Attach registers the cluster under the given label and sets the
+// simulation's OnLocalSubmit, OnLocalStart, OnLocalDone, OnLocalKilled,
+// OnCrash and OnRepair hooks to record into r, replacing any set before.
+// OnBEKilled is chained instead: grid routers and the faults kind set it
+// before tracing attaches. It returns the cluster index used for the
 // recorded events, or -1 on a nil recorder.
 func (r *Recorder) Attach(s *cluster.Sim, label string) int {
 	if r == nil {
@@ -151,34 +152,18 @@ func (r *Recorder) Attach(s *cluster.Sim, label string) int {
 	ci := len(r.clusters)
 	r.clusters = append(r.clusters, ClusterInfo{Name: label, M: s.M})
 
-	prevSubmit := s.OnLocalSubmit
 	s.OnLocalSubmit = func(j *workload.Job, now float64) {
 		r.Record(now, EvSubmit, j.ID, j.MinProcs, ci)
-		if prevSubmit != nil {
-			prevSubmit(j, now)
-		}
 	}
-	prevStart := s.OnLocalStart
 	s.OnLocalStart = func(j *workload.Job, procs int, now float64) {
 		r.Record(now, EvStart, j.ID, procs, ci)
-		if prevStart != nil {
-			prevStart(j, procs, now)
-		}
 	}
-	prevDone := s.OnLocalDone
 	s.OnLocalDone = func(c metrics.Completion) {
 		r.Record(c.End, EvFinish, c.Job.ID, c.Procs, ci)
-		if prevDone != nil {
-			prevDone(c)
-		}
 	}
-	prevKilled := s.OnLocalKilled
 	s.OnLocalKilled = func(j *workload.Job, procs int, now float64) {
 		r.Record(now, EvKill, j.ID, procs, ci)
 		r.Record(now, EvRequeue, j.ID, j.MinProcs, ci)
-		if prevKilled != nil {
-			prevKilled(j, procs, now)
-		}
 	}
 	prevBEKilled := s.OnBEKilled
 	s.OnBEKilled = func(t cluster.BETask) {
@@ -189,19 +174,11 @@ func (r *Recorder) Attach(s *cluster.Sim, label string) int {
 			prevBEKilled(t)
 		}
 	}
-	prevCrash := s.OnCrash
 	s.OnCrash = func(procs int, now float64) {
 		r.Record(now, EvCrash, -1, procs, ci)
-		if prevCrash != nil {
-			prevCrash(procs, now)
-		}
 	}
-	prevRepair := s.OnRepair
 	s.OnRepair = func(procs int, now float64) {
 		r.Record(now, EvRepair, -1, procs, ci)
-		if prevRepair != nil {
-			prevRepair(procs, now)
-		}
 	}
 	return ci
 }

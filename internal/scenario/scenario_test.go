@@ -72,7 +72,6 @@ func TestParamCoercion(t *testing.T) {
 		WithParam("eps", 0.01),
 		WithParam("ms", []int{16, 64}),
 		WithParam("rates", []float64{0.05, 0.5}),
-		WithParam("names", []string{"a", "b"}),
 		WithParam("mode", "fast"),
 	)
 	decoded, err := Decode(bytes.NewReader(encode(t, native)))
@@ -91,9 +90,6 @@ func TestParamCoercion(t *testing.T) {
 		}
 		if got := s.Floats("rates", nil); !reflect.DeepEqual(got, []float64{0.05, 0.5}) {
 			t.Fatalf("Floats(rates) = %v", got)
-		}
-		if got := s.Strings("names", nil); !reflect.DeepEqual(got, []string{"a", "b"}) {
-			t.Fatalf("Strings(names) = %v", got)
 		}
 		if got := s.String("mode", ""); got != "fast" {
 			t.Fatalf("String(mode) = %q", got)
@@ -297,13 +293,12 @@ func registerSchemaProbe(kind string, schema map[string]ParamType) {
 func TestCheckParams(t *testing.T) {
 	const k = "schema-probe-kind"
 	registerSchemaProbe(k, map[string]ParamType{
-		"ms": IntsParam, "eps": FloatParam, "kill": StringParam, "flag": BoolParam,
+		"ms": IntsParam, "eps": FloatParam, "kill": StringParam,
 	})
 	ok := New("ok", k,
 		WithParam("ms", []int{16, 64}),
 		WithParam("eps", 0.01),
-		WithParam("kill", "newest"),
-		WithParam("flag", true))
+		WithParam("kill", "newest"))
 	if err := ok.Validate(Limits{}); err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +319,6 @@ func TestCheckParams(t *testing.T) {
 		{"number for string", New("x", k, WithParam("kill", 3))},
 		{"scalar for list", New("x", k, WithParam("ms", 16))},
 		{"string list for number list", New("x", k, WithParam("ms", []string{"a"}))},
-		{"number for bool", New("x", k, WithParam("flag", 1))},
 	}
 	for _, c := range bad {
 		if err := c.spec.Validate(Limits{}); err == nil {

@@ -497,8 +497,6 @@ const (
 	FloatsParam                  // list of numbers
 	IntsParam                    // list of numbers, used as ints
 	StringParam
-	StringsParam
-	BoolParam
 )
 
 func (p ParamType) String() string {
@@ -513,10 +511,6 @@ func (p ParamType) String() string {
 		return "list of integers"
 	case StringParam:
 		return "string"
-	case StringsParam:
-		return "list of strings"
-	case BoolParam:
-		return "boolean"
 	}
 	return "unknown"
 }
@@ -612,11 +606,6 @@ func (s *Spec) paramHasType(key string, pt ParamType) bool {
 		return true
 	case StringParam:
 		_, ok := v.(string)
-		return ok
-	case StringsParam:
-		return len(s.Strings(key, nil)) > 0
-	case BoolParam:
-		_, ok := v.(bool)
 		return ok
 	}
 	return false
@@ -733,29 +722,6 @@ func (s *Spec) Ints(key string, def []int) []int {
 		out[i] = int(f)
 	}
 	return out
-}
-
-// Strings returns the named string list, or def when absent.
-func (s *Spec) Strings(key string, def []string) []string {
-	v, ok := s.Params[key]
-	if !ok {
-		return def
-	}
-	switch v := v.(type) {
-	case []string:
-		return v
-	case []any:
-		out := make([]string, 0, len(v))
-		for _, e := range v {
-			str, ok := e.(string)
-			if !ok {
-				return def
-			}
-			out = append(out, str)
-		}
-		return out
-	}
-	return def
 }
 
 func toFloat(v any) (float64, bool) {

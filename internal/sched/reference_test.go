@@ -255,23 +255,24 @@ func FuzzCapacitySweep(f *testing.F) {
 }
 
 // referenceValidateWith is ValidateWith as it stood before it fed the
-// sweep straight from the allocations: a map of the job IDs seen, then
-// the allocations and reservations as intervals.
+// sweep straight from the allocations: a map of the jobs seen, then the
+// allocations and reservations as intervals. The map is keyed by the job
+// pointer, as in ValidateWith: twins that share an ID are two jobs.
 func referenceValidateWith(s *Schedule, opt ValidateOptions) error {
 	if s.M <= 0 {
 		return fmt.Errorf("sched: schedule on %d processors", s.M)
 	}
-	seen := make(map[int]bool, len(s.Allocs))
+	seen := make(map[*workload.Job]bool, len(s.Allocs))
 	const eps = 1e-9
 	for i, a := range s.Allocs {
 		j := a.Job
 		if j == nil {
 			return fmt.Errorf("sched: allocation %d has nil job", i)
 		}
-		if seen[j.ID] {
+		if seen[j] {
 			return fmt.Errorf("sched: job %d scheduled twice", j.ID)
 		}
-		seen[j.ID] = true
+		seen[j] = true
 		if !j.CanRunOn(a.Procs) {
 			return fmt.Errorf("sched: job %d on %d procs outside [%d,%d]",
 				j.ID, a.Procs, j.MinProcs, j.MaxProcs)
@@ -305,8 +306,9 @@ func referenceValidateWith(s *Schedule, opt ValidateOptions) error {
 }
 
 // decodeViolations builds a schedule of up to 12 allocations from bytes,
-// each drawn to break one rule now and then: a nil job, a repeated ID
-// (dense IDs, or sparse ones up to the int range's ends), a count outside
+// each drawn to break one rule now and then: a nil job, a repeated job
+// or a distinct one with a taken ID (dense IDs, or sparse ones up to the
+// int range's ends), a count outside
 // the job's range or wider than M, a rigid job off its request (its
 // range may be wider than the request), a start
 // before its release or below zero, and demand above M; plus, at times,

@@ -90,7 +90,7 @@ func (s *Schedule) Validate() error { return s.ValidateWith(ValidateOptions{}) }
 
 // ValidateWith checks:
 //   - every allocation has a legal processor count for its job kind;
-//   - no job appears twice;
+//   - no job appears twice (a job is its pointer, not its ID);
 //   - release dates are respected (unless ignored);
 //   - aggregate demand, reservations included, never exceeds M, under
 //     platform.PeakDemand's tie rule.
@@ -142,10 +142,12 @@ func (s *Schedule) ValidateWith(opt ValidateOptions) error {
 	return nil
 }
 
-// firstRepeat returns the index of the first allocation whose job ID an
-// earlier allocation already holds, or -1 if no ID repeats; nil jobs are
-// skipped. IDs that span fewer than 64 values per allocation, as dense
-// job numbers do, are marked in a bitset; sparser ones in a map.
+// firstRepeat returns the index of the first allocation whose job an
+// earlier allocation already holds, or -1 if none does; nil jobs are
+// skipped. A job is its pointer: distinct jobs may share an ID. IDs that
+// span fewer than 64 values per allocation, as dense job numbers do, are
+// marked in a bitset, and only an ID seen twice sends the check to the
+// map of job pointers that sparser IDs use.
 func firstRepeat(allocs []Alloc) int {
 	lo, hi := math.MaxInt, math.MinInt
 	for _, a := range allocs {
@@ -159,27 +161,32 @@ func firstRepeat(allocs []Alloc) int {
 	// The difference wraps as an int but is exact as a uint.
 	if span := uint(hi - lo); span/64 < uint(len(allocs)) {
 		bits := make([]uint64, span/64+1)
-		for i, a := range allocs {
+		for _, a := range allocs {
 			if a.Job == nil {
 				continue
 			}
 			k := uint(a.Job.ID - lo)
 			if bits[k/64]&(1<<(k%64)) != 0 {
-				return i
+				return firstRepeatedJob(allocs)
 			}
 			bits[k/64] |= 1 << (k % 64)
 		}
 		return -1
 	}
-	seen := make(map[int]bool, len(allocs))
+	return firstRepeatedJob(allocs)
+}
+
+// firstRepeatedJob is firstRepeat over a map of job pointers.
+func firstRepeatedJob(allocs []Alloc) int {
+	seen := make(map[*workload.Job]bool, len(allocs))
 	for i, a := range allocs {
 		if a.Job == nil {
 			continue
 		}
-		if seen[a.Job.ID] {
+		if seen[a.Job] {
 			return i
 		}
-		seen[a.Job.ID] = true
+		seen[a.Job] = true
 	}
 	return -1
 }

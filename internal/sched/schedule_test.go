@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -68,13 +69,23 @@ func TestValidateRigid(t *testing.T) {
 	}
 }
 
+// TestValidateDoubleSchedule: a job is its pointer. One job allocated
+// twice fails, behind a twin or not and whatever the IDs' spread (the
+// bitset and the map path); two distinct jobs that share an ID pass.
 func TestValidateDoubleSchedule(t *testing.T) {
-	j := mold(1, 4, 2)
-	s := New(4)
-	s.Add(Alloc{Job: j, Start: 0, Procs: 1})
-	s.Add(Alloc{Job: j, Start: 10, Procs: 1})
-	if err := s.Validate(); err == nil {
-		t.Fatal("job scheduled twice accepted")
+	for _, otherID := range []int{2, 1 << 40} {
+		j, twin, other := mold(1, 4, 2), mold(1, 4, 2), mold(otherID, 4, 2)
+		s := New(4)
+		s.Add(Alloc{Job: j, Start: 0, Procs: 1})
+		s.Add(Alloc{Job: twin, Start: 0, Procs: 1})
+		s.Add(Alloc{Job: other, Start: 0, Procs: 1})
+		if err := s.Validate(); err != nil {
+			t.Fatalf("twins that share ID 1: %v", err)
+		}
+		s.Add(Alloc{Job: j, Start: 10, Procs: 1})
+		if err := s.Validate(); fmt.Sprint(err) != "sched: job 1 scheduled twice" {
+			t.Fatalf("job scheduled twice: %v, want sched: job 1 scheduled twice", err)
+		}
 	}
 }
 

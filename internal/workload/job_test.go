@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -42,8 +41,6 @@ type commPenalty struct{ overhead float64 }
 func (c commPenalty) Time(seq float64, p int) float64 {
 	return seq/float64(p) + c.overhead*float64(p-1)
 }
-
-func (c commPenalty) Name() string { return fmt.Sprintf("commpenalty(%.3g)", c.overhead) }
 
 func TestValidate(t *testing.T) {
 	ok := testJob(10, 1, 4, Linear{})
@@ -224,7 +221,7 @@ func TestSpeedupModels(t *testing.T) {
 	}
 	for _, c := range cases {
 		if got := c.m.Time(100, c.p); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("%s.Time(100,%d) = %v, want %v", c.m.Name(), c.p, got, c.want)
+			t.Errorf("%#v.Time(100,%d) = %v, want %v", c.m, c.p, got, c.want)
 		}
 	}
 }

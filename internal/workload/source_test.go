@@ -176,7 +176,7 @@ func TestGeneratorModelsNeverClamp(t *testing.T) {
 		model, seq := generatorModel(rng), rng.LogNormal(rng.Range(0.5, 11), rng.Range(0.1, 2))
 		for p, clamped := range MakeTable(model, seq, 4096) {
 			if raw := model.Time(seq, p+1); !sameFloat(clamped, raw) {
-				t.Logf("seed %d: %s, seq %v: table[%d] = %v, Time = %v", seed, model.Name(), seq, p, clamped, raw)
+				t.Logf("seed %d: %#v, seq %v: table[%d] = %v, Time = %v", seed, model, seq, p, clamped, raw)
 				return false
 			}
 		}
@@ -267,12 +267,12 @@ func TestMakeTableTypedMatchesGeneric(t *testing.T) {
 		}
 		want, got := referenceMakeTable(model, seq, n), MakeTable(model, seq, n)
 		if len(got) != len(want) {
-			t.Logf("seed %d: %s: length %d, want %d", seed, model.Name(), len(got), len(want))
+			t.Logf("seed %d: %#v: length %d, want %d", seed, model, len(got), len(want))
 			return false
 		}
 		for p := range want {
 			if !sameFloat(got[p], want[p]) {
-				t.Logf("seed %d: %s, seq %v: table[%d] = %v, generic loop %v", seed, model.Name(), seq, p, got[p], want[p])
+				t.Logf("seed %d: %#v, seq %v: table[%d] = %v, generic loop %v", seed, model, seq, p, got[p], want[p])
 				return false
 			}
 		}

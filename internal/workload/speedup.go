@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // SpeedupModel prices the execution time of a task on p processors given
 // its sequential time. Implementations must return positive times for
@@ -14,8 +11,6 @@ type SpeedupModel interface {
 	// Time returns the execution time of a task of sequential duration
 	// seq on p processors.
 	Time(seq float64, p int) float64
-	// Name identifies the model in traces and experiment tables.
-	Name() string
 }
 
 // Linear is the ideal (communication-free) model: time = seq / p.
@@ -23,9 +18,6 @@ type Linear struct{}
 
 // Time implements SpeedupModel.
 func (Linear) Time(seq float64, p int) float64 { return seq / float64(p) }
-
-// Name implements SpeedupModel.
-func (Linear) Name() string { return "linear" }
 
 // Amdahl is the classical Amdahl model with sequential fraction Alpha:
 // time = seq * (Alpha + (1-Alpha)/p). Monotone for Alpha in [0, 1].
@@ -38,9 +30,6 @@ func (a Amdahl) Time(seq float64, p int) float64 {
 	return seq * (a.Alpha + (1-a.Alpha)/float64(p))
 }
 
-// Name implements SpeedupModel.
-func (a Amdahl) Name() string { return fmt.Sprintf("amdahl(%.2f)", a.Alpha) }
-
 // PowerLaw models sub-linear speedup: time = seq / p^Sigma with
 // Sigma in (0, 1]. Sigma = 1 is linear speedup. Monotone for Sigma ≤ 1.
 type PowerLaw struct {
@@ -51,9 +40,6 @@ type PowerLaw struct {
 func (m PowerLaw) Time(seq float64, p int) float64 {
 	return seq / math.Pow(float64(p), m.Sigma)
 }
-
-// Name implements SpeedupModel.
-func (m PowerLaw) Name() string { return fmt.Sprintf("powerlaw(%.2f)", m.Sigma) }
 
 // logP[p] is math.Log(p) for the widths powerLawTable prices with one
 // math.Exp each.
